@@ -23,13 +23,22 @@ cargo clippy -p recurs-net --all-targets --features fault-inject --offline -- -D
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
-# The fault-injection lanes include the ivm differential gate under forced
-# maintenance truncation (tripped patches must still equal the from-scratch
-# oracle via the cold fallback).
+# The fault-injection lanes all arm the engine's one fault plan, fired by the
+# round driver: slowed / ballasted / tripped kernel runs, the ivm
+# differential gate under forced maintenance truncation (tripped patches —
+# propagation, overdeletion and rederive waves — must still equal the
+# from-scratch oracle via the cold fallback), and served deadline drills.
 echo "==> cargo test fault-injection suite"
 cargo test -p recurs-engine --features fault-inject --offline -q
 cargo test -p recurs-ivm --features fault-inject --offline -q
 cargo test -p recurs-serve --features fault-inject --offline -q
+
+# perfbench/layers is the only code outside crates/ that links the crate
+# APIs (run_linear / run_program / EngineConfig, Materialization::{saturate,
+# apply}, PatchStats, ServeConfig, ...) and the benchmark driver builds it
+# on `--trace 1`, so an API change that breaks it must fail here.
+echo "==> perfbench/layers builds against the crate APIs"
+cargo build --release --offline --manifest-path perfbench/layers/Cargo.toml
 
 # The recurs-net chaos suite: torn frames, stalled sockets, mid-request
 # disconnects, and worker panics during drain must never leak a panic out of

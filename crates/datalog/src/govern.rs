@@ -247,7 +247,8 @@ pub struct Progress {
 /// The runtime companion of an [`EvalBudget`]: carries the armed deadline
 /// and ceilings, and answers "should this run stop, and why".
 ///
-/// `Governor` is `Sync`; parallel workers poll one shared instance.
+/// `Governor` is `Sync`: a cancel token flipped on another thread (Ctrl-C, a
+/// draining server) is seen at the next poll.
 #[derive(Debug)]
 pub struct Governor {
     deadline: Option<Instant>,

@@ -13,16 +13,6 @@ pub enum EngineError {
     /// A substrate error from the Datalog layer: unknown relation, arity
     /// mismatch, unbound head variable.
     Datalog(DatalogError),
-    /// A shard worker panicked and the single-threaded retry panicked too
-    /// (the degradation ladder is exhausted). The database write-back did
-    /// not happen; the caller's database is unchanged.
-    WorkerPanic {
-        /// The fixpoint iteration (counting the seeding round as 1) in
-        /// which the panic occurred.
-        iteration: usize,
-        /// The panic payload, if it was a string.
-        message: String,
-    },
     /// An engine invariant was violated (e.g. a compiled rule referenced a
     /// relation or index the setup phase failed to prepare). Always a bug in
     /// the engine, never user error.
@@ -33,12 +23,6 @@ impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::Datalog(e) => write!(f, "{e}"),
-            EngineError::WorkerPanic { iteration, message } => {
-                write!(
-                    f,
-                    "engine worker panicked in iteration {iteration}: {message}"
-                )
-            }
             EngineError::Internal(msg) => write!(f, "internal engine invariant violated: {msg}"),
         }
     }
@@ -91,12 +75,6 @@ mod tests {
     fn display_formats_each_variant() {
         let e = EngineError::Datalog(DatalogError::UnknownRelation(Symbol::intern("Nope")));
         assert!(e.to_string().contains("Nope"));
-        let e = EngineError::WorkerPanic {
-            iteration: 3,
-            message: "boom".to_string(),
-        };
-        assert!(e.to_string().contains("iteration 3"));
-        assert!(e.to_string().contains("boom"));
         let e = EngineError::Internal("missing index");
         assert!(e.to_string().contains("missing index"));
     }

@@ -1,45 +1,31 @@
-//! Fault injection for robustness tests: worker panics, artificial
-//! slowdowns, and allocation pressure at configurable points.
+//! Fault injection for robustness tests: artificial slowdowns, allocation
+//! pressure, and a transient mid-run trip, all fired from one place — the
+//! top of every [`crate::drive_rounds`] round.
 //!
 //! Compiled only under `cfg(test)` or the `fault-inject` feature — release
 //! builds without the feature contain none of these hooks. A test arms a
 //! [`FaultPlan`] with [`arm`]; the returned [`FaultGuard`] holds a global
 //! serialization gate (faulty tests must not overlap, the plan is process
 //! global) and disarms the plan on drop, even if the test panics.
-//!
-//! Decisions are made under the plan lock but the injected actions (panic,
-//! sleep) run *outside* it, so an injected panic never poisons the plan
-//! mutex for the next test.
 
 use recurs_obs::{field, Obs};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// When injected worker panics fire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PanicMode {
-    /// The given worker index panics once (the first time it starts);
-    /// subsequent starts of the same worker run normally. Exercises the
-    /// parallel engine's single-threaded retry.
-    OnceInWorker(usize),
-    /// Every worker start panics, *and* the single-threaded retry panics.
-    /// Exercises the end of the degradation ladder
-    /// ([`crate::EngineError::WorkerPanic`]).
-    Always,
-}
-
 /// One armed fault scenario.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    /// Inject panics into shard workers (and, for [`PanicMode::Always`],
-    /// the retry path).
-    pub panic_mode: Option<PanicMode>,
-    /// Sleep this long at every worker start (simulates a slow worker, for
-    /// deadline tests).
+    /// Sleep this long at the start of every round (simulates a slow round,
+    /// for deadline tests).
     pub slowdown: Option<Duration>,
-    /// Extra bytes reported to the engine's memory estimate (simulates
+    /// Extra bytes reported to the driver's memory estimate (simulates
     /// allocation pressure without actually allocating).
     pub ballast_bytes: usize,
+    /// The first driver call to reach this round (0-based within the call)
+    /// stops there as if cancelled. One-shot: the trip disarms itself when
+    /// it fires, so whatever recovers from it (a cold rebuild, a retry) is
+    /// not re-tripped — the fault it models is transient.
+    pub trip_at_round: Option<u64>,
 }
 
 static PLAN: Mutex<Option<FaultPlan>> = Mutex::new(None);
@@ -53,15 +39,13 @@ fn plan_lock() -> MutexGuard<'static, Option<FaultPlan>> {
 /// faults are serialized on a global gate; the plan is disarmed when the
 /// guard drops.
 pub fn arm(plan: FaultPlan) -> FaultGuard {
-    let gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    *plan_lock() = Some(plan);
-    FaultGuard { _gate: gate }
+    let guard = quiesce();
+    guard.rearm(plan);
+    guard
 }
 
 /// Serializes a non-faulty test against armed fault plans: while the
 /// returned guard lives, no fault plan can be armed (and none is armed).
-/// Parallel-mode tests in the same process as fault tests take this to
-/// avoid absorbing another test's injected fault.
 pub fn quiesce() -> FaultGuard {
     let gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     FaultGuard { _gate: gate }
@@ -73,98 +57,66 @@ pub struct FaultGuard {
     _gate: MutexGuard<'static, ()>,
 }
 
+impl FaultGuard {
+    /// Replaces the armed plan while keeping the gate — for tests that run
+    /// their fault-free set-up under [`quiesce`] and arm afterwards, or arm
+    /// a fresh one-shot trip per step.
+    pub fn rearm(&self, plan: FaultPlan) {
+        *plan_lock() = Some(plan);
+    }
+}
+
 impl Drop for FaultGuard {
     fn drop(&mut self) {
         *plan_lock() = None;
     }
 }
 
-/// Hook called by each shard worker as it starts an iteration's work. May
-/// sleep and/or panic according to the armed plan.
-pub fn worker_start(worker: usize) {
-    worker_start_obs(worker, &Obs::noop());
-}
-
-/// [`worker_start`] with an observability handle: each injected action is
-/// announced as a `fault.injected` trace event *before* it takes effect
-/// (an injected panic unwinds, so emitting afterwards is impossible). The
-/// events make injected failures distinguishable from organic ones in a
-/// trace.
-pub fn worker_start_obs(worker: usize, obs: &Obs) {
-    let (do_panic, sleep) = {
+/// Hook called by the driver at the top of each round. Sleeps if a slowdown
+/// is armed; returns true when the armed trip fires at this round. Each
+/// injected action is announced as a `fault.injected` trace event, which
+/// makes injected failures distinguishable from organic ones in a trace.
+pub(crate) fn round_start(round: u64, obs: &Obs) -> bool {
+    // Decide under the plan lock, act outside it.
+    let (sleep, trip) = {
         let mut plan = plan_lock();
         match plan.as_mut() {
-            None => (false, None),
+            None => (None, false),
             Some(p) => {
-                let do_panic = match p.panic_mode {
-                    Some(PanicMode::OnceInWorker(w)) if w == worker => {
-                        p.panic_mode = None; // consumed
-                        true
-                    }
-                    Some(PanicMode::Always) => true,
-                    _ => false,
-                };
-                (do_panic, p.slowdown)
+                let trip = p.trip_at_round.is_some_and(|at| round >= at);
+                if trip {
+                    p.trip_at_round = None; // consumed
+                }
+                (p.slowdown, trip)
             }
         }
     };
     if let Some(d) = sleep {
-        if obs.enabled() {
-            obs.event(
-                "fault.injected",
-                &[
-                    ("kind", field::s("slowdown")),
-                    ("site", field::s("worker")),
-                    ("worker", field::uz(worker)),
-                    ("duration_us", field::us(d)),
-                ],
-            );
-        }
+        announce(obs, "slowdown", round, d);
         std::thread::sleep(d);
     }
-    if do_panic {
-        if obs.enabled() {
-            obs.event(
-                "fault.injected",
-                &[
-                    ("kind", field::s("panic")),
-                    ("site", field::s("worker")),
-                    ("worker", field::uz(worker)),
-                ],
-            );
-        }
-        panic!("injected fault: worker {worker} panic");
+    if trip {
+        announce(obs, "trip", round, Duration::ZERO);
+    }
+    trip
+}
+
+fn announce(obs: &Obs, kind: &'static str, round: u64, pause: Duration) {
+    if obs.enabled() {
+        obs.event(
+            "fault.injected",
+            &[
+                ("kind", field::s(kind)),
+                ("site", field::s("round")),
+                ("round", field::u(round)),
+                ("duration_us", field::us(pause)),
+            ],
+        );
     }
 }
 
-/// Hook called at the start of the single-threaded retry after a worker
-/// panic. Panics under [`PanicMode::Always`].
-pub fn retry_start() {
-    retry_start_obs(&Obs::noop());
-}
-
-/// [`retry_start`] with an observability handle; see [`worker_start_obs`].
-pub fn retry_start_obs(obs: &Obs) {
-    let do_panic = {
-        let plan = plan_lock();
-        matches!(
-            plan.as_ref().and_then(|p| p.panic_mode),
-            Some(PanicMode::Always)
-        )
-    };
-    if do_panic {
-        if obs.enabled() {
-            obs.event(
-                "fault.injected",
-                &[("kind", field::s("panic")), ("site", field::s("retry"))],
-            );
-        }
-        panic!("injected fault: retry panic");
-    }
-}
-
-/// Extra bytes the armed plan adds to the engine's memory estimate.
-pub fn ballast_bytes() -> usize {
+/// Extra bytes the armed plan adds to the driver's memory estimate.
+pub(crate) fn ballast_bytes() -> usize {
     plan_lock().as_ref().map_or(0, |p| p.ballast_bytes)
 }
 
@@ -185,34 +137,9 @@ mod tests {
     }
 
     #[test]
-    fn once_in_worker_is_consumed() {
-        let _g = arm(FaultPlan {
-            panic_mode: Some(PanicMode::OnceInWorker(0)),
-            ..FaultPlan::default()
-        });
-        let first = std::panic::catch_unwind(|| worker_start(0));
-        assert!(first.is_err());
-        // Consumed: the same worker starts cleanly next time, and the plan
-        // mutex is not poisoned.
-        worker_start(0);
-        worker_start(1);
-    }
-
-    #[test]
-    fn always_panics_workers_and_retry() {
-        let _g = arm(FaultPlan {
-            panic_mode: Some(PanicMode::Always),
-            ..FaultPlan::default()
-        });
-        assert!(std::panic::catch_unwind(|| worker_start(3)).is_err());
-        assert!(std::panic::catch_unwind(retry_start).is_err());
-    }
-
-    #[test]
     fn unarmed_hooks_are_noops() {
         let _g = quiesce();
-        worker_start(0);
-        retry_start();
+        assert!(!round_start(0, &Obs::noop()));
         assert_eq!(ballast_bytes(), 0);
     }
 }

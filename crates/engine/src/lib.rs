@@ -1,5 +1,5 @@
-//! `recurs-engine` — an indexed, optionally parallel semi-naive execution
-//! engine with class-aware kernels.
+//! `recurs-engine` — an indexed semi-naive execution engine with
+//! class-aware kernels.
 //!
 //! The oracle evaluator in `recurs_datalog::eval` is written for clarity: it
 //! re-plans the join order, re-normalizes atoms, and rebuilds hash indexes
@@ -15,35 +15,33 @@
 //!   position) becomes a fixed [`compile::CompiledRule`] pipeline — seed
 //!   selection/projection, then hash-probe join steps with constants folded
 //!   into the index keys.
-//! * **Parallelism**: in [`EngineMode::Parallel`] the delta is sharded by
-//!   the hash of each row's first join key onto `std::thread::scope`
-//!   workers; per-worker result buffers are merged and deduped against the
-//!   total relation on the main thread, so shared storage stays read-only
-//!   while workers run.
+//! * **The round driver** ([`drive_rounds`]): the one semi-naive loop. It
+//!   owns the per-round budget check, the optional round cap, the fault
+//!   hook, seed-row construction, pipeline execution, probe counters and the
+//!   `engine.iteration` / `engine.rule` events; callers plug in a `merge`
+//!   that decides which head rows are fresh. The engine kernels below, the
+//!   incremental-maintenance loops of `recurs-ivm` and its rank-tracked
+//!   provenance saturation are all instantiations of it.
 //! * **Kernels** ([`kernel`]): the dispatcher inspects the formula's
 //!   [`Classification`](recurs_core::Classification) — one-directional
-//!   classes (A1/A3/A5) run the frontier kernel, formulas with a proven rank
-//!   bound (A2/A4/B/D) run bounded unrolling that stops at the rank *without
-//!   fixpoint detection*, and everything else (C/E/F) takes the generic
-//!   semi-naive fallback.
+//!   classes (A1/A3/A5) run until the frontier dries up, formulas with a
+//!   proven rank bound (A2/A4/B/D) stop at the rank *without fixpoint
+//!   detection*, and everything else (C/E/F) takes the generic fallback.
+//!   The classification changes only *how many rounds* run, so a
+//!   [`KernelKind`] is a reporting label plus the driver's round cap.
 //!
 //! # Failure semantics
 //!
 //! Every run is governed by the [`EngineConfig::budget`]
 //! ([`recurs_datalog::govern::EvalBudget`]): the driver checks the full
-//! budget at each iteration boundary and kernels poll cancellation/deadline
+//! budget at each round boundary and pipelines poll cancellation/deadline
 //! cooperatively every few hundred rows. A run that stops early returns
 //! `Ok(`[`Saturation`]`)` with [`Outcome::Truncated`] and writes back a
 //! *sound under-approximation* of the fixpoint — every derived tuple is a
-//! true consequence; stopping only omits tuples. Worker panics are
-//! contained: a panicked parallel iteration is retried single-threaded
-//! (workers never mutate shared storage, so the retry is clean), recorded in
-//! [`EngineStats::worker_panics`]/[`EngineStats::degraded_iterations`]; only
-//! if the retry panics too does the run fail with
-//! [`EngineError::WorkerPanic`].
+//! true consequence; stopping only omits tuples.
 //!
-//! [`EngineStats`] reports per-iteration timings, delta sizes, index hit
-//! counts, worker utilization, and degradation events.
+//! [`EngineStats`] reports per-iteration timings, delta sizes and index hit
+//! counts.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -53,6 +51,7 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod compile;
+mod driver;
 pub mod error;
 #[cfg(any(test, feature = "fault-inject"))]
 pub mod fault;
@@ -60,49 +59,25 @@ pub mod kernel;
 pub mod stats;
 pub mod storage;
 
+pub use driver::{drive_rounds, Rounds};
 pub use error::{EngineError, Saturation};
 pub use kernel::select_kernel;
 pub use stats::{EngineStats, IterationStats, KernelKind};
 pub use storage::{EngineDb, IndexedRelation};
 
-use compile::{CompiledRule, ProbeCounters, Row};
+use compile::CompiledRule;
+use driver::UNLOADED_RELATION;
 use recurs_datalog::database::Database;
-use recurs_datalog::govern::{EvalBudget, Governor, Outcome, Progress, TruncationReason};
+use recurs_datalog::govern::{EvalBudget, Outcome};
 use recurs_datalog::relation::Tuple;
 use recurs_datalog::rule::{LinearRecursion, Program};
 use recurs_datalog::symbol::Symbol;
 use recurs_obs::{field, Obs};
 use std::collections::{BTreeMap, BTreeSet};
-use std::hash::{Hash, Hasher};
-use std::time::Instant;
-
-/// How the engine executes each iteration's joins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineMode {
-    /// Single-threaded execution over persistent indexes.
-    #[default]
-    Indexed,
-    /// Delta-sharded execution on scoped worker threads.
-    Parallel {
-        /// Number of worker threads (at least 1).
-        threads: usize,
-    },
-}
-
-impl EngineMode {
-    fn threads(self) -> usize {
-        match self {
-            EngineMode::Indexed => 1,
-            EngineMode::Parallel { threads } => threads.max(1),
-        }
-    }
-}
 
 /// Engine configuration.
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
-    /// Execution mode.
-    pub mode: EngineMode,
     /// Resource budget. The default is unlimited (run to fixpoint); any
     /// tripped ceiling ends the run with [`Outcome::Truncated`] rather than
     /// an error. Iteration caps count the seeding round — a cap of `k` runs
@@ -152,12 +127,6 @@ pub fn run_program(
     run_with_kernel(db, program, KernelKind::Generic, config)
 }
 
-const UNLOADED_RELATION: &str = "compiled rule references a relation the driver never loaded";
-
-/// Derived tuples of one iteration: one entry per executed rule variant,
-/// tagged with the variant's index so per-rule fan-out is attributable.
-type Derivations = Vec<(usize, Symbol, Vec<Tuple>)>;
-
 /// Saturates `db` with a specific kernel. [`run_linear`] selects the kernel
 /// automatically; this entry point exists for tests and experiments.
 pub fn run_with_kernel(
@@ -185,271 +154,60 @@ pub fn run_with_kernel(
     }
 
     // Compile: non-recursive rules seed iteration 0; rules with IDB body
-    // atoms get one differentiated variant per IDB occurrence.
+    // atoms get one differentiated variant per IDB occurrence. Every index
+    // the pipelines will probe is built once, before the loop.
     let mut init: Vec<CompiledRule> = Vec::new();
     let mut variants: Vec<CompiledRule> = Vec::new();
     for rule in &program.rules {
-        let idb_positions: Vec<usize> = rule
-            .body
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| idb.contains(&a.predicate))
-            .map(|(i, _)| i)
+        let idb_positions: Vec<usize> = (0..rule.body.len())
+            .filter(|&i| idb.contains(&rule.body[i].predicate))
             .collect();
         if idb_positions.is_empty() {
             init.push(CompiledRule::compile(rule, None, db)?);
-        } else {
-            for pos in idb_positions {
-                variants.push(CompiledRule::compile(rule, Some(pos), db)?);
-            }
+        }
+        for pos in idb_positions {
+            variants.push(CompiledRule::compile(rule, Some(pos), db)?);
         }
     }
-
-    // Build every index the pipelines will probe, once, before the loop.
     for cr in init.iter().chain(variants.iter()) {
-        for (pred, cols) in cr.required_indexes() {
-            let cols = cols.to_vec();
-            storage
-                .get_mut(pred)
-                .ok_or(EngineError::Internal(UNLOADED_RELATION))?
-                .ensure_index(&cols);
-        }
+        storage.ensure_indexes(cr);
     }
 
-    let threads = config.mode.threads();
     let obs = &config.obs;
-    let mut stats = EngineStats {
-        kernel: Some(kernel),
-        threads,
-        ..EngineStats::default()
-    };
-    let mut counters = ProbeCounters::default();
-    let mut truncation: Option<TruncationReason> = None;
-
     if obs.enabled() {
         let kernel_label = kernel.label();
         obs.counter("recurs_engine_runs_total", &[("kernel", &kernel_label)], 1);
-        obs.event(
-            "engine.start",
-            &[
-                ("kernel", field::s(kernel_label)),
-                (
-                    "mode",
-                    field::s(match config.mode {
-                        EngineMode::Indexed => "indexed",
-                        EngineMode::Parallel { .. } => "parallel",
-                    }),
-                ),
-                ("threads", field::uz(threads)),
-            ],
-        );
+        obs.event("engine.start", &[("kernel", field::s(kernel_label))]);
     }
 
-    'run: {
-        // A budget can trip before any work (cancelled token, zero timeout,
-        // zero iteration cap).
-        if let Some(reason) = governor.check(Progress {
-            iterations: 0,
-            tuples: 0,
-            delta: 0,
-            memory_bytes: approx_memory(&storage),
-        }) {
-            truncation = Some(reason);
-            break 'run;
-        }
-
-        // Iteration 0: non-recursive rules against the EDB (single-threaded
-        // — seeding is a one-off, the loop below is the hot path).
-        let t0 = Instant::now();
-        let mut candidates: Derivations = Vec::new();
-        let mut rule_rows: Vec<(usize, usize)> = Vec::new();
-        let mut interrupted: Option<TruncationReason> = None;
-        for (i, cr) in init.iter().enumerate() {
-            if interrupted.is_some() {
-                break;
-            }
-            let rows = seed_rows_full(cr, &storage)?;
-            if obs.enabled() {
-                rule_rows.push((i, rows.len()));
-            }
-            let mut buf = Vec::new();
-            interrupted = cr.execute(&storage, rows, &mut counters, Some(&governor), &mut buf)?;
-            candidates.push((i, cr.head_pred, buf));
-        }
-        emit_engine_rules(obs, 1, &init, &rule_rows, &candidates);
-        let derived0: usize = candidates.iter().map(|(_, _, ts)| ts.len()).sum();
-        let mut ignored = BTreeMap::new();
-        let new0 = merge_candidates(&mut storage, candidates, &mut ignored)?;
-        stats.tuples_derived += new0;
-        let d0 = t0.elapsed();
-        let it0 = IterationStats {
-            delta_in: 0,
-            derived: derived0,
-            new_tuples: new0,
-            duration: d0,
-            busy: d0,
-            workers: 1,
-        };
-        emit_engine_iteration(obs, 1, &it0);
-        stats.iterations.push(it0);
-        if let Some(reason) = interrupted {
-            truncation = Some(reason);
-            break 'run;
-        }
-
-        // The first recursive delta is everything present after iteration 0,
-        // including tuples pre-seeded into IDB relations by the caller (e.g.
-        // magic seeds) — recursive rules must see those too.
-        let mut delta: BTreeMap<Symbol, Vec<Tuple>> = BTreeMap::new();
-        for &pred in &idb {
-            let rel = storage
-                .get(pred)
-                .ok_or(EngineError::Internal(UNLOADED_RELATION))?;
-            if !rel.is_empty() {
-                delta.insert(pred, rel.iter().cloned().collect());
-            }
-        }
-
-        let rank_cap = match kernel {
-            KernelKind::BoundedUnroll { rank } => Some(rank),
-            _ => None,
-        };
-        let mut recursive_rounds: u64 = 0;
-        loop {
-            if delta.values().all(Vec::is_empty) {
-                break; // genuine fixpoint
-            }
-            if let Some(rank) = rank_cap {
-                if recursive_rounds >= rank {
-                    // Bounded unrolling: the proven rank is reached; the
-                    // theorems guarantee nothing new past this point, so
-                    // stop without a fixpoint-detection round (this is
-                    // completeness, not truncation).
-                    break;
-                }
-            }
-            if let Some(reason) = governor.check(Progress {
-                iterations: stats.iterations.len(),
-                tuples: stats.tuples_derived,
-                delta: delta.values().map(Vec::len).sum(),
-                memory_bytes: approx_memory(&storage),
-            }) {
-                truncation = Some(reason);
-                break;
-            }
-            recursive_rounds += 1;
-            let t = Instant::now();
-            let delta_in: usize = delta.values().map(Vec::len).sum();
-            let iteration = stats.iterations.len() + 1;
-            let work = build_work(&variants, &delta);
-            let rule_rows: Vec<(usize, usize)> = if obs.enabled() {
-                work.iter().map(|(i, rows)| (*i, rows.len())).collect()
-            } else {
-                Vec::new()
-            };
-
-            // Single-threaded busy time equals the iteration's wall time by
-            // definition; parallel workers report their own busy durations.
-            let (candidates, busy, interrupted) = match config.mode {
-                EngineMode::Indexed => {
-                    let (out, stop) =
-                        run_indexed(&variants, work, &storage, &mut counters, Some(&governor))?;
-                    (out, None, stop)
-                }
-                EngineMode::Parallel { .. } => {
-                    match run_sharded(
-                        &variants,
-                        work,
-                        &storage,
-                        threads,
-                        &mut counters,
-                        Some(&governor),
-                        obs,
-                    ) {
-                        Ok((out, busy, stop)) => (out, Some(busy), stop),
-                        Err(ShardFailure::Error(e)) => return Err(e),
-                        Err(ShardFailure::Panic(msg)) => {
-                            // Contain the panic and degrade: workers never
-                            // mutate shared storage, so the iteration can be
-                            // cleanly recomputed from the same delta on the
-                            // single-threaded indexed path.
-                            stats.worker_panics += 1;
-                            if obs.enabled() {
-                                obs.counter("recurs_engine_worker_panics_total", &[], 1);
-                                obs.event(
-                                    "engine.worker_panic",
-                                    &[
-                                        ("iteration", field::uz(iteration)),
-                                        ("message", field::s(msg.clone())),
-                                    ],
-                                );
-                            }
-                            let work = build_work(&variants, &delta);
-                            let retried =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    #[cfg(any(test, feature = "fault-inject"))]
-                                    fault::retry_start_obs(obs);
-                                    run_indexed(
-                                        &variants,
-                                        work,
-                                        &storage,
-                                        &mut counters,
-                                        Some(&governor),
-                                    )
-                                }));
-                            match retried {
-                                Ok(result) => {
-                                    let (out, stop) = result?;
-                                    stats.degraded_iterations += 1;
-                                    if obs.enabled() {
-                                        obs.counter(
-                                            "recurs_engine_degraded_iterations_total",
-                                            &[],
-                                            1,
-                                        );
-                                        obs.event(
-                                            "engine.degraded_retry",
-                                            &[("iteration", field::uz(iteration))],
-                                        );
-                                    }
-                                    (out, None, stop)
-                                }
-                                Err(payload) => {
-                                    return Err(EngineError::WorkerPanic {
-                                        iteration: stats.iterations.len() + 1,
-                                        message: panic_message(payload.as_ref()).unwrap_or(msg),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-            };
-
-            emit_engine_rules(obs, iteration, &variants, &rule_rows, &candidates);
-            let derived: usize = candidates.iter().map(|(_, _, ts)| ts.len()).sum();
-            let mut next_delta: BTreeMap<Symbol, Vec<Tuple>> = BTreeMap::new();
-            let new = merge_candidates(&mut storage, candidates, &mut next_delta)?;
-            stats.tuples_derived += new;
-            let duration = t.elapsed();
-            let it = IterationStats {
-                delta_in,
-                derived,
-                new_tuples: new,
-                duration,
-                busy: busy.unwrap_or(duration),
-                // A degraded (or indexed) iteration ran on one worker.
-                workers: if busy.is_some() { threads } else { 1 },
-            };
-            emit_engine_iteration(obs, iteration, &it);
-            stats.iterations.push(it);
-            delta = next_delta;
-            if let Some(reason) = interrupted {
-                truncation = Some(reason);
-                break;
-            }
+    // Tuples the caller pre-seeded into IDB relations (e.g. magic seeds)
+    // must reach the recursive rules too: they start out as pending delta.
+    let mut preseeded: BTreeMap<Symbol, Vec<Tuple>> = BTreeMap::new();
+    for &pred in &idb {
+        let rel = storage
+            .get(pred)
+            .ok_or(EngineError::Internal(UNLOADED_RELATION))?;
+        if !rel.is_empty() {
+            preseeded.insert(pred, rel.iter().cloned().collect());
         }
     }
+    // A proven rank is a cap that means completeness: the theorems
+    // guarantee nothing new past it, so the run stops there without a
+    // fixpoint-detection round.
+    let rank_cap = match kernel {
+        KernelKind::BoundedUnroll { rank } => Some(rank),
+        KernelKind::Frontier | KernelKind::Generic => None,
+    };
+    let rounds = drive_rounds(
+        &mut storage,
+        Some(&init),
+        &variants,
+        preseeded,
+        rank_cap,
+        &governor,
+        obs,
+        |storage, _round, rule, heads| storage.insert_fresh(rule.head_pred, heads),
+    )?;
 
     // Write the saturated (or truncated-but-sound) IDB relations back.
     for &pred in &idb {
@@ -458,17 +216,18 @@ pub fn run_with_kernel(
             .ok_or(EngineError::Internal(UNLOADED_RELATION))?;
         db.insert_relation(pred, rel.to_relation());
     }
-    stats.index = storage.index_counters();
-    stats.probes = counters.probes;
-    stats.probe_hits = counters.hits;
-    let outcome = match truncation {
-        None => Outcome::Complete,
-        Some(reason) => Outcome::Truncated(reason),
+    let stats = EngineStats {
+        kernel: Some(kernel),
+        tuples_derived: rounds.iterations.iter().map(|it| it.new_tuples).sum(),
+        iterations: rounds.iterations,
+        index: storage.index_counters(),
+        probes: rounds.probes,
+        probe_hits: rounds.probe_hits,
     };
     if obs.enabled() {
         obs.counter("recurs_engine_probes_total", &[], stats.probes);
         obs.counter("recurs_engine_probe_hits_total", &[], stats.probe_hits);
-        match truncation {
+        match rounds.truncation {
             Some(reason) => {
                 let label = reason.to_string();
                 obs.counter("recurs_engine_truncations_total", &[("reason", &label)], 1);
@@ -495,291 +254,17 @@ pub fn run_with_kernel(
             ),
         }
     }
+    let outcome = rounds
+        .truncation
+        .map_or(Outcome::Complete, Outcome::Truncated);
     Ok(Saturation { outcome, stats })
-}
-
-/// Emits the per-iteration provenance event plus iteration counters and
-/// the iteration-duration histogram. No-op with a disabled handle.
-fn emit_engine_iteration(obs: &Obs, iteration: usize, it: &IterationStats) {
-    if !obs.enabled() {
-        return;
-    }
-    obs.counter("recurs_engine_iterations_total", &[], 1);
-    obs.counter(
-        "recurs_engine_tuples_derived_total",
-        &[],
-        it.new_tuples as u64,
-    );
-    obs.observe(
-        "recurs_engine_iteration_seconds",
-        &[],
-        it.duration.as_secs_f64(),
-    );
-    obs.event(
-        "engine.iteration",
-        &[
-            ("iteration", field::uz(iteration)),
-            ("delta_in", field::uz(it.delta_in)),
-            ("derived", field::uz(it.derived)),
-            ("new_tuples", field::uz(it.new_tuples)),
-            ("duration_us", field::us(it.duration)),
-            ("busy_us", field::us(it.busy)),
-            ("workers", field::uz(it.workers)),
-        ],
-    );
-}
-
-/// Emits one `engine.rule` event per executed variant: join fan-in (seed
-/// rows from the delta) and fan-out (candidate tuples before dedup), keyed
-/// by variant index and head predicate. No-op with a disabled handle.
-fn emit_engine_rules(
-    obs: &Obs,
-    iteration: usize,
-    variants: &[CompiledRule],
-    rule_rows: &[(usize, usize)],
-    candidates: &Derivations,
-) {
-    if !obs.enabled() {
-        return;
-    }
-    for &(vi, rows_in) in rule_rows {
-        let derived: usize = candidates
-            .iter()
-            .filter(|(ci, _, _)| *ci == vi)
-            .map(|(_, _, ts)| ts.len())
-            .sum();
-        obs.event(
-            "engine.rule",
-            &[
-                ("iteration", field::uz(iteration)),
-                ("variant", field::uz(vi)),
-                ("head", field::s(variants[vi].head_pred.to_string())),
-                ("rows_in", field::uz(rows_in)),
-                ("derived", field::uz(derived)),
-            ],
-        );
-    }
-}
-
-/// The engine's memory estimate for budget enforcement: indexed storage
-/// plus any fault-injected ballast.
-fn approx_memory(storage: &EngineDb) -> usize {
-    #[cfg(any(test, feature = "fault-inject"))]
-    let ballast = fault::ballast_bytes();
-    #[cfg(not(any(test, feature = "fault-inject")))]
-    let ballast = 0;
-    storage.approx_bytes() + ballast
-}
-
-/// Extracts a panic payload's message, if it was a string.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> Option<String> {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-}
-
-/// Per-variant seed rows from the current delta.
-fn build_work(
-    variants: &[CompiledRule],
-    delta: &BTreeMap<Symbol, Vec<Tuple>>,
-) -> Vec<(usize, Vec<Row>)> {
-    variants
-        .iter()
-        .enumerate()
-        .filter_map(|(i, cr)| {
-            let seed = cr.seed.as_ref()?;
-            let tuples = delta.get(&seed.pred)?;
-            if tuples.is_empty() {
-                return None;
-            }
-            let rows = seed.rows(tuples.iter());
-            (!rows.is_empty()).then_some((i, rows))
-        })
-        .collect()
-}
-
-/// Seed rows for a non-differentiated rule: the full stored relation of the
-/// seed atom (or the unit row for an empty body).
-fn seed_rows_full(cr: &CompiledRule, storage: &EngineDb) -> Result<Vec<Row>, EngineError> {
-    match &cr.seed {
-        None => Ok(vec![Vec::new()]),
-        Some(seed) => {
-            let rel = storage
-                .get(seed.pred)
-                .ok_or(EngineError::Internal(UNLOADED_RELATION))?;
-            Ok(seed.rows(rel.iter()))
-        }
-    }
-}
-
-/// Inserts candidate tuples, returning the number genuinely new; new tuples
-/// are also appended to `next_delta` keyed by predicate.
-fn merge_candidates(
-    storage: &mut EngineDb,
-    candidates: Derivations,
-    next_delta: &mut BTreeMap<Symbol, Vec<Tuple>>,
-) -> Result<usize, EngineError> {
-    let mut new = 0usize;
-    for (_variant, pred, tuples) in candidates {
-        let rel = storage
-            .get_mut(pred)
-            .ok_or(EngineError::Internal(UNLOADED_RELATION))?;
-        for t in tuples {
-            if rel.insert(t.clone()) {
-                new += 1;
-                next_delta.entry(pred).or_default().push(t);
-            }
-        }
-    }
-    Ok(new)
-}
-
-/// Executes the iteration's work items single-threaded over the indexed
-/// storage; also the retry path after a contained worker panic.
-fn run_indexed(
-    variants: &[CompiledRule],
-    work: Vec<(usize, Vec<Row>)>,
-    storage: &EngineDb,
-    counters: &mut ProbeCounters,
-    governor: Option<&Governor>,
-) -> Result<(Derivations, Option<TruncationReason>), EngineError> {
-    let mut out = Vec::new();
-    let mut stop = None;
-    for (i, rows) in work {
-        let mut buf = Vec::new();
-        let interrupted = variants[i].execute(storage, rows, counters, governor, &mut buf)?;
-        out.push((i, variants[i].head_pred, buf));
-        if let Some(reason) = interrupted {
-            stop = Some(reason);
-            break;
-        }
-    }
-    Ok((out, stop))
-}
-
-/// Why a sharded iteration failed (as opposed to tripping the budget).
-enum ShardFailure {
-    /// At least one worker panicked; the driver retries single-threaded.
-    Panic(String),
-    /// A worker hit an engine error (retrying cannot help).
-    Error(EngineError),
-}
-
-/// Executes the iteration's work items on `threads` scoped workers. Seed
-/// rows are sharded by the hash of their first join key (falling back to
-/// the whole row), shared storage is read-only, and each worker returns its
-/// own result buffer and probe counters for the main thread to merge. A
-/// panicking worker is caught via its join result — the other workers still
-/// finish and the failure is reported to the driver for containment.
-fn run_sharded(
-    variants: &[CompiledRule],
-    work: Vec<(usize, Vec<Row>)>,
-    storage: &EngineDb,
-    threads: usize,
-    counters: &mut ProbeCounters,
-    governor: Option<&Governor>,
-    #[allow(unused_variables)] obs: &Obs,
-) -> Result<(Derivations, std::time::Duration, Option<TruncationReason>), ShardFailure> {
-    // shards[w] holds this worker's rows for each work item.
-    let mut shards: Vec<Vec<(usize, Vec<Row>)>> = (0..threads)
-        .map(|_| Vec::with_capacity(work.len()))
-        .collect();
-    for (variant_i, rows) in work {
-        let shard_cols = variants[variant_i].shard_cols();
-        let mut buckets: Vec<Vec<Row>> = (0..threads).map(|_| Vec::new()).collect();
-        for row in rows {
-            let w = shard_of(&row, shard_cols, threads);
-            buckets[w].push(row);
-        }
-        for (w, bucket) in buckets.into_iter().enumerate() {
-            shards[w].push((variant_i, bucket));
-        }
-    }
-
-    let mut out: Derivations = Vec::new();
-    let mut busy = std::time::Duration::ZERO;
-    let mut stop: Option<TruncationReason> = None;
-    let mut failure: Option<ShardFailure> = None;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(w, items)| {
-                s.spawn(move || {
-                    #[cfg(any(test, feature = "fault-inject"))]
-                    crate::fault::worker_start_obs(w, obs);
-                    #[cfg(not(any(test, feature = "fault-inject")))]
-                    let _ = w;
-                    let t = Instant::now();
-                    let mut local = ProbeCounters::default();
-                    let mut results: Derivations = Vec::new();
-                    let mut stop: Option<TruncationReason> = None;
-                    for (variant_i, rows) in items {
-                        if rows.is_empty() {
-                            continue;
-                        }
-                        let cr = &variants[variant_i];
-                        let mut buf = Vec::new();
-                        let interrupted =
-                            cr.execute(storage, rows, &mut local, governor, &mut buf)?;
-                        results.push((variant_i, cr.head_pred, buf));
-                        if interrupted.is_some() {
-                            stop = interrupted;
-                            break;
-                        }
-                    }
-                    Ok::<_, EngineError>((results, local, t.elapsed(), stop))
-                })
-            })
-            .collect();
-        for h in handles {
-            // Manual joins keep a panicking worker from propagating out of
-            // the scope: the panic becomes a join error here instead.
-            match h.join() {
-                Ok(Ok((results, local, elapsed, worker_stop))) => {
-                    out.extend(results);
-                    counters.absorb(local);
-                    busy += elapsed;
-                    if stop.is_none() {
-                        stop = worker_stop;
-                    }
-                }
-                Ok(Err(e)) => {
-                    failure.get_or_insert(ShardFailure::Error(e));
-                }
-                Err(payload) => {
-                    let msg = panic_message(payload.as_ref())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    failure.get_or_insert(ShardFailure::Panic(msg));
-                }
-            }
-        }
-    });
-    match failure {
-        Some(f) => Err(f),
-        None => Ok((out, busy, stop)),
-    }
-}
-
-/// Deterministic shard assignment for a seed row.
-fn shard_of(row: &Row, shard_cols: &[usize], threads: usize) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    if shard_cols.is_empty() {
-        row.hash(&mut h);
-    } else {
-        for &c in shard_cols {
-            row[c].hash(&mut h);
-        }
-    }
-    (h.finish() % threads as u64) as usize
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use recurs_datalog::eval::semi_naive;
-    use recurs_datalog::govern::CancelToken;
+    use recurs_datalog::govern::{CancelToken, TruncationReason};
     use recurs_datalog::parser::parse_program;
     use recurs_datalog::relation::Relation;
     use recurs_datalog::validate::validate_with_generic_exit;
@@ -809,21 +294,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_engine_matches_oracle_on_cycle() {
-        let _q = fault::quiesce(); // don't absorb another test's fault plan
+    fn engine_matches_oracle_on_cycle() {
         let mut db1 = Database::new();
         db1.insert_relation("A", Relation::from_pairs([(1, 2), (2, 3), (3, 1)]));
         db1.insert_relation("E", Relation::from_pairs([(1, 2), (2, 3), (3, 1)]));
         let mut db2 = db1.clone();
         semi_naive(&mut db1, &tc_program(), None).unwrap();
-        let cfg = EngineConfig {
-            mode: EngineMode::Parallel { threads: 4 },
-            budget: EvalBudget::unlimited(),
-            ..EngineConfig::default()
-        };
-        let sat = run_program(&mut db2, &tc_program(), &cfg).unwrap();
+        let sat = run_program(&mut db2, &tc_program(), &EngineConfig::default()).unwrap();
         assert!(sat.outcome.is_complete());
-        assert_eq!(sat.stats.worker_panics, 0);
         assert_eq!(db1.get("P").unwrap(), db2.get("P").unwrap());
         assert_eq!(db2.get("P").unwrap().len(), 9);
     }
@@ -844,7 +322,6 @@ mod tests {
     fn truncation_respects_iteration_cap() {
         let mut db = tc_db(40);
         let cfg = EngineConfig {
-            mode: EngineMode::Indexed,
             budget: EvalBudget::iteration_cap(Some(3)),
             ..EngineConfig::default()
         };
@@ -861,7 +338,6 @@ mod tests {
     fn tuple_ceiling_truncates_with_sound_subset() {
         let mut db = tc_db(40);
         let cfg = EngineConfig {
-            mode: EngineMode::Indexed,
             budget: EvalBudget::unlimited().with_max_tuples(50),
             ..EngineConfig::default()
         };
@@ -885,7 +361,6 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let cfg = EngineConfig {
-            mode: EngineMode::Parallel { threads: 2 },
             budget: EvalBudget::unlimited().with_cancel(token),
             ..EngineConfig::default()
         };
@@ -900,7 +375,6 @@ mod tests {
     fn memory_ceiling_truncates() {
         let mut db = tc_db(40);
         let cfg = EngineConfig {
-            mode: EngineMode::Indexed,
             budget: EvalBudget::unlimited().with_max_memory_bytes(1),
             ..EngineConfig::default()
         };
@@ -941,49 +415,5 @@ mod tests {
         // rounds 3, 2, 1, and a final round finds nothing new.
         let deltas: Vec<usize> = sat.stats.iterations.iter().map(|i| i.new_tuples).collect();
         assert_eq!(deltas, vec![4, 3, 2, 1, 0]);
-        assert!(sat.stats.iterations.iter().all(|i| i.workers == 1));
-        assert!(sat.stats.worker_utilization() > 0.9);
-    }
-
-    #[test]
-    fn single_worker_panic_is_contained_and_retried() {
-        let _g = fault::arm(fault::FaultPlan {
-            panic_mode: Some(fault::PanicMode::OnceInWorker(0)),
-            ..fault::FaultPlan::default()
-        });
-        let mut db1 = tc_db(8);
-        let mut db2 = tc_db(8);
-        semi_naive(&mut db1, &tc_program(), None).unwrap();
-        let cfg = EngineConfig {
-            mode: EngineMode::Parallel { threads: 3 },
-            budget: EvalBudget::unlimited(),
-            ..EngineConfig::default()
-        };
-        let sat = run_program(&mut db2, &tc_program(), &cfg).unwrap();
-        // The degraded run still reaches the complete, correct fixpoint.
-        assert!(sat.outcome.is_complete());
-        assert_eq!(sat.stats.worker_panics, 1);
-        assert_eq!(sat.stats.degraded_iterations, 1);
-        assert_eq!(db1.get("P").unwrap(), db2.get("P").unwrap());
-    }
-
-    #[test]
-    fn persistent_panics_surface_as_worker_panic_error() {
-        let _g = fault::arm(fault::FaultPlan {
-            panic_mode: Some(fault::PanicMode::Always),
-            ..fault::FaultPlan::default()
-        });
-        let before = tc_db(8);
-        let mut db = before.clone();
-        let cfg = EngineConfig {
-            mode: EngineMode::Parallel { threads: 2 },
-            budget: EvalBudget::unlimited(),
-            ..EngineConfig::default()
-        };
-        let err = run_program(&mut db, &tc_program(), &cfg).unwrap_err();
-        assert!(matches!(err, EngineError::WorkerPanic { .. }));
-        // No write-back happened: the caller's database is unchanged.
-        assert_eq!(db.get("A").unwrap(), before.get("A").unwrap());
-        assert!(db.get("P").is_none() || db.get("P").unwrap().is_empty());
     }
 }

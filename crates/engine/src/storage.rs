@@ -240,6 +240,27 @@ impl EngineDb {
         self.rels.get_mut(&pred)
     }
 
+    /// Set-inserts `tuples` into `pred`'s relation and returns the ones that
+    /// were new, in order — the set-semantics merge for
+    /// [`crate::drive_rounds`]. An unknown predicate stores nothing.
+    pub fn insert_fresh(&mut self, pred: Symbol, mut tuples: Vec<Tuple>) -> Vec<Tuple> {
+        match self.rels.get_mut(&pred) {
+            Some(rel) => tuples.retain(|t| rel.insert(t.clone())),
+            None => tuples.clear(),
+        }
+        tuples
+    }
+
+    /// Builds every index `rule`'s pipeline probes (idempotent). Callers do
+    /// this once per compiled rule, before the first round that runs it.
+    pub fn ensure_indexes(&mut self, rule: &crate::compile::CompiledRule) {
+        for (pred, cols) in rule.required_indexes() {
+            if let Some(rel) = self.rels.get_mut(&pred) {
+                rel.ensure_index(cols);
+            }
+        }
+    }
+
     /// Sums the index counters of every relation.
     pub fn index_counters(&self) -> IndexCounters {
         let mut total = IndexCounters::default();

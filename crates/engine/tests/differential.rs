@@ -1,19 +1,20 @@
 //! Differential property tests: on randomly generated linear recursions and
-//! databases, every engine mode must compute exactly the oracle's fixpoint
+//! databases, the engine must compute exactly the oracle's fixpoint
 //! (`recurs_datalog::eval::semi_naive`).
 //!
 //! The random rules span the paper's whole classification — one-directional
 //! A1–A5, bounded B, unbounded C — so this exercises all three kernels
 //! (frontier, bounded unroll, generic) against the same reference. A second
-//! group pins down the governance contract: capped runs of every engine
-//! produce *identical* tuple sets (the unified cap semantics), and budgeted
-//! runs are sound under-approximations with truthful `Truncated` reporting.
+//! group pins down the governance contract: capped runs of the engine and
+//! the oracle produce *identical* tuple sets (the unified cap semantics), and
+//! budgeted runs are sound under-approximations with truthful `Truncated`
+//! reporting.
 
 use proptest::prelude::*;
 use recurs_datalog::eval::{semi_naive, semi_naive_governed};
 use recurs_datalog::govern::EvalBudget;
 use recurs_engine::run_linear;
-use recurs_engine::{run_program, EngineConfig, EngineMode, KernelKind};
+use recurs_engine::{run_program, EngineConfig, KernelKind};
 use recurs_workload::{random_database, random_linear_recursion, RuleConfig};
 
 proptest! {
@@ -25,7 +26,6 @@ proptest! {
         db_seed in 0u64..10_000,
         tuples in 1usize..40,
         domain in 2u64..8,
-        threads in 2usize..=4,
     ) {
         let lr = random_linear_recursion(rule_seed, RuleConfig::default());
         let mut oracle_db = random_database(&lr, tuples, domain, db_seed);
@@ -34,36 +34,31 @@ proptest! {
             .expect("oracle saturates generated workloads");
         let expected = oracle_db.get("P").expect("IDB is materialized");
 
-        for mode in [EngineMode::Indexed, EngineMode::Parallel { threads }] {
-            let mut db = edb.clone();
-            let config = EngineConfig { mode, ..EngineConfig::default() };
-            let sat = run_linear(&mut db, &lr, &config)
-                .expect("engine saturates generated workloads");
-            let got = db.get("P").expect("IDB is materialized");
-            prop_assert_eq!(
-                expected, got,
-                "rule_seed={} db_seed={} mode={:?} rule={}",
-                rule_seed, db_seed, mode, lr.recursive_rule
-            );
-            prop_assert!(sat.outcome.is_complete(), "uncapped run reported truncation");
-            prop_assert!(
-                sat.stats.kernel.is_some(),
-                "run_linear always classifies and picks a kernel"
-            );
-        }
+        let mut db = edb.clone();
+        let sat = run_linear(&mut db, &lr, &EngineConfig::default())
+            .expect("engine saturates generated workloads");
+        let got = db.get("P").expect("IDB is materialized");
+        prop_assert_eq!(
+            expected, got,
+            "rule_seed={} db_seed={} rule={}",
+            rule_seed, db_seed, lr.recursive_rule
+        );
+        prop_assert!(sat.outcome.is_complete(), "uncapped run reported truncation");
+        prop_assert!(
+            sat.stats.kernel.is_some(),
+            "run_linear always classifies and picks a kernel"
+        );
     }
 
-    /// Unified cap semantics: under the same iteration cap, the oracle, the
-    /// indexed engine, and the parallel engine stop with *identical* tuple
-    /// sets. (The generic kernel is forced so the engines detect the
-    /// fixpoint the same way the oracle does; rank-bound kernels may
-    /// legitimately stop earlier than a cap.)
+    /// Unified cap semantics: under the same iteration cap, the oracle and
+    /// the engine stop with *identical* tuple sets. (The generic kernel is
+    /// forced so the engine detects the fixpoint the same way the oracle
+    /// does; rank-bound kernels may legitimately stop earlier than a cap.)
     #[test]
     fn capped_runs_agree_across_all_engines(
         rule_seed in 0u64..10_000,
         db_seed in 0u64..10_000,
         cap in 1usize..6,
-        threads in 2usize..=4,
     ) {
         let lr = random_linear_recursion(rule_seed, RuleConfig::default());
         let edb = random_database(&lr, 25, 6, db_seed);
@@ -74,32 +69,29 @@ proptest! {
             .expect("oracle runs under cap");
         let expected = oracle_db.get("P").expect("IDB is materialized");
 
-        for mode in [EngineMode::Indexed, EngineMode::Parallel { threads }] {
-            let mut db = edb.clone();
-            let config = EngineConfig {
-                mode,
-                budget: EvalBudget::iteration_cap(Some(cap)),
-                ..EngineConfig::default()
-            };
-            let sat = run_program(&mut db, &program, &config)
-                .expect("engine runs under cap");
-            let got = db.get("P").expect("IDB is materialized");
-            prop_assert_eq!(
-                expected, got,
-                "cap={} rule_seed={} db_seed={} mode={:?} rule={}",
-                cap, rule_seed, db_seed, mode, lr.recursive_rule
-            );
-            prop_assert_eq!(
-                sat.stats.kernel, Some(KernelKind::Generic),
-                "run_program uses the generic kernel"
-            );
-            // Both sides agree on *whether* the cap truncated the run.
-            prop_assert_eq!(
-                sat.outcome.truncation().is_some(), oracle_stats.truncated,
-                "cap={} mode={:?}: engine and oracle disagree on truncation",
-                cap, mode
-            );
-        }
+        let mut db = edb.clone();
+        let config = EngineConfig {
+            budget: EvalBudget::iteration_cap(Some(cap)),
+            ..EngineConfig::default()
+        };
+        let sat = run_program(&mut db, &program, &config)
+            .expect("engine runs under cap");
+        let got = db.get("P").expect("IDB is materialized");
+        prop_assert_eq!(
+            expected, got,
+            "cap={} rule_seed={} db_seed={} rule={}",
+            cap, rule_seed, db_seed, lr.recursive_rule
+        );
+        prop_assert_eq!(
+            sat.stats.kernel, Some(KernelKind::Generic),
+            "run_program uses the generic kernel"
+        );
+        // Both sides agree on *whether* the cap truncated the run.
+        prop_assert_eq!(
+            sat.outcome.truncation().is_some(), oracle_stats.truncated,
+            "cap={}: engine and oracle disagree on truncation",
+            cap
+        );
     }
 
     /// Truncation invariants, for every class and a spread of budget

@@ -10,7 +10,7 @@ use recurs_datalog::govern::{EvalBudget, Outcome, TruncationReason};
 use recurs_datalog::parser::parse_program;
 use recurs_datalog::relation::Relation;
 use recurs_datalog::rule::Program;
-use recurs_engine::{run_program, EngineConfig, EngineMode};
+use recurs_engine::{run_program, EngineConfig};
 use recurs_obs::{CaptureRecorder, Obs};
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,7 +33,6 @@ fn tc_program() -> Program {
 fn assert_trace_names_cause(budget: EvalBudget, reason: TruncationReason) {
     let capture = Arc::new(CaptureRecorder::new());
     let config = EngineConfig {
-        mode: EngineMode::Indexed,
         budget,
         obs: Obs::new(capture.clone()),
     };

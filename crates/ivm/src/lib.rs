@@ -155,57 +155,3 @@ impl From<EngineError> for IvmError {
         IvmError::Engine(e)
     }
 }
-
-/// Deterministic fault hooks for exercising the cold-saturation fallback.
-/// Compiled only for tests and the `fault-inject` feature; the hooks are
-/// process-global, so tests arming them serialize on [`fault::exclusive`].
-#[cfg(any(test, feature = "fault-inject"))]
-pub mod fault {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
-    static TRIP_AT_ROUND: AtomicU64 = AtomicU64::new(u64::MAX);
-    static GATE: Mutex<()> = Mutex::new(());
-
-    /// Serializes tests that arm the global hooks.
-    pub fn exclusive() -> MutexGuard<'static, ()> {
-        GATE.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Arms the hook: the first maintenance loop reaching `round` (0-based)
-    /// reports truncation, forcing the cold fallback. The hook is one-shot —
-    /// it disarms itself when it fires, so the fallback's own saturation is
-    /// not re-tripped (the fault it models is transient).
-    pub fn arm_round_trip(round: u64) {
-        TRIP_AT_ROUND.store(round, Ordering::SeqCst);
-    }
-
-    /// Disarms the hook.
-    pub fn disarm() {
-        TRIP_AT_ROUND.store(u64::MAX, Ordering::SeqCst);
-    }
-
-    pub(crate) fn round_trips(round: u64) -> bool {
-        let armed = TRIP_AT_ROUND.load(Ordering::SeqCst);
-        if round >= armed {
-            return TRIP_AT_ROUND
-                .compare_exchange(armed, u64::MAX, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok();
-        }
-        false
-    }
-}
-
-/// True when an armed fault hook wants this round to fail.
-#[inline]
-pub(crate) fn fault_round_trips(round: u64) -> bool {
-    #[cfg(any(test, feature = "fault-inject"))]
-    {
-        fault::round_trips(round)
-    }
-    #[cfg(not(any(test, feature = "fault-inject")))]
-    {
-        let _ = round;
-        false
-    }
-}

@@ -23,15 +23,15 @@ use recurs_core::Classification;
 use recurs_datalog::database::Database;
 use recurs_datalog::error::DatalogError;
 use recurs_datalog::eval::{eval_body, Bindings};
-use recurs_datalog::govern::{EvalBudget, Governor, Progress, TruncationReason};
+use recurs_datalog::govern::{EvalBudget, Governor, TruncationReason};
 use recurs_datalog::relation::{Relation, Tuple};
 use recurs_datalog::rule::{LinearRecursion, Rule};
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::{Atom, Term, Value};
-use recurs_engine::compile::{CompiledRule, ProbeCounters, Row};
-use recurs_engine::EngineDb;
+use recurs_engine::compile::CompiledRule;
+use recurs_engine::{drive_rounds, EngineDb, Rounds};
 use recurs_obs::{field, Obs};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A saturated linear recursion kept consistent under EDB deltas.
 ///
@@ -50,18 +50,17 @@ pub struct Materialization {
     /// forward rederivation — all three are "what follows from these
     /// recursive tuples" questions.
     pub(crate) rec_delta: CompiledRule,
-    /// Delta pipelines differentiated at non-recursive body positions,
-    /// compiled lazily for overdeletion. Keyed by (rule index, body
-    /// position); rule index 0 is the recursive rule, `i + 1` is
-    /// `exit_rules[i]`.
-    pub(crate) variants: HashMap<(usize, usize), CompiledRule>,
-    /// Backward-recount pipelines, one per rule, compiled lazily for DRed
-    /// rederivation: the rule's body prefixed with a synthetic candidate
-    /// atom mirroring the head, differentiated at that atom. Seeding it
-    /// with the candidate set enumerates, per candidate, every surviving
+    /// Delta pipelines for overdeletion, compiled lazily per deleted
+    /// predicate: every rule differentiated at every non-recursive body
+    /// position that reads it.
+    pub(crate) variants: HashMap<Symbol, Vec<CompiledRule>>,
+    /// Backward-recount pipelines, one per rule, compiled on the first
+    /// deletion: the rule's body prefixed with a synthetic candidate atom
+    /// mirroring the head, differentiated at that atom. Seeding them with
+    /// the candidate set enumerates, per candidate, every surviving
     /// instantiation through the engine's persistent indexes — instead of
     /// one hash-join rebuild per candidate.
-    pub(crate) recounts: HashMap<usize, CompiledRule>,
+    pub(crate) recounts: Vec<CompiledRule>,
     pub(crate) obs: Obs,
 }
 
@@ -101,15 +100,7 @@ impl Materialization {
             return Err(IvmError::IdbUpdate(p));
         }
         let governor = budget.start();
-        let mut db = edb.clone();
-        for rule in std::iter::once(&lr.recursive_rule).chain(lr.exit_rules.iter()) {
-            for atom in &rule.body {
-                if atom.predicate != p {
-                    db.declare(atom.predicate, atom.arity())?;
-                }
-            }
-        }
-        db.insert_relation(p, Relation::new(lr.dimension()));
+        let (mut db, mut engine, rec_delta) = mirror(lr, edb)?;
 
         // Exit seeding: one count per exit-rule instantiation.
         let mut counts: HashMap<Tuple, u64> = HashMap::new();
@@ -120,50 +111,26 @@ impl Materialization {
             }
             let bindings = eval_body(&db, &rule.body, &HashMap::new())?;
             for h in head_rows(&rule.head, &bindings)? {
-                let c = counts.entry(h.clone()).or_insert(0);
-                *c += 1;
-                if *c == 1 {
+                if bump(&mut counts, &h) {
+                    insert_derived(&mut db, &mut engine, p, &h);
                     fresh.push(h);
                 }
             }
         }
-        if let Some(rel) = db.get_mut(p) {
-            for t in &fresh {
-                rel.insert(t.clone());
-            }
-        }
-
-        let mut engine = EngineDb::new();
-        for (name, rel) in db.iter() {
-            engine.load(name, rel);
-        }
-        let p_pos = lr
-            .recursive_rule
-            .body
-            .iter()
-            .position(|a| a.predicate == p)
-            .ok_or(DatalogError::UnknownRelation(p))?;
-        let rec_delta = CompiledRule::compile(&lr.recursive_rule, Some(p_pos), &db)?;
-        for (pred, cols) in rec_delta.required_indexes() {
-            if let Some(rel) = engine.get_mut(pred) {
-                rel.ensure_index(cols);
-            }
-        }
-        let path = MaintenancePath::select(&Classification::of(&lr.recursive_rule));
 
         let mut mat = Materialization {
             lr: lr.clone(),
-            path,
+            path: MaintenancePath::select(&Classification::of(&lr.recursive_rule)),
             db,
             engine,
             counts,
             rec_delta,
             variants: HashMap::new(),
-            recounts: HashMap::new(),
+            recounts: Vec::new(),
             obs: obs.clone(),
         };
-        let prop = mat.propagate(fresh, &governor, None)?;
-        if let Some(reason) = prop.truncation {
+        let run = mat.propagate(fresh, &governor, None)?;
+        if let Some(reason) = stopped(&run) {
             return Err(IvmError::Truncated(reason));
         }
         mat.obs.event(
@@ -171,7 +138,7 @@ impl Materialization {
             &[
                 ("path", field::s(mat.path.label())),
                 ("tuples", field::uz(mat.counts.len())),
-                ("rounds", field::u(prop.rounds)),
+                ("rounds", field::uz(run.iterations.len())),
             ],
         );
         Ok(mat)
@@ -234,16 +201,6 @@ impl Materialization {
         1 + self.lr.exit_rules.len()
     }
 
-    /// Inserts a derived tuple into both the database and the engine mirror.
-    pub(crate) fn insert_p(&mut self, t: Tuple) {
-        if let Some(rel) = self.db.get_mut(self.lr.predicate) {
-            rel.insert(t.clone());
-        }
-        if let Some(rel) = self.engine.get_mut(self.lr.predicate) {
-            rel.insert(t);
-        }
-    }
-
     /// Removes a derived tuple from both the database and the engine mirror.
     pub(crate) fn remove_p(&mut self, t: &Tuple) {
         if let Some(rel) = self.db.get_mut(self.lr.predicate) {
@@ -254,20 +211,26 @@ impl Materialization {
         }
     }
 
-    /// Compiles (once) the delta pipeline for rule `ri` differentiated at
-    /// body position `pos`, and makes sure its probe indexes exist.
-    pub(crate) fn ensure_variant(&mut self, ri: usize, pos: usize) -> Result<(), IvmError> {
-        if self.variants.contains_key(&(ri, pos)) {
+    /// Compiles (once) every delta pipeline that reads `pred` at a
+    /// non-recursive body position, and makes sure their probe indexes
+    /// exist.
+    pub(crate) fn ensure_variants(&mut self, pred: Symbol) -> Result<(), IvmError> {
+        if self.variants.contains_key(&pred) {
             return Ok(());
         }
-        let rule = self.rule_at(ri).clone();
-        let compiled = CompiledRule::compile(&rule, Some(pos), &self.db)?;
-        for (pred, cols) in compiled.required_indexes() {
-            if let Some(rel) = self.engine.get_mut(pred) {
-                rel.ensure_index(cols);
+        let mut compiled = Vec::new();
+        for ri in 0..self.rule_count() {
+            let rule = self.rule_at(ri);
+            for (pos, atom) in rule.body.iter().enumerate() {
+                if atom.predicate == pred {
+                    compiled.push(CompiledRule::compile(rule, Some(pos), &self.db)?);
+                }
             }
         }
-        self.variants.insert((ri, pos), compiled);
+        for rule in &compiled {
+            self.engine.ensure_indexes(rule);
+        }
+        self.variants.insert(pred, compiled);
         Ok(())
     }
 
@@ -278,119 +241,120 @@ impl Materialization {
     /// the round where that subgoal was fresh.
     pub(crate) fn propagate(
         &mut self,
-        mut delta: Vec<Tuple>,
+        delta: Vec<Tuple>,
         governor: &Governor,
         mut patch: Option<&mut IdbPatch>,
-    ) -> Result<Propagation, IvmError> {
-        let cap = self.path.round_cap();
-        let mut rounds: u64 = 0;
-        while !delta.is_empty() {
-            let progress = Progress {
-                iterations: rounds as usize,
-                tuples: self.counts.len(),
-                delta: delta.len(),
-                memory_bytes: self.engine.approx_bytes(),
-            };
-            if let Some(reason) = governor.check(progress) {
-                return Ok(Propagation::stopped(rounds, reason));
-            }
-            if crate::fault_round_trips(rounds) {
-                return Ok(Propagation::stopped(rounds, TruncationReason::Cancelled));
-            }
-            if cap.is_some_and(|c| rounds >= c) {
-                // The class's rank bound says this cannot happen; treat a
-                // violation as truncation so the caller rebuilds cold.
-                return Ok(Propagation::stopped(rounds, TruncationReason::IterationCap));
-            }
-            rounds += 1;
-            let rows = delta_rows(&self.rec_delta, &delta);
-            let mut out = Vec::new();
-            let mut counters = ProbeCounters::default();
-            if let Some(reason) = self.rec_delta.execute(
-                &self.engine,
-                rows,
-                &mut counters,
-                Some(governor),
-                &mut out,
-            )? {
-                return Ok(Propagation::stopped(rounds, reason));
-            }
-            let mut fresh = Vec::new();
-            for h in out {
-                let c = self.counts.entry(h.clone()).or_insert(0);
-                *c += 1;
-                if *c == 1 {
-                    fresh.push(h);
+    ) -> Result<Rounds, IvmError> {
+        let p = self.lr.predicate;
+        let (db, counts) = (&mut self.db, &mut self.counts);
+        Ok(drive_rounds(
+            &mut self.engine,
+            None,
+            std::slice::from_ref(&self.rec_delta),
+            BTreeMap::from([(p, delta)]),
+            self.path.round_cap(),
+            governor,
+            &self.obs,
+            |engine, _round, _rule, mut heads| {
+                heads.retain(|h| bump(counts, h));
+                for t in &heads {
+                    insert_derived(db, engine, p, t);
+                    if let Some(patch) = patch.as_deref_mut() {
+                        patch.record_insert(t.clone());
+                    }
                 }
-            }
-            for t in &fresh {
-                self.insert_p(t.clone());
-                if let Some(p) = patch.as_deref_mut() {
-                    p.record_insert(t.clone());
-                }
-            }
-            delta = fresh;
-        }
-        Ok(Propagation {
-            rounds,
-            truncation: None,
-        })
+                heads
+            },
+        )?)
     }
 
-    /// Compiles (once) the backward-recount pipeline for rule `ri`: the
+    /// Compiles (once) the backward-recount pipelines, one per rule: the
     /// rule's body prefixed with a synthetic [`CAND`] atom carrying the
     /// head's terms, differentiated at that atom. Seeded with candidate
-    /// tuples, it emits one head row per (candidate, surviving body
+    /// tuples, each emits one head row per (candidate, surviving body
     /// instantiation) pair; a candidate that conflicts with a head constant
     /// or repeated head variable simply fails the seed match, the same
     /// cases a per-candidate head unification would reject.
-    pub(crate) fn ensure_recount(&mut self, ri: usize) -> Result<(), IvmError> {
-        if self.recounts.contains_key(&ri) {
+    pub(crate) fn ensure_recounts(&mut self) -> Result<(), IvmError> {
+        if !self.recounts.is_empty() {
             return Ok(());
         }
         let cand = Symbol::intern(CAND);
         self.db.declare(cand, self.lr.dimension())?;
         self.engine.declare(cand, self.lr.dimension());
-        let rule = self.rule_at(ri);
-        let mut body = Vec::with_capacity(rule.body.len() + 1);
-        body.push(Atom::new(cand, rule.head.terms.clone()));
-        body.extend(rule.body.iter().cloned());
-        let recount = Rule {
-            head: rule.head.clone(),
-            body,
-        };
-        let compiled = CompiledRule::compile(&recount, Some(0), &self.db)?;
-        for (pred, cols) in compiled.required_indexes() {
-            if let Some(rel) = self.engine.get_mut(pred) {
-                rel.ensure_index(cols);
-            }
+        for ri in 0..self.rule_count() {
+            let rule = self.rule_at(ri);
+            let mut body = Vec::with_capacity(rule.body.len() + 1);
+            body.push(Atom::new(cand, rule.head.terms.clone()));
+            body.extend(rule.body.iter().cloned());
+            let recount = Rule {
+                head: rule.head.clone(),
+                body,
+            };
+            let compiled = CompiledRule::compile(&recount, Some(0), &self.db)?;
+            self.engine.ensure_indexes(&compiled);
+            self.recounts.push(compiled);
         }
-        self.recounts.insert(ri, compiled);
         Ok(())
     }
 }
 
-/// Result of one propagation run.
-pub(crate) struct Propagation {
-    pub rounds: u64,
-    pub truncation: Option<TruncationReason>,
-}
-
-impl Propagation {
-    fn stopped(rounds: u64, reason: TruncationReason) -> Propagation {
-        Propagation {
-            rounds,
-            truncation: Some(reason),
+/// The state every saturation over `lr` starts from: `edb` with every body
+/// predicate declared and the derived predicate emptied, its indexed mirror,
+/// and the recursive rule's delta pipeline (differentiated at the recursive
+/// body position) with its probe indexes built.
+pub(crate) fn mirror(
+    lr: &LinearRecursion,
+    edb: &Database,
+) -> Result<(Database, EngineDb, CompiledRule), IvmError> {
+    let p = lr.predicate;
+    let mut db = edb.clone();
+    for rule in std::iter::once(&lr.recursive_rule).chain(lr.exit_rules.iter()) {
+        for atom in &rule.body {
+            if atom.predicate != p {
+                db.declare(atom.predicate, atom.arity())?;
+            }
         }
     }
+    db.insert_relation(p, Relation::new(lr.dimension()));
+    let mut engine = EngineDb::new();
+    for (name, rel) in db.iter() {
+        engine.load(name, rel);
+    }
+    let p_pos = lr
+        .recursive_rule
+        .body
+        .iter()
+        .position(|a| a.predicate == p)
+        .ok_or(DatalogError::UnknownRelation(p))?;
+    let rec_delta = CompiledRule::compile(&lr.recursive_rule, Some(p_pos), &db)?;
+    engine.ensure_indexes(&rec_delta);
+    Ok((db, engine, rec_delta))
 }
 
-/// Seed rows for a delta pipeline from a batch of delta tuples.
-pub(crate) fn delta_rows(rule: &CompiledRule, delta: &[Tuple]) -> Vec<Row> {
-    match &rule.seed {
-        Some(seed) => seed.rows(delta.iter()),
-        None => Vec::new(),
+/// Counts one more derivation of `t`; true when it is the first.
+pub(crate) fn bump(counts: &mut HashMap<Tuple, u64>, t: &Tuple) -> bool {
+    let c = counts.entry(t.clone()).or_insert(0);
+    *c += 1;
+    *c == 1
+}
+
+/// Inserts a derived tuple into both the database and the engine mirror.
+pub(crate) fn insert_derived(db: &mut Database, engine: &mut EngineDb, p: Symbol, t: &Tuple) {
+    if let Some(rel) = db.get_mut(p) {
+        rel.insert(t.clone());
     }
+    if let Some(rel) = engine.get_mut(p) {
+        rel.insert(t.clone());
+    }
+}
+
+/// Why a maintenance loop stopped short, if it did. A maintenance round cap
+/// is a tripwire — the class's rank bound says it cannot be reached — so a
+/// capped run counts as truncated and the caller rebuilds cold.
+pub(crate) fn stopped(run: &Rounds) -> Option<TruncationReason> {
+    run.truncation
+        .or(run.capped.then_some(TruncationReason::IterationCap))
 }
 
 /// Instantiates a rule head once per binding row — *without* deduplication,

@@ -2,13 +2,13 @@
 //! and the cold-saturation fallback.
 
 use crate::delta::{EdbDelta, IdbPatch};
-use crate::materialize::{delta_rows, head_rows, Materialization};
+use crate::materialize::{bump, head_rows, insert_derived, stopped, Materialization, CAND};
 use crate::{IvmError, MaintenancePath};
 use recurs_datalog::eval::eval_body;
-use recurs_datalog::govern::{EvalBudget, Governor, Progress, TruncationReason};
+use recurs_datalog::govern::{EvalBudget, Governor, TruncationReason};
 use recurs_datalog::relation::{Relation, Tuple};
 use recurs_datalog::symbol::Symbol;
-use recurs_engine::compile::ProbeCounters;
+use recurs_engine::{drive_rounds, IndexedRelation};
 use recurs_obs::field;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -45,6 +45,24 @@ pub struct PatchReport {
     pub idb: Option<IdbPatch>,
     /// Work counters.
     pub stats: PatchStats,
+}
+
+/// The overdeletion candidate set, in discovery order.
+#[derive(Default)]
+struct Candidates {
+    set: HashSet<Tuple>,
+    order: Vec<Tuple>,
+}
+
+impl Candidates {
+    /// Marks the heads that are in `stored` (the materialized relation,
+    /// untouched while overdeletion runs) and not yet candidates, returning
+    /// the newly marked ones.
+    fn mark(&mut self, stored: Option<&IndexedRelation>, mut heads: Vec<Tuple>) -> Vec<Tuple> {
+        heads.retain(|h| stored.is_some_and(|p| p.contains(h)) && self.set.insert(h.clone()));
+        self.order.extend(heads.iter().cloned());
+        heads
+    }
 }
 
 impl Materialization {
@@ -166,9 +184,7 @@ impl Materialization {
                 overrides.insert(i, delta_rel);
                 let bindings = eval_body(&self.db, &rule.body, &overrides)?;
                 for h in head_rows(&rule.head, &bindings)? {
-                    let c = self.counts.entry(h.clone()).or_insert(0);
-                    *c += 1;
-                    if *c == 1 {
+                    if bump(&mut self.counts, &h) {
                         fresh.push(h);
                     }
                 }
@@ -188,15 +204,17 @@ impl Materialization {
             }
         }
         for t in &fresh {
-            self.insert_p(t.clone());
+            insert_derived(&mut self.db, &mut self.engine, self.lr.predicate, t);
             patch.record_insert(t.clone());
         }
-        let prop = self.propagate(fresh, governor, Some(patch))?;
-        stats.rounds += prop.rounds;
-        Ok(prop.truncation)
+        let run = self.propagate(fresh, governor, Some(patch))?;
+        stats.rounds += run.iterations.len() as u64;
+        Ok(stopped(&run))
     }
 
-    /// DRed deletion maintenance: overdelete, remove, rederive.
+    /// DRed deletion maintenance: overdelete, remove, rederive. Every pass
+    /// is a [`drive_rounds`] call over `self.engine`, so each is governed,
+    /// capped and fault-hooked the same way; they differ only in the merge.
     ///
     /// *Overdelete* runs set-based over the old, untouched state: compiled
     /// delta pipelines differentiated at each deleted relation's body
@@ -223,90 +241,46 @@ impl Materialization {
         stats: &mut PatchStats,
     ) -> Result<Option<TruncationReason>, IvmError> {
         let p = self.lr.predicate;
-        // --- Overdelete: seed from deleted EDB positions.
-        let mut seeds: Vec<(usize, usize)> = Vec::new();
-        for ri in 0..self.rule_count() {
-            for (i, atom) in self.rule_at(ri).body.iter().enumerate() {
-                if atom.predicate != p && del.contains_key(&atom.predicate) {
-                    seeds.push((ri, i));
-                }
-            }
-        }
-        for &(ri, i) in &seeds {
-            self.ensure_variant(ri, i)?;
-        }
-        let mut cand_set: HashSet<Tuple> = HashSet::new();
-        let mut cand_order: Vec<Tuple> = Vec::new();
-        let p_rel = self
-            .db
-            .get(p)
-            .cloned()
-            .unwrap_or_else(|| Relation::new(self.lr.dimension()));
-        for &(ri, i) in &seeds {
-            if let Some(reason) = governor.poll() {
-                return Ok(Some(reason));
-            }
-            let pred = self.rule_at(ri).body[i].predicate;
-            let deleted: Vec<Tuple> = del[&pred].iter().cloned().collect();
-            let variant = &self.variants[&(ri, i)];
-            let rows = delta_rows(variant, &deleted);
-            let mut out = Vec::new();
-            let mut counters = ProbeCounters::default();
-            if let Some(reason) =
-                variant.execute(&self.engine, rows, &mut counters, Some(governor), &mut out)?
-            {
-                return Ok(Some(reason));
-            }
-            for h in out {
-                if p_rel.contains(&h) && cand_set.insert(h.clone()) {
-                    cand_order.push(h);
-                }
-            }
-        }
-        // --- Overdelete: close over recursive support chains (old state).
         let cap = self.path.round_cap();
-        let mut rounds: u64 = 0;
-        let mut frontier = cand_order.clone();
-        while !frontier.is_empty() {
-            let progress = Progress {
-                iterations: rounds as usize,
-                tuples: cand_set.len(),
-                delta: frontier.len(),
-                memory_bytes: self.engine.approx_bytes(),
-            };
-            if let Some(reason) = governor.check(progress) {
+        let mut cands = Candidates::default();
+
+        // --- Overdelete: seed from deleted EDB positions (one round each:
+        // the merge hands back no delta), then close over recursive support
+        // chains, all against the old state.
+        for (&pred, deleted) in del {
+            self.ensure_variants(pred)?;
+            let run = drive_rounds(
+                &mut self.engine,
+                None,
+                &self.variants[&pred],
+                BTreeMap::from([(pred, deleted.iter().cloned().collect())]),
+                None,
+                governor,
+                &self.obs,
+                |engine, _, _, heads| {
+                    cands.mark(engine.get(p), heads);
+                    Vec::new()
+                },
+            )?;
+            if let Some(reason) = stopped(&run) {
                 return Ok(Some(reason));
             }
-            if crate::fault_round_trips(rounds) {
-                return Ok(Some(TruncationReason::Cancelled));
-            }
-            if cap.is_some_and(|c| rounds >= c) {
-                return Ok(Some(TruncationReason::IterationCap));
-            }
-            rounds += 1;
-            let rows = delta_rows(&self.rec_delta, &frontier);
-            let mut out = Vec::new();
-            let mut counters = ProbeCounters::default();
-            if let Some(reason) = self.rec_delta.execute(
-                &self.engine,
-                rows,
-                &mut counters,
-                Some(governor),
-                &mut out,
-            )? {
-                return Ok(Some(reason));
-            }
-            let mut next = Vec::new();
-            for h in out {
-                if p_rel.contains(&h) && cand_set.insert(h.clone()) {
-                    cand_order.push(h.clone());
-                    next.push(h);
-                }
-            }
-            frontier = next;
         }
-        stats.overdeleted = cand_set.len();
-        stats.rounds += rounds;
+        let closure = drive_rounds(
+            &mut self.engine,
+            None,
+            std::slice::from_ref(&self.rec_delta),
+            BTreeMap::from([(p, cands.order.clone())]),
+            cap,
+            governor,
+            &self.obs,
+            |engine, _, _, heads| cands.mark(engine.get(p), heads),
+        )?;
+        stats.rounds += closure.iterations.len() as u64;
+        if let Some(reason) = stopped(&closure) {
+            return Ok(Some(reason));
+        }
+        stats.overdeleted = cands.set.len();
 
         // --- Physically remove the deleted EDB tuples and every candidate.
         for (&pred, dr) in del {
@@ -317,89 +291,77 @@ impl Materialization {
                 }
             }
         }
-        for t in &cand_order {
+        for t in &cands.order {
             self.remove_p(t);
             self.counts.remove(t);
             patch.record_delete(t.clone());
         }
 
         // --- Rederive, phase 1: batch backward recount. Every candidate is
-        // physically removed at this point, so seeding the recount pipeline
+        // physically removed at this point, so seeding the recount pipelines
         // with the whole candidate set tallies, per candidate, exactly its
         // support from *surviving* tuples — candidate-to-candidate support
         // contributes nothing here and is replayed in phase 2. One indexed
         // pipeline run per rule replaces one hash-join rebuild per
         // candidate.
+        self.ensure_recounts()?;
         let mut recount: HashMap<Tuple, u64> = HashMap::new();
-        for ri in 0..self.rule_count() {
-            if let Some(reason) = governor.poll() {
-                return Ok(Some(reason));
-            }
-            self.ensure_recount(ri)?;
-            // `recounts` is append-only, so the entry just ensured exists.
-            let pipeline = &self.recounts[&ri];
-            let rows = delta_rows(pipeline, &cand_order);
-            let mut out = Vec::new();
-            let mut counters = ProbeCounters::default();
-            if let Some(reason) =
-                pipeline.execute(&self.engine, rows, &mut counters, Some(governor), &mut out)?
-            {
-                return Ok(Some(reason));
-            }
-            for h in out {
-                *recount.entry(h).or_insert(0) += 1;
-            }
+        let run = drive_rounds(
+            &mut self.engine,
+            None,
+            &self.recounts,
+            BTreeMap::from([(Symbol::intern(CAND), cands.order.clone())]),
+            None,
+            governor,
+            &self.obs,
+            |_, _, _, heads| {
+                for h in heads {
+                    *recount.entry(h).or_insert(0) += 1;
+                }
+                Vec::new()
+            },
+        )?;
+        if let Some(reason) = stopped(&run) {
+            return Ok(Some(reason));
         }
         let mut wave: Vec<Tuple> = Vec::new();
-        for c in &cand_order {
-            if let Some(&cnt) = recount.get(c) {
+        for c in cands.order {
+            if let Some(&cnt) = recount.get(&c) {
                 self.counts.insert(c.clone(), cnt);
-                self.insert_p(c.clone());
+                insert_derived(&mut self.db, &mut self.engine, p, &c);
                 patch.record_insert(c.clone());
-                wave.push(c.clone());
-                stats.rederived += 1;
+                wave.push(c);
             }
         }
+        stats.rederived = wave.len();
+
         // --- Rederive, phase 2: replay support among revived candidates in
         // waves. The rule is linear — each instantiation has exactly one
         // recursive subgoal — so every candidate-supported instantiation is
         // enumerated exactly once, in the wave where its subgoal revived.
         // Surviving heads are skipped: any tuple with support through a
         // candidate was itself enumerated by the overdeletion closure.
-        while !wave.is_empty() {
-            if let Some(reason) = governor.poll() {
-                return Ok(Some(reason));
-            }
-            stats.rounds += 1;
-            let rows = delta_rows(&self.rec_delta, &wave);
-            let mut out = Vec::new();
-            let mut counters = ProbeCounters::default();
-            if let Some(reason) = self.rec_delta.execute(
-                &self.engine,
-                rows,
-                &mut counters,
-                Some(governor),
-                &mut out,
-            )? {
-                return Ok(Some(reason));
-            }
-            let mut next = Vec::new();
-            for h in out {
-                if !cand_set.contains(&h) {
-                    continue;
-                }
-                let c = self.counts.entry(h.clone()).or_insert(0);
-                *c += 1;
-                if *c == 1 {
-                    self.insert_p(h.clone());
+        let (db, counts) = (&mut self.db, &mut self.counts);
+        let waves = drive_rounds(
+            &mut self.engine,
+            None,
+            std::slice::from_ref(&self.rec_delta),
+            BTreeMap::from([(p, wave)]),
+            cap,
+            governor,
+            &self.obs,
+            |engine, _, _, mut heads| {
+                heads.retain(|h| cands.set.contains(h) && bump(counts, h));
+                for h in &heads {
+                    insert_derived(db, engine, p, h);
                     patch.record_insert(h.clone());
-                    next.push(h.clone());
-                    stats.rederived += 1;
                 }
-            }
-            wave = next;
-        }
-        Ok(None)
+                stats.rederived += heads.len();
+                heads
+            },
+        )?;
+        stats.rounds += waves.iterations.len() as u64;
+        Ok(stopped(&waves))
     }
 
     /// Abandons the incremental patch: finishes applying the delta to the

@@ -26,17 +26,21 @@
 //! substitution — which is what the differential property suite and the
 //! serve layer's cross-check call.
 
+use crate::materialize::{mirror, stopped};
 use crate::IvmError;
 use recurs_datalog::database::Database;
 use recurs_datalog::error::DatalogError;
 use recurs_datalog::eval::eval_body;
-use recurs_datalog::govern::{EvalBudget, Governor, Progress};
+use recurs_datalog::govern::{EvalBudget, Governor};
 use recurs_datalog::relation::{Relation, Tuple};
 use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::subst::Subst;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::{Atom, Term, Value};
-use std::collections::HashMap;
+use recurs_engine::compile::CompiledRule;
+use recurs_engine::drive_rounds;
+use recurs_obs::Obs;
+use std::collections::{BTreeMap, HashMap};
 
 /// Default depth bound for backward reconstruction: enough for any chain a
 /// governed evaluation can produce, while still guaranteeing termination
@@ -133,87 +137,42 @@ fn ground_tuple(subst: &Subst, atom: &Atom) -> Result<Tuple, DatalogError> {
         .collect()
 }
 
-/// Rank-tracked semi-naive saturation: the saturated database plus, for
-/// every derived tuple, the round in which it first appeared.
+/// Rank-tracked saturation: the saturated database plus, for every derived
+/// tuple, the driver round in which it first appeared (round 0 is the
+/// exit-rule seeding round). Any derived tuples `edb` carries are dropped
+/// first — ranks must match this run.
 fn saturate_with_ranks(
     lr: &LinearRecursion,
     edb: &Database,
     governor: &Governor,
 ) -> Result<(Database, HashMap<Tuple, u64>), IvmError> {
-    let p = lr.predicate;
-    let mut db = edb.clone();
-    for rule in std::iter::once(&lr.recursive_rule).chain(lr.exit_rules.iter()) {
-        for atom in &rule.body {
-            if atom.predicate != p {
-                db.declare(atom.predicate, atom.arity())?;
-            }
-        }
-    }
-    // The derived predicate is rebuilt here even if the caller's database
-    // already carried a saturated copy — ranks must match this run.
-    db.insert_relation(p, Relation::new(lr.dimension()));
-
-    let mut ranks: HashMap<Tuple, u64> = HashMap::new();
-    let mut delta: Vec<Tuple> = Vec::new();
+    let (mut db, mut engine, rec_delta) = mirror(lr, edb)?;
+    let mut exits = Vec::with_capacity(lr.exit_rules.len());
     for rule in &lr.exit_rules {
-        if let Some(reason) = governor.poll() {
-            return Err(IvmError::Truncated(reason));
-        }
-        let bindings = eval_body(&db, &rule.body, &HashMap::new())?;
-        let heads = crate::materialize::head_rows(&rule.head, &bindings)?;
-        for t in heads {
-            if !ranks.contains_key(&t) {
-                ranks.insert(t.clone(), 0);
-                delta.push(t);
-            }
-        }
+        let compiled = CompiledRule::compile(rule, None, &db)?;
+        engine.ensure_indexes(&compiled);
+        exits.push(compiled);
     }
-    if let Some(rel) = db.get_mut(p) {
-        for t in &delta {
-            rel.insert(t.clone());
-        }
+    let mut ranks: HashMap<Tuple, u64> = HashMap::new();
+    let run = drive_rounds(
+        &mut engine,
+        Some(&exits),
+        std::slice::from_ref(&rec_delta),
+        BTreeMap::new(),
+        None,
+        governor,
+        &Obs::noop(),
+        |engine, round, rule, heads| {
+            let fresh = engine.insert_fresh(rule.head_pred, heads);
+            ranks.extend(fresh.iter().map(|t| (t.clone(), round as u64)));
+            fresh
+        },
+    )?;
+    if let Some(reason) = stopped(&run) {
+        return Err(IvmError::Truncated(reason));
     }
-
-    let p_pos = lr
-        .recursive_rule
-        .body
-        .iter()
-        .position(|a| a.predicate == p)
-        .ok_or(DatalogError::UnknownRelation(p))?;
-    let mut round: u64 = 0;
-    while !delta.is_empty() {
-        round += 1;
-        let progress = Progress {
-            iterations: round as usize,
-            tuples: ranks.len(),
-            delta: delta.len(),
-            memory_bytes: 0,
-        };
-        if let Some(reason) = governor.check(progress) {
-            return Err(IvmError::Truncated(reason));
-        }
-        let delta_rel = Relation::from_tuples(lr.dimension(), delta.iter().cloned());
-        let mut overrides: HashMap<usize, &Relation> = HashMap::new();
-        overrides.insert(p_pos, &delta_rel);
-        // Semi-naive is exact with a single override: the rule is linear,
-        // so every new instantiation contains exactly one recursive
-        // subgoal, which was fresh last round.
-        let bindings = eval_body(&db, &lr.recursive_rule.body, &overrides)?;
-        let heads = crate::materialize::head_rows(&lr.recursive_rule.head, &bindings)?;
-        let mut fresh: Vec<Tuple> = Vec::new();
-        for t in heads {
-            if !ranks.contains_key(&t) {
-                ranks.insert(t.clone(), round);
-                fresh.push(t);
-            }
-        }
-        if let Some(rel) = db.get_mut(p) {
-            for t in &fresh {
-                rel.insert(t.clone());
-            }
-        }
-        delta = fresh;
-    }
+    let derived = Relation::from_tuples(lr.dimension(), ranks.keys().cloned());
+    db.insert_relation(lr.predicate, derived);
     Ok((db, ranks))
 }
 
@@ -494,6 +453,7 @@ pub fn render_tree(node: &DerivationNode) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recurs_datalog::govern::TruncationReason;
     use recurs_datalog::parser::parse_program;
     use recurs_datalog::relation::tuple_u64;
     use recurs_datalog::rule::LinearRecursion;
@@ -558,6 +518,18 @@ mod tests {
             }
             other => panic!("expected DepthExceeded, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn memory_ceiling_truncates_the_saturation() {
+        let (lr, db) = tc();
+        let budget = EvalBudget::unlimited().with_max_memory_bytes(64);
+        let err = explain_fact(&lr, &db, &tuple_u64([1, 4]), DEFAULT_WHY_DEPTH, &budget)
+            .expect_err("the indexed working set is far above 64 bytes");
+        assert!(matches!(
+            err,
+            IvmError::Truncated(TruncationReason::MemoryCeiling)
+        ));
     }
 
     #[test]

@@ -53,17 +53,17 @@ pub const EVENTS: &[EventKind] = &[
     EventKind {
         kind: "engine.start",
         layer: "engine",
-        doc: "A kernel run began: kernel, mode, and input relation sizes.",
+        doc: "A kernel run began: which kernel.",
     },
     EventKind {
         kind: "engine.iteration",
         layer: "engine",
-        doc: "One kernel iteration: delta sizes in and out.",
+        doc: "One round of the round driver (a kernel iteration or a maintenance-loop round): delta sizes in and out.",
     },
     EventKind {
         kind: "engine.rule",
         layer: "engine",
-        doc: "One rule application inside an iteration: join fan-in/out.",
+        doc: "One rule application inside a round: join fan-in/out.",
     },
     EventKind {
         kind: "engine.complete",
@@ -76,19 +76,9 @@ pub const EVENTS: &[EventKind] = &[
         doc: "A kernel run stopped on budget: which ceiling tripped.",
     },
     EventKind {
-        kind: "engine.degraded_retry",
-        layer: "engine",
-        doc: "A specialized kernel failed its safety check and the engine fell back to saturation.",
-    },
-    EventKind {
-        kind: "engine.worker_panic",
-        layer: "engine",
-        doc: "A parallel worker panicked; the run degraded to the sequential path.",
-    },
-    EventKind {
         kind: "fault.injected",
         layer: "engine/ivm/serve/net",
-        doc: "A fault-injection hook fired (tests only): site and fault kind.",
+        doc: "A fault-injection hook fired (tests only): site, fault kind, and round.",
     },
     EventKind {
         kind: "ivm.saturate",

@@ -14,7 +14,8 @@ pub enum ServeError {
     /// A substrate error from the Datalog layer (unknown relation, arity
     /// mismatch, ...).
     Datalog(DatalogError),
-    /// The execution engine failed (e.g. persistent worker panic).
+    /// The execution engine failed (a substrate error or a broken engine
+    /// invariant; budget stops are replies, not errors).
     Engine(EngineError),
     /// The query's predicate is not the one this service answers.
     WrongPredicate {

@@ -23,7 +23,7 @@ use recurs_datalog::govern::{EvalBudget, Outcome};
 use recurs_datalog::relation::{Relation, Tuple};
 use recurs_datalog::rule::{LinearRecursion, Program};
 use recurs_datalog::term::{Atom, Term};
-use recurs_engine::{EngineConfig, EngineMode};
+use recurs_engine::EngineConfig;
 use recurs_obs::Obs;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -153,7 +153,6 @@ impl PointPlans {
         db: &Database,
         query: &Atom,
         budget: &EvalBudget,
-        mode: EngineMode,
         obs: &Obs,
     ) -> Result<PointAnswer, ServeError> {
         if query.predicate != self.lr.predicate {
@@ -174,12 +173,12 @@ impl PointPlans {
         }
         match self.select(query) {
             PointKernelKind::BoundedUnroll { rank } => self.answer_bounded(db, query, budget, rank),
-            PointKernelKind::MagicIterate => self.answer_magic(db, query, budget, mode, obs),
+            PointKernelKind::MagicIterate => self.answer_magic(db, query, budget, obs),
             // The materialized-view kernel lives in the service (it needs the
             // maintained view); `select` never returns it, and if a caller
             // asks for it without a view the saturating kernel is the answer.
             PointKernelKind::FullSaturation | PointKernelKind::MaterializedView => {
-                self.answer_saturate(db, query, budget, mode, obs)
+                self.answer_saturate(db, query, budget, obs)
             }
         }
     }
@@ -227,7 +226,6 @@ impl PointPlans {
         db: &Database,
         query: &Atom,
         budget: &EvalBudget,
-        mode: EngineMode,
         obs: &Obs,
     ) -> Result<PointAnswer, ServeError> {
         let form = QueryForm::of_atom(query);
@@ -250,7 +248,6 @@ impl PointPlans {
             }
         }
         let config = EngineConfig {
-            mode,
             budget: budget.clone(),
             obs: obs.clone(),
         };
@@ -274,12 +271,10 @@ impl PointPlans {
         db: &Database,
         query: &Atom,
         budget: &EvalBudget,
-        mode: EngineMode,
         obs: &Obs,
     ) -> Result<PointAnswer, ServeError> {
         let mut db = db.clone();
         let config = EngineConfig {
-            mode,
             budget: budget.clone(),
             obs: obs.clone(),
         };
@@ -352,13 +347,7 @@ mod tests {
         let q = parse_atom("P(3, y)").unwrap();
         assert_eq!(plans.select(&q), PointKernelKind::MagicIterate);
         let got = plans
-            .answer(
-                &db,
-                &q,
-                &EvalBudget::unlimited(),
-                EngineMode::Indexed,
-                &Obs::noop(),
-            )
+            .answer(&db, &q, &EvalBudget::unlimited(), &Obs::noop())
             .unwrap();
         assert!(got.outcome.is_complete());
         assert_eq!(got.answers, oracle(&f, &db, &q));
@@ -372,13 +361,7 @@ mod tests {
         let q = parse_atom("P(x, y)").unwrap();
         assert_eq!(plans.select(&q), PointKernelKind::FullSaturation);
         let got = plans
-            .answer(
-                &db,
-                &q,
-                &EvalBudget::unlimited(),
-                EngineMode::Indexed,
-                &Obs::noop(),
-            )
+            .answer(&db, &q, &EvalBudget::unlimited(), &Obs::noop())
             .unwrap();
         assert!(got.outcome.is_complete());
         assert_eq!(got.answers, oracle(&f, &db, &q));
@@ -404,13 +387,7 @@ mod tests {
         let kernel = plans.select(&q);
         assert_eq!(kernel, PointKernelKind::BoundedUnroll { rank: 2 });
         let got = plans
-            .answer(
-                &db,
-                &q,
-                &EvalBudget::unlimited(),
-                EngineMode::Indexed,
-                &Obs::noop(),
-            )
+            .answer(&db, &q, &EvalBudget::unlimited(), &Obs::noop())
             .unwrap();
         assert!(got.outcome.is_complete());
         assert_eq!(got.fixpoint_iterations, 0);
@@ -423,13 +400,7 @@ mod tests {
         let db = tc_db(4);
         let q = parse_atom("Q(1, y)").unwrap();
         let err = plans
-            .answer(
-                &db,
-                &q,
-                &EvalBudget::unlimited(),
-                EngineMode::Indexed,
-                &Obs::noop(),
-            )
+            .answer(&db, &q, &EvalBudget::unlimited(), &Obs::noop())
             .unwrap_err();
         assert!(matches!(err, ServeError::WrongPredicate { .. }));
     }
@@ -440,13 +411,7 @@ mod tests {
         let db = tc_db(4);
         let q = parse_atom("P(1, y, z)").unwrap();
         let err = plans
-            .answer(
-                &db,
-                &q,
-                &EvalBudget::unlimited(),
-                EngineMode::Indexed,
-                &Obs::noop(),
-            )
+            .answer(&db, &q, &EvalBudget::unlimited(), &Obs::noop())
             .unwrap_err();
         assert!(matches!(
             err,
@@ -463,9 +428,7 @@ mod tests {
         token.cancel();
         let budget = EvalBudget::unlimited().with_cancel(token);
         let q = parse_atom("P(1, y)").unwrap();
-        let got = plans
-            .answer(&db, &q, &budget, EngineMode::Indexed, &Obs::noop())
-            .unwrap();
+        let got = plans.answer(&db, &q, &budget, &Obs::noop()).unwrap();
         assert!(!got.outcome.is_complete());
         // Sound under-approximation: a subset of the true answers.
         let want = oracle(&f, &db, &q);
