@@ -20,6 +20,20 @@ cargo clippy -p recurs-ivm --all-targets --features fault-inject --offline -- -D
 cargo clippy -p recurs-serve --all-targets --features fault-inject --offline -- -D warnings
 cargo clippy -p recurs-net --all-targets --features fault-inject --offline -- -D warnings
 
+# One-store guard: every derived tuple lives in the engine store, so the
+# oracle's interpreter must not come back into view maintenance or the serve
+# path, and the saturating kernels must not deep-copy the snapshot again.
+echo "==> one-store guard (no eval_body in ivm maintenance / serve, no Database clone in serve kernels)"
+if grep -n "eval_body" crates/ivm/src/materialize.rs crates/ivm/src/patch.rs \
+    || grep -rn "eval_body" crates/serve/src; then
+  echo "eval_body is back in ivm maintenance or the serve path" >&2
+  exit 1
+fi
+if grep -nE "\bdb\)?\.clone\(\)|database\(\)\.clone\(\)|Database::clone|answer_query" crates/serve/src/kernel.rs; then
+  echo "crates/serve/src/kernel.rs copies the snapshot (or answers through the interpreter) again" >&2
+  exit 1
+fi
+
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
@@ -74,14 +88,6 @@ cargo test -p recurs-cli --offline -q --test cli_process \
 cargo test -p recurs-cli --offline -q --test cli_process \
   serve_stdin_sigterm_drains_with_exit_zero_while_stdin_stays_open
 
-# Benchmark regression tripwire: re-times the smallest engine_scaling sizes
-# and diffs against BENCH_engine.json (drift-corrected; fails above 25%),
-# re-times single-fact maintenance on tc/800 against BENCH_ivm.json
-# (same 25% tripwire on the patched rows, plus a hard >= 5x
-# patched-vs-cold speedup floor), and replays the loadgen mixed workload
-# against an in-process TCP server, gating the median-round p95 against
-# BENCH_load.json (25% drift-corrected tripwire) plus hard liveness checks
-# (no shedding at smoke QPS, no transport errors, a clean unforced drain).
 # Trace well-formedness lane: a spawned `serve --stdin --trace FILE`
 # session over a real dataset must produce a JSON-lines trace that
 # `obsctl validate` accepts end to end — every line parses, every event
@@ -95,6 +101,14 @@ printf '@trace=c0ffee ?- P(1, y).\n+A(6, 7). +E(6, 7).\n?- P(1, 6).\nwhy P(1, 6)
 cargo run --release --offline -p recurs-obs --bin obsctl -- validate "$CI_TRACE"
 rm -f "$CI_TRACE"
 
+# Benchmark regression tripwire: re-times the smallest engine_scaling sizes
+# and diffs against BENCH_engine.json (drift-corrected; fails above 25%),
+# re-times single-fact maintenance on tc/800 against BENCH_ivm.json
+# (same 25% tripwire on the patched rows, plus a hard >= 5x
+# patched-vs-cold speedup floor), and replays the loadgen mixed workload
+# against an in-process TCP server, gating the median-round p95 against
+# BENCH_load.json (25% drift-corrected tripwire) plus hard liveness checks
+# (no shedding at smoke QPS, no transport errors, a clean unforced drain).
 echo "==> bench_compare --quick (+ no-op overhead re-audit)"
 cargo run --release --offline -p recurs-bench --bin bench_compare -- --quick --samples 5 \
   --reaudit-obs BENCH_obs.json

@@ -474,9 +474,9 @@ fn measure_ivm(opts: &Options, baseline: &str) -> Result<(Vec<Row>, f64), String
         Materialization::saturate(&f, &db, &budget, &Obs::noop()).map_err(|e| format!("{e}"))?;
     // Certify both directions once before timing anything.
     mat.apply(&insert, &budget).map_err(|e| format!("{e}"))?;
-    assert_eq!(mat.relation(), &refixpoint(&inserted_db));
+    assert_eq!(mat.relation().to_relation(), refixpoint(&inserted_db));
     mat.apply(&delete, &budget).map_err(|e| format!("{e}"))?;
-    assert_eq!(mat.relation(), &refixpoint(&db));
+    assert_eq!(mat.relation().to_relation(), refixpoint(&db));
 
     let (mut ins_times, mut del_times, mut cold_times) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..opts.samples {

@@ -252,7 +252,7 @@ pub fn eval_body(
     overrides: &HashMap<usize, &Relation>,
 ) -> Result<Bindings, DatalogError> {
     let pinned = overrides.keys().min().copied();
-    let order = crate::order::order_atoms(body, db, pinned);
+    let order = crate::order::order_atoms(body, |p| db.get(p).map(Relation::len), pinned);
     let mut acc = Bindings::unit();
     for i in order {
         let atom = &body[i];
@@ -369,7 +369,11 @@ fn prepare_variant(
     db: &Database,
     idb: &BTreeSet<Symbol>,
 ) -> Result<PreparedVariant, DatalogError> {
-    let order = crate::order::order_atoms(&rule.body, db, Some(delta_pos));
+    let order = crate::order::order_atoms(
+        &rule.body,
+        |p| db.get(p).map(Relation::len),
+        Some(delta_pos),
+    );
     debug_assert_eq!(order[0], delta_pos);
     let delta_vars: Vec<Symbol> = {
         // Distinct variables of the delta atom in first-occurrence order —

@@ -14,21 +14,26 @@
 //! The order is a permutation of body positions, so callers that key
 //! per-position overrides (semi-naive deltas) can remap them.
 
-use crate::database::Database;
 use crate::symbol::Symbol;
 use crate::term::{Atom, Term};
 use std::collections::BTreeSet;
 
 /// Returns a permutation of `0..body.len()`: the order in which to join the
 /// body's atoms. If `pinned_first` is given, that position is forced to the
-/// front (semi-naive evaluation starts from the delta atom).
-pub fn order_atoms(body: &[Atom], db: &Database, pinned_first: Option<usize>) -> Vec<usize> {
+/// front (semi-naive evaluation starts from the delta atom). `len_of` is the
+/// current size of a relation (`None` when it does not exist), whatever
+/// store the caller evaluates over.
+pub fn order_atoms(
+    body: &[Atom],
+    len_of: impl Fn(Symbol) -> Option<usize>,
+    pinned_first: Option<usize>,
+) -> Vec<usize> {
     let n = body.len();
     let mut order: Vec<usize> = Vec::with_capacity(n);
     let mut remaining: Vec<usize> = (0..n).collect();
     let mut bound: BTreeSet<Symbol> = BTreeSet::new();
 
-    let size_of = |i: usize| -> usize { db.get(body[i].predicate).map_or(usize::MAX, |r| r.len()) };
+    let size_of = |i: usize| -> usize { len_of(body[i].predicate).unwrap_or(usize::MAX) };
     let constants_in = |i: usize| -> usize {
         body[i]
             .terms
@@ -84,17 +89,14 @@ pub fn order_atoms(body: &[Atom], db: &Database, pinned_first: Option<usize>) ->
 mod tests {
     use super::*;
     use crate::parser::parse_rule;
-    use crate::relation::Relation;
 
-    fn db_with(sizes: &[(&str, usize)]) -> Database {
-        let mut db = Database::new();
-        for &(name, n) in sizes {
-            db.insert_relation(
-                name,
-                Relation::from_pairs((0..n as u64).map(|i| (i, i + 1))),
-            );
-        }
-        db
+    /// A size lookup over the named relations.
+    fn db_with(sizes: &[(&str, usize)]) -> impl Fn(Symbol) -> Option<usize> {
+        let sizes: Vec<(Symbol, usize)> = sizes
+            .iter()
+            .map(|&(n, len)| (Symbol::intern(n), len))
+            .collect();
+        move |p| sizes.iter().find(|(n, _)| *n == p).map(|&(_, len)| len)
     }
 
     #[test]

@@ -8,15 +8,14 @@
 //! work is pure hash probing with no planning, cloning, or re-indexing.
 
 use crate::error::EngineError;
-use crate::storage::EngineDb;
-use recurs_datalog::database::Database;
+use crate::storage::{EngineDb, IndexedRelation};
 use recurs_datalog::error::DatalogError;
 use recurs_datalog::govern::{Governor, TruncationReason};
 use recurs_datalog::order::order_atoms;
-use recurs_datalog::relation::Tuple;
+use recurs_datalog::relation::{Relation, Tuple};
 use recurs_datalog::rule::Rule;
 use recurs_datalog::symbol::Symbol;
-use recurs_datalog::term::{Term, Value};
+use recurs_datalog::term::{Atom, Term, Value};
 use std::collections::HashMap;
 
 /// A partial binding row flowing through the pipeline: one value per
@@ -79,6 +78,29 @@ pub struct SeedSpec {
 }
 
 impl SeedSpec {
+    /// The selection + projection `atom` denotes: constants and repeated
+    /// variables become checks, the first occurrence of each variable is
+    /// kept.
+    fn of(atom: &Atom, from_delta: bool) -> SeedSpec {
+        let mut spec = SeedSpec {
+            pred: atom.predicate,
+            from_delta,
+            const_checks: Vec::new(),
+            eq_checks: Vec::new(),
+            keep_cols: Vec::new(),
+        };
+        for (i, term) in atom.terms.iter().enumerate() {
+            match term {
+                Term::Const(c) => spec.const_checks.push((i, *c)),
+                Term::Var(_) => match spec.keep_cols.iter().find(|&&j| atom.terms[j] == *term) {
+                    Some(&j) => spec.eq_checks.push((j, i)),
+                    None => spec.keep_cols.push(i),
+                },
+            }
+        }
+        spec
+    }
+
     /// Filters and projects raw tuples into pipeline rows.
     pub fn rows<'a>(&self, tuples: impl Iterator<Item = &'a Tuple>) -> Vec<Row> {
         tuples
@@ -113,14 +135,16 @@ pub struct CompiledRule {
 
 impl CompiledRule {
     /// Compiles `rule` with an optional differentiated delta position. The
-    /// delta atom (if any) is pinned first in the join order; `db` supplies
-    /// relation sizes for the ordering heuristic only.
+    /// delta atom (if any) is pinned first in the join order; `db` — the
+    /// store the pipeline will execute on — supplies relation sizes for the
+    /// ordering heuristic only.
     pub fn compile(
         rule: &Rule,
         delta_pos: Option<usize>,
-        db: &Database,
+        db: &EngineDb,
     ) -> Result<CompiledRule, DatalogError> {
-        let order = order_atoms(&rule.body, db, delta_pos);
+        let len_of = |p| db.get(p).map(IndexedRelation::len);
+        let order = order_atoms(&rule.body, len_of, delta_pos);
         let mut acc_col: HashMap<Symbol, usize> = HashMap::new();
         let mut acc_len = 0usize;
 
@@ -131,31 +155,14 @@ impl CompiledRule {
             let atom = &rule.body[pos];
             if rank == 0 {
                 // Seed atom: selection + projection, no probing.
-                let mut const_checks = Vec::new();
-                let mut eq_checks = Vec::new();
-                let mut keep_cols = Vec::new();
-                let mut first: HashMap<Symbol, usize> = HashMap::new();
-                for (i, term) in atom.terms.iter().enumerate() {
-                    match term {
-                        Term::Const(c) => const_checks.push((i, *c)),
-                        Term::Var(v) => match first.get(v) {
-                            Some(&j) => eq_checks.push((j, i)),
-                            None => {
-                                first.insert(*v, i);
-                                keep_cols.push(i);
-                                acc_col.insert(*v, acc_len);
-                                acc_len += 1;
-                            }
-                        },
+                let spec = SeedSpec::of(atom, delta_pos == Some(pos));
+                for &c in &spec.keep_cols {
+                    if let Term::Var(v) = atom.terms[c] {
+                        acc_col.insert(v, acc_len);
+                        acc_len += 1;
                     }
                 }
-                seed = Some(SeedSpec {
-                    pred: atom.predicate,
-                    from_delta: delta_pos == Some(pos),
-                    const_checks,
-                    eq_checks,
-                    keep_cols,
-                });
+                seed = Some(spec);
                 continue;
             }
             // Join step: shared variables and constants become the index
@@ -332,26 +339,31 @@ impl CompiledRule {
     }
 }
 
+/// Answers a query atom over one stored relation: the atom's constant and
+/// repeated-variable selections, projected onto its distinct variables in
+/// first-occurrence order — the seed filter of a pipeline, applied as a
+/// query. The atom's arity must be the relation's.
+pub fn select(rel: &IndexedRelation, query: &Atom) -> Relation {
+    assert_eq!(query.arity(), rel.arity(), "query arity mismatch");
+    let spec = SeedSpec::of(query, false);
+    let rows = spec.rows(rel.iter());
+    Relation::from_tuples(
+        spec.keep_cols.len(),
+        rows.into_iter().map(Vec::into_boxed_slice),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use recurs_datalog::parser::parse_rule;
-    use recurs_datalog::relation::Relation;
 
-    fn db_with(rels: &[(&str, Relation)]) -> Database {
-        let mut db = Database::new();
+    fn db_with(rels: &[(&str, Relation)]) -> EngineDb {
+        let mut db = EngineDb::new();
         for (name, rel) in rels {
-            db.insert_relation(*name, rel.clone());
+            db.load(Symbol::intern(name), rel);
         }
         db
-    }
-
-    fn engine_db(db: &Database) -> EngineDb {
-        let mut e = EngineDb::new();
-        for (name, rel) in db.iter() {
-            e.load(name, rel);
-        }
-        e
     }
 
     fn run(cr: &CompiledRule, edb: &EngineDb) -> Vec<Tuple> {
@@ -367,14 +379,13 @@ mod tests {
     #[test]
     fn two_atom_join_produces_composition() {
         let rule = parse_rule("Q(x, z) :- A(x, y), B(y, z).").unwrap();
-        let db = db_with(&[
+        let mut db = db_with(&[
             ("A", Relation::from_pairs([(1, 2), (2, 3)])),
             ("B", Relation::from_pairs([(2, 5), (3, 6)])),
         ]);
         let cr = CompiledRule::compile(&rule, None, &db).unwrap();
-        let mut edb = engine_db(&db);
-        edb.ensure_indexes(&cr);
-        let mut out = run(&cr, &edb);
+        db.ensure_indexes(&cr);
+        let mut out = run(&cr, &db);
         out.sort();
         let got: Vec<Vec<&str>> = out
             .iter()
@@ -386,7 +397,7 @@ mod tests {
     #[test]
     fn constants_fold_into_the_index_key() {
         let rule = parse_rule("Q(y) :- A(x, y), B('7', x).").unwrap();
-        let db = db_with(&[
+        let mut db = db_with(&[
             ("A", Relation::from_pairs([(1, 10), (2, 20)])),
             ("B", Relation::from_pairs([(7, 1), (8, 2)])),
         ]);
@@ -394,9 +405,8 @@ mod tests {
         // The ordering heuristic leads with the constant-bearing B atom, so
         // the A step probes an index that includes no constant; either way
         // every required index must be declared.
-        let mut edb = engine_db(&db);
-        edb.ensure_indexes(&cr);
-        let out = run(&cr, &edb);
+        db.ensure_indexes(&cr);
+        let out = run(&cr, &db);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0][0].as_str(), "10");
     }
@@ -406,8 +416,7 @@ mod tests {
         let rule = parse_rule("Q(x) :- A(x, x).").unwrap();
         let db = db_with(&[("A", Relation::from_pairs([(1, 1), (1, 2), (3, 3)]))]);
         let cr = CompiledRule::compile(&rule, None, &db).unwrap();
-        let edb = engine_db(&db);
-        let mut out = run(&cr, &edb);
+        let mut out = run(&cr, &db);
         out.sort();
         assert_eq!(out.len(), 2);
     }
@@ -420,8 +429,7 @@ mod tests {
             ("B", Relation::from_pairs([(7, 70)])),
         ]);
         let cr = CompiledRule::compile(&rule, None, &db).unwrap();
-        let edb = engine_db(&db);
-        let out = run(&cr, &edb);
+        let out = run(&cr, &db);
         assert_eq!(out.len(), 2);
     }
 

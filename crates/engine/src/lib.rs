@@ -59,6 +59,7 @@ pub mod kernel;
 pub mod stats;
 pub mod storage;
 
+pub use compile::select;
 pub use driver::{drive_rounds, Rounds};
 pub use error::{EngineError, Saturation};
 pub use kernel::select_kernel;
@@ -128,22 +129,21 @@ pub fn run_program(
 }
 
 /// Saturates `db` with a specific kernel. [`run_linear`] selects the kernel
-/// automatically; this entry point exists for tests and experiments.
+/// automatically; this entry point exists for tests and experiments. It is
+/// [`saturate`] between a load and a write-back: every relation the program
+/// mentions is copied into an [`EngineDb`], and the IDB relations are copied
+/// back out.
 pub fn run_with_kernel(
     db: &mut Database,
     program: &Program,
     kernel: KernelKind,
     config: &EngineConfig,
 ) -> Result<Saturation, EngineError> {
-    let governor = config.budget.start();
-
-    // Declare IDB relations up front (arity checks, like the oracle does).
+    // Declare IDB relations up front (arity checks, like the oracle does);
+    // body predicates must exist.
     for rule in &program.rules {
         db.declare(rule.head.predicate, rule.head.arity())?;
     }
-    let idb: BTreeSet<Symbol> = program.idb_predicates();
-
-    // Copy the database into indexed storage. Body predicates must exist.
     let mut storage = EngineDb::new();
     for rule in &program.rules {
         for atom in std::iter::once(&rule.head).chain(rule.body.iter()) {
@@ -152,6 +152,33 @@ pub fn run_with_kernel(
             }
         }
     }
+    let sat = saturate(&mut storage, program, kernel, config)?;
+    for pred in program.idb_predicates() {
+        let rel = storage
+            .get(pred)
+            .ok_or(EngineError::Internal(UNLOADED_RELATION))?;
+        db.insert_relation(pred, rel.to_relation());
+    }
+    Ok(sat)
+}
+
+/// Saturates `storage` in place with `program`'s consequences: the fixpoint
+/// (or, on [`Outcome::Truncated`], a sound under-approximation of it) is
+/// left in the IDB relations of the store the pipelines ran on. Head
+/// predicates are declared if absent; body predicates the caller must have
+/// loaded. Tuples already in an IDB relation (magic seeds) take part as the
+/// first delta.
+pub fn saturate(
+    storage: &mut EngineDb,
+    program: &Program,
+    kernel: KernelKind,
+    config: &EngineConfig,
+) -> Result<Saturation, EngineError> {
+    let governor = config.budget.start();
+    for rule in &program.rules {
+        storage.declare(rule.head.predicate, rule.head.arity());
+    }
+    let idb: BTreeSet<Symbol> = program.idb_predicates();
 
     // Compile: non-recursive rules seed iteration 0; rules with IDB body
     // atoms get one differentiated variant per IDB occurrence. Every index
@@ -163,10 +190,10 @@ pub fn run_with_kernel(
             .filter(|&i| idb.contains(&rule.body[i].predicate))
             .collect();
         if idb_positions.is_empty() {
-            init.push(CompiledRule::compile(rule, None, db)?);
+            init.push(CompiledRule::compile(rule, None, storage)?);
         }
         for pos in idb_positions {
-            variants.push(CompiledRule::compile(rule, Some(pos), db)?);
+            variants.push(CompiledRule::compile(rule, Some(pos), storage)?);
         }
     }
     for cr in init.iter().chain(variants.iter()) {
@@ -199,7 +226,7 @@ pub fn run_with_kernel(
         KernelKind::Frontier | KernelKind::Generic => None,
     };
     let rounds = drive_rounds(
-        &mut storage,
+        storage,
         Some(&init),
         &variants,
         preseeded,
@@ -209,13 +236,6 @@ pub fn run_with_kernel(
         |storage, _round, rule, heads| storage.insert_fresh(rule.head_pred, heads),
     )?;
 
-    // Write the saturated (or truncated-but-sound) IDB relations back.
-    for &pred in &idb {
-        let rel = storage
-            .get(pred)
-            .ok_or(EngineError::Internal(UNLOADED_RELATION))?;
-        db.insert_relation(pred, rel.to_relation());
-    }
     let stats = EngineStats {
         kernel: Some(kernel),
         tuples_derived: rounds.iterations.iter().map(|it| it.new_tuples).sum(),

@@ -34,15 +34,18 @@ impl IndexCounters {
 /// A relation stored as a tuple arena plus persistent hash indexes on the
 /// column sets the compiled rules join on.
 ///
-/// Tuple ids are dense `u32`s in insertion order; indexes store ids, not
-/// tuple copies, so a tuple is owned exactly once however many indexes
-/// cover it. Removal (used by incremental view maintenance) tombstones the
-/// arena slot and unlinks the id from every index; arena slots are not
-/// reused, so ids stay stable for the lifetime of the relation.
+/// Tuple ids are `u32` arena slots; indexes store ids, not tuple copies, so
+/// a tuple is owned exactly once however many indexes cover it. Removal
+/// (used by incremental view maintenance) tombstones the slot, unlinks the
+/// id from every index and puts the slot on a free list the next insert
+/// draws from — an id is stable for the lifetime of its tuple, and the
+/// arena stays as long as the relation's high-water mark however many
+/// insert / remove rounds pass over it.
 #[derive(Debug, Clone, Default)]
 pub struct IndexedRelation {
     arity: usize,
     tuples: Vec<Option<Tuple>>,
+    free: Vec<u32>,
     ids: HashMap<Tuple, u32>,
     indexes: HashMap<Vec<usize>, Index>,
     counters: IndexCounters,
@@ -86,9 +89,21 @@ impl IndexedRelation {
         self.ids.contains_key(t)
     }
 
+    /// The id of a stored tuple.
+    pub fn id_of(&self, t: &[Value]) -> Option<u32> {
+        self.ids.get(t).copied()
+    }
+
     /// Inserts a tuple, updating every existing index. Returns true if the
     /// tuple was new.
     pub fn insert(&mut self, t: Tuple) -> bool {
+        self.insert_id(t).is_some()
+    }
+
+    /// [`IndexedRelation::insert`], returning the id the tuple was stored
+    /// under (`None` if it was already present) — a freed slot when there is
+    /// one, so callers keeping per-id side tables overwrite, never grow.
+    pub fn insert_id(&mut self, t: Tuple) -> Option<u32> {
         assert_eq!(
             t.len(),
             self.arity,
@@ -97,12 +112,19 @@ impl IndexedRelation {
             self.arity
         );
         if self.ids.contains_key(&t) {
-            return false;
+            return None;
         }
-        let Ok(id) = u32::try_from(self.tuples.len()) else {
-            // Dense u32 ids are a storage invariant; 2^32 arena slots
-            // exceeds every budget this engine runs under.
-            panic!("IndexedRelation overflow: more than u32::MAX tuples");
+        let id = match self.free.pop() {
+            Some(id) => id,
+            None => {
+                let Ok(id) = u32::try_from(self.tuples.len()) else {
+                    // u32 ids are a storage invariant; 2^32 arena slots
+                    // exceeds every budget this engine runs under.
+                    panic!("IndexedRelation overflow: more than u32::MAX tuples");
+                };
+                self.tuples.push(None);
+                id
+            }
         };
         for (cols, index) in &mut self.indexes {
             let key: Box<[Value]> = cols.iter().map(|&c| t[c]).collect();
@@ -110,12 +132,13 @@ impl IndexedRelation {
             self.counters.updates += 1;
         }
         self.ids.insert(t.clone(), id);
-        self.tuples.push(Some(t));
-        true
+        self.tuples[id as usize] = Some(t);
+        Some(id)
     }
 
     /// Removes a tuple, unlinking its id from every existing index and
-    /// tombstoning its arena slot. Returns true if the tuple was present.
+    /// freeing its arena slot for reuse. Returns true if the tuple was
+    /// present.
     pub fn remove(&mut self, t: &[Value]) -> bool {
         let Some(id) = self.ids.remove(t) else {
             return false;
@@ -131,6 +154,7 @@ impl IndexedRelation {
             self.counters.updates += 1;
         }
         self.tuples[id as usize] = None;
+        self.free.push(id);
         true
     }
 
@@ -168,7 +192,8 @@ impl IndexedRelation {
         }
     }
 
-    /// Iterates over all live tuples in insertion order.
+    /// Iterates over all live tuples in arena order (insertion order until
+    /// a removal frees a slot).
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
         self.tuples.iter().flatten()
     }
@@ -188,15 +213,15 @@ impl IndexedRelation {
         self.indexes.len()
     }
 
-    /// Approximate working-set bytes: tuple arena plus the dedup set (each
-    /// owns a copy of every tuple) plus index entries. An estimate for
-    /// budget enforcement, not an allocator measurement.
+    /// Approximate working-set bytes of the live tuples: arena slot plus the
+    /// dedup set (each owns a copy of every tuple) plus index entries. An
+    /// estimate for budget enforcement, not an allocator measurement.
     pub fn approx_bytes(&self) -> usize {
         let per_tuple = self.arity * std::mem::size_of::<Value>() + 48;
-        let mut bytes = 2 * self.tuples.len() * per_tuple;
+        let mut bytes = 2 * self.len() * per_tuple;
         for (cols, index) in &self.indexes {
             bytes += index.len() * (cols.len() * std::mem::size_of::<Value>() + 48);
-            bytes += self.tuples.len() * std::mem::size_of::<u32>();
+            bytes += self.len() * std::mem::size_of::<u32>();
         }
         bytes
     }
@@ -204,9 +229,10 @@ impl IndexedRelation {
 
 /// The engine's working database: predicate → indexed relation.
 ///
-/// Built once from a [`recurs_datalog::database::Database`] snapshot; the
-/// fixpoint driver reads EDB relations and reads/extends IDB relations
-/// through it, then writes the IDB results back.
+/// Loaded from [`recurs_datalog::relation::Relation`]s; the fixpoint driver
+/// reads EDB relations and reads/extends IDB relations through it, and the
+/// results stay here for whoever ran it to select from, maintain or copy
+/// back out.
 #[derive(Debug, Clone, Default)]
 pub struct EngineDb {
     rels: BTreeMap<Symbol, IndexedRelation>,
@@ -218,11 +244,12 @@ impl EngineDb {
         EngineDb::default()
     }
 
-    /// Registers `pred` as an empty relation of the given arity if absent.
-    pub fn declare(&mut self, pred: Symbol, arity: usize) {
+    /// Registers `pred` as an empty relation of the given arity if absent;
+    /// returns the relation stored under `pred` either way.
+    pub fn declare(&mut self, pred: Symbol, arity: usize) -> &mut IndexedRelation {
         self.rels
             .entry(pred)
-            .or_insert_with(|| IndexedRelation::new(arity));
+            .or_insert_with(|| IndexedRelation::new(arity))
     }
 
     /// Copies a relation into the store (replacing any existing one).
@@ -359,7 +386,7 @@ mod tests {
         // Iteration and round-tripping skip the tombstone.
         assert_eq!(r.iter().count(), 2);
         assert_eq!(r.to_relation(), Relation::from_pairs([(1, 3), (2, 3)]));
-        // Reinsertion after removal gets a fresh id and is probe-visible.
+        // Reinsertion after removal is probe-visible again.
         assert!(r.insert(tuple_u64([1, 2])));
         assert_eq!(r.probe(&[0], &[v(1)]).unwrap().len(), 2);
         assert_eq!(r.iter().count(), 3);

@@ -107,8 +107,8 @@ impl EdbDelta {
     }
 
     /// Applies the delta to a plain database (declaring inserted relations
-    /// on first use). Used both to install the new snapshot and to finish
-    /// applying a partially applied delta before a cold-saturation fallback.
+    /// on first use). Used both to install the new snapshot and to bring a
+    /// materialization's plain EDB up to date before it is patched.
     /// Idempotent: re-inserting present tuples and re-deleting absent ones
     /// are no-ops.
     pub fn apply_to(&self, db: &mut Database) -> Result<(), DatalogError> {

@@ -7,59 +7,64 @@
 //! without re-deriving the world: supports are removed one instantiation at
 //! a time, and only tuples whose count reaches zero disappear.
 //!
-//! Two engine facts make the counts exact and cheap to maintain:
+//! One engine fact makes the counts exact and cheap to maintain:
+//! [`CompiledRule::execute`] output rows are per-instantiation — the
+//! pipeline carries every distinct body variable and never dedupes. So a
+//! seeding round over the exit rules counts every exit instantiation once,
+//! seeding a delta pipeline at the recursive position enumerates each new
+//! instantiation exactly once (the rule is linear: one recursive atom), and
+//! a recount pipeline seeded with a head enumerates that head's
+//! instantiations over whatever the store holds at that moment.
 //!
-//! * [`CompiledRule::execute`] output rows are per-instantiation — the
-//!   pipeline carries every distinct body variable and never dedupes — so
-//!   seeding a delta pipeline at the recursive position enumerates each new
-//!   instantiation exactly once (the rule is linear: one recursive atom).
-//! * [`eval_body`]'s bindings are distinct assignments to all body
-//!   variables, so exit-rule seeding and backward recounts read the same
-//!   count definition.
+//! Every derived tuple lives in one place, the engine store: the
+//! materialized relation is the store's indexed relation for the recursive
+//! predicate, and the counts are a side table indexed by its tuple ids.
 
 use crate::delta::IdbPatch;
 use crate::{IvmError, MaintenancePath};
 use recurs_core::Classification;
 use recurs_datalog::database::Database;
 use recurs_datalog::error::DatalogError;
-use recurs_datalog::eval::{eval_body, Bindings};
 use recurs_datalog::govern::{EvalBudget, Governor, TruncationReason};
-use recurs_datalog::relation::{Relation, Tuple};
+use recurs_datalog::relation::Tuple;
 use recurs_datalog::rule::{LinearRecursion, Rule};
 use recurs_datalog::symbol::Symbol;
-use recurs_datalog::term::{Atom, Term, Value};
+use recurs_datalog::term::{Atom, Value};
 use recurs_engine::compile::CompiledRule;
-use recurs_engine::{drive_rounds, EngineDb, Rounds};
+use recurs_engine::{drive_rounds, EngineDb, IndexedRelation, Rounds};
 use recurs_obs::{field, Obs};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// A saturated linear recursion kept consistent under EDB deltas.
 ///
-/// Owns a full [`Database`] (EDB relations plus the derived predicate), an
-/// engine mirror with persistent indexes, and the per-tuple derivation
-/// counts. Built by [`Materialization::saturate`]; maintained by
-/// [`Materialization::apply`].
+/// Owns the plain EDB facts (what [`EdbDelta::normalize`] and a cold rebuild
+/// read), the engine store — the EDB again, indexed, plus the only copy of
+/// the derived relation — and the derivation counts. Built by
+/// [`Materialization::saturate`]; maintained by [`Materialization::apply`].
+///
+/// [`EdbDelta::normalize`]: crate::EdbDelta::normalize
 pub struct Materialization {
     pub(crate) lr: LinearRecursion,
     pub(crate) path: MaintenancePath,
-    pub(crate) db: Database,
+    pub(crate) edb: Database,
     pub(crate) engine: EngineDb,
-    pub(crate) counts: HashMap<Tuple, u64>,
+    /// Derivation count per tuple id of the derived relation in `engine`
+    /// (slots of removed tuples are stale until the id is reused).
+    pub(crate) counts: Vec<u64>,
     /// The recursive rule's delta pipeline, differentiated at the recursive
     /// body position. Reused by insertion propagation, overdeletion, and
     /// forward rederivation — all three are "what follows from these
     /// recursive tuples" questions.
     pub(crate) rec_delta: CompiledRule,
-    /// Delta pipelines for overdeletion, compiled lazily per deleted
-    /// predicate: every rule differentiated at every non-recursive body
-    /// position that reads it.
+    /// Delta pipelines for marking the heads an EDB change can reach,
+    /// compiled lazily per changed predicate: every rule differentiated at
+    /// every non-recursive body position that reads it.
     pub(crate) variants: HashMap<Symbol, Vec<CompiledRule>>,
-    /// Backward-recount pipelines, one per rule, compiled on the first
-    /// deletion: the rule's body prefixed with a synthetic candidate atom
-    /// mirroring the head, differentiated at that atom. Seeding them with
-    /// the candidate set enumerates, per candidate, every surviving
-    /// instantiation through the engine's persistent indexes — instead of
-    /// one hash-join rebuild per candidate.
+    /// Recount pipelines, one per rule, compiled on the first patch: the
+    /// rule's body prefixed with a synthetic candidate atom mirroring the
+    /// head, differentiated at that atom. Seeding them with a set of heads
+    /// enumerates, per head, every instantiation over the current store
+    /// through the engine's persistent indexes.
     pub(crate) recounts: Vec<CompiledRule>,
     pub(crate) obs: Obs,
 }
@@ -71,13 +76,13 @@ pub struct Materialization {
 pub(crate) const CAND: &str = "__ivm_cand";
 
 impl std::fmt::Debug for Materialization {
-    // Compact by hand: the engine mirror and compiled pipelines would drown
+    // Compact by hand: the engine store and compiled pipelines would drown
     // any log line, and `LinearRecursion` has no `Debug` of its own.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Materialization")
             .field("predicate", &self.lr.predicate)
             .field("path", &self.path)
-            .field("tuples", &self.counts.len())
+            .field("tuples", &self.relation().len())
             .finish_non_exhaustive()
     }
 }
@@ -100,36 +105,22 @@ impl Materialization {
             return Err(IvmError::IdbUpdate(p));
         }
         let governor = budget.start();
-        let (mut db, mut engine, rec_delta) = mirror(lr, edb)?;
-
-        // Exit seeding: one count per exit-rule instantiation.
-        let mut counts: HashMap<Tuple, u64> = HashMap::new();
-        let mut fresh: Vec<Tuple> = Vec::new();
-        for rule in &lr.exit_rules {
-            if let Some(reason) = governor.poll() {
-                return Err(IvmError::Truncated(reason));
-            }
-            let bindings = eval_body(&db, &rule.body, &HashMap::new())?;
-            for h in head_rows(&rule.head, &bindings)? {
-                if bump(&mut counts, &h) {
-                    insert_derived(&mut db, &mut engine, p, &h);
-                    fresh.push(h);
-                }
-            }
-        }
-
+        let (edb, mut engine, rec_delta) = fresh_store(lr, edb)?;
+        let exits = compile_exits(lr, &mut engine)?;
         let mut mat = Materialization {
             lr: lr.clone(),
             path: MaintenancePath::select(&Classification::of(&lr.recursive_rule)),
-            db,
+            edb,
             engine,
-            counts,
+            counts: Vec::new(),
             rec_delta,
             variants: HashMap::new(),
             recounts: Vec::new(),
             obs: obs.clone(),
         };
-        let run = mat.propagate(fresh, &governor, None)?;
+        // The seeding round counts one derivation per exit-rule
+        // instantiation; the rounds after it propagate.
+        let run = mat.propagate(Some(&exits), Vec::new(), &governor, None, None)?;
         if let Some(reason) = stopped(&run) {
             return Err(IvmError::Truncated(reason));
         }
@@ -137,7 +128,7 @@ impl Materialization {
             "ivm.saturate",
             &[
                 ("path", field::s(mat.path.label())),
-                ("tuples", field::uz(mat.counts.len())),
+                ("tuples", field::uz(mat.relation().len())),
                 ("rounds", field::uz(run.iterations.len())),
             ],
         );
@@ -154,61 +145,25 @@ impl Materialization {
         self.path
     }
 
-    /// The full database: EDB relations plus the saturated predicate.
+    /// The EDB the fixpoint stands over: plain facts only, without the
+    /// derived predicate.
     pub fn database(&self) -> &Database {
-        &self.db
+        &self.edb
     }
 
-    /// The materialized relation.
-    pub fn relation(&self) -> &Relation {
+    /// The materialized relation, as the engine stores it.
+    pub fn relation(&self) -> &IndexedRelation {
         // The predicate is declared in every constructor path.
-        self.db
+        self.engine
             .get(self.lr.predicate)
             .unwrap_or_else(|| unreachable!("materialized predicate is always declared"))
     }
 
     /// The derivation count of a tuple (0 when underivable).
     pub fn count(&self, t: &[Value]) -> u64 {
-        self.counts.get(t).copied().unwrap_or(0)
-    }
-
-    /// The EDB part of the current database (everything but the recursive
-    /// predicate and the synthetic recount seed), cloned — the seed for a
-    /// cold rebuild.
-    pub(crate) fn current_edb(&self) -> Database {
-        let cand = Symbol::intern(CAND);
-        let mut edb = Database::new();
-        for (name, rel) in self.db.iter() {
-            if name != self.lr.predicate && name != cand {
-                edb.insert_relation(name, rel.clone());
-            }
-        }
-        edb
-    }
-
-    /// The rule with the given index: 0 is the recursive rule, `i + 1` is
-    /// `exit_rules[i]`.
-    pub(crate) fn rule_at(&self, ri: usize) -> &Rule {
-        if ri == 0 {
-            &self.lr.recursive_rule
-        } else {
-            &self.lr.exit_rules[ri - 1]
-        }
-    }
-
-    /// Number of rules (recursive + exits).
-    pub(crate) fn rule_count(&self) -> usize {
-        1 + self.lr.exit_rules.len()
-    }
-
-    /// Removes a derived tuple from both the database and the engine mirror.
-    pub(crate) fn remove_p(&mut self, t: &Tuple) {
-        if let Some(rel) = self.db.get_mut(self.lr.predicate) {
-            rel.remove(t);
-        }
-        if let Some(rel) = self.engine.get_mut(self.lr.predicate) {
-            rel.remove(t);
-        }
+        self.relation()
+            .id_of(t)
+            .map_or(0, |id| self.counts[id as usize])
     }
 
     /// Compiles (once) every delta pipeline that reads `pred` at a
@@ -219,11 +174,10 @@ impl Materialization {
             return Ok(());
         }
         let mut compiled = Vec::new();
-        for ri in 0..self.rule_count() {
-            let rule = self.rule_at(ri);
+        for rule in rules(&self.lr) {
             for (pos, atom) in rule.body.iter().enumerate() {
                 if atom.predicate == pred {
-                    compiled.push(CompiledRule::compile(rule, Some(pos), &self.db)?);
+                    compiled.push(CompiledRule::compile(rule, Some(pos), &self.engine)?);
                 }
             }
         }
@@ -236,30 +190,38 @@ impl Materialization {
 
     /// Semi-naive propagation of fresh recursive tuples through the
     /// compiled delta pipeline, incrementing counts per enumerated
-    /// instantiation. Exactly-once is guaranteed by linearity: each new
-    /// instantiation contains exactly one recursive subgoal, enumerated in
-    /// the round where that subgoal was fresh.
+    /// instantiation — after a seeding round over `seed` (the exit rules),
+    /// when given, and for heads in `only`, when given. Exactly-once is
+    /// guaranteed by linearity: each new instantiation contains exactly one
+    /// recursive subgoal, enumerated in the round where that subgoal was
+    /// fresh.
     pub(crate) fn propagate(
         &mut self,
+        seed: Option<&[CompiledRule]>,
         delta: Vec<Tuple>,
         governor: &Governor,
         mut patch: Option<&mut IdbPatch>,
+        only: Option<&HashSet<Tuple>>,
     ) -> Result<Rounds, IvmError> {
         let p = self.lr.predicate;
-        let (db, counts) = (&mut self.db, &mut self.counts);
+        let counts = &mut self.counts;
         Ok(drive_rounds(
             &mut self.engine,
-            None,
+            seed,
             std::slice::from_ref(&self.rec_delta),
             BTreeMap::from([(p, delta)]),
             self.path.round_cap(),
             governor,
             &self.obs,
             |engine, _round, _rule, mut heads| {
-                heads.retain(|h| bump(counts, h));
-                for t in &heads {
-                    insert_derived(db, engine, p, t);
-                    if let Some(patch) = patch.as_deref_mut() {
+                let Some(stored) = engine.get_mut(p) else {
+                    return Vec::new();
+                };
+                heads.retain(|h| {
+                    only.is_none_or(|set| set.contains(h)) && add_count(stored, counts, h, 1)
+                });
+                if let Some(patch) = patch.as_deref_mut() {
+                    for t in &heads {
                         patch.record_insert(t.clone());
                     }
                 }
@@ -268,22 +230,20 @@ impl Materialization {
         )?)
     }
 
-    /// Compiles (once) the backward-recount pipelines, one per rule: the
-    /// rule's body prefixed with a synthetic [`CAND`] atom carrying the
-    /// head's terms, differentiated at that atom. Seeded with candidate
-    /// tuples, each emits one head row per (candidate, surviving body
-    /// instantiation) pair; a candidate that conflicts with a head constant
-    /// or repeated head variable simply fails the seed match, the same
-    /// cases a per-candidate head unification would reject.
+    /// Compiles (once) the recount pipelines, one per rule: the rule's body
+    /// prefixed with a synthetic [`CAND`] atom carrying the head's terms,
+    /// differentiated at that atom. Seeded with candidate tuples, each emits
+    /// one head row per (candidate, body instantiation over the current
+    /// store) pair; a candidate that conflicts with a head constant or
+    /// repeated head variable simply fails the seed match, the same cases a
+    /// per-candidate head unification would reject.
     pub(crate) fn ensure_recounts(&mut self) -> Result<(), IvmError> {
         if !self.recounts.is_empty() {
             return Ok(());
         }
         let cand = Symbol::intern(CAND);
-        self.db.declare(cand, self.lr.dimension())?;
         self.engine.declare(cand, self.lr.dimension());
-        for ri in 0..self.rule_count() {
-            let rule = self.rule_at(ri);
+        for rule in rules(&self.lr) {
             let mut body = Vec::with_capacity(rule.body.len() + 1);
             body.push(Atom::new(cand, rule.head.terms.clone()));
             body.extend(rule.body.iter().cloned());
@@ -291,7 +251,7 @@ impl Materialization {
                 head: rule.head.clone(),
                 body,
             };
-            let compiled = CompiledRule::compile(&recount, Some(0), &self.db)?;
+            let compiled = CompiledRule::compile(&recount, Some(0), &self.engine)?;
             self.engine.ensure_indexes(&compiled);
             self.recounts.push(compiled);
         }
@@ -299,54 +259,84 @@ impl Materialization {
     }
 }
 
-/// The state every saturation over `lr` starts from: `edb` with every body
-/// predicate declared and the derived predicate emptied, its indexed mirror,
-/// and the recursive rule's delta pipeline (differentiated at the recursive
-/// body position) with its probe indexes built.
-pub(crate) fn mirror(
+/// Every rule of `lr`, the recursive one first.
+fn rules(lr: &LinearRecursion) -> impl Iterator<Item = &Rule> {
+    std::iter::once(&lr.recursive_rule).chain(&lr.exit_rules)
+}
+
+/// The state every saturation over `lr` starts from: the plain EDB of `edb`
+/// (any derived tuples it carries are dropped) with every body predicate
+/// declared, the engine store holding it indexed beside the empty derived
+/// relation, and the recursive rule's delta pipeline (differentiated at the
+/// recursive body position) with its probe indexes built.
+pub(crate) fn fresh_store(
     lr: &LinearRecursion,
     edb: &Database,
 ) -> Result<(Database, EngineDb, CompiledRule), IvmError> {
     let p = lr.predicate;
-    let mut db = edb.clone();
-    for rule in std::iter::once(&lr.recursive_rule).chain(lr.exit_rules.iter()) {
+    let mut db = Database::new();
+    for (name, rel) in edb.iter().filter(|&(name, _)| name != p) {
+        db.insert_relation(name, rel.clone());
+    }
+    for rule in rules(lr) {
         for atom in &rule.body {
             if atom.predicate != p {
                 db.declare(atom.predicate, atom.arity())?;
             }
         }
     }
-    db.insert_relation(p, Relation::new(lr.dimension()));
     let mut engine = EngineDb::new();
     for (name, rel) in db.iter() {
         engine.load(name, rel);
     }
+    engine.declare(p, lr.dimension());
     let p_pos = lr
         .recursive_rule
         .body
         .iter()
         .position(|a| a.predicate == p)
         .ok_or(DatalogError::UnknownRelation(p))?;
-    let rec_delta = CompiledRule::compile(&lr.recursive_rule, Some(p_pos), &db)?;
+    let rec_delta = CompiledRule::compile(&lr.recursive_rule, Some(p_pos), &engine)?;
     engine.ensure_indexes(&rec_delta);
     Ok((db, engine, rec_delta))
 }
 
-/// Counts one more derivation of `t`; true when it is the first.
-pub(crate) fn bump(counts: &mut HashMap<Tuple, u64>, t: &Tuple) -> bool {
-    let c = counts.entry(t.clone()).or_insert(0);
-    *c += 1;
-    *c == 1
+/// The exit rules as seeding pipelines over `engine`, probe indexes built.
+pub(crate) fn compile_exits(
+    lr: &LinearRecursion,
+    engine: &mut EngineDb,
+) -> Result<Vec<CompiledRule>, IvmError> {
+    let mut exits = Vec::with_capacity(lr.exit_rules.len());
+    for rule in &lr.exit_rules {
+        let compiled = CompiledRule::compile(rule, None, engine)?;
+        engine.ensure_indexes(&compiled);
+        exits.push(compiled);
+    }
+    Ok(exits)
 }
 
-/// Inserts a derived tuple into both the database and the engine mirror.
-pub(crate) fn insert_derived(db: &mut Database, engine: &mut EngineDb, p: Symbol, t: &Tuple) {
-    if let Some(rel) = db.get_mut(p) {
-        rel.insert(t.clone());
+/// Counts `n` more derivations of `t`, storing it first when it is not in
+/// `stored` yet; true when it was not.
+pub(crate) fn add_count(
+    stored: &mut IndexedRelation,
+    counts: &mut Vec<u64>,
+    t: &Tuple,
+    n: u64,
+) -> bool {
+    if let Some(id) = stored.id_of(t) {
+        counts[id as usize] += n;
+        return false;
     }
-    if let Some(rel) = engine.get_mut(p) {
-        rel.insert(t.clone());
+    let Some(id) = stored.insert_id(t.clone()) else {
+        return false; // just looked up: absent
+    };
+    // A fresh id, or a freed one whose stale count is overwritten.
+    let id = id as usize;
+    if id >= counts.len() {
+        counts.resize(id + 1, 0);
     }
+    counts[id] = n;
+    true
 }
 
 /// Why a maintenance loop stopped short, if it did. A maintenance round cap
@@ -355,36 +345,4 @@ pub(crate) fn insert_derived(db: &mut Database, engine: &mut EngineDb, p: Symbol
 pub(crate) fn stopped(run: &Rounds) -> Option<TruncationReason> {
     run.truncation
         .or(run.capped.then_some(TruncationReason::IterationCap))
-}
-
-/// Instantiates a rule head once per binding row — *without* deduplication,
-/// because each row is one instantiation and counting needs them all.
-pub(crate) fn head_rows(head: &Atom, bindings: &Bindings) -> Result<Vec<Tuple>, DatalogError> {
-    enum Col {
-        Fixed(Value),
-        Bound(usize),
-    }
-    let cols: Vec<Col> = head
-        .terms
-        .iter()
-        .map(|t| match t {
-            Term::Const(c) => Ok(Col::Fixed(*c)),
-            Term::Var(v) => bindings
-                .column_of(*v)
-                .map(Col::Bound)
-                .ok_or(DatalogError::UnboundVariable(*v)),
-        })
-        .collect::<Result<_, _>>()?;
-    let mut rows = Vec::with_capacity(bindings.rel.len());
-    for row in bindings.rel.iter() {
-        rows.push(
-            cols.iter()
-                .map(|c| match c {
-                    Col::Fixed(v) => *v,
-                    Col::Bound(i) => row[*i],
-                })
-                .collect(),
-        );
-    }
-    Ok(rows)
 }

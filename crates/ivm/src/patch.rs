@@ -1,14 +1,13 @@
-//! Patch application: counting-based insertion maintenance, DRed deletions,
-//! and the cold-saturation fallback.
+//! Patch application: insertions and DRed deletions as mark → recount →
+//! propagate over the engine store, and the cold-saturation fallback.
 
 use crate::delta::{EdbDelta, IdbPatch};
-use crate::materialize::{bump, head_rows, insert_derived, stopped, Materialization, CAND};
+use crate::materialize::{add_count, stopped, Materialization, CAND};
 use crate::{IvmError, MaintenancePath};
-use recurs_datalog::eval::eval_body;
 use recurs_datalog::govern::{EvalBudget, Governor, TruncationReason};
 use recurs_datalog::relation::{Relation, Tuple};
 use recurs_datalog::symbol::Symbol;
-use recurs_engine::{drive_rounds, IndexedRelation};
+use recurs_engine::{drive_rounds, EngineDb};
 use recurs_obs::field;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -47,7 +46,8 @@ pub struct PatchReport {
     pub stats: PatchStats,
 }
 
-/// The overdeletion candidate set, in discovery order.
+/// A set of derived-predicate heads, in discovery order: the tuples an EDB
+/// change can reach, which the recount then re-tallies.
 #[derive(Default)]
 struct Candidates {
     set: HashSet<Tuple>,
@@ -55,11 +55,9 @@ struct Candidates {
 }
 
 impl Candidates {
-    /// Marks the heads that are in `stored` (the materialized relation,
-    /// untouched while overdeletion runs) and not yet candidates, returning
-    /// the newly marked ones.
-    fn mark(&mut self, stored: Option<&IndexedRelation>, mut heads: Vec<Tuple>) -> Vec<Tuple> {
-        heads.retain(|h| stored.is_some_and(|p| p.contains(h)) && self.set.insert(h.clone()));
+    /// Marks the heads not yet candidates, returning the newly marked ones.
+    fn mark(&mut self, mut heads: Vec<Tuple>) -> Vec<Tuple> {
+        heads.retain(|h| self.set.insert(h.clone()));
         self.order.extend(heads.iter().cloned());
         heads
     }
@@ -67,7 +65,8 @@ impl Candidates {
 
 impl Materialization {
     /// Applies a normalized EDB delta, maintaining the fixpoint and counts
-    /// in place. Deletions run first (DRed), then insertions (counting).
+    /// in place: the deleted side first, then the inserted side, each by
+    /// [`Materialization::maintain`].
     ///
     /// Truncation — by the budget or by a tripped rank-bound cap — never
     /// yields a partial result: the materialization is rebuilt by cold
@@ -87,22 +86,15 @@ impl Materialization {
             edb_deleted: delta.deleted_count(),
             ..PatchStats::default()
         };
-        if delta.is_empty() {
-            return Ok(PatchReport {
-                path: self.path,
-                truncation: None,
-                idb: Some(IdbPatch::empty(self.lr.dimension())),
-                stats,
-            });
-        }
         let governor = budget.start();
+        // The plain EDB is not read while patching; bring it up to date now.
+        delta.apply_to(&mut self.edb)?;
         let mut patch = IdbPatch::empty(self.lr.dimension());
         let mut truncation = None;
-        if !delta.deleted.is_empty() {
-            truncation = self.dred_delete(&delta.deleted, &governor, &mut patch, &mut stats)?;
-        }
-        if truncation.is_none() && !delta.inserted.is_empty() {
-            truncation = self.count_insert(&delta.inserted, &governor, &mut patch, &mut stats)?;
+        for (changed, insert) in [(&delta.deleted, false), (&delta.inserted, true)] {
+            if truncation.is_none() && !changed.is_empty() {
+                truncation = self.maintain(changed, insert, &governor, &mut patch, &mut stats)?;
+            }
         }
         let report = match truncation {
             None => {
@@ -116,7 +108,11 @@ impl Materialization {
                 }
             }
             Some(reason) => {
-                self.rebuild_cold(delta)?;
+                // Abandon the patch: re-saturate the updated EDB from
+                // scratch under an unlimited budget.
+                let edb = std::mem::take(&mut self.edb);
+                *self =
+                    Materialization::saturate(&self.lr, &edb, &EvalBudget::unlimited(), &self.obs)?;
                 PatchReport {
                     path: MaintenancePath::ColdFallback,
                     truncation: Some(reason),
@@ -129,136 +125,71 @@ impl Materialization {
         Ok(report)
     }
 
-    /// Counting-based insertion maintenance.
+    /// Maintains one side of a delta — `changed` inserted into the EDB, or
+    /// (DRed) deleted from it — in three steps over the engine store. Every
+    /// pass is a [`drive_rounds`] call, so each is governed, capped and
+    /// fault-hooked the same way; they differ only in the merge.
     ///
-    /// Per rule and per body position `i` whose relation gained tuples, the
-    /// body is evaluated with positions `< i` overridden to their *new*
-    /// relations, position `i` to the delta alone, and positions `> i` left
-    /// at the old state — the standard differentiation that enumerates each
-    /// *new* instantiation exactly once even when one batch (or one
-    /// relation, used twice) touches several positions of a body. The
-    /// recursive position is never overridden (it is not an EDB relation),
-    /// so instantiations through fresh recursive tuples are left to the
-    /// delta pipeline, which sees the fully-updated EDB.
-    fn count_insert(
-        &mut self,
-        ins: &BTreeMap<Symbol, Relation>,
-        governor: &Governor,
-        patch: &mut IdbPatch,
-        stats: &mut PatchStats,
-    ) -> Result<Option<TruncationReason>, IvmError> {
-        // Declare brand-new relations (empty, so "old" reads are empty).
-        for (&pred, rel) in ins {
-            self.db.declare(pred, rel.arity())?;
-            self.engine.declare(pred, rel.arity());
-        }
-        let mut new_rels: HashMap<Symbol, Relation> = HashMap::new();
-        for (&pred, dr) in ins {
-            let mut merged = self
-                .db
-                .get(pred)
-                .cloned()
-                .unwrap_or_else(|| Relation::new(dr.arity()));
-            merged.union_in_place(dr);
-            new_rels.insert(pred, merged);
-        }
-        // Enumerate new instantiations against the *old* database state.
-        let rules: Vec<_> = (0..self.rule_count())
-            .map(|ri| self.rule_at(ri).clone())
-            .collect();
-        let mut fresh: Vec<Tuple> = Vec::new();
-        for rule in &rules {
-            if let Some(reason) = governor.poll() {
-                return Ok(Some(reason));
-            }
-            for (i, atom) in rule.body.iter().enumerate() {
-                let Some(delta_rel) = ins.get(&atom.predicate) else {
-                    continue;
-                };
-                let mut overrides: HashMap<usize, &Relation> = HashMap::new();
-                for (j, earlier) in rule.body.iter().enumerate().take(i) {
-                    if let Some(merged) = new_rels.get(&earlier.predicate) {
-                        overrides.insert(j, merged);
-                    }
-                }
-                overrides.insert(i, delta_rel);
-                let bindings = eval_body(&self.db, &rule.body, &overrides)?;
-                for h in head_rows(&rule.head, &bindings)? {
-                    if bump(&mut self.counts, &h) {
-                        fresh.push(h);
-                    }
-                }
-            }
-        }
-        // Install the EDB delta, then the fresh tuples, then propagate.
-        for (&pred, dr) in ins {
-            if let Some(rel) = self.db.get_mut(pred) {
-                for t in dr.iter() {
-                    rel.insert(t.clone());
-                }
-            }
-            if let Some(rel) = self.engine.get_mut(pred) {
-                for t in dr.iter() {
-                    rel.insert(t.clone());
-                }
-            }
-        }
-        for t in &fresh {
-            insert_derived(&mut self.db, &mut self.engine, self.lr.predicate, t);
-            patch.record_insert(t.clone());
-        }
-        let run = self.propagate(fresh, governor, Some(patch))?;
-        stats.rounds += run.iterations.len() as u64;
-        Ok(stopped(&run))
-    }
-
-    /// DRed deletion maintenance: overdelete, remove, rederive. Every pass
-    /// is a [`drive_rounds`] call over `self.engine`, so each is governed,
-    /// capped and fault-hooked the same way; they differ only in the merge.
+    /// *Mark* runs every rule differentiated at each body position that
+    /// reads a changed relation, seeded with the changed tuples; the heads it
+    /// enumerates (duplicates are harmless, marking is idempotent) are the
+    /// candidates. An insertion marks over the new EDB: the heads with an
+    /// instantiation through a new tuple. A deletion marks over the old,
+    /// untouched state, keeps stored heads only, and closes the set under
+    /// the recursive delta pipeline (a support chain among candidates is a
+    /// delta chain at the recursive position); then the deleted EDB tuples
+    /// and every candidate are physically removed.
     ///
-    /// *Overdelete* runs set-based over the old, untouched state: compiled
-    /// delta pipelines differentiated at each deleted relation's body
-    /// positions seed the affected set, and the recursive delta pipeline
-    /// closes it (a support chain among candidates is a delta chain at the
-    /// recursive position). Counts are irrelevant here — marking is
-    /// idempotent — which is why pipeline duplicates are harmless.
+    /// *Recount* tallies each candidate's instantiations over the store as
+    /// it now stands, one indexed pipeline run per rule. After an insertion
+    /// that is (new EDB, old derived relation): the old count plus exactly
+    /// the instantiations that use a new tuple, however many body positions
+    /// of one rule — or of one relation, used twice — the batch touches.
+    /// After a deletion it is the support from *surviving* tuples. Heads the
+    /// mark did not reach keep counts that are already right; candidates not
+    /// stored (new heads, revived candidates) enter with their tally.
     ///
-    /// *Rederive* makes the counts exact again. Every candidate is
-    /// recounted backward (head bound into the body, bindings counted over
-    /// the shrunken database) at a global timestamp; positive counts
-    /// reinsert immediately. A forward pass then replays support among
-    /// candidates in reinsertion order: an instantiation through subgoal
-    /// `v` with head `h` is added to `h`'s count only when `v` entered the
-    /// relation *after* `h`'s recount — exactly the instantiations the
-    /// backward pass could not see. Pure self-support dies (the backward
+    /// *Propagate* enumerates what the recount could not see — the
+    /// instantiations through those entering tuples — exactly once each, in
+    /// the round their recursive subgoal entered. A deletion counts them
+    /// for candidate heads only: a surviving head with support through a
+    /// candidate would itself have been marked. Pure self-support dies (the
     /// recount never sees the tuple itself), and mutual-support cycles
     /// revive only if some member rederives independently.
-    fn dred_delete(
+    fn maintain(
         &mut self,
-        del: &BTreeMap<Symbol, Relation>,
+        changed: &BTreeMap<Symbol, Relation>,
+        insert: bool,
         governor: &Governor,
         patch: &mut IdbPatch,
         stats: &mut PatchStats,
     ) -> Result<Option<TruncationReason>, IvmError> {
         let p = self.lr.predicate;
-        let cap = self.path.round_cap();
-        let mut cands = Candidates::default();
+        if insert {
+            self.write_indexed_edb(changed, true);
+        }
 
-        // --- Overdelete: seed from deleted EDB positions (one round each:
-        // the merge hands back no delta), then close over recursive support
-        // chains, all against the old state.
-        for (&pred, deleted) in del {
+        // --- Mark (one round per changed relation: the merge hands back no
+        // delta), and for a deletion close and remove.
+        let mut cands = Candidates::default();
+        let reached = |engine: &EngineDb, mut heads: Vec<Tuple>| {
+            if !insert {
+                heads.retain(|h| engine.get(p).is_some_and(|stored| stored.contains(h)));
+            }
+            heads
+        };
+        for (&pred, tuples) in changed {
             self.ensure_variants(pred)?;
             let run = drive_rounds(
                 &mut self.engine,
                 None,
                 &self.variants[&pred],
-                BTreeMap::from([(pred, deleted.iter().cloned().collect())]),
+                BTreeMap::from([(pred, tuples.iter().cloned().collect())]),
                 None,
                 governor,
                 &self.obs,
                 |engine, _, _, heads| {
-                    cands.mark(engine.get(p), heads);
+                    cands.mark(reached(engine, heads));
                     Vec::new()
                 },
             )?;
@@ -266,46 +197,34 @@ impl Materialization {
                 return Ok(Some(reason));
             }
         }
-        let closure = drive_rounds(
-            &mut self.engine,
-            None,
-            std::slice::from_ref(&self.rec_delta),
-            BTreeMap::from([(p, cands.order.clone())]),
-            cap,
-            governor,
-            &self.obs,
-            |engine, _, _, heads| cands.mark(engine.get(p), heads),
-        )?;
-        stats.rounds += closure.iterations.len() as u64;
-        if let Some(reason) = stopped(&closure) {
-            return Ok(Some(reason));
-        }
-        stats.overdeleted = cands.set.len();
-
-        // --- Physically remove the deleted EDB tuples and every candidate.
-        for (&pred, dr) in del {
-            for t in dr.iter() {
-                self.db.remove(pred, t)?;
-                if let Some(rel) = self.engine.get_mut(pred) {
-                    rel.remove(t);
+        if !insert {
+            let closure = drive_rounds(
+                &mut self.engine,
+                None,
+                std::slice::from_ref(&self.rec_delta),
+                BTreeMap::from([(p, cands.order.clone())]),
+                self.path.round_cap(),
+                governor,
+                &self.obs,
+                |engine, _, _, heads| cands.mark(reached(engine, heads)),
+            )?;
+            stats.rounds += closure.iterations.len() as u64;
+            if let Some(reason) = stopped(&closure) {
+                return Ok(Some(reason));
+            }
+            stats.overdeleted = cands.set.len();
+            self.write_indexed_edb(changed, false);
+            if let Some(stored) = self.engine.get_mut(p) {
+                for t in &cands.order {
+                    stored.remove(t);
+                    patch.record_delete(t.clone());
                 }
             }
         }
-        for t in &cands.order {
-            self.remove_p(t);
-            self.counts.remove(t);
-            patch.record_delete(t.clone());
-        }
 
-        // --- Rederive, phase 1: batch backward recount. Every candidate is
-        // physically removed at this point, so seeding the recount pipelines
-        // with the whole candidate set tallies, per candidate, exactly its
-        // support from *surviving* tuples — candidate-to-candidate support
-        // contributes nothing here and is replayed in phase 2. One indexed
-        // pipeline run per rule replaces one hash-join rebuild per
-        // candidate.
+        // --- Recount the candidates; store the tallies.
         self.ensure_recounts()?;
-        let mut recount: HashMap<Tuple, u64> = HashMap::new();
+        let mut tally: HashMap<Tuple, u64> = HashMap::new();
         let run = drive_rounds(
             &mut self.engine,
             None,
@@ -316,7 +235,7 @@ impl Materialization {
             &self.obs,
             |_, _, _, heads| {
                 for h in heads {
-                    *recount.entry(h).or_insert(0) += 1;
+                    *tally.entry(h).or_insert(0) += 1;
                 }
                 Vec::new()
             },
@@ -324,56 +243,45 @@ impl Materialization {
         if let Some(reason) = stopped(&run) {
             return Ok(Some(reason));
         }
-        let mut wave: Vec<Tuple> = Vec::new();
-        for c in cands.order {
-            if let Some(&cnt) = recount.get(&c) {
-                self.counts.insert(c.clone(), cnt);
-                insert_derived(&mut self.db, &mut self.engine, p, &c);
-                patch.record_insert(c.clone());
-                wave.push(c);
+        let mut entering: Vec<Tuple> = Vec::new();
+        if let Some(stored) = self.engine.get_mut(p) {
+            for h in cands.order {
+                let Some(&n) = tally.get(&h) else { continue };
+                match stored.id_of(&h) {
+                    Some(id) => self.counts[id as usize] = n,
+                    None => {
+                        add_count(stored, &mut self.counts, &h, n);
+                        patch.record_insert(h.clone());
+                        entering.push(h);
+                    }
+                }
             }
         }
-        stats.rederived = wave.len();
 
-        // --- Rederive, phase 2: replay support among revived candidates in
-        // waves. The rule is linear — each instantiation has exactly one
-        // recursive subgoal — so every candidate-supported instantiation is
-        // enumerated exactly once, in the wave where its subgoal revived.
-        // Surviving heads are skipped: any tuple with support through a
-        // candidate was itself enumerated by the overdeletion closure.
-        let (db, counts) = (&mut self.db, &mut self.counts);
-        let waves = drive_rounds(
-            &mut self.engine,
-            None,
-            std::slice::from_ref(&self.rec_delta),
-            BTreeMap::from([(p, wave)]),
-            cap,
-            governor,
-            &self.obs,
-            |engine, _, _, mut heads| {
-                heads.retain(|h| cands.set.contains(h) && bump(counts, h));
-                for h in &heads {
-                    insert_derived(db, engine, p, h);
-                    patch.record_insert(h.clone());
-                }
-                stats.rederived += heads.len();
-                heads
-            },
-        )?;
-        stats.rounds += waves.iterations.len() as u64;
-        Ok(stopped(&waves))
+        // --- Propagate from the entering tuples.
+        let entered = entering.len();
+        let only = (!insert).then_some(&cands.set);
+        let run = self.propagate(None, entering, governor, Some(patch), only)?;
+        if !insert {
+            let revived: usize = run.iterations.iter().map(|it| it.new_tuples).sum();
+            stats.rederived = entered + revived;
+        }
+        stats.rounds += run.iterations.len() as u64;
+        Ok(stopped(&run))
     }
 
-    /// Abandons the incremental patch: finishes applying the delta to the
-    /// EDB (idempotently — parts may already be in) and re-saturates from
-    /// scratch under an unlimited budget.
-    fn rebuild_cold(&mut self, delta: &EdbDelta) -> Result<(), IvmError> {
-        let mut edb = self.current_edb();
-        delta.apply_to(&mut edb)?;
-        let lr = self.lr.clone();
-        let obs = self.obs.clone();
-        *self = Materialization::saturate(&lr, &edb, &EvalBudget::unlimited(), &obs)?;
-        Ok(())
+    /// Adds (`insert`) or drops the tuples of `rels` in the indexed EDB.
+    fn write_indexed_edb(&mut self, rels: &BTreeMap<Symbol, Relation>, insert: bool) {
+        for (&pred, rel) in rels {
+            let indexed = self.engine.declare(pred, rel.arity());
+            for t in rel.iter() {
+                if insert {
+                    indexed.insert(t.clone());
+                } else {
+                    indexed.remove(t);
+                }
+            }
+        }
     }
 
     fn emit_patch_event(&self, report: &PatchReport) {

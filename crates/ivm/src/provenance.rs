@@ -26,7 +26,7 @@
 //! substitution — which is what the differential property suite and the
 //! serve layer's cross-check call.
 
-use crate::materialize::{mirror, stopped};
+use crate::materialize::{compile_exits, fresh_store, stopped};
 use crate::IvmError;
 use recurs_datalog::database::Database;
 use recurs_datalog::error::DatalogError;
@@ -37,7 +37,6 @@ use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::subst::Subst;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::{Atom, Term, Value};
-use recurs_engine::compile::CompiledRule;
 use recurs_engine::drive_rounds;
 use recurs_obs::Obs;
 use std::collections::{BTreeMap, HashMap};
@@ -146,13 +145,8 @@ fn saturate_with_ranks(
     edb: &Database,
     governor: &Governor,
 ) -> Result<(Database, HashMap<Tuple, u64>), IvmError> {
-    let (mut db, mut engine, rec_delta) = mirror(lr, edb)?;
-    let mut exits = Vec::with_capacity(lr.exit_rules.len());
-    for rule in &lr.exit_rules {
-        let compiled = CompiledRule::compile(rule, None, &db)?;
-        engine.ensure_indexes(&compiled);
-        exits.push(compiled);
-    }
+    let (mut db, mut engine, rec_delta) = fresh_store(lr, edb)?;
+    let exits = compile_exits(lr, &mut engine)?;
     let mut ranks: HashMap<Tuple, u64> = HashMap::new();
     let run = drive_rounds(
         &mut engine,

@@ -43,7 +43,7 @@ proptest! {
         // Count merge: the keys of the derivation counts.
         let mat = Materialization::saturate(&lr, &edb, &unlimited, &Obs::noop())
             .expect("materialization saturates");
-        prop_assert_eq!(mat.relation(), fixpoint);
+        prop_assert_eq!(&mat.relation().to_relation(), fixpoint);
         for t in fixpoint.iter() {
             prop_assert!(mat.count(t) >= 1, "fixpoint tuple {:?} has no derivation", t);
         }

@@ -18,12 +18,12 @@ use crate::error::ServeError;
 use recurs_core::{bounded, magic, Classification};
 use recurs_datalog::adornment::QueryForm;
 use recurs_datalog::database::Database;
-use recurs_datalog::eval::answer_query;
 use recurs_datalog::govern::{EvalBudget, Outcome};
 use recurs_datalog::relation::{Relation, Tuple};
 use recurs_datalog::rule::{LinearRecursion, Program};
+use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::{Atom, Term};
-use recurs_engine::EngineConfig;
+use recurs_engine::{EngineConfig, EngineDb, EngineError, KernelKind};
 use recurs_obs::Obs;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -147,7 +147,8 @@ impl PointPlans {
     }
 
     /// Answers `query` against `db` under `budget` with the selected kernel.
-    /// `db` is never mutated: kernels that saturate clone it first.
+    /// `db` is only read: kernels that saturate do so in a private engine
+    /// store holding the relations their program mentions.
     pub fn answer(
         &self,
         db: &Database,
@@ -171,14 +172,38 @@ impl PointPlans {
                 },
             ));
         }
+        let config = EngineConfig {
+            budget: budget.clone(),
+            obs: obs.clone(),
+        };
         match self.select(query) {
             PointKernelKind::BoundedUnroll { rank } => self.answer_bounded(db, query, budget, rank),
-            PointKernelKind::MagicIterate => self.answer_magic(db, query, budget, obs),
-            // The materialized-view kernel lives in the service (it needs the
-            // maintained view); `select` never returns it, and if a caller
-            // asks for it without a view the saturating kernel is the answer.
+            // Seed the magic predicate with the query constants and run the
+            // rewritten program; the answer is the adorned predicate's.
+            PointKernelKind::MagicIterate => {
+                let plan = self.magic_plan(&QueryForm::of_atom(query));
+                let constants: Tuple = query.terms.iter().filter_map(Term::as_const).collect();
+                let seed = plan.seed_predicate.map(|pred| (pred, constants));
+                let answer = Atom::new(plan.answer_predicate, query.terms.clone());
+                let kind = PointKernelKind::MagicIterate;
+                evaluate(
+                    db,
+                    &plan.program,
+                    KernelKind::Generic,
+                    seed,
+                    &answer,
+                    &config,
+                    kind,
+                )
+            }
+            // Saturate the recursion itself with the engine kernel the
+            // classification selects. (The materialized-view kernel lives in
+            // the service — it needs the maintained view; `select` never
+            // returns it, and without a view saturation is the answer.)
             PointKernelKind::FullSaturation | PointKernelKind::MaterializedView => {
-                self.answer_saturate(db, query, budget, obs)
+                let kernel = recurs_engine::select_kernel(&self.classification);
+                let kind = PointKernelKind::FullSaturation;
+                evaluate(db, &self.full_program, kernel, None, query, &config, kind)
             }
         }
     }
@@ -219,77 +244,6 @@ impl PointPlans {
         })
     }
 
-    /// Magic kernel: seed the magic predicate with the query constants and
-    /// run the rewritten program to (governed) fixpoint with the engine.
-    fn answer_magic(
-        &self,
-        db: &Database,
-        query: &Atom,
-        budget: &EvalBudget,
-        obs: &Obs,
-    ) -> Result<PointAnswer, ServeError> {
-        let form = QueryForm::of_atom(query);
-        let plan = self.magic_plan(&form);
-        let mut db = db.clone();
-        if let Some(seed) = plan.seed_predicate {
-            let constants: Tuple = query.terms.iter().filter_map(Term::as_const).collect();
-            db.declare(seed, constants.len())?;
-            db.insert(seed, constants)?;
-        }
-        // Declare magic predicates that are never derived (e.g. a reachable
-        // all-free form has no magic), so rule bodies can always be evaluated.
-        for rule in &plan.program.rules {
-            for atom in &rule.body {
-                if !db.contains(atom.predicate)
-                    && plan.program.rules_for(atom.predicate).next().is_none()
-                {
-                    db.declare(atom.predicate, atom.arity())?;
-                }
-            }
-        }
-        let config = EngineConfig {
-            budget: budget.clone(),
-            obs: obs.clone(),
-        };
-        let sat = recurs_engine::run_program(&mut db, &plan.program, &config)?;
-        let adorned_query = Atom::new(plan.answer_predicate, query.terms.clone());
-        let answers = answer_query(&db, &adorned_query)?;
-        Ok(PointAnswer {
-            answers,
-            outcome: sat.outcome,
-            kernel: PointKernelKind::MagicIterate,
-            fixpoint_iterations: sat.stats.iteration_count(),
-            tuples_derived: sat.stats.tuples_derived,
-        })
-    }
-
-    /// Fallback kernel: saturate a clone of the snapshot under the budget
-    /// (with the engine kernel the classification selects), then answer the
-    /// query over the (possibly under-approximated) fixpoint.
-    fn answer_saturate(
-        &self,
-        db: &Database,
-        query: &Atom,
-        budget: &EvalBudget,
-        obs: &Obs,
-    ) -> Result<PointAnswer, ServeError> {
-        let mut db = db.clone();
-        let config = EngineConfig {
-            budget: budget.clone(),
-            obs: obs.clone(),
-        };
-        let kernel = recurs_engine::select_kernel(&self.classification);
-        let sat = recurs_engine::run_with_kernel(&mut db, &self.full_program, kernel, &config)?;
-        let answers = answer_query(&db, query)?;
-        Ok(PointAnswer {
-            answers,
-            outcome: sat.outcome,
-            kernel: PointKernelKind::FullSaturation,
-            fixpoint_iterations: sat.stats.iteration_count(),
-            tuples_derived: sat.stats.tuples_derived,
-        })
-    }
-
     fn magic_plan(&self, form: &QueryForm) -> Arc<magic::MagicPlan> {
         let mut plans = self.magic.lock().unwrap_or_else(PoisonError::into_inner);
         plans
@@ -297,6 +251,47 @@ impl PointPlans {
             .or_insert_with(|| Arc::new(magic::build_plan(&self.lr, form)))
             .clone()
     }
+}
+
+/// The saturating kernels: loads the relations `program` mentions from the
+/// snapshot into a private engine store (one the snapshot lacks holds no
+/// tuples), plants `seed`, saturates, and selects `answer` from the store —
+/// a possibly under-approximated fixpoint the snapshot never sees.
+fn evaluate(
+    db: &Database,
+    program: &Program,
+    engine_kernel: KernelKind,
+    seed: Option<(Symbol, Tuple)>,
+    answer: &Atom,
+    config: &EngineConfig,
+    kernel: PointKernelKind,
+) -> Result<PointAnswer, ServeError> {
+    let mut store = EngineDb::new();
+    for rule in &program.rules {
+        for atom in std::iter::once(&rule.head).chain(rule.body.iter()) {
+            if store.get(atom.predicate).is_some() {
+                continue;
+            }
+            match db.get(atom.predicate) {
+                Some(rel) => store.load(atom.predicate, rel),
+                None => _ = store.declare(atom.predicate, atom.arity()),
+            }
+        }
+    }
+    if let Some((pred, constants)) = seed {
+        store.declare(pred, constants.len()).insert(constants);
+    }
+    let sat = recurs_engine::saturate(&mut store, program, engine_kernel, config)?;
+    let stored = store.get(answer.predicate).ok_or(EngineError::Internal(
+        "the saturated program never declared its answer predicate",
+    ))?;
+    Ok(PointAnswer {
+        answers: recurs_engine::select(stored, answer),
+        outcome: sat.outcome,
+        kernel,
+        fixpoint_iterations: sat.stats.iteration_count(),
+        tuples_derived: sat.stats.tuples_derived,
+    })
 }
 
 /// Number of distinct variables in a query atom — the arity of its answer
@@ -314,7 +309,6 @@ pub(crate) fn distinct_var_count(query: &Atom) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recurs_datalog::eval::semi_naive;
     use recurs_datalog::parser::{parse_atom, parse_program};
     use recurs_datalog::validate::validate_with_generic_exit;
 
@@ -334,9 +328,7 @@ mod tests {
     }
 
     fn oracle(f: &LinearRecursion, db: &Database, query: &Atom) -> Relation {
-        let mut db = db.clone();
-        semi_naive(&mut db, &f.to_program(), None).unwrap();
-        answer_query(&db, query).unwrap()
+        recurs_core::oracle::ground_truth(f, db, query).unwrap().0
     }
 
     #[test]

@@ -9,8 +9,6 @@ use crate::stats::{CacheOutcome, ServeStats, ServiceStats};
 use crate::version::Version;
 use recurs_core::Classification;
 use recurs_datalog::database::Database;
-use recurs_datalog::error::DatalogError;
-use recurs_datalog::eval::answer_query;
 use recurs_datalog::fingerprint::{self, Fingerprint};
 use recurs_datalog::govern::{EvalBudget, Outcome};
 use recurs_datalog::relation::Relation;
@@ -110,11 +108,10 @@ struct ViewState {
 ///
 /// Readers call [`QueryService::query`] concurrently from any number of
 /// threads; writers install new fact snapshots with
-/// [`QueryService::apply_update`] (incrementally maintained) or
-/// [`QueryService::update`] (generic edits) without blocking in-flight
-/// readers (copy-on-write snapshot isolation). Completed answers are cached
-/// per `(program, snapshot version, adorned query)`; truncated answers never
-/// are.
+/// [`QueryService::apply_update`] — the one write path, incrementally
+/// maintained — without blocking in-flight readers (copy-on-write snapshot
+/// isolation). Completed answers are cached per `(program, snapshot
+/// version, adorned query)`; truncated answers never are.
 #[derive(Debug)]
 pub struct QueryService {
     plans: PointPlans,
@@ -122,8 +119,9 @@ pub struct QueryService {
     store: SnapshotStore,
     cache: Option<SaturationCache>,
     /// Lazily built on the first [`QueryService::apply_update`]; patched in
-    /// place by every one after. Queries read it when its version matches
-    /// their snapshot. Dropped by generic [`QueryService::update`] edits.
+    /// place by every one after. Writers hold its lock across the snapshot
+    /// install, so a view is always exact for the snapshot it was patched
+    /// from; queries read it when its version matches their snapshot.
     view: RwLock<Option<ViewState>>,
     admission: Semaphore,
     metrics: Arc<Aggregator>,
@@ -185,34 +183,6 @@ impl QueryService {
         self.store.load()
     }
 
-    /// Installs the next snapshot version copy-on-write and invalidates the
-    /// cache entries of every dead version. In-flight readers keep their
-    /// version; queries admitted after this returns see the new one.
-    ///
-    /// This is the *generic* edit path: the change is arbitrary, so the
-    /// materialized view is dropped and warm cache entries cannot be
-    /// carried. For ground fact batches prefer
-    /// [`QueryService::apply_update`], which maintains both incrementally.
-    pub fn update(
-        &self,
-        edit: impl FnOnce(&mut Database) -> Result<(), DatalogError>,
-    ) -> Result<Arc<Snapshot>, ServeError> {
-        let snap = self.store.update(edit)?;
-        *self.view.write().unwrap_or_else(PoisonError::into_inner) = None;
-        if let Some(cache) = &self.cache {
-            cache.retain_version(snap.version());
-        }
-        self.obs
-            .counter("recurs_serve_snapshot_updates_total", &[], 1);
-        if self.obs.enabled() {
-            self.obs.event(
-                "serve.snapshot",
-                &[("version", field::u(snap.version().get()))],
-            );
-        }
-        Ok(snap)
-    }
-
     /// Applies a group of ground fact operations atomically: the group's net
     /// delta is normalized against the current snapshot (duplicate inserts
     /// and absent deletes are no-ops; an all-no-op group returns
@@ -229,6 +199,10 @@ impl QueryService {
             return Err(ServeError::DerivedUpdate(op.predicate()));
         }
         let start = Instant::now();
+        // Writers serialize on the view lock from before the install to
+        // after the patch, so the view a writer finds is always exact for
+        // the version its delta starts from.
+        let mut view = self.view.write().unwrap_or_else(PoisonError::into_inner);
         match self.store.apply_delta(ops)? {
             SnapshotUpdate::Unchanged(snap) => {
                 self.record_update("unchanged", start, snap.version(), 0, 0);
@@ -241,7 +215,8 @@ impl QueryService {
                 snapshot,
                 delta,
             } => {
-                let (maintenance, idb) = self.maintain_view(&snapshot, previous, &delta);
+                let (maintenance, idb) = self.maintain_view(&mut view, &snapshot, &delta);
+                drop(view);
                 if let Some(cache) = &self.cache {
                     match &idb {
                         Some(patch) => cache.advance(previous, snapshot.version(), patch),
@@ -250,6 +225,12 @@ impl QueryService {
                 }
                 self.obs
                     .counter("recurs_serve_snapshot_updates_total", &[], 1);
+                if self.obs.enabled() {
+                    self.obs.event(
+                        "serve.snapshot",
+                        &[("version", field::u(snapshot.version().get()))],
+                    );
+                }
                 let (inserted, deleted) = (delta.inserted_count(), delta.deleted_count());
                 self.record_update(maintenance, start, snapshot.version(), inserted, deleted);
                 Ok(UpdateOutcome::Installed {
@@ -269,24 +250,19 @@ impl QueryService {
     /// "no view" and the update stands.
     fn maintain_view(
         &self,
+        view: &mut Option<ViewState>,
         snapshot: &Snapshot,
-        previous: Version,
         delta: &EdbDelta,
     ) -> (&'static str, Option<IdbPatch>) {
-        let mut guard = self.view.write().unwrap_or_else(PoisonError::into_inner);
-        if let Some(mut vs) = guard.take() {
-            if vs.version == previous {
-                match vs.mat.apply(delta, &self.budget) {
-                    Ok(report) => {
-                        vs.version = snapshot.version();
-                        let label = report.path.label();
-                        *guard = Some(vs);
-                        return (label, report.idb);
-                    }
-                    Err(_) => return ("none", None),
+        if let Some(mut vs) = view.take() {
+            return match vs.mat.apply(delta, &self.budget) {
+                Ok(report) => {
+                    vs.version = snapshot.version();
+                    *view = Some(vs);
+                    (report.path.label(), report.idb)
                 }
-            }
-            // A stale view (generic edits interleaved) is rebuilt below.
+                Err(_) => ("none", None),
+            };
         }
         match Materialization::saturate(
             self.plans.recursion(),
@@ -295,7 +271,7 @@ impl QueryService {
             &self.obs,
         ) {
             Ok(mat) => {
-                *guard = Some(ViewState {
+                *view = Some(ViewState {
                     version: snapshot.version(),
                     mat,
                 });
@@ -351,7 +327,7 @@ impl QueryService {
         query: &Atom,
         budget: &EvalBudget,
     ) -> Result<Reply, ServeError> {
-        let (permit, queue_wait) = self.admission.acquire();
+        let (permit, queue_wait) = self.admit(None, &self.obs)?;
         self.query_admitted(query, budget, permit, queue_wait, None)
     }
 
@@ -362,9 +338,9 @@ impl QueryService {
     /// `cache_store`) that `obsctl` reassembles into a timing tree.
     ///
     /// `max_wait = None` queues unboundedly (the stdin behavior); `Some`
-    /// bounds the admission wait and sheds with
-    /// [`ServeError::Overloaded`] past it, like
-    /// [`QueryService::query_bounded`].
+    /// bounds the admission wait — the path the network front end uses, so
+    /// queues stay bounded and overload turns into an explicit, typed
+    /// [`ServeError::Overloaded`] instead of unbounded latency.
     pub fn query_traced(
         &self,
         query: &Atom,
@@ -374,55 +350,43 @@ impl QueryService {
     ) -> Result<Reply, ServeError> {
         let ctx = TraceCtx::new(&self.obs, trace);
         let root = ctx.root("request");
-        let root_id = root.id();
-        let admitted = {
-            let _adm = ctx.span("admission", root_id);
-            match max_wait {
-                None => Some(self.admission.acquire()),
-                Some(wait) => self.admission.try_acquire_for(wait),
-            }
-        };
-        match admitted {
-            Some((permit, queue_wait)) => {
-                self.query_admitted(query, budget, permit, queue_wait, Some((&ctx, root_id)))
-            }
-            None => {
-                let waited = max_wait.unwrap_or_default();
-                ctx.obs().counter("recurs_serve_queries_shed_total", &[], 1);
-                if ctx.obs().enabled() {
-                    ctx.obs()
-                        .event("serve.shed", &[("max_wait_us", field::us(waited))]);
-                }
-                Err(ServeError::Overloaded { waited })
-            }
-        }
+        let (permit, queue_wait) = self.admit_traced(max_wait, &ctx, root.id())?;
+        self.query_admitted(query, budget, permit, queue_wait, Some((&ctx, root.id())))
     }
 
-    /// Answers a query like [`QueryService::query_with_budget`], but waits
-    /// at most `max_wait` for an evaluation slot. When no slot frees up in
-    /// time the request is *shed* with [`ServeError::Overloaded`] — it was
-    /// never evaluated and is safe to retry. This is the admission path the
-    /// network front end uses: queues stay bounded and overload turns into
-    /// an explicit, typed signal instead of unbounded latency.
-    pub fn query_bounded(
+    /// The one admission gate: waits for an evaluation slot — unboundedly
+    /// when `max_wait` is `None`, else at most that long, after which the
+    /// request is *shed* with [`ServeError::Overloaded`] (counted and traced
+    /// through `obs`). A shed request was never evaluated and is safe to
+    /// retry.
+    fn admit(
         &self,
-        query: &Atom,
-        budget: &EvalBudget,
-        max_wait: std::time::Duration,
-    ) -> Result<Reply, ServeError> {
-        match self.admission.try_acquire_for(max_wait) {
-            Some((permit, queue_wait)) => {
-                self.query_admitted(query, budget, permit, queue_wait, None)
+        max_wait: Option<Duration>,
+        obs: &Obs,
+    ) -> Result<(Permit<'_>, Duration), ServeError> {
+        let admitted = match max_wait {
+            None => Some(self.admission.acquire()),
+            Some(wait) => self.admission.try_acquire_for(wait),
+        };
+        admitted.ok_or_else(|| {
+            let waited = max_wait.unwrap_or_default();
+            obs.counter("recurs_serve_queries_shed_total", &[], 1);
+            if obs.enabled() {
+                obs.event("serve.shed", &[("max_wait_us", field::us(waited))]);
             }
-            None => {
-                self.obs.counter("recurs_serve_queries_shed_total", &[], 1);
-                if self.obs.enabled() {
-                    self.obs
-                        .event("serve.shed", &[("max_wait_us", field::us(max_wait))]);
-                }
-                Err(ServeError::Overloaded { waited: max_wait })
-            }
-        }
+            ServeError::Overloaded { waited }
+        })
+    }
+
+    /// [`QueryService::admit`] under an `admission` span of `parent`.
+    fn admit_traced(
+        &self,
+        max_wait: Option<Duration>,
+        ctx: &TraceCtx,
+        parent: SpanId,
+    ) -> Result<(Permit<'_>, Duration), ServeError> {
+        let _adm = ctx.span("admission", parent);
+        self.admit(max_wait, ctx.obs())
     }
 
     /// The post-admission query path: cache probe, view/kernel dispatch,
@@ -485,7 +449,7 @@ impl QueryService {
         // evaluation at all — whenever its version matches the snapshot.
         let view_answers = {
             let _view = tr.map(|(ctx, parent)| ctx.span("view", parent));
-            self.view_answers(&snapshot, query)?
+            self.view_answers(&snapshot, query)
         };
         let (answers, outcome, kernel, tuples_derived, fixpoint_iterations) = match view_answers {
             Some(answers) => (
@@ -542,26 +506,20 @@ impl QueryService {
         })
     }
 
-    /// Select/project over the maintained view, when it exists and is exact
-    /// for the query's snapshot (and the query is for the served predicate
-    /// at the right arity — anything else falls through to the kernels,
-    /// which own the error taxonomy).
-    fn view_answers(
-        &self,
-        snapshot: &Snapshot,
-        query: &Atom,
-    ) -> Result<Option<Relation>, ServeError> {
+    /// Select/project over the maintained view's stored relation, when the
+    /// view exists and is exact for the query's snapshot (and the query is
+    /// for the served predicate at the right arity — anything else falls
+    /// through to the kernels, which own the error taxonomy).
+    fn view_answers(&self, snapshot: &Snapshot, query: &Atom) -> Option<Relation> {
         let lr = self.plans.recursion();
-        if query.predicate != lr.predicate || query.arity() != lr.recursive_rule.head.arity() {
-            return Ok(None);
+        if query.predicate != lr.predicate || query.arity() != lr.dimension() {
+            return None;
         }
         let guard = self.view.read().unwrap_or_else(PoisonError::into_inner);
-        match &*guard {
-            Some(vs) if vs.version == snapshot.version() => {
-                Ok(Some(answer_query(vs.mat.database(), query)?))
-            }
-            _ => Ok(None),
-        }
+        let vs = guard
+            .as_ref()
+            .filter(|vs| vs.version == snapshot.version())?;
+        Some(recurs_engine::select(vs.mat.relation(), query))
     }
 
     /// Feeds one answered query into the recorder: the per-kernel latency
@@ -726,24 +684,8 @@ impl QueryService {
         let started = Instant::now();
         let reply = {
             let root = ctx.root("request");
-            let root_id = root.id();
-            let admitted = {
-                let _adm = ctx.span("admission", root_id);
-                match max_wait {
-                    None => Some(self.admission.acquire()),
-                    Some(wait) => self.admission.try_acquire_for(wait),
-                }
-            };
-            match admitted {
-                Some((permit, queue_wait)) => {
-                    self.query_admitted(query, budget, permit, queue_wait, Some((&ctx, root_id)))?
-                }
-                None => {
-                    return Err(ServeError::Overloaded {
-                        waited: max_wait.unwrap_or_default(),
-                    })
-                }
-            }
+            let (permit, queue_wait) = self.admit_traced(max_wait, &ctx, root.id())?;
+            self.query_admitted(query, budget, permit, queue_wait, Some((&ctx, root.id())))?
         };
         let measured_us = started.elapsed().as_micros() as u64;
 
@@ -1086,11 +1028,10 @@ mod tests {
         assert!(service.cache_len() > 0);
         // Extend the chain: 5 → 6.
         service
-            .update(|db| {
-                db.insert("A", tuple_u64([5, 6]))?;
-                db.insert("E", tuple_u64([5, 6]))?;
-                Ok(())
-            })
+            .apply_update(&[
+                FactOp::Insert(Symbol::intern("A"), tuple_u64([5, 6])),
+                FactOp::Insert(Symbol::intern("E"), tuple_u64([5, 6])),
+            ])
             .unwrap();
         assert_eq!(service.cache_len(), 0, "stale entries must be invalidated");
         let after = service.query(&q).unwrap();
@@ -1201,33 +1142,6 @@ mod tests {
     }
 
     #[test]
-    fn generic_update_still_invalidates_and_drops_the_view() {
-        let service = tc_service(5, ServeConfig::default());
-        let e = recurs_datalog::symbol::Symbol::intern("E");
-        service
-            .apply_update(&[FactOp::Insert(e, tuple_u64([1, 5]))])
-            .unwrap();
-        let q = parse_atom("P(1, y)").unwrap();
-        service.query(&q).unwrap();
-        assert!(service.cache_len() > 0);
-        // A closure edit is opaque: no patch, no view.
-        service
-            .update(|db| db.insert("E", tuple_u64([2, 5])).map(|_| ()))
-            .unwrap();
-        assert_eq!(service.cache_len(), 0);
-        let reply = service.query(&q).unwrap();
-        assert_ne!(reply.stats.kernel, PointKernelKind::MaterializedView);
-        // The next fact update rebuilds the view from the new snapshot.
-        match service
-            .apply_update(&[FactOp::Insert(e, tuple_u64([3, 5]))])
-            .unwrap()
-        {
-            UpdateOutcome::Installed { maintenance, .. } => assert_eq!(maintenance, "saturate"),
-            other => panic!("expected Installed, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn update_events_pin_the_taxonomy() {
         let capture = std::sync::Arc::new(recurs_obs::CaptureRecorder::new());
         let service = tc_service(
@@ -1303,10 +1217,7 @@ mod tests {
         service.query(&q).unwrap();
         service.query(&q).unwrap();
         service
-            .update(|db| {
-                db.insert("A", tuple_u64([8, 9]))?;
-                Ok(())
-            })
+            .apply_update(&[FactOp::Insert(Symbol::intern("A"), tuple_u64([8, 9]))])
             .unwrap();
         let queries = capture.events_of("serve.query");
         assert_eq!(queries.len(), 2);
@@ -1440,6 +1351,38 @@ mod tests {
     }
 
     #[test]
+    fn a_shed_explain_is_counted_and_traced_like_a_shed_query() {
+        let capture = std::sync::Arc::new(recurs_obs::CaptureRecorder::new());
+        let config = ServeConfig {
+            max_concurrent: 1,
+            obs: recurs_obs::Obs::new(capture.clone()),
+            ..ServeConfig::default()
+        };
+        let service = tc_service(6, config);
+        let q = parse_atom("P(1, y)").unwrap();
+        let (budget, wait) = (EvalBudget::unlimited(), Some(Duration::from_millis(1)));
+        // Hold the only evaluation slot: every bounded request is shed.
+        let (held, _) = service.admission.acquire();
+        let explained = service.explain(&q, &budget, wait, TraceId::from_u64(7));
+        assert!(matches!(explained, Err(ServeError::Overloaded { .. })));
+        let queried = service.query_traced(&q, &budget, wait, TraceId::from_u64(8));
+        assert!(matches!(queried, Err(ServeError::Overloaded { .. })));
+        assert_eq!(
+            capture.counter_where("recurs_serve_queries_shed_total", &[]),
+            2
+        );
+        let shed = capture.events_of("serve.shed");
+        assert_eq!(shed.len(), 2);
+        assert_eq!(shed[0].text("trace"), Some("0000000000000007"));
+        // Nothing shed was evaluated; the slot, once free, admits again.
+        assert_eq!(service.stats().queries, 0);
+        drop(held);
+        assert!(service
+            .explain(&q, &budget, wait, TraceId::from_u64(9))
+            .is_ok());
+    }
+
+    #[test]
     fn why_returns_a_verified_tree_or_not_derived() {
         let service = tc_service(5, ServeConfig::default());
         let p = recurs_datalog::symbol::Symbol::intern("P");
@@ -1494,7 +1437,7 @@ mod tests {
         let q = parse_atom("P(1, y)").unwrap();
         service.query(&q).unwrap();
         service
-            .update(|db| db.insert("A", tuple_u64([6, 7])).map(|_| ()))
+            .apply_update(&[FactOp::Insert(Symbol::intern("A"), tuple_u64([6, 7]))])
             .unwrap();
         let dump = service.postmortem_jsonl();
         assert!(!dump.is_empty());

@@ -64,9 +64,9 @@ pub enum SnapshotUpdate {
 /// The mutable cell holding the current snapshot.
 ///
 /// Reads (`load`) take a read lock only long enough to clone an `Arc`.
-/// Writes serialize on a dedicated writer mutex so two concurrent `update`
-/// calls cannot both copy version *n* and race to install version *n + 1*
-/// (one would silently lose its edit).
+/// Writes serialize on a dedicated writer mutex so two concurrent
+/// `apply_delta` calls cannot both copy version *n* and race to install
+/// version *n + 1* (one would silently lose its edit).
 #[derive(Debug)]
 pub struct SnapshotStore {
     current: RwLock<Arc<Snapshot>>,
@@ -96,33 +96,12 @@ impl SnapshotStore {
             .clone()
     }
 
-    /// Builds and installs the next version copy-on-write: clones the
-    /// current database, applies `edit`, and swaps the new snapshot in.
-    /// Returns the installed snapshot. If `edit` fails nothing is installed
-    /// and the current version is unchanged. Concurrent updates serialize;
-    /// concurrent readers are never blocked by the database copy (only by
-    /// the final pointer swap).
-    pub fn update(
-        &self,
-        edit: impl FnOnce(&mut Database) -> Result<(), DatalogError>,
-    ) -> Result<Arc<Snapshot>, DatalogError> {
-        let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let base = self.load();
-        let mut db = (*base.db).clone();
-        edit(&mut db)?;
-        let next = Arc::new(Snapshot {
-            version: base.version.next(),
-            fingerprint: fingerprint::of_database(&db),
-            db: Arc::new(db),
-        });
-        *self.current.write().unwrap_or_else(PoisonError::into_inner) = next.clone();
-        Ok(next)
-    }
-
     /// Normalizes a group of fact operations against the current snapshot
     /// (inside the writer lock, so the membership check and the install are
-    /// one atomic step) and installs the next version if — and only if — the
-    /// net delta is non-empty. Duplicate inserts and absent-fact deletes are
+    /// one atomic step) and installs the next version copy-on-write if — and
+    /// only if — the net delta is non-empty: concurrent readers are never
+    /// blocked by the database copy, only by the final pointer swap. If the
+    /// operations fail to apply nothing is installed. Duplicate inserts and absent-fact deletes are
     /// no-ops: an all-no-op group reports [`SnapshotUpdate::Unchanged`]
     /// without bumping the version. The returned delta is exactly the EDB
     /// difference between the two snapshots.
@@ -153,11 +132,20 @@ impl SnapshotStore {
 mod tests {
     use super::*;
     use recurs_datalog::relation::{tuple_u64, Relation};
+    use recurs_datalog::symbol::Symbol;
 
     fn store() -> SnapshotStore {
         let mut db = Database::new();
         db.insert_relation("A", Relation::from_pairs([(1, 2), (2, 3)]));
         SnapshotStore::new(db)
+    }
+
+    /// Applies `ops` and returns the snapshot they installed.
+    fn install(s: &SnapshotStore, ops: &[FactOp]) -> Arc<Snapshot> {
+        match s.apply_delta(ops).unwrap() {
+            SnapshotUpdate::Installed { snapshot, .. } => snapshot,
+            other => panic!("expected Installed, got {other:?}"),
+        }
     }
 
     #[test]
@@ -172,9 +160,8 @@ mod tests {
     fn update_installs_next_version_and_readers_keep_theirs() {
         let s = store();
         let before = s.load();
-        let installed = s
-            .update(|db| db.insert("A", tuple_u64([3, 4])).map(|_| ()))
-            .unwrap();
+        let a = Symbol::intern("A");
+        let installed = install(&s, &[FactOp::Insert(a, tuple_u64([3, 4]))]);
         assert_eq!(installed.version(), 1);
         assert_ne!(before.fingerprint(), installed.fingerprint());
         // The old snapshot is untouched (copy-on-write).
@@ -186,7 +173,7 @@ mod tests {
     #[test]
     fn failed_update_installs_nothing() {
         let s = store();
-        let err = s.update(|db| db.insert("A", tuple_u64([1])).map(|_| ()));
+        let err = s.apply_delta(&[FactOp::Insert(Symbol::intern("A"), tuple_u64([1]))]);
         assert!(err.is_err());
         assert_eq!(s.load().version(), 0);
         assert_eq!(s.load().database().require("A").unwrap().len(), 2);
@@ -195,7 +182,7 @@ mod tests {
     #[test]
     fn no_op_delta_does_not_bump_the_version() {
         let s = store();
-        let a = recurs_datalog::symbol::Symbol::intern("A");
+        let a = Symbol::intern("A");
         let ops = vec![
             FactOp::Insert(a, tuple_u64([1, 2])), // already present
             FactOp::Delete(a, tuple_u64([9, 9])), // absent
@@ -210,7 +197,7 @@ mod tests {
     #[test]
     fn delta_install_carries_the_net_change() {
         let s = store();
-        let a = recurs_datalog::symbol::Symbol::intern("A");
+        let a = Symbol::intern("A");
         let ops = vec![
             FactOp::Insert(a, tuple_u64([3, 4])),
             FactOp::Delete(a, tuple_u64([1, 2])),
@@ -236,16 +223,9 @@ mod tests {
     fn identical_content_has_identical_fingerprint_across_versions() {
         let s = store();
         let v0 = s.load();
-        let v1 = s
-            .update(|db| db.insert("A", tuple_u64([9, 9])).map(|_| ()))
-            .unwrap();
-        // Removing is not supported through insert, so rebuild the original.
-        let v2 = s
-            .update(|db| {
-                db.insert_relation("A", Relation::from_pairs([(1, 2), (2, 3)]));
-                Ok(())
-            })
-            .unwrap();
+        let a = Symbol::intern("A");
+        let v1 = install(&s, &[FactOp::Insert(a, tuple_u64([9, 9]))]);
+        let v2 = install(&s, &[FactOp::Delete(a, tuple_u64([9, 9]))]);
         assert_ne!(v0.fingerprint(), v1.fingerprint());
         assert_eq!(v0.fingerprint(), v2.fingerprint());
         assert_eq!(v2.version(), 2);

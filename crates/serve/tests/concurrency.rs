@@ -10,8 +10,9 @@ use recurs_datalog::govern::EvalBudget;
 use recurs_datalog::parser::{parse_atom, parse_program};
 use recurs_datalog::relation::{tuple_u64, Relation};
 use recurs_datalog::rule::LinearRecursion;
+use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::{Atom, Term, Value};
-use recurs_serve::{QueryService, ServeConfig};
+use recurs_serve::{FactOp, QueryService, ServeConfig, UpdateOutcome};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const BASE: u64 = 16; // base chain 1 → … → BASE
@@ -31,6 +32,11 @@ fn db_at_version(v: u64) -> Database {
     db.insert_relation("A", Relation::from_pairs((1..n).map(|i| (i, i + 1))));
     db.insert_relation("E", Relation::from_pairs((1..n).map(|i| (i, i + 1))));
     db
+}
+
+/// The writer's edit: one more link `n → n + 1` on the chain.
+fn extend_chain(n: u64) -> [FactOp; 2] {
+    ["A", "E"].map(|rel| FactOp::Insert(Symbol::intern(rel), tuple_u64([n, n + 1])))
 }
 
 /// Oracle fixpoints for every version the writer will install.
@@ -99,14 +105,15 @@ fn readers_and_writer_never_tear_or_serve_stale() {
             for v in 0..UPDATES {
                 std::thread::sleep(std::time::Duration::from_millis(3));
                 let n = BASE + v;
-                let snap = service
-                    .update(|db| {
-                        db.insert("A", tuple_u64([n, n + 1]))?;
-                        db.insert("E", tuple_u64([n, n + 1]))?;
-                        Ok(())
-                    })
-                    .expect("update succeeds");
-                assert_eq!(snap.version(), v + 1);
+                match service
+                    .apply_update(&extend_chain(n))
+                    .expect("update succeeds")
+                {
+                    UpdateOutcome::Installed { snapshot, .. } => {
+                        assert_eq!(snapshot.version(), v + 1)
+                    }
+                    other => panic!("expected Installed, got {other:?}"),
+                }
             }
         });
     });
@@ -171,11 +178,7 @@ fn budgeted_concurrent_replies_are_sound_underapproximations() {
                 std::thread::sleep(std::time::Duration::from_millis(2));
                 let n = BASE + v;
                 service
-                    .update(|db| {
-                        db.insert("A", tuple_u64([n, n + 1]))?;
-                        db.insert("E", tuple_u64([n, n + 1]))?;
-                        Ok(())
-                    })
+                    .apply_update(&extend_chain(n))
                     .expect("update succeeds");
             }
         });
