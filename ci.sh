@@ -20,17 +20,29 @@ cargo clippy -p recurs-ivm --all-targets --features fault-inject --offline -- -D
 cargo clippy -p recurs-serve --all-targets --features fault-inject --offline -- -D warnings
 cargo clippy -p recurs-net --all-targets --features fault-inject --offline -- -D warnings
 
-# One-store guard: every derived tuple lives in the engine store, so the
-# oracle's interpreter must not come back into view maintenance or the serve
-# path, and the saturating kernels must not deep-copy the snapshot again.
-echo "==> one-store guard (no eval_body in ivm maintenance / serve, no Database clone in serve kernels)"
-if grep -n "eval_body" crates/ivm/src/materialize.rs crates/ivm/src/patch.rs \
-    || grep -rn "eval_body" crates/serve/src; then
-  echo "eval_body is back in ivm maintenance or the serve path" >&2
+# One-store guard: serve and ivm hold facts in one layout, the engine store.
+# The oracle's interpreter must not come back into either crate; the plain
+# `Database` is accepted at their entry points (`QueryService::new`,
+# `Materialization::saturate`) and must not reappear in the snapshot, the
+# kernels, view maintenance or provenance; and a kernel starts from a clone
+# of the snapshot's store, never from a load. Unit-test modules are exempt:
+# they build plain facts for the oracle they compare against.
+echo "==> one-store guard (no interpreter, no Database, no per-request load in serve / ivm)"
+non_test() { sed '/^#\[cfg(test)\]/,$d' "$1"; }
+if grep -rnE "eval_body|recurs_datalog::eval" crates/serve/src crates/ivm/src; then
+  echo "the oracle's interpreter is back in crates/serve/src or crates/ivm/src" >&2
   exit 1
 fi
-if grep -nE "\bdb\)?\.clone\(\)|database\(\)\.clone\(\)|Database::clone|answer_query" crates/serve/src/kernel.rs; then
-  echo "crates/serve/src/kernel.rs copies the snapshot (or answers through the interpreter) again" >&2
+for f in crates/serve/src/snapshot.rs crates/serve/src/kernel.rs \
+    crates/ivm/src/materialize.rs crates/ivm/src/patch.rs crates/ivm/src/provenance.rs; do
+  if non_test "$f" | grep -nw "Database"; then
+    echo "$f holds or copies plain-facts Database again" >&2
+    exit 1
+  fi
+done
+if non_test crates/serve/src/kernel.rs \
+    | grep -nE "\.load\(|from_relation|EngineDb::from|to_relation|answer_query"; then
+  echo "crates/serve/src/kernel.rs loads (or copies out) relations per request again" >&2
   exit 1
 fi
 

@@ -28,6 +28,7 @@ use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::Database;
+use recurs_engine::EngineDb;
 use recurs_ivm::{EdbDelta, FactOp, Materialization};
 use recurs_obs::Obs;
 use recurs_workload::graphs::chain;
@@ -67,13 +68,15 @@ fn update_latency(c: &mut Criterion) {
     for &n in &[200u64, 400, 800] {
         let db = tc_db(n);
         let e = Symbol::intern("E");
-        let insert = EdbDelta::normalize(&[FactOp::Insert(e, tuple_u64([n, n + 1]))], &db).unwrap();
+        let tip = tuple_u64([n, n + 1]);
         let mut inserted_db = db.clone();
-        insert.apply_to(&mut inserted_db).unwrap();
+        inserted_db.insert(e, tip.clone()).unwrap();
+        let insert =
+            EdbDelta::normalize(&[FactOp::Insert(e, tip.clone())], &EngineDb::from(&db)).unwrap();
         // Normalize the delete against the *inserted* state — against the
         // base database it would net out to an empty (no-op) delta.
         let delete =
-            EdbDelta::normalize(&[FactOp::Delete(e, tuple_u64([n, n + 1]))], &inserted_db).unwrap();
+            EdbDelta::normalize(&[FactOp::Delete(e, tip)], &EngineDb::from(&inserted_db)).unwrap();
 
         // Certify both patch directions against from-scratch saturation
         // before timing anything.

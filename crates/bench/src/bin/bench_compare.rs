@@ -59,7 +59,7 @@ use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::Database;
-use recurs_engine::{run_linear, EngineConfig};
+use recurs_engine::{run_linear, EngineConfig, EngineDb};
 use recurs_ivm::{EdbDelta, FactOp, Materialization};
 use recurs_obs::aggregate::Aggregator;
 use recurs_obs::Obs;
@@ -455,14 +455,15 @@ fn measure_ivm(opts: &Options, baseline: &str) -> Result<(Vec<Row>, f64), String
     let db = tc_db(SIZE);
     let e = Symbol::intern("E");
     let tip = tuple_u64([SIZE, SIZE + 1]);
-    let insert =
-        EdbDelta::normalize(&[FactOp::Insert(e, tip.clone())], &db).map_err(|e| format!("{e}"))?;
     let mut inserted_db = db.clone();
-    insert
-        .apply_to(&mut inserted_db)
+    inserted_db
+        .insert(e, tip.clone())
         .map_err(|e| format!("{e}"))?;
-    let delete =
-        EdbDelta::normalize(&[FactOp::Delete(e, tip)], &inserted_db).map_err(|e| format!("{e}"))?;
+    // Each delta is normalized against the state it will be applied to.
+    let insert = EdbDelta::normalize(&[FactOp::Insert(e, tip.clone())], &EngineDb::from(&db))
+        .map_err(|e| format!("{e}"))?;
+    let delete = EdbDelta::normalize(&[FactOp::Delete(e, tip)], &EngineDb::from(&inserted_db))
+        .map_err(|e| format!("{e}"))?;
 
     let refixpoint = |edb: &Database| {
         let mut db = edb.clone();

@@ -33,7 +33,7 @@ use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::term::Term;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::{Atom, Database};
-use recurs_engine::EngineConfig;
+use recurs_engine::{EngineConfig, EngineDb};
 use recurs_igraph::build::resolution_graph;
 use recurs_igraph::component::ComponentKind;
 use recurs_igraph::dot::{to_ascii, to_dot};
@@ -1320,9 +1320,10 @@ fn explain_why(
     }
     let args: Vec<&str> = tuple.iter().map(|v| v.as_str()).collect();
     let fact = format!("{pred}({})", args.join(", "));
-    match explain_fact(&loaded.lr, &loaded.db, &tuple, depth_bound, budget) {
+    let store = EngineDb::from(&loaded.db);
+    match explain_fact(&loaded.lr, &store, &tuple, depth_bound, budget) {
         Ok(WhyOutcome::Derived(tree)) => {
-            verify_tree(&loaded.lr, &loaded.db, &tree)
+            verify_tree(&loaded.lr, &store, &tree)
                 .map_err(|d| format!("derivation tree failed structural verification: {d}"))?;
             let _ = writeln!(
                 out,

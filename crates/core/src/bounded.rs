@@ -8,14 +8,13 @@
 
 use crate::classify::Classification;
 use crate::transform::to_nonrecursive_with_rank;
-use recurs_datalog::algebra::union;
 use recurs_datalog::database::Database;
 use recurs_datalog::error::DatalogError;
-use recurs_datalog::eval::eval_body;
+use recurs_datalog::eval::eval_rule;
 use recurs_datalog::relation::Relation;
 use recurs_datalog::rule::{LinearRecursion, Program, Rule};
 use recurs_datalog::subst::{unify_atoms, Subst};
-use recurs_datalog::term::Atom;
+use recurs_datalog::term::{Atom, Term};
 use recurs_datalog::Symbol;
 use std::collections::HashMap;
 
@@ -38,99 +37,47 @@ pub fn build_plan(lr: &LinearRecursion) -> Option<BoundedPlan> {
 }
 
 /// Answers `query` by evaluating every level with the query constants pushed
-/// in (specializing each level rule's head against the query atom), and
-/// unioning the per-level answers. The result is over the query's distinct
-/// variables in first-occurrence order, matching
-/// [`recurs_datalog::eval::answer_query`].
+/// in ([`specialize`]) and unioning the per-level answers. The result is over
+/// the query's distinct variables in first-occurrence order, matching
+/// [`recurs_datalog::eval::answer_query`]. This is the reference executor;
+/// the serving layer runs the same specialized levels on the engine.
 pub fn execute(plan: &BoundedPlan, db: &Database, query: &Atom) -> Result<Relation, DatalogError> {
-    let mut out: Option<Relation> = None;
-    for rule in &plan.levels.rules {
-        let level = eval_specialized(db, rule, query)?;
-        out = Some(match out {
-            None => level,
-            Some(acc) => union(&acc, &level),
-        });
+    let mut out = Relation::new(query.distinct_variables().len());
+    for level in &plan.levels.rules {
+        if let Some(level) = specialize(level, query) {
+            out.union_in_place(&eval_rule(db, &level, &HashMap::new())?);
+        }
     }
-    Ok(out.unwrap_or_else(|| Relation::new(0)))
+    Ok(out)
 }
 
-/// Specializes a non-recursive rule against a query atom (pushing query
-/// constants into the body — selection before join), evaluates the body,
-/// and projects onto the query's distinct variables in first-occurrence
-/// order. Repeated query variables induce equality selections.
-pub fn eval_specialized(
-    db: &Database,
-    rule: &Rule,
-    query: &Atom,
-) -> Result<Relation, DatalogError> {
+/// Specializes a non-recursive rule against a query atom — selection before
+/// join: the query's constants are pushed into the body by unifying the
+/// rule's head with the query. The specialized rule's head lists what each
+/// distinct query variable (in first-occurrence order) resolved to, a body
+/// variable or a constant, so its derived tuples *are* the level's answers;
+/// repeated query variables become equalities through the unifier. `None`
+/// when the head's constants clash with the query's: the level contributes
+/// nothing.
+pub fn specialize(rule: &Rule, query: &Atom) -> Option<Rule> {
     debug_assert!(!rule.is_recursive(), "bounded levels are non-recursive");
-    // Rename the query's variables so they cannot clash with rule variables,
-    // remembering the mapping to restore projection order.
+    // Rename the query's variables apart from the rule's.
     let mut fresh_counter = 0u32;
     let mut renaming = Subst::new();
-    let mut query_vars: Vec<Symbol> = Vec::new(); // distinct, first-occurrence
-    let mut renamed_terms = Vec::with_capacity(query.terms.len());
-    for t in &query.terms {
-        match t.as_var() {
-            Some(v) => {
-                let renamed = match renaming.get(v) {
-                    Some(t) => *t,
-                    None => {
-                        let f = Symbol::fresh("q", &mut fresh_counter);
-                        renaming.bind(v, recurs_datalog::Term::Var(f));
-                        query_vars.push(v);
-                        recurs_datalog::Term::Var(f)
-                    }
-                };
-                renamed_terms.push(renamed);
-            }
-            None => renamed_terms.push(*t),
-        }
+    for v in query.distinct_variables() {
+        renaming.bind(v, Term::Var(Symbol::fresh("q", &mut fresh_counter)));
     }
-    let renamed_query = Atom::new(query.predicate, renamed_terms);
-    let Some(mgu) = unify_atoms(&rule.head, &renamed_query) else {
-        // Head constants (if any) clash with the query: this level
-        // contributes nothing.
-        return Ok(Relation::new(query_vars.len()));
-    };
-    let specialized = mgu.apply_rule(rule);
-    let bindings = eval_body(db, &specialized.body, &HashMap::new())?;
-    // Each distinct query variable resolves (through the renaming and the
-    // unifier) to either a constant or a body variable with a column.
-    enum Out {
-        Fixed(recurs_datalog::Value),
-        Col(usize),
-    }
-    let mut outs: Vec<Out> = Vec::with_capacity(query_vars.len());
-    for &orig in &query_vars {
-        let renamed = *renaming
-            .get(orig)
-            .expect("every query variable was renamed");
-        match mgu.resolve(renamed) {
-            recurs_datalog::Term::Const(c) => outs.push(Out::Fixed(c)),
-            recurs_datalog::Term::Var(v) => match bindings.column_of(v) {
-                Some(col) => outs.push(Out::Col(col)),
-                // Range-restricted rules always bind head variables, so this
-                // is unreachable for validated input.
-                None => return Err(DatalogError::UnboundVariable(v)),
-            },
-        }
-    }
-    let mut result = Relation::new(outs.len());
-    for row in bindings.rel.iter() {
-        result.insert(
-            outs.iter()
-                .map(|o| match o {
-                    Out::Fixed(c) => *c,
-                    Out::Col(i) => row[*i],
-                })
-                .collect(),
-        );
-    }
-    // Equality among repeated query variables is enforced by unification
-    // (both occurrences rename to the same fresh variable), so no
-    // post-selection is needed.
-    Ok(result)
+    let renamed = renaming.apply_atom(query);
+    let mgu = unify_atoms(&rule.head, &renamed)?;
+    let answers = renamed
+        .distinct_variables()
+        .into_iter()
+        .map(|v| mgu.resolve(Term::Var(v)))
+        .collect();
+    Some(Rule {
+        head: Atom::new(query.predicate, answers),
+        body: mgu.apply_rule(rule).body,
+    })
 }
 
 #[cfg(test)]

@@ -375,17 +375,9 @@ fn prepare_variant(
         Some(delta_pos),
     );
     debug_assert_eq!(order[0], delta_pos);
-    let delta_vars: Vec<Symbol> = {
-        // Distinct variables of the delta atom in first-occurrence order —
-        // the accumulator layout normalize_atom will produce at runtime.
-        let mut seen = Vec::new();
-        for v in rule.body[delta_pos].variables() {
-            if !seen.contains(&v) {
-                seen.push(v);
-            }
-        }
-        seen
-    };
+    // Distinct variables of the delta atom in first-occurrence order — the
+    // accumulator layout normalize_atom will produce at runtime.
+    let delta_vars: Vec<Symbol> = rule.body[delta_pos].distinct_variables();
     let mut acc_vars = delta_vars.clone();
     let mut steps = Vec::new();
     for &pos in &order[1..] {

@@ -12,8 +12,11 @@
 //! cache keys but an adversary could construct one.
 
 use crate::database::Database;
+use crate::relation::Tuple;
 use crate::rule::Program;
-use crate::term::Atom;
+use crate::symbol::Symbol;
+use crate::term::{Atom, Value};
+use std::collections::BTreeMap;
 use std::fmt;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -59,29 +62,82 @@ pub fn of_atom(atom: &Atom) -> Fingerprint {
     of_str(&atom.to_string())
 }
 
-/// Fingerprints a database snapshot: relations in name order; within a
-/// relation, per-tuple hashes are combined commutatively so the (unordered)
-/// set-iteration order cannot leak into the fingerprint.
-pub fn of_database(db: &Database) -> Fingerprint {
+/// The hash one tuple contributes to its relation's [`RelationSum`].
+pub fn tuple_hash(t: &[Value]) -> u64 {
+    let mut h = FNV_OFFSET;
+    for v in t {
+        h = fnv(h, v.as_str().as_bytes());
+        h = fnv(h, &[0u8]);
+    }
+    h
+}
+
+/// One relation's share of a database fingerprint: its arity, its tuple
+/// count, and the wrapping sum of its [`tuple_hash`]es. The sum is
+/// commutative, so set-iteration order cannot leak into the fingerprint, and
+/// invertible, so a holder of the sums can follow single-tuple changes
+/// without rehashing the relation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RelationSum {
+    arity: usize,
+    len: u64,
+    sum: u64,
+}
+
+impl RelationSum {
+    /// The sum of an empty relation of the given arity.
+    pub fn new(arity: usize) -> RelationSum {
+        RelationSum {
+            arity,
+            len: 0,
+            sum: 0,
+        }
+    }
+
+    /// The sum of a relation given as its arity and (distinct) tuples.
+    pub fn of<'a>(arity: usize, tuples: impl IntoIterator<Item = &'a Tuple>) -> RelationSum {
+        let mut sum = RelationSum::new(arity);
+        for t in tuples {
+            sum.add(t);
+        }
+        sum
+    }
+
+    /// Accounts for a tuple that entered the relation.
+    pub fn add(&mut self, t: &[Value]) {
+        self.len += 1;
+        self.sum = self.sum.wrapping_add(tuple_hash(t));
+    }
+
+    /// Accounts for a tuple that left the relation.
+    pub fn remove(&mut self, t: &[Value]) {
+        self.len -= 1;
+        self.sum = self.sum.wrapping_sub(tuple_hash(t));
+    }
+}
+
+/// Folds per-relation sums, given in relation-name order (a `&BTreeMap`
+/// iterates that way), into the database fingerprint.
+pub fn fold<'a>(relations: impl IntoIterator<Item = (&'a Symbol, &'a RelationSum)>) -> Fingerprint {
     let mut state = FNV_OFFSET;
-    for (name, relation) in db.iter() {
+    for (name, rel) in relations {
         state = fnv(state, name.as_str().as_bytes());
         state = fnv(state, &[0u8]);
-        state = fnv(state, &(relation.arity() as u64).to_le_bytes());
-        // Commutative tuple combine: sum of independent per-tuple hashes.
-        let mut tuple_sum: u64 = 0;
-        for t in relation.iter() {
-            let mut h = FNV_OFFSET;
-            for v in t.iter() {
-                h = fnv(h, v.as_str().as_bytes());
-                h = fnv(h, &[0u8]);
-            }
-            tuple_sum = tuple_sum.wrapping_add(h);
-        }
-        state = fnv(state, &tuple_sum.to_le_bytes());
-        state = fnv(state, &(relation.len() as u64).to_le_bytes());
+        state = fnv(state, &(rel.arity as u64).to_le_bytes());
+        state = fnv(state, &rel.sum.to_le_bytes());
+        state = fnv(state, &rel.len.to_le_bytes());
     }
     Fingerprint(state)
+}
+
+/// Fingerprints a database snapshot: the [`fold`] of its relations'
+/// [`RelationSum`]s in name order.
+pub fn of_database(db: &Database) -> Fingerprint {
+    let sums: BTreeMap<Symbol, RelationSum> = db
+        .iter()
+        .map(|(name, rel)| (name, RelationSum::of(rel.arity(), rel.iter())))
+        .collect();
+    fold(&sums)
 }
 
 #[cfg(test)]

@@ -152,7 +152,8 @@ pub fn run_with_kernel(
             }
         }
     }
-    let sat = saturate(&mut storage, program, kernel, config)?;
+    let compiled = CompiledProgram::compile(program, &storage)?;
+    let sat = saturate(&mut storage, &compiled, kernel, config)?;
     for pred in program.idb_predicates() {
         let rel = storage
             .get(pred)
@@ -162,42 +163,74 @@ pub fn run_with_kernel(
     Ok(sat)
 }
 
-/// Saturates `storage` in place with `program`'s consequences: the fixpoint
-/// (or, on [`Outcome::Truncated`], a sound under-approximation of it) is
-/// left in the IDB relations of the store the pipelines ran on. Head
-/// predicates are declared if absent; body predicates the caller must have
-/// loaded. Tuples already in an IDB relation (magic seeds) take part as the
-/// first delta.
+/// A program's pipelines, compiled against the store they will run on:
+/// non-recursive rules seed iteration 0; rules with IDB body atoms get one
+/// differentiated variant per IDB occurrence. Compilation only reads the
+/// store (relation sizes steer the join order; a relation not stored yet
+/// sorts last), so a caller can ask what the pipelines will probe before
+/// anything is written.
+#[derive(Debug)]
+pub struct CompiledProgram {
+    idb: BTreeSet<Symbol>,
+    init: Vec<CompiledRule>,
+    variants: Vec<CompiledRule>,
+}
+
+impl CompiledProgram {
+    /// Compiles every rule of `program` for execution over `storage`.
+    pub fn compile(program: &Program, storage: &EngineDb) -> Result<CompiledProgram, EngineError> {
+        let idb: BTreeSet<Symbol> = program.idb_predicates();
+        let mut init: Vec<CompiledRule> = Vec::new();
+        let mut variants: Vec<CompiledRule> = Vec::new();
+        for rule in &program.rules {
+            let idb_positions: Vec<usize> = (0..rule.body.len())
+                .filter(|&i| idb.contains(&rule.body[i].predicate))
+                .collect();
+            if idb_positions.is_empty() {
+                init.push(CompiledRule::compile(rule, None, storage)?);
+            }
+            for pos in idb_positions {
+                variants.push(CompiledRule::compile(rule, Some(pos), storage)?);
+            }
+        }
+        Ok(CompiledProgram {
+            idb,
+            init,
+            variants,
+        })
+    }
+
+    fn rules(&self) -> impl Iterator<Item = &CompiledRule> {
+        self.init.iter().chain(&self.variants)
+    }
+
+    /// The `(predicate, key columns)` indexes the pipelines probe.
+    pub fn required_indexes(&self) -> impl Iterator<Item = (Symbol, &[usize])> {
+        self.rules().flat_map(CompiledRule::required_indexes)
+    }
+}
+
+/// Saturates `storage` in place with the compiled program's consequences:
+/// the fixpoint (or, on [`Outcome::Truncated`], a sound under-approximation
+/// of it) is left in the IDB relations of the store the pipelines ran on.
+/// Head predicates are declared if absent; body predicates the caller must
+/// have stored. Every index the pipelines probe and the store lacks is
+/// built once, before the loop (and stays with this store: a relation other
+/// stores share keeps sharing its rows). Tuples already in an IDB relation
+/// (magic seeds) take part as the first delta.
 pub fn saturate(
     storage: &mut EngineDb,
-    program: &Program,
+    program: &CompiledProgram,
     kernel: KernelKind,
     config: &EngineConfig,
 ) -> Result<Saturation, EngineError> {
     let governor = config.budget.start();
-    for rule in &program.rules {
-        storage.declare(rule.head.predicate, rule.head.arity());
-    }
-    let idb: BTreeSet<Symbol> = program.idb_predicates();
-
-    // Compile: non-recursive rules seed iteration 0; rules with IDB body
-    // atoms get one differentiated variant per IDB occurrence. Every index
-    // the pipelines will probe is built once, before the loop.
-    let mut init: Vec<CompiledRule> = Vec::new();
-    let mut variants: Vec<CompiledRule> = Vec::new();
-    for rule in &program.rules {
-        let idb_positions: Vec<usize> = (0..rule.body.len())
-            .filter(|&i| idb.contains(&rule.body[i].predicate))
-            .collect();
-        if idb_positions.is_empty() {
-            init.push(CompiledRule::compile(rule, None, storage)?);
-        }
-        for pos in idb_positions {
-            variants.push(CompiledRule::compile(rule, Some(pos), storage)?);
-        }
-    }
-    for cr in init.iter().chain(variants.iter()) {
-        storage.ensure_indexes(cr);
+    // Index work is reported per run: relations (and their lifetime
+    // counters) may be shared with, or inherited from, other stores.
+    let index_before = storage.index_counters();
+    for rule in program.rules() {
+        storage.declare(rule.head_pred, rule.head_arity)?;
+        storage.ensure_indexes(rule);
     }
 
     let obs = &config.obs;
@@ -210,7 +243,7 @@ pub fn saturate(
     // Tuples the caller pre-seeded into IDB relations (e.g. magic seeds)
     // must reach the recursive rules too: they start out as pending delta.
     let mut preseeded: BTreeMap<Symbol, Vec<Tuple>> = BTreeMap::new();
-    for &pred in &idb {
+    for &pred in &program.idb {
         let rel = storage
             .get(pred)
             .ok_or(EngineError::Internal(UNLOADED_RELATION))?;
@@ -227,8 +260,8 @@ pub fn saturate(
     };
     let rounds = drive_rounds(
         storage,
-        Some(&init),
-        &variants,
+        Some(&program.init),
+        &program.variants,
         preseeded,
         rank_cap,
         &governor,
@@ -240,7 +273,7 @@ pub fn saturate(
         kernel: Some(kernel),
         tuples_derived: rounds.iterations.iter().map(|it| it.new_tuples).sum(),
         iterations: rounds.iterations,
-        index: storage.index_counters(),
+        index: storage.index_counters().since(index_before),
         probes: rounds.probes,
         probe_hits: rounds.probe_hits,
     };

@@ -7,10 +7,13 @@
 //! tuples are inserted. Across a long fixpoint this turns the per-iteration
 //! cost of indexing from O(|relation|) into O(|delta|).
 
+use recurs_datalog::database::Database;
+use recurs_datalog::error::DatalogError;
 use recurs_datalog::relation::{Relation, Tuple};
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::Value;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// A hash index: key columns → (key values → ids of matching tuples).
 type Index = HashMap<Box<[Value]>, Vec<u32>>;
@@ -29,6 +32,24 @@ impl IndexCounters {
         self.builds += other.builds;
         self.updates += other.updates;
     }
+
+    /// The work done since `earlier` was read off the same store. A
+    /// relation's counters live (and are copied) with it, so for a store
+    /// that shares relations with others this is the only per-run reading.
+    pub fn since(self, earlier: IndexCounters) -> IndexCounters {
+        IndexCounters {
+            builds: self.builds - earlier.builds,
+            updates: self.updates - earlier.updates,
+        }
+    }
+}
+
+/// The tuples of a relation: the arena, its free list, and the dedup map.
+#[derive(Debug, Clone, Default)]
+struct Rows {
+    tuples: Vec<Option<Tuple>>,
+    free: Vec<u32>,
+    ids: HashMap<Tuple, u32>,
 }
 
 /// A relation stored as a tuple arena plus persistent hash indexes on the
@@ -41,13 +62,19 @@ impl IndexCounters {
 /// draws from — an id is stable for the lifetime of its tuple, and the
 /// arena stays as long as the relation's high-water mark however many
 /// insert / remove rounds pass over it.
+///
+/// The rows and each index are reference-counted, so cloning a relation
+/// copies no tuple and no index: the clone shares them all. Writes are
+/// copy-on-write ([`Arc::make_mut`]): adding an index to a clone builds that
+/// index and shares the rest; inserting or removing a tuple copies the rows
+/// and the indexes once, if another clone still holds them, and writes in
+/// place from then on. A holder therefore never sees a relation move under
+/// it, and a writer pays for what it changes.
 #[derive(Debug, Clone, Default)]
 pub struct IndexedRelation {
     arity: usize,
-    tuples: Vec<Option<Tuple>>,
-    free: Vec<u32>,
-    ids: HashMap<Tuple, u32>,
-    indexes: HashMap<Vec<usize>, Index>,
+    rows: Arc<Rows>,
+    indexes: HashMap<Vec<usize>, Arc<Index>>,
     counters: IndexCounters,
 }
 
@@ -76,22 +103,22 @@ impl IndexedRelation {
 
     /// Number of (live) tuples.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.rows.ids.len()
     }
 
     /// True if no tuple is stored.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.rows.ids.is_empty()
     }
 
     /// Membership test.
     pub fn contains(&self, t: &[Value]) -> bool {
-        self.ids.contains_key(t)
+        self.rows.ids.contains_key(t)
     }
 
     /// The id of a stored tuple.
     pub fn id_of(&self, t: &[Value]) -> Option<u32> {
-        self.ids.get(t).copied()
+        self.rows.ids.get(t).copied()
     }
 
     /// Inserts a tuple, updating every existing index. Returns true if the
@@ -111,28 +138,29 @@ impl IndexedRelation {
             t.len(),
             self.arity
         );
-        if self.ids.contains_key(&t) {
+        if self.contains(&t) {
             return None;
         }
-        let id = match self.free.pop() {
+        let rows = Arc::make_mut(&mut self.rows);
+        let id = match rows.free.pop() {
             Some(id) => id,
             None => {
-                let Ok(id) = u32::try_from(self.tuples.len()) else {
+                let Ok(id) = u32::try_from(rows.tuples.len()) else {
                     // u32 ids are a storage invariant; 2^32 arena slots
                     // exceeds every budget this engine runs under.
                     panic!("IndexedRelation overflow: more than u32::MAX tuples");
                 };
-                self.tuples.push(None);
+                rows.tuples.push(None);
                 id
             }
         };
         for (cols, index) in &mut self.indexes {
             let key: Box<[Value]> = cols.iter().map(|&c| t[c]).collect();
-            index.entry(key).or_default().push(id);
+            Arc::make_mut(index).entry(key).or_default().push(id);
             self.counters.updates += 1;
         }
-        self.ids.insert(t.clone(), id);
-        self.tuples[id as usize] = Some(t);
+        rows.ids.insert(t.clone(), id);
+        rows.tuples[id as usize] = Some(t);
         Some(id)
     }
 
@@ -140,10 +168,13 @@ impl IndexedRelation {
     /// freeing its arena slot for reuse. Returns true if the tuple was
     /// present.
     pub fn remove(&mut self, t: &[Value]) -> bool {
-        let Some(id) = self.ids.remove(t) else {
+        let Some(id) = self.id_of(t) else {
             return false;
         };
+        let rows = Arc::make_mut(&mut self.rows);
+        rows.ids.remove(t);
         for (cols, index) in &mut self.indexes {
+            let index = Arc::make_mut(index);
             let key: Box<[Value]> = cols.iter().map(|&c| t[c]).collect();
             if let Some(bucket) = index.get_mut(&key) {
                 bucket.retain(|&i| i != id);
@@ -153,24 +184,30 @@ impl IndexedRelation {
             }
             self.counters.updates += 1;
         }
-        self.tuples[id as usize] = None;
-        self.free.push(id);
+        rows.tuples[id as usize] = None;
+        rows.free.push(id);
         true
     }
 
+    /// True if an index on `cols` is maintained.
+    pub fn has_index(&self, cols: &[usize]) -> bool {
+        self.indexes.contains_key(cols)
+    }
+
     /// Makes sure an index on `cols` exists, building it from the current
-    /// tuples if not. Idempotent; subsequent inserts keep it fresh.
+    /// tuples if not. Idempotent; subsequent inserts keep it fresh. The
+    /// rows are only read, so a clone stays shared while it is indexed.
     pub fn ensure_index(&mut self, cols: &[usize]) {
-        if self.indexes.contains_key(cols) {
+        if self.has_index(cols) {
             return;
         }
         let mut index: Index = HashMap::new();
-        for (id, t) in self.tuples.iter().enumerate() {
+        for (id, t) in self.rows.tuples.iter().enumerate() {
             let Some(t) = t else { continue };
             let key: Box<[Value]> = cols.iter().map(|&c| t[c]).collect();
             index.entry(key).or_default().push(id as u32);
         }
-        self.indexes.insert(cols.to_vec(), index);
+        self.indexes.insert(cols.to_vec(), Arc::new(index));
         self.counters.builds += 1;
     }
 
@@ -186,7 +223,7 @@ impl IndexedRelation {
     /// The tuple with the given id. Ids only reach callers through `probe`,
     /// which never returns a removed tuple's id.
     pub fn tuple(&self, id: u32) -> &Tuple {
-        match &self.tuples[id as usize] {
+        match &self.rows.tuples[id as usize] {
             Some(t) => t,
             None => unreachable!("probe returned the id of a removed tuple"),
         }
@@ -195,7 +232,7 @@ impl IndexedRelation {
     /// Iterates over all live tuples in arena order (insertion order until
     /// a removal frees a slot).
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.tuples.iter().flatten()
+        self.rows.tuples.iter().flatten()
     }
 
     /// Copies the storage back into a plain [`Relation`].
@@ -227,15 +264,32 @@ impl IndexedRelation {
     }
 }
 
-/// The engine's working database: predicate → indexed relation.
+/// The engine's store: predicate → indexed relation.
 ///
-/// Loaded from [`recurs_datalog::relation::Relation`]s; the fixpoint driver
-/// reads EDB relations and reads/extends IDB relations through it, and the
-/// results stay here for whoever ran it to select from, maintain or copy
-/// back out.
+/// Cloning a store clones its relations, which share their rows and indexes
+/// (see [`IndexedRelation`]): the clone copies no tuple, and each side then
+/// pays only for the relations it writes. That is what lets one store be the
+/// read-only base of many evaluations — each clones it and adds relations
+/// of its own — and of the next version of itself.
+///
+/// The fixpoint driver reads EDB relations and reads/extends IDB relations
+/// through it, and the results stay here for whoever ran it to select from,
+/// maintain or copy back out.
 #[derive(Debug, Clone, Default)]
 pub struct EngineDb {
     rels: BTreeMap<Symbol, IndexedRelation>,
+}
+
+/// The one conversion from the plain-facts format: every relation copied
+/// into indexed storage (no index is built until a pipeline asks for one).
+impl From<&Database> for EngineDb {
+    fn from(db: &Database) -> EngineDb {
+        let mut store = EngineDb::new();
+        for (name, rel) in db.iter() {
+            store.load(name, rel);
+        }
+        store
+    }
 }
 
 impl EngineDb {
@@ -244,12 +298,22 @@ impl EngineDb {
         EngineDb::default()
     }
 
-    /// Registers `pred` as an empty relation of the given arity if absent;
-    /// returns the relation stored under `pred` either way.
-    pub fn declare(&mut self, pred: Symbol, arity: usize) -> &mut IndexedRelation {
-        self.rels
+    /// Registers `pred` as an empty relation of the given arity if absent.
+    /// A relation already stored under `pred` is left alone; one of a
+    /// different arity is an error.
+    pub fn declare(&mut self, pred: Symbol, arity: usize) -> Result<(), DatalogError> {
+        let rel = self
+            .rels
             .entry(pred)
-            .or_insert_with(|| IndexedRelation::new(arity))
+            .or_insert_with(|| IndexedRelation::new(arity));
+        if rel.arity() != arity {
+            return Err(DatalogError::ArityMismatch {
+                predicate: pred,
+                expected: rel.arity(),
+                found: arity,
+            });
+        }
+        Ok(())
     }
 
     /// Copies a relation into the store (replacing any existing one).
@@ -267,6 +331,11 @@ impl EngineDb {
         self.rels.get_mut(&pred)
     }
 
+    /// Iterates over `(name, relation)` pairs in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (Symbol, &IndexedRelation)> {
+        self.rels.iter().map(|(&name, rel)| (name, rel))
+    }
+
     /// Set-inserts `tuples` into `pred`'s relation and returns the ones that
     /// were new, in order — the set-semantics merge for
     /// [`crate::drive_rounds`]. An unknown predicate stores nothing.
@@ -276,6 +345,26 @@ impl EngineDb {
             None => tuples.clear(),
         }
         tuples
+    }
+
+    /// The `(predicate, key columns)` pairs among `needed` that name a
+    /// stored relation without that index. An index built on a clone stays
+    /// with the clone; a holder that wants its relations indexed once for
+    /// every future clone asks what is missing and builds it on its own
+    /// copy.
+    pub fn missing_indexes<'a>(
+        &self,
+        needed: impl IntoIterator<Item = (Symbol, &'a [usize])>,
+    ) -> Vec<(Symbol, Vec<usize>)> {
+        let lacks = |pred, cols: &[usize]| self.get(pred).is_some_and(|rel| !rel.has_index(cols));
+        let mut missing: Vec<(Symbol, Vec<usize>)> = needed
+            .into_iter()
+            .filter(|&(pred, cols)| lacks(pred, cols))
+            .map(|(pred, cols)| (pred, cols.to_vec()))
+            .collect();
+        missing.sort();
+        missing.dedup();
+        missing
     }
 
     /// Builds every index `rule`'s pipeline probes (idempotent). Callers do
@@ -288,7 +377,9 @@ impl EngineDb {
         }
     }
 
-    /// Sums the index counters of every relation.
+    /// Sums the index counters of every relation — lifetime counters of
+    /// relations that may be older than this store; see
+    /// [`IndexCounters::since`].
     pub fn index_counters(&self) -> IndexCounters {
         let mut total = IndexCounters::default();
         for rel in self.rels.values() {
@@ -404,10 +495,64 @@ mod tests {
         let mut db = EngineDb::new();
         let a = Symbol::intern("A");
         db.load(a, &Relation::from_pairs([(1, 2)]));
-        db.declare(a, 2); // no-op: already present
+        db.declare(a, 2).unwrap(); // no-op: already present
+        assert!(db.declare(a, 3).is_err(), "arity conflict");
         db.get_mut(a).unwrap().ensure_index(&[0]);
         assert_eq!(db.index_counters().builds, 1);
         assert_eq!(db.index_count(), 1);
         assert_eq!(db.get(a).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn clones_share_rows_and_indexes_until_one_writes() {
+        let mut base = IndexedRelation::from_relation(&Relation::from_pairs([(1, 2), (2, 3)]));
+        base.ensure_index(&[0]);
+        let shares_rows = |x: &IndexedRelation, y: &IndexedRelation| Arc::ptr_eq(&x.rows, &y.rows);
+        let shares_index = |x: &IndexedRelation, y: &IndexedRelation, cols: &[usize]| {
+            Arc::ptr_eq(&x.indexes[cols], &y.indexes[cols])
+        };
+
+        // Indexing a clone builds that index and copies nothing.
+        let mut copy = base.clone();
+        copy.ensure_index(&[0]);
+        copy.ensure_index(&[1]);
+        assert!(shares_rows(&base, &copy) && shares_index(&base, &copy, &[0]));
+        assert!(
+            !base.has_index(&[1]),
+            "the original is not indexed behind its back"
+        );
+        assert_eq!(copy.counters().since(base.counters()).builds, 1);
+
+        // A write copies rows and indexes once; the original keeps its
+        // content, its indexes and its counters.
+        let before = base.counters();
+        assert!(
+            !copy.insert(tuple_u64([1, 2])),
+            "a duplicate writes nothing"
+        );
+        assert!(shares_rows(&base, &copy));
+        assert!(copy.insert(tuple_u64([3, 4])));
+        assert!(!shares_rows(&base, &copy) && !shares_index(&base, &copy, &[0]));
+        assert_eq!((base.len(), copy.len()), (2, 3));
+        assert_eq!(base.probe(&[0], &[v(3)]).unwrap().len(), 0);
+        assert_eq!(copy.probe(&[0], &[v(3)]).unwrap().len(), 1);
+        assert_eq!(base.counters(), before);
+
+        // Sole owner of its rows now: the next write is in place.
+        let held = Arc::as_ptr(&copy.rows);
+        assert!(copy.remove(&[v(1), v(2)]));
+        assert_eq!(Arc::as_ptr(&copy.rows), held);
+        assert_eq!(base.probe(&[0], &[v(1)]).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn missing_indexes_names_each_absent_index_once() {
+        let a = Symbol::intern("A");
+        let mut db = EngineDb::new();
+        db.load(a, &Relation::from_pairs([(1, 2)]));
+        db.get_mut(a).unwrap().ensure_index(&[0]);
+        let unknown = Symbol::intern("Unknown");
+        let needed: [(Symbol, &[usize]); 4] = [(a, &[0]), (a, &[1]), (a, &[1]), (unknown, &[0])];
+        assert_eq!(db.missing_indexes(needed), vec![(a, vec![1])]);
     }
 }

@@ -1,10 +1,10 @@
 //! Update deltas: ground fact operations, their normalization against a
-//! database, and the IDB patch a maintenance pass reports back.
+//! store, and the IDB patch a maintenance pass reports back.
 
-use recurs_datalog::database::Database;
 use recurs_datalog::error::DatalogError;
 use recurs_datalog::relation::{Relation, Tuple};
 use recurs_datalog::symbol::Symbol;
+use recurs_engine::EngineDb;
 use std::collections::{BTreeMap, HashMap};
 
 /// One ground fact operation from an update stream.
@@ -26,13 +26,13 @@ impl FactOp {
 }
 
 /// The net effect of an update group on the EDB, normalized against a
-/// concrete database: inserted tuples are genuinely new, deleted tuples were
+/// concrete store: inserted tuples are genuinely new, deleted tuples were
 /// genuinely present, and a tuple appears on at most one side.
 #[derive(Debug, Clone, Default)]
 pub struct EdbDelta {
-    /// Tuples to add, per relation. Disjoint from the database.
+    /// Tuples to add, per relation. Disjoint from the store.
     pub inserted: BTreeMap<Symbol, Relation>,
-    /// Tuples to drop, per relation. Subset of the database.
+    /// Tuples to drop, per relation. Subset of the store.
     pub deleted: BTreeMap<Symbol, Relation>,
 }
 
@@ -40,9 +40,9 @@ impl EdbDelta {
     /// Replays `ops` in order against the membership state of `db` and keeps
     /// only the net changes: duplicate inserts, absent-fact deletes, and
     /// insert/delete pairs that cancel out all normalize away. Arity
-    /// conflicts (against the database or within the ops) are errors.
-    pub fn normalize(ops: &[FactOp], db: &Database) -> Result<EdbDelta, DatalogError> {
-        // Current membership of every touched fact, starting from `db`.
+    /// conflicts (against the store or within the ops) are errors.
+    pub fn normalize(ops: &[FactOp], db: &EngineDb) -> Result<EdbDelta, DatalogError> {
+        // Where the group leaves every fact it touches: the last op wins.
         let mut state: HashMap<(Symbol, Tuple), bool> = HashMap::new();
         let mut arities: HashMap<Symbol, usize> = HashMap::new();
         for op in ops {
@@ -61,12 +61,7 @@ impl EdbDelta {
                     found: tuple.len(),
                 });
             }
-            state
-                .entry((pred, tuple.clone()))
-                .or_insert_with(|| db.get(pred).is_some_and(|r| r.contains(tuple)));
-            if let Some(present) = state.get_mut(&(pred, tuple.clone())) {
-                *present = target;
-            }
+            state.insert((pred, tuple.clone()), target);
         }
         let mut delta = EdbDelta::default();
         for ((pred, tuple), now) in state {
@@ -106,25 +101,41 @@ impl EdbDelta {
         self.inserted.contains_key(&pred) || self.deleted.contains_key(&pred)
     }
 
-    /// Applies the delta to a plain database (declaring inserted relations
-    /// on first use). Used both to install the new snapshot and to bring a
-    /// materialization's plain EDB up to date before it is patched.
-    /// Idempotent: re-inserting present tuples and re-deleting absent ones
-    /// are no-ops.
-    pub fn apply_to(&self, db: &mut Database) -> Result<(), DatalogError> {
-        for (&pred, rel) in &self.inserted {
-            db.declare(pred, rel.arity())?;
-            for t in rel.iter() {
-                db.insert(pred, t.clone())?;
-            }
-        }
-        for (&pred, rel) in &self.deleted {
-            for t in rel.iter() {
-                db.remove(pred, t)?;
-            }
-        }
-        Ok(())
+    /// Applies the delta to a store (declaring inserted relations on first
+    /// use), copying only the relations it names if the store shares them.
+    /// Used both to install the new snapshot and to complete a
+    /// materialization's EDB before a cold rebuild. Idempotent:
+    /// re-inserting present tuples and re-deleting absent ones are no-ops.
+    pub fn apply_to(&self, db: &mut EngineDb) -> Result<(), DatalogError> {
+        write(db, &self.inserted, true)?;
+        write(db, &self.deleted, false)
     }
+}
+
+/// Adds (`insert`) or drops the tuples of `rels` in `db`. An inserted
+/// relation is declared on first use; dropping from an unknown one is a
+/// no-op.
+pub(crate) fn write(
+    db: &mut EngineDb,
+    rels: &BTreeMap<Symbol, Relation>,
+    insert: bool,
+) -> Result<(), DatalogError> {
+    for (&pred, rel) in rels {
+        if insert {
+            db.declare(pred, rel.arity())?;
+        }
+        let Some(stored) = db.get_mut(pred) else {
+            continue;
+        };
+        for t in rel.iter() {
+            if insert {
+                stored.insert(t.clone());
+            } else {
+                stored.remove(t);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The net change a maintenance pass made to the recursive predicate's
@@ -171,9 +182,9 @@ mod tests {
     use super::*;
     use recurs_datalog::relation::tuple_u64;
 
-    fn db() -> Database {
-        let mut db = Database::new();
-        db.insert_relation("A", Relation::from_pairs([(1, 2), (2, 3)]));
+    fn db() -> EngineDb {
+        let mut db = EngineDb::new();
+        db.load(Symbol::intern("A"), &Relation::from_pairs([(1, 2), (2, 3)]));
         db
     }
 
@@ -222,9 +233,9 @@ mod tests {
         assert!(delta.deleted[&a].contains(&tuple_u64([1, 2])));
         let mut db = db();
         delta.apply_to(&mut db).unwrap();
-        assert!(db.get("A").unwrap().contains(&tuple_u64([3, 4])));
-        assert!(!db.get("A").unwrap().contains(&tuple_u64([1, 2])));
-        assert!(db.get("B").unwrap().contains(&tuple_u64([7, 8])));
+        assert!(db.get(a).unwrap().contains(&tuple_u64([3, 4])));
+        assert!(!db.get(a).unwrap().contains(&tuple_u64([1, 2])));
+        assert!(db.get(b).unwrap().contains(&tuple_u64([7, 8])));
     }
 
     #[test]
@@ -237,7 +248,7 @@ mod tests {
             FactOp::Insert(n, tuple_u64([1])),
             FactOp::Insert(n, tuple_u64([1, 2])),
         ];
-        assert!(EdbDelta::normalize(&ops, &Database::new()).is_err());
+        assert!(EdbDelta::normalize(&ops, &EngineDb::new()).is_err());
     }
 
     #[test]

@@ -23,10 +23,9 @@
 use crate::delta::IdbPatch;
 use crate::{IvmError, MaintenancePath};
 use recurs_core::Classification;
-use recurs_datalog::database::Database;
 use recurs_datalog::error::DatalogError;
 use recurs_datalog::govern::{EvalBudget, Governor, TruncationReason};
-use recurs_datalog::relation::Tuple;
+use recurs_datalog::relation::{Relation, Tuple};
 use recurs_datalog::rule::{LinearRecursion, Rule};
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::{Atom, Value};
@@ -37,16 +36,16 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// A saturated linear recursion kept consistent under EDB deltas.
 ///
-/// Owns the plain EDB facts (what [`EdbDelta::normalize`] and a cold rebuild
-/// read), the engine store — the EDB again, indexed, plus the only copy of
-/// the derived relation — and the derivation counts. Built by
+/// Owns one engine store — the EDB relations (what [`EdbDelta::normalize`]
+/// and a cold rebuild read), each sharing its rows with whoever handed it
+/// over until an update changes it, plus the only copy of the derived
+/// relation — and the derivation counts. Built by
 /// [`Materialization::saturate`]; maintained by [`Materialization::apply`].
 ///
 /// [`EdbDelta::normalize`]: crate::EdbDelta::normalize
 pub struct Materialization {
     pub(crate) lr: LinearRecursion,
     pub(crate) path: MaintenancePath,
-    pub(crate) edb: Database,
     pub(crate) engine: EngineDb,
     /// Derivation count per tuple id of the derived relation in `engine`
     /// (slots of removed tuples are stale until the id is reused).
@@ -89,28 +88,29 @@ impl std::fmt::Debug for Materialization {
 
 impl Materialization {
     /// Saturates `lr` over `edb` from scratch, tracking derivation counts.
+    /// `edb` is a reference to plain facts, converted here, or an engine
+    /// store, whose relations are then shared, not copied.
     ///
-    /// The database must not already contain tuples for the recursive
-    /// predicate — the materialized relation is derived, never stored. A
-    /// budget truncation here is an error (there is nothing valid to fall
-    /// back to); patch-time truncation is handled inside `apply` instead.
+    /// The EDB must not already contain tuples for the recursive predicate —
+    /// the materialized relation is derived, never stored. A budget
+    /// truncation here is an error (there is nothing valid to fall back to);
+    /// patch-time truncation is handled inside `apply` instead.
     pub fn saturate(
         lr: &LinearRecursion,
-        edb: &Database,
+        edb: impl Into<EngineDb>,
         budget: &EvalBudget,
         obs: &Obs,
     ) -> Result<Materialization, IvmError> {
-        let p = lr.predicate;
-        if edb.get(p).is_some_and(|r| !r.is_empty()) {
-            return Err(IvmError::IdbUpdate(p));
+        let edb = edb.into();
+        if edb.get(lr.predicate).is_some_and(|r| !r.is_empty()) {
+            return Err(IvmError::IdbUpdate(lr.predicate));
         }
         let governor = budget.start();
-        let (edb, mut engine, rec_delta) = fresh_store(lr, edb)?;
+        let (mut engine, rec_delta) = fresh_store(lr, edb)?;
         let exits = compile_exits(lr, &mut engine)?;
         let mut mat = Materialization {
             lr: lr.clone(),
             path: MaintenancePath::select(&Classification::of(&lr.recursive_rule)),
-            edb,
             engine,
             counts: Vec::new(),
             rec_delta,
@@ -145,10 +145,10 @@ impl Materialization {
         self.path
     }
 
-    /// The EDB the fixpoint stands over: plain facts only, without the
-    /// derived predicate.
-    pub fn database(&self) -> &Database {
-        &self.edb
+    /// The store the fixpoint stands in: the EDB relations, beside the
+    /// derived one.
+    pub fn database(&self) -> &EngineDb {
+        &self.engine
     }
 
     /// The materialized relation, as the engine stores it.
@@ -230,66 +230,66 @@ impl Materialization {
         )?)
     }
 
-    /// Compiles (once) the recount pipelines, one per rule: the rule's body
-    /// prefixed with a synthetic [`CAND`] atom carrying the head's terms,
-    /// differentiated at that atom. Seeded with candidate tuples, each emits
-    /// one head row per (candidate, body instantiation over the current
-    /// store) pair; a candidate that conflicts with a head constant or
-    /// repeated head variable simply fails the seed match, the same cases a
-    /// per-candidate head unification would reject.
+    /// Compiles (once) the recount pipelines, one per rule
+    /// ([`compile_inverted`] deriving the rule's own head). Seeded with
+    /// candidate tuples, each emits one head row per (candidate, body
+    /// instantiation over the current store) pair; a candidate that conflicts
+    /// with a head constant or repeated head variable simply fails the seed
+    /// match, the same cases a per-candidate head unification would reject.
     pub(crate) fn ensure_recounts(&mut self) -> Result<(), IvmError> {
         if !self.recounts.is_empty() {
             return Ok(());
         }
-        let cand = Symbol::intern(CAND);
-        self.engine.declare(cand, self.lr.dimension());
         for rule in rules(&self.lr) {
-            let mut body = Vec::with_capacity(rule.body.len() + 1);
-            body.push(Atom::new(cand, rule.head.terms.clone()));
-            body.extend(rule.body.iter().cloned());
-            let recount = Rule {
-                head: rule.head.clone(),
-                body,
-            };
-            let compiled = CompiledRule::compile(&recount, Some(0), &self.engine)?;
-            self.engine.ensure_indexes(&compiled);
-            self.recounts.push(compiled);
+            let recount = compile_inverted(rule, rule.head.clone(), &mut self.engine)?;
+            self.recounts.push(recount);
         }
         Ok(())
     }
 }
 
+/// Compiles `rule` *inverted*: its body prefixed with a synthetic [`CAND`]
+/// atom carrying the head's terms, differentiated at that atom, deriving
+/// `head`. Seeded with tuples of the rule's head predicate, the pipeline
+/// emits one `head` row per (tuple, body instantiation over `engine`) pair —
+/// the rule's own head to recount a tuple's support, its whole body to
+/// recover the witnesses of a derivation. Probe indexes are built.
+pub(crate) fn compile_inverted(
+    rule: &Rule,
+    head: Atom,
+    engine: &mut EngineDb,
+) -> Result<CompiledRule, IvmError> {
+    let cand = Symbol::intern(CAND);
+    engine.declare(cand, rule.head.arity())?;
+    let mut body = Vec::with_capacity(rule.body.len() + 1);
+    body.push(Atom::new(cand, rule.head.terms.clone()));
+    body.extend(rule.body.iter().cloned());
+    let compiled = CompiledRule::compile(&Rule { head, body }, Some(0), engine)?;
+    engine.ensure_indexes(&compiled);
+    Ok(compiled)
+}
+
 /// Every rule of `lr`, the recursive one first.
-fn rules(lr: &LinearRecursion) -> impl Iterator<Item = &Rule> {
+pub(crate) fn rules(lr: &LinearRecursion) -> impl Iterator<Item = &Rule> {
     std::iter::once(&lr.recursive_rule).chain(&lr.exit_rules)
 }
 
-/// The state every saturation over `lr` starts from: the plain EDB of `edb`
-/// (any derived tuples it carries are dropped) with every body predicate
-/// declared, the engine store holding it indexed beside the empty derived
-/// relation, and the recursive rule's delta pipeline (differentiated at the
-/// recursive body position) with its probe indexes built.
+/// The state every saturation over `lr` starts from: `engine` with every
+/// body predicate declared and the derived relation emptied (any derived
+/// tuples it carries are dropped), and the recursive rule's delta pipeline
+/// (differentiated at the recursive body position) with its probe indexes
+/// built.
 pub(crate) fn fresh_store(
     lr: &LinearRecursion,
-    edb: &Database,
-) -> Result<(Database, EngineDb, CompiledRule), IvmError> {
+    mut engine: EngineDb,
+) -> Result<(EngineDb, CompiledRule), IvmError> {
     let p = lr.predicate;
-    let mut db = Database::new();
-    for (name, rel) in edb.iter().filter(|&(name, _)| name != p) {
-        db.insert_relation(name, rel.clone());
-    }
-    for rule in rules(lr) {
-        for atom in &rule.body {
-            if atom.predicate != p {
-                db.declare(atom.predicate, atom.arity())?;
-            }
+    for atom in rules(lr).flat_map(|rule| &rule.body) {
+        if atom.predicate != p {
+            engine.declare(atom.predicate, atom.arity())?;
         }
     }
-    let mut engine = EngineDb::new();
-    for (name, rel) in db.iter() {
-        engine.load(name, rel);
-    }
-    engine.declare(p, lr.dimension());
+    engine.load(p, &Relation::new(lr.dimension()));
     let p_pos = lr
         .recursive_rule
         .body
@@ -298,7 +298,7 @@ pub(crate) fn fresh_store(
         .ok_or(DatalogError::UnknownRelation(p))?;
     let rec_delta = CompiledRule::compile(&lr.recursive_rule, Some(p_pos), &engine)?;
     engine.ensure_indexes(&rec_delta);
-    Ok((db, engine, rec_delta))
+    Ok((engine, rec_delta))
 }
 
 /// The exit rules as seeding pipelines over `engine`, probe indexes built.

@@ -1,7 +1,7 @@
 //! Patch application: insertions and DRed deletions as mark → recount →
 //! propagate over the engine store, and the cold-saturation fallback.
 
-use crate::delta::{EdbDelta, IdbPatch};
+use crate::delta::{write, EdbDelta, IdbPatch};
 use crate::materialize::{add_count, stopped, Materialization, CAND};
 use crate::{IvmError, MaintenancePath};
 use recurs_datalog::govern::{EvalBudget, Governor, TruncationReason};
@@ -70,8 +70,8 @@ impl Materialization {
     ///
     /// Truncation — by the budget or by a tripped rank-bound cap — never
     /// yields a partial result: the materialization is rebuilt by cold
-    /// saturation of the fully-updated EDB under an unlimited budget, and
-    /// the report says so. On `Err` the materialization may be inconsistent
+    /// saturation of its own store, its EDB fully updated first, under an
+    /// unlimited budget, and the report says so. On `Err` the materialization may be inconsistent
     /// and must be discarded by the caller.
     pub fn apply(
         &mut self,
@@ -87,8 +87,6 @@ impl Materialization {
             ..PatchStats::default()
         };
         let governor = budget.start();
-        // The plain EDB is not read while patching; bring it up to date now.
-        delta.apply_to(&mut self.edb)?;
         let mut patch = IdbPatch::empty(self.lr.dimension());
         let mut truncation = None;
         for (changed, insert) in [(&delta.deleted, false), (&delta.inserted, true)] {
@@ -108,11 +106,15 @@ impl Materialization {
                 }
             }
             Some(reason) => {
-                // Abandon the patch: re-saturate the updated EDB from
-                // scratch under an unlimited budget.
-                let edb = std::mem::take(&mut self.edb);
+                // Abandon the patch: finish the EDB writes the phases had
+                // not reached (re-applying the others is a no-op), drop what
+                // was derived, and re-saturate from scratch under an
+                // unlimited budget.
+                let mut edb = std::mem::take(&mut self.engine);
+                delta.apply_to(&mut edb)?;
+                edb.load(self.lr.predicate, &Relation::new(self.lr.dimension()));
                 *self =
-                    Materialization::saturate(&self.lr, &edb, &EvalBudget::unlimited(), &self.obs)?;
+                    Materialization::saturate(&self.lr, edb, &EvalBudget::unlimited(), &self.obs)?;
                 PatchReport {
                     path: MaintenancePath::ColdFallback,
                     truncation: Some(reason),
@@ -166,7 +168,7 @@ impl Materialization {
     ) -> Result<Option<TruncationReason>, IvmError> {
         let p = self.lr.predicate;
         if insert {
-            self.write_indexed_edb(changed, true);
+            write(&mut self.engine, changed, true)?;
         }
 
         // --- Mark (one round per changed relation: the merge hands back no
@@ -213,7 +215,7 @@ impl Materialization {
                 return Ok(Some(reason));
             }
             stats.overdeleted = cands.set.len();
-            self.write_indexed_edb(changed, false);
+            write(&mut self.engine, changed, false)?;
             if let Some(stored) = self.engine.get_mut(p) {
                 for t in &cands.order {
                     stored.remove(t);
@@ -268,20 +270,6 @@ impl Materialization {
         }
         stats.rounds += run.iterations.len() as u64;
         Ok(stopped(&run))
-    }
-
-    /// Adds (`insert`) or drops the tuples of `rels` in the indexed EDB.
-    fn write_indexed_edb(&mut self, rels: &BTreeMap<Symbol, Relation>, insert: bool) {
-        for (&pred, rel) in rels {
-            let indexed = self.engine.declare(pred, rel.arity());
-            for t in rel.iter() {
-                if insert {
-                    indexed.insert(t.clone());
-                } else {
-                    indexed.remove(t);
-                }
-            }
-        }
     }
 
     fn emit_patch_event(&self, report: &PatchReport) {

@@ -11,12 +11,14 @@
 //!    exit-rule seeding). Ranks strictly decrease along any derivation, so
 //!    they are the well-founded measure that makes backward search loop-free
 //!    even on cyclic data.
-//! 2. **One-step rule inversion**: to explain a tuple of rank `r`, unify a
-//!    rule head with it, evaluate the instantiated body against the
-//!    saturated database, and pick a witness row whose recursive subgoal has
-//!    rank `< r` (rank 0 tuples invert an exit rule instead, making every
-//!    subgoal an EDB leaf). Only the recursive subgoal recurses — the rule
-//!    is linear — so tree size is `O(rank × body width)`.
+//! 2. **One-step rule inversion**: to explain a tuple of rank `r`, seed a
+//!    rule's *witness pipeline* — the rule compiled inverted, deriving every
+//!    one of its variables — with the tuple, which enumerates the rule's
+//!    ground instances with that head over the saturated store through the
+//!    engine's indexes, and pick a witness whose recursive subgoal has rank
+//!    `< r` (rank 0 tuples invert an exit rule instead, making every subgoal
+//!    an EDB leaf). Only the recursive subgoal recurses — the rule is
+//!    linear — so tree size is `O(rank × body width)`.
 //!
 //! The recursion is depth-bounded ([`WhyOutcome::DepthExceeded`]) and the
 //! whole reconstruction runs under an
@@ -26,18 +28,17 @@
 //! substitution — which is what the differential property suite and the
 //! serve layer's cross-check call.
 
-use crate::materialize::{compile_exits, fresh_store, stopped};
+use crate::materialize::{compile_exits, compile_inverted, fresh_store, rules, stopped};
 use crate::IvmError;
-use recurs_datalog::database::Database;
 use recurs_datalog::error::DatalogError;
-use recurs_datalog::eval::eval_body;
 use recurs_datalog::govern::{EvalBudget, Governor};
-use recurs_datalog::relation::{Relation, Tuple};
-use recurs_datalog::rule::LinearRecursion;
+use recurs_datalog::relation::Tuple;
+use recurs_datalog::rule::{LinearRecursion, Rule};
 use recurs_datalog::subst::Subst;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::{Atom, Term, Value};
-use recurs_engine::drive_rounds;
+use recurs_engine::compile::{CompiledRule, ProbeCounters};
+use recurs_engine::{drive_rounds, EngineDb};
 use recurs_obs::Obs;
 use std::collections::{BTreeMap, HashMap};
 
@@ -125,27 +126,16 @@ fn unify_ground(subst: &mut Subst, atom: &Atom, tuple: &[Value]) -> bool {
     true
 }
 
-/// Grounds `atom` under `subst`, which must bind all its variables.
-fn ground_tuple(subst: &Subst, atom: &Atom) -> Result<Tuple, DatalogError> {
-    atom.terms
-        .iter()
-        .map(|t| match subst.resolve(*t) {
-            Term::Const(c) => Ok(c),
-            Term::Var(v) => Err(DatalogError::UnboundVariable(v)),
-        })
-        .collect()
-}
-
-/// Rank-tracked saturation: the saturated database plus, for every derived
+/// Rank-tracked saturation: `edb` saturated in place plus, for every derived
 /// tuple, the driver round in which it first appeared (round 0 is the
 /// exit-rule seeding round). Any derived tuples `edb` carries are dropped
 /// first — ranks must match this run.
 fn saturate_with_ranks(
     lr: &LinearRecursion,
-    edb: &Database,
+    edb: EngineDb,
     governor: &Governor,
-) -> Result<(Database, HashMap<Tuple, u64>), IvmError> {
-    let (mut db, mut engine, rec_delta) = fresh_store(lr, edb)?;
+) -> Result<(EngineDb, HashMap<Tuple, u64>), IvmError> {
+    let (mut engine, rec_delta) = fresh_store(lr, edb)?;
     let exits = compile_exits(lr, &mut engine)?;
     let mut ranks: HashMap<Tuple, u64> = HashMap::new();
     let run = drive_rounds(
@@ -165,21 +155,102 @@ fn saturate_with_ranks(
     if let Some(reason) = stopped(&run) {
         return Err(IvmError::Truncated(reason));
     }
-    let derived = Relation::from_tuples(lr.dimension(), ranks.keys().cloned());
-    db.insert_relation(lr.predicate, derived);
-    Ok((db, ranks))
+    Ok((engine, ranks))
+}
+
+/// One rule's witness pipeline: [`compile_inverted`] deriving the rule's
+/// whole body — the terms of every body atom, concatenated — so each derived
+/// row is one ground instance of the rule, read off subgoal by subgoal.
+struct Inverted<'a> {
+    rule: &'a Rule,
+    pipeline: CompiledRule,
+}
+
+impl<'a> Inverted<'a> {
+    fn compile(rule: &'a Rule, engine: &mut EngineDb) -> Result<Inverted<'a>, IvmError> {
+        let body_terms = rule.body.iter().flat_map(|a| a.terms.iter().copied());
+        // Never stored: the pipeline is executed directly, not merged.
+        let head = Atom::new("__ivm_witness", body_terms.collect());
+        Ok(Inverted {
+            rule,
+            pipeline: compile_inverted(rule, head, engine)?,
+        })
+    }
+
+    /// Every ground instance of the rule whose head is `tuple`, in sorted
+    /// order (so the witness picked is the same on every run).
+    fn witnesses(
+        &self,
+        engine: &EngineDb,
+        tuple: &Tuple,
+        governor: &Governor,
+    ) -> Result<Vec<Tuple>, IvmError> {
+        let rows = match &self.pipeline.seed {
+            Some(seed) => seed.rows(std::iter::once(tuple)),
+            None => Vec::new(),
+        };
+        let mut out = Vec::new();
+        let stopped = self.pipeline.execute(
+            engine,
+            rows,
+            &mut ProbeCounters::default(),
+            Some(governor),
+            &mut out,
+        )?;
+        if let Some(reason) = stopped {
+            return Err(IvmError::Truncated(reason));
+        }
+        out.sort();
+        Ok(out)
+    }
+
+    /// Body atom `i` of the ground instance `witness`.
+    fn subgoal(&self, i: usize, witness: &[Value]) -> Tuple {
+        let start: usize = self.rule.body[..i].iter().map(Atom::arity).sum();
+        witness[start..start + self.rule.body[i].arity()].into()
+    }
+
+    /// The node for `tuple` derived by this rule (index `rule_index`) under
+    /// `witness`: every body atom an EDB leaf, except that `recursive` —
+    /// the recursive body position and its already-explained subtree —
+    /// takes that position's place.
+    fn node(
+        &self,
+        rule_index: usize,
+        tuple: &Tuple,
+        witness: &[Value],
+        mut recursive: Option<(usize, DerivationNode)>,
+    ) -> DerivationNode {
+        let children = (0..self.rule.body.len())
+            .map(|i| match recursive.take_if(|(pos, _)| *pos == i) {
+                Some((_, sub)) => sub,
+                None => DerivationNode {
+                    predicate: self.rule.body[i].predicate,
+                    tuple: self.subgoal(i, witness),
+                    rule: None,
+                    children: Vec::new(),
+                },
+            })
+            .collect();
+        DerivationNode {
+            predicate: self.rule.head.predicate,
+            tuple: tuple.clone(),
+            rule: Some(rule_index),
+            children,
+        }
+    }
 }
 
 /// Explains one fact of the recursive predicate over `edb`.
 ///
 /// Any derived-`P` tuples already present in `edb` are ignored — the
-/// saturation is re-run so ranks are consistent — which lets callers pass a
-/// snapshot database that carries a materialized copy. `max_depth` bounds
-/// the number of recursive inversion steps; the budget governs both the
-/// saturation and the backward walk.
+/// saturation runs in a private clone of the store (sharing every EDB
+/// relation it does not have to index) so ranks are consistent.
+/// `max_depth` bounds the number of recursive inversion steps; the budget
+/// governs both the saturation and the backward walk.
 pub fn explain_fact(
     lr: &LinearRecursion,
-    edb: &Database,
+    edb: &EngineDb,
     fact: &[Value],
     max_depth: u64,
     budget: &EvalBudget,
@@ -192,7 +263,7 @@ pub fn explain_fact(
         }));
     }
     let governor = budget.start();
-    let (db, ranks) = saturate_with_ranks(lr, edb, &governor)?;
+    let (mut engine, ranks) = saturate_with_ranks(lr, edb.clone(), &governor)?;
     let Some(&rank) = ranks.get(fact) else {
         return Ok(WhyOutcome::NotDerived);
     };
@@ -205,7 +276,19 @@ pub fn explain_fact(
         .iter()
         .position(|a| a.predicate == lr.predicate)
         .ok_or(DatalogError::UnknownRelation(lr.predicate))?;
-    let node = reconstruct(lr, &db, &ranks, fact, rank, p_pos, &governor)?;
+    // Rule-index convention: the recursive rule first, then the exit rules.
+    let inverted = rules(lr)
+        .map(|rule| Inverted::compile(rule, &mut engine))
+        .collect::<Result<Vec<_>, _>>()?;
+    let node = reconstruct(
+        &engine,
+        &inverted,
+        &ranks,
+        fact.into(),
+        rank,
+        p_pos,
+        &governor,
+    )?;
     Ok(WhyOutcome::Derived(node))
 }
 
@@ -213,10 +296,10 @@ pub fn explain_fact(
 /// on the recursive subgoal. Ranks strictly decrease, so this terminates
 /// in at most `rank` steps.
 fn reconstruct(
-    lr: &LinearRecursion,
-    db: &Database,
+    engine: &EngineDb,
+    inverted: &[Inverted<'_>],
     ranks: &HashMap<Tuple, u64>,
-    tuple: &[Value],
+    tuple: Tuple,
     rank: u64,
     p_pos: usize,
     governor: &Governor,
@@ -224,107 +307,45 @@ fn reconstruct(
     if let Some(reason) = governor.poll() {
         return Err(IvmError::Truncated(reason));
     }
+    // Unreachable below for a rank map produced by `saturate_with_ranks`
+    // over the same store; surfaced as a substrate error, not a panic.
+    let no_witness = || {
+        IvmError::Datalog(DatalogError::UnknownRelation(
+            inverted[0].rule.head.predicate,
+        ))
+    };
     if rank == 0 {
-        // Exit-seeded: find the exit rule (and witness row) that derives it.
-        for (i, rule) in lr.exit_rules.iter().enumerate() {
-            let mut subst = Subst::new();
-            if !unify_ground(&mut subst, &rule.head, tuple) {
-                continue;
+        // Exit-seeded: the first exit rule (and witness) that derives it.
+        for (i, exit) in inverted.iter().enumerate().skip(1) {
+            if let Some(witness) = exit.witnesses(engine, &tuple, governor)?.first() {
+                return Ok(exit.node(i, &tuple, witness, None));
             }
-            let body: Vec<Atom> = rule.body.iter().map(|a| subst.apply_atom(a)).collect();
-            let bindings = eval_body(db, &body, &HashMap::new())?;
-            let Some(row) = bindings.rel.iter_sorted().into_iter().next() else {
-                continue;
-            };
-            let mut witness = subst;
-            for (col, v) in bindings.vars.iter().zip(row.iter()) {
-                witness.bind(*col, Term::Const(*v));
-            }
-            let children = rule
-                .body
-                .iter()
-                .map(|atom| {
-                    Ok(DerivationNode {
-                        predicate: atom.predicate,
-                        tuple: ground_tuple(&witness, atom)?,
-                        rule: None,
-                        children: Vec::new(),
-                    })
-                })
-                .collect::<Result<Vec<_>, DatalogError>>()?;
-            return Ok(DerivationNode {
-                predicate: lr.predicate,
-                tuple: tuple.into(),
-                rule: Some(i + 1),
-                children,
-            });
         }
-        // Unreachable for a rank map produced by `saturate_with_ranks`
-        // over the same database; surface as a substrate error rather
-        // than panicking.
-        return Err(IvmError::Datalog(DatalogError::UnknownRelation(
-            lr.predicate,
-        )));
+        return Err(no_witness());
     }
 
-    let rule = &lr.recursive_rule;
-    let mut subst = Subst::new();
-    if !unify_ground(&mut subst, &rule.head, tuple) {
-        return Err(IvmError::Datalog(DatalogError::UnknownRelation(
-            lr.predicate,
-        )));
-    }
-    let body: Vec<Atom> = rule.body.iter().map(|a| subst.apply_atom(a)).collect();
-    let bindings = eval_body(db, &body, &HashMap::new())?;
+    let rec = &inverted[0];
     // Pick the witness whose recursive subgoal has minimal rank; the rank
     // definition guarantees one with rank < `rank` exists.
-    let mut best: Option<(u64, Subst, Tuple)> = None;
-    for row in bindings.rel.iter_sorted() {
-        let mut witness = subst.clone();
-        for (col, v) in bindings.vars.iter().zip(row.iter()) {
-            witness.bind(*col, Term::Const(*v));
-        }
-        let sub = ground_tuple(&witness, &rule.body[p_pos])?;
-        let Some(&sub_rank) = ranks.get(&sub) else {
+    let mut best: Option<(u64, Tuple, Tuple)> = None;
+    for witness in rec.witnesses(engine, &tuple, governor)? {
+        let sub = rec.subgoal(p_pos, &witness);
+        let Some(&sub_rank) = ranks.get(&sub).filter(|&&r| r < rank) else {
             continue;
         };
-        if sub_rank >= rank {
-            continue;
-        }
         if best.as_ref().is_none_or(|(r, _, _)| sub_rank < *r) {
             best = Some((sub_rank, witness, sub));
         }
         if sub_rank + 1 == rank {
             // Cannot do better: the tuple first appeared in round `rank`,
             // so some witness has a subgoal from round `rank - 1` — and
-            // rows are sorted, so the first such witness is deterministic.
+            // witnesses are sorted, so the first such one is deterministic.
             break;
         }
     }
-    let Some((sub_rank, witness, sub)) = best else {
-        return Err(IvmError::Datalog(DatalogError::UnknownRelation(
-            lr.predicate,
-        )));
-    };
-    let mut children = Vec::with_capacity(rule.body.len());
-    for (i, atom) in rule.body.iter().enumerate() {
-        if i == p_pos {
-            children.push(reconstruct(lr, db, ranks, &sub, sub_rank, p_pos, governor)?);
-        } else {
-            children.push(DerivationNode {
-                predicate: atom.predicate,
-                tuple: ground_tuple(&witness, atom)?,
-                rule: None,
-                children: Vec::new(),
-            });
-        }
-    }
-    Ok(DerivationNode {
-        predicate: lr.predicate,
-        tuple: tuple.into(),
-        rule: Some(0),
-        children,
-    })
+    let (sub_rank, witness, sub) = best.ok_or_else(no_witness)?;
+    let subtree = reconstruct(engine, inverted, ranks, sub, sub_rank, p_pos, governor)?;
+    Ok(rec.node(0, &tuple, &witness, Some((p_pos, subtree))))
 }
 
 /// Structurally verifies a derivation tree against the **EDB only**: every
@@ -334,7 +355,7 @@ fn reconstruct(
 /// matches child `i`'s tuple). Returns a description of the first defect.
 pub fn verify_tree(
     lr: &LinearRecursion,
-    edb: &Database,
+    edb: &EngineDb,
     node: &DerivationNode,
 ) -> Result<(), String> {
     match node.rule {
@@ -449,17 +470,17 @@ mod tests {
     use super::*;
     use recurs_datalog::govern::TruncationReason;
     use recurs_datalog::parser::parse_program;
-    use recurs_datalog::relation::tuple_u64;
+    use recurs_datalog::relation::{tuple_u64, Relation};
     use recurs_datalog::rule::LinearRecursion;
 
-    fn tc() -> (LinearRecursion, Database) {
+    fn tc() -> (LinearRecursion, EngineDb) {
         let program =
             parse_program("tc(x, y) :- edge(x, y).\ntc(x, y) :- edge(x, z), tc(z, y).").unwrap();
         let lr = LinearRecursion::from_program(&program).unwrap();
-        let mut db = Database::new();
-        db.insert_relation(
-            "edge",
-            Relation::from_pairs([(1, 2), (2, 3), (3, 4), (4, 2)]),
+        let mut db = EngineDb::new();
+        db.load(
+            Symbol::intern("edge"),
+            &Relation::from_pairs([(1, 2), (2, 3), (3, 4), (4, 2)]),
         );
         (lr, db)
     }

@@ -7,6 +7,9 @@
 //! fixpoint and `count(t)` the oracle's tally for every `t`.
 
 use proptest::prelude::*;
+mod common;
+
+use common::apply_plain;
 use recurs_datalog::database::Database;
 use recurs_datalog::eval::{eval_body, semi_naive};
 use recurs_datalog::govern::EvalBudget;
@@ -16,6 +19,7 @@ use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::Term;
 use recurs_datalog::validate::validate_with_generic_exit;
+use recurs_engine::EngineDb;
 use recurs_ivm::{EdbDelta, FactOp, MaintenancePath, Materialization};
 use recurs_obs::Obs;
 use std::collections::HashMap;
@@ -97,7 +101,15 @@ fn assert_exact(
         prop_assert_eq!(mat.count(t), *n, "count of {:?}", t);
     }
     prop_assert_eq!(mat.relation().len(), counts.len());
-    prop_assert_eq!(mat.database(), db, "database() is the plain EDB");
+    for (name, rel) in db.iter() {
+        let stored = mat.database().get(name).map(|r| r.to_relation());
+        prop_assert_eq!(
+            stored.as_ref(),
+            Some(rel),
+            "database() holds the EDB: {}",
+            name
+        );
+    }
     Ok(())
 }
 
@@ -114,10 +126,10 @@ fn run(
         Materialization::saturate(&lr, &db, &EvalBudget::unlimited(), &Obs::noop()).unwrap();
     assert_exact(&mat, &lr, &db)?;
     for step in steps {
-        let delta = EdbDelta::normalize(&fact_ops(step), &db).unwrap();
+        let delta = EdbDelta::normalize(&fact_ops(step), &EngineDb::from(&db)).unwrap();
         before_patch();
         mat.apply(&delta, budget).unwrap();
-        delta.apply_to(&mut db).unwrap();
+        apply_plain(&delta, &mut db);
         assert_exact(&mat, &lr, &db)?;
     }
     Ok(())
@@ -195,12 +207,12 @@ fn the_recount_round_is_the_one_a_delta_ceiling_trips() {
     let mut mat =
         Materialization::saturate(&lr, &db, &EvalBudget::unlimited(), &Obs::noop()).unwrap();
     let ops = [FactOp::Insert(Symbol::intern("A"), tuple_u64([0, 1]))];
-    let delta = EdbDelta::normalize(&ops, &db).unwrap();
+    let delta = EdbDelta::normalize(&ops, &EngineDb::from(&db)).unwrap();
     let budget = EvalBudget::unlimited().with_max_delta(5);
     let report = mat.apply(&delta, &budget).unwrap();
     assert_eq!(report.path, MaintenancePath::ColdFallback);
     assert_eq!(report.stats.rounds, 0, "no propagation round ran");
-    delta.apply_to(&mut db).unwrap();
+    apply_plain(&delta, &mut db);
     let (relation, counts) = oracle(&lr, &db);
     assert_eq!(mat.relation().to_relation(), relation);
     assert_eq!(mat.count(&tuple_u64([0, 30])), counts[&tuple_u64([0, 30])]);

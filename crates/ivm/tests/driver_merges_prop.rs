@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use recurs_datalog::eval::semi_naive;
 use recurs_datalog::govern::EvalBudget;
 use recurs_datalog::relation::{Relation, Tuple};
+use recurs_engine::EngineDb;
 use recurs_engine::{run_program, EngineConfig};
 use recurs_ivm::{explain_fact, Materialization, WhyOutcome};
 use recurs_obs::Obs;
@@ -51,8 +52,9 @@ proptest! {
         // Rank merge: `why` with no recursive steps allowed answers with the
         // rank of anything deeper than the seeding round.
         let mut ranked: BTreeMap<u64, Vec<Tuple>> = BTreeMap::new();
+        let store = EngineDb::from(&edb);
         for t in fixpoint.iter() {
-            let rank = match explain_fact(&lr, &edb, t, 0, &unlimited).expect("why succeeds") {
+            let rank = match explain_fact(&lr, &store, t, 0, &unlimited).expect("why succeeds") {
                 WhyOutcome::Derived(_) => 0,
                 WhyOutcome::DepthExceeded { rank, .. } => rank,
                 WhyOutcome::NotDerived => {

@@ -5,6 +5,9 @@
 
 #![cfg(feature = "fault-inject")]
 
+mod common;
+
+use common::apply_plain;
 use recurs_datalog::database::Database;
 use recurs_datalog::eval::semi_naive;
 use recurs_datalog::govern::{EvalBudget, TruncationReason};
@@ -14,6 +17,7 @@ use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_engine::fault::{quiesce, FaultPlan};
+use recurs_engine::EngineDb;
 use recurs_ivm::{EdbDelta, FactOp, MaintenancePath, Materialization};
 use recurs_obs::Obs;
 
@@ -55,13 +59,13 @@ fn tripped_insert_propagation_falls_back_cold_and_stays_exact() {
         Materialization::saturate(&lr, &db, &EvalBudget::unlimited(), &Obs::noop()).unwrap();
     let e = Symbol::intern("E");
     let ops = vec![FactOp::Insert(e, tuple_u64([48, 49]))];
-    let delta = EdbDelta::normalize(&ops, &db).unwrap();
+    let delta = EdbDelta::normalize(&ops, &EngineDb::from(&db)).unwrap();
     gate.rearm(round_trip(3));
     let report = mat.apply(&delta, &EvalBudget::unlimited()).unwrap();
     assert_eq!(report.path, MaintenancePath::ColdFallback);
     assert!(report.truncation.is_some());
     assert!(report.idb.is_none());
-    delta.apply_to(&mut db).unwrap();
+    apply_plain(&delta, &mut db);
     assert_eq!(mat.relation().to_relation(), oracle(&lr, &db));
 }
 
@@ -75,12 +79,12 @@ fn tripped_overdeletion_falls_back_cold_and_stays_exact() {
     let a = Symbol::intern("A");
     // Deleting an interior edge drives a multi-round overdeletion closure.
     let ops = vec![FactOp::Delete(a, tuple_u64([2, 3]))];
-    let delta = EdbDelta::normalize(&ops, &db).unwrap();
+    let delta = EdbDelta::normalize(&ops, &EngineDb::from(&db)).unwrap();
     gate.rearm(round_trip(1));
     let report = mat.apply(&delta, &EvalBudget::unlimited()).unwrap();
     assert_eq!(report.path, MaintenancePath::ColdFallback);
     assert!(report.truncation.is_some());
-    delta.apply_to(&mut db).unwrap();
+    apply_plain(&delta, &mut db);
     assert_eq!(mat.relation().to_relation(), oracle(&lr, &db));
 }
 
@@ -108,7 +112,7 @@ fn delete_s_to_t(db: &Database) -> EdbDelta {
         FactOp::Delete(Symbol::intern("A"), tuple_u64([100, 101])),
         FactOp::Delete(Symbol::intern("E"), tuple_u64([100, 101])),
     ];
-    EdbDelta::normalize(&ops, db).unwrap()
+    EdbDelta::normalize(&ops, &EngineDb::from(db)).unwrap()
 }
 
 #[test]
@@ -133,7 +137,7 @@ fn tripped_rederive_wave_falls_back_cold_and_stays_exact() {
     let report = mat.apply(&delta, &EvalBudget::unlimited()).unwrap();
     assert_eq!(report.path, MaintenancePath::ColdFallback);
     assert!(report.truncation.is_some());
-    delta.apply_to(&mut db).unwrap();
+    apply_plain(&delta, &mut db);
     assert_eq!(mat.relation().to_relation(), oracle(&lr, &db));
     assert_eq!(mat.relation().to_relation(), twin.relation().to_relation());
 }
@@ -152,7 +156,7 @@ fn budget_ceilings_reach_the_rederive_waves() {
     let report = mat.apply(&delta, &budget).unwrap();
     assert_eq!(report.path, MaintenancePath::ColdFallback);
     assert_eq!(report.truncation, Some(TruncationReason::IterationCap));
-    delta.apply_to(&mut db).unwrap();
+    apply_plain(&delta, &mut db);
     assert_eq!(mat.relation().to_relation(), oracle(&lr, &db));
 }
 
@@ -165,10 +169,10 @@ fn disarmed_hook_leaves_patches_alone() {
         Materialization::saturate(&lr, &db, &EvalBudget::unlimited(), &Obs::noop()).unwrap();
     let e = Symbol::intern("E");
     let ops = vec![FactOp::Insert(e, tuple_u64([16, 17]))];
-    let delta = EdbDelta::normalize(&ops, &db).unwrap();
+    let delta = EdbDelta::normalize(&ops, &EngineDb::from(&db)).unwrap();
     let report = mat.apply(&delta, &EvalBudget::unlimited()).unwrap();
     assert_ne!(report.path, MaintenancePath::ColdFallback);
     assert!(report.truncation.is_none());
-    delta.apply_to(&mut db).unwrap();
+    apply_plain(&delta, &mut db);
     assert_eq!(mat.relation().to_relation(), oracle(&lr, &db));
 }

@@ -2,6 +2,9 @@
 //! examples: exact counts, insertion/deletion parity with from-scratch
 //! evaluation, self-support cycles, and the `ivm.patch` event taxonomy.
 
+mod common;
+
+use common::{apply_plain, plain};
 use recurs_datalog::database::Database;
 use recurs_datalog::eval::{eval_body, semi_naive};
 use recurs_datalog::govern::EvalBudget;
@@ -11,6 +14,7 @@ use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::Term;
 use recurs_datalog::validate::validate_with_generic_exit;
+use recurs_engine::EngineDb;
 use recurs_ivm::{EdbDelta, FactOp, MaintenancePath, Materialization};
 use recurs_obs::{CaptureRecorder, Obs};
 use std::collections::HashMap;
@@ -72,8 +76,7 @@ fn oracle_counts(lr: &LinearRecursion, saturated: &Database) -> HashMap<Tuple, u
 }
 
 fn assert_counts_exact(mat: &Materialization, lr: &LinearRecursion) {
-    let mut saturated = mat.database().clone();
-    saturated.insert_relation(lr.predicate, mat.relation().to_relation());
+    let saturated = plain(mat.database());
     let oracle = oracle_counts(lr, &saturated);
     for t in mat.relation().iter() {
         assert_eq!(
@@ -118,10 +121,10 @@ fn insert_patch_matches_from_scratch() {
         FactOp::Insert(e, tuple_u64([5, 6])),
         FactOp::Insert(a, tuple_u64([5, 6])),
     ];
-    let delta = EdbDelta::normalize(&ops, &db).unwrap();
+    let delta = EdbDelta::normalize(&ops, &EngineDb::from(&db)).unwrap();
     let report = mat.apply(&delta, &EvalBudget::unlimited()).unwrap();
     assert!(report.truncation.is_none());
-    delta.apply_to(&mut db).unwrap();
+    apply_plain(&delta, &mut db);
     assert_eq!(mat.relation().to_relation(), oracle_relation(&lr, &db));
     assert_counts_exact(&mat, &lr);
     let patch = report.idb.unwrap();
@@ -137,10 +140,10 @@ fn delete_patch_matches_from_scratch() {
         Materialization::saturate(&lr, &db, &EvalBudget::unlimited(), &Obs::noop()).unwrap();
     let e = Symbol::intern("E");
     let ops = vec![FactOp::Delete(e, tuple_u64([5, 6]))];
-    let delta = EdbDelta::normalize(&ops, &db).unwrap();
+    let delta = EdbDelta::normalize(&ops, &EngineDb::from(&db)).unwrap();
     let report = mat.apply(&delta, &EvalBudget::unlimited()).unwrap();
     assert!(report.truncation.is_none());
-    delta.apply_to(&mut db).unwrap();
+    apply_plain(&delta, &mut db);
     assert_eq!(mat.relation().to_relation(), oracle_relation(&lr, &db));
     assert_counts_exact(&mat, &lr);
     let patch = report.idb.unwrap();
@@ -164,9 +167,9 @@ fn interior_delete_rederives_surviving_tuples() {
         Materialization::saturate(&lr, &db, &EvalBudget::unlimited(), &Obs::noop()).unwrap();
     let a = Symbol::intern("A");
     let ops = vec![FactOp::Delete(a, tuple_u64([2, 3]))];
-    let delta = EdbDelta::normalize(&ops, &db).unwrap();
+    let delta = EdbDelta::normalize(&ops, &EngineDb::from(&db)).unwrap();
     let report = mat.apply(&delta, &EvalBudget::unlimited()).unwrap();
-    delta.apply_to(&mut db).unwrap();
+    apply_plain(&delta, &mut db);
     assert_eq!(mat.relation().to_relation(), oracle_relation(&lr, &db));
     assert_counts_exact(&mat, &lr);
     assert!(mat.relation().contains(&tuple_u64([2, 4])));
@@ -194,10 +197,10 @@ fn pure_self_support_dies_with_its_ground_support() {
     assert_eq!(mat.count(&tuple_u64([7, 8])), 1);
     let e = Symbol::intern("E");
     let ops = vec![FactOp::Delete(e, tuple_u64([1, 2]))];
-    let delta = EdbDelta::normalize(&ops, &db).unwrap();
+    let delta = EdbDelta::normalize(&ops, &EngineDb::from(&db)).unwrap();
     let report = mat.apply(&delta, &EvalBudget::unlimited()).unwrap();
     assert!(report.truncation.is_none(), "bounded path must not trip");
-    delta.apply_to(&mut db).unwrap();
+    apply_plain(&delta, &mut db);
     assert!(!mat.relation().contains(&tuple_u64([1, 2])));
     assert!(mat.relation().contains(&tuple_u64([7, 8])));
     assert_eq!(mat.relation().to_relation(), oracle_relation(&lr, &db));
@@ -216,7 +219,7 @@ fn duplicate_inserts_and_absent_deletes_are_noop_patches() {
         FactOp::Insert(a, tuple_u64([1, 2])), // already present
         FactOp::Delete(a, tuple_u64([9, 9])), // absent
     ];
-    let delta = EdbDelta::normalize(&ops, &db).unwrap();
+    let delta = EdbDelta::normalize(&ops, &EngineDb::from(&db)).unwrap();
     assert!(delta.is_empty());
     let report = mat.apply(&delta, &EvalBudget::unlimited()).unwrap();
     assert!(report.idb.unwrap().is_empty());
@@ -249,7 +252,7 @@ fn truncated_patch_falls_back_to_cold_saturation() {
     // A tight iteration cap trips the insertion propagation loop (the
     // chain tip needs ~63 rounds to close).
     let ops = vec![FactOp::Insert(e, tuple_u64([64, 65]))];
-    let delta = EdbDelta::normalize(&ops, &db).unwrap();
+    let delta = EdbDelta::normalize(&ops, &EngineDb::from(&db)).unwrap();
     let budget = EvalBudget::unlimited().with_max_iterations(2);
     let report = mat.apply(&delta, &budget).unwrap();
     assert_eq!(report.path, MaintenancePath::ColdFallback);
@@ -258,7 +261,7 @@ fn truncated_patch_falls_back_to_cold_saturation() {
         report.idb.is_none(),
         "fallback reports an unknown IDB delta"
     );
-    delta.apply_to(&mut db).unwrap();
+    apply_plain(&delta, &mut db);
     assert_eq!(mat.relation().to_relation(), oracle_relation(&lr, &db));
     assert_counts_exact(&mat, &lr);
 }
@@ -280,7 +283,7 @@ fn patch_events_pin_the_taxonomy() {
         FactOp::Insert(e, tuple_u64([5, 6])),
         FactOp::Delete(e, tuple_u64([1, 2])),
     ];
-    let delta = EdbDelta::normalize(&ops, &db).unwrap();
+    let delta = EdbDelta::normalize(&ops, &EngineDb::from(&db)).unwrap();
     mat.apply(&delta, &EvalBudget::unlimited()).unwrap();
     let events = capture.events_of("ivm.patch");
     assert_eq!(events.len(), 1);

@@ -6,6 +6,9 @@
 //! absent deletes (the no-op paths) occur constantly.
 
 use proptest::prelude::*;
+mod common;
+
+use common::apply_plain;
 use recurs_datalog::database::Database;
 use recurs_datalog::eval::semi_naive;
 use recurs_datalog::govern::EvalBudget;
@@ -15,6 +18,7 @@ use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::Value;
+use recurs_engine::EngineDb;
 use recurs_ivm::{EdbDelta, FactOp, Materialization};
 use recurs_obs::Obs;
 
@@ -101,13 +105,13 @@ fn run_differential(
 
     for step in steps {
         let ops: Vec<FactOp> = step.iter().map(|op| fact_of(op, rels)).collect();
-        let delta = EdbDelta::normalize(&ops, &db).unwrap();
+        let delta = EdbDelta::normalize(&ops, &EngineDb::from(&db)).unwrap();
         let report = mat.apply(&delta, &budget).unwrap();
         if delta.is_empty() {
             // No-op groups must not move the materialization at all.
             prop_assert!(report.idb.as_ref().is_some_and(|p| p.is_empty()));
         }
-        delta.apply_to(&mut db).unwrap();
+        apply_plain(&delta, &mut db);
         prop_assert_eq!(
             mat.relation().to_relation(),
             oracle_relation(&lr, &db),
@@ -215,7 +219,7 @@ proptest! {
         let mut mat = Materialization::saturate(&lr, &db, &budget, &Obs::noop()).unwrap();
         for step in &steps {
             let ops: Vec<FactOp> = step.iter().map(|op| fact_of(op, &rels)).collect();
-            let delta = EdbDelta::normalize(&ops, &db).unwrap();
+            let delta = EdbDelta::normalize(&ops, &EngineDb::from(&db)).unwrap();
             // Arm a one-shot fault before every patch; whether it fires
             // (cold fallback) or not (stream too short), parity must hold.
             gate.rearm(recurs_engine::fault::FaultPlan {
@@ -224,7 +228,7 @@ proptest! {
             });
             mat.apply(&delta, &budget).unwrap();
             gate.rearm(Default::default());
-            delta.apply_to(&mut db).unwrap();
+            apply_plain(&delta, &mut db);
             prop_assert_eq!(mat.relation().to_relation(), oracle_relation(&lr, &db));
         }
     }

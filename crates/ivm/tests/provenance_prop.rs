@@ -14,7 +14,8 @@ use recurs_datalog::relation::{Relation, Tuple};
 use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::Value;
-use recurs_ivm::{explain_fact, verify_tree, WhyOutcome, DEFAULT_WHY_DEPTH};
+use recurs_engine::EngineDb;
+use recurs_ivm::{explain_fact, render_tree, verify_tree, WhyOutcome, DEFAULT_WHY_DEPTH};
 
 /// One EDB insertion drawn by proptest (provenance is read-only, so the
 /// stream has no deletes — coverage comes from database shape).
@@ -85,9 +86,10 @@ fn run_provenance_differential(
     }
     let budget = EvalBudget::unlimited();
     let oracle = oracle_relation(&lr, &db);
+    let store = EngineDb::from(&db);
 
     for fact in full_domain(lr.dimension()) {
-        let outcome = explain_fact(&lr, &db, &fact, DEFAULT_WHY_DEPTH, &budget).unwrap();
+        let outcome = explain_fact(&lr, &store, &fact, DEFAULT_WHY_DEPTH, &budget).unwrap();
         if oracle.contains(&fact) {
             let WhyOutcome::Derived(tree) = outcome else {
                 return Err(TestCaseError::fail(format!(
@@ -95,11 +97,34 @@ fn run_provenance_differential(
                 )));
             };
             prop_assert_eq!(&tree.tuple, &fact);
-            if let Err(defect) = verify_tree(&lr, &db, &tree) {
+            if let Err(defect) = verify_tree(&lr, &store, &tree) {
                 return Err(TestCaseError::fail(format!(
                     "tree for {fact:?} failed verification: {defect}"
                 )));
             }
+            // The witness choice is deterministic: asking again over the
+            // same facts (here a store whose relations were inserted in a
+            // different order) rebuilds the same tree.
+            let mut reloaded = db.clone();
+            for (name, rel) in db.iter() {
+                reloaded.insert_relation(
+                    name,
+                    Relation::from_tuples(rel.arity(), rel.iter_sorted().into_iter().cloned()),
+                );
+            }
+            let again = explain_fact(
+                &lr,
+                &EngineDb::from(&reloaded),
+                &fact,
+                DEFAULT_WHY_DEPTH,
+                &budget,
+            );
+            let Ok(WhyOutcome::Derived(again)) = again else {
+                return Err(TestCaseError::fail(format!(
+                    "second explain of {fact:?} failed"
+                )));
+            };
+            prop_assert_eq!(render_tree(&tree), render_tree(&again));
         } else {
             prop_assert!(
                 matches!(outcome, WhyOutcome::NotDerived),

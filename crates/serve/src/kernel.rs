@@ -6,24 +6,27 @@
 //!
 //! | Condition                                        | Kernel                     |
 //! |--------------------------------------------------|----------------------------|
-//! | proven rank bound (A2/A4, bounded B, acyclic D)  | [`PointKernelKind::BoundedUnroll`] — evaluate the `rank + 1` non-recursive levels with the query constants pushed in; **no fixpoint loop ever runs** |
+//! | proven rank bound (A2/A4, bounded B, acyclic D)  | [`PointKernelKind::BoundedUnroll`] — evaluate the `rank + 1` non-recursive levels with the query constants pushed in, as one seeding round; **no fixpoint loop ever runs** |
 //! | one-directional (A1/A3/A5) and ≥ 1 bound argument | [`PointKernelKind::MagicIterate`] — iterate the magic-transformed program from `recurs_core::magic` seeded with the query constants, under the query budget |
 //! | class C/E/F, or an all-free query                | [`PointKernelKind::FullSaturation`] — governed full saturation with the engine kernel selected from the classification |
 //!
-//! Every kernel returns the existing `Complete | Truncated` contract: a
-//! truncated answer is always a sound under-approximation of the true
-//! answer set.
+//! All three are one helper ([`evaluate`]) given a different program: it
+//! clones the snapshot's store — sharing every base relation, copying none —
+//! adds the run's private seed / magic / answer relations, saturates, and
+//! selects the answer. Every kernel returns the existing
+//! `Complete | Truncated` contract: a truncated answer is always a sound
+//! under-approximation of the true answer set.
 
 use crate::error::ServeError;
+use crate::snapshot::{Snapshot, SnapshotStore};
 use recurs_core::{bounded, magic, Classification};
 use recurs_datalog::adornment::QueryForm;
-use recurs_datalog::database::Database;
 use recurs_datalog::govern::{EvalBudget, Outcome};
 use recurs_datalog::relation::{Relation, Tuple};
-use recurs_datalog::rule::{LinearRecursion, Program};
+use recurs_datalog::rule::{LinearRecursion, Program, Rule};
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::{Atom, Term};
-use recurs_engine::{EngineConfig, EngineDb, EngineError, KernelKind};
+use recurs_engine::{CompiledProgram, EngineConfig, EngineDb, EngineError, KernelKind};
 use recurs_obs::Obs;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -146,12 +149,13 @@ impl PointPlans {
         PointKernelKind::FullSaturation
     }
 
-    /// Answers `query` against `db` under `budget` with the selected kernel.
-    /// `db` is only read: kernels that saturate do so in a private engine
-    /// store holding the relations their program mentions.
+    /// Answers `query` against `snapshot` (a version `snapshots` published)
+    /// under `budget` with the selected kernel. The snapshot is only read:
+    /// every kernel saturates a private clone of its store.
     pub fn answer(
         &self,
-        db: &Database,
+        snapshots: &SnapshotStore,
+        snapshot: &Snapshot,
         query: &Atom,
         budget: &EvalBudget,
         obs: &Obs,
@@ -172,76 +176,55 @@ impl PointPlans {
                 },
             ));
         }
-        let config = EngineConfig {
-            budget: budget.clone(),
-            obs: obs.clone(),
+        let run = Run {
+            snapshots,
+            snapshot,
+            config: EngineConfig {
+                budget: budget.clone(),
+                obs: obs.clone(),
+            },
         };
-        match self.select(query) {
-            PointKernelKind::BoundedUnroll { rank } => self.answer_bounded(db, query, budget, rank),
+        let kind = self.select(query);
+        match (kind, &self.bounded) {
+            // The levels with the query constants pushed in, deriving a
+            // private answer relation over the query's distinct variables:
+            // a non-recursive program, so the rank-0 cap ends the run after
+            // the seeding round — no fixpoint loop, whatever the budget.
+            (PointKernelKind::BoundedUnroll { .. }, Some(plan)) => {
+                let answers = Symbol::intern("__serve_answer");
+                let levels = plan.levels.rules.iter().filter_map(|level| {
+                    let level = bounded::specialize(level, query)?;
+                    Some(Rule::new(Atom::new(answers, level.head.terms), level.body))
+                });
+                let vars = query.distinct_variables();
+                let answer = Atom::new(answers, vars.into_iter().map(Term::Var).collect());
+                let unroll = KernelKind::BoundedUnroll { rank: 0 };
+                let point =
+                    run.evaluate(&Program::new(levels.collect()), unroll, None, &answer, kind)?;
+                Ok(PointAnswer {
+                    fixpoint_iterations: 0,
+                    ..point
+                })
+            }
             // Seed the magic predicate with the query constants and run the
             // rewritten program; the answer is the adorned predicate's.
-            PointKernelKind::MagicIterate => {
+            (PointKernelKind::MagicIterate, _) => {
                 let plan = self.magic_plan(&QueryForm::of_atom(query));
                 let constants: Tuple = query.terms.iter().filter_map(Term::as_const).collect();
                 let seed = plan.seed_predicate.map(|pred| (pred, constants));
                 let answer = Atom::new(plan.answer_predicate, query.terms.clone());
-                let kind = PointKernelKind::MagicIterate;
-                evaluate(
-                    db,
-                    &plan.program,
-                    KernelKind::Generic,
-                    seed,
-                    &answer,
-                    &config,
-                    kind,
-                )
+                run.evaluate(&plan.program, KernelKind::Generic, seed, &answer, kind)
             }
             // Saturate the recursion itself with the engine kernel the
             // classification selects. (The materialized-view kernel lives in
             // the service — it needs the maintained view; `select` never
             // returns it, and without a view saturation is the answer.)
-            PointKernelKind::FullSaturation | PointKernelKind::MaterializedView => {
+            _ => {
                 let kernel = recurs_engine::select_kernel(&self.classification);
                 let kind = PointKernelKind::FullSaturation;
-                evaluate(db, &self.full_program, kernel, None, query, &config, kind)
+                run.evaluate(&self.full_program, kernel, None, query, kind)
             }
         }
-    }
-
-    /// Bounded kernel: evaluate each non-recursive level with the query
-    /// constants pushed in, polling the governor between levels. Never runs
-    /// a fixpoint loop, so `fixpoint_iterations` is 0 ≤ rank by construction.
-    fn answer_bounded(
-        &self,
-        db: &Database,
-        query: &Atom,
-        budget: &EvalBudget,
-        rank: u64,
-    ) -> Result<PointAnswer, ServeError> {
-        let plan = self.bounded.as_ref().ok_or(ServeError::Engine(
-            recurs_engine::EngineError::Internal("bounded kernel selected without a bounded plan"),
-        ))?;
-        let governor = budget.start();
-        let mut answers = Relation::new(distinct_var_count(query));
-        let mut outcome = Outcome::Complete;
-        let mut tuples = 0usize;
-        for rule in &plan.levels.rules {
-            if let Some(reason) = governor.poll() {
-                // Sound under-approximation: the levels evaluated so far.
-                outcome = Outcome::Truncated(reason);
-                break;
-            }
-            let level = bounded::eval_specialized(db, rule, query)?;
-            tuples += level.len();
-            answers.union_in_place(&level);
-        }
-        Ok(PointAnswer {
-            answers,
-            outcome,
-            kernel: PointKernelKind::BoundedUnroll { rank },
-            fixpoint_iterations: 0,
-            tuples_derived: tuples,
-        })
     }
 
     fn magic_plan(&self, form: &QueryForm) -> Arc<magic::MagicPlan> {
@@ -253,62 +236,81 @@ impl PointPlans {
     }
 }
 
-/// The saturating kernels: loads the relations `program` mentions from the
-/// snapshot into a private engine store (one the snapshot lacks holds no
-/// tuples), plants `seed`, saturates, and selects `answer` from the store —
-/// a possibly under-approximated fixpoint the snapshot never sees.
-fn evaluate(
-    db: &Database,
-    program: &Program,
-    engine_kernel: KernelKind,
-    seed: Option<(Symbol, Tuple)>,
-    answer: &Atom,
-    config: &EngineConfig,
-    kernel: PointKernelKind,
-) -> Result<PointAnswer, ServeError> {
-    let mut store = EngineDb::new();
-    for rule in &program.rules {
-        for atom in std::iter::once(&rule.head).chain(rule.body.iter()) {
-            if store.get(atom.predicate).is_some() {
-                continue;
-            }
-            match db.get(atom.predicate) {
-                Some(rel) => store.load(atom.predicate, rel),
-                None => _ = store.declare(atom.predicate, atom.arity()),
-            }
-        }
-    }
-    if let Some((pred, constants)) = seed {
-        store.declare(pred, constants.len()).insert(constants);
-    }
-    let sat = recurs_engine::saturate(&mut store, program, engine_kernel, config)?;
-    let stored = store.get(answer.predicate).ok_or(EngineError::Internal(
-        "the saturated program never declared its answer predicate",
-    ))?;
-    Ok(PointAnswer {
-        answers: recurs_engine::select(stored, answer),
-        outcome: sat.outcome,
-        kernel,
-        fixpoint_iterations: sat.stats.iteration_count(),
-        tuples_derived: sat.stats.tuples_derived,
-    })
+/// What every kernel of one request runs against: the snapshot it answers
+/// at, the chain that published it, and the request's budget and recorder.
+struct Run<'a> {
+    snapshots: &'a SnapshotStore,
+    snapshot: &'a Snapshot,
+    config: EngineConfig,
 }
 
-/// Number of distinct variables in a query atom — the arity of its answer
-/// relation.
-pub(crate) fn distinct_var_count(query: &Atom) -> usize {
-    let mut seen = Vec::new();
-    for v in query.variables() {
-        if !seen.contains(&v) {
-            seen.push(v);
+impl Run<'_> {
+    /// The one kernel body: clones the snapshot's store (every base relation
+    /// shared), adds what the run owns — the relations `program` and `answer`
+    /// mention that the snapshot lacks, and `seed` — saturates, and selects
+    /// `answer` from the store: a possibly under-approximated fixpoint the
+    /// snapshot never sees.
+    ///
+    /// Indexes the pipelines probe on the snapshot's relations are the
+    /// snapshot's to hold: any it lacks are built once by
+    /// [`SnapshotStore::with_indexes`] and the run restarts from the
+    /// republished store, so no miss after the first of its query form
+    /// builds an index on a base relation. (Only if an update is installed
+    /// in that very window does the query stay on its own version and index
+    /// its private clone.)
+    fn evaluate(
+        &self,
+        program: &Program,
+        engine_kernel: KernelKind,
+        seed: Option<(Symbol, Tuple)>,
+        answer: &Atom,
+        kernel: PointKernelKind,
+    ) -> Result<PointAnswer, ServeError> {
+        let private = |base: &EngineDb| -> Result<EngineDb, ServeError> {
+            let mut store = base.clone();
+            let rules = program.rules.iter();
+            let atoms = rules.flat_map(|r| std::iter::once(&r.head).chain(&r.body));
+            for atom in atoms.chain([answer]) {
+                store.declare(atom.predicate, atom.arity())?;
+            }
+            if let Some((pred, constants)) = &seed {
+                store.declare(*pred, constants.len())?;
+                if let Some(seeds) = store.get_mut(*pred) {
+                    seeds.insert(constants.clone());
+                }
+            }
+            Ok(store)
+        };
+        let mut store = private(self.snapshot.store())?;
+        let compiled = CompiledProgram::compile(program, &store)?;
+        let missing = self
+            .snapshot
+            .store()
+            .missing_indexes(compiled.required_indexes());
+        if !missing.is_empty() {
+            let indexed = self.snapshots.with_indexes(&missing);
+            if indexed.version() == self.snapshot.version() {
+                store = private(indexed.store())?;
+            }
         }
+        let sat = recurs_engine::saturate(&mut store, &compiled, engine_kernel, &self.config)?;
+        let stored = store.get(answer.predicate).ok_or(EngineError::Internal(
+            "the saturated program never declared its answer predicate",
+        ))?;
+        Ok(PointAnswer {
+            answers: recurs_engine::select(stored, answer),
+            outcome: sat.outcome,
+            kernel,
+            fixpoint_iterations: sat.stats.iteration_count(),
+            tuples_derived: sat.stats.tuples_derived,
+        })
     }
-    seen.len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recurs_datalog::database::Database;
     use recurs_datalog::parser::{parse_atom, parse_program};
     use recurs_datalog::validate::validate_with_generic_exit;
 
@@ -331,6 +333,17 @@ mod tests {
         recurs_core::oracle::ground_truth(f, db, query).unwrap().0
     }
 
+    /// `plans.answer` over `db` published as version 0.
+    fn answer(
+        plans: &PointPlans,
+        db: &Database,
+        query: &Atom,
+        budget: &EvalBudget,
+    ) -> Result<PointAnswer, ServeError> {
+        let snapshots = SnapshotStore::new(db.into());
+        plans.answer(&snapshots, &snapshots.load(), query, budget, &Obs::noop())
+    }
+
     #[test]
     fn tc_bound_query_uses_magic_and_matches_oracle() {
         let f = tc();
@@ -338,9 +351,7 @@ mod tests {
         let db = tc_db(12);
         let q = parse_atom("P(3, y)").unwrap();
         assert_eq!(plans.select(&q), PointKernelKind::MagicIterate);
-        let got = plans
-            .answer(&db, &q, &EvalBudget::unlimited(), &Obs::noop())
-            .unwrap();
+        let got = answer(&plans, &db, &q, &EvalBudget::unlimited()).unwrap();
         assert!(got.outcome.is_complete());
         assert_eq!(got.answers, oracle(&f, &db, &q));
     }
@@ -352,9 +363,7 @@ mod tests {
         let db = tc_db(8);
         let q = parse_atom("P(x, y)").unwrap();
         assert_eq!(plans.select(&q), PointKernelKind::FullSaturation);
-        let got = plans
-            .answer(&db, &q, &EvalBudget::unlimited(), &Obs::noop())
-            .unwrap();
+        let got = answer(&plans, &db, &q, &EvalBudget::unlimited()).unwrap();
         assert!(got.outcome.is_complete());
         assert_eq!(got.answers, oracle(&f, &db, &q));
     }
@@ -378,9 +387,7 @@ mod tests {
         let q = parse_atom("P(2, y, z)").unwrap();
         let kernel = plans.select(&q);
         assert_eq!(kernel, PointKernelKind::BoundedUnroll { rank: 2 });
-        let got = plans
-            .answer(&db, &q, &EvalBudget::unlimited(), &Obs::noop())
-            .unwrap();
+        let got = answer(&plans, &db, &q, &EvalBudget::unlimited()).unwrap();
         assert!(got.outcome.is_complete());
         assert_eq!(got.fixpoint_iterations, 0);
         assert_eq!(got.answers, oracle(&f, &db, &q));
@@ -391,9 +398,7 @@ mod tests {
         let plans = PointPlans::new(tc());
         let db = tc_db(4);
         let q = parse_atom("Q(1, y)").unwrap();
-        let err = plans
-            .answer(&db, &q, &EvalBudget::unlimited(), &Obs::noop())
-            .unwrap_err();
+        let err = answer(&plans, &db, &q, &EvalBudget::unlimited()).unwrap_err();
         assert!(matches!(err, ServeError::WrongPredicate { .. }));
     }
 
@@ -402,9 +407,7 @@ mod tests {
         let plans = PointPlans::new(tc());
         let db = tc_db(4);
         let q = parse_atom("P(1, y, z)").unwrap();
-        let err = plans
-            .answer(&db, &q, &EvalBudget::unlimited(), &Obs::noop())
-            .unwrap_err();
+        let err = answer(&plans, &db, &q, &EvalBudget::unlimited()).unwrap_err();
         assert!(matches!(
             err,
             ServeError::Datalog(recurs_datalog::error::DatalogError::ArityMismatch { .. })
@@ -420,7 +423,7 @@ mod tests {
         token.cancel();
         let budget = EvalBudget::unlimited().with_cancel(token);
         let q = parse_atom("P(1, y)").unwrap();
-        let got = plans.answer(&db, &q, &budget, &Obs::noop()).unwrap();
+        let got = answer(&plans, &db, &q, &budget).unwrap();
         assert!(!got.outcome.is_complete());
         // Sound under-approximation: a subset of the true answers.
         let want = oracle(&f, &db, &q);

@@ -14,6 +14,7 @@ use recurs_datalog::govern::{EvalBudget, Outcome};
 use recurs_datalog::relation::Relation;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::Atom;
+use recurs_engine::EngineDb;
 use recurs_igraph::component::ComponentKind;
 use recurs_ivm::{
     explain_fact, verify_tree, DerivationNode, EdbDelta, FactOp, IdbPatch, Materialization,
@@ -133,7 +134,9 @@ pub struct QueryService {
 
 impl QueryService {
     /// Builds a service for `lr` over an initial database (version 0).
-    /// Classification and the bounded plan are computed once, here.
+    /// Classification and the bounded plan are computed once, here, and the
+    /// plain facts are converted once into the indexed store every version
+    /// shares; `db` itself is dropped.
     pub fn new(
         lr: recurs_datalog::rule::LinearRecursion,
         db: Database,
@@ -155,7 +158,7 @@ impl QueryService {
         QueryService {
             plans,
             program_fingerprint,
-            store: SnapshotStore::new(db),
+            store: SnapshotStore::new(EngineDb::from(&db)),
             cache: (config.cache_capacity > 0).then(|| {
                 SaturationCache::with_obs(config.cache_capacity, config.cache_shards, obs.clone())
             }),
@@ -264,9 +267,11 @@ impl QueryService {
                 Err(_) => ("none", None),
             };
         }
+        // The view starts out sharing the snapshot's relations; it copies a
+        // relation's rows the first time an update changes it.
         match Materialization::saturate(
             self.plans.recursion(),
-            snapshot.database(),
+            snapshot.store().clone(),
             &self.budget,
             &self.obs,
         ) {
@@ -463,7 +468,7 @@ impl QueryService {
                 let _eval = tr.map(|(ctx, parent)| ctx.span("eval", parent));
                 let point = self
                     .plans
-                    .answer(snapshot.database(), query, budget, obs)
+                    .answer(&self.store, &snapshot, query, budget, obs)
                     .inspect_err(|_| {
                         obs.counter("recurs_serve_query_errors_total", &[], 1);
                     })?;
@@ -835,7 +840,7 @@ impl QueryService {
         let outcome = if view_count == Some(0) {
             WhyOutcome::NotDerived
         } else {
-            explain_fact(lr, snapshot.database(), tuple, max_depth, budget)?
+            explain_fact(lr, snapshot.store(), tuple, max_depth, budget)?
         };
         let elapsed = start.elapsed();
         let mut fields = vec![
@@ -850,7 +855,7 @@ impl QueryService {
             WhyOutcome::Derived(tree) => {
                 // A tree that fails the structural check is a provenance
                 // bug, not a client error — refuse to present it.
-                if let Err(defect) = verify_tree(lr, snapshot.database(), &tree) {
+                if let Err(defect) = verify_tree(lr, snapshot.store(), &tree) {
                     if self.obs.enabled() {
                         self.obs.event(
                             "serve.why",

@@ -1,44 +1,54 @@
-//! Versioned, immutable database snapshots with copy-on-write updates.
+//! Versioned, immutable snapshots of the served facts with copy-on-write
+//! updates.
 //!
-//! A [`Snapshot`] is an `Arc`-shared, never-mutated [`Database`] plus a
-//! monotonically increasing version number and a content [`Fingerprint`].
-//! Readers load the current snapshot in O(1) (an `Arc` clone under a brief
-//! read lock) and keep evaluating against it for as long as they like;
-//! writers build the *next* database copy-on-write and install it atomically.
-//! In-flight queries are never torn: they observe exactly the version they
-//! loaded, no matter how many updates land while they run.
+//! A [`Snapshot`] is a never-mutated engine store — every base relation in
+//! the indexed layout the kernels execute on — plus a monotonically
+//! increasing version number and a content [`Fingerprint`]. Readers load the
+//! current snapshot in O(1) (an `Arc` clone under a brief read lock) and
+//! evaluate against it for as long as they like: a kernel clones the store
+//! (one refcount bump per relation) and writes only relations of its own.
+//! Writers build the *next* store from a clone of the current one, which
+//! copies the relations the delta names and shares the rest, and install it
+//! atomically. In-flight queries are never torn: they observe exactly the
+//! version they loaded, no matter how many updates land while they run.
 
 use crate::version::Version;
-use recurs_datalog::database::Database;
 use recurs_datalog::error::DatalogError;
-use recurs_datalog::fingerprint::{self, Fingerprint};
+use recurs_datalog::fingerprint::{self, Fingerprint, RelationSum};
+use recurs_datalog::symbol::Symbol;
+use recurs_engine::EngineDb;
 use recurs_ivm::{EdbDelta, FactOp};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-/// One immutable version of the served database.
+/// One immutable version of the served facts.
 #[derive(Debug)]
 pub struct Snapshot {
     version: Version,
     fingerprint: Fingerprint,
-    db: Arc<Database>,
+    /// What `fingerprint` folds: one sum per relation of `store`, carried
+    /// from version to version and adjusted by each delta.
+    sums: BTreeMap<Symbol, RelationSum>,
+    store: EngineDb,
 }
 
 impl Snapshot {
-    /// The snapshot's version number; the initial database is version 0 and
+    /// The snapshot's version number; the initial facts are version 0 and
     /// every installed update increments it by one.
     pub fn version(&self) -> Version {
         self.version
     }
 
-    /// Stable content hash of this snapshot's database.
+    /// Stable content hash of this snapshot's facts — the value
+    /// [`fingerprint::of_database`] gives the same facts in plain form.
     pub fn fingerprint(&self) -> Fingerprint {
         self.fingerprint
     }
 
-    /// The snapshot's database. Immutable: evaluators clone what they must
-    /// saturate.
-    pub fn database(&self) -> &Database {
-        &self.db
+    /// The snapshot's facts. Immutable and shared: evaluators clone the
+    /// store, which copies nothing, and add relations of their own.
+    pub fn store(&self) -> &EngineDb {
+        &self.store
     }
 }
 
@@ -64,9 +74,9 @@ pub enum SnapshotUpdate {
 /// The mutable cell holding the current snapshot.
 ///
 /// Reads (`load`) take a read lock only long enough to clone an `Arc`.
-/// Writes serialize on a dedicated writer mutex so two concurrent
-/// `apply_delta` calls cannot both copy version *n* and race to install
-/// version *n + 1* (one would silently lose its edit).
+/// Writes serialize on a dedicated writer mutex so two concurrent writers
+/// cannot both start from version *n* and race to install their result (one
+/// would silently lose its edit).
 #[derive(Debug)]
 pub struct SnapshotStore {
     current: RwLock<Arc<Snapshot>>,
@@ -74,14 +84,18 @@ pub struct SnapshotStore {
 }
 
 impl SnapshotStore {
-    /// Wraps an initial database as version 0.
-    pub fn new(db: Database) -> SnapshotStore {
-        let fingerprint = fingerprint::of_database(&db);
+    /// Wraps an initial store as version 0.
+    pub fn new(store: EngineDb) -> SnapshotStore {
+        let sums: BTreeMap<Symbol, RelationSum> = store
+            .iter()
+            .map(|(name, rel)| (name, RelationSum::of(rel.arity(), rel.iter())))
+            .collect();
         SnapshotStore {
             current: RwLock::new(Arc::new(Snapshot {
                 version: Version::ZERO,
-                fingerprint,
-                db: Arc::new(db),
+                fingerprint: fingerprint::fold(&sums),
+                sums,
+                store,
             })),
             writer: Mutex::new(()),
         }
@@ -96,34 +110,91 @@ impl SnapshotStore {
             .clone()
     }
 
+    fn publish(&self, next: Snapshot) -> Arc<Snapshot> {
+        let next = Arc::new(next);
+        *self.current.write().unwrap_or_else(PoisonError::into_inner) = next.clone();
+        next
+    }
+
     /// Normalizes a group of fact operations against the current snapshot
-    /// (inside the writer lock, so the membership check and the install are
-    /// one atomic step) and installs the next version copy-on-write if — and
-    /// only if — the net delta is non-empty: concurrent readers are never
-    /// blocked by the database copy, only by the final pointer swap. If the
-    /// operations fail to apply nothing is installed. Duplicate inserts and absent-fact deletes are
-    /// no-ops: an all-no-op group reports [`SnapshotUpdate::Unchanged`]
-    /// without bumping the version. The returned delta is exactly the EDB
-    /// difference between the two snapshots.
+    /// and, if the net delta is non-empty, installs the next version. The
+    /// membership check and the install happen inside the writer lock, so
+    /// they are one atomic step. The next store is a clone of the current
+    /// one with the delta applied — only the relations the delta names are
+    /// copied, and the fingerprint moves by the delta's tuples — and readers
+    /// are blocked by none of it, only by the final pointer swap. If the
+    /// operations fail to apply, nothing is installed. Duplicate inserts and
+    /// absent-fact deletes are no-ops: an all-no-op group reports
+    /// [`SnapshotUpdate::Unchanged`] without bumping the version. The
+    /// returned delta is exactly the difference between the two snapshots.
     pub fn apply_delta(&self, ops: &[FactOp]) -> Result<SnapshotUpdate, DatalogError> {
         let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         let base = self.load();
-        let delta = EdbDelta::normalize(ops, &base.db)?;
+        let delta = EdbDelta::normalize(ops, &base.store)?;
         if delta.is_empty() {
             return Ok(SnapshotUpdate::Unchanged(base));
         }
-        let mut db = (*base.db).clone();
-        delta.apply_to(&mut db)?;
-        let next = Arc::new(Snapshot {
+        let mut store = base.store.clone();
+        delta.apply_to(&mut store)?;
+        let mut sums = base.sums.clone();
+        for (insert, side) in [(true, &delta.inserted), (false, &delta.deleted)] {
+            for (&pred, rel) in side {
+                let sum = sums
+                    .entry(pred)
+                    .or_insert_with(|| RelationSum::new(rel.arity()));
+                for t in rel.iter() {
+                    if insert {
+                        sum.add(t);
+                    } else {
+                        sum.remove(t);
+                    }
+                }
+            }
+        }
+        let snapshot = self.publish(Snapshot {
             version: base.version.next(),
-            fingerprint: fingerprint::of_database(&db),
-            db: Arc::new(db),
+            fingerprint: fingerprint::fold(&sums),
+            sums,
+            store,
         });
-        *self.current.write().unwrap_or_else(PoisonError::into_inner) = next.clone();
         Ok(SnapshotUpdate::Installed {
             previous: base.version,
-            snapshot: next,
+            snapshot,
             delta,
+        })
+    }
+
+    /// Makes sure the current snapshot's relations maintain the `needed`
+    /// `(predicate, key columns)` indexes, and returns it. Indexes travel
+    /// with the snapshot: a missing one is built here once, under the writer
+    /// lock, over the rows the current snapshot keeps sharing, and the result
+    /// republished *at the same version and fingerprint* (the facts did not
+    /// change); every later version inherits it through the relation clone.
+    /// So a pipeline that probes the snapshot finds its indexes there instead
+    /// of rebuilding them on its private clone, miss after miss.
+    /// The snapshot returned may be newer than the one the caller loaded, if
+    /// an update was installed in between.
+    pub fn with_indexes(&self, needed: &[(Symbol, Vec<usize>)]) -> Arc<Snapshot> {
+        let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let base = self.load();
+        if base
+            .store
+            .missing_indexes(needed.iter().map(|(p, c)| (*p, c.as_slice())))
+            .is_empty()
+        {
+            return base; // another reader got here first
+        }
+        let mut store = base.store.clone();
+        for (pred, cols) in needed {
+            if let Some(rel) = store.get_mut(*pred) {
+                rel.ensure_index(cols);
+            }
+        }
+        self.publish(Snapshot {
+            version: base.version,
+            fingerprint: base.fingerprint,
+            sums: base.sums.clone(),
+            store,
         })
     }
 }
@@ -132,11 +203,14 @@ impl SnapshotStore {
 mod tests {
     use super::*;
     use recurs_datalog::relation::{tuple_u64, Relation};
-    use recurs_datalog::symbol::Symbol;
+
+    fn a() -> Symbol {
+        Symbol::intern("A")
+    }
 
     fn store() -> SnapshotStore {
-        let mut db = Database::new();
-        db.insert_relation("A", Relation::from_pairs([(1, 2), (2, 3)]));
+        let mut db = EngineDb::new();
+        db.load(a(), &Relation::from_pairs([(1, 2), (2, 3)]));
         SnapshotStore::new(db)
     }
 
@@ -148,44 +222,46 @@ mod tests {
         }
     }
 
+    fn len_of_a(snap: &Snapshot) -> usize {
+        snap.store().get(a()).unwrap().len()
+    }
+
     #[test]
     fn initial_version_is_zero() {
         let s = store();
         let snap = s.load();
         assert_eq!(snap.version(), 0);
-        assert_eq!(snap.database().require("A").unwrap().len(), 2);
+        assert_eq!(len_of_a(&snap), 2);
     }
 
     #[test]
     fn update_installs_next_version_and_readers_keep_theirs() {
         let s = store();
         let before = s.load();
-        let a = Symbol::intern("A");
-        let installed = install(&s, &[FactOp::Insert(a, tuple_u64([3, 4]))]);
+        let installed = install(&s, &[FactOp::Insert(a(), tuple_u64([3, 4]))]);
         assert_eq!(installed.version(), 1);
         assert_ne!(before.fingerprint(), installed.fingerprint());
         // The old snapshot is untouched (copy-on-write).
-        assert_eq!(before.database().require("A").unwrap().len(), 2);
-        assert_eq!(installed.database().require("A").unwrap().len(), 3);
+        assert_eq!(len_of_a(&before), 2);
+        assert_eq!(len_of_a(&installed), 3);
         assert_eq!(s.load().version(), 1);
     }
 
     #[test]
     fn failed_update_installs_nothing() {
         let s = store();
-        let err = s.apply_delta(&[FactOp::Insert(Symbol::intern("A"), tuple_u64([1]))]);
+        let err = s.apply_delta(&[FactOp::Insert(a(), tuple_u64([1]))]);
         assert!(err.is_err());
         assert_eq!(s.load().version(), 0);
-        assert_eq!(s.load().database().require("A").unwrap().len(), 2);
+        assert_eq!(len_of_a(&s.load()), 2);
     }
 
     #[test]
     fn no_op_delta_does_not_bump_the_version() {
         let s = store();
-        let a = Symbol::intern("A");
         let ops = vec![
-            FactOp::Insert(a, tuple_u64([1, 2])), // already present
-            FactOp::Delete(a, tuple_u64([9, 9])), // absent
+            FactOp::Insert(a(), tuple_u64([1, 2])), // already present
+            FactOp::Delete(a(), tuple_u64([9, 9])), // absent
         ];
         match s.apply_delta(&ops).unwrap() {
             SnapshotUpdate::Unchanged(snap) => assert_eq!(snap.version(), 0),
@@ -197,11 +273,10 @@ mod tests {
     #[test]
     fn delta_install_carries_the_net_change() {
         let s = store();
-        let a = Symbol::intern("A");
         let ops = vec![
-            FactOp::Insert(a, tuple_u64([3, 4])),
-            FactOp::Delete(a, tuple_u64([1, 2])),
-            FactOp::Insert(a, tuple_u64([1, 2])), // cancels the delete
+            FactOp::Insert(a(), tuple_u64([3, 4])),
+            FactOp::Delete(a(), tuple_u64([1, 2])),
+            FactOp::Insert(a(), tuple_u64([1, 2])), // cancels the delete
         ];
         match s.apply_delta(&ops).unwrap() {
             SnapshotUpdate::Installed {
@@ -213,7 +288,7 @@ mod tests {
                 assert_eq!(snapshot.version(), 1);
                 assert_eq!(delta.inserted_count(), 1);
                 assert_eq!(delta.deleted_count(), 0);
-                assert!(snapshot.database().require("A").unwrap().len() == 3);
+                assert_eq!(len_of_a(&snapshot), 3);
             }
             other => panic!("expected Installed, got {other:?}"),
         }
@@ -223,11 +298,36 @@ mod tests {
     fn identical_content_has_identical_fingerprint_across_versions() {
         let s = store();
         let v0 = s.load();
-        let a = Symbol::intern("A");
-        let v1 = install(&s, &[FactOp::Insert(a, tuple_u64([9, 9]))]);
-        let v2 = install(&s, &[FactOp::Delete(a, tuple_u64([9, 9]))]);
+        let v1 = install(&s, &[FactOp::Insert(a(), tuple_u64([9, 9]))]);
+        let v2 = install(&s, &[FactOp::Delete(a(), tuple_u64([9, 9]))]);
         assert_ne!(v0.fingerprint(), v1.fingerprint());
         assert_eq!(v0.fingerprint(), v2.fingerprint());
         assert_eq!(v2.version(), 2);
+    }
+
+    #[test]
+    fn an_index_is_republished_once_and_inherited_by_later_versions() {
+        let s = store();
+        let v0 = s.load();
+        let needed = vec![(a(), vec![0usize])];
+        let indexed = s.with_indexes(&needed);
+        assert_eq!(indexed.version(), v0.version());
+        assert_eq!(indexed.fingerprint(), v0.fingerprint());
+        assert!(indexed.store().get(a()).unwrap().has_index(&[0]));
+        assert!(
+            !v0.store().get(a()).unwrap().has_index(&[0]),
+            "v0 is immutable"
+        );
+        // Asking again republishes nothing.
+        assert!(Arc::ptr_eq(&s.with_indexes(&needed), &indexed));
+        // An index on an unknown relation is nobody's to build.
+        let unknown = vec![(Symbol::intern("Nope"), vec![0usize])];
+        assert!(Arc::ptr_eq(&s.with_indexes(&unknown), &indexed));
+        let v1 = install(&s, &[FactOp::Insert(a(), tuple_u64([3, 4]))]);
+        let rel = v1.store().get(a()).unwrap();
+        assert_eq!(
+            rel.probe(&[0], &[tuple_u64([3])[0]]).map(<[u32]>::len),
+            Some(1)
+        );
     }
 }

@@ -1,24 +1,19 @@
-//! Allocation budgets for the two served paths that used to copy what they
-//! read: a view select must cost what it selects, not what the view holds,
-//! and a saturating-kernel miss must not deep-copy the snapshot before it
-//! starts (nor copy its result back). Bytes are counted per thread by a
-//! wrapping global allocator, so the parallel test harness does not blur
-//! the numbers.
+//! Allocation budgets for the served paths: each must cost what it touches,
+//! not what the database holds. A view select allocates for its answers, not
+//! for the view; a kernel miss — once its query form's indexes travel with
+//! the snapshot — allocates the same whether the base relations hold 2 000
+//! tuples or 20 000; and an update allocates for the relation it changes,
+//! whatever the size of the ones it does not. Bytes are counted per thread
+//! by a wrapping global allocator, so the parallel test harness does not
+//! blur the numbers.
 
-use recurs_core::magic;
-use recurs_datalog::adornment::QueryForm;
 use recurs_datalog::database::Database;
-use recurs_datalog::eval::answer_query;
-use recurs_datalog::govern::EvalBudget;
 use recurs_datalog::parser::{parse_atom, parse_program};
-use recurs_datalog::relation::{tuple_u64, Relation, Tuple};
+use recurs_datalog::relation::{tuple_u64, Relation};
 use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::symbol::Symbol;
-use recurs_datalog::term::{Atom, Term};
 use recurs_datalog::validate::validate_with_generic_exit;
-use recurs_engine::EngineConfig;
-use recurs_obs::Obs;
-use recurs_serve::{FactOp, PointKernelKind, PointPlans, QueryService, ServeConfig};
+use recurs_serve::{FactOp, PointKernelKind, QueryService, ServeConfig, UpdateOutcome};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -62,19 +57,31 @@ fn tc() -> LinearRecursion {
     .unwrap()
 }
 
-/// `chains` disjoint chains of `len` vertices, as both `A` and `E`.
-fn forest(chains: u64, len: u64) -> Database {
-    let edges = (0..chains).flat_map(|c| (1..len).map(move |i| (c * len + i, c * len + i + 1)));
+/// `chains` disjoint chains of `len` vertices.
+fn chains(chains: u64, len: u64) -> Relation {
+    Relation::from_pairs(
+        (0..chains).flat_map(|c| (1..len).map(move |i| (c * len + i, c * len + i + 1))),
+    )
+}
+
+/// `a_chains` chains of `len` vertices in `A`, the first `e_chains` of them
+/// also in `E`.
+fn forest(a_chains: u64, e_chains: u64, len: u64) -> Database {
     let mut db = Database::new();
-    db.insert_relation("A", Relation::from_pairs(edges.clone()));
-    db.insert_relation("E", Relation::from_pairs(edges));
+    db.insert_relation("A", chains(a_chains, len));
+    db.insert_relation("E", chains(e_chains, len));
     db
+}
+
+/// True when `a` and `b` are within 10% of each other.
+fn within_a_tenth(a: usize, b: usize) -> bool {
+    a.abs_diff(b) * 10 <= a.max(b)
 }
 
 #[test]
 fn a_one_answer_view_select_allocates_for_the_answer_not_the_view() {
     // One chain 1 → … → 201: the closure holds 201 · 200 / 2 = 20 100 tuples.
-    let service = QueryService::new(tc(), forest(1, 200), ServeConfig::default());
+    let service = QueryService::new(tc(), forest(1, 1, 200), ServeConfig::default());
     let link = ["A", "E"].map(|r| FactOp::Insert(Symbol::intern(r), tuple_u64([200, 201])));
     service.apply_update(&link).unwrap(); // builds the view
     let query = parse_atom("P(200, y)").unwrap();
@@ -86,47 +93,56 @@ fn a_one_answer_view_select_allocates_for_the_answer_not_the_view() {
     assert_eq!(service.query(&all).unwrap().answers.len(), 20_100);
 }
 
-/// The kernel as it was before it evaluated in a private engine store: the
-/// `&mut Database` engine entry (load → saturate → write back) on a deep
-/// copy of the snapshot, answered by the interpreter's select.
-fn miss_on_a_copy(lr: &LinearRecursion, db: &Database, query: &Atom) -> Relation {
-    let plan = magic::build_plan(lr, &QueryForm::of_atom(query));
-    let mut copy = db.clone();
-    let seed = plan.seed_predicate.expect("a bound query has a magic seed");
-    let constants: Tuple = query.terms.iter().filter_map(Term::as_const).collect();
-    copy.declare(seed, constants.len()).unwrap();
-    copy.insert(seed, constants).unwrap();
-    recurs_engine::run_program(&mut copy, &plan.program, &EngineConfig::default()).unwrap();
-    answer_query(
-        &copy,
-        &Atom::new(plan.answer_predicate, query.terms.clone()),
-    )
-    .unwrap()
+#[test]
+fn a_magic_kernel_miss_never_copies_the_snapshot() {
+    // The second miss of a query form, on 2 000 and on 20 000 edges per
+    // relation: the first miss had the snapshot index A and E for the form's
+    // pipelines (once, republished); the second clones the store, plants its
+    // seed and derives 21 answers — work that does not know how many chains
+    // stand beside the one it walks.
+    let second_miss = |chains: u64| {
+        let service = QueryService::new(tc(), forest(chains, chains, 51), ServeConfig::default());
+        let first = service.query(&parse_atom("P(30, y)").unwrap()).unwrap();
+        assert_eq!(first.stats.kernel, PointKernelKind::MagicIterate);
+        // The same position one chain over: same form, same answer count.
+        let query = parse_atom("P(81, y)").unwrap();
+        let (reply, bytes) = allocated_by(|| service.query(&query).unwrap());
+        assert_eq!(reply.stats.kernel, PointKernelKind::MagicIterate);
+        assert_eq!(reply.answers.len(), 21);
+        bytes
+    };
+    let (small, large) = (second_miss(40), second_miss(400));
+    assert!(
+        within_a_tenth(small, large),
+        "a second miss allocated {small} B over 2 000 edges but {large} B over 20 000"
+    );
 }
 
 #[test]
-fn a_magic_kernel_miss_never_copies_the_snapshot() {
-    // 40 chains of 51 vertices: 2 000 edges in each of A and E.
-    let db = forest(40, 51);
-    let (copy, deep_copy) = allocated_by(|| db.clone());
-    drop(copy);
-    let plans = PointPlans::new(tc());
-    let query = parse_atom("P(30, y)").unwrap();
-    let (want, on_a_copy) = allocated_by(|| miss_on_a_copy(&tc(), &db, &query));
-    let (point, bytes) = allocated_by(|| {
-        plans
-            .answer(&db, &query, &EvalBudget::unlimited(), &Obs::noop())
-            .unwrap()
-    });
-    assert_eq!(point.kernel, PointKernelKind::MagicIterate);
-    assert_eq!(point.answers.len(), 21);
-    assert_eq!(point.answers, want);
-    // The miss still loads and indexes the relations its program reads
-    // (several times a `Database::clone` of them, in arena + dedup + index
-    // layout), so the pin is relative: at least one whole deep copy cheaper
-    // than the same evaluation through the copying entry.
+fn an_update_allocates_for_the_relation_it_changes_only() {
+    // `E` holds 40 chains either way; `A` holds those and, in the large
+    // case, 360 more that derive nothing. A tip edge on chain 0 enters 51
+    // view tuples in both.
+    let tip_update = |a_chains: u64| {
+        let service = QueryService::new(tc(), forest(a_chains, 40, 51), ServeConfig::default());
+        let e = Symbol::intern("E");
+        let tip = |k: u64| [FactOp::Insert(e, tuple_u64([51, 900_000 + k]))];
+        // The first update builds the view; the second is the first patch,
+        // which compiles the maintenance pipelines and has the view index
+        // (so, once, copy) what they probe. From the third on, an update is
+        // the steady state.
+        service.apply_update(&tip(1)).unwrap();
+        service.apply_update(&tip(2)).unwrap();
+        let (outcome, bytes) = allocated_by(|| service.apply_update(&tip(3)).unwrap());
+        let UpdateOutcome::Installed { maintenance, .. } = outcome else {
+            panic!("the tip edge is new: {outcome:?}");
+        };
+        assert_eq!(maintenance, "frontier");
+        bytes
+    };
+    let (small, large) = (tip_update(40), tip_update(400));
     assert!(
-        bytes + deep_copy <= on_a_copy,
-        "a magic miss allocated {bytes} B; on a copy {on_a_copy} B; Database::clone {deep_copy} B"
+        within_a_tenth(small, large),
+        "a tip-edge update allocated {small} B beside 2 000 A tuples but {large} B beside 20 000"
     );
 }

@@ -107,6 +107,73 @@ fn s10_acyclic_is_answered_by_rank_2_unrolling() {
     assert_bounded(&f, &db, "P(3, 5)", 2);
 }
 
+/// The served bounded kernel against the reference executor
+/// (`core::bounded::execute`, the interpreter over the same specialized
+/// levels), for every adornment of the formula — each bound position taking
+/// a constant some tuple has and one none has — and for queries that repeat
+/// a variable.
+fn assert_matches_reference(f: &LinearRecursion, db: &Database, repeated: &[&str]) {
+    let plan = recurs_core::bounded::build_plan(f).expect("the formula is bounded");
+    let service = QueryService::new(f.clone(), db.clone(), ServeConfig::default());
+    let mut queries = recurs_workload::all_query_atoms(f, &[2, 5, 1]);
+    queries.extend(recurs_workload::all_query_atoms(f, &[99]));
+    queries.extend(repeated.iter().map(|q| parse_atom(q).unwrap()));
+    for query in queries {
+        let reply = service.query(&query).expect("bounded query succeeds");
+        assert!(matches!(
+            reply.stats.kernel,
+            PointKernelKind::BoundedUnroll { .. }
+        ));
+        let want = recurs_core::bounded::execute(&plan, db, &query).unwrap();
+        assert_eq!(*reply.answers, want, "served ≠ reference for {query}");
+        assert_eq!(
+            want,
+            oracle(f, db, &query),
+            "reference ≠ oracle for {query}"
+        );
+    }
+}
+
+#[test]
+fn every_adornment_and_repeated_variables_match_the_reference_executor() {
+    let s5 = lr("P(x, y, z) :- P(y, z, x).");
+    let mut db = Database::new();
+    db.insert_relation(
+        "E",
+        Relation::from_tuples(
+            3,
+            [[1, 2, 3], [4, 5, 6], [2, 2, 2], [5, 5, 1]].map(tuple_u64),
+        ),
+    );
+    assert_matches_reference(
+        &s5,
+        &db,
+        &["P(x, x, z)", "P(x, x, x)", "P(x, y, x)", "P(2, y, y)"],
+    );
+
+    let s8 = lr("P(x,y,z,u) :- A(x,y), B(y1,u), C(z1,u1), P(z,y1,z1,u1).");
+    let mut db = Database::new();
+    db.insert_relation("A", Relation::from_pairs([(1, 2), (2, 2), (5, 5)]));
+    db.insert_relation("B", Relation::from_pairs([(2, 5), (5, 2)]));
+    db.insert_relation("C", Relation::from_pairs([(2, 5), (5, 1)]));
+    db.insert_relation(
+        "E",
+        Relation::from_tuples(4, [[1, 2, 2, 5], [2, 5, 5, 1], [5, 5, 2, 2]].map(tuple_u64)),
+    );
+    assert_matches_reference(
+        &s8,
+        &db,
+        &["P(x, x, z, u)", "P(x, y, y, y)", "P(x, 2, z, z)"],
+    );
+
+    let s10 = lr("P(x, y) :- B(y), C(x, y1), P(x1, y1).");
+    let mut db = Database::new();
+    db.insert_relation("B", Relation::from_tuples(1, [[2], [5]].map(tuple_u64)));
+    db.insert_relation("C", Relation::from_pairs([(1, 2), (5, 5), (2, 2)]));
+    db.insert_relation("E", Relation::from_pairs([(1, 2), (5, 5)]));
+    assert_matches_reference(&s10, &db, &["P(x, x)"]);
+}
+
 #[test]
 fn unbounded_tc_never_selects_the_bounded_kernel() {
     // Sanity check of the dispatch boundary: transitive closure is A1-style

@@ -72,9 +72,7 @@ proptest! {
         // Install a new snapshot (one extra random tuple in the first EDB
         // relation) and re-check equivalence against the *new* database.
         let (rel_name, arity) = {
-            let snap = service.snapshot();
-            let (name, rel) = snap
-                .database()
+            let (name, rel) = edb
                 .iter()
                 .next()
                 .expect("generated workloads have at least one EDB relation");
@@ -89,11 +87,10 @@ proptest! {
             .expect("snapshot update succeeds");
         let version = u64::from(matches!(installed, UpdateOutcome::Installed { .. }));
 
-        let new_db = {
-            let snap = service.snapshot();
-            prop_assert_eq!(snap.version(), version);
-            snap.database().clone()
-        };
+        prop_assert_eq!(service.snapshot().version(), version);
+        // The reference is the test's own model, not the service's storage.
+        let mut new_db = edb.clone();
+        new_db.insert(rel_name, extra).expect("arity matches");
         let want_after = filtered_saturation(&lr, &new_db, &query);
         let third = service.query(&query).expect("post-update query succeeds");
         prop_assert!(third.outcome.is_complete());
@@ -158,10 +155,14 @@ proptest! {
             FactOp::Insert(rel_name, fresh(2)),
             FactOp::Delete(rel_name, fresh(1)),
         ];
+        let mut db = edb.clone();
         for (i, op) in steps.into_iter().enumerate() {
+            match &op {
+                FactOp::Insert(rel, t) => db.insert(*rel, t.clone()).expect("arity matches"),
+                FactOp::Delete(rel, t) => db.remove(*rel, t).expect("arity matches"),
+            };
             let outcome = service.apply_update(&[op]).expect("update applies");
             prop_assert!(matches!(outcome, UpdateOutcome::Installed { .. }));
-            let db = service.snapshot().database().clone();
             for query in view_queries(&lr, domain, db_seed) {
                 let reply = service.query(&query).expect("view answers the query");
                 prop_assert_eq!(reply.stats.kernel, PointKernelKind::MaterializedView);
