@@ -46,6 +46,26 @@ if non_test crates/serve/src/kernel.rs \
   exit 1
 fi
 
+# One-governed-evaluator guard: the oracle only checks. It takes a round cap
+# and nothing else — no budget, no recorder, no serialized stats — so the
+# substrate crate stays free of recurs-obs; and the CLI's engine run answers
+# from the store the engine saturated: the only place it may consult the
+# oracle (or copy a relation out) is the `--check` comparison.
+echo "==> oracle guard (the oracle is ungoverned; run --engine indexed reads the store)"
+if grep -nE "Governor|EvalBudget|recurs_obs|Serialize" crates/datalog/src/eval.rs; then
+  echo "crates/datalog/src/eval.rs is governed, traced or serialized again" >&2
+  exit 1
+fi
+if grep -n "recurs-obs" crates/datalog/Cargo.toml; then
+  echo "recurs-datalog depends on recurs-obs again" >&2
+  exit 1
+fi
+if non_test crates/cli/src/lib.rs | sed '/^impl OracleFixpoint {/,/^}/d' | grep -v "^use " \
+    | grep -nE "answer_query|to_relation|run_linear"; then
+  echo "crates/cli/src/lib.rs copies the fixpoint out of the engine store again" >&2
+  exit 1
+fi
+
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
@@ -60,9 +80,11 @@ cargo test -p recurs-ivm --features fault-inject --offline -q
 cargo test -p recurs-serve --features fault-inject --offline -q
 
 # perfbench/layers is the only code outside crates/ that links the crate
-# APIs (run_linear / run_program / EngineConfig, Materialization::{saturate,
-# apply}, PatchStats, ServeConfig, ...) and the benchmark driver builds it
-# on `--trace 1`, so an API change that breaks it must fail here.
+# APIs (run_linear / run_program / EngineConfig, eval::{semi_naive,
+# answer_query}, recurs_datalog::{EvalBudget, Database}, recurs_cli::load,
+# Materialization::{saturate, apply}, PatchStats, ServeConfig, ...) and the
+# benchmark driver builds it on `--trace 1`, so an API change that breaks it
+# must fail here.
 echo "==> perfbench/layers builds against the crate APIs"
 cargo build --release --offline --manifest-path perfbench/layers/Cargo.toml
 
@@ -114,13 +136,10 @@ cargo run --release --offline -p recurs-obs --bin obsctl -- validate "$CI_TRACE"
 rm -f "$CI_TRACE"
 
 # Benchmark regression tripwire: re-times the smallest engine_scaling sizes
-# and diffs against BENCH_engine.json (drift-corrected; fails above 25%),
-# re-times single-fact maintenance on tc/800 against BENCH_ivm.json
-# (same 25% tripwire on the patched rows, plus a hard >= 5x
-# patched-vs-cold speedup floor), and replays the loadgen mixed workload
-# against an in-process TCP server, gating the median-round p95 against
-# BENCH_load.json (25% drift-corrected tripwire) plus hard liveness checks
-# (no shedding at smoke QPS, no transport errors, a clean unforced drain).
+# and diffs against BENCH_engine.json (drift-corrected; fails above 25%), and
+# re-times single-fact maintenance on tc/800 against BENCH_ivm.json (same 25%
+# tripwire on the patched rows, plus a hard >= 5x patched-vs-cold speedup
+# floor).
 echo "==> bench_compare --quick (+ no-op overhead re-audit)"
 cargo run --release --offline -p recurs-bench --bin bench_compare -- --quick --samples 5 \
   --reaudit-obs BENCH_obs.json

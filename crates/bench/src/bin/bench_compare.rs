@@ -32,16 +32,6 @@
 //! control), and the run additionally fails if the measured patched-vs-cold
 //! median speedup drops below `--ivm-speedup` (default 5).
 //!
-//! The network-load lane boots an in-process `recurs-net` TCP server on
-//! tc/200 and replays a mixed read/write workload through the crate's load
-//! generator (five rounds, keeping the minimum-mean round), diffing the
-//! client-observed mean latency against `BENCH_load.json`
-//! (`--load-baseline`) with the same drift-corrected tripwire (the control
-//! is a refixpoint median sampled just before the kept round; percentiles
-//! are recorded but not gated); the lane also hard-fails on shedding at
-//! smoke QPS, transport errors, or a forced drain. `--write-load <path>`
-//! regenerates `BENCH_load.json`.
-//!
 //! `--quick` trims to the smallest size per workload with fewer samples,
 //! which is what the CI lane runs as a smoke-level regression tripwire.
 //!
@@ -228,9 +218,7 @@ struct Options {
     baseline: String,
     ivm_baseline: String,
     ivm_speedup: f64,
-    load_baseline: String,
     write: Option<String>,
-    write_load: Option<String>,
     reaudit_obs: Option<String>,
     quick: bool,
 }
@@ -242,9 +230,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         baseline: "BENCH_engine.json".to_string(),
         ivm_baseline: "BENCH_ivm.json".to_string(),
         ivm_speedup: 5.0,
-        load_baseline: "BENCH_load.json".to_string(),
         write: None,
-        write_load: None,
         reaudit_obs: None,
         quick: false,
     };
@@ -267,9 +253,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("{e}"))?
             }
-            "--load-baseline" => opts.load_baseline = value("--load-baseline")?,
             "--write" => opts.write = Some(value("--write")?),
-            "--write-load" => opts.write_load = Some(value("--write-load")?),
             "--reaudit-obs" => opts.reaudit_obs = Some(value("--reaudit-obs")?),
             "--quick" => opts.quick = true,
             other => return Err(format!("unknown flag {other:?}")),
@@ -534,219 +518,6 @@ fn measure_ivm(opts: &Options, baseline: &str) -> Result<(Vec<Row>, f64), String
     Ok((rows, speedup))
 }
 
-/// Times the TCP front end under a mixed read/write workload on tc/400: an
-/// in-process [`recurs_net::NetServer`] is booted on an ephemeral port and
-/// the crate's own load generator replays bound `P(k, y)` queries plus
-/// paired insert/delete updates against it at a modest QPS (state-neutral,
-/// so rounds are comparable). The lane runs five rounds and keeps the one
-/// with the minimum mean latency (latency noise is one-sided, so the min is
-/// the robust estimator); a semi-naive refixpoint median sampled immediately
-/// before that round is the machine-drift control. Returns the comparison
-/// rows (only the mean row is gated — the percentiles swing across the
-/// warm-hit/cold-query cliff between healthy runs and are reported, not
-/// gated), the fresh `BENCH_load.json` text, and whether the liveness
-/// invariants held in every round (no shedding at smoke QPS, no transport
-/// errors, a clean unforced drain).
-fn measure_load(
-    opts: &Options,
-    baseline: Option<&str>,
-) -> Result<(Vec<Row>, String, bool), String> {
-    const WORKLOAD: &str = "net_load_tc";
-    const SIZE: u64 = 200;
-    let f = tc_formula();
-    let db = tc_db(SIZE);
-    let program = f.to_program();
-    let oracle_db = db.clone();
-
-    let service = Arc::new(recurs_serve::QueryService::new(
-        f,
-        db,
-        recurs_serve::ServeConfig::default(),
-    ));
-    let server =
-        recurs_net::NetServer::bind(service, "127.0.0.1:0", recurs_net::NetConfig::default())
-            .map_err(|e| format!("bind load server: {e}"))?;
-    let addr = server
-        .local_addr()
-        .map_err(|e| format!("local addr: {e}"))?
-        .to_string();
-    let (handle, join) = server.spawn();
-    // Sized well under the server's capacity: this lane is a latency
-    // tripwire, not a saturation test (a target above capacity would measure
-    // queue depth, which explodes with machine noise). Updates invalidate
-    // the saturation cache, so the p95 tracks the cold bound-query path.
-    // The spec is deliberately identical in quick and full mode: percentiles
-    // are only comparable to the baseline when the request mix, pacing, and
-    // sample count match, and the lane only costs a few seconds anyway.
-    let spec = recurs_net::LoadSpec {
-        addr,
-        connections: 4,
-        qps: 60.0,
-        duration: std::time::Duration::from_millis(3_000),
-        update_ratio: 0.05,
-        key_space: 32,
-        seed: 42,
-        ..recurs_net::LoadSpec::default()
-    };
-    // Five rounds, with the machine-drift control re-sampled immediately
-    // before each one, keeping the round with the *minimum* mean. Latency
-    // noise on a shared machine is one-sided (background load only ever
-    // adds), which makes the min the robust estimator of what the server
-    // can actually do: a genuine code regression lifts every round, the min
-    // included. The kept round's own control handles any residual drift.
-    const ROUNDS: usize = 5;
-    let mut round_oracle = Vec::new();
-    let mut round_reports = Vec::new();
-    for _ in 0..ROUNDS {
-        let mut oracle_times = Vec::new();
-        for _ in 0..opts.samples {
-            oracle_times.push(time_once(|| {
-                let mut db = oracle_db.clone();
-                semi_naive(&mut db, &program, None).unwrap();
-                black_box(&db);
-            }));
-        }
-        round_oracle.push(median(&mut oracle_times));
-        round_reports.push(recurs_net::loadgen::run(&spec).map_err(|e| format!("loadgen: {e}"))?);
-    }
-    handle.drain();
-    let drain = join
-        .join()
-        .map_err(|_| "load server thread panicked".to_string())?
-        .map_err(|e| format!("load server: {e}"))?;
-    let best = (0..ROUNDS)
-        .min_by(|&a, &b| {
-            round_reports[a]
-                .mean_ms
-                .total_cmp(&round_reports[b].mean_ms)
-        })
-        .unwrap_or(0);
-    let oracle_ms = round_oracle[best];
-    let report = &round_reports[best];
-
-    let base = |config: &str, measured: f64| -> Result<f64, String> {
-        match baseline {
-            Some(text) => baseline_ms(text, WORKLOAD, SIZE, config),
-            // First run (--write-load with no baseline yet): gate against
-            // the fresh measurements themselves.
-            None => Ok(measured),
-        }
-    };
-    let rows = vec![
-        Row {
-            workload: WORKLOAD,
-            size: SIZE,
-            config: "oracle",
-            baseline_ms: base("oracle", oracle_ms)?,
-            measured_ms: oracle_ms,
-            enabled_ms: None,
-            control: None,
-        },
-        Row {
-            workload: WORKLOAD,
-            size: SIZE,
-            config: "p50",
-            baseline_ms: base("p50", report.p50_ms)?,
-            measured_ms: report.p50_ms,
-            enabled_ms: None,
-            control: None,
-        },
-        Row {
-            workload: WORKLOAD,
-            size: SIZE,
-            config: "p95",
-            baseline_ms: base("p95", report.p95_ms)?,
-            measured_ms: report.p95_ms,
-            enabled_ms: None,
-            control: None,
-        },
-        Row {
-            workload: WORKLOAD,
-            size: SIZE,
-            config: "p99",
-            baseline_ms: base("p99", report.p99_ms)?,
-            measured_ms: report.p99_ms,
-            enabled_ms: None,
-            control: None,
-        },
-        // The gated row. The mean averages the round's real evaluation work
-        // (updates, post-update cold queries, cache hits) instead of one
-        // order statistic perched on the warm-hit/cold-query cliff — the
-        // percentiles above swing several-fold between healthy runs, while
-        // the mean tracks machine speed, which is what the refixpoint
-        // control cancels.
-        Row {
-            workload: WORKLOAD,
-            size: SIZE,
-            config: "mean",
-            baseline_ms: base("mean", report.mean_ms)?,
-            measured_ms: report.mean_ms,
-            enabled_ms: None,
-            control: Some((base("oracle", oracle_ms)?, oracle_ms)),
-        },
-    ];
-    eprintln!(
-        "{WORKLOAD}/{SIZE}: {:.0}/{:.0} qps | mean {:.3} ms | p50 {:.3} ms | p95 {:.3} ms \
-         | p99 {:.3} ms | shed rate {:.4} | oracle control {oracle_ms:.2} ms",
-        report.achieved_qps,
-        report.target_qps,
-        report.mean_ms,
-        report.p50_ms,
-        report.p95_ms,
-        report.p99_ms,
-        report.shed_rate
-    );
-    let mut load_ok = true;
-    for (round, r) in round_reports.iter().enumerate() {
-        if r.shed_rate > 0.05 {
-            eprintln!(
-                "REGRESSION {WORKLOAD}/{SIZE}: shed rate {:.4} at smoke QPS in round {round} \
-                 (expected ~0)",
-                r.shed_rate
-            );
-            load_ok = false;
-        }
-        if r.samples.transport_errors > 0 || r.samples.errors > 0 {
-            eprintln!(
-                "REGRESSION {WORKLOAD}/{SIZE}: {} transport errors, {} error replies in \
-                 round {round}",
-                r.samples.transport_errors, r.samples.errors
-            );
-            load_ok = false;
-        }
-    }
-    if drain.forced {
-        eprintln!("REGRESSION {WORKLOAD}/{SIZE}: the post-run drain was forced");
-        load_ok = false;
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"crates/bench/src/bin/bench_compare.rs (net load lane)\",\n  \
-         \"command\": \"cargo run --release -p recurs-bench --bin bench_compare -- \
-         --samples {} --write-load BENCH_load.json\",\n  \
-         \"units\": \"milliseconds; mean/p50/p95/p99 are client-observed round-trip \
-         latencies from the recurs-net load generator replaying a 5% update mixed \
-         workload at {:.0} qps over 4 connections against an in-process TCP server on \
-         tc/{SIZE}, minimum-mean round of 5 (latency noise is one-sided); oracle is \
-         the median of {} semi-naive refixpoints sampled just before that round and \
-         controls for machine drift (only the mean row is gated, with the 25% \
-         drift-corrected tripwire — the percentiles swing across the warm-hit/cold-query \
-         cliff between healthy runs and are reported, not gated)\",\n  \
-         \"{WORKLOAD}\": {{\n    \"{SIZE}\": {{ \"oracle\": {:.3}, \"mean\": {:.3}, \
-         \"p50\": {:.3}, \"p95\": {:.3}, \"p99\": {:.3} }}\n  }},\n  \"report\": {}\n}}",
-        opts.samples,
-        spec.qps,
-        opts.samples,
-        oracle_ms,
-        report.mean_ms,
-        report.p50_ms,
-        report.p95_ms,
-        report.p99_ms,
-        report.to_json(),
-    );
-    Ok((rows, json, load_ok))
-}
-
 fn run() -> Result<bool, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse_options(&args)?;
@@ -754,22 +525,9 @@ fn run() -> Result<bool, String> {
         .map_err(|e| format!("cannot read baseline {}: {e}", opts.baseline))?;
     let ivm_baseline = std::fs::read_to_string(&opts.ivm_baseline)
         .map_err(|e| format!("cannot read baseline {}: {e}", opts.ivm_baseline))?;
-    let load_baseline = match std::fs::read_to_string(&opts.load_baseline) {
-        Ok(text) => Some(text),
-        Err(e) if opts.write_load.is_some() => {
-            eprintln!(
-                "note: no load baseline {} ({e}); gating against fresh measurements",
-                opts.load_baseline
-            );
-            None
-        }
-        Err(e) => return Err(format!("cannot read baseline {}: {e}", opts.load_baseline)),
-    };
     let mut rows = measure(&opts, &baseline)?;
     let (ivm_rows, ivm_speedup) = measure_ivm(&opts, &ivm_baseline)?;
     rows.extend(ivm_rows);
-    let (load_rows, load_json, load_ok) = measure_load(&opts, load_baseline.as_deref())?;
-    rows.extend(load_rows);
 
     // The gate judges the code under test (the instrumented indexed
     // engine) on its drift-corrected delta; the oracle rows are the
@@ -787,12 +545,8 @@ fn run() -> Result<bool, String> {
     let noop_max_pct = corrected.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let noop_median_pct = median(&mut corrected);
     let speedup_ok = ivm_speedup >= opts.ivm_speedup;
-    let gate_ok = regressions.is_empty() && speedup_ok && load_ok;
+    let gate_ok = regressions.is_empty() && speedup_ok;
 
-    if let Some(path) = &opts.write_load {
-        std::fs::write(path, load_json + "\n").map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
     if let Some(path) = &opts.write {
         std::fs::write(
             path,

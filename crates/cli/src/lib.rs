@@ -25,14 +25,15 @@ use recurs_core::plan::plan_query;
 use recurs_core::report::{classification_report, plan_report};
 use recurs_core::Classification;
 use recurs_datalog::adornment::QueryForm;
-use recurs_datalog::eval::{answer_query, semi_naive, semi_naive_governed_with};
+use recurs_datalog::error::DatalogError;
+use recurs_datalog::eval::{answer_query, semi_naive};
 use recurs_datalog::fingerprint;
-use recurs_datalog::govern::{CancelToken, EvalBudget, Outcome};
+use recurs_datalog::govern::{CancelToken, EvalBudget, Outcome, TruncationReason};
 use recurs_datalog::parser::{parse, parse_atom};
 use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::term::Term;
 use recurs_datalog::validate::validate_with_generic_exit;
-use recurs_datalog::{Atom, Database};
+use recurs_datalog::{Atom, Database, Relation};
 use recurs_engine::{EngineConfig, EngineDb};
 use recurs_igraph::build::resolution_graph;
 use recurs_igraph::component::ComponentKind;
@@ -44,37 +45,6 @@ use recurs_obs::{field, Obs, Value};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Which evaluation engine `recurs run --engine` saturates the database
-/// with, instead of the default class-driven query plans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineChoice {
-    /// The reference semi-naive evaluator (`recurs_datalog::eval`).
-    Oracle,
-    /// The indexed engine (`recurs-engine`).
-    Indexed,
-}
-
-impl EngineChoice {
-    /// Parses `oracle`/`indexed`.
-    pub fn parse(s: &str) -> Result<EngineChoice, String> {
-        match s {
-            "oracle" => Ok(EngineChoice::Oracle),
-            "indexed" => Ok(EngineChoice::Indexed),
-            other => Err(format!(
-                "unknown engine `{other}` (expected oracle or indexed)"
-            )),
-        }
-    }
-
-    /// The flag spelling, for output labels.
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineChoice::Oracle => "oracle",
-            EngineChoice::Indexed => "indexed",
-        }
-    }
-}
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,15 +61,16 @@ pub enum Command {
         /// Query-form patterns (`dvv`-style); defaults to the file's queries.
         forms: Vec<String>,
     },
-    /// `recurs run <file> [--check] [--engine E] [--timeout-ms T]
+    /// `recurs run <file> [--check] [--engine indexed] [--timeout-ms T]
     /// [--max-tuples N] [--max-iterations K] [--stats-json]`
     Run {
         /// Source file path.
         file: String,
         /// Also verify each answer set against the fixpoint oracle.
         check: bool,
-        /// Saturate with this engine instead of executing query plans.
-        engine: Option<EngineChoice>,
+        /// Saturate with the indexed engine (`--engine indexed`) instead of
+        /// executing query plans.
+        engine: bool,
         /// Wall-clock budget in milliseconds (requires `--engine`).
         timeout_ms: Option<u64>,
         /// Derived-tuple ceiling (requires `--engine`).
@@ -309,8 +280,7 @@ USAGE:
     recurs plan <file> [--form dvv]...     show the compiled plan per query form
     recurs run <file> [--check]            answer the file's ?- queries
                                            (--check: verify against the fixpoint)
-                      [--engine oracle|indexed]
-                                           saturate with the chosen engine
+                      [--engine indexed]   saturate with the indexed engine
                                            instead of compiled query plans
                       [--timeout-ms T] [--max-tuples N] [--max-iterations K]
                                            budget the saturation (with --engine);
@@ -423,7 +393,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         "run" => {
             let file = it.next().ok_or("run needs a file argument")?;
             let mut check = false;
-            let mut engine = None;
+            let mut engine = false;
             let mut timeout_ms = None;
             let mut max_tuples = None;
             let mut max_iterations = None;
@@ -466,8 +436,18 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                         i += 2;
                     }
                     "--engine" => {
-                        let e = rest.get(i + 1).ok_or("--engine needs oracle or indexed")?;
-                        engine = Some(EngineChoice::parse(e)?);
+                        engine = match rest.get(i + 1).map(|e| e.as_str()) {
+                            Some("indexed") => true,
+                            Some("oracle") => {
+                                return Err("the oracle only checks, it is not an engine to run \
+                                     with: pass --check to compare a run against it"
+                                    .into())
+                            }
+                            Some(other) => {
+                                return Err(format!("unknown engine `{other}` (expected indexed)"))
+                            }
+                            None => return Err("--engine needs a value (indexed)".into()),
+                        };
                         i += 2;
                     }
                     "--timeout-ms" => {
@@ -492,7 +472,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     other => return Err(format!("unknown option `{other}`")),
                 }
             }
-            if why.is_some() && (engine.is_some() || check) {
+            if why.is_some() && (engine || check) {
                 return Err(
                     "--why explains one fact's derivation; it does not combine with \
                      --engine or --check"
@@ -502,24 +482,24 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             if why_depth.is_some() && why.is_none() {
                 return Err("--why-depth bounds a --why reconstruction; pass --why too".into());
             }
-            if engine.is_none()
+            if !engine
                 && why.is_none()
                 && (timeout_ms.is_some() || max_tuples.is_some() || max_iterations.is_some())
             {
                 return Err(
                     "--timeout-ms/--max-tuples/--max-iterations budget a saturation run; \
-                     pick one with --engine oracle|indexed (or pass --why)"
+                     pass --engine indexed (or --why)"
                         .into(),
                 );
             }
-            if stats_json && engine.is_none() {
+            if stats_json && !engine {
                 return Err("--stats-json reports saturation statistics; \
-                     pick an engine with --engine oracle|indexed"
+                     pass --engine indexed"
                     .into());
             }
-            if (trace.is_some() || metrics) && engine.is_none() {
+            if (trace.is_some() || metrics) && !engine {
                 return Err("--trace/--metrics observe a saturation run; \
-                     pick an engine with --engine oracle|indexed"
+                     pass --engine indexed"
                     .into());
             }
             Ok(Command::Run {
@@ -961,9 +941,9 @@ fn write_answers(out: &mut String, query: &Atom, label: &str, answers: &recurs_d
 
 /// The printable output of a command plus how the run ended.
 ///
-/// `outcome` is [`Outcome::Complete`] for every command except a budgeted
-/// `run --engine …` that was stopped early; the binary maps it to the exit
-/// code (0 complete, 2 truncated).
+/// `outcome` is [`Outcome::Complete`] for every command except a governed
+/// one (`run --engine indexed`, `run --why`, `batch`) that was stopped early;
+/// the binary maps it to the exit code (0 complete, 2 truncated).
 #[derive(Debug, Clone)]
 pub struct CmdOutput {
     /// Text to print to stdout.
@@ -979,8 +959,10 @@ pub fn run_on_source(cmd: &Command, source: &str) -> Result<String, String> {
 }
 
 /// Runs a command against a source text. A `cancel` token, when given, is
-/// wired into the evaluation budget of `run --engine …` so Ctrl-C stops the
-/// saturation cooperatively (reported as a truncated outcome, not an error).
+/// wired into the evaluation budget of the governed commands — `run --engine
+/// indexed`, `run --why`, `batch` — so Ctrl-C stops the evaluation
+/// cooperatively (reported as a truncated outcome, not an error). Nothing
+/// else reads it.
 pub fn execute(
     cmd: &Command,
     source: &str,
@@ -1036,17 +1018,19 @@ pub fn execute(
             ..
         } => {
             let loaded = load(source)?;
+            // Only the governed paths (`--why`, `--engine indexed`) read it;
+            // the parser rejects budget flags everywhere else.
+            let mut budget = EvalBudget::iteration_cap(*max_iterations);
+            if let Some(ms) = timeout_ms {
+                budget = budget.with_timeout(Duration::from_millis(*ms));
+            }
+            if let Some(n) = max_tuples {
+                budget = budget.with_max_tuples(*n);
+            }
+            if let Some(token) = cancel {
+                budget = budget.with_cancel(token);
+            }
             if let Some(fact_text) = why {
-                let mut budget = EvalBudget::iteration_cap(*max_iterations);
-                if let Some(ms) = timeout_ms {
-                    budget = budget.with_timeout(Duration::from_millis(*ms));
-                }
-                if let Some(n) = max_tuples {
-                    budget = budget.with_max_tuples(*n);
-                }
-                if let Some(token) = cancel {
-                    budget = budget.with_cancel(token);
-                }
                 outcome = explain_why(&mut out, &loaded, fact_text, *why_depth, &budget)?;
                 return Ok(CmdOutput { text: out, outcome });
             }
@@ -1063,154 +1047,39 @@ pub fn execute(
                     fingerprint::of_database(&loaded.db)
                 );
             }
-            match engine {
-                None => {
-                    for query in &loaded.queries {
-                        let plan = plan_query(&loaded.lr, query);
-                        let answers = plan
-                            .execute(&loaded.db, query)
-                            .map_err(|e| format!("execution failed: {e}"))?;
-                        write_answers(&mut out, query, &format!("{:?}", plan.strategy), &answers);
-                        if *check {
-                            let report = compare(&loaded.lr, &loaded.db, query)
-                                .map_err(|e| format!("oracle failed: {e}"))?;
-                            let _ = writeln!(
-                                out,
-                                "  oracle: {}",
-                                if report.agrees() {
-                                    "agrees"
-                                } else {
-                                    "DISAGREES"
-                                }
-                            );
-                            if !report.agrees() {
-                                return Err(format!("plan disagrees with the fixpoint on {query}"));
-                            }
-                        }
+            if *engine {
+                let (obs, trace_writer, metrics_agg) = build_run_obs(trace.as_deref(), *metrics)?;
+                outcome = run_engine(&mut out, &loaded, *check, *stats_json, budget, obs)?;
+                if let Some(agg) = metrics_agg {
+                    out.push_str(&agg.prometheus_text());
+                }
+                if let Some(writer) = trace_writer {
+                    writer.flush();
+                    if writer.had_error() {
+                        return Err("trace write failed (trace file is incomplete)".into());
                     }
                 }
-                Some(choice) => {
-                    // Saturate once with the chosen engine under the
-                    // requested budget, then answer every query against the
-                    // (possibly partial) saturated database.
-                    let mut budget = EvalBudget::iteration_cap(*max_iterations);
-                    if let Some(ms) = timeout_ms {
-                        budget = budget.with_timeout(Duration::from_millis(*ms));
-                    }
-                    if let Some(n) = max_tuples {
-                        budget = budget.with_max_tuples(*n);
-                    }
-                    if let Some(token) = cancel {
-                        budget = budget.with_cancel(token);
-                    }
-                    let (obs, trace_writer, metrics_agg) =
-                        build_run_obs(trace.as_deref(), *metrics)?;
-                    if obs.enabled() {
-                        emit_classify_verdict(&obs, &loaded.lr, *choice);
-                    }
-                    let mut db = loaded.db.clone();
-                    let (label, stats_line) = match choice {
-                        EngineChoice::Oracle => {
-                            let stats = semi_naive_governed_with(
-                                &mut db,
-                                &loaded.lr.to_program(),
-                                &budget,
-                                &obs,
-                            )
-                            .map_err(|e| format!("oracle engine failed: {e}"))?;
-                            if let Some(reason) = stats.truncation {
-                                outcome = Outcome::Truncated(reason);
-                            }
-                            (
-                                format!("engine:oracle iterations={}", stats.iterations),
-                                stats_json.then(|| serde::json::to_string(&stats)),
-                            )
-                        }
-                        EngineChoice::Indexed => {
-                            let config = EngineConfig {
-                                budget,
-                                obs: obs.clone(),
-                            };
-                            let sat = recurs_engine::run_linear(&mut db, &loaded.lr, &config)
-                                .map_err(|e| format!("engine failed: {e}"))?;
-                            outcome = sat.outcome;
-                            (
-                                format!(
-                                    "engine:{} kernel:{} iterations={}",
-                                    choice.label(),
-                                    sat.stats.kernel.map_or_else(|| "?".into(), |k| k.label()),
-                                    sat.stats.iteration_count()
-                                ),
-                                stats_json.then(|| serde::json::to_string(&sat)),
-                            )
-                        }
-                    };
-                    // The oracle fixpoint for --check (computed once).
-                    let oracle_db = if *check {
-                        let mut odb = loaded.db.clone();
-                        semi_naive(&mut odb, &loaded.lr.to_program(), None)
+            } else {
+                for query in &loaded.queries {
+                    let plan = plan_query(&loaded.lr, query);
+                    let answers = plan
+                        .execute(&loaded.db, query)
+                        .map_err(|e| format!("execution failed: {e}"))?;
+                    write_answers(&mut out, query, &format!("{:?}", plan.strategy), &answers);
+                    if *check {
+                        let report = compare(&loaded.lr, &loaded.db, query)
                             .map_err(|e| format!("oracle failed: {e}"))?;
-                        Some(odb)
-                    } else {
-                        None
-                    };
-                    for query in &loaded.queries {
-                        let answers =
-                            answer_query(&db, query).map_err(|e| format!("query failed: {e}"))?;
-                        write_answers(&mut out, query, &label, &answers);
-                        if let Some(odb) = &oracle_db {
-                            let expected = answer_query(odb, query)
-                                .map_err(|e| format!("oracle query failed: {e}"))?;
-                            if outcome.is_complete() {
-                                let agrees = answers == expected;
-                                let _ = writeln!(
-                                    out,
-                                    "  oracle: {}",
-                                    if agrees { "agrees" } else { "DISAGREES" }
-                                );
-                                if !agrees {
-                                    return Err(format!(
-                                        "engine disagrees with the fixpoint on {query}"
-                                    ));
-                                }
-                            } else {
-                                // A truncated run only promises a sound
-                                // under-approximation: every answer must lie
-                                // inside the fixpoint's answer set.
-                                let sound = answers.iter().all(|t| expected.contains(t));
-                                let _ = writeln!(
-                                    out,
-                                    "  oracle: {}",
-                                    if sound {
-                                        "subset of the fixpoint (truncated run)"
-                                    } else {
-                                        "DISAGREES"
-                                    }
-                                );
-                                if !sound {
-                                    return Err(format!(
-                                        "truncated run over-approximates the fixpoint on {query}"
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                    if let Some(reason) = outcome.truncation() {
                         let _ = writeln!(
                             out,
-                            "truncated: {reason} (answers are a sound under-approximation)"
+                            "  oracle: {}",
+                            if report.agrees() {
+                                "agrees"
+                            } else {
+                                "DISAGREES"
+                            }
                         );
-                    }
-                    if let Some(json) = stats_line {
-                        let _ = writeln!(out, "{json}");
-                    }
-                    if let Some(agg) = metrics_agg {
-                        out.push_str(&agg.prometheus_text());
-                    }
-                    if let Some(writer) = trace_writer {
-                        writer.flush();
-                        if writer.had_error() {
-                            return Err("trace write failed (trace file is incomplete)".into());
+                        if !report.agrees() {
+                            return Err(format!("plan disagrees with the fixpoint on {query}"));
                         }
                     }
                 }
@@ -1229,7 +1098,7 @@ pub fn execute(
             opts,
             ..
         } => {
-            let (service, queries) = build_service(source, opts)?;
+            let (service, queries) = build_service_cancellable(source, opts, cancel)?;
             if queries.is_empty() {
                 return Err("no ?- queries in the file".into());
             }
@@ -1269,6 +1138,118 @@ pub fn execute(
         }
     }
     Ok(CmdOutput { text: out, outcome })
+}
+
+/// Runs `run --engine indexed`: converts the parsed facts to the engine's
+/// store once, saturates that store under `budget`, and answers every query
+/// by selecting from the relation the engine left there — a possibly
+/// partial fixpoint nothing is copied out of.
+fn run_engine(
+    out: &mut String,
+    loaded: &Loaded,
+    check: bool,
+    stats_json: bool,
+    budget: EvalBudget,
+    obs: Obs,
+) -> Result<Outcome, String> {
+    if obs.enabled() {
+        emit_classify_verdict(&obs, &loaded.lr);
+    }
+    let mut store = EngineDb::from(&loaded.db);
+    let sat = recurs_engine::saturate_linear(&mut store, &loaded.lr, &EngineConfig { budget, obs })
+        .map_err(|e| format!("engine failed: {e}"))?;
+    let label = format!(
+        "engine:indexed kernel:{} iterations={}",
+        sat.stats.kernel.map_or_else(|| "?".into(), |k| k.label()),
+        sat.stats.iteration_count()
+    );
+    // Ctrl-C asks out: the oracle polls no token and would run to its
+    // fixpoint first, so a cancelled run goes unchecked.
+    let cancelled = sat.outcome == Outcome::Truncated(TruncationReason::Cancelled);
+    let oracle = (check && !cancelled)
+        .then(|| OracleFixpoint::of(loaded))
+        .transpose()?;
+    for query in &loaded.queries {
+        let answers = select_stored(&store, query).map_err(|e| format!("query failed: {e}"))?;
+        write_answers(out, query, &label, &answers);
+        if let Some(oracle) = &oracle {
+            oracle.check(out, query, &answers, sat.outcome.is_complete())?;
+        }
+    }
+    if let Some(reason) = sat.outcome.truncation() {
+        let _ = writeln!(
+            out,
+            "truncated: {reason} (answers are a sound under-approximation)"
+        );
+    }
+    if stats_json {
+        let _ = writeln!(out, "{}", serde::json::to_string(&sat));
+    }
+    Ok(sat.outcome)
+}
+
+/// Answers `query` over the store's relation of that name, which must exist
+/// at the query's arity.
+fn select_stored(store: &EngineDb, query: &Atom) -> Result<Relation, DatalogError> {
+    let rel = store
+        .get(query.predicate)
+        .ok_or(DatalogError::UnknownRelation(query.predicate))?;
+    if rel.arity() != query.arity() {
+        return Err(DatalogError::ArityMismatch {
+            predicate: query.predicate,
+            expected: rel.arity(),
+            found: query.arity(),
+        });
+    }
+    Ok(recurs_engine::select(rel, query))
+}
+
+/// The `--check` side of an engine run: the oracle's fixpoint over a plain
+/// copy of the file's facts (computed once), against which each answer set
+/// the engine produced is compared.
+struct OracleFixpoint(Database);
+
+impl OracleFixpoint {
+    fn of(loaded: &Loaded) -> Result<OracleFixpoint, String> {
+        let mut db = loaded.db.clone();
+        semi_naive(&mut db, &loaded.lr.to_program(), None)
+            .map_err(|e| format!("oracle failed: {e}"))?;
+        Ok(OracleFixpoint(db))
+    }
+
+    /// Prints the `oracle:` verdict for one query. A complete run must
+    /// agree exactly; a truncated one only promises a sound
+    /// under-approximation, so every answer must lie inside the fixpoint's
+    /// answer set.
+    fn check(
+        &self,
+        out: &mut String,
+        query: &Atom,
+        answers: &Relation,
+        complete: bool,
+    ) -> Result<(), String> {
+        let expected =
+            answer_query(&self.0, query).map_err(|e| format!("oracle query failed: {e}"))?;
+        let (ok, verdict, failure) = if complete {
+            (
+                *answers == expected,
+                "agrees",
+                "engine disagrees with the fixpoint on",
+            )
+        } else {
+            (
+                answers.iter().all(|t| expected.contains(t)),
+                "subset of the fixpoint (truncated run)",
+                "truncated run over-approximates the fixpoint on",
+            )
+        };
+        let _ = writeln!(out, "  oracle: {}", if ok { verdict } else { "DISAGREES" });
+        if ok {
+            Ok(())
+        } else {
+            Err(format!("{failure} {query}"))
+        }
+    }
 }
 
 /// Builds the observability sinks a `run --engine` invocation asked for:
@@ -1390,7 +1371,7 @@ fn parse_ground_fact(
 /// the proven rank bound (when one exists), and the engine kernel the
 /// verdict selects. This is the provenance record tying a trace back to
 /// the paper's dispatch decision.
-fn emit_classify_verdict(obs: &Obs, lr: &LinearRecursion, choice: EngineChoice) {
+fn emit_classify_verdict(obs: &Obs, lr: &LinearRecursion) {
     let c = Classification::of(&lr.recursive_rule);
     let mut class_iter = c.component_classes.iter();
     let components: Vec<Value> = c
@@ -1411,15 +1392,11 @@ fn emit_classify_verdict(obs: &Obs, lr: &LinearRecursion, choice: EngineChoice) 
             Value::object(fields)
         })
         .collect();
-    let kernel = match choice {
-        EngineChoice::Oracle => "semi-naive".to_string(),
-        _ => recurs_engine::select_kernel(&c).label(),
-    };
     let mut fields = vec![
         ("class", field::s(c.class.label())),
         ("components", Value::Array(components)),
-        ("kernel", field::s(kernel)),
-        ("engine", field::s(choice.label())),
+        ("kernel", field::s(recurs_engine::select_kernel(&c).label())),
+        ("engine", field::s("indexed")),
     ];
     if let Some(rank) = c.rank_bound() {
         fields.push(("rank_bound", field::u(rank)));
@@ -1469,7 +1446,7 @@ E(1, 2). E(2, 3). E(2, 4).
             Command::Run {
                 file: "f.dl".into(),
                 check: true,
-                engine: None,
+                engine: false,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -1485,7 +1462,7 @@ E(1, 2). E(2, 3). E(2, 4).
             Command::Run {
                 file: "f.dl".into(),
                 check: false,
-                engine: Some(EngineChoice::Indexed),
+                engine: true,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -1497,6 +1474,9 @@ E(1, 2). E(2, 3). E(2, 4).
             }
         );
         assert!(parse_args(&args(&["run", "f.dl", "--engine", "warp"])).is_err());
+        // The oracle checks; it is not an engine to run with.
+        let err = parse_args(&args(&["run", "f.dl", "--engine", "oracle"])).unwrap_err();
+        assert!(err.contains("--check"), "{err}");
         // The parallel engine and its thread knob are gone, not ignored.
         assert!(parse_args(&args(&["run", "f.dl", "--engine", "parallel"])).is_err());
         assert!(parse_args(&args(&["run", "f.dl", REMOVED_THREADS_FLAG, "2"])).is_err());
@@ -1534,7 +1514,7 @@ E(1, 2). E(2, 3). E(2, 4).
             Command::Run {
                 file: "f.dl".into(),
                 check: false,
-                engine: Some(EngineChoice::Indexed),
+                engine: true,
                 timeout_ms: Some(250),
                 max_tuples: Some(100),
                 max_iterations: Some(7),
@@ -1559,7 +1539,7 @@ E(1, 2). E(2, 3). E(2, 4).
             Command::Run {
                 file: "f.dl".into(),
                 check: false,
-                engine: None,
+                engine: false,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -1614,7 +1594,7 @@ E(1, 2). E(2, 3). E(2, 4).
         Command::Run {
             file: String::new(),
             check: false,
-            engine: None,
+            engine: false,
             timeout_ms: None,
             max_tuples,
             max_iterations: None,
@@ -1672,15 +1652,11 @@ E(1, 2). E(2, 3). E(2, 4).
         assert!(err.contains("bad fact"), "{err}");
     }
 
-    fn budgeted_run(
-        engine: EngineChoice,
-        max_tuples: Option<usize>,
-        max_iterations: Option<usize>,
-    ) -> Command {
+    fn budgeted_run(max_tuples: Option<usize>, max_iterations: Option<usize>) -> Command {
         Command::Run {
             file: String::new(),
             check: true,
-            engine: Some(engine),
+            engine: true,
             timeout_ms: None,
             max_tuples,
             max_iterations,
@@ -1694,25 +1670,23 @@ E(1, 2). E(2, 3). E(2, 4).
 
     #[test]
     fn budgeted_run_reports_truncation_and_a_sound_subset() {
-        for engine in [EngineChoice::Oracle, EngineChoice::Indexed] {
-            let out = execute(&budgeted_run(engine, Some(1), None), TC, None).unwrap();
-            assert!(
-                !out.outcome.is_complete(),
-                "{}: tuple ceiling 1 must truncate",
-                engine.label()
-            );
-            assert!(
-                out.text.contains("truncated: tuple ceiling"),
-                "{}",
-                out.text
-            );
-            assert!(!out.text.contains("DISAGREES"), "{}", out.text);
-        }
+        let out = execute(&budgeted_run(Some(1), None), TC, None).unwrap();
+        assert!(!out.outcome.is_complete(), "tuple ceiling 1 must truncate");
+        assert!(
+            out.text.contains("truncated: tuple ceiling"),
+            "{}",
+            out.text
+        );
+        assert!(
+            out.text.contains("oracle: subset of the fixpoint"),
+            "{}",
+            out.text
+        );
     }
 
     #[test]
     fn unbudgeted_run_outcome_is_complete() {
-        let out = execute(&budgeted_run(EngineChoice::Indexed, None, None), TC, None).unwrap();
+        let out = execute(&budgeted_run(None, None), TC, None).unwrap();
         assert!(out.outcome.is_complete());
         assert!(out.text.contains("oracle: agrees"), "{}", out.text);
         assert!(!out.text.contains("truncated"), "{}", out.text);
@@ -1722,14 +1696,11 @@ E(1, 2). E(2, 3). E(2, 4).
     fn pre_cancelled_token_truncates_immediately() {
         let token = CancelToken::new();
         token.cancel();
-        let out = execute(
-            &budgeted_run(EngineChoice::Indexed, None, None),
-            TC,
-            Some(token),
-        )
-        .unwrap();
+        let out = execute(&budgeted_run(None, None), TC, Some(token)).unwrap();
         assert!(!out.outcome.is_complete());
         assert!(out.text.contains("truncated: cancelled"), "{}", out.text);
+        // ... and skips the oracle, which would not stop for the token.
+        assert!(!out.text.contains("oracle:"), "{}", out.text);
     }
 
     #[test]
@@ -1764,7 +1735,7 @@ E(1, 2). E(2, 3). E(2, 4).
             &Command::Run {
                 file: String::new(),
                 check: true,
-                engine: None,
+                engine: false,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -1791,7 +1762,7 @@ E(1, 2). E(2, 3). E(2, 4).
             &Command::Run {
                 file: String::new(),
                 check: false,
-                engine: None,
+                engine: false,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -1804,37 +1775,11 @@ E(1, 2). E(2, 3). E(2, 4).
             TC,
         )
         .unwrap();
-        for choice in [EngineChoice::Oracle, EngineChoice::Indexed] {
-            let out = run_on_source(
-                &Command::Run {
-                    file: String::new(),
-                    check: true,
-                    engine: Some(choice),
-                    timeout_ms: None,
-                    max_tuples: None,
-                    max_iterations: None,
-                    stats_json: false,
-                    trace: None,
-                    metrics: false,
-                    why: None,
-                    why_depth: DEFAULT_WHY_DEPTH,
-                },
-                TC,
-            )
-            .unwrap();
-            assert!(out.contains(&format!("engine:{}", choice.label())), "{out}");
-            assert!(out.contains("oracle: agrees"), "{out}");
-            // Same answer lines as the plan-driven run (headers differ).
-            for line in plan_out.lines().filter(|l| l.starts_with("  ")) {
-                assert!(out.contains(line), "missing `{line}` in {out}");
-            }
-        }
-        // The indexed engine reports the class-selected kernel for TC (A5).
         let out = run_on_source(
             &Command::Run {
                 file: String::new(),
-                check: false,
-                engine: Some(EngineChoice::Indexed),
+                check: true,
+                engine: true,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -1847,7 +1792,13 @@ E(1, 2). E(2, 3). E(2, 4).
             TC,
         )
         .unwrap();
-        assert!(out.contains("kernel:frontier"), "{out}");
+        // The indexed engine reports the class-selected kernel for TC (A5).
+        assert!(out.contains("engine:indexed kernel:frontier"), "{out}");
+        assert!(out.contains("oracle: agrees"), "{out}");
+        // Same answer lines as the plan-driven run (headers differ).
+        for line in plan_out.lines().filter(|l| l.starts_with("  ")) {
+            assert!(out.contains(line), "missing `{line}` in {out}");
+        }
     }
 
     #[test]
@@ -1907,7 +1858,7 @@ E(1, 2). E(2, 3). E(2, 4).
             &Command::Run {
                 file: String::new(),
                 check: false,
-                engine: None,
+                engine: false,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -1932,7 +1883,7 @@ E(1, 2). E(2, 3). E(2, 4).
             &Command::Run {
                 file: String::new(),
                 check: true,
-                engine: None,
+                engine: false,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -2041,7 +1992,7 @@ E(1, 2). E(2, 3). E(2, 4).
             Command::Run {
                 file: "f.dl".into(),
                 check: false,
-                engine: Some(EngineChoice::Indexed),
+                engine: true,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -2056,31 +2007,29 @@ E(1, 2). E(2, 3). E(2, 4).
 
     #[test]
     fn run_stats_json_emits_saturation_statistics() {
-        for choice in [EngineChoice::Oracle, EngineChoice::Indexed] {
-            let out = run_on_source(
-                &Command::Run {
-                    file: String::new(),
-                    check: false,
-                    engine: Some(choice),
-                    timeout_ms: None,
-                    max_tuples: None,
-                    max_iterations: None,
-                    stats_json: true,
-                    trace: None,
-                    metrics: false,
-                    why: None,
-                    why_depth: DEFAULT_WHY_DEPTH,
-                },
-                TC,
-            )
-            .unwrap();
-            let json = out
-                .lines()
-                .find(|l| l.starts_with('{'))
-                .unwrap_or_else(|| panic!("no JSON line from {}: {out}", choice.label()));
-            assert!(json.contains("\"iterations\""), "{json}");
-            assert!(json.contains("\"tuples_derived\""), "{json}");
-        }
+        let out = run_on_source(
+            &Command::Run {
+                file: String::new(),
+                check: false,
+                engine: true,
+                timeout_ms: None,
+                max_tuples: None,
+                max_iterations: None,
+                stats_json: true,
+                trace: None,
+                metrics: false,
+                why: None,
+                why_depth: DEFAULT_WHY_DEPTH,
+            },
+            TC,
+        )
+        .unwrap();
+        let json = out
+            .lines()
+            .find(|l| l.starts_with('{'))
+            .unwrap_or_else(|| panic!("no JSON line: {out}"));
+        assert!(json.contains("\"iterations\""), "{json}");
+        assert!(json.contains("\"tuples_derived\""), "{json}");
     }
 
     #[test]
@@ -2089,7 +2038,7 @@ E(1, 2). E(2, 3). E(2, 4).
             &Command::Run {
                 file: String::new(),
                 check: true,
-                engine: None,
+                engine: false,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -2113,7 +2062,7 @@ E(1, 2). E(2, 3). E(2, 4).
             &Command::Run {
                 file: String::new(),
                 check: true,
-                engine: None,
+                engine: false,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,

@@ -10,7 +10,8 @@ use recurs_datalog::govern::CancelToken;
 /// Installs SIGINT and SIGTERM handlers that flip `token`, so a long
 /// saturation is stopped cooperatively (and reported as a truncated run) and
 /// a serve transport drains gracefully, instead of the process being killed
-/// mid-write.
+/// mid-write. Only for commands that poll the token: a handler nothing reads
+/// would swallow Ctrl-C.
 #[cfg(unix)]
 fn install_signal_handlers(token: CancelToken) {
     use std::sync::OnceLock;
@@ -112,9 +113,20 @@ fn main() {
         }
         return;
     }
-    let token = CancelToken::new();
-    install_signal_handlers(token.clone());
-    match execute(&cmd, &source, Some(token)) {
+    // Governed evaluations stop at the token and report a truncated run;
+    // everything else (classify, plan, figure, compiled-plan runs) keeps the
+    // default disposition, so Ctrl-C kills it.
+    let governed = match &cmd {
+        Command::Run { engine, why, .. } => *engine || why.is_some(),
+        Command::Batch { .. } => true,
+        _ => false,
+    };
+    let token = governed.then(|| {
+        let token = CancelToken::new();
+        install_signal_handlers(token.clone());
+        token
+    });
+    match execute(&cmd, &source, token) {
         Ok(out) => {
             print!("{}", out.text);
             if !out.outcome.is_complete() {

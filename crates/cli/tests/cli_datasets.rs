@@ -1,7 +1,7 @@
 //! Integration tests driving the CLI commands over the shipped `datasets/`
 //! files — the same flows a user runs from the shell.
 
-use recurs_cli::{run_on_source, Command, EngineChoice};
+use recurs_cli::{execute, run_on_source, Command};
 
 fn dataset(name: &str) -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../datasets");
@@ -9,14 +9,18 @@ fn dataset(name: &str) -> String {
         .unwrap_or_else(|e| panic!("cannot read dataset {name}: {e}"))
 }
 
-fn run_cmd(check: bool, engine: Option<EngineChoice>) -> Command {
+fn run_cmd(check: bool, engine: bool) -> Command {
+    capped_run_cmd(check, engine, None)
+}
+
+fn capped_run_cmd(check: bool, engine: bool, max_iterations: Option<usize>) -> Command {
     Command::Run {
         file: String::new(),
         check,
         engine,
         timeout_ms: None,
         max_tuples: None,
-        max_iterations: None,
+        max_iterations,
         stats_json: false,
         trace: None,
         metrics: false,
@@ -28,7 +32,7 @@ fn run_cmd(check: bool, engine: Option<EngineChoice>) -> Command {
 #[test]
 fn transitive_closure_dataset_runs_checked() {
     let src = dataset("transitive_closure.dl");
-    let out = run_on_source(&run_cmd(true, None), &src).unwrap();
+    let out = run_on_source(&run_cmd(true, false), &src).unwrap();
     assert!(out.contains("[Counting]"), "{out}");
     assert!(out.contains("yes"), "{out}");
     assert!(out.contains("no"), "{out}");
@@ -51,7 +55,7 @@ fn transitive_closure_dataset_classifies() {
 #[test]
 fn bounded_dataset_uses_bounded_strategy() {
     let src = dataset("bounded_s8.dl");
-    let out = run_on_source(&run_cmd(true, None), &src).unwrap();
+    let out = run_on_source(&run_cmd(true, false), &src).unwrap();
     assert!(out.contains("[Bounded]"), "{out}");
     assert!(!out.contains("DISAGREES"), "{out}");
 }
@@ -59,35 +63,62 @@ fn bounded_dataset_uses_bounded_strategy() {
 #[test]
 fn mixed_dataset_uses_magic_strategy() {
     let src = dataset("mixed_s12.dl");
-    let out = run_on_source(&run_cmd(true, None), &src).unwrap();
+    let out = run_on_source(&run_cmd(true, false), &src).unwrap();
     assert!(out.contains("[Magic]"), "{out}");
     assert!(!out.contains("DISAGREES"), "{out}");
 }
 
-/// Every dataset, under every `--engine` choice (each with `--check` against
-/// the fixpoint oracle), must produce the exact same answer lines.
+/// On every dataset `--engine indexed --check` agrees with the fixpoint
+/// oracle and prints the plan-driven run's answer lines — also for queries
+/// the files do not ship: a repeated variable and a constant absent from the
+/// data, where the store's `select` and the oracle's `answer_query` must
+/// project alike. Capped at two rounds, every dataset truncates to a subset.
 #[test]
 fn every_engine_agrees_on_every_dataset() {
-    for name in ["transitive_closure.dl", "bounded_s8.dl", "mixed_s12.dl"] {
-        let src = dataset(name);
-        let mut answer_sets: Vec<Vec<String>> = Vec::new();
-        for engine in [EngineChoice::Oracle, EngineChoice::Indexed] {
-            let out = run_on_source(&run_cmd(true, Some(engine)), &src)
-                .unwrap_or_else(|e| panic!("{name} with {}: {e}", engine.label()));
-            assert!(
-                out.contains(&format!("engine:{}", engine.label())),
-                "{name}: {out}"
-            );
-            assert!(!out.contains("DISAGREES"), "{name}: {out}");
-            // Answer lines only — the [engine:…] headers legitimately differ.
-            let answers: Vec<String> = out
-                .lines()
+    for (name, extra) in [
+        ("transitive_closure.dl", "?- P(x, x).\n?- P(777, y).\n"),
+        ("bounded_s8.dl", "?- P(x, y, x, u).\n?- P(x, 777, z, u).\n"),
+        ("mixed_s12.dl", "?- P(x, y, y).\n?- P(777, y, z).\n"),
+        ("unbounded_s9.dl", "?- P(x, y, y).\n?- P(x, y, 777).\n"),
+    ] {
+        let src = format!("{}\n{extra}", dataset(name));
+        let out = run_on_source(&run_cmd(true, true), &src)
+            .unwrap_or_else(|e| panic!("{name} with the engine: {e}"));
+        assert!(out.contains("[engine:indexed"), "{name}: {out}");
+        assert!(!out.contains("DISAGREES"), "{name}: {out}");
+        let queries = src.lines().filter(|l| l.starts_with("?-")).count();
+        assert_eq!(
+            out.matches("oracle: agrees").count(),
+            queries,
+            "{name}: {out}"
+        );
+        // Answer lines only — the [engine:…] / [strategy] headers differ.
+        let answer_lines = |out: &str| -> Vec<String> {
+            out.lines()
                 .filter(|l| !l.starts_with("?-"))
                 .map(String::from)
-                .collect();
-            answer_sets.push(answers);
-        }
-        assert_eq!(answer_sets[0], answer_sets[1], "{name}: oracle vs indexed");
+                .collect()
+        };
+        let planned = run_on_source(&run_cmd(true, false), &src).unwrap();
+        assert_eq!(answer_lines(&planned), answer_lines(&out), "{name}");
+
+        let capped = execute(&capped_run_cmd(true, true, Some(2)), &src, None)
+            .unwrap_or_else(|e| panic!("{name} capped: {e}"));
+        assert!(!capped.outcome.is_complete(), "{name}: {}", capped.text);
+        assert_eq!(
+            capped
+                .text
+                .matches("oracle: subset of the fixpoint")
+                .count(),
+            queries,
+            "{name}: {}",
+            capped.text
+        );
+        assert!(
+            capped.text.contains("truncated: iteration cap"),
+            "{name}: {}",
+            capped.text
+        );
     }
 }
 
@@ -99,7 +130,7 @@ fn engine_reports_class_selected_kernels() {
         ("bounded_s8.dl", "kernel:unroll(2)"),
     ] {
         let src = dataset(name);
-        let out = run_on_source(&run_cmd(false, Some(EngineChoice::Indexed)), &src).unwrap();
+        let out = run_on_source(&run_cmd(false, true), &src).unwrap();
         assert!(out.contains(kernel), "{name}: {out}");
     }
 }

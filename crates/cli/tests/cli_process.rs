@@ -75,33 +75,43 @@ fn zero_timeout_stops_before_any_work_with_exit_code_two() {
 }
 
 #[test]
-fn iteration_cap_truncates_the_oracle_engine() {
-    let out = recurs(&[
-        "run",
-        &dataset("transitive_closure.dl"),
-        "--engine",
-        "oracle",
-        "--max-iterations",
-        "1",
-    ]);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
-    assert!(
-        stdout(&out).contains("truncated: iteration cap"),
-        "{}",
-        stdout(&out)
-    );
+fn budget_flags_without_engine_are_a_usage_error() {
+    let tc = dataset("transitive_closure.dl");
+    for flags in [
+        &["--max-tuples", "5"][..],
+        &["--timeout-ms", "5"],
+        &["--max-iterations", "5"],
+        &["--stats-json"],
+        &["--metrics"],
+        &["--trace", "unwritten.jsonl"],
+        &["--check", "--max-iterations", "5"],
+    ] {
+        let mut args = vec!["run", tc.as_str()];
+        args.extend_from_slice(flags);
+        let out = recurs(&args);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}");
+        assert!(
+            stderr(&out).contains("--engine indexed"),
+            "{flags:?}: {}",
+            stderr(&out)
+        );
+        assert!(stdout(&out).is_empty(), "{flags:?}: {}", stdout(&out));
+    }
 }
 
+/// The oracle only checks: it is not an engine a run can select, with or
+/// without budget flags, and the message says what to pass instead.
 #[test]
-fn budget_flags_without_engine_are_a_usage_error() {
-    let out = recurs(&[
-        "run",
-        &dataset("transitive_closure.dl"),
-        "--max-tuples",
-        "5",
-    ]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(stderr(&out).contains("--engine"), "{}", stderr(&out));
+fn the_oracle_is_not_a_selectable_engine() {
+    let tc = dataset("transitive_closure.dl");
+    for extra in [&[][..], &["--max-iterations", "1"], &["--check"]] {
+        let mut args = vec!["run", tc.as_str(), "--engine", "oracle"];
+        args.extend_from_slice(extra);
+        let out = recurs(&args);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}");
+        assert!(stderr(&out).contains("--check"), "{}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "{extra:?}: {}", stdout(&out));
+    }
 }
 
 #[test]
@@ -375,11 +385,93 @@ fn metrics_flag_appends_parseable_prometheus_text() {
 }
 
 fn sigterm(child: &std::process::Child) {
+    send_signal(child, "-TERM");
+}
+
+fn send_signal(child: &std::process::Child, signal: &str) {
     let status = Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
+        .args([signal, &child.id().to_string()])
         .status()
         .unwrap_or_else(|e| panic!("cannot run kill: {e}"));
-    assert!(status.success(), "kill -TERM failed");
+    assert!(status.success(), "kill {signal} failed");
+}
+
+/// Transitive closure over a 1 200-node chain (~720 000 derived tuples):
+/// every evaluator needs well over a second on it. One file per caller, so
+/// concurrently running tests never read each other's half-written copy.
+fn long_chain_file(tag: &str) -> String {
+    use std::fmt::Write as _;
+    let mut src = String::from("P(x, y) :- A(x, z), P(z, y).\nP(x, y) :- E(x, y).\n");
+    for i in 1..1200 {
+        let _ = writeln!(src, "A({i}, {}). E({i}, {}).", i + 1, i + 1);
+    }
+    src.push_str("?- P(1, y).\n");
+    let dir = std::env::temp_dir().join("recurs_cli_process_tests");
+    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("mkdir: {e}"));
+    let path = dir.join(format!("long_chain_{tag}_{}.dl", std::process::id()));
+    std::fs::write(&path, src).unwrap_or_else(|e| panic!("write: {e}"));
+    path.to_string_lossy().into_owned()
+}
+
+/// Spawns `recurs run <long chain> <flags>`, sends SIGINT once the run is
+/// under way, and returns how the process ended (it gets 5 s to end).
+fn interrupt_run(flags: &[&str]) -> Output {
+    let file = long_chain_file(&flags.concat());
+    let mut child = Command::new(env!("CARGO_BIN_EXE_recurs"))
+        .args(["run", &file])
+        .args(flags)
+        .stdin(std::process::Stdio::null())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap_or_else(|e| panic!("cannot spawn recurs run: {e}"));
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    send_signal(&child, "-INT");
+    let interrupted = std::time::Instant::now();
+    while child
+        .try_wait()
+        .unwrap_or_else(|e| panic!("wait: {e}"))
+        .is_none()
+    {
+        if interrupted.elapsed() > std::time::Duration::from_secs(5) {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("recurs run {flags:?} was still running 5 s after SIGINT");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let _ = std::fs::remove_file(file);
+    child
+        .wait_with_output()
+        .unwrap_or_else(|e| panic!("collect output: {e}"))
+}
+
+/// Nothing in a compiled-plan `run --check` polls a cancel token (the oracle
+/// is ungoverned), so no handler is installed for it and Ctrl-C kills it.
+#[cfg(unix)]
+#[test]
+fn sigint_kills_an_ungoverned_run() {
+    use std::os::unix::process::ExitStatusExt as _;
+    let out = interrupt_run(&["--check"]);
+    assert_eq!(
+        out.status.signal(),
+        Some(2),
+        "expected death by SIGINT, got {:?}: {}",
+        out.status,
+        stdout(&out)
+    );
+}
+
+/// The engine polls the token: Ctrl-C ends `run --engine indexed` with the
+/// sound partial answers and the truncated exit code.
+#[test]
+fn sigint_truncates_a_governed_run_with_partial_answers() {
+    let out = interrupt_run(&["--engine", "indexed"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("?- P(1, y)   [engine:indexed"), "{text}");
+    assert!(text.contains(" answers)"), "{text}");
+    assert!(text.contains("truncated: cancelled"), "{text}");
 }
 
 /// Spawns `recurs serve --listen 127.0.0.1:0 <extra>` and parses the

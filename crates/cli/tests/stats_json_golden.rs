@@ -122,7 +122,7 @@ fn live_stats_json_carries_the_pinned_keys() {
         &recurs_cli::Command::Run {
             file: String::new(),
             check: false,
-            engine: Some(recurs_cli::EngineChoice::Indexed),
+            engine: true,
             timeout_ms: None,
             max_tuples: None,
             max_iterations: None,

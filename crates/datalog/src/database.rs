@@ -119,17 +119,6 @@ impl Database {
         self.relations.values().map(Relation::len).sum()
     }
 
-    /// Approximate working-set size in bytes: per-tuple payload plus a flat
-    /// per-tuple allocation overhead estimate. Used by governed evaluation
-    /// to enforce [`crate::govern::EvalBudget::max_memory_bytes`]; this is
-    /// an estimate for budgeting, not an allocator measurement.
-    pub fn approx_bytes(&self) -> usize {
-        self.relations
-            .values()
-            .map(|r| r.len() * (r.arity() * std::mem::size_of::<crate::term::Value>() + 48))
-            .sum()
-    }
-
     /// Loads the ground facts of `program` into the database and returns the
     /// remaining (non-fact) rules. A fact is a rule with an empty body and
     /// all-constant head.

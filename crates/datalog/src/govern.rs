@@ -4,7 +4,9 @@
 //! The paper predicts evaluation cost from rule shape (rank bounds for the
 //! bounded classes, stability for the one-directional ones), but class-C and
 //! general class-D formulas can still blow up combinatorially on real data.
-//! This module is the contract every evaluator in the workspace honors:
+//! This module is the contract every governed evaluator honors — the engine
+//! and what is built on it; the reference oracle in [`crate::eval`] is
+//! deliberately outside it and knows only a round cap:
 //!
 //! * an [`EvalBudget`] declares the caller's ceilings — wall-clock deadline,
 //!   derived-tuple ceiling, per-iteration delta ceiling, approximate memory
@@ -306,40 +308,6 @@ impl Governor {
         }
         None
     }
-
-    /// Remaining room under each armed ceiling given current progress
-    /// (`None` for ceilings that aren't set). Observability events attach
-    /// this so a trace shows not just what a run did but how close it came
-    /// to each budget wall.
-    pub fn headroom(&self, progress: &Progress) -> BudgetHeadroom {
-        BudgetHeadroom {
-            time_left: self
-                .deadline
-                .map(|d| d.saturating_duration_since(Instant::now())),
-            tuples_left: self.max_tuples.map(|c| c.saturating_sub(progress.tuples)),
-            iterations_left: self
-                .max_iterations
-                .map(|c| c.saturating_sub(progress.iterations)),
-            memory_left: self
-                .max_memory_bytes
-                .map(|c| c.saturating_sub(progress.memory_bytes)),
-        }
-    }
-}
-
-/// Remaining room under each armed [`EvalBudget`] ceiling, from
-/// [`Governor::headroom`]. Purely informational — governance decisions go
-/// through [`Governor::check`]/[`Governor::poll`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BudgetHeadroom {
-    /// Time left before the deadline (zero once passed).
-    pub time_left: Option<Duration>,
-    /// Tuples left under the derived-tuple ceiling.
-    pub tuples_left: Option<usize>,
-    /// Iterations left under the iteration cap.
-    pub iterations_left: Option<usize>,
-    /// Bytes left under the approximate memory ceiling.
-    pub memory_left: Option<usize>,
 }
 
 #[cfg(test)]

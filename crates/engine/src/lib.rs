@@ -1,11 +1,12 @@
 //! `recurs-engine` — an indexed semi-naive execution engine with
 //! class-aware kernels.
 //!
-//! The oracle evaluator in `recurs_datalog::eval` is written for clarity: it
-//! re-plans the join order, re-normalizes atoms, and rebuilds hash indexes
-//! on every fixpoint iteration. This crate keeps the same semantics (it is
-//! differentially tested against the oracle) but moves all of that work out
-//! of the loop:
+//! The oracle evaluator in `recurs_datalog::eval` is written for clarity and
+//! only ever checks results: it re-plans the join order and re-normalizes
+//! atoms as it goes, knows no budget beyond a round cap and reports nothing.
+//! This crate is the evaluator that *runs* — governed, traced, with
+//! statistics — under the same semantics (it is differentially tested
+//! against the oracle), with all of that work moved out of the loop:
 //!
 //! * **Storage** ([`storage`]): [`storage::IndexedRelation`] keeps
 //!   *persistent* hash indexes on the columns rules join on. Each index is
@@ -36,9 +37,9 @@
 //! ([`recurs_datalog::govern::EvalBudget`]): the driver checks the full
 //! budget at each round boundary and pipelines poll cancellation/deadline
 //! cooperatively every few hundred rows. A run that stops early returns
-//! `Ok(`[`Saturation`]`)` with [`Outcome::Truncated`] and writes back a
-//! *sound under-approximation* of the fixpoint — every derived tuple is a
-//! true consequence; stopping only omits tuples.
+//! `Ok(`[`Saturation`]`)` with [`Outcome::Truncated`] and leaves a *sound
+//! under-approximation* of the fixpoint in the store — every derived tuple
+//! is a true consequence; stopping only omits tuples.
 //!
 //! [`EngineStats`] reports per-iteration timings, delta sizes and index hit
 //! counts.
@@ -92,6 +93,21 @@ pub struct EngineConfig {
     pub obs: Obs,
 }
 
+/// Saturates `storage` in place with the recursion's consequences using the
+/// kernel selected from its classification — the store-level form of
+/// [`run_linear`]: nothing is loaded or copied back, the fixpoint (or a sound
+/// under-approximation of it, on [`Outcome::Truncated`]) stays in the store
+/// for [`select`] to read. Every body relation must already be stored.
+pub fn saturate_linear(
+    storage: &mut EngineDb,
+    lr: &LinearRecursion,
+    config: &EngineConfig,
+) -> Result<Saturation, EngineError> {
+    let kernel = dispatch(lr, config);
+    let compiled = CompiledProgram::compile(&lr.to_program(), storage)?;
+    saturate(storage, &compiled, kernel, config)
+}
+
 /// Saturates `db` with the program's consequences using the kernel selected
 /// from the recursion's classification. IDB relations are written back into
 /// `db` (EDB relations are untouched) — on [`Outcome::Truncated`] runs too,
@@ -101,11 +117,16 @@ pub fn run_linear(
     lr: &LinearRecursion,
     config: &EngineConfig,
 ) -> Result<Saturation, EngineError> {
+    run_with_kernel(db, &lr.to_program(), dispatch(lr, config), config)
+}
+
+/// The kernel the recursion's classification selects, recorded as the
+/// `engine.dispatch` event: which class the formula fell in and which
+/// compiled form the engine chose for it.
+fn dispatch(lr: &LinearRecursion, config: &EngineConfig) -> KernelKind {
     let classification = recurs_core::Classification::of(&lr.recursive_rule);
     let kernel = select_kernel(&classification);
     if config.obs.enabled() {
-        // The dispatch decision: which class the formula fell in and which
-        // compiled form the engine chose for it.
         config.obs.event(
             "engine.dispatch",
             &[
@@ -114,7 +135,7 @@ pub fn run_linear(
             ],
         );
     }
-    run_with_kernel(db, &lr.to_program(), kernel, config)
+    kernel
 }
 
 /// Saturates `db` with an arbitrary program using the generic semi-naive

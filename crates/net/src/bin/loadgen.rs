@@ -4,7 +4,7 @@
 //! ```text
 //! loadgen --addr 127.0.0.1:4004 --qps 200 --duration-ms 2000 \
 //!         --connections 4 --update-ratio 0.1 --deadline-ms 1000 \
-//!         --key-space 100 --seed 1 [--out BENCH_load.json]
+//!         --key-space 100 --seed 1 [--out report.json]
 //! ```
 //!
 //! The scored report (p50/p95/p99 latency, shed rate, saturation) is

@@ -146,7 +146,7 @@ pub fn score(samples: Samples, target_qps: f64, elapsed: Duration) -> LoadReport
 }
 
 impl LoadReport {
-    /// The report as a JSON value (the `BENCH_load.json` record shape).
+    /// The report as a JSON value (what the `loadgen` binary writes).
     pub fn to_value(&self) -> Value {
         Value::object([
             ("target_qps", self.target_qps.to_value()),

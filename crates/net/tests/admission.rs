@@ -235,3 +235,38 @@ fn loadgen_backoff_consumes_shed_hints_and_still_makes_progress() {
     handle.drain();
     join.join().expect("server thread").expect("run ok");
 }
+
+/// The liveness floor under the saturation tests above: at a load far below
+/// capacity — 60 qps over 4 connections, 5% write pairs, the default
+/// service and server configs — nothing is shed, no request errors or loses
+/// its connection, and the server then drains without the hard cancel.
+#[test]
+fn smoke_load_is_served_without_shedding_errors_or_a_forced_drain() {
+    let _gate = heavy();
+    let (addr, handle, join) = spawn_server(
+        tc_service(100, ServeConfig::default()),
+        NetConfig::default(),
+    );
+    let report = loadgen::run(&LoadSpec {
+        addr,
+        connections: 4,
+        qps: 60.0,
+        duration: Duration::from_millis(1500),
+        update_ratio: 0.05,
+        key_space: 32,
+        seed: 42,
+        ..LoadSpec::default()
+    })
+    .expect("load run");
+    assert!(report.samples.ok > 0, "{report:?}");
+    assert_eq!(report.samples.shed_replies, 0, "{report:?}");
+    assert_eq!(report.shed_rate, 0.0, "{report:?}");
+    assert_eq!(report.samples.transport_errors, 0, "{report:?}");
+    assert_eq!(report.samples.errors, 0, "{report:?}");
+    handle.drain();
+    let drain = join.join().expect("server thread").expect("run ok");
+    assert!(
+        !drain.forced,
+        "an idle server drains without the hard cancel"
+    );
+}

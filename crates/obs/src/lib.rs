@@ -1,8 +1,8 @@
 //! `recurs-obs` — the workspace's observability spine.
 //!
-//! Every layer of the system (the governed oracle in `recurs-datalog`, the
-//! indexed engine in `recurs-engine`, the query service in `recurs-serve`,
-//! and the CLI) reports what it is doing through one narrow interface, the
+//! Every layer of the system that runs work (the indexed engine in
+//! `recurs-engine`, the query service in `recurs-serve`, the network front
+//! end, and the CLI) reports what it is doing through one narrow interface, the
 //! [`Recorder`] trait, carried around as a cheaply cloneable [`Obs`] handle:
 //!
 //! * **Counters** ([`Recorder::counter`]) — monotonic totals such as tuples

@@ -31,21 +31,6 @@ pub const EVENTS: &[EventKind] = &[
         doc: "The classification verdict for a program: per-component class, cycle weights, one-directionality/rotation flags, chosen kernel, and rank bound.",
     },
     EventKind {
-        kind: "eval.iteration",
-        layer: "datalog",
-        doc: "One semi-naive iteration of the governed oracle: delta sizes in and out.",
-    },
-    EventKind {
-        kind: "eval.complete",
-        layer: "datalog",
-        doc: "The governed oracle reached fixpoint: iterations and tuples derived.",
-    },
-    EventKind {
-        kind: "eval.truncated",
-        layer: "datalog",
-        doc: "The governed oracle stopped early: which budget tripped and where.",
-    },
-    EventKind {
         kind: "engine.dispatch",
         layer: "engine",
         doc: "The engine chose a kernel for a program: class, kernel, and why.",

@@ -24,7 +24,6 @@ use recurs_ivm::IdbPatch;
 use recurs_obs::Obs;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Cache key: program identity, snapshot version, canonical query.
@@ -144,7 +143,9 @@ pub fn canonical_query_key(query: &Atom) -> String {
     out
 }
 
-/// Monotone counters exposed by [`SaturationCache::counters`].
+/// The cache's monotone operation counts, as `QueryService::stats` reads
+/// them back from `recurs_serve_cache_ops_total{op}` summed over shards —
+/// the counter [`SaturationCache`] records every operation into.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Lookups that found a live entry.
@@ -290,39 +291,24 @@ pub struct SaturationCache {
     shards: Box<[Mutex<Shard>]>,
     capacity_per_shard: usize,
     obs: Obs,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
-    patched: AtomicU64,
+    /// Each shard's index rendered once, as the `shard` metric label.
+    shard_labels: Box<[String]>,
 }
 
 impl SaturationCache {
     /// Builds a cache with `capacity` total entries spread over `shards`
     /// mutex-protected shards (both floored at 1; per-shard capacity is
-    /// rounded up so total capacity is at least `capacity`).
-    pub fn new(capacity: usize, shards: usize) -> SaturationCache {
-        SaturationCache::with_obs(capacity, shards, Obs::noop())
-    }
-
-    /// [`SaturationCache::new`] with an observability handle: every cache
-    /// operation is additionally recorded into
-    /// `recurs_serve_cache_ops_total{op, shard}` so hit/miss/insert/evict/
-    /// invalidate rates are visible per shard.
-    pub fn with_obs(capacity: usize, shards: usize, obs: Obs) -> SaturationCache {
+    /// rounded up so total capacity is at least `capacity`). Every cache
+    /// operation is counted into `recurs_serve_cache_ops_total{op, shard}`
+    /// on `obs` — the only place hit / miss / insert / evict / invalidate /
+    /// patch counts are kept.
+    pub fn new(capacity: usize, shards: usize, obs: Obs) -> SaturationCache {
         let shards = shards.max(1);
-        let capacity_per_shard = capacity.max(1).div_ceil(shards);
         SaturationCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            capacity_per_shard,
+            capacity_per_shard: capacity.max(1).div_ceil(shards),
             obs,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            patched: AtomicU64::new(0),
+            shard_labels: (0..shards).map(|i| i.to_string()).collect(),
         }
     }
 
@@ -335,10 +321,10 @@ impl SaturationCache {
     }
 
     fn record_op(&self, op: &'static str, shard: usize, delta: u64) {
-        if delta > 0 && self.obs.enabled() {
+        if delta > 0 {
             self.obs.counter(
                 "recurs_serve_cache_ops_total",
-                &[("op", op), ("shard", &shard.to_string())],
+                &[("op", op), ("shard", &self.shard_labels[shard])],
                 delta,
             );
         }
@@ -353,18 +339,8 @@ impl SaturationCache {
                 .unwrap_or_else(PoisonError::into_inner);
             shard.touch(key)
         };
-        match hit {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.record_op("hit", idx, 1);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.record_op("miss", idx, 1);
-                None
-            }
-        }
+        self.record_op(if hit.is_some() { "hit" } else { "miss" }, idx, 1);
+        hit
     }
 
     /// Admits a completed answer (with the query's selection pattern, for
@@ -378,8 +354,6 @@ impl SaturationCache {
                 .unwrap_or_else(PoisonError::into_inner);
             shard.insert(key, value, pattern, self.capacity_per_shard)
         };
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
         self.record_op("insert", idx, 1);
         self.record_op("evict", idx, evicted);
     }
@@ -389,16 +363,13 @@ impl SaturationCache {
     /// fallback or a generic edit): old-version keys can never be looked up
     /// again.
     pub fn retain_version(&self, version: Version) {
-        let mut dropped = 0;
         for (idx, shard) in self.shards.iter().enumerate() {
-            let d = shard
+            let dropped = shard
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .retain_version(version);
-            dropped += d;
-            self.record_op("invalidate", idx, d);
+            self.record_op("invalidate", idx, dropped);
         }
-        self.invalidations.fetch_add(dropped, Ordering::Relaxed);
     }
 
     /// Carries every `from`-version entry to version `to` by patching its
@@ -409,16 +380,13 @@ impl SaturationCache {
     ///
     /// [`retain_version`]: SaturationCache::retain_version
     pub fn advance(&self, from: Version, to: Version, patch: &IdbPatch) {
-        let mut carried = 0;
         for (idx, shard) in self.shards.iter().enumerate() {
-            let c = shard
+            let carried = shard
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .advance(from, to, patch);
-            carried += c;
-            self.record_op("patch", idx, c);
+            self.record_op("patch", idx, carried);
         }
-        self.patched.fetch_add(carried, Ordering::Relaxed);
     }
 
     /// Number of live entries across all shards.
@@ -432,18 +400,6 @@ impl SaturationCache {
     /// True when no entries are cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// A consistent snapshot of the monotone counters.
-    pub fn counters(&self) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            patched: self.patched.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -468,6 +424,16 @@ mod tests {
         Arc::new(Relation::from_pairs([(n, n)]))
     }
 
+    /// A cache recording into a capture, and the count of one `op` summed
+    /// over shards — what `QueryService::stats` reads from its aggregator.
+    fn counted(capacity: usize, shards: usize) -> (SaturationCache, impl Fn(&str) -> u64) {
+        let capture = Arc::new(recurs_obs::CaptureRecorder::new());
+        let cache = SaturationCache::new(capacity, shards, Obs::new(capture.clone()));
+        let ops =
+            move |op: &str| capture.counter_where("recurs_serve_cache_ops_total", &[("op", op)]);
+        (cache, ops)
+    }
+
     #[test]
     fn canonical_key_normalizes_variable_names() {
         let a = parse_atom("P(1, x)").unwrap();
@@ -486,18 +452,17 @@ mod tests {
 
     #[test]
     fn hit_after_insert_miss_before() {
-        let cache = SaturationCache::new(8, 2);
+        let (cache, ops) = counted(8, 2);
         let k = key(0, "P(1, x)");
         assert!(cache.get(&k).is_none());
         cache.insert(k.clone(), rel(1), pat("P(1, x)"));
         assert_eq!(cache.get(&k).unwrap().len(), 1);
-        let c = cache.counters();
-        assert_eq!((c.hits, c.misses, c.insertions), (1, 1, 1));
+        assert_eq!((ops("hit"), ops("miss"), ops("insert")), (1, 1, 1));
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let cache = SaturationCache::new(2, 1);
+        let (cache, ops) = counted(2, 1);
         let (k1, k2, k3) = (key(0, "P(1, x)"), key(0, "P(2, x)"), key(0, "P(3, x)"));
         cache.insert(k1.clone(), rel(1), pat("P(1, x)"));
         cache.insert(k2.clone(), rel(2), pat("P(2, x)"));
@@ -507,13 +472,13 @@ mod tests {
         assert!(cache.get(&k1).is_some());
         assert!(cache.get(&k2).is_none());
         assert!(cache.get(&k3).is_some());
-        assert_eq!(cache.counters().evictions, 1);
+        assert_eq!(ops("evict"), 1);
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn version_change_invalidates_precisely() {
-        let cache = SaturationCache::new(16, 4);
+        let (cache, ops) = counted(16, 4);
         cache.insert(key(0, "P(1, x)"), rel(1), pat("P(1, x)"));
         cache.insert(key(0, "P(2, x)"), rel(2), pat("P(2, x)"));
         cache.insert(key(1, "P(1, x)"), rel(3), pat("P(1, x)"));
@@ -521,17 +486,17 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&key(0, "P(1, x)")).is_none());
         assert!(cache.get(&key(1, "P(1, x)")).is_some());
-        assert_eq!(cache.counters().invalidations, 2);
+        assert_eq!(ops("invalidate"), 2);
     }
 
     #[test]
     fn reinsert_same_key_does_not_grow() {
-        let cache = SaturationCache::new(4, 1);
+        let (cache, ops) = counted(4, 1);
         let k = key(0, "P(1, x)");
         cache.insert(k.clone(), rel(1), pat("P(1, x)"));
         cache.insert(k.clone(), rel(2), pat("P(1, x)"));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.counters().evictions, 0);
+        assert_eq!(ops("evict"), 0);
     }
 
     #[test]
@@ -551,7 +516,7 @@ mod tests {
     #[test]
     fn advance_patches_warm_entries_to_the_next_version() {
         use recurs_datalog::relation::tuple_u64;
-        let cache = SaturationCache::new(16, 4);
+        let (cache, ops) = counted(16, 4);
         // Answers of P(1, x) over {P(1,2), P(1,3)}, and of P(x, y).
         cache.insert(
             key(0, "P(1, x)"),
@@ -579,13 +544,13 @@ mod tests {
         );
         let free = cache.get(&key(1, "P(x, y)")).unwrap();
         assert_eq!(*free, Relation::from_pairs([(1, 3), (1, 4), (9, 9)]));
-        assert_eq!(cache.counters().patched, 2);
-        assert_eq!(cache.counters().invalidations, 0);
+        assert_eq!(ops("patch"), 2);
+        assert_eq!(ops("invalidate"), 0);
     }
 
     #[test]
     fn advance_with_empty_patch_rekeys_without_copying() {
-        let cache = SaturationCache::new(16, 4);
+        let cache = SaturationCache::new(16, 4, Obs::noop());
         let answers = rel(1);
         cache.insert(key(0, "P(1, x)"), answers.clone(), pat("P(1, x)"));
         cache.advance(Version::ZERO, Version::from(1), &IdbPatch::empty(2));

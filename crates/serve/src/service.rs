@@ -1,7 +1,7 @@
 //! The long-lived query service: snapshots + kernels + cache + admission.
 
 use crate::admission::{Permit, Semaphore};
-use crate::cache::{canonical_query_key, CacheKey, QueryPattern, SaturationCache};
+use crate::cache::{canonical_query_key, CacheCounters, CacheKey, QueryPattern, SaturationCache};
 use crate::error::ServeError;
 use crate::kernel::{PointKernelKind, PointPlans};
 use crate::snapshot::{Snapshot, SnapshotStore, SnapshotUpdate};
@@ -160,7 +160,7 @@ impl QueryService {
             program_fingerprint,
             store: SnapshotStore::new(EngineDb::from(&db)),
             cache: (config.cache_capacity > 0).then(|| {
-                SaturationCache::with_obs(config.cache_capacity, config.cache_shards, obs.clone())
+                SaturationCache::new(config.cache_capacity, config.cache_shards, obs.clone())
             }),
             view: RwLock::new(None),
             admission: Semaphore::new(config.max_concurrent),
@@ -613,6 +613,7 @@ impl QueryService {
         let snapshot = self.store.load();
         let m = &self.metrics;
         let q = "recurs_serve_queries_total";
+        let cache_op = |op| m.counter_where("recurs_serve_cache_ops_total", &[("op", op)]);
         ServiceStats {
             queries: m.counter_where(q, &[]),
             complete: m.counter_where(q, &[("outcome", "complete")]),
@@ -625,11 +626,14 @@ impl QueryService {
             queue_wait_us: m.counter_value("recurs_serve_queue_wait_us_total", &[]),
             eval_us: m.counter_value("recurs_serve_eval_us_total", &[]),
             tuples_derived: m.counter_value("recurs_serve_tuples_derived_total", &[]),
-            cache: self
-                .cache
-                .as_ref()
-                .map(SaturationCache::counters)
-                .unwrap_or_default(),
+            cache: CacheCounters {
+                hits: cache_op("hit"),
+                misses: cache_op("miss"),
+                insertions: cache_op("insert"),
+                evictions: cache_op("evict"),
+                invalidations: cache_op("invalidate"),
+                patched: cache_op("patch"),
+            },
             snapshot_version: snapshot.version().get(),
             snapshot_updates: m.counter_value("recurs_serve_snapshot_updates_total", &[]),
             updates_unchanged: m

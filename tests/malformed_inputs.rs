@@ -87,7 +87,7 @@ fn cli_run_reports_typed_errors_for_bad_programs() {
             &Command::Run {
                 file: String::new(),
                 check: false,
-                engine: None,
+                engine: false,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
