@@ -20,6 +20,8 @@
 #![warn(rust_2018_idioms)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod signals;
+
 use recurs_core::oracle::compare;
 use recurs_core::plan::plan_query;
 use recurs_core::report::{classification_report, plan_report};
@@ -28,7 +30,7 @@ use recurs_datalog::adornment::QueryForm;
 use recurs_datalog::error::DatalogError;
 use recurs_datalog::eval::{answer_query, semi_naive};
 use recurs_datalog::fingerprint;
-use recurs_datalog::govern::{CancelToken, EvalBudget, Outcome, TruncationReason};
+use recurs_datalog::govern::{CancelToken, EvalBudget, Outcome};
 use recurs_datalog::parser::{parse, parse_atom};
 use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::term::Term;
@@ -1048,17 +1050,15 @@ pub fn execute(
                 );
             }
             if *engine {
-                let (obs, trace_writer, metrics_agg) = build_run_obs(trace.as_deref(), *metrics)?;
-                outcome = run_engine(&mut out, &loaded, *check, *stats_json, budget, obs)?;
-                if let Some(agg) = metrics_agg {
-                    out.push_str(&agg.prometheus_text());
-                }
-                if let Some(writer) = trace_writer {
-                    writer.flush();
-                    if writer.had_error() {
-                        return Err("trace write failed (trace file is incomplete)".into());
-                    }
-                }
+                outcome = run_engine(
+                    &mut out,
+                    &loaded,
+                    *check,
+                    *stats_json,
+                    budget,
+                    trace.as_deref(),
+                    *metrics,
+                )?;
             } else {
                 for query in &loaded.queries {
                     let plan = plan_query(&loaded.lr, query);
@@ -1143,29 +1143,44 @@ pub fn execute(
 /// Runs `run --engine indexed`: converts the parsed facts to the engine's
 /// store once, saturates that store under `budget`, and answers every query
 /// by selecting from the relation the engine left there — a possibly
-/// partial fixpoint nothing is copied out of.
+/// partial fixpoint nothing is copied out of. Saturation is the governed,
+/// traced phase; once it ends Ctrl-C is no longer caught.
 fn run_engine(
     out: &mut String,
     loaded: &Loaded,
     check: bool,
     stats_json: bool,
     budget: EvalBudget,
-    obs: Obs,
+    trace: Option<&str>,
+    metrics: bool,
 ) -> Result<Outcome, String> {
+    let (obs, trace_writer, metrics_agg) = build_run_obs(trace, metrics)?;
     if obs.enabled() {
         emit_classify_verdict(&obs, &loaded.lr);
     }
+    let cancel = budget.cancel.clone();
     let mut store = EngineDb::from(&loaded.db);
     let sat = recurs_engine::saturate_linear(&mut store, &loaded.lr, &EngineConfig { budget, obs })
         .map_err(|e| format!("engine failed: {e}"))?;
+    // Nothing below polls the token or emits an event, and the oracle is the
+    // longer half of a `--check` run: a handler left in place would swallow
+    // Ctrl-C until its fixpoint. From here the signal kills, so the trace
+    // goes to disk now and a killed check still leaves it whole.
+    signals::restore_default();
+    if let Some(writer) = trace_writer {
+        writer.flush();
+        if writer.had_error() {
+            return Err("trace write failed (trace file is incomplete)".into());
+        }
+    }
     let label = format!(
         "engine:indexed kernel:{} iterations={}",
         sat.stats.kernel.map_or_else(|| "?".into(), |k| k.label()),
         sat.stats.iteration_count()
     );
-    // Ctrl-C asks out: the oracle polls no token and would run to its
-    // fixpoint first, so a cancelled run goes unchecked.
-    let cancelled = sat.outcome == Outcome::Truncated(TruncationReason::Cancelled);
+    // A Ctrl-C caught before that point asks out, whether it truncated the
+    // saturation or landed just after its last poll: the run goes unchecked.
+    let cancelled = cancel.is_some_and(|token| token.is_cancelled());
     let oracle = (check && !cancelled)
         .then(|| OracleFixpoint::of(loaded))
         .transpose()?;
@@ -1184,6 +1199,9 @@ fn run_engine(
     }
     if stats_json {
         let _ = writeln!(out, "{}", serde::json::to_string(&sat));
+    }
+    if let Some(agg) = metrics_agg {
+        out.push_str(&agg.prometheus_text());
     }
     Ok(sat.outcome)
 }

@@ -7,37 +7,6 @@
 use recurs_cli::{execute, parse_args, Command, USAGE};
 use recurs_datalog::govern::CancelToken;
 
-/// Installs SIGINT and SIGTERM handlers that flip `token`, so a long
-/// saturation is stopped cooperatively (and reported as a truncated run) and
-/// a serve transport drains gracefully, instead of the process being killed
-/// mid-write. Only for commands that poll the token: a handler nothing reads
-/// would swallow Ctrl-C.
-#[cfg(unix)]
-fn install_signal_handlers(token: CancelToken) {
-    use std::sync::OnceLock;
-    static TOKEN: OnceLock<CancelToken> = OnceLock::new();
-    extern "C" fn on_signal(_signum: i32) {
-        // Only async-signal-safe work here: a single atomic store.
-        if let Some(t) = TOKEN.get() {
-            t.cancel();
-        }
-    }
-    if TOKEN.set(token).is_ok() {
-        extern "C" {
-            fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-        }
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
-        }
-    }
-}
-
-#[cfg(not(unix))]
-fn install_signal_handlers(_token: CancelToken) {}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = match parse_args(&args) {
@@ -71,7 +40,7 @@ fn main() {
         // line), so it bypasses the buffered `execute` path. SIGTERM and
         // Ctrl-C drain the transport gracefully.
         let token = CancelToken::new();
-        install_signal_handlers(token.clone());
+        recurs_cli::signals::install(token.clone());
         match net {
             Some(net) => {
                 match recurs_cli::serve_listen_on_source(
@@ -123,7 +92,7 @@ fn main() {
     };
     let token = governed.then(|| {
         let token = CancelToken::new();
-        install_signal_handlers(token.clone());
+        recurs_cli::signals::install(token.clone());
         token
     });
     match execute(&cmd, &source, token) {

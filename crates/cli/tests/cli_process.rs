@@ -413,32 +413,45 @@ fn long_chain_file(tag: &str) -> String {
     path.to_string_lossy().into_owned()
 }
 
-/// Spawns `recurs run <long chain> <flags>`, sends SIGINT once the run is
-/// under way, and returns how the process ended (it gets 5 s to end).
-fn interrupt_run(flags: &[&str]) -> Output {
-    let file = long_chain_file(&flags.concat());
+/// Spawns `recurs run <long chain> <flags>`, waits until `reached` says the
+/// run is in the phase under test, sends SIGINT, and returns how the
+/// process ended (it gets 5 s to end).
+#[cfg(unix)]
+fn interrupt_run(
+    file: &str,
+    flags: &[&str],
+    reached: impl Fn(&std::process::Child) -> bool,
+) -> Output {
+    use std::time::{Duration, Instant};
     let mut child = Command::new(env!("CARGO_BIN_EXE_recurs"))
-        .args(["run", &file])
+        .args(["run", file])
         .args(flags)
         .stdin(std::process::Stdio::null())
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
         .spawn()
         .unwrap_or_else(|e| panic!("cannot spawn recurs run: {e}"));
-    std::thread::sleep(std::time::Duration::from_millis(200));
+    let wait =
+        |child: &mut std::process::Child| child.try_wait().unwrap_or_else(|e| panic!("wait: {e}"));
+    let spawned = Instant::now();
+    while !reached(&child) {
+        let ended = wait(&mut child);
+        if ended.is_some() || spawned.elapsed() > Duration::from_secs(120) {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("recurs run {flags:?} never reached the phase to interrupt (ended: {ended:?})");
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
     send_signal(&child, "-INT");
-    let interrupted = std::time::Instant::now();
-    while child
-        .try_wait()
-        .unwrap_or_else(|e| panic!("wait: {e}"))
-        .is_none()
-    {
-        if interrupted.elapsed() > std::time::Duration::from_secs(5) {
+    let interrupted = Instant::now();
+    while wait(&mut child).is_none() {
+        if interrupted.elapsed() > Duration::from_secs(5) {
             let _ = child.kill();
             let _ = child.wait();
             panic!("recurs run {flags:?} was still running 5 s after SIGINT");
         }
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        std::thread::sleep(Duration::from_millis(10));
     }
     let _ = std::fs::remove_file(file);
     child
@@ -446,32 +459,82 @@ fn interrupt_run(flags: &[&str]) -> Output {
         .unwrap_or_else(|e| panic!("collect output: {e}"))
 }
 
-/// Nothing in a compiled-plan `run --check` polls a cancel token (the oracle
-/// is ungoverned), so no handler is installed for it and Ctrl-C kills it.
+/// [`interrupt_run`] for `--engine indexed` runs, which can say where they
+/// are: adds `--trace` and interrupts once the trace holds an event of
+/// `kind`. The engine's events are buffered, but there are thousands on this
+/// chain and the buffer spills every few dozen; the whole trace is flushed
+/// when saturation ends.
 #[cfg(unix)]
-#[test]
-fn sigint_kills_an_ungoverned_run() {
+fn interrupt_engine_run_at(kind: &str, flags: &[&str]) -> Output {
+    let file = long_chain_file(&flags.concat());
+    let trace = format!("{file}.trace.jsonl");
+    let mut all = flags.to_vec();
+    all.extend(["--trace", &trace]);
+    let needle = format!("\"kind\":\"{kind}\"");
+    let out = interrupt_run(&file, &all, |_| {
+        std::fs::read_to_string(&trace).is_ok_and(|text| text.contains(&needle))
+    });
+    let _ = std::fs::remove_file(trace);
+    out
+}
+
+#[cfg(unix)]
+fn assert_killed_by_sigint(out: &Output) {
     use std::os::unix::process::ExitStatusExt as _;
-    let out = interrupt_run(&["--check"]);
     assert_eq!(
         out.status.signal(),
         Some(2),
         "expected death by SIGINT, got {:?}: {}",
         out.status,
-        stdout(&out)
+        stdout(out)
     );
+}
+
+/// Nothing in a compiled-plan `run --check` polls a cancel token (the oracle
+/// is ungoverned), so no handler is installed for it and Ctrl-C kills it.
+/// Such a run prints nothing until it ends, so "under way" is read off its
+/// CPU clock: 50 ms is far past `main`'s prologue, where a handler would be
+/// installed, and far short of the second the chain takes.
+#[cfg(target_os = "linux")]
+#[test]
+fn sigint_kills_an_ungoverned_run() {
+    let out = interrupt_run(&long_chain_file("--check"), &["--check"], |child| {
+        // utime + stime, fields 14 and 15 of /proc/<pid>/stat, in 10 ms
+        // ticks; counted from the end of the parenthesised command name.
+        std::fs::read_to_string(format!("/proc/{}/stat", child.id())).is_ok_and(|stat| {
+            let rest = stat.rsplit(')').next().unwrap_or("");
+            let ticks = |i: usize| {
+                rest.split_whitespace()
+                    .nth(i)
+                    .and_then(|f| f.parse::<u64>().ok())
+            };
+            ticks(11).zip(ticks(12)).is_some_and(|(u, s)| u + s >= 5)
+        })
+    });
+    assert_killed_by_sigint(&out);
 }
 
 /// The engine polls the token: Ctrl-C ends `run --engine indexed` with the
 /// sound partial answers and the truncated exit code.
+#[cfg(unix)]
 #[test]
 fn sigint_truncates_a_governed_run_with_partial_answers() {
-    let out = interrupt_run(&["--engine", "indexed"]);
+    let out = interrupt_engine_run_at("engine.iteration", &["--engine", "indexed"]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
     let text = stdout(&out);
     assert!(text.contains("?- P(1, y)   [engine:indexed"), "{text}");
     assert!(text.contains(" answers)"), "{text}");
     assert!(text.contains("truncated: cancelled"), "{text}");
+}
+
+/// The oracle half of `--engine indexed --check` polls nothing, so once the
+/// engine is done the handler is gone again: Ctrl-C kills the check instead
+/// of being swallowed until the oracle's fixpoint.
+#[cfg(unix)]
+#[test]
+fn sigint_kills_the_oracle_half_of_an_engine_check() {
+    let out = interrupt_engine_run_at("engine.complete", &["--engine", "indexed", "--check"]);
+    assert_killed_by_sigint(&out);
 }
 
 /// Spawns `recurs serve --listen 127.0.0.1:0 <extra>` and parses the

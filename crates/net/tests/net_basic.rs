@@ -283,11 +283,9 @@ fn forced_drain_cancels_wedged_work_within_the_deadline() {
         ..fast_config()
     };
     // Big enough that a free query cannot finish inside the drain deadline.
-    // `P(x, x)` saturates like `P(x, y)` but selects nothing on a chain, so
-    // the truncated reply fits a frame however far the evaluation got.
     let (addr, handle, join) = spawn_server(tc_service(4000, ServeConfig::default()), config);
     let mut client = connect(&addr);
-    client.send("?- P(x, x).").expect("send");
+    client.send("?- P(x, y).").expect("send");
     std::thread::sleep(Duration::from_millis(30)); // let evaluation start
     let drained_at = Instant::now();
     handle.drain();
@@ -299,11 +297,17 @@ fn forced_drain_cancels_wedged_work_within_the_deadline() {
         drained_at.elapsed()
     );
     // The cancelled evaluation still produced exactly one framed reply
-    // (a sound truncation), not silence.
-    let reply = client
-        .recv()
+    // (a sound truncation), not silence. The server does not bound its
+    // outbound frames (ROADMAP item 8), and 150 ms of saturation can select
+    // more than `Client`'s 1 MiB ceiling, so read this one with a larger one.
+    let reply = frame::read_frame(client.stream_mut(), 64 << 20)
         .expect("truncated reply, not a dropped request");
-    assert!(reply.contains("\"ok\":true"), "{reply}");
+    let reply = String::from_utf8(reply).expect("utf-8 reply");
+    assert!(
+        reply.contains("\"ok\":true"),
+        "{}",
+        &reply[..reply.len().min(200)]
+    );
 }
 
 #[test]
