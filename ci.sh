@@ -66,6 +66,33 @@ if non_test crates/cli/src/lib.rs | sed '/^impl OracleFixpoint {/,/^}/d' | grep 
   exit 1
 fi
 
+# One-planner-one-executor guard: a plan is data (`recurs_core::plan`) and
+# `recurs_engine::evaluate` is the one function that runs it. The oracle's
+# join interpreter is the oracle's alone — outside `datalog/src/eval.rs` it
+# may appear only in unit-test modules — and nothing in core or the CLI takes
+# a plain `&Database` any more, with two exceptions that answer no query
+# atom by a plan: `oracle::ground_truth` (the reference every plan is held
+# to) and `algebra_plan::eval_plan` (the paper's published algebra written
+# down literally, cross-checked against that reference).
+echo "==> executor guard (no interpreter beside the engine in crates/*/src)"
+for f in $(find crates/*/src -name '*.rs' ! -path crates/datalog/src/eval.rs); do
+  if non_test "$f" | grep -nE "eval_body|eval_rule"; then
+    echo "$f calls the oracle's join interpreter outside a test module" >&2
+    exit 1
+  fi
+done
+for f in $(find crates/core/src crates/cli/src -name '*.rs' \
+    ! -path crates/core/src/oracle.rs ! -path crates/core/src/algebra_plan.rs); do
+  if non_test "$f" | grep -n "&Database"; then
+    echo "$f answers from a plain-facts Database again: lower the plan and call recurs_engine::evaluate" >&2
+    exit 1
+  fi
+done
+if grep -rnE "fn execute\b" crates/core/src; then
+  echo "crates/core/src executes plans again: QueryPlan is data, the engine runs it" >&2
+  exit 1
+fi
+
 echo "==> cargo test"
 cargo test --workspace --offline -q
 

@@ -10,11 +10,12 @@
 //! deltas — the trade-off the sweep exists to show.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use recurs_core::plan::{plan_query, StrategyKind};
+use recurs_core::plan::StrategyKind;
 use recurs_datalog::eval::{naive, semi_naive};
 use recurs_datalog::parser::{parse_atom, parse_program};
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::Database;
+use recurs_engine::oracle::Planned;
 use recurs_workload::graphs::{random_digraph, random_relation};
 use std::hint::black_box;
 use std::time::Duration;
@@ -44,11 +45,11 @@ fn s8_sweep(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     for n in [50u64, 100, 200] {
         let db = s8_db(n);
-        let plan = plan_query(&f, &query);
-        assert_eq!(plan.strategy, StrategyKind::Bounded);
-        recurs_core::oracle::assert_equivalent(&f, &db, &query);
-        group.bench_with_input(BenchmarkId::new("bounded_plan", n), &db, |b, db| {
-            b.iter(|| black_box(plan.execute(db, &query).unwrap()));
+        let planned = Planned::new(&f, &db, &query).unwrap();
+        assert_eq!(planned.plan.strategy, StrategyKind::Bounded);
+        recurs_engine::oracle::assert_equivalent(&f, &db, &query);
+        group.bench_function(BenchmarkId::new("bounded_plan", n), |b| {
+            b.iter(|| black_box(planned.run().unwrap().answers));
         });
         group.bench_with_input(BenchmarkId::new("semi_naive", n), &db, |b, db| {
             b.iter(|| {
@@ -80,10 +81,10 @@ fn s5_sweep(c: &mut Criterion) {
     for n in [1_000u64, 5_000, 20_000] {
         let mut db = Database::new();
         db.insert_relation("E", random_relation(3, n as usize, n, 25));
-        let plan = plan_query(&f, &query);
-        assert_eq!(plan.strategy, StrategyKind::Bounded);
-        group.bench_with_input(BenchmarkId::new("bounded_plan", n), &db, |b, db| {
-            b.iter(|| black_box(plan.execute(db, &query).unwrap()));
+        let planned = Planned::new(&f, &db, &query).unwrap();
+        assert_eq!(planned.plan.strategy, StrategyKind::Bounded);
+        group.bench_function(BenchmarkId::new("bounded_plan", n), |b| {
+            b.iter(|| black_box(planned.run().unwrap().answers));
         });
         group.bench_with_input(BenchmarkId::new("semi_naive", n), &db, |b, db| {
             b.iter(|| {

@@ -1,5 +1,6 @@
 //! One benchmark group per class of the paper (Examples 3–14): the compiled
-//! plan (bounded / counting / magic, as the classifier picks) versus the
+//! plan (bounded / frontier / magic, as the planner lowers it), run on the
+//! engine, versus the
 //! naive and semi-naive fixpoint baselines, on a representative query of
 //! that class.
 //!
@@ -14,12 +15,12 @@
 //!   work but restricts derivation when the query is selective.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use recurs_core::plan::plan_query;
 use recurs_datalog::eval::{naive, semi_naive};
 use recurs_datalog::parser::{parse_atom, parse_program};
 use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::{Atom, Database, Relation};
+use recurs_engine::oracle::Planned;
 use recurs_workload::graphs::{chain, random_digraph};
 use std::hint::black_box;
 use std::time::Duration;
@@ -41,13 +42,13 @@ fn bench_case(
         .sample_size(10)
         .measurement_time(Duration::from_secs(2));
     // Pre-verify agreement once, so the benchmark numbers are meaningful.
-    recurs_core::oracle::assert_equivalent(f, db, query);
+    recurs_engine::oracle::assert_equivalent(f, db, query);
     group.bench_with_input(
         BenchmarkId::new("compiled_plan", sizes_label),
         &(),
         |b, ()| {
-            let plan = plan_query(f, query);
-            b.iter(|| black_box(plan.execute(db, query).unwrap()));
+            let planned = Planned::new(f, db, query).unwrap();
+            b.iter(|| black_box(planned.run().unwrap().answers));
         },
     );
     group.bench_with_input(BenchmarkId::new("semi_naive", sizes_label), &(), |b, ()| {

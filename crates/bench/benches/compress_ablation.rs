@@ -47,8 +47,7 @@ fn ablation(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("compressed", n), &db, |b, db| {
             b.iter(|| {
                 let mut db = db.clone();
-                compressed.materialize(&mut db).unwrap();
-                semi_naive(&mut db, &compressed.lr.to_program(), None).unwrap();
+                semi_naive(&mut db, &compressed.to_program(), None).unwrap();
                 black_box(db.get("P").unwrap().len())
             });
         });

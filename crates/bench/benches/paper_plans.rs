@@ -7,11 +7,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use recurs_core::algebra_plan::eval_plan;
 use recurs_core::paper_plans::{s9_plan_dvv, s9_plan_vvd};
-use recurs_datalog::adornment::QueryForm;
+use recurs_core::plan::StrategyKind;
 use recurs_datalog::eval::semi_naive;
 use recurs_datalog::parser::{parse_atom, parse_program};
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::{Database, Value};
+use recurs_engine::oracle::Planned;
 use recurs_workload::graphs::{random_digraph, random_relation};
 use std::hint::black_box;
 use std::time::Duration;
@@ -51,9 +52,10 @@ fn s9_sweep(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("paper_plan_dvv", n), &db, |b, db| {
             b.iter(|| black_box(eval_plan(db, &dvv_plan).unwrap()));
         });
-        group.bench_with_input(BenchmarkId::new("magic_dvv", n), &db, |b, db| {
-            let plan = recurs_core::magic::build_plan(&f, &QueryForm::parse("dvv"));
-            b.iter(|| black_box(recurs_core::magic::execute(&plan, db, &q).unwrap().0));
+        group.bench_function(BenchmarkId::new("magic_dvv", n), |b| {
+            let planned = Planned::new(&f, &db, &q).unwrap();
+            assert_eq!(planned.plan.strategy, StrategyKind::Magic);
+            b.iter(|| black_box(planned.run().unwrap().answers));
         });
         group.bench_with_input(BenchmarkId::new("semi_naive_dvv", n), &db, |b, db| {
             b.iter(|| {

@@ -10,11 +10,11 @@
 //! closure (≈ quadratic on a chain) — the gap widens with n.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use recurs_core::plan::plan_query;
 use recurs_datalog::eval::semi_naive;
 use recurs_datalog::parser::{parse_atom, parse_program};
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::Database;
+use recurs_engine::oracle::Planned;
 use recurs_workload::graphs::{chain, layered, tree};
 use std::hint::black_box;
 use std::time::Duration;
@@ -34,16 +34,12 @@ fn sweep(c: &mut Criterion, name: &str, dbs: Vec<(u64, Database)>, query_src: &s
         .measurement_time(Duration::from_secs(2));
     for (n, db) in dbs {
         let query = parse_atom(query_src).unwrap();
-        recurs_core::oracle::assert_equivalent(&f, &db, &query);
+        recurs_engine::oracle::assert_equivalent(&f, &db, &query);
         group.throughput(Throughput::Elements(n));
-        group.bench_with_input(
-            BenchmarkId::new("compiled_selection_first", n),
-            &db,
-            |b, db| {
-                let plan = plan_query(&f, &query);
-                b.iter(|| black_box(plan.execute(db, &query).unwrap()));
-            },
-        );
+        group.bench_function(BenchmarkId::new("compiled_selection_first", n), |b| {
+            let planned = Planned::new(&f, &db, &query).unwrap();
+            b.iter(|| black_box(planned.run().unwrap().answers));
+        });
         group.bench_with_input(BenchmarkId::new("fixpoint_then_select", n), &db, |b, db| {
             b.iter(|| {
                 let mut db = db.clone();

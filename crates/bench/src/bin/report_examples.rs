@@ -5,12 +5,12 @@
 //! Run with: `cargo run -p recurs-bench --bin report_examples`
 
 use recurs_core::classify::Classification;
-use recurs_core::oracle::compare;
 use recurs_core::report::{classification_report, plan_report};
 use recurs_datalog::adornment::QueryForm;
 use recurs_datalog::parser::{parse_atom, parse_program};
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::{Database, Relation};
+use recurs_engine::oracle::compare;
 use recurs_workload::queries::random_database;
 
 struct Example {

@@ -1,18 +1,20 @@
 //! Regenerates the experiment index of EXPERIMENTS.md: for every
 //! figure/example of the paper, the paper's claim versus our measured
-//! result, plus coarse wall-clock comparisons of the compiled plans against
-//! the fixpoint baselines (the performance claims the compilation approach
+//! result, plus coarse wall-clock comparisons of the compiled plans — run
+//! on the engine, as `recurs run` and `serve` run them — against the
+//! fixpoint baselines (the performance claims the compilation approach
 //! implies).
 //!
 //! Run with: `cargo run --release -p recurs-bench --bin report_experiments`
 
 use recurs_core::classify::Classification;
-use recurs_core::oracle::compare;
-use recurs_core::plan::{plan_query, StrategyKind};
-use recurs_datalog::eval::{naive, semi_naive};
+use recurs_core::plan::StrategyKind;
+use recurs_datalog::eval::naive;
 use recurs_datalog::parser::{parse_atom, parse_program};
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::{Database, LinearRecursion, Relation};
+use recurs_engine::oracle::compare;
+use recurs_engine::oracle::Planned;
 use recurs_workload::graphs::{chain, random_digraph, random_relation};
 use std::time::{Duration, Instant};
 
@@ -208,14 +210,11 @@ fn main() {
         let q = parse_atom("P('1900', y)").unwrap();
         let report = compare(&f, &db, &q).unwrap();
         assert!(report.agrees());
-        let plan = plan_query(&f, &q);
-        let t_plan = time(|| plan.execute(&db, &q).unwrap(), 3);
+        let planned = Planned::new(&f, &db, &q).unwrap();
+        assert_eq!(planned.plan.strategy, StrategyKind::Frontier);
+        let t_plan = time(|| planned.run().unwrap().answers, 3);
         let t_semi = time(
-            || {
-                let mut db = db.clone();
-                semi_naive(&mut db, &f.to_program(), None).unwrap();
-                recurs_datalog::eval::answer_query(&db, &q).unwrap()
-            },
+            || recurs_core::oracle::ground_truth(&f, &db, &q).unwrap(),
             3,
         );
         let speedup = t_semi.as_secs_f64() / t_plan.as_secs_f64().max(1e-9);
@@ -224,7 +223,7 @@ fn main() {
             "P1/selection-first",
             "compiled plan ≫ fixpoint on selective queries (chain n=2000, source at 1900)",
             format!("plan {t_plan:?} vs semi-naive {t_semi:?} ({speedup:.0}× faster)"),
-            speedup > 5.0,
+            speedup >= 200.0,
         );
     }
     // P2: bounded truncation + selection pushdown (s8, selective query).
@@ -240,9 +239,9 @@ fn main() {
         let q = parse_atom("P('3', y, z, u)").unwrap();
         let report = compare(&f, &db, &q).unwrap();
         assert!(report.agrees());
-        let plan = plan_query(&f, &q);
-        assert_eq!(plan.strategy, StrategyKind::Bounded);
-        let t_plan = time(|| plan.execute(&db, &q).unwrap(), 3);
+        let planned = Planned::new(&f, &db, &q).unwrap();
+        assert_eq!(planned.plan.strategy, StrategyKind::Bounded);
+        let t_plan = time(|| planned.run().unwrap().answers, 3);
         let t_naive = time(
             || {
                 let mut db = db.clone();
@@ -276,20 +275,19 @@ fn main() {
         let q = parse_atom("P('1100', y)").unwrap();
         let report = compare(&f, &db, &q).unwrap();
         assert!(report.agrees());
-        let magic_plan =
-            recurs_core::magic::build_plan(&f, &recurs_datalog::QueryForm::parse("dv"));
-        let (_, magic_stats) = recurs_core::magic::execute(&magic_plan, &db, &q).unwrap();
-        let fixpoint_derived = report.oracle_tuples_derived;
-        let ratio = fixpoint_derived as f64 / magic_stats.tuples_derived.max(1) as f64;
+        assert_eq!(report.strategy, StrategyKind::Magic);
+        let (magic_derived, fixpoint_derived) =
+            (report.plan_tuples_derived, report.oracle_tuples_derived);
+        let ratio = fixpoint_derived as f64 / magic_derived.max(1) as f64;
         check_claim(
             &mut rows,
             "P3/dependent",
             "the σ-first plan derives only tuples connected to the query constant (class E)",
             format!(
-                "magic derived {} tuples vs fixpoint {} ({ratio:.1}× fewer)",
-                magic_stats.tuples_derived, fixpoint_derived
+                "magic derived {magic_derived} tuples vs fixpoint {fixpoint_derived} \
+                 ({ratio:.1}× fewer)"
             ),
-            magic_stats.tuples_derived < fixpoint_derived,
+            magic_derived < fixpoint_derived,
         );
     }
 

@@ -22,8 +22,6 @@
 
 pub mod signals;
 
-use recurs_core::oracle::compare;
-use recurs_core::plan::plan_query;
 use recurs_core::report::{classification_report, plan_report};
 use recurs_core::Classification;
 use recurs_datalog::adornment::QueryForm;
@@ -44,6 +42,7 @@ use recurs_ivm::{explain_fact, render_tree, verify_tree, IvmError, WhyOutcome, D
 use recurs_obs::aggregate::Aggregator;
 use recurs_obs::trace::TraceWriter;
 use recurs_obs::{field, Obs, Value};
+use recurs_serve::{PointPlans, SnapshotStore};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
@@ -70,14 +69,14 @@ pub enum Command {
         file: String,
         /// Also verify each answer set against the fixpoint oracle.
         check: bool,
-        /// Saturate with the indexed engine (`--engine indexed`) instead of
-        /// executing query plans.
+        /// Saturate the whole recursion once (`--engine indexed`) instead of
+        /// running each query's plan.
         engine: bool,
-        /// Wall-clock budget in milliseconds (requires `--engine`).
+        /// Wall-clock budget in milliseconds.
         timeout_ms: Option<u64>,
-        /// Derived-tuple ceiling (requires `--engine`).
+        /// Derived-tuple ceiling.
         max_tuples: Option<usize>,
-        /// Iteration cap (requires `--engine`).
+        /// Iteration cap.
         max_iterations: Option<usize>,
         /// Also print the saturation statistics as one JSON line
         /// (requires `--engine`).
@@ -213,64 +212,46 @@ impl NetOpts {
 }
 
 impl ServiceOpts {
-    /// Consumes one service flag at `rest[i]`, returning the new index, or
-    /// `None` if the flag is not a service option.
-    fn consume(&mut self, rest: &[&String], i: usize) -> Result<Option<usize>, String> {
-        let parse_num = |flag: &str| -> Result<usize, String> {
-            let n = rest
-                .get(i + 1)
-                .ok_or_else(|| format!("{flag} needs a number"))?;
-            n.parse()
-                .map_err(|_| format!("invalid value `{n}` for {flag}"))
-        };
-        match rest[i].as_str() {
-            "--no-cache" => {
-                self.no_cache = true;
-                Ok(Some(i + 1))
-            }
-            "--cache-capacity" => {
-                self.cache_capacity = parse_num("--cache-capacity")?;
-                Ok(Some(i + 2))
-            }
+    /// Consumes the service flag `flag` (and its value, from `flags`);
+    /// `false` if it is not a service option.
+    fn consume(&mut self, flag: &str, flags: &mut Flags<'_>) -> Result<bool, String> {
+        match flag {
+            "--no-cache" => self.no_cache = true,
+            "--cache-capacity" => self.cache_capacity = flags.number()?,
             "--max-concurrent" => {
-                self.max_concurrent = parse_num("--max-concurrent")?;
+                self.max_concurrent = flags.number()?;
                 if self.max_concurrent == 0 {
                     return Err("--max-concurrent must be at least 1".into());
                 }
-                Ok(Some(i + 2))
             }
-            "--timeout-ms" => {
-                self.timeout_ms = Some(parse_num("--timeout-ms")? as u64);
-                Ok(Some(i + 2))
-            }
-            "--max-tuples" => {
-                self.max_tuples = Some(parse_num("--max-tuples")?);
-                Ok(Some(i + 2))
-            }
-            "--max-iterations" => {
-                self.max_iterations = Some(parse_num("--max-iterations")?);
-                Ok(Some(i + 2))
-            }
-            "--trace" => {
-                let p = rest.get(i + 1).ok_or("--trace needs a file path")?;
-                self.trace = Some((*p).clone());
-                Ok(Some(i + 2))
-            }
-            _ => Ok(None),
+            "--timeout-ms" => self.timeout_ms = Some(flags.number()?),
+            "--max-tuples" => self.max_tuples = Some(flags.number()?),
+            "--max-iterations" => self.max_iterations = Some(flags.number()?),
+            "--trace" => self.trace = Some(flags.value("a file path")?.clone()),
+            _ => return Ok(false),
         }
+        Ok(true)
     }
+}
 
-    /// The per-query [`EvalBudget`] these options describe.
-    pub fn budget(&self) -> EvalBudget {
-        let mut budget = EvalBudget::iteration_cap(self.max_iterations);
-        if let Some(ms) = self.timeout_ms {
-            budget = budget.with_timeout(Duration::from_millis(ms));
-        }
-        if let Some(n) = self.max_tuples {
-            budget = budget.with_max_tuples(n);
-        }
-        budget
+/// The [`EvalBudget`] the three budget flags and a Ctrl-C token describe.
+fn budget_of(
+    timeout_ms: Option<u64>,
+    max_tuples: Option<usize>,
+    max_iterations: Option<usize>,
+    cancel: Option<CancelToken>,
+) -> EvalBudget {
+    let mut budget = EvalBudget::iteration_cap(max_iterations);
+    if let Some(ms) = timeout_ms {
+        budget = budget.with_timeout(Duration::from_millis(ms));
     }
+    if let Some(n) = max_tuples {
+        budget = budget.with_max_tuples(n);
+    }
+    if let Some(token) = cancel {
+        budget = budget.with_cancel(token);
+    }
+    budget
 }
 
 /// Usage text.
@@ -280,13 +261,14 @@ recurs — classification and compilation of recursive formulas (SIGMOD 1988)
 USAGE:
     recurs classify <file>                 classify the formula, print the report
     recurs plan <file> [--form dvv]...     show the compiled plan per query form
-    recurs run <file> [--check]            answer the file's ?- queries
+    recurs run <file> [--check]            answer the file's ?- queries, each by
+                                           its compiled plan on the engine
                                            (--check: verify against the fixpoint)
-                      [--engine indexed]   saturate with the indexed engine
-                                           instead of compiled query plans
+                      [--engine indexed]   saturate the whole recursion once
+                                           instead, and answer from the fixpoint
                       [--timeout-ms T] [--max-tuples N] [--max-iterations K]
-                                           budget the saturation (with --engine);
-                                           a budgeted-out run prints the sound
+                                           budget each evaluation; a
+                                           budgeted-out run prints the sound
                                            partial answers and exits with code 2
                       [--stats-json]       also print the saturation statistics
                                            as one JSON line (with --engine)
@@ -361,117 +343,99 @@ FILE FORMAT:
     (ground atoms), optional queries (?- P(1, y).). Comments start with %.
 ";
 
+/// A cursor over a command's flags: the flag being parsed and what follows.
+struct Flags<'a> {
+    rest: std::slice::Iter<'a, String>,
+    flag: &'a str,
+}
+
+impl<'a> Flags<'a> {
+    fn next(&mut self) -> Option<&'a str> {
+        self.flag = self.rest.next()?;
+        Some(self.flag)
+    }
+
+    /// The current flag's value, `what` saying what is missing if it is.
+    fn value(&mut self, what: &str) -> Result<&'a String, String> {
+        let flag = self.flag;
+        self.rest
+            .next()
+            .ok_or_else(|| format!("{flag} needs {what}"))
+    }
+
+    /// The current flag's value as a number.
+    fn number<T: std::str::FromStr>(&mut self) -> Result<T, String> {
+        let v = self.value("a number")?;
+        v.parse()
+            .map_err(|_| format!("invalid value `{v}` for {}", self.flag))
+    }
+
+    /// [`Flags::number`], refusing zero.
+    fn positive(&mut self) -> Result<usize, String> {
+        match self.number()? {
+            0 => Err(format!("{} must be at least 1", self.flag)),
+            n => Ok(n),
+        }
+    }
+}
+
 /// Parses command-line arguments (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter();
-    let cmd = it.next().map(String::as_str).unwrap_or("help");
+    let cmd = args.first().map(String::as_str).unwrap_or("help");
     match cmd {
-        "classify" => {
-            let file = it.next().ok_or("classify needs a file argument")?;
-            Ok(Command::Classify { file: file.clone() })
-        }
+        "help" | "--help" | "-h" => return Ok(Command::Help),
+        "classify" | "plan" | "run" | "serve" | "batch" | "figure" => {}
+        other => return Err(format!("unknown command `{other}`\n\n{USAGE}")),
+    }
+    let file = args.get(1).cloned();
+    let file = file.ok_or_else(|| format!("{cmd} needs a file argument"))?;
+    let mut flags = Flags {
+        rest: args[2..].iter(),
+        flag: cmd,
+    };
+    match cmd {
+        "classify" => Ok(Command::Classify { file }),
         "plan" => {
-            let file = it.next().ok_or("plan needs a file argument")?;
             let mut forms = Vec::new();
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--form" => {
-                        let f = rest
-                            .get(i + 1)
-                            .ok_or("--form needs a pattern such as dvv")?;
-                        forms.push((*f).clone());
-                        i += 2;
-                    }
-                    other => return Err(format!("unknown option `{other}`")),
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--form" => forms.push(flags.value("a pattern such as dvv")?.clone()),
+                    _ => return Err(format!("unknown option `{flag}`")),
                 }
             }
-            Ok(Command::Plan {
-                file: file.clone(),
-                forms,
-            })
+            Ok(Command::Plan { file, forms })
         }
         "run" => {
-            let file = it.next().ok_or("run needs a file argument")?;
-            let mut check = false;
-            let mut engine = false;
-            let mut timeout_ms = None;
-            let mut max_tuples = None;
-            let mut max_iterations = None;
-            let mut stats_json = false;
-            let mut trace = None;
-            let mut metrics = false;
-            let mut why = None;
-            let mut why_depth = None;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--check" => {
-                        check = true;
-                        i += 1;
-                    }
-                    "--stats-json" => {
-                        stats_json = true;
-                        i += 1;
-                    }
-                    "--metrics" => {
-                        metrics = true;
-                        i += 1;
-                    }
-                    "--trace" => {
-                        let p = rest.get(i + 1).ok_or("--trace needs a file path")?;
-                        trace = Some((*p).clone());
-                        i += 2;
-                    }
+            let (mut check, mut engine, mut stats_json, mut metrics) = (false, false, false, false);
+            let (mut timeout_ms, mut max_tuples, mut max_iterations) = (None, None, None);
+            let (mut trace, mut why, mut why_depth) = (None, None, None);
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--check" => check = true,
+                    "--stats-json" => stats_json = true,
+                    "--metrics" => metrics = true,
+                    "--trace" => trace = Some(flags.value("a file path")?.clone()),
                     "--why" => {
-                        let f = rest
-                            .get(i + 1)
-                            .ok_or("--why needs a ground fact such as \"P(1, 3)\"")?;
-                        why = Some((*f).clone());
-                        i += 2;
+                        why = Some(flags.value("a ground fact such as \"P(1, 3)\"")?.clone());
                     }
-                    "--why-depth" => {
-                        let d = rest.get(i + 1).ok_or("--why-depth needs a number")?;
-                        why_depth = Some(d.parse().map_err(|_| format!("invalid depth `{d}`"))?);
-                        i += 2;
-                    }
+                    "--why-depth" => why_depth = Some(flags.number()?),
                     "--engine" => {
-                        engine = match rest.get(i + 1).map(|e| e.as_str()) {
-                            Some("indexed") => true,
-                            Some("oracle") => {
+                        engine = match flags.value("a value (indexed)")?.as_str() {
+                            "indexed" => true,
+                            "oracle" => {
                                 return Err("the oracle only checks, it is not an engine to run \
                                      with: pass --check to compare a run against it"
                                     .into())
                             }
-                            Some(other) => {
+                            other => {
                                 return Err(format!("unknown engine `{other}` (expected indexed)"))
                             }
-                            None => return Err("--engine needs a value (indexed)".into()),
                         };
-                        i += 2;
                     }
-                    "--timeout-ms" => {
-                        let t = rest.get(i + 1).ok_or("--timeout-ms needs a number")?;
-                        timeout_ms = Some(t.parse().map_err(|_| format!("invalid timeout `{t}`"))?);
-                        i += 2;
-                    }
-                    "--max-tuples" => {
-                        let n = rest.get(i + 1).ok_or("--max-tuples needs a number")?;
-                        max_tuples =
-                            Some(n.parse().map_err(|_| format!("invalid tuple cap `{n}`"))?);
-                        i += 2;
-                    }
-                    "--max-iterations" => {
-                        let k = rest.get(i + 1).ok_or("--max-iterations needs a number")?;
-                        max_iterations = Some(
-                            k.parse()
-                                .map_err(|_| format!("invalid iteration cap `{k}`"))?,
-                        );
-                        i += 2;
-                    }
-                    other => return Err(format!("unknown option `{other}`")),
+                    "--timeout-ms" => timeout_ms = Some(flags.number()?),
+                    "--max-tuples" => max_tuples = Some(flags.number()?),
+                    "--max-iterations" => max_iterations = Some(flags.number()?),
+                    _ => return Err(format!("unknown option `{flag}`")),
                 }
             }
             if why.is_some() && (engine || check) {
@@ -484,16 +448,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             if why_depth.is_some() && why.is_none() {
                 return Err("--why-depth bounds a --why reconstruction; pass --why too".into());
             }
-            if !engine
-                && why.is_none()
-                && (timeout_ms.is_some() || max_tuples.is_some() || max_iterations.is_some())
-            {
-                return Err(
-                    "--timeout-ms/--max-tuples/--max-iterations budget a saturation run; \
-                     pass --engine indexed (or --why)"
-                        .into(),
-                );
-            }
             if stats_json && !engine {
                 return Err("--stats-json reports saturation statistics; \
                      pass --engine indexed"
@@ -505,7 +459,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     .into());
             }
             Ok(Command::Run {
-                file: file.clone(),
+                file,
                 check,
                 engine,
                 timeout_ms,
@@ -519,76 +473,26 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             })
         }
         "serve" => {
-            let file = it.next().ok_or("serve needs a file argument")?;
-            let mut stdin = false;
-            let mut listen: Option<String> = None;
+            let (mut stdin, mut listen, mut has_net_flags) = (false, None, false);
             let mut opts = ServiceOpts::default();
-            let mut max_connections = None;
-            let mut idle_timeout_ms = None;
-            let mut drain_ms = None;
-            let mut max_queue_wait_ms = None;
-            let mut retry_after_ms = None;
-            let mut postmortem = None;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--stdin" => {
-                        stdin = true;
-                        i += 1;
-                    }
+            let mut net = NetOpts::for_addr("");
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--stdin" => stdin = true,
                     "--listen" => {
-                        let a = rest
-                            .get(i + 1)
-                            .ok_or("--listen needs an address such as 127.0.0.1:4004")?;
-                        listen = Some((*a).clone());
-                        i += 2;
+                        listen = Some(flags.value("an address such as 127.0.0.1:4004")?.clone());
                     }
-                    "--postmortem" => {
-                        let p = rest.get(i + 1).ok_or("--postmortem needs a file path")?;
-                        postmortem = Some((*p).clone());
-                        i += 2;
-                    }
-                    flag @ ("--max-connections"
-                    | "--idle-timeout-ms"
-                    | "--drain-ms"
-                    | "--max-queue-wait-ms"
-                    | "--retry-after-ms") => {
-                        let n = rest
-                            .get(i + 1)
-                            .ok_or_else(|| format!("{flag} needs a number"))?;
-                        let n: u64 = n
-                            .parse()
-                            .map_err(|_| format!("invalid value `{n}` for {flag}"))?;
-                        match flag {
-                            "--max-connections" => {
-                                if n == 0 {
-                                    return Err("--max-connections must be at least 1".into());
-                                }
-                                max_connections = Some(n as usize);
-                            }
-                            "--idle-timeout-ms" => idle_timeout_ms = Some(n),
-                            "--drain-ms" => drain_ms = Some(n),
-                            "--max-queue-wait-ms" => max_queue_wait_ms = Some(n),
-                            _ => retry_after_ms = Some(n),
-                        }
-                        i += 2;
-                    }
-                    _ => {
-                        if let Some(next) = opts.consume(&rest, i)? {
-                            i = next;
-                        } else {
-                            return Err(format!("unknown option `{}`", rest[i]));
-                        }
-                    }
+                    "--postmortem" => net.postmortem = Some(flags.value("a file path")?.clone()),
+                    "--max-connections" => net.max_connections = flags.positive()?,
+                    "--idle-timeout-ms" => net.idle_timeout_ms = flags.number()?,
+                    "--drain-ms" => net.drain_ms = flags.number()?,
+                    "--max-queue-wait-ms" => net.max_queue_wait_ms = flags.number()?,
+                    "--retry-after-ms" => net.retry_after_ms = flags.number()?,
+                    _ if opts.consume(flag, &mut flags)? => continue,
+                    _ => return Err(format!("unknown option `{flag}`")),
                 }
+                has_net_flags |= !matches!(flag, "--stdin" | "--listen");
             }
-            let has_net_flags = max_connections.is_some()
-                || idle_timeout_ms.is_some()
-                || drain_ms.is_some()
-                || max_queue_wait_ms.is_some()
-                || retry_after_ms.is_some()
-                || postmortem.is_some();
             let net = match (stdin, listen) {
                 (true, Some(_)) => {
                     return Err("pass exactly one of --stdin and --listen".into());
@@ -600,108 +504,50 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                             .into(),
                     );
                 }
-                (true, None) => {
-                    if has_net_flags {
-                        return Err("network options (--max-connections, --idle-timeout-ms, \
-                             --drain-ms, --max-queue-wait-ms, --retry-after-ms, --postmortem) \
-                             require --listen"
-                            .into());
-                    }
-                    None
+                (true, None) if has_net_flags => {
+                    return Err("network options (--max-connections, --idle-timeout-ms, \
+                         --drain-ms, --max-queue-wait-ms, --retry-after-ms, --postmortem) \
+                         require --listen"
+                        .into());
                 }
+                (true, None) => None,
                 (false, Some(addr)) => {
-                    let mut n = NetOpts::for_addr(&addr);
-                    if let Some(v) = max_connections {
-                        n.max_connections = v;
-                    }
-                    if let Some(v) = idle_timeout_ms {
-                        n.idle_timeout_ms = v;
-                    }
-                    if let Some(v) = drain_ms {
-                        n.drain_ms = v;
-                    }
-                    if let Some(v) = max_queue_wait_ms {
-                        n.max_queue_wait_ms = v;
-                    }
-                    if let Some(v) = retry_after_ms {
-                        n.retry_after_ms = v;
-                    }
-                    n.postmortem = postmortem;
-                    Some(n)
+                    net.listen = addr;
+                    Some(net)
                 }
             };
-            Ok(Command::Serve {
-                file: file.clone(),
-                opts,
-                net,
-            })
+            Ok(Command::Serve { file, opts, net })
         }
         "batch" => {
-            let file = it.next().ok_or("batch needs a file argument")?;
-            let mut repeat = 1usize;
-            let mut stats_json = false;
+            let (mut repeat, mut stats_json) = (1usize, false);
             let mut opts = ServiceOpts::default();
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                if rest[i] == "--repeat" {
-                    let n = rest.get(i + 1).ok_or("--repeat needs a number")?;
-                    repeat = n
-                        .parse()
-                        .map_err(|_| format!("invalid repeat count `{n}`"))?;
-                    if repeat == 0 {
-                        return Err("--repeat must be at least 1".into());
-                    }
-                    i += 2;
-                } else if rest[i] == "--stats-json" {
-                    stats_json = true;
-                    i += 1;
-                } else if let Some(next) = opts.consume(&rest, i)? {
-                    i = next;
-                } else {
-                    return Err(format!("unknown option `{}`", rest[i]));
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--repeat" => repeat = flags.positive()?,
+                    "--stats-json" => stats_json = true,
+                    _ if opts.consume(flag, &mut flags)? => {}
+                    _ => return Err(format!("unknown option `{flag}`")),
                 }
             }
             Ok(Command::Batch {
-                file: file.clone(),
+                file,
                 repeat,
                 stats_json,
                 opts,
             })
         }
-        "figure" => {
-            let file = it.next().ok_or("figure needs a file argument")?;
-            let mut levels = 1usize;
-            let mut dot = false;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--dot" => {
-                        dot = true;
-                        i += 1;
-                    }
-                    "--levels" => {
-                        let k = rest.get(i + 1).ok_or("--levels needs a number")?;
-                        levels = k
-                            .parse()
-                            .map_err(|_| format!("invalid level count `{k}`"))?;
-                        if levels == 0 {
-                            return Err("--levels must be at least 1".into());
-                        }
-                        i += 2;
-                    }
-                    other => return Err(format!("unknown option `{other}`")),
+        // "figure": the one command left.
+        _ => {
+            let (mut levels, mut dot) = (1usize, false);
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--dot" => dot = true,
+                    "--levels" => levels = flags.positive()?,
+                    _ => return Err(format!("unknown option `{flag}`")),
                 }
             }
-            Ok(Command::Figure {
-                file: file.clone(),
-                levels,
-                dot,
-            })
+            Ok(Command::Figure { file, levels, dot })
         }
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(format!("unknown command `{other}`\n\n{USAGE}")),
     }
 }
 
@@ -724,19 +570,12 @@ pub fn load(source: &str) -> Result<Loaded, String> {
         .load_facts(&parsed.program)
         .map_err(|e| format!("bad fact: {e}"))?;
     let lr = validate_with_generic_exit(&rules).map_err(|e| format!("invalid program: {e}"))?;
-    // Make sure every EDB predicate at least exists (empty) so queries run.
-    for pred in lr.to_program().edb_predicates() {
-        if !db.contains(pred) {
-            let arity = lr
-                .to_program()
-                .rules
-                .iter()
-                .flat_map(|r| r.body.iter())
-                .find(|a| a.predicate == pred)
-                .map(Atom::arity)
-                .unwrap_or(0);
-            let _ = db.declare(pred, arity);
-        }
+    // Make sure every EDB predicate at least exists (empty) so queries run;
+    // a fact file that disagrees on an arity is reported by the evaluation.
+    let program = lr.to_program();
+    let body_atoms = program.rules.iter().flat_map(|r| &r.body);
+    for atom in body_atoms.filter(|a| a.predicate != lr.predicate) {
+        let _ = db.declare(atom.predicate, atom.arity());
     }
     Ok(Loaded {
         lr,
@@ -746,26 +585,21 @@ pub fn load(source: &str) -> Result<Loaded, String> {
 }
 
 /// Builds a [`recurs_serve::QueryService`] from a source text and service
-/// options, returning the file's `?-` queries alongside it.
-pub fn build_service(
-    source: &str,
-    opts: &ServiceOpts,
-) -> Result<(recurs_serve::QueryService, Vec<Atom>), String> {
-    build_service_cancellable(source, opts, None)
-}
-
-/// Like [`build_service`], additionally wiring `cancel` into the per-query
-/// budget so a signal truncates in-flight evaluations cooperatively.
+/// options, returning the file's `?-` queries alongside it. A `cancel` token
+/// is wired into the per-query budget, so a signal truncates in-flight
+/// evaluations cooperatively.
 pub fn build_service_cancellable(
     source: &str,
     opts: &ServiceOpts,
     cancel: Option<CancelToken>,
 ) -> Result<(recurs_serve::QueryService, Vec<Atom>), String> {
     let loaded = load(source)?;
-    let mut budget = opts.budget();
-    if let Some(token) = cancel {
-        budget = budget.with_cancel(token);
-    }
+    let budget = budget_of(
+        opts.timeout_ms,
+        opts.max_tuples,
+        opts.max_iterations,
+        cancel,
+    );
     // A `--trace FILE` sink; the writer flushes on drop when the service
     // (and its Obs handle) goes away.
     let mut sinks: Vec<Arc<dyn recurs_obs::Recorder>> = Vec::new();
@@ -799,7 +633,7 @@ pub fn serve_on_source(
     input: impl std::io::BufRead,
     output: impl std::io::Write,
 ) -> Result<(), String> {
-    let (service, _queries) = build_service(source, opts)?;
+    let (service, _queries) = build_service_cancellable(source, opts, None)?;
     recurs_serve::protocol::run_loop(&service, input, output).map_err(|e| format!("serve IO: {e}"))
 }
 
@@ -909,7 +743,7 @@ pub fn serve_listen_on_source(
     cancel: CancelToken,
     mut output: impl std::io::Write,
 ) -> Result<recurs_net::DrainReport, String> {
-    let (service, _queries) = build_service(source, opts)?;
+    let (service, _queries) = build_service_cancellable(source, opts, None)?;
     let server = recurs_net::NetServer::bind(Arc::new(service), &net.listen, net.config())
         .map_err(|e| format!("cannot listen on {}: {e}", net.listen))?;
     let addr = server
@@ -944,7 +778,7 @@ fn write_answers(out: &mut String, query: &Atom, label: &str, answers: &recurs_d
 /// The printable output of a command plus how the run ended.
 ///
 /// `outcome` is [`Outcome::Complete`] for every command except a governed
-/// one (`run --engine indexed`, `run --why`, `batch`) that was stopped early;
+/// one (`run`, `batch`) that was stopped early;
 /// the binary maps it to the exit code (0 complete, 2 truncated).
 #[derive(Debug, Clone)]
 pub struct CmdOutput {
@@ -961,10 +795,9 @@ pub fn run_on_source(cmd: &Command, source: &str) -> Result<String, String> {
 }
 
 /// Runs a command against a source text. A `cancel` token, when given, is
-/// wired into the evaluation budget of the governed commands — `run --engine
-/// indexed`, `run --why`, `batch` — so Ctrl-C stops the evaluation
-/// cooperatively (reported as a truncated outcome, not an error). Nothing
-/// else reads it.
+/// wired into the evaluation budget of the governed commands — `run` in
+/// every mode and `batch` — so Ctrl-C stops the evaluation cooperatively
+/// (reported as a truncated outcome, not an error). Nothing else reads it.
 pub fn execute(
     cmd: &Command,
     source: &str,
@@ -1020,18 +853,7 @@ pub fn execute(
             ..
         } => {
             let loaded = load(source)?;
-            // Only the governed paths (`--why`, `--engine indexed`) read it;
-            // the parser rejects budget flags everywhere else.
-            let mut budget = EvalBudget::iteration_cap(*max_iterations);
-            if let Some(ms) = timeout_ms {
-                budget = budget.with_timeout(Duration::from_millis(*ms));
-            }
-            if let Some(n) = max_tuples {
-                budget = budget.with_max_tuples(*n);
-            }
-            if let Some(token) = cancel {
-                budget = budget.with_cancel(token);
-            }
+            let budget = budget_of(*timeout_ms, *max_tuples, *max_iterations, cancel);
             if let Some(fact_text) = why {
                 outcome = explain_why(&mut out, &loaded, fact_text, *why_depth, &budget)?;
                 return Ok(CmdOutput { text: out, outcome });
@@ -1060,29 +882,7 @@ pub fn execute(
                     *metrics,
                 )?;
             } else {
-                for query in &loaded.queries {
-                    let plan = plan_query(&loaded.lr, query);
-                    let answers = plan
-                        .execute(&loaded.db, query)
-                        .map_err(|e| format!("execution failed: {e}"))?;
-                    write_answers(&mut out, query, &format!("{:?}", plan.strategy), &answers);
-                    if *check {
-                        let report = compare(&loaded.lr, &loaded.db, query)
-                            .map_err(|e| format!("oracle failed: {e}"))?;
-                        let _ = writeln!(
-                            out,
-                            "  oracle: {}",
-                            if report.agrees() {
-                                "agrees"
-                            } else {
-                                "DISAGREES"
-                            }
-                        );
-                        if !report.agrees() {
-                            return Err(format!("plan disagrees with the fixpoint on {query}"));
-                        }
-                    }
-                }
+                outcome = run_plans(&mut out, &loaded, *check, &budget)?;
             }
         }
         Command::Serve { .. } => {
@@ -1108,8 +908,9 @@ pub fn execute(
                         .query(query)
                         .map_err(|e| format!("query failed: {e}"))?;
                     let label = format!(
-                        "serve kernel:{} cache:{} v{}",
+                        "serve kernel:{} derived={} cache:{} v{}",
                         reply.stats.kernel.label(),
+                        reply.stats.tuples_derived,
                         reply.stats.cache.label(),
                         reply.stats.snapshot_version
                     );
@@ -1138,6 +939,55 @@ pub fn execute(
         }
     }
     Ok(CmdOutput { text: out, outcome })
+}
+
+/// Runs plan-driven `run`: each query by its own plan — the planner's
+/// lowering run by the executor under `budget`, exactly what `serve` and
+/// `batch` do on a cache and view miss, so the kernel label and the derived
+/// count printed here are theirs. Evaluation is the governed phase; once
+/// the last query is answered Ctrl-C is no longer caught, and `--check`
+/// takes the oracle's fixpoint once for the whole file.
+fn run_plans(
+    out: &mut String,
+    loaded: &Loaded,
+    check: bool,
+    budget: &EvalBudget,
+) -> Result<Outcome, String> {
+    let plans = PointPlans::new(loaded.lr.clone());
+    let snapshots = SnapshotStore::new(EngineDb::from(&loaded.db));
+    // The snapshot is reloaded per query: an index one query's plan asked
+    // for is there for the next.
+    let answer = |query: &Atom| -> Result<_, recurs_serve::ServeError> {
+        let kernel = plans.select(query)?;
+        let run = plans.answer(&snapshots, &snapshots.load(), query, budget, &Obs::noop())?;
+        Ok((kernel, run))
+    };
+    let answered: Result<Vec<_>, _> = loaded.queries.iter().map(answer).collect();
+    let answered = answered.map_err(|e| format!("query failed: {e}"))?;
+    signals::restore_default();
+    let cancel = budget.cancel.as_ref();
+    let oracle = (check && !cancel.is_some_and(CancelToken::is_cancelled))
+        .then(|| OracleFixpoint::of(loaded))
+        .transpose()?;
+    let mut outcome = Outcome::Complete;
+    for (query, (kernel, run)) in loaded.queries.iter().zip(&answered) {
+        let derived = run.saturation.stats.tuples_derived;
+        let label = format!("plan kernel:{} derived={derived}", kernel.label());
+        write_answers(out, query, &label, &run.answers);
+        if let Some(reason) = run.saturation.outcome.truncation() {
+            outcome = Outcome::Truncated(reason);
+            let _ = writeln!(out, "  truncated: {reason} (sound subset)");
+        }
+        if let Some(oracle) = &oracle {
+            oracle.check(
+                out,
+                query,
+                &run.answers,
+                run.saturation.outcome.is_complete(),
+            )?;
+        }
+    }
+    Ok(outcome)
 }
 
 /// Runs `run --engine indexed`: converts the parsed facts to the engine's
@@ -1543,9 +1393,16 @@ E(1, 2). E(2, 3). E(2, 4).
                 why_depth: DEFAULT_WHY_DEPTH,
             }
         );
-        // Budget flags without an engine are a usage error.
-        let err = parse_args(&args(&["run", "f.dl", "--max-tuples", "5"])).unwrap_err();
-        assert!(err.contains("--engine"), "{err}");
+        // Plan-driven runs are governed too: the flags stand on their own.
+        let plain = parse_args(&args(&["run", "f.dl", "--max-tuples", "5"])).unwrap();
+        assert!(matches!(
+            plain,
+            Command::Run {
+                engine: false,
+                max_tuples: Some(5),
+                ..
+            }
+        ));
         assert!(parse_args(&args(&["run", "f.dl", "--timeout-ms", "abc"])).is_err());
         assert!(parse_args(&args(&["run", "f.dl", "--max-tuples"])).is_err());
     }
@@ -1700,6 +1557,90 @@ E(1, 2). E(2, 3). E(2, 4).
             "{}",
             out.text
         );
+    }
+
+    /// The plan-driven run of [`budgeted_run`]'s flags.
+    fn budgeted_plan_run(max_tuples: Option<usize>) -> Command {
+        let mut cmd = budgeted_run(max_tuples, None);
+        if let Command::Run { engine, .. } = &mut cmd {
+            *engine = false;
+        }
+        cmd
+    }
+
+    #[test]
+    fn budgeted_plan_run_reports_truncation_and_a_sound_subset() {
+        let out = execute(&budgeted_plan_run(Some(1)), TC, None).unwrap();
+        assert!(!out.outcome.is_complete(), "tuple ceiling 1 must truncate");
+        // Reported per query, the way `batch` prints it.
+        let reported =
+            "  truncated: tuple ceiling (sound subset)\n  oracle: subset of the fixpoint";
+        assert!(out.text.contains(reported), "{}", out.text);
+        // A Ctrl-C before the first query answers nothing and skips the
+        // oracle, like the engine run.
+        let token = CancelToken::new();
+        token.cancel();
+        let out = execute(&budgeted_plan_run(None), TC, Some(token)).unwrap();
+        assert!(!out.outcome.is_complete());
+        assert!(out.text.contains("truncated: cancelled"), "{}", out.text);
+        assert!(!out.text.contains("oracle:"), "{}", out.text);
+    }
+
+    /// The `[… kernel:K derived=N …]` pair of every query header in `out`.
+    fn kernel_and_derived(out: &str) -> Vec<(String, usize)> {
+        let field = |line: &str, key: &str| -> Option<String> {
+            let rest = &line[line.find(key)? + key.len()..];
+            Some(rest.split([' ', ']']).next()?.to_string())
+        };
+        out.lines()
+            .filter(|l| l.starts_with("?- "))
+            .map(|l| {
+                let derived = field(l, "derived=").and_then(|d| d.parse().ok());
+                (field(l, "kernel:").unwrap(), derived.unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn run_and_batch_report_one_dispatch_table() {
+        // The walk and magic (target bound) on TC, magic and saturation on
+        // class E, where a binding means magic: `run` and `batch` name the
+        // same kernel and derive the same tuples per query, because both are
+        // the planner's table run by the executor.
+        let chain: String = (1..800)
+            .map(|i| format!("A({i}, {}). E({i}, {}).\n", i + 1, i + 1))
+            .collect();
+        let tc = format!(
+            "P(x, y) :- A(x, z), P(z, y).\nP(x, y) :- E(x, y).\n{chain}\
+             ?- P(1, y).\n?- P(x, 800).\n?- P(790, 800).\n"
+        );
+        let s11 = "P(x, y) :- A(x, x1), B(y, y1), C(x1, y1), P(x1, y1).\nP(x, y) :- E(x, y).\n\
+                   A(1, 2). A(2, 3). B(11, 12). B(12, 13). C(2, 12). C(3, 13).\n\
+                   E(2, 12). E(3, 13). E(1, 11).\n?- P(1, y).\n?- P(x, y).\n";
+        let batch = Command::Batch {
+            file: String::new(),
+            repeat: 1,
+            stats_json: false,
+            opts: ServiceOpts {
+                no_cache: true,
+                ..ServiceOpts::default()
+            },
+        };
+        for (source, kernels) in [
+            (tc.as_str(), &["frontier", "magic", "frontier"][..]),
+            (s11, &["magic", "saturate"]),
+        ] {
+            let run = kernel_and_derived(&run_on_source(&budgeted_plan_run(None), source).unwrap());
+            let served = kernel_and_derived(&run_on_source(&batch, source).unwrap());
+            assert_eq!(run, served);
+            let named: Vec<&str> = run.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(named, kernels);
+        }
+        // The walk from vertex 1 reaches 799 vertices and answers 799: no
+        // fixpoint over P (magic derived P(z, y) for every reachable z —
+        // 320 399 tuples).
+        let walk = &kernel_and_derived(&run_on_source(&budgeted_plan_run(None), &tc).unwrap())[0];
+        assert_eq!(walk.1, 1598);
     }
 
     #[test]
@@ -2109,9 +2050,9 @@ E(1, 2). E(2, 3). E(2, 4).
         assert!(out.contains("(3 answers)"), "{out}");
         assert!(out.contains("yes"), "{out}");
         assert!(out.contains("no"), "{out}");
-        // Bound TC queries dispatch to the magic kernel; the first round
+        // Source-bound TC queries are frontier walks; the first round
         // misses, the repeat round hits.
-        assert!(out.contains("kernel:magic"), "{out}");
+        assert!(out.contains("kernel:frontier"), "{out}");
         assert!(out.contains("cache:miss"), "{out}");
         assert!(out.contains("cache:hit"), "{out}");
         // The closing stats line is one JSON object.

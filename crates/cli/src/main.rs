@@ -83,13 +83,9 @@ fn main() {
         return;
     }
     // Governed evaluations stop at the token and report a truncated run;
-    // everything else (classify, plan, figure, compiled-plan runs) keeps the
-    // default disposition, so Ctrl-C kills it.
-    let governed = match &cmd {
-        Command::Run { engine, why, .. } => *engine || why.is_some(),
-        Command::Batch { .. } => true,
-        _ => false,
-    };
+    // everything else (classify, plan, figure) keeps the default
+    // disposition, so Ctrl-C kills it.
+    let governed = matches!(cmd, Command::Run { .. } | Command::Batch { .. });
     let token = governed.then(|| {
         let token = CancelToken::new();
         recurs_cli::signals::install(token.clone());

@@ -33,7 +33,7 @@ fn capped_run_cmd(check: bool, engine: bool, max_iterations: Option<usize>) -> C
 fn transitive_closure_dataset_runs_checked() {
     let src = dataset("transitive_closure.dl");
     let out = run_on_source(&run_cmd(true, false), &src).unwrap();
-    assert!(out.contains("[Counting]"), "{out}");
+    assert!(out.contains("[plan kernel:frontier "), "{out}");
     assert!(out.contains("yes"), "{out}");
     assert!(out.contains("no"), "{out}");
     assert!(!out.contains("DISAGREES"), "{out}");
@@ -56,7 +56,7 @@ fn transitive_closure_dataset_classifies() {
 fn bounded_dataset_uses_bounded_strategy() {
     let src = dataset("bounded_s8.dl");
     let out = run_on_source(&run_cmd(true, false), &src).unwrap();
-    assert!(out.contains("[Bounded]"), "{out}");
+    assert!(out.contains("[plan kernel:bounded(2) "), "{out}");
     assert!(!out.contains("DISAGREES"), "{out}");
 }
 
@@ -64,7 +64,7 @@ fn bounded_dataset_uses_bounded_strategy() {
 fn mixed_dataset_uses_magic_strategy() {
     let src = dataset("mixed_s12.dl");
     let out = run_on_source(&run_cmd(true, false), &src).unwrap();
-    assert!(out.contains("[Magic]"), "{out}");
+    assert!(out.contains("[plan kernel:magic "), "{out}");
     assert!(!out.contains("DISAGREES"), "{out}");
 }
 

@@ -74,17 +74,17 @@ fn zero_timeout_stops_before_any_work_with_exit_code_two() {
     );
 }
 
+/// The saturation-wide reports (`--stats-json`, `--metrics`, `--trace`)
+/// describe the one run `--engine indexed` makes; a plan-driven run makes
+/// one per query, so asking for them without the engine is a usage error.
 #[test]
-fn budget_flags_without_engine_are_a_usage_error() {
+fn observation_flags_without_engine_are_a_usage_error() {
     let tc = dataset("transitive_closure.dl");
     for flags in [
-        &["--max-tuples", "5"][..],
-        &["--timeout-ms", "5"],
-        &["--max-iterations", "5"],
-        &["--stats-json"],
+        &["--stats-json"][..],
         &["--metrics"],
         &["--trace", "unwritten.jsonl"],
-        &["--check", "--max-iterations", "5"],
+        &["--check", "--metrics"],
     ] {
         let mut args = vec!["run", tc.as_str()];
         args.extend_from_slice(flags);
@@ -96,6 +96,83 @@ fn budget_flags_without_engine_are_a_usage_error() {
             stderr(&out)
         );
         assert!(stdout(&out).is_empty(), "{flags:?}: {}", stdout(&out));
+    }
+}
+
+/// A plan-driven run is governed like every other evaluation: the budget
+/// flags need no `--engine`, a ceiling that trips prints the sound partial
+/// answers with the per-query marker `batch` uses and exits 2, and `--check`
+/// then verifies the subset relation.
+#[test]
+fn budget_flags_govern_a_plan_driven_run() {
+    let tc = dataset("transitive_closure.dl");
+    let out = recurs(&["run", &tc, "--check", "--max-tuples", "1"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("[plan kernel:frontier "), "{text}");
+    assert!(
+        text.contains("truncated: tuple ceiling (sound subset)"),
+        "{text}"
+    );
+    assert!(text.contains("oracle: subset of the fixpoint"), "{text}");
+    for flags in [
+        &["--timeout-ms", "60000"][..],
+        &["--max-iterations", "100000"],
+        &["--max-tuples", "100000"],
+    ] {
+        let mut args = vec!["run", tc.as_str(), "--check"];
+        args.extend_from_slice(flags);
+        let out = recurs(&args);
+        assert_eq!(out.status.code(), Some(0), "{flags:?}: {}", stderr(&out));
+        assert!(stdout(&out).contains("oracle: agrees"), "{flags:?}");
+    }
+}
+
+/// Queries are outside input: one over a predicate the file does not define,
+/// or at the wrong arity, is a typed error on every path — exit 1 with the
+/// message `serve` replies, never a panic.
+#[test]
+fn queries_that_do_not_fit_the_recursion_exit_one_without_panicking() {
+    let rules = "P(x, y) :- A(x, z), P(z, y).\nP(x, y) :- E(x, y).\nA(1, 2). E(1, 2).\n";
+    let dir = std::env::temp_dir().join("recurs_cli_process_tests");
+    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("mkdir: {e}"));
+    for (tag, query, message) in [
+        (
+            "predicate",
+            "?- Q(1, y).",
+            "query predicate Q is not served",
+        ),
+        (
+            "arity",
+            "?- P(1, y, z).",
+            "predicate P used with arity 3, previously 2",
+        ),
+    ] {
+        let path = dir.join(format!("wrong_{tag}_{}.dl", std::process::id()));
+        std::fs::write(&path, format!("{rules}{query}\n")).unwrap_or_else(|e| panic!("write: {e}"));
+        let file = path.to_string_lossy().into_owned();
+        for mode in [&["run"][..], &["run", "--check"], &["batch"]] {
+            let mut args = vec![mode[0], file.as_str()];
+            args.extend_from_slice(&mode[1..]);
+            let out = recurs(&args);
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{mode:?} {query}: {}",
+                stderr(&out)
+            );
+            assert!(
+                stderr(&out).contains(message),
+                "{mode:?} {query}: {}",
+                stderr(&out)
+            );
+            assert!(
+                !stderr(&out).contains("panicked"),
+                "{mode:?} {query}: {}",
+                stderr(&out)
+            );
+        }
+        let _ = std::fs::remove_file(path);
     }
 }
 
@@ -490,11 +567,12 @@ fn assert_killed_by_sigint(out: &Output) {
     );
 }
 
-/// Nothing in a compiled-plan `run --check` polls a cancel token (the oracle
-/// is ungoverned), so no handler is installed for it and Ctrl-C kills it.
-/// Such a run prints nothing until it ends, so "under way" is read off its
-/// CPU clock: 50 ms is far past `main`'s prologue, where a handler would be
-/// installed, and far short of the second the chain takes.
+/// A plan-driven `run --check` is governed while its plans run — here one
+/// frontier walk, over in a millisecond — and then hands the signals back:
+/// the oracle polls no cancel token, so Ctrl-C kills it instead of being
+/// swallowed until its fixpoint. Such a run prints nothing until it ends, so
+/// "under way" is read off its CPU clock: 50 ms is far past the walk and far
+/// short of the second the oracle takes on the chain.
 #[cfg(target_os = "linux")]
 #[test]
 fn sigint_kills_an_ungoverned_run() {

@@ -91,6 +91,7 @@ fn service_stats_shape_is_pinned() {
         truncated: 2,
         errors: 1,
         kernel_bounded: 3,
+        kernel_frontier: 4,
         kernel_magic: 5,
         kernel_saturate: 3,
         kernel_materialized: 2,

@@ -3,20 +3,16 @@
 //! A bounded formula is equivalent to the finite union of its exit-closed
 //! expansions `0 ..= rank`, so a query is answered by evaluating each level
 //! as a non-recursive conjunctive query with the query constants pushed in
-//! first (the paper's selection-before-join discipline), and unioning the
-//! results. No fixpoint is ever run.
+//! first (the paper's selection-before-join discipline, [`specialize`]), and
+//! unioning the results. No fixpoint is ever run: the planner lowers the
+//! levels to a program the engine finishes in its seeding round.
 
 use crate::classify::Classification;
 use crate::transform::to_nonrecursive_with_rank;
-use recurs_datalog::database::Database;
-use recurs_datalog::error::DatalogError;
-use recurs_datalog::eval::eval_rule;
-use recurs_datalog::relation::Relation;
 use recurs_datalog::rule::{LinearRecursion, Program, Rule};
 use recurs_datalog::subst::{unify_atoms, Subst};
 use recurs_datalog::term::{Atom, Term};
 use recurs_datalog::Symbol;
-use std::collections::HashMap;
 
 /// A compiled bounded plan: the non-recursive levels.
 #[derive(Debug, Clone)]
@@ -36,30 +32,14 @@ pub fn build_plan(lr: &LinearRecursion) -> Option<BoundedPlan> {
     })
 }
 
-/// Answers `query` by evaluating every level with the query constants pushed
-/// in ([`specialize`]) and unioning the per-level answers. The result is over
-/// the query's distinct variables in first-occurrence order, matching
-/// [`recurs_datalog::eval::answer_query`]. This is the reference executor;
-/// the serving layer runs the same specialized levels on the engine.
-pub fn execute(plan: &BoundedPlan, db: &Database, query: &Atom) -> Result<Relation, DatalogError> {
-    let mut out = Relation::new(query.distinct_variables().len());
-    for level in &plan.levels.rules {
-        if let Some(level) = specialize(level, query) {
-            out.union_in_place(&eval_rule(db, &level, &HashMap::new())?);
-        }
-    }
-    Ok(out)
-}
-
 /// Specializes a non-recursive rule against a query atom — selection before
-/// join: the query's constants are pushed into the body by unifying the
-/// rule's head with the query. The specialized rule's head lists what each
-/// distinct query variable (in first-occurrence order) resolved to, a body
-/// variable or a constant, so its derived tuples *are* the level's answers;
-/// repeated query variables become equalities through the unifier. `None`
-/// when the head's constants clash with the query's: the level contributes
-/// nothing.
-pub fn specialize(rule: &Rule, query: &Atom) -> Option<Rule> {
+/// join: the query's constants (and the equalities of its repeated
+/// variables) are pushed into the body by unifying the rule's head with the
+/// query. The specialized rule derives the unified head under the `answer`
+/// predicate, so selecting `answer(query terms)` over what the levels derive
+/// is the query's answer. `None` when the head's constants clash with the
+/// query's: the level contributes nothing.
+pub fn specialize(rule: &Rule, query: &Atom, answer: Symbol) -> Option<Rule> {
     debug_assert!(!rule.is_recursive(), "bounded levels are non-recursive");
     // Rename the query's variables apart from the rule's.
     let mut fresh_counter = 0u32;
@@ -67,39 +47,28 @@ pub fn specialize(rule: &Rule, query: &Atom) -> Option<Rule> {
     for v in query.distinct_variables() {
         renaming.bind(v, Term::Var(Symbol::fresh("q", &mut fresh_counter)));
     }
-    let renamed = renaming.apply_atom(query);
-    let mgu = unify_atoms(&rule.head, &renamed)?;
-    let answers = renamed
-        .distinct_variables()
-        .into_iter()
-        .map(|v| mgu.resolve(Term::Var(v)))
-        .collect();
-    Some(Rule {
-        head: Atom::new(query.predicate, answers),
-        body: mgu.apply_rule(rule).body,
-    })
+    let mgu = unify_atoms(&rule.head, &renaming.apply_atom(query))?;
+    let level = mgu.apply_rule(rule);
+    Some(Rule::new(Atom::new(answer, level.head.terms), level.body))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recurs_datalog::eval::{answer_query, semi_naive};
-    use recurs_datalog::parser::{parse_atom, parse_program};
-    use recurs_datalog::relation::tuple_u64;
+    use crate::plan::StrategyKind;
+    use recurs_datalog::database::Database;
+    use recurs_datalog::parser::parse_program;
+    use recurs_datalog::relation::{tuple_u64, Relation};
     use recurs_datalog::validate::validate_with_generic_exit;
 
     fn lr(src: &str) -> LinearRecursion {
         validate_with_generic_exit(&parse_program(src).unwrap()).unwrap()
     }
 
+    /// The specialized levels, run by the reference evaluator, against the
+    /// recursion's fixpoint.
     fn check(lr: &LinearRecursion, db: &Database, query: &str) {
-        let plan = build_plan(lr).expect("formula must be bounded");
-        let q = parse_atom(query).unwrap();
-        let got = execute(&plan, db, &q).unwrap();
-        let mut db2 = db.clone();
-        semi_naive(&mut db2, &lr.to_program(), None).unwrap();
-        let want = answer_query(&db2, &q).unwrap();
-        assert_eq!(got, want, "bounded ≠ oracle for {query}");
+        crate::plan::tests::check(lr, db, query, StrategyKind::Bounded);
     }
 
     fn s8() -> LinearRecursion {

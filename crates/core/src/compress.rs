@@ -9,15 +9,14 @@
 //!
 //! where the relation `ABC` is the join of `A`, `B`, `C` projected onto the
 //! group's *interface* variables (those touched by directed edges). The
-//! compressed rule has the same I-graph class and the same answers once the
-//! combined relations are materialized — both facts are tested. Compression
-//! is also a practical optimization: the inner joins are evaluated once
-//! instead of once per fixpoint iteration.
+//! compressed rule has the same I-graph class and, with each combined
+//! predicate defined by the rule `ABC(x, u) :- A(x, u), B(x, z), C(z, u).`
+//! in front of it ([`Compressed::to_program`]), the same answers — both
+//! facts are tested. Compression is also a practical optimization: the
+//! inner joins are evaluated once, in the seeding round, instead of once per
+//! fixpoint iteration.
 
-use recurs_datalog::database::Database;
-use recurs_datalog::error::DatalogError;
-use recurs_datalog::eval::eval_body;
-use recurs_datalog::rule::{LinearRecursion, Rule};
+use recurs_datalog::rule::{LinearRecursion, Program, Rule};
 use recurs_datalog::term::{Atom, Term};
 use recurs_datalog::Symbol;
 use recurs_igraph::condense::condense;
@@ -41,20 +40,27 @@ pub struct CombinedPredicate {
 pub struct Compressed {
     /// The rewritten formula.
     pub lr: LinearRecursion,
-    /// The combined predicates to materialize before evaluation.
+    /// The combined predicates the rewritten rule joins against.
     pub combined: Vec<CombinedPredicate>,
 }
 
+impl CombinedPredicate {
+    /// The predicate's definition: `Name(interface) :- members.`
+    pub fn rule(&self) -> Rule {
+        let interface = self.interface.iter().map(|&v| Term::Var(v)).collect();
+        Rule::new(Atom::new(self.name, interface), self.members.clone())
+    }
+}
+
 impl Compressed {
-    /// Materializes every combined predicate into the database (joins the
-    /// member atoms and projects the interface).
-    pub fn materialize(&self, db: &mut Database) -> Result<(), DatalogError> {
-        for cp in &self.combined {
-            let bindings = eval_body(db, &cp.members, &HashMap::new())?;
-            let rel = bindings.project_vars(&cp.interface)?;
-            db.insert_relation(cp.name, rel);
-        }
-        Ok(())
+    /// The combined predicates' definitions followed by the rewritten
+    /// recursion — one program for whichever evaluator the caller holds
+    /// (the definitions are non-recursive, so they are done after its
+    /// seeding round).
+    pub fn to_program(&self) -> Program {
+        let mut rules: Vec<Rule> = self.combined.iter().map(CombinedPredicate::rule).collect();
+        rules.extend(self.lr.to_program().rules);
+        Program::new(rules)
     }
 }
 
@@ -114,16 +120,13 @@ pub fn compress(lr: &LinearRecursion) -> Compressed {
         {
             label.push('_');
         }
-        let name = Symbol::intern(&label);
-        new_body.push(Atom::new(
-            name,
-            interface.iter().map(|&v| Term::Var(v)).collect(),
-        ));
-        combined.push(CombinedPredicate {
-            name,
+        let predicate = CombinedPredicate {
+            name: Symbol::intern(&label),
             interface,
             members: atoms.clone(),
-        });
+        };
+        new_body.push(predicate.rule().head);
+        combined.push(predicate);
     }
     new_body.push(rec_atom);
     let compressed_rule = Rule::new(rule.head.clone(), new_body);
@@ -141,6 +144,7 @@ pub fn compress(lr: &LinearRecursion) -> Compressed {
 mod tests {
     use super::*;
     use crate::classify::Classification;
+    use recurs_datalog::database::Database;
     use recurs_datalog::eval::semi_naive;
     use recurs_datalog::parser::parse_program;
     use recurs_datalog::relation::Relation;
@@ -193,10 +197,13 @@ mod tests {
         db.insert_relation("C", Relation::from_pairs([(8, 2), (9, 3), (7, 5)]));
         db.insert_relation("E", Relation::from_pairs([(2, 20), (3, 30), (4, 40)]));
         let mut db2 = db.clone();
-        c.materialize(&mut db2).unwrap();
         semi_naive(&mut db, &f.to_program(), None).unwrap();
-        semi_naive(&mut db2, &c.lr.to_program(), None).unwrap();
+        semi_naive(&mut db2, &c.to_program(), None).unwrap();
         assert_eq!(db.get("P").unwrap(), db2.get("P").unwrap());
+        assert_eq!(
+            c.combined[0].rule().to_string(),
+            "ABC(u, x) :- A(x, u), B(x, z), C(z, u)."
+        );
     }
 
     #[test]

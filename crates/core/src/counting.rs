@@ -1,6 +1,5 @@
-//! The counting strategy: executable query evaluation for **stable**
-//! formulas (the paper's classes A1/A2, and A3–A5 after the
-//! unfold-to-stable transformation).
+//! The counting formula of a **stable** recursion (the paper's classes
+//! A1/A2, and A3–A5 after the unfold-to-stable transformation), as data.
 //!
 //! A stable formula has one disjoint unit cycle per argument position, so
 //! the recursive rule factors into independent per-position *chains*:
@@ -10,34 +9,22 @@
 //! ```
 //!
 //! where `Stepᵢ` is the join of the non-recursive atoms in position *i*'s
-//! component (for a self-loop, the identity, possibly filtered). Evaluation
-//! follows the paper's plan `σE, ∪k (σA^k ‖ σB^k)-C^k-E`:
-//!
-//! 1. **descend** — per bound position, the level-k frontier `Vᵢᵏ` is the
-//!    image of the query constant under `Stepᵢ` applied k times (the `σA^k`
-//!    branches, evaluated independently);
-//! 2. **exit** — the exit relation is semijoined against the level's
-//!    frontiers (`…-E`);
-//! 3. **ascend** — free positions are walked up k times (`C^k`) to produce
-//!    level-k answers.
-//!
-//! Levels are combined Horner-style (`∪ₖ Upᵏ(Dₖ) = D₀ ∪ Up(D₁ ∪ Up(…))`),
-//! and cyclic data is handled soundly: when the joint frontier state
-//! repeats with period p, the periodic tail is the least fixpoint of a
-//! p-step equation, computed by iteration-to-convergence. This makes the
-//! counting method terminate on *all* databases, not just acyclic ones.
+//! component (for a self-loop, the identity, possibly filtered). The
+//! paper's plan is `σE, ∪k (σA^k ‖ σB^k)-E-C^k`: descend the bound
+//! positions' chains from the query constants, semijoin the exit, ascend
+//! the free positions' chains. When no free position has anything to ascend
+//! (every free chain is the identity) the answer relation needs no fixpoint
+//! at all — the formula is a walk, and [`CountingPlan::frontier_program`]
+//! writes it down as two rules for the engine. Otherwise the planner runs
+//! the magic rewrite; the chains still render the symbolic formula.
 
-use recurs_datalog::algebra::{project, union};
-use recurs_datalog::database::Database;
-use recurs_datalog::error::DatalogError;
-use recurs_datalog::eval::{eval_body, eval_rule};
-use recurs_datalog::relation::{Relation, Tuple};
-use recurs_datalog::rule::LinearRecursion;
-use recurs_datalog::term::{Atom, Value};
+use recurs_datalog::adornment::QueryForm;
+use recurs_datalog::rule::{LinearRecursion, Program, Rule};
+use recurs_datalog::term::Atom;
 use recurs_datalog::Symbol;
 use recurs_igraph::condense::condense;
 use recurs_igraph::igraph_of;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// One argument position's chain.
 #[derive(Debug, Clone)]
@@ -68,6 +55,62 @@ pub struct CountingPlan {
     /// Atoms in trivial components (no argument position touches them);
     /// they gate levels ≥ 1 by non-emptiness, one conjunction per component.
     pub guards: Vec<Vec<Atom>>,
+}
+
+/// The formula `σA^k-E` as a program: what [`CountingPlan::frontier_program`]
+/// returns for a separable query form.
+#[derive(Debug, Clone)]
+pub struct FrontierProgram {
+    /// `reach(bottoms_B) :- reach(tops_B), <bound chains>, <guards>.` plus,
+    /// per exit rule, `ans(head_F) :- reach(head_B), <exit body>.`
+    pub program: Program,
+    /// The frontier predicate, seeded with the query's constants in
+    /// position order.
+    pub reach: Symbol,
+    /// The answer predicate, over the form's free positions in order.
+    pub answer: Symbol,
+}
+
+impl CountingPlan {
+    /// The compiled formula as a walk from the query constants, when `form`
+    /// is *separable*: at least one bound argument, and no ascend factor —
+    /// every free position's chain is the identity, so a level's answers are
+    /// the exit tuples the level's frontier reaches, unchanged. The frontier
+    /// advances all bound positions one step per round (levels stay
+    /// synchronised because `reach` holds the joint tuple), guards gate
+    /// levels ≥ 1, and `reach` being a set is what terminates the walk on
+    /// cyclic data. `None` for any other form.
+    pub fn frontier_program(&self, form: &QueryForm) -> Option<FrontierProgram> {
+        let bound: Vec<usize> = form.determined_positions().collect();
+        let free: Vec<usize> = (0..form.arity()).filter(|i| !bound.contains(i)).collect();
+        if bound.is_empty() || free.iter().any(|&i| !self.chains[i].is_identity()) {
+            return None;
+        }
+        let p = self.lr.predicate;
+        let reach = Symbol::intern(&format!("reach__{p}__{form}"));
+        let answer = Symbol::intern(&format!("ans__{p}__{form}"));
+        let at = |pred: Symbol, atom: &Atom, positions: &[usize]| -> Atom {
+            Atom::new(pred, positions.iter().map(|&i| atom.terms[i]).collect())
+        };
+        let rule = &self.lr.recursive_rule;
+        let mut body = vec![at(reach, &rule.head, &bound)];
+        for &i in &bound {
+            body.extend(self.chains[i].atoms.iter().cloned());
+        }
+        body.extend(self.guards.iter().flatten().cloned());
+        let step = at(reach, self.lr.recursive_body_atom(), &bound);
+        let mut rules = vec![Rule::new(step, body)];
+        for exit in &self.lr.exit_rules {
+            let mut body = vec![at(reach, &exit.head, &bound)];
+            body.extend(exit.body.iter().cloned());
+            rules.push(Rule::new(at(answer, &exit.head, &free), body));
+        }
+        Some(FrontierProgram {
+            program: Program::new(rules),
+            reach,
+            answer,
+        })
+    }
 }
 
 /// Builds the counting plan. The formula must be strongly stable
@@ -119,258 +162,33 @@ pub fn build_plan(lr: &LinearRecursion) -> Option<CountingPlan> {
     })
 }
 
-/// A materialized step relation: columns `(top, bottom)`, or `None` for the
-/// identity chain.
-type StepRel = Option<Relation>;
-
-fn materialize_step(db: &Database, chain: &PositionChain) -> Result<StepRel, DatalogError> {
-    if chain.is_identity() {
-        return Ok(None);
-    }
-    let bindings = eval_body(db, &chain.atoms, &HashMap::new())?;
-    Ok(Some(bindings.project_vars(&[chain.top, chain.bottom])?))
-}
-
-/// Advances a frontier one level down: `{bottom | (top, bottom) ∈ step, top ∈ v}`.
-fn advance(v: &BTreeSet<Value>, step: &StepRel) -> BTreeSet<Value> {
-    match step {
-        None => v.clone(),
-        Some(rel) => rel
-            .iter()
-            .filter(|t| v.contains(&t[0]))
-            .map(|t| t[1])
-            .collect(),
-    }
-}
-
-/// Walks a relation's column `col` one level up through `step`
-/// (bottom → top).
-fn walk_up(x: &Relation, col: usize, step: &StepRel) -> Relation {
-    match step {
-        None => x.clone(),
-        Some(rel) => {
-            // Index step by bottom value.
-            let mut idx: HashMap<Value, Vec<Value>> = HashMap::new();
-            for t in rel.iter() {
-                idx.entry(t[1]).or_default().push(t[0]);
-            }
-            let mut out = Relation::new(x.arity());
-            for t in x.iter() {
-                if let Some(tops) = idx.get(&t[col]) {
-                    for &top in tops {
-                        let mut nt: Vec<Value> = t.to_vec();
-                        nt[col] = top;
-                        out.insert(Tuple::from(nt));
-                    }
-                }
-            }
-            out
-        }
-    }
-}
-
-/// Executes the counting plan for a query atom over the recursive predicate.
-/// Returns the answer relation over the query's free positions, in position
-/// order (for an all-bound query the result has arity 0 and is non-empty iff
-/// the query holds).
-pub fn execute(plan: &CountingPlan, db: &Database, query: &Atom) -> Result<Relation, DatalogError> {
-    assert_eq!(
-        query.predicate, plan.lr.predicate,
-        "query must target the recursive predicate"
-    );
-    assert_eq!(query.arity(), plan.lr.dimension(), "query arity mismatch");
-    let n = plan.lr.dimension();
-    let bound: Vec<usize> = (0..n).filter(|&i| !query.terms[i].is_var()).collect();
-    let free: Vec<usize> = (0..n).filter(|&i| query.terms[i].is_var()).collect();
-
-    // Materialize per-position step relations and the full exit relation.
-    let steps: Vec<StepRel> = plan
-        .chains
-        .iter()
-        .map(|c| materialize_step(db, c))
-        .collect::<Result<_, _>>()?;
-    let mut exit = Relation::new(n);
-    for rule in &plan.lr.exit_rules {
-        exit.union_in_place(&eval_rule(db, rule, &HashMap::new())?);
-    }
-    // Trivial components gate levels ≥ 1.
-    let mut guard_ok = true;
-    for atoms in &plan.guards {
-        if eval_body(db, atoms, &HashMap::new())?.rel.is_empty() {
-            guard_ok = false;
-            break;
-        }
-    }
-
-    // Level-k answer contribution, over the free columns, before up-walking.
-    let level_d = |frontiers: &[BTreeSet<Value>]| -> Relation {
-        let mut out = Relation::new(free.len());
-        'tuples: for t in exit.iter() {
-            for (bi, &pos) in bound.iter().enumerate() {
-                if !frontiers[bi].contains(&t[pos]) {
-                    continue 'tuples;
-                }
-            }
-            out.insert(free.iter().map(|&pos| t[pos]).collect());
-        }
-        out
-    };
-    // One full up-step over all free positions.
-    let up = |x: &Relation| -> Relation {
-        let mut cur = x.clone();
-        for (fi, &pos) in free.iter().enumerate() {
-            cur = walk_up(&cur, fi, &steps[pos]);
-            if cur.is_empty() {
-                break;
-            }
-        }
-        cur
-    };
-
-    // Phase 1: descend, recording per-level D until the frontier state
-    // repeats or dies.
-    let mut frontiers: Vec<BTreeSet<Value>> = bound
-        .iter()
-        .map(|&pos| {
-            let c = query.terms[pos]
-                .as_const()
-                .expect("bound positions hold constants");
-            BTreeSet::from([c])
-        })
-        .collect();
-    let mut ds: Vec<Relation> = Vec::new();
-    let mut seen: HashMap<Vec<Vec<Value>>, usize> = HashMap::new();
-    let mut tail: Option<(usize, usize)> = None; // (start level j, period p)
-    let max_levels = level_cap(db);
-    let mut converged = false;
-    for k in 0..=max_levels {
-        let state: Vec<Vec<Value>> = frontiers
-            .iter()
-            .map(|v| v.iter().copied().collect())
-            .collect();
-        if let Some(&j) = seen.get(&state) {
-            tail = Some((j, k - j));
-            converged = true;
-            break;
-        }
-        if frontiers.iter().any(|v| v.is_empty()) && !bound.is_empty() {
-            converged = true;
-            break; // dead frontier: no level ≥ k contributes
-        }
-        seen.insert(state, k);
-        let d = level_d(&frontiers);
-        if k >= 1 && !guard_ok {
-            // A trivial component is empty: levels ≥ 1 are unsatisfiable.
-            converged = true;
-            break;
-        }
-        ds.push(d);
-        for (bi, &pos) in bound.iter().enumerate() {
-            frontiers[bi] = advance(&frontiers[bi], &steps[pos]);
-        }
-        if bound.is_empty() {
-            // The state is constant; detect the 1-cycle immediately at k=1.
-            continue;
-        }
-    }
-
-    if !converged {
-        // The frontier trajectory did not repeat within the budget (possible
-        // on data whose disjoint cycle lengths have a huge lcm). Refuse to
-        // answer rather than truncate; the planner falls back to the general
-        // strategy, which always terminates.
-        return Err(DatalogError::LimitExceeded {
-            what: "counting frontier levels",
-            limit: max_levels,
-        });
-    }
-
-    // Phase 2: periodic tail as a least fixpoint, when needed. The tail
-    // satisfies T = D_j ∪ Up(D_{j+1} ∪ … ∪ Up(D_{j+p-1} ∪ Up(T)) …); Kleene
-    // iteration over the finite active domain converges to its lfp, which
-    // equals the infinite union ∪_{m≥j} Up^{m-j}(D_m).
-    let tail_rel = match tail {
-        Some((j, p)) if guard_ok => {
-            let mut t = Relation::new(free.len());
-            loop {
-                let mut next = t.clone();
-                for m in (j..j + p).rev() {
-                    next = union(&ds[m], &up(&next));
-                }
-                if next == t {
-                    break;
-                }
-                t = next;
-            }
-            Some((j, t))
-        }
-        _ => None,
-    };
-
-    // Phase 3: Horner from the deepest recorded level down to 0:
-    // answer = D_0 ∪ Up(D_1 ∪ Up(… ∪ Up(T) …)).
-    let (mut a, start) = match tail_rel {
-        Some((j, t)) => (t, j),
-        None => (Relation::new(free.len()), ds.len()),
-    };
-    for m in (0..start).rev() {
-        a = union(&ds[m], &up(&a));
-    }
-
-    // Repeated query variables: equality-select, then keep first occurrences
-    // (matching `eval::answer_query`'s projection).
-    let mut first: HashMap<Symbol, usize> = HashMap::new();
-    let mut keep: Vec<usize> = Vec::new();
-    let mut result = a;
-    for (fi, &pos) in free.iter().enumerate() {
-        let v = query.terms[pos]
-            .as_var()
-            .expect("free positions are variables");
-        if let Some(&fj) = first.get(&v) {
-            result = recurs_datalog::algebra::select_col_eq(&result, fj, fi);
-        } else {
-            first.insert(v, fi);
-            keep.push(fi);
-        }
-    }
-    Ok(project(&result, &keep))
-}
-
-/// The level budget for the descent phase. The frontier trajectory is
-/// deterministic over a finite state space, so it always becomes periodic —
-/// but on adversarial data (disjoint cycles with coprime lengths) the period
-/// is the lcm of the cycle lengths, which can exceed any linear budget. When
-/// the budget is hit, [`execute`] returns [`DatalogError::LimitExceeded`]
-/// and the planner falls back to the general strategy.
-fn level_cap(db: &Database) -> usize {
-    16 * db.total_tuples() + 256
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recurs_datalog::eval::semi_naive;
+    use crate::plan::{plan_query, tests::lowered_answers};
+    use recurs_datalog::database::Database;
     use recurs_datalog::parser::{parse_atom, parse_program};
-    use recurs_datalog::relation::tuple_u64;
+    use recurs_datalog::relation::{tuple_u64, Relation};
     use recurs_datalog::validate::validate_with_generic_exit;
 
     fn stable_lr(src: &str) -> LinearRecursion {
         validate_with_generic_exit(&parse_program(src).unwrap()).unwrap()
     }
 
-    /// Oracle: semi-naive fixpoint + selection + projection.
-    fn oracle(lr: &LinearRecursion, db: &Database, query: &Atom) -> Relation {
-        let mut db = db.clone();
-        semi_naive(&mut db, &lr.to_program(), None).unwrap();
-        recurs_datalog::eval::answer_query(&db, query).unwrap()
+    /// Whatever the planner lowers a query on a stable formula to — the
+    /// walk when the form is separable, magic or saturation otherwise — run
+    /// by the reference evaluator, equals the recursion's fixpoint.
+    fn check(lr: &LinearRecursion, db: &Database, query: &str) {
+        assert!(build_plan(lr).is_some(), "formula must be stable");
+        let q = parse_atom(query).unwrap();
+        let got = lowered_answers(&plan_query(lr, &q).unwrap(), db, &q);
+        let want = crate::oracle::ground_truth(lr, db, &q).unwrap().0;
+        assert_eq!(got, want, "lowered plan ≠ oracle for {query}");
     }
 
-    fn check(lr: &LinearRecursion, db: &Database, query: &str) {
-        let plan = build_plan(lr).expect("formula must be stable");
-        let q = parse_atom(query).unwrap();
-        let got = execute(&plan, db, &q).unwrap();
-        let want = oracle(lr, db, &q);
-        assert_eq!(got, want, "counting ≠ oracle for {query}");
+    fn walks(lr: &LinearRecursion, form: &str) -> bool {
+        let plan = build_plan(lr).unwrap();
+        plan.frontier_program(&QueryForm::parse(form)).is_some()
     }
 
     fn tc() -> LinearRecursion {
@@ -426,7 +244,8 @@ mod tests {
         let mut db = Database::new();
         db.insert_relation("A", Relation::from_pairs([(1, 2), (2, 3), (3, 4)]));
         db.insert_relation("E", Relation::from_pairs([(1, 2), (2, 3), (3, 4)]));
-        // y bound: the identity chain on position 1 keeps the frontier fixed.
+        // y bound, x free: x's chain ascends through A, so this is no walk.
+        assert!(!walks(&lr, "vd"));
         check(&lr, &db, "P(x, '4')");
         check(&lr, &db, "P(x, '1')");
     }
@@ -437,11 +256,13 @@ mod tests {
         let mut db = Database::new();
         db.insert_relation("A", Relation::from_pairs([(1, 2), (2, 3)]));
         db.insert_relation("E", Relation::from_pairs([(1, 2), (2, 3)]));
-        let plan = build_plan(&lr).unwrap();
-        let yes = execute(&plan, &db, &parse_atom("P('1', '3')").unwrap()).unwrap();
-        assert!(!yes.is_empty());
-        let no = execute(&plan, &db, &parse_atom("P('3', '1')").unwrap()).unwrap();
-        assert!(no.is_empty());
+        assert!(walks(&lr, "dd"));
+        let answers = |q: &str| {
+            let q = parse_atom(q).unwrap();
+            lowered_answers(&plan_query(&lr, &q).unwrap(), &db, &q)
+        };
+        assert!(!answers("P('1', '3')").is_empty());
+        assert!(answers("P('3', '1')").is_empty());
     }
 
     #[test]
@@ -481,12 +302,18 @@ mod tests {
         // B(y) filters the identity position each level.
         let lr = stable_lr("P(x, y) :- A(x, z), B(y), P(z, y).\nP(x, y) :- E(x, y).");
         let plan = build_plan(&lr).unwrap();
-        assert!(!plan.chains[1].is_identity()); // has the B filter
+        // The B filter: a filter-only free chain still ascends (it drops
+        // tuples per level), so that form is not a walk. Bound, the filter
+        // rides on the frontier rule.
+        assert!(!plan.chains[1].is_identity());
+        assert!(!walks(&lr, "dv"));
+        assert!(walks(&lr, "dd"));
         let mut db = Database::new();
         db.insert_relation("A", Relation::from_pairs([(1, 2), (2, 3)]));
         db.insert_relation("E", Relation::from_pairs([(1, 5), (2, 6), (3, 5)]));
         db.insert_relation("B", Relation::from_tuples(1, [tuple_u64([5])]));
         check(&lr, &db, "P('1', y)");
+        check(&lr, &db, "P('1', '5')");
         check(&lr, &db, "P(x, y)");
     }
 

@@ -14,10 +14,12 @@
 //!   ([`transform`]);
 //! * symbolic **compiled formulas** in the paper's σ/⋈/×/∃/∪ₖ notation
 //!   ([`formula`]);
-//! * three executable **strategies** — [`bounded`], [`counting`], and
-//!   [`magic`] — selected per class by the [`plan`] module;
-//! * an equivalence [`oracle`] certifying every plan against the semi-naive
-//!   fixpoint, and human-readable [`report`]s.
+//! * the rewrites behind the **plans** — [`bounded`] levels, the
+//!   [`counting`] formula as a frontier walk, and [`magic`] sets — selected
+//!   per class and query form by the [`plan`] module, which lowers each to
+//!   a program for `recurs-engine` (nothing in this crate evaluates one);
+//! * the [`oracle`] ground truth every plan is held to, and human-readable
+//!   [`report`]s.
 //!
 //! # Quick example
 //!
@@ -26,7 +28,6 @@
 //! use recurs_core::plan::{plan_query, StrategyKind};
 //! use recurs_datalog::parser::{parse_atom, parse_program};
 //! use recurs_datalog::validate::validate_with_generic_exit;
-//! use recurs_datalog::{Database, Relation};
 //!
 //! let lr = validate_with_generic_exit(&parse_program(
 //!     "P(x, y) :- A(x, z), P(z, y).\n\
@@ -36,13 +37,13 @@
 //! let class = Classification::of(&lr.recursive_rule);
 //! assert!(class.is_strongly_stable()); // Theorem 1: disjoint unit cycles
 //!
-//! let mut db = Database::new();
-//! db.insert_relation("A", Relation::from_pairs([(1, 2), (2, 3)]));
-//! db.insert_relation("E", Relation::from_pairs([(1, 2), (2, 3)]));
 //! let query = parse_atom("P('1', y)").unwrap();
-//! let plan = plan_query(&lr, &query);
-//! assert_eq!(plan.strategy, StrategyKind::Counting);
-//! assert_eq!(plan.execute(&db, &query).unwrap().len(), 2); // 1 → {2, 3}
+//! let plan = plan_query(&lr, &query).unwrap();
+//! // σA^k-E: a walk from the constant, no fixpoint over P.
+//! assert_eq!(plan.strategy, StrategyKind::Frontier);
+//! let lowered = plan.lower(&query).unwrap();
+//! assert_eq!(lowered.program.rules.len(), 2);
+//! assert_eq!(lowered.seed.unwrap().1.len(), 1); // reach('1')
 //! ```
 
 #![warn(missing_docs)]
@@ -66,5 +67,5 @@ pub use algebra_plan::{eval_plan, PlanExpr};
 pub use classify::{Classification, ComponentClass, FormulaClass, OneDirectionalSubclass};
 pub use compress::{compress, Compressed};
 pub use formula::{CompiledFormula, FExpr, Power};
-pub use plan::{plan_for_form, plan_query, QueryPlan, StrategyKind};
+pub use plan::{plan_for_form, plan_query, Lowered, QueryPlan, StrategyKind};
 pub use transform::{to_nonrecursive, unfold_to_stable, StableTransform};

@@ -8,7 +8,8 @@
 //! passing the paper's plans describe — the determined-variable closure per
 //! expansion level becomes a *magic* predicate per reachable query form, and
 //! evaluation derives only tuples connected to the query constants — while
-//! always terminating (it is ordinary Datalog run semi-naively).
+//! always terminating (it is ordinary Datalog: the planner hands the
+//! rewritten program to the engine, seeded with the query constants).
 //!
 //! The correspondence with the paper's plan notation:
 //! * the magic seed is the initial `σ` on the query constants;
@@ -20,22 +21,14 @@
 //!   "retrieve the exit relation and take the Cartesian product".
 
 use recurs_datalog::adornment::{propagate, QueryForm};
-use recurs_datalog::database::Database;
-use recurs_datalog::error::DatalogError;
-use recurs_datalog::eval::{answer_query, semi_naive, EvalStats};
-use recurs_datalog::relation::{Relation, Tuple};
 use recurs_datalog::rule::{LinearRecursion, Program, Rule};
-use recurs_datalog::term::{Atom, Term};
+use recurs_datalog::term::Atom;
 use recurs_datalog::Symbol;
 use std::collections::BTreeSet;
 
 /// The magic-sets rewrite of a linear recursion for one query form.
 #[derive(Debug, Clone)]
 pub struct MagicPlan {
-    /// The original formula.
-    pub lr: LinearRecursion,
-    /// The query form the plan was specialized for.
-    pub form: QueryForm,
     /// All query forms reachable by propagation (including `form`).
     pub reachable_forms: Vec<QueryForm>,
     /// The rewritten program (magic + adorned rules).
@@ -160,8 +153,6 @@ pub fn build_plan(lr: &LinearRecursion, form: &QueryForm) -> MagicPlan {
         None
     };
     MagicPlan {
-        lr: lr.clone(),
-        form: form.clone(),
         reachable_forms: reachable,
         program: Program::new(rules),
         answer_predicate: adorned_name(p, form),
@@ -169,65 +160,45 @@ pub fn build_plan(lr: &LinearRecursion, form: &QueryForm) -> MagicPlan {
     }
 }
 
-/// Executes the plan: seeds the magic predicate with the query constants,
-/// runs semi-naive evaluation of the rewritten program, and projects the
-/// answers. Returns the answer relation (over the query's distinct
-/// variables, first-occurrence order) and the evaluation statistics.
-pub fn execute(
-    plan: &MagicPlan,
-    db: &Database,
-    query: &Atom,
-) -> Result<(Relation, EvalStats), DatalogError> {
-    assert_eq!(
-        query.predicate, plan.lr.predicate,
-        "query predicate mismatch"
-    );
-    assert_eq!(
-        QueryForm::of_atom(query),
-        plan.form,
-        "query does not match the plan's form"
-    );
-    let mut db = db.clone();
-    if let Some(seed) = plan.seed_predicate {
-        let constants: Tuple = query.terms.iter().filter_map(Term::as_const).collect();
-        db.declare(seed, constants.len())?;
-        db.insert(seed, constants)?;
-    }
-    // Declare magic predicates that may never be derived (e.g. a reachable
-    // all-free form has no magic), so rule bodies can always be evaluated.
-    for rule in &plan.program.rules {
-        for atom in &rule.body {
-            if !db.contains(atom.predicate)
-                && plan.program.rules_for(atom.predicate).next().is_none()
-            {
-                db.declare(atom.predicate, atom.arity())?;
-            }
-        }
-    }
-    let stats = semi_naive(&mut db, &plan.program, None)?;
-    let adorned_query = Atom::new(plan.answer_predicate, query.terms.clone());
-    let answers = answer_query(&db, &adorned_query)?;
-    Ok((answers, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recurs_datalog::database::Database;
+    use recurs_datalog::eval::{answer_query, semi_naive, EvalStats};
     use recurs_datalog::parser::{parse_atom, parse_program};
-    use recurs_datalog::relation::tuple_u64;
+    use recurs_datalog::relation::{tuple_u64, Relation, Tuple};
+    use recurs_datalog::term::Term;
     use recurs_datalog::validate::validate_with_generic_exit;
 
     fn lr(src: &str) -> LinearRecursion {
         validate_with_generic_exit(&parse_program(src).unwrap()).unwrap()
     }
 
+    /// The rewrite under the reference evaluator: seed the magic predicate
+    /// with the query constants, take the fixpoint of the rewritten program,
+    /// select the adorned answer predicate.
+    fn run_rewrite(plan: &MagicPlan, db: &Database, query: &Atom) -> (Relation, EvalStats) {
+        let mut db = db.clone();
+        let rules = plan.program.rules.iter();
+        for atom in rules.flat_map(|r| std::iter::once(&r.head).chain(&r.body)) {
+            db.declare(atom.predicate, atom.arity()).unwrap();
+        }
+        if let Some(seed) = plan.seed_predicate {
+            let constants: Tuple = query.terms.iter().filter_map(Term::as_const).collect();
+            db.insert(seed, constants).unwrap();
+        }
+        let stats = semi_naive(&mut db, &plan.program, None).unwrap();
+        let adorned_query = Atom::new(plan.answer_predicate, query.terms.clone());
+        (answer_query(&db, &adorned_query).unwrap(), stats)
+    }
+
+    /// Magic works for every class and form, so it is checked directly
+    /// rather than through the planner (which prefers it only as a fallback).
     fn check(f: &LinearRecursion, db: &Database, query: &str) {
         let q = parse_atom(query).unwrap();
         let plan = build_plan(f, &QueryForm::of_atom(&q));
-        let (got, _) = execute(&plan, db, &q).unwrap();
-        let mut db2 = db.clone();
-        semi_naive(&mut db2, &f.to_program(), None).unwrap();
-        let want = answer_query(&db2, &q).unwrap();
+        let (got, _) = run_rewrite(&plan, db, &q);
+        let want = crate::oracle::ground_truth(f, db, &q).unwrap().0;
         assert_eq!(got, want, "magic ≠ oracle for {query}");
     }
 
@@ -290,7 +261,7 @@ mod tests {
         // everything — no restriction is possible there.)
         let q = parse_atom("P('55', y)").unwrap();
         let plan = build_plan(&f, &QueryForm::of_atom(&q));
-        let (answers, stats) = execute(&plan, &db, &q).unwrap();
+        let (answers, stats) = run_rewrite(&plan, &db, &q);
         assert_eq!(answers.len(), (n - 55) as usize);
         // Full closure has n·(n−1)/2 = 1770 tuples; the suffix needs ~20.
         assert!(

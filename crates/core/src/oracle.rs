@@ -1,9 +1,8 @@
-//! The equivalence oracle: every compiled plan must agree with the
-//! semi-naive fixpoint on every database. Tests and benches use this to
-//! certify strategies; it is also handy for downstream users who extend the
-//! planner.
+//! The ground truth every plan is held to: the semi-naive fixpoint of the
+//! recursion as written, then selection + projection. The comparison
+//! helpers that run a plan against it live next to the executor
+//! (`recurs_engine::oracle`).
 
-use crate::plan::{plan_query, QueryPlan, StrategyKind};
 use recurs_datalog::database::Database;
 use recurs_datalog::error::DatalogError;
 use recurs_datalog::eval::{answer_query, semi_naive};
@@ -11,27 +10,8 @@ use recurs_datalog::relation::Relation;
 use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::term::Atom;
 
-/// The outcome of one oracle comparison.
-#[derive(Debug, Clone)]
-pub struct OracleReport {
-    /// Strategy the planner chose.
-    pub strategy: StrategyKind,
-    /// The plan's answers.
-    pub plan_answers: Relation,
-    /// The fixpoint's answers.
-    pub oracle_answers: Relation,
-    /// Tuples derived by the full fixpoint (cost indicator).
-    pub oracle_tuples_derived: usize,
-}
-
-impl OracleReport {
-    /// True if plan and oracle agree.
-    pub fn agrees(&self) -> bool {
-        self.plan_answers == self.oracle_answers
-    }
-}
-
-/// Ground truth: semi-naive fixpoint, then selection + projection.
+/// Ground truth: semi-naive fixpoint, then selection + projection. Returns
+/// the answers and the tuples the fixpoint derived (a cost indicator).
 pub fn ground_truth(
     lr: &LinearRecursion,
     db: &Database,
@@ -40,48 +20,6 @@ pub fn ground_truth(
     let mut db = db.clone();
     let stats = semi_naive(&mut db, &lr.to_program(), None)?;
     Ok((answer_query(&db, query)?, stats.tuples_derived))
-}
-
-/// Plans `query`, executes it, and compares against the ground truth.
-pub fn compare(
-    lr: &LinearRecursion,
-    db: &Database,
-    query: &Atom,
-) -> Result<OracleReport, DatalogError> {
-    let plan = plan_query(lr, query);
-    compare_with_plan(&plan, lr, db, query)
-}
-
-/// Like [`compare`] but with a pre-built plan (to amortize planning).
-pub fn compare_with_plan(
-    plan: &QueryPlan,
-    lr: &LinearRecursion,
-    db: &Database,
-    query: &Atom,
-) -> Result<OracleReport, DatalogError> {
-    let plan_answers = plan.execute(db, query)?;
-    let (oracle_answers, oracle_tuples_derived) = ground_truth(lr, db, query)?;
-    Ok(OracleReport {
-        strategy: plan.strategy,
-        plan_answers,
-        oracle_answers,
-        oracle_tuples_derived,
-    })
-}
-
-/// Asserts agreement, with a readable panic message on divergence.
-///
-/// # Panics
-/// Panics if the plan and the fixpoint disagree.
-pub fn assert_equivalent(lr: &LinearRecursion, db: &Database, query: &Atom) {
-    let report = compare(lr, db, query).expect("oracle comparison failed to run");
-    assert!(
-        report.agrees(),
-        "plan ({:?}) disagrees with fixpoint for {query} on {db:?}\nplan: {}\noracle: {}",
-        report.strategy,
-        report.plan_answers,
-        report.oracle_answers,
-    );
 }
 
 #[cfg(test)]
@@ -100,9 +38,8 @@ mod tests {
         db.insert_relation("A", Relation::from_pairs([(1, 2), (2, 3)]));
         db.insert_relation("E", Relation::from_pairs([(1, 2), (2, 3)]));
         let q = parse_atom("P('1', y)").unwrap();
-        let report = compare(&lr, &db, &q).unwrap();
-        assert!(report.agrees());
-        assert_eq!(report.plan_answers.len(), 2);
-        assert_equivalent(&lr, &db, &q);
+        let (answers, derived) = ground_truth(&lr, &db, &q).unwrap();
+        assert_eq!(answers.len(), 2);
+        assert_eq!(derived, 3); // the whole closure: (1,2) (2,3) (1,3)
     }
 }

@@ -1,55 +1,70 @@
-//! Query planning: class-driven strategy selection and compiled-formula
-//! generation.
+//! Query planning: one table from (class, query form) to the program the
+//! engine runs, plus the compiled formula in the paper's notation.
 //!
-//! Given a validated linear recursion and a query atom, [`plan_query`]
-//! classifies the formula and picks the executable strategy:
+//! [`plan_for_form`] classifies the recursion and picks the **lowering** —
+//! this is the only dispatch table in the workspace; `recurs run`, `serve`,
+//! `batch`, benches and tests all execute what it returns through
+//! `recurs_engine::evaluate`:
 //!
-//! | class | strategy |
-//! |-------|----------|
-//! | bounded (B, D, pure permutational, bounded mixes) | [`crate::bounded`] — finite union of non-recursive levels |
-//! | A1–A5 (after unfold-to-stable if needed) | [`crate::counting`] — per-position chains, σ-first |
-//! | C, E, F (and anything else) | [`crate::magic`] — adorned magic sets |
+//! | condition, first match wins | [`StrategyKind`] | lowered program | round cap |
+//! |---|---|---|---|
+//! | proven rank bound (A2/A4, bounded B, acyclic D) | `Bounded` | the `rank + 1` non-recursive levels with the query constants pushed in ([`crate::bounded::specialize`]), under a private answer predicate | 0 — the seeding round is the whole run |
+//! | class A (stable after [`unfold_to_stable`]), ≥ 1 bound argument, every free position's chain the identity | `Frontier` | the compiled formula `σA^k-E` itself: `reach(bottoms) :- reach(tops), chains, guards.` seeded with the query constants, and `ans(free) :- reach(bound), exit.` per exit rule ([`CountingPlan::frontier_program`]) | none — `reach` saturating is the walk ending |
+//! | any other query with a bound argument (a stable form with an ascend factor such as s3 `ddv` or same-generation; classes C/E/F) | `Magic` | the adorned magic-sets rewrite ([`crate::magic`]), seeded with the query constants | none |
+//! | all-free query | `Saturate` | the recursion itself | none |
 //!
-//! The plan also carries the symbolic [`CompiledFormula`] in the paper's
-//! notation, generated from the same structural analysis.
+//! A [`QueryPlan`] is pure data: [`QueryPlan::lower`] turns it and a query
+//! atom into a [`Lowered`] program + seed + answer atom + round cap, and
+//! nothing in this crate evaluates one. `compiled` stays the paper's
+//! symbolic [`CompiledFormula`] for the class whichever lowering runs.
 
-use crate::bounded::{self, BoundedPlan};
+use crate::bounded;
 use crate::classify::Classification;
 use crate::counting::{self, CountingPlan};
 use crate::formula::{CompiledFormula, FExpr, Power};
-use crate::magic::{self, MagicPlan};
+use crate::magic;
 use crate::transform::{unfold_to_stable, StableTransform};
 use recurs_datalog::adornment::QueryForm;
-use recurs_datalog::database::Database;
 use recurs_datalog::error::DatalogError;
-use recurs_datalog::relation::Relation;
-use recurs_datalog::rule::{LinearRecursion, Rule};
-use recurs_datalog::term::Atom;
+use recurs_datalog::relation::Tuple;
+use recurs_datalog::rule::{LinearRecursion, Program, Rule};
+use recurs_datalog::term::{Atom, Term};
 use recurs_datalog::Symbol;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
-/// Which executable strategy a plan uses.
+/// Which lowering a plan executes (see the module table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategyKind {
     /// Finite union of exit-closed expansions (pseudo recursion).
     Bounded,
-    /// Counting over per-position chains (stable formulas).
-    Counting,
+    /// The counting formula as a frontier walk from the query constants.
+    Frontier,
     /// Adorned magic-sets rewrite (the general method).
     Magic,
+    /// The recursion itself, saturated (no binding to push).
+    Saturate,
 }
 
-enum PlanImpl {
-    Bounded(BoundedPlan),
-    Counting(CountingPlan),
-    Magic(MagicPlan),
+impl StrategyKind {
+    /// Lower-case label for reports: `bounded`, `frontier`, `magic`,
+    /// `saturate`.
+    pub fn label(&self) -> &'static str {
+        match self {
+            StrategyKind::Bounded => "bounded",
+            StrategyKind::Frontier => "frontier",
+            StrategyKind::Magic => "magic",
+            StrategyKind::Saturate => "saturate",
+        }
+    }
 }
 
-/// A fully prepared query plan.
+/// A fully prepared query plan for one query form.
+#[derive(Debug)]
 pub struct QueryPlan {
-    /// The classification that drove strategy selection.
+    /// The classification that drove the choice.
     pub classification: Classification,
-    /// The strategy chosen.
+    /// The lowering chosen.
     pub strategy: StrategyKind,
     /// The unfold-to-stable transformation, when one was applied (A3–A5).
     pub transform: Option<StableTransform>,
@@ -57,132 +72,187 @@ pub struct QueryPlan {
     pub compiled: CompiledFormula,
     /// The query form the plan serves.
     pub form: QueryForm,
-    inner: PlanImpl,
+    predicate: Symbol,
+    chains: Option<CountingPlan>,
+    /// The bounded levels before specialization, or the fixed program of
+    /// every other lowering; the predicate seeded with the query's constants
+    /// (in position order); the predicate holding the answers — over the
+    /// query's free positions for a walk, over all of them otherwise.
+    program: Program,
+    seed: Option<Symbol>,
+    answer: Symbol,
+}
+
+/// What [`QueryPlan::lower`] hands the executor.
+#[derive(Debug, Clone)]
+pub struct Lowered<'p> {
+    /// The rules to saturate.
+    pub program: Cow<'p, Program>,
+    /// A tuple to insert before the first round (the query's constants).
+    pub seed: Option<(Symbol, Tuple)>,
+    /// The atom to select from the saturated store: constants and repeated
+    /// variables filter, distinct variables are the answer columns.
+    pub answer: Atom,
+    /// Recursive rounds after which the run is complete by construction.
+    pub round_cap: Option<u64>,
 }
 
 impl QueryPlan {
-    /// Executes the plan. The result is over the query's distinct variables
-    /// in first-occurrence order (arity 0 for a fully bound query — then
-    /// non-emptiness means "yes").
-    pub fn execute(&self, db: &Database, query: &Atom) -> Result<Relation, DatalogError> {
+    /// Lowers the plan for one query of its form. The query must target the
+    /// planned predicate at its arity — a typed error otherwise, since
+    /// queries are outside input.
+    ///
+    /// # Panics
+    /// If the query's form is not the plan's (a caller bug: both entry
+    /// points derive the form from the query).
+    pub fn lower(&self, query: &Atom) -> Result<Lowered<'_>, DatalogError> {
+        check_query(self.predicate, self.form.arity(), query)?;
         assert_eq!(
             QueryForm::of_atom(query),
             self.form,
-            "query does not match the plan's form"
+            "plan built for another query form"
         );
-        match &self.inner {
-            PlanImpl::Bounded(p) => bounded::execute(p, db, query),
-            PlanImpl::Counting(p) => match counting::execute(p, db, query) {
-                // Counting refuses to answer when the frontier trajectory
-                // did not repeat within budget (data with astronomically
-                // long periods); the general strategy always terminates, so
-                // fall back transparently.
-                Err(DatalogError::LimitExceeded { .. }) => {
-                    let fallback = magic::build_plan(&p.lr, &self.form);
-                    magic::execute(&fallback, db, query).map(|(r, _)| r)
-                }
-                other => other,
-            },
-            PlanImpl::Magic(p) => magic::execute(p, db, query).map(|(r, _)| r),
-        }
+        // Bounded levels take the query's constants by unification; every
+        // other program is fixed per form and takes them as the seed tuple.
+        let (program, round_cap) = match self.strategy {
+            StrategyKind::Bounded => {
+                let levels = self.program.rules.iter();
+                let levels = levels.filter_map(|l| bounded::specialize(l, query, self.answer));
+                (Cow::Owned(Program::new(levels.collect())), Some(0))
+            }
+            _ => (Cow::Borrowed(&self.program), None),
+        };
+        let constants: Tuple = query.terms.iter().filter_map(Term::as_const).collect();
+        let walk = self.strategy == StrategyKind::Frontier;
+        let asked = query.terms.iter().filter(|t| !walk || t.is_var()).copied();
+        Ok(Lowered {
+            program,
+            seed: self.seed.map(|pred| (pred, constants)),
+            answer: Atom::new(self.answer, asked.collect()),
+            round_cap,
+        })
     }
 
-    /// For a magic plan: the rewritten (adorned + magic) Datalog program the
-    /// plan evaluates — the executable form of the paper's information
-    /// passing. `None` for other strategies.
-    pub fn rewrite_program(&self) -> Option<&recurs_datalog::Program> {
-        match &self.inner {
-            PlanImpl::Magic(p) => Some(&p.program),
-            _ => None,
-        }
+    /// The program the lowering runs: for `Bounded` the non-recursive levels
+    /// (the paper's s8a′/s8b′-style rules) before the query constants are
+    /// pushed in, otherwise exactly what is saturated.
+    pub fn program(&self) -> &Program {
+        &self.program
     }
 
-    /// For a bounded plan: the equivalent non-recursive levels (the paper's
-    /// s8a′/s8b′-style rules). `None` for other strategies.
-    pub fn bounded_levels(&self) -> Option<&recurs_datalog::Program> {
-        match &self.inner {
-            PlanImpl::Bounded(p) => Some(&p.levels),
-            _ => None,
-        }
-    }
-
-    /// For a counting plan: the per-position chains as `(top, bottom,
-    /// predicate labels)` triples. `None` for other strategies.
+    /// For a class-A plan: the per-position chains of the (unfolded) stable
+    /// formula as `(top, bottom, predicate labels)` triples — what the
+    /// compiled formula is rendered from and separability is read off.
     pub fn counting_chains(&self) -> Option<Vec<(Symbol, Symbol, Vec<Symbol>)>> {
-        match &self.inner {
-            PlanImpl::Counting(p) => Some(
-                p.chains
-                    .iter()
-                    .map(|c| {
-                        (
-                            c.top,
-                            c.bottom,
-                            c.atoms.iter().map(|a| a.predicate).collect(),
-                        )
-                    })
-                    .collect(),
-            ),
-            _ => None,
-        }
+        let chains = &self.chains.as_ref()?.chains;
+        let labels = |c: &counting::PositionChain| c.atoms.iter().map(|a| a.predicate).collect();
+        Some(
+            chains
+                .iter()
+                .map(|c| (c.top, c.bottom, labels(c)))
+                .collect(),
+        )
     }
+}
+
+/// The typed errors for a query that does not fit the recursion.
+fn check_query(predicate: Symbol, arity: usize, query: &Atom) -> Result<(), DatalogError> {
+    if query.predicate != predicate {
+        return Err(DatalogError::UnknownRelation(query.predicate));
+    }
+    if query.arity() != arity {
+        return Err(DatalogError::ArityMismatch {
+            predicate,
+            expected: arity,
+            found: query.arity(),
+        });
+    }
+    Ok(())
 }
 
 /// Plans a query against a linear recursion.
-pub fn plan_query(lr: &LinearRecursion, query: &Atom) -> QueryPlan {
-    assert_eq!(query.predicate, lr.predicate, "query predicate mismatch");
-    let form = QueryForm::of_atom(query);
-    plan_for_form(lr, &form)
+pub fn plan_query(lr: &LinearRecursion, query: &Atom) -> Result<QueryPlan, DatalogError> {
+    check_query(lr.predicate, lr.dimension(), query)?;
+    Ok(plan_for_form(lr, &QueryForm::of_atom(query)))
 }
 
-/// Plans for a query form (the shape `P(d, v, …)` without the constants).
+/// Plans for a query form (the shape `P(d, v, …)` without the constants),
+/// which must have the recursion's arity.
 pub fn plan_for_form(lr: &LinearRecursion, form: &QueryForm) -> QueryPlan {
+    assert_eq!(form.arity(), lr.dimension(), "query form arity mismatch");
     let classification = Classification::of(&lr.recursive_rule);
-    // 1. Bounded formulas with a *proven* rank bound: the finite union
-    //    always wins — no fixpoint at all. (Bounded mixtures without a
-    //    proven bound — Theorem 11's rotating-permutational + B/D case —
-    //    fall through to the general strategy, which still terminates.)
-    if let Some(plan) = bounded::build_plan(lr) {
-        let compiled = compiled_bounded(&plan);
-        return QueryPlan {
-            classification,
-            strategy: StrategyKind::Bounded,
-            transform: None,
-            compiled,
-            form: form.clone(),
-            inner: PlanImpl::Bounded(plan),
-        };
-    }
-    // 2. Class A: transform to stable if needed, then count.
-    if classification.is_transformable_to_stable() {
-        let transform = unfold_to_stable(lr).expect("class A is transformable");
-        let stable = transform.to_linear_recursion();
-        let plan = counting::build_plan(&stable).expect("the unfolded formula is strongly stable");
-        let compiled = compiled_counting(&plan, form);
-        return QueryPlan {
-            classification,
-            strategy: StrategyKind::Counting,
-            transform: Some(transform),
-            compiled,
-            form: form.clone(),
-            inner: PlanImpl::Counting(plan),
-        };
-    }
-    // 3. Everything else: magic sets.
-    let plan = magic::build_plan(lr, form);
-    let compiled = compiled_magic(lr, form);
+    let p = lr.predicate;
+    let mut transform = None;
+    let mut chains = None;
+    let mut compiled;
+    // (strategy, program, seed predicate, answer predicate)
+    let lowering = if let Some(bounded) = bounded::build_plan(lr) {
+        // 1. A *proven* rank bound: the finite union always wins. (Bounded
+        //    mixtures without one — Theorem 11's rotating-permutational +
+        //    B/D case — fall through to the lowerings below.)
+        compiled = compiled_bounded(&bounded);
+        let answer = Symbol::intern(&format!("ans__{p}"));
+        (StrategyKind::Bounded, bounded.levels, None, answer)
+    } else {
+        // 2. Class A: the chains of the stable form render the formula and
+        //    say whether it is a walk.
+        let mut walk = None;
+        if classification.is_transformable_to_stable() {
+            let unfolded = unfold_to_stable(lr).expect("class A is transformable");
+            let stable = counting::build_plan(&unfolded.to_linear_recursion())
+                .expect("the unfolded formula is strongly stable");
+            walk = stable.frontier_program(form);
+            compiled = compiled_counting(&stable, form);
+            transform = Some(unfolded);
+            chains = Some(stable);
+        } else {
+            compiled = compiled_magic(lr, form);
+        }
+        if let Some(walk) = walk {
+            compiled.strategy = "the counting formula as a frontier walk from the query \
+                                 constants; no fixpoint over the answer relation"
+                .into();
+            let reach = Some(walk.reach);
+            (StrategyKind::Frontier, walk.program, reach, walk.answer)
+        } else if form.all_free() {
+            // 4. Nothing to push: the recursion itself.
+            compiled.strategy = "no bound argument: the recursion itself is saturated".into();
+            (StrategyKind::Saturate, lr.to_program(), None, p)
+        } else {
+            // 3. A binding but no walk: magic sets, on the original recursion.
+            if chains.is_some() {
+                compiled.strategy = "the counting formula has an ascend factor (a free \
+                                     position's chain is not the identity): run as the \
+                                     magic-sets rewrite"
+                    .into();
+            }
+            let m = magic::build_plan(lr, form);
+            (
+                StrategyKind::Magic,
+                m.program,
+                m.seed_predicate,
+                m.answer_predicate,
+            )
+        }
+    };
+    let (strategy, program, seed, answer) = lowering;
     QueryPlan {
         classification,
-        strategy: StrategyKind::Magic,
-        transform: None,
+        strategy,
+        transform,
         compiled,
         form: form.clone(),
-        inner: PlanImpl::Magic(plan),
+        predicate: p,
+        chains,
+        program,
+        seed,
+        answer,
     }
 }
 
 /// Renders a bounded plan: `σ<level0>, σ<level1>, …` — one selection-pushed
 /// conjunction per materialized level.
-fn compiled_bounded(plan: &BoundedPlan) -> CompiledFormula {
+fn compiled_bounded(plan: &bounded::BoundedPlan) -> CompiledFormula {
     let parts = plan
         .levels
         .rules
@@ -272,13 +342,11 @@ fn compiled_magic(lr: &LinearRecursion, form: &QueryForm) -> CompiledFormula {
         }
         trace.push(next);
     };
-    let chain_for = |f: &QueryForm| -> Option<FExpr> {
-        let seed: BTreeSet<Symbol> = f
-            .determined_positions()
-            .filter_map(|i| rule.head.terms[i].as_var())
-            .collect();
-        closure_chain(lr, &seed)
+    let bound_head_vars = |f: &QueryForm| -> BTreeSet<Symbol> {
+        let bound = f.determined_positions();
+        bound.filter_map(|i| rule.head.terms[i].as_var()).collect()
     };
+    let chain_for = |f: &QueryForm| closure_chain(lr, &bound_head_vars(f));
     let mut seq: Option<FExpr> = None;
     let push = |part: FExpr, seq: &mut Option<FExpr>| {
         *seq = Some(match seq.take() {
@@ -303,16 +371,9 @@ fn compiled_magic(lr: &LinearRecursion, form: &QueryForm) -> CompiledFormula {
     }
     push(FExpr::rel("E"), &mut seq);
     // Atoms outside every closure: the up-phase / disconnected part.
-    let all_closure: BTreeSet<Symbol> = trace
-        .iter()
-        .flat_map(|f| {
-            let seed: BTreeSet<Symbol> = f
-                .determined_positions()
-                .filter_map(|i| rule.head.terms[i].as_var())
-                .collect();
-            recurs_datalog::adornment::determined_closure(rule, p, &seed)
-        })
-        .collect();
+    let closure_of =
+        |f| recurs_datalog::adornment::determined_closure(rule, p, &bound_head_vars(f));
+    let all_closure: BTreeSet<Symbol> = trace.iter().flat_map(closure_of).collect();
     let mut outside: Vec<&str> = Vec::new();
     for atom in lr.nonrecursive_body_atoms() {
         if !atom.variables().any(|v| all_closure.contains(&v)) {
@@ -384,26 +445,49 @@ fn closure_chain(lr: &LinearRecursion, seed: &BTreeSet<Symbol>) -> Option<FExpr>
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use recurs_datalog::database::Database;
     use recurs_datalog::eval::{answer_query, semi_naive};
     use recurs_datalog::parser::{parse_atom, parse_program};
-    use recurs_datalog::relation::tuple_u64;
+    use recurs_datalog::relation::{tuple_u64, Relation};
     use recurs_datalog::validate::validate_with_generic_exit;
 
     fn lr(src: &str) -> LinearRecursion {
         validate_with_generic_exit(&parse_program(src).unwrap()).unwrap()
     }
 
-    fn check(f: &LinearRecursion, db: &Database, query: &str, expect: StrategyKind) {
+    /// The lowered program run by the *reference* evaluator: declare what it
+    /// mentions, insert the seed, take the fixpoint, select the answer atom.
+    /// This crate's unit tests certify the rewrite this way; the engine's
+    /// differential suites certify the executor.
+    pub(crate) fn lowered_answers(plan: &QueryPlan, db: &Database, query: &Atom) -> Relation {
+        let lowered = plan.lower(query).unwrap();
+        let mut db = db.clone();
+        let rules = lowered.program.rules.iter();
+        let atoms = rules.flat_map(|r| std::iter::once(&r.head).chain(&r.body));
+        for atom in atoms.chain([&lowered.answer]) {
+            db.declare(atom.predicate, atom.arity()).unwrap();
+        }
+        if let Some((pred, constants)) = lowered.seed {
+            db.insert(pred, constants).unwrap();
+        }
+        semi_naive(&mut db, &lowered.program, None).unwrap();
+        answer_query(&db, &lowered.answer).unwrap()
+    }
+
+    /// Plans `query`, asserts the lowering chosen, and checks the lowered
+    /// program against the recursion's own fixpoint.
+    pub(crate) fn check(f: &LinearRecursion, db: &Database, query: &str, expect: StrategyKind) {
         let q = parse_atom(query).unwrap();
-        let plan = plan_query(f, &q);
+        let plan = plan_query(f, &q).unwrap();
         assert_eq!(plan.strategy, expect, "strategy for {query}");
-        let got = plan.execute(db, &q).unwrap();
-        let mut db2 = db.clone();
-        semi_naive(&mut db2, &f.to_program(), None).unwrap();
-        let want = answer_query(&db2, &q).unwrap();
-        assert_eq!(got, want, "plan ≠ oracle for {query}");
+        let want = crate::oracle::ground_truth(f, db, &q).unwrap().0;
+        assert_eq!(
+            lowered_answers(&plan, db, &q),
+            want,
+            "plan ≠ oracle for {query}"
+        );
     }
 
     #[test]
@@ -412,8 +496,9 @@ mod tests {
         let mut db = Database::new();
         db.insert_relation("A", Relation::from_pairs([(1, 2), (2, 3), (3, 4)]));
         db.insert_relation("E", Relation::from_pairs([(1, 2), (2, 3), (3, 4)]));
-        check(&f, &db, "P('1', y)", StrategyKind::Counting);
-        check(&f, &db, "P(x, y)", StrategyKind::Counting);
+        check(&f, &db, "P('1', y)", StrategyKind::Frontier);
+        check(&f, &db, "P(x, '4')", StrategyKind::Magic);
+        check(&f, &db, "P(x, y)", StrategyKind::Saturate);
     }
 
     #[test]
@@ -431,11 +516,13 @@ mod tests {
             Relation::from_tuples(3, [tuple_u64([2, 12, 22]), tuple_u64([4, 11, 23])]),
         );
         let q = parse_atom("P('1', '11', z)").unwrap();
-        let plan = plan_query(&f, &q);
-        assert_eq!(plan.strategy, StrategyKind::Counting);
+        let plan = plan_query(&f, &q).unwrap();
         assert_eq!(plan.transform.as_ref().unwrap().period, 3);
-        check(&f, &db, "P('1', '11', z)", StrategyKind::Counting);
-        check(&f, &db, "P(x, y, z)", StrategyKind::Counting);
+        // Every position of the unfolded rule walks a chain, so a free one
+        // ascends: only the fully bound form is a pure walk.
+        check(&f, &db, "P('1', '11', z)", StrategyKind::Magic);
+        check(&f, &db, "P('1', '11', '24')", StrategyKind::Frontier);
+        check(&f, &db, "P(x, y, z)", StrategyKind::Saturate);
     }
 
     #[test]
@@ -472,6 +559,7 @@ mod tests {
         db.insert_relation("C", Relation::from_pairs([(2, 12)]));
         db.insert_relation("E", Relation::from_pairs([(2, 12), (1, 11)]));
         check(&f, &db, "P('1', y)", StrategyKind::Magic);
+        check(&f, &db, "P(x, y)", StrategyKind::Saturate);
     }
 
     #[test]
@@ -480,6 +568,10 @@ mod tests {
                     P(x,y,z) :- E(x,y,z).");
         let plan = plan_for_form(&f, &QueryForm::parse("ddv"));
         assert_eq!(plan.compiled.to_string(), "σE,  ∪k[{σA^k ‖ σB^k}-E-C^k]");
+        // The formula is the paper's whichever lowering runs: `C^k` is an
+        // ascend factor, so this form executes as magic.
+        assert_eq!(plan.strategy, StrategyKind::Magic);
+        assert!(plan.compiled.strategy.contains("ascend"));
     }
 
     #[test]
@@ -520,26 +612,35 @@ mod tests {
     fn plan_introspection_matches_strategy() {
         let stable = lr("P(x, y) :- A(x, z), P(z, y).\nP(x, y) :- E(x, y).");
         let p = plan_for_form(&stable, &QueryForm::parse("dv"));
-        assert!(p.rewrite_program().is_none());
-        assert!(p.bounded_levels().is_none());
-        let chains = p.counting_chains().expect("counting plan");
+        // The walk: one frontier rule, one answer rule per exit.
+        assert_eq!(p.strategy, StrategyKind::Frontier);
+        let rules: Vec<String> = p.program().rules.iter().map(|r| r.to_string()).collect();
+        assert_eq!(
+            rules,
+            [
+                "reach__P__dv(z) :- reach__P__dv(x), A(x, z).",
+                "ans__P__dv(y) :- reach__P__dv(x), E(x, y)."
+            ]
+        );
+        let chains = p.counting_chains().expect("class A plan");
         assert_eq!(chains.len(), 2);
         assert_eq!(chains[0].2, vec![Symbol::intern("A")]);
         assert!(chains[1].2.is_empty()); // identity position
 
         let bounded = lr("P(x, y, z) :- P(y, z, x).");
         let p = plan_for_form(&bounded, &QueryForm::parse("vvv"));
-        assert_eq!(p.bounded_levels().unwrap().rules.len(), 3);
+        assert_eq!(p.program().rules.len(), 3);
         assert!(p.counting_chains().is_none());
 
         let dependent = lr("P(x, y) :- A(x, x1), B(y, y1), C(x1, y1), P(x1, y1).\n\
                             P(x, y) :- E(x, y).");
         let p = plan_for_form(&dependent, &QueryForm::parse("dv"));
-        let program = p.rewrite_program().expect("magic plan");
+        assert_eq!(p.strategy, StrategyKind::Magic);
         // Adorned exit + adorned recursive + magic rule for the dv form,
         // plus the same for the reachable dd form.
-        assert!(program.rules.len() >= 4);
-        assert!(program
+        assert!(p.program().rules.len() >= 4);
+        assert!(p
+            .program()
             .rules
             .iter()
             .any(|r| r.head.predicate.as_str().starts_with("magic__")));
@@ -551,7 +652,25 @@ mod tests {
         let mut db = Database::new();
         db.insert_relation("A", Relation::from_pairs([(1, 2), (2, 3)]));
         db.insert_relation("E", Relation::from_pairs([(1, 2), (2, 3)]));
-        check(&stable, &db, "P('1', '3')", StrategyKind::Counting);
-        check(&stable, &db, "P('3', '1')", StrategyKind::Counting);
+        check(&stable, &db, "P('1', '3')", StrategyKind::Frontier);
+        check(&stable, &db, "P('3', '1')", StrategyKind::Frontier);
+    }
+
+    #[test]
+    fn queries_that_do_not_fit_the_recursion_are_typed_errors() {
+        let f = lr("P(x, y) :- A(x, z), P(z, y).\nP(x, y) :- E(x, y).");
+        let wrong_predicate = parse_atom("Q('1', y)").unwrap();
+        let wrong_arity = parse_atom("P('1', y, z)").unwrap();
+        assert!(matches!(
+            plan_query(&f, &wrong_predicate),
+            Err(DatalogError::UnknownRelation(_))
+        ));
+        assert!(matches!(
+            plan_query(&f, &wrong_arity),
+            Err(DatalogError::ArityMismatch { .. })
+        ));
+        let plan = plan_for_form(&f, &QueryForm::parse("dv"));
+        assert!(plan.lower(&wrong_predicate).is_err());
+        assert!(plan.lower(&wrong_arity).is_err());
     }
 }

@@ -86,15 +86,7 @@ pub fn plan_report(lr: &LinearRecursion, form: &QueryForm) -> String {
     let plan = plan_for_form(lr, form);
     let mut out = String::new();
     let _ = writeln!(out, "query form      : {}({form})", lr.predicate);
-    let _ = writeln!(
-        out,
-        "strategy        : {}",
-        match plan.strategy {
-            StrategyKind::Bounded => "bounded (finite union, no fixpoint)",
-            StrategyKind::Counting => "counting (per-position chains)",
-            StrategyKind::Magic => "magic sets (general information passing)",
-        }
-    );
+    let _ = writeln!(out, "strategy        : {}", plan.strategy.label());
     if let Some(t) = &plan.transform {
         let _ = writeln!(
             out,
@@ -116,18 +108,16 @@ pub fn plan_report(lr: &LinearRecursion, form: &QueryForm) -> String {
             .map(|i| format!("  (cycles back to step {i})"))
             .unwrap_or_else(|| "  (no repetition within horizon)".into())
     );
-    // The executable rewrite, where the strategy has one.
-    if let Some(program) = plan.rewrite_program() {
-        let _ = writeln!(out, "rewritten program (magic sets):");
-        for rule in &program.rules {
-            let _ = writeln!(out, "  {rule}");
-        }
-    }
-    if let Some(levels) = plan.bounded_levels() {
-        let _ = writeln!(out, "non-recursive levels:");
-        for rule in &levels.rules {
-            let _ = writeln!(out, "  {rule}");
-        }
+    // What the engine is handed.
+    let header = match plan.strategy {
+        StrategyKind::Bounded => "non-recursive levels",
+        StrategyKind::Frontier => "frontier program",
+        StrategyKind::Magic => "rewritten program (magic sets)",
+        StrategyKind::Saturate => "saturated program",
+    };
+    let _ = writeln!(out, "{header}:");
+    for rule in &plan.program().rules {
+        let _ = writeln!(out, "  {rule}");
     }
     if let Some(chains) = plan.counting_chains() {
         let _ = writeln!(out, "per-position chains:");
@@ -173,6 +163,15 @@ mod tests {
         assert!(r.contains("counting"));
         assert!(r.contains("σE"));
         assert!(r.contains("propagation"));
+        // `C^k` ascends, so the formula is executed by the magic rewrite …
+        assert!(r.contains("strategy        : magic\n"), "{r}");
+        // … while the fully bound form is the walk itself.
+        let r = plan_report(&f, &QueryForm::parse("ddd"));
+        assert!(r.contains("strategy        : frontier"), "{r}");
+        assert!(
+            r.contains("reach__P__ddd(u, v, w) :- reach__P__ddd(x, y, z)"),
+            "{r}"
+        );
     }
 
     #[test]

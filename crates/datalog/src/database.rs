@@ -114,11 +114,6 @@ impl Database {
         self.relations.keys().copied()
     }
 
-    /// Total number of tuples across all relations.
-    pub fn total_tuples(&self) -> usize {
-        self.relations.values().map(Relation::len).sum()
-    }
-
     /// Loads the ground facts of `program` into the database and returns the
     /// remaining (non-fact) rules. A fact is a rule with an empty body and
     /// all-constant head.
@@ -210,13 +205,5 @@ mod tests {
         assert_eq!(db.require("A").unwrap().len(), 2);
         assert_eq!(rest.rules.len(), 1);
         assert!(rest.rules[0].head.terms[0].is_var());
-    }
-
-    #[test]
-    fn total_tuples_sums() {
-        let mut db = Database::new();
-        db.insert_relation("A", Relation::from_pairs([(1, 2), (2, 3)]));
-        db.insert_relation("B", Relation::from_pairs([(5, 6)]));
-        assert_eq!(db.total_tuples(), 3);
     }
 }

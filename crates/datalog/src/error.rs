@@ -33,15 +33,6 @@ pub enum DatalogError {
     },
     /// The program violates one of the paper's structural restrictions.
     Validation(ValidationError),
-    /// An evaluation strategy exceeded its resource budget (e.g. the
-    /// counting strategy's level cap on data with astronomically long
-    /// frontier periods). Callers should fall back to a general strategy.
-    LimitExceeded {
-        /// Which limit was hit.
-        what: &'static str,
-        /// The budget that was exceeded.
-        limit: usize,
-    },
 }
 
 /// A syntax error with position information.
@@ -184,9 +175,6 @@ impl fmt::Display for DatalogError {
                 "tuple of width {found} inserted into {relation} of arity {expected}"
             ),
             DatalogError::Validation(v) => write!(f, "invalid program: {v}"),
-            DatalogError::LimitExceeded { what, limit } => {
-                write!(f, "evaluation limit exceeded: {what} (budget {limit})")
-            }
         }
     }
 }

@@ -123,11 +123,6 @@ impl Program {
             .filter(|p| !idb.contains(p))
             .collect()
     }
-
-    /// Rules whose head predicate is `p`.
-    pub fn rules_for(&self, p: Symbol) -> impl Iterator<Item = &Rule> {
-        self.rules.iter().filter(move |r| r.head.predicate == p)
-    }
 }
 
 impl fmt::Display for Program {

@@ -1,17 +1,15 @@
-//! Class-aware kernel dispatch.
+//! Class-aware kernel selection for saturating *the recursion itself*.
 //!
-//! The paper's classification tells the engine *how much* evaluation a
-//! formula actually needs, before any tuple is touched:
-//!
-//! | classification | kernel |
-//! |----------------|--------|
-//! | proven rank bound (pure permutational A2/A4, bounded B, acyclic D) | [`KernelKind::BoundedUnroll`] — run exactly `rank` recursive rounds, skip fixpoint detection |
-//! | one-directional A1/A3/A5 (and stable mixes without a rank bound) | [`KernelKind::Frontier`] — semi-naive frontier BFS (the compiled `σE ∪ σA σE ∪ …` form) until the frontier dries up |
-//! | everything else (C, E, F, bounded-without-proven-bound mixes) | [`KernelKind::Generic`] — plain semi-naive with fixpoint detection |
-//!
-//! The rank-bound check runs first: a bounded formula's strongest property
-//! is that its fixpoint arrives at a *statically known* iteration, which
-//! dominates any frontier scheduling.
+//! The classification tells the engine how many rounds a formula needs
+//! before any tuple is touched: a proven rank bound (pure permutational
+//! A2/A4, bounded B, acyclic D) runs exactly `rank` recursive rounds and
+//! skips fixpoint detection ([`KernelKind::BoundedUnroll`], checked first);
+//! one-directional A1/A3/A5 run until the frontier dries up
+//! ([`KernelKind::Frontier`]); everything else is plain semi-naive
+//! ([`KernelKind::Generic`]). A *query* is not saturated this way: its plan
+//! (`recurs_core::plan`'s table) lowers to a program of its own, and
+//! [`crate::evaluate`] runs that — under `Frontier` when the program is the
+//! compiled formula's walk from the query constants.
 
 use crate::stats::KernelKind;
 use recurs_core::Classification;

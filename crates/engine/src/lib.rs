@@ -23,13 +23,13 @@
 //!   that decides which head rows are fresh. The engine kernels below, the
 //!   incremental-maintenance loops of `recurs-ivm` and its rank-tracked
 //!   provenance saturation are all instantiations of it.
-//! * **Kernels** ([`kernel`]): the dispatcher inspects the formula's
-//!   [`Classification`](recurs_core::Classification) — one-directional
-//!   classes (A1/A3/A5) run until the frontier dries up, formulas with a
-//!   proven rank bound (A2/A4/B/D) stop at the rank *without fixpoint
-//!   detection*, and everything else (C/E/F) takes the generic fallback.
-//!   The classification changes only *how many rounds* run, so a
-//!   [`KernelKind`] is a reporting label plus the driver's round cap.
+//! * **Kernels** ([`kernel`]): the classification changes only *how many
+//!   rounds* run, so a [`KernelKind`] is the driver's round cap plus a
+//!   reporting label.
+//! * **The executor** ([`evaluate`]): the one function that answers a
+//!   planned query — it lowers the [`QueryPlan`](recurs_core::QueryPlan),
+//!   saturates that program over a private clone of the caller's store and
+//!   selects the answer atom. [`oracle`] checks it against the fixpoint.
 //!
 //! # Failure semantics
 //!
@@ -54,15 +54,18 @@
 pub mod compile;
 mod driver;
 pub mod error;
+mod evaluate;
 #[cfg(any(test, feature = "fault-inject"))]
 pub mod fault;
 pub mod kernel;
+pub mod oracle;
 pub mod stats;
 pub mod storage;
 
 pub use compile::select;
 pub use driver::{drive_rounds, Rounds};
 pub use error::{EngineError, Saturation};
+pub use evaluate::{evaluate, Evaluation};
 pub use kernel::select_kernel;
 pub use stats::{EngineStats, IterationStats, KernelKind};
 pub use storage::{EngineDb, IndexedRelation};

@@ -367,6 +367,16 @@ impl EngineDb {
         missing
     }
 
+    /// Builds the `(predicate, key columns)` indexes [`EngineDb::missing_indexes`]
+    /// reported (idempotent), here, where every later clone inherits them.
+    pub fn build_indexes(&mut self, needed: &[(Symbol, Vec<usize>)]) {
+        for (pred, cols) in needed {
+            if let Some(rel) = self.rels.get_mut(pred) {
+                rel.ensure_index(cols);
+            }
+        }
+    }
+
     /// Builds every index `rule`'s pipeline probes (idempotent). Callers do
     /// this once per compiled rule, before the first round that runs it.
     pub fn ensure_indexes(&mut self, rule: &crate::compile::CompiledRule) {

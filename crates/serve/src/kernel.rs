@@ -1,37 +1,31 @@
-//! Class-aware point-query kernels.
+//! Point queries against a snapshot: the plan cache and the snapshot hooks
+//! around the one executor.
 //!
-//! The paper's classification pays off at query time: most selected queries
-//! never need the full fixpoint. The dispatch table, applied per query
-//! against the service's precomputed [`Classification`]:
-//!
-//! | Condition                                        | Kernel                     |
-//! |--------------------------------------------------|----------------------------|
-//! | proven rank bound (A2/A4, bounded B, acyclic D)  | [`PointKernelKind::BoundedUnroll`] — evaluate the `rank + 1` non-recursive levels with the query constants pushed in, as one seeding round; **no fixpoint loop ever runs** |
-//! | one-directional (A1/A3/A5) and ≥ 1 bound argument | [`PointKernelKind::MagicIterate`] — iterate the magic-transformed program from `recurs_core::magic` seeded with the query constants, under the query budget |
-//! | class C/E/F, or an all-free query                | [`PointKernelKind::FullSaturation`] — governed full saturation with the engine kernel selected from the classification |
-//!
-//! All three are one helper ([`evaluate`]) given a different program: it
-//! clones the snapshot's store — sharing every base relation, copying none —
-//! adds the run's private seed / magic / answer relations, saturates, and
-//! selects the answer. Every kernel returns the existing
+//! Which program answers a query is `recurs_core::plan`'s table — bounded
+//! levels, the counting formula as a frontier walk, the magic rewrite, or
+//! the recursion itself — and `recurs_engine::evaluate` runs it. What is
+//! left here is what only a server has: a [`QueryPlan`] per query form,
+//! built once ([`PointPlans`]); the index republish, so a pipeline's indexes
+//! travel with the snapshot instead of being rebuilt miss after miss; the
+//! served-predicate error; and [`PointKernelKind`], the reply's name for
+//! what ran (the plan's strategy, or the materialized view, which the
+//! service answers from without coming here). Every reply keeps the
 //! `Complete | Truncated` contract: a truncated answer is always a sound
 //! under-approximation of the true answer set.
 
 use crate::error::ServeError;
 use crate::snapshot::{Snapshot, SnapshotStore};
-use recurs_core::{bounded, magic, Classification};
+use recurs_core::plan::{plan_query, QueryPlan, StrategyKind};
 use recurs_datalog::adornment::QueryForm;
-use recurs_datalog::govern::{EvalBudget, Outcome};
-use recurs_datalog::relation::{Relation, Tuple};
-use recurs_datalog::rule::{LinearRecursion, Program, Rule};
-use recurs_datalog::symbol::Symbol;
-use recurs_datalog::term::{Atom, Term};
-use recurs_engine::{CompiledProgram, EngineConfig, EngineDb, EngineError, KernelKind};
+use recurs_datalog::govern::EvalBudget;
+use recurs_datalog::rule::LinearRecursion;
+use recurs_datalog::term::Atom;
+use recurs_engine::{EngineConfig, Evaluation};
 use recurs_obs::Obs;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Which point-query kernel the dispatcher selected.
+/// What answered a point query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PointKernelKind {
     /// Rank-bounded unrolling: the formula is provably bounded, so the
@@ -41,6 +35,9 @@ pub enum PointKernelKind {
         /// The proven rank bound.
         rank: u64,
     },
+    /// The compiled formula `σA^k-E` as a walk from the query's constants:
+    /// no fixpoint over the answer relation.
+    Frontier,
     /// Magic-sets iteration seeded with the query's constants: only tuples
     /// reachable from the query's bindings are derived.
     MagicIterate,
@@ -54,25 +51,37 @@ pub enum PointKernelKind {
 }
 
 impl PointKernelKind {
+    /// The name of the lowering `plan` executes.
+    pub fn of(plan: &QueryPlan) -> PointKernelKind {
+        match plan.strategy {
+            StrategyKind::Bounded => PointKernelKind::BoundedUnroll {
+                rank: plan.classification.rank_bound().unwrap_or(0),
+            },
+            StrategyKind::Frontier => PointKernelKind::Frontier,
+            StrategyKind::Magic => PointKernelKind::MagicIterate,
+            StrategyKind::Saturate => PointKernelKind::FullSaturation,
+        }
+    }
+
     /// Low-cardinality dispatch-family label for metrics: `"bounded"`,
-    /// `"magic"`, `"saturate"`, or `"materialized"` (the rank is dropped so
-    /// label sets stay bounded regardless of the served program).
+    /// `"frontier"`, `"magic"`, `"saturate"`, or `"materialized"` (the rank
+    /// is dropped so label sets stay bounded regardless of the served
+    /// program).
     pub fn family(&self) -> &'static str {
         match self {
-            PointKernelKind::BoundedUnroll { .. } => "bounded",
-            PointKernelKind::MagicIterate => "magic",
-            PointKernelKind::FullSaturation => "saturate",
+            PointKernelKind::BoundedUnroll { .. } => StrategyKind::Bounded.label(),
+            PointKernelKind::Frontier => StrategyKind::Frontier.label(),
+            PointKernelKind::MagicIterate => StrategyKind::Magic.label(),
+            PointKernelKind::FullSaturation => StrategyKind::Saturate.label(),
             PointKernelKind::MaterializedView => "materialized",
         }
     }
 
-    /// Short label for reports, e.g. `"bounded(2)"`, `"magic"`, `"saturate"`.
+    /// Short label for reports, e.g. `"bounded(2)"`, `"frontier"`.
     pub fn label(&self) -> String {
         match self {
             PointKernelKind::BoundedUnroll { rank } => format!("bounded({rank})"),
-            PointKernelKind::MagicIterate => "magic".to_string(),
-            PointKernelKind::FullSaturation => "saturate".to_string(),
-            PointKernelKind::MaterializedView => "materialized".to_string(),
+            other => other.family().to_string(),
         }
     }
 }
@@ -83,48 +92,19 @@ impl serde::Serialize for PointKernelKind {
     }
 }
 
-/// One answered point query.
-#[derive(Debug)]
-pub struct PointAnswer {
-    /// The answer relation, over the query's distinct variables in
-    /// first-occurrence order (arity 0 = boolean query: non-empty means yes).
-    pub answers: Relation,
-    /// Complete, or soundly truncated by the budget.
-    pub outcome: Outcome,
-    /// The kernel that produced the answer.
-    pub kernel: PointKernelKind,
-    /// Fixpoint iterations run (always 0 for the bounded kernel — the
-    /// acceptance criterion "iterations ≤ computed rank" holds trivially).
-    pub fixpoint_iterations: usize,
-    /// Tuples derived while answering.
-    pub tuples_derived: usize,
-}
-
-/// Precompiled per-program state shared by all queries: the classification,
-/// the bounded plan (if the formula is provably bounded), the saturation
-/// program, and a lazily-built cache of magic plans keyed by query form.
+/// Per-program state shared by all queries: the recursion and a lazily
+/// built plan per query form.
 #[derive(Debug)]
 pub struct PointPlans {
     lr: LinearRecursion,
-    classification: Classification,
-    full_program: Program,
-    bounded: Option<bounded::BoundedPlan>,
-    magic: Mutex<HashMap<QueryForm, Arc<magic::MagicPlan>>>,
+    plans: Mutex<HashMap<QueryForm, Arc<QueryPlan>>>,
 }
 
 impl PointPlans {
-    /// Classifies the recursion and precompiles what can be precompiled.
+    /// Plans are built on first use of a form.
     pub fn new(lr: LinearRecursion) -> PointPlans {
-        let classification = Classification::of(&lr.recursive_rule);
-        let bounded = bounded::build_plan(&lr);
-        let full_program = lr.to_program();
-        PointPlans {
-            lr,
-            classification,
-            full_program,
-            bounded,
-            magic: Mutex::new(HashMap::new()),
-        }
+        let plans = Mutex::new(HashMap::new());
+        PointPlans { lr, plans }
     }
 
     /// The recursion being served.
@@ -132,124 +112,35 @@ impl PointPlans {
         &self.lr
     }
 
-    /// The classification driving kernel dispatch.
-    pub fn classification(&self) -> &Classification {
-        &self.classification
-    }
-
-    /// Applies the dispatch table (see module docs) to a query atom.
-    pub fn select(&self, query: &Atom) -> PointKernelKind {
-        if let Some(plan) = &self.bounded {
-            return PointKernelKind::BoundedUnroll { rank: plan.rank };
-        }
-        let has_bound_arg = query.terms.iter().any(|t| !t.is_var());
-        if self.classification.is_transformable_to_stable() && has_bound_arg {
-            return PointKernelKind::MagicIterate;
-        }
-        PointKernelKind::FullSaturation
-    }
-
-    /// Answers `query` against `snapshot` (a version `snapshots` published)
-    /// under `budget` with the selected kernel. The snapshot is only read:
-    /// every kernel saturates a private clone of its store.
-    pub fn answer(
-        &self,
-        snapshots: &SnapshotStore,
-        snapshot: &Snapshot,
-        query: &Atom,
-        budget: &EvalBudget,
-        obs: &Obs,
-    ) -> Result<PointAnswer, ServeError> {
+    /// The plan for `query`'s form, or the typed error for a query that is
+    /// not over the served predicate at its arity.
+    pub fn plan(&self, query: &Atom) -> Result<Arc<QueryPlan>, ServeError> {
         if query.predicate != self.lr.predicate {
             return Err(ServeError::WrongPredicate {
                 got: query.predicate,
                 serves: self.lr.predicate,
             });
         }
-        let expected = self.lr.recursive_rule.head.arity();
-        if query.arity() != expected {
-            return Err(ServeError::Datalog(
-                recurs_datalog::error::DatalogError::ArityMismatch {
-                    predicate: query.predicate,
-                    expected,
-                    found: query.arity(),
-                },
-            ));
+        // A query at the wrong arity has a form no plan is cached under, and
+        // planning it is the typed arity error.
+        let form = QueryForm::of_atom(query);
+        let mut plans = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(plan) = plans.get(&form) {
+            return Ok(plan.clone());
         }
-        let run = Run {
-            snapshots,
-            snapshot,
-            config: EngineConfig {
-                budget: budget.clone(),
-                obs: obs.clone(),
-            },
-        };
-        let kind = self.select(query);
-        match (kind, &self.bounded) {
-            // The levels with the query constants pushed in, deriving a
-            // private answer relation over the query's distinct variables:
-            // a non-recursive program, so the rank-0 cap ends the run after
-            // the seeding round — no fixpoint loop, whatever the budget.
-            (PointKernelKind::BoundedUnroll { .. }, Some(plan)) => {
-                let answers = Symbol::intern("__serve_answer");
-                let levels = plan.levels.rules.iter().filter_map(|level| {
-                    let level = bounded::specialize(level, query)?;
-                    Some(Rule::new(Atom::new(answers, level.head.terms), level.body))
-                });
-                let vars = query.distinct_variables();
-                let answer = Atom::new(answers, vars.into_iter().map(Term::Var).collect());
-                let unroll = KernelKind::BoundedUnroll { rank: 0 };
-                let point =
-                    run.evaluate(&Program::new(levels.collect()), unroll, None, &answer, kind)?;
-                Ok(PointAnswer {
-                    fixpoint_iterations: 0,
-                    ..point
-                })
-            }
-            // Seed the magic predicate with the query constants and run the
-            // rewritten program; the answer is the adorned predicate's.
-            (PointKernelKind::MagicIterate, _) => {
-                let plan = self.magic_plan(&QueryForm::of_atom(query));
-                let constants: Tuple = query.terms.iter().filter_map(Term::as_const).collect();
-                let seed = plan.seed_predicate.map(|pred| (pred, constants));
-                let answer = Atom::new(plan.answer_predicate, query.terms.clone());
-                run.evaluate(&plan.program, KernelKind::Generic, seed, &answer, kind)
-            }
-            // Saturate the recursion itself with the engine kernel the
-            // classification selects. (The materialized-view kernel lives in
-            // the service — it needs the maintained view; `select` never
-            // returns it, and without a view saturation is the answer.)
-            _ => {
-                let kernel = recurs_engine::select_kernel(&self.classification);
-                let kind = PointKernelKind::FullSaturation;
-                run.evaluate(&self.full_program, kernel, None, query, kind)
-            }
-        }
+        let plan = Arc::new(plan_query(&self.lr, query)?);
+        plans.insert(form, plan.clone());
+        Ok(plan)
     }
 
-    fn magic_plan(&self, form: &QueryForm) -> Arc<magic::MagicPlan> {
-        let mut plans = self.magic.lock().unwrap_or_else(PoisonError::into_inner);
-        plans
-            .entry(form.clone())
-            .or_insert_with(|| Arc::new(magic::build_plan(&self.lr, form)))
-            .clone()
+    /// What answers `query` on a miss: the name of its plan's lowering.
+    pub fn select(&self, query: &Atom) -> Result<PointKernelKind, ServeError> {
+        Ok(PointKernelKind::of(&*self.plan(query)?))
     }
-}
 
-/// What every kernel of one request runs against: the snapshot it answers
-/// at, the chain that published it, and the request's budget and recorder.
-struct Run<'a> {
-    snapshots: &'a SnapshotStore,
-    snapshot: &'a Snapshot,
-    config: EngineConfig,
-}
-
-impl Run<'_> {
-    /// The one kernel body: clones the snapshot's store (every base relation
-    /// shared), adds what the run owns — the relations `program` and `answer`
-    /// mention that the snapshot lacks, and `seed` — saturates, and selects
-    /// `answer` from the store: a possibly under-approximated fixpoint the
-    /// snapshot never sees.
+    /// Answers `query` against `snapshot` (a version `snapshots` published)
+    /// under `budget`. The snapshot is only read: the executor saturates a
+    /// private clone of its store.
     ///
     /// Indexes the pipelines probe on the snapshot's relations are the
     /// snapshot's to hold: any it lacks are built once by
@@ -258,52 +149,30 @@ impl Run<'_> {
     /// builds an index on a base relation. (Only if an update is installed
     /// in that very window does the query stay on its own version and index
     /// its private clone.)
-    fn evaluate(
+    pub fn answer(
         &self,
-        program: &Program,
-        engine_kernel: KernelKind,
-        seed: Option<(Symbol, Tuple)>,
-        answer: &Atom,
-        kernel: PointKernelKind,
-    ) -> Result<PointAnswer, ServeError> {
-        let private = |base: &EngineDb| -> Result<EngineDb, ServeError> {
-            let mut store = base.clone();
-            let rules = program.rules.iter();
-            let atoms = rules.flat_map(|r| std::iter::once(&r.head).chain(&r.body));
-            for atom in atoms.chain([answer]) {
-                store.declare(atom.predicate, atom.arity())?;
-            }
-            if let Some((pred, constants)) = &seed {
-                store.declare(*pred, constants.len())?;
-                if let Some(seeds) = store.get_mut(*pred) {
-                    seeds.insert(constants.clone());
-                }
-            }
-            Ok(store)
+        snapshots: &SnapshotStore,
+        snapshot: &Snapshot,
+        query: &Atom,
+        budget: &EvalBudget,
+        obs: &Obs,
+    ) -> Result<Evaluation, ServeError> {
+        let plan = self.plan(query)?;
+        let config = EngineConfig {
+            budget: budget.clone(),
+            obs: obs.clone(),
         };
-        let mut store = private(self.snapshot.store())?;
-        let compiled = CompiledProgram::compile(program, &store)?;
-        let missing = self
-            .snapshot
-            .store()
-            .missing_indexes(compiled.required_indexes());
-        if !missing.is_empty() {
-            let indexed = self.snapshots.with_indexes(&missing);
-            if indexed.version() == self.snapshot.version() {
-                store = private(indexed.store())?;
-            }
-        }
-        let sat = recurs_engine::saturate(&mut store, &compiled, engine_kernel, &self.config)?;
-        let stored = store.get(answer.predicate).ok_or(EngineError::Internal(
-            "the saturated program never declared its answer predicate",
-        ))?;
-        Ok(PointAnswer {
-            answers: recurs_engine::select(stored, answer),
-            outcome: sat.outcome,
-            kernel,
-            fixpoint_iterations: sat.stats.iteration_count(),
-            tuples_derived: sat.stats.tuples_derived,
-        })
+        let republish = |missing: &[_]| {
+            let indexed = snapshots.with_indexes(missing);
+            (indexed.version() == snapshot.version()).then(|| indexed.store().clone())
+        };
+        Ok(recurs_engine::evaluate(
+            &plan,
+            query,
+            snapshot.store(),
+            &config,
+            republish,
+        )?)
     }
 }
 
@@ -312,6 +181,7 @@ mod tests {
     use super::*;
     use recurs_datalog::database::Database;
     use recurs_datalog::parser::{parse_atom, parse_program};
+    use recurs_datalog::relation::Relation;
     use recurs_datalog::validate::validate_with_generic_exit;
 
     fn lr(src: &str) -> LinearRecursion {
@@ -339,7 +209,7 @@ mod tests {
         db: &Database,
         query: &Atom,
         budget: &EvalBudget,
-    ) -> Result<PointAnswer, ServeError> {
+    ) -> Result<Evaluation, ServeError> {
         let snapshots = SnapshotStore::new(db.into());
         plans.answer(&snapshots, &snapshots.load(), query, budget, &Obs::noop())
     }
@@ -349,11 +219,28 @@ mod tests {
         let f = tc();
         let plans = PointPlans::new(f.clone());
         let db = tc_db(12);
-        let q = parse_atom("P(3, y)").unwrap();
-        assert_eq!(plans.select(&q), PointKernelKind::MagicIterate);
+        // `P(x, c)`: the free position ascends through `A`, so magic runs
+        // (its magic set is `{c}`: already linear).
+        let q = parse_atom("P(x, 9)").unwrap();
+        assert_eq!(plans.select(&q).unwrap(), PointKernelKind::MagicIterate);
         let got = answer(&plans, &db, &q, &EvalBudget::unlimited()).unwrap();
-        assert!(got.outcome.is_complete());
+        assert!(got.saturation.outcome.is_complete());
         assert_eq!(got.answers, oracle(&f, &db, &q));
+    }
+
+    #[test]
+    fn tc_source_bound_query_walks_the_frontier() {
+        let f = tc();
+        let plans = PointPlans::new(f.clone());
+        let db = tc_db(12);
+        let q = parse_atom("P(3, y)").unwrap();
+        assert_eq!(plans.select(&q).unwrap(), PointKernelKind::Frontier);
+        let got = answer(&plans, &db, &q, &EvalBudget::unlimited()).unwrap();
+        assert!(got.saturation.outcome.is_complete());
+        assert_eq!(got.answers, oracle(&f, &db, &q));
+        // 4..=12 reached, 4..=12 answered: linear in the reachable chain,
+        // where magic derived P(z, y) for every reachable z.
+        assert_eq!(got.saturation.stats.tuples_derived, 18);
     }
 
     #[test]
@@ -362,9 +249,9 @@ mod tests {
         let plans = PointPlans::new(f.clone());
         let db = tc_db(8);
         let q = parse_atom("P(x, y)").unwrap();
-        assert_eq!(plans.select(&q), PointKernelKind::FullSaturation);
+        assert_eq!(plans.select(&q).unwrap(), PointKernelKind::FullSaturation);
         let got = answer(&plans, &db, &q, &EvalBudget::unlimited()).unwrap();
-        assert!(got.outcome.is_complete());
+        assert!(got.saturation.outcome.is_complete());
         assert_eq!(got.answers, oracle(&f, &db, &q));
     }
 
@@ -385,11 +272,12 @@ mod tests {
             ),
         );
         let q = parse_atom("P(2, y, z)").unwrap();
-        let kernel = plans.select(&q);
+        let kernel = plans.select(&q).unwrap();
         assert_eq!(kernel, PointKernelKind::BoundedUnroll { rank: 2 });
         let got = answer(&plans, &db, &q, &EvalBudget::unlimited()).unwrap();
-        assert!(got.outcome.is_complete());
-        assert_eq!(got.fixpoint_iterations, 0);
+        assert!(got.saturation.outcome.is_complete());
+        // The seeding round evaluates the levels; no fixpoint iteration.
+        assert_eq!(got.saturation.stats.iteration_count(), 1);
         assert_eq!(got.answers, oracle(&f, &db, &q));
     }
 
@@ -424,7 +312,7 @@ mod tests {
         let budget = EvalBudget::unlimited().with_cancel(token);
         let q = parse_atom("P(1, y)").unwrap();
         let got = answer(&plans, &db, &q, &budget).unwrap();
-        assert!(!got.outcome.is_complete());
+        assert!(!got.saturation.outcome.is_complete());
         // Sound under-approximation: a subset of the true answers.
         let want = oracle(&f, &db, &q);
         for t in got.answers.iter() {

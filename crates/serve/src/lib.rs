@@ -14,11 +14,9 @@
 //!   `recurs-ivm` counting/DRed maintenance patches the service's
 //!   materialized view and the warm cache entries in place instead of
 //!   recomputing, and all-no-op groups don't even bump the version.
-//! * **Class-aware point-query kernels** ([`kernel`]): per query, the
-//!   classification from `recurs-core` dispatches to rank-bounded unrolling
-//!   (provably bounded classes — no fixpoint loop at all), magic-sets
-//!   iteration seeded with the query constants (one-directional classes),
-//!   or governed full saturation (everything else).
+//! * **Point queries** ([`kernel`]): a plan per query form from
+//!   `recurs-core`'s one table (bounded levels, frontier walk, magic, full
+//!   saturation), run by `recurs_engine::evaluate` on a clone of the snapshot.
 //! * **Saturation cache** ([`cache`]): a sharded LRU keyed by
 //!   `(program fingerprint, snapshot version, adorned query)`; only
 //!   complete answers are admitted, and a snapshot change invalidates
@@ -71,7 +69,7 @@ pub mod version;
 
 pub use cache::{CacheCounters, QueryPattern, SaturationCache};
 pub use error::ServeError;
-pub use kernel::{PointAnswer, PointKernelKind, PointPlans};
+pub use kernel::{PointKernelKind, PointPlans};
 pub use recurs_ivm::FactOp;
 pub use service::{QueryService, Reply, ServeConfig, UpdateOutcome};
 pub use snapshot::{Snapshot, SnapshotStore, SnapshotUpdate};

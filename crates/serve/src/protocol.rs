@@ -497,7 +497,7 @@ mod tests {
         assert!(r.starts_with("# TYPE"), "got {r}");
         assert!(r.ends_with("# EOF"), "got {r}");
         assert!(
-            r.contains("recurs_serve_queries_total{cache=\"miss\",kernel=\"magic\",outcome=\"complete\"} 1"),
+            r.contains("recurs_serve_queries_total{cache=\"miss\",kernel=\"frontier\",outcome=\"complete\"} 1"),
             "got {r}"
         );
         assert!(r.contains("recurs_serve_query_seconds_bucket"), "got {r}");

@@ -171,11 +171,6 @@ impl QueryService {
         }
     }
 
-    /// The classification driving point-kernel dispatch.
-    pub fn classification(&self) -> &Classification {
-        self.plans.classification()
-    }
-
     /// Stable fingerprint of the served program.
     pub fn program_fingerprint(&self) -> Fingerprint {
         self.program_fingerprint
@@ -415,7 +410,8 @@ impl QueryService {
             queue_wait.as_secs_f64(),
         );
         let snapshot = self.store.load();
-        let kernel = self.plans.select(query);
+        let count_error = |_: &ServeError| obs.counter("recurs_serve_query_errors_total", &[], 1);
+        let kernel = self.plans.select(query).inspect_err(count_error)?;
         let start = Instant::now();
 
         let key = self.cache.as_ref().map(|_| CacheKey {
@@ -466,19 +462,20 @@ impl QueryService {
             ),
             None => {
                 let _eval = tr.map(|(ctx, parent)| ctx.span("eval", parent));
-                let point = self
+                let run = self
                     .plans
                     .answer(&self.store, &snapshot, query, budget, obs)
-                    .inspect_err(|_| {
-                        obs.counter("recurs_serve_query_errors_total", &[], 1);
-                    })?;
-                (
-                    Arc::new(point.answers),
-                    point.outcome,
-                    point.kernel,
-                    point.tuples_derived,
-                    point.fixpoint_iterations,
-                )
+                    .inspect_err(count_error)?;
+                let stats = run.saturation.stats;
+                // The bounded levels finish in the seeding round: no
+                // fixpoint iteration ran ("iterations ≤ rank" trivially).
+                let iterations = match kernel {
+                    PointKernelKind::BoundedUnroll { .. } => 0,
+                    _ => stats.iteration_count(),
+                };
+                let derived = stats.tuples_derived;
+                let outcome = run.saturation.outcome;
+                (Arc::new(run.answers), outcome, kernel, derived, iterations)
             }
         };
         // Only complete answers are cacheable: a truncated answer depends on
@@ -512,14 +509,9 @@ impl QueryService {
     }
 
     /// Select/project over the maintained view's stored relation, when the
-    /// view exists and is exact for the query's snapshot (and the query is
-    /// for the served predicate at the right arity — anything else falls
-    /// through to the kernels, which own the error taxonomy).
+    /// view exists and is exact for the query's snapshot. The query is over
+    /// the served predicate at its arity: it has a plan.
     fn view_answers(&self, snapshot: &Snapshot, query: &Atom) -> Option<Relation> {
-        let lr = self.plans.recursion();
-        if query.predicate != lr.predicate || query.arity() != lr.dimension() {
-            return None;
-        }
         let guard = self.view.read().unwrap_or_else(PoisonError::into_inner);
         let vs = guard
             .as_ref()
@@ -584,8 +576,8 @@ impl QueryService {
         obs.event("serve.query", &fields);
     }
 
-    /// Which kernel the dispatcher would select for a query.
-    pub fn kernel_for(&self, query: &Atom) -> PointKernelKind {
+    /// What would answer `query` on a cache and view miss.
+    pub fn kernel_for(&self, query: &Atom) -> Result<PointKernelKind, ServeError> {
         self.plans.select(query)
     }
 
@@ -620,6 +612,7 @@ impl QueryService {
             truncated: m.counter_where(q, &[("outcome", "truncated")]),
             errors: m.counter_value("recurs_serve_query_errors_total", &[]),
             kernel_bounded: m.counter_where(q, &[("kernel", "bounded")]),
+            kernel_frontier: m.counter_where(q, &[("kernel", "frontier")]),
             kernel_magic: m.counter_where(q, &[("kernel", "magic")]),
             kernel_saturate: m.counter_where(q, &[("kernel", "saturate")]),
             kernel_materialized: m.counter_where(q, &[("kernel", "materialized")]),
@@ -713,31 +706,18 @@ impl QueryService {
             .collect();
 
         let stats = &reply.stats;
+        // What ran, in the plan's own words: its strategy note, the paper's
+        // compiled formula, and the size of the program it lowers to.
+        let plan = self.plans.plan(query)?;
         let kernel_reason = match (stats.cache, stats.kernel) {
             (CacheOutcome::Hit, _) => {
                 "answered from the saturation cache for this snapshot version; no kernel ran"
-                    .to_string()
-            }
-            (_, PointKernelKind::BoundedUnroll { rank }) => format!(
-                "proven rank bound {rank}: the answer is the union of {} non-recursive \
-                 unrolled levels, so no fixpoint loop runs",
-                rank + 1
-            ),
-            (_, PointKernelKind::MagicIterate) => {
-                "one-directional recursion with a bound argument: magic-sets iteration \
-                 seeded from the query constants"
-                    .to_string()
             }
             (_, PointKernelKind::MaterializedView) => {
                 "the maintained materialized view is exact for this snapshot version: \
                  plain select/project, no evaluation"
-                    .to_string()
             }
-            (_, PointKernelKind::FullSaturation) => {
-                "no proven rank bound and no usable binding: governed full saturation, \
-                 then select/project"
-                    .to_string()
-            }
+            _ => plan.compiled.strategy.as_str(),
         };
         let iters = stats.fixpoint_iterations;
         let tuples = stats.tuples_derived;
@@ -766,16 +746,15 @@ impl QueryService {
             ("type", Value::string("explain")),
             ("trace", Value::string(trace.to_string())),
             ("query", Value::string(format!("{query}"))),
-            (
-                "classification",
-                classification_value(self.classification()),
-            ),
+            ("classification", classification_value(&plan.classification)),
             (
                 "kernel",
                 Value::object([
                     ("choice", Value::string(stats.kernel.label())),
                     ("family", Value::string(stats.kernel.family())),
                     ("reason", Value::string(kernel_reason)),
+                    ("formula", Value::string(plan.compiled.to_string())),
+                    ("rules", plan.program().rules.len().to_value()),
                 ]),
             ),
             (
@@ -1121,6 +1100,50 @@ mod tests {
     }
 
     #[test]
+    fn the_served_path_runs_the_planners_table() {
+        // Source-bound TC on a chain of 800: the walk reaches 799 vertices
+        // and answers 799 — where the magic rewrite this service ran before
+        // derived P(z, y) for every reachable z, 320 399 tuples.
+        let service = tc_service(800, ServeConfig::default());
+        let reply = service.query(&parse_atom("P(1, y)").unwrap()).unwrap();
+        assert_eq!(reply.stats.kernel, PointKernelKind::Frontier);
+        assert_eq!(reply.answers.len(), 799);
+        assert!(
+            reply.stats.tuples_derived <= 1_600,
+            "{}",
+            reply.stats.tuples_derived
+        );
+
+        // Class E (s11) with a binding is magic, not full saturation: only
+        // tuples connected to the query constant are derived.
+        let lr = validate_with_generic_exit(
+            &parse_program(
+                "P(x, y) :- A(x, x1), B(y, y1), C(x1, y1), P(x1, y1).\nP(x, y) :- E(x, y).",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let n = 120u64;
+        let mut db = Database::new();
+        db.insert_relation("A", Relation::from_pairs((1..n).map(|i| (i, i + 1))));
+        db.insert_relation("B", Relation::from_pairs((1..n).map(|i| (i, i + 1))));
+        db.insert_relation("C", Relation::from_pairs((1..=n).map(|i| (i, i))));
+        db.insert_relation("E", Relation::from_pairs((1..=n).map(|i| (i, i))));
+        let service = QueryService::new(lr, db, ServeConfig::default());
+        let bound = service.query(&parse_atom("P(100, y)").unwrap()).unwrap();
+        assert_eq!(bound.stats.kernel, PointKernelKind::MagicIterate);
+        assert_eq!(bound.answers.len(), 1);
+        let free = service.query(&parse_atom("P(x, y)").unwrap()).unwrap();
+        assert_eq!(free.stats.kernel, PointKernelKind::FullSaturation);
+        assert!(
+            bound.stats.tuples_derived * 2 < free.stats.tuples_derived,
+            "magic derived {} of the fixpoint's {}",
+            bound.stats.tuples_derived,
+            free.stats.tuples_derived
+        );
+    }
+
+    #[test]
     fn materialized_view_answers_fresh_queries_without_evaluation() {
         let service = tc_service(6, ServeConfig::default());
         let e = recurs_datalog::symbol::Symbol::intern("E");
@@ -1258,7 +1281,8 @@ mod tests {
         assert_eq!(stats.queries, 3);
         assert_eq!(stats.complete, 3);
         assert_eq!(stats.truncated, 0);
-        assert_eq!(stats.kernel_magic, 3);
+        assert_eq!(stats.kernel_frontier, 3);
+        assert_eq!(stats.kernel_magic, 0);
         assert_eq!(stats.cache.hits, 1);
         assert_eq!(stats.cache.misses, 2);
         // The Prometheus exposition is fed by the same aggregator.
@@ -1331,8 +1355,17 @@ mod tests {
         assert!(text.contains("\"classification\""), "{text}");
         assert!(text.contains("\"one_directional\":true"), "{text}");
         assert!(text.contains("\"weight\""), "{text}");
-        assert!(text.contains("\"choice\":\"magic\""), "{text}");
-        assert!(text.contains("\"reason\""), "{text}");
+        // The kernel is named by the plan that ran: its lowering, its own
+        // strategy note, the paper's formula and the program's size.
+        assert!(text.contains("\"choice\":\"frontier\""), "{text}");
+        assert!(
+            text.contains("\"reason\":\"the counting formula as a frontier walk"),
+            "{text}"
+        );
+        assert!(text.contains("\"formula\":\"σE,  ∪k[σA^k-E]\""), "{text}");
+        assert!(text.contains("\"rules\":2"), "{text}");
+        // 799 vertices reached, 799 answered: no fixpoint over P.
+        assert!(text.contains("\"spent_tuples\":1598"), "{text}");
         assert!(text.contains("\"outcome\":{\"complete\":true"), "{text}");
         assert!(text.contains("\"max_iterations\":100000"), "{text}");
         assert!(text.contains("\"name\":\"request\""), "{text}");

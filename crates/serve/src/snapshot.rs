@@ -185,11 +185,7 @@ impl SnapshotStore {
             return base; // another reader got here first
         }
         let mut store = base.store.clone();
-        for (pred, cols) in needed {
-            if let Some(rel) = store.get_mut(*pred) {
-                rel.ensure_index(cols);
-            }
-        }
+        store.build_indexes(needed);
         self.publish(Snapshot {
             version: base.version,
             fingerprint: base.fingerprint,

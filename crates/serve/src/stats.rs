@@ -92,6 +92,8 @@ pub struct ServiceStats {
     pub errors: u64,
     /// Queries answered by the bounded kernel.
     pub kernel_bounded: u64,
+    /// Queries answered by a frontier walk.
+    pub kernel_frontier: u64,
     /// Queries answered by the magic kernel.
     pub kernel_magic: u64,
     /// Queries answered by full saturation.
@@ -125,6 +127,7 @@ impl serde::Serialize for ServiceStats {
                 "kernels",
                 serde::Value::object([
                     ("bounded", self.kernel_bounded.to_value()),
+                    ("frontier", self.kernel_frontier.to_value()),
                     ("magic", self.kernel_magic.to_value()),
                     ("saturate", self.kernel_saturate.to_value()),
                     ("materialized", self.kernel_materialized.to_value()),

@@ -98,24 +98,33 @@ fn a_magic_kernel_miss_never_copies_the_snapshot() {
     // The second miss of a query form, on 2 000 and on 20 000 edges per
     // relation: the first miss had the snapshot index A and E for the form's
     // pipelines (once, republished); the second clones the store, plants its
-    // seed and derives 21 answers — work that does not know how many chains
-    // stand beside the one it walks.
-    let second_miss = |chains: u64| {
+    // seed and derives its answers — work that does not know how many chains
+    // stand beside the one it walks. Both lowerings a bound TC query takes
+    // go through the same executor: the magic rewrite (target bound, 29
+    // predecessors) and the frontier walk (source bound, 21 successors).
+    let second_miss = |chains: u64, first: &str, second: &str, kernel, answers| {
         let service = QueryService::new(tc(), forest(chains, chains, 51), ServeConfig::default());
-        let first = service.query(&parse_atom("P(30, y)").unwrap()).unwrap();
-        assert_eq!(first.stats.kernel, PointKernelKind::MagicIterate);
+        let first = service.query(&parse_atom(first).unwrap()).unwrap();
+        assert_eq!(first.stats.kernel, kernel);
         // The same position one chain over: same form, same answer count.
-        let query = parse_atom("P(81, y)").unwrap();
+        let query = parse_atom(second).unwrap();
         let (reply, bytes) = allocated_by(|| service.query(&query).unwrap());
-        assert_eq!(reply.stats.kernel, PointKernelKind::MagicIterate);
-        assert_eq!(reply.answers.len(), 21);
+        assert_eq!(reply.stats.kernel, kernel);
+        assert_eq!(reply.answers.len(), answers);
         bytes
     };
-    let (small, large) = (second_miss(40), second_miss(400));
-    assert!(
-        within_a_tenth(small, large),
-        "a second miss allocated {small} B over 2 000 edges but {large} B over 20 000"
-    );
+    for (first, second, kernel, answers) in [
+        ("P(x, 30)", "P(x, 81)", PointKernelKind::MagicIterate, 29),
+        ("P(30, y)", "P(81, y)", PointKernelKind::Frontier, 21),
+    ] {
+        let small = second_miss(40, first, second, kernel, answers);
+        let large = second_miss(400, first, second, kernel, answers);
+        assert!(
+            within_a_tenth(small, large),
+            "a second {kernel:?} miss allocated {small} B over 2 000 edges but {large} B over \
+             20 000"
+        );
+    }
 }
 
 #[test]

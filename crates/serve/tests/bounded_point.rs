@@ -29,11 +29,10 @@ fn assert_bounded(f: &LinearRecursion, db: &Database, query_text: &str, rank: u6
     let query = parse_atom(query_text).expect("query parses");
     let service = QueryService::new(f.clone(), db.clone(), ServeConfig::default());
     assert_eq!(
-        service.kernel_for(&query),
+        service.kernel_for(&query).unwrap(),
         PointKernelKind::BoundedUnroll { rank },
         "dispatch must pick the bounded kernel for {query_text}"
     );
-    assert!(service.classification().is_bounded());
 
     // An iteration cap of 1 kills any fixpoint loop after its first pass;
     // the bounded kernel never enters one, so the answer stays Complete.
@@ -107,13 +106,11 @@ fn s10_acyclic_is_answered_by_rank_2_unrolling() {
     assert_bounded(&f, &db, "P(3, 5)", 2);
 }
 
-/// The served bounded kernel against the reference executor
-/// (`core::bounded::execute`, the interpreter over the same specialized
-/// levels), for every adornment of the formula — each bound position taking
-/// a constant some tuple has and one none has — and for queries that repeat
-/// a variable.
+/// The served bounded kernel against the reference — the recursion's own
+/// fixpoint under the oracle, filtered by the query — for every adornment
+/// of the formula, each bound position taking a constant some tuple has and
+/// one none has, and for queries that repeat a variable.
 fn assert_matches_reference(f: &LinearRecursion, db: &Database, repeated: &[&str]) {
-    let plan = recurs_core::bounded::build_plan(f).expect("the formula is bounded");
     let service = QueryService::new(f.clone(), db.clone(), ServeConfig::default());
     let mut queries = recurs_workload::all_query_atoms(f, &[2, 5, 1]);
     queries.extend(recurs_workload::all_query_atoms(f, &[99]));
@@ -124,13 +121,8 @@ fn assert_matches_reference(f: &LinearRecursion, db: &Database, repeated: &[&str
             reply.stats.kernel,
             PointKernelKind::BoundedUnroll { .. }
         ));
-        let want = recurs_core::bounded::execute(&plan, db, &query).unwrap();
+        let want = oracle(f, db, &query);
         assert_eq!(*reply.answers, want, "served ≠ reference for {query}");
-        assert_eq!(
-            want,
-            oracle(f, db, &query),
-            "reference ≠ oracle for {query}"
-        );
     }
 }
 
@@ -177,14 +169,22 @@ fn every_adornment_and_repeated_variables_match_the_reference_executor() {
 #[test]
 fn unbounded_tc_never_selects_the_bounded_kernel() {
     // Sanity check of the dispatch boundary: transitive closure is A1-style
-    // unbounded, so a bound query must go to magic, not bounded unrolling.
+    // unbounded, so a bound query takes the frontier walk (source bound) or
+    // magic (target bound: the free position ascends), never unrolling.
     let f = lr("P(x, y) :- A(x, z), P(z, y).\nP(x, y) :- E(x, y).");
     let mut db = Database::new();
     db.insert_relation("A", Relation::from_pairs((1..6).map(|i| (i, i + 1))));
     db.insert_relation("E", Relation::from_pairs((1..6).map(|i| (i, i + 1))));
     let service = QueryService::new(f, db, ServeConfig::default());
     let bound = parse_atom("P(1, y)").unwrap();
-    assert_eq!(service.kernel_for(&bound), PointKernelKind::MagicIterate);
+    assert_eq!(
+        service.kernel_for(&bound).unwrap(),
+        PointKernelKind::Frontier
+    );
+    let target = parse_atom("P(x, 6)").unwrap();
+    let magic = PointKernelKind::MagicIterate;
+    assert_eq!(service.kernel_for(&target).unwrap(), magic);
     let free = parse_atom("P(x, y)").unwrap();
-    assert_eq!(service.kernel_for(&free), PointKernelKind::FullSaturation);
+    let saturate = PointKernelKind::FullSaturation;
+    assert_eq!(service.kernel_for(&free).unwrap(), saturate);
 }

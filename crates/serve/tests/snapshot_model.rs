@@ -175,7 +175,7 @@ proptest! {
             let point = plans
                 .answer(&snapshots, &held, &query, &EvalBudget::unlimited(), &Obs::noop())
                 .expect("the held snapshot answers");
-            prop_assert!(point.outcome.is_complete());
+            prop_assert!(point.saturation.outcome.is_complete());
             prop_assert_eq!(
                 point.answers, oracle(&lr, &model_then, &query),
                 "version {} diverged on {}", held.version(), query
@@ -210,7 +210,7 @@ fn index_republishes_racing_with_updates_lose_neither() {
                     for _ in 0..4 {
                         let at = snapshots.load();
                         let point = plans.answer(snapshots, &at, &query, &unlimited, &Obs::noop());
-                        assert!(point.unwrap().outcome.is_complete());
+                        assert!(point.unwrap().saturation.outcome.is_complete());
                     }
                 });
             }

@@ -13,13 +13,14 @@
 //! Run with: `cargo run --example org_hierarchy`
 
 use recurs_core::classify::Classification;
-use recurs_core::plan::{plan_query, StrategyKind};
+use recurs_core::plan::StrategyKind;
 use recurs_core::report::plan_report;
 use recurs_datalog::adornment::QueryForm;
 use recurs_datalog::parser::{parse_atom, parse_program};
 use recurs_datalog::relation::tuple_u64;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::{Database, Relation};
+use recurs_engine::oracle::Planned;
 
 fn main() {
     // ---- shared EDB: a management tree of ~120 employees -----------------
@@ -45,9 +46,9 @@ fn main() {
         c.is_strongly_stable()
     );
     let q = parse_atom("Reports('2', e)").unwrap();
-    let plan = plan_query(&reports, &q);
-    assert_eq!(plan.strategy, StrategyKind::Counting);
-    let everyone_under_2 = plan.execute(&db, &q).unwrap();
+    let planned = Planned::new(&reports, &db, &q).unwrap();
+    assert_eq!(planned.plan.strategy, StrategyKind::Frontier);
+    let everyone_under_2 = planned.run().unwrap().answers;
     println!("  employees under manager 2: {}", everyone_under_2.len());
     print!("{}", plan_report(&reports, &QueryForm::parse("dv")));
 
@@ -74,9 +75,9 @@ fn main() {
         Relation::from_tuples(4, [tuple_u64([2, 2, 5, 2]), tuple_u64([3, 3, 6, 3])]),
     );
     let q = parse_atom("Peer(x, y, z, u)").unwrap();
-    let plan = plan_query(&peer, &q);
-    assert_eq!(plan.strategy, StrategyKind::Bounded);
-    let peers = plan.execute(&db, &q).unwrap();
+    let planned = Planned::new(&peer, &db, &q).unwrap();
+    assert_eq!(planned.plan.strategy, StrategyKind::Bounded);
+    let peers = planned.run().unwrap().answers;
     println!("  peer tuples (no fixpoint executed): {}", peers.len());
 
     // ---- 3. a rotating three-role formula (class A3) ----------------------
@@ -103,15 +104,17 @@ fn main() {
         Relation::from_tuples(3, [tuple_u64([2, 5, 7]), tuple_u64([3, 6, 8])]),
     );
     let q = parse_atom("Handoff('2', '5', z)").unwrap();
-    let plan = plan_query(&handoff, &q);
-    assert_eq!(plan.strategy, StrategyKind::Counting);
-    assert_eq!(plan.transform.as_ref().unwrap().period, 3);
-    let answers = plan.execute(&db, &q).unwrap();
+    let planned = Planned::new(&handoff, &db, &q).unwrap();
+    // Stable after 3 unfoldings; the free role ascends its chain, so the
+    // compiled formula runs as the magic rewrite.
+    assert_eq!(planned.plan.strategy, StrategyKind::Magic);
+    assert_eq!(planned.plan.transform.as_ref().unwrap().period, 3);
+    let answers = planned.run().unwrap().answers;
     println!("  handoff answers for (2, 5, Z): {}", answers);
     assert!(!answers.is_empty());
 
     // Every plan above is certified against the fixpoint oracle in the test
     // suite; spot-check one here too.
-    recurs_core::oracle::assert_equivalent(&handoff, &db, &q);
+    recurs_engine::oracle::assert_equivalent(&handoff, &db, &q);
     println!("\nall strategies verified against the fixpoint oracle");
 }

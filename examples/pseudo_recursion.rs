@@ -10,12 +10,13 @@
 //! Run with: `cargo run --example pseudo_recursion`
 
 use recurs_core::classify::Classification;
-use recurs_core::plan::{plan_query, StrategyKind};
+use recurs_core::plan::StrategyKind;
 use recurs_core::transform::to_nonrecursive;
 use recurs_datalog::parser::{parse_atom, parse_program};
 use recurs_datalog::relation::tuple_u64;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::{Database, LinearRecursion, Relation};
+use recurs_engine::oracle::Planned;
 
 fn show(name: &str, lr: &LinearRecursion, db: &Database, query: &str) {
     let c = Classification::of(&lr.recursive_rule);
@@ -36,11 +37,13 @@ fn show(name: &str, lr: &LinearRecursion, db: &Database, query: &str) {
         println!("  {rule}");
     }
     let q = parse_atom(query).unwrap();
-    let plan = plan_query(lr, &q);
-    assert_eq!(plan.strategy, StrategyKind::Bounded);
-    let answers = plan.execute(db, &q).unwrap();
-    println!("query {q} → {} answers (no fixpoint)", answers.len());
-    recurs_core::oracle::assert_equivalent(lr, db, &q);
+    let planned = Planned::new(lr, db, &q).unwrap();
+    assert_eq!(planned.plan.strategy, StrategyKind::Bounded);
+    let run = planned.run().unwrap();
+    // The seeding round evaluates every level; no recursive round follows.
+    assert_eq!(run.saturation.stats.iteration_count(), 1);
+    println!("query {q} → {} answers (no fixpoint)", run.answers.len());
+    recurs_engine::oracle::assert_equivalent(lr, db, &q);
     println!("fixpoint oracle agrees\n");
 }
 

@@ -1,16 +1,16 @@
 //! Quickstart: parse a recursive formula, classify it, plan a query, and
-//! execute — checked against the fixpoint oracle.
+//! run the plan on the engine — checked against the fixpoint oracle.
 //!
 //! Run with: `cargo run --example quickstart`
 
 use recurs_core::classify::Classification;
 use recurs_core::oracle::ground_truth;
-use recurs_core::plan::plan_query;
 use recurs_core::report::{classification_report, plan_report};
 use recurs_datalog::adornment::QueryForm;
 use recurs_datalog::parser::{parse_atom, parse_program};
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::{Database, Relation};
+use recurs_engine::oracle::Planned;
 
 fn main() {
     // Transitive closure — the paper's s1a, with an explicit exit rule.
@@ -35,11 +35,12 @@ fn main() {
 
     // 3. Plan and execute the paper's representative query shape P(a, Z).
     let query = parse_atom("P('1', z)").unwrap();
-    let plan = plan_query(&lr, &query);
+    let planned = Planned::new(&lr, &db, &query).unwrap();
     println!("\n== plan ==");
     print!("{}", plan_report(&lr, &QueryForm::of_atom(&query)));
 
-    let answers = plan.execute(&db, &query).expect("execution succeeds");
+    let run = planned.run().unwrap();
+    let answers = run.answers;
     println!("\n== answers to P(1, Z) ==");
     println!("{answers}");
 
@@ -47,8 +48,10 @@ fn main() {
     let (oracle, derived) = ground_truth(&lr, &db, &query).unwrap();
     assert_eq!(answers, oracle);
     println!(
-        "\nverified against fixpoint oracle ({} answers; full fixpoint derived {} tuples)",
+        "\nverified against fixpoint oracle ({} answers; the plan derived {} tuples, \
+         the full fixpoint {})",
         answers.len(),
+        run.saturation.stats.tuples_derived,
         derived
     );
 }

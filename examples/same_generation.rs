@@ -11,10 +11,11 @@
 //! Run with: `cargo run --example same_generation`
 
 use recurs_core::classify::Classification;
-use recurs_core::plan::{plan_query, StrategyKind};
+use recurs_core::plan::StrategyKind;
 use recurs_datalog::parser::{parse_atom, parse_program};
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::{Database, Relation};
+use recurs_engine::oracle::Planned;
 
 fn main() {
     let program = parse_program(
@@ -48,11 +49,13 @@ fn main() {
 
     // Who is in the same generation as node 9 (a depth-3 node)?
     let query = parse_atom("SG('9', y)").unwrap();
-    let plan = plan_query(&lr, &query);
-    assert_eq!(plan.strategy, StrategyKind::Counting);
-    println!("compiled formula: {}", plan.compiled);
+    let planned = Planned::new(&lr, &db, &query).unwrap();
+    // `y` ascends through `Down`, so the formula is not a plain walk: it is
+    // executed by the magic rewrite, seeded with node 9.
+    assert_eq!(planned.plan.strategy, StrategyKind::Magic);
+    println!("compiled formula: {}", planned.plan.compiled);
 
-    let answers = plan.execute(&db, &query).unwrap();
+    let answers = planned.run().unwrap().answers;
     let mut generation: Vec<u64> = answers
         .iter_sorted()
         .iter()

@@ -78,6 +78,14 @@ const BAD_PROGRAMS: &[(&str, &str)] = &[
         "P(x, y) :- A(x, z), P(z, y).\nP(x, y) :- E(x, y).\nA(1, 2).",
         "no ?- queries", // run needs a query
     ),
+    (
+        "P(x, y) :- A(x, z), P(z, y).\nP(x, y) :- E(x, y).\nA(1, 2).\n?- Q(1, y).",
+        "query predicate Q is not served", // a query over a foreign predicate
+    ),
+    (
+        "P(x, y) :- A(x, z), P(z, y).\nP(x, y) :- E(x, y).\nA(1, 2).\n?- P(1, y, z).",
+        "arity 3", // a query at the wrong arity
+    ),
 ];
 
 #[test]
@@ -118,7 +126,7 @@ fn cli_arg_parsing_rejects_malformed_flags() {
         &["run", "f.dl", "--timeout-ms", "-5"],      // negative
         &["run", "f.dl", "--max-tuples", "many"],    // non-numeric
         &["run", "f.dl", "--max-iterations", "3.5"], // non-integral
-        &["run", "f.dl", "--max-tuples", "9"],       // budget without engine
+        &["run", "f.dl", "--stats-json"],            // engine statistics without engine
         &["plan", "f.dl", "--form"],                 // missing pattern
         &["figure", "f.dl", "--levels", "0"],        // zero levels
         &["warp", "f.dl"],                           // unknown command

@@ -1,9 +1,10 @@
 //! The central equivalence property: for random valid formulas, random
-//! databases, and random query forms, the compiled plan — whichever strategy
-//! the planner picks — returns exactly the semi-naive fixpoint's answers.
+//! databases, and random query forms, the compiled plan — whichever lowering
+//! the planner picks, run by the engine's executor as `recurs run` and
+//! `serve` run it — returns exactly the semi-naive fixpoint's answers.
 
 use proptest::prelude::*;
-use recurs_core::oracle::compare;
+use recurs_engine::oracle::compare;
 use recurs_workload::queries::{random_database, random_query};
 use recurs_workload::rules::{random_linear_recursion, RuleConfig};
 
@@ -42,8 +43,8 @@ proptest! {
         );
     }
 
-    /// Denser databases exercise the cyclic-data paths of the counting
-    /// strategy (frontier periodicity) harder.
+    /// Denser databases exercise the cyclic-data paths of the frontier walk
+    /// (the frontier set saturating) harder.
     #[test]
     fn plans_agree_on_dense_cyclic_data(
         rule_seed in 0u64..50_000,

@@ -1,14 +1,16 @@
-//! Deterministic hard cases for each executable strategy — the situations
-//! most likely to break counting's level bookkeeping, magic's adornment
-//! machinery, and the bounded unions.
+//! Deterministic hard cases for each lowering — the situations most likely
+//! to break the frontier walk's level semantics (branching, dead, periodic
+//! and rho-shaped frontiers), magic's adornment machinery, and the bounded
+//! unions. Every plan here runs on the engine's executor.
 
 use recurs_core::classify::Classification;
-use recurs_core::oracle::assert_equivalent;
-use recurs_core::plan::{plan_query, StrategyKind};
+use recurs_core::plan::StrategyKind;
 use recurs_datalog::eval::{naive, semi_naive};
 use recurs_datalog::parser::{parse_atom, parse_program};
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::{Database, LinearRecursion, Relation};
+use recurs_engine::oracle::assert_equivalent;
+use recurs_engine::oracle::Planned;
 
 fn lr(src: &str) -> LinearRecursion {
     validate_with_generic_exit(&parse_program(src).unwrap()).unwrap()
@@ -43,8 +45,9 @@ fn counting_with_dead_frontier() {
     db.insert_relation("A", Relation::from_pairs([(1, 2)]));
     db.insert_relation("E", Relation::from_pairs([(1, 2)]));
     let q = parse_atom("P('777', y)").unwrap();
-    let plan = plan_query(&f, &q);
-    assert!(plan.execute(&db, &q).unwrap().is_empty());
+    let planned = Planned::new(&f, &db, &q).unwrap();
+    assert_eq!(planned.plan.strategy, StrategyKind::Frontier);
+    assert!(planned.run().unwrap().answers.is_empty());
     assert_equivalent(&f, &db, &q);
 }
 
@@ -124,40 +127,61 @@ fn one_dimensional_self_loop_is_bounded() {
         ),
     );
     let q = parse_atom("P(x)").unwrap();
-    let plan = plan_query(&f, &q);
-    assert_eq!(plan.strategy, StrategyKind::Bounded);
-    assert_eq!(plan.execute(&db, &q).unwrap().len(), 2); // exactly E
+    let planned = Planned::new(&f, &db, &q).unwrap();
+    assert_eq!(planned.plan.strategy, StrategyKind::Bounded);
+    assert_eq!(planned.run().unwrap().answers.len(), 2); // exactly E
     assert_equivalent(&f, &db, &q);
 }
 
 #[test]
 fn magic_with_three_form_rotation() {
     // s5's rotation makes the adornment cycle dvv → vvd → vdv → dvv; all
-    // three adorned predicates and magic rules must be generated. (Planner
-    // picks Bounded for s5, so call magic directly.)
+    // three adorned predicates and magic rules must be generated. The
+    // planner picks Bounded for s5 itself, so the rotation rides beside an
+    // unbounded chain on a fourth position, which keeps the formula class A
+    // (stable after 3 unfoldings) and — `w` free and ascending — on magic.
     use recurs_core::magic;
     use recurs_datalog::adornment::QueryForm;
-    let f = lr("P(x, y, z) :- P(y, z, x).");
-    let plan = magic::build_plan(&f, &QueryForm::parse("dvv"));
-    assert_eq!(plan.reachable_forms.len(), 3);
+    let s5 = lr("P(x, y, z) :- P(y, z, x).");
+    assert_eq!(
+        magic::build_plan(&s5, &QueryForm::parse("dvv"))
+            .reachable_forms
+            .len(),
+        3
+    );
+    let f = lr("P(x, y, z, w) :- A(w, w1), P(y, z, x, w1).\nP(x, y, z, w) :- E(x, y, z, w).");
     let mut db = Database::new();
+    db.insert_relation("A", Relation::from_pairs([(1, 2), (2, 3), (3, 4)]));
     db.insert_relation(
         "E",
         Relation::from_tuples(
-            3,
+            4,
             [
-                recurs_datalog::relation::tuple_u64([1, 2, 3]),
-                recurs_datalog::relation::tuple_u64([2, 3, 1]),
+                recurs_datalog::relation::tuple_u64([1, 2, 3, 4]),
+                recurs_datalog::relation::tuple_u64([2, 3, 1, 3]),
             ],
         ),
     );
-    let q = parse_atom("P('1', y, z)").unwrap();
-    let (answers, _) = magic::execute(&plan, &db, &q).unwrap();
+    let q = parse_atom("P('1', y, z, w)").unwrap();
+    let planned = Planned::new(&f, &db, &q).unwrap();
+    assert_eq!(planned.plan.strategy, StrategyKind::Magic);
+    let adorned = |r: &recurs_datalog::Rule| r.head.predicate.as_str().starts_with("P__");
+    let forms: std::collections::BTreeSet<_> = planned
+        .plan
+        .program()
+        .rules
+        .iter()
+        .filter(|r| adorned(r))
+        .map(|r| r.head.predicate)
+        .collect();
+    assert_eq!(forms.len(), 3, "{forms:?}");
+    let answers = planned.run().unwrap().answers;
     let (oracle, _) = recurs_core::oracle::ground_truth(&f, &db, &q).unwrap();
     assert_eq!(answers, oracle);
-    // P = all rotations of E's tuples = {(1,2,3), (2,3,1), (3,1,2)}; only
-    // (1,2,3) starts with 1.
-    assert_eq!(answers.len(), 1);
+    // Each turn rotates the tuple and walks one `A` step up: (1,2,3,4)
+    // itself; (2,3,1,3) one turn up is (1,2,3,2); and (1,2,3,4) comes back
+    // round after three turns as (1,2,3,1).
+    assert_eq!(answers.len(), 3);
 }
 
 #[test]
@@ -169,8 +193,8 @@ fn bounded_with_out_of_domain_constants() {
         Relation::from_tuples(3, [recurs_datalog::relation::tuple_u64([1, 2, 3])]),
     );
     let q = parse_atom("P('99', y, z)").unwrap();
-    let plan = plan_query(&f, &q);
-    assert!(plan.execute(&db, &q).unwrap().is_empty());
+    let run = Planned::new(&f, &db, &q).unwrap().run().unwrap();
+    assert!(run.answers.is_empty());
     assert_equivalent(&f, &db, &q);
 }
 
@@ -205,8 +229,8 @@ fn empty_exit_relation_everywhere() {
                 .join(", ")
         );
         let q = parse_atom(&q_src).unwrap();
-        let plan = plan_query(&f, &q);
-        assert!(plan.execute(&db, &q).unwrap().is_empty(), "{src}");
+        let run = Planned::new(&f, &db, &q).unwrap().run().unwrap();
+        assert!(run.answers.is_empty(), "{src}");
         assert_equivalent(&f, &db, &q);
     }
 }
@@ -255,8 +279,7 @@ fn transform_then_compress_composes() {
         Relation::from_tuples(3, [recurs_datalog::relation::tuple_u64([2, 2, 2])]),
     );
     let mut db2 = db.clone();
-    c.materialize(&mut db2).unwrap();
     semi_naive(&mut db, &f.to_program(), None).unwrap();
-    semi_naive(&mut db2, &c.lr.to_program(), None).unwrap();
+    semi_naive(&mut db2, &c.to_program(), None).unwrap();
     assert_eq!(db.get("P").unwrap(), db2.get("P").unwrap());
 }

@@ -201,15 +201,14 @@ fn large_chain_fixpoint_is_exact() {
 
 #[test]
 fn counting_equals_magic_equals_fixpoint_on_shared_case() {
-    // Tri-modal agreement on one workload where all three strategies can
-    // answer: a stable formula (counting), forced magic via plan_for_form on
-    // the general path, and the raw fixpoint.
-    use recurs_core::counting;
-    use recurs_core::magic;
-    use recurs_datalog::adornment::QueryForm;
+    // Tri-modal agreement on one workload: on a cycle every node reaches and
+    // is reached by every node, so the frontier walk from 3, the magic
+    // rewrite into 3 and the raw fixpoint all name the same twelve nodes.
+    use recurs_core::plan::StrategyKind;
     use recurs_datalog::parser::{parse_atom, parse_program};
     use recurs_datalog::validate::validate_with_generic_exit;
     use recurs_datalog::Database;
+    use recurs_engine::oracle::Planned;
 
     let lr = validate_with_generic_exit(
         &parse_program("P(x, y) :- A(x, z), P(z, y).\nP(x, y) :- E(x, y).").unwrap(),
@@ -220,11 +219,16 @@ fn counting_equals_magic_equals_fixpoint_on_shared_case() {
     db.insert_relation("E", recurs_workload::cycle(12));
     let q = parse_atom("P('3', y)").unwrap();
 
-    let counting_plan = counting::build_plan(&lr).unwrap();
-    let a1 = counting::execute(&counting_plan, &db, &q).unwrap();
+    let walk = Planned::new(&lr, &db, &q).unwrap();
+    assert_eq!(walk.plan.strategy, StrategyKind::Frontier);
+    let a1 = walk.run().unwrap().answers;
 
-    let magic_plan = magic::build_plan(&lr, &QueryForm::of_atom(&q));
-    let (a2, _) = magic::execute(&magic_plan, &db, &q).unwrap();
+    let into = parse_atom("P(x, '3')").unwrap();
+    let magic = Planned::new(&lr, &db, &into).unwrap();
+    assert_eq!(magic.plan.strategy, StrategyKind::Magic);
+    let a2 = magic.run().unwrap().answers;
+    let (into_oracle, _) = recurs_core::oracle::ground_truth(&lr, &db, &into).unwrap();
+    assert_eq!(a2, into_oracle);
 
     let (a3, _) = recurs_core::oracle::ground_truth(&lr, &db, &q).unwrap();
 
