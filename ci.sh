@@ -93,6 +93,18 @@ if grep -rnE "fn execute\b" crates/core/src; then
   exit 1
 fi
 
+# Flat-store guard: a stored tuple, an index key and a row in flight are
+# slices of flat buffers. Nothing in the store, the pipelines or the round
+# driver may own one tuple by itself again (the per-relation list of indexes
+# and the compiler's variable maps are not per-tuple and may stay).
+echo "==> flat-store guard (no boxed tuple, key or row in engine storage / compile / driver)"
+for f in crates/engine/src/storage.rs crates/engine/src/compile.rs crates/engine/src/driver.rs; do
+  if non_test "$f" | grep -nE 'Box<\[Value\]>|Vec<Tuple>|Vec<Row>|HashMap<Tuple|HashMap<Box<'; then
+    echo "$f owns tuples one by one again: keep rows in the arena or a Batch" >&2
+    exit 1
+  fi
+done
+
 echo "==> cargo test"
 cargo test --workspace --offline -q
 

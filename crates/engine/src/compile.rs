@@ -8,7 +8,7 @@
 //! work is pure hash probing with no planning, cloning, or re-indexing.
 
 use crate::error::EngineError;
-use crate::storage::{EngineDb, IndexedRelation};
+use crate::storage::{Batch, EngineDb, IndexedRelation};
 use recurs_datalog::error::DatalogError;
 use recurs_datalog::govern::{Governor, TruncationReason};
 use recurs_datalog::order::order_atoms;
@@ -18,17 +18,34 @@ use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::{Atom, Term, Value};
 use std::collections::HashMap;
 
-/// A partial binding row flowing through the pipeline: one value per
-/// distinct variable bound so far, in first-occurrence order.
-pub type Row = Vec<Value>;
+/// The buffers one pipeline execution works in, kept by whoever runs
+/// pipelines round after round so that only growth allocates: the partial
+/// binding rows entering a join step (one value per distinct variable bound
+/// so far, in first-occurrence order), the rows leaving it, and the probe
+/// key being assembled.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    rows: Batch,
+    next: Batch,
+    key: Vec<Value>,
+}
+
+impl Scratch {
+    /// Sets up the one row of no columns an empty body starts from.
+    pub(crate) fn unit_row(&mut self) -> usize {
+        self.rows.reset(0);
+        self.rows.push([]);
+        1
+    }
+}
 
 /// Probe/hit counters accumulated across pipeline executions (reported in
-/// [`crate::Rounds`] by the driver).
+/// [`crate::Rounds`] by the driver) and by [`select_counted`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ProbeCounters {
-    /// Index probes issued.
+    /// Index (or dedup-table) probes issued.
     pub probes: u64,
-    /// Tuples the probes returned.
+    /// Stored tuples visited: what the probes returned, or a scan read.
     pub hits: u64,
 }
 
@@ -101,15 +118,24 @@ impl SeedSpec {
         spec
     }
 
-    /// Filters and projects raw tuples into pipeline rows.
-    pub fn rows<'a>(&self, tuples: impl Iterator<Item = &'a Tuple>) -> Vec<Row> {
-        tuples
-            .filter(|t| {
-                self.const_checks.iter().all(|&(c, v)| t[c] == v)
-                    && self.eq_checks.iter().all(|&(a, b)| t[a] == t[b])
-            })
-            .map(|t| self.keep_cols.iter().map(|&c| t[c]).collect())
-            .collect()
+    /// True if `t` passes the atom's selections.
+    fn admits(&self, t: &[Value]) -> bool {
+        self.const_checks.iter().all(|&(c, v)| t[c] == v)
+            && self.eq_checks.iter().all(|&(a, b)| t[a] == t[b])
+    }
+
+    /// Filters and projects raw tuples into `scratch` as the pipeline's
+    /// initial rows (replacing what it held); returns how many passed.
+    pub fn fill<'a>(
+        &self,
+        scratch: &mut Scratch,
+        tuples: impl Iterator<Item = &'a [Value]>,
+    ) -> usize {
+        scratch.rows.reset(self.keep_cols.len());
+        for t in tuples.filter(|t| self.admits(t)) {
+            scratch.rows.push(self.keep_cols.iter().map(|&c| t[c]));
+        }
+        scratch.rows.len()
     }
 }
 
@@ -241,21 +267,37 @@ impl CompiledRule {
             .map(|s| (s.pred, s.index_cols.as_slice()))
     }
 
-    /// Runs the pipeline over the given seed rows, appending derived head
-    /// tuples to `out` (with duplicates; the driver dedupes on insert).
+    /// The head row of one instantiation: the pipeline row `row` extended by
+    /// the columns `appended` of the tuple `t`, projected onto the head.
+    fn head_of<'a>(
+        &'a self,
+        row: &'a [Value],
+        t: &'a [Value],
+        appended: &'a [usize],
+    ) -> impl Iterator<Item = Value> + 'a {
+        self.head.iter().map(move |c| match *c {
+            HeadCol::Fixed(v) => v,
+            HeadCol::Bound(i) if i < row.len() => row[i],
+            HeadCol::Bound(i) => t[appended[i - row.len()]],
+        })
+    }
+
+    /// Runs the pipeline over the initial rows in `scratch` (see
+    /// [`SeedSpec::fill`]), appending one head row per instantiation to
+    /// `out` (with duplicates; the driver's merge dedupes).
     ///
     /// If a `governor` is given, its cheap trip conditions (cancellation,
     /// deadline) are polled every few hundred rows; a trip stops the
-    /// pipeline and returns the reason. Head tuples already appended to
+    /// pipeline and returns the reason. Head rows already appended to
     /// `out` by earlier pipelines remain valid (every derived tuple is a
     /// true consequence — an early stop only omits tuples).
     pub fn execute(
         &self,
         db: &EngineDb,
-        seed_rows: Vec<Row>,
+        scratch: &mut Scratch,
         counters: &mut ProbeCounters,
         governor: Option<&Governor>,
-        out: &mut Vec<Tuple>,
+        out: &mut Batch,
     ) -> Result<Option<TruncationReason>, EngineError> {
         // Polling cadence: cheap enough to keep probe throughput, frequent
         // enough to stop a blown-up iteration promptly.
@@ -271,31 +313,51 @@ impl CompiledRule {
                 None
             }
         };
-        let mut rows = seed_rows;
-        for step in &self.steps {
+        let Scratch { rows, next, key } = scratch;
+        if self.steps.is_empty() {
+            // A lone seed atom: its rows are the instantiations.
+            for row in rows.iter() {
+                out.push(self.head_of(row, &[], &[]));
+            }
+        }
+        for (n, step) in self.steps.iter().enumerate() {
             let Some(rel) = db.get(step.pred) else {
                 return Err(EngineError::Internal(
                     "compiled rule references a relation the driver never loaded",
                 ));
             };
-            let mut next: Vec<Row> = Vec::new();
+            // A row extended by a matching tuple goes on to the next step;
+            // out of the last step, straight into the head batch.
+            let is_last = n + 1 == self.steps.len();
+            next.reset(rows.width() + step.append_cols.len());
+            let mut extend = |row: &[Value], t: &[Value]| {
+                if !step.eq_checks.iter().all(|&(a, b)| t[a] == t[b]) {
+                    return;
+                }
+                if is_last {
+                    out.push(self.head_of(row, t, &step.append_cols));
+                } else {
+                    let appended = step.append_cols.iter().map(|&c| t[c]);
+                    next.push(row.iter().copied().chain(appended));
+                }
+            };
             if step.index_cols.is_empty() {
                 // Cartesian extension: no shared variable, no constant.
-                for row in &rows {
+                for row in rows.iter() {
                     if let Some(reason) = poll() {
                         return Ok(Some(reason));
                     }
                     for t in rel.iter() {
-                        if step.eq_checks.iter().all(|&(a, b)| t[a] == t[b]) {
-                            let mut r = row.clone();
-                            r.extend(step.append_cols.iter().map(|&c| t[c]));
-                            next.push(r);
-                        }
+                        extend(row, t);
                     }
                 }
             } else {
-                let mut key: Vec<Value> = Vec::with_capacity(step.key.len());
-                for row in &rows {
+                let Some(index) = rel.index(&step.index_cols) else {
+                    return Err(EngineError::Internal(
+                        "compiled rule probed an index the driver never ensured",
+                    ));
+                };
+                for row in rows.iter() {
                     if let Some(reason) = poll() {
                         return Ok(Some(reason));
                     }
@@ -305,36 +367,17 @@ impl CompiledRule {
                         KeyPart::Const(c) => *c,
                     }));
                     counters.probes += 1;
-                    let Some(ids) = rel.probe(&step.index_cols, &key) else {
-                        return Err(EngineError::Internal(
-                            "compiled rule probed an index the driver never ensured",
-                        ));
-                    };
-                    counters.hits += ids.len() as u64;
-                    for &id in ids {
-                        let t = rel.tuple(id);
-                        if step.eq_checks.iter().all(|&(a, b)| t[a] == t[b]) {
-                            let mut r = row.clone();
-                            r.extend(step.append_cols.iter().map(|&c| t[c]));
-                            next.push(r);
-                        }
+                    for id in index.probe(key) {
+                        counters.hits += 1;
+                        extend(row, rel.tuple(id));
                     }
                 }
             }
-            rows = next;
+            std::mem::swap(rows, next);
             if rows.is_empty() {
-                return Ok(None);
+                break;
             }
         }
-        out.extend(rows.iter().map(|row| {
-            self.head
-                .iter()
-                .map(|c| match c {
-                    HeadCol::Bound(i) => row[*i],
-                    HeadCol::Fixed(v) => *v,
-                })
-                .collect::<Tuple>()
-        }));
         Ok(None)
     }
 }
@@ -344,13 +387,47 @@ impl CompiledRule {
 /// first-occurrence order — the seed filter of a pipeline, applied as a
 /// query. The atom's arity must be the relation's.
 pub fn select(rel: &IndexedRelation, query: &Atom) -> Relation {
+    select_counted(rel, query, &mut ProbeCounters::default())
+}
+
+/// [`select`], counting the stored tuples it visits. A ground query is one
+/// lookup in the dedup table; a query whose constants cover an index the
+/// relation already maintains probes it (the widest such — none is ever
+/// built for a query); anything else scans the arena.
+pub fn select_counted(
+    rel: &IndexedRelation,
+    query: &Atom,
+    counters: &mut ProbeCounters,
+) -> Relation {
     assert_eq!(query.arity(), rel.arity(), "query arity mismatch");
     let spec = SeedSpec::of(query, false);
-    let rows = spec.rows(rel.iter());
-    Relation::from_tuples(
-        spec.keep_cols.len(),
-        rows.into_iter().map(Vec::into_boxed_slice),
-    )
+    let mut answers = Relation::new(spec.keep_cols.len());
+    let ProbeCounters { probes, hits } = counters;
+    let mut visit = |t: &[Value]| {
+        *hits += 1;
+        if spec.admits(t) {
+            answers.insert(spec.keep_cols.iter().map(|&c| t[c]).collect::<Tuple>());
+        }
+    };
+    let bound: Vec<usize> = spec.const_checks.iter().map(|&(c, _)| c).collect();
+    let key_on = |cols: &[usize]| -> Vec<Value> {
+        let bound_to = |c: &usize| spec.const_checks.iter().find(|(b, _)| b == c);
+        cols.iter().filter_map(bound_to).map(|&(_, v)| v).collect()
+    };
+    if bound.len() == rel.arity() {
+        *probes += 1;
+        if let Some(id) = rel.id_of(&key_on(&bound)) {
+            visit(rel.tuple(id));
+        }
+    } else if let Some(index) = rel.index_within(&bound) {
+        *probes += 1;
+        for id in index.probe(&key_on(index.cols())) {
+            visit(rel.tuple(id));
+        }
+    } else {
+        rel.iter().for_each(visit);
+    }
+    answers
 }
 
 #[cfg(test)]
@@ -368,12 +445,13 @@ mod tests {
 
     fn run(cr: &CompiledRule, edb: &EngineDb) -> Vec<Tuple> {
         let seed = cr.seed.as_ref().unwrap();
-        let rows = seed.rows(edb.get(seed.pred).unwrap().iter());
-        let mut out = Vec::new();
+        let mut scratch = Scratch::default();
+        seed.fill(&mut scratch, edb.get(seed.pred).unwrap().iter());
+        let mut out = Batch::new(cr.head_arity);
         let mut counters = ProbeCounters::default();
-        cr.execute(edb, rows, &mut counters, None, &mut out)
+        cr.execute(edb, &mut scratch, &mut counters, None, &mut out)
             .unwrap();
-        out
+        out.iter().map(Tuple::from).collect()
     }
 
     #[test]

@@ -9,12 +9,11 @@
 //! maintenance, membership-filtered marking for overdeletion, first-round
 //! rank for provenance.
 
-use crate::compile::{CompiledRule, ProbeCounters, Row};
+use crate::compile::{CompiledRule, ProbeCounters, Scratch};
 use crate::error::EngineError;
 use crate::stats::IterationStats;
-use crate::storage::EngineDb;
+use crate::storage::{Batch, EngineDb};
 use recurs_datalog::govern::{Governor, Progress, TruncationReason};
-use recurs_datalog::relation::Tuple;
 use recurs_datalog::symbol::Symbol;
 use recurs_obs::{field, Obs};
 use std::collections::BTreeMap;
@@ -51,43 +50,52 @@ pub struct Rounds {
 ///   `cap`.
 /// * `rules`: delta pipelines; each round seeds a rule from the pending
 ///   delta of its seed atom's predicate (rules with none are skipped).
-/// * `merge(db, round, rule, heads)` receives one head row per enumerated
-///   instantiation (duplicates included) after *every* rule of the round has
-///   executed, so a round's joins never see that round's own output. It
-///   applies whatever the caller's notion of novelty is and returns the
-///   fresh tuples, which form the next round's delta under the rule's head
-///   predicate. `round` is the 0-based index into [`Rounds::iterations`].
+/// * `merge(db, round, rule, heads, fresh)` receives one head row per
+///   enumerated instantiation (duplicates included) after *every* rule of
+///   the round has executed, so a round's joins never see that round's own
+///   output. It applies whatever the caller's notion of novelty is and
+///   appends the fresh rows to `fresh`, the next round's delta under the
+///   rule's head predicate. `round` is the 0-based index into
+///   [`Rounds::iterations`].
 ///
 /// Every round starts with the fault hook (when compiled in) and a full
 /// [`Governor::check`] against real progress — rounds run, fresh tuples so
-/// far, pending delta, [`EngineDb::approx_bytes`]. A round interrupted
+/// far, pending delta, [`EngineDb::heap_bytes`]. A round interrupted
 /// mid-pipeline still merges what it derived: every head row is a true
 /// consequence, so stopping only omits tuples.
+///
+/// Pipeline rows, head batches and deltas live in buffers the loop owns and
+/// reuses, so a round allocates only where one of them outgrows itself.
 // One argument per independent input; bundling them would only add a type.
 #[allow(clippy::too_many_arguments)]
 pub fn drive_rounds<M>(
     db: &mut EngineDb,
     seed: Option<&[CompiledRule]>,
     rules: &[CompiledRule],
-    mut delta: BTreeMap<Symbol, Vec<Tuple>>,
+    mut delta: BTreeMap<Symbol, Batch>,
     cap: Option<u64>,
     governor: &Governor,
     obs: &Obs,
     mut merge: M,
 ) -> Result<Rounds, EngineError>
 where
-    M: FnMut(&mut EngineDb, usize, &CompiledRule, Vec<Tuple>) -> Vec<Tuple>,
+    M: FnMut(&mut EngineDb, usize, &CompiledRule, &Batch, &mut Batch),
 {
     let mut out = Rounds::default();
     let mut counters = ProbeCounters::default();
     let mut seeding = seed;
     let mut fresh_total = 0usize;
+    let mut scratch = Scratch::default();
+    // One head batch per rule of a round, and the delta the previous round
+    // consumed, whose buffers the next one refills.
+    let mut heads: Vec<Batch> = Vec::new();
+    let mut spent: BTreeMap<Symbol, Batch> = BTreeMap::new();
     loop {
         let round = out.iterations.len();
         // The seeding round reads stored relations, not the delta.
         let pending: usize = match seeding {
             Some(_) => 0,
-            None => delta.values().map(Vec::len).sum(),
+            None => delta.values().map(Batch::len).sum(),
         };
         if seeding.is_none() {
             if pending == 0 {
@@ -108,7 +116,7 @@ where
             iterations: round,
             tuples: fresh_total,
             delta: pending,
-            memory_bytes: approx_memory(db),
+            memory_bytes: memory_in_use(db),
         }) {
             out.truncation = Some(reason);
             break;
@@ -116,19 +124,34 @@ where
 
         let started = Instant::now();
         let active = seeding.unwrap_or(rules);
-        let mut derived: Vec<(usize, Vec<Tuple>)> = Vec::with_capacity(active.len());
+        if heads.len() < active.len() {
+            heads.resize_with(active.len(), Batch::default);
+        }
+        for (rule, derived) in active.iter().zip(&mut heads) {
+            derived.reset(rule.head_arity);
+        }
         let mut interrupted = None;
-        for (i, rule) in active.iter().enumerate() {
-            let rows = match seeding {
-                Some(_) => stored_rows(rule, db)?,
-                None => delta_rows(rule, &delta),
+        for (i, (rule, derived)) in active.iter().zip(&mut heads).enumerate() {
+            // Seed rows: the full stored relation of the seed atom (or the
+            // unit row, for an empty body) when seeding, the pending delta
+            // of its predicate otherwise.
+            let rows_in = match (&rule.seed, seeding) {
+                (None, Some(_)) => scratch.unit_row(),
+                (None, None) => 0,
+                (Some(seed), Some(_)) => {
+                    let rel = db
+                        .get(seed.pred)
+                        .ok_or(EngineError::Internal(UNLOADED_RELATION))?;
+                    seed.fill(&mut scratch, rel.iter())
+                }
+                (Some(seed), None) => delta
+                    .get(&seed.pred)
+                    .map_or(0, |batch| seed.fill(&mut scratch, batch.iter())),
             };
-            if rows.is_empty() {
+            if rows_in == 0 {
                 continue;
             }
-            let rows_in = rows.len();
-            let mut heads = Vec::new();
-            interrupted = rule.execute(db, rows, &mut counters, Some(governor), &mut heads)?;
+            interrupted = rule.execute(db, &mut scratch, &mut counters, Some(governor), derived)?;
             if obs.enabled() {
                 obs.event(
                     "engine.rule",
@@ -137,11 +160,10 @@ where
                         ("variant", field::uz(i)),
                         ("head", field::s(rule.head_pred.to_string())),
                         ("rows_in", field::uz(rows_in)),
-                        ("derived", field::uz(heads.len())),
+                        ("derived", field::uz(derived.len())),
                     ],
                 );
             }
-            derived.push((i, heads));
             if interrupted.is_some() {
                 break;
             }
@@ -154,15 +176,22 @@ where
         if seeding.is_none() {
             // Consumed. (A seeding round never read the delta: tuples the
             // caller pre-seeded stay pending next to its fresh ones.)
-            delta.clear();
-        }
-        for (i, heads) in derived {
-            it.derived += heads.len();
-            let fresh = merge(db, round, &active[i], heads);
-            it.new_tuples += fresh.len();
-            if !fresh.is_empty() {
-                delta.entry(active[i].head_pred).or_default().extend(fresh);
+            std::mem::swap(&mut delta, &mut spent);
+            for stale in delta.values_mut() {
+                stale.reset(stale.width());
             }
+        }
+        for (rule, derived) in active.iter().zip(&heads) {
+            if derived.is_empty() {
+                continue;
+            }
+            it.derived += derived.len();
+            let fresh = delta
+                .entry(rule.head_pred)
+                .or_insert_with(|| Batch::new(rule.head_arity));
+            let before = fresh.len();
+            merge(db, round, rule, derived, fresh);
+            it.new_tuples += fresh.len() - before;
         }
         it.duration = started.elapsed();
         fresh_total += it.new_tuples;
@@ -179,36 +208,14 @@ where
     Ok(out)
 }
 
-/// Seed rows for an undifferentiated rule: the full stored relation of the
-/// seed atom (or the unit row for an empty body).
-fn stored_rows(rule: &CompiledRule, db: &EngineDb) -> Result<Vec<Row>, EngineError> {
-    match &rule.seed {
-        None => Ok(vec![Vec::new()]),
-        Some(seed) => {
-            let rel = db
-                .get(seed.pred)
-                .ok_or(EngineError::Internal(UNLOADED_RELATION))?;
-            Ok(seed.rows(rel.iter()))
-        }
-    }
-}
-
-/// Seed rows for a delta pipeline from the pending delta of its seed atom.
-fn delta_rows(rule: &CompiledRule, delta: &BTreeMap<Symbol, Vec<Tuple>>) -> Vec<Row> {
-    rule.seed
-        .as_ref()
-        .and_then(|seed| Some(seed.rows(delta.get(&seed.pred)?.iter())))
-        .unwrap_or_default()
-}
-
-/// The memory estimate budgets are enforced against: indexed storage plus
-/// any fault-injected ballast.
-fn approx_memory(db: &EngineDb) -> usize {
+/// The memory budgets are enforced against: the store's buffers plus any
+/// fault-injected ballast.
+fn memory_in_use(db: &EngineDb) -> usize {
     #[cfg(any(test, feature = "fault-inject"))]
     let ballast = crate::fault::ballast_bytes();
     #[cfg(not(any(test, feature = "fault-inject")))]
     let ballast = 0;
-    db.approx_bytes() + ballast
+    db.heap_bytes() + ballast
 }
 
 /// Emits the per-round provenance event plus round counters and the

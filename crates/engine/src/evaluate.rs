@@ -51,7 +51,7 @@ pub fn evaluate(
         // The seed predicate is one the program mentions: declared above.
         if let Some((pred, constants)) = &lowered.seed {
             if let Some(seeds) = store.get_mut(*pred) {
-                seeds.insert(constants.clone());
+                seeds.insert(constants);
             }
         }
         Ok(store)

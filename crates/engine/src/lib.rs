@@ -8,10 +8,11 @@
 //! statistics — under the same semantics (it is differentially tested
 //! against the oracle), with all of that work moved out of the loop:
 //!
-//! * **Storage** ([`storage`]): [`storage::IndexedRelation`] keeps
-//!   *persistent* hash indexes on the columns rules join on. Each index is
-//!   built once and maintained incrementally as deltas merge, so iteration
-//!   cost tracks the delta, not the accumulated relation.
+//! * **Storage** ([`storage`]): [`storage::IndexedRelation`] is one flat
+//!   arena of rows plus *persistent* hash indexes — tables of row ids keyed
+//!   in place — on the columns rules join on. Each index is built once and
+//!   maintained incrementally as deltas merge, so iteration cost tracks the
+//!   delta, not the accumulated relation.
 //! * **Compilation** ([`compile`]): each rule (differentiated per delta
 //!   position) becomes a fixed [`compile::CompiledRule`] pipeline — seed
 //!   selection/projection, then hash-probe join steps with constants folded
@@ -62,19 +63,18 @@ pub mod oracle;
 pub mod stats;
 pub mod storage;
 
-pub use compile::select;
+pub use compile::{select, select_counted};
 pub use driver::{drive_rounds, Rounds};
 pub use error::{EngineError, Saturation};
 pub use evaluate::{evaluate, Evaluation};
 pub use kernel::select_kernel;
 pub use stats::{EngineStats, IterationStats, KernelKind};
-pub use storage::{EngineDb, IndexedRelation};
+pub use storage::{Batch, EngineDb, IndexedRelation};
 
 use compile::CompiledRule;
 use driver::UNLOADED_RELATION;
 use recurs_datalog::database::Database;
 use recurs_datalog::govern::{EvalBudget, Outcome};
-use recurs_datalog::relation::Tuple;
 use recurs_datalog::rule::{LinearRecursion, Program};
 use recurs_datalog::symbol::Symbol;
 use recurs_obs::{field, Obs};
@@ -266,13 +266,13 @@ pub fn saturate(
 
     // Tuples the caller pre-seeded into IDB relations (e.g. magic seeds)
     // must reach the recursive rules too: they start out as pending delta.
-    let mut preseeded: BTreeMap<Symbol, Vec<Tuple>> = BTreeMap::new();
+    let mut preseeded: BTreeMap<Symbol, Batch> = BTreeMap::new();
     for &pred in &program.idb {
         let rel = storage
             .get(pred)
             .ok_or(EngineError::Internal(UNLOADED_RELATION))?;
         if !rel.is_empty() {
-            preseeded.insert(pred, rel.iter().cloned().collect());
+            preseeded.insert(pred, Batch::from_rows(rel.arity(), rel.iter()));
         }
     }
     // A proven rank is a cap that means completeness: the theorems
@@ -290,7 +290,7 @@ pub fn saturate(
         rank_cap,
         &governor,
         obs,
-        |storage, _round, rule, heads| storage.insert_fresh(rule.head_pred, heads),
+        |storage, _round, rule, heads, fresh| storage.insert_fresh(rule.head_pred, heads, fresh),
     )?;
 
     let stats = EngineStats {

@@ -1,4 +1,4 @@
-//! Indexed tuple storage for the execution engine.
+//! Flat tuple storage for the execution engine.
 //!
 //! The oracle evaluator (`recurs_datalog::eval`) rebuilds a hash index on the
 //! inner side of every join, every fixpoint iteration. [`IndexedRelation`]
@@ -6,17 +6,203 @@
 //! rule first asks for it, and afterwards maintained incrementally as derived
 //! tuples are inserted. Across a long fixpoint this turns the per-iteration
 //! cost of indexing from O(|relation|) into O(|delta|).
+//!
+//! Nothing here owns a tuple by itself. A relation's tuples are rows of one
+//! row-major arena; the dedup table and every index are open-addressing
+//! tables of row ids ([`IdTable`]) that hash and compare their keys where
+//! they already are, in the arena; and rows in flight — pipeline rows, head
+//! batches, deltas — travel in a [`Batch`], one flat buffer reused from
+//! round to round. Allocation follows buffer growth, never tuple count.
 
 use recurs_datalog::database::Database;
 use recurs_datalog::error::DatalogError;
 use recurs_datalog::relation::{Relation, Tuple};
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::Value;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::hash::{BuildHasher, RandomState};
+use std::sync::{Arc, OnceLock};
 
-/// A hash index: key columns → (key values → ids of matching tuples).
-type Index = HashMap<Box<[Value]>, Vec<u32>>;
+/// "No row": an empty table slot, an exhausted probe.
+const NONE: u32 = u32::MAX;
+
+/// Hashes a key — its values in key-column order — down to the 32 bits an
+/// [`IdTable`] keeps: a rotate-xor-multiply per value, seeded once per
+/// process so that stored constants (which arrive from outside) cannot be
+/// chosen to collide.
+fn hash_key(key: impl IntoIterator<Item = Value>) -> u32 {
+    static SEED: OnceLock<u64> = OnceLock::new();
+    let seed = *SEED.get_or_init(|| RandomState::new().hash_one(0u8));
+    let mixed = key.into_iter().fold(seed, |h, v| {
+        (h.rotate_left(5) ^ u64::from(v.0.id())).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    });
+    (mixed >> 32) as u32
+}
+
+/// One slot of an [`IdTable`]: a row id (or [`NONE`]) and its key's hash.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    hash: u32,
+    id: u32,
+}
+
+/// An open-addressing (linear probing) table of row ids. The keys stay in
+/// the arena: a lookup hands in the hash and a predicate that compares a
+/// candidate id's key in place. Each slot remembers its hash, so a probe
+/// touches the arena only on a 32-bit match, and growth and deletion
+/// (backward shift — no tombstones) never touch it. Allocates nothing until
+/// the first insert, then 8 slots, doubling at three-quarters full.
+#[derive(Debug, Clone, Default)]
+struct IdTable {
+    /// Empty, or a power of two long.
+    slots: Vec<Slot>,
+    len: usize,
+}
+
+impl IdTable {
+    const MIN_SLOTS: usize = 8;
+
+    /// The slot a hash starts probing at: its top bits.
+    fn home(&self, hash: u32) -> usize {
+        (hash >> (32 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The slot holding the id `is_match` accepts, among those stored under
+    /// `hash`.
+    fn find(&self, hash: u32, is_match: impl Fn(u32) -> bool) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(hash);
+        loop {
+            let slot = self.slots[i];
+            if slot.id == NONE {
+                return None;
+            }
+            if slot.hash == hash && is_match(slot.id) {
+                return Some(i);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Adds `id` under `hash`; the caller has checked its key is absent.
+    fn insert(&mut self, hash: u32, id: u32) {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            let grown = (self.slots.len() * 2).max(IdTable::MIN_SLOTS);
+            let empty = Slot { hash: 0, id: NONE };
+            let old = std::mem::replace(&mut self.slots, vec![empty; grown]);
+            for slot in old.into_iter().filter(|s| s.id != NONE) {
+                self.place(slot);
+            }
+        }
+        self.place(Slot { hash, id });
+        self.len += 1;
+    }
+
+    fn place(&mut self, slot: Slot) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(slot.hash);
+        while self.slots[i].id != NONE {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = slot;
+    }
+
+    /// Empties slot `i`, then shifts back every later slot of the run that
+    /// the gap would otherwise cut off from its home.
+    fn remove_at(&mut self, mut i: usize) {
+        let mask = self.slots.len() - 1;
+        let mut j = i;
+        loop {
+            j = (j + 1) & mask;
+            let slot = self.slots[j];
+            if slot.id == NONE {
+                break;
+            }
+            // `slot` may move to the gap iff the gap lies on its probe path:
+            // cyclically within [home, j).
+            let home = self.home(slot.hash);
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(i) & mask) {
+                self.slots[i] = slot;
+                i = j;
+            }
+        }
+        self.slots[i].id = NONE;
+        self.len -= 1;
+    }
+}
+
+/// Heap bytes a buffer holds.
+fn bytes<T>(buffer: &Vec<T>) -> usize {
+    buffer.capacity() * std::mem::size_of::<T>()
+}
+
+/// A batch of equal-width rows in one flat buffer: pipeline rows, the head
+/// rows a round derives, a delta. Cleared and refilled round after round, so
+/// it allocates only while it grows.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Batch {
+    width: usize,
+    /// Row count (`values.len() / width`, were it not for width 0).
+    rows: usize,
+    values: Vec<Value>,
+}
+
+impl Batch {
+    /// An empty batch of `width`-column rows.
+    pub fn new(width: usize) -> Batch {
+        Batch {
+            width,
+            ..Batch::default()
+        }
+    }
+
+    /// A batch holding `rows`, each `width` long.
+    pub fn from_rows<R: AsRef<[Value]>>(width: usize, rows: impl IntoIterator<Item = R>) -> Batch {
+        let mut batch = Batch::new(width);
+        for row in rows {
+            batch.push(row.as_ref().iter().copied());
+        }
+        batch
+    }
+
+    /// Columns per row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// True if no row is held.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Empties the batch for rows of `width`, keeping its buffer.
+    pub fn reset(&mut self, width: usize) {
+        self.width = width;
+        self.rows = 0;
+        self.values.clear();
+    }
+
+    /// Appends one row; `row` must yield exactly [`Batch::width`] values.
+    pub fn push(&mut self, row: impl IntoIterator<Item = Value>) {
+        self.values.extend(row);
+        self.rows += 1;
+        debug_assert_eq!(self.values.len(), self.rows * self.width);
+    }
+
+    /// The rows, in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = &[Value]> + '_ {
+        let width = self.width;
+        (0..self.rows).map(move |i| &self.values[i * width..(i + 1) * width])
+    }
+}
 
 /// Counters describing index maintenance work, for [`crate::EngineStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,37 +230,159 @@ impl IndexCounters {
     }
 }
 
-/// The tuples of a relation: the arena, its free list, and the dedup map.
+/// The tuples of a relation: the row-major arena (slot `id` is
+/// `values[id * arity..][..arity]`), which slots are live, the freed ones,
+/// and the dedup table over whole rows.
 #[derive(Debug, Clone, Default)]
 struct Rows {
-    tuples: Vec<Option<Tuple>>,
+    values: Vec<Value>,
+    /// Arena slots handed out so far, live or freed.
+    slots: usize,
+    /// Bit `id` is set while slot `id` holds a tuple.
+    live: Vec<u64>,
     free: Vec<u32>,
-    ids: HashMap<Tuple, u32>,
+    ids: IdTable,
 }
 
-/// A relation stored as a tuple arena plus persistent hash indexes on the
-/// column sets the compiled rules join on.
+impl Rows {
+    fn is_live(&self, id: usize) -> bool {
+        self.live[id / 64] & (1 << (id % 64)) != 0
+    }
+}
+
+/// A hash index on `cols`: the table holds the newest row of each distinct
+/// key, and `next` chains every row to the one with the same key stored
+/// before it.
+#[derive(Debug, Clone)]
+struct Index {
+    cols: Vec<usize>,
+    heads: IdTable,
+    /// Per arena slot: the next-older row with the same key, or [`NONE`].
+    next: Vec<u32>,
+}
+
+impl Index {
+    /// The hash of a key — `key(i)` is its value for `cols[i]` — and the
+    /// table slot of its chain, if a stored row carries it.
+    fn chain(
+        &self,
+        values: &[Value],
+        arity: usize,
+        key: impl Fn(usize) -> Value,
+    ) -> (u32, Option<usize>) {
+        let hash = hash_key((0..self.cols.len()).map(&key));
+        let slot = self.heads.find(hash, |id| {
+            let row = &values[id as usize * arity..];
+            self.cols.iter().enumerate().all(|(i, &c)| row[c] == key(i))
+        });
+        (hash, slot)
+    }
+
+    /// Puts row `id` (already in the arena) at the head of its key's chain.
+    fn link(&mut self, values: &[Value], arity: usize, id: u32) {
+        if self.next.len() <= id as usize {
+            self.next.resize(id as usize + 1, NONE);
+        }
+        let row = &values[id as usize * arity..];
+        let (hash, slot) = self.chain(values, arity, |i| row[self.cols[i]]);
+        self.next[id as usize] = match slot {
+            Some(slot) => std::mem::replace(&mut self.heads.slots[slot].id, id),
+            None => {
+                self.heads.insert(hash, id);
+                NONE
+            }
+        };
+    }
+
+    /// Takes row `id` (still in the arena) out of its key's chain.
+    fn unlink(&mut self, values: &[Value], arity: usize, id: u32) {
+        let row = &values[id as usize * arity..];
+        let (_, Some(slot)) = self.chain(values, arity, |i| row[self.cols[i]]) else {
+            unreachable!("an indexed row's key has a chain");
+        };
+        let older = self.next[id as usize];
+        let head = self.heads.slots[slot].id;
+        if head != id {
+            let mut newer = head;
+            while self.next[newer as usize] != id {
+                newer = self.next[newer as usize];
+            }
+            self.next[newer as usize] = older;
+        } else if older != NONE {
+            self.heads.slots[slot].id = older;
+        } else {
+            self.heads.remove_at(slot);
+        }
+    }
+}
+
+/// One index of an [`IndexedRelation`], resolved once so that a pipeline
+/// step probing it row after row does not look it up each time.
+#[derive(Debug, Clone, Copy)]
+pub struct IndexView<'a> {
+    values: &'a [Value],
+    arity: usize,
+    index: &'a Index,
+}
+
+impl<'a> IndexView<'a> {
+    /// The key columns.
+    pub fn cols(&self) -> &'a [usize] {
+        &self.index.cols
+    }
+
+    /// The ids of the tuples whose key columns equal `key`, newest first.
+    pub fn probe(&self, key: &[Value]) -> Probe<'a> {
+        let (_, slot) = self.index.chain(self.values, self.arity, |i| key[i]);
+        Probe {
+            next: &self.index.next,
+            at: slot.map_or(NONE, |slot| self.index.heads.slots[slot].id),
+        }
+    }
+}
+
+/// The ids one [`IndexView::probe`] matched.
+#[derive(Debug, Clone)]
+pub struct Probe<'a> {
+    next: &'a [u32],
+    at: u32,
+}
+
+impl Iterator for Probe<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        let id = self.at;
+        (id != NONE).then(|| {
+            self.at = self.next[id as usize];
+            id
+        })
+    }
+}
+
+/// A relation stored as a flat tuple arena plus persistent hash indexes on
+/// the column sets the compiled rules join on.
 ///
-/// Tuple ids are `u32` arena slots; indexes store ids, not tuple copies, so
-/// a tuple is owned exactly once however many indexes cover it. Removal
-/// (used by incremental view maintenance) tombstones the slot, unlinks the
-/// id from every index and puts the slot on a free list the next insert
-/// draws from — an id is stable for the lifetime of its tuple, and the
-/// arena stays as long as the relation's high-water mark however many
-/// insert / remove rounds pass over it.
+/// Tuple ids are `u32` arena slots; the dedup table and the indexes store
+/// ids, not tuple copies, so a tuple's values exist exactly once however
+/// many indexes cover it. Removal (used by incremental view maintenance)
+/// clears the slot's live bit, unlinks the id from every index and puts the
+/// slot on a free list the next insert draws from — an id is stable for the
+/// lifetime of its tuple, and the arena stays as long as the relation's
+/// high-water mark however many insert / remove rounds pass over it.
 ///
 /// The rows and each index are reference-counted, so cloning a relation
 /// copies no tuple and no index: the clone shares them all. Writes are
 /// copy-on-write ([`Arc::make_mut`]): adding an index to a clone builds that
 /// index and shares the rest; inserting or removing a tuple copies the rows
-/// and the indexes once, if another clone still holds them, and writes in
-/// place from then on. A holder therefore never sees a relation move under
-/// it, and a writer pays for what it changes.
+/// and the indexes once — a few flat buffers each — if another clone still
+/// holds them, and writes in place from then on. A holder therefore never
+/// sees a relation move under it, and a writer pays for what it changes.
 #[derive(Debug, Clone, Default)]
 pub struct IndexedRelation {
     arity: usize,
     rows: Arc<Rows>,
-    indexes: HashMap<Vec<usize>, Arc<Index>>,
+    indexes: Vec<Arc<Index>>,
     counters: IndexCounters,
 }
 
@@ -91,7 +399,7 @@ impl IndexedRelation {
     pub fn from_relation(rel: &Relation) -> IndexedRelation {
         let mut r = IndexedRelation::new(rel.arity());
         for t in rel.iter() {
-            r.insert(t.clone());
+            r.insert(t);
         }
         r
     }
@@ -103,34 +411,45 @@ impl IndexedRelation {
 
     /// Number of (live) tuples.
     pub fn len(&self) -> usize {
-        self.rows.ids.len()
+        self.rows.ids.len
     }
 
     /// True if no tuple is stored.
     pub fn is_empty(&self) -> bool {
-        self.rows.ids.is_empty()
+        self.len() == 0
     }
 
     /// Membership test.
     pub fn contains(&self, t: &[Value]) -> bool {
-        self.rows.ids.contains_key(t)
+        self.id_of(t).is_some()
     }
 
-    /// The id of a stored tuple.
+    /// The hash of `t` and the dedup-table slot that holds it, if stored.
+    fn lookup(&self, t: &[Value]) -> (u32, Option<usize>) {
+        let rows = &*self.rows;
+        let hash = hash_key(t.iter().copied());
+        let slot = rows.ids.find(hash, |id| {
+            &rows.values[id as usize * self.arity..][..self.arity] == t
+        });
+        (hash, slot)
+    }
+
+    /// The id of a stored tuple: one lookup in the dedup table.
     pub fn id_of(&self, t: &[Value]) -> Option<u32> {
-        self.rows.ids.get(t).copied()
+        let slot = self.lookup(t).1?;
+        Some(self.rows.ids.slots[slot].id)
     }
 
     /// Inserts a tuple, updating every existing index. Returns true if the
     /// tuple was new.
-    pub fn insert(&mut self, t: Tuple) -> bool {
+    pub fn insert(&mut self, t: &[Value]) -> bool {
         self.insert_id(t).is_some()
     }
 
     /// [`IndexedRelation::insert`], returning the id the tuple was stored
     /// under (`None` if it was already present) — a freed slot when there is
     /// one, so callers keeping per-id side tables overwrite, never grow.
-    pub fn insert_id(&mut self, t: Tuple) -> Option<u32> {
+    pub fn insert_id(&mut self, t: &[Value]) -> Option<u32> {
         assert_eq!(
             t.len(),
             self.arity,
@@ -138,29 +457,37 @@ impl IndexedRelation {
             t.len(),
             self.arity
         );
-        if self.contains(&t) {
+        let (hash, None) = self.lookup(t) else {
             return None;
-        }
+        };
         let rows = Arc::make_mut(&mut self.rows);
         let id = match rows.free.pop() {
-            Some(id) => id,
+            Some(id) => {
+                let at = id as usize * self.arity;
+                rows.values[at..at + self.arity].copy_from_slice(t);
+                id
+            }
             None => {
-                let Ok(id) = u32::try_from(rows.tuples.len()) else {
-                    // u32 ids are a storage invariant; 2^32 arena slots
-                    // exceeds every budget this engine runs under.
-                    panic!("IndexedRelation overflow: more than u32::MAX tuples");
-                };
-                rows.tuples.push(None);
+                // u32 ids are a storage invariant (`NONE` is not an id);
+                // 2^32 arena slots exceeds every budget this engine runs
+                // under.
+                let overflow = "IndexedRelation overflow: more than u32::MAX tuples";
+                assert!(rows.slots < NONE as usize, "{overflow}");
+                let id = rows.slots as u32;
+                rows.slots += 1;
+                rows.values.extend_from_slice(t);
+                if rows.live.len() * 64 < rows.slots {
+                    rows.live.push(0);
+                }
                 id
             }
         };
-        for (cols, index) in &mut self.indexes {
-            let key: Box<[Value]> = cols.iter().map(|&c| t[c]).collect();
-            Arc::make_mut(index).entry(key).or_default().push(id);
+        rows.live[id as usize / 64] |= 1 << (id % 64);
+        rows.ids.insert(hash, id);
+        for index in &mut self.indexes {
+            Arc::make_mut(index).link(&rows.values, self.arity, id);
             self.counters.updates += 1;
         }
-        rows.ids.insert(t.clone(), id);
-        rows.tuples[id as usize] = Some(t);
         Some(id)
     }
 
@@ -168,30 +495,37 @@ impl IndexedRelation {
     /// freeing its arena slot for reuse. Returns true if the tuple was
     /// present.
     pub fn remove(&mut self, t: &[Value]) -> bool {
-        let Some(id) = self.id_of(t) else {
+        let Some(slot) = self.lookup(t).1 else {
             return false;
         };
+        // A private copy of the rows has the same table layout: `slot` holds.
         let rows = Arc::make_mut(&mut self.rows);
-        rows.ids.remove(t);
-        for (cols, index) in &mut self.indexes {
-            let index = Arc::make_mut(index);
-            let key: Box<[Value]> = cols.iter().map(|&c| t[c]).collect();
-            if let Some(bucket) = index.get_mut(&key) {
-                bucket.retain(|&i| i != id);
-                if bucket.is_empty() {
-                    index.remove(&key);
-                }
-            }
+        let id = rows.ids.slots[slot].id;
+        for index in &mut self.indexes {
+            Arc::make_mut(index).unlink(&rows.values, self.arity, id);
             self.counters.updates += 1;
         }
-        rows.tuples[id as usize] = None;
+        rows.ids.remove_at(slot);
+        rows.live[id as usize / 64] &= !(1 << (id % 64));
         rows.free.push(id);
         true
     }
 
+    fn index_on(&self, cols: &[usize]) -> Option<&Arc<Index>> {
+        self.indexes.iter().find(|index| index.cols == cols)
+    }
+
+    fn view<'a>(&'a self, index: &'a Index) -> IndexView<'a> {
+        IndexView {
+            values: &self.rows.values,
+            arity: self.arity,
+            index,
+        }
+    }
+
     /// True if an index on `cols` is maintained.
     pub fn has_index(&self, cols: &[usize]) -> bool {
-        self.indexes.contains_key(cols)
+        self.index_on(cols).is_some()
     }
 
     /// Makes sure an index on `cols` exists, building it from the current
@@ -201,43 +535,61 @@ impl IndexedRelation {
         if self.has_index(cols) {
             return;
         }
-        let mut index: Index = HashMap::new();
-        for (id, t) in self.rows.tuples.iter().enumerate() {
-            let Some(t) = t else { continue };
-            let key: Box<[Value]> = cols.iter().map(|&c| t[c]).collect();
-            index.entry(key).or_default().push(id as u32);
+        let rows = &*self.rows;
+        let mut index = Index {
+            cols: cols.to_vec(),
+            heads: IdTable::default(),
+            next: vec![NONE; rows.slots],
+        };
+        for id in (0..rows.slots).filter(|&id| rows.is_live(id)) {
+            index.link(&rows.values, self.arity, id as u32);
         }
-        self.indexes.insert(cols.to_vec(), Arc::new(index));
+        self.indexes.push(Arc::new(index));
         self.counters.builds += 1;
+    }
+
+    /// The index on exactly `cols`, if one is maintained.
+    pub fn index(&self, cols: &[usize]) -> Option<IndexView<'_>> {
+        self.index_on(cols).map(|index| self.view(index))
+    }
+
+    /// The widest maintained index keyed on nothing but columns of `bound`
+    /// — the one a selection binding those columns narrows the most by.
+    pub fn index_within(&self, bound: &[usize]) -> Option<IndexView<'_>> {
+        self.indexes
+            .iter()
+            .filter(|index| index.cols.iter().all(|c| bound.contains(c)))
+            .max_by_key(|index| index.cols.len())
+            .map(|index| self.view(index))
     }
 
     /// The ids of tuples whose `cols` projection equals `key`. Returns
     /// `None` if no index on `cols` exists (compiled rules declare their
     /// indexes up front, so the driver treats that as an internal error);
-    /// a present index with no matching key returns `Some(&[])`.
-    pub fn probe(&self, cols: &[usize], key: &[Value]) -> Option<&[u32]> {
-        let index = self.indexes.get(cols)?;
-        Some(index.get(key).map_or(&[], Vec::as_slice))
+    /// a present index with no matching key yields no id.
+    pub fn probe(&self, cols: &[usize], key: &[Value]) -> Option<Probe<'_>> {
+        Some(self.index(cols)?.probe(key))
     }
 
     /// The tuple with the given id. Ids only reach callers through `probe`,
-    /// which never returns a removed tuple's id.
-    pub fn tuple(&self, id: u32) -> &Tuple {
-        match &self.rows.tuples[id as usize] {
-            Some(t) => t,
-            None => unreachable!("probe returned the id of a removed tuple"),
-        }
+    /// `id_of` and `insert_id`, which never return a removed tuple's id.
+    pub fn tuple(&self, id: u32) -> &[Value] {
+        debug_assert!(self.rows.is_live(id as usize), "the id of a removed tuple");
+        &self.rows.values[id as usize * self.arity..][..self.arity]
     }
 
     /// Iterates over all live tuples in arena order (insertion order until
     /// a removal frees a slot).
-    pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.rows.tuples.iter().flatten()
+    pub fn iter(&self) -> impl Iterator<Item = &[Value]> + '_ {
+        let (rows, arity) = (&*self.rows, self.arity);
+        (0..rows.slots)
+            .filter(|&id| rows.is_live(id))
+            .map(move |id| &rows.values[id * arity..(id + 1) * arity])
     }
 
     /// Copies the storage back into a plain [`Relation`].
     pub fn to_relation(&self) -> Relation {
-        Relation::from_tuples(self.arity, self.iter().cloned())
+        Relation::from_tuples(self.arity, self.iter().map(Tuple::from))
     }
 
     /// Index-maintenance counters so far.
@@ -250,17 +602,19 @@ impl IndexedRelation {
         self.indexes.len()
     }
 
-    /// Approximate working-set bytes of the live tuples: arena slot plus the
-    /// dedup set (each owns a copy of every tuple) plus index entries. An
-    /// estimate for budget enforcement, not an allocator measurement.
-    pub fn approx_bytes(&self) -> usize {
-        let per_tuple = self.arity * std::mem::size_of::<Value>() + 48;
-        let mut bytes = 2 * self.len() * per_tuple;
-        for (cols, index) in &self.indexes {
-            bytes += index.len() * (cols.len() * std::mem::size_of::<Value>() + 48);
-            bytes += self.len() * std::mem::size_of::<u32>();
-        }
-        bytes
+    /// Heap bytes the relation's buffers hold — arena, live bits, free list,
+    /// dedup table, and each index's table and chain links, by capacity —
+    /// whether or not other clones share them. What memory budgets are
+    /// enforced against; O(indexes), so the driver reads it every round.
+    pub fn heap_bytes(&self) -> usize {
+        let rows = &*self.rows;
+        let of_index = |i: &Arc<Index>| bytes(&i.cols) + bytes(&i.heads.slots) + bytes(&i.next);
+        bytes(&rows.values)
+            + bytes(&rows.live)
+            + bytes(&rows.free)
+            + bytes(&rows.ids.slots)
+            + bytes(&self.indexes)
+            + self.indexes.iter().map(of_index).sum::<usize>()
     }
 }
 
@@ -336,15 +690,19 @@ impl EngineDb {
         self.rels.iter().map(|(&name, rel)| (name, rel))
     }
 
-    /// Set-inserts `tuples` into `pred`'s relation and returns the ones that
-    /// were new, in order — the set-semantics merge for
-    /// [`crate::drive_rounds`]. An unknown predicate stores nothing.
-    pub fn insert_fresh(&mut self, pred: Symbol, mut tuples: Vec<Tuple>) -> Vec<Tuple> {
-        match self.rels.get_mut(&pred) {
-            Some(rel) => tuples.retain(|t| rel.insert(t.clone())),
-            None => tuples.clear(),
+    /// Set-inserts the rows of `heads` into `pred`'s relation and appends
+    /// the ones that were new, in order, to `fresh` — the set-semantics
+    /// merge for [`crate::drive_rounds`]. An unknown predicate stores
+    /// nothing.
+    pub fn insert_fresh(&mut self, pred: Symbol, heads: &Batch, fresh: &mut Batch) {
+        let Some(rel) = self.rels.get_mut(&pred) else {
+            return;
+        };
+        for row in heads.iter() {
+            if rel.insert(row) {
+                fresh.push(row.iter().copied());
+            }
         }
-        tuples
     }
 
     /// The `(predicate, key columns)` pairs among `needed` that name a
@@ -403,9 +761,9 @@ impl EngineDb {
         self.rels.values().map(IndexedRelation::index_count).sum()
     }
 
-    /// Sums [`IndexedRelation::approx_bytes`] across all relations.
-    pub fn approx_bytes(&self) -> usize {
-        self.rels.values().map(IndexedRelation::approx_bytes).sum()
+    /// Sums [`IndexedRelation::heap_bytes`] across all relations.
+    pub fn heap_bytes(&self) -> usize {
+        self.rels.values().map(IndexedRelation::heap_bytes).sum()
     }
 }
 
@@ -413,29 +771,44 @@ impl EngineDb {
 mod tests {
     use super::*;
     use recurs_datalog::relation::tuple_u64;
+    use std::collections::HashSet;
 
     fn v(n: u64) -> Value {
         Value::from_u64(n)
     }
 
+    fn probe_len(r: &IndexedRelation, cols: &[usize], key: &[Value]) -> usize {
+        r.probe(cols, key).unwrap().count()
+    }
+
     #[test]
     fn insert_dedupes_and_counts() {
         let mut r = IndexedRelation::new(2);
-        assert!(r.insert(tuple_u64([1, 2])));
-        assert!(!r.insert(tuple_u64([1, 2])));
-        assert!(r.insert(tuple_u64([2, 3])));
+        assert!(r.insert(&tuple_u64([1, 2])));
+        assert!(!r.insert(&tuple_u64([1, 2])));
+        assert!(r.insert(&tuple_u64([2, 3])));
         assert_eq!(r.len(), 2);
         assert!(r.contains(&[v(1), v(2)]));
         assert!(!r.contains(&[v(9), v(9)]));
+        assert!(!r.contains(&[v(1)]), "a tuple of another width is absent");
+    }
+
+    #[test]
+    fn a_relation_without_columns_holds_the_empty_tuple_at_most_once() {
+        let mut r = IndexedRelation::new(0);
+        assert!(r.insert(&[]) && !r.insert(&[]));
+        assert_eq!((r.len(), r.iter().count()), (1, 1));
+        assert!(r.remove(&[]) && r.is_empty());
+        assert_eq!(r.insert_id(&[]), Some(0), "the freed slot is reused");
     }
 
     #[test]
     fn ensure_index_then_probe() {
         let mut r = IndexedRelation::from_relation(&Relation::from_pairs([(1, 2), (1, 3), (2, 3)]));
         r.ensure_index(&[0]);
-        assert_eq!(r.probe(&[0], &[v(1)]).unwrap().len(), 2);
-        assert_eq!(r.probe(&[0], &[v(2)]).unwrap().len(), 1);
-        assert_eq!(r.probe(&[0], &[v(7)]).unwrap().len(), 0);
+        assert_eq!(probe_len(&r, &[0], &[v(1)]), 2);
+        assert_eq!(probe_len(&r, &[0], &[v(2)]), 1);
+        assert_eq!(probe_len(&r, &[0], &[v(7)]), 0);
         // No index on column 1 was ever ensured.
         assert!(r.probe(&[1], &[v(2)]).is_none());
         assert_eq!(r.counters().builds, 1);
@@ -445,9 +818,10 @@ mod tests {
     fn index_is_maintained_incrementally() {
         let mut r = IndexedRelation::new(2);
         r.ensure_index(&[1]);
-        r.insert(tuple_u64([1, 2]));
-        r.insert(tuple_u64([3, 2]));
-        assert_eq!(r.probe(&[1], &[v(2)]).unwrap().len(), 2);
+        let first = r.insert_id(&tuple_u64([1, 2])).unwrap();
+        let second = r.insert_id(&tuple_u64([3, 2])).unwrap();
+        let hits: Vec<u32> = r.probe(&[1], &[v(2)]).unwrap().collect();
+        assert_eq!(hits, vec![second, first], "newest first");
         // Two inserts, one index each: two incremental updates, no rebuild.
         assert_eq!(
             r.counters(),
@@ -464,13 +838,18 @@ mod tests {
     #[test]
     fn multi_column_index_keys() {
         let mut r = IndexedRelation::new(3);
-        r.insert(tuple_u64([1, 2, 3]));
-        r.insert(tuple_u64([1, 2, 4]));
-        r.insert(tuple_u64([1, 5, 3]));
+        r.insert(&tuple_u64([1, 2, 3]));
+        r.insert(&tuple_u64([1, 2, 4]));
+        r.insert(&tuple_u64([1, 5, 3]));
         r.ensure_index(&[0, 1]);
-        assert_eq!(r.probe(&[0, 1], &[v(1), v(2)]).unwrap().len(), 2);
-        let id = r.probe(&[0, 1], &[v(1), v(5)]).unwrap()[0];
-        assert_eq!(&r.tuple(id)[..], &[v(1), v(5), v(3)]);
+        assert_eq!(probe_len(&r, &[0, 1], &[v(1), v(2)]), 2);
+        let id = r.probe(&[0, 1], &[v(1), v(5)]).unwrap().next().unwrap();
+        assert_eq!(r.tuple(id), &[v(1), v(5), v(3)]);
+        // The widest index inside the bound columns wins; none outside does.
+        r.ensure_index(&[0]);
+        assert_eq!(r.index_within(&[0, 1, 2]).unwrap().cols(), &[0, 1]);
+        assert_eq!(r.index_within(&[0, 2]).unwrap().cols(), &[0]);
+        assert!(r.index_within(&[1, 2]).is_none());
     }
 
     #[test]
@@ -482,14 +861,14 @@ mod tests {
         assert!(!r.remove(&[v(1), v(2)]), "second remove is a no-op");
         assert_eq!(r.len(), 2);
         assert!(!r.contains(&[v(1), v(2)]));
-        assert_eq!(r.probe(&[0], &[v(1)]).unwrap().len(), 1);
-        assert_eq!(r.probe(&[1], &[v(2)]).unwrap().len(), 0);
-        // Iteration and round-tripping skip the tombstone.
+        assert_eq!(probe_len(&r, &[0], &[v(1)]), 1);
+        assert_eq!(probe_len(&r, &[1], &[v(2)]), 0);
+        // Iteration and round-tripping skip the freed slot.
         assert_eq!(r.iter().count(), 2);
         assert_eq!(r.to_relation(), Relation::from_pairs([(1, 3), (2, 3)]));
         // Reinsertion after removal is probe-visible again.
-        assert!(r.insert(tuple_u64([1, 2])));
-        assert_eq!(r.probe(&[0], &[v(1)]).unwrap().len(), 2);
+        assert!(r.insert(&tuple_u64([1, 2])));
+        assert_eq!(probe_len(&r, &[0], &[v(1)]), 2);
         assert_eq!(r.iter().count(), 3);
     }
 
@@ -519,7 +898,7 @@ mod tests {
         base.ensure_index(&[0]);
         let shares_rows = |x: &IndexedRelation, y: &IndexedRelation| Arc::ptr_eq(&x.rows, &y.rows);
         let shares_index = |x: &IndexedRelation, y: &IndexedRelation, cols: &[usize]| {
-            Arc::ptr_eq(&x.indexes[cols], &y.indexes[cols])
+            Arc::ptr_eq(x.index_on(cols).unwrap(), y.index_on(cols).unwrap())
         };
 
         // Indexing a clone builds that index and copies nothing.
@@ -537,22 +916,22 @@ mod tests {
         // content, its indexes and its counters.
         let before = base.counters();
         assert!(
-            !copy.insert(tuple_u64([1, 2])),
+            !copy.insert(&tuple_u64([1, 2])),
             "a duplicate writes nothing"
         );
         assert!(shares_rows(&base, &copy));
-        assert!(copy.insert(tuple_u64([3, 4])));
+        assert!(copy.insert(&tuple_u64([3, 4])));
         assert!(!shares_rows(&base, &copy) && !shares_index(&base, &copy, &[0]));
         assert_eq!((base.len(), copy.len()), (2, 3));
-        assert_eq!(base.probe(&[0], &[v(3)]).unwrap().len(), 0);
-        assert_eq!(copy.probe(&[0], &[v(3)]).unwrap().len(), 1);
+        assert_eq!(probe_len(&base, &[0], &[v(3)]), 0);
+        assert_eq!(probe_len(&copy, &[0], &[v(3)]), 1);
         assert_eq!(base.counters(), before);
 
         // Sole owner of its rows now: the next write is in place.
         let held = Arc::as_ptr(&copy.rows);
         assert!(copy.remove(&[v(1), v(2)]));
         assert_eq!(Arc::as_ptr(&copy.rows), held);
-        assert_eq!(base.probe(&[0], &[v(1)]).unwrap().len(), 1);
+        assert_eq!(probe_len(&base, &[0], &[v(1)]), 1);
     }
 
     #[test]
@@ -564,5 +943,52 @@ mod tests {
         let unknown = Symbol::intern("Unknown");
         let needed: [(Symbol, &[usize]); 4] = [(a, &[0]), (a, &[1]), (a, &[1]), (unknown, &[0])];
         assert_eq!(db.missing_indexes(needed), vec![(a, vec![1])]);
+    }
+
+    #[test]
+    fn empty_relations_hold_no_buffer_and_small_ones_a_small_table() {
+        let mut r = IndexedRelation::new(2);
+        assert_eq!(r.heap_bytes(), 0);
+        r.insert(&tuple_u64([1, 2]));
+        assert_eq!(r.rows.ids.slots.len(), 8);
+    }
+
+    /// The id table under a hasher that collides on purpose: every key lands
+    /// in one of two probe runs, one of them starting at the last slot, so
+    /// runs wrap around the end of the table, grow through several doublings
+    /// and lose members from their middle — against a `HashSet` model.
+    #[test]
+    fn id_table_survives_a_colliding_hasher() {
+        let hash_of = |id: u32| if id.is_multiple_of(3) { u32::MAX } else { 0 };
+        let mut table = IdTable::default();
+        let mut model: HashSet<u32> = HashSet::new();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for step in 0..20_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // Fill up, thin out, fill up again.
+            let id = (state >> 8) as u32 % 200;
+            let adding = (step / 2_000) % 2 == 0 || state & 3 == 0;
+            let found = table.find(hash_of(id), |other| other == id);
+            assert_eq!(found.is_some(), model.contains(&id), "id {id}");
+            match (adding, found) {
+                (true, None) => {
+                    table.insert(hash_of(id), id);
+                    model.insert(id);
+                }
+                (false, Some(slot)) => {
+                    table.remove_at(slot);
+                    model.remove(&id);
+                }
+                _ => {}
+            }
+            assert_eq!(table.len, model.len());
+        }
+        assert!(table.slots.len() >= 256, "the table grew");
+        for id in 0..200 {
+            let found = table.find(hash_of(id), |other| other == id);
+            assert_eq!(found.is_some(), model.contains(&id), "id {id}");
+        }
     }
 }

@@ -129,7 +129,7 @@ pub(crate) fn write(
         };
         for t in rel.iter() {
             if insert {
-                stored.insert(t.clone());
+                stored.insert(t);
             } else {
                 stored.remove(t);
             }

@@ -25,14 +25,14 @@ use crate::{IvmError, MaintenancePath};
 use recurs_core::Classification;
 use recurs_datalog::error::DatalogError;
 use recurs_datalog::govern::{EvalBudget, Governor, TruncationReason};
-use recurs_datalog::relation::{Relation, Tuple};
+use recurs_datalog::relation::Relation;
 use recurs_datalog::rule::{LinearRecursion, Rule};
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::{Atom, Value};
 use recurs_engine::compile::CompiledRule;
-use recurs_engine::{drive_rounds, EngineDb, IndexedRelation, Rounds};
+use recurs_engine::{drive_rounds, Batch, EngineDb, IndexedRelation, Rounds};
 use recurs_obs::{field, Obs};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 /// A saturated linear recursion kept consistent under EDB deltas.
 ///
@@ -120,7 +120,8 @@ impl Materialization {
         };
         // The seeding round counts one derivation per exit-rule
         // instantiation; the rounds after it propagate.
-        let run = mat.propagate(Some(&exits), Vec::new(), &governor, None, None)?;
+        let entering = Batch::new(lr.dimension());
+        let run = mat.propagate(Some(&exits), entering, &governor, None, None)?;
         if let Some(reason) = stopped(&run) {
             return Err(IvmError::Truncated(reason));
         }
@@ -198,10 +199,10 @@ impl Materialization {
     pub(crate) fn propagate(
         &mut self,
         seed: Option<&[CompiledRule]>,
-        delta: Vec<Tuple>,
+        delta: Batch,
         governor: &Governor,
         mut patch: Option<&mut IdbPatch>,
-        only: Option<&HashSet<Tuple>>,
+        only: Option<&IndexedRelation>,
     ) -> Result<Rounds, IvmError> {
         let p = self.lr.predicate;
         let counts = &mut self.counts;
@@ -213,19 +214,18 @@ impl Materialization {
             self.path.round_cap(),
             governor,
             &self.obs,
-            |engine, _round, _rule, mut heads| {
+            |engine, _round, _rule, heads, fresh| {
                 let Some(stored) = engine.get_mut(p) else {
-                    return Vec::new();
+                    return;
                 };
-                heads.retain(|h| {
-                    only.is_none_or(|set| set.contains(h)) && add_count(stored, counts, h, 1)
-                });
-                if let Some(patch) = patch.as_deref_mut() {
-                    for t in &heads {
-                        patch.record_insert(t.clone());
+                for h in heads.iter() {
+                    if only.is_none_or(|set| set.contains(h)) && add_count(stored, counts, h, 1) {
+                        fresh.push(h.iter().copied());
+                        if let Some(patch) = patch.as_deref_mut() {
+                            patch.record_insert(h.into());
+                        }
                     }
                 }
-                heads
             },
         )?)
     }
@@ -320,14 +320,14 @@ pub(crate) fn compile_exits(
 pub(crate) fn add_count(
     stored: &mut IndexedRelation,
     counts: &mut Vec<u64>,
-    t: &Tuple,
+    t: &[Value],
     n: u64,
 ) -> bool {
     if let Some(id) = stored.id_of(t) {
         counts[id as usize] += n;
         return false;
     }
-    let Some(id) = stored.insert_id(t.clone()) else {
+    let Some(id) = stored.insert_id(t) else {
         return false; // just looked up: absent
     };
     // A fresh id, or a freed one whose stale count is overwritten.

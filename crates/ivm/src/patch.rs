@@ -5,11 +5,11 @@ use crate::delta::{write, EdbDelta, IdbPatch};
 use crate::materialize::{add_count, stopped, Materialization, CAND};
 use crate::{IvmError, MaintenancePath};
 use recurs_datalog::govern::{EvalBudget, Governor, TruncationReason};
-use recurs_datalog::relation::{Relation, Tuple};
+use recurs_datalog::relation::Relation;
 use recurs_datalog::symbol::Symbol;
-use recurs_engine::{drive_rounds, EngineDb};
+use recurs_engine::{drive_rounds, Batch, IndexedRelation};
 use recurs_obs::field;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Work counters for one patch application.
 #[derive(Debug, Clone, Copy, Default)]
@@ -46,20 +46,26 @@ pub struct PatchReport {
     pub stats: PatchStats,
 }
 
-/// A set of derived-predicate heads, in discovery order: the tuples an EDB
-/// change can reach, which the recount then re-tallies.
-#[derive(Default)]
-struct Candidates {
-    set: HashSet<Tuple>,
-    order: Vec<Tuple>,
+/// The rows of `rel`, in arena order, as a delta.
+fn batch_of(rel: &IndexedRelation) -> Batch {
+    Batch::from_rows(rel.arity(), rel.iter())
 }
 
-impl Candidates {
-    /// Marks the heads not yet candidates, returning the newly marked ones.
-    fn mark(&mut self, mut heads: Vec<Tuple>) -> Vec<Tuple> {
-        heads.retain(|h| self.set.insert(h.clone()));
-        self.order.extend(heads.iter().cloned());
-        heads
+/// Marks the `heads` not yet among the candidates `cands` — of a deletion
+/// (`stored` given), those it holds — and hands the newly marked on to
+/// `fresh`.
+fn mark(
+    cands: &mut IndexedRelation,
+    stored: Option<&IndexedRelation>,
+    heads: &Batch,
+    mut fresh: Option<&mut Batch>,
+) {
+    for h in heads.iter() {
+        if stored.is_none_or(|stored| stored.contains(h)) && cands.insert(h) {
+            if let Some(fresh) = fresh.as_deref_mut() {
+                fresh.push(h.iter().copied());
+            }
+        }
     }
 }
 
@@ -172,27 +178,23 @@ impl Materialization {
         }
 
         // --- Mark (one round per changed relation: the merge hands back no
-        // delta), and for a deletion close and remove.
-        let mut cands = Candidates::default();
-        let reached = |engine: &EngineDb, mut heads: Vec<Tuple>| {
-            if !insert {
-                heads.retain(|h| engine.get(p).is_some_and(|stored| stored.contains(h)));
-            }
-            heads
-        };
+        // delta), and for a deletion — which marks stored heads only — close
+        // and remove. The candidates, the heads an EDB change can reach, go
+        // in a scratch relation: a set that iterates in discovery order and
+        // numbers its members.
+        let mut cands = IndexedRelation::new(self.lr.dimension());
         for (&pred, tuples) in changed {
             self.ensure_variants(pred)?;
             let run = drive_rounds(
                 &mut self.engine,
                 None,
                 &self.variants[&pred],
-                BTreeMap::from([(pred, tuples.iter().cloned().collect())]),
+                BTreeMap::from([(pred, Batch::from_rows(tuples.arity(), tuples.iter()))]),
                 None,
                 governor,
                 &self.obs,
-                |engine, _, _, heads| {
-                    cands.mark(reached(engine, heads));
-                    Vec::new()
+                |engine, _, _, heads, _| {
+                    mark(&mut cands, engine.get(p).filter(|_| !insert), heads, None)
                 },
             )?;
             if let Some(reason) = stopped(&run) {
@@ -204,57 +206,57 @@ impl Materialization {
                 &mut self.engine,
                 None,
                 std::slice::from_ref(&self.rec_delta),
-                BTreeMap::from([(p, cands.order.clone())]),
+                BTreeMap::from([(p, batch_of(&cands))]),
                 self.path.round_cap(),
                 governor,
                 &self.obs,
-                |engine, _, _, heads| cands.mark(reached(engine, heads)),
+                |engine, _, _, heads, fresh| mark(&mut cands, engine.get(p), heads, Some(fresh)),
             )?;
             stats.rounds += closure.iterations.len() as u64;
             if let Some(reason) = stopped(&closure) {
                 return Ok(Some(reason));
             }
-            stats.overdeleted = cands.set.len();
+            stats.overdeleted = cands.len();
             write(&mut self.engine, changed, false)?;
             if let Some(stored) = self.engine.get_mut(p) {
-                for t in &cands.order {
+                for t in cands.iter() {
                     stored.remove(t);
-                    patch.record_delete(t.clone());
+                    patch.record_delete(t.into());
                 }
             }
         }
 
-        // --- Recount the candidates; store the tallies.
+        // --- Recount the candidates (a recount pipeline derives its seed:
+        // every head row is a candidate); store the tallies.
         self.ensure_recounts()?;
-        let mut tally: HashMap<Tuple, u64> = HashMap::new();
+        let mut tally = vec![0u64; cands.len()];
         let run = drive_rounds(
             &mut self.engine,
             None,
             &self.recounts,
-            BTreeMap::from([(Symbol::intern(CAND), cands.order.clone())]),
+            BTreeMap::from([(Symbol::intern(CAND), batch_of(&cands))]),
             None,
             governor,
             &self.obs,
-            |_, _, _, heads| {
-                for h in heads {
-                    *tally.entry(h).or_insert(0) += 1;
+            |_, _, _, heads, _| {
+                for id in heads.iter().filter_map(|h| cands.id_of(h)) {
+                    tally[id as usize] += 1;
                 }
-                Vec::new()
             },
         )?;
         if let Some(reason) = stopped(&run) {
             return Ok(Some(reason));
         }
-        let mut entering: Vec<Tuple> = Vec::new();
+        let mut entering = Batch::new(self.lr.dimension());
         if let Some(stored) = self.engine.get_mut(p) {
-            for h in cands.order {
-                let Some(&n) = tally.get(&h) else { continue };
-                match stored.id_of(&h) {
+            // No candidate was ever removed: ids run in arena order.
+            for (h, &n) in cands.iter().zip(&tally).filter(|&(_, &n)| n > 0) {
+                match stored.id_of(h) {
                     Some(id) => self.counts[id as usize] = n,
                     None => {
-                        add_count(stored, &mut self.counts, &h, n);
-                        patch.record_insert(h.clone());
-                        entering.push(h);
+                        add_count(stored, &mut self.counts, h, n);
+                        patch.record_insert(h.into());
+                        entering.push(h.iter().copied());
                     }
                 }
             }
@@ -262,7 +264,7 @@ impl Materialization {
 
         // --- Propagate from the entering tuples.
         let entered = entering.len();
-        let only = (!insert).then_some(&cands.set);
+        let only = (!insert).then_some(&cands);
         let run = self.propagate(None, entering, governor, Some(patch), only)?;
         if !insert {
             let revived: usize = run.iterations.iter().map(|it| it.new_tuples).sum();

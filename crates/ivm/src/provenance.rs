@@ -37,10 +37,10 @@ use recurs_datalog::rule::{LinearRecursion, Rule};
 use recurs_datalog::subst::Subst;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::{Atom, Term, Value};
-use recurs_engine::compile::{CompiledRule, ProbeCounters};
-use recurs_engine::{drive_rounds, EngineDb};
+use recurs_engine::compile::{CompiledRule, ProbeCounters, Scratch};
+use recurs_engine::{drive_rounds, Batch, EngineDb};
 use recurs_obs::Obs;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Default depth bound for backward reconstruction: enough for any chain a
 /// governed evaluation can produce, while still guaranteeing termination
@@ -126,18 +126,32 @@ fn unify_ground(subst: &mut Subst, atom: &Atom, tuple: &[Value]) -> bool {
     true
 }
 
-/// Rank-tracked saturation: `edb` saturated in place plus, for every derived
-/// tuple, the driver round in which it first appeared (round 0 is the
-/// exit-rule seeding round). Any derived tuples `edb` carries are dropped
-/// first — ranks must match this run.
+/// A saturated store plus, by tuple id of the derived relation, the driver
+/// round in which each derived tuple first appeared (round 0 is the
+/// exit-rule seeding round).
+struct Ranked {
+    engine: EngineDb,
+    ranks: Vec<u64>,
+}
+
+impl Ranked {
+    /// The rank of a tuple of the derived relation `p`, if it was derived.
+    fn rank(&self, p: Symbol, t: &[Value]) -> Option<u64> {
+        let id = self.engine.get(p)?.id_of(t)?;
+        Some(self.ranks[id as usize])
+    }
+}
+
+/// Rank-tracked saturation of `edb`, in place. Any derived tuples `edb`
+/// carries are dropped first — ranks must match this run.
 fn saturate_with_ranks(
     lr: &LinearRecursion,
     edb: EngineDb,
     governor: &Governor,
-) -> Result<(EngineDb, HashMap<Tuple, u64>), IvmError> {
+) -> Result<Ranked, IvmError> {
     let (mut engine, rec_delta) = fresh_store(lr, edb)?;
     let exits = compile_exits(lr, &mut engine)?;
-    let mut ranks: HashMap<Tuple, u64> = HashMap::new();
+    let mut ranks: Vec<u64> = Vec::new();
     let run = drive_rounds(
         &mut engine,
         Some(&exits),
@@ -146,16 +160,18 @@ fn saturate_with_ranks(
         None,
         governor,
         &Obs::noop(),
-        |engine, round, rule, heads| {
-            let fresh = engine.insert_fresh(rule.head_pred, heads);
-            ranks.extend(fresh.iter().map(|t| (t.clone(), round as u64)));
-            fresh
+        |engine, round, rule, heads, fresh| {
+            engine.insert_fresh(rule.head_pred, heads, fresh);
+            // Nothing is ever removed, so ids are arena positions: the fresh
+            // tuples are the ones past the ranks recorded so far.
+            let derived = engine.get(rule.head_pred).map_or(0, |stored| stored.len());
+            ranks.resize(derived, round as u64);
         },
     )?;
     if let Some(reason) = stopped(&run) {
         return Err(IvmError::Truncated(reason));
     }
-    Ok((engine, ranks))
+    Ok(Ranked { engine, ranks })
 }
 
 /// One rule's witness pipeline: [`compile_inverted`] deriving the rule's
@@ -182,24 +198,25 @@ impl<'a> Inverted<'a> {
     fn witnesses(
         &self,
         engine: &EngineDb,
-        tuple: &Tuple,
+        tuple: &[Value],
         governor: &Governor,
     ) -> Result<Vec<Tuple>, IvmError> {
-        let rows = match &self.pipeline.seed {
-            Some(seed) => seed.rows(std::iter::once(tuple)),
-            None => Vec::new(),
-        };
-        let mut out = Vec::new();
-        let stopped = self.pipeline.execute(
-            engine,
-            rows,
-            &mut ProbeCounters::default(),
-            Some(governor),
-            &mut out,
-        )?;
-        if let Some(reason) = stopped {
-            return Err(IvmError::Truncated(reason));
+        let mut scratch = Scratch::default();
+        let mut out = Batch::new(self.pipeline.head_arity);
+        let seeded = self.pipeline.seed.as_ref();
+        if seeded.is_some_and(|seed| seed.fill(&mut scratch, std::iter::once(tuple)) > 0) {
+            let stopped = self.pipeline.execute(
+                engine,
+                &mut scratch,
+                &mut ProbeCounters::default(),
+                Some(governor),
+                &mut out,
+            )?;
+            if let Some(reason) = stopped {
+                return Err(IvmError::Truncated(reason));
+            }
         }
+        let mut out: Vec<Tuple> = out.iter().map(Tuple::from).collect();
         out.sort();
         Ok(out)
     }
@@ -263,8 +280,8 @@ pub fn explain_fact(
         }));
     }
     let governor = budget.start();
-    let (mut engine, ranks) = saturate_with_ranks(lr, edb.clone(), &governor)?;
-    let Some(&rank) = ranks.get(fact) else {
+    let mut ranked = saturate_with_ranks(lr, edb.clone(), &governor)?;
+    let Some(rank) = ranked.rank(lr.predicate, fact) else {
         return Ok(WhyOutcome::NotDerived);
     };
     if rank > max_depth {
@@ -278,17 +295,9 @@ pub fn explain_fact(
         .ok_or(DatalogError::UnknownRelation(lr.predicate))?;
     // Rule-index convention: the recursive rule first, then the exit rules.
     let inverted = rules(lr)
-        .map(|rule| Inverted::compile(rule, &mut engine))
+        .map(|rule| Inverted::compile(rule, &mut ranked.engine))
         .collect::<Result<Vec<_>, _>>()?;
-    let node = reconstruct(
-        &engine,
-        &inverted,
-        &ranks,
-        fact.into(),
-        rank,
-        p_pos,
-        &governor,
-    )?;
+    let node = reconstruct(&ranked, &inverted, fact.into(), rank, p_pos, &governor)?;
     Ok(WhyOutcome::Derived(node))
 }
 
@@ -296,9 +305,8 @@ pub fn explain_fact(
 /// on the recursive subgoal. Ranks strictly decrease, so this terminates
 /// in at most `rank` steps.
 fn reconstruct(
-    engine: &EngineDb,
+    ranked: &Ranked,
     inverted: &[Inverted<'_>],
-    ranks: &HashMap<Tuple, u64>,
     tuple: Tuple,
     rank: u64,
     p_pos: usize,
@@ -307,13 +315,11 @@ fn reconstruct(
     if let Some(reason) = governor.poll() {
         return Err(IvmError::Truncated(reason));
     }
+    let engine = &ranked.engine;
+    let p = inverted[0].rule.head.predicate;
     // Unreachable below for a rank map produced by `saturate_with_ranks`
     // over the same store; surfaced as a substrate error, not a panic.
-    let no_witness = || {
-        IvmError::Datalog(DatalogError::UnknownRelation(
-            inverted[0].rule.head.predicate,
-        ))
-    };
+    let no_witness = || IvmError::Datalog(DatalogError::UnknownRelation(p));
     if rank == 0 {
         // Exit-seeded: the first exit rule (and witness) that derives it.
         for (i, exit) in inverted.iter().enumerate().skip(1) {
@@ -330,7 +336,7 @@ fn reconstruct(
     let mut best: Option<(u64, Tuple, Tuple)> = None;
     for witness in rec.witnesses(engine, &tuple, governor)? {
         let sub = rec.subgoal(p_pos, &witness);
-        let Some(&sub_rank) = ranks.get(&sub).filter(|&&r| r < rank) else {
+        let Some(sub_rank) = ranked.rank(p, &sub).filter(|&r| r < rank) else {
             continue;
         };
         if best.as_ref().is_none_or(|(r, _, _)| sub_rank < *r) {
@@ -344,7 +350,7 @@ fn reconstruct(
         }
     }
     let (sub_rank, witness, sub) = best.ok_or_else(no_witness)?;
-    let subtree = reconstruct(engine, inverted, ranks, sub, sub_rank, p_pos, governor)?;
+    let subtree = reconstruct(ranked, inverted, sub, sub_rank, p_pos, governor)?;
     Ok(rec.node(0, &tuple, &witness, Some((p_pos, subtree))))
 }
 

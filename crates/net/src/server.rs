@@ -635,6 +635,7 @@ fn evaluate_frame(shared: &Shared, payload: &[u8], received: Instant) -> Evaluat
         max_queue_wait: Some(max_wait),
         retry_after_ms: shared.config.retry_after_ms,
         trace,
+        max_reply_len: Some(shared.config.max_frame_len),
     };
     let service = Arc::clone(&shared.service);
     // Per-request barrier: a panic in parsing/evaluation becomes a typed

@@ -297,17 +297,45 @@ fn forced_drain_cancels_wedged_work_within_the_deadline() {
         drained_at.elapsed()
     );
     // The cancelled evaluation still produced exactly one framed reply
-    // (a sound truncation), not silence. The server does not bound its
-    // outbound frames (ROADMAP item 8), and 150 ms of saturation can select
-    // more than `Client`'s 1 MiB ceiling, so read this one with a larger one.
-    let reply = frame::read_frame(client.stream_mut(), 64 << 20)
+    // (a sound truncation), not silence — and one a default client can read,
+    // however much 150 ms of saturation selected.
+    let reply = client
+        .recv()
         .expect("truncated reply, not a dropped request");
-    let reply = String::from_utf8(reply).expect("utf-8 reply");
     assert!(
         reply.contains("\"ok\":true"),
         "{}",
         &reply[..reply.len().min(200)]
     );
+}
+
+#[test]
+fn an_oversized_answer_set_is_cut_to_the_frame_and_says_so() {
+    // A complete free query over a 600-chain: 179 700 answers, some 2.5 MB
+    // rendered, against the 1 MiB a default client accepts.
+    let (addr, handle, join) = spawn_server(tc_service(600, ServeConfig::default()), fast_config());
+    let mut client = connect(&addr);
+    let reply = client.roundtrip("?- P(x, y).").expect("a readable frame");
+    assert!(reply.len() <= frame::DEFAULT_MAX_FRAME_LEN);
+    assert!(
+        reply.contains("\"complete\":true"),
+        "the evaluation finished"
+    );
+    assert!(reply.contains("\"truncated\":true"), "the reply was cut");
+    assert_eq!(json_u64_field(&reply, "count"), Some(600 * 599 / 2));
+    // What was sent is the head of the sorted answers, whole rows only, and
+    // nearly a frame's worth of them.
+    let sent = reply.matches("],[").count() + 1;
+    assert!(sent < 179_700 && reply.len() > frame::DEFAULT_MAX_FRAME_LEN * 9 / 10);
+    assert!(reply.contains("\"answers\":[[\"1\",\"10\"],[\"1\",\"100\"],"));
+    // A query that fits is left alone, on the same connection.
+    let reply = client.roundtrip("?- P(1, y).").expect("round trip");
+    assert_eq!(json_u64_field(&reply, "count"), Some(599));
+    assert_eq!(reply.matches("],[").count() + 1, 599);
+    assert!(!reply.contains("truncated\":true"), "{reply}");
+    drop(client);
+    handle.drain();
+    join.join().expect("server thread").expect("run ok");
 }
 
 #[test]

@@ -74,6 +74,12 @@ pub struct LineOptions {
     /// (e.g. from a TCP frame's `@trace=` directive). A directive on the
     /// line itself takes precedence; with neither, queries mint a fresh id.
     pub trace: Option<TraceId>,
+    /// The longest reply the transport can carry, in bytes (a framed
+    /// connection's `max_frame_len`). An answer set that would render past
+    /// it is cut to the answers that fit and flagged `"truncated":true` — a
+    /// subset is sound, an unreadable frame loses the connection. `None`
+    /// (stdin) renders every answer.
+    pub max_reply_len: Option<usize>,
 }
 
 /// A typed protocol-level failure, rendered as a one-line JSON error reply.
@@ -254,7 +260,7 @@ fn handle_request(
         Err(ServeError::Overloaded { waited }) => return Err(ProtoError::Overloaded { waited }),
         Err(e) => return Err(e.to_string().into()),
     };
-    Ok(render_reply(text, &reply))
+    Ok(render_reply(text, &reply, opts.max_reply_len))
 }
 
 /// Splits one line into signed ground facts by scanning for `+`/`-` at
@@ -330,13 +336,38 @@ fn parse_ground_fact(text: &str) -> Result<(Symbol, Tuple), String> {
     Ok((atom.predicate, Tuple::from(values.as_slice())))
 }
 
-fn render_reply(query: &str, reply: &Reply) -> Value {
-    let rows: Vec<Value> = reply
-        .answers
-        .iter_sorted()
-        .into_iter()
-        .map(|t| Value::array(t.iter().map(|v| Value::string(v.as_str()))))
-        .collect();
+/// Bytes the fields of an answers reply other than `query` and `answers`
+/// may take: fixed keys, a dozen numbers, short labels.
+const REPLY_ENVELOPE_LEN: usize = 1024;
+
+/// An upper bound on the rendered length of `s` as a JSON string.
+fn json_len(s: &str) -> usize {
+    let escape_len = |b: u8| match b {
+        b'"' | b'\\' => 1,
+        0..=0x1f => 5,
+        _ => 0,
+    };
+    2 + s.len() + s.bytes().map(escape_len).sum::<usize>()
+}
+
+/// Renders an answers reply, the sorted answers cut to those that fit
+/// `max_len` bytes (`count` stays the number found).
+fn render_reply(query: &str, reply: &Reply, max_len: Option<usize>) -> Value {
+    let mut room = max_len.map_or(usize::MAX, |max| {
+        max.saturating_sub(REPLY_ENVELOPE_LEN + json_len(query))
+    });
+    let mut rows: Vec<Value> = Vec::new();
+    for t in reply.answers.iter_sorted() {
+        // The brackets, the values, and a comma after each (the last
+        // value's stands for the one after the row).
+        let len = 2 + t.iter().map(|v| json_len(v.as_str()) + 1).sum::<usize>();
+        if len > room {
+            break;
+        }
+        room -= len;
+        rows.push(Value::array(t.iter().map(|v| Value::string(v.as_str()))));
+    }
+    let cut = rows.len() < reply.answers.len();
     let mut fields = vec![
         ("ok", Value::Bool(true)),
         ("type", Value::string("answers")),
@@ -345,6 +376,9 @@ fn render_reply(query: &str, reply: &Reply) -> Value {
         ("answers", Value::Array(rows)),
         ("stats", reply.stats.to_value()),
     ];
+    if cut {
+        fields.push(("truncated", Value::Bool(true)));
+    }
     if let Some(trace) = reply.trace {
         fields.push(("trace", Value::string(trace.to_string())));
     }

@@ -14,6 +14,7 @@ use recurs_datalog::govern::{EvalBudget, Outcome};
 use recurs_datalog::relation::Relation;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::Atom;
+use recurs_engine::compile::ProbeCounters;
 use recurs_engine::EngineDb;
 use recurs_igraph::component::ComponentKind;
 use recurs_ivm::{
@@ -450,7 +451,7 @@ impl QueryService {
         // evaluation at all — whenever its version matches the snapshot.
         let view_answers = {
             let _view = tr.map(|(ctx, parent)| ctx.span("view", parent));
-            self.view_answers(&snapshot, query)
+            self.view_answers(&snapshot, query, obs)
         };
         let (answers, outcome, kernel, tuples_derived, fixpoint_iterations) = match view_answers {
             Some(answers) => (
@@ -509,14 +510,20 @@ impl QueryService {
     }
 
     /// Select/project over the maintained view's stored relation, when the
-    /// view exists and is exact for the query's snapshot. The query is over
-    /// the served predicate at its arity: it has a plan.
-    fn view_answers(&self, snapshot: &Snapshot, query: &Atom) -> Option<Relation> {
+    /// view exists and is exact for the query's snapshot — through an index
+    /// maintenance already keeps on the view, when the query's constants
+    /// cover one; what it read goes to the engine's probe counters. The query
+    /// is over the served predicate at its arity: it has a plan.
+    fn view_answers(&self, snapshot: &Snapshot, query: &Atom, obs: &Obs) -> Option<Relation> {
         let guard = self.view.read().unwrap_or_else(PoisonError::into_inner);
         let vs = guard
             .as_ref()
             .filter(|vs| vs.version == snapshot.version())?;
-        Some(recurs_engine::select(vs.mat.relation(), query))
+        let mut read = ProbeCounters::default();
+        let answers = recurs_engine::select_counted(vs.mat.relation(), query, &mut read);
+        obs.counter("recurs_engine_probes_total", &[], read.probes);
+        obs.counter("recurs_engine_probe_hits_total", &[], read.hits);
+        Some(answers)
     }
 
     /// Feeds one answered query into the recorder: the per-kernel latency

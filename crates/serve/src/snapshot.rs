@@ -88,7 +88,11 @@ impl SnapshotStore {
     pub fn new(store: EngineDb) -> SnapshotStore {
         let sums: BTreeMap<Symbol, RelationSum> = store
             .iter()
-            .map(|(name, rel)| (name, RelationSum::of(rel.arity(), rel.iter())))
+            .map(|(name, rel)| {
+                let mut sum = RelationSum::new(rel.arity());
+                rel.iter().for_each(|t| sum.add(t));
+                (name, sum)
+            })
             .collect();
         SnapshotStore {
             current: RwLock::new(Arc::new(Snapshot {
@@ -322,7 +326,7 @@ mod tests {
         let v1 = install(&s, &[FactOp::Insert(a(), tuple_u64([3, 4]))]);
         let rel = v1.store().get(a()).unwrap();
         assert_eq!(
-            rel.probe(&[0], &[tuple_u64([3])[0]]).map(<[u32]>::len),
+            rel.probe(&[0], &[tuple_u64([3])[0]]).map(Iterator::count),
             Some(1)
         );
     }

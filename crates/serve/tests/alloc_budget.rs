@@ -85,12 +85,45 @@ fn a_one_answer_view_select_allocates_for_the_answer_not_the_view() {
     let link = ["A", "E"].map(|r| FactOp::Insert(Symbol::intern(r), tuple_u64([200, 201])));
     service.apply_update(&link).unwrap(); // builds the view
     let query = parse_atom("P(200, y)").unwrap();
+    let visited = rows_visited(&service);
     let (reply, bytes) = allocated_by(|| service.query(&query).unwrap());
     assert_eq!(reply.stats.kernel, PointKernelKind::MaterializedView);
     assert_eq!(reply.answers.len(), 1);
     assert!(bytes < 64 * 1024, "a one-answer select allocated {bytes} B");
-    let all = parse_atom("P(x, y)").unwrap();
-    assert_eq!(service.query(&all).unwrap().answers.len(), 20_100);
+    // A view no patch has touched carries no index: the select scans it.
+    assert_eq!(rows_visited(&service) - visited, 20_100);
+    // The first `A` patch (a dangling edge: it derives nothing) has
+    // maintenance index the view on its first column — the recursive rule
+    // joins it there — and from then on a select binding that column probes:
+    // it reads its answers, not the view. A ground query is one lookup; a
+    // query no index covers still reads everything.
+    let dangling = [FactOp::Insert(Symbol::intern("A"), tuple_u64([900, 901]))];
+    service.apply_update(&dangling).unwrap();
+    for (query, answers, reads) in [
+        ("P(199, y)", 2, 2),
+        ("P(150, y)", 51, 51),
+        ("P(150, 170)", 1, 1),
+        ("P(150, 150)", 0, 0),
+        ("P(x, 3)", 2, 20_100),
+        ("P(x, y)", 20_100, 20_100),
+    ] {
+        let visited = rows_visited(&service);
+        let reply = service.query(&parse_atom(query).unwrap()).unwrap();
+        assert_eq!(reply.stats.kernel, PointKernelKind::MaterializedView);
+        assert_eq!(reply.answers.len(), answers, "{query}");
+        assert_eq!(rows_visited(&service) - visited, reads, "{query}");
+    }
+}
+
+/// Stored tuples the service's selects and pipelines have read so far: the
+/// engine's probe-hit counter, off the metrics page.
+fn rows_visited(service: &QueryService) -> usize {
+    let metrics = service.metrics_text();
+    let line = metrics
+        .lines()
+        .find(|line| line.starts_with("recurs_engine_probe_hits_total"))
+        .unwrap_or("recurs_engine_probe_hits_total 0");
+    line.rsplit(' ').next().unwrap().parse().unwrap()
 }
 
 #[test]
