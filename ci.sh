@@ -127,6 +127,25 @@ cargo test -p recurs-serve --features fault-inject --offline -q
 echo "==> perfbench/layers builds against the crate APIs"
 cargo build --release --offline --manifest-path perfbench/layers/Cargo.toml
 
+# Perfbench smoke lane: two seconds of each benchmark workload against the
+# release binary. The driver checks every reply's answer count against the
+# generator's closed form and reads `!stats` to confirm the workload exercised
+# its layer (`patched > 0 && materialized > 0` on serve-update, no hit on
+# serve-cold, >= 99% hits on serve-hot), so a cache or view change that
+# answers wrongly — or stops hitting, patching or evicting — fails here
+# rather than in the benchmark pipeline. No timing is gated. The build tree is
+# shared with the workspace's.
+echo "==> perfbench smoke lane (each workload for 2 s: correct, 0 failed)"
+for workload in saturate-wide serve-hot serve-cold serve-update; do
+  line="$(CARGO_TARGET_DIR="$PWD/target" cargo run --release --offline --quiet \
+    --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+  case "$line" in
+    *'"correct": true'*'"failed": 0'*) ;;
+    *) echo "perfbench $workload: $line" >&2; exit 1 ;;
+  esac
+done
+
 # The recurs-net chaos suite: torn frames, stalled sockets, mid-request
 # disconnects, and worker panics during drain must never leak a panic out of
 # a connection handler, must answer every accepted request exactly once (or

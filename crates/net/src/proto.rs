@@ -97,6 +97,17 @@ pub fn error_reply(kind: &str, msg: &str, retry_after_ms: Option<u64>) -> String
     serde::json::to_string(&Value::object(fields))
 }
 
+/// Renders the reply that stands in for one longer than the connection's
+/// frame ceiling: `{"ok":false,"type":"reply_too_large","len":L,"max":M}`.
+pub fn reply_too_large(len: usize, max: usize) -> String {
+    serde::json::to_string(&Value::object([
+        ("ok", Value::Bool(false)),
+        ("type", Value::string("reply_too_large")),
+        ("len", len.to_value()),
+        ("max", max.to_value()),
+    ]))
+}
+
 /// Renders the `!health` reply.
 pub fn health_reply(draining: bool, active_connections: usize, uptime: Duration) -> String {
     serde::json::to_string(&Value::object([

@@ -562,6 +562,16 @@ fn serve_frame(shared: &Shared, stream: &mut TcpStream, payload: &[u8]) -> Frame
         }
         Evaluated::Quit => (proto::bye_reply(), "ok", Some(CloseReason::Quit)),
     };
+    // Answers are rendered to fit the frame; a `why` tree, `!explain` and
+    // `!metrics` are as long as they are. What a peer with this ceiling
+    // could not read is not sent: it gets the two lengths instead, and the
+    // connection carries on.
+    let max = shared.config.max_frame_len;
+    let (reply, result) = if reply.len() > max {
+        (proto::reply_too_large(reply.len(), max), "oversized")
+    } else {
+        (reply, result)
+    };
     obs.counter("recurs_net_requests_total", &[("result", result)], 1);
     obs.observe(
         "recurs_net_request_seconds",

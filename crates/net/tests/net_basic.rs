@@ -339,6 +339,52 @@ fn an_oversized_answer_set_is_cut_to_the_frame_and_says_so() {
 }
 
 #[test]
+fn a_reply_longer_than_the_frame_is_replaced_by_a_typed_error_and_the_connection_carries_on() {
+    // A 2 KiB ceiling on the connection; the derivation tree of P(1, 60) is
+    // 59 nested levels of JSON, several times that. Nothing bounds a `why`
+    // tree, `!explain` or `!metrics` the way an answers reply is cut.
+    let service = tc_service(60, ServeConfig::default());
+    let config = NetConfig {
+        max_frame_len: 2048,
+        ..fast_config()
+    };
+    let (addr, handle, join) = spawn_server(service.clone(), config);
+    let mut client = connect(&addr); // a default client: 1 MiB frames
+    for line in ["why P(1, 60).", "?- P(1, y).", "!metrics", "why P(59, 60)."] {
+        client.send(line).expect("send");
+    }
+    let reply = client.recv().expect("a frame, not a closed connection");
+    assert!(reply.contains("\"ok\":false"), "{reply}");
+    assert_eq!(json_str_field(&reply, "type"), Some("reply_too_large"));
+    assert_eq!(json_u64_field(&reply, "max"), Some(2048));
+    assert!(
+        json_u64_field(&reply, "len").expect("len") > 2048,
+        "{reply}"
+    );
+    // The pipelined successors are answered, in order: an answers reply
+    // (59 rows fit), the metrics page (which does not), a shallow tree.
+    let reply = client.recv().expect("the query behind it");
+    assert_eq!(json_u64_field(&reply, "count"), Some(59), "{reply}");
+    let reply = client.recv().expect("the metrics page behind that");
+    assert_eq!(json_str_field(&reply, "type"), Some("reply_too_large"));
+    let reply = client.recv().expect("the shallow tree");
+    assert_eq!(json_str_field(&reply, "type"), Some("why"), "{reply}");
+    assert!(reply.len() <= 2048);
+    let metrics = service.metrics_text();
+    assert!(
+        metrics.contains("recurs_net_requests_total{result=\"oversized\"} 2"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("recurs_net_requests_total{result=\"ok\"} 2"),
+        "{metrics}"
+    );
+    drop(client);
+    handle.drain();
+    join.join().expect("server thread").expect("run ok");
+}
+
+#[test]
 fn draining_server_stops_accepting_new_connections() {
     let (addr, handle, join) = spawn_server(tc_service(4, ServeConfig::default()), fast_config());
     handle.drain();

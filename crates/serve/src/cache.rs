@@ -1,15 +1,18 @@
 //! Sharded LRU cache of completed query answers.
 //!
-//! Entries are keyed by `(program fingerprint, snapshot version, canonical
-//! adorned query)` — see [`canonical_query_key`] — so a cache hit is only
-//! possible for the *same* program, the *same* database version, and a query
-//! that is literally the same selection pattern up to variable renaming.
-//! A version bump no longer has to cost the whole cache: when incremental
-//! maintenance produces the exact change to the recursive predicate,
-//! [`SaturationCache::advance`] *patches* each warm entry's answers through
-//! its stored [`QueryPattern`] and rekeys it to the new version. Only when
-//! no patch is available (cold fallback, generic edits) does
-//! [`SaturationCache::retain_version`] fall back to dropping dead versions.
+//! An entry is keyed by its [`QueryPattern`] — the adorned query with its
+//! constants filled in, which is the query itself up to variable renaming —
+//! and every shard carries the one [`Version`] its entries are exact at.
+//! [`SaturationCache::get`] hits only when the caller's snapshot version is
+//! the shard's, and [`SaturationCache::insert`] is dropped when the shard
+//! has moved on: a reader holding an older snapshot, or one that raced a
+//! writer, misses and its late answer is discarded. That is the whole
+//! no-stale-reply invariant. A version bump does not cost the cache: when
+//! incremental maintenance produces the exact change to the recursive
+//! predicate, [`SaturationCache::advance`] sends each changed tuple to the
+//! entries it can reach — one per pattern shape present — patches them in
+//! place and restamps the shard. Only when no patch exists (cold fallback,
+//! a freshly built view) does [`SaturationCache::retain_version`] clear it.
 //!
 //! Only [`Outcome::Complete`](recurs_datalog::govern::Outcome) answers are
 //! admitted by the service: a truncated answer is a budget-dependent
@@ -17,28 +20,16 @@
 //! generous budget.
 
 use crate::version::Version;
-use recurs_datalog::fingerprint::{self, Fingerprint};
 use recurs_datalog::relation::{Relation, Tuple};
 use recurs_datalog::term::{Atom, Term, Value};
 use recurs_ivm::IdbPatch;
 use recurs_obs::Obs;
-use std::collections::{BTreeMap, HashMap};
-use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, PoisonError};
-
-/// Cache key: program identity, snapshot version, canonical query.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    /// Fingerprint of the served program.
-    pub program: Fingerprint,
-    /// Snapshot version the answer was computed against.
-    pub version: Version,
-    /// Canonical rendering of the query atom (see [`canonical_query_key`]).
-    pub query: String,
-}
+use std::collections::{HashMap, HashSet};
+use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// One column of a point query's selection pattern.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum PatternCol {
     /// Must equal this constant.
     Const(Value),
@@ -47,100 +38,80 @@ enum PatternCol {
     Var(usize),
 }
 
-/// The select/project a point query applies to the recursive predicate —
-/// enough to translate a change of a base tuple into a change of the cached
-/// answer relation. Answers are the query's distinct variables in
+/// The select/project a point query applies to the recursive predicate, and
+/// the cache's key: constants verbatim, variables numbered by first
+/// occurrence, so `P(c, X)` and `P(c, Y)` are one pattern while `P(x, x)` and
+/// `P(x, y)` are two. Answers are the query's distinct variables in
 /// first-occurrence order, so a matching base tuple maps to *exactly one*
 /// answer row and, conversely, each answer row pins every column (constants
 /// from the pattern, the rest from the row): the mapping is one-to-one and
 /// deletions are as precise as insertions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryPattern {
-    cols: Vec<PatternCol>,
-    vars: usize,
-}
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct QueryPattern(Vec<PatternCol>);
+
+/// A pattern with its constants blanked: `None` at a bound position, the
+/// variable's index at a free one. A tuple matches at most one pattern of a
+/// shape — the one carrying the tuple's own values at the bound positions.
+type Shape = Box<[Option<usize>]>;
 
 impl QueryPattern {
     /// Extracts the pattern from a query atom.
     pub fn of(query: &Atom) -> QueryPattern {
-        let mut seen: Vec<recurs_datalog::symbol::Symbol> = Vec::new();
-        let cols = query
-            .terms
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => PatternCol::Const(*c),
-                Term::Var(v) => match seen.iter().position(|s| s == v) {
-                    Some(i) => PatternCol::Var(i),
-                    None => {
-                        seen.push(*v);
-                        PatternCol::Var(seen.len() - 1)
-                    }
-                },
-            })
-            .collect();
-        QueryPattern {
-            cols,
-            vars: seen.len(),
+        let mut cols = Vec::with_capacity(query.terms.len());
+        let mut vars = 0;
+        for (i, t) in query.terms.iter().enumerate() {
+            let first = query.terms[..i].iter().position(|u| u == t);
+            cols.push(match (t, first) {
+                (Term::Const(c), _) => PatternCol::Const(*c),
+                (Term::Var(_), Some(first)) => cols[first],
+                (Term::Var(_), None) => {
+                    vars += 1;
+                    PatternCol::Var(vars - 1)
+                }
+            });
         }
+        QueryPattern(cols)
     }
 
     /// Projects a base tuple to its answer row, or `None` when the tuple
-    /// does not match the pattern's constants / repeated variables.
+    /// does not match the pattern's constants / repeated variables. The
+    /// constants are checked before a row is built.
     pub fn project(&self, t: &[Value]) -> Option<Tuple> {
-        if t.len() != self.cols.len() {
+        let cols = || self.0.iter().zip(t);
+        if t.len() != self.0.len()
+            || cols().any(|(col, v)| matches!(col, PatternCol::Const(c) if c != v))
+        {
             return None;
         }
-        let mut row: Vec<Option<Value>> = vec![None; self.vars];
-        for (col, v) in self.cols.iter().zip(t) {
-            match col {
-                PatternCol::Const(c) => {
-                    if c != v {
-                        return None;
-                    }
+        let mut row = Vec::with_capacity(t.len());
+        for (col, v) in cols() {
+            if let PatternCol::Var(i) = col {
+                match row.get(*i) {
+                    None => row.push(*v),
+                    Some(first) if first != v => return None,
+                    Some(_) => {}
                 }
-                PatternCol::Var(i) => match row[*i] {
-                    None => row[*i] = Some(*v),
-                    Some(prev) => {
-                        if prev != *v {
-                            return None;
-                        }
-                    }
-                },
             }
         }
-        row.into_iter().collect()
+        Some(row.into())
     }
-}
 
-/// Renders a query atom canonically: constants verbatim, variables numbered
-/// by first occurrence. `P(c, X)` and `P(c, Y)` share a key; `P(x, x)` and
-/// `P(x, y)` do not.
-pub fn canonical_query_key(query: &Atom) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{}(", query.predicate);
-    let mut seen: Vec<_> = Vec::new();
-    for (i, t) in query.terms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match t {
-            Term::Const(c) => {
-                let _ = write!(out, "'{c}'");
-            }
-            Term::Var(v) => {
-                let n = match seen.iter().position(|s| s == v) {
-                    Some(n) => n,
-                    None => {
-                        seen.push(*v);
-                        seen.len() - 1
-                    }
-                };
-                let _ = write!(out, "${n}");
-            }
-        }
+    fn shape(&self) -> Shape {
+        let var = |col: &PatternCol| match col {
+            PatternCol::Const(_) => None,
+            PatternCol::Var(i) => Some(*i),
+        };
+        self.0.iter().map(var).collect()
     }
-    out.push(')');
-    out
+
+    /// The one pattern of `shape` that `t` can match.
+    fn reaching(shape: &Shape, t: &[Value]) -> QueryPattern {
+        let fill = |(var, v): (&Option<usize>, &Value)| match var {
+            None => PatternCol::Const(*v),
+            Some(i) => PatternCol::Var(*i),
+        };
+        QueryPattern(shape.iter().zip(t).map(fill).collect())
+    }
 }
 
 /// The cache's monotone operation counts, as `QueryService::stats` reads
@@ -148,17 +119,19 @@ pub fn canonical_query_key(query: &Atom) -> String {
 /// the counter [`SaturationCache`] records every operation into.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
-    /// Lookups that found a live entry.
+    /// Lookups that found an entry in a shard stamped with their version.
     pub hits: u64,
-    /// Lookups that found nothing.
+    /// Lookups that found nothing, or a shard at another version.
     pub misses: u64,
-    /// Completed answers admitted.
+    /// Completed answers offered (a late one is also an invalidation).
     pub insertions: u64,
     /// Entries discarded to stay within capacity (LRU order).
     pub evictions: u64,
-    /// Entries discarded because their snapshot version died.
+    /// Entries dropped with their shard because a version landed without a
+    /// patch, plus answers that arrived for a version their shard had left.
     pub invalidations: u64,
-    /// Entries carried across a version bump by patching their answers.
+    /// Entries whose answers a patch tuple changed as their shard moved to
+    /// the next version; the entries merely carried are not counted.
     pub patched: u64,
 }
 
@@ -177,110 +150,130 @@ impl serde::Serialize for CacheCounters {
 
 #[derive(Debug)]
 struct Entry {
-    tick: u64,
+    key: QueryPattern,
     answers: Arc<Relation>,
-    pattern: QueryPattern,
+    /// Neighbours in the shard's recency ring: the newest entry's `newer` is
+    /// the oldest entry, whose `older` is the newest.
+    newer: usize,
+    older: usize,
 }
 
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<CacheKey, Entry>,
-    /// Recency tick → key, the LRU order index.
-    order: BTreeMap<u64, CacheKey>,
-    tick: u64,
+    /// The one snapshot version every entry is exact at.
+    version: Version,
+    /// Pattern → position in `entries`. Entries leave by eviction (the
+    /// arriving entry takes the position) or all at once: there are no holes.
+    slots: HashMap<QueryPattern, usize>,
+    entries: Vec<Entry>,
+    newest: usize,
+    /// Entries per shape: the lookups one patch tuple is worth.
+    shapes: HashMap<Shape, usize>,
 }
 
 impl Shard {
-    fn touch(&mut self, key: &CacheKey) -> Option<Arc<Relation>> {
-        let entry = self.map.get(key)?;
-        let (old_tick, value) = (entry.tick, entry.answers.clone());
-        self.order.remove(&old_tick);
-        self.tick += 1;
-        let tick = self.tick;
-        self.order.insert(tick, key.clone());
-        if let Some(entry) = self.map.get_mut(key) {
-            entry.tick = tick;
+    /// Makes entry `i` the most recently used by moving its links: a hit
+    /// clones no key and allocates nothing.
+    fn touch(&mut self, i: usize) {
+        if self.newest != i {
+            let (newer, older) = (self.entries[i].newer, self.entries[i].older);
+            (self.entries[newer].older, self.entries[older].newer) = (older, newer);
+            self.link_newest(i);
         }
-        Some(value)
     }
 
+    fn link_newest(&mut self, i: usize) {
+        let was = std::mem::replace(&mut self.newest, i);
+        let oldest = self.entries[was].newer;
+        (self.entries[i].newer, self.entries[i].older) = (oldest, was);
+        (self.entries[was].newer, self.entries[oldest].older) = (i, i);
+    }
+
+    fn get(&mut self, key: &QueryPattern, version: Version) -> Option<Arc<Relation>> {
+        if self.version != version {
+            return None;
+        }
+        let i = *self.slots.get(key)?;
+        self.touch(i);
+        Some(self.entries[i].answers.clone())
+    }
+
+    /// Returns whether an entry was evicted to make room, or `None` when the
+    /// answer was discarded: the shard is not (or no longer) at `version`.
     fn insert(
         &mut self,
-        key: CacheKey,
+        key: QueryPattern,
+        version: Version,
         answers: Arc<Relation>,
-        pattern: QueryPattern,
         capacity: usize,
-    ) -> u64 {
-        if let Some(old) = self.map.remove(&key) {
-            self.order.remove(&old.tick);
+    ) -> Option<bool> {
+        if self.version != version {
+            return None;
         }
-        self.tick += 1;
-        self.order.insert(self.tick, key.clone());
-        self.map.insert(
-            key,
-            Entry {
-                tick: self.tick,
+        if let Some(&i) = self.slots.get(&key) {
+            self.entries[i].answers = answers;
+            self.touch(i);
+            return Some(false);
+        }
+        *self.shapes.entry(key.shape()).or_insert(0) += 1;
+        let mut i = self.entries.len();
+        let full = i >= capacity;
+        if full {
+            // The least recently used entry goes; the new one takes its place.
+            i = self.entries[self.newest].newer;
+            let evicted = std::mem::replace(&mut self.entries[i].key, key.clone());
+            self.entries[i].answers = answers;
+            self.slots.remove(&evicted);
+            if let Some(count) = self.shapes.get_mut(&evicted.shape()) {
+                *count -= 1;
+            }
+            self.shapes.retain(|_, count| *count > 0);
+        } else {
+            // Linked to itself: a ring of one until `touch` splices it in.
+            self.entries.push(Entry {
+                key: key.clone(),
                 answers,
-                pattern,
-            },
-        );
-        let mut evicted = 0;
-        while self.map.len() > capacity {
-            // BTreeMap iterates ticks in ascending order: pop the oldest.
-            let Some((&oldest, _)) = self.order.iter().next() else {
-                break;
-            };
-            if let Some(key) = self.order.remove(&oldest) {
-                self.map.remove(&key);
-                evicted += 1;
-            }
+                newer: i,
+                older: i,
+            });
         }
-        evicted
+        self.touch(i);
+        self.slots.insert(key, i);
+        Some(full)
     }
 
-    fn retain_version(&mut self, version: Version) -> u64 {
-        let before = self.map.len();
-        self.map.retain(|k, _| k.version == version);
-        self.order.retain(|_, k| k.version == version);
-        (before - self.map.len()) as u64
+    fn clear(&mut self) -> u64 {
+        let dropped = self.entries.len() as u64;
+        *self = Shard {
+            version: self.version,
+            ..Shard::default()
+        };
+        dropped
     }
 
-    /// Rekeys every `from`-version entry to `to`, patching its answers
-    /// through its stored pattern. Returns the number of entries carried.
-    /// Entries at other versions are untouched (they can no longer hit and
-    /// age out by recency). Because the shard index ignores the version,
-    /// rekeying never moves an entry across shards.
-    fn advance(&mut self, from: Version, to: Version, patch: &IdbPatch) -> u64 {
-        let keys: Vec<CacheKey> = self
-            .map
-            .keys()
-            .filter(|k| k.version == from)
-            .cloned()
-            .collect();
-        for key in &keys {
-            let Some(mut entry) = self.map.remove(key) else {
-                continue;
+    /// Rewrites in place the answers of every entry a patch tuple reaches —
+    /// per tuple, one lookup per shape present, never a walk over entries —
+    /// deletions before insertions. An answer set is copied only if a reply
+    /// still holds it. Returns how many entries changed.
+    fn patch(&mut self, patch: &IdbPatch) -> u64 {
+        let mut changed = HashSet::new();
+        for shape in self.shapes.keys() {
+            let reach = |t: &Tuple| {
+                let key = QueryPattern::reaching(shape, t);
+                Some((*self.slots.get(&key)?, key.project(t)?))
             };
-            if !patch.is_empty() {
-                let mut answers = (*entry.answers).clone();
-                for t in patch.deleted.iter() {
-                    if let Some(row) = entry.pattern.project(t) {
-                        answers.remove(&row);
-                    }
+            for (i, row) in patch.deleted.iter().filter_map(reach) {
+                if Arc::make_mut(&mut self.entries[i].answers).remove(&row) {
+                    changed.insert(i);
                 }
-                for t in patch.inserted.iter() {
-                    if let Some(row) = entry.pattern.project(t) {
-                        answers.insert(row);
-                    }
-                }
-                entry.answers = Arc::new(answers);
             }
-            let mut key = key.clone();
-            key.version = to;
-            self.order.insert(entry.tick, key.clone());
-            self.map.insert(key, entry);
+            for (i, row) in patch.inserted.iter().filter_map(reach) {
+                if Arc::make_mut(&mut self.entries[i].answers).insert(row) {
+                    changed.insert(i);
+                }
+            }
         }
-        keys.len() as u64
+        changed.len() as u64
     }
 }
 
@@ -298,26 +291,28 @@ pub struct SaturationCache {
 impl SaturationCache {
     /// Builds a cache with `capacity` total entries spread over `shards`
     /// mutex-protected shards (both floored at 1; per-shard capacity is
-    /// rounded up so total capacity is at least `capacity`). Every cache
-    /// operation is counted into `recurs_serve_cache_ops_total{op, shard}`
-    /// on `obs` — the only place hit / miss / insert / evict / invalidate /
-    /// patch counts are kept.
+    /// rounded up so total capacity is at least `capacity`), every shard
+    /// stamped [`Version::ZERO`]. Every cache operation is counted into
+    /// `recurs_serve_cache_ops_total{op, shard}` on `obs` — the only place
+    /// hit / miss / insert / evict / invalidate / patch counts are kept.
     pub fn new(capacity: usize, shards: usize, obs: Obs) -> SaturationCache {
         let shards = shards.max(1);
         SaturationCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..shards).map(|_| Mutex::default()).collect(),
             capacity_per_shard: capacity.max(1).div_ceil(shards),
             obs,
             shard_labels: (0..shards).map(|i| i.to_string()).collect(),
         }
     }
 
-    /// Deliberately version-independent: an entry carried across a version
-    /// bump by [`SaturationCache::advance`] must stay in its shard, so
-    /// rekeying can happen under one shard lock.
-    fn shard_index(&self, key: &CacheKey) -> usize {
-        let h = fingerprint::of_str(&key.query).0 ^ key.program.0;
-        (h % self.shards.len() as u64) as usize
+    fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+        shard.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn shard_of(&self, key: &QueryPattern) -> usize {
+        let mut hasher = DefaultHasher::new();
+        key.hash(&mut hasher);
+        (hasher.finish() % self.shards.len() as u64) as usize
     }
 
     fn record_op(&self, op: &'static str, shard: usize, delta: u64) {
@@ -330,62 +325,63 @@ impl SaturationCache {
         }
     }
 
-    /// Looks up a completed answer, refreshing its recency on a hit.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<Relation>> {
-        let idx = self.shard_index(key);
-        let hit = {
-            let mut shard = self.shards[idx]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            shard.touch(key)
-        };
+    /// Looks up a completed answer exact at `version`, refreshing its
+    /// recency on a hit. A shard stamped with another version misses.
+    pub fn get(&self, key: &QueryPattern, version: Version) -> Option<Arc<Relation>> {
+        let idx = self.shard_of(key);
+        let hit = Self::lock(&self.shards[idx]).get(key, version);
         self.record_op(if hit.is_some() { "hit" } else { "miss" }, idx, 1);
         hit
     }
 
-    /// Admits a completed answer (with the query's selection pattern, for
-    /// later patching), evicting least-recently-used entries of the same
-    /// shard if over capacity.
-    pub fn insert(&self, key: CacheKey, value: Arc<Relation>, pattern: QueryPattern) {
-        let idx = self.shard_index(&key);
-        let evicted = {
-            let mut shard = self.shards[idx]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            shard.insert(key, value, pattern, self.capacity_per_shard)
-        };
+    /// Admits a completed answer computed against `version`, evicting the
+    /// least recently used entry of the same shard if over capacity. An
+    /// answer for any version but the shard's is discarded, and counted as
+    /// an insert that was invalidated.
+    pub fn insert(&self, key: QueryPattern, version: Version, answers: Arc<Relation>) {
+        let idx = self.shard_of(&key);
+        let evicted =
+            Self::lock(&self.shards[idx]).insert(key, version, answers, self.capacity_per_shard);
         self.record_op("insert", idx, 1);
-        self.record_op("evict", idx, evicted);
-    }
-
-    /// Drops every entry whose snapshot version is not `version`. Called by
-    /// the service when a snapshot lands without an exact IDB patch (cold
-    /// fallback or a generic edit): old-version keys can never be looked up
-    /// again.
-    pub fn retain_version(&self, version: Version) {
-        for (idx, shard) in self.shards.iter().enumerate() {
-            let dropped = shard
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .retain_version(version);
-            self.record_op("invalidate", idx, dropped);
+        match evicted {
+            Some(evicted) => self.record_op("evict", idx, evicted.into()),
+            None => self.record_op("invalidate", idx, 1),
         }
     }
 
-    /// Carries every `from`-version entry to version `to` by patching its
-    /// answers with the exact change to the recursive predicate — the
-    /// incremental-maintenance counterpart of [`retain_version`]
-    /// (`retain_version`: a version bump costs the warm cache;
-    /// `advance`: it costs one select/project per changed tuple per entry).
+    /// Clears every shard still behind `version` and stamps it `version`.
+    /// Called by the service when a snapshot lands without an exact IDB
+    /// patch (cold fallback, a freshly built view): nothing cached can be
+    /// carried to it.
+    pub fn retain_version(&self, version: Version) {
+        self.step(version, None);
+    }
+
+    /// Carries every shard stamped `from` to version `to` by applying the
+    /// exact change to the recursive predicate to the entries it reaches —
+    /// the incremental-maintenance counterpart of [`retain_version`]:
+    /// O(shards + |patch| × shapes), whatever the number of entries. A
+    /// shard at neither `from` nor at or past `to` (the caller skipped a
+    /// version) is cleared; one at or past `to` is left alone, so stamps
+    /// never move back.
     ///
     /// [`retain_version`]: SaturationCache::retain_version
     pub fn advance(&self, from: Version, to: Version, patch: &IdbPatch) {
+        self.step(to, Some((from, patch)));
+    }
+
+    fn step(&self, to: Version, carried: Option<(Version, &IdbPatch)>) {
         for (idx, shard) in self.shards.iter().enumerate() {
-            let carried = shard
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .advance(from, to, patch);
-            self.record_op("patch", idx, carried);
+            let mut shard = Self::lock(shard);
+            let (patched, dropped) = match carried {
+                Some((from, patch)) if shard.version == from => (shard.patch(patch), 0),
+                _ if shard.version < to => (0, shard.clear()),
+                _ => continue,
+            };
+            shard.version = to;
+            drop(shard);
+            self.record_op("patch", idx, patched);
+            self.record_op("invalidate", idx, dropped);
         }
     }
 
@@ -393,7 +389,7 @@ impl SaturationCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).map.len())
+            .map(|shard| Self::lock(shard).entries.len())
             .sum()
     }
 
@@ -407,17 +403,14 @@ impl SaturationCache {
 mod tests {
     use super::*;
     use recurs_datalog::parser::parse_atom;
-
-    fn key(version: u64, query: &str) -> CacheKey {
-        CacheKey {
-            program: Fingerprint(7),
-            version: Version::from(version),
-            query: canonical_query_key(&parse_atom(query).unwrap()),
-        }
-    }
+    use recurs_datalog::relation::tuple_u64;
 
     fn pat(query: &str) -> QueryPattern {
         QueryPattern::of(&parse_atom(query).unwrap())
+    }
+
+    fn v(n: u64) -> Version {
+        Version::from(n)
     }
 
     fn rel(n: u64) -> Arc<Relation> {
@@ -436,72 +429,96 @@ mod tests {
 
     #[test]
     fn canonical_key_normalizes_variable_names() {
-        let a = parse_atom("P(1, x)").unwrap();
-        let b = parse_atom("P(1, y)").unwrap();
-        assert_eq!(canonical_query_key(&a), canonical_query_key(&b));
-        assert_eq!(canonical_query_key(&a), "P('1',$0)");
+        assert_eq!(pat("P(1, x)"), pat("P(1, y)"));
+        assert_ne!(pat("P(1, x)"), pat("P(2, x)"));
+        assert_ne!(pat("P(1, x)"), pat("P(x, 1)"));
     }
 
     #[test]
     fn canonical_key_distinguishes_repeated_variables() {
-        let xy = parse_atom("P(x, y)").unwrap();
-        let xx = parse_atom("P(x, x)").unwrap();
-        assert_ne!(canonical_query_key(&xy), canonical_query_key(&xx));
-        assert_eq!(canonical_query_key(&xx), "P($0,$0)");
+        assert_ne!(pat("P(x, y)"), pat("P(x, x)"));
+        assert_eq!(pat("P(x, x)"), pat("P(z, z)"));
+        assert_eq!(pat("P(x, y)").shape(), pat("P(u, v)").shape());
+        assert_ne!(pat("P(x, y)").shape(), pat("P(x, x)").shape());
+        assert_eq!(pat("P(1, x)").shape(), pat("P(2, y)").shape());
     }
 
     #[test]
     fn hit_after_insert_miss_before() {
         let (cache, ops) = counted(8, 2);
-        let k = key(0, "P(1, x)");
-        assert!(cache.get(&k).is_none());
-        cache.insert(k.clone(), rel(1), pat("P(1, x)"));
-        assert_eq!(cache.get(&k).unwrap().len(), 1);
+        let k = pat("P(1, x)");
+        assert!(cache.get(&k, v(0)).is_none());
+        cache.insert(k.clone(), v(0), rel(1));
+        assert_eq!(cache.get(&k, v(0)).unwrap().len(), 1);
         assert_eq!((ops("hit"), ops("miss"), ops("insert")), (1, 1, 1));
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
         let (cache, ops) = counted(2, 1);
-        let (k1, k2, k3) = (key(0, "P(1, x)"), key(0, "P(2, x)"), key(0, "P(3, x)"));
-        cache.insert(k1.clone(), rel(1), pat("P(1, x)"));
-        cache.insert(k2.clone(), rel(2), pat("P(2, x)"));
+        let (k1, k2, k3) = (pat("P(1, x)"), pat("P(2, x)"), pat("P(x, 3)"));
+        cache.insert(k1.clone(), v(0), rel(1));
+        cache.insert(k2.clone(), v(0), rel(2));
         // Touch k1 so k2 is the LRU entry when k3 arrives.
-        assert!(cache.get(&k1).is_some());
-        cache.insert(k3.clone(), rel(3), pat("P(3, x)"));
-        assert!(cache.get(&k1).is_some());
-        assert!(cache.get(&k2).is_none());
-        assert!(cache.get(&k3).is_some());
+        assert!(cache.get(&k1, v(0)).is_some());
+        cache.insert(k3.clone(), v(0), rel(3));
+        assert!(cache.get(&k1, v(0)).is_some());
+        assert!(cache.get(&k2, v(0)).is_none());
+        assert!(cache.get(&k3, v(0)).is_some());
         assert_eq!(ops("evict"), 1);
         assert_eq!(cache.len(), 2);
+        // Recency survives any order of touches, and the per-shape counts
+        // follow the evictions: the shard ends with the entries it reports.
+        for round in 4..40u64 {
+            let fresh = pat(&format!("P({round}, x)"));
+            let kept = if round % 3 == 0 { &k1 } else { &k3 };
+            let kept_hits = cache.get(kept, v(0)).is_some();
+            cache.insert(fresh.clone(), v(0), rel(round));
+            assert_eq!(cache.get(kept, v(0)).is_some(), kept_hits, "round {round}");
+            assert!(cache.get(&fresh, v(0)).is_some());
+            assert_eq!(cache.len(), 2);
+        }
+        let shard = SaturationCache::lock(&cache.shards[0]);
+        assert_eq!(shard.shapes.values().sum::<usize>(), 2);
+        assert_eq!(shard.slots.len(), 2);
     }
 
     #[test]
     fn version_change_invalidates_precisely() {
         let (cache, ops) = counted(16, 4);
-        cache.insert(key(0, "P(1, x)"), rel(1), pat("P(1, x)"));
-        cache.insert(key(0, "P(2, x)"), rel(2), pat("P(2, x)"));
-        cache.insert(key(1, "P(1, x)"), rel(3), pat("P(1, x)"));
-        cache.retain_version(Version::from(1));
+        cache.insert(pat("P(1, x)"), v(0), rel(1));
+        cache.insert(pat("P(2, x)"), v(0), rel(2));
+        // An answer for a version no shard is at is never admitted.
+        cache.insert(pat("P(1, x)"), v(1), rel(3));
+        assert_eq!((cache.len(), ops("insert"), ops("invalidate")), (2, 3, 1));
+        cache.retain_version(v(1));
+        assert_eq!((cache.len(), ops("invalidate")), (0, 3));
+        assert!(cache.get(&pat("P(1, x)"), v(0)).is_none());
+        assert!(cache.get(&pat("P(1, x)"), v(1)).is_none());
+        cache.insert(pat("P(1, x)"), v(1), rel(3));
+        cache.insert(pat("P(2, x)"), v(0), rel(2)); // a reader still at 0: dropped
         assert_eq!(cache.len(), 1);
-        assert!(cache.get(&key(0, "P(1, x)")).is_none());
-        assert!(cache.get(&key(1, "P(1, x)")).is_some());
-        assert_eq!(ops("invalidate"), 2);
+        assert!(cache.get(&pat("P(1, x)"), v(0)).is_none());
+        assert!(cache.get(&pat("P(1, x)"), v(1)).is_some());
+        assert!(cache.get(&pat("P(2, x)"), v(1)).is_none());
+        // Restamping at the version the cache is already at drops nothing.
+        cache.retain_version(v(1));
+        assert_eq!((cache.len(), ops("invalidate")), (1, 4));
     }
 
     #[test]
     fn reinsert_same_key_does_not_grow() {
         let (cache, ops) = counted(4, 1);
-        let k = key(0, "P(1, x)");
-        cache.insert(k.clone(), rel(1), pat("P(1, x)"));
-        cache.insert(k.clone(), rel(2), pat("P(1, x)"));
+        let k = pat("P(1, x)");
+        cache.insert(k.clone(), v(0), rel(1));
+        cache.insert(k.clone(), v(0), rel(2));
         assert_eq!(cache.len(), 1);
         assert_eq!(ops("evict"), 0);
+        assert_eq!(*cache.get(&k, v(0)).unwrap(), *rel(2));
     }
 
     #[test]
     fn pattern_projects_matching_tuples_one_to_one() {
-        use recurs_datalog::relation::tuple_u64;
         let p = pat("P(1, x)");
         assert_eq!(p.project(&tuple_u64([1, 5])), Some(tuple_u64([5])));
         assert_eq!(p.project(&tuple_u64([2, 5])), None);
@@ -511,50 +528,118 @@ mod tests {
         let p = pat("P(x, y)");
         assert_eq!(p.project(&tuple_u64([4, 5])), Some(tuple_u64([4, 5])));
         assert_eq!(p.project(&tuple_u64([4])), None, "arity mismatch");
+        // A tuple reaches, per shape, the pattern with its own constants.
+        for query in ["P(4, x)", "P(x, 5)", "P(4, 5)", "P(x, y)", "P(x, x)"] {
+            let reached = QueryPattern::reaching(&pat(query).shape(), &tuple_u64([4, 5]));
+            assert_eq!(reached, pat(query), "{query}");
+        }
     }
 
     #[test]
     fn advance_patches_warm_entries_to_the_next_version() {
-        use recurs_datalog::relation::tuple_u64;
         let (cache, ops) = counted(16, 4);
-        // Answers of P(1, x) over {P(1,2), P(1,3)}, and of P(x, y).
-        cache.insert(
-            key(0, "P(1, x)"),
-            Arc::new(Relation::from_tuples(1, [tuple_u64([2]), tuple_u64([3])])),
-            pat("P(1, x)"),
-        );
-        cache.insert(
-            key(0, "P(x, y)"),
-            Arc::new(Relation::from_pairs([(1, 2), (1, 3)])),
-            pat("P(x, y)"),
-        );
+        // Answers of P(1, x) over {P(1,2), P(1,3)}, of P(x, y), and of two
+        // queries the patch does not reach.
+        let bound = Relation::from_tuples(1, [tuple_u64([2]), tuple_u64([3])]);
+        cache.insert(pat("P(1, x)"), v(0), Arc::new(bound));
+        let free = Relation::from_pairs([(1, 2), (1, 3)]);
+        cache.insert(pat("P(x, y)"), v(0), Arc::new(free));
+        cache.insert(pat("P(7, x)"), v(0), rel(7));
+        cache.insert(pat("P(x, x)"), v(0), Arc::new(Relation::new(1)));
         // The recursion gained P(1,4) and P(9,9), and lost P(1,2).
         let mut patch = IdbPatch::empty(2);
         patch.inserted.insert(tuple_u64([1, 4]));
         patch.inserted.insert(tuple_u64([9, 9]));
         patch.deleted.insert(tuple_u64([1, 2]));
-        cache.advance(Version::ZERO, Version::from(1), &patch);
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get(&key(0, "P(1, x)")).is_none(), "old keys are dead");
-        let bound = cache.get(&key(1, "P(1, x)")).unwrap();
+        cache.advance(Version::ZERO, v(1), &patch);
+        assert_eq!(cache.len(), 4);
+        assert!(cache.get(&pat("P(1, x)"), v(0)).is_none(), "0 is dead");
+        let bound = cache.get(&pat("P(1, x)"), v(1)).unwrap();
         assert_eq!(
             *bound,
             Relation::from_tuples(1, [tuple_u64([3]), tuple_u64([4])]),
             "constant-bound entry sees only its matching changes"
         );
-        let free = cache.get(&key(1, "P(x, y)")).unwrap();
+        let free = cache.get(&pat("P(x, y)"), v(1)).unwrap();
         assert_eq!(*free, Relation::from_pairs([(1, 3), (1, 4), (9, 9)]));
-        assert_eq!(ops("patch"), 2);
+        let diagonal = cache.get(&pat("P(x, x)"), v(1)).unwrap();
+        assert_eq!(*diagonal, Relation::from_tuples(1, [tuple_u64([9])]));
+        assert_eq!(*cache.get(&pat("P(7, x)"), v(1)).unwrap(), *rel(7));
+        assert_eq!(ops("patch"), 3, "the entries whose answers changed");
         assert_eq!(ops("invalidate"), 0);
     }
 
     #[test]
-    fn advance_with_empty_patch_rekeys_without_copying() {
+    fn an_empty_or_unrelated_patch_leaves_every_arc_pointer_equal() {
         let cache = SaturationCache::new(16, 4, Obs::noop());
-        let answers = rel(1);
-        cache.insert(key(0, "P(1, x)"), answers.clone(), pat("P(1, x)"));
-        cache.advance(Version::ZERO, Version::from(1), &IdbPatch::empty(2));
-        let carried = cache.get(&key(1, "P(1, x)")).unwrap();
-        assert!(Arc::ptr_eq(&carried, &answers), "no clone on empty patch");
+        let queries = ["P(1, x)", "P(x, 1)", "P(1, 1)", "P(x, x)"];
+        let held: Vec<_> = queries.iter().map(|_| rel(1)).collect();
+        for (query, answers) in queries.iter().zip(&held) {
+            cache.insert(pat(query), v(0), answers.clone());
+        }
+        cache.advance(v(0), v(1), &IdbPatch::empty(2));
+        let mut unrelated = IdbPatch::empty(2);
+        unrelated.inserted.insert(tuple_u64([2, 3]));
+        unrelated.deleted.insert(tuple_u64([3, 2]));
+        cache.advance(v(1), v(2), &unrelated);
+        for (query, answers) in queries.iter().zip(&held) {
+            let carried = cache.get(&pat(query), v(2)).unwrap();
+            assert!(Arc::ptr_eq(&carried, answers), "{query} was copied");
+        }
+    }
+
+    #[test]
+    fn a_patched_entry_is_copied_only_while_a_reply_holds_it() {
+        let unary = |ns: &[u64]| Relation::from_tuples(1, ns.iter().map(|n| tuple_u64([*n])));
+        let cache = SaturationCache::new(4, 1, Obs::noop());
+        cache.insert(pat("P(1, x)"), v(0), Arc::new(unary(&[2])));
+        let reply = cache.get(&pat("P(1, x)"), v(0)).unwrap();
+        let mut patch = IdbPatch::empty(2);
+        patch.inserted.insert(tuple_u64([1, 4]));
+        cache.advance(v(0), v(1), &patch);
+        assert_eq!(*reply, unary(&[2]), "a reply in flight keeps its answers");
+        let patched = cache.get(&pat("P(1, x)"), v(1)).unwrap();
+        assert_eq!(*patched, unary(&[2, 4]));
+        drop((reply, patched));
+        let before = Arc::as_ptr(&cache.get(&pat("P(1, x)"), v(1)).unwrap());
+        let mut patch = IdbPatch::empty(2);
+        patch.deleted.insert(tuple_u64([1, 4]));
+        cache.advance(v(1), v(2), &patch);
+        let after = cache.get(&pat("P(1, x)"), v(2)).unwrap();
+        assert_eq!(
+            Arc::as_ptr(&after),
+            before,
+            "nobody held it: patched in place"
+        );
+        assert_eq!(*after, unary(&[2]));
+    }
+
+    #[test]
+    fn advances_out_of_order_never_leave_an_entry_at_a_version_it_is_not_exact_for() {
+        // Writer B's step (1 → 2) arrives before writer A's (0 → 1).
+        let (cache, ops) = counted(16, 4);
+        let queries = ["P(1, x)", "P(2, x)", "P(x, 3)", "P(x, y)"];
+        for query in queries {
+            cache.insert(pat(query), v(0), rel(1));
+        }
+        let mut b = IdbPatch::empty(2);
+        b.inserted.insert(tuple_u64([1, 5]));
+        cache.advance(v(1), v(2), &b);
+        let mut a = IdbPatch::empty(2);
+        a.inserted.insert(tuple_u64([1, 4]));
+        cache.advance(v(0), v(1), &a);
+        // Nothing at 0 could be carried to 2 by B's patch alone: it was
+        // dropped, counted, and A's late step moved no stamp back.
+        assert_eq!((cache.len(), ops("invalidate"), ops("patch")), (0, 4, 0));
+        for version in 0..=2 {
+            for query in queries {
+                assert!(cache.get(&pat(query), v(version)).is_none());
+            }
+        }
+        // The cache is live at 2 and nowhere else.
+        cache.insert(pat("P(1, x)"), v(1), rel(1));
+        cache.insert(pat("P(1, x)"), v(2), rel(2));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(*cache.get(&pat("P(1, x)"), v(2)).unwrap(), *rel(2));
     }
 }

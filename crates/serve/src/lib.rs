@@ -12,15 +12,16 @@
 //! * **Incremental updates** ([`QueryService::apply_update`]): ground fact
 //!   batches (`+fact` / `-fact`) normalize to a net EDB delta; the
 //!   `recurs-ivm` counting/DRed maintenance patches the service's
-//!   materialized view and the warm cache entries in place instead of
-//!   recomputing, and all-no-op groups don't even bump the version.
+//!   materialized view and the warm cache entries it reaches in place
+//!   instead of recomputing, and all-no-op groups don't even bump the
+//!   version.
 //! * **Point queries** ([`kernel`]): a plan per query form from
 //!   `recurs-core`'s one table (bounded levels, frontier walk, magic, full
 //!   saturation), run by `recurs_engine::evaluate` on a clone of the snapshot.
-//! * **Saturation cache** ([`cache`]): a sharded LRU keyed by
-//!   `(program fingerprint, snapshot version, adorned query)`; only
-//!   complete answers are admitted, and a snapshot change invalidates
-//!   precisely the dead version's entries.
+//! * **Saturation cache** ([`cache`]): a sharded LRU keyed by the adorned
+//!   query, each shard stamped with the version its entries are exact at;
+//!   only complete answers are admitted, and a snapshot change patches the
+//!   entries it reaches or, without an exact patch, clears the cache.
 //! * **Admission control** ([`admission`]): a semaphore bounds concurrent
 //!   evaluations; every query runs under an
 //!   [`EvalBudget`](recurs_datalog::govern::EvalBudget) and reports the

@@ -1,7 +1,7 @@
 //! The long-lived query service: snapshots + kernels + cache + admission.
 
 use crate::admission::{Permit, Semaphore};
-use crate::cache::{canonical_query_key, CacheCounters, CacheKey, QueryPattern, SaturationCache};
+use crate::cache::{CacheCounters, QueryPattern, SaturationCache};
 use crate::error::ServeError;
 use crate::kernel::{PointKernelKind, PointPlans};
 use crate::snapshot::{Snapshot, SnapshotStore, SnapshotUpdate};
@@ -112,8 +112,8 @@ struct ViewState {
 /// threads; writers install new fact snapshots with
 /// [`QueryService::apply_update`] — the one write path, incrementally
 /// maintained — without blocking in-flight readers (copy-on-write snapshot
-/// isolation). Completed answers are cached per `(program, snapshot
-/// version, adorned query)`; truncated answers never are.
+/// isolation). Completed answers are cached per adorned query, each exact at
+/// the version its cache shard is stamped with; truncated answers never are.
 #[derive(Debug)]
 pub struct QueryService {
     plans: PointPlans,
@@ -187,8 +187,10 @@ impl QueryService {
     /// and absent deletes are no-ops; an all-no-op group returns
     /// [`UpdateOutcome::Unchanged`] without bumping the version), the next
     /// snapshot is installed copy-on-write, and the materialized view plus
-    /// every warm cache entry are *patched in place* through counting /
-    /// DRed maintenance instead of being recomputed or dropped.
+    /// the warm cache entries the change reaches are *patched in place*
+    /// through counting / DRed maintenance instead of being recomputed or
+    /// dropped — all before the writer's lock is released, so versions reach
+    /// the cache in order.
     ///
     /// Operations on the recursive predicate are rejected — it is derived,
     /// never stored.
@@ -199,8 +201,9 @@ impl QueryService {
         }
         let start = Instant::now();
         // Writers serialize on the view lock from before the install to
-        // after the patch, so the view a writer finds is always exact for
-        // the version its delta starts from.
+        // after the view and the cache have moved, so the view a writer
+        // finds is exact for the version its delta starts from and the
+        // cache's stamps move in version order.
         let mut view = self.view.write().unwrap_or_else(PoisonError::into_inner);
         match self.store.apply_delta(ops)? {
             SnapshotUpdate::Unchanged(snap) => {
@@ -215,13 +218,13 @@ impl QueryService {
                 delta,
             } => {
                 let (maintenance, idb) = self.maintain_view(&mut view, &snapshot, &delta);
-                drop(view);
                 if let Some(cache) = &self.cache {
                     match &idb {
                         Some(patch) => cache.advance(previous, snapshot.version(), patch),
                         None => cache.retain_version(snapshot.version()),
                     }
                 }
+                drop(view);
                 self.obs
                     .counter("recurs_serve_snapshot_updates_total", &[], 1);
                 if self.obs.enabled() {
@@ -415,17 +418,14 @@ impl QueryService {
         let kernel = self.plans.select(query).inspect_err(count_error)?;
         let start = Instant::now();
 
-        let key = self.cache.as_ref().map(|_| CacheKey {
-            program: self.program_fingerprint,
-            version: snapshot.version(),
-            query: canonical_query_key(query),
-        });
-        let cached = if let (Some(cache), Some(key)) = (&self.cache, &key) {
+        let cache = self
+            .cache
+            .as_ref()
+            .map(|cache| (cache, QueryPattern::of(query)));
+        let cached = cache.as_ref().and_then(|(cache, key)| {
             let _probe = tr.map(|(ctx, parent)| ctx.span("cache", parent));
-            cache.get(key)
-        } else {
-            None
-        };
+            cache.get(key, snapshot.version())
+        });
         if let Some(answers) = cached {
             let stats = ServeStats {
                 queue_wait,
@@ -481,9 +481,9 @@ impl QueryService {
         };
         // Only complete answers are cacheable: a truncated answer depends on
         // the budget that truncated it.
-        if let (Some(cache), Some(key), true) = (&self.cache, key, outcome.is_complete()) {
+        if let (Some((cache, key)), true) = (cache, outcome.is_complete()) {
             let _store = tr.map(|(ctx, parent)| ctx.span("cache_store", parent));
-            cache.insert(key, answers.clone(), QueryPattern::of(query));
+            cache.insert(key, snapshot.version(), answers.clone());
         }
         let stats = ServeStats {
             queue_wait,

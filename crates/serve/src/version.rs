@@ -1,8 +1,8 @@
 //! The shared snapshot-version type.
 //!
 //! Snapshots ([`crate::snapshot`]) stamp each installed database with a
-//! version, and the answer cache ([`crate::cache`]) keys entries by the
-//! version they were computed against. Both used to carry bare `u64`s; this
+//! version, and the answer cache ([`crate::cache`]) stamps each shard with
+//! the version its entries are exact at. Both used to carry bare `u64`s; this
 //! newtype is the single place the "version 0 is the initial database, each
 //! installed update increments by one" convention lives, so the two sides
 //! cannot drift (for instance by one bumping per *attempted* update).
@@ -11,7 +11,7 @@ use std::fmt;
 
 /// A snapshot version: 0 for the initial database, incremented by one for
 /// every installed update. Totally ordered; never reused within a store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Version(u64);
 
 impl Version {

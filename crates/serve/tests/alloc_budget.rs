@@ -2,8 +2,10 @@
 //! not what the database holds. A view select allocates for its answers, not
 //! for the view; a kernel miss — once its query form's indexes travel with
 //! the snapshot — allocates the same whether the base relations hold 2 000
-//! tuples or 20 000; and an update allocates for the relation it changes,
-//! whatever the size of the ones it does not. Bytes are counted per thread
+//! tuples or 20 000; an update allocates for the relation it changes,
+//! whatever the size of the ones it does not and however many warm cache
+//! entries its patch does not reach; and a cache hit allocates its lookup
+//! pattern and nothing else on the cache's behalf. Bytes are counted per thread
 //! by a wrapping global allocator, so the parallel test harness does not
 //! blur the numbers.
 
@@ -13,7 +15,9 @@ use recurs_datalog::relation::{tuple_u64, Relation};
 use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::validate::validate_with_generic_exit;
-use recurs_serve::{FactOp, PointKernelKind, QueryService, ServeConfig, UpdateOutcome};
+use recurs_serve::{
+    CacheOutcome, FactOp, PointKernelKind, QueryService, ServeConfig, UpdateOutcome,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -187,4 +191,123 @@ fn an_update_allocates_for_the_relation_it_changes_only() {
         within_a_tenth(small, large),
         "a tip-edge update allocated {small} B beside 2 000 A tuples but {large} B beside 20 000"
     );
+}
+
+/// A service over 40 chains of 51 vertices whose view is built (one tip edge
+/// on chain 0 already in) and whose cache holds `P(c, y)` for every `c` in
+/// `1..=warm` — the first 51 of them chain 0, the tip's ancestors.
+fn warmed(warm: u64) -> QueryService {
+    // Room for every warm entry even if one shard got them all.
+    let config = ServeConfig {
+        cache_capacity: 8 * 1024,
+        ..ServeConfig::default()
+    };
+    let service = QueryService::new(tc(), forest(40, 40, 51), config);
+    service.apply_update(&tip(1)).unwrap(); // builds the view, clears the cache
+    for c in 1..=warm {
+        let reply = service.query(&source_bound(c)).unwrap();
+        assert_eq!(reply.stats.cache, CacheOutcome::Miss);
+    }
+    assert_eq!(service.cache_len() as u64, warm);
+    service
+}
+
+/// `+E(51, t_k)`: a new edge off the end of chain 0, so `P(a, t_k)` enters
+/// the view for each of the 51 vertices `a` of the chain.
+fn tip(k: u64) -> [FactOp; 1] {
+    [FactOp::Insert(
+        Symbol::intern("E"),
+        tuple_u64([51, 900_000 + k]),
+    )]
+}
+
+fn source_bound(c: u64) -> recurs_datalog::term::Atom {
+    parse_atom(&format!("P({c}, y)")).unwrap()
+}
+
+#[test]
+fn a_write_allocates_for_the_entries_it_reaches_not_the_entries_there_are() {
+    let tip_update = |warm: u64| {
+        let service = warmed(warm);
+        // The first patch compiles the maintenance pipelines; the second is
+        // the steady state.
+        service.apply_update(&tip(2)).unwrap();
+        let (outcome, bytes) = allocated_by(|| service.apply_update(&tip(3)).unwrap());
+        let UpdateOutcome::Installed { maintenance, .. } = outcome else {
+            panic!("the tip edge is new: {outcome:?}");
+        };
+        assert_eq!(maintenance, "frontier");
+        // Every warm entry is still there, exact at the new version.
+        let reply = service.query(&source_bound(warm)).unwrap();
+        assert_eq!(reply.stats.cache, CacheOutcome::Hit);
+        bytes
+    };
+    let (few, many) = (tip_update(51), tip_update(1_000));
+    assert!(
+        within_a_tenth(few, many),
+        "a tip-edge update allocated {few} B beside 51 warm entries but {many} B beside 1 000"
+    );
+}
+
+#[test]
+fn patched_counts_the_entries_a_write_changed_not_the_entries_it_carried() {
+    let service = warmed(150);
+    // Beside the 150 source-bound entries: the free query and the (so far
+    // empty) answers for the tip about to arrive, which the write changes,
+    // and a target-bound, a ground and a diagonal query it does not.
+    for (query, answers) in [
+        ("P(x, y)", 40 * 1_275 + 51),
+        ("P(x, 900002)", 0),
+        ("P(x, 51)", 50),
+        ("P(7, 51)", 1),
+        ("P(x, x)", 0),
+    ] {
+        let reply = service.query(&parse_atom(query).unwrap()).unwrap();
+        assert_eq!(reply.answers.len(), answers, "{query}");
+    }
+    assert_eq!(service.stats().cache.patched, 0);
+    service.apply_update(&tip(2)).unwrap();
+    // The 51 warm sources on chain 0 gained an answer; so did the two above.
+    assert_eq!(service.stats().cache.patched, 53);
+    assert_eq!(service.stats().cache.invalidations, 0);
+    assert_eq!(service.cache_len(), 155);
+    for (query, answers) in [
+        ("P(50, y)", 3),
+        ("P(52, y)", 50),
+        ("P(x, y)", 40 * 1_275 + 2 * 51),
+        ("P(x, 900002)", 51),
+        ("P(x, 51)", 50),
+    ] {
+        let reply = service.query(&parse_atom(query).unwrap()).unwrap();
+        assert_eq!(reply.stats.cache, CacheOutcome::Hit, "{query}");
+        assert_eq!(reply.answers.len(), answers, "{query}");
+    }
+}
+
+#[test]
+fn a_cache_hit_allocates_its_lookup_pattern_and_no_key_string_clone_or_lru_node() {
+    // Bytes per hit, over every warm entry in turn (so each hit moves the
+    // least recently used entry of its shard to the front).
+    let per_hit = |warm: u64| {
+        let service = warmed(warm);
+        let queries: Vec<_> = (1..=warm).map(source_bound).collect();
+        let sweep = || {
+            for query in &queries {
+                let reply = service.query(query).unwrap();
+                assert_eq!(reply.stats.cache, CacheOutcome::Hit);
+            }
+        };
+        sweep(); // whatever the recorder interns per label set is interned now
+        let ((), bytes) = allocated_by(|| (0..4).for_each(|_| sweep()));
+        bytes / (4 * queries.len())
+    };
+    // 8 entries a shard and 64 entries a shard: recency is two links moved,
+    // not a tree node that fills up and splits.
+    let (few, many) = (per_hit(64), per_hit(512));
+    assert_eq!(few, many, "a hit's cost depends on how full its shard is");
+    // Of a hit's bytes, 1 254 are the service's (budget, stats, the query
+    // and flight-recorder events) and 32 the cache's: the two-column lookup
+    // pattern. A rendered key, its clone into a recency index and that
+    // index's nodes made it 1 374 at 64 entries a shard.
+    assert!(many <= 1_300, "a cache hit allocated {many} B");
 }

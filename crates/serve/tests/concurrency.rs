@@ -12,8 +12,9 @@ use recurs_datalog::relation::{tuple_u64, Relation};
 use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::{Atom, Term, Value};
-use recurs_serve::{FactOp, QueryService, ServeConfig, UpdateOutcome};
+use recurs_serve::{CacheOutcome, FactOp, QueryService, ServeConfig, UpdateOutcome};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 const BASE: u64 = 16; // base chain 1 → … → BASE
 const UPDATES: u64 = 5; // writer extends the chain this many times
@@ -187,4 +188,65 @@ fn budgeted_concurrent_replies_are_sound_underapproximations() {
     // Truncated answers must never have been cached.
     let stats = service.stats();
     assert_eq!(stats.cache.insertions, stats.complete - stats.cache.hits);
+}
+
+#[test]
+fn two_writers_leave_the_warm_cache_exact_at_the_final_version() {
+    // Two writers grow two disjoint chains, so the final database does not
+    // depend on how their updates interleave: 1 → … → BASE + EACH and
+    // FAR → … → FAR + 1 + EACH.
+    const EACH: u64 = 24;
+    const FAR: u64 = 1_000;
+    let service = QueryService::new(tc(), db_at_version(0), ServeConfig::default());
+    // The first update builds the view; every one after it is a patch.
+    service.apply_update(&extend_chain(FAR)).unwrap();
+    let mut queries = reader_queries();
+    queries.extend(
+        ["P(1000, y)", "P(x, 1003)", "P(x, 18)", "P(x, x)"].map(|q| parse_atom(q).unwrap()),
+    );
+    for q in &queries {
+        service.query(q).expect("warm-up query succeeds");
+    }
+    let warm = service.stats();
+    assert_eq!(warm.cache.insertions, queries.len() as u64);
+
+    let start = Barrier::new(2);
+    std::thread::scope(|s| {
+        for tail in [BASE, FAR + 1] {
+            let (service, start) = (&service, &start);
+            s.spawn(move || {
+                start.wait();
+                for i in 0..EACH {
+                    service
+                        .apply_update(&extend_chain(tail + i))
+                        .expect("update succeeds");
+                }
+            });
+        }
+    });
+
+    let last = 1 + 2 * EACH;
+    let mut oracle = Database::new();
+    let edges = || {
+        (1..BASE + EACH)
+            .chain(FAR..FAR + 1 + EACH)
+            .map(|i| (i, i + 1))
+    };
+    oracle.insert_relation("A", Relation::from_pairs(edges()));
+    oracle.insert_relation("E", Relation::from_pairs(edges()));
+    semi_naive(&mut oracle, &tc().to_program(), None).expect("oracle saturates");
+    // Each writer moved the cache while it still held the write lock its
+    // version was installed under, so no step ran ahead of the one before
+    // it: every warm entry was carried, none stranded or dropped.
+    for q in &queries {
+        let reply = service.query(q).expect("post-run query succeeds");
+        assert_eq!(reply.stats.snapshot_version, last);
+        assert_eq!(reply.stats.cache, CacheOutcome::Hit, "{q} was not carried");
+        let want = answer_query(&oracle, q).expect("oracle answers");
+        assert_eq!(*reply.answers, want, "stale cache entry for {q}");
+    }
+    let stats = service.stats();
+    assert!(stats.cache.patched > 0);
+    assert_eq!(stats.cache.invalidations, warm.cache.invalidations);
+    assert_eq!(stats.cache.misses, warm.cache.misses);
 }
