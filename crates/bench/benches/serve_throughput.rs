@@ -121,13 +121,13 @@ fn serve_sweep(
         );
         let reply = point.query(query).unwrap();
         assert!(reply.outcome.is_complete());
-        assert_eq!(*reply.answers, expected);
+        assert_eq!(reply.answers.to_relation(), expected);
 
         let cached = service(f, db, true);
         cached.query(query).unwrap(); // warm
         let hit = cached.query(query).unwrap();
         assert_eq!(hit.stats.cache, CacheOutcome::Hit);
-        assert_eq!(*hit.answers, expected);
+        assert_eq!(hit.answers.to_relation(), expected);
 
         group.bench_with_input(BenchmarkId::new("cold", n), db, |b, db| {
             b.iter(|| black_box(cold_full_saturation(db, f, query)));

@@ -32,9 +32,9 @@ use recurs_datalog::govern::{CancelToken, EvalBudget, Outcome};
 use recurs_datalog::parser::{parse, parse_atom};
 use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::term::Term;
-use recurs_datalog::validate::validate_with_generic_exit;
-use recurs_datalog::{Atom, Database, Relation};
-use recurs_engine::{EngineConfig, EngineDb};
+use recurs_datalog::validate::{is_reserved, validate_with_generic_exit};
+use recurs_datalog::{Atom, Database};
+use recurs_engine::{EngineConfig, EngineDb, IndexedRelation, Selection};
 use recurs_igraph::build::resolution_graph;
 use recurs_igraph::component::ComponentKind;
 use recurs_igraph::dot::{to_ascii, to_dot};
@@ -562,9 +562,19 @@ pub struct Loaded {
     pub queries: Vec<Atom>,
 }
 
-/// Loads and validates a source text.
+/// Loads and validates a source text. No fact, rule or query may name a
+/// relation in the namespace the planner and view maintenance synthesize
+/// theirs in: a loaded `ans__P__dv` fact would be read as an answer.
 pub fn load(source: &str) -> Result<Loaded, String> {
     let parsed = parse(source).map_err(|e| format!("parse error: {e}"))?;
+    let rules = parsed.program.rules.iter();
+    let atoms = rules.flat_map(|r| std::iter::once(&r.head).chain(&r.body));
+    if let Some(atom) = atoms
+        .chain(&parsed.queries)
+        .find(|a| is_reserved(a.predicate))
+    {
+        return Err(DatalogError::ReservedName(atom.predicate).to_string());
+    }
     let mut db = Database::new();
     let rules = db
         .load_facts(&parsed.program)
@@ -762,12 +772,14 @@ pub fn serve_listen_on_source(
 }
 
 /// Prints one query's answer set under a `[label]` header.
-fn write_answers(out: &mut String, query: &Atom, label: &str, answers: &recurs_datalog::Relation) {
+fn write_answers(out: &mut String, query: &Atom, label: &str, answers: &IndexedRelation) {
     let _ = writeln!(out, "?- {query}   [{label}]");
     if answers.arity() == 0 {
         let _ = writeln!(out, "{}", if answers.is_empty() { "no" } else { "yes" });
     } else {
-        for t in answers.iter_sorted() {
+        let mut sorted: Vec<_> = answers.iter().collect();
+        sorted.sort_unstable();
+        for t in sorted {
             let row: Vec<&str> = t.iter().map(|v| v.as_str()).collect();
             let _ = writeln!(out, "  {}", row.join(", "));
         }
@@ -1058,7 +1070,7 @@ fn run_engine(
 
 /// Answers `query` over the store's relation of that name, which must exist
 /// at the query's arity.
-fn select_stored(store: &EngineDb, query: &Atom) -> Result<Relation, DatalogError> {
+fn select_stored(store: &EngineDb, query: &Atom) -> Result<IndexedRelation, DatalogError> {
     let rel = store
         .get(query.predicate)
         .ok_or(DatalogError::UnknownRelation(query.predicate))?;
@@ -1069,7 +1081,7 @@ fn select_stored(store: &EngineDb, query: &Atom) -> Result<Relation, DatalogErro
             found: query.arity(),
         });
     }
-    Ok(recurs_engine::select(rel, query))
+    Ok(recurs_engine::select(rel, &Selection::of(query)))
 }
 
 /// The `--check` side of an engine run: the oracle's fixpoint over a plain
@@ -1093,14 +1105,14 @@ impl OracleFixpoint {
         &self,
         out: &mut String,
         query: &Atom,
-        answers: &Relation,
+        answers: &IndexedRelation,
         complete: bool,
     ) -> Result<(), String> {
         let expected =
             answer_query(&self.0, query).map_err(|e| format!("oracle query failed: {e}"))?;
         let (ok, verdict, failure) = if complete {
             (
-                *answers == expected,
+                answers.to_relation() == expected,
                 "agrees",
                 "engine disagrees with the fixpoint on",
             )

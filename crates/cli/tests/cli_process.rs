@@ -247,6 +247,65 @@ fn invalid_program_exits_one() {
     assert!(stderr(&out).contains("invalid program"), "{}", stderr(&out));
 }
 
+/// Names containing `__` belong to the relations the planner and view
+/// maintenance synthesize, which share the store with the loaded facts: a
+/// file or a client that could write `ans__P__dv` would plant an answer the
+/// run then flags complete.
+#[test]
+fn reserved_relation_names_are_refused_in_files_and_over_stdin() {
+    use std::io::Write as _;
+    let dir = std::env::temp_dir().join("recurs_cli_process_tests");
+    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("mkdir: {e}"));
+    let tc = std::fs::read_to_string(dataset("transitive_closure.dl"))
+        .unwrap_or_else(|e| panic!("read: {e}"));
+    for (name, extra) in [
+        ("reserved_fact.dl", "ans__P__dv(42).\n"),
+        ("reserved_rule.dl", "P(x, y) :- reach__P__dv(x, y).\n"),
+        ("reserved_query.dl", "?- __ivm_cand(x, y).\n"),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, format!("{tc}{extra}")).unwrap_or_else(|e| panic!("write: {e}"));
+        let out = recurs(&["run", path.to_string_lossy().as_ref(), "--check"]);
+        assert_eq!(out.status.code(), Some(1), "{name}: {}", stdout(&out));
+        assert!(
+            stderr(&out).contains("is reserved"),
+            "{name}: {}",
+            stderr(&out)
+        );
+    }
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_recurs"))
+        .args(["serve", &dataset("transitive_closure.dl"), "--stdin"])
+        .arg("--no-cache")
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap_or_else(|e| panic!("cannot spawn recurs serve: {e}"));
+    child
+        .stdin
+        .take()
+        .unwrap_or_else(|| panic!("no stdin"))
+        .write_all(b"+__ivm_cand(1).\n+ans__P__dv(42).\n?- P(5, y).\n+E(6, 7).\n+E(7, 8).\n")
+        .unwrap_or_else(|e| panic!("write stdin: {e}"));
+    let out = child
+        .wait_with_output()
+        .unwrap_or_else(|e| panic!("wait: {e}"));
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = stdout(&out);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 5, "{text}");
+    for refused in &lines[..2] {
+        assert!(refused.contains("\"ok\":false"), "{text}");
+        assert!(refused.contains("is reserved"), "{text}");
+    }
+    assert!(lines[2].contains("\"answers\":[[\"6\"]]"), "{text}");
+    assert!(lines[2].contains("\"complete\":true"), "{text}");
+    // The view the first write builds is patched by the second.
+    assert!(lines[3].contains("\"maintenance\":\"saturate\""), "{text}");
+    assert!(lines[4].contains("\"maintenance\":\"frontier\""), "{text}");
+}
+
 #[test]
 fn help_exits_zero_and_documents_exit_codes() {
     let out = recurs(&["help"]);

@@ -33,6 +33,10 @@ pub enum DatalogError {
     },
     /// The program violates one of the paper's structural restrictions.
     Validation(ValidationError),
+    /// Outside input named a relation in the namespace reserved for the
+    /// relations the planner and view maintenance synthesize (see
+    /// [`crate::validate::is_reserved`]).
+    ReservedName(Symbol),
 }
 
 /// A syntax error with position information.
@@ -175,6 +179,11 @@ impl fmt::Display for DatalogError {
                 "tuple of width {found} inserted into {relation} of arity {expected}"
             ),
             DatalogError::Validation(v) => write!(f, "invalid program: {v}"),
+            DatalogError::ReservedName(p) => write!(
+                f,
+                "relation name {p} is reserved: names containing `__` belong to synthesized \
+                 relations"
+            ),
         }
     }
 }

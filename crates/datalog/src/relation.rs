@@ -125,11 +125,6 @@ impl Relation {
         }
         idx
     }
-
-    /// The set of values in a column (its *active domain* projection).
-    pub fn column_values(&self, col: usize) -> HashSet<Value> {
-        self.tuples.iter().map(|t| t[col]).collect()
-    }
 }
 
 impl fmt::Debug for Relation {
@@ -218,13 +213,6 @@ mod tests {
         let sorted = r.iter_sorted();
         let firsts: Vec<&str> = sorted.iter().map(|t| t[0].as_str()).collect();
         assert_eq!(firsts, vec!["1", "2", "3"]);
-    }
-
-    #[test]
-    fn column_values_projects() {
-        let r = Relation::from_pairs([(1, 2), (1, 3)]);
-        assert_eq!(r.column_values(0).len(), 1);
-        assert_eq!(r.column_values(1).len(), 2);
     }
 
     #[test]

@@ -8,6 +8,16 @@
 
 use crate::error::ValidationError;
 use crate::rule::{LinearRecursion, Program};
+use crate::symbol::Symbol;
+
+/// True for a relation name outside input may not use. The planner's lowered
+/// programs and view maintenance keep their relations (`ans__P__dv`,
+/// `reach__P__dv`, `magic__P__fb`, `P__bf`, `__ivm_cand`) in the same store
+/// as the loaded facts; every such name contains `__`, so a name that does is
+/// refused wherever text becomes facts, rules or queries.
+pub fn is_reserved(name: Symbol) -> bool {
+    name.as_str().contains("__")
+}
 
 /// Validates a program against the paper's restrictions and extracts the
 /// [`LinearRecursion`] view on success.

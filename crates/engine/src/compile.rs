@@ -12,7 +12,6 @@ use crate::storage::{Batch, EngineDb, IndexedRelation};
 use recurs_datalog::error::DatalogError;
 use recurs_datalog::govern::{Governor, TruncationReason};
 use recurs_datalog::order::order_atoms;
-use recurs_datalog::relation::{Relation, Tuple};
 use recurs_datalog::rule::Rule;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::{Atom, Term, Value};
@@ -77,15 +76,13 @@ struct JoinStep {
     append_cols: Vec<usize>,
 }
 
-/// How the seed atom (the first atom of the pipeline) turns tuples into
-/// initial rows.
-#[derive(Debug, Clone)]
-pub struct SeedSpec {
-    /// The seed atom's predicate.
-    pub pred: Symbol,
-    /// True if the seed rows come from the current delta batch rather than
-    /// the stored relation (semi-naive differentiation).
-    pub from_delta: bool,
+/// The selection + projection an atom denotes over its relation: constants
+/// and repeated variables become checks, the first occurrence of each
+/// variable is a kept column. It is a pipeline's seed filter, what
+/// [`select`] applies as a query, and — the atom up to variable renaming —
+/// the key the serving layer caches answers under.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Selection {
     /// Constant selections `tuple[col] == value`.
     const_checks: Vec<(usize, Value)>,
     /// Repeated-variable selections `tuple[a] == tuple[b]`.
@@ -94,17 +91,15 @@ pub struct SeedSpec {
     keep_cols: Vec<usize>,
 }
 
-impl SeedSpec {
-    /// The selection + projection `atom` denotes: constants and repeated
-    /// variables become checks, the first occurrence of each variable is
-    /// kept.
-    fn of(atom: &Atom, from_delta: bool) -> SeedSpec {
-        let mut spec = SeedSpec {
-            pred: atom.predicate,
-            from_delta,
-            const_checks: Vec::new(),
+impl Selection {
+    /// The selection `atom` denotes.
+    pub fn of(atom: &Atom) -> Selection {
+        // Sized exactly: a served request builds one as its cache key.
+        let consts = atom.terms.iter().filter(|t| !t.is_var()).count();
+        let mut spec = Selection {
+            const_checks: Vec::with_capacity(consts),
             eq_checks: Vec::new(),
-            keep_cols: Vec::new(),
+            keep_cols: Vec::with_capacity(atom.arity() - consts),
         };
         for (i, term) in atom.terms.iter().enumerate() {
             match term {
@@ -119,11 +114,70 @@ impl SeedSpec {
     }
 
     /// True if `t` passes the atom's selections.
-    fn admits(&self, t: &[Value]) -> bool {
+    pub fn admits(&self, t: &[Value]) -> bool {
         self.const_checks.iter().all(|&(c, v)| t[c] == v)
             && self.eq_checks.iter().all(|&(a, b)| t[a] == t[b])
     }
 
+    /// The kept columns of `t`, in order.
+    pub fn project<'a>(&'a self, t: &'a [Value]) -> impl Iterator<Item = Value> + 'a {
+        self.keep_cols.iter().map(|&c| t[c])
+    }
+
+    /// The tuples of `visited` this admits, projected, as a relation;
+    /// `visits` counts what was read.
+    fn gather<'a>(
+        &self,
+        visited: impl Iterator<Item = &'a [Value]>,
+        visits: &mut u64,
+    ) -> IndexedRelation {
+        let mut answers = IndexedRelation::new(self.keep_cols.len());
+        let mut row = Vec::with_capacity(self.keep_cols.len());
+        for t in visited {
+            *visits += 1;
+            if self.admits(t) {
+                row.clear();
+                row.extend(self.project(t));
+                answers.insert(&row);
+            }
+        }
+        answers
+    }
+
+    /// The columns a constant binds, in order.
+    fn bound_cols(&self) -> impl Iterator<Item = usize> + '_ {
+        self.const_checks.iter().map(|&(c, _)| c)
+    }
+
+    /// True if `other` differs in nothing but the values of its constants.
+    pub fn same_shape(&self, other: &Selection) -> bool {
+        self.bound_cols().eq(other.bound_cols())
+            && self.eq_checks == other.eq_checks
+            && self.keep_cols == other.keep_cols
+    }
+
+    /// Makes this the one selection of its shape whose constants `t` passes:
+    /// `t`'s own values at the bound columns.
+    pub fn rebind(&mut self, t: &[Value]) {
+        for (c, v) in &mut self.const_checks {
+            *v = t[*c];
+        }
+    }
+}
+
+/// How the seed atom (the first atom of the pipeline) turns tuples into
+/// initial rows.
+#[derive(Debug, Clone)]
+pub struct SeedSpec {
+    /// The seed atom's predicate.
+    pub pred: Symbol,
+    /// True if the seed rows come from the current delta batch rather than
+    /// the stored relation (semi-naive differentiation).
+    pub from_delta: bool,
+    selection: Selection,
+}
+
+impl SeedSpec {
     /// Filters and projects raw tuples into `scratch` as the pipeline's
     /// initial rows (replacing what it held); returns how many passed.
     pub fn fill<'a>(
@@ -131,9 +185,10 @@ impl SeedSpec {
         scratch: &mut Scratch,
         tuples: impl Iterator<Item = &'a [Value]>,
     ) -> usize {
-        scratch.rows.reset(self.keep_cols.len());
-        for t in tuples.filter(|t| self.admits(t)) {
-            scratch.rows.push(self.keep_cols.iter().map(|&c| t[c]));
+        let spec = &self.selection;
+        scratch.rows.reset(spec.keep_cols.len());
+        for t in tuples.filter(|t| spec.admits(t)) {
+            scratch.rows.push(spec.keep_cols.iter().map(|&c| t[c]));
         }
         scratch.rows.len()
     }
@@ -181,14 +236,18 @@ impl CompiledRule {
             let atom = &rule.body[pos];
             if rank == 0 {
                 // Seed atom: selection + projection, no probing.
-                let spec = SeedSpec::of(atom, delta_pos == Some(pos));
-                for &c in &spec.keep_cols {
+                let selection = Selection::of(atom);
+                for &c in &selection.keep_cols {
                     if let Term::Var(v) = atom.terms[c] {
                         acc_col.insert(v, acc_len);
                         acc_len += 1;
                     }
                 }
-                seed = Some(spec);
+                seed = Some(SeedSpec {
+                    pred: atom.predicate,
+                    from_delta: delta_pos == Some(pos),
+                    selection,
+                });
                 continue;
             }
             // Join step: shared variables and constants become the index
@@ -382,11 +441,10 @@ impl CompiledRule {
     }
 }
 
-/// Answers a query atom over one stored relation: the atom's constant and
-/// repeated-variable selections, projected onto its distinct variables in
-/// first-occurrence order — the seed filter of a pipeline, applied as a
-/// query. The atom's arity must be the relation's.
-pub fn select(rel: &IndexedRelation, query: &Atom) -> Relation {
+/// Answers a query over one stored relation: the tuples `query` admits,
+/// projected onto its kept columns — the seed filter of a pipeline, applied
+/// as a query. The query's arity must be the relation's.
+pub fn select(rel: &IndexedRelation, query: &Selection) -> IndexedRelation {
     select_counted(rel, query, &mut ProbeCounters::default())
 }
 
@@ -396,44 +454,36 @@ pub fn select(rel: &IndexedRelation, query: &Atom) -> Relation {
 /// built for a query); anything else scans the arena.
 pub fn select_counted(
     rel: &IndexedRelation,
-    query: &Atom,
+    query: &Selection,
     counters: &mut ProbeCounters,
-) -> Relation {
-    assert_eq!(query.arity(), rel.arity(), "query arity mismatch");
-    let spec = SeedSpec::of(query, false);
-    let mut answers = Relation::new(spec.keep_cols.len());
+) -> IndexedRelation {
+    // Every column of the query's atom is checked or kept.
+    let arity = query.const_checks.len() + query.eq_checks.len() + query.keep_cols.len();
+    assert_eq!(arity, rel.arity(), "query arity mismatch");
     let ProbeCounters { probes, hits } = counters;
-    let mut visit = |t: &[Value]| {
-        *hits += 1;
-        if spec.admits(t) {
-            answers.insert(spec.keep_cols.iter().map(|&c| t[c]).collect::<Tuple>());
-        }
-    };
-    let bound: Vec<usize> = spec.const_checks.iter().map(|&(c, _)| c).collect();
+    let bound: Vec<usize> = query.bound_cols().collect();
     let key_on = |cols: &[usize]| -> Vec<Value> {
-        let bound_to = |c: &usize| spec.const_checks.iter().find(|(b, _)| b == c);
+        let bound_to = |c: &usize| query.const_checks.iter().find(|(b, _)| b == c);
         cols.iter().filter_map(bound_to).map(|&(_, v)| v).collect()
     };
     if bound.len() == rel.arity() {
         *probes += 1;
-        if let Some(id) = rel.id_of(&key_on(&bound)) {
-            visit(rel.tuple(id));
-        }
+        let found = rel.id_of(&key_on(&bound)).map(|id| rel.tuple(id));
+        query.gather(found.into_iter(), hits)
     } else if let Some(index) = rel.index_within(&bound) {
         *probes += 1;
-        for id in index.probe(&key_on(index.cols())) {
-            visit(rel.tuple(id));
-        }
+        let probed = index.probe(&key_on(index.cols()));
+        query.gather(probed.map(|id| rel.tuple(id)), hits)
     } else {
-        rel.iter().for_each(visit);
+        query.gather(rel.iter(), hits)
     }
-    answers
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use recurs_datalog::parser::parse_rule;
+    use recurs_datalog::relation::{Relation, Tuple};
 
     fn db_with(rels: &[(&str, Relation)]) -> EngineDb {
         let mut db = EngineDb::new();

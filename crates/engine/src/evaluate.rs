@@ -3,13 +3,13 @@
 //! go through [`evaluate`]; which program it saturates is decided by
 //! `recurs_core::plan`'s table and nowhere else.
 
+use crate::compile::Selection;
 use crate::error::{EngineError, Saturation};
 use crate::kernel::select_kernel;
 use crate::stats::KernelKind;
-use crate::storage::EngineDb;
+use crate::storage::{EngineDb, IndexedRelation};
 use crate::{saturate, select, CompiledProgram, EngineConfig};
 use recurs_core::plan::{QueryPlan, StrategyKind};
-use recurs_datalog::relation::Relation;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::Atom;
 
@@ -19,7 +19,7 @@ pub struct Evaluation {
     /// The answers, over the query's distinct variables in first-occurrence
     /// order (arity 0 = boolean query: non-empty means yes). After a
     /// truncated run, a sound under-approximation.
-    pub answers: Relation,
+    pub answers: IndexedRelation,
     /// How the saturation ended, and its statistics.
     pub saturation: Saturation,
 }
@@ -79,7 +79,7 @@ pub fn evaluate(
             "the saturated program never declared its answer predicate",
         ))?;
     Ok(Evaluation {
-        answers: select(stored, &lowered.answer),
+        answers: select(stored, &Selection::of(&lowered.answer)),
         saturation,
     })
 }

@@ -63,7 +63,7 @@ pub mod oracle;
 pub mod stats;
 pub mod storage;
 
-pub use compile::{select, select_counted};
+pub use compile::{select, select_counted, Selection};
 pub use driver::{drive_rounds, Rounds};
 pub use error::{EngineError, Saturation};
 pub use evaluate::{evaluate, Evaluation};

@@ -79,7 +79,7 @@ pub fn compare(
     let (oracle_answers, oracle_tuples_derived) = ground_truth(lr, db, query)?;
     Ok(OracleReport {
         strategy: planned.plan.strategy,
-        plan_answers: run.answers,
+        plan_answers: run.answers.to_relation(),
         plan_tuples_derived: run.saturation.stats.tuples_derived,
         oracle_answers,
         oracle_tuples_derived,

@@ -197,7 +197,7 @@ fn every_adornment_of_every_row_equals_the_naive_fixpoint() {
                 assert!(run.saturation.outcome.is_complete());
                 let want = answer_query(&fixpoint, query).unwrap();
                 assert_eq!(
-                    run.answers,
+                    run.answers.to_relation(),
                     want,
                     "{} ({}): {:?} ≠ naive for {query}",
                     row.name,

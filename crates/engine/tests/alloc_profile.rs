@@ -10,7 +10,9 @@ use recurs_datalog::database::Database;
 use recurs_datalog::govern::EvalBudget;
 use recurs_datalog::parser::{parse_atom, parse_program};
 use recurs_datalog::relation::Relation;
-use recurs_engine::{saturate, select, CompiledProgram, EngineConfig, EngineDb, KernelKind};
+use recurs_engine::{
+    saturate, select, CompiledProgram, EngineConfig, EngineDb, KernelKind, Selection,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -214,7 +216,7 @@ fn print_the_saturate_wide_allocation_profile() {
     }
     row("all rounds", full.rounds);
     let sg = full.store.get("SG".into()).unwrap();
-    let query = parse_atom("SG(512, y)").unwrap();
+    let query = Selection::of(&parse_atom("SG(512, y)").unwrap());
     let (answers, picked) = tallied(|| select(sg, &query));
     assert_eq!(answers.len(), 512);
     row("select SG(512, y)", picked);

@@ -6,11 +6,13 @@
 //! query's constants leave it to.
 
 use proptest::prelude::*;
+use recurs_datalog::database::Database;
+use recurs_datalog::eval::answer_query;
 use recurs_datalog::parser::parse_atom;
 use recurs_datalog::relation::{tuple_u64, Relation};
 use recurs_datalog::term::Value;
 use recurs_engine::compile::ProbeCounters;
-use recurs_engine::{select, select_counted, IndexedRelation};
+use recurs_engine::{select, select_counted, IndexedRelation, Selection};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 #[test]
@@ -44,19 +46,54 @@ fn freed_slots_are_reused_so_the_arena_stays_at_its_high_water_mark() {
     assert_eq!(r.insert_id(&pair(7)), None, "already present");
 }
 
+/// Every query shape over a binary and a ternary relation — free, bound,
+/// ground (whose answer is the empty tuple, `[[]]`, or nothing, `[]`) and
+/// with repeated variables — scanned, and again probed through an index the
+/// constants cover, against the oracle's `answer_query` on the same facts.
 #[test]
 fn select_filters_and_projects_like_a_seed() {
-    let a = IndexedRelation::from_relation(&Relation::from_pairs([(1, 1), (1, 2), (3, 3), (2, 1)]));
-    let ask = |q: &str| select(&a, &parse_atom(q).unwrap());
-    assert_eq!(ask("A(x, y)"), a.to_relation());
-    assert_eq!(
-        ask("A(1, y)"),
-        Relation::from_tuples(1, [tuple_u64([1]), tuple_u64([2])])
-    );
-    assert_eq!(ask("A(x, x)").len(), 2);
-    assert_eq!(ask("A(2, 1)").len(), 1, "a ground hit is the empty tuple");
-    assert_eq!(ask("A(2, 1)").arity(), 0);
-    assert!(ask("A(9, y)").is_empty());
+    let triples = [[1, 2, 2], [1, 2, 3], [1, 3, 3], [2, 2, 2], [2, 3, 1]];
+    let mut db = Database::new();
+    db.insert_relation("A", Relation::from_pairs([(1, 1), (1, 2), (3, 3), (2, 1)]));
+    db.insert_relation("T", Relation::from_tuples(3, triples.map(tuple_u64)));
+    let queries = [
+        (
+            "A",
+            vec!["A(x, y)", "A(1, y)", "A(x, 1)", "A(9, y)", "A(x, x)"],
+        ),
+        ("A", vec!["A(2, 1)", "A(1, 3)"]),
+        (
+            "T",
+            vec!["T(x, y, z)", "T(1, x, x)", "T(x, x, x)", "T(x, y, x)"],
+        ),
+        (
+            "T",
+            vec!["T(1, 2, z)", "T(2, x, x)", "T(1, 2, 3)", "T(1, 2, 1)"],
+        ),
+    ];
+    for (name, queries) in queries {
+        let plain = db.get(name).unwrap();
+        let mut stored = IndexedRelation::from_relation(plain);
+        for covering in [None, Some(&[0usize][..])] {
+            if let Some(cols) = covering {
+                stored.ensure_index(cols);
+            }
+            for query in &queries {
+                let atom = parse_atom(query).unwrap();
+                let want = answer_query(&db, &atom).unwrap();
+                let got = select(&stored, &Selection::of(&atom));
+                assert_eq!(got.arity(), want.arity(), "{query}");
+                assert_eq!(got.to_relation(), want, "{query} (index: {covering:?})");
+            }
+        }
+    }
+    // What a ground query's arity-0 answer looks like from outside.
+    let a = IndexedRelation::from_relation(db.get("A").unwrap());
+    let ask = |q: &str| select(&a, &Selection::of(&parse_atom(q).unwrap()));
+    let rows = |r: &IndexedRelation| r.iter().map(<[Value]>::to_vec).collect::<Vec<_>>();
+    assert_eq!(rows(&ask("A(2, 1)")), vec![Vec::new()], "yes: [[]]");
+    assert_eq!(rows(&ask("A(1, 3)")), Vec::<Vec<Value>>::new(), "no: []");
+    assert_eq!((ask("A(x, x)").len(), ask("A(x, x)").arity()), (2, 1));
 }
 
 #[test]
@@ -66,7 +103,8 @@ fn select_reads_what_the_constants_leave_it_to() {
     let mut a = IndexedRelation::from_relation(&Relation::from_pairs(pairs));
     let ask = |a: &IndexedRelation, q: &str| {
         let mut counters = ProbeCounters::default();
-        let answers = select_counted(a, &parse_atom(q).unwrap(), &mut counters);
+        let query = Selection::of(&parse_atom(q).unwrap());
+        let answers = select_counted(a, &query, &mut counters);
         (answers.len(), counters.probes, counters.hits)
     };
     // No index: a bound query scans. A ground one never does.

@@ -2,9 +2,10 @@
 //! store, and the IDB patch a maintenance pass reports back.
 
 use recurs_datalog::error::DatalogError;
-use recurs_datalog::relation::{Relation, Tuple};
+use recurs_datalog::relation::Tuple;
 use recurs_datalog::symbol::Symbol;
-use recurs_engine::EngineDb;
+use recurs_datalog::term::Value;
+use recurs_engine::{EngineDb, IndexedRelation};
 use std::collections::{BTreeMap, HashMap};
 
 /// One ground fact operation from an update stream.
@@ -31,9 +32,9 @@ impl FactOp {
 #[derive(Debug, Clone, Default)]
 pub struct EdbDelta {
     /// Tuples to add, per relation. Disjoint from the store.
-    pub inserted: BTreeMap<Symbol, Relation>,
+    pub inserted: BTreeMap<Symbol, IndexedRelation>,
     /// Tuples to drop, per relation. Subset of the store.
-    pub deleted: BTreeMap<Symbol, Relation>,
+    pub deleted: BTreeMap<Symbol, IndexedRelation>,
 }
 
 impl EdbDelta {
@@ -43,12 +44,12 @@ impl EdbDelta {
     /// conflicts (against the store or within the ops) are errors.
     pub fn normalize(ops: &[FactOp], db: &EngineDb) -> Result<EdbDelta, DatalogError> {
         // Where the group leaves every fact it touches: the last op wins.
-        let mut state: HashMap<(Symbol, Tuple), bool> = HashMap::new();
+        let mut state: HashMap<(Symbol, &[Value]), bool> = HashMap::new();
         let mut arities: HashMap<Symbol, usize> = HashMap::new();
         for op in ops {
             let (pred, tuple, target) = match op {
-                FactOp::Insert(p, t) => (*p, t, true),
-                FactOp::Delete(p, t) => (*p, t, false),
+                FactOp::Insert(p, t) => (*p, &**t, true),
+                FactOp::Delete(p, t) => (*p, &**t, false),
             };
             let expected = match db.get(pred) {
                 Some(rel) => rel.arity(),
@@ -61,11 +62,11 @@ impl EdbDelta {
                     found: tuple.len(),
                 });
             }
-            state.insert((pred, tuple.clone()), target);
+            state.insert((pred, tuple), target);
         }
         let mut delta = EdbDelta::default();
         for ((pred, tuple), now) in state {
-            let before = db.get(pred).is_some_and(|r| r.contains(&tuple));
+            let before = db.get(pred).is_some_and(|r| r.contains(tuple));
             if now == before {
                 continue;
             }
@@ -75,7 +76,7 @@ impl EdbDelta {
                 &mut delta.deleted
             };
             side.entry(pred)
-                .or_insert_with(|| Relation::new(tuple.len()))
+                .or_insert_with(|| IndexedRelation::new(tuple.len()))
                 .insert(tuple);
         }
         Ok(delta)
@@ -88,12 +89,12 @@ impl EdbDelta {
 
     /// Total number of inserted tuples.
     pub fn inserted_count(&self) -> usize {
-        self.inserted.values().map(Relation::len).sum()
+        self.inserted.values().map(IndexedRelation::len).sum()
     }
 
     /// Total number of deleted tuples.
     pub fn deleted_count(&self) -> usize {
-        self.deleted.values().map(Relation::len).sum()
+        self.deleted.values().map(IndexedRelation::len).sum()
     }
 
     /// True when the delta touches `pred` on either side.
@@ -117,7 +118,7 @@ impl EdbDelta {
 /// no-op.
 pub(crate) fn write(
     db: &mut EngineDb,
-    rels: &BTreeMap<Symbol, Relation>,
+    rels: &BTreeMap<Symbol, IndexedRelation>,
     insert: bool,
 ) -> Result<(), DatalogError> {
     for (&pred, rel) in rels {
@@ -143,30 +144,30 @@ pub(crate) fn write(
 #[derive(Debug, Clone)]
 pub struct IdbPatch {
     /// Tuples newly derived by the patch.
-    pub inserted: Relation,
+    pub inserted: IndexedRelation,
     /// Tuples no longer derivable after the patch.
-    pub deleted: Relation,
+    pub deleted: IndexedRelation,
 }
 
 impl IdbPatch {
     /// An empty patch for a predicate of the given arity.
     pub fn empty(arity: usize) -> IdbPatch {
         IdbPatch {
-            inserted: Relation::new(arity),
-            deleted: Relation::new(arity),
+            inserted: IndexedRelation::new(arity),
+            deleted: IndexedRelation::new(arity),
         }
     }
 
     /// Records a tuple as (re)derived, cancelling a pending deletion first.
-    pub(crate) fn record_insert(&mut self, t: Tuple) {
-        if !self.deleted.remove(&t) {
+    pub(crate) fn record_insert(&mut self, t: &[Value]) {
+        if !self.deleted.remove(t) {
             self.inserted.insert(t);
         }
     }
 
     /// Records a tuple as removed, cancelling a pending insertion first.
-    pub(crate) fn record_delete(&mut self, t: Tuple) {
-        if !self.inserted.remove(&t) {
+    pub(crate) fn record_delete(&mut self, t: &[Value]) {
+        if !self.inserted.remove(t) {
             self.deleted.insert(t);
         }
     }
@@ -180,7 +181,7 @@ impl IdbPatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recurs_datalog::relation::tuple_u64;
+    use recurs_datalog::relation::{tuple_u64, Relation};
 
     fn db() -> EngineDb {
         let mut db = EngineDb::new();
@@ -254,11 +255,11 @@ mod tests {
     #[test]
     fn idb_patch_cancels_opposing_records() {
         let mut patch = IdbPatch::empty(2);
-        patch.record_delete(tuple_u64([1, 2]));
-        patch.record_insert(tuple_u64([1, 2]));
+        patch.record_delete(&tuple_u64([1, 2]));
+        patch.record_insert(&tuple_u64([1, 2]));
         assert!(patch.is_empty());
-        patch.record_insert(tuple_u64([3, 4]));
-        patch.record_delete(tuple_u64([3, 4]));
+        patch.record_insert(&tuple_u64([3, 4]));
+        patch.record_delete(&tuple_u64([3, 4]));
         assert!(patch.is_empty());
     }
 }

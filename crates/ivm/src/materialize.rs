@@ -25,7 +25,6 @@ use crate::{IvmError, MaintenancePath};
 use recurs_core::Classification;
 use recurs_datalog::error::DatalogError;
 use recurs_datalog::govern::{EvalBudget, Governor, TruncationReason};
-use recurs_datalog::relation::Relation;
 use recurs_datalog::rule::{LinearRecursion, Rule};
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::{Atom, Value};
@@ -222,7 +221,7 @@ impl Materialization {
                     if only.is_none_or(|set| set.contains(h)) && add_count(stored, counts, h, 1) {
                         fresh.push(h.iter().copied());
                         if let Some(patch) = patch.as_deref_mut() {
-                            patch.record_insert(h.into());
+                            patch.record_insert(h);
                         }
                     }
                 }
@@ -289,7 +288,10 @@ pub(crate) fn fresh_store(
             engine.declare(atom.predicate, atom.arity())?;
         }
     }
-    engine.load(p, &Relation::new(lr.dimension()));
+    match engine.get_mut(p) {
+        Some(derived) => *derived = IndexedRelation::new(lr.dimension()),
+        None => engine.declare(p, lr.dimension())?,
+    }
     let p_pos = lr
         .recursive_rule
         .body

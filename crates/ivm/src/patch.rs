@@ -5,7 +5,6 @@ use crate::delta::{write, EdbDelta, IdbPatch};
 use crate::materialize::{add_count, stopped, Materialization, CAND};
 use crate::{IvmError, MaintenancePath};
 use recurs_datalog::govern::{EvalBudget, Governor, TruncationReason};
-use recurs_datalog::relation::Relation;
 use recurs_datalog::symbol::Symbol;
 use recurs_engine::{drive_rounds, Batch, IndexedRelation};
 use recurs_obs::field;
@@ -118,7 +117,9 @@ impl Materialization {
                 // unlimited budget.
                 let mut edb = std::mem::take(&mut self.engine);
                 delta.apply_to(&mut edb)?;
-                edb.load(self.lr.predicate, &Relation::new(self.lr.dimension()));
+                if let Some(derived) = edb.get_mut(self.lr.predicate) {
+                    *derived = IndexedRelation::new(self.lr.dimension());
+                }
                 *self =
                     Materialization::saturate(&self.lr, edb, &EvalBudget::unlimited(), &self.obs)?;
                 PatchReport {
@@ -166,7 +167,7 @@ impl Materialization {
     /// revive only if some member rederives independently.
     fn maintain(
         &mut self,
-        changed: &BTreeMap<Symbol, Relation>,
+        changed: &BTreeMap<Symbol, IndexedRelation>,
         insert: bool,
         governor: &Governor,
         patch: &mut IdbPatch,
@@ -189,7 +190,7 @@ impl Materialization {
                 &mut self.engine,
                 None,
                 &self.variants[&pred],
-                BTreeMap::from([(pred, Batch::from_rows(tuples.arity(), tuples.iter()))]),
+                BTreeMap::from([(pred, batch_of(tuples))]),
                 None,
                 governor,
                 &self.obs,
@@ -221,7 +222,7 @@ impl Materialization {
             if let Some(stored) = self.engine.get_mut(p) {
                 for t in cands.iter() {
                     stored.remove(t);
-                    patch.record_delete(t.into());
+                    patch.record_delete(t);
                 }
             }
         }
@@ -255,7 +256,7 @@ impl Materialization {
                     Some(id) => self.counts[id as usize] = n,
                     None => {
                         add_count(stored, &mut self.counts, h, n);
-                        patch.record_insert(h.into());
+                        patch.record_insert(h);
                         entering.push(h.iter().copied());
                     }
                 }

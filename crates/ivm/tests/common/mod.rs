@@ -10,7 +10,7 @@ use recurs_ivm::EdbDelta;
 pub fn apply_plain(delta: &EdbDelta, db: &mut Database) {
     for (&pred, rel) in &delta.inserted {
         for t in rel.iter() {
-            db.insert(pred, t.clone()).unwrap();
+            db.insert(pred, t.into()).unwrap();
         }
     }
     for (&pred, rel) in &delta.deleted {

@@ -14,7 +14,7 @@ use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::Term;
 use recurs_datalog::validate::validate_with_generic_exit;
-use recurs_engine::EngineDb;
+use recurs_engine::{EngineDb, IndexedRelation};
 use recurs_ivm::{EdbDelta, FactOp, MaintenancePath, Materialization};
 use recurs_obs::{CaptureRecorder, Obs};
 use std::collections::HashMap;
@@ -234,7 +234,8 @@ fn updating_the_derived_predicate_is_rejected() {
             .unwrap();
     let p = Symbol::intern("P");
     let mut delta = EdbDelta::default();
-    delta.inserted.insert(p, Relation::from_pairs([(1, 9)]));
+    let stored = IndexedRelation::from_relation(&Relation::from_pairs([(1, 9)]));
+    delta.inserted.insert(p, stored);
     assert!(mat.apply(&delta, &EvalBudget::unlimited()).is_err());
     // Saturating over a database that already stores P is likewise refused.
     let mut db = chain_db(3);

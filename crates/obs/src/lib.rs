@@ -21,7 +21,7 @@
 //! * [`aggregate::Aggregator`] — a sharded in-memory metric store that
 //!   renders to Prometheus text exposition ([`prometheus`]); events are
 //!   ignored.
-//! * `trace::TraceWriter` (behind the `trace-json` feature) — a JSON-lines
+//! * [`trace::TraceWriter`] — a JSON-lines
 //!   writer that persists every event with a sequence number and relative
 //!   timestamp; counters/histograms are ignored.
 //! * [`CaptureRecorder`] — an in-memory capture for tests.
@@ -49,7 +49,6 @@ pub mod flight;
 pub mod jsonl;
 pub mod prometheus;
 pub mod taxonomy;
-#[cfg(feature = "trace-json")]
 pub mod trace;
 
 pub use context::{SpanGuard, SpanId, TraceCtx, TraceId, TraceIdError, TRACE_ID_MAX_LEN};

@@ -1,4 +1,4 @@
-//! JSON-lines trace sink (behind the `trace-json` feature).
+//! JSON-lines trace sink.
 //!
 //! A [`TraceWriter`] persists every [`event`](crate::Recorder::event) as
 //! one JSON object per line:

@@ -1,8 +1,9 @@
 //! Sharded LRU cache of completed query answers.
 //!
-//! An entry is keyed by its [`QueryPattern`] — the adorned query with its
-//! constants filled in, which is the query itself up to variable renaming —
-//! and every shard carries the one [`Version`] its entries are exact at.
+//! An entry is keyed by the query's [`Selection`] — the engine's own
+//! select/project of the adorned query with its constants filled in, which is
+//! the query itself up to variable renaming: `P(c, X)` and `P(c, Y)` are one
+//! key, `P(x, x)` and `P(x, y)` two — and every shard carries the one [`Version`] its entries are exact at.
 //! [`SaturationCache::get`] hits only when the caller's snapshot version is
 //! the shard's, and [`SaturationCache::insert`] is dropped when the shard
 //! has moved on: a reader holding an older snapshot, or one that raced a
@@ -10,7 +11,7 @@
 //! no-stale-reply invariant. A version bump does not cost the cache: when
 //! incremental maintenance produces the exact change to the recursive
 //! predicate, [`SaturationCache::advance`] sends each changed tuple to the
-//! entries it can reach — one per pattern shape present — patches them in
+//! entries it can reach — one per key shape present — patches them in
 //! place and restamps the shard. Only when no patch exists (cold fallback,
 //! a freshly built view) does [`SaturationCache::retain_version`] clear it.
 //!
@@ -20,99 +21,13 @@
 //! generous budget.
 
 use crate::version::Version;
-use recurs_datalog::relation::{Relation, Tuple};
-use recurs_datalog::term::{Atom, Term, Value};
+use recurs_datalog::term::Value;
+use recurs_engine::{IndexedRelation, Selection};
 use recurs_ivm::IdbPatch;
 use recurs_obs::Obs;
 use std::collections::{HashMap, HashSet};
 use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// One column of a point query's selection pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum PatternCol {
-    /// Must equal this constant.
-    Const(Value),
-    /// Projects into the answer row at this distinct-variable index
-    /// (first-occurrence order; a repeated variable repeats the index).
-    Var(usize),
-}
-
-/// The select/project a point query applies to the recursive predicate, and
-/// the cache's key: constants verbatim, variables numbered by first
-/// occurrence, so `P(c, X)` and `P(c, Y)` are one pattern while `P(x, x)` and
-/// `P(x, y)` are two. Answers are the query's distinct variables in
-/// first-occurrence order, so a matching base tuple maps to *exactly one*
-/// answer row and, conversely, each answer row pins every column (constants
-/// from the pattern, the rest from the row): the mapping is one-to-one and
-/// deletions are as precise as insertions.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct QueryPattern(Vec<PatternCol>);
-
-/// A pattern with its constants blanked: `None` at a bound position, the
-/// variable's index at a free one. A tuple matches at most one pattern of a
-/// shape — the one carrying the tuple's own values at the bound positions.
-type Shape = Box<[Option<usize>]>;
-
-impl QueryPattern {
-    /// Extracts the pattern from a query atom.
-    pub fn of(query: &Atom) -> QueryPattern {
-        let mut cols = Vec::with_capacity(query.terms.len());
-        let mut vars = 0;
-        for (i, t) in query.terms.iter().enumerate() {
-            let first = query.terms[..i].iter().position(|u| u == t);
-            cols.push(match (t, first) {
-                (Term::Const(c), _) => PatternCol::Const(*c),
-                (Term::Var(_), Some(first)) => cols[first],
-                (Term::Var(_), None) => {
-                    vars += 1;
-                    PatternCol::Var(vars - 1)
-                }
-            });
-        }
-        QueryPattern(cols)
-    }
-
-    /// Projects a base tuple to its answer row, or `None` when the tuple
-    /// does not match the pattern's constants / repeated variables. The
-    /// constants are checked before a row is built.
-    pub fn project(&self, t: &[Value]) -> Option<Tuple> {
-        let cols = || self.0.iter().zip(t);
-        if t.len() != self.0.len()
-            || cols().any(|(col, v)| matches!(col, PatternCol::Const(c) if c != v))
-        {
-            return None;
-        }
-        let mut row = Vec::with_capacity(t.len());
-        for (col, v) in cols() {
-            if let PatternCol::Var(i) = col {
-                match row.get(*i) {
-                    None => row.push(*v),
-                    Some(first) if first != v => return None,
-                    Some(_) => {}
-                }
-            }
-        }
-        Some(row.into())
-    }
-
-    fn shape(&self) -> Shape {
-        let var = |col: &PatternCol| match col {
-            PatternCol::Const(_) => None,
-            PatternCol::Var(i) => Some(*i),
-        };
-        self.0.iter().map(var).collect()
-    }
-
-    /// The one pattern of `shape` that `t` can match.
-    fn reaching(shape: &Shape, t: &[Value]) -> QueryPattern {
-        let fill = |(var, v): (&Option<usize>, &Value)| match var {
-            None => PatternCol::Const(*v),
-            Some(i) => PatternCol::Var(*i),
-        };
-        QueryPattern(shape.iter().zip(t).map(fill).collect())
-    }
-}
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The cache's monotone operation counts, as `QueryService::stats` reads
 /// them back from `recurs_serve_cache_ops_total{op}` summed over shards —
@@ -148,10 +63,16 @@ impl serde::Serialize for CacheCounters {
     }
 }
 
+/// One cached answer set under the [`Selection`] that produced it. Answers
+/// are the query's distinct variables in first-occurrence order, so a
+/// matching base tuple maps to *exactly one* answer row and, conversely, each
+/// answer row pins every column (constants from the key, the rest from the
+/// row): the mapping is one-to-one and deletions are as precise as
+/// insertions.
 #[derive(Debug)]
 struct Entry {
-    key: QueryPattern,
-    answers: Arc<Relation>,
+    key: Selection,
+    answers: IndexedRelation,
     /// Neighbours in the shard's recency ring: the newest entry's `newer` is
     /// the oldest entry, whose `older` is the newest.
     newer: usize,
@@ -162,13 +83,16 @@ struct Entry {
 struct Shard {
     /// The one snapshot version every entry is exact at.
     version: Version,
-    /// Pattern → position in `entries`. Entries leave by eviction (the
-    /// arriving entry takes the position) or all at once: there are no holes.
-    slots: HashMap<QueryPattern, usize>,
+    /// Key → position in `entries`. Entries leave by eviction (the arriving
+    /// entry takes the position) or all at once: there are no holes.
+    slots: HashMap<Selection, usize>,
     entries: Vec<Entry>,
     newest: usize,
-    /// Entries per shape: the lookups one patch tuple is worth.
-    shapes: HashMap<Shape, usize>,
+    /// Per key shape present ([`Selection::same_shape`]), a key of that shape
+    /// — its constants are scratch, rebound to each patch tuple — and how
+    /// many entries share it: the lookups one patch tuple is worth. A handful
+    /// per predicate, so a list.
+    shapes: Vec<(Selection, usize)>,
 }
 
 impl Shard {
@@ -189,7 +113,8 @@ impl Shard {
         (self.entries[was].newer, self.entries[oldest].older) = (i, i);
     }
 
-    fn get(&mut self, key: &QueryPattern, version: Version) -> Option<Arc<Relation>> {
+    /// A hit hands out the entry's rows by reference count.
+    fn get(&mut self, key: &Selection, version: Version) -> Option<IndexedRelation> {
         if self.version != version {
             return None;
         }
@@ -198,13 +123,27 @@ impl Shard {
         Some(self.entries[i].answers.clone())
     }
 
+    /// Counts one entry of `key`'s shape in, or out.
+    fn count_shape(&mut self, key: &Selection, arriving: bool) {
+        let at = self.shapes.iter().position(|(s, _)| s.same_shape(key));
+        match (at, arriving) {
+            (Some(at), true) => self.shapes[at].1 += 1,
+            (None, true) => self.shapes.push((key.clone(), 1)),
+            (Some(at), false) if self.shapes[at].1 > 1 => self.shapes[at].1 -= 1,
+            (Some(at), false) => {
+                self.shapes.swap_remove(at);
+            }
+            (None, false) => {}
+        }
+    }
+
     /// Returns whether an entry was evicted to make room, or `None` when the
     /// answer was discarded: the shard is not (or no longer) at `version`.
     fn insert(
         &mut self,
-        key: QueryPattern,
+        key: Selection,
         version: Version,
-        answers: Arc<Relation>,
+        answers: IndexedRelation,
         capacity: usize,
     ) -> Option<bool> {
         if self.version != version {
@@ -215,7 +154,7 @@ impl Shard {
             self.touch(i);
             return Some(false);
         }
-        *self.shapes.entry(key.shape()).or_insert(0) += 1;
+        self.count_shape(&key, true);
         let mut i = self.entries.len();
         let full = i >= capacity;
         if full {
@@ -224,10 +163,7 @@ impl Shard {
             let evicted = std::mem::replace(&mut self.entries[i].key, key.clone());
             self.entries[i].answers = answers;
             self.slots.remove(&evicted);
-            if let Some(count) = self.shapes.get_mut(&evicted.shape()) {
-                *count -= 1;
-            }
-            self.shapes.retain(|_, count| *count > 0);
+            self.count_shape(&evicted, false);
         } else {
             // Linked to itself: a ring of one until `touch` splices it in.
             self.entries.push(Entry {
@@ -252,24 +188,37 @@ impl Shard {
     }
 
     /// Rewrites in place the answers of every entry a patch tuple reaches —
-    /// per tuple, one lookup per shape present, never a walk over entries —
-    /// deletions before insertions. An answer set is copied only if a reply
-    /// still holds it. Returns how many entries changed.
+    /// per tuple, one lookup per shape present, never a walk over entries, no
+    /// key or row built per tuple — deletions before insertions. The rows of
+    /// an answer set are copied only if a reply still holds them. Returns
+    /// how many entries changed.
     fn patch(&mut self, patch: &IdbPatch) -> u64 {
+        let Shard {
+            shapes,
+            slots,
+            entries,
+            ..
+        } = self;
         let mut changed = HashSet::new();
-        for shape in self.shapes.keys() {
-            let reach = |t: &Tuple| {
-                let key = QueryPattern::reaching(shape, t);
-                Some((*self.slots.get(&key)?, key.project(t)?))
-            };
-            for (i, row) in patch.deleted.iter().filter_map(reach) {
-                if Arc::make_mut(&mut self.entries[i].answers).remove(&row) {
-                    changed.insert(i);
-                }
-            }
-            for (i, row) in patch.inserted.iter().filter_map(reach) {
-                if Arc::make_mut(&mut self.entries[i].answers).insert(row) {
-                    changed.insert(i);
+        let mut row: Vec<Value> = Vec::new();
+        for (key, _) in shapes {
+            for (side, insert) in [(&patch.deleted, false), (&patch.inserted, true)] {
+                for t in side.iter() {
+                    // With the tuple's own constants, only a repeated
+                    // variable can still reject it.
+                    key.rebind(t);
+                    if !key.admits(t) {
+                        continue;
+                    }
+                    let Some(&i) = slots.get(key) else {
+                        continue;
+                    };
+                    row.clear();
+                    row.extend(key.project(t));
+                    let answers = &mut entries[i].answers;
+                    if insert && answers.insert(&row) || !insert && answers.remove(&row) {
+                        changed.insert(i);
+                    }
                 }
             }
         }
@@ -309,7 +258,7 @@ impl SaturationCache {
         shard.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn shard_of(&self, key: &QueryPattern) -> usize {
+    fn shard_of(&self, key: &Selection) -> usize {
         let mut hasher = DefaultHasher::new();
         key.hash(&mut hasher);
         (hasher.finish() % self.shards.len() as u64) as usize
@@ -327,7 +276,7 @@ impl SaturationCache {
 
     /// Looks up a completed answer exact at `version`, refreshing its
     /// recency on a hit. A shard stamped with another version misses.
-    pub fn get(&self, key: &QueryPattern, version: Version) -> Option<Arc<Relation>> {
+    pub fn get(&self, key: &Selection, version: Version) -> Option<IndexedRelation> {
         let idx = self.shard_of(key);
         let hit = Self::lock(&self.shards[idx]).get(key, version);
         self.record_op(if hit.is_some() { "hit" } else { "miss" }, idx, 1);
@@ -338,7 +287,7 @@ impl SaturationCache {
     /// least recently used entry of the same shard if over capacity. An
     /// answer for any version but the shard's is discarded, and counted as
     /// an insert that was invalidated.
-    pub fn insert(&self, key: QueryPattern, version: Version, answers: Arc<Relation>) {
+    pub fn insert(&self, key: Selection, version: Version, answers: IndexedRelation) {
         let idx = self.shard_of(&key);
         let evicted =
             Self::lock(&self.shards[idx]).insert(key, version, answers, self.capacity_per_shard);
@@ -403,18 +352,29 @@ impl SaturationCache {
 mod tests {
     use super::*;
     use recurs_datalog::parser::parse_atom;
-    use recurs_datalog::relation::tuple_u64;
+    use recurs_datalog::relation::{tuple_u64, Relation};
+    use std::sync::Arc;
 
-    fn pat(query: &str) -> QueryPattern {
-        QueryPattern::of(&parse_atom(query).unwrap())
+    fn pat(query: &str) -> Selection {
+        Selection::of(&parse_atom(query).unwrap())
     }
 
     fn v(n: u64) -> Version {
         Version::from(n)
     }
 
-    fn rel(n: u64) -> Arc<Relation> {
-        Arc::new(Relation::from_pairs([(n, n)]))
+    fn rel(n: u64) -> IndexedRelation {
+        IndexedRelation::from_relation(&Relation::from_pairs([(n, n)]))
+    }
+
+    fn unary(ns: &[u64]) -> Relation {
+        Relation::from_tuples(1, ns.iter().map(|n| tuple_u64([*n])))
+    }
+
+    /// Where the relation's rows live: equal for two clones exactly while
+    /// they share one arena.
+    fn rows_at(answers: &IndexedRelation) -> *const Value {
+        answers.iter().next().unwrap().as_ptr()
     }
 
     /// A cache recording into a capture, and the count of one `op` summed
@@ -438,9 +398,10 @@ mod tests {
     fn canonical_key_distinguishes_repeated_variables() {
         assert_ne!(pat("P(x, y)"), pat("P(x, x)"));
         assert_eq!(pat("P(x, x)"), pat("P(z, z)"));
-        assert_eq!(pat("P(x, y)").shape(), pat("P(u, v)").shape());
-        assert_ne!(pat("P(x, y)").shape(), pat("P(x, x)").shape());
-        assert_eq!(pat("P(1, x)").shape(), pat("P(2, y)").shape());
+        assert!(pat("P(x, y)").same_shape(&pat("P(u, v)")));
+        assert!(!pat("P(x, y)").same_shape(&pat("P(x, x)")));
+        assert!(pat("P(1, x)").same_shape(&pat("P(2, y)")));
+        assert!(!pat("P(1, x)").same_shape(&pat("P(x, 1)")));
     }
 
     #[test]
@@ -479,7 +440,7 @@ mod tests {
             assert_eq!(cache.len(), 2);
         }
         let shard = SaturationCache::lock(&cache.shards[0]);
-        assert_eq!(shard.shapes.values().sum::<usize>(), 2);
+        assert_eq!(shard.shapes.iter().map(|(_, n)| n).sum::<usize>(), 2);
         assert_eq!(shard.slots.len(), 2);
     }
 
@@ -514,23 +475,37 @@ mod tests {
         cache.insert(k.clone(), v(0), rel(2));
         assert_eq!(cache.len(), 1);
         assert_eq!(ops("evict"), 0);
-        assert_eq!(*cache.get(&k, v(0)).unwrap(), *rel(2));
+        assert_eq!(
+            cache.get(&k, v(0)).unwrap().to_relation(),
+            rel(2).to_relation()
+        );
     }
 
     #[test]
     fn pattern_projects_matching_tuples_one_to_one() {
-        let p = pat("P(1, x)");
-        assert_eq!(p.project(&tuple_u64([1, 5])), Some(tuple_u64([5])));
-        assert_eq!(p.project(&tuple_u64([2, 5])), None);
-        let p = pat("P(x, x)");
-        assert_eq!(p.project(&tuple_u64([4, 4])), Some(tuple_u64([4])));
-        assert_eq!(p.project(&tuple_u64([4, 5])), None);
-        let p = pat("P(x, y)");
-        assert_eq!(p.project(&tuple_u64([4, 5])), Some(tuple_u64([4, 5])));
-        assert_eq!(p.project(&tuple_u64([4])), None, "arity mismatch");
-        // A tuple reaches, per shape, the pattern with its own constants.
-        for query in ["P(4, x)", "P(x, 5)", "P(4, 5)", "P(x, y)", "P(x, x)"] {
-            let reached = QueryPattern::reaching(&pat(query).shape(), &tuple_u64([4, 5]));
+        let project = |query: &str, t: &[u64]| {
+            let (p, t) = (pat(query), tuple_u64(t.iter().copied()));
+            p.admits(&t).then(|| p.project(&t).collect::<Vec<Value>>())
+        };
+        assert_eq!(project("P(1, x)", &[1, 5]), Some(tuple_u64([5]).to_vec()));
+        assert_eq!(project("P(1, x)", &[2, 5]), None);
+        assert_eq!(project("P(x, x)", &[4, 4]), Some(tuple_u64([4]).to_vec()));
+        assert_eq!(project("P(x, x)", &[4, 5]), None);
+        assert_eq!(
+            project("P(x, y)", &[4, 5]),
+            Some(tuple_u64([4, 5]).to_vec())
+        );
+        assert_eq!(project("P(4, 5)", &[4, 5]), Some(Vec::new()));
+        // A tuple reaches, per shape, the key with its own constants.
+        for (query, shape) in [
+            ("P(4, x)", "P(0, x)"),
+            ("P(x, 5)", "P(x, 0)"),
+            ("P(4, 5)", "P(0, 0)"),
+            ("P(x, y)", "P(u, v)"),
+            ("P(x, x)", "P(u, u)"),
+        ] {
+            let mut reached = pat(shape);
+            reached.rebind(&tuple_u64([4, 5]));
             assert_eq!(reached, pat(query), "{query}");
         }
     }
@@ -540,31 +515,32 @@ mod tests {
         let (cache, ops) = counted(16, 4);
         // Answers of P(1, x) over {P(1,2), P(1,3)}, of P(x, y), and of two
         // queries the patch does not reach.
-        let bound = Relation::from_tuples(1, [tuple_u64([2]), tuple_u64([3])]);
-        cache.insert(pat("P(1, x)"), v(0), Arc::new(bound));
+        let stored = |rel: &Relation| IndexedRelation::from_relation(rel);
+        cache.insert(pat("P(1, x)"), v(0), stored(&unary(&[2, 3])));
         let free = Relation::from_pairs([(1, 2), (1, 3)]);
-        cache.insert(pat("P(x, y)"), v(0), Arc::new(free));
+        cache.insert(pat("P(x, y)"), v(0), stored(&free));
         cache.insert(pat("P(7, x)"), v(0), rel(7));
-        cache.insert(pat("P(x, x)"), v(0), Arc::new(Relation::new(1)));
+        cache.insert(pat("P(x, x)"), v(0), IndexedRelation::new(1));
         // The recursion gained P(1,4) and P(9,9), and lost P(1,2).
         let mut patch = IdbPatch::empty(2);
-        patch.inserted.insert(tuple_u64([1, 4]));
-        patch.inserted.insert(tuple_u64([9, 9]));
-        patch.deleted.insert(tuple_u64([1, 2]));
+        patch.inserted.insert(&tuple_u64([1, 4]));
+        patch.inserted.insert(&tuple_u64([9, 9]));
+        patch.deleted.insert(&tuple_u64([1, 2]));
         cache.advance(Version::ZERO, v(1), &patch);
         assert_eq!(cache.len(), 4);
         assert!(cache.get(&pat("P(1, x)"), v(0)).is_none(), "0 is dead");
-        let bound = cache.get(&pat("P(1, x)"), v(1)).unwrap();
+        let at_1 = |query: &str| cache.get(&pat(query), v(1)).unwrap().to_relation();
         assert_eq!(
-            *bound,
-            Relation::from_tuples(1, [tuple_u64([3]), tuple_u64([4])]),
+            at_1("P(1, x)"),
+            unary(&[3, 4]),
             "constant-bound entry sees only its matching changes"
         );
-        let free = cache.get(&pat("P(x, y)"), v(1)).unwrap();
-        assert_eq!(*free, Relation::from_pairs([(1, 3), (1, 4), (9, 9)]));
-        let diagonal = cache.get(&pat("P(x, x)"), v(1)).unwrap();
-        assert_eq!(*diagonal, Relation::from_tuples(1, [tuple_u64([9])]));
-        assert_eq!(*cache.get(&pat("P(7, x)"), v(1)).unwrap(), *rel(7));
+        assert_eq!(
+            at_1("P(x, y)"),
+            Relation::from_pairs([(1, 3), (1, 4), (9, 9)])
+        );
+        assert_eq!(at_1("P(x, x)"), unary(&[9]));
+        assert_eq!(at_1("P(7, x)"), rel(7).to_relation());
         assert_eq!(ops("patch"), 3, "the entries whose answers changed");
         assert_eq!(ops("invalidate"), 0);
     }
@@ -579,39 +555,40 @@ mod tests {
         }
         cache.advance(v(0), v(1), &IdbPatch::empty(2));
         let mut unrelated = IdbPatch::empty(2);
-        unrelated.inserted.insert(tuple_u64([2, 3]));
-        unrelated.deleted.insert(tuple_u64([3, 2]));
+        unrelated.inserted.insert(&tuple_u64([2, 3]));
+        unrelated.deleted.insert(&tuple_u64([3, 2]));
         cache.advance(v(1), v(2), &unrelated);
         for (query, answers) in queries.iter().zip(&held) {
             let carried = cache.get(&pat(query), v(2)).unwrap();
-            assert!(Arc::ptr_eq(&carried, answers), "{query} was copied");
+            assert_eq!(rows_at(&carried), rows_at(answers), "{query} was copied");
         }
     }
 
     #[test]
     fn a_patched_entry_is_copied_only_while_a_reply_holds_it() {
-        let unary = |ns: &[u64]| Relation::from_tuples(1, ns.iter().map(|n| tuple_u64([*n])));
         let cache = SaturationCache::new(4, 1, Obs::noop());
-        cache.insert(pat("P(1, x)"), v(0), Arc::new(unary(&[2])));
+        let answers = IndexedRelation::from_relation(&unary(&[2]));
+        cache.insert(pat("P(1, x)"), v(0), answers);
         let reply = cache.get(&pat("P(1, x)"), v(0)).unwrap();
         let mut patch = IdbPatch::empty(2);
-        patch.inserted.insert(tuple_u64([1, 4]));
+        patch.inserted.insert(&tuple_u64([1, 4]));
         cache.advance(v(0), v(1), &patch);
-        assert_eq!(*reply, unary(&[2]), "a reply in flight keeps its answers");
+        assert_eq!(
+            reply.to_relation(),
+            unary(&[2]),
+            "a reply in flight keeps its answers"
+        );
         let patched = cache.get(&pat("P(1, x)"), v(1)).unwrap();
-        assert_eq!(*patched, unary(&[2, 4]));
+        assert_eq!(patched.to_relation(), unary(&[2, 4]));
+        assert_ne!(rows_at(&patched), rows_at(&reply));
+        let before = rows_at(&patched);
         drop((reply, patched));
-        let before = Arc::as_ptr(&cache.get(&pat("P(1, x)"), v(1)).unwrap());
         let mut patch = IdbPatch::empty(2);
-        patch.deleted.insert(tuple_u64([1, 4]));
+        patch.deleted.insert(&tuple_u64([1, 4]));
         cache.advance(v(1), v(2), &patch);
         let after = cache.get(&pat("P(1, x)"), v(2)).unwrap();
-        assert_eq!(
-            Arc::as_ptr(&after),
-            before,
-            "nobody held it: patched in place"
-        );
-        assert_eq!(*after, unary(&[2]));
+        assert_eq!(rows_at(&after), before, "nobody held it: patched in place");
+        assert_eq!(after.to_relation(), unary(&[2]));
     }
 
     #[test]
@@ -623,10 +600,10 @@ mod tests {
             cache.insert(pat(query), v(0), rel(1));
         }
         let mut b = IdbPatch::empty(2);
-        b.inserted.insert(tuple_u64([1, 5]));
+        b.inserted.insert(&tuple_u64([1, 5]));
         cache.advance(v(1), v(2), &b);
         let mut a = IdbPatch::empty(2);
-        a.inserted.insert(tuple_u64([1, 4]));
+        a.inserted.insert(&tuple_u64([1, 4]));
         cache.advance(v(0), v(1), &a);
         // Nothing at 0 could be carried to 2 by B's patch alone: it was
         // dropped, counted, and A's late step moved no stamp back.
@@ -640,6 +617,7 @@ mod tests {
         cache.insert(pat("P(1, x)"), v(1), rel(1));
         cache.insert(pat("P(1, x)"), v(2), rel(2));
         assert_eq!(cache.len(), 1);
-        assert_eq!(*cache.get(&pat("P(1, x)"), v(2)).unwrap(), *rel(2));
+        let live = cache.get(&pat("P(1, x)"), v(2)).unwrap();
+        assert_eq!(live.to_relation(), rel(2).to_relation());
     }
 }

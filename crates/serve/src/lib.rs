@@ -32,7 +32,7 @@
 //!   format — one request per line, one JSON reply per line.
 //!
 //! ```
-//! use recurs_datalog::{database::Database, parser, relation::Relation};
+//! use recurs_datalog::{parser, Database, Relation};
 //! use recurs_datalog::validate::validate_with_generic_exit;
 //! use recurs_serve::{QueryService, ServeConfig};
 //!
@@ -68,7 +68,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod version;
 
-pub use cache::{CacheCounters, QueryPattern, SaturationCache};
+pub use cache::{CacheCounters, SaturationCache};
 pub use error::ServeError;
 pub use kernel::{PointKernelKind, PointPlans};
 pub use recurs_ivm::FactOp;

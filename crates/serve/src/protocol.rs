@@ -356,8 +356,10 @@ fn render_reply(query: &str, reply: &Reply, max_len: Option<usize>) -> Value {
     let mut room = max_len.map_or(usize::MAX, |max| {
         max.saturating_sub(REPLY_ENVELOPE_LEN + json_len(query))
     });
+    let mut sorted: Vec<&[recurs_datalog::term::Value]> = reply.answers.iter().collect();
+    sorted.sort_unstable();
     let mut rows: Vec<Value> = Vec::new();
-    for t in reply.answers.iter_sorted() {
+    for t in sorted {
         // The brackets, the values, and a comma after each (the last
         // value's stands for the one after the row).
         let len = 2 + t.iter().map(|v| json_len(v.as_str()) + 1).sum::<usize>();
@@ -499,6 +501,37 @@ mod tests {
         assert!(r.contains("derived"), "got {r}");
         let r = reply(&s, "-P(1, 2).");
         assert!(r.contains("\"ok\":false"), "got {r}");
+    }
+
+    #[test]
+    fn updates_to_reserved_names_are_refused_and_the_view_stays_maintained() {
+        let s = service();
+        // `__ivm_cand` is the recount pipelines' seed atom, `ans__P__dv` the
+        // frontier plan's answer relation: a client that could write either
+        // would break maintenance or plant an answer flagged complete.
+        for line in [
+            "+__ivm_cand(1).",
+            "+ans__P__dv(42).",
+            "-magic__P__fb(1).",
+            "+A(3, 4) +reach__P__dv(7).",
+        ] {
+            let r = reply(&s, line);
+            assert!(r.contains("\"ok\":false"), "{line}: {r}");
+            assert!(r.contains("is reserved"), "{line}: {r}");
+        }
+        assert!(reply(&s, "!snapshot").contains("\"version\":0"));
+        let r = reply(&s, "?- P(1, y).");
+        assert!(r.contains("[[\"2\"],[\"3\"]]"), "got {r}");
+        // The first write builds the view; a refused line in between, and
+        // the next write is still patched in, not rebuilt or dropped.
+        let r = reply(&s, "+A(3, 4) +E(3, 4).");
+        assert!(r.contains("\"maintenance\":\"saturate\""), "got {r}");
+        assert!(reply(&s, "+__ivm_cand(1).").contains("is reserved"));
+        let r = reply(&s, "+A(4, 5) +E(4, 5).");
+        assert!(r.contains("\"maintenance\":\"frontier\""), "got {r}");
+        let r = reply(&s, "?- P(1, y).");
+        assert!(r.contains("[[\"2\"],[\"3\"],[\"4\"],[\"5\"]]"), "got {r}");
+        assert!(r.contains("\"complete\":true"), "got {r}");
     }
 
     #[test]

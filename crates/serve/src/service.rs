@@ -1,7 +1,7 @@
 //! The long-lived query service: snapshots + kernels + cache + admission.
 
 use crate::admission::{Permit, Semaphore};
-use crate::cache::{CacheCounters, QueryPattern, SaturationCache};
+use crate::cache::{CacheCounters, SaturationCache};
 use crate::error::ServeError;
 use crate::kernel::{PointKernelKind, PointPlans};
 use crate::snapshot::{Snapshot, SnapshotStore, SnapshotUpdate};
@@ -9,13 +9,14 @@ use crate::stats::{CacheOutcome, ServeStats, ServiceStats};
 use crate::version::Version;
 use recurs_core::Classification;
 use recurs_datalog::database::Database;
+use recurs_datalog::error::DatalogError;
 use recurs_datalog::fingerprint::{self, Fingerprint};
 use recurs_datalog::govern::{EvalBudget, Outcome};
-use recurs_datalog::relation::Relation;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::Atom;
+use recurs_datalog::validate::is_reserved;
 use recurs_engine::compile::ProbeCounters;
-use recurs_engine::EngineDb;
+use recurs_engine::{EngineDb, IndexedRelation, Selection};
 use recurs_igraph::component::ComponentKind;
 use recurs_ivm::{
     explain_fact, verify_tree, DerivationNode, EdbDelta, FactOp, IdbPatch, Materialization,
@@ -57,12 +58,13 @@ impl Default for ServeConfig {
     }
 }
 
-/// One answered query: the (shared) answer relation plus per-query stats.
+/// One answered query: the answer relation plus per-query stats.
 #[derive(Debug)]
 pub struct Reply {
     /// The answers, over the query's distinct variables in first-occurrence
-    /// order. Shared: cache hits hand out the same allocation.
-    pub answers: Arc<Relation>,
+    /// order. A cache hit shares the entry's rows; nothing is copied unless
+    /// a write patches the entry while this reply still holds them.
+    pub answers: IndexedRelation,
     /// Complete, or soundly truncated.
     pub outcome: Outcome,
     /// What the query cost.
@@ -193,11 +195,16 @@ impl QueryService {
     /// the cache in order.
     ///
     /// Operations on the recursive predicate are rejected — it is derived,
-    /// never stored.
+    /// never stored — and so are operations on a reserved name: the kernels'
+    /// and the view's synthesized relations share the store with the facts,
+    /// and a client that could write them could plant answers.
     pub fn apply_update(&self, ops: &[FactOp]) -> Result<UpdateOutcome, ServeError> {
         let served = self.plans.recursion().predicate;
         if let Some(op) = ops.iter().find(|op| op.predicate() == served) {
             return Err(ServeError::DerivedUpdate(op.predicate()));
+        }
+        if let Some(op) = ops.iter().find(|op| is_reserved(op.predicate())) {
+            return Err(DatalogError::ReservedName(op.predicate()).into());
         }
         let start = Instant::now();
         // Writers serialize on the view lock from before the install to
@@ -418,81 +425,62 @@ impl QueryService {
         let kernel = self.plans.select(query).inspect_err(count_error)?;
         let start = Instant::now();
 
-        let cache = self
-            .cache
-            .as_ref()
-            .map(|cache| (cache, QueryPattern::of(query)));
-        let cached = cache.as_ref().and_then(|(cache, key)| {
+        // What the query selects and projects: the cache's key and the
+        // view's select, computed once.
+        let selection = Selection::of(query);
+        let cached = self.cache.as_ref().and_then(|cache| {
             let _probe = tr.map(|(ctx, parent)| ctx.span("cache", parent));
-            cache.get(key, snapshot.version())
+            cache.get(&selection, snapshot.version())
         });
-        if let Some(answers) = cached {
-            let stats = ServeStats {
-                queue_wait,
-                eval: start.elapsed(),
-                cache: CacheOutcome::Hit,
-                kernel,
-                outcome: Outcome::Complete,
-                answers: answers.len(),
-                tuples_derived: 0,
-                fixpoint_iterations: 0,
-                snapshot_version: snapshot.version().get(),
-            };
-            self.record_query(obs, &stats);
-            return Ok(Reply {
-                answers,
-                outcome: Outcome::Complete,
-                stats,
-                trace,
-            });
-        }
-
-        // The maintained view answers with a plain select/project — no
+        // The maintained view answers a miss with a plain select/project — no
         // evaluation at all — whenever its version matches the snapshot.
-        let view_answers = {
-            let _view = tr.map(|(ctx, parent)| ctx.span("view", parent));
-            self.view_answers(&snapshot, query, obs)
-        };
-        let (answers, outcome, kernel, tuples_derived, fixpoint_iterations) = match view_answers {
-            Some(answers) => (
-                Arc::new(answers),
-                Outcome::Complete,
-                PointKernelKind::MaterializedView,
-                0,
-                0,
-            ),
+        let view_answers = match cached {
+            Some(_) => None,
             None => {
-                let _eval = tr.map(|(ctx, parent)| ctx.span("eval", parent));
-                let run = self
-                    .plans
-                    .answer(&self.store, &snapshot, query, budget, obs)
-                    .inspect_err(count_error)?;
-                let stats = run.saturation.stats;
-                // The bounded levels finish in the seeding round: no
-                // fixpoint iteration ran ("iterations ≤ rank" trivially).
-                let iterations = match kernel {
-                    PointKernelKind::BoundedUnroll { .. } => 0,
-                    _ => stats.iteration_count(),
-                };
-                let derived = stats.tuples_derived;
-                let outcome = run.saturation.outcome;
-                (Arc::new(run.answers), outcome, kernel, derived, iterations)
+                let _view = tr.map(|(ctx, parent)| ctx.span("view", parent));
+                self.view_answers(&snapshot, &selection, obs)
             }
         };
+        let cache = match (&self.cache, &cached) {
+            (_, Some(_)) => CacheOutcome::Hit,
+            (Some(_), None) => CacheOutcome::Miss,
+            (None, None) => CacheOutcome::Bypass,
+        };
+        let (answers, outcome, kernel, tuples_derived, fixpoint_iterations) =
+            match (cached, view_answers) {
+                (Some(answers), _) => (answers, Outcome::Complete, kernel, 0, 0),
+                (None, Some(answers)) => {
+                    let view = PointKernelKind::MaterializedView;
+                    (answers, Outcome::Complete, view, 0, 0)
+                }
+                (None, None) => {
+                    let _eval = tr.map(|(ctx, parent)| ctx.span("eval", parent));
+                    let run = self
+                        .plans
+                        .answer(&self.store, &snapshot, query, budget, obs)
+                        .inspect_err(count_error)?;
+                    let stats = run.saturation.stats;
+                    // The bounded levels finish in the seeding round: no
+                    // fixpoint iteration ran ("iterations ≤ rank" trivially).
+                    let iterations = match kernel {
+                        PointKernelKind::BoundedUnroll { .. } => 0,
+                        _ => stats.iteration_count(),
+                    };
+                    let (derived, outcome) = (stats.tuples_derived, run.saturation.outcome);
+                    (run.answers, outcome, kernel, derived, iterations)
+                }
+            };
         // Only complete answers are cacheable: a truncated answer depends on
         // the budget that truncated it.
-        if let (Some((cache, key)), true) = (cache, outcome.is_complete()) {
+        if let (Some(store), CacheOutcome::Miss, true) = (&self.cache, cache, outcome.is_complete())
+        {
             let _store = tr.map(|(ctx, parent)| ctx.span("cache_store", parent));
-            cache.insert(key, snapshot.version(), answers.clone());
+            store.insert(selection, snapshot.version(), answers.clone());
         }
         let stats = ServeStats {
             queue_wait,
             eval: start.elapsed(),
-            cache: if self.cache.is_some() {
-                CacheOutcome::Miss
-            } else {
-                CacheOutcome::Bypass
-            },
+            cache,
             kernel,
             outcome,
             answers: answers.len(),
@@ -514,7 +502,12 @@ impl QueryService {
     /// maintenance already keeps on the view, when the query's constants
     /// cover one; what it read goes to the engine's probe counters. The query
     /// is over the served predicate at its arity: it has a plan.
-    fn view_answers(&self, snapshot: &Snapshot, query: &Atom, obs: &Obs) -> Option<Relation> {
+    fn view_answers(
+        &self,
+        snapshot: &Snapshot,
+        query: &Selection,
+        obs: &Obs,
+    ) -> Option<IndexedRelation> {
         let guard = self.view.read().unwrap_or_else(PoisonError::into_inner);
         let vs = guard
             .as_ref()
@@ -804,7 +797,7 @@ impl QueryService {
     pub fn why(
         &self,
         predicate: Symbol,
-        tuple: &recurs_datalog::relation::Tuple,
+        tuple: &[recurs_datalog::term::Value],
         max_depth: u64,
         budget: &EvalBudget,
     ) -> Result<Value, ServeError> {
@@ -899,7 +892,7 @@ fn opt_uz(v: Option<usize>) -> Value {
 }
 
 /// Renders `pred(c1, c2)` for a ground tuple.
-fn render_fact(predicate: Symbol, tuple: &recurs_datalog::relation::Tuple) -> String {
+fn render_fact(predicate: Symbol, tuple: &[recurs_datalog::term::Value]) -> String {
     let args: Vec<&str> = tuple.iter().map(|v| v.as_str()).collect();
     format!("{predicate}({})", args.join(", "))
 }
@@ -965,7 +958,7 @@ fn tree_value(node: &DerivationNode) -> Value {
 mod tests {
     use super::*;
     use recurs_datalog::parser::{parse_atom, parse_program};
-    use recurs_datalog::relation::tuple_u64;
+    use recurs_datalog::relation::{tuple_u64, Relation};
     use recurs_datalog::validate::validate_with_generic_exit;
 
     fn tc_service(n: u64, config: ServeConfig) -> QueryService {
@@ -987,7 +980,7 @@ mod tests {
         assert_eq!(first.stats.cache, CacheOutcome::Miss);
         let second = service.query(&q).unwrap();
         assert_eq!(second.stats.cache, CacheOutcome::Hit);
-        assert_eq!(first.answers, second.answers);
+        assert_eq!(first.answers.to_relation(), second.answers.to_relation());
         // Alpha-equivalent query shares the entry.
         let renamed = parse_atom("P(1, z)").unwrap();
         assert_eq!(

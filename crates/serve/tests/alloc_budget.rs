@@ -5,9 +5,11 @@
 //! tuples or 20 000; an update allocates for the relation it changes,
 //! whatever the size of the ones it does not and however many warm cache
 //! entries its patch does not reach; and a cache hit allocates its lookup
-//! pattern and nothing else on the cache's behalf. Bytes are counted per thread
-//! by a wrapping global allocator, so the parallel test harness does not
-//! blur the numbers.
+//! pattern and nothing else on the cache's behalf. Rows outside an arena travel
+//! in flat relations, so allocator *calls* follow buffer doublings — log k for
+//! a select of k answers or a patch of k tuples — never the row count. Bytes
+//! and calls are counted per thread by a wrapping global allocator, so the
+//! parallel test harness does not blur the numbers.
 
 use recurs_datalog::database::Database;
 use recurs_datalog::parser::{parse_atom, parse_program};
@@ -23,15 +25,17 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+    static CALLS: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-// SAFETY: defers every call to `System`; the counter is a const-initialized
-// thread-local `Cell` with no destructor, so touching it never allocates.
+// SAFETY: defers every call to `System`; the counters are const-initialized
+// thread-local `Cell`s with no destructor, so touching them never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATED.try_with(|n| n.set(n.get() + layout.size()));
+        let _ = CALLS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -40,6 +44,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let grown = new_size.saturating_sub(layout.size());
         let _ = ALLOCATED.try_with(|n| n.set(n.get() + grown));
+        let _ = CALLS.try_with(|n| n.set(n.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -77,6 +82,13 @@ fn forest(a_chains: u64, e_chains: u64, len: u64) -> Database {
     db
 }
 
+/// Allocator calls (`alloc` and `realloc`) this thread made while `f` ran.
+fn calls_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (out, CALLS.with(Cell::get) - before)
+}
+
 /// True when `a` and `b` are within 10% of each other.
 fn within_a_tenth(a: usize, b: usize) -> bool {
     a.abs_diff(b) * 10 <= a.max(b)
@@ -103,6 +115,7 @@ fn a_one_answer_view_select_allocates_for_the_answer_not_the_view() {
     // query no index covers still reads everything.
     let dangling = [FactOp::Insert(Symbol::intern("A"), tuple_u64([900, 901]))];
     service.apply_update(&dangling).unwrap();
+    let mut calls_for = Vec::new();
     for (query, answers, reads) in [
         ("P(199, y)", 2, 2),
         ("P(150, y)", 51, 51),
@@ -112,11 +125,23 @@ fn a_one_answer_view_select_allocates_for_the_answer_not_the_view() {
         ("P(x, y)", 20_100, 20_100),
     ] {
         let visited = rows_visited(&service);
-        let reply = service.query(&parse_atom(query).unwrap()).unwrap();
+        let query = parse_atom(query).unwrap();
+        service.kernel_for(&query).unwrap(); // the form's plan is built once
+        let (reply, calls) = calls_by(|| service.query(&query).unwrap());
         assert_eq!(reply.stats.kernel, PointKernelKind::MaterializedView);
         assert_eq!(reply.answers.len(), answers, "{query}");
         assert_eq!(rows_visited(&service) - visited, reads, "{query}");
+        calls_for.push((answers, calls));
     }
+    // The answers are rows of one flat relation: its arena, live bits and id
+    // table double as they fill, so k answers cost a few allocator calls per
+    // doubling — 20 100 answers about 15 doublings of each — not one per row.
+    let calls_at = |k: usize| calls_for.iter().find(|&&(n, _)| n == k).unwrap().1;
+    let (two, many) = (calls_at(2), calls_at(20_100));
+    assert!(
+        many <= two + 3 * 15,
+        "a select of 20 100 answers made {many} allocator calls, one of 2 answers {two}"
+    );
 }
 
 /// Stored tuples the service's selects and pipelines have read so far: the
@@ -250,6 +275,51 @@ fn a_write_allocates_for_the_entries_it_reaches_not_the_entries_there_are() {
 }
 
 #[test]
+fn a_write_allocates_per_buffer_doubling_not_per_patched_tuple() {
+    // A fan: `sources` vertices with an `A` edge into vertex 0, which has one
+    // `E` edge out. A new `E` edge out of 0 enters the view once for 0 and
+    // once per source — a patch of `sources + 1` tuples in two rounds — and
+    // every source's warm `P(s, y)` entry gains an answer.
+    let tip_update = |sources: u64| {
+        let mut db = Database::new();
+        db.insert_relation("A", Relation::from_pairs((1..=sources).map(|s| (s, 0))));
+        db.insert_relation("E", Relation::from_pairs([(0, 900_000)]));
+        let config = ServeConfig {
+            cache_capacity: 8 * 1024,
+            ..ServeConfig::default()
+        };
+        let service = QueryService::new(tc(), db, config);
+        let tip = |k: u64| {
+            [FactOp::Insert(
+                Symbol::intern("E"),
+                tuple_u64([0, 900_000 + k]),
+            )]
+        };
+        service.apply_update(&tip(1)).unwrap(); // builds the view
+        for s in 1..=sources {
+            assert_eq!(service.query(&source_bound(s)).unwrap().answers.len(), 2);
+        }
+        service.apply_update(&tip(2)).unwrap(); // compiles the maintenance pipelines
+        let (outcome, calls) = calls_by(|| service.apply_update(&tip(3)).unwrap());
+        assert!(matches!(outcome, UpdateOutcome::Installed { .. }));
+        assert_eq!(service.stats().cache.patched, 2 * sources);
+        let reply = service.query(&source_bound(sources)).unwrap();
+        assert_eq!(reply.stats.cache, CacheOutcome::Hit);
+        assert_eq!(reply.answers.len(), 4);
+        calls
+    };
+    // 16 times the patch: four more doublings of each flat buffer it passes
+    // through (delta batches, candidates, the patch's two relations, the set
+    // of changed entries), not 750 more boxed rows, keys and projections.
+    let (few, many) = (tip_update(50), tip_update(800));
+    assert!(
+        many <= few + 80,
+        "a tip-edge update made {few} allocator calls for a 51-tuple patch but {many} for an \
+         801-tuple one"
+    );
+}
+
+#[test]
 fn patched_counts_the_entries_a_write_changed_not_the_entries_it_carried() {
     let service = warmed(150);
     // Beside the 150 source-bound entries: the free query and the (so far
@@ -306,8 +376,9 @@ fn a_cache_hit_allocates_its_lookup_pattern_and_no_key_string_clone_or_lru_node(
     let (few, many) = (per_hit(64), per_hit(512));
     assert_eq!(few, many, "a hit's cost depends on how full its shard is");
     // Of a hit's bytes, 1 254 are the service's (budget, stats, the query
-    // and flight-recorder events) and 32 the cache's: the two-column lookup
-    // pattern. A rendered key, its clone into a recency index and that
-    // index's nodes made it 1 374 at 64 entries a shard.
+    // and flight-recorder events) and 24 the cache's: the lookup key's one
+    // constant check and one kept column. A rendered key, its clone into a
+    // recency index and that index's nodes made it 1 374 at 64 entries a
+    // shard.
     assert!(many <= 1_300, "a cache hit allocated {many} B");
 }

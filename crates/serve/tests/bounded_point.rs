@@ -54,7 +54,7 @@ fn assert_bounded(f: &LinearRecursion, db: &Database, query_text: &str, rank: u6
         "iterations must never exceed the computed rank"
     );
     assert_eq!(
-        *reply.answers,
+        reply.answers.to_relation(),
         oracle(f, db, &query),
         "bounded unrolling diverged from the saturation oracle for {query_text}"
     );
@@ -122,7 +122,11 @@ fn assert_matches_reference(f: &LinearRecursion, db: &Database, repeated: &[&str
             PointKernelKind::BoundedUnroll { .. }
         ));
         let want = oracle(f, db, &query);
-        assert_eq!(*reply.answers, want, "served ≠ reference for {query}");
+        assert_eq!(
+            reply.answers.to_relation(),
+            want,
+            "served ≠ reference for {query}"
+        );
     }
 }
 

@@ -127,7 +127,7 @@ proptest! {
                 prop_assert_eq!(reply.stats.snapshot_version, version);
                 prop_assert_eq!(reply.stats.cache == CacheOutcome::Bypass, !caches);
                 prop_assert_eq!(
-                    &*reply.answers, &want,
+                    &reply.answers.to_relation(), &want,
                     "{} at version {} ({:?}, {:?})",
                     query, version, reply.stats.cache, reply.stats.kernel
                 );

@@ -94,7 +94,8 @@ fn readers_and_writer_never_tear_or_serve_stale() {
                     assert!(v < oracles.len(), "impossible version {v}");
                     let want = answer_query(&oracles[v], q).expect("oracle answers");
                     assert_eq!(
-                        *reply.answers, want,
+                        reply.answers.to_relation(),
+                        want,
                         "reply diverges from version {v} (query {q}, cache {:?})",
                         reply.stats.cache
                     );
@@ -131,7 +132,11 @@ fn readers_and_writer_never_tear_or_serve_stale() {
         let reply = service.query(q).expect("post-run query succeeds");
         assert_eq!(reply.stats.snapshot_version, UPDATES);
         let want = answer_query(&oracles[UPDATES as usize], q).expect("oracle answers");
-        assert_eq!(*reply.answers, want, "stale cache entry for {q}");
+        assert_eq!(
+            reply.answers.to_relation(),
+            want,
+            "stale cache entry for {q}"
+        );
     }
 }
 
@@ -161,7 +166,11 @@ fn budgeted_concurrent_replies_are_sound_underapproximations() {
                     let v = reply.stats.snapshot_version as usize;
                     let want = answer_query(&oracles[v], q).expect("oracle answers");
                     if reply.outcome.is_complete() {
-                        assert_eq!(*reply.answers, want, "Complete reply missed tuples");
+                        assert_eq!(
+                            reply.answers.to_relation(),
+                            want,
+                            "Complete reply missed tuples"
+                        );
                     } else {
                         // Soundly truncated: a subset of the true answers.
                         for t in reply.answers.iter() {
@@ -243,7 +252,11 @@ fn two_writers_leave_the_warm_cache_exact_at_the_final_version() {
         assert_eq!(reply.stats.snapshot_version, last);
         assert_eq!(reply.stats.cache, CacheOutcome::Hit, "{q} was not carried");
         let want = answer_query(&oracle, q).expect("oracle answers");
-        assert_eq!(*reply.answers, want, "stale cache entry for {q}");
+        assert_eq!(
+            reply.answers.to_relation(),
+            want,
+            "stale cache entry for {q}"
+        );
     }
     let stats = service.stats();
     assert!(stats.cache.patched > 0);

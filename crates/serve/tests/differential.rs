@@ -55,14 +55,14 @@ proptest! {
         prop_assert!(first.outcome.is_complete(), "unbudgeted query truncated");
         let want = filtered_saturation(&lr, &edb, &query);
         prop_assert_eq!(
-            &*first.answers, &want,
+            &first.answers.to_relation(), &want,
             "kernel {:?} ≠ filtered saturation (rule_seed={} db_seed={} query={} rule={})",
             kernel, rule_seed, db_seed, query, lr.recursive_rule
         );
 
         // Second ask: served from cache when enabled; identical either way.
         let second = service.query(&query).expect("repeat query succeeds");
-        prop_assert_eq!(&*second.answers, &want);
+        prop_assert_eq!(&second.answers.to_relation(), &want);
         if cache_on == 1 {
             prop_assert_eq!(second.stats.cache, CacheOutcome::Hit);
         } else {
@@ -100,7 +100,7 @@ proptest! {
         }
         prop_assert_eq!(third.stats.snapshot_version, version);
         prop_assert_eq!(
-            &*third.answers, &want_after,
+            &third.answers.to_relation(), &want_after,
             "post-update answers diverge (rule_seed={} db_seed={} query={})",
             rule_seed, db_seed, query
         );
@@ -167,7 +167,7 @@ proptest! {
                 let reply = service.query(&query).expect("view answers the query");
                 prop_assert_eq!(reply.stats.kernel, PointKernelKind::MaterializedView);
                 prop_assert_eq!(
-                    &*reply.answers,
+                    &reply.answers.to_relation(),
                     &filtered_saturation(&lr, &db, &query),
                     "view ≠ filtered saturation after step {} (query={} rule={})",
                     i, query, lr.recursive_rule

@@ -177,7 +177,7 @@ proptest! {
                 .expect("the held snapshot answers");
             prop_assert!(point.saturation.outcome.is_complete());
             prop_assert_eq!(
-                point.answers, oracle(&lr, &model_then, &query),
+                point.answers.to_relation(), oracle(&lr, &model_then, &query),
                 "version {} diverged on {}", held.version(), query
             );
         }

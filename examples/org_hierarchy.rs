@@ -109,7 +109,7 @@ fn main() {
     // compiled formula runs as the magic rewrite.
     assert_eq!(planned.plan.strategy, StrategyKind::Magic);
     assert_eq!(planned.plan.transform.as_ref().unwrap().period, 3);
-    let answers = planned.run().unwrap().answers;
+    let answers = planned.run().unwrap().answers.to_relation();
     println!("  handoff answers for (2, 5, Z): {}", answers);
     assert!(!answers.is_empty());
 

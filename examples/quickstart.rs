@@ -40,7 +40,7 @@ fn main() {
     print!("{}", plan_report(&lr, &QueryForm::of_atom(&query)));
 
     let run = planned.run().unwrap();
-    let answers = run.answers;
+    let answers = run.answers.to_relation();
     println!("\n== answers to P(1, Z) ==");
     println!("{answers}");
 

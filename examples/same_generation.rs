@@ -57,7 +57,6 @@ fn main() {
 
     let answers = planned.run().unwrap().answers;
     let mut generation: Vec<u64> = answers
-        .iter_sorted()
         .iter()
         .map(|t| t[0].as_str().parse().unwrap())
         .collect();

@@ -175,7 +175,7 @@ fn magic_with_three_form_rotation() {
         .map(|r| r.head.predicate)
         .collect();
     assert_eq!(forms.len(), 3, "{forms:?}");
-    let answers = planned.run().unwrap().answers;
+    let answers = planned.run().unwrap().answers.to_relation();
     let (oracle, _) = recurs_core::oracle::ground_truth(&f, &db, &q).unwrap();
     assert_eq!(answers, oracle);
     // Each turn rotates the tuple and walks one `A` step up: (1,2,3,4)

@@ -221,12 +221,12 @@ fn counting_equals_magic_equals_fixpoint_on_shared_case() {
 
     let walk = Planned::new(&lr, &db, &q).unwrap();
     assert_eq!(walk.plan.strategy, StrategyKind::Frontier);
-    let a1 = walk.run().unwrap().answers;
+    let a1 = walk.run().unwrap().answers.to_relation();
 
     let into = parse_atom("P(x, '3')").unwrap();
     let magic = Planned::new(&lr, &db, &into).unwrap();
     assert_eq!(magic.plan.strategy, StrategyKind::Magic);
-    let a2 = magic.run().unwrap().answers;
+    let a2 = magic.run().unwrap().answers.to_relation();
     let (into_oracle, _) = recurs_core::oracle::ground_truth(&lr, &db, &into).unwrap();
     assert_eq!(a2, into_oracle);
 
