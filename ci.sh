@@ -70,10 +70,9 @@ fi
 # `recurs_engine::evaluate` is the one function that runs it. The oracle's
 # join interpreter is the oracle's alone — outside `datalog/src/eval.rs` it
 # may appear only in unit-test modules — and nothing in core or the CLI takes
-# a plain `&Database` any more, with two exceptions that answer no query
-# atom by a plan: `oracle::ground_truth` (the reference every plan is held
-# to) and `algebra_plan::eval_plan` (the paper's published algebra written
-# down literally, cross-checked against that reference).
+# a plain `&Database` any more, but `oracle::ground_truth`: the reference
+# every plan is held to. (The paper's published s9 plans are rules the engine
+# runs, `core::paper_plans`.)
 echo "==> executor guard (no interpreter beside the engine in crates/*/src)"
 for f in $(find crates/*/src -name '*.rs' ! -path crates/datalog/src/eval.rs); do
   if non_test "$f" | grep -nE "eval_body|eval_rule"; then
@@ -81,8 +80,7 @@ for f in $(find crates/*/src -name '*.rs' ! -path crates/datalog/src/eval.rs); d
     exit 1
   fi
 done
-for f in $(find crates/core/src crates/cli/src -name '*.rs' \
-    ! -path crates/core/src/oracle.rs ! -path crates/core/src/algebra_plan.rs); do
+for f in $(find crates/core/src crates/cli/src -name '*.rs' ! -path crates/core/src/oracle.rs); do
   if non_test "$f" | grep -n "&Database"; then
     echo "$f answers from a plain-facts Database again: lower the plan and call recurs_engine::evaluate" >&2
     exit 1
@@ -90,6 +88,23 @@ for f in $(find crates/core/src crates/cli/src -name '*.rs' \
 done
 if grep -rnE "fn execute\b" crates/core/src; then
   echo "crates/core/src executes plans again: QueryPlan is data, the engine runs it" >&2
+  exit 1
+fi
+
+# Front-end guard: `QueryService` is the only code that answers or explains
+# a query, and the CLI, the stdin loop and the TCP server are transports over
+# it. The CLI's non-test code names none of the served path's parts (plan
+# cache, snapshot chain, provenance calls, a second stdin loop); and the load
+# lane's generator stays retired with its `rand` dependency.
+echo "==> front-end guard (the CLI answers through QueryService; no load generator)"
+for f in $(find crates/cli/src -name '*.rs'); do
+  if non_test "$f" | grep -nwE "explain_fact|verify_tree|PointPlans|SnapshotStore|run_loop"; then
+    echo "$f answers or explains a query beside QueryService again" >&2
+    exit 1
+  fi
+done
+if grep -nw "rand" crates/net/Cargo.toml; then
+  echo "crates/net/Cargo.toml depends on rand again: the load generator is retired" >&2
   exit 1
 fi
 

@@ -29,20 +29,19 @@ use recurs_datalog::error::DatalogError;
 use recurs_datalog::eval::{answer_query, semi_naive};
 use recurs_datalog::fingerprint;
 use recurs_datalog::govern::{CancelToken, EvalBudget, Outcome};
-use recurs_datalog::parser::{parse, parse_atom};
-use recurs_datalog::rule::LinearRecursion;
-use recurs_datalog::term::Term;
+use recurs_datalog::parser::parse;
+use recurs_datalog::rule::{LinearRecursion, Program};
 use recurs_datalog::validate::{is_reserved, validate_with_generic_exit};
 use recurs_datalog::{Atom, Database};
 use recurs_engine::{EngineConfig, EngineDb, IndexedRelation, Selection};
 use recurs_igraph::build::resolution_graph;
-use recurs_igraph::component::ComponentKind;
 use recurs_igraph::dot::{to_ascii, to_dot};
-use recurs_ivm::{explain_fact, render_tree, verify_tree, IvmError, WhyOutcome, DEFAULT_WHY_DEPTH};
+use recurs_ivm::{render_tree, WhyOutcome, DEFAULT_WHY_DEPTH};
 use recurs_obs::aggregate::Aggregator;
 use recurs_obs::trace::TraceWriter;
-use recurs_obs::{field, Obs, Value};
-use recurs_serve::{PointPlans, SnapshotStore};
+use recurs_obs::{field, Obs};
+use recurs_serve::protocol::parse_ground_fact;
+use recurs_serve::{verdict_fields, QueryService, Reply, ServeConfig, ServeError};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
@@ -131,9 +130,7 @@ pub enum Command {
 /// what per-query budget it enforces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceOpts {
-    /// Disable the saturation cache.
-    pub no_cache: bool,
-    /// Saturation-cache capacity in entries.
+    /// Saturation-cache capacity in entries; 0 (`--no-cache`) disables it.
     pub cache_capacity: usize,
     /// Maximum concurrent evaluations.
     pub max_concurrent: usize,
@@ -150,7 +147,6 @@ pub struct ServiceOpts {
 impl Default for ServiceOpts {
     fn default() -> ServiceOpts {
         ServiceOpts {
-            no_cache: false,
             cache_capacity: 1024,
             max_concurrent: 4,
             timeout_ms: None,
@@ -216,7 +212,7 @@ impl ServiceOpts {
     /// `false` if it is not a service option.
     fn consume(&mut self, flag: &str, flags: &mut Flags<'_>) -> Result<bool, String> {
         match flag {
-            "--no-cache" => self.no_cache = true,
+            "--no-cache" => self.cache_capacity = 0,
             "--cache-capacity" => self.cache_capacity = flags.number()?,
             "--max-concurrent" => {
                 self.max_concurrent = flags.number()?;
@@ -235,17 +231,12 @@ impl ServiceOpts {
 }
 
 /// The [`EvalBudget`] the three budget flags and a Ctrl-C token describe.
-fn budget_of(
-    timeout_ms: Option<u64>,
-    max_tuples: Option<usize>,
-    max_iterations: Option<usize>,
-    cancel: Option<CancelToken>,
-) -> EvalBudget {
-    let mut budget = EvalBudget::iteration_cap(max_iterations);
-    if let Some(ms) = timeout_ms {
+fn budget_of(opts: &ServiceOpts, cancel: Option<CancelToken>) -> EvalBudget {
+    let mut budget = EvalBudget::iteration_cap(opts.max_iterations);
+    if let Some(ms) = opts.timeout_ms {
         budget = budget.with_timeout(Duration::from_millis(ms));
     }
-    if let Some(n) = max_tuples {
+    if let Some(n) = opts.max_tuples {
         budget = budget.with_max_tuples(n);
     }
     if let Some(token) = cancel {
@@ -594,22 +585,27 @@ pub fn load(source: &str) -> Result<Loaded, String> {
     })
 }
 
-/// Builds a [`recurs_serve::QueryService`] from a source text and service
-/// options, returning the file's `?-` queries alongside it. A `cancel` token
-/// is wired into the per-query budget, so a signal truncates in-flight
-/// evaluations cooperatively.
+/// Builds a [`QueryService`] from a source text and service options,
+/// returning the file's `?-` queries alongside it. A `cancel` token is wired
+/// into the per-query budget, so a signal truncates in-flight evaluations
+/// cooperatively.
 pub fn build_service_cancellable(
     source: &str,
     opts: &ServiceOpts,
     cancel: Option<CancelToken>,
-) -> Result<(recurs_serve::QueryService, Vec<Atom>), String> {
-    let loaded = load(source)?;
-    let budget = budget_of(
-        opts.timeout_ms,
-        opts.max_tuples,
-        opts.max_iterations,
-        cancel,
-    );
+) -> Result<(QueryService, Vec<Atom>), String> {
+    let Loaded { lr, db, queries } = load(source)?;
+    Ok((service_of(lr, db, opts, cancel)?, queries))
+}
+
+/// The query service over a loaded recursion and its facts — the one path
+/// `serve`, `batch`, plan-driven `run` and `run --why` answer through.
+fn service_of(
+    lr: LinearRecursion,
+    db: Database,
+    opts: &ServiceOpts,
+    cancel: Option<CancelToken>,
+) -> Result<QueryService, String> {
     // A `--trace FILE` sink; the writer flushes on drop when the service
     // (and its Obs handle) goes away.
     let mut sinks: Vec<Arc<dyn recurs_obs::Recorder>> = Vec::new();
@@ -618,37 +614,18 @@ pub fn build_service_cancellable(
             .map_err(|e| format!("cannot open trace file {path}: {e}"))?;
         sinks.push(Arc::new(writer));
     }
-    let config = recurs_serve::ServeConfig {
+    let config = ServeConfig {
         max_concurrent: opts.max_concurrent,
-        cache_capacity: if opts.no_cache {
-            0
-        } else {
-            opts.cache_capacity
-        },
-        budget,
+        cache_capacity: opts.cache_capacity,
+        budget: budget_of(opts, cancel),
         obs: Obs::fanout(sinks),
-        ..recurs_serve::ServeConfig::default()
     };
-    Ok((
-        recurs_serve::QueryService::new(loaded.lr, loaded.db, config),
-        loaded.queries,
-    ))
+    Ok(QueryService::new(lr, db, config))
 }
 
-/// Runs the `serve --stdin` line protocol over arbitrary IO: one request per
-/// input line, one JSON reply per output line. Returns on EOF or `!quit`.
-pub fn serve_on_source(
-    source: &str,
-    opts: &ServiceOpts,
-    input: impl std::io::BufRead,
-    output: impl std::io::Write,
-) -> Result<(), String> {
-    let (service, _queries) = build_service_cancellable(source, opts, None)?;
-    recurs_serve::protocol::run_loop(&service, input, output).map_err(|e| format!("serve IO: {e}"))
-}
-
-/// Runs the `serve --stdin` line protocol like [`serve_on_source`], but
-/// drains gracefully when `cancel` fires (SIGTERM/Ctrl-C in the binary): the
+/// Runs the `serve --stdin` line protocol over arbitrary IO — one request
+/// per input line, one JSON reply per output line — and drains gracefully
+/// when `cancel` fires (SIGTERM/Ctrl-C in the binary): the
 /// in-flight request's budget is cancelled so it truncates quickly and still
 /// gets its one reply, no further lines are started, and the process exits 0
 /// once idle — or 2 if `drain_deadline` expires with the request still
@@ -787,6 +764,16 @@ fn write_answers(out: &mut String, query: &Atom, label: &str, answers: &IndexedR
     }
 }
 
+/// Prints one served reply under `label`; a truncated reply also names its
+/// reason and makes the run's `outcome` truncated.
+fn write_reply(out: &mut String, query: &Atom, label: &str, reply: &Reply, outcome: &mut Outcome) {
+    write_answers(out, query, label, &reply.answers);
+    if let Some(reason) = reply.outcome.truncation() {
+        *outcome = Outcome::Truncated(reason);
+        let _ = writeln!(out, "  truncated: {reason} (sound subset)");
+    }
+}
+
 /// The printable output of a command plus how the run ended.
 ///
 /// `outcome` is [`Outcome::Complete`] for every command except a governed
@@ -865,9 +852,17 @@ pub fn execute(
             ..
         } => {
             let loaded = load(source)?;
-            let budget = budget_of(*timeout_ms, *max_tuples, *max_iterations, cancel);
+            // Plan-driven runs and `--why` answer through the service `batch`
+            // builds, with the cache off.
+            let opts = ServiceOpts {
+                cache_capacity: 0,
+                timeout_ms: *timeout_ms,
+                max_tuples: *max_tuples,
+                max_iterations: *max_iterations,
+                ..ServiceOpts::default()
+            };
             if let Some(fact_text) = why {
-                outcome = explain_why(&mut out, &loaded, fact_text, *why_depth, &budget)?;
+                outcome = explain_why(&mut out, loaded, fact_text, *why_depth, &opts, cancel)?;
                 return Ok(CmdOutput { text: out, outcome });
             }
             if loaded.queries.is_empty() {
@@ -883,19 +878,19 @@ pub fn execute(
                     fingerprint::of_database(&loaded.db)
                 );
             }
-            if *engine {
-                outcome = run_engine(
+            outcome = if *engine {
+                run_engine(
                     &mut out,
-                    &loaded,
+                    loaded,
                     *check,
                     *stats_json,
-                    budget,
+                    budget_of(&opts, cancel),
                     trace.as_deref(),
                     *metrics,
-                )?;
+                )?
             } else {
-                outcome = run_plans(&mut out, &loaded, *check, &budget)?;
-            }
+                run_plans(&mut out, loaded, *check, &opts, cancel)?
+            };
         }
         Command::Serve { .. } => {
             return Err(
@@ -926,11 +921,7 @@ pub fn execute(
                         reply.stats.cache.label(),
                         reply.stats.snapshot_version
                     );
-                    write_answers(&mut out, query, &label, &reply.answers);
-                    if let Some(reason) = reply.outcome.truncation() {
-                        outcome = Outcome::Truncated(reason);
-                        let _ = writeln!(out, "  truncated: {reason} (sound subset)");
-                    }
+                    write_reply(&mut out, query, &label, &reply, &mut outcome);
                 }
             }
             if *stats_json {
@@ -953,50 +944,38 @@ pub fn execute(
     Ok(CmdOutput { text: out, outcome })
 }
 
-/// Runs plan-driven `run`: each query by its own plan — the planner's
-/// lowering run by the executor under `budget`, exactly what `serve` and
-/// `batch` do on a cache and view miss, so the kernel label and the derived
-/// count printed here are theirs. Evaluation is the governed phase; once
-/// the last query is answered Ctrl-C is no longer caught, and `--check`
-/// takes the oracle's fixpoint once for the whole file.
+/// Runs plan-driven `run`: the file's queries through the query service
+/// `batch` builds, with the cache off — each by its own plan, lowered and
+/// run by the engine under the budget, so the kernel label and the derived
+/// count printed here are the ones `batch --no-cache` and `serve` report.
+/// Evaluation is the governed phase; once the last query is answered Ctrl-C
+/// is no longer caught, and `--check` takes the oracle's fixpoint once for
+/// the whole file.
 fn run_plans(
     out: &mut String,
-    loaded: &Loaded,
+    loaded: Loaded,
     check: bool,
-    budget: &EvalBudget,
+    opts: &ServiceOpts,
+    cancel: Option<CancelToken>,
 ) -> Result<Outcome, String> {
-    let plans = PointPlans::new(loaded.lr.clone());
-    let snapshots = SnapshotStore::new(EngineDb::from(&loaded.db));
-    // The snapshot is reloaded per query: an index one query's plan asked
-    // for is there for the next.
-    let answer = |query: &Atom| -> Result<_, recurs_serve::ServeError> {
-        let kernel = plans.select(query)?;
-        let run = plans.answer(&snapshots, &snapshots.load(), query, budget, &Obs::noop())?;
-        Ok((kernel, run))
-    };
-    let answered: Result<Vec<_>, _> = loaded.queries.iter().map(answer).collect();
-    let answered = answered.map_err(|e| format!("query failed: {e}"))?;
+    let Loaded { lr, db, queries } = loaded;
+    let oracle_input = check.then(|| (lr.to_program(), db.clone()));
+    let cancelled = || cancel.as_ref().is_some_and(CancelToken::is_cancelled);
+    let service = service_of(lr, db, opts, cancel.clone())?;
+    let replies: Result<Vec<_>, _> = queries.iter().map(|q| service.query(q)).collect();
+    let replies = replies.map_err(|e| format!("query failed: {e}"))?;
     signals::restore_default();
-    let cancel = budget.cancel.as_ref();
-    let oracle = (check && !cancel.is_some_and(CancelToken::is_cancelled))
-        .then(|| OracleFixpoint::of(loaded))
-        .transpose()?;
+    let oracle = match oracle_input {
+        Some((program, db)) if !cancelled() => Some(OracleFixpoint::of(&program, db)?),
+        _ => None,
+    };
     let mut outcome = Outcome::Complete;
-    for (query, (kernel, run)) in loaded.queries.iter().zip(&answered) {
-        let derived = run.saturation.stats.tuples_derived;
-        let label = format!("plan kernel:{} derived={derived}", kernel.label());
-        write_answers(out, query, &label, &run.answers);
-        if let Some(reason) = run.saturation.outcome.truncation() {
-            outcome = Outcome::Truncated(reason);
-            let _ = writeln!(out, "  truncated: {reason} (sound subset)");
-        }
+    for (query, reply) in queries.iter().zip(&replies) {
+        let (kernel, derived) = (reply.stats.kernel.label(), reply.stats.tuples_derived);
+        let label = format!("plan kernel:{kernel} derived={derived}");
+        write_reply(out, query, &label, reply, &mut outcome);
         if let Some(oracle) = &oracle {
-            oracle.check(
-                out,
-                query,
-                &run.answers,
-                run.saturation.outcome.is_complete(),
-            )?;
+            oracle.check(out, query, &reply.answers, reply.outcome.is_complete())?;
         }
     }
     Ok(outcome)
@@ -1009,7 +988,7 @@ fn run_plans(
 /// traced phase; once it ends Ctrl-C is no longer caught.
 fn run_engine(
     out: &mut String,
-    loaded: &Loaded,
+    loaded: Loaded,
     check: bool,
     stats_json: bool,
     budget: EvalBudget,
@@ -1018,7 +997,13 @@ fn run_engine(
 ) -> Result<Outcome, String> {
     let (obs, trace_writer, metrics_agg) = build_run_obs(trace, metrics)?;
     if obs.enabled() {
-        emit_classify_verdict(&obs, &loaded.lr);
+        // The provenance record tying a trace back to the paper's dispatch
+        // decision: the class verdict and the kernel it selects.
+        let c = Classification::of(&loaded.lr.recursive_rule);
+        let kernel = field::s(recurs_engine::select_kernel(&c).label());
+        let engine = field::s("indexed");
+        let fields = verdict_fields(&c, [("kernel", kernel), ("engine", engine)]);
+        obs.event("classify.verdict", &fields);
     }
     let cancel = budget.cancel.clone();
     let mut store = EngineDb::from(&loaded.db);
@@ -1044,7 +1029,7 @@ fn run_engine(
     // saturation or landed just after its last poll: the run goes unchecked.
     let cancelled = cancel.is_some_and(|token| token.is_cancelled());
     let oracle = (check && !cancelled)
-        .then(|| OracleFixpoint::of(loaded))
+        .then(|| OracleFixpoint::of(&loaded.lr.to_program(), loaded.db))
         .transpose()?;
     for query in &loaded.queries {
         let answers = select_stored(&store, query).map_err(|e| format!("query failed: {e}"))?;
@@ -1090,10 +1075,8 @@ fn select_stored(store: &EngineDb, query: &Atom) -> Result<IndexedRelation, Data
 struct OracleFixpoint(Database);
 
 impl OracleFixpoint {
-    fn of(loaded: &Loaded) -> Result<OracleFixpoint, String> {
-        let mut db = loaded.db.clone();
-        semi_naive(&mut db, &loaded.lr.to_program(), None)
-            .map_err(|e| format!("oracle failed: {e}"))?;
+    fn of(program: &Program, mut db: Database) -> Result<OracleFixpoint, String> {
+        semi_naive(&mut db, program, None).map_err(|e| format!("oracle failed: {e}"))?;
         Ok(OracleFixpoint(db))
     }
 
@@ -1160,44 +1143,39 @@ fn build_run_obs(
     Ok((Obs::fanout(sinks), trace_writer, metrics_agg))
 }
 
-/// Runs `run --why`: reconstructs (and structurally verifies) a derivation
-/// tree for one ground fact of the recursive predicate, or reports that the
-/// fact is not derivable. A budget truncation maps to the truncated exit
-/// code like any other governed run; a depth bound that is exceeded still
-/// reports the fact's rank so the caller knows what `--why-depth` to pass.
+/// Runs `run --why`: asks the query service why one ground fact of the
+/// recursive predicate holds and prints its verified derivation tree, or that
+/// the fact is not derivable. A budget that stops the search first maps to
+/// the truncated exit code like any other governed run; a depth bound that is
+/// exceeded still reports the fact's rank so the caller knows what
+/// `--why-depth` to pass.
 fn explain_why(
     out: &mut String,
-    loaded: &Loaded,
+    loaded: Loaded,
     fact_text: &str,
     depth_bound: u64,
-    budget: &EvalBudget,
+    opts: &ServiceOpts,
+    cancel: Option<CancelToken>,
 ) -> Result<Outcome, String> {
     let (pred, tuple) = parse_ground_fact(fact_text)?;
-    if pred != loaded.lr.predicate {
-        return Err(format!(
-            "--why explains {} facts; `{pred}` is not the recursive predicate",
-            loaded.lr.predicate
-        ));
-    }
-    let args: Vec<&str> = tuple.iter().map(|v| v.as_str()).collect();
-    let fact = format!("{pred}({})", args.join(", "));
-    let store = EngineDb::from(&loaded.db);
-    match explain_fact(&loaded.lr, &store, &tuple, depth_bound, budget) {
+    let service = service_of(loaded.lr, loaded.db, opts, cancel)?;
+    let why = service
+        .why(pred, &tuple, depth_bound, service.default_budget())
+        .map_err(|e| match e {
+            ServeError::WrongPredicate { got, serves } => {
+                format!("--why explains {serves} facts; `{got}` is not the recursive predicate")
+            }
+            e => format!("why failed: {e}"),
+        })?;
+    let fact = &why.fact;
+    match why.outcome {
         Ok(WhyOutcome::Derived(tree)) => {
-            verify_tree(&loaded.lr, &store, &tree)
-                .map_err(|d| format!("derivation tree failed structural verification: {d}"))?;
-            let _ = writeln!(
-                out,
-                "{fact} is derived (depth {}, {} nodes):",
-                tree.depth(),
-                tree.size()
-            );
+            let (depth, size) = (tree.depth(), tree.size());
+            let _ = writeln!(out, "{fact} is derived (depth {depth}, {size} nodes):");
             out.push_str(&render_tree(&tree));
-            Ok(Outcome::Complete)
         }
         Ok(WhyOutcome::NotDerived) => {
             let _ = writeln!(out, "{fact} is not derivable from the file's facts");
-            Ok(Outcome::Complete)
         }
         Ok(WhyOutcome::DepthExceeded { rank, max_depth }) => {
             let _ = writeln!(
@@ -1205,83 +1183,17 @@ fn explain_why(
                 "{fact} is derived at rank {rank}, beyond --why-depth {max_depth}; \
                  raise the bound to see the tree"
             );
-            Ok(Outcome::Complete)
         }
-        Err(IvmError::Truncated(reason)) => {
+        Err(reason) => {
             let _ = writeln!(
                 out,
                 "truncated: {reason} (the provenance saturation ran out of budget \
                  before reaching {fact})"
             );
-            Ok(Outcome::Truncated(reason))
-        }
-        Err(e) => Err(format!("why failed: {e}")),
-    }
-}
-
-/// Parses `P(1, 3)` (an optional trailing `.` is tolerated) into a
-/// predicate and a ground tuple.
-fn parse_ground_fact(
-    text: &str,
-) -> Result<
-    (
-        recurs_datalog::symbol::Symbol,
-        recurs_datalog::relation::Tuple,
-    ),
-    String,
-> {
-    let text = text.trim();
-    let text = text.strip_suffix('.').unwrap_or(text).trim();
-    let atom = parse_atom(text).map_err(|e| format!("bad fact `{text}`: {e}"))?;
-    let mut values = Vec::with_capacity(atom.terms.len());
-    for t in &atom.terms {
-        match t {
-            Term::Const(c) => values.push(*c),
-            Term::Var(v) => return Err(format!("fact {text} is not ground: variable {v}")),
+            return Ok(Outcome::Truncated(reason));
         }
     }
-    Ok((
-        atom.predicate,
-        recurs_datalog::relation::Tuple::from(values.as_slice()),
-    ))
-}
-
-/// Emits the classification *explain* event: the formula's class verdict,
-/// each non-trivial I-graph component with its cycle weight and direction,
-/// the proven rank bound (when one exists), and the engine kernel the
-/// verdict selects. This is the provenance record tying a trace back to
-/// the paper's dispatch decision.
-fn emit_classify_verdict(obs: &Obs, lr: &LinearRecursion) {
-    let c = Classification::of(&lr.recursive_rule);
-    let mut class_iter = c.component_classes.iter();
-    let components: Vec<Value> = c
-        .components
-        .iter()
-        .filter(|comp| comp.is_nontrivial())
-        .map(|comp| {
-            let label = class_iter.next().map_or("?", |cl| cl.label());
-            let mut fields = vec![
-                ("class", field::s(label)),
-                ("cycles", field::uz(comp.cycles.len())),
-            ];
-            if let ComponentKind::IndependentCycle(cy) = &comp.kind {
-                fields.push(("weight", field::u(cy.magnitude())));
-                fields.push(("one_directional", field::b(cy.one_directional)));
-                fields.push(("rotational", field::b(cy.rotational)));
-            }
-            Value::object(fields)
-        })
-        .collect();
-    let mut fields = vec![
-        ("class", field::s(c.class.label())),
-        ("components", Value::Array(components)),
-        ("kernel", field::s(recurs_engine::select_kernel(&c).label())),
-        ("engine", field::s("indexed")),
-    ];
-    if let Some(rank) = c.rank_bound() {
-        fields.push(("rank_bound", field::u(rank)));
-    }
-    obs.event("classify.verdict", &fields);
+    Ok(Outcome::Complete)
 }
 
 #[cfg(test)]
@@ -1530,6 +1442,62 @@ E(1, 2). E(2, 3). E(2, 4).
     }
 
     #[test]
+    fn run_why_and_the_served_why_agree() {
+        use recurs_serve::protocol::{handle_line, LineOutcome};
+        // (fact, --why-depth, --max-tuples, verdict): what `run --why` prints
+        // is what the service's `why` found, and what `serve` replies.
+        let table = [
+            ("P(1, 4)", DEFAULT_WHY_DEPTH, None, "derived"),
+            ("P(4, 1)", DEFAULT_WHY_DEPTH, None, "not derivable"),
+            ("P(1, 4)", 0, None, "depth exceeded"),
+            ("P(1, 4)", DEFAULT_WHY_DEPTH, Some(1), "truncated"),
+        ];
+        for (fact, depth, max_tuples, verdict) in table {
+            let run = execute(&why_run(fact, depth, max_tuples), TC, None).unwrap();
+            let said = |text| run.text.contains(text);
+            let printed = [
+                (" is derived (", "derived"),
+                (" is not derivable", "not derivable"),
+                ("beyond --why-depth", "depth exceeded"),
+                ("truncated: ", "truncated"),
+            ]
+            .into_iter()
+            .find_map(|(text, v)| said(text).then_some(v));
+            assert_eq!(printed, Some(verdict), "{}", run.text);
+            assert_eq!(run.outcome.is_complete(), verdict != "truncated");
+
+            let opts = ServiceOpts {
+                max_tuples,
+                ..ServiceOpts::default()
+            };
+            let (service, _) = build_service_cancellable(TC, &opts, None).unwrap();
+            let (pred, tuple) = parse_ground_fact(fact).unwrap();
+            let served = service.why(pred, &tuple, depth, service.default_budget());
+            let found = match served.unwrap().outcome {
+                Ok(WhyOutcome::Derived(_)) => "derived",
+                Ok(WhyOutcome::NotDerived) => "not derivable",
+                Ok(WhyOutcome::DepthExceeded { .. }) => "depth exceeded",
+                Err(_) => "truncated",
+            };
+            assert_eq!(found, verdict, "{fact}");
+            // The line protocol explains at the default depth.
+            if depth == DEFAULT_WHY_DEPTH {
+                let LineOutcome::Reply(reply) = handle_line(&service, &format!("why {fact}."))
+                else {
+                    panic!("why replies");
+                };
+                assert!(reply.contains("\"ok\":true"), "{reply}");
+                let flag = match verdict {
+                    "derived" => "\"derived\":true",
+                    "not derivable" => "\"derived\":false",
+                    _ => "\"truncated\":true",
+                };
+                assert!(reply.contains(flag), "{fact}: {reply}");
+            }
+        }
+    }
+
+    #[test]
     fn run_why_rejects_non_ground_and_foreign_facts() {
         let err = execute(&why_run("P(x, y)", DEFAULT_WHY_DEPTH, None), TC, None).unwrap_err();
         assert!(err.contains("not ground"), "{err}");
@@ -1634,7 +1602,7 @@ E(1, 2). E(2, 3). E(2, 4).
             repeat: 1,
             stats_json: false,
             opts: ServiceOpts {
-                no_cache: true,
+                cache_capacity: 0,
                 ..ServiceOpts::default()
             },
         };
@@ -1893,7 +1861,7 @@ E(1, 2). E(2, 3). E(2, 4).
             Command::Serve {
                 file: "f.dl".into(),
                 opts: ServiceOpts {
-                    no_cache: true,
+                    cache_capacity: 0,
                     max_tuples: Some(9),
                     ..ServiceOpts::default()
                 },
@@ -2081,27 +2049,13 @@ E(1, 2). E(2, 3). E(2, 4).
             repeat: 2,
             stats_json: false,
             opts: ServiceOpts {
-                no_cache: true,
+                cache_capacity: 0,
                 ..ServiceOpts::default()
             },
         };
         let out = run_on_source(&cmd, TC).unwrap();
         assert!(out.contains("cache:bypass"), "{out}");
         assert!(!out.contains("cache:hit"), "{out}");
-    }
-
-    #[test]
-    fn serve_on_source_speaks_the_line_protocol() {
-        let input = b"?- P(1, y).\n+A(4, 5).\n+E(4, 5).\n?- P(1, y).\n!quit\n" as &[u8];
-        let mut output = Vec::new();
-        serve_on_source(TC, &ServiceOpts::default(), input, &mut output).unwrap();
-        let text = String::from_utf8(output).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4, "{text}");
-        assert!(lines[0].contains("\"count\":3"), "{text}");
-        assert!(lines[1].contains("\"version\":1"), "{text}");
-        assert!(lines[2].contains("\"version\":2"), "{text}");
-        assert!(lines[3].contains("\"count\":4"), "{text}");
     }
 
     #[test]
@@ -2151,7 +2105,7 @@ E(1, 2). E(2, 3). E(2, 4).
             Command::Serve {
                 file: "f.dl".into(),
                 opts: ServiceOpts {
-                    no_cache: true,
+                    cache_capacity: 0,
                     ..ServiceOpts::default()
                 },
                 net: Some(NetOpts {
@@ -2273,14 +2227,15 @@ E(1, 2). E(2, 3). E(2, 4).
         };
         let input = b"?- P(1, y).\n!quit\n" as &[u8];
         let mut output = Vec::new();
-        serve_on_source(TC, &opts, input, &mut output).unwrap();
+        let (token, drain) = (CancelToken::new(), Duration::from_secs(5));
+        serve_stdin_drained(TC, &opts, token, drain, input, &mut output).unwrap();
         let trace = std::fs::read_to_string(&path).unwrap();
         assert!(!trace.trim().is_empty(), "trace file is empty");
         let mut saw_span = false;
         for line in trace.lines() {
             let v = recurs_obs::jsonl::parse(line)
                 .unwrap_or_else(|e| panic!("bad trace line `{line}`: {e}"));
-            if matches!(v.get("kind"), Some(Value::Str(k)) if k == "span") {
+            if matches!(v.get("kind"), Some(recurs_obs::Value::Str(k)) if k == "span") {
                 saw_span = true;
             }
         }
@@ -2353,6 +2308,8 @@ E(1, 2). E(2, 3). E(2, 4).
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4, "{text}");
         assert!(lines[0].contains("\"count\":3"), "{text}");
+        assert!(lines[1].contains("\"version\":1"), "{text}");
+        assert!(lines[2].contains("\"version\":2"), "{text}");
         assert!(lines[3].contains("\"count\":4"), "{text}");
     }
 

@@ -49,7 +49,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod algebra_plan;
 pub mod bounded;
 pub mod classify;
 pub mod compress;
@@ -63,7 +62,6 @@ pub mod report;
 pub mod stability;
 pub mod transform;
 
-pub use algebra_plan::{eval_plan, PlanExpr};
 pub use classify::{Classification, ComponentClass, FormulaClass, OneDirectionalSubclass};
 pub use compress::{compress, Compressed};
 pub use formula::{CompiledFormula, FExpr, Power};

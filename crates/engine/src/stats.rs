@@ -99,20 +99,6 @@ impl EngineStats {
     pub fn total_duration(&self) -> Duration {
         self.iterations.iter().map(|i| i.duration).sum()
     }
-
-    /// One-line summary for CLI output.
-    pub fn summary(&self) -> String {
-        format!(
-            "kernel={} iterations={} derived={} probes={} hits={} index_builds={} index_updates={}",
-            self.kernel.map_or_else(|| "?".to_string(), |k| k.label()),
-            self.iteration_count(),
-            self.tuples_derived,
-            self.probes,
-            self.probe_hits,
-            self.index.builds,
-            self.index.updates,
-        )
-    }
 }
 
 impl serde::Serialize for EngineStats {
@@ -143,17 +129,5 @@ mod tests {
         assert_eq!(KernelKind::Frontier.label(), "frontier");
         assert_eq!(KernelKind::BoundedUnroll { rank: 3 }.label(), "unroll(3)");
         assert_eq!(KernelKind::Generic.to_string(), "generic");
-    }
-
-    #[test]
-    fn summary_mentions_kernel_and_counts() {
-        let s = EngineStats {
-            kernel: Some(KernelKind::Frontier),
-            tuples_derived: 42,
-            ..EngineStats::default()
-        };
-        let line = s.summary();
-        assert!(line.contains("kernel=frontier"));
-        assert!(line.contains("derived=42"));
     }
 }

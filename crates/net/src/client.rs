@@ -1,5 +1,5 @@
-//! A small blocking client for the framed protocol, used by the load
-//! generator, the CLI smoke paths, and the integration tests.
+//! A small blocking client for the framed protocol, used by the CLI smoke
+//! paths and the integration tests.
 
 use crate::frame::{self, FrameError};
 use crate::proto;
@@ -68,7 +68,7 @@ impl Client {
     }
 }
 
-/// Classification of one reply for retry logic and scoring.
+/// Classification of one reply, for a caller deciding whether to retry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplyKind {
     /// `"ok":true` — answers, snapshot, unchanged, health, noop, bye.

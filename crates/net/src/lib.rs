@@ -6,8 +6,7 @@
 //! strict per-connection ordering. On top of it this crate adds
 //! per-request deadlines ([`proto`]), bounded admission with explicit load
 //! shedding, idle/slow-client timeouts, graceful drain with a hard-cancel
-//! backstop ([`server`]), a blocking client ([`client`]), and a
-//! load-generator harness + scorer ([`loadgen`], [`score`]). Fault hooks
+//! backstop ([`server`]), and a blocking client ([`client`]). Fault hooks
 //! for the chaos suite live in [`fault`] (test/`fault-inject` builds only).
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
@@ -16,12 +15,8 @@ pub mod client;
 #[cfg(any(test, feature = "fault-inject"))]
 pub mod fault;
 pub mod frame;
-pub mod loadgen;
 pub mod proto;
-pub mod score;
 pub mod server;
 
 pub use client::Client;
-pub use loadgen::{LoadSpec, RetryPolicy};
-pub use score::LoadReport;
 pub use server::{DrainReport, NetConfig, NetServer, ShutdownHandle};

@@ -25,8 +25,8 @@
 //! * `{"ok":false,"type":"deadline","error":...}` — the deadline expired
 //!   before evaluation started;
 //! * `{"ok":false,"type":"overloaded","error":...,"retry_after_ms":N}` —
-//!   admission shed the request (rendered by the serve layer, consumed by
-//!   the loadgen backoff);
+//!   admission shed the request (rendered by the serve layer; a client backs
+//!   off for the hint, then retries);
 //! * `{"ok":true,"type":"health","state":"accepting"|"draining",...}` — the
 //!   `!health` probe, answered at the net layer so it works even while the
 //!   evaluation slots are saturated.

@@ -5,6 +5,7 @@
 mod common;
 
 use common::{connect, fast_config, spawn_server, tc_service};
+use recurs_datalog::govern::EvalBudget;
 use recurs_net::frame::{self, FrameError};
 use recurs_net::proto::{json_str_field, json_u64_field};
 use recurs_net::NetConfig;
@@ -379,6 +380,28 @@ fn a_reply_longer_than_the_frame_is_replaced_by_a_typed_error_and_the_connection
         metrics.contains("recurs_net_requests_total{result=\"ok\"} 2"),
         "{metrics}"
     );
+    drop(client);
+    handle.drain();
+    join.join().expect("server thread").expect("run ok");
+}
+
+#[test]
+fn a_why_out_of_budget_is_a_truncated_reply_over_tcp() {
+    // One derived tuple is far short of ranking P(1, 60): the search stops,
+    // and the reply says so — a flagged reply, not an engine error.
+    let config = ServeConfig {
+        budget: EvalBudget::unlimited().with_max_tuples(1),
+        ..ServeConfig::default()
+    };
+    let service = tc_service(60, config);
+    let (addr, handle, join) = spawn_server(service.clone(), fast_config());
+    let mut client = connect(&addr);
+    let reply = client.roundtrip("why P(1, 60).").expect("round trip");
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    assert_eq!(json_str_field(&reply, "type"), Some("why"), "{reply}");
+    assert!(reply.contains("\"truncated\":true"), "{reply}");
+    assert_eq!(json_str_field(&reply, "truncation"), Some("tuple ceiling"));
+    assert_eq!(service.stats().errors, 0, "no query error is counted");
     drop(client);
     handle.drain();
     join.join().expect("server thread").expect("run ok");

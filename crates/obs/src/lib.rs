@@ -39,7 +39,6 @@
 
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
 
 pub use serde::Value;
 
@@ -162,55 +161,6 @@ impl Obs {
     pub fn event(&self, kind: &'static str, fields: &[(&'static str, Value)]) {
         if let Some(r) = &self.inner {
             r.event(kind, fields);
-        }
-    }
-
-    /// Starts a span that records its wall-clock duration into the
-    /// histogram `name` when dropped (or [`Span::finish`]ed). With the
-    /// no-op handle the span takes no timestamp and records nothing.
-    pub fn span(&self, name: &'static str) -> Span {
-        Span {
-            obs: self.clone(),
-            name,
-            labels: Vec::new(),
-            start: if self.enabled() {
-                Some(Instant::now())
-            } else {
-                None
-            },
-        }
-    }
-}
-
-/// A timing guard from [`Obs::span`]: observes elapsed seconds on drop.
-#[derive(Debug)]
-pub struct Span {
-    obs: Obs,
-    name: &'static str,
-    labels: Vec<(&'static str, String)>,
-    start: Option<Instant>,
-}
-
-impl Span {
-    /// Attaches a label recorded with the final observation.
-    pub fn label(mut self, key: &'static str, value: impl Into<String>) -> Span {
-        if self.start.is_some() {
-            self.labels.push((key, value.into()));
-        }
-        self
-    }
-
-    /// Ends the span now (equivalent to dropping it).
-    pub fn finish(self) {}
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(start) = self.start.take() {
-            let elapsed = start.elapsed().as_secs_f64();
-            let labels: Vec<(&'static str, &str)> =
-                self.labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
-            self.obs.observe(self.name, &labels, elapsed);
         }
     }
 }
@@ -437,7 +387,6 @@ mod tests {
         obs.counter("c", &[], 1);
         obs.observe("h", &[], 0.5);
         obs.event("k", &[("f", field::u(1))]);
-        obs.span("h").label("ignored", "x").finish();
     }
 
     #[test]
@@ -480,16 +429,5 @@ mod tests {
         assert_eq!(b.events().len(), 1);
         assert_eq!(b.counter_where("c", &[]), 4);
         assert!(!Obs::fanout(Vec::new()).enabled());
-    }
-
-    #[test]
-    fn span_records_elapsed_seconds() {
-        let cap = Arc::new(CaptureRecorder::new());
-        let agg = Arc::new(aggregate::Aggregator::new(2));
-        let obs = Obs::fanout(vec![cap, agg.clone()]);
-        obs.span("recurs_test_seconds").label("path", "p").finish();
-        let snap = agg.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].name, "recurs_test_seconds");
     }
 }

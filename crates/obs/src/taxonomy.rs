@@ -103,7 +103,7 @@ pub const EVENTS: &[EventKind] = &[
     EventKind {
         kind: "serve.why",
         layer: "serve",
-        doc: "A `why <fact>` provenance request: the fact, whether it was derivable, and the tree depth.",
+        doc: "A `why <fact>` provenance request: the fact, whether it was derivable (or the budget stop's `truncation`), and the time it took.",
     },
     EventKind {
         kind: "net.admission",

@@ -85,19 +85,6 @@ impl From<EngineError> for ServeError {
     }
 }
 
-impl From<recurs_ivm::IvmError> for ServeError {
-    fn from(e: recurs_ivm::IvmError) -> ServeError {
-        match e {
-            recurs_ivm::IvmError::Datalog(d) => ServeError::Datalog(d),
-            recurs_ivm::IvmError::Engine(en) => ServeError::Engine(en),
-            recurs_ivm::IvmError::Truncated(_) => ServeError::Engine(EngineError::Internal(
-                "provenance saturation truncated by its budget",
-            )),
-            recurs_ivm::IvmError::IdbUpdate(p) => ServeError::DerivedUpdate(p),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,7 +5,7 @@
 //! levels, the counting formula as a frontier walk, the magic rewrite, or
 //! the recursion itself — and `recurs_engine::evaluate` runs it. What is
 //! left here is what only a server has: a [`QueryPlan`] per query form,
-//! built once ([`PointPlans`]); the index republish, so a pipeline's indexes
+//! built once (`PointPlans`); the index republish, so a pipeline's indexes
 //! travel with the snapshot instead of being rebuilt miss after miss; the
 //! served-predicate error; and [`PointKernelKind`], the reply's name for
 //! what ran (the plan's strategy, or the materialized view, which the
@@ -95,7 +95,7 @@ impl serde::Serialize for PointKernelKind {
 /// Per-program state shared by all queries: the recursion and a lazily
 /// built plan per query form.
 #[derive(Debug)]
-pub struct PointPlans {
+pub(crate) struct PointPlans {
     lr: LinearRecursion,
     plans: Mutex<HashMap<QueryForm, Arc<QueryPlan>>>,
 }

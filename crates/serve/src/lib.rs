@@ -70,9 +70,9 @@ pub mod version;
 
 pub use cache::{CacheCounters, SaturationCache};
 pub use error::ServeError;
-pub use kernel::{PointKernelKind, PointPlans};
+pub use kernel::PointKernelKind;
 pub use recurs_ivm::FactOp;
-pub use service::{QueryService, Reply, ServeConfig, UpdateOutcome};
+pub use service::{verdict_fields, QueryService, Reply, ServeConfig, UpdateOutcome, WhyReply};
 pub use snapshot::{Snapshot, SnapshotStore, SnapshotUpdate};
 pub use stats::{CacheOutcome, ServeStats, ServiceStats};
 pub use version::Version;

@@ -17,7 +17,9 @@
 //!   request's span breakdown;
 //! * `why P(1, 3)` — derivation provenance for a ground fact: a
 //!   depth-bounded backward reconstruction of a derivation tree (or
-//!   `"derived":false`), structurally verified before it is returned;
+//!   `"derived":false`), structurally verified before it is returned; a
+//!   budget that runs out first replies `"truncated":true` with the
+//!   `"truncation"` reason;
 //! * `!stats` — dump the service-wide statistics;
 //! * `!metrics` — dump the service metrics in Prometheus text exposition
 //!   format (the one multi-line reply; its `# EOF` terminator line is the
@@ -35,16 +37,15 @@
 //! session.
 
 use crate::error::ServeError;
-use crate::service::{QueryService, Reply, UpdateOutcome};
+use crate::service::{QueryService, Reply, UpdateOutcome, WhyReply};
 use recurs_datalog::govern::EvalBudget;
 use recurs_datalog::parser::parse_atom;
 use recurs_datalog::relation::Tuple;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::Term;
-use recurs_ivm::{FactOp, DEFAULT_WHY_DEPTH};
+use recurs_ivm::{DerivationNode, FactOp, WhyOutcome, DEFAULT_WHY_DEPTH};
 use recurs_obs::TraceId;
 use serde::{Serialize as _, Value};
-use std::io::{BufRead, Write};
 use std::time::Duration;
 
 /// Outcome of handling one protocol line.
@@ -202,22 +203,13 @@ fn handle_request(
     if line == "!explain" {
         return Err("usage: !explain <query>".to_string().into());
     }
+    let budget = opts.budget.as_ref().unwrap_or(service.default_budget());
+    let trace = trace.unwrap_or_else(TraceId::mint);
     if let Some(rest) = line.strip_prefix("!explain ") {
         let query = parse_atom(query_text(rest.trim())).map_err(|e| e.to_string())?;
-        let default;
-        let budget = match &opts.budget {
-            Some(b) => b,
-            None => {
-                default = service.default_budget().clone();
-                &default
-            }
-        };
-        let trace = trace.unwrap_or_else(TraceId::mint);
-        return match service.explain(&query, budget, opts.max_queue_wait, trace) {
-            Ok(audit) => Ok(audit),
-            Err(ServeError::Overloaded { waited }) => Err(ProtoError::Overloaded { waited }),
-            Err(e) => Err(e.to_string().into()),
-        };
+        return service
+            .explain(&query, budget, opts.max_queue_wait, trace)
+            .map_err(ProtoError::from);
     }
     if line.starts_with('+') || line.starts_with('-') {
         return apply_update_group(service, line).map_err(ProtoError::from);
@@ -229,38 +221,23 @@ fn handle_request(
         return Err("usage: why <ground fact>".to_string().into());
     }
     if let Some(rest) = line.strip_prefix("why ") {
-        let text = rest.trim();
-        let text = text.strip_suffix('.').unwrap_or(text).trim();
-        let (pred, tuple) = parse_ground_fact(text)?;
-        let default;
-        let budget = match &opts.budget {
-            Some(b) => b,
-            None => {
-                default = service.default_budget().clone();
-                &default
-            }
-        };
-        return service
-            .why(pred, &tuple, DEFAULT_WHY_DEPTH, budget)
-            .map_err(|e| e.to_string().into());
+        let (pred, tuple) = parse_ground_fact(rest)?;
+        let why = service.why(pred, &tuple, DEFAULT_WHY_DEPTH, budget)?;
+        return Ok(render_why(&why));
     }
     let text = query_text(line);
     let query = parse_atom(text).map_err(|e| e.to_string())?;
-    let default;
-    let budget = match &opts.budget {
-        Some(b) => b,
-        None => {
-            default = service.default_budget().clone();
-            &default
-        }
-    };
-    let trace = trace.unwrap_or_else(TraceId::mint);
-    let reply = match service.query_traced(&query, budget, opts.max_queue_wait, trace) {
-        Ok(reply) => reply,
-        Err(ServeError::Overloaded { waited }) => return Err(ProtoError::Overloaded { waited }),
-        Err(e) => return Err(e.to_string().into()),
-    };
+    let reply = service.query_traced(&query, budget, opts.max_queue_wait, trace)?;
     Ok(render_reply(text, &reply, opts.max_reply_len))
+}
+
+impl From<ServeError> for ProtoError {
+    fn from(e: ServeError) -> ProtoError {
+        match e {
+            ServeError::Overloaded { waited } => ProtoError::Overloaded { waited },
+            e => ProtoError::Message(e.to_string()),
+        }
+    }
 }
 
 /// Splits one line into signed ground facts by scanning for `+`/`-` at
@@ -312,9 +289,7 @@ fn parse_update_group(line: &str) -> Result<Vec<FactOp>, String> {
     for (n, &start) in starts.iter().enumerate() {
         let end = starts.get(n + 1).copied().unwrap_or(line.len());
         let insert = line[start..].starts_with('+');
-        let text = line[start + 1..end].trim();
-        let text = text.strip_suffix('.').unwrap_or(text).trim();
-        let (pred, tuple) = parse_ground_fact(text)?;
+        let (pred, tuple) = parse_ground_fact(&line[start + 1..end])?;
         ops.push(if insert {
             FactOp::Insert(pred, tuple)
         } else {
@@ -324,8 +299,12 @@ fn parse_update_group(line: &str) -> Result<Vec<FactOp>, String> {
     Ok(ops)
 }
 
-fn parse_ground_fact(text: &str) -> Result<(Symbol, Tuple), String> {
-    let atom = parse_atom(text).map_err(|e| e.to_string())?;
+/// Parses `P(1, 3)` (an optional trailing `.` is tolerated) into a predicate
+/// and a ground tuple: the fact an update or a `why` request names.
+pub fn parse_ground_fact(text: &str) -> Result<(Symbol, Tuple), String> {
+    let text = text.trim();
+    let text = text.strip_suffix('.').unwrap_or(text).trim();
+    let atom = parse_atom(text).map_err(|e| format!("bad fact `{text}`: {e}"))?;
     let mut values = Vec::with_capacity(atom.terms.len());
     for t in &atom.terms {
         match t {
@@ -381,30 +360,59 @@ fn render_reply(query: &str, reply: &Reply, max_len: Option<usize>) -> Value {
     if cut {
         fields.push(("truncated", Value::Bool(true)));
     }
-    if let Some(trace) = reply.trace {
-        fields.push(("trace", Value::string(trace.to_string())));
+    fields.push(("trace", Value::string(reply.trace.to_string())));
+    Value::object(fields)
+}
+
+/// Renders a `why` reply: the tree of a derived fact, `"derived":false`,
+/// the rank a depth bound hid, or the budget stop that came first.
+fn render_why(why: &WhyReply) -> Value {
+    let mut fields = vec![
+        ("ok", Value::Bool(true)),
+        ("type", Value::string("why")),
+        ("fact", Value::string(&why.fact)),
+        ("snapshot_version", why.snapshot_version.to_value()),
+        ("view_seeded", Value::Bool(why.view_seeded)),
+    ];
+    match &why.outcome {
+        Ok(WhyOutcome::Derived(tree)) => fields.extend([
+            ("derived", Value::Bool(true)),
+            ("depth", tree.depth().to_value()),
+            ("size", tree.size().to_value()),
+            ("tree", tree_value(tree)),
+        ]),
+        Ok(WhyOutcome::NotDerived) => fields.push(("derived", Value::Bool(false))),
+        Ok(WhyOutcome::DepthExceeded { rank, max_depth }) => fields.extend([
+            ("derived", Value::Bool(true)),
+            ("truncated", Value::Bool(true)),
+            ("rank", rank.to_value()),
+            ("max_depth", max_depth.to_value()),
+        ]),
+        Err(reason) => fields.extend([
+            ("truncated", Value::Bool(true)),
+            ("truncation", reason.to_value()),
+        ]),
     }
     Value::object(fields)
 }
 
-/// Serves the line protocol until EOF or `!quit`: one request per input
-/// line, one JSON reply per output line (flushed after each).
-pub fn run_loop(
-    service: &QueryService,
-    input: impl BufRead,
-    mut output: impl Write,
-) -> std::io::Result<()> {
-    for line in input.lines() {
-        match handle_line(service, &line?) {
-            LineOutcome::Reply(reply) => {
-                writeln!(output, "{reply}")?;
-                output.flush()?;
-            }
-            LineOutcome::Silent => {}
-            LineOutcome::Quit => break,
-        }
-    }
-    Ok(())
+/// A derivation tree as nested JSON: `{"fact":"P(1, 2)","rule":
+/// "recursive","children":[...]}` with leaves labelled `"edb"` and exit
+/// rules `"exit[i]"`.
+fn tree_value(node: &DerivationNode) -> Value {
+    let rule = match node.rule {
+        None => "edb".to_string(),
+        Some(0) => "recursive".to_string(),
+        Some(i) => format!("exit[{}]", i - 1),
+    };
+    Value::object([
+        ("fact", Value::string(node.fact())),
+        ("rule", Value::string(rule)),
+        (
+            "children",
+            Value::Array(node.children.iter().map(tree_value).collect()),
+        ),
+    ])
 }
 
 #[cfg(test)]
@@ -639,15 +647,31 @@ mod tests {
     }
 
     #[test]
-    fn run_loop_replies_per_line_until_quit() {
-        let s = service();
-        let input = b"?- P(1, y).\n!stats\n!quit\n?- P(2, y).\n" as &[u8];
-        let mut out = Vec::new();
-        run_loop(&s, input, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "quit must end the session: {text}");
-        assert!(lines[0].contains("\"type\":\"answers\""));
-        assert!(lines[1].contains("\"type\":\"stats\""));
+    fn a_why_out_of_budget_is_a_truncated_reply_not_an_error() {
+        // The provenance saturation of a 60-vertex chain derives far more
+        // than one tuple before it can rank P(1, 60).
+        let lr = validate_with_generic_exit(
+            &parse_program("P(x, y) :- A(x, z), P(z, y).\nP(x, y) :- E(x, y).").unwrap(),
+        )
+        .unwrap();
+        let mut db = Database::new();
+        db.insert_relation("A", Relation::from_pairs((1..60).map(|i| (i, i + 1))));
+        db.insert_relation("E", Relation::from_pairs((1..60).map(|i| (i, i + 1))));
+        let config = ServeConfig {
+            budget: EvalBudget::unlimited().with_max_tuples(1),
+            ..ServeConfig::default()
+        };
+        let s = QueryService::new(lr, db, config);
+        let r = reply(&s, "why P(1, 60).");
+        assert!(r.contains("\"ok\":true"), "got {r}");
+        assert!(r.contains("\"type\":\"why\""), "got {r}");
+        assert!(r.contains("\"truncated\":true"), "got {r}");
+        assert!(r.contains("\"truncation\":\"tuple ceiling\""), "got {r}");
+        assert!(
+            !r.contains("\"derived\""),
+            "a stopped search claims nothing: {r}"
+        );
+        // `recurs_serve_query_errors_total` is untouched.
+        assert_eq!(s.stats().errors, 0);
     }
 }

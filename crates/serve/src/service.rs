@@ -11,7 +11,7 @@ use recurs_core::Classification;
 use recurs_datalog::database::Database;
 use recurs_datalog::error::DatalogError;
 use recurs_datalog::fingerprint::{self, Fingerprint};
-use recurs_datalog::govern::{EvalBudget, Outcome};
+use recurs_datalog::govern::{EvalBudget, Outcome, TruncationReason};
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::Atom;
 use recurs_datalog::validate::is_reserved;
@@ -19,8 +19,7 @@ use recurs_engine::compile::ProbeCounters;
 use recurs_engine::{EngineDb, IndexedRelation, Selection};
 use recurs_igraph::component::ComponentKind;
 use recurs_ivm::{
-    explain_fact, verify_tree, DerivationNode, EdbDelta, FactOp, IdbPatch, Materialization,
-    WhyOutcome,
+    explain_fact, verify_tree, EdbDelta, FactOp, IdbPatch, IvmError, Materialization, WhyOutcome,
 };
 use recurs_obs::aggregate::Aggregator;
 use recurs_obs::{field, FlightRecorder, Obs, SpanId, TraceCtx, TraceId};
@@ -33,10 +32,9 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Maximum concurrent evaluations (admission semaphore permits).
     pub max_concurrent: usize,
-    /// Total answer-cache capacity in entries; 0 disables the cache.
+    /// Total answer-cache capacity in entries, spread over the cache's
+    /// eight shards; 0 disables the cache.
     pub cache_capacity: usize,
-    /// Number of cache shards (locks).
-    pub cache_shards: usize,
     /// Default per-query budget (queries may override it).
     pub budget: EvalBudget,
     /// External observability sink. The service always maintains its own
@@ -51,12 +49,14 @@ impl Default for ServeConfig {
         ServeConfig {
             max_concurrent: 4,
             cache_capacity: 1024,
-            cache_shards: 8,
             budget: EvalBudget::unlimited(),
             obs: Obs::noop(),
         }
     }
 }
+
+/// The answer cache's shard (lock) count.
+const CACHE_SHARDS: usize = 8;
 
 /// One answered query: the answer relation plus per-query stats.
 #[derive(Debug)]
@@ -69,9 +69,23 @@ pub struct Reply {
     pub outcome: Outcome,
     /// What the query cost.
     pub stats: ServeStats,
-    /// The request-scoped trace id, when the query ran under a trace
-    /// context ([`QueryService::query_traced`]).
-    pub trace: Option<TraceId>,
+    /// The request-scoped trace id the query ran under.
+    pub trace: TraceId,
+}
+
+/// What [`QueryService::why`] found for one ground fact.
+#[derive(Debug)]
+pub struct WhyReply {
+    /// The fact, rendered `P(c1, c2)`.
+    pub fact: String,
+    /// The reconstruction's verdict — or, when the budget stopped it first,
+    /// why: a flagged reply that claims nothing about the fact, not an error.
+    pub outcome: Result<WhyOutcome, TruncationReason>,
+    /// The snapshot version the fact was explained at.
+    pub snapshot_version: Version,
+    /// Whether the maintained view was exact for that version, so its
+    /// derivation counts decided membership first.
+    pub view_seeded: bool,
 }
 
 /// What [`QueryService::apply_update`] did.
@@ -162,9 +176,8 @@ impl QueryService {
             plans,
             program_fingerprint,
             store: SnapshotStore::new(EngineDb::from(&db)),
-            cache: (config.cache_capacity > 0).then(|| {
-                SaturationCache::new(config.cache_capacity, config.cache_shards, obs.clone())
-            }),
+            cache: (config.cache_capacity > 0)
+                .then(|| SaturationCache::new(config.cache_capacity, CACHE_SHARDS, obs.clone())),
             view: RwLock::new(None),
             admission: Semaphore::new(config.max_concurrent),
             metrics,
@@ -325,28 +338,19 @@ impl QueryService {
         );
     }
 
-    /// Answers a query under the service's default budget.
+    /// Answers a query under the service's default budget and a fresh trace
+    /// id, queueing for admission unboundedly.
     pub fn query(&self, query: &Atom) -> Result<Reply, ServeError> {
-        self.query_with_budget(query, &self.budget.clone())
-    }
-
-    /// Answers a query under a caller-supplied budget. The reply's outcome
-    /// is `Complete`, or `Truncated` with the answers being a sound
-    /// under-approximation.
-    pub fn query_with_budget(
-        &self,
-        query: &Atom,
-        budget: &EvalBudget,
-    ) -> Result<Reply, ServeError> {
-        let (permit, queue_wait) = self.admit(None, &self.obs)?;
-        self.query_admitted(query, budget, permit, queue_wait, None)
+        self.query_traced(query, &self.budget, None, TraceId::mint())
     }
 
     /// Answers a query under a request-scoped trace context: every event
     /// the evaluation emits (admission, cache probe, kernel dispatch)
     /// carries `trace`, and the request is decomposed into hierarchical
     /// `span` events (`request` → `admission`/`cache`/`view`/`eval`/
-    /// `cache_store`) that `obsctl` reassembles into a timing tree.
+    /// `cache_store`) that `obsctl` reassembles into a timing tree. The
+    /// reply's outcome is `Complete`, or `Truncated` with the answers a
+    /// sound under-approximation.
     ///
     /// `max_wait = None` queues unboundedly (the stdin behavior); `Some`
     /// bounds the admission wait — the path the network front end uses, so
@@ -361,8 +365,7 @@ impl QueryService {
     ) -> Result<Reply, ServeError> {
         let ctx = TraceCtx::new(&self.obs, trace);
         let root = ctx.root("request");
-        let (permit, queue_wait) = self.admit_traced(max_wait, &ctx, root.id())?;
-        self.query_admitted(query, budget, permit, queue_wait, Some((&ctx, root.id())))
+        self.query_in(&ctx, root.id(), query, budget, max_wait)
     }
 
     /// The one admission gate: waits for an evaluation slot — unboundedly
@@ -389,32 +392,23 @@ impl QueryService {
         })
     }
 
-    /// [`QueryService::admit`] under an `admission` span of `parent`.
-    fn admit_traced(
+    /// The query path under `parent`, a span of `ctx`: admission, cache
+    /// probe, view/kernel dispatch, caching, and stats, each phase a child
+    /// span and every emission through the context's scoped handle. Holds
+    /// the admission permit for the whole evaluation.
+    fn query_in(
         &self,
-        max_wait: Option<Duration>,
         ctx: &TraceCtx,
         parent: SpanId,
-    ) -> Result<(Permit<'_>, Duration), ServeError> {
-        let _adm = ctx.span("admission", parent);
-        self.admit(max_wait, ctx.obs())
-    }
-
-    /// The post-admission query path: cache probe, view/kernel dispatch,
-    /// caching, and stats. Holds `_permit` for the whole evaluation. When a
-    /// trace context is supplied (`tr` = context + parent span), every
-    /// emission goes through its scoped handle and each phase is wrapped in
-    /// a child span.
-    fn query_admitted(
-        &self,
         query: &Atom,
         budget: &EvalBudget,
-        _permit: Permit<'_>,
-        queue_wait: std::time::Duration,
-        tr: Option<(&TraceCtx, SpanId)>,
+        max_wait: Option<Duration>,
     ) -> Result<Reply, ServeError> {
-        let obs = tr.map_or(&self.obs, |(ctx, _)| ctx.obs());
-        let trace = tr.map(|(ctx, _)| ctx.id());
+        let obs = ctx.obs();
+        let (_permit, queue_wait) = {
+            let _adm = ctx.span("admission", parent);
+            self.admit(max_wait, obs)?
+        };
         obs.observe(
             "recurs_serve_admission_wait_seconds",
             &[],
@@ -429,7 +423,7 @@ impl QueryService {
         // view's select, computed once.
         let selection = Selection::of(query);
         let cached = self.cache.as_ref().and_then(|cache| {
-            let _probe = tr.map(|(ctx, parent)| ctx.span("cache", parent));
+            let _probe = ctx.span("cache", parent);
             cache.get(&selection, snapshot.version())
         });
         // The maintained view answers a miss with a plain select/project — no
@@ -437,7 +431,7 @@ impl QueryService {
         let view_answers = match cached {
             Some(_) => None,
             None => {
-                let _view = tr.map(|(ctx, parent)| ctx.span("view", parent));
+                let _view = ctx.span("view", parent);
                 self.view_answers(&snapshot, &selection, obs)
             }
         };
@@ -454,7 +448,7 @@ impl QueryService {
                     (answers, Outcome::Complete, view, 0, 0)
                 }
                 (None, None) => {
-                    let _eval = tr.map(|(ctx, parent)| ctx.span("eval", parent));
+                    let _eval = ctx.span("eval", parent);
                     let run = self
                         .plans
                         .answer(&self.store, &snapshot, query, budget, obs)
@@ -474,7 +468,7 @@ impl QueryService {
         // the budget that truncated it.
         if let (Some(store), CacheOutcome::Miss, true) = (&self.cache, cache, outcome.is_complete())
         {
-            let _store = tr.map(|(ctx, parent)| ctx.span("cache_store", parent));
+            let _store = ctx.span("cache_store", parent);
             store.insert(selection, snapshot.version(), answers.clone());
         }
         let stats = ServeStats {
@@ -493,7 +487,7 @@ impl QueryService {
             answers,
             outcome,
             stats,
-            trace,
+            trace: ctx.id(),
         })
     }
 
@@ -686,8 +680,7 @@ impl QueryService {
         let started = Instant::now();
         let reply = {
             let root = ctx.root("request");
-            let (permit, queue_wait) = self.admit_traced(max_wait, &ctx, root.id())?;
-            self.query_admitted(query, budget, permit, queue_wait, Some((&ctx, root.id())))?
+            self.query_in(&ctx, root.id(), query, budget, max_wait)?
         };
         let measured_us = started.elapsed().as_micros() as u64;
 
@@ -746,7 +739,16 @@ impl QueryService {
             ("type", Value::string("explain")),
             ("trace", Value::string(trace.to_string())),
             ("query", Value::string(format!("{query}"))),
-            ("classification", classification_value(&plan.classification)),
+            (
+                "classification",
+                Value::object(verdict_fields(
+                    &plan.classification,
+                    [(
+                        "one_directional",
+                        Value::Bool(plan.classification.is_transformable_to_stable()),
+                    )],
+                )),
+            ),
             (
                 "kernel",
                 Value::object([
@@ -792,7 +794,8 @@ impl QueryService {
     /// derivable over the current snapshot: a depth-bounded backward
     /// reconstruction of a derivation tree, seeded from the maintained
     /// view's derivation counts when the view is exact for the snapshot,
-    /// and cross-checked structurally before it is returned. This is the
+    /// and cross-checked structurally before it is returned. A budget that
+    /// runs out first makes a truncated reply, not an error. This is the
     /// `why <fact>` protocol command and `run --why`.
     pub fn why(
         &self,
@@ -800,7 +803,7 @@ impl QueryService {
         tuple: &[recurs_datalog::term::Value],
         max_depth: u64,
         budget: &EvalBudget,
-    ) -> Result<Value, ServeError> {
+    ) -> Result<WhyReply, ServeError> {
         let lr = self.plans.recursion();
         if predicate != lr.predicate {
             return Err(ServeError::WrongPredicate {
@@ -819,70 +822,51 @@ impl QueryService {
                 _ => None,
             }
         };
-        let fact = render_fact(predicate, tuple);
-        let outcome = if view_count == Some(0) {
-            WhyOutcome::NotDerived
-        } else {
-            explain_fact(lr, snapshot.store(), tuple, max_depth, budget)?
+        let args: Vec<&str> = tuple.iter().map(|v| v.as_str()).collect();
+        let fact = format!("{predicate}({})", args.join(", "));
+        let outcome = match view_count {
+            Some(0) => Ok(WhyOutcome::NotDerived),
+            _ => match explain_fact(lr, snapshot.store(), tuple, max_depth, budget) {
+                Ok(found) => Ok(found),
+                Err(IvmError::Truncated(reason)) => Err(reason),
+                Err(IvmError::Datalog(e)) => return Err(e.into()),
+                Err(IvmError::Engine(e)) => return Err(e.into()),
+                Err(IvmError::IdbUpdate(p)) => return Err(ServeError::DerivedUpdate(p)),
+            },
         };
-        let elapsed = start.elapsed();
-        let mut fields = vec![
-            ("ok", Value::Bool(true)),
-            ("type", Value::string("why")),
-            ("fact", Value::string(&fact)),
-            ("snapshot_version", Value::UInt(snapshot.version().get())),
-            ("view_seeded", Value::Bool(view_count.is_some())),
-        ];
-        let derived;
-        match outcome {
-            WhyOutcome::Derived(tree) => {
-                // A tree that fails the structural check is a provenance
-                // bug, not a client error — refuse to present it.
-                if let Err(defect) = verify_tree(lr, snapshot.store(), &tree) {
-                    if self.obs.enabled() {
-                        self.obs.event(
-                            "serve.why",
-                            &[("fact", field::s(&fact)), ("defect", field::s(defect))],
-                        );
-                    }
-                    return Err(ServeError::Engine(recurs_engine::EngineError::Internal(
-                        "derivation tree failed structural verification",
-                    )));
+        // A tree that fails the structural check is a provenance bug, not a
+        // client error — refuse to present it.
+        if let Ok(WhyOutcome::Derived(tree)) = &outcome {
+            if let Err(defect) = verify_tree(lr, snapshot.store(), tree) {
+                if self.obs.enabled() {
+                    self.obs.event(
+                        "serve.why",
+                        &[("fact", field::s(&fact)), ("defect", field::s(defect))],
+                    );
                 }
-                derived = true;
-                fields.push(("derived", Value::Bool(true)));
-                fields.push(("depth", Value::UInt(tree.depth() as u64)));
-                fields.push(("size", Value::UInt(tree.size() as u64)));
-                fields.push(("tree", tree_value(&tree)));
-            }
-            WhyOutcome::NotDerived => {
-                derived = false;
-                fields.push(("derived", Value::Bool(false)));
-            }
-            WhyOutcome::DepthExceeded { rank, max_depth } => {
-                derived = true;
-                fields.push(("derived", Value::Bool(true)));
-                fields.push(("truncated", Value::Bool(true)));
-                fields.push(("rank", Value::UInt(rank)));
-                fields.push(("max_depth", Value::UInt(max_depth)));
+                return Err(ServeError::Engine(recurs_engine::EngineError::Internal(
+                    "derivation tree failed structural verification",
+                )));
             }
         }
         if self.obs.enabled() {
-            self.obs.event(
-                "serve.why",
-                &[
-                    ("fact", field::s(fact)),
-                    ("derived", field::b(derived)),
-                    ("eval_us", field::us(elapsed)),
-                ],
-            );
+            let mut fields = vec![("fact", field::s(&fact))];
+            match &outcome {
+                Ok(found) => {
+                    let derived = !matches!(found, WhyOutcome::NotDerived);
+                    fields.push(("derived", field::b(derived)));
+                }
+                Err(reason) => fields.push(("truncation", field::s(reason.to_string()))),
+            }
+            fields.push(("eval_us", field::us(start.elapsed())));
+            self.obs.event("serve.why", &fields);
         }
-        Ok(Value::Object(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        ))
+        Ok(WhyReply {
+            fact,
+            outcome,
+            snapshot_version: snapshot.version(),
+            view_seeded: view_count.is_some(),
+        })
     }
 }
 
@@ -891,17 +875,16 @@ fn opt_uz(v: Option<usize>) -> Value {
     v.map_or(Value::Null, |n| Value::UInt(n as u64))
 }
 
-/// Renders `pred(c1, c2)` for a ground tuple.
-fn render_fact(predicate: Symbol, tuple: &[recurs_datalog::term::Value]) -> String {
-    let args: Vec<&str> = tuple.iter().map(|v| v.as_str()).collect();
-    format!("{predicate}({})", args.join(", "))
-}
-
-/// The classification verdict as JSON, mirroring the CLI's
-/// `classify.verdict` event: overall class, per-component class labels with
-/// I-graph cycle counts and (for independent cycles) weight/directionality,
-/// and the proven rank bound when one exists.
-fn classification_value(c: &Classification) -> Value {
+/// The classification verdict's fields — the overall class, each
+/// non-trivial I-graph component's class with its cycle count and (for an
+/// independent cycle) weight and directionality, `extra`, and the proven
+/// rank bound when one exists. Both the `classify.verdict` event and
+/// `!explain`'s `classification` object are this, each with its own
+/// `extra` fields.
+pub fn verdict_fields(
+    c: &Classification,
+    extra: impl IntoIterator<Item = (&'static str, Value)>,
+) -> Vec<(&'static str, Value)> {
     let mut class_iter = c.component_classes.iter();
     let components: Vec<Value> = c
         .components
@@ -924,34 +907,12 @@ fn classification_value(c: &Classification) -> Value {
     let mut fields = vec![
         ("class", Value::string(c.class.label())),
         ("components", Value::Array(components)),
-        (
-            "one_directional",
-            Value::Bool(c.is_transformable_to_stable()),
-        ),
     ];
+    fields.extend(extra);
     if let Some(rank) = c.rank_bound() {
         fields.push(("rank_bound", Value::UInt(rank)));
     }
-    Value::object(fields)
-}
-
-/// A derivation tree as nested JSON: `{"fact":"P(1, 2)","rule":
-/// "recursive","children":[...]}` with leaves labelled `"edb"` and exit
-/// rules `"exit[i]"`.
-fn tree_value(node: &DerivationNode) -> Value {
-    let rule = match node.rule {
-        None => "edb".to_string(),
-        Some(0) => "recursive".to_string(),
-        Some(i) => format!("exit[{}]", i - 1),
-    };
-    Value::object([
-        ("fact", Value::string(node.fact())),
-        ("rule", Value::string(rule)),
-        (
-            "children",
-            Value::Array(node.children.iter().map(tree_value).collect()),
-        ),
-    ])
+    fields
 }
 
 #[cfg(test)]
@@ -1225,7 +1186,9 @@ mod tests {
         let service = tc_service(30, ServeConfig::default());
         let q = parse_atom("P(1, y)").unwrap();
         let tight = EvalBudget::unlimited().with_max_iterations(2);
-        let reply = service.query_with_budget(&q, &tight).unwrap();
+        let reply = service
+            .query_traced(&q, &tight, None, TraceId::mint())
+            .unwrap();
         assert!(!reply.outcome.is_complete());
         assert_eq!(service.cache_len(), 0);
         // The next (unbudgeted) query must not see the truncated answer.
@@ -1306,7 +1269,7 @@ mod tests {
         let reply = service
             .query_traced(&q, &EvalBudget::unlimited(), None, trace)
             .unwrap();
-        assert_eq!(reply.trace, Some(trace));
+        assert_eq!(reply.trace, trace);
         // The request decomposed into spans, all under one root.
         let spans = capture.events_of("span");
         let names: Vec<_> = spans.iter().filter_map(|e| e.text("name")).collect();
@@ -1428,24 +1391,40 @@ mod tests {
     fn why_returns_a_verified_tree_or_not_derived() {
         let service = tc_service(5, ServeConfig::default());
         let p = recurs_datalog::symbol::Symbol::intern("P");
+        let unlimited = EvalBudget::unlimited();
         let derived = service
-            .why(p, &tuple_u64([1, 4]), 1_000, &EvalBudget::unlimited())
+            .why(p, &tuple_u64([1, 4]), 1_000, &unlimited)
             .unwrap();
-        let text = serde::json::to_string(&derived);
-        assert!(text.contains("\"derived\":true"), "{text}");
-        assert!(text.contains("\"tree\""), "{text}");
-        assert!(text.contains("\"rule\":\"recursive\""), "{text}");
-        assert!(text.contains("\"rule\":\"edb\""), "{text}");
-        assert!(text.contains("\"view_seeded\":false"), "{text}");
+        assert_eq!(derived.fact, "P(1, 4)");
+        assert!(!derived.view_seeded);
+        let Ok(WhyOutcome::Derived(tree)) = &derived.outcome else {
+            panic!("P(1, 4) is derived: {derived:?}");
+        };
+        assert_eq!(tree.rule, Some(0), "one recursive step");
+        assert!(
+            tree.children.iter().any(|c| c.rule.is_none()),
+            "an EDB leaf"
+        );
         let missing = service
-            .why(p, &tuple_u64([4, 1]), 1_000, &EvalBudget::unlimited())
+            .why(p, &tuple_u64([4, 1]), 1_000, &unlimited)
             .unwrap();
-        let text = serde::json::to_string(&missing);
-        assert!(text.contains("\"derived\":false"), "{text}");
+        assert!(matches!(missing.outcome, Ok(WhyOutcome::NotDerived)));
+        let shallow = service.why(p, &tuple_u64([1, 4]), 0, &unlimited).unwrap();
+        assert!(matches!(
+            shallow.outcome,
+            Ok(WhyOutcome::DepthExceeded {
+                rank: 2,
+                max_depth: 0
+            })
+        ));
+        // A budget stop is a truncated reply, not an error.
+        let tight = EvalBudget::unlimited().with_max_tuples(1);
+        let stopped = service.why(p, &tuple_u64([1, 4]), 1_000, &tight).unwrap();
+        assert_eq!(stopped.outcome.unwrap_err(), TruncationReason::TupleCeiling);
         // Wrong predicate is a typed error.
         let q = recurs_datalog::symbol::Symbol::intern("Q");
         assert!(matches!(
-            service.why(q, &tuple_u64([1, 2]), 10, &EvalBudget::unlimited()),
+            service.why(q, &tuple_u64([1, 2]), 10, &unlimited),
             Err(ServeError::WrongPredicate { .. })
         ));
     }
@@ -1459,18 +1438,18 @@ mod tests {
             .apply_update(&[FactOp::Insert(e, tuple_u64([1, 5]))])
             .unwrap();
         let p = recurs_datalog::symbol::Symbol::intern("P");
+        let unlimited = EvalBudget::unlimited();
         let derived = service
-            .why(p, &tuple_u64([1, 4]), 1_000, &EvalBudget::unlimited())
+            .why(p, &tuple_u64([1, 4]), 1_000, &unlimited)
             .unwrap();
-        let text = serde::json::to_string(&derived);
-        assert!(text.contains("\"view_seeded\":true"), "{text}");
-        assert!(text.contains("\"derived\":true"), "{text}");
+        assert!(derived.view_seeded);
+        assert_eq!(derived.snapshot_version, 1);
+        assert!(matches!(derived.outcome, Ok(WhyOutcome::Derived(_))));
         let missing = service
-            .why(p, &tuple_u64([4, 1]), 1_000, &EvalBudget::unlimited())
+            .why(p, &tuple_u64([4, 1]), 1_000, &unlimited)
             .unwrap();
-        let text = serde::json::to_string(&missing);
-        assert!(text.contains("\"view_seeded\":true"), "{text}");
-        assert!(text.contains("\"derived\":false"), "{text}");
+        assert!(missing.view_seeded);
+        assert!(matches!(missing.outcome, Ok(WhyOutcome::NotDerived)));
     }
 
     #[test]

@@ -11,6 +11,7 @@ use recurs_datalog::parser::{parse_atom, parse_program};
 use recurs_datalog::relation::{tuple_u64, Relation};
 use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::term::Atom;
+use recurs_obs::TraceId;
 use recurs_serve::{PointKernelKind, QueryService, ServeConfig};
 
 fn lr(src: &str) -> LinearRecursion {
@@ -38,7 +39,7 @@ fn assert_bounded(f: &LinearRecursion, db: &Database, query_text: &str, rank: u6
     // the bounded kernel never enters one, so the answer stays Complete.
     let one_iteration = EvalBudget::iteration_cap(Some(1));
     let reply = service
-        .query_with_budget(&query, &one_iteration)
+        .query_traced(&query, &one_iteration, None, TraceId::mint())
         .expect("bounded query succeeds");
     assert!(
         reply.outcome.is_complete(),

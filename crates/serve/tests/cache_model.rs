@@ -85,11 +85,12 @@ proptest! {
         model.insert_relation("A", Relation::from_pairs((1..6).map(|i| (i, i + 1))));
         model.insert_relation("E", Relation::from_pairs((1..6).map(|i| (i, i + 1))));
         let service = |cache_capacity| {
-            let config = ServeConfig { cache_capacity, cache_shards: 2, ..ServeConfig::default() };
+            let config = ServeConfig { cache_capacity, ..ServeConfig::default() };
             QueryService::new(lr.clone(), model.clone(), config)
         };
-        // Eight entries for the 50 distinct queries the script draws from.
-        let (cached, uncached) = (service(8), service(0));
+        // Sixteen entries, two per shard, for the 50 distinct queries the
+        // script draws from: enough to hit, too few not to evict.
+        let (cached, uncached) = (service(16), service(0));
         let (mut version, mut dred, mut carried_hits) = (0u64, false, 0u64);
         // The version each query was last answered by a miss at, so cached at.
         let mut cached_at: HashMap<Atom, u64> = HashMap::new();
@@ -142,7 +143,7 @@ proptest! {
         prop_assert!(dred, "no deletion was maintained");
         prop_assert!(stats.hits > 0 && carried_hits > 0, "vacuous: {:?}", stats);
         prop_assert!(stats.patched > 0 && stats.evictions > 0, "vacuous: {:?}", stats);
-        prop_assert!(cached.cache_len() <= 8);
+        prop_assert!(cached.cache_len() <= 16);
         prop_assert_eq!(uncached.stats().cache, Default::default());
     }
 }

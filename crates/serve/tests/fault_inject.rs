@@ -13,7 +13,7 @@ use recurs_datalog::parser::{parse_atom, parse_program};
 use recurs_datalog::relation::Relation;
 use recurs_datalog::rule::LinearRecursion;
 use recurs_engine::fault::{quiesce, FaultPlan};
-use recurs_obs::{CaptureRecorder, Obs};
+use recurs_obs::{CaptureRecorder, Obs, TraceId};
 use recurs_serve::{CacheOutcome, QueryService, ServeConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -58,7 +58,7 @@ fn slowed_query_is_truncated_and_never_cached(query: &str) {
     });
     let deadline = EvalBudget::unlimited().with_timeout(Duration::from_millis(5));
     let slowed = service
-        .query_with_budget(&q, &deadline)
+        .query_traced(&q, &deadline, None, TraceId::mint())
         .expect("a tripped deadline is a reply, not an error");
     assert_eq!(
         slowed.outcome,

@@ -7,20 +7,19 @@
 //! index work on a base relation.
 
 use proptest::prelude::*;
+use recurs_core::plan::plan_query;
 use recurs_datalog::database::Database;
 use recurs_datalog::eval::{answer_query, semi_naive};
 use recurs_datalog::fingerprint;
-use recurs_datalog::govern::EvalBudget;
 use recurs_datalog::parser::{parse_atom, parse_program};
 use recurs_datalog::relation::{Relation, Tuple};
 use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::{Atom, Value};
 use recurs_datalog::validate::validate_with_generic_exit;
+use recurs_engine::{EngineConfig, Evaluation};
 use recurs_obs::{CaptureRecorder, Obs};
-use recurs_serve::{
-    FactOp, PointPlans, QueryService, ServeConfig, Snapshot, SnapshotStore, SnapshotUpdate,
-};
+use recurs_serve::{FactOp, QueryService, ServeConfig, Snapshot, SnapshotStore, SnapshotUpdate};
 use recurs_workload::{all_query_atoms, random_database};
 use std::sync::{Arc, Barrier};
 
@@ -98,6 +97,25 @@ fn oracle(lr: &LinearRecursion, db: &Database, query: &Atom) -> Relation {
     answer_query(&db, query).expect("oracle answers")
 }
 
+/// Answers `query` at `at`, a snapshot `snapshots` published — the way the
+/// service's kernels do on a miss: the query's plan run by the executor on
+/// the snapshot's store, any index it lacks built once by republishing the
+/// snapshot (if `at` is still current).
+fn answer_at(
+    lr: &LinearRecursion,
+    snapshots: &SnapshotStore,
+    at: &Snapshot,
+    query: &Atom,
+) -> Evaluation {
+    let plan = plan_query(lr, query).expect("the query plans");
+    let republish = |missing: &[_]| {
+        let indexed = snapshots.with_indexes(missing);
+        (indexed.version() == at.version()).then(|| indexed.store().clone())
+    };
+    let config = EngineConfig::default();
+    recurs_engine::evaluate(&plan, query, at.store(), &config, republish).expect("it answers")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -148,7 +166,6 @@ proptest! {
         };
         let mut model = random_database(&lr, 6, 3, db_seed);
         let snapshots = SnapshotStore::new((&model).into());
-        let plans = PointPlans::new(lr.clone());
         let mut held: Option<(Arc<Snapshot>, Database)> = None;
         for (i, &(rel, a, b, c)) in toggles.iter().enumerate() {
             if i == held_at {
@@ -172,9 +189,7 @@ proptest! {
         prop_assert!(snapshots.load().version().get() >= held.version().get() + 50);
         assert_is_model(&held, &model_then)?;
         for query in all_query_atoms(&lr, &[1, 2, 3]) {
-            let point = plans
-                .answer(&snapshots, &held, &query, &EvalBudget::unlimited(), &Obs::noop())
-                .expect("the held snapshot answers");
+            let point = answer_at(&lr, &snapshots, &held, &query);
             prop_assert!(point.saturation.outcome.is_complete());
             prop_assert_eq!(
                 point.answers.to_relation(), oracle(&lr, &model_then, &query),
@@ -195,22 +210,20 @@ fn index_republishes_racing_with_updates_lose_neither() {
     // releases all five together, and 2 100 edges per relation make an index
     // build and an update's relation copy long enough to overlap.
     const UPDATES: u64 = 12;
-    let plans = PointPlans::new(tc());
+    let tc = tc();
     for round in 0..20u64 {
         let mut model = forest_db(300, 8);
         let snapshots = SnapshotStore::new((&model).into());
         let start = Barrier::new(5);
         let installed = std::thread::scope(|scope| {
             for text in ["P(1, y)", "P(x, 8)", "P(2, 7)", "P(x, y)"] {
-                let (plans, snapshots, start) = (&plans, &snapshots, &start);
+                let (tc, snapshots, start) = (&tc, &snapshots, &start);
                 scope.spawn(move || {
                     let query = parse_atom(text).unwrap();
-                    let unlimited = EvalBudget::unlimited();
                     start.wait();
                     for _ in 0..4 {
-                        let at = snapshots.load();
-                        let point = plans.answer(snapshots, &at, &query, &unlimited, &Obs::noop());
-                        assert!(point.unwrap().saturation.outcome.is_complete());
+                        let point = answer_at(tc, snapshots, &snapshots.load(), &query);
+                        assert!(point.saturation.outcome.is_complete());
                     }
                 });
             }
