@@ -3,9 +3,11 @@
 //! points, armed process-globally for the duration of a guard.
 //!
 //! Compiled only under `cfg(test)` or the `fault-inject` feature. The chaos
-//! suite arms a [`FaultPlan`] with [`arm`]; the guard holds a global
-//! serialization gate (plans are process global, faulty tests must not
-//! overlap) and disarms on drop even if the test panics.
+//! suite arms a [`FaultPlan`] with [`arm`], or takes the gate first with
+//! [`quiesce`] and arms later with [`FaultGuard::rearm`]; the guard holds a
+//! global serialization gate (plans are process global and count every reply
+//! the process writes, so a test's frames are only safe while it holds the
+//! gate) and disarms on drop even if the test panics.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -42,12 +44,9 @@ fn plan_lock() -> MutexGuard<'static, Option<Armed>> {
 
 /// Arms `plan` for the duration of the returned guard; see the module docs.
 pub fn arm(plan: FaultPlan) -> FaultGuard {
-    let gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    *plan_lock() = Some(Armed {
-        plan,
-        replies_written: 0,
-    });
-    FaultGuard { _gate: gate }
+    let mut guard = quiesce();
+    guard.rearm(plan);
+    guard
 }
 
 /// Serializes a fault-free test against armed plans: while the guard lives
@@ -61,6 +60,22 @@ pub fn quiesce() -> FaultGuard {
 #[derive(Debug)]
 pub struct FaultGuard {
     _gate: MutexGuard<'static, ()>,
+}
+
+impl FaultGuard {
+    /// Arms `plan` in place of whatever is armed, its reply count starting
+    /// at zero, without letting go of the gate.
+    pub fn rearm(&mut self, plan: FaultPlan) {
+        *plan_lock() = Some(Armed {
+            plan,
+            replies_written: 0,
+        });
+    }
+
+    /// Disarms the plan and keeps the gate.
+    pub fn disarm(&mut self) {
+        *plan_lock() = None;
+    }
 }
 
 impl Drop for FaultGuard {
@@ -155,6 +170,20 @@ mod tests {
         });
         assert!(std::panic::catch_unwind(handler_start).is_err());
         handler_start(); // consumed: clean second call
+    }
+
+    #[test]
+    fn rearming_under_the_gate_restarts_the_count() {
+        let mut guard = quiesce();
+        assert_eq!(before_reply(), ReplyFault::Clean);
+        guard.rearm(FaultPlan {
+            tear_reply_after: Some(1),
+            ..FaultPlan::default()
+        });
+        assert_eq!(before_reply(), ReplyFault::Clean);
+        assert_eq!(before_reply(), ReplyFault::Tear);
+        guard.disarm();
+        assert_eq!(before_reply(), ReplyFault::Clean);
     }
 
     #[test]

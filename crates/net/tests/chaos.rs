@@ -3,7 +3,9 @@
 //! must never let a panic escape a connection handler, never leave an
 //! accepted request without exactly one framed reply or a clean close, and
 //! never corrupt the database/snapshot chain. Every scenario ends with a
-//! differential check against an untouched control service.
+//! differential check against an untouched control service. An armed plan
+//! counts every reply the process writes, so each test holds the fault gate
+//! (`quiesce`, then `rearm`) from before its first frame to its last.
 
 #![cfg(feature = "fault-inject")]
 
@@ -11,7 +13,7 @@ mod common;
 
 use common::{connect, fast_config, spawn_server, tc_service};
 use recurs_datalog::parser::parse_atom;
-use recurs_net::fault::{arm, quiesce, FaultPlan};
+use recurs_net::fault::{quiesce, FaultPlan};
 use recurs_net::proto::{json_str_field, json_u64_field};
 use recurs_net::{Client, NetConfig};
 use recurs_serve::{QueryService, ServeConfig};
@@ -48,12 +50,13 @@ fn assert_matches_control(client: &mut Client, control: &QueryService) {
 
 #[test]
 fn handler_panic_becomes_a_typed_internal_reply_and_the_connection_survives() {
+    let mut faults = quiesce();
     let control = tc_service(N, ServeConfig::default());
     let (addr, handle, join) = spawn_server(tc_service(N, ServeConfig::default()), fast_config());
     let mut client = connect(&addr);
     client.roundtrip("!health").expect("admitted");
     {
-        let _g = arm(FaultPlan {
+        faults.rearm(FaultPlan {
             panic_in_handler: true,
             ..FaultPlan::default()
         });
@@ -65,6 +68,7 @@ fn handler_panic_becomes_a_typed_internal_reply_and_the_connection_survives() {
         // Same connection, next pipelined request: unharmed.
         let reply = client.roundtrip("?- P(1, y).").expect("still serving");
         assert!(reply.contains("\"ok\":true"), "{reply}");
+        faults.disarm();
     }
     assert_matches_control(&mut client, &control);
     drop(client);
@@ -75,12 +79,13 @@ fn handler_panic_becomes_a_typed_internal_reply_and_the_connection_survives() {
 
 #[test]
 fn torn_reply_frame_drops_the_connection_but_not_the_server_or_state() {
+    let mut faults = quiesce();
     let control = tc_service(N, ServeConfig::default());
     let (addr, handle, join) = spawn_server(tc_service(N, ServeConfig::default()), fast_config());
     let mut client = connect(&addr);
     client.roundtrip("!health").expect("admitted");
     {
-        let _g = arm(FaultPlan {
+        faults.rearm(FaultPlan {
             tear_reply_after: Some(2),
             ..FaultPlan::default()
         });
@@ -104,6 +109,7 @@ fn torn_reply_frame_drops_the_connection_but_not_the_server_or_state() {
             }
         }
         assert!(torn, "the armed tear must surface as a transport error");
+        faults.disarm();
     }
     // The torn connection is dead; the server is not.
     let mut client = connect(&addr);
@@ -116,10 +122,11 @@ fn torn_reply_frame_drops_the_connection_but_not_the_server_or_state() {
 
 #[test]
 fn stalled_reply_is_bounded_by_the_client_timeout_and_the_server_recovers() {
+    let mut faults = quiesce();
     let control = tc_service(N, ServeConfig::default());
     let (addr, handle, join) = spawn_server(tc_service(N, ServeConfig::default()), fast_config());
     {
-        let _g = arm(FaultPlan {
+        faults.rearm(FaultPlan {
             stall_reply: Some(Duration::from_millis(400)),
             ..FaultPlan::default()
         });
@@ -130,6 +137,7 @@ fn stalled_reply_is_bounded_by_the_client_timeout_and_the_server_recovers() {
             client.recv().is_err(),
             "reply should have stalled past the timeout"
         );
+        faults.disarm();
     }
     // Disarmed: a fresh connection is served promptly and state is intact.
     let mut client = connect(&addr);
@@ -165,6 +173,9 @@ fn mid_request_disconnects_leave_the_server_healthy() {
 
 #[test]
 fn worker_panic_during_drain_still_drains_cleanly() {
+    // The gate comes first: a sibling's armed tear would otherwise count,
+    // and could tear, the `!health` frame below.
+    let mut faults = quiesce();
     let control = tc_service(N, ServeConfig::default());
     let postmortem = std::env::temp_dir().join(format!(
         "recurs-chaos-postmortem-{}.jsonl",
@@ -180,7 +191,7 @@ fn worker_panic_during_drain_still_drains_cleanly() {
     let mut client = connect(&addr);
     client.roundtrip("!health").expect("admitted");
     {
-        let _g = arm(FaultPlan {
+        faults.rearm(FaultPlan {
             panic_in_handler: true,
             ..FaultPlan::default()
         });
@@ -194,6 +205,7 @@ fn worker_panic_during_drain_still_drains_cleanly() {
         assert_eq!(json_str_field(&reply, "type"), Some("internal"), "{reply}");
         // Served within the linger window: verify state then let go.
         assert_matches_control(&mut client, &control);
+        faults.disarm();
     }
     drop(client);
     let report = join.join().expect("server thread").expect("run ok");

@@ -45,7 +45,8 @@ use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::Term;
 use recurs_ivm::{DerivationNode, FactOp, WhyOutcome, DEFAULT_WHY_DEPTH};
 use recurs_obs::TraceId;
-use serde::{Serialize as _, Value};
+use serde::{json, Serialize as _, Value};
+use std::fmt::Write as _;
 use std::time::Duration;
 
 /// Outcome of handling one protocol line.
@@ -122,12 +123,12 @@ pub fn handle_line_with(service: &QueryService, line: &str, opts: &LineOptions) 
         return LineOutcome::Reply(service.metrics_text().trim_end().to_string());
     }
     LineOutcome::Reply(match handle_request(service, line, opts) {
-        Ok(v) => serde::json::to_string(&v),
-        Err(ProtoError::Message(e)) => serde::json::to_string(&Value::object([
+        Ok(reply) => reply,
+        Err(ProtoError::Message(e)) => json::to_string(&Value::object([
             ("ok", Value::Bool(false)),
             ("error", Value::string(e)),
         ])),
-        Err(ProtoError::Overloaded { waited }) => serde::json::to_string(&Value::object([
+        Err(ProtoError::Overloaded { waited }) => json::to_string(&Value::object([
             ("ok", Value::Bool(false)),
             ("type", Value::string("overloaded")),
             (
@@ -169,11 +170,13 @@ fn query_text(line: &str) -> &str {
     text.strip_suffix('.').unwrap_or(text).trim()
 }
 
+/// Handles one request, returning its rendered reply: an answers reply is
+/// written straight to text, every other kind through its `Value` tree.
 fn handle_request(
     service: &QueryService,
     line: &str,
     opts: &LineOptions,
-) -> Result<Value, ProtoError> {
+) -> Result<String, ProtoError> {
     let (line, directive_trace) = strip_trace_directive(line)?;
     let line = line.trim();
     let trace = directive_trace.or(opts.trace);
@@ -181,15 +184,15 @@ fn handle_request(
         return Err("empty request after @trace directive".to_string().into());
     }
     if line == "!stats" {
-        return Ok(Value::object([
+        return Ok(json::to_string(&Value::object([
             ("ok", Value::Bool(true)),
             ("type", Value::string("stats")),
             ("stats", service.stats().to_value()),
-        ]));
+        ])));
     }
     if line == "!snapshot" {
         let snap = service.snapshot();
-        return Ok(Value::object([
+        return Ok(json::to_string(&Value::object([
             ("ok", Value::Bool(true)),
             ("type", Value::string("snapshot")),
             ("version", snap.version().to_value()),
@@ -198,7 +201,7 @@ fn handle_request(
                 "program_fingerprint",
                 Value::string(service.program_fingerprint().to_string()),
             ),
-        ]));
+        ])));
     }
     if line == "!explain" {
         return Err("usage: !explain <query>".to_string().into());
@@ -207,12 +210,12 @@ fn handle_request(
     let trace = trace.unwrap_or_else(TraceId::mint);
     if let Some(rest) = line.strip_prefix("!explain ") {
         let query = parse_atom(query_text(rest.trim())).map_err(|e| e.to_string())?;
-        return service
-            .explain(&query, budget, opts.max_queue_wait, trace)
-            .map_err(ProtoError::from);
+        let audit = service.explain(&query, budget, opts.max_queue_wait, trace)?;
+        return Ok(json::to_string(&audit));
     }
     if line.starts_with('+') || line.starts_with('-') {
-        return apply_update_group(service, line).map_err(ProtoError::from);
+        let update = apply_update_group(service, line)?;
+        return Ok(json::to_string(&update));
     }
     if line.starts_with('!') {
         return Err(format!("unknown command: {line}").into());
@@ -223,7 +226,7 @@ fn handle_request(
     if let Some(rest) = line.strip_prefix("why ") {
         let (pred, tuple) = parse_ground_fact(rest)?;
         let why = service.why(pred, &tuple, DEFAULT_WHY_DEPTH, budget)?;
-        return Ok(render_why(&why));
+        return Ok(json::to_string(&render_why(&why)));
     }
     let text = query_text(line);
     let query = parse_atom(text).map_err(|e| e.to_string())?;
@@ -329,16 +332,21 @@ fn json_len(s: &str) -> usize {
     2 + s.len() + s.bytes().map(escape_len).sum::<usize>()
 }
 
-/// Renders an answers reply, the sorted answers cut to those that fit
-/// `max_len` bytes (`count` stays the number found).
-fn render_reply(query: &str, reply: &Reply, max_len: Option<usize>) -> Value {
+/// Renders an answers reply straight to JSON text: the sorted answers cut to
+/// the whole rows that fit `max_len` bytes (`count` stays the number found).
+fn render_reply(query: &str, reply: &Reply, max_len: Option<usize>) -> String {
     let mut room = max_len.map_or(usize::MAX, |max| {
         max.saturating_sub(REPLY_ENVELOPE_LEN + json_len(query))
     });
-    let mut sorted: Vec<&[recurs_datalog::term::Value]> = reply.answers.iter().collect();
+    let mut sorted = Vec::with_capacity(reply.answers.len());
+    sorted.extend(reply.answers.iter());
     sorted.sort_unstable();
-    let mut rows: Vec<Value> = Vec::new();
-    for t in sorted {
+    let mut out = String::with_capacity(REPLY_ENVELOPE_LEN + json_len(query));
+    out.push_str(r#"{"ok":true,"type":"answers","query":"#);
+    json::write_str(&mut out, query);
+    let _ = write!(out, r#","count":{},"answers":["#, sorted.len());
+    let mut kept = 0;
+    for t in &sorted {
         // The brackets, the values, and a comma after each (the last
         // value's stands for the one after the row).
         let len = 2 + t.iter().map(|v| json_len(v.as_str()) + 1).sum::<usize>();
@@ -346,22 +354,26 @@ fn render_reply(query: &str, reply: &Reply, max_len: Option<usize>) -> Value {
             break;
         }
         room -= len;
-        rows.push(Value::array(t.iter().map(|v| Value::string(v.as_str()))));
+        if kept > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        for (i, v) in t.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            json::write_str(&mut out, v.as_str());
+        }
+        out.push(']');
+        kept += 1;
     }
-    let cut = rows.len() < reply.answers.len();
-    let mut fields = vec![
-        ("ok", Value::Bool(true)),
-        ("type", Value::string("answers")),
-        ("query", Value::string(query)),
-        ("count", reply.answers.len().to_value()),
-        ("answers", Value::Array(rows)),
-        ("stats", reply.stats.to_value()),
-    ];
-    if cut {
-        fields.push(("truncated", Value::Bool(true)));
+    out.push_str(r#"],"stats":"#);
+    reply.stats.write_json(&mut out);
+    if kept < sorted.len() {
+        out.push_str(r#","truncated":true"#);
     }
-    fields.push(("trace", Value::string(reply.trace.to_string())));
-    Value::object(fields)
+    let _ = write!(out, r#","trace":"{}"}}"#, reply.trace);
+    out
 }
 
 /// Renders a `why` reply: the tree of a derived fact, `"derived":false`,
@@ -644,6 +656,130 @@ mod tests {
         let r = reply(&s, "why Q(1, 2).");
         assert!(r.contains("\"ok\":false"), "got {r}");
         assert!(r.contains("not served"), "got {r}");
+    }
+
+    /// The renderer `render_reply` replaced, kept as its reference: the
+    /// answers reply built as a `Value` tree, then serialized.
+    fn render_reply_tree(query: &str, reply: &Reply, max_len: Option<usize>) -> String {
+        let mut room = max_len.map_or(usize::MAX, |max| {
+            max.saturating_sub(REPLY_ENVELOPE_LEN + json_len(query))
+        });
+        let mut sorted: Vec<&[recurs_datalog::term::Value]> = reply.answers.iter().collect();
+        sorted.sort_unstable();
+        let mut rows: Vec<Value> = Vec::new();
+        for t in sorted {
+            let len = 2 + t.iter().map(|v| json_len(v.as_str()) + 1).sum::<usize>();
+            if len > room {
+                break;
+            }
+            room -= len;
+            rows.push(Value::array(t.iter().map(|v| Value::string(v.as_str()))));
+        }
+        let cut = rows.len() < reply.answers.len();
+        let mut fields = vec![
+            ("ok", Value::Bool(true)),
+            ("type", Value::string("answers")),
+            ("query", Value::string(query)),
+            ("count", reply.answers.len().to_value()),
+            ("answers", Value::Array(rows)),
+            ("stats", reply.stats.to_value()),
+        ];
+        if cut {
+            fields.push(("truncated", Value::Bool(true)));
+        }
+        fields.push(("trace", Value::string(reply.trace.to_string())));
+        json::to_string(&Value::object(fields))
+    }
+
+    /// A reply holding `rows` (each cut to `arity` values) as its answers.
+    fn answers_reply(arity: usize, rows: &[Vec<String>], truncated: bool) -> Reply {
+        use crate::kernel::PointKernelKind;
+        use crate::stats::{CacheOutcome, ServeStats};
+        use recurs_datalog::govern::{Outcome, TruncationReason};
+        use recurs_datalog::term::Value as Const;
+        let mut answers = recurs_engine::IndexedRelation::new(arity);
+        for row in rows {
+            let t: Vec<Const> = row[..arity].iter().map(|s| Const::named(s)).collect();
+            answers.insert(&t);
+        }
+        let outcome = match truncated {
+            false => Outcome::Complete,
+            true => Outcome::Truncated(TruncationReason::TupleCeiling),
+        };
+        let stats = ServeStats {
+            queue_wait: Duration::from_micros(3),
+            eval: Duration::from_micros(41),
+            cache: CacheOutcome::Hit,
+            kernel: PointKernelKind::BoundedUnroll { rank: 2 },
+            outcome,
+            answers: answers.len(),
+            tuples_derived: 0,
+            fixpoint_iterations: 0,
+            snapshot_version: 7,
+        };
+        let trace = TraceId::parse("c0ffee").unwrap();
+        Reply {
+            answers,
+            outcome,
+            stats,
+            trace,
+        }
+    }
+
+    /// Constants drawn from letters, digits and every byte the JSON escaper
+    /// rewrites: `"`, `\`, newline, tab, carriage return and a control byte.
+    const CONSTANT: &str = "[ab19\"\\\\\n\t\r\u{1}é]{0,4}";
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn render_reply_writes_the_bytes_the_value_tree_did(
+            arity in 0usize..=3,
+            rows in proptest::collection::vec((CONSTANT, CONSTANT, CONSTANT), 0..12),
+            query in CONSTANT,
+            truncated in 0u8..2,
+        ) {
+            let rows: Vec<Vec<String>> = rows.into_iter().map(|(a, b, c)| vec![a, b, c]).collect();
+            let reply = answers_reply(arity, &rows, truncated == 1);
+            let full = render_reply_tree(&query, &reply, None);
+            proptest::prop_assert_eq!(render_reply(&query, &reply, None), full.clone());
+            // Every frame size up to one that cuts nothing: the envelope's
+            // reserve, the query, and the whole reply.
+            for max in 0..=REPLY_ENVELOPE_LEN + json_len(&query) + full.len() {
+                let direct = render_reply(&query, &reply, Some(max));
+                let tree = render_reply_tree(&query, &reply, Some(max));
+                proptest::prop_assert_eq!(direct, tree, "max_reply_len {}", max);
+            }
+            let uncut = REPLY_ENVELOPE_LEN + json_len(&query) + full.len();
+            proptest::prop_assert_eq!(render_reply(&query, &reply, Some(uncut)), full);
+        }
+    }
+
+    #[test]
+    fn a_cut_keeps_whole_sorted_rows_and_flags_the_reply() {
+        let rows: Vec<Vec<String>> = ["b\"", "a\\", "c"]
+            .iter()
+            .map(|s| vec![s.to_string()])
+            .collect();
+        let reply = answers_reply(1, &rows, false);
+        let full = render_reply(r#"P(x)"#, &reply, None);
+        assert!(
+            full.contains(r#""count":3,"answers":[["a\\"],["b\""],["c"]],"#),
+            "{full}"
+        );
+        assert!(!full.contains("truncated"), "{full}");
+        // Room for the first row only: `["a\\"]` and its comma are 8 bytes.
+        let room = REPLY_ENVELOPE_LEN + json_len("P(x)") + 8;
+        let cut = render_reply("P(x)", &reply, Some(room));
+        assert!(
+            cut.contains(r#""count":3,"answers":[["a\\"]],"stats""#),
+            "{cut}"
+        );
+        assert!(
+            cut.ends_with(r#","truncated":true,"trace":"0000000000c0ffee"}"#),
+            "{cut}"
+        );
     }
 
     #[test]

@@ -383,3 +383,43 @@ fn a_cache_hit_allocates_its_lookup_pattern_and_no_key_string_clone_or_lru_node(
     // index and that index's nodes cost 120 B more at 64 entries a shard.
     assert!(many <= 3_840, "a cache hit allocated {many} B");
 }
+
+#[test]
+fn a_served_hit_allocates_per_reply_not_per_answer() {
+    use recurs_serve::protocol::{handle_line_with, LineOptions, LineOutcome};
+    // One chain 1 → … → 401 in both relations: `P(361, y)` has 40 answers,
+    // `P(1, y)` 400. Each line is served twice first, so the second call of
+    // each is a warm hit and anything interned per label set is interned.
+    let service = QueryService::new(tc(), forest(1, 1, 401), ServeConfig::default());
+    let opts = LineOptions::default();
+    let served_hit = |line: &str| {
+        for _ in 0..2 {
+            handle_line_with(&service, line, &opts);
+        }
+        let ((reply, calls), bytes) =
+            allocated_by(|| calls_by(|| handle_line_with(&service, line, &opts)));
+        let LineOutcome::Reply(reply) = reply else {
+            panic!("no reply to {line}");
+        };
+        assert!(reply.contains("\"cache\":\"hit\""), "{reply}");
+        (reply, calls, bytes)
+    };
+    let (few_reply, few, few_bytes) = served_hit("@trace=1 ?- P(361, y).");
+    let (many_reply, many, _) = served_hit("@trace=2 ?- P(1, y).");
+    assert!(few_reply.contains("\"count\":40,"), "{few_reply}");
+    assert!(many_reply.contains("\"count\":400,"), "{many_reply}");
+    // Ten times the answers is a few more doublings of the reply buffer, not
+    // a string and a row per answer (two calls per value before the reply
+    // was written straight to text).
+    assert!(
+        many <= few + 4,
+        "a 40-answer hit made {few} allocator calls, a 400-answer hit {many}"
+    );
+    // 6 675 B: the 3 816 B `QueryService::query` allocates for a hit (the
+    // test above), the request's parse, the sorted row slices (640 B), the
+    // reply's `stats` tree and the reply text (1 035 B, no regrowth).
+    assert!(
+        few_bytes <= 7_000,
+        "a served 40-answer hit allocated {few_bytes} B"
+    );
+}
