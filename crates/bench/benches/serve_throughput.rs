@@ -13,7 +13,9 @@
 //!   cache hit.
 //!
 //! Every path is asserted equal to the filtered oracle fixpoint before it is
-//! timed. BENCH_serve.json records the baseline.
+//! timed. A local tool: EXPERIMENTS.md §3 records the shapes, and the
+//! perfbench `serve-hot` / `serve-cold` workloads measure these paths end to
+//! end.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use recurs_datalog::eval::{answer_query, semi_naive};

@@ -14,10 +14,10 @@
 //!   baseline every update would pay without incremental maintenance.
 //!
 //! The patched states are asserted tuple-identical to from-scratch
-//! saturation before anything is timed. `bench_compare` times the two patch
-//! directions separately with the project's lightweight median timer;
-//! BENCH_ivm.json records those baseline medians and the patched-vs-cold
-//! speedup the CI tripwire gates on.
+//! saturation before anything is timed. A local tool: EXPERIMENTS.md §3
+//! records the shapes, the perfbench `serve-update` workload measures the
+//! served write path end to end, and `crates/ivm/tests/maintenance_cost.rs`
+//! holds the patched-vs-cold floor as a count of the tuples touched.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use recurs_datalog::eval::semi_naive;

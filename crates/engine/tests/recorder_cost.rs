@@ -1,0 +1,195 @@
+//! What the no-op recorder costs, as a count rather than a clock: every
+//! emission site in the engine is one `Obs::enabled()` branch (a `None`
+//! check on the no-op handle) guarding a few counter, histogram or event
+//! calls, and each site fires once per run, per round, or per rule per
+//! round — never per tuple. So a counting recorder attached to a run sees
+//! at most `PER_ROUND_RULE · rounds · rules + PER_RUN` calls, and the count
+//! grows with rounds, not with the tuples derived. The no-op handle takes
+//! the same branches and makes none of the calls.
+
+use recurs_datalog::database::Database;
+use recurs_datalog::govern::EvalBudget;
+use recurs_datalog::parser::parse_program;
+use recurs_datalog::relation::Relation;
+use recurs_datalog::rule::LinearRecursion;
+use recurs_datalog::validate::validate_with_generic_exit;
+use recurs_engine::compile::CompiledRule;
+use recurs_engine::{drive_rounds, saturate_linear, EngineConfig, EngineDb};
+use recurs_obs::{Obs, Recorder, Value};
+use recurs_workload::graphs::chain;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// Calls per round and rule: a round's counters, histogram and event, plus
+/// one `engine.rule` event per rule it runs.
+const PER_ROUND_RULE: u64 = 3;
+/// Calls per run: dispatch, start and completion.
+const PER_RUN: u64 = 8;
+
+/// Counts every call a sink receives, and the rounds among them (one
+/// `engine.iteration` event each).
+#[derive(Debug, Default)]
+struct Counting {
+    calls: AtomicU64,
+    rounds: AtomicU64,
+}
+
+impl Recorder for Counting {
+    fn counter(&self, _: &'static str, _: &[(&'static str, &str)], _: u64) {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn observe(&self, _: &'static str, _: &[(&'static str, &str)], _: f64) {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn event(&self, kind: &'static str, _: &[(&'static str, Value)]) {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        if kind == "engine.iteration" {
+            self.rounds.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// What one counted run did.
+#[derive(Debug)]
+struct Counted {
+    calls: u64,
+    rounds: u64,
+    tuples: usize,
+}
+
+impl Counted {
+    fn assert_bounded(&self, what: &str, rules: u64) {
+        let bound = PER_ROUND_RULE * self.rounds * rules + PER_RUN;
+        assert!(
+            self.calls <= bound,
+            "{what}: {} recorder calls for {} tuples in {} rounds (bound {bound})",
+            self.calls,
+            self.tuples,
+            self.rounds
+        );
+    }
+}
+
+fn lr(src: &str) -> LinearRecursion {
+    validate_with_generic_exit(&parse_program(src).unwrap()).unwrap()
+}
+
+fn tc(n: u64) -> (LinearRecursion, Database) {
+    let mut db = Database::new();
+    db.insert_relation("A", chain(n));
+    db.insert_relation("E", chain(n));
+    (lr("P(x, y) :- A(x, z), P(z, y).\nP(x, y) :- E(x, y)."), db)
+}
+
+/// Same generation over the complete binary tree on `nodes` vertices.
+fn sg(nodes: u64) -> (LinearRecursion, Database) {
+    let mut db = Database::new();
+    db.insert_relation("Up", Relation::from_pairs((2..=nodes).map(|c| (c, c / 2))));
+    db.insert_relation(
+        "Down",
+        Relation::from_pairs((2..=nodes).map(|c| (c / 2, c))),
+    );
+    db.insert_relation("Flat", Relation::from_pairs([(1, 1)]));
+    let sg = lr("SG(x, y) :- Up(x, u), SG(u, v), Down(v, y).\nSG(x, y) :- Flat(x, y).");
+    (sg, db)
+}
+
+/// Saturates `lr` over `db` with a counting recorder attached.
+fn saturate_counted((lr, db): &(LinearRecursion, Database)) -> Counted {
+    let counting = Arc::new(Counting::default());
+    let config = EngineConfig {
+        obs: Obs::new(counting.clone()),
+        ..EngineConfig::default()
+    };
+    let mut store = EngineDb::from(db);
+    let sat = saturate_linear(&mut store, lr, &config).unwrap();
+    assert!(sat.outcome.is_complete());
+    let counted = Counted {
+        calls: counting.calls.load(Ordering::Relaxed),
+        rounds: counting.rounds.load(Ordering::Relaxed),
+        tuples: sat.stats.tuples_derived,
+    };
+    assert_eq!(counted.rounds, sat.stats.iterations.len() as u64);
+    counted
+}
+
+fn rules(lr: &LinearRecursion) -> u64 {
+    lr.to_program().rules.len() as u64
+}
+
+#[test]
+fn same_generation_emits_per_round_not_per_tuple() {
+    let (small, large) = (sg(255), sg(1023));
+    let rules = rules(&small.0);
+    let (small, large) = (saturate_counted(&small), saturate_counted(&large));
+    small.assert_bounded("sg/255", rules);
+    large.assert_bounded("sg/1023", rules);
+    // 16x the tuples; the extra calls are the extra rounds' and no more.
+    assert!(large.tuples >= 10 * small.tuples, "{small:?} vs {large:?}");
+    assert!(
+        large.calls - small.calls <= PER_ROUND_RULE * rules * (large.rounds - small.rounds),
+        "sg/255 {small:?} vs sg/1023 {large:?}"
+    );
+}
+
+#[test]
+fn transitive_closure_emits_per_round_not_per_tuple() {
+    let workload = tc(800);
+    let counted = saturate_counted(&workload);
+    assert!(counted.tuples > 300_000, "{counted:?}");
+    counted.assert_bounded("tc/800", rules(&workload.0));
+}
+
+/// `why`'s rank-tracked saturation (`recurs_ivm::explain_fact`), replayed
+/// with a counting handle where `explain_fact` passes the no-op one: the
+/// exit rules seed, the recursive rule's delta pipeline propagates, and the
+/// merge records the round each tuple first appeared in.
+#[test]
+fn a_rank_tracked_saturation_emits_per_round_not_per_tuple() {
+    let (lr, db) = sg(1023);
+    let mut store = EngineDb::from(&db);
+    store.declare(lr.predicate, lr.dimension()).unwrap();
+    let p_pos = lr
+        .recursive_rule
+        .body
+        .iter()
+        .position(|a| a.predicate == lr.predicate)
+        .unwrap();
+    let rec = CompiledRule::compile(&lr.recursive_rule, Some(p_pos), &store).unwrap();
+    let exits: Vec<CompiledRule> = lr
+        .exit_rules
+        .iter()
+        .map(|rule| CompiledRule::compile(rule, None, &store).unwrap())
+        .collect();
+    for rule in exits.iter().chain([&rec]) {
+        store.ensure_indexes(rule);
+    }
+    let counting = Arc::new(Counting::default());
+    let mut ranks: Vec<u64> = Vec::new();
+    let run = drive_rounds(
+        &mut store,
+        Some(&exits),
+        std::slice::from_ref(&rec),
+        BTreeMap::new(),
+        None,
+        &EvalBudget::unlimited().start(),
+        &Obs::new(counting.clone()),
+        |store, round, rule, heads, fresh| {
+            store.insert_fresh(rule.head_pred, heads, fresh);
+            let derived = store.get(rule.head_pred).map_or(0, |r| r.len());
+            ranks.resize(derived, round as u64);
+        },
+    )
+    .unwrap();
+    let counted = Counted {
+        calls: counting.calls.load(Ordering::Relaxed),
+        rounds: counting.rounds.load(Ordering::Relaxed),
+        tuples: ranks.len(),
+    };
+    assert_eq!(counted.rounds, run.iterations.len() as u64);
+    assert_eq!(ranks.last().copied(), Some(9), "the leaves pair up last");
+    counted.assert_bounded("rank-tracked sg/1023", rules(&lr));
+}

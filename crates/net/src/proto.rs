@@ -141,8 +141,9 @@ pub fn bye_reply() -> String {
 }
 
 /// Extracts the string value of `"field":"..."` from a one-line JSON reply.
-/// The vendored serde has no deserializer, and both the server (tests) and
-/// the load generator only need flat field probes, so a scan suffices.
+/// The vendored serde has no deserializer, and the client's reply
+/// classifier, the server's shed check and the tests only need flat field
+/// probes, so a scan suffices.
 pub fn json_str_field<'a>(reply: &'a str, field: &str) -> Option<&'a str> {
     let needle = format!("\"{field}\":\"");
     let start = reply.find(&needle)? + needle.len();

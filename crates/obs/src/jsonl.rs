@@ -1,10 +1,10 @@
 //! A minimal JSON parser for reading traces back.
 //!
-//! The vendored `serde` is serialize-only, but `obsctl` and the bench
-//! re-audit need to *read* JSON-lines traces and `BENCH_obs.json`. This
-//! module is the inverse of `serde::json::to_string`: a small
-//! recursive-descent parser producing [`Value`]s, with objects keeping
-//! insertion order (so a parse → re-emit round trip is stable).
+//! The vendored `serde` is serialize-only, but `obsctl` and the trace tests
+//! need to *read* JSON-lines traces. This module is the inverse of
+//! `serde::json::to_string`: a small recursive-descent parser producing
+//! [`Value`]s, with objects keeping insertion order (so a parse → re-emit
+//! round trip is stable).
 //!
 //! Numbers parse as `UInt` when non-negative integral, `Int` when negative
 //! integral, `Float` otherwise — matching what the serializer emits for

@@ -31,8 +31,9 @@
 //! [`Obs::enabled`]` == false`, and every emission is a branch on a `None`.
 //! Instrumented code guards field construction behind `enabled()`, so the
 //! cost of carrying an `Obs` through a hot loop with the no-op recorder is
-//! one pointer-sized field and a predictable branch (bounded at ≤5% on the
-//! `engine_scaling` bench; see `BENCH_obs.json`).
+//! one pointer-sized field and a predictable branch per emission site, and
+//! the sites fire per run, round or rule, never per tuple (counted by the
+//! engine's `recorder_cost` and the ivm's `maintenance_cost` tests).
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]

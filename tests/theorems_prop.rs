@@ -2,12 +2,16 @@
 //! linear recursive rules.
 
 use proptest::prelude::*;
-use recurs_core::classify::{Classification, FormulaClass};
+use recurs_core::classify::{Classification, ComponentClass, FormulaClass};
 use recurs_core::stability::check_theorem_1;
 use recurs_core::transform::{to_nonrecursive, unfold_to_stable};
 use recurs_datalog::eval::semi_naive;
+use recurs_datalog::rule::Rule;
+use recurs_datalog::term::{Atom, Term};
+use recurs_datalog::Symbol;
 use recurs_workload::random_database;
 use recurs_workload::rules::{random_linear_recursion, random_rule, RuleConfig};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn config() -> RuleConfig {
     RuleConfig {
@@ -17,8 +21,71 @@ fn config() -> RuleConfig {
     }
 }
 
+/// What the classification says about a rule: its class, its components'
+/// classes (as a multiset) and its rank bound.
+fn verdict(rule: &Rule) -> (FormulaClass, Vec<ComponentClass>, Option<u64>) {
+    let c = Classification::of(rule);
+    let mut components = c.component_classes.clone();
+    components.sort();
+    (c.class, components, c.rank_bound())
+}
+
+/// `items` in the order of their `keys` (ties keep their order).
+fn permuted<T: Clone>(items: &[T], keys: &[u64]) -> Vec<T> {
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    order.sort_by_key(|&i| keys[i % keys.len()]);
+    order.into_iter().map(|i| items[i].clone()).collect()
+}
+
+/// A bijection of `names` onto themselves, drawn by `keys`.
+fn shuffled(names: BTreeSet<Symbol>, keys: &[u64]) -> BTreeMap<Symbol, Symbol> {
+    let names: Vec<Symbol> = names.into_iter().collect();
+    names.iter().copied().zip(permuted(&names, keys)).collect()
+}
+
+/// `rule` with every predicate and every variable renamed.
+fn renamed(rule: &Rule, pred: impl Fn(Symbol) -> Symbol, var: impl Fn(Symbol) -> Symbol) -> Rule {
+    let atom = |a: &Atom| {
+        let terms = a.terms.iter().map(|&t| match t {
+            Term::Var(v) => Term::Var(var(v)),
+            constant => constant,
+        });
+        Atom::new(pred(a.predicate), terms.collect())
+    };
+    Rule::new(atom(&rule.head), rule.body.iter().map(atom).collect())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Metamorphic: the classification reads the rule's shape, not its
+    /// names or its body order, so the class, the component classes and the
+    /// rank bound survive variable renaming, body-atom permutation and
+    /// predicate renaming (each a shuffle of the rule's own names, the
+    /// recursive predicate included).
+    #[test]
+    fn classification_ignores_names_and_body_order(
+        seed in 0u64..1_000_000,
+        keys in prop::collection::vec(0u64..1_000_000, 16..17),
+    ) {
+        let rule = random_rule(seed, config());
+        let vars = shuffled(rule.variables(), &keys);
+        let preds = std::iter::once(&rule.head).chain(&rule.body).map(|a| a.predicate);
+        let preds = shuffled(preds.collect(), &keys);
+        let variants = [
+            ("variable renaming", renamed(&rule, |p| p, |v| vars[&v])),
+            ("body-atom permutation", Rule::new(rule.head.clone(), permuted(&rule.body, &keys))),
+            ("predicate renaming", renamed(&rule, |p| preds[&p], |v| v)),
+        ];
+        let expected = verdict(&rule);
+        for (what, variant) in variants {
+            prop_assert_eq!(
+                verdict(&variant),
+                expected.clone(),
+                "{} of {} (seed {}) gave {}", what, rule, seed, variant
+            );
+        }
+    }
 
     /// Theorem 1: semantic and syntactic strong stability coincide.
     #[test]
