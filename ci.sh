@@ -109,6 +109,16 @@ if grep -nw "rand" crates/net/Cargo.toml; then
   echo "crates/net/Cargo.toml depends on rand again: the load generator is retired" >&2
   exit 1
 fi
+# One request grammar: `recurs_serve::protocol` parses the directives and
+# names each request's result, for both transports. The TCP server neither
+# reads a directive nor reads its own replies back (the client, which
+# classifies the replies it receives, is exempt).
+for f in $(find crates/net/src -name '*.rs' ! -name client.rs); do
+  if non_test "$f" | grep -vE '^[[:space:]]*//' | grep -nE '(trace|deadline)=|ok\\?":false'; then
+    echo "$f parses a directive or scans a reply again: that is recurs_serve::protocol's job" >&2
+    exit 1
+  fi
+done
 
 # Flat-store guard: a stored tuple, an index key and a row in flight are
 # slices of flat buffers. Nothing in the store, the pipelines or the round

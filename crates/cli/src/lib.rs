@@ -37,6 +37,7 @@ use recurs_engine::{EngineConfig, EngineDb, IndexedRelation, Selection};
 use recurs_igraph::build::resolution_graph;
 use recurs_igraph::dot::{to_ascii, to_dot};
 use recurs_ivm::{render_tree, WhyOutcome, DEFAULT_WHY_DEPTH};
+use recurs_net::NetConfig;
 use recurs_obs::aggregate::Aggregator;
 use recurs_obs::trace::TraceWriter;
 use recurs_obs::{field, Obs};
@@ -108,8 +109,9 @@ pub enum Command {
         file: String,
         /// Service sizing and per-query budget.
         opts: ServiceOpts,
-        /// TCP front-end options; `None` serves the stdin line protocol.
-        net: Option<NetOpts>,
+        /// The address to listen on and how the TCP front end admits, times
+        /// out and drains connections; `None` serves the stdin line protocol.
+        net: Option<(String, NetConfig)>,
     },
     /// `recurs batch <file> [--repeat N] [--stats-json] [service options]`
     Batch {
@@ -146,63 +148,18 @@ pub struct ServiceOpts {
 
 impl Default for ServiceOpts {
     fn default() -> ServiceOpts {
+        let ServeConfig {
+            cache_capacity,
+            max_concurrent,
+            ..
+        } = ServeConfig::default();
         ServiceOpts {
-            cache_capacity: 1024,
-            max_concurrent: 4,
+            cache_capacity,
+            max_concurrent,
             timeout_ms: None,
             max_tuples: None,
             max_iterations: None,
             trace: None,
-        }
-    }
-}
-
-/// Options for `serve --listen`: how the TCP front end admits, times out,
-/// and drains connections. Defaults mirror [`recurs_net::NetConfig`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NetOpts {
-    /// Address to bind, e.g. `127.0.0.1:4004` (port 0 picks a free port).
-    pub listen: String,
-    /// Connection cap; further connections are shed.
-    pub max_connections: usize,
-    /// Idle/slow-client timeout in milliseconds.
-    pub idle_timeout_ms: u64,
-    /// Graceful-drain deadline in milliseconds; past it in-flight
-    /// evaluations are hard-cancelled (exit code 2).
-    pub drain_ms: u64,
-    /// Bound on the evaluation-slot queue wait per request, milliseconds.
-    pub max_queue_wait_ms: u64,
-    /// Backoff hint rendered into shed replies, milliseconds.
-    pub retry_after_ms: u64,
-    /// Dump the flight recorder's retained events to this file when a
-    /// worker panics or a drain is forced.
-    pub postmortem: Option<String>,
-}
-
-impl NetOpts {
-    /// Defaults for `--listen ADDR`.
-    pub fn for_addr(addr: &str) -> NetOpts {
-        NetOpts {
-            listen: addr.to_string(),
-            max_connections: 64,
-            idle_timeout_ms: 30_000,
-            drain_ms: 5_000,
-            max_queue_wait_ms: 250,
-            retry_after_ms: 50,
-            postmortem: None,
-        }
-    }
-
-    /// The [`recurs_net::NetConfig`] these options describe.
-    pub fn config(&self) -> recurs_net::NetConfig {
-        recurs_net::NetConfig {
-            max_connections: self.max_connections,
-            max_queue_wait: Duration::from_millis(self.max_queue_wait_ms),
-            retry_after_ms: self.retry_after_ms,
-            idle_timeout: Duration::from_millis(self.idle_timeout_ms),
-            drain_deadline: Duration::from_millis(self.drain_ms),
-            postmortem: self.postmortem.as_ref().map(std::path::PathBuf::from),
-            ..recurs_net::NetConfig::default()
         }
     }
 }
@@ -283,8 +240,9 @@ USAGE:
                                            !explain P(1, y). / why P(1, 3). /
                                            !stats / !metrics / !snapshot /
                                            !quit; prefix @trace=<hex> to pick
-                                           the request's trace id), one JSON
-                                           reply per line
+                                           the request's trace id and
+                                           @deadline=MS to bound its wall
+                                           clock), one JSON reply per line
                                            (!metrics: Prometheus text ending
                                            with a # EOF line; a signed group is
                                            one atomic version; all-no-op groups
@@ -292,11 +250,11 @@ USAGE:
                                            SIGTERM/Ctrl-C drains: the in-flight
                                            request is answered, then exit 0
                                            (2 if the drain deadline expires)
-    recurs serve <file> --listen ADDR      serve the same protocol over TCP:
+    recurs serve <file> --listen ADDR      serve the same protocol over TCP,
+                                           @trace= and @deadline=MS included:
                                            length-framed requests and replies,
                                            pipelining with ordered replies,
-                                           per-request deadlines (prefix a line
-                                           with @deadline=MS), load shedding
+                                           load shedding
                                            with a retry_after_ms hint, !health,
                                            and graceful drain on SIGTERM/Ctrl-C
                                            (exit 0 drained clean, 2 forced);
@@ -359,6 +317,11 @@ impl<'a> Flags<'a> {
         let v = self.value("a number")?;
         v.parse()
             .map_err(|_| format!("invalid value `{v}` for {}", self.flag))
+    }
+
+    /// [`Flags::number`] as milliseconds.
+    fn millis(&mut self) -> Result<Duration, String> {
+        self.number().map(Duration::from_millis)
     }
 
     /// [`Flags::number`], refusing zero.
@@ -466,18 +429,18 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         "serve" => {
             let (mut stdin, mut listen, mut has_net_flags) = (false, None, false);
             let mut opts = ServiceOpts::default();
-            let mut net = NetOpts::for_addr("");
+            let mut net = NetConfig::default();
             while let Some(flag) = flags.next() {
                 match flag {
                     "--stdin" => stdin = true,
                     "--listen" => {
                         listen = Some(flags.value("an address such as 127.0.0.1:4004")?.clone());
                     }
-                    "--postmortem" => net.postmortem = Some(flags.value("a file path")?.clone()),
+                    "--postmortem" => net.postmortem = Some(flags.value("a file path")?.into()),
                     "--max-connections" => net.max_connections = flags.positive()?,
-                    "--idle-timeout-ms" => net.idle_timeout_ms = flags.number()?,
-                    "--drain-ms" => net.drain_ms = flags.number()?,
-                    "--max-queue-wait-ms" => net.max_queue_wait_ms = flags.number()?,
+                    "--idle-timeout-ms" => net.idle_timeout = flags.millis()?,
+                    "--drain-ms" => net.drain_deadline = flags.millis()?,
+                    "--max-queue-wait-ms" => net.max_queue_wait = flags.millis()?,
                     "--retry-after-ms" => net.retry_after_ms = flags.number()?,
                     _ if opts.consume(flag, &mut flags)? => continue,
                     _ => return Err(format!("unknown option `{flag}`")),
@@ -502,10 +465,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                         .into());
                 }
                 (true, None) => None,
-                (false, Some(addr)) => {
-                    net.listen = addr;
-                    Some(net)
-                }
+                (false, Some(addr)) => Some((addr, net)),
             };
             Ok(Command::Serve { file, opts, net })
         }
@@ -716,7 +676,7 @@ fn serve_stdin_impl(
     Ok(())
 }
 
-/// Serves the framed TCP protocol on `net.listen` until `cancel` fires, then
+/// Serves the framed TCP protocol on `addr` until `cancel` fires, then
 /// drains gracefully: the listener stops accepting, in-flight requests are
 /// answered within the drain deadline, and past it evaluations are
 /// hard-cancelled (truncated replies, then close). Writes one
@@ -726,13 +686,14 @@ fn serve_stdin_impl(
 pub fn serve_listen_on_source(
     source: &str,
     opts: &ServiceOpts,
-    net: &NetOpts,
+    addr: &str,
+    config: NetConfig,
     cancel: CancelToken,
     mut output: impl std::io::Write,
 ) -> Result<recurs_net::DrainReport, String> {
     let (service, _queries) = build_service_cancellable(source, opts, None)?;
-    let server = recurs_net::NetServer::bind(Arc::new(service), &net.listen, net.config())
-        .map_err(|e| format!("cannot listen on {}: {e}", net.listen))?;
+    let server = recurs_net::NetServer::bind(Arc::new(service), addr, config)
+        .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
     let addr = server
         .local_addr()
         .map_err(|e| format!("local address: {e}"))?;
@@ -2079,7 +2040,7 @@ E(1, 2). E(2, 3). E(2, 4).
             Command::Serve {
                 file: "f.dl".into(),
                 opts: ServiceOpts::default(),
-                net: Some(NetOpts::for_addr("127.0.0.1:0")),
+                net: Some(("127.0.0.1:0".into(), NetConfig::default())),
             }
         );
         // Network flags compose with service flags, in any order.
@@ -2108,15 +2069,17 @@ E(1, 2). E(2, 3). E(2, 4).
                     cache_capacity: 0,
                     ..ServiceOpts::default()
                 },
-                net: Some(NetOpts {
-                    listen: "127.0.0.1:4004".into(),
-                    max_connections: 8,
-                    idle_timeout_ms: 2000,
-                    drain_ms: 750,
-                    max_queue_wait_ms: 40,
-                    retry_after_ms: 15,
-                    postmortem: None,
-                }),
+                net: Some((
+                    "127.0.0.1:4004".into(),
+                    NetConfig {
+                        max_connections: 8,
+                        idle_timeout: Duration::from_millis(2000),
+                        drain_deadline: Duration::from_millis(750),
+                        max_queue_wait: Duration::from_millis(40),
+                        retry_after_ms: 15,
+                        ..NetConfig::default()
+                    }
+                )),
             }
         );
         // Network flags without --listen are a usage error.
@@ -2152,14 +2115,33 @@ E(1, 2). E(2, 3). E(2, 4).
 
     #[test]
     fn net_opts_describe_a_net_config() {
-        let mut opts = NetOpts::for_addr("127.0.0.1:0");
-        opts.max_connections = 3;
-        opts.idle_timeout_ms = 1500;
-        opts.drain_ms = 900;
-        opts.max_queue_wait_ms = 35;
-        opts.retry_after_ms = 12;
-        opts.postmortem = Some("/tmp/pm.jsonl".into());
-        let config = opts.config();
+        let flags = [
+            "serve",
+            "f.dl",
+            "--listen",
+            "127.0.0.1:0",
+            "--max-connections",
+            "3",
+            "--idle-timeout-ms",
+            "1500",
+            "--drain-ms",
+            "900",
+            "--max-queue-wait-ms",
+            "35",
+            "--retry-after-ms",
+            "12",
+            "--postmortem",
+            "/tmp/pm.jsonl",
+        ];
+        let Command::Serve {
+            opts,
+            net: Some((addr, config)),
+            ..
+        } = parse_args(&args(&flags)).unwrap()
+        else {
+            panic!("expected serve --listen");
+        };
+        assert_eq!(addr, "127.0.0.1:0");
         assert_eq!(config.max_connections, 3);
         assert_eq!(config.idle_timeout, Duration::from_millis(1500));
         assert_eq!(config.drain_deadline, Duration::from_millis(900));
@@ -2169,6 +2151,14 @@ E(1, 2). E(2, 3). E(2, 4).
             config.postmortem,
             Some(std::path::PathBuf::from("/tmp/pm.jsonl"))
         );
+        // What no flag names keeps the front end's and the service's own
+        // defaults.
+        assert_eq!(config.max_frame_len, NetConfig::default().max_frame_len);
+        let serve = ServeConfig::default();
+        assert_eq!(opts.cache_capacity, serve.cache_capacity);
+        assert_eq!(opts.max_concurrent, serve.max_concurrent);
+        let err = parse_args(&args(&["serve", "f.dl", "--idle-timeout-ms", "abc"])).unwrap_err();
+        assert_eq!(err, "invalid value `abc` for --idle-timeout-ms");
     }
 
     #[test]
@@ -2185,7 +2175,7 @@ E(1, 2). E(2, 3). E(2, 4).
                 net: None,
             }
         );
-        // `--postmortem FILE` is a network option and lands in NetOpts.
+        // `--postmortem FILE` is a network option and lands in the NetConfig.
         match parse_args(&args(&[
             "serve",
             "f.dl",
@@ -2196,8 +2186,11 @@ E(1, 2). E(2, 3). E(2, 4).
         ]))
         .unwrap()
         {
-            Command::Serve { net: Some(n), .. } => {
-                assert_eq!(n.postmortem.as_deref(), Some("pm.jsonl"));
+            Command::Serve {
+                net: Some((_, config)),
+                ..
+            } => {
+                assert_eq!(config.postmortem, Some("pm.jsonl".into()));
             }
             other => panic!("expected serve --listen, got {other:?}"),
         }
@@ -2264,11 +2257,11 @@ E(1, 2). E(2, 3). E(2, 4).
                     Ok(())
                 }
             }
-            let net = NetOpts::for_addr("127.0.0.1:0");
             serve_listen_on_source(
                 TC,
                 &ServiceOpts::default(),
-                &net,
+                "127.0.0.1:0",
+                NetConfig::default(),
                 worker_cancel,
                 Announce(addr_tx, Vec::new()),
             )

@@ -42,11 +42,12 @@ fn main() {
         let token = CancelToken::new();
         recurs_cli::signals::install(token.clone());
         match net {
-            Some(net) => {
+            Some((addr, config)) => {
                 match recurs_cli::serve_listen_on_source(
                     &source,
                     opts,
-                    net,
+                    addr,
+                    config.clone(),
                     token,
                     std::io::stdout(),
                 ) {

@@ -87,11 +87,6 @@ impl QueryForm {
             .map(|(i, _)| i)
     }
 
-    /// True if every position is determined.
-    pub fn all_determined(&self) -> bool {
-        self.0.iter().all(|b| *b == ArgBinding::Determined)
-    }
-
     /// True if no position is determined.
     pub fn all_free(&self) -> bool {
         self.0.iter().all(|b| *b == ArgBinding::Free)
@@ -324,12 +319,5 @@ mod tests {
     fn all_free_stays_free_without_constants() {
         let r = parse_rule("P(x,y) :- A(x,z), P(z,y).").unwrap();
         assert!(propagate(&r, &QueryForm::free(2)).all_free());
-    }
-
-    #[test]
-    fn all_determined_helpers() {
-        assert!(QueryForm::parse("ddd").all_determined());
-        assert!(!QueryForm::parse("ddv").all_determined());
-        assert!(QueryForm::free(2).all_free());
     }
 }

@@ -18,19 +18,6 @@ pub fn select_eq(rel: &Relation, col: usize, value: Value) -> Relation {
     Relation::from_tuples(rel.arity(), rel.iter().filter(|t| t[col] == value).cloned())
 }
 
-/// σ with several `column = value` conditions (all must hold).
-pub fn select_eq_many(rel: &Relation, conditions: &[(usize, Value)]) -> Relation {
-    for &(col, _) in conditions {
-        assert!(col < rel.arity(), "selection column out of range");
-    }
-    Relation::from_tuples(
-        rel.arity(),
-        rel.iter()
-            .filter(|t| conditions.iter().all(|&(c, v)| t[c] == v))
-            .cloned(),
-    )
-}
-
 /// σ — keeps tuples where two columns are equal (used for repeated variables).
 pub fn select_col_eq(rel: &Relation, a: usize, b: usize) -> Relation {
     assert!(a < rel.arity() && b < rel.arity(), "column out of range");
@@ -150,8 +137,6 @@ mod tests {
         let r = Relation::from_pairs([(1, 2), (1, 3), (2, 3)]);
         let s = select_eq(&r, 0, v(1));
         assert_eq!(s.len(), 2);
-        let s2 = select_eq_many(&r, &[(0, v(1)), (1, v(3))]);
-        assert_eq!(s2.len(), 1);
     }
 
     #[test]

@@ -208,17 +208,6 @@ impl EvalBudget {
         self
     }
 
-    /// True if no ceiling is set (a run under this budget can only end
-    /// [`Outcome::Complete`] or error).
-    pub fn is_unlimited(&self) -> bool {
-        self.timeout.is_none()
-            && self.max_tuples.is_none()
-            && self.max_delta.is_none()
-            && self.max_iterations.is_none()
-            && self.max_memory_bytes.is_none()
-            && self.cancel.is_none()
-    }
-
     /// Starts the budget clock, producing the [`Governor`] the evaluation
     /// loop polls.
     pub fn start(&self) -> Governor {
@@ -327,7 +316,6 @@ mod tests {
             }),
             None
         );
-        assert!(EvalBudget::unlimited().is_unlimited());
     }
 
     #[test]
@@ -426,6 +414,6 @@ mod tests {
         let b = EvalBudget::iteration_cap(Some(4));
         assert_eq!(b.max_iterations, Some(4));
         assert!(b.timeout.is_none() && b.cancel.is_none());
-        assert!(EvalBudget::iteration_cap(None).is_unlimited());
+        assert_eq!(EvalBudget::iteration_cap(None).max_iterations, None);
     }
 }

@@ -24,13 +24,6 @@ impl Subst {
         Subst::default()
     }
 
-    /// Builds a substitution from explicit bindings.
-    pub fn from_bindings(bindings: impl IntoIterator<Item = (Symbol, Term)>) -> Subst {
-        Subst {
-            map: bindings.into_iter().collect(),
-        }
-    }
-
     /// Looks a variable up.
     pub fn get(&self, v: Symbol) -> Option<&Term> {
         self.map.get(&v)
@@ -202,7 +195,8 @@ mod tests {
     #[test]
     fn apply_rule_substitutes_everywhere() {
         let r = parse_rule("P(x, y) :- A(x, z), P(z, y).").unwrap();
-        let s = Subst::from_bindings([(Symbol::intern("x"), Term::constant("a"))]);
+        let mut s = Subst::new();
+        s.bind(Symbol::intern("x"), Term::constant("a"));
         let r2 = s.apply_rule(&r);
         assert_eq!(r2.to_string(), "P(a, y) :- A(a, z), P(z, y).");
     }

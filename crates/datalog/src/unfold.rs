@@ -6,7 +6,7 @@
 //! predicate's arguments are distinct variables, unification always succeeds
 //! and is a pure renaming.
 
-use crate::rule::{LinearRecursion, Rule};
+use crate::rule::Rule;
 use crate::subst::{rename_apart, unify_atoms};
 use crate::symbol::Symbol;
 use crate::term::Atom;
@@ -160,29 +160,11 @@ pub fn close_with_exit(expanded: &Rule, exit: &Rule, counter: &mut u32) -> Rule 
     resolve_recursive_atom(expanded, &renamed_exit, predicate)
 }
 
-/// All expansions 1..=k of the recursive rule of `lr`, plus, for each, the
-/// corresponding exit-closed non-recursive rules (one per exit rule).
-pub fn expansion_closure(lr: &LinearRecursion, k: usize) -> Vec<(Rule, Vec<Rule>)> {
-    let mut counter = 10_000; // keep exit renamings clear of expansion names
-    Unfolder::new(&lr.recursive_rule)
-        .take(k)
-        .map(|exp| {
-            let closed = lr
-                .exit_rules
-                .iter()
-                .map(|exit| close_with_exit(&exp, exit, &mut counter))
-                .collect();
-            (exp, closed)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_rule;
     use crate::rule::Program;
-    use crate::validate::validate_with_generic_exit;
 
     #[test]
     fn first_expansion_is_the_rule() {
@@ -257,24 +239,6 @@ mod tests {
         assert!(!closed.is_recursive());
         assert_eq!(closed.body.len(), 2);
         assert_eq!(closed.to_string(), "P(x, y) :- A(x, z), E(z, y).");
-    }
-
-    #[test]
-    fn expansion_closure_produces_k_levels() {
-        let program = Program::new(vec![
-            parse_rule("P(x, y) :- A(x, z), P(z, y).").unwrap(),
-            parse_rule("P(x, y) :- E(x, y).").unwrap(),
-        ]);
-        let lr = validate_with_generic_exit(&program).unwrap();
-        let closure = expansion_closure(&lr, 3);
-        assert_eq!(closure.len(), 3);
-        for (k, (exp, closed)) in closure.iter().enumerate() {
-            assert_eq!(exp.body.len(), k + 2);
-            assert_eq!(closed.len(), 1);
-            assert!(!closed[0].is_recursive());
-            // Exit-closed level k has k+1 A-atoms... actually k A-atoms + E.
-            assert_eq!(closed[0].body.len(), k + 2);
-        }
     }
 
     #[test]

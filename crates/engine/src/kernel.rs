@@ -3,13 +3,14 @@
 //! The classification tells the engine how many rounds a formula needs
 //! before any tuple is touched: a proven rank bound (pure permutational
 //! A2/A4, bounded B, acyclic D) runs exactly `rank` recursive rounds and
-//! skips fixpoint detection ([`KernelKind::BoundedUnroll`], checked first);
-//! one-directional A1/A3/A5 run until the frontier dries up
-//! ([`KernelKind::Frontier`]); everything else is plain semi-naive
-//! ([`KernelKind::Generic`]). A *query* is not saturated this way: its plan
+//! skips fixpoint detection ([`KernelKind::BoundedUnroll`], checked first).
+//! Every other formula runs the same semi-naive loop until its delta is
+//! empty; one-directional A1/A3/A5 report it as [`KernelKind::Frontier`],
+//! everything else as [`KernelKind::Generic`], and the two differ in that
+//! label only. A *query* is not saturated this way: its plan
 //! (`recurs_core::plan`'s table) lowers to a program of its own, and
-//! [`crate::evaluate`] runs that — under `Frontier` when the program is the
-//! compiled formula's walk from the query constants.
+//! [`crate::evaluate`] runs that — labelled `Frontier` when the program is
+//! the compiled formula's walk from the query constants.
 
 use crate::stats::KernelKind;
 use recurs_core::Classification;

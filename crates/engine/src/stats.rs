@@ -7,9 +7,10 @@ use std::time::Duration;
 /// Which class-aware kernel the dispatcher selected (see [`crate::kernel`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Frontier BFS for one-directional formulas (classes A1/A3/A5 and the
-    /// stable A2 cases that still need fixpoint detection): semi-naive with
-    /// the delta as the expanding frontier, run until the frontier dries up.
+    /// One-directional formulas (classes A1/A3/A5 and the stable A2 cases
+    /// that still need fixpoint detection): semi-naive until the delta (the
+    /// frontier) is empty — the loop [`KernelKind::Generic`] runs, under
+    /// its own label.
     Frontier,
     /// Bounded unrolling for formulas with a *proven* rank bound (pure
     /// permutational A2/A4, bounded B, acyclic D): apply the recursive rule
@@ -19,8 +20,8 @@ pub enum KernelKind {
         /// The proven rank bound (number of recursive applications).
         rank: u64,
     },
-    /// Generic semi-naive fallback for everything else (classes C/E/F and
-    /// arbitrary multi-rule programs).
+    /// Semi-naive until the delta is empty, for everything else (classes
+    /// C/E/F and arbitrary multi-rule programs).
     Generic,
 }
 

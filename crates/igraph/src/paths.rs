@@ -40,43 +40,6 @@ fn dfs(g: &IGraph, at: usize, weight: i64, visited: &mut Vec<bool>, best: &mut i
     }
 }
 
-/// The maximum weight over simple paths *starting anywhere and using forward
-/// directed edges only* — a cheaper, commonly-quoted variant. Provided for
-/// comparison in reports; [`max_path_weight`] is the bound the theorem uses.
-pub fn max_forward_path_weight(g: &IGraph) -> i64 {
-    let n = g.vertex_count();
-    let mut best = 0i64;
-    let mut visited = vec![false; n];
-    for start in 0..n {
-        visited[start] = true;
-        dfs_forward(g, start, 0, &mut visited, &mut best);
-        visited[start] = false;
-    }
-    best
-}
-
-fn dfs_forward(g: &IGraph, at: usize, weight: i64, visited: &mut Vec<bool>, best: &mut i64) {
-    if weight > *best {
-        *best = weight;
-    }
-    for (_, e) in g.incident(at) {
-        if e.is_self_loop() {
-            continue;
-        }
-        let w = e.weight_from(at);
-        if w < 0 {
-            continue; // only forward directed / undirected traversal
-        }
-        let next = e.other(at);
-        if visited[next] {
-            continue;
-        }
-        visited[next] = true;
-        dfs_forward(g, next, weight + w, visited, best);
-        visited[next] = false;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,18 +75,6 @@ mod tests {
     fn empty_graph_weight_zero() {
         let g = IGraph::new();
         assert_eq!(max_path_weight(&g), 0);
-    }
-
-    #[test]
-    fn forward_variant_never_exceeds_full() {
-        for src in [
-            "P(x,y,z,u) :- A(x,y), B(y1,u), C(z1,u1), P(z,y1,z1,u1).",
-            "P(x, y) :- B(y), C(x, y1), P(x1, y1).",
-            "P(x, y, z) :- A(x, y), B(u, v), P(u, z, v).",
-        ] {
-            let g = igraph_of(&parse_rule(src).unwrap());
-            assert!(max_forward_path_weight(&g) <= max_path_weight(&g));
-        }
     }
 
     #[test]

@@ -19,11 +19,13 @@
 //!   instantiation is counted exactly once — including self- and
 //!   mutual-support cycles, which the recount correctly refuses to revive.
 //!
-//! The classification picks a maintenance path ([`MaintenancePath`]): a
-//! proven rank bound (A2/A4, bounded B, acyclic D) caps every propagation
-//! loop the way it caps unroll depth; one-directional formulas (A1/A3/A5)
-//! rederive along the overdeletion frontier in discovery order; everything
-//! else runs generic governed DRed. All paths run under an
+//! Every class runs this same machinery, and every deletion rederives its
+//! candidates in overdeletion-frontier discovery order. The classification
+//! picks a maintenance path ([`MaintenancePath`]) that changes one thing,
+//! the round cap: a proven rank bound (A2/A4, bounded B, acyclic D) caps
+//! the propagation and closure loops the way it caps unroll depth; the
+//! other paths run uncapped and differ only in the label a patch reports.
+//! All paths run under an
 //! [`EvalBudget`](recurs_datalog::govern::EvalBudget) — a truncated patch
 //! never surfaces: [`Materialization::apply`] falls back to cold saturation
 //! of the new database and reports that it did.
@@ -52,7 +54,8 @@ use std::fmt;
 
 /// How a patch is (or was) maintained, mirroring the engine's kernel
 /// selection: the classification theorems that bound evaluation also bound
-/// maintenance.
+/// maintenance. Only [`MaintenancePath::round_cap`] tells the live paths
+/// apart in the code that runs; the rest is the label a patch reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaintenancePath {
     /// A proven rank bound (classes A2/A4, bounded B, acyclic D) caps every
@@ -62,11 +65,10 @@ pub enum MaintenancePath {
         /// The rank bound from the classification.
         rank: u64,
     },
-    /// One-directional formulas (A1/A3/A5): rederivation candidates are
-    /// processed in overdeletion-frontier discovery order, so most rederive
-    /// on their first recount instead of waiting on the forward pass.
+    /// One-directional formulas (A1/A3/A5): uncapped DRed, the same as
+    /// [`MaintenancePath::GenericDred`] under another label.
     Frontier,
-    /// Generic governed DRed for everything else (class C and mixtures).
+    /// Uncapped DRed for everything else (class C and mixtures).
     GenericDred,
     /// The patch was abandoned (budget truncation or a tripped loop cap)
     /// and the materialization was rebuilt by cold saturation instead.

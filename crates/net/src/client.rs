@@ -53,15 +53,6 @@ impl Client {
         self.recv()
     }
 
-    /// Sends a request under a client-side deadline directive.
-    pub fn roundtrip_with_deadline(
-        &mut self,
-        line: &str,
-        deadline: Duration,
-    ) -> Result<String, FrameError> {
-        self.roundtrip(&format!("@deadline={} {line}", deadline.as_millis()))
-    }
-
     /// Raw access for tests that need to write torn/garbage bytes.
     pub fn stream_mut(&mut self) -> &mut TcpStream {
         &mut self.stream
@@ -86,23 +77,20 @@ pub enum ReplyKind {
 
 /// Classifies a one-line JSON reply.
 pub fn classify(reply: &str) -> ReplyKind {
-    if proto::is_overloaded_reply(reply) {
-        return ReplyKind::Overloaded {
+    match proto::json_str_field(reply, "type") {
+        Some("overloaded") => ReplyKind::Overloaded {
             retry_after_ms: proto::json_u64_field(reply, "retry_after_ms").unwrap_or(0),
-        };
+        },
+        Some("deadline") => ReplyKind::Deadline,
+        _ if reply.contains("\"ok\":false") => ReplyKind::Error,
+        _ => ReplyKind::Ok,
     }
-    if proto::json_str_field(reply, "type") == Some("deadline") {
-        return ReplyKind::Deadline;
-    }
-    if reply.contains("\"ok\":false") {
-        return ReplyKind::Error;
-    }
-    ReplyKind::Ok
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recurs_serve::protocol::error_reply;
 
     #[test]
     fn classify_recognizes_the_reply_taxonomy() {
@@ -111,15 +99,15 @@ mod tests {
             ReplyKind::Ok
         );
         assert_eq!(
-            classify(&proto::error_reply("overloaded", "shed", Some(75))),
+            classify(&error_reply("overloaded", "shed", Some(75))),
             ReplyKind::Overloaded { retry_after_ms: 75 }
         );
         assert_eq!(
-            classify(&proto::error_reply("deadline", "expired", None)),
+            classify(&error_reply("deadline", "expired", None)),
             ReplyKind::Deadline
         );
         assert_eq!(
-            classify(&proto::error_reply("protocol", "bad", None)),
+            classify(&error_reply("protocol", "bad", None)),
             ReplyKind::Error
         );
     }

@@ -1,7 +1,8 @@
 //! The TCP front end: thread-per-connection over a bounded admission count,
 //! pipelined length-framed requests with strict per-connection reply
-//! ordering, per-request deadlines, idle/slow-client timeouts, and graceful
-//! drain.
+//! ordering, idle/slow-client timeouts, and graceful drain. A request's
+//! directives, deadline and budget are the serve protocol's; this layer
+//! counts the result `handle_line_with` names.
 //!
 //! # Connection lifecycle
 //!
@@ -31,10 +32,12 @@
 //! whether that hammer was needed.
 
 use crate::frame::{FrameError, FrameReader, Poll};
-use crate::proto::{self, Request};
+use crate::proto;
 use recurs_datalog::govern::CancelToken;
 use recurs_obs::field;
-use recurs_serve::protocol::{handle_line_with, LineOptions, LineOutcome};
+use recurs_serve::protocol::{
+    error_reply, handle_line_with, LineOptions, LineOutcome, RequestResult, DEFAULT_RETRY_AFTER_MS,
+};
 use recurs_serve::QueryService;
 use std::io;
 #[cfg(any(test, feature = "fault-inject"))]
@@ -46,7 +49,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Network front-end configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetConfig {
     /// Connection cap: further connections are shed with one `overloaded`
     /// frame and an immediate close.
@@ -82,7 +85,7 @@ impl Default for NetConfig {
         NetConfig {
             max_connections: 64,
             max_queue_wait: Duration::from_millis(250),
-            retry_after_ms: 50,
+            retry_after_ms: DEFAULT_RETRY_AFTER_MS,
             idle_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(5),
             max_frame_len: crate::frame::DEFAULT_MAX_FRAME_LEN,
@@ -351,7 +354,7 @@ fn admit(shared: &Arc<Shared>, mut stream: TcpStream) {
                 &[("result", field::s("shed")), ("active", field::uz(active))],
             );
         }
-        let reply = proto::error_reply(
+        let reply = error_reply(
             "overloaded",
             "connection limit reached",
             Some(shared.config.retry_after_ms),
@@ -448,6 +451,15 @@ fn serve_connection(shared: &Shared, stream: &mut TcpStream) -> CloseReason {
     {
         return CloseReason::IoError;
     }
+    // What every request on this connection is evaluated under: the
+    // bounded admission wait, the frame as the longest reply, and the
+    // forced-drain token.
+    let opts = LineOptions {
+        max_queue_wait: Some(config.max_queue_wait),
+        retry_after_ms: config.retry_after_ms,
+        cancel: Some(shared.hard_cancel.clone()),
+        max_reply_len: Some(config.max_frame_len),
+    };
     let mut reader = FrameReader::new();
     let mut last_activity = Instant::now();
     loop {
@@ -457,7 +469,7 @@ fn serve_connection(shared: &Shared, stream: &mut TcpStream) -> CloseReason {
         match reader.poll(stream, config.max_frame_len) {
             Ok(Poll::Frame(payload)) => {
                 last_activity = Instant::now();
-                match serve_frame(shared, stream, &payload) {
+                match serve_frame(shared, &opts, stream, &payload) {
                     FrameServed::Continue => {}
                     FrameServed::Close(reason) => return reason,
                 }
@@ -467,7 +479,7 @@ fn serve_connection(shared: &Shared, stream: &mut TcpStream) -> CloseReason {
                     // Slow-loris defense: no completed frame for too long
                     // (mid-frame dribble included). Tell the peer why, if
                     // it is still listening, then close.
-                    let reply = proto::error_reply("idle", "idle timeout, closing", None);
+                    let reply = error_reply("idle", "idle timeout, closing", None);
                     let _ = write_reply(stream, &reply);
                     return CloseReason::Idle;
                 }
@@ -489,7 +501,7 @@ fn serve_connection(shared: &Shared, stream: &mut TcpStream) -> CloseReason {
                 // The stream cannot be resynchronized after a bogus length
                 // claim: one typed reply, then close.
                 frame_error(shared, "oversized");
-                let reply = proto::error_reply("protocol", &e.to_string(), None);
+                let reply = error_reply("protocol", &e.to_string(), None);
                 let _ = write_reply(stream, &reply);
                 return CloseReason::ProtocolError;
             }
@@ -514,54 +526,15 @@ enum FrameServed {
     Close(CloseReason),
 }
 
-/// Outcome labels for `recurs_net_requests_total`.
-fn classify_reply(reply: &str) -> &'static str {
-    if proto::is_overloaded_reply(reply) {
-        "shed"
-    } else if reply.contains("\"ok\":false") {
-        "error"
-    } else {
-        "ok"
-    }
-}
-
-fn serve_frame(shared: &Shared, stream: &mut TcpStream, payload: &[u8]) -> FrameServed {
+fn serve_frame(
+    shared: &Shared,
+    opts: &LineOptions,
+    stream: &mut TcpStream,
+    payload: &[u8],
+) -> FrameServed {
     let received = Instant::now();
     let obs = shared.service.obs();
-    let (reply, result, close) = match evaluate_frame(shared, payload, received) {
-        Evaluated::Reply(reply) => {
-            let result = classify_reply(&reply);
-            (reply, result, None)
-        }
-        Evaluated::Deadline(msg) => (
-            proto::error_reply("deadline", &msg, Some(shared.config.retry_after_ms)),
-            "deadline",
-            None,
-        ),
-        Evaluated::Protocol(msg) => {
-            frame_error(shared, "malformed");
-            (proto::error_reply("protocol", &msg, None), "error", None)
-        }
-        Evaluated::Internal => {
-            // The handler panicked: the connection survives, but the flight
-            // recorder holds the lead-up — dump it while it is fresh.
-            shared.dump_postmortem("handler_panic");
-            (
-                proto::error_reply("internal", "internal error: request handler panicked", None),
-                "internal",
-                None,
-            )
-        }
-        Evaluated::Health => {
-            let reply = proto::health_reply(
-                shared.draining.load(Ordering::SeqCst),
-                shared.active_count(),
-                shared.started.elapsed(),
-            );
-            (reply, "ok", None)
-        }
-        Evaluated::Quit => (proto::bye_reply(), "ok", Some(CloseReason::Quit)),
-    };
+    let (reply, result, close) = evaluate_frame(shared, opts, payload);
     // Answers are rendered to fit the frame; a `why` tree, `!explain` and
     // `!metrics` are as long as they are. What a peer with this ceiling
     // could not read is not sent: it gets the two lengths instead, and the
@@ -591,78 +564,56 @@ fn serve_frame(shared: &Shared, stream: &mut TcpStream, payload: &[u8]) -> Frame
     }
 }
 
-/// What evaluating one frame's request produced.
-enum Evaluated {
-    /// A serve-protocol reply (answers, snapshot, error, shed, ...).
-    Reply(String),
-    /// The client-granted deadline expired before evaluation started.
-    Deadline(String),
-    /// The frame itself was malformed (bad UTF-8, bad directive).
-    Protocol(String),
-    /// The handler panicked (caught at the per-request barrier).
-    Internal,
-    /// `!health`, answered at the net layer.
-    Health,
-    /// `!quit`.
-    Quit,
-}
-
-fn evaluate_frame(shared: &Shared, payload: &[u8], received: Instant) -> Evaluated {
-    let Request {
-        line,
-        deadline,
-        trace,
-    } = match proto::parse_request(payload) {
-        Ok(r) => r,
-        Err(msg) => return Evaluated::Protocol(msg),
+/// Evaluates one frame: its reply, the `result` label it is counted
+/// under, and whether the connection closes after it. The request line is
+/// the serve protocol's to read; a frame that is not text, and `!health`,
+/// are the only ones answered here.
+fn evaluate_frame(
+    shared: &Shared,
+    opts: &LineOptions,
+    payload: &[u8],
+) -> (String, &'static str, Option<CloseReason>) {
+    let line = match proto::request_text(payload) {
+        Ok(line) => line,
+        Err(msg) => {
+            frame_error(shared, "malformed");
+            return (error_reply("protocol", &msg, None), "error", None);
+        }
     };
-    if line == "!health" {
-        return Evaluated::Health;
+    if line.trim() == "!health" {
+        let reply = proto::health_reply(
+            shared.draining.load(Ordering::SeqCst),
+            shared.active_count(),
+            shared.started.elapsed(),
+        );
+        return (reply, "ok", None);
     }
-    // Remaining wall clock under the client's deadline, measured from frame
-    // receipt (pipelined requests queue behind their predecessors, and that
-    // queueing time counts).
-    let remaining = deadline.map(|d| d.saturating_sub(received.elapsed()));
-    if remaining == Some(Duration::ZERO) {
-        return Evaluated::Deadline(format!(
-            "deadline of {} ms expired before evaluation started",
-            deadline.unwrap_or_default().as_millis()
-        ));
-    }
-    // Derive the evaluation budget: the service default tightened to the
-    // time remaining (never loosened), hard-cancellable on forced drain.
-    let mut budget = shared.service.default_budget().clone();
-    if let Some(rem) = remaining {
-        budget.timeout = Some(budget.timeout.map_or(rem, |t| t.min(rem)));
-    }
-    let budget = budget.with_cancel(shared.hard_cancel.clone());
-    let max_wait = match remaining {
-        Some(rem) => shared.config.max_queue_wait.min(rem),
-        None => shared.config.max_queue_wait,
-    };
-    let opts = LineOptions {
-        budget: Some(budget),
-        max_queue_wait: Some(max_wait),
-        retry_after_ms: shared.config.retry_after_ms,
-        trace,
-        max_reply_len: Some(shared.config.max_frame_len),
-    };
-    let service = Arc::clone(&shared.service);
     // Per-request barrier: a panic in parsing/evaluation becomes a typed
     // `internal` reply and the connection (and its pipelined successors)
     // keeps going.
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
         #[cfg(any(test, feature = "fault-inject"))]
         crate::fault::handler_start();
-        handle_line_with(&service, line, &opts)
+        handle_line_with(&shared.service, line, opts)
     }));
     match outcome {
-        Ok(LineOutcome::Reply(reply)) => Evaluated::Reply(reply),
+        Ok((LineOutcome::Reply(reply), result)) => {
+            if result == RequestResult::Malformed {
+                frame_error(shared, "malformed");
+            }
+            (reply, result.label(), None)
+        }
         // Over TCP every frame gets exactly one reply: silence (blank or
         // comment frame) is an explicit ack.
-        Ok(LineOutcome::Silent) => Evaluated::Reply(proto::noop_reply()),
-        Ok(LineOutcome::Quit) => Evaluated::Quit,
-        Err(_) => Evaluated::Internal,
+        Ok((LineOutcome::Silent, _)) => (proto::noop_reply(), "ok", None),
+        Ok((LineOutcome::Quit, _)) => (proto::bye_reply(), "ok", Some(CloseReason::Quit)),
+        Err(_) => {
+            // The handler panicked: the connection survives, but the flight
+            // recorder holds the lead-up — dump it while it is fresh.
+            shared.dump_postmortem("handler_panic");
+            let msg = "internal error: request handler panicked";
+            (error_reply("internal", msg, None), "internal", None)
+        }
     }
 }
 

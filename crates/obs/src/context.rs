@@ -38,11 +38,6 @@ impl TraceId {
         TraceId(id)
     }
 
-    /// The raw 64-bit id.
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-
     /// Parses a client-supplied id: 1..=16 ASCII hex characters. Anything
     /// else (empty, oversized, non-hex) is rejected so the protocol layer
     /// can answer with a typed error instead of guessing.
@@ -290,7 +285,7 @@ mod tests {
         let a = TraceId::mint();
         let b = TraceId::mint();
         assert_ne!(a, b);
-        assert_ne!(a.as_u64(), 0);
+        assert_ne!(a, TraceId::from_u64(0));
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   [`Aggregator`](crate::aggregate::Aggregator); the recorder keeps only
 //!   event provenance, which is what a postmortem needs.
 //!
-//! The dump format matches the JSON-lines trace sink (`seq`, `ts_us`,
-//! `kind`, then the event's own fields), so `obsctl` reads postmortems and
-//! trace files interchangeably.
+//! The dump is rendered line by line by the JSON-lines trace sink's own
+//! `trace::write_line` (`seq`, `ts_us`, `kind`, then the event's own
+//! fields), so `obsctl` reads postmortems and trace files interchangeably.
 
 use crate::{Recorder, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,20 +94,12 @@ impl FlightRecorder {
     }
 
     /// Renders the retained events as JSON lines in the trace-sink shape
-    /// (`{"seq":N,"ts_us":T,"kind":K,...fields}`), oldest first. This is
-    /// the postmortem payload.
+    /// (`{"seq":N,"ts_us":T,"kind":K,...fields}`), oldest first. This is the
+    /// postmortem payload.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for e in self.events() {
-            let mut pairs: Vec<(String, Value)> = Vec::with_capacity(e.fields.len() + 3);
-            pairs.push(("seq".to_string(), Value::UInt(e.seq)));
-            pairs.push(("ts_us".to_string(), Value::UInt(e.ts_us)));
-            pairs.push(("kind".to_string(), Value::string(e.kind)));
-            for (k, v) in &e.fields {
-                pairs.push(((*k).to_string(), v.clone()));
-            }
-            out.push_str(&serde::json::to_string(&Value::Object(pairs)));
-            out.push('\n');
+            crate::trace::write_line(&mut out, e.seq, e.ts_us, e.kind, &e.fields);
         }
         out
     }

@@ -13,6 +13,9 @@
 //! * `kind` — the event kind; remaining keys are the event's own fields in
 //!   emission order.
 //!
+//! `write_line` is the one renderer of that shape: the flight recorder's
+//! postmortem dump uses it too, so `obsctl` reads both alike.
+//!
 //! Counters and histograms are *not* written — they go to the
 //! [`Aggregator`](crate::aggregate::Aggregator); a trace file is pure
 //! event provenance. Write errors are sticky: the first failure disables
@@ -20,11 +23,33 @@
 //! panicking inside instrumented code.
 
 use crate::{Recorder, Value};
+use serde::Serialize as _;
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
+
+/// Appends one event as a trace line,
+/// `{"seq":N,"ts_us":T,"kind":K,...fields}` and a newline.
+pub(crate) fn write_line(
+    out: &mut String,
+    seq: u64,
+    ts_us: u64,
+    kind: &str,
+    fields: &[(&'static str, Value)],
+) {
+    let _ = write!(out, r#"{{"seq":{seq},"ts_us":{ts_us},"kind":"#);
+    serde::json::write_str(out, kind);
+    for (key, value) in fields {
+        out.push(',');
+        serde::json::write_str(out, key);
+        out.push(':');
+        value.write_json(out);
+    }
+    out.push_str("}\n");
+}
 
 struct Inner {
     out: Box<dyn Write + Send>,
@@ -99,16 +124,10 @@ impl Recorder for TraceWriter {
         if inner.error {
             return;
         }
-        let mut pairs: Vec<(String, Value)> = Vec::with_capacity(fields.len() + 3);
-        pairs.push(("seq".to_string(), Value::UInt(inner.seq)));
-        pairs.push(("ts_us".to_string(), Value::UInt(ts_us)));
-        pairs.push(("kind".to_string(), Value::string(kind)));
-        for (k, v) in fields {
-            pairs.push(((*k).to_string(), v.clone()));
-        }
-        let line = serde::json::to_string(&Value::Object(pairs));
+        let mut line = String::new();
+        write_line(&mut line, inner.seq, ts_us, kind, fields);
         inner.seq += 1;
-        if writeln!(inner.out, "{line}").is_err() {
+        if inner.out.write_all(line.as_bytes()).is_err() {
             inner.error = true;
         }
     }
@@ -156,6 +175,29 @@ mod tests {
         assert!(lines[1].contains("\"seq\":1"));
         assert!(lines[1].contains("\"ok\":true"));
         assert!(!writer.had_error());
+    }
+
+    #[test]
+    fn write_line_renders_the_object_a_value_tree_would() {
+        let fields = [
+            ("s", Value::string("a \"q\"\\\n\u{1}")),
+            ("f", Value::Float(0.25)),
+            ("i", Value::Int(-3)),
+            ("n", Value::Null),
+            (
+                "v",
+                Value::array([Value::UInt(1), Value::object([("k", Value::Bool(true))])]),
+            ),
+        ];
+        let mut line = String::new();
+        write_line(&mut line, 7, 42, "t.kind", &fields);
+        let mut pairs = vec![
+            ("seq".to_string(), Value::UInt(7)),
+            ("ts_us".to_string(), Value::UInt(42)),
+            ("kind".to_string(), Value::string("t.kind")),
+        ];
+        pairs.extend(fields.iter().map(|(k, v)| (k.to_string(), v.clone())));
+        assert_eq!(line, serde::json::to_string(&Value::Object(pairs)) + "\n");
     }
 
     #[test]

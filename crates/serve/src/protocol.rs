@@ -28,17 +28,34 @@
 //! * `!quit` — end the session;
 //! * blank lines and `%`/`#` comments are ignored (no reply).
 //!
-//! Any request may carry a leading `@trace=<id>` directive (1–16 hex
-//! chars) naming the request's trace id; without one a fresh id is minted
-//! per query. A malformed or duplicated directive is a typed error.
+//! Any request may carry leading directives, in any order and each at most
+//! once:
+//!
+//! * `@trace=<id>` (1–16 hex chars) names the request's trace id; without
+//!   one a fresh id is minted per query;
+//! * `@deadline=<ms>` grants the request that much wall clock: the
+//!   evaluation budget is the service default tightened to it (never
+//!   loosened), the admission wait is bounded by it, and a request whose
+//!   deadline has already run out replies `{"ok":false,"type":"deadline",
+//!   ...,"retry_after_ms":N}` instead of being evaluated late.
+//!
+//! A duplicate, unknown or malformed directive, or one with no request
+//! after it, replies `{"ok":false,"type":"protocol","error":"..."}`.
 //!
 //! Every reply except `!metrics` is a single-line JSON object with an
 //! `"ok"` field; errors are `{"ok":false,"error":"..."}` and never kill the
-//! session.
+//! session. A request shed by admission replies `{"ok":false,
+//! "type":"overloaded",...,"retry_after_ms":N}`.
+//!
+//! This module is the only code that reads a request line. `serve --stdin`
+//! hands it each input line and `serve --listen` each frame's payload, so
+//! both transports speak the same grammar and get the same replies; the
+//! TCP layer adds only what a socket needs (framing, `!health`, connection
+//! admission, drain).
 
 use crate::error::ServeError;
 use crate::service::{QueryService, Reply, UpdateOutcome, WhyReply};
-use recurs_datalog::govern::EvalBudget;
+use recurs_datalog::govern::CancelToken;
 use recurs_datalog::parser::parse_atom;
 use recurs_datalog::relation::Tuple;
 use recurs_datalog::symbol::Symbol;
@@ -59,29 +76,72 @@ pub enum LineOutcome {
     Quit,
 }
 
-/// How a transport wants one request line evaluated. The stdin loop uses
-/// the defaults (service budget, unbounded admission); the TCP front end
-/// derives a per-request budget from the deadline and bounds the admission
-/// wait so overload sheds instead of queueing.
-#[derive(Debug, Clone, Default)]
+/// What became of one request line, for a transport's counters. The
+/// protocol knows it when it replies, so nobody reads the reply back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RequestResult {
+    /// An `"ok":true` reply, silence or `!quit`.
+    Ok,
+    /// An `"ok":false` reply to a request the grammar accepted.
+    Error,
+    /// A duplicate, unknown or malformed directive: `"type":"protocol"`.
+    Malformed,
+    /// Admission shed the request: `"type":"overloaded"`.
+    Shed,
+    /// The `@deadline` ran out before evaluation: `"type":"deadline"`.
+    Deadline,
+}
+
+impl RequestResult {
+    /// The `result` label a request is counted under; a malformed one is an
+    /// `error`.
+    pub fn label(self) -> &'static str {
+        match self {
+            RequestResult::Ok => "ok",
+            RequestResult::Error | RequestResult::Malformed => "error",
+            RequestResult::Shed => "shed",
+            RequestResult::Deadline => "deadline",
+        }
+    }
+}
+
+/// The backoff hint shed and deadline replies carry unless a transport
+/// sets its own, in milliseconds.
+pub const DEFAULT_RETRY_AFTER_MS: u64 = 50;
+
+/// How a transport wants its request lines evaluated. The stdin loop uses
+/// the defaults (service budget, unbounded admission, every answer); the
+/// TCP front end bounds the admission wait so overload sheds instead of
+/// queueing, cuts answers to its frame, and cancels on a forced drain.
+#[derive(Debug, Clone)]
 pub struct LineOptions {
-    /// Evaluate queries under this budget instead of the service default.
-    pub budget: Option<EvalBudget>,
     /// Bound the admission wait; past it the query is shed with a typed
     /// `overloaded` reply. `None` queues unboundedly (the stdin behavior).
+    /// A `@deadline` tightens it further.
     pub max_queue_wait: Option<Duration>,
-    /// The client backoff hint rendered into shed replies, in milliseconds.
+    /// The client backoff hint rendered into shed and deadline replies, in
+    /// milliseconds.
     pub retry_after_ms: u64,
-    /// The request's trace id, when the transport already resolved one
-    /// (e.g. from a TCP frame's `@trace=` directive). A directive on the
-    /// line itself takes precedence; with neither, queries mint a fresh id.
-    pub trace: Option<TraceId>,
+    /// Cancels every evaluation this transport starts, in place of the
+    /// service budget's own token (the TCP front end's forced drain).
+    pub cancel: Option<CancelToken>,
     /// The longest reply the transport can carry, in bytes (a framed
     /// connection's `max_frame_len`). An answer set that would render past
     /// it is cut to the answers that fit and flagged `"truncated":true` — a
     /// subset is sound, an unreadable frame loses the connection. `None`
     /// (stdin) renders every answer.
     pub max_reply_len: Option<usize>,
+}
+
+impl Default for LineOptions {
+    fn default() -> LineOptions {
+        LineOptions {
+            max_queue_wait: None,
+            retry_after_ms: DEFAULT_RETRY_AFTER_MS,
+            cancel: None,
+            max_reply_len: None,
+        }
+    }
 }
 
 /// A typed protocol-level failure, rendered as a one-line JSON error reply.
@@ -104,64 +164,126 @@ impl From<String> for ProtoError {
 /// Handles one request line against the service under the default
 /// [`LineOptions`] (service budget, unbounded admission).
 pub fn handle_line(service: &QueryService, line: &str) -> LineOutcome {
-    handle_line_with(service, line, &LineOptions::default())
+    handle_line_with(service, line, &LineOptions::default()).0
 }
 
-/// Handles one request line under transport-supplied [`LineOptions`].
-pub fn handle_line_with(service: &QueryService, line: &str, opts: &LineOptions) -> LineOutcome {
+/// Handles one request line under transport-supplied [`LineOptions`]:
+/// parses its directives, budgets it, answers it, and says how it went.
+pub fn handle_line_with(
+    service: &QueryService,
+    line: &str,
+    opts: &LineOptions,
+) -> (LineOutcome, RequestResult) {
     let line = line.trim();
     if line.is_empty() || line.starts_with('%') || line.starts_with('#') {
-        return LineOutcome::Silent;
+        return (LineOutcome::Silent, RequestResult::Ok);
     }
-    if line == "!quit" {
-        return LineOutcome::Quit;
-    }
-    if line == "!metrics" {
+    let (text, result) = match Request::parse(line) {
+        Err(e) => (error_reply("protocol", &e, None), RequestResult::Malformed),
+        // The allowance is counted from here, so only a zero one has run
+        // out before evaluation starts.
+        Ok(request) if request.deadline == Some(Duration::ZERO) => (
+            error_reply(
+                "deadline",
+                "deadline of 0 ms expired before evaluation started",
+                Some(opts.retry_after_ms),
+            ),
+            RequestResult::Deadline,
+        ),
+        Ok(request) if request.line == "!quit" => return (LineOutcome::Quit, RequestResult::Ok),
         // Prometheus text is inherently multi-line; its `# EOF` terminator
         // (not line count) frames the reply. Trailing newline is trimmed
         // because the run loop appends one.
-        return LineOutcome::Reply(service.metrics_text().trim_end().to_string());
-    }
-    LineOutcome::Reply(match handle_request(service, line, opts) {
-        Ok(reply) => reply,
-        Err(ProtoError::Message(e)) => json::to_string(&Value::object([
-            ("ok", Value::Bool(false)),
-            ("error", Value::string(e)),
-        ])),
-        Err(ProtoError::Overloaded { waited }) => json::to_string(&Value::object([
-            ("ok", Value::Bool(false)),
-            ("type", Value::string("overloaded")),
-            (
-                "error",
-                Value::string(format!(
+        Ok(request) if request.line == "!metrics" => (
+            service.metrics_text().trim_end().to_string(),
+            RequestResult::Ok,
+        ),
+        Ok(request) => match handle_request(service, &request, opts) {
+            Ok(text) => (text, RequestResult::Ok),
+            Err(ProtoError::Message(e)) => (
+                json::to_string(&Value::object([
+                    ("ok", Value::Bool(false)),
+                    ("error", Value::string(e)),
+                ])),
+                RequestResult::Error,
+            ),
+            Err(ProtoError::Overloaded { waited }) => {
+                let msg = format!(
                     "overloaded: no evaluation slot within {} ms, request shed",
                     waited.as_millis()
-                )),
-            ),
-            ("retry_after_ms", opts.retry_after_ms.to_value()),
-        ])),
-    })
+                );
+                let text = error_reply("overloaded", &msg, Some(opts.retry_after_ms));
+                (text, RequestResult::Shed)
+            }
+        },
+    };
+    (LineOutcome::Reply(text), result)
 }
 
-/// Strips leading `@trace=<id>` directives. A duplicate or malformed
-/// directive is a typed error; the id (if any) and the remaining request
-/// text are returned.
-fn strip_trace_directive(line: &str) -> Result<(&str, Option<TraceId>), ProtoError> {
-    let mut rest = line;
-    let mut trace = None;
-    while let Some(after) = rest.strip_prefix("@trace=") {
-        let (token, remainder) = match after.split_once(char::is_whitespace) {
-            Some((t, r)) => (t, r),
-            None => (after, ""),
-        };
-        if trace.is_some() {
-            return Err("duplicate @trace directive".to_string().into());
-        }
-        let id = TraceId::parse(token).map_err(|e| format!("bad @trace directive: {e}"))?;
-        trace = Some(id);
-        rest = remainder.trim_start();
+/// Renders a typed error reply: `{"ok":false,"type":KIND,"error":MSG}`,
+/// plus a `retry_after_ms` hint when one is given.
+pub fn error_reply(kind: &str, msg: &str, retry_after_ms: Option<u64>) -> String {
+    let mut fields = vec![
+        ("ok", Value::Bool(false)),
+        ("type", Value::string(kind)),
+        ("error", Value::string(msg)),
+    ];
+    if let Some(ms) = retry_after_ms {
+        fields.push(("retry_after_ms", ms.to_value()));
     }
-    Ok((rest, trace))
+    json::to_string(&Value::object(fields))
+}
+
+/// A request line with its directives parsed off.
+#[derive(Debug)]
+struct Request<'a> {
+    /// The request itself.
+    line: &'a str,
+    /// The `@trace=` id, if given.
+    trace: Option<TraceId>,
+    /// The `@deadline=` allowance, if given.
+    deadline: Option<Duration>,
+}
+
+impl<'a> Request<'a> {
+    /// Strips the leading `@trace=<hex>` and `@deadline=<ms>` directives
+    /// of a trimmed, non-empty line. A duplicate, unknown or malformed
+    /// directive, or one with nothing after it, is an error.
+    fn parse(line: &'a str) -> Result<Request<'a>, String> {
+        let mut parsed = Request {
+            line,
+            trace: None,
+            deadline: None,
+        };
+        let mut last = "";
+        while let Some(rest) = parsed.line.strip_prefix('@') {
+            let (directive, tail) = rest.split_once(char::is_whitespace).unwrap_or((rest, ""));
+            if let Some(ms) = directive.strip_prefix("deadline=") {
+                if parsed.deadline.is_some() {
+                    return Err("duplicate @deadline directive".to_string());
+                }
+                let ms: u64 = ms
+                    .parse()
+                    .map_err(|_| format!("bad deadline directive: @deadline={ms}"))?;
+                parsed.deadline = Some(Duration::from_millis(ms));
+                last = "@deadline";
+            } else if let Some(id) = directive.strip_prefix("trace=") {
+                if parsed.trace.is_some() {
+                    return Err("duplicate @trace directive".to_string());
+                }
+                let id = TraceId::parse(id).map_err(|e| format!("bad @trace directive: {e}"))?;
+                parsed.trace = Some(id);
+                last = "@trace";
+            } else {
+                return Err(format!("unknown directive: @{directive}"));
+            }
+            parsed.line = tail.trim_start();
+        }
+        if parsed.line.is_empty() {
+            return Err(format!("empty request after {last} directive"));
+        }
+        Ok(parsed)
+    }
 }
 
 /// Strips the optional `?-` prefix and trailing `.` from a query body.
@@ -174,15 +296,10 @@ fn query_text(line: &str) -> &str {
 /// written straight to text, every other kind through its `Value` tree.
 fn handle_request(
     service: &QueryService,
-    line: &str,
+    request: &Request<'_>,
     opts: &LineOptions,
 ) -> Result<String, ProtoError> {
-    let (line, directive_trace) = strip_trace_directive(line)?;
-    let line = line.trim();
-    let trace = directive_trace.or(opts.trace);
-    if line.is_empty() {
-        return Err("empty request after @trace directive".to_string().into());
-    }
+    let line = request.line;
     if line == "!stats" {
         return Ok(json::to_string(&Value::object([
             ("ok", Value::Bool(true)),
@@ -206,11 +323,21 @@ fn handle_request(
     if line == "!explain" {
         return Err("usage: !explain <query>".to_string().into());
     }
-    let budget = opts.budget.as_ref().unwrap_or(service.default_budget());
-    let trace = trace.unwrap_or_else(TraceId::mint);
+    // The service default, tightened to the deadline (never loosened) and
+    // cancellable by the transport; the deadline bounds the queue wait too.
+    let mut budget = service.default_budget().clone();
+    let mut max_wait = opts.max_queue_wait;
+    if let Some(d) = request.deadline {
+        budget.timeout = Some(budget.timeout.map_or(d, |t| t.min(d)));
+        max_wait = Some(max_wait.map_or(d, |w| w.min(d)));
+    }
+    if let Some(token) = &opts.cancel {
+        budget.cancel = Some(token.clone());
+    }
+    let trace = request.trace.unwrap_or_else(TraceId::mint);
     if let Some(rest) = line.strip_prefix("!explain ") {
         let query = parse_atom(query_text(rest.trim())).map_err(|e| e.to_string())?;
-        let audit = service.explain(&query, budget, opts.max_queue_wait, trace)?;
+        let audit = service.explain(&query, &budget, max_wait, trace)?;
         return Ok(json::to_string(&audit));
     }
     if line.starts_with('+') || line.starts_with('-') {
@@ -225,12 +352,12 @@ fn handle_request(
     }
     if let Some(rest) = line.strip_prefix("why ") {
         let (pred, tuple) = parse_ground_fact(rest)?;
-        let why = service.why(pred, &tuple, DEFAULT_WHY_DEPTH, budget)?;
+        let why = service.why(pred, &tuple, DEFAULT_WHY_DEPTH, &budget)?;
         return Ok(json::to_string(&render_why(&why)));
     }
     let text = query_text(line);
     let query = parse_atom(text).map_err(|e| e.to_string())?;
-    let reply = service.query_traced(&query, budget, opts.max_queue_wait, trace)?;
+    let reply = service.query_traced(&query, &budget, max_wait, trace)?;
     Ok(render_reply(text, &reply, opts.max_reply_len))
 }
 
@@ -432,11 +559,16 @@ mod tests {
     use super::*;
     use crate::service::ServeConfig;
     use recurs_datalog::database::Database;
+    use recurs_datalog::govern::EvalBudget;
     use recurs_datalog::parser::parse_program;
     use recurs_datalog::relation::Relation;
     use recurs_datalog::validate::validate_with_generic_exit;
 
     fn service() -> QueryService {
+        service_with(ServeConfig::default())
+    }
+
+    fn service_with(config: ServeConfig) -> QueryService {
         let lr = validate_with_generic_exit(
             &parse_program("P(x, y) :- A(x, z), P(z, y).\nP(x, y) :- E(x, y).").unwrap(),
         )
@@ -444,7 +576,7 @@ mod tests {
         let mut db = Database::new();
         db.insert_relation("A", Relation::from_pairs([(1, 2), (2, 3)]));
         db.insert_relation("E", Relation::from_pairs([(1, 2), (2, 3)]));
-        QueryService::new(lr, db, ServeConfig::default())
+        QueryService::new(lr, db, config)
     }
 
     fn reply(service: &QueryService, line: &str) -> String {
@@ -618,6 +750,146 @@ mod tests {
         assert!(r.contains("\"ok\":false"), "got {r}");
         // Still serving.
         assert!(reply(&s, "?- P(1, y).").contains("\"ok\":true"));
+    }
+
+    fn directives(line: &str) -> Request<'_> {
+        Request::parse(line).unwrap()
+    }
+
+    #[test]
+    fn plain_line_has_no_directives() {
+        let d = directives("?- P(1, y).");
+        assert_eq!(d.line, "?- P(1, y).");
+        assert_eq!(d.deadline, None);
+        assert_eq!(d.trace, None);
+    }
+
+    #[test]
+    fn deadline_directive_is_parsed_and_stripped() {
+        let d = directives("@deadline=250 ?- P(1, y).");
+        assert_eq!(d.line, "?- P(1, y).");
+        assert_eq!(d.deadline, Some(Duration::from_millis(250)));
+    }
+
+    #[test]
+    fn directives_combine_in_any_order() {
+        for line in [
+            "@deadline=250 @trace=cafe ?- P(1, y).",
+            "@trace=cafe @deadline=250 ?- P(1, y).",
+        ] {
+            let d = directives(line);
+            assert_eq!(d.line, "?- P(1, y).");
+            assert_eq!(d.deadline, Some(Duration::from_millis(250)));
+            assert_eq!(d.trace, Some(TraceId::from_u64(0xcafe)));
+        }
+    }
+
+    #[test]
+    fn a_bare_directive_is_a_typed_error() {
+        let err = Request::parse("@deadline=10").unwrap_err();
+        assert_eq!(err, "empty request after @deadline directive");
+        let err = Request::parse("@deadline=10 @trace=1").unwrap_err();
+        assert_eq!(err, "empty request after @trace directive");
+    }
+
+    #[test]
+    fn bad_deadline_is_a_typed_parse_error() {
+        let err = Request::parse("@deadline=soon ?- P(1, y).").unwrap_err();
+        assert_eq!(err, "bad deadline directive: @deadline=soon");
+    }
+
+    #[test]
+    fn bad_duplicate_or_unknown_directives_are_typed_parse_errors() {
+        for (line, want) in [
+            ("@trace=xyz ?- P(1, y).", "bad @trace directive"),
+            (
+                "@trace=1 @trace=2 ?- P(1, y).",
+                "duplicate @trace directive",
+            ),
+            (
+                "@deadline=1 @deadline=2 ?- P(1, y).",
+                "duplicate @deadline directive",
+            ),
+            ("@speed=fast ?- P(1, y).", "unknown directive: @speed=fast"),
+        ] {
+            let err = Request::parse(line).unwrap_err();
+            assert!(err.contains(want), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn error_reply_carries_retry_hint_when_given() {
+        let r = error_reply("overloaded", "shed", Some(50));
+        assert_eq!(
+            r,
+            r#"{"ok":false,"type":"overloaded","error":"shed","retry_after_ms":50}"#
+        );
+        let r = error_reply("protocol", "bad frame", None);
+        assert_eq!(r, r#"{"ok":false,"type":"protocol","error":"bad frame"}"#);
+    }
+
+    #[test]
+    fn each_reply_names_its_result() {
+        let s = service();
+        let opts = LineOptions::default();
+        let result = |line: &str| handle_line_with(&s, line, &opts);
+        for (line, want) in [
+            ("?- P(1, y).", RequestResult::Ok),
+            ("@deadline=60000 ?- P(1, y).", RequestResult::Ok),
+            ("% a comment", RequestResult::Ok),
+            ("?- Q(1, y).", RequestResult::Error),
+            ("!bogus", RequestResult::Error),
+            ("@trace=xyz ?- P(1, y).", RequestResult::Malformed),
+            ("@deadline=0 ?- P(1, y).", RequestResult::Deadline),
+        ] {
+            assert_eq!(result(line).1, want, "{line}");
+        }
+        let (LineOutcome::Reply(r), _) = result("@deadline=0 ?- P(1, y).") else {
+            panic!("a deadline reply");
+        };
+        assert_eq!(
+            r,
+            r#"{"ok":false,"type":"deadline","error":"deadline of 0 ms expired before evaluation started","retry_after_ms":50}"#
+        );
+        // `@deadline=0 !quit` runs out before it can quit.
+        assert!(matches!(
+            result("@deadline=0 !quit"),
+            (LineOutcome::Reply(_), RequestResult::Deadline)
+        ));
+        assert_eq!(RequestResult::Malformed.label(), "error");
+    }
+
+    #[test]
+    fn a_deadline_tightens_the_budget_and_a_transport_token_cancels_it() {
+        let s = service();
+        // `!explain` reports the budget the request ran under.
+        for (line, want) in [
+            ("!explain P(x, y)", r#""timeout_ms":null"#),
+            ("@deadline=60000 !explain P(x, y)", r#""timeout_ms":60000"#),
+        ] {
+            assert!(reply(&s, line).contains(want), "{line}");
+        }
+        let s = service_with(ServeConfig {
+            budget: EvalBudget::unlimited().with_timeout(Duration::from_secs(10)),
+            ..ServeConfig::default()
+        });
+        for (line, want) in [
+            ("@deadline=250 !explain P(x, y)", r#""timeout_ms":250"#),
+            ("@deadline=60000 !explain P(x, y)", r#""timeout_ms":10000"#),
+        ] {
+            assert!(reply(&s, line).contains(want), "{line}");
+        }
+        let token = CancelToken::new();
+        token.cancel();
+        let opts = LineOptions {
+            cancel: Some(token),
+            ..LineOptions::default()
+        };
+        let (LineOutcome::Reply(r), RequestResult::Ok) = handle_line_with(&s, "P(2, y)", &opts)
+        else {
+            panic!("a cancelled query still replies");
+        };
+        assert!(r.contains(r#""truncation":"cancelled""#), "{r}");
     }
 
     #[test]

@@ -398,7 +398,7 @@ fn a_served_hit_allocates_per_reply_not_per_answer() {
         }
         let ((reply, calls), bytes) =
             allocated_by(|| calls_by(|| handle_line_with(&service, line, &opts)));
-        let LineOutcome::Reply(reply) = reply else {
+        let (LineOutcome::Reply(reply), _) = reply else {
             panic!("no reply to {line}");
         };
         assert!(reply.contains("\"cache\":\"hit\""), "{reply}");
