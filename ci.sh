@@ -168,6 +168,23 @@ for f in $(find crates/engine/src crates/ivm/src crates/serve/src -name '*.rs');
   fi
 done
 
+# Recording guard: a served round records without allocating. A request's
+# trace id rides in its `Obs` handle and reaches the sinks as an argument, so
+# no recorder re-boxes an event to append it; and the round driver, view
+# maintenance and the trace context build no event field by formatting —
+# names and labels are borrowed (`field::st`), numbers are numbers.
+echo "==> recording guard (no re-boxing recorder, no formatted event field on the round path)"
+if grep -rn "ScopedRecorder" crates/*/src; then
+  echo "ScopedRecorder is back: tag a request's events with Obs::with_trace" >&2
+  exit 1
+fi
+for f in crates/engine/src/driver.rs $(find crates/ivm/src -name '*.rs') crates/obs/src/context.rs; do
+  if non_test "$f" | grep -nE '(field::s|Value::string|Value::Str)\(.*(\.to_string\(\)|format!)'; then
+    echo "$f formats an event field: borrow it (field::st) or pass the number" >&2
+    exit 1
+  fi
+done
+
 echo "==> cargo test"
 cargo test --workspace --offline -q
 

@@ -961,8 +961,8 @@ fn run_engine(
         // The provenance record tying a trace back to the paper's dispatch
         // decision: the class verdict and the kernel it selects.
         let c = Classification::of(&loaded.lr.recursive_rule);
-        let kernel = field::s(recurs_engine::select_kernel(&c).label());
-        let engine = field::s("indexed");
+        let kernel = recurs_engine::select_kernel(&c).label().into();
+        let engine = field::st("indexed");
         let fields = verdict_fields(&c, [("kernel", kernel), ("engine", engine)]);
         obs.event("classify.verdict", &fields);
     }

@@ -1,0 +1,169 @@
+//! Byte-for-byte pin of what a served session records.
+//!
+//! One fixed script — misses, hits, two updates (a view build, then a
+//! patch that carries the cache), a `why` and an `!explain` — is sent over
+//! `recurs serve --stdin --trace FILE`, and again, in process, to the
+//! service the CLI builds, whose flight recorder is then dumped. The trace
+//! file, the flight dump and the `!metrics` reply that ends the script must
+//! equal the files in `tests/golden/` that the binary before the trace id
+//! moved into the `Obs` handle wrote: every event kind, every field in its
+//! order, `trace` as the last field of a traced request's events, and every
+//! metric series. `seq` and every `*_us` number are masked to 0, and so is
+//! each metric sample that measures time. The files are a record of that
+//! binary's output: a diff is a change to what is recorded, never a golden
+//! to regenerate.
+
+use recurs_cli::{build_service_cancellable, ServiceOpts};
+use recurs_serve::protocol::{handle_line, LineOutcome};
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
+
+/// The session. Every query names its trace id, so nothing is minted.
+const SCRIPT: &[&str] = &[
+    "@trace=a1 ?- P(1, y).",
+    "@trace=a2 ?- P(1, y).",
+    "@trace=a3 ?- P(x, 6).",
+    "+A(6, 7). +E(6, 7).",
+    "@trace=a4 ?- P(1, y).",
+    "+A(7, 8). +E(7, 8).",
+    "@trace=a5 ?- P(1, y).",
+    "why P(1, 6).",
+    "@trace=a6 !explain P(2, y).",
+    "!metrics",
+];
+
+fn dataset() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../datasets/transitive_closure.dl")
+}
+
+fn golden(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()))
+}
+
+/// `line` with the number after `"seq":` and after every `"…_us":` key
+/// replaced by 0.
+fn mask_event(line: &str) -> String {
+    let mut out = String::with_capacity(line.len());
+    let mut rest = line;
+    loop {
+        let next = ["\"seq\":", "_us\":"]
+            .iter()
+            .filter_map(|key| rest.find(key).map(|at| at + key.len()))
+            .min();
+        let Some(end) = next else { break };
+        let (head, tail) = rest.split_at(end);
+        out.push_str(head);
+        let digits = tail.bytes().take_while(u8::is_ascii_digit).count();
+        out.push_str(if digits > 0 { "0" } else { "" });
+        rest = &tail[digits..];
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Prometheus text with the value of every sample that measures time — a
+/// histogram's buckets and sum, a `*_us` total — replaced by 0.
+fn mask_metrics(text: &str) -> String {
+    let mut out = String::new();
+    for line in text.lines() {
+        let name = line.split(['{', ' ']).next().unwrap_or("");
+        let timed = name.ends_with("_bucket") || name.ends_with("_sum") || name.contains("_us");
+        match line.rsplit_once(' ') {
+            Some((series, _)) if timed && !line.starts_with('#') => {
+                out.push_str(series);
+                out.push_str(" 0");
+            }
+            _ => out.push_str(line),
+        }
+        out.push('\n');
+    }
+    out
+}
+
+fn mask_events(text: &str) -> String {
+    text.lines().map(|l| mask_event(l) + "\n").collect()
+}
+
+/// Asserts `got` equals the golden `name` line by line, naming the first
+/// line that differs.
+fn assert_golden(name: &str, got: &str) {
+    let want = golden(name);
+    for (i, (w, g)) in want.lines().zip(got.lines()).enumerate() {
+        assert_eq!(g, w, "{name}: line {} changed", i + 1);
+    }
+    assert_eq!(
+        got.lines().count(),
+        want.lines().count(),
+        "{name}: a different number of lines"
+    );
+}
+
+#[test]
+fn masking_zeroes_sequence_numbers_and_microseconds_only() {
+    assert_eq!(
+        mask_event(r#"{"seq":12,"ts_us":40,"kind":"span","name":"a_us","dur_us":7,"span":3}"#),
+        r#"{"seq":0,"ts_us":0,"kind":"span","name":"a_us","dur_us":0,"span":3}"#
+    );
+    assert_eq!(
+        mask_metrics("# TYPE x_seconds histogram\nx_seconds_bucket{le=\"1\"} 4\nx_seconds_sum 0.2\nx_seconds_count 4\ny_us_total 9\nz_total{a=\"b\"} 3\n"),
+        "# TYPE x_seconds histogram\nx_seconds_bucket{le=\"1\"} 0\nx_seconds_sum 0\nx_seconds_count 4\ny_us_total 0\nz_total{a=\"b\"} 3\n"
+    );
+}
+
+#[test]
+fn a_traced_session_records_the_events_and_metrics_on_file() {
+    let dir = std::env::temp_dir().join(format!("recurs-trace-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace = dir.join("trace.jsonl");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_recurs"))
+        .arg("serve")
+        .arg(dataset())
+        .arg("--stdin")
+        .arg("--trace")
+        .arg(&trace)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap_or_else(|e| panic!("cannot spawn recurs serve: {e}"));
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    for line in SCRIPT {
+        writeln!(stdin, "{line}").expect("write request");
+    }
+    drop(stdin);
+    let out = child.wait_with_output().expect("serve exits");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("replies are UTF-8");
+    let metrics = stdout
+        .find("# TYPE")
+        .map(|at| &stdout[at..])
+        .expect("the !metrics reply");
+    let recorded = std::fs::read_to_string(&trace).expect("trace file");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_golden("trace_events.jsonl", &mask_events(&recorded));
+    assert_golden("metrics.txt", &mask_metrics(metrics));
+}
+
+#[test]
+fn the_flight_recorder_retains_the_events_on_file() {
+    let source = std::fs::read_to_string(dataset()).expect("dataset");
+    let (service, _) =
+        build_service_cancellable(&source, &ServiceOpts::default(), None).expect("service");
+    for line in SCRIPT {
+        assert!(matches!(handle_line(&service, line), LineOutcome::Reply(_)));
+    }
+    assert_golden(
+        "flight_events.jsonl",
+        &mask_events(&service.postmortem_jsonl()),
+    );
+}

@@ -72,22 +72,30 @@ pub enum TruncationReason {
     Cancelled,
 }
 
-impl fmt::Display for TruncationReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl TruncationReason {
+    /// What stopped the run, as replies, events and metric labels name it:
+    /// `"iteration cap"`, `"deadline"`, …
+    pub fn label(self) -> &'static str {
+        match self {
             TruncationReason::IterationCap => "iteration cap",
             TruncationReason::Deadline => "deadline",
             TruncationReason::TupleCeiling => "tuple ceiling",
             TruncationReason::DeltaCeiling => "delta ceiling",
             TruncationReason::MemoryCeiling => "memory ceiling",
             TruncationReason::Cancelled => "cancelled",
-        })
+        }
+    }
+}
+
+impl fmt::Display for TruncationReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
     }
 }
 
 impl serde::Serialize for TruncationReason {
     fn to_value(&self) -> serde::Value {
-        serde::Value::string(self.to_string())
+        serde::Value::StaticStr(self.label())
     }
 }
 

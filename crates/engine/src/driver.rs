@@ -66,6 +66,13 @@ pub struct Rounds {
 ///
 /// Pipeline rows, head batches and deltas live in buffers the loop owns and
 /// reuses, so a round allocates only where one of them outgrows itself.
+///
+/// What it records: per round, one `engine.rule` event per rule that ran
+/// and one `engine.iteration` event, and the round's duration into
+/// `recurs_engine_iteration_seconds`; per call, the rounds and the fresh
+/// tuples summed into `recurs_engine_iterations_total` and
+/// `recurs_engine_tuples_derived_total`. No field is built by allocating:
+/// the `head` is the interned predicate's own text.
 // One argument per independent input; bundling them would only add a type.
 #[allow(clippy::too_many_arguments)]
 pub fn drive_rounds<M>(
@@ -158,7 +165,7 @@ where
                     &[
                         ("iteration", field::uz(round + 1)),
                         ("variant", field::uz(i)),
-                        ("head", field::s(rule.head_pred.to_string())),
+                        ("head", field::st(rule.head_pred.as_str())),
                         ("rows_in", field::uz(rows_in)),
                         ("derived", field::uz(derived.len())),
                     ],
@@ -205,6 +212,15 @@ where
     }
     out.probes = counters.probes;
     out.probe_hits = counters.hits;
+    if obs.enabled() && !out.iterations.is_empty() {
+        let rounds = out.iterations.len() as u64;
+        obs.counter("recurs_engine_iterations_total", &[], rounds);
+        obs.counter(
+            "recurs_engine_tuples_derived_total",
+            &[],
+            fresh_total as u64,
+        );
+    }
     Ok(out)
 }
 
@@ -218,18 +234,12 @@ fn memory_in_use(db: &EngineDb) -> usize {
     db.heap_bytes() + ballast
 }
 
-/// Emits the per-round provenance event plus round counters and the
-/// round-duration histogram. No-op with a disabled handle.
+/// Emits the per-round provenance event and the round-duration histogram.
+/// No-op with a disabled handle.
 fn emit_iteration(obs: &Obs, iteration: usize, it: &IterationStats) {
     if !obs.enabled() {
         return;
     }
-    obs.counter("recurs_engine_iterations_total", &[], 1);
-    obs.counter(
-        "recurs_engine_tuples_derived_total",
-        &[],
-        it.new_tuples as u64,
-    );
     obs.observe(
         "recurs_engine_iteration_seconds",
         &[],

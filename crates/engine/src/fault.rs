@@ -106,8 +106,8 @@ fn announce(obs: &Obs, kind: &'static str, round: u64, pause: Duration) {
         obs.event(
             "fault.injected",
             &[
-                ("kind", field::s(kind)),
-                ("site", field::s("round")),
+                ("kind", field::st(kind)),
+                ("site", field::st("round")),
                 ("round", field::u(round)),
                 ("duration_us", field::us(pause)),
             ],

@@ -133,8 +133,8 @@ fn dispatch(lr: &LinearRecursion, config: &EngineConfig) -> KernelKind {
         config.obs.event(
             "engine.dispatch",
             &[
-                ("class", field::s(classification.class.label())),
-                ("kernel", field::s(kernel.label())),
+                ("class", field::st(classification.class.label())),
+                ("kernel", kernel.label().into()),
             ],
         );
     }
@@ -261,7 +261,7 @@ pub fn saturate(
     if obs.enabled() {
         let kernel_label = kernel.label();
         obs.counter("recurs_engine_runs_total", &[("kernel", &kernel_label)], 1);
-        obs.event("engine.start", &[("kernel", field::s(kernel_label))]);
+        obs.event("engine.start", &[("kernel", kernel_label.into())]);
     }
 
     // Tuples the caller pre-seeded into IDB relations (e.g. magic seeds)
@@ -306,12 +306,12 @@ pub fn saturate(
         obs.counter("recurs_engine_probe_hits_total", &[], stats.probe_hits);
         match rounds.truncation {
             Some(reason) => {
-                let label = reason.to_string();
-                obs.counter("recurs_engine_truncations_total", &[("reason", &label)], 1);
+                let label = reason.label();
+                obs.counter("recurs_engine_truncations_total", &[("reason", label)], 1);
                 obs.event(
                     "engine.truncated",
                     &[
-                        ("reason", field::s(label)),
+                        ("reason", field::st(label)),
                         ("iterations", field::uz(stats.iteration_count())),
                         ("tuples_derived", field::uz(stats.tuples_derived)),
                     ],

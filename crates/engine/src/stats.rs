@@ -1,6 +1,7 @@
 //! Execution statistics: what the engine did, per iteration and in total.
 
 use crate::storage::IndexCounters;
+use std::borrow::Cow;
 use std::fmt;
 use std::time::Duration;
 
@@ -26,12 +27,13 @@ pub enum KernelKind {
 }
 
 impl KernelKind {
-    /// Short label for reports, e.g. `"frontier"`, `"unroll(3)"`.
-    pub fn label(&self) -> String {
+    /// Short label for reports, e.g. `"frontier"`, `"unroll(3)"`: static
+    /// but for the rank.
+    pub fn label(&self) -> Cow<'static, str> {
         match self {
-            KernelKind::Frontier => "frontier".to_string(),
-            KernelKind::BoundedUnroll { rank } => format!("unroll({rank})"),
-            KernelKind::Generic => "generic".to_string(),
+            KernelKind::Frontier => Cow::Borrowed("frontier"),
+            KernelKind::BoundedUnroll { rank } => Cow::Owned(format!("unroll({rank})")),
+            KernelKind::Generic => Cow::Borrowed("generic"),
         }
     }
 }
@@ -44,7 +46,7 @@ impl fmt::Display for KernelKind {
 
 impl serde::Serialize for KernelKind {
     fn to_value(&self) -> serde::Value {
-        serde::Value::string(self.label())
+        self.label().into()
     }
 }
 

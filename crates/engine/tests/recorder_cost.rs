@@ -5,7 +5,10 @@
 //! round — never per tuple. So a counting recorder attached to a run sees
 //! at most `PER_ROUND_RULE · rounds · rules + PER_RUN` calls, and the count
 //! grows with rounds, not with the tuples derived. The no-op handle takes
-//! the same branches and makes none of the calls.
+//! the same branches and makes none of the calls. Within that, the round
+//! driver's counters are per call, not per round: one `drive_rounds` call
+//! adds its rounds and fresh tuples once each, while its events stay one per
+//! rule per round and one per round.
 
 use recurs_datalog::database::Database;
 use recurs_datalog::govern::EvalBudget;
@@ -15,40 +18,46 @@ use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_engine::compile::CompiledRule;
 use recurs_engine::{drive_rounds, saturate_linear, EngineConfig, EngineDb};
-use recurs_obs::{Obs, Recorder, Value};
+use recurs_obs::{Obs, Recorder, TraceId, Value};
 use recurs_workload::graphs::chain;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Calls per round and rule: a round's counters, histogram and event, plus
-/// one `engine.rule` event per rule it runs.
+/// Calls per round and rule: a round's histogram and event, plus one
+/// `engine.rule` event per rule it runs.
 const PER_ROUND_RULE: u64 = 3;
-/// Calls per run: dispatch, start and completion.
+/// Calls per run: dispatch, start, the round driver's two counters, and
+/// completion.
 const PER_RUN: u64 = 8;
 
-/// Counts every call a sink receives, and the rounds among them (one
-/// `engine.iteration` event each).
+/// Counts every call a sink receives, and among them the counter calls, the
+/// rounds (one `engine.iteration` event each) and the `engine.rule` events.
 #[derive(Debug, Default)]
 struct Counting {
     calls: AtomicU64,
+    counters: AtomicU64,
     rounds: AtomicU64,
+    rule_events: AtomicU64,
 }
 
 impl Recorder for Counting {
     fn counter(&self, _: &'static str, _: &[(&'static str, &str)], _: u64) {
         self.calls.fetch_add(1, Ordering::Relaxed);
+        self.counters.fetch_add(1, Ordering::Relaxed);
     }
 
     fn observe(&self, _: &'static str, _: &[(&'static str, &str)], _: f64) {
         self.calls.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn event(&self, kind: &'static str, _: &[(&'static str, Value)]) {
+    fn event(&self, kind: &'static str, _: &[(&'static str, Value)], _: Option<TraceId>) {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        if kind == "engine.iteration" {
-            self.rounds.fetch_add(1, Ordering::Relaxed);
-        }
+        match kind {
+            "engine.iteration" => self.rounds.fetch_add(1, Ordering::Relaxed),
+            "engine.rule" => self.rule_events.fetch_add(1, Ordering::Relaxed),
+            _ => 0,
+        };
     }
 }
 
@@ -143,14 +152,13 @@ fn transitive_closure_emits_per_round_not_per_tuple() {
     counted.assert_bounded("tc/800", rules(&workload.0));
 }
 
-/// `why`'s rank-tracked saturation (`recurs_ivm::explain_fact`), replayed
-/// with a counting handle where `explain_fact` passes the no-op one: the
-/// exit rules seed, the recursive rule's delta pipeline propagates, and the
-/// merge records the round each tuple first appeared in.
-#[test]
-fn a_rank_tracked_saturation_emits_per_round_not_per_tuple() {
-    let (lr, db) = sg(1023);
-    let mut store = EngineDb::from(&db);
+/// `why`'s rank-tracked saturation (`recurs_ivm::explain_fact`) over `lr`
+/// and `db`, replayed with a counting handle where `explain_fact` passes the
+/// no-op one: the exit rules seed, the recursive rule's delta pipeline
+/// propagates, and the merge records the round each tuple first appeared
+/// in. Returns the sink, the round count and the ranks.
+fn rank_tracked((lr, db): &(LinearRecursion, Database)) -> (Arc<Counting>, u64, Vec<u64>) {
+    let mut store = EngineDb::from(db);
     store.declare(lr.predicate, lr.dimension()).unwrap();
     let p_pos = lr
         .recursive_rule
@@ -184,12 +192,40 @@ fn a_rank_tracked_saturation_emits_per_round_not_per_tuple() {
         },
     )
     .unwrap();
+    (counting, run.iterations.len() as u64, ranks)
+}
+
+#[test]
+fn a_rank_tracked_saturation_emits_per_round_not_per_tuple() {
+    let workload = sg(1023);
+    let (counting, rounds, ranks) = rank_tracked(&workload);
     let counted = Counted {
         calls: counting.calls.load(Ordering::Relaxed),
         rounds: counting.rounds.load(Ordering::Relaxed),
         tuples: ranks.len(),
     };
-    assert_eq!(counted.rounds, run.iterations.len() as u64);
+    assert_eq!(counted.rounds, rounds);
     assert_eq!(ranks.last().copied(), Some(9), "the leaves pair up last");
-    counted.assert_bounded("rank-tracked sg/1023", rules(&lr));
+    counted.assert_bounded("rank-tracked sg/1023", rules(&workload.0));
+}
+
+#[test]
+fn a_drive_rounds_call_adds_its_counters_once_and_emits_per_round() {
+    // 10 rounds on SG, 200 on a TC chain: the counter calls stay two.
+    for (what, workload) in [("sg/1023", sg(1023)), ("tc/200", tc(200))] {
+        let (counting, rounds, _) = rank_tracked(&workload);
+        let read = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        assert!(rounds >= 10, "{what}: {rounds} rounds");
+        assert_eq!(read(&counting.counters), 2, "{what}: counter calls");
+        assert_eq!(
+            read(&counting.rounds),
+            rounds,
+            "{what}: one iteration event a round"
+        );
+        let rule_events = read(&counting.rule_events);
+        assert!(
+            rule_events >= rounds && rule_events <= rounds * rules(&workload.0),
+            "{what}: {rule_events} rule events in {rounds} rounds"
+        );
+    }
 }

@@ -127,7 +127,7 @@ impl Materialization {
         mat.obs.event(
             "ivm.saturate",
             &[
-                ("path", field::s(mat.path.label())),
+                ("path", field::st(mat.path.label())),
                 ("tuples", field::uz(mat.relation().len())),
                 ("rounds", field::uz(run.iterations.len())),
             ],

@@ -285,8 +285,9 @@ impl Materialization {
             return;
         }
         let stats = &report.stats;
-        let mut fields = vec![
-            ("path", field::s(report.path.label())),
+        let truncation = report.truncation.map(TruncationReason::label);
+        let fields = [
+            ("path", field::st(report.path.label())),
             ("edb_inserted", field::uz(stats.edb_inserted)),
             ("edb_deleted", field::uz(stats.edb_deleted)),
             ("idb_inserted", field::uz(stats.idb_inserted)),
@@ -294,10 +295,10 @@ impl Materialization {
             ("overdeleted", field::uz(stats.overdeleted)),
             ("rederived", field::uz(stats.rederived)),
             ("rounds", field::u(stats.rounds)),
+            ("truncation", field::st(truncation.unwrap_or_default())),
         ];
-        if let Some(reason) = report.truncation {
-            fields.push(("truncation", field::s(reason.to_string())));
-        }
-        self.obs.event("ivm.patch", &fields);
+        // `truncation` only on a patch the budget stopped.
+        let shown = fields.len() - usize::from(truncation.is_none());
+        self.obs.event("ivm.patch", &fields[..shown]);
     }
 }

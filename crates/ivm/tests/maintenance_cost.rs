@@ -22,15 +22,16 @@ use recurs_datalog::symbol::Symbol;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_engine::EngineDb;
 use recurs_ivm::{EdbDelta, FactOp, MaintenancePath, Materialization, PatchReport};
-use recurs_obs::{Obs, Recorder, Value};
+use recurs_obs::{Obs, Recorder, TraceId, Value};
 use recurs_workload::graphs::chain;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Calls per round and rule: a round's counters, histogram and event, plus
-/// one `engine.rule` event per rule it runs.
+/// Calls per round and rule: a round's histogram and event, plus one
+/// `engine.rule` event per rule it runs.
 const PER_ROUND_RULE: u64 = 3;
-/// Calls per patch or saturation: the `ivm.*` counter and event.
+/// Calls per patch or saturation: the `ivm.*` counter and event, and each
+/// `drive_rounds` call's two counters.
 const PER_RUN: u64 = 8;
 
 /// Counts every call a sink receives, and the rounds among them (one
@@ -60,7 +61,7 @@ impl Recorder for Counting {
         self.calls.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn event(&self, kind: &'static str, _: &[(&'static str, Value)]) {
+    fn event(&self, kind: &'static str, _: &[(&'static str, Value)], _: Option<TraceId>) {
         self.calls.fetch_add(1, Ordering::Relaxed);
         if kind == "engine.iteration" {
             self.rounds.fetch_add(1, Ordering::Relaxed);

@@ -184,8 +184,8 @@ impl Shared {
         self.service.obs().event(
             "net.postmortem",
             &[
-                ("cause", field::s(cause)),
-                ("outcome", field::s(outcome)),
+                ("cause", field::st(cause)),
+                ("outcome", field::st(outcome)),
                 ("bytes", field::uz(dump.len())),
             ],
         );
@@ -215,7 +215,7 @@ impl ShutdownHandle {
         self.shared
             .service
             .obs()
-            .event("net.drain", &[("phase", field::s("started"))]);
+            .event("net.drain", &[("phase", field::st("started"))]);
     }
 
     /// True once [`ShutdownHandle::drain`] has been called.
@@ -304,7 +304,7 @@ impl NetServer {
             shared.service.obs().event(
                 "net.drain",
                 &[
-                    ("phase", field::s("forced")),
+                    ("phase", field::st("forced")),
                     ("active", field::uz(shared.active_count())),
                 ],
             );
@@ -317,7 +317,7 @@ impl NetServer {
         shared.service.obs().event(
             "net.drain",
             &[
-                ("phase", field::s("complete")),
+                ("phase", field::st("complete")),
                 ("forced", field::b(forced)),
                 ("remaining", field::uz(remaining)),
             ],
@@ -351,7 +351,7 @@ fn admit(shared: &Arc<Shared>, mut stream: TcpStream) {
         if obs.enabled() {
             obs.event(
                 "net.admission",
-                &[("result", field::s("shed")), ("active", field::uz(active))],
+                &[("result", field::st("shed")), ("active", field::uz(active))],
             );
         }
         let reply = error_reply(
@@ -368,7 +368,7 @@ fn admit(shared: &Arc<Shared>, mut stream: TcpStream) {
         obs.event(
             "net.admission",
             &[
-                ("result", field::s("accepted")),
+                ("result", field::st("accepted")),
                 ("active", field::uz(active + 1)),
             ],
         );
@@ -516,7 +516,7 @@ fn frame_error(shared: &Shared, reason: &'static str) {
     let obs = shared.service.obs();
     obs.counter("recurs_net_frame_errors_total", &[("reason", reason)], 1);
     if obs.enabled() {
-        obs.event("net.frame_error", &[("reason", field::s(reason))]);
+        obs.event("net.frame_error", &[("reason", field::st(reason))]);
     }
 }
 

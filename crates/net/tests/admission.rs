@@ -8,22 +8,12 @@ use common::{connect, fast_config, spawn_server, tc_service};
 use recurs_net::client::{classify, ReplyKind};
 use recurs_net::proto::{json_str_field, json_u64_field};
 use recurs_net::{Client, NetConfig};
+use recurs_obs::{Obs, Recorder, TraceId, Value};
 use recurs_serve::ServeConfig;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// The saturation tests are timing-sensitive and CPU-heavy (a hammer thread
-/// running free queries in a debug build); running two at once starves both
-/// past their client timeouts, so they serialize on this gate.
-static HEAVY: Mutex<()> = Mutex::new(());
-
-fn heavy() -> MutexGuard<'static, ()> {
-    HEAVY.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A serve config with a single evaluation slot, so one expensive query
-/// saturates admission.
+/// A serve config with a single evaluation slot.
 fn one_slot() -> ServeConfig {
     ServeConfig {
         max_concurrent: 1,
@@ -32,52 +22,119 @@ fn one_slot() -> ServeConfig {
     }
 }
 
-/// Spawns a thread hammering the single evaluation slot with expensive
-/// free queries until the returned flag is set.
-fn saturate(addr: &str, stop: Arc<AtomicBool>) -> std::thread::JoinHandle<()> {
-    let addr = addr.to_string();
-    std::thread::spawn(move || {
-        let mut client = Client::connect(&addr, Duration::from_secs(10)).expect("connect");
-        while !stop.load(Ordering::SeqCst) {
-            if client.roundtrip("?- P(x, y).").is_err() {
-                break;
-            }
+/// The trace id of the request that holds the slot.
+const HOLDER: &str = "5107";
+
+/// A recorder that keeps the request traced [`HOLDER`] inside the one
+/// evaluation slot — at the first event it emits once admitted, its
+/// `admission` span — until the test releases it. The slot is held exactly
+/// as long as the test says, however fast a query runs.
+#[derive(Debug, Default)]
+struct SlotHolder {
+    /// `(held, released)`.
+    state: Mutex<(bool, bool)>,
+    changed: Condvar,
+}
+
+impl SlotHolder {
+    fn state(&self) -> MutexGuard<'_, (bool, bool)> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks until the holder is admitted and stopped inside the slot.
+    fn wait_held(&self) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut state = self.state();
+        while !state.0 {
+            let left = deadline
+                .checked_duration_since(Instant::now())
+                .expect("the holding request was never admitted");
+            state = self
+                .changed
+                .wait_timeout(state, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
-        let _ = client.roundtrip("!quit");
-    })
+    }
+
+    /// Lets the holder finish, freeing the slot.
+    fn release(&self) {
+        self.state().1 = true;
+        self.changed.notify_all();
+    }
+}
+
+impl Recorder for SlotHolder {
+    fn event(&self, kind: &'static str, _: &[(&'static str, Value)], trace: Option<TraceId>) {
+        if kind != "span" || trace != TraceId::parse(HOLDER).ok() {
+            return;
+        }
+        let mut state = self.state();
+        state.0 = true;
+        self.changed.notify_all();
+        while !state.1 {
+            state = self
+                .changed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// A server with one evaluation slot under `config`, and a connection whose
+/// query holds that slot until [`SlotHolder::release`]; join the returned
+/// thread after releasing it.
+fn held_slot(
+    config: NetConfig,
+) -> (
+    String,
+    recurs_net::ShutdownHandle,
+    std::thread::JoinHandle<std::io::Result<recurs_net::DrainReport>>,
+    Arc<SlotHolder>,
+    std::thread::JoinHandle<()>,
+) {
+    let holder = Arc::new(SlotHolder::default());
+    let serve = ServeConfig {
+        obs: Obs::new(holder.clone()),
+        ..one_slot()
+    };
+    let (addr, handle, join) = spawn_server(tc_service(50, serve), config);
+    let holding = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(&addr, Duration::from_secs(30)).expect("connect");
+            let reply = client
+                .roundtrip(&format!("@trace={HOLDER} ?- P(x, y)."))
+                .expect("the holder's reply");
+            assert!(reply.contains("\"ok\":true"), "{reply}");
+        })
+    };
+    holder.wait_held();
+    (addr, handle, join, holder, holding)
 }
 
 #[test]
 fn saturated_slot_sheds_with_the_configured_retry_hint_within_a_bounded_wait() {
-    let _gate = heavy();
     let config = NetConfig {
         max_queue_wait: Duration::from_millis(20),
         retry_after_ms: 77,
         ..fast_config()
     };
-    let (addr, handle, join) = spawn_server(tc_service(500, one_slot()), config);
-    let stop = Arc::new(AtomicBool::new(false));
-    let hammer = saturate(&addr, Arc::clone(&stop));
-    std::thread::sleep(Duration::from_millis(60)); // let the slot fill
+    let (addr, handle, join, holder, holding) = held_slot(config);
 
     let mut client = connect(&addr);
-    let mut shed = None;
-    // The hammer releases the slot between its queries; retry until our
-    // probe lands while the slot is held.
-    for _ in 0..50 {
-        let started = Instant::now();
-        let reply = client.roundtrip("?- P(1, y).").expect("reply");
-        let waited = started.elapsed();
-        if json_str_field(&reply, "type") == Some("overloaded") {
-            assert!(
-                waited < Duration::from_secs(2),
-                "shed must be bounded by max_queue_wait, waited {waited:?}"
-            );
-            shed = Some(reply);
-            break;
-        }
-    }
-    let reply = shed.expect("a probe should get shed while the slot is held");
+    let started = Instant::now();
+    let reply = client.roundtrip("?- P(1, y).").expect("reply");
+    let waited = started.elapsed();
+    assert_eq!(
+        json_str_field(&reply, "type"),
+        Some("overloaded"),
+        "{reply}"
+    );
+    assert!(
+        waited >= Duration::from_millis(20) && waited < Duration::from_secs(2),
+        "shed must be bounded by max_queue_wait, waited {waited:?}"
+    );
     assert!(reply.contains("\"ok\":false"), "{reply}");
     assert_eq!(
         json_u64_field(&reply, "retry_after_ms"),
@@ -85,8 +142,8 @@ fn saturated_slot_sheds_with_the_configured_retry_hint_within_a_bounded_wait() {
         "shed replies must carry the configured hint: {reply}"
     );
 
-    stop.store(true, Ordering::SeqCst);
-    hammer.join().expect("hammer thread");
+    holder.release();
+    holding.join().expect("holding thread");
     drop(client);
     handle.drain();
     join.join().expect("server thread").expect("run ok");
@@ -94,42 +151,29 @@ fn saturated_slot_sheds_with_the_configured_retry_hint_within_a_bounded_wait() {
 
 #[test]
 fn shed_request_succeeds_after_backing_off() {
-    let _gate = heavy();
     let config = NetConfig {
         max_queue_wait: Duration::from_millis(10),
         retry_after_ms: 25,
         ..fast_config()
     };
-    let (addr, handle, join) = spawn_server(tc_service(500, one_slot()), config);
-    let stop = Arc::new(AtomicBool::new(false));
-    let hammer = saturate(&addr, Arc::clone(&stop));
-    std::thread::sleep(Duration::from_millis(60));
+    let (addr, handle, join, holder, holding) = held_slot(config);
 
     let mut client = connect(&addr);
-    let mut saw_shed = false;
-    let mut answered = false;
-    for _ in 0..200 {
-        let reply = client.roundtrip("?- P(1, y).").expect("reply");
-        match json_str_field(&reply, "type") {
-            Some("overloaded") => {
-                saw_shed = true;
-                let hint = json_u64_field(&reply, "retry_after_ms").unwrap_or(25);
-                std::thread::sleep(Duration::from_millis(hint));
-            }
-            Some("answers") => {
-                answered = true;
-                if saw_shed {
-                    break; // shed, backed off, then succeeded: the contract
-                }
-            }
-            other => panic!("unexpected reply type {other:?}: {reply}"),
-        }
-    }
-    assert!(saw_shed, "the saturated slot should shed at least once");
-    assert!(answered, "retrying after the hint must eventually succeed");
+    let reply = client.roundtrip("?- P(1, y).").expect("reply");
+    assert_eq!(
+        json_str_field(&reply, "type"),
+        Some("overloaded"),
+        "the held slot sheds: {reply}"
+    );
+    let hint = json_u64_field(&reply, "retry_after_ms").expect("a retry hint");
+    assert_eq!(hint, 25, "{reply}");
+    // The slot frees while the client backs off; the retry is answered.
+    holder.release();
+    holding.join().expect("holding thread");
+    std::thread::sleep(Duration::from_millis(hint));
+    let reply = client.roundtrip("?- P(1, y).").expect("reply");
+    assert_eq!(json_str_field(&reply, "type"), Some("answers"), "{reply}");
 
-    stop.store(true, Ordering::SeqCst);
-    hammer.join().expect("hammer thread");
     drop(client);
     handle.drain();
     join.join().expect("server thread").expect("run ok");
@@ -175,7 +219,6 @@ fn connection_cap_sheds_new_connections_with_a_typed_reply() {
 /// loses its connection, and the server then drains without the hard cancel.
 #[test]
 fn smoke_load_is_served_without_shedding_errors_or_a_forced_drain() {
-    let _gate = heavy();
     let (addr, handle, join) = spawn_server(
         tc_service(100, ServeConfig::default()),
         NetConfig::default(),

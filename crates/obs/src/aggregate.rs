@@ -3,7 +3,10 @@
 //! The [`Aggregator`] is the metrics sink: counters and histograms land in
 //! one of `N` independently locked shards (picked by hashing the metric
 //! name + label set), so concurrent workers rarely contend on the same
-//! mutex. Events are ignored — provenance goes to the trace sink. Reads
+//! mutex. A series is found by its borrowed name and labels, in whatever
+//! order the caller lists them; its owned [`LabelSet`] is built once, when
+//! the series is first seen, so recording into a known series allocates
+//! nothing. Events are ignored — provenance goes to the trace sink. Reads
 //! ([`Aggregator::snapshot`], [`Aggregator::counter_where`]) walk every
 //! shard; they run at query/report time, never on the hot path.
 
@@ -97,7 +100,44 @@ enum Cell {
     Histogram(Histogram),
 }
 
-type Shard = HashMap<(&'static str, LabelSet), Cell>;
+/// One stored series.
+#[derive(Debug)]
+struct Series {
+    name: &'static str,
+    labels: LabelSet,
+    cell: Cell,
+}
+
+impl Series {
+    /// Whether this is the series `name` with exactly `labels`, in any
+    /// order (a label set names each key once).
+    fn is(&self, name: &str, labels: &[(&'static str, &str)]) -> bool {
+        self.name == name
+            && self.labels.len() == labels.len()
+            && labels
+                .iter()
+                .all(|(k, v)| self.labels.iter().any(|(sk, sv)| sk == k && sv == v))
+    }
+}
+
+/// Series keyed by [`series_hash`]; equal hashes share a bucket.
+type Shard = HashMap<u64, Vec<Series>>;
+
+/// A series' identity, hashed without building it: the name, then the sum
+/// of the per-label hashes, so the order the labels are listed in does not
+/// matter.
+fn series_hash(name: &str, labels: &[(&'static str, &str)]) -> u64 {
+    let mut labels_hash = 0u64;
+    for label in labels {
+        let mut h = DefaultHasher::new();
+        label.hash(&mut h);
+        labels_hash = labels_hash.wrapping_add(h.finish());
+    }
+    let mut h = DefaultHasher::new();
+    name.hash(&mut h);
+    labels_hash.hash(&mut h);
+    h.finish()
+}
 
 /// The sharded metric store. See the [module docs](self).
 #[derive(Debug)]
@@ -120,22 +160,47 @@ impl Aggregator {
         }
     }
 
-    fn shard(&self, name: &str, labels: &LabelSet) -> MutexGuard<'_, Shard> {
-        let mut h = DefaultHasher::new();
-        name.hash(&mut h);
-        labels.hash(&mut h);
-        let idx = (h.finish() as usize) % self.shards.len();
-        self.shards[idx]
+    fn shard(&self, hash: u64) -> MutexGuard<'_, Shard> {
+        self.shards[(hash as usize) % self.shards.len()]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Applies `apply` to the series `name` with `labels`, creating it with
+    /// `fresh` the first time it is seen.
+    fn record(
+        &self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        fresh: impl FnOnce() -> Cell,
+        apply: impl FnOnce(&mut Cell),
+    ) {
+        let hash = series_hash(name, labels);
+        let mut shard = self.shard(hash);
+        let bucket = shard.entry(hash).or_default();
+        let at = match bucket.iter().position(|s| s.is(name, labels)) {
+            Some(at) => at,
+            None => {
+                bucket.push(Series {
+                    name,
+                    labels: label_set(labels),
+                    cell: fresh(),
+                });
+                bucket.len() - 1
+            }
+        };
+        apply(&mut bucket[at].cell);
+    }
+
     /// Current value of the counter with *exactly* this label set.
     pub fn counter_value(&self, name: &str, labels: &[(&'static str, &str)]) -> u64 {
-        let set = label_set(labels);
-        let shard = self.shard(name, &set);
-        match shard.iter().find(|((n, l), _)| *n == name && *l == set) {
-            Some((_, Cell::Counter(v))) => *v,
+        let hash = series_hash(name, labels);
+        let shard = self.shard(hash);
+        let series = shard
+            .get(&hash)
+            .and_then(|bucket| bucket.iter().find(|s| s.is(name, labels)));
+        match series.map(|s| &s.cell) {
+            Some(Cell::Counter(v)) => *v,
             _ => 0,
         }
     }
@@ -146,14 +211,14 @@ impl Aggregator {
         let mut total = 0;
         for shard in self.shards.iter() {
             let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            for ((n, labels), cell) in shard.iter() {
-                if *n == name
+            for series in shard.values().flatten() {
+                if series.name == name
                     && required
                         .iter()
-                        .all(|(rk, rv)| labels.iter().any(|(k, v)| k == rk && v == rv))
+                        .all(|(rk, rv)| series.labels.iter().any(|(k, v)| k == rk && v == rv))
                 {
-                    if let Cell::Counter(v) = cell {
-                        total += *v;
+                    if let Cell::Counter(v) = series.cell {
+                        total += v;
                     }
                 }
             }
@@ -167,11 +232,11 @@ impl Aggregator {
         let mut out = Vec::new();
         for shard in self.shards.iter() {
             let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            for ((name, labels), cell) in shard.iter() {
+            for series in shard.values().flatten() {
                 out.push(Metric {
-                    name,
-                    labels: labels.clone(),
-                    value: match cell {
+                    name: series.name,
+                    labels: series.labels.clone(),
+                    value: match &series.cell {
                         Cell::Counter(v) => MetricValue::Counter(*v),
                         Cell::Histogram(h) => MetricValue::Histogram(h.clone()),
                     },
@@ -191,27 +256,30 @@ impl Aggregator {
 
 impl Recorder for Aggregator {
     fn counter(&self, name: &'static str, labels: &[(&'static str, &str)], delta: u64) {
-        let set = label_set(labels);
-        let mut shard = self.shard(name, &set);
-        match shard.entry((name, set)).or_insert(Cell::Counter(0)) {
-            Cell::Counter(v) => *v += delta,
-            // A name can't be both a counter and a histogram; if a caller
-            // mixes kinds, the first emission wins and the rest are dropped
-            // rather than corrupting the series.
-            Cell::Histogram(_) => {}
-        }
+        self.record(
+            name,
+            labels,
+            || Cell::Counter(0),
+            |cell| match cell {
+                Cell::Counter(v) => *v += delta,
+                // A name can't be both a counter and a histogram; if a caller
+                // mixes kinds, the first emission wins and the rest are
+                // dropped rather than corrupting the series.
+                Cell::Histogram(_) => {}
+            },
+        );
     }
 
     fn observe(&self, name: &'static str, labels: &[(&'static str, &str)], value: f64) {
-        let set = label_set(labels);
-        let mut shard = self.shard(name, &set);
-        match shard
-            .entry((name, set))
-            .or_insert_with(|| Cell::Histogram(Histogram::new(SECONDS_BOUNDS)))
-        {
-            Cell::Histogram(h) => h.record(value),
-            Cell::Counter(_) => {}
-        }
+        self.record(
+            name,
+            labels,
+            || Cell::Histogram(Histogram::new(SECONDS_BOUNDS)),
+            |cell| match cell {
+                Cell::Histogram(h) => h.record(value),
+                Cell::Counter(_) => {}
+            },
+        );
     }
 }
 
@@ -239,6 +307,21 @@ mod tests {
         agg.counter("c", &[("b", "2"), ("a", "1")], 1);
         assert_eq!(agg.counter_value("c", &[("a", "1"), ("b", "2")]), 2);
         assert_eq!(agg.snapshot().len(), 1);
+    }
+
+    #[test]
+    fn series_are_told_apart_by_every_label_not_only_the_hash() {
+        let agg = Aggregator::new(1);
+        agg.counter("c", &[("a", "1"), ("b", "2")], 1);
+        agg.counter("c", &[("a", "2"), ("b", "1")], 10);
+        agg.counter("c", &[("a", "1")], 100);
+        agg.counter("d", &[("a", "1"), ("b", "2")], 1000);
+        assert_eq!(agg.counter_value("c", &[("b", "2"), ("a", "1")]), 1);
+        assert_eq!(agg.counter_value("c", &[("a", "2"), ("b", "1")]), 10);
+        assert_eq!(agg.counter_value("c", &[("a", "1")]), 100);
+        assert_eq!(agg.counter_value("c", &[("a", "1"), ("b", "1")]), 0);
+        assert_eq!(agg.counter_where("c", &[("a", "1")]), 101);
+        assert_eq!(agg.snapshot().len(), 4);
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //! A [`TraceId`] names one request end to end. The serve/net boundary
 //! mints one per request (or validates a client-supplied `@trace=<id>`
 //! prefix), wraps the layer's [`Obs`] handle in a [`TraceCtx`], and passes
-//! the context's scoped handle down the call chain. Every event emitted
-//! through that handle — admission, cache probe, kernel dispatch, ivm
-//! patch — carries a `trace` field, so a JSON-lines trace can be grouped
-//! back into per-request stories.
+//! the context's handle — the same sinks, tagged with the id
+//! ([`Obs::with_trace`]) — down the call chain. Every event emitted through
+//! that handle — admission, cache probe, kernel dispatch, each round —
+//! reaches the sinks with the id, and the sinks that keep events render it
+//! as a last `trace` field, so a JSON-lines trace can be grouped back into
+//! per-request stories. Scoping a request copies a handle; it builds no
+//! sink, string or field list.
 //!
 //! On top of the id, a context records **hierarchical spans**: each
 //! [`TraceCtx::span`] allocates a [`SpanId`], remembers its parent, and on
@@ -15,14 +18,12 @@
 //! plain events — they flow through the same sinks as everything else and
 //! need no new recorder surface. `obsctl` reconstructs the trees.
 //!
-//! With a no-op base handle the scoped handle is also no-op: spans take no
-//! timestamps and emit nothing, so untraced requests pay only an id
-//! allocation.
+//! With a no-op base handle the scoped handle is also no-op: spans emit
+//! nothing.
 
-use crate::{Obs, Recorder, Value};
+use crate::{Obs, Value};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A request-scoped trace identifier (64 bits, rendered as 16 hex chars).
@@ -115,36 +116,6 @@ impl SpanId {
     pub const NONE: SpanId = SpanId(0);
 }
 
-/// Appends a `trace` field to every event passing through, leaving
-/// counters and histograms untouched (metrics stay aggregate; provenance
-/// is what gets scoped).
-#[derive(Debug)]
-struct ScopedRecorder {
-    inner: Arc<dyn Recorder>,
-    trace: String,
-}
-
-impl Recorder for ScopedRecorder {
-    fn enabled(&self) -> bool {
-        self.inner.enabled()
-    }
-
-    fn counter(&self, name: &'static str, labels: &[(&'static str, &str)], delta: u64) {
-        self.inner.counter(name, labels, delta);
-    }
-
-    fn observe(&self, name: &'static str, labels: &[(&'static str, &str)], value: f64) {
-        self.inner.observe(name, labels, value);
-    }
-
-    fn event(&self, kind: &'static str, fields: &[(&'static str, Value)]) {
-        let mut scoped: Vec<(&'static str, Value)> = Vec::with_capacity(fields.len() + 1);
-        scoped.extend(fields.iter().map(|(k, v)| (*k, v.clone())));
-        scoped.push(("trace", Value::string(&self.trace)));
-        self.inner.event(kind, &scoped);
-    }
-}
-
 /// One request's trace context: the id, a scoped [`Obs`] handle that tags
 /// every event with it, and a span-id allocator. See the [module
 /// docs](self).
@@ -159,16 +130,9 @@ pub struct TraceCtx {
 impl TraceCtx {
     /// Scopes `base` to the given trace id. A no-op base stays no-op.
     pub fn new(base: &Obs, id: TraceId) -> TraceCtx {
-        let obs = match base.recorder() {
-            None => Obs::noop(),
-            Some(inner) => Obs::new(Arc::new(ScopedRecorder {
-                inner,
-                trace: id.to_string(),
-            })),
-        };
         TraceCtx {
             id,
-            obs,
+            obs: base.with_trace(id),
             epoch: Instant::now(),
             next_span: AtomicU64::new(0),
         }
@@ -191,17 +155,17 @@ impl TraceCtx {
     }
 
     /// Starts a root span (no parent).
-    pub fn root(&self, name: &'static str) -> SpanGuard {
+    pub fn root(&self, name: &'static str) -> SpanGuard<'_> {
         self.span(name, SpanId::NONE)
     }
 
     /// Starts a span under `parent`. The guard emits one `span` event when
     /// dropped (or [`SpanGuard::finish`]ed); child spans reference it via
     /// [`SpanGuard::id`].
-    pub fn span(&self, name: &'static str, parent: SpanId) -> SpanGuard {
+    pub fn span(&self, name: &'static str, parent: SpanId) -> SpanGuard<'_> {
         let id = SpanId(self.next_span.fetch_add(1, Ordering::Relaxed) + 1);
         SpanGuard {
-            obs: self.obs.clone(),
+            obs: &self.obs,
             name,
             id,
             parent,
@@ -213,10 +177,11 @@ impl TraceCtx {
 }
 
 /// A hierarchical timing guard from [`TraceCtx::span`]: emits a `span`
-/// event with parent link and relative timing when dropped.
+/// event with parent link and relative timing, through its context's
+/// handle, when dropped.
 #[derive(Debug)]
-pub struct SpanGuard {
-    obs: Obs,
+pub struct SpanGuard<'a> {
+    obs: &'a Obs,
     name: &'static str,
     id: SpanId,
     parent: SpanId,
@@ -225,7 +190,7 @@ pub struct SpanGuard {
     active: bool,
 }
 
-impl SpanGuard {
+impl SpanGuard<'_> {
     /// This span's id, for parenting child spans.
     pub fn id(&self) -> SpanId {
         self.id
@@ -235,7 +200,7 @@ impl SpanGuard {
     pub fn finish(self) {}
 }
 
-impl Drop for SpanGuard {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         if !self.active {
             return;
@@ -244,7 +209,7 @@ impl Drop for SpanGuard {
         self.obs.event(
             "span",
             &[
-                ("name", Value::string(self.name)),
+                ("name", Value::StaticStr(self.name)),
                 ("span", Value::UInt(self.id.0)),
                 ("parent", Value::UInt(self.parent.0)),
                 ("start_us", Value::UInt(self.start_us)),
@@ -258,6 +223,7 @@ impl Drop for SpanGuard {
 mod tests {
     use super::*;
     use crate::{field, CaptureRecorder};
+    use std::sync::Arc;
 
     #[test]
     fn trace_ids_round_trip_through_text() {
@@ -297,7 +263,7 @@ mod tests {
         let events = cap.events_of("serve.query");
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].uint("answers"), Some(3));
-        assert_eq!(events[0].text("trace"), Some("0000000000000007"));
+        assert_eq!(events[0].trace, Some(TraceId::from_u64(7)));
     }
 
     #[test]
@@ -324,8 +290,8 @@ mod tests {
         assert_eq!(root.uint("parent"), Some(0));
         assert!(root.uint("dur_us").unwrap() >= child.uint("dur_us").unwrap());
         assert!(child.uint("start_us").unwrap() >= root.uint("start_us").unwrap());
-        assert!(child.text("trace").is_some());
-        assert_eq!(child.text("trace"), root.text("trace"));
+        assert!(child.trace.is_some());
+        assert_eq!(child.trace, root.trace);
     }
 
     #[test]

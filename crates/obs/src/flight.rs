@@ -11,16 +11,19 @@
 //!   i.e. when the ring has wrapped a full lap between them — so the hot
 //!   path never serializes on a global lock.
 //! * **Bounded memory.** The ring never grows; old events are overwritten
-//!   in seq order.
+//!   in seq order. A retained event is one exact-size copy of the fields it
+//!   was emitted with, plus its 8-byte trace id; a slot does not keep the
+//!   capacity of the widest event it once held.
 //! * **Metrics are ignored.** Counters and histograms already live in the
 //!   [`Aggregator`](crate::aggregate::Aggregator); the recorder keeps only
 //!   event provenance, which is what a postmortem needs.
 //!
 //! The dump is rendered line by line by the JSON-lines trace sink's own
-//! `trace::write_line` (`seq`, `ts_us`, `kind`, then the event's own
-//! fields), so `obsctl` reads postmortems and trace files interchangeably.
+//! `trace::write_line` (`seq`, `ts_us`, `kind`, the event's own fields,
+//! then its `trace`), so `obsctl` reads postmortems and trace files
+//! interchangeably.
 
-use crate::{Recorder, Value};
+use crate::{Recorder, TraceId, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
@@ -40,6 +43,8 @@ pub struct FlightEvent {
     pub kind: &'static str,
     /// The event's fields, in emission order.
     pub fields: Vec<(&'static str, Value)>,
+    /// The request trace it was emitted under, if any.
+    pub trace: Option<TraceId>,
 }
 
 /// The ring buffer. See the [module docs](self).
@@ -99,14 +104,14 @@ impl FlightRecorder {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for e in self.events() {
-            crate::trace::write_line(&mut out, e.seq, e.ts_us, e.kind, &e.fields);
+            crate::trace::write_line(&mut out, e.seq, e.ts_us, e.kind, &e.fields, e.trace);
         }
         out
     }
 }
 
 impl Recorder for FlightRecorder {
-    fn event(&self, kind: &'static str, fields: &[(&'static str, Value)]) {
+    fn event(&self, kind: &'static str, fields: &[(&'static str, Value)], trace: Option<TraceId>) {
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
         let ts_us = self.epoch.elapsed().as_micros() as u64;
         let slot = (seq % self.slots.len() as u64) as usize;
@@ -114,7 +119,8 @@ impl Recorder for FlightRecorder {
             seq,
             ts_us,
             kind,
-            fields: fields.iter().map(|(k, v)| (*k, v.clone())).collect(),
+            fields: fields.to_vec(),
+            trace,
         };
         *self.slots[slot]
             .lock()
@@ -158,14 +164,15 @@ mod tests {
         let flight = Arc::new(FlightRecorder::new(8));
         let obs = Obs::new(flight.clone());
         obs.event("net.shed", &[("active", field::uz(3))]);
-        obs.event("net.drain", &[("phase", field::s("started"))]);
+        obs.with_trace(TraceId::from_u64(5))
+            .event("net.drain", &[("phase", field::st("started"))]);
         let dump = flight.to_jsonl();
         let lines: Vec<&str> = dump.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("{\"seq\":0,\"ts_us\":"));
         assert!(lines[0].ends_with("\"kind\":\"net.shed\",\"active\":3}"));
         assert!(lines[1].contains("\"kind\":\"net.drain\""));
-        assert!(lines[1].contains("\"phase\":\"started\""));
+        assert!(lines[1].ends_with("\"phase\":\"started\",\"trace\":\"0000000000000005\"}"));
     }
 
     #[test]

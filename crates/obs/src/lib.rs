@@ -31,9 +31,16 @@
 //! [`Obs::enabled`]` == false`, and every emission is a branch on a `None`.
 //! Instrumented code guards field construction behind `enabled()`, so the
 //! cost of carrying an `Obs` through a hot loop with the no-op recorder is
-//! one pointer-sized field and a predictable branch per emission site, and
-//! the sites fire per run, round or rule, never per tuple (counted by the
-//! engine's `recorder_cost` and the ivm's `maintenance_cost` tests).
+//! a predictable branch per emission site, and the sites fire per run,
+//! round or rule, never per tuple (counted by the engine's `recorder_cost`
+//! and the ivm's `maintenance_cost` tests).
+//!
+//! A handle may also carry a request's [`TraceId`] ([`Obs::with_trace`]):
+//! every event emitted through it reaches the sinks with that id, and the
+//! sinks that keep events render it as the event's last field, `"trace"`.
+//! Tagging a handle copies the handle, not the sinks, and emitting through
+//! it builds nothing: an event's fields are borrowed by every sink, and
+//! only a sink that keeps the event copies them.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
@@ -75,18 +82,28 @@ pub trait Recorder: Send + Sync + fmt::Debug {
     /// durations) into the histogram `name` for the given label set.
     fn observe(&self, _name: &'static str, _labels: &[(&'static str, &str)], _value: f64) {}
 
-    /// Emits a structured event of the given kind with ordered fields.
-    fn event(&self, _kind: &'static str, _fields: &[(&'static str, Value)]) {}
+    /// Emits a structured event of the given kind with ordered fields,
+    /// under the request `trace` it was emitted for, if any. A sink that
+    /// keeps events renders the id after the fields, as `"trace"`.
+    fn event(
+        &self,
+        _kind: &'static str,
+        _fields: &[(&'static str, Value)],
+        _trace: Option<TraceId>,
+    ) {
+    }
 }
 
-/// A cheaply cloneable handle to a [`Recorder`] (or to nothing).
+/// A cheaply cloneable handle to a [`Recorder`] (or to nothing), and the
+/// request trace its events are emitted under (or none).
 ///
 /// The default handle is the no-op: it holds no allocation and every
 /// emission short-circuits. Construct an active handle with [`Obs::new`]
-/// or [`Obs::fanout`].
+/// or [`Obs::fanout`], and a request's handle with [`Obs::with_trace`].
 #[derive(Clone, Default)]
 pub struct Obs {
     inner: Option<Arc<dyn Recorder>>,
+    trace: Option<TraceId>,
 }
 
 impl fmt::Debug for Obs {
@@ -101,13 +118,14 @@ impl fmt::Debug for Obs {
 impl Obs {
     /// The recording-nothing handle (also [`Obs::default`]).
     pub fn noop() -> Obs {
-        Obs { inner: None }
+        Obs::default()
     }
 
     /// Wraps a single sink.
     pub fn new(recorder: Arc<dyn Recorder>) -> Obs {
         Obs {
             inner: Some(recorder),
+            trace: None,
         }
     }
 
@@ -118,10 +136,18 @@ impl Obs {
             0 => Obs::noop(),
             1 => Obs {
                 inner: recorders.pop(),
+                trace: None,
             },
-            _ => Obs {
-                inner: Some(Arc::new(FanoutRecorder { sinks: recorders })),
-            },
+            _ => Obs::new(Arc::new(FanoutRecorder { sinks: recorders })),
+        }
+    }
+
+    /// The same sinks, with every event emitted under `trace`. Metrics are
+    /// untouched: they stay aggregate, and provenance is what gets scoped.
+    pub fn with_trace(&self, trace: TraceId) -> Obs {
+        Obs {
+            inner: self.inner.clone(),
+            trace: Some(trace),
         }
     }
 
@@ -157,11 +183,11 @@ impl Obs {
         }
     }
 
-    /// Emits a structured event.
+    /// Emits a structured event, under the handle's trace.
     #[inline]
     pub fn event(&self, kind: &'static str, fields: &[(&'static str, Value)]) {
         if let Some(r) = &self.inner {
-            r.event(kind, fields);
+            r.event(kind, fields, self.trace);
         }
     }
 }
@@ -197,9 +223,15 @@ pub mod field {
         Value::Bool(x)
     }
 
-    /// A string field.
+    /// A string field (copied).
     pub fn s(s: impl Into<String>) -> Value {
         Value::Str(s.into())
+    }
+
+    /// A string field that lives as long as the program — a name, a label,
+    /// an interned symbol — borrowed rather than copied.
+    pub fn st(s: &'static str) -> Value {
+        Value::StaticStr(s)
     }
 
     /// A duration field, rendered as integer microseconds (matching the
@@ -232,9 +264,9 @@ impl Recorder for FanoutRecorder {
         }
     }
 
-    fn event(&self, kind: &'static str, fields: &[(&'static str, Value)]) {
+    fn event(&self, kind: &'static str, fields: &[(&'static str, Value)], trace: Option<TraceId>) {
         for s in &self.sinks {
-            s.event(kind, fields);
+            s.event(kind, fields, trace);
         }
     }
 }
@@ -243,15 +275,17 @@ impl Recorder for FanoutRecorder {
 #[derive(Debug, Clone)]
 pub struct CapturedEvent {
     /// The event kind (e.g. `engine.iteration`).
-    pub kind: String,
+    pub kind: &'static str,
     /// Ordered `(field, value)` pairs as emitted.
-    pub fields: Vec<(String, Value)>,
+    pub fields: Vec<(&'static str, Value)>,
+    /// The request trace it was emitted under, if any.
+    pub trace: Option<TraceId>,
 }
 
 impl CapturedEvent {
     /// Looks up a field by name.
     pub fn field(&self, name: &str) -> Option<&Value> {
-        self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+        self.fields.iter().find(|(k, _)| *k == name).map(|(_, v)| v)
     }
 
     /// A field as `u64`, if present and unsigned.
@@ -262,12 +296,9 @@ impl CapturedEvent {
         }
     }
 
-    /// A field as `&str`, if present and a string.
+    /// A field as `&str`, if present and a string (owned or static).
     pub fn text(&self, name: &str) -> Option<&str> {
-        match self.field(name) {
-            Some(Value::Str(s)) => Some(s.as_str()),
-            _ => None,
-        }
+        self.field(name).and_then(Value::as_str)
     }
 }
 
@@ -321,8 +352,8 @@ impl CaptureRecorder {
     pub fn kinds(&self) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
         for e in &self.state().events {
-            if !out.contains(&e.kind) {
-                out.push(e.kind.clone());
+            if !out.iter().any(|k| k == e.kind) {
+                out.push(e.kind.to_string());
             }
         }
         out
@@ -366,13 +397,11 @@ impl Recorder for CaptureRecorder {
         }
     }
 
-    fn event(&self, kind: &'static str, fields: &[(&'static str, Value)]) {
+    fn event(&self, kind: &'static str, fields: &[(&'static str, Value)], trace: Option<TraceId>) {
         self.state().events.push(CapturedEvent {
-            kind: kind.to_string(),
-            fields: fields
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
+            kind,
+            fields: fields.to_vec(),
+            trace,
         });
     }
 }
@@ -417,6 +446,21 @@ mod tests {
         assert_eq!(cap.counter_where("hits", &[("shard", "0")]), 5);
         assert_eq!(cap.counter_where("hits", &[]), 15);
         assert_eq!(cap.counter_where("misses", &[]), 0);
+    }
+
+    #[test]
+    fn a_traced_handle_tags_events_not_metrics() {
+        let cap = Arc::new(CaptureRecorder::new());
+        let base = Obs::new(cap.clone());
+        let traced = base.with_trace(TraceId::from_u64(7));
+        traced.event("a.one", &[("n", field::u(1))]);
+        base.event("a.one", &[("n", field::u(2))]);
+        traced.counter("hits", &[("shard", "0")], 2);
+        let events = cap.events();
+        assert_eq!(events[0].trace, Some(TraceId::from_u64(7)));
+        assert_eq!(events[1].trace, None);
+        assert_eq!(cap.counter_where("hits", &[("shard", "0")]), 2);
+        assert!(!Obs::noop().with_trace(TraceId::from_u64(7)).enabled());
     }
 
     #[test]

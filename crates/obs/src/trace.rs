@@ -11,7 +11,9 @@
 //!   concurrent emitters stay reconstructable.
 //! * `ts_us` — microseconds since the writer was created.
 //! * `kind` — the event kind; remaining keys are the event's own fields in
-//!   emission order.
+//!   emission order, then — for an event emitted under a request's trace
+//!   ([`Obs::with_trace`](crate::Obs::with_trace)) — `trace`, the id as 16
+//!   hex characters.
 //!
 //! `write_line` is the one renderer of that shape: the flight recorder's
 //! postmortem dump uses it too, so `obsctl` reads both alike.
@@ -22,7 +24,7 @@
 //! the writer (observable via [`TraceWriter::had_error`]) rather than
 //! panicking inside instrumented code.
 
-use crate::{Recorder, Value};
+use crate::{Recorder, TraceId, Value};
 use serde::Serialize as _;
 use std::fmt::Write as _;
 use std::fs::File;
@@ -32,13 +34,15 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Appends one event as a trace line,
-/// `{"seq":N,"ts_us":T,"kind":K,...fields}` and a newline.
+/// `{"seq":N,"ts_us":T,"kind":K,...fields,"trace":ID}` and a newline (no
+/// `trace` key for an untraced event).
 pub(crate) fn write_line(
     out: &mut String,
     seq: u64,
     ts_us: u64,
     kind: &str,
     fields: &[(&'static str, Value)],
+    trace: Option<TraceId>,
 ) {
     let _ = write!(out, r#"{{"seq":{seq},"ts_us":{ts_us},"kind":"#);
     serde::json::write_str(out, kind);
@@ -48,6 +52,9 @@ pub(crate) fn write_line(
         out.push(':');
         value.write_json(out);
     }
+    if let Some(id) = trace {
+        let _ = write!(out, r#","trace":"{id}""#);
+    }
     out.push_str("}\n");
 }
 
@@ -55,6 +62,8 @@ struct Inner {
     out: Box<dyn Write + Send>,
     seq: u64,
     error: bool,
+    /// The line being rendered, reused from event to event.
+    line: String,
 }
 
 impl std::fmt::Debug for Inner {
@@ -82,6 +91,7 @@ impl TraceWriter {
                 out,
                 seq: 0,
                 error: false,
+                line: String::new(),
             }),
         }
     }
@@ -118,16 +128,17 @@ impl Drop for TraceWriter {
 }
 
 impl Recorder for TraceWriter {
-    fn event(&self, kind: &'static str, fields: &[(&'static str, Value)]) {
+    fn event(&self, kind: &'static str, fields: &[(&'static str, Value)], trace: Option<TraceId>) {
         let ts_us = self.start.elapsed().as_micros() as u64;
-        let mut inner = self.inner();
+        let mut guard = self.inner();
+        let inner = &mut *guard;
         if inner.error {
             return;
         }
-        let mut line = String::new();
-        write_line(&mut line, inner.seq, ts_us, kind, fields);
+        inner.line.clear();
+        write_line(&mut inner.line, inner.seq, ts_us, kind, fields, trace);
         inner.seq += 1;
-        if inner.out.write_all(line.as_bytes()).is_err() {
+        if inner.out.write_all(inner.line.as_bytes()).is_err() {
             inner.error = true;
         }
     }
@@ -162,7 +173,8 @@ mod tests {
         let writer = Arc::new(TraceWriter::new(Box::new(buf.clone())));
         let obs = Obs::new(writer.clone());
         obs.event("t.alpha", &[("n", field::u(5)), ("s", field::s("x"))]);
-        obs.event("t.beta", &[("ok", field::b(true))]);
+        obs.with_trace(TraceId::from_u64(0xab))
+            .event("t.beta", &[("ok", field::b(true)), ("s", field::st("y"))]);
         obs.counter("ignored", &[], 1); // metrics don't reach the trace
         writer.flush();
         let text = String::from_utf8(buf.0.lock().unwrap_or_else(PoisonError::into_inner).clone())
@@ -174,6 +186,7 @@ mod tests {
         assert!(lines[0].ends_with("\"n\":5,\"s\":\"x\"}"));
         assert!(lines[1].contains("\"seq\":1"));
         assert!(lines[1].contains("\"ok\":true"));
+        assert!(lines[1].ends_with(",\"s\":\"y\",\"trace\":\"00000000000000ab\"}"));
         assert!(!writer.had_error());
     }
 
@@ -190,13 +203,15 @@ mod tests {
             ),
         ];
         let mut line = String::new();
-        write_line(&mut line, 7, 42, "t.kind", &fields);
+        let trace = TraceId::from_u64(0xdead_beef);
+        write_line(&mut line, 7, 42, "t.kind", &fields, Some(trace));
         let mut pairs = vec![
             ("seq".to_string(), Value::UInt(7)),
             ("ts_us".to_string(), Value::UInt(42)),
             ("kind".to_string(), Value::string("t.kind")),
         ];
         pairs.extend(fields.iter().map(|(k, v)| (k.to_string(), v.clone())));
+        pairs.push(("trace".to_string(), Value::string(trace.to_string())));
         assert_eq!(line, serde::json::to_string(&Value::Object(pairs)) + "\n");
     }
 
@@ -212,8 +227,8 @@ mod tests {
             }
         }
         let writer = TraceWriter::new(Box::new(Failing));
-        writer.event("k", &[]);
+        writer.event("k", &[], None);
         assert!(writer.had_error());
-        writer.event("k", &[]); // silently dropped
+        writer.event("k", &[], None); // silently dropped
     }
 }

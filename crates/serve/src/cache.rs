@@ -187,42 +187,26 @@ impl Shard {
         dropped
     }
 
-    /// Rewrites in place the answers of every entry a patch tuple reaches —
-    /// per tuple, one lookup per shape present, never a walk over entries, no
-    /// key or row built per tuple — deletions before insertions. The rows of
-    /// an answer set are copied only if a reply still holds them. Returns
-    /// how many entries changed.
-    fn patch(&mut self, patch: &IdbPatch) -> u64 {
-        let Shard {
-            shapes,
-            slots,
-            entries,
-            ..
-        } = self;
-        let mut changed = HashSet::new();
-        let mut row: Vec<Value> = Vec::new();
-        for (key, _) in shapes {
-            for (side, insert) in [(&patch.deleted, false), (&patch.inserted, true)] {
-                for t in side.iter() {
-                    // With the tuple's own constants, only a repeated
-                    // variable can still reject it.
-                    key.rebind(t);
-                    if !key.admits(t) {
-                        continue;
-                    }
-                    let Some(&i) = slots.get(key) else {
-                        continue;
-                    };
-                    row.clear();
-                    row.extend(key.project(t));
-                    let answers = &mut entries[i].answers;
-                    if insert && answers.insert(&row) || !insert && answers.remove(&row) {
-                        changed.insert(i);
-                    }
-                }
-            }
-        }
-        changed.len() as u64
+    /// Applies one patch tuple to the entry under `key`, if there is one:
+    /// returns the entry's position when its answers changed. The rows of an
+    /// answer set are copied only if a reply still holds them.
+    fn patch_entry(
+        &mut self,
+        key: &Selection,
+        t: &[Value],
+        insert: bool,
+        row: &mut Vec<Value>,
+    ) -> Option<usize> {
+        let &i = self.slots.get(key)?;
+        row.clear();
+        row.extend(key.project(t));
+        let answers = &mut self.entries[i].answers;
+        let changed = if insert {
+            answers.insert(row)
+        } else {
+            answers.remove(row)
+        };
+        changed.then_some(i)
     }
 }
 
@@ -309,10 +293,13 @@ impl SaturationCache {
     /// Carries every shard stamped `from` to version `to` by applying the
     /// exact change to the recursive predicate to the entries it reaches —
     /// the incremental-maintenance counterpart of [`retain_version`]:
-    /// O(shards + |patch| × shapes), whatever the number of entries. A
-    /// shard at neither `from` nor at or past `to` (the caller skipped a
+    /// O(shards + |patch| × shapes), whatever the number of entries. Per
+    /// patch tuple and key shape present in any carried shard, the key the
+    /// tuple reaches is looked up once, in the one shard that key lives in.
+    /// A shard at neither `from` nor at or past `to` (the caller skipped a
     /// version) is cleared; one at or past `to` is left alone, so stamps
-    /// never move back.
+    /// never move back. The carried shards stay locked until every one is
+    /// patched, so no reader sees a stamp its entries are not exact for.
     ///
     /// [`retain_version`]: SaturationCache::retain_version
     pub fn advance(&self, from: Version, to: Version, patch: &IdbPatch) {
@@ -320,17 +307,71 @@ impl SaturationCache {
     }
 
     fn step(&self, to: Version, carried: Option<(Version, &IdbPatch)>) {
+        // Shards in index order: a carried one stays locked for the patch; a
+        // stale one is cleared and restamped now; one already at or past
+        // `to` is left as it is.
+        let mut held: Vec<Option<MutexGuard<'_, Shard>>> = Vec::with_capacity(self.shards.len());
         for (idx, shard) in self.shards.iter().enumerate() {
             let mut shard = Self::lock(shard);
-            let (patched, dropped) = match carried {
-                Some((from, patch)) if shard.version == from => (shard.patch(patch), 0),
-                _ if shard.version < to => (0, shard.clear()),
-                _ => continue,
-            };
+            match carried {
+                Some((from, _)) if shard.version == from => {
+                    held.push(Some(shard));
+                    continue;
+                }
+                _ if shard.version < to => {
+                    let dropped = shard.clear();
+                    shard.version = to;
+                    drop(shard);
+                    self.record_op("invalidate", idx, dropped);
+                }
+                _ => {}
+            }
+            held.push(None);
+        }
+        let Some((_, patch)) = carried else {
+            return;
+        };
+        // The key shapes present in any carried shard, each once.
+        let mut shapes: Vec<Selection> = Vec::new();
+        for shard in held.iter().flatten() {
+            for (key, _) in &shard.shapes {
+                if !shapes.iter().any(|s| s.same_shape(key)) {
+                    shapes.push(key.clone());
+                }
+            }
+        }
+        // Per shard, the entries a patch tuple changed.
+        let mut changed: HashSet<(usize, usize)> = HashSet::new();
+        let mut row: Vec<Value> = Vec::new();
+        for (side, insert) in [(&patch.deleted, false), (&patch.inserted, true)] {
+            for t in side.iter() {
+                for key in &mut shapes {
+                    // With the tuple's own constants, only a repeated
+                    // variable can still reject it.
+                    key.rebind(t);
+                    if !key.admits(t) {
+                        continue;
+                    }
+                    let idx = self.shard_of(key);
+                    let Some(shard) = held[idx].as_mut() else {
+                        continue;
+                    };
+                    if let Some(i) = shard.patch_entry(key, t, insert, &mut row) {
+                        changed.insert((idx, i));
+                    }
+                }
+            }
+        }
+        for shard in held.iter_mut().flatten() {
             shard.version = to;
-            drop(shard);
-            self.record_op("patch", idx, patched);
-            self.record_op("invalidate", idx, dropped);
+        }
+        drop(held);
+        let mut patched = vec![0u64; self.shards.len()];
+        for (idx, _) in changed {
+            patched[idx] += 1;
+        }
+        for (idx, n) in patched.into_iter().enumerate() {
+            self.record_op("patch", idx, n);
         }
     }
 

@@ -22,6 +22,7 @@ use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::term::Atom;
 use recurs_engine::{EngineConfig, Evaluation};
 use recurs_obs::Obs;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -77,18 +78,19 @@ impl PointKernelKind {
         }
     }
 
-    /// Short label for reports, e.g. `"bounded(2)"`, `"frontier"`.
-    pub fn label(&self) -> String {
+    /// Short label for reports, e.g. `"bounded(2)"`, `"frontier"`: the
+    /// family, but for the rank.
+    pub fn label(&self) -> Cow<'static, str> {
         match self {
-            PointKernelKind::BoundedUnroll { rank } => format!("bounded({rank})"),
-            other => other.family().to_string(),
+            PointKernelKind::BoundedUnroll { rank } => Cow::Owned(format!("bounded({rank})")),
+            other => Cow::Borrowed(other.family()),
         }
     }
 }
 
 impl serde::Serialize for PointKernelKind {
     fn to_value(&self) -> serde::Value {
-        serde::Value::string(self.label())
+        self.label().into()
     }
 }
 

@@ -329,7 +329,7 @@ impl QueryService {
         self.obs.event(
             "serve.update",
             &[
-                ("result", field::s(result)),
+                ("result", field::st(result)),
                 ("version", field::u(version.get())),
                 ("inserted", field::uz(inserted)),
                 ("deleted", field::uz(deleted)),
@@ -553,21 +553,22 @@ impl QueryService {
             &[],
             stats.tuples_derived as u64,
         );
-        let mut fields = vec![
-            ("kernel", field::s(stats.kernel.label())),
-            ("cache", field::s(cache)),
-            ("outcome", field::s(outcome)),
+        let truncation = stats.outcome.truncation().map(TruncationReason::label);
+        let fields = [
+            ("kernel", stats.kernel.label().into()),
+            ("cache", field::st(cache)),
+            ("outcome", field::st(outcome)),
             ("queue_wait_us", field::us(stats.queue_wait)),
             ("eval_us", field::us(stats.eval)),
             ("answers", field::uz(stats.answers)),
             ("tuples_derived", field::uz(stats.tuples_derived)),
             ("fixpoint_iterations", field::uz(stats.fixpoint_iterations)),
             ("snapshot_version", field::u(stats.snapshot_version)),
+            ("truncation", field::st(truncation.unwrap_or_default())),
         ];
-        if let Some(reason) = stats.outcome.truncation() {
-            fields.push(("truncation", field::s(reason.to_string())));
-        }
-        obs.event("serve.query", &fields);
+        // `truncation` only on a truncated reply.
+        let shown = fields.len() - usize::from(truncation.is_none());
+        obs.event("serve.query", &fields[..shown]);
     }
 
     /// What would answer `query` on a cache and view miss.
@@ -781,8 +782,8 @@ impl QueryService {
             ctx.obs().event(
                 "serve.explain",
                 &[
-                    ("kernel", field::s(stats.kernel.label())),
-                    ("cache", field::s(stats.cache.label())),
+                    ("kernel", stats.kernel.label().into()),
+                    ("cache", field::st(stats.cache.label())),
                     ("measured_us", field::u(measured_us)),
                 ],
             );
@@ -856,7 +857,7 @@ impl QueryService {
                     let derived = !matches!(found, WhyOutcome::NotDerived);
                     fields.push(("derived", field::b(derived)));
                 }
-                Err(reason) => fields.push(("truncation", field::s(reason.to_string()))),
+                Err(reason) => fields.push(("truncation", field::st(reason.label()))),
             }
             fields.push(("eval_us", field::us(start.elapsed())));
             self.obs.event("serve.why", &fields);
@@ -1279,12 +1280,12 @@ mod tests {
         assert!(names.contains(&"eval"), "spans: {names:?}");
         assert!(names.contains(&"cache_store"), "spans: {names:?}");
         for span in &spans {
-            assert_eq!(span.text("trace"), Some("000000000000abcd"));
+            assert_eq!(span.trace, Some(trace));
         }
         // The request's serve.query event carries the same trace id.
         let queries = capture.events_of("serve.query");
         assert_eq!(queries.len(), 1);
-        assert_eq!(queries[0].text("trace"), Some("000000000000abcd"));
+        assert_eq!(queries[0].trace, Some(trace));
         // A second traced query hits the cache: no eval span this time.
         let reply = service
             .query_traced(&q, &EvalBudget::unlimited(), None, TraceId::from_u64(1))
@@ -1293,7 +1294,7 @@ mod tests {
         let hit_spans: Vec<_> = capture
             .events_of("span")
             .iter()
-            .filter(|e| e.text("trace") == Some("0000000000000001"))
+            .filter(|e| e.trace == Some(TraceId::from_u64(1)))
             .filter_map(|e| e.text("name").map(str::to_string))
             .collect();
         assert!(hit_spans.contains(&"cache".to_string()));
@@ -1378,7 +1379,7 @@ mod tests {
         );
         let shed = capture.events_of("serve.shed");
         assert_eq!(shed.len(), 2);
-        assert_eq!(shed[0].text("trace"), Some("0000000000000007"));
+        assert_eq!(shed[0].trace, Some(TraceId::from_u64(7)));
         // Nothing shed was evaluated; the slot, once free, admits again.
         assert_eq!(service.stats().queries, 0);
         drop(held);

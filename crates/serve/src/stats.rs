@@ -29,7 +29,7 @@ impl CacheOutcome {
 
 impl serde::Serialize for CacheOutcome {
     fn to_value(&self) -> serde::Value {
-        serde::Value::string(self.label())
+        serde::Value::StaticStr(self.label())
     }
 }
 

@@ -190,6 +190,36 @@ fn a_magic_kernel_miss_never_copies_the_snapshot() {
 }
 
 #[test]
+fn a_served_cold_miss_records_its_rounds_without_allocating_per_round() {
+    // One chain 1 → … → 60 and no cache: every query is a frontier walk,
+    // one round per step plus the seeding and the empty last round. Each
+    // round records two events and an observation through the service's
+    // recorders, and the walk's batches have long stopped growing.
+    let config = ServeConfig {
+        cache_capacity: 0,
+        ..ServeConfig::default()
+    };
+    let service = QueryService::new(tc(), forest(1, 1, 60), config);
+    service.query(&source_bound(30)).unwrap(); // the form's plan and indexes
+    let miss = |c: u64| {
+        let (reply, calls) = calls_by(|| service.query(&source_bound(c)).unwrap());
+        assert_eq!(reply.stats.kernel, PointKernelKind::Frontier);
+        assert_eq!(reply.answers.len() as u64, 60 - c);
+        (reply.stats.fixpoint_iterations, calls)
+    };
+    let ((short, few), (long, many)) = (miss(57), miss(1));
+    assert_eq!((short, long), (5, 61));
+    // 18.5 calls a round when each event was re-boxed under its request's
+    // trace id and each round added its counters.
+    let per_round = (many - few) as f64 / (long - short) as f64;
+    assert!(
+        per_round <= 4.0,
+        "a {short}-round miss made {few} allocator calls, a {long}-round miss {many}: \
+         {per_round:.1} a round"
+    );
+}
+
+#[test]
 fn an_update_allocates_for_the_relation_it_changes_only() {
     // `E` holds 40 chains either way; `A` holds those and, in the large
     // case, 360 more that derive nothing. A tip edge on chain 0 enters 51
@@ -375,13 +405,16 @@ fn a_cache_hit_allocates_its_lookup_pattern_and_no_key_string_clone_or_lru_node(
     // not a tree node that fills up and splits.
     let (few, many) = (per_hit(64), per_hit(512));
     assert_eq!(few, many, "a hit's cost depends on how full its shard is");
-    // Of a hit's bytes, 3 792 are the service's (stats, the request's trace
-    // context and its `request` / `admission` / `cache` spans, the query and
-    // flight-recorder events — 1 254 before `query` ran traced, as a served
-    // request always has) and 24 the cache's: the lookup key's one constant
-    // check and one kept column. A rendered key, its clone into a recency
-    // index and that index's nodes cost 120 B more at 64 entries a shard.
-    assert!(many <= 3_840, "a cache hit allocated {many} B");
+    // Of a hit's 1 178 bytes, 1 152 are the flight recorder's one copy of
+    // each event it keeps — the `request` / `admission` / `cache` spans and
+    // the `serve.query` event — and 24 the cache's: the lookup key's one
+    // constant check and one kept column. Tagging the events with the
+    // request's trace id, the borrowed labels and the metric series found by
+    // their borrowed labels cost nothing (3 816 B when each event was re-boxed
+    // under its trace id and each labelled call built its label set). A
+    // rendered key, its clone into a recency index and that index's nodes
+    // cost 120 B more at 64 entries a shard.
+    assert!(many <= 2_100, "a cache hit allocated {many} B");
 }
 
 #[test]
@@ -415,11 +448,13 @@ fn a_served_hit_allocates_per_reply_not_per_answer() {
         many <= few + 4,
         "a 40-answer hit made {few} allocator calls, a 400-answer hit {many}"
     );
-    // 6 675 B: the 3 816 B `QueryService::query` allocates for a hit (the
-    // test above), the request's parse, the sorted row slices (640 B), the
-    // reply's `stats` tree and the reply text (1 035 B, no regrowth).
+    // 4 026 B in 32 calls (6 675 B in 83 before a request's events were
+    // tagged in its handle): the 1 178 B `QueryService::query` allocates for
+    // a hit (the test above), the request's parse, the sorted row slices
+    // (640 B), the reply's `stats` tree and the reply text (1 035 B, no
+    // regrowth).
     assert!(
-        few_bytes <= 7_000,
+        few_bytes <= 5_000,
         "a served 40-answer hit allocated {few_bytes} B"
     );
 }
