@@ -47,6 +47,20 @@ if non_test crates/serve/src/kernel.rs \
   echo "crates/serve/src/kernel.rs loads (or copies out) relations per request again" >&2
   exit 1
 fi
+# One-index-policy guard: serve builds no index for a query. A kernel's
+# pipelines get theirs from the snapshot's republish
+# (`SnapshotStore::with_indexes`, once per form), and the view's per-column
+# indexes are ivm's policy, built with the view. No other serve code builds one.
+for f in $(find crates/serve/src -name '*.rs'); do
+  code="$(non_test "$f")"
+  if [ "$f" = crates/serve/src/snapshot.rs ]; then
+    code="$(sed '/pub fn with_indexes(/,/^    }$/d' <<<"$code")"
+  fi
+  if grep -nE "ensure_index|build_indexes" <<<"$code"; then
+    echo "$f builds an index outside the snapshot's republish" >&2
+    exit 1
+  fi
+done
 
 # One-governed-evaluator guard: the oracle only checks. It takes a round cap
 # and nothing else — no budget, no recorder, no serialized stats — so the

@@ -12,6 +12,17 @@
 //! each metric sample that measures time. The files are a record of that
 //! binary's output: a diff is a change to what is recorded, never a golden
 //! to regenerate.
+//!
+//! Three values were edited by hand since, when a join step that binds every
+//! column of its atom became a lookup in the dedup table and the view became
+//! indexed on each column:
+//! - `index_builds` in line 42 of both event files, the `P(x, 6)` magic
+//!   miss's `engine.complete`, went from 2 to 1: that miss's membership step
+//!   binds every column, so it no longer builds an index;
+//! - in `metrics.txt`, `recurs_engine_probe_hits_total` went from 37 to 28
+//!   and `recurs_engine_probes_total` from 21 to 22: the view select of `a4`
+//!   probes the view's first column and reads its 6 answers, where it
+//!   scanned all 15 rows.
 
 use recurs_cli::{build_service_cancellable, ServiceOpts};
 use recurs_serve::protocol::{handle_line, LineOutcome};

@@ -67,6 +67,9 @@ struct JoinStep {
     /// variable is shared with the prefix and no constant restricts the
     /// atom: a full scan (Cartesian extension).
     index_cols: Vec<usize>,
+    /// True when the key is every column in order: the step finds at most
+    /// one tuple, by a lookup in the dedup table, and needs no index.
+    lookup: bool,
     /// Key component per index column.
     key: Vec<KeyPart>,
     /// Within-atom repeated-variable checks `tuple[a] == tuple[b]` not
@@ -74,6 +77,17 @@ struct JoinStep {
     eq_checks: Vec<(usize, usize)>,
     /// Tuple columns appended to the row (first occurrences of new vars).
     append_cols: Vec<usize>,
+}
+
+impl JoinStep {
+    /// Assembles in `key` the key this step probes with for `row`.
+    fn key_into(&self, row: &[Value], key: &mut Vec<Value>) {
+        key.clear();
+        key.extend(self.key.iter().map(|k| match k {
+            KeyPart::Acc(a) => row[*a],
+            KeyPart::Const(c) => *c,
+        }));
+    }
 }
 
 /// The selection + projection an atom denotes over its relation: constants
@@ -287,6 +301,7 @@ impl CompiledRule {
             }
             steps.push(JoinStep {
                 pred: atom.predicate,
+                lookup: !index_cols.is_empty() && index_cols.len() == atom.arity(),
                 index_cols,
                 key,
                 eq_checks,
@@ -318,11 +333,12 @@ impl CompiledRule {
     }
 
     /// The `(predicate, key columns)` indexes the pipeline probes. The
-    /// driver ensures each exists before the fixpoint starts.
+    /// driver ensures each exists before the fixpoint starts. A step whose
+    /// key binds every column looks its tuple up instead and names none.
     pub fn required_indexes(&self) -> impl Iterator<Item = (Symbol, &[usize])> {
         self.steps
             .iter()
-            .filter(|s| !s.index_cols.is_empty())
+            .filter(|s| !s.index_cols.is_empty() && !s.lookup)
             .map(|s| (s.pred, s.index_cols.as_slice()))
     }
 
@@ -410,6 +426,19 @@ impl CompiledRule {
                         extend(row, t);
                     }
                 }
+            } else if step.lookup {
+                // A full key is the one tuple it can find: no index.
+                for row in rows.iter() {
+                    if let Some(reason) = poll() {
+                        return Ok(Some(reason));
+                    }
+                    step.key_into(row, key);
+                    counters.probes += 1;
+                    if rel.contains(key) {
+                        counters.hits += 1;
+                        extend(row, key);
+                    }
+                }
             } else {
                 let Some(index) = rel.index(&step.index_cols) else {
                     return Err(EngineError::Internal(
@@ -420,11 +449,7 @@ impl CompiledRule {
                     if let Some(reason) = poll() {
                         return Ok(Some(reason));
                     }
-                    key.clear();
-                    key.extend(step.key.iter().map(|k| match k {
-                        KeyPart::Acc(a) => row[*a],
-                        KeyPart::Const(c) => *c,
-                    }));
+                    step.key_into(row, key);
                     counters.probes += 1;
                     for id in index.probe(key) {
                         counters.hits += 1;
@@ -483,7 +508,7 @@ pub fn select_counted(
 mod tests {
     use super::*;
     use recurs_datalog::parser::parse_rule;
-    use recurs_datalog::relation::{Relation, Tuple};
+    use recurs_datalog::relation::{tuple_u64, Relation, Tuple};
 
     fn db_with(rels: &[(&str, Relation)]) -> EngineDb {
         let mut db = EngineDb::new();
@@ -547,6 +572,42 @@ mod tests {
         let mut out = run(&cr, &db);
         out.sort();
         assert_eq!(out.len(), 2);
+    }
+
+    #[test]
+    fn a_step_binding_every_column_looks_up_and_needs_no_index() {
+        let a = Relation::from_pairs([(1, 2), (1, 3), (2, 3), (4, 3)]);
+        let b = Relation::from_pairs([(1, 3), (2, 2), (4, 3)]);
+        // Whichever atom seeds, the other is bound on both columns, in order.
+        let shared = parse_rule("Q(x) :- A(x, y), B(x, y).").unwrap();
+        // Pinned behind the seed, a constant fills the rest of the key.
+        let constant = parse_rule("Q(x) :- A(x, y), B(x, 3).").unwrap();
+        for (rule, want) in [(shared, vec!["1", "4"]), (constant, vec!["1", "1", "4"])] {
+            let db = db_with(&[("A", a.clone()), ("B", b.clone())]);
+            let cr = CompiledRule::compile(&rule, Some(0), &db).unwrap();
+            assert_eq!(cr.required_indexes().count(), 0, "{rule}");
+            // No index was built, and none is probed.
+            let out = run(&cr, &db);
+            let mut got: Vec<&str> = out.iter().map(|t| t[0].as_str()).collect();
+            got.sort();
+            assert_eq!(got, want, "{rule}");
+        }
+    }
+
+    #[test]
+    fn a_repeated_new_variable_still_probes_an_index() {
+        let rule = parse_rule("Q(x, y) :- A(x, z), B(x, y, y).").unwrap();
+        let mut db = db_with(&[("A", Relation::from_pairs([(1, 2), (5, 6)]))]);
+        let b = [[1, 7, 7], [1, 8, 9], [5, 5, 5]].map(tuple_u64);
+        db.load(Symbol::intern("B"), &Relation::from_tuples(3, b));
+        let cr = CompiledRule::compile(&rule, Some(0), &db).unwrap();
+        let idx: Vec<_> = cr.required_indexes().collect();
+        assert_eq!(idx, vec![(Symbol::intern("B"), &[0usize][..])]);
+        db.ensure_indexes(&cr);
+        let (mut out, mut want) = (run(&cr, &db), vec![tuple_u64([1, 7]), tuple_u64([5, 5])]);
+        out.sort();
+        want.sort();
+        assert_eq!(out, want);
     }
 
     #[test]

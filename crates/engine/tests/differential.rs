@@ -11,11 +11,43 @@
 //! reporting.
 
 use proptest::prelude::*;
-use recurs_datalog::eval::semi_naive;
+use recurs_datalog::eval::{naive, semi_naive};
 use recurs_datalog::govern::EvalBudget;
+use recurs_datalog::rule::{Program, Rule};
+use recurs_datalog::term::{Atom, Term, Value};
 use recurs_engine::run_linear;
-use recurs_engine::{run_program, EngineConfig, KernelKind};
+use recurs_engine::{run_program, CompiledProgram, EngineConfig, EngineDb, KernelKind};
 use recurs_workload::{random_database, random_linear_recursion, RuleConfig};
+
+/// `program` with one atom appended to every rule: a copy of one of its EDB
+/// atoms over terms the body already binds — a variable, or now and then a
+/// constant of `1..=domain` — so the last atom of every rule is fully bound.
+/// `picks` drives every choice.
+fn with_bound_last_atoms(program: &Program, picks: &[usize], domain: u64) -> Program {
+    let idb = program.idb_predicates();
+    let edb: Vec<&Atom> = (program.rules.iter().flat_map(|r| &r.body))
+        .filter(|a| !idb.contains(&a.predicate))
+        .collect();
+    let mut picks = picks.iter().cycle();
+    let mut pick = |n: usize| picks.next().map_or(0, |p| p % n);
+    let rules = program.rules.iter().map(|rule| {
+        let vars: Vec<Term> = (rule.body.iter().flat_map(|a| &a.terms))
+            .filter(|t| t.is_var())
+            .copied()
+            .collect();
+        let like = edb[pick(edb.len())];
+        let terms = (0..like.arity())
+            .map(|_| match vars.get(pick(vars.len() + 1)) {
+                Some(&var) => var,
+                None => Term::Const(Value::from_u64(pick(domain as usize) as u64 + 1)),
+            })
+            .collect();
+        let mut body = rule.body.clone();
+        body.push(Atom::new(like.predicate, terms));
+        Rule::new(rule.head.clone(), body)
+    });
+    Program::new(rules.collect())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -47,6 +79,41 @@ proptest! {
         prop_assert!(
             sat.stats.kernel.is_some(),
             "run_linear always classifies and picks a kernel"
+        );
+    }
+
+    /// A step that binds every column of its atom is a lookup in the dedup
+    /// table, not an index probe: no compiled pipeline names an index keyed
+    /// on every column of its relation, and the fixpoint is `naive`'s.
+    #[test]
+    fn fully_bound_last_atoms_look_up_and_match_naive(
+        rule_seed in 0u64..10_000,
+        db_seed in 0u64..10_000,
+        tuples in 1usize..30,
+        domain in 2u64..6,
+        picks in proptest::collection::vec(0usize..1_000, 16..17),
+    ) {
+        let lr = random_linear_recursion(rule_seed, RuleConfig::default());
+        let program = with_bound_last_atoms(&lr.to_program(), &picks, domain);
+        let edb = random_database(&lr, tuples, domain, db_seed);
+
+        let store = EngineDb::from(&edb);
+        let compiled = CompiledProgram::compile(&program, &store).expect("compiles");
+        for (pred, cols) in compiled.required_indexes() {
+            let arity = store.get(pred).map_or(usize::MAX, |r| r.arity());
+            prop_assert!(cols.len() < arity, "{} is indexed on every column", pred);
+        }
+
+        let mut oracle_db = edb.clone();
+        naive(&mut oracle_db, &program, None).expect("naive saturates");
+        let mut db = edb;
+        let sat = run_program(&mut db, &program, &EngineConfig::default())
+            .expect("engine saturates");
+        prop_assert!(sat.outcome.is_complete());
+        prop_assert_eq!(
+            oracle_db.get("P"), db.get("P"),
+            "rule_seed={} db_seed={} program={:?}",
+            rule_seed, db_seed, program
         );
     }
 

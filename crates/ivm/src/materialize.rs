@@ -124,6 +124,13 @@ impl Materialization {
         if let Some(reason) = stopped(&run) {
             return Err(IvmError::Truncated(reason));
         }
+        // The view's readers bind any column: one index each, built over the
+        // finished fixpoint and kept fresh by every patch after it.
+        if let Some(view) = mat.engine.get_mut(lr.predicate) {
+            for col in 0..lr.dimension() {
+                view.ensure_index(&[col]);
+            }
+        }
         mat.obs.event(
             "ivm.saturate",
             &[

@@ -43,6 +43,17 @@ fn round_trip(round: u64) -> FaultPlan {
     }
 }
 
+/// A cold fallback re-saturates, and the view it lands on carries its
+/// readers' index on every column again.
+fn assert_indexed_per_column(mat: &Materialization) {
+    for col in 0..mat.relation().arity() {
+        assert!(
+            mat.relation().has_index(&[col]),
+            "column {col} lost its index"
+        );
+    }
+}
+
 fn oracle(lr: &LinearRecursion, edb: &Database) -> Relation {
     let mut db = edb.clone();
     db.insert_relation(lr.predicate, Relation::new(lr.dimension()));
@@ -63,6 +74,7 @@ fn tripped_insert_propagation_falls_back_cold_and_stays_exact() {
     gate.rearm(round_trip(3));
     let report = mat.apply(&delta, &EvalBudget::unlimited()).unwrap();
     assert_eq!(report.path, MaintenancePath::ColdFallback);
+    assert_indexed_per_column(&mat);
     assert!(report.truncation.is_some());
     assert!(report.idb.is_none());
     apply_plain(&delta, &mut db);
@@ -83,6 +95,7 @@ fn tripped_overdeletion_falls_back_cold_and_stays_exact() {
     gate.rearm(round_trip(1));
     let report = mat.apply(&delta, &EvalBudget::unlimited()).unwrap();
     assert_eq!(report.path, MaintenancePath::ColdFallback);
+    assert_indexed_per_column(&mat);
     assert!(report.truncation.is_some());
     apply_plain(&delta, &mut db);
     assert_eq!(mat.relation().to_relation(), oracle(&lr, &db));
@@ -136,6 +149,7 @@ fn tripped_rederive_wave_falls_back_cold_and_stays_exact() {
     gate.rearm(round_trip(4));
     let report = mat.apply(&delta, &EvalBudget::unlimited()).unwrap();
     assert_eq!(report.path, MaintenancePath::ColdFallback);
+    assert_indexed_per_column(&mat);
     assert!(report.truncation.is_some());
     apply_plain(&delta, &mut db);
     assert_eq!(mat.relation().to_relation(), oracle(&lr, &db));
@@ -155,6 +169,7 @@ fn budget_ceilings_reach_the_rederive_waves() {
     let budget = EvalBudget::unlimited().with_max_iterations(4);
     let report = mat.apply(&delta, &budget).unwrap();
     assert_eq!(report.path, MaintenancePath::ColdFallback);
+    assert_indexed_per_column(&mat);
     assert_eq!(report.truncation, Some(TruncationReason::IterationCap));
     apply_plain(&delta, &mut db);
     assert_eq!(mat.relation().to_relation(), oracle(&lr, &db));

@@ -11,6 +11,9 @@
 //!   `PER_ROUND_RULE · rounds · rules + PER_RUN` calls however many tuples
 //!   the patch moves. The no-op handle takes the same branches and makes
 //!   none of the calls.
+//! * **The view's memory.** The view carries one index per column for its
+//!   readers and no other: the recount pipelines' step over the view binds
+//!   every column, so it looks its tuple up in the dedup table.
 
 use recurs_datalog::database::Database;
 use recurs_datalog::eval::semi_naive;
@@ -168,4 +171,33 @@ fn a_patch_emits_per_round_not_per_tuple() {
         let rounds = assert_bounded(what, moved);
         assert!(rounds >= report.stats.rounds, "{what}: {report:?}");
     }
+}
+
+#[test]
+fn a_patched_view_carries_one_index_per_column_and_no_full_key_index() {
+    // 16 chains of 50 vertices in both relations: 19 600 derived tuples.
+    let tc = lr("P(x, y) :- A(x, z), P(z, y).\nP(x, y) :- E(x, y).");
+    let forest = (0..16).flat_map(|c| (1..50).map(move |i| (c * 50 + i, c * 50 + i + 1)));
+    let mut db = Database::new();
+    db.insert_relation("A", Relation::from_pairs(forest.clone()));
+    db.insert_relation("E", Relation::from_pairs(forest));
+    // An edge out of the middle of chain 0, in and out again.
+    let (insert, delete, _) = toggle(&db, "E", [25, 900_000]);
+    let budget = EvalBudget::unlimited();
+    let mut mat = Materialization::saturate(&tc, &db, &budget, &Obs::noop()).unwrap();
+    for delta in [&insert, &delete] {
+        mat.apply(delta, &budget).unwrap();
+    }
+    let view = mat.relation();
+    assert_eq!(view.len(), 19_600);
+    assert_eq!(view.index_count(), view.arity());
+    assert!(view.has_index(&[0]) && view.has_index(&[1]) && !view.has_index(&[0, 1]));
+    // 874 928 B: 528 384 B of rows and dedup table, and two single-column
+    // indexes. A `[0, 1]` index the recount built beside the rows, in place
+    // of the readers' two, held 947 504 B.
+    assert!(
+        view.heap_bytes() < 947_504,
+        "the view holds {} B",
+        view.heap_bytes()
+    );
 }

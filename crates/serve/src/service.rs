@@ -492,10 +492,10 @@ impl QueryService {
     }
 
     /// Select/project over the maintained view's stored relation, when the
-    /// view exists and is exact for the query's snapshot — through an index
-    /// maintenance already keeps on the view, when the query's constants
-    /// cover one; what it read goes to the engine's probe counters. The query
-    /// is over the served predicate at its arity: it has a plan.
+    /// view exists and is exact for the query's snapshot — through the index
+    /// the view keeps on each column, when the query binds one; what it read
+    /// goes to the engine's probe counters. The query is over the served
+    /// predicate at its arity: it has a plan.
     fn view_answers(
         &self,
         snapshot: &Snapshot,
