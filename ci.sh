@@ -67,7 +67,7 @@ done
 # substrate crate stays free of recurs-obs; and the CLI's engine run answers
 # from the store the engine saturated: the only place it may consult the
 # oracle (or copy a relation out) is the `--check` comparison.
-echo "==> oracle guard (the oracle is ungoverned; run --engine indexed reads the store)"
+echo "==> oracle guard (the oracle is ungoverned and joins one way; the class only caps rounds; run --engine indexed reads the store)"
 if grep -nE "Governor|EvalBudget|recurs_obs|Serialize" crates/datalog/src/eval.rs; then
   echo "crates/datalog/src/eval.rs is governed, traced or serialized again" >&2
   exit 1
@@ -76,6 +76,21 @@ if grep -n "recurs-obs" crates/datalog/Cargo.toml; then
   echo "recurs-datalog depends on recurs-obs again" >&2
   exit 1
 fi
+# And the oracle has one join path: every rule evaluation, semi-naive
+# variants included, is `eval_rule` over the algebra's operators — no
+# executor, index or per-round cache of its own beside it.
+if non_test crates/datalog/src/eval.rs | grep -nE "Prepared|index_on|HashMap<Vec<Value>"; then
+  echo "crates/datalog/src/eval.rs builds an index of its own again: join through eval_rule" >&2
+  exit 1
+fi
+# Outside the planner the class decides only a round cap: the engine and
+# ivm read `rank_bound()`, and a label that is not behaviour stays deleted.
+for f in $(find crates/engine/src crates/ivm/src -name '*.rs'); do
+  if non_test "$f" | grep -nE "KernelKind::Frontier|MaintenancePath::Frontier|is_transformable_to_stable"; then
+    echo "$f decides more than a round cap from the class: lowerings are the planner's" >&2
+    exit 1
+  fi
+done
 if non_test crates/cli/src/lib.rs | sed '/^impl OracleFixpoint {/,/^}/d' | grep -v "^use " \
     | grep -nE "answer_query|to_relation|run_linear"; then
   echo "crates/cli/src/lib.rs copies the fixpoint out of the engine store again" >&2

@@ -1,18 +1,34 @@
-//! Ablation: the Remark's compression as an optimization. The same stable
-//! formula is evaluated (a) as written, with the undirected chain re-joined
-//! inside every fixpoint iteration, and (b) compressed, with the combined
-//! relation materialized once. Expected shape: compression wins and the gap
-//! grows with the number of iterations the fixpoint needs.
+//! Ablation: the Remark's compression as an optimization, on the engine. The
+//! same stable formula is compiled and saturated over one engine store (a)
+//! as written, with the undirected chain re-joined inside every round, and
+//! (b) compressed, with the combined relation derived once in the seeding
+//! round. This is the shape ROADMAP item 5 gates shared terms on: keep
+//! compression only where it wins on the engine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use recurs_core::compress::compress;
-use recurs_datalog::eval::semi_naive;
 use recurs_datalog::parser::parse_program;
+use recurs_datalog::rule::Program;
 use recurs_datalog::validate::validate_with_generic_exit;
-use recurs_datalog::{Database, Relation};
+use recurs_datalog::{Database, Relation, Symbol};
+use recurs_engine::{saturate, CompiledProgram, EngineConfig, EngineDb, KernelKind};
 use recurs_workload::graphs::chain;
 use std::hint::black_box;
 use std::time::Duration;
+
+/// `program` saturated over a copy of `store` (which shares its rows):
+/// the size of `P`.
+fn saturated_len(store: &EngineDb, program: &CompiledProgram) -> usize {
+    let mut store = store.clone();
+    saturate(
+        &mut store,
+        program,
+        KernelKind::Generic,
+        &EngineConfig::default(),
+    )
+    .unwrap();
+    store.get(Symbol::intern("P")).unwrap().len()
+}
 
 fn ablation(c: &mut Criterion) {
     // The Remark's formula: the chain x −A− u is joined through B, C too.
@@ -24,7 +40,10 @@ fn ablation(c: &mut Criterion) {
         .unwrap(),
     )
     .unwrap();
-    let compressed = compress(&f);
+    let forms: [(&str, Program); 2] = [
+        ("as_written", f.to_program()),
+        ("compressed", compress(&f).to_program()),
+    ];
 
     let mut group = c.benchmark_group("compress_ablation");
     group
@@ -36,21 +55,19 @@ fn ablation(c: &mut Criterion) {
         db.insert_relation("B", Relation::from_pairs((1..=n).map(|i| (i, i + 1000))));
         db.insert_relation("C", Relation::from_pairs((1..n).map(|i| (i + 1000, i + 1))));
         db.insert_relation("E", chain(n));
+        let store = EngineDb::from(&db);
+        let compiled = forms
+            .each_ref()
+            .map(|(name, program)| (*name, CompiledProgram::compile(program, &store).unwrap()));
+        // Both forms reach the same fixpoint before either is timed.
+        let sizes = compiled.each_ref().map(|(_, p)| saturated_len(&store, p));
+        assert_eq!(sizes[0], sizes[1], "compression changed P at n = {n}");
 
-        group.bench_with_input(BenchmarkId::new("as_written", n), &db, |b, db| {
-            b.iter(|| {
-                let mut db = db.clone();
-                semi_naive(&mut db, &f.to_program(), None).unwrap();
-                black_box(db.get("P").unwrap().len())
+        for (name, program) in &compiled {
+            group.bench_with_input(BenchmarkId::new(*name, n), &store, |b, store| {
+                b.iter(|| black_box(saturated_len(store, program)));
             });
-        });
-        group.bench_with_input(BenchmarkId::new("compressed", n), &db, |b, db| {
-            b.iter(|| {
-                let mut db = db.clone();
-                semi_naive(&mut db, &compressed.to_program(), None).unwrap();
-                black_box(db.get("P").unwrap().len())
-            });
-        });
+        }
     }
     group.finish();
 }

@@ -33,7 +33,7 @@ use recurs_datalog::parser::parse;
 use recurs_datalog::rule::{LinearRecursion, Program};
 use recurs_datalog::validate::{is_reserved, validate_with_generic_exit};
 use recurs_datalog::{Atom, Database};
-use recurs_engine::{EngineConfig, EngineDb, IndexedRelation, Selection};
+use recurs_engine::{EngineConfig, EngineDb, IndexedRelation, KernelKind, Selection};
 use recurs_igraph::build::resolution_graph;
 use recurs_igraph::dot::{to_ascii, to_dot};
 use recurs_ivm::{render_tree, WhyOutcome, DEFAULT_WHY_DEPTH};
@@ -959,9 +959,9 @@ fn run_engine(
     let (obs, trace_writer, metrics_agg) = build_run_obs(trace, metrics)?;
     if obs.enabled() {
         // The provenance record tying a trace back to the paper's dispatch
-        // decision: the class verdict and the kernel it selects.
+        // decision: the class verdict and the kernel its rank bound selects.
         let c = Classification::of(&loaded.lr.recursive_rule);
-        let kernel = recurs_engine::select_kernel(&c).label().into();
+        let kernel = KernelKind::for_round_cap(c.rank_bound()).label().into();
         let engine = field::st("indexed");
         let fields = verdict_fields(&c, [("kernel", kernel), ("engine", engine)]);
         obs.event("classify.verdict", &fields);
@@ -983,7 +983,7 @@ fn run_engine(
     }
     let label = format!(
         "engine:indexed kernel:{} iterations={}",
-        sat.stats.kernel.map_or_else(|| "?".into(), |k| k.label()),
+        sat.stats.kernel.label(),
         sat.stats.iteration_count()
     );
     // A Ctrl-C caught before that point asks out, whether it truncated the
@@ -1692,8 +1692,9 @@ E(1, 2). E(2, 3). E(2, 4).
             TC,
         )
         .unwrap();
-        // The indexed engine reports the class-selected kernel for TC (A5).
-        assert!(out.contains("engine:indexed kernel:frontier"), "{out}");
+        // The indexed engine reports the kernel TC's (A5) missing rank
+        // bound selects.
+        assert!(out.contains("engine:indexed kernel:generic"), "{out}");
         assert!(out.contains("oracle: agrees"), "{out}");
         // Same answer lines as the plan-driven run (headers differ).
         for line in plan_out.lines().filter(|l| l.starts_with("  ")) {

@@ -303,7 +303,10 @@ fn reserved_relation_names_are_refused_in_files_and_over_stdin() {
     assert!(lines[2].contains("\"complete\":true"), "{text}");
     // The view the first write builds is patched by the second.
     assert!(lines[3].contains("\"maintenance\":\"saturate\""), "{text}");
-    assert!(lines[4].contains("\"maintenance\":\"frontier\""), "{text}");
+    assert!(
+        lines[4].contains("\"maintenance\":\"generic-dred\""),
+        "{text}"
+    );
 }
 
 #[test]
@@ -358,14 +361,14 @@ fn trace_file_reconstructs_the_run_and_cross_checks_stats_json() {
         assert!(json_uint(line, "ts_us").is_some(), "no ts_us: {line}");
     }
 
-    // Classification provenance: the TC formula is class A3 and the engine
-    // dispatches the frontier kernel.
+    // Classification provenance: the TC formula is class A5 and, with no
+    // rank bound, the engine dispatches the generic kernel.
     let verdict = lines
         .iter()
         .find(|l| l.contains("\"kind\":\"classify.verdict\""))
         .unwrap_or_else(|| panic!("no classify.verdict event in {trace}"));
     assert!(verdict.contains("\"class\":\"A5\""), "{verdict}");
-    assert!(verdict.contains("\"kernel\":\"frontier\""), "{verdict}");
+    assert!(verdict.contains("\"kernel\":\"generic\""), "{verdict}");
     assert!(verdict.contains("\"components\":["), "{verdict}");
     assert!(verdict.contains("\"weight\":"), "{verdict}");
 
@@ -515,7 +518,7 @@ fn metrics_flag_appends_parseable_prometheus_text() {
     assert!(samples > 0);
     assert!(text.contains("recurs_engine_iterations_total"), "{text}");
     assert!(
-        text.contains("recurs_engine_runs_total{kernel=\"frontier\"}"),
+        text.contains("recurs_engine_runs_total{kernel=\"generic\"}"),
         "{text}"
     );
 }

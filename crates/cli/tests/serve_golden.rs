@@ -9,6 +9,11 @@
 //! number is masked to 0 on both sides. The file is a record of the old
 //! renderer's output, not of this binary's: a diff is a change to the wire
 //! format, never a golden to regenerate.
+//!
+//! One value was edited by hand since, when the label-only `frontier`
+//! maintenance path went: line 32, the TC view's patch for `-E(2, 3).`,
+//! reports `"maintenance":"generic-dred"` where it said `"frontier"` (TC has
+//! no rank bound, so its patch is the uncapped DRed loop).
 
 use std::io::Write as _;
 use std::path::Path;

@@ -43,7 +43,7 @@ fn engine_saturation(outcome: Outcome) -> Saturation {
     Saturation {
         outcome,
         stats: EngineStats {
-            kernel: Some(KernelKind::Frontier),
+            kernel: KernelKind::Generic,
             iterations: vec![
                 IterationStats {
                     delta_in: 0,

@@ -23,6 +23,21 @@
 //!   and `recurs_engine_probes_total` from 21 to 22: the view select of `a4`
 //!   probes the view's first column and reads its 6 answers, where it
 //!   scanned all 15 rows.
+//!
+//! And these, when the label-only `frontier` engine kernel and maintenance
+//! path went (a whole saturation or view patch of TC, which has no rank
+//! bound, is the generic loop; the `frontier` *query* lowering stays, so
+//! `serve.query` and `recurs_serve_queries_total` keep their label):
+//! - line 4 of both event files, the `P(1, y)` walk's `engine.start`:
+//!   `kernel` `frontier` → `generic`;
+//! - lines 57, 83 and 85 of both event files, the view build's
+//!   `ivm.saturate`, the patch's `ivm.patch` and its `serve.update`: `path` /
+//!   `result` `frontier` → `generic-dred`;
+//! - in `metrics.txt`, `recurs_engine_runs_total{kernel="generic"}` went
+//!   from 1 to 2 and its `kernel="frontier"` series is gone; the
+//!   `recurs_ivm_patches_total`, `recurs_serve_updates_total` and
+//!   `recurs_serve_update_seconds*` series are relabelled `frontier` →
+//!   `generic-dred`.
 
 use recurs_cli::{build_service_cancellable, ServiceOpts};
 use recurs_serve::protocol::{handle_line, LineOutcome};

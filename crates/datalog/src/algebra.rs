@@ -1,9 +1,9 @@
 //! Positional relational algebra over [`Relation`].
 //!
-//! The paper's compiled formulas are built from selection (σ), join (⋈),
-//! Cartesian product (×), union (∪), projection, and existence checking (∃).
-//! These operators are provided here over positional (unnamed) columns; the
-//! planner layer keeps track of which variable each column carries.
+//! The oracle ([`crate::eval`]) joins rule bodies with these operators:
+//! selection (σ), join (⋈), Cartesian product (×) and projection, over
+//! positional (unnamed) columns; the evaluator keeps track of which variable
+//! each column carries. (Union is [`Relation::union_in_place`].)
 //!
 //! Joins concatenate the full left and right tuples; callers project away the
 //! duplicated key columns when they want natural-join output. This keeps every
@@ -78,26 +78,6 @@ pub fn join(left: &Relation, right: &Relation, pairs: &[(usize, usize)]) -> Rela
     out
 }
 
-/// ⋉ — semi-join: the left tuples that have at least one join partner.
-pub fn semijoin(left: &Relation, right: &Relation, pairs: &[(usize, usize)]) -> Relation {
-    for &(l, r) in pairs {
-        assert!(l < left.arity(), "left semijoin column out of range");
-        assert!(r < right.arity(), "right semijoin column out of range");
-    }
-    let rcols: Vec<usize> = pairs.iter().map(|&(_, r)| r).collect();
-    let lcols: Vec<usize> = pairs.iter().map(|&(l, _)| l).collect();
-    let idx = right.index_on(&rcols);
-    Relation::from_tuples(
-        left.arity(),
-        left.iter()
-            .filter(|lt| {
-                let key: Vec<Value> = lcols.iter().map(|&c| lt[c]).collect();
-                idx.contains_key(&key)
-            })
-            .cloned(),
-    )
-}
-
 /// × — Cartesian product; output is left tuple concatenated with right tuple.
 pub fn product(left: &Relation, right: &Relation) -> Relation {
     let mut out = Relation::new(left.arity() + right.arity());
@@ -107,20 +87,6 @@ pub fn product(left: &Relation, right: &Relation) -> Relation {
         }
     }
     out
-}
-
-/// ∪ — set union.
-pub fn union(a: &Relation, b: &Relation) -> Relation {
-    assert_eq!(a.arity(), b.arity(), "union of mismatched arities");
-    let mut out = a.clone();
-    out.union_in_place(b);
-    out
-}
-
-/// ∃ — existence check: true iff the relation is non-empty. The paper uses
-/// this when a query only needs to know whether a derivation exists.
-pub fn exists(rel: &Relation) -> bool {
-    !rel.is_empty()
 }
 
 #[cfg(test)]
@@ -203,34 +169,11 @@ mod tests {
     }
 
     #[test]
-    fn semijoin_filters_left() {
-        let a = Relation::from_pairs([(1, 2), (2, 3), (4, 5)]);
-        let b = Relation::from_pairs([(2, 0), (5, 0)]);
-        let s = semijoin(&a, &b, &[(1, 0)]);
-        assert_eq!(s.len(), 2);
-        assert!(s.contains(&[v(1), v(2)]));
-        assert!(s.contains(&[v(4), v(5)]));
-    }
-
-    #[test]
     fn product_sizes_multiply() {
         let a = Relation::from_pairs([(1, 2), (2, 3)]);
         let b = Relation::from_pairs([(7, 8)]);
         let p = product(&a, &b);
         assert_eq!(p.len(), 2);
         assert_eq!(p.arity(), 4);
-    }
-
-    #[test]
-    fn union_dedups() {
-        let a = Relation::from_pairs([(1, 2)]);
-        let b = Relation::from_pairs([(1, 2), (2, 3)]);
-        assert_eq!(union(&a, &b).len(), 2);
-    }
-
-    #[test]
-    fn exists_checks_emptiness() {
-        assert!(!exists(&Relation::new(2)));
-        assert!(exists(&Relation::from_pairs([(1, 1)])));
     }
 }

@@ -5,6 +5,13 @@
 //! against it. It is the reference, never the fast path — it has no budget
 //! beyond an optional round cap, emits no events, and knows nothing of the
 //! engine's storage.
+//!
+//! It has one join path. Every rule evaluation — each rule of a [`naive`]
+//! round, [`semi_naive`]'s seeding round, and each of its differentiated
+//! variants, which is the rule with one IDB atom reading the delta — is
+//! [`eval_rule`]: a fold of the algebra's join and product over the body
+//! atoms in [`crate::order`]'s order. Nothing is prepared, indexed or kept
+//! between rounds.
 
 use crate::algebra::{join, product, select_col_eq, select_eq};
 use crate::database::Database;
@@ -52,15 +59,6 @@ impl Bindings {
     /// Column of a variable, if bound.
     pub fn column_of(&self, v: Symbol) -> Option<usize> {
         self.vars.iter().position(|&x| x == v)
-    }
-
-    /// Projects the bindings onto `vars` (all must be bound).
-    pub fn project_vars(&self, vars: &[Symbol]) -> Result<Relation, DatalogError> {
-        let cols: Vec<usize> = vars
-            .iter()
-            .map(|&v| self.column_of(v).ok_or(DatalogError::UnboundVariable(v)))
-            .collect::<Result<_, _>>()?;
-        Ok(crate::algebra::project(&self.rel, &cols))
     }
 }
 
@@ -231,175 +229,6 @@ fn head_tuples(head: &Atom, bindings: &Bindings) -> Result<Relation, DatalogErro
     Ok(out)
 }
 
-/// A differentiated recursive-rule variant prepared for repeated
-/// evaluation: the join order is fixed (delta atom first), every
-/// non-recursive (EDB) body atom is normalized once, and the hash index the
-/// join would otherwise rebuild per iteration is built once here. Only the
-/// delta atom and non-delta IDB occurrences stay dynamic — their relations
-/// change as the fixpoint grows.
-struct PreparedVariant {
-    head: Atom,
-    delta_pos: usize,
-    delta_vars: Vec<Symbol>,
-    steps: Vec<PreparedStep>,
-}
-
-enum PreparedStep {
-    /// An EDB atom with at least one variable shared with the prefix:
-    /// probe the prebuilt index.
-    Indexed {
-        /// `(accumulator column, index key order)` — the key is the shared
-        /// variables' values in the order they appear in `key_cols`.
-        acc_cols: Vec<usize>,
-        /// Normalized-relation tuples keyed by the shared columns.
-        index: HashMap<Vec<Value>, Vec<Tuple>>,
-        /// Columns of the normalized tuple appended to the accumulator.
-        new_cols: Vec<usize>,
-        /// New variables those columns carry.
-        new_vars: Vec<Symbol>,
-    },
-    /// An EDB atom sharing no variable with the prefix: Cartesian product
-    /// with the (pre-normalized) relation.
-    Product { rel: Relation, vars: Vec<Symbol> },
-    /// An IDB atom (a non-delta recursive occurrence): normalized against
-    /// the live database every iteration, as before.
-    Dynamic { pos: usize },
-}
-
-/// Prepares one `(rule, delta position)` variant. `db` supplies relation
-/// sizes for the ordering heuristic and the EDB relations to index; IDB
-/// predicates (members of `idb`) are left dynamic.
-fn prepare_variant(
-    rule: &Rule,
-    delta_pos: usize,
-    db: &Database,
-    idb: &BTreeSet<Symbol>,
-) -> Result<PreparedVariant, DatalogError> {
-    let order = crate::order::order_atoms(
-        &rule.body,
-        |p| db.get(p).map(Relation::len),
-        Some(delta_pos),
-    );
-    debug_assert_eq!(order[0], delta_pos);
-    // Distinct variables of the delta atom in first-occurrence order — the
-    // accumulator layout normalize_atom will produce at runtime.
-    let delta_vars: Vec<Symbol> = rule.body[delta_pos].distinct_variables();
-    let mut acc_vars = delta_vars.clone();
-    let mut steps = Vec::new();
-    for &pos in &order[1..] {
-        let atom = &rule.body[pos];
-        if idb.contains(&atom.predicate) {
-            // Simulate the extend so later steps see the right layout.
-            for v in atom.variables() {
-                if !acc_vars.contains(&v) {
-                    acc_vars.push(v);
-                }
-            }
-            steps.push(PreparedStep::Dynamic { pos });
-            continue;
-        }
-        let rel = db.require(atom.predicate)?;
-        let (vars, normalized) = normalize_atom(atom, rel)?;
-        let mut acc_cols = Vec::new();
-        let mut key_cols = Vec::new();
-        let mut new_cols = Vec::new();
-        let mut new_vars = Vec::new();
-        for (i, &v) in vars.iter().enumerate() {
-            match acc_vars.iter().position(|&a| a == v) {
-                Some(j) => {
-                    acc_cols.push(j);
-                    key_cols.push(i);
-                }
-                None => {
-                    new_cols.push(i);
-                    new_vars.push(v);
-                }
-            }
-        }
-        if acc_cols.is_empty() {
-            acc_vars.extend(new_vars.iter().copied());
-            steps.push(PreparedStep::Product {
-                rel: normalized.into_owned(),
-                vars,
-            });
-            continue;
-        }
-        // The index the join would rebuild every iteration, built once.
-        let mut index: HashMap<Vec<Value>, Vec<Tuple>> = HashMap::new();
-        for t in normalized.iter() {
-            let key: Vec<Value> = key_cols.iter().map(|&c| t[c]).collect();
-            index.entry(key).or_default().push(t.clone());
-        }
-        acc_vars.extend(new_vars.iter().copied());
-        steps.push(PreparedStep::Indexed {
-            acc_cols,
-            index,
-            new_cols,
-            new_vars,
-        });
-    }
-    Ok(PreparedVariant {
-        head: rule.head.clone(),
-        delta_pos,
-        delta_vars,
-        steps,
-    })
-}
-
-impl PreparedVariant {
-    /// Evaluates the variant against the current database with the given
-    /// delta relation, returning derived head tuples.
-    fn eval(&self, db: &Database, rule: &Rule, delta: &Relation) -> Result<Relation, DatalogError> {
-        let atom = &rule.body[self.delta_pos];
-        let (vars, normalized) = normalize_atom(atom, delta)?;
-        debug_assert_eq!(vars, self.delta_vars);
-        let mut acc = Bindings {
-            vars,
-            rel: normalized.into_owned(),
-        };
-        for step in &self.steps {
-            if acc.rel.is_empty() {
-                return Ok(Relation::new(self.head.arity()));
-            }
-            match step {
-                PreparedStep::Indexed {
-                    acc_cols,
-                    index,
-                    new_cols,
-                    new_vars,
-                } => {
-                    let mut out = Relation::new(acc.vars.len() + new_cols.len());
-                    for t in acc.rel.iter() {
-                        let key: Vec<Value> = acc_cols.iter().map(|&c| t[c]).collect();
-                        let Some(matches) = index.get(&key) else {
-                            continue;
-                        };
-                        for m in matches {
-                            out.insert(
-                                t.iter()
-                                    .copied()
-                                    .chain(new_cols.iter().map(|&c| m[c]))
-                                    .collect(),
-                            );
-                        }
-                    }
-                    acc.vars.extend(new_vars.iter().copied());
-                    acc.rel = out;
-                }
-                PreparedStep::Product { rel, vars } => {
-                    acc = extend_bindings(&acc, vars, rel);
-                }
-                PreparedStep::Dynamic { pos } => {
-                    let rel = db.require(rule.body[*pos].predicate)?;
-                    let (vars, normalized) = normalize_atom(&rule.body[*pos], rel)?;
-                    acc = extend_bindings(&acc, &vars, &normalized);
-                }
-            }
-        }
-        head_tuples(&self.head, &acc)
-    }
-}
-
 fn declare_idb(db: &mut Database, program: &Program) -> Result<(), DatalogError> {
     for rule in &program.rules {
         db.declare(rule.head.predicate, rule.head.arity())?;
@@ -514,11 +343,6 @@ pub fn semi_naive(
         }
     }
 
-    // Differentiated variants are prepared on first use and reused across
-    // iterations: EDB body atoms are normalized and indexed once there,
-    // instead of being re-normalized and re-indexed every iteration.
-    let mut prepared: HashMap<(usize, usize), PreparedVariant> = HashMap::new();
-
     loop {
         if true_delta.values().all(Relation::is_empty) {
             return Ok(stats);
@@ -529,8 +353,9 @@ pub fn semi_naive(
         }
         stats.iterations += 1;
         let mut derived: HashMap<Symbol, Relation> = HashMap::new();
-        for (rule_idx, rule) in program.rules.iter().enumerate() {
-            // One differentiated variant per IDB body occurrence.
+        for rule in &program.rules {
+            // One differentiated variant per IDB body occurrence: the rule
+            // with that atom reading the delta, joined like any other body.
             for pos in (0..rule.body.len()).filter(|&i| idb.contains(&rule.body[i].predicate)) {
                 let Some(d) = true_delta.get(&rule.body[pos].predicate) else {
                     continue;
@@ -538,13 +363,7 @@ pub fn semi_naive(
                 if d.is_empty() {
                     continue;
                 }
-                let variant = match prepared.entry((rule_idx, pos)) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(prepare_variant(rule, pos, db, &idb)?)
-                    }
-                };
-                let out = variant.eval(db, rule, d)?;
+                let out = eval_rule(db, rule, &HashMap::from([(pos, d)]))?;
                 derived
                     .entry(rule.head.predicate)
                     .or_insert_with(|| Relation::new(rule.head.arity()))

@@ -5,11 +5,10 @@
 
 use crate::compile::Selection;
 use crate::error::{EngineError, Saturation};
-use crate::kernel::select_kernel;
 use crate::stats::KernelKind;
 use crate::storage::{EngineDb, IndexedRelation};
 use crate::{saturate, select, CompiledProgram, EngineConfig};
-use recurs_core::plan::{QueryPlan, StrategyKind};
+use recurs_core::plan::QueryPlan;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::Atom;
 
@@ -64,14 +63,9 @@ pub fn evaluate(
             store = private(indexed)?;
         }
     }
-    // The kernel is the round cap plus the label on the run's statistics
-    // and events.
-    let kernel = match (lowered.round_cap, plan.strategy) {
-        (Some(rank), _) => KernelKind::BoundedUnroll { rank },
-        (None, StrategyKind::Frontier) => KernelKind::Frontier,
-        (None, StrategyKind::Saturate) => select_kernel(&plan.classification),
-        (None, _) => KernelKind::Generic,
-    };
+    // The lowering's round cap is the kernel: a `Saturate` plan never has a
+    // rank (the planner picks `Bounded` first), so the class adds nothing.
+    let kernel = KernelKind::for_round_cap(lowered.round_cap);
     let saturation = saturate(&mut store, &compiled, kernel, config)?;
     let stored = store
         .get(lowered.answer.predicate)

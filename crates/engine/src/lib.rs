@@ -1,5 +1,5 @@
-//! `recurs-engine` — an indexed semi-naive execution engine with
-//! class-aware kernels.
+//! `recurs-engine` — an indexed semi-naive execution engine whose round cap
+//! the classification chooses.
 //!
 //! The oracle evaluator in `recurs_datalog::eval` is written for clarity and
 //! only ever checks results: it re-plans the join order and re-normalizes
@@ -24,9 +24,12 @@
 //!   that decides which head rows are fresh. The engine kernels below, the
 //!   incremental-maintenance loops of `recurs-ivm` and its rank-tracked
 //!   provenance saturation are all instantiations of it.
-//! * **Kernels** ([`kernel`]): the classification changes only *how many
-//!   rounds* run, so a [`KernelKind`] is the driver's round cap plus a
-//!   reporting label.
+//! * **Kernels** ([`KernelKind`]): the classification changes only *how
+//!   many rounds* a whole saturation runs. A proven rank bound
+//!   (`Classification::rank_bound`, or a lowering's `round_cap`) is
+//!   [`KernelKind::BoundedUnroll`], the driver's round cap; everything else
+//!   is [`KernelKind::Generic`]. [`KernelKind::for_round_cap`] is the one
+//!   place that choice is made.
 //! * **The executor** ([`evaluate`]): the one function that answers a
 //!   planned query — it lowers the [`QueryPlan`](recurs_core::QueryPlan),
 //!   saturates that program over a private clone of the caller's store and
@@ -58,7 +61,6 @@ pub mod error;
 mod evaluate;
 #[cfg(any(test, feature = "fault-inject"))]
 pub mod fault;
-pub mod kernel;
 pub mod oracle;
 pub mod stats;
 pub mod storage;
@@ -67,7 +69,6 @@ pub use compile::{select, select_counted, Selection};
 pub use driver::{drive_rounds, Rounds};
 pub use error::{EngineError, Saturation};
 pub use evaluate::{evaluate, Evaluation};
-pub use kernel::select_kernel;
 pub use stats::{EngineStats, IterationStats, KernelKind};
 pub use storage::{Batch, EngineDb, IndexedRelation};
 
@@ -96,8 +97,8 @@ pub struct EngineConfig {
     pub obs: Obs,
 }
 
-/// Saturates `storage` in place with the recursion's consequences using the
-/// kernel selected from its classification — the store-level form of
+/// Saturates `storage` in place with the recursion's consequences, capped at
+/// its classification's rank bound when it has one — the store-level form of
 /// [`run_linear`]: nothing is loaded or copied back, the fixpoint (or a sound
 /// under-approximation of it, on [`Outcome::Truncated`]) stays in the store
 /// for [`select`] to read. Every body relation must already be stored.
@@ -111,10 +112,10 @@ pub fn saturate_linear(
     saturate(storage, &compiled, kernel, config)
 }
 
-/// Saturates `db` with the program's consequences using the kernel selected
-/// from the recursion's classification. IDB relations are written back into
-/// `db` (EDB relations are untouched) — on [`Outcome::Truncated`] runs too,
-/// where they hold a sound under-approximation of the fixpoint.
+/// Saturates `db` with the program's consequences, capped at the recursion's
+/// rank bound when its classification proves one. IDB relations are written
+/// back into `db` (EDB relations are untouched) — on [`Outcome::Truncated`]
+/// runs too, where they hold a sound under-approximation of the fixpoint.
 pub fn run_linear(
     db: &mut Database,
     lr: &LinearRecursion,
@@ -123,12 +124,12 @@ pub fn run_linear(
     run_with_kernel(db, &lr.to_program(), dispatch(lr, config), config)
 }
 
-/// The kernel the recursion's classification selects, recorded as the
-/// `engine.dispatch` event: which class the formula fell in and which
-/// compiled form the engine chose for it.
+/// The kernel the recursion's rank bound selects, recorded as the
+/// `engine.dispatch` event: which class the formula fell in and the kernel
+/// its round cap makes.
 fn dispatch(lr: &LinearRecursion, config: &EngineConfig) -> KernelKind {
     let classification = recurs_core::Classification::of(&lr.recursive_rule);
-    let kernel = select_kernel(&classification);
+    let kernel = KernelKind::for_round_cap(classification.rank_bound());
     if config.obs.enabled() {
         config.obs.event(
             "engine.dispatch",
@@ -278,23 +279,19 @@ pub fn saturate(
     // A proven rank is a cap that means completeness: the theorems
     // guarantee nothing new past it, so the run stops there without a
     // fixpoint-detection round.
-    let rank_cap = match kernel {
-        KernelKind::BoundedUnroll { rank } => Some(rank),
-        KernelKind::Frontier | KernelKind::Generic => None,
-    };
     let rounds = drive_rounds(
         storage,
         Some(&program.init),
         &program.variants,
         preseeded,
-        rank_cap,
+        kernel.round_cap(),
         &governor,
         obs,
         |storage, _round, rule, heads, fresh| storage.insert_fresh(rule.head_pred, heads, fresh),
     )?;
 
     let stats = EngineStats {
-        kernel: Some(kernel),
+        kernel,
         tuples_derived: rounds.iterations.iter().map(|it| it.new_tuples).sum(),
         iterations: rounds.iterations,
         index: storage.index_counters().since(index_before),
@@ -390,8 +387,8 @@ mod tests {
         let mut db2 = tc_db(7);
         semi_naive(&mut db1, &lr.to_program(), None).unwrap();
         let sat = run_linear(&mut db2, &lr, &EngineConfig::default()).unwrap();
-        // TC is class A5 (one-directional): frontier kernel.
-        assert_eq!(sat.stats.kernel, Some(KernelKind::Frontier));
+        // TC is class A5: no rank bound, so the generic loop.
+        assert_eq!(sat.stats.kernel, KernelKind::Generic);
         assert_eq!(db1.get("P").unwrap(), db2.get("P").unwrap());
     }
 

@@ -5,14 +5,11 @@ use std::borrow::Cow;
 use std::fmt;
 use std::time::Duration;
 
-/// Which class-aware kernel the dispatcher selected (see [`crate::kernel`]).
+/// The kernel a saturation ran: the one semi-naive loop, with or without a
+/// round cap. The classification changes a whole-program saturation in this
+/// one way only — a proven rank bound lets it stop after `rank` rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// One-directional formulas (classes A1/A3/A5 and the stable A2 cases
-    /// that still need fixpoint detection): semi-naive until the delta (the
-    /// frontier) is empty — the loop [`KernelKind::Generic`] runs, under
-    /// its own label.
-    Frontier,
     /// Bounded unrolling for formulas with a *proven* rank bound (pure
     /// permutational A2/A4, bounded B, acyclic D): apply the recursive rule
     /// exactly `rank` times and stop — no trailing empty iteration to detect
@@ -21,17 +18,34 @@ pub enum KernelKind {
         /// The proven rank bound (number of recursive applications).
         rank: u64,
     },
-    /// Semi-naive until the delta is empty, for everything else (classes
-    /// C/E/F and arbitrary multi-rule programs).
+    /// Semi-naive until the delta is empty: every formula without a proven
+    /// rank, and arbitrary multi-rule programs.
     Generic,
 }
 
 impl KernelKind {
-    /// Short label for reports, e.g. `"frontier"`, `"unroll(3)"`: static
+    /// The kernel for a run whose recursive rounds are capped at `round_cap`
+    /// (a classification's `rank_bound()`, a lowering's `round_cap`): a cap
+    /// is bounded unrolling, no cap is the generic loop.
+    pub fn for_round_cap(round_cap: Option<u64>) -> KernelKind {
+        match round_cap {
+            Some(rank) => KernelKind::BoundedUnroll { rank },
+            None => KernelKind::Generic,
+        }
+    }
+
+    /// The recursive rounds after which the run is complete by construction.
+    pub fn round_cap(&self) -> Option<u64> {
+        match self {
+            KernelKind::BoundedUnroll { rank } => Some(*rank),
+            KernelKind::Generic => None,
+        }
+    }
+
+    /// Short label for reports, e.g. `"generic"`, `"unroll(3)"`: static
     /// but for the rank.
     pub fn label(&self) -> Cow<'static, str> {
         match self {
-            KernelKind::Frontier => Cow::Borrowed("frontier"),
             KernelKind::BoundedUnroll { rank } => Cow::Owned(format!("unroll({rank})")),
             KernelKind::Generic => Cow::Borrowed("generic"),
         }
@@ -75,10 +89,10 @@ impl serde::Serialize for IterationStats {
 }
 
 /// Statistics of an engine run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct EngineStats {
-    /// The kernel the dispatcher selected.
-    pub kernel: Option<KernelKind>,
+    /// The kernel the run used.
+    pub kernel: KernelKind,
     /// Per-iteration detail, in order (iteration 0 is the non-recursive
     /// seeding round).
     pub iterations: Vec<IterationStats>,
@@ -129,7 +143,6 @@ mod tests {
 
     #[test]
     fn kernel_labels() {
-        assert_eq!(KernelKind::Frontier.label(), "frontier");
         assert_eq!(KernelKind::BoundedUnroll { rank: 3 }.label(), "unroll(3)");
         assert_eq!(KernelKind::Generic.to_string(), "generic");
     }

@@ -3,8 +3,8 @@
 //! (`recurs_datalog::eval::semi_naive`).
 //!
 //! The random rules span the paper's whole classification — one-directional
-//! A1–A5, bounded B, unbounded C — so this exercises all three kernels
-//! (frontier, bounded unroll, generic) against the same reference. A second
+//! A1–A5, bounded B, unbounded C — so this exercises both kernels (bounded
+//! unroll, generic) against the same reference. A second
 //! group pins down the governance contract: capped runs of the engine and
 //! the oracle produce *identical* tuple sets (the unified cap semantics), and
 //! budgeted runs are sound under-approximations with truthful `Truncated`
@@ -76,9 +76,10 @@ proptest! {
             rule_seed, db_seed, lr.recursive_rule
         );
         prop_assert!(sat.outcome.is_complete(), "uncapped run reported truncation");
-        prop_assert!(
-            sat.stats.kernel.is_some(),
-            "run_linear always classifies and picks a kernel"
+        let rank = recurs_core::Classification::of(&lr.recursive_rule).rank_bound();
+        prop_assert_eq!(
+            sat.stats.kernel, KernelKind::for_round_cap(rank),
+            "run_linear caps the run at the rank bound"
         );
     }
 
@@ -150,7 +151,7 @@ proptest! {
             cap, rule_seed, db_seed, lr.recursive_rule
         );
         prop_assert_eq!(
-            sat.stats.kernel, Some(KernelKind::Generic),
+            sat.stats.kernel, KernelKind::Generic,
             "run_program uses the generic kernel"
         );
         // Both sides agree on *whether* the cap truncated the run.

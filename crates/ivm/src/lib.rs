@@ -23,9 +23,8 @@
 //! candidates in overdeletion-frontier discovery order. The classification
 //! picks a maintenance path ([`MaintenancePath`]) that changes one thing,
 //! the round cap: a proven rank bound (A2/A4, bounded B, acyclic D) caps
-//! the propagation and closure loops the way it caps unroll depth; the
-//! other paths run uncapped and differ only in the label a patch reports.
-//! All paths run under an
+//! the propagation and closure loops the way it caps unroll depth; every
+//! other formula runs them uncapped. All paths run under an
 //! [`EvalBudget`](recurs_datalog::govern::EvalBudget) — a truncated patch
 //! never surfaces: [`Materialization::apply`] falls back to cold saturation
 //! of the new database and reports that it did.
@@ -52,10 +51,9 @@ use recurs_datalog::symbol::Symbol;
 use recurs_engine::EngineError;
 use std::fmt;
 
-/// How a patch is (or was) maintained, mirroring the engine's kernel
-/// selection: the classification theorems that bound evaluation also bound
-/// maintenance. Only [`MaintenancePath::round_cap`] tells the live paths
-/// apart in the code that runs; the rest is the label a patch reports.
+/// How a patch is (or was) maintained, mirroring the engine's kernel: the
+/// rank bound that caps evaluation also caps maintenance, and
+/// [`MaintenancePath::round_cap`] is all that tells the live paths apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaintenancePath {
     /// A proven rank bound (classes A2/A4, bounded B, acyclic D) caps every
@@ -65,10 +63,7 @@ pub enum MaintenancePath {
         /// The rank bound from the classification.
         rank: u64,
     },
-    /// One-directional formulas (A1/A3/A5): uncapped DRed, the same as
-    /// [`MaintenancePath::GenericDred`] under another label.
-    Frontier,
-    /// Uncapped DRed for everything else (class C and mixtures).
+    /// Uncapped DRed for every formula without a proven rank bound.
     GenericDred,
     /// The patch was abandoned (budget truncation or a tripped loop cap)
     /// and the materialization was rebuilt by cold saturation instead.
@@ -76,22 +71,19 @@ pub enum MaintenancePath {
 }
 
 impl MaintenancePath {
-    /// Selects the maintenance path for a classified recursive rule.
+    /// Selects the maintenance path for a classified recursive rule: its
+    /// rank bound, when it proves one.
     pub fn select(classification: &Classification) -> MaintenancePath {
-        if let Some(rank) = classification.rank_bound() {
-            return MaintenancePath::BoundedRecount { rank };
+        match classification.rank_bound() {
+            Some(rank) => MaintenancePath::BoundedRecount { rank },
+            None => MaintenancePath::GenericDred,
         }
-        if classification.is_transformable_to_stable() {
-            return MaintenancePath::Frontier;
-        }
-        MaintenancePath::GenericDred
     }
 
     /// Stable label for metrics and protocol replies.
     pub fn label(&self) -> &'static str {
         match self {
             MaintenancePath::BoundedRecount { .. } => "bounded-recount",
-            MaintenancePath::Frontier => "frontier",
             MaintenancePath::GenericDred => "generic-dred",
             MaintenancePath::ColdFallback => "cold-fallback",
         }

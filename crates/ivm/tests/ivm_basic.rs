@@ -1,6 +1,8 @@
 //! Correctness of counted saturation and patch maintenance on hand-built
 //! examples: exact counts, insertion/deletion parity with from-scratch
-//! evaluation, self-support cycles, and the `ivm.patch` event taxonomy.
+//! evaluation, self-support cycles, the `ivm.patch` event taxonomy, and the
+//! one decision the class makes for a whole saturation and a patch — the
+//! round cap.
 
 mod common;
 
@@ -14,7 +16,7 @@ use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::Term;
 use recurs_datalog::validate::validate_with_generic_exit;
-use recurs_engine::{EngineDb, IndexedRelation};
+use recurs_engine::{saturate_linear, EngineConfig, EngineDb, IndexedRelation};
 use recurs_ivm::{EdbDelta, FactOp, MaintenancePath, Materialization};
 use recurs_obs::{CaptureRecorder, Obs};
 use std::collections::HashMap;
@@ -106,7 +108,7 @@ fn saturation_counts_are_exact_on_tc() {
     // has one (through A(1,2), P(2,3)).
     assert_eq!(mat.count(&tuple_u64([1, 2])), 1);
     assert_eq!(mat.count(&tuple_u64([1, 3])), 1);
-    assert_eq!(mat.path(), MaintenancePath::Frontier); // TC is class A5
+    assert_eq!(mat.path(), MaintenancePath::GenericDred); // TC (A5) has no rank bound
 }
 
 #[test]
@@ -276,7 +278,7 @@ fn patch_events_pin_the_taxonomy() {
     let mut mat = Materialization::saturate(&lr, &db, &EvalBudget::unlimited(), &obs).unwrap();
     let sat = capture.events_of("ivm.saturate");
     assert_eq!(sat.len(), 1);
-    assert_eq!(sat[0].text("path"), Some("frontier"));
+    assert_eq!(sat[0].text("path"), Some("generic-dred"));
     assert!(sat[0].uint("tuples").is_some());
 
     let e = Symbol::intern("E");
@@ -289,7 +291,7 @@ fn patch_events_pin_the_taxonomy() {
     let events = capture.events_of("ivm.patch");
     assert_eq!(events.len(), 1);
     let ev = &events[0];
-    assert_eq!(ev.text("path"), Some("frontier"));
+    assert_eq!(ev.text("path"), Some("generic-dred"));
     for field in [
         "edb_inserted",
         "edb_deleted",
@@ -304,7 +306,80 @@ fn patch_events_pin_the_taxonomy() {
     assert_eq!(ev.uint("edb_inserted"), Some(1));
     assert_eq!(ev.uint("edb_deleted"), Some(1));
     assert_eq!(
-        capture.counter_where("recurs_ivm_patches_total", &[("path", "frontier")]),
+        capture.counter_where("recurs_ivm_patches_total", &[("path", "generic-dred")]),
         1
     );
+}
+
+/// Outside the planner the class decides one thing, the round cap, the same
+/// way for a saturation and for its maintenance. One formula per class the
+/// classifier returns: the engine reports `unroll(r)` and the view
+/// `bounded-recount` exactly when `rank_bound()` is `Some(r)`, `generic` and
+/// `generic-dred` otherwise. Both reach `semi_naive`'s fixpoint, and a
+/// ranked run stops after the seeding round plus at most `rank` rounds —
+/// without the oracle's trailing fixpoint-detection round once the rank is
+/// reached.
+#[test]
+fn the_class_decides_only_the_round_cap() {
+    let rows: &[(&str, &str, Option<u64>)] = &[
+        ("A1", "P(x,y,z) :- A(x,u), B(y,v), P(u,v,w), C(w,z).", None),
+        ("A2", "P(x, y) :- A(x), B(y), P(x, y).", Some(0)),
+        (
+            "A3",
+            "P(x1,x2,x3) :- A(x1,y3), B(x2,y1), C(y2,x3), P(y1,y2,y3).",
+            None,
+        ),
+        ("A4", "P(x, y, z) :- P(y, z, x).", Some(2)),
+        ("A5", "P(x, y) :- A(x, z), P(z, y).", None),
+        (
+            "B",
+            "P(x,y,z,u) :- A(x,y), B(y1,u), C(z1,u1), P(z,y1,z1,u1).",
+            Some(2),
+        ),
+        ("C", "P(x, y, z) :- A(x, y), B(u, v), P(u, z, v).", None),
+        ("D", "P(x, y) :- B(y), C(x, y1), P(x1, y1).", Some(2)),
+    ];
+    let mut detection_skipped = 0;
+    for &(class, src, rank) in rows {
+        let lr = lr(src);
+        let c = recurs_core::Classification::of(&lr.recursive_rule);
+        assert_eq!(c.class.label(), class, "{src}");
+        assert_eq!(c.rank_bound(), rank, "{class}");
+        let db = recurs_workload::random_database(&lr, 12, 4, 7);
+
+        let mut store = EngineDb::from(&db);
+        let sat = saturate_linear(&mut store, &lr, &EngineConfig::default()).unwrap();
+        let mat =
+            Materialization::saturate(&lr, &db, &EvalBudget::unlimited(), &Obs::noop()).unwrap();
+        let (kernel, path) = match rank {
+            Some(r) => (format!("unroll({r})"), "bounded-recount"),
+            None => ("generic".to_string(), "generic-dred"),
+        };
+        assert_eq!(sat.stats.kernel.label(), kernel, "{class}");
+        assert_eq!(mat.path().label(), path, "{class}");
+
+        let mut oracle = db.clone();
+        let oracle_stats = semi_naive(&mut oracle, &lr.to_program(), None).unwrap();
+        let fixpoint = oracle.get(lr.predicate).unwrap();
+        assert!(
+            sat.outcome.is_complete(),
+            "{class}: a rank stop is not truncation"
+        );
+        assert_eq!(
+            &store.get(lr.predicate).unwrap().to_relation(),
+            fixpoint,
+            "{class}"
+        );
+        assert_eq!(&mat.relation().to_relation(), fixpoint, "{class}");
+        let cap = rank.map_or(usize::MAX, |r| r as usize + 1);
+        assert_eq!(
+            sat.stats.iteration_count(),
+            oracle_stats.iterations.min(cap),
+            "{class}"
+        );
+        if sat.stats.iteration_count() < oracle_stats.iterations {
+            detection_skipped += 1;
+        }
+    }
+    assert!(detection_skipped > 0, "no ranked row reached its rank");
 }

@@ -181,10 +181,12 @@ impl PointPlans {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recurs_core::{Classification, FormulaClass, OneDirectionalSubclass as Sub};
     use recurs_datalog::database::Database;
     use recurs_datalog::parser::{parse_atom, parse_program};
     use recurs_datalog::relation::Relation;
     use recurs_datalog::validate::validate_with_generic_exit;
+    use recurs_engine::KernelKind;
 
     fn lr(src: &str) -> LinearRecursion {
         validate_with_generic_exit(&parse_program(src).unwrap()).unwrap()
@@ -302,6 +304,126 @@ mod tests {
             err,
             ServeError::Datalog(recurs_datalog::error::DatalogError::ArityMismatch { .. })
         ));
+    }
+
+    /// The kernel a whole saturation of `f` runs, its formula's class, and
+    /// what answers `query` on a miss.
+    fn kernels(f: &LinearRecursion, query: &str) -> (FormulaClass, KernelKind, PointKernelKind) {
+        let class = Classification::of(&f.recursive_rule).class;
+        let mut db = recurs_workload::random_database(f, 12, 4, 7);
+        let sat = recurs_engine::run_linear(&mut db, f, &EngineConfig::default()).unwrap();
+        let plans = PointPlans::new(f.clone());
+        let point = plans.select(&parse_atom(query).unwrap()).unwrap();
+        (class, sat.stats.kernel, point)
+    }
+
+    /// The paper's s3 — class A1 (all unit rotational): no rank, so a
+    /// saturation runs the generic loop; a fully bound query walks the
+    /// frontier of the compiled formula.
+    #[test]
+    fn a1_selects_frontier() {
+        let f = lr("P(x,y,z) :- A(x,u), B(y,v), P(u,v,w), C(w,z).");
+        let (class, kernel, point) = kernels(&f, "P(1, 2, 3)");
+        assert_eq!(class, FormulaClass::OneDirectional(Sub::A1));
+        assert_eq!(kernel, KernelKind::Generic);
+        assert_eq!(point, PointKernelKind::Frontier);
+    }
+
+    /// The paper's s4a — class A3 (non-unit rotational): generic
+    /// saturation; the fully bound form walks the frontier after the
+    /// stable transform.
+    #[test]
+    fn a3_selects_frontier() {
+        let f = lr("P(x1,x2,x3) :- A(x1,y3), B(x2,y1), C(y2,x3), P(y1,y2,y3).");
+        let (class, kernel, point) = kernels(&f, "P(1, 11, 24)");
+        assert_eq!(class, FormulaClass::OneDirectional(Sub::A3));
+        assert_eq!(kernel, KernelKind::Generic);
+        assert_eq!(point, PointKernelKind::Frontier);
+    }
+
+    /// Transitive closure — class A5 (A1 + A2 mix), one-directional:
+    /// generic saturation; a source-bound query walks the frontier.
+    #[test]
+    fn transitive_closure_selects_frontier() {
+        let f = lr("P(x, y) :- A(x, z), P(z, y).");
+        let (class, kernel, point) = kernels(&f, "P(3, y)");
+        assert_eq!(class, FormulaClass::OneDirectional(Sub::A5));
+        assert_eq!(kernel, KernelKind::Generic);
+        assert_eq!(point, PointKernelKind::Frontier);
+    }
+
+    /// A pure A2 formula has rank bound 0: bounded unrolling, zero
+    /// recursive rounds, for a saturation and a query alike.
+    #[test]
+    fn a2_selects_bounded_unroll() {
+        let f = lr("P(x, y) :- A(x), B(y), P(x, y).");
+        let (class, kernel, point) = kernels(&f, "P(1, y)");
+        assert_eq!(class, FormulaClass::OneDirectional(Sub::A2));
+        assert_eq!(kernel, KernelKind::BoundedUnroll { rank: 0 });
+        assert_eq!(point, PointKernelKind::BoundedUnroll { rank: 0 });
+    }
+
+    /// The paper's s5 — class A4 (pure rotation permutation), rank bound
+    /// lcm(3) − 1 = 2: bounded unrolling.
+    #[test]
+    fn a4_selects_bounded_unroll() {
+        let f = lr("P(x, y, z) :- P(y, z, x).");
+        let (class, kernel, point) = kernels(&f, "P(1, y, z)");
+        assert_eq!(class, FormulaClass::OneDirectional(Sub::A4));
+        assert_eq!(kernel, KernelKind::BoundedUnroll { rank: 2 });
+        assert_eq!(point, PointKernelKind::BoundedUnroll { rank: 2 });
+    }
+
+    /// The paper's s8 — class B, proven rank bound 2: bounded unrolling.
+    #[test]
+    fn class_b_selects_bounded_unroll() {
+        let f = lr("P(x,y,z,u) :- A(x,y), B(y1,u), C(z1,u1), P(z,y1,z1,u1).");
+        let (class, kernel, point) = kernels(&f, "P(1, y, z, u)");
+        assert_eq!(class, FormulaClass::Bounded);
+        assert_eq!(kernel, KernelKind::BoundedUnroll { rank: 2 });
+        assert_eq!(point, PointKernelKind::BoundedUnroll { rank: 2 });
+    }
+
+    /// The paper's s9 — class C (unbounded): the generic loop, and an
+    /// all-free query saturates the recursion itself.
+    #[test]
+    fn class_c_selects_generic() {
+        let f = lr("P(x, y, z) :- A(x, y), B(u, v), P(u, z, v).");
+        let (class, kernel, point) = kernels(&f, "P(x, y, z)");
+        assert_eq!(class, FormulaClass::Unbounded);
+        assert_eq!(kernel, KernelKind::Generic);
+        assert_eq!(point, PointKernelKind::FullSaturation);
+    }
+
+    /// The bounded-unroll kernel must stop at the rank *and* still agree
+    /// with the oracle fixpoint (completeness is the theorems' claim; this
+    /// checks we honor it end to end, without a fixpoint-detection round).
+    #[test]
+    fn bounded_unroll_agrees_with_oracle_and_skips_detection() {
+        let f = lr("P(x, y, z) :- P(y, z, x).");
+        let mut db = Database::new();
+        db.insert_relation(
+            "E",
+            Relation::from_tuples(
+                3,
+                [
+                    recurs_datalog::relation::tuple_u64([1, 2, 3]),
+                    recurs_datalog::relation::tuple_u64([4, 4, 5]),
+                ],
+            ),
+        );
+        let all = parse_atom("P(x, y, z)").unwrap();
+        let want = oracle(&f, &db, &all);
+        let sat = recurs_engine::run_linear(&mut db, &f, &EngineConfig::default()).unwrap();
+        assert_eq!(sat.stats.kernel, KernelKind::BoundedUnroll { rank: 2 });
+        assert_eq!(db.get("P").unwrap(), &want);
+        // All three rotations of each tuple.
+        assert_eq!(want.len(), 6);
+        // A rank-bound stop is completeness, not truncation.
+        assert!(sat.outcome.is_complete());
+        // Seed round + exactly rank recursive rounds, no trailing
+        // fixpoint-detection iteration (the oracle needs one more).
+        assert_eq!(sat.stats.iteration_count(), 3);
     }
 
     #[test]

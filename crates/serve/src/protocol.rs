@@ -680,7 +680,7 @@ mod tests {
         assert!(r.contains("\"maintenance\":\"saturate\""), "got {r}");
         assert!(reply(&s, "+__ivm_cand(1).").contains("is reserved"));
         let r = reply(&s, "+A(4, 5) +E(4, 5).");
-        assert!(r.contains("\"maintenance\":\"frontier\""), "got {r}");
+        assert!(r.contains("\"maintenance\":\"generic-dred\""), "got {r}");
         let r = reply(&s, "?- P(1, y).");
         assert!(r.contains("[[\"2\"],[\"3\"],[\"4\"],[\"5\"]]"), "got {r}");
         assert!(r.contains("\"complete\":true"), "got {r}");

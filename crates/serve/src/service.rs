@@ -107,8 +107,8 @@ pub enum UpdateOutcome {
         deleted: usize,
         /// How the materialized view absorbed the change — a
         /// [`MaintenancePath`](recurs_ivm::MaintenancePath) label
-        /// (`"bounded-recount"`, `"frontier"`, `"generic-dred"`,
-        /// `"cold-fallback"`), `"saturate"` when the view was (re)built from
+        /// (`"bounded-recount"`, `"generic-dred"`, `"cold-fallback"`),
+        /// `"saturate"` when the view was (re)built from
         /// scratch, or `"none"` when no view could be maintained.
         maintenance: &'static str,
     },
@@ -1042,7 +1042,7 @@ mod tests {
             FactOp::Insert(e, tuple_u64([6, 7])),
         ];
         match service.apply_update(&ops).unwrap() {
-            UpdateOutcome::Installed { maintenance, .. } => assert_eq!(maintenance, "frontier"),
+            UpdateOutcome::Installed { maintenance, .. } => assert_eq!(maintenance, "generic-dred"),
             other => panic!("expected Installed, got {other:?}"),
         }
         let after = service.query(&q).unwrap();
@@ -1164,7 +1164,7 @@ mod tests {
         assert_eq!(updates[0].text("result"), Some("saturate"));
         assert_eq!(updates[0].uint("version"), Some(1));
         assert_eq!(updates[0].uint("inserted"), Some(2));
-        assert_eq!(updates[1].text("result"), Some("frontier"));
+        assert_eq!(updates[1].text("result"), Some("generic-dred"));
         assert_eq!(updates[1].uint("deleted"), Some(1));
         assert_eq!(updates[2].text("result"), Some("unchanged"));
         assert_eq!(updates[2].uint("version"), Some(2));
@@ -1175,7 +1175,7 @@ mod tests {
             1
         );
         assert_eq!(
-            capture.counter_where("recurs_serve_updates_total", &[("result", "frontier")]),
+            capture.counter_where("recurs_serve_updates_total", &[("result", "generic-dred")]),
             1
         );
         assert_eq!(capture.events_of("ivm.patch").len(), 1);

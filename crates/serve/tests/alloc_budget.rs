@@ -237,7 +237,7 @@ fn an_update_allocates_for_the_relation_it_changes_only() {
         let UpdateOutcome::Installed { maintenance, .. } = outcome else {
             panic!("the tip edge is new: {outcome:?}");
         };
-        assert_eq!(maintenance, "frontier");
+        assert_eq!(maintenance, "generic-dred");
         bytes
     };
     let (small, large) = (tip_update(40), tip_update(400));
@@ -290,7 +290,7 @@ fn a_write_allocates_for_the_entries_it_reaches_not_the_entries_there_are() {
         let UpdateOutcome::Installed { maintenance, .. } = outcome else {
             panic!("the tip edge is new: {outcome:?}");
         };
-        assert_eq!(maintenance, "frontier");
+        assert_eq!(maintenance, "generic-dred");
         // Every warm entry is still there, exact at the new version.
         let reply = service.query(&source_bound(warm)).unwrap();
         assert_eq!(reply.stats.cache, CacheOutcome::Hit);
