@@ -149,6 +149,23 @@ for f in $(find crates/net/src -name '*.rs' ! -name client.rs); do
   fi
 done
 
+# One-write framing guard: a frame's length prefix and payload leave in one
+# write, so on a TCP_NODELAY socket the reader wakes once per frame. Only
+# `frame::write_frame` and the fault hook's deliberately torn frame in
+# `server::write_reply` encode a length prefix.
+echo "==> framing guard (a length prefix is written by frame::write_frame alone)"
+for f in $(find crates/net/src -name '*.rs'); do
+  code="$(non_test "$f")"
+  case "$f" in
+    crates/net/src/frame.rs) code="$(sed '/^pub fn write_frame(/,/^}$/d' <<<"$code")" ;;
+    crates/net/src/server.rs) code="$(sed '/ReplyFault::Tear {$/,/^        }$/d' <<<"$code")" ;;
+  esac
+  if grep -n "to_be_bytes" <<<"$code"; then
+    echo "$f writes a length prefix outside frame::write_frame: frame it there, in one write" >&2
+    exit 1
+  fi
+done
+
 # Flat-store guard: a stored tuple, an index key and a row in flight are
 # slices of flat buffers. Nothing in the store, the pipelines or the round
 # driver may own one tuple by itself again (the per-relation list of indexes

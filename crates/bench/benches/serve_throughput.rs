@@ -16,8 +16,17 @@
 //! timed. A local tool: EXPERIMENTS.md §3 records the shapes, and the
 //! perfbench `serve-hot` / `serve-cold` workloads measure these paths end to
 //! end.
+//!
+//! `cold_miss_split` takes one served miss apart on the `serve-cold` graph
+//! (TC over 40 chains of 50 vertices, all 4 000 bound queries, cache off):
+//! `QueryService::query` per miss, then the executor's phases — lower, store
+//! clone + declares + seed, compile, saturate, select — timed one by one
+//! under the no-op recorder, each of the service's two recorders, and both.
+//! EXPERIMENTS.md §20 records it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use recurs_core::plan::{plan_query, QueryPlan};
+use recurs_datalog::adornment::QueryForm;
 use recurs_datalog::eval::{answer_query, semi_naive};
 use recurs_datalog::govern::EvalBudget;
 use recurs_datalog::parser::{parse_atom, parse_program};
@@ -26,11 +35,18 @@ use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::term::Atom;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::Database;
-use recurs_engine::{run_linear, EngineConfig};
+use recurs_engine::{
+    evaluate, run_linear, saturate, select, CompiledProgram, EngineConfig, EngineDb, KernelKind,
+    Selection,
+};
+use recurs_obs::aggregate::Aggregator;
+use recurs_obs::{FlightRecorder, Obs, Recorder};
 use recurs_serve::{CacheOutcome, PointKernelKind, QueryService, ServeConfig};
 use recurs_workload::graphs::chain;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hint::black_box;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn tc_formula() -> LinearRecursion {
     validate_with_generic_exit(
@@ -166,5 +182,158 @@ fn sg_serving(c: &mut Criterion) {
     serve_sweep(c, "serve_throughput_sg", &f, &cases);
 }
 
-criterion_group!(benches, tc_serving, sg_serving);
+/// Chains and vertices per chain of the `serve-cold` graph.
+const COLD_CHAINS: u64 = 40;
+const COLD_LENGTH: u64 = 50;
+
+/// The `serve-cold` graph — `A = E` = 40 disjoint chains of 50 vertices —
+/// and its 4 000 bound queries (`P(v, y)` and `P(x, v)` for every vertex),
+/// each with its closed-form answer count.
+fn cold_forest() -> (Database, Vec<(Atom, usize)>) {
+    let vertex = |c: u64, p: u64| c * COLD_LENGTH + p + 1;
+    let edges: Vec<(u64, u64)> = (0..COLD_CHAINS)
+        .flat_map(|c| (0..COLD_LENGTH - 1).map(move |p| (vertex(c, p), vertex(c, p + 1))))
+        .collect();
+    let mut db = Database::new();
+    db.insert_relation("A", Relation::from_pairs(edges.iter().copied()));
+    db.insert_relation("E", Relation::from_pairs(edges));
+    let mut queries = Vec::new();
+    for c in 0..COLD_CHAINS {
+        for p in 0..COLD_LENGTH {
+            let v = vertex(c, p);
+            let forward = (COLD_LENGTH - 1 - p) as usize;
+            queries.push((parse_atom(&format!("P({v}, y)")).unwrap(), forward));
+            queries.push((parse_atom(&format!("P(x, {v})")).unwrap(), p as usize));
+        }
+    }
+    (db, queries)
+}
+
+/// Microseconds per miss of each executor phase over `misses` (a plan, its
+/// query and the answer count), the median of `passes` passes, plus the
+/// mean rounds a miss ran. Each miss runs the steps
+/// `recurs_engine::evaluate` runs, against `base`, which already holds every
+/// index the pipelines probe (as a served snapshot does after the first miss
+/// of a form).
+fn phase_split(
+    misses: &[(&QueryPlan, &Atom, usize)],
+    base: &EngineDb,
+    config: &EngineConfig,
+    passes: usize,
+) -> ([f64; 5], f64) {
+    let mut per_pass: Vec<[f64; 5]> = Vec::new();
+    let mut rounds = 0;
+    for _ in 0..passes {
+        let mut total = [Duration::ZERO; 5];
+        rounds = 0;
+        for &(plan, query, expected) in misses {
+            let t0 = Instant::now();
+            let lowered = plan.lower(query).unwrap();
+            let t1 = Instant::now();
+            let mut store = base.clone();
+            let rules = lowered.program.rules.iter();
+            let atoms = rules.flat_map(|r| std::iter::once(&r.head).chain(&r.body));
+            for atom in atoms.chain([&lowered.answer]) {
+                store.declare(atom.predicate, atom.arity()).unwrap();
+            }
+            if let Some((pred, constants)) = &lowered.seed {
+                store.get_mut(*pred).unwrap().insert(constants);
+            }
+            let t2 = Instant::now();
+            let compiled = CompiledProgram::compile(&lowered.program, &store).unwrap();
+            let t3 = Instant::now();
+            let kernel = KernelKind::for_round_cap(lowered.round_cap);
+            let saturation = saturate(&mut store, &compiled, kernel, config).unwrap();
+            let t4 = Instant::now();
+            let stored = store.get(lowered.answer.predicate).unwrap();
+            let answers = select(stored, &Selection::of(&lowered.answer));
+            let t5 = Instant::now();
+            assert_eq!(answers.len(), expected, "{query}");
+            rounds += saturation.stats.iterations.len();
+            let phases = [(t0, t1), (t1, t2), (t2, t3), (t3, t4), (t4, t5)];
+            for (slot, (from, to)) in total.iter_mut().zip(phases) {
+                *slot += to - from;
+            }
+        }
+        per_pass.push(total.map(|d| d.as_secs_f64() * 1e6 / misses.len() as f64));
+    }
+    let median = std::array::from_fn(|phase| {
+        let mut column: Vec<f64> = per_pass.iter().map(|p| p[phase]).collect();
+        column.sort_by(f64::total_cmp);
+        column[column.len() / 2]
+    });
+    (median, rounds as f64 / misses.len() as f64)
+}
+
+fn cold_miss_split(c: &mut Criterion) {
+    let f = tc_formula();
+    let (db, queries) = cold_forest();
+
+    // The served miss, end to end in process: cache off, so every ask runs
+    // its plan; one warm-up pass republishes the indexes each form probes.
+    let point = service(&f, &db, false);
+    for (query, expected) in &queries {
+        let reply = point.query(query).unwrap();
+        assert!(reply.outcome.is_complete());
+        assert_eq!(reply.answers.len(), *expected, "{query}");
+    }
+    let mut group = c.benchmark_group("cold_miss_split");
+    group.sample_size(10);
+    group.bench_function("query", |b| {
+        let mut next = queries.iter().cycle();
+        b.iter(|| black_box(point.query(&next.next().unwrap().0).unwrap()));
+    });
+    group.finish();
+
+    // The same misses, phase by phase: one plan per query form, as the
+    // service caches them, over a store indexed for both forms.
+    let mut plans: HashMap<QueryForm, QueryPlan> = HashMap::new();
+    let mut base = EngineDb::from(&db);
+    for (query, _) in &queries {
+        if let Entry::Vacant(slot) = plans.entry(QueryForm::of_atom(query)) {
+            let plan = slot.insert(plan_query(&f, query).unwrap());
+            let config = EngineConfig::default();
+            evaluate(plan, query, &base.clone(), &config, |missing| {
+                base.build_indexes(missing);
+                None
+            })
+            .unwrap();
+        }
+    }
+    let misses: Vec<(&QueryPlan, &Atom, usize)> = queries
+        .iter()
+        .map(|(query, expected)| (&plans[&QueryForm::of_atom(query)], query, *expected))
+        .collect();
+    let service_recorders: Vec<Arc<dyn Recorder>> = vec![
+        Arc::new(Aggregator::default()),
+        Arc::new(FlightRecorder::default()),
+    ];
+    for (label, obs) in [
+        ("noop", Obs::noop()),
+        ("aggregator", Obs::new(Arc::new(Aggregator::default()))),
+        ("flight", Obs::new(Arc::new(FlightRecorder::default()))),
+        ("service", Obs::fanout(service_recorders)),
+    ] {
+        let config = EngineConfig {
+            budget: ServeConfig::default().budget,
+            obs,
+        };
+        let passes = 5;
+        let (us, rounds) = phase_split(&misses, &base, &config, passes);
+        println!(
+            "cold_miss_split/{label}  lower {:.2}  clone+declare+seed {:.2}  compile {:.2}  \
+             saturate {:.2}  select {:.2}  µs per miss  ({rounds:.1} rounds, {} misses, \
+             median of {passes} passes)",
+            us[0],
+            us[1],
+            us[2],
+            us[3],
+            us[4],
+            misses.len()
+        );
+    }
+    println!();
+}
+
+criterion_group!(benches, tc_serving, sg_serving, cold_miss_split);
 criterion_main!(benches);

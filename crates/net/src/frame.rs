@@ -54,12 +54,16 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Writes one frame (length prefix + payload) and flushes.
+/// Writes one frame (length prefix + payload) in one `write_all` and
+/// flushes: on a `TCP_NODELAY` socket the frame leaves as one segment, so
+/// the reader wakes once per frame, not once for the prefix alone.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload too large"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(LEN_PREFIX + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -225,6 +229,64 @@ mod tests {
     fn empty_frame_round_trips() {
         let bytes = framed(&[b""]);
         assert_eq!(read_frame(&mut &bytes[..], 1024).unwrap(), b"");
+    }
+
+    /// A writer that records each `write` call and accepts at most `cap`
+    /// bytes of it.
+    struct Recording {
+        calls: Vec<Vec<u8>>,
+        cap: usize,
+    }
+
+    impl Recording {
+        fn new(cap: usize) -> Recording {
+            Recording {
+                calls: Vec::new(),
+                cap,
+            }
+        }
+    }
+
+    impl Write for Recording {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.cap);
+            self.calls.push(buf[..n].to_vec());
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn payload(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 251) as u8).collect()
+    }
+
+    #[test]
+    fn a_frame_is_one_write_of_prefix_then_payload() {
+        for len in [0, 5, 64 << 10] {
+            let payload = payload(len);
+            let mut w = Recording::new(usize::MAX);
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.calls.len(), 1, "{len}-byte payload: one write per frame");
+            let (prefix, rest) = w.calls[0].split_at(LEN_PREFIX);
+            assert_eq!(prefix, (len as u32).to_be_bytes());
+            assert_eq!(rest, payload);
+        }
+    }
+
+    #[test]
+    fn a_frame_survives_short_writes_byte_identical() {
+        for len in [0, 5, 64 << 10] {
+            let payload = payload(len);
+            let mut w = Recording::new(3);
+            write_frame(&mut w, &payload).unwrap();
+            assert!(w.calls.iter().all(|c| c.len() <= 3));
+            let bytes = w.calls.concat();
+            assert_eq!(bytes, framed(&[&payload]));
+            assert_eq!(read_frame(&mut &bytes[..], 1 << 20).unwrap(), payload);
+        }
     }
 
     #[test]
