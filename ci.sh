@@ -231,6 +231,19 @@ for f in crates/engine/src/driver.rs $(find crates/ivm/src -name '*.rs') crates/
   fi
 done
 
+# One-lock guard: the answer cache is one LRU with one version stamp, and
+# the metric aggregator one map of series under one lock. Their readers are
+# few (the cache's are the queries holding an admission permit), and a
+# sharded LRU splits `cache_capacity` so N queries no longer fit in N
+# entries.
+echo "==> one-lock guard (no sharded cache or aggregator)"
+for f in crates/serve/src/cache.rs crates/obs/src/aggregate.rs; do
+  if non_test "$f" | grep -niE 'shard|Box<\[Mutex'; then
+    echo "$f is split into shards again: one LRU (one map of series) under one lock" >&2
+    exit 1
+  fi
+done
+
 echo "==> cargo test"
 cargo test --workspace --offline -q
 

@@ -12,7 +12,6 @@
 //! review the diff like any other API change.
 
 use recurs_datalog::govern::{Outcome, TruncationReason};
-use recurs_engine::storage::IndexCounters;
 use recurs_engine::{EngineStats, IterationStats, KernelKind, Saturation};
 use recurs_serve::{CacheCounters, ServiceStats};
 use std::path::Path;
@@ -59,10 +58,8 @@ fn engine_saturation(outcome: Outcome) -> Saturation {
                 },
             ],
             tuples_derived: 7,
-            index: IndexCounters {
-                builds: 1,
-                updates: 2,
-            },
+            index_builds: 1,
+            index_updates: 2,
             probes: 9,
             probe_hits: 6,
         },

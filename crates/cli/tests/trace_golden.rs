@@ -38,6 +38,11 @@
 //!   `recurs_ivm_patches_total`, `recurs_serve_updates_total` and
 //!   `recurs_serve_update_seconds*` series are relabelled `frontier` →
 //!   `generic-dred`.
+//!
+//! And this, when the answer cache became one LRU under one lock: in
+//! `metrics.txt`, the ten `recurs_serve_cache_ops_total{op,shard}` series
+//! became five `{op}` series, each the sum of its op's shards — `hit` 2,
+//! `insert` 4, `invalidate` 2, `miss` 4, `patch` 1.
 
 use recurs_cli::{build_service_cancellable, ServiceOpts};
 use recurs_serve::protocol::{handle_line, LineOutcome};

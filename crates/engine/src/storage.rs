@@ -204,32 +204,6 @@ impl Batch {
     }
 }
 
-/// Counters describing index maintenance work, for [`crate::EngineStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IndexCounters {
-    /// Full index constructions (one per distinct key-column set).
-    pub builds: u64,
-    /// Incremental key insertions performed while merging deltas.
-    pub updates: u64,
-}
-
-impl IndexCounters {
-    fn absorb(&mut self, other: IndexCounters) {
-        self.builds += other.builds;
-        self.updates += other.updates;
-    }
-
-    /// The work done since `earlier` was read off the same store. A
-    /// relation's counters live (and are copied) with it, so for a store
-    /// that shares relations with others this is the only per-run reading.
-    pub fn since(self, earlier: IndexCounters) -> IndexCounters {
-        IndexCounters {
-            builds: self.builds - earlier.builds,
-            updates: self.updates - earlier.updates,
-        }
-    }
-}
-
 /// The tuples of a relation: the row-major arena (slot `id` is
 /// `values[id * arity..][..arity]`), which slots are live, the freed ones,
 /// and the dedup table over whole rows.
@@ -383,7 +357,6 @@ pub struct IndexedRelation {
     arity: usize,
     rows: Arc<Rows>,
     indexes: Vec<Arc<Index>>,
-    counters: IndexCounters,
 }
 
 impl IndexedRelation {
@@ -486,7 +459,6 @@ impl IndexedRelation {
         rows.ids.insert(hash, id);
         for index in &mut self.indexes {
             Arc::make_mut(index).link(&rows.values, self.arity, id);
-            self.counters.updates += 1;
         }
         Some(id)
     }
@@ -503,7 +475,6 @@ impl IndexedRelation {
         let id = rows.ids.slots[slot].id;
         for index in &mut self.indexes {
             Arc::make_mut(index).unlink(&rows.values, self.arity, id);
-            self.counters.updates += 1;
         }
         rows.ids.remove_at(slot);
         rows.live[id as usize / 64] &= !(1 << (id % 64));
@@ -545,7 +516,6 @@ impl IndexedRelation {
             index.link(&rows.values, self.arity, id as u32);
         }
         self.indexes.push(Arc::new(index));
-        self.counters.builds += 1;
     }
 
     /// The index on exactly `cols`, if one is maintained.
@@ -590,11 +560,6 @@ impl IndexedRelation {
     /// Copies the storage back into a plain [`Relation`].
     pub fn to_relation(&self) -> Relation {
         Relation::from_tuples(self.arity, self.iter().map(Tuple::from))
-    }
-
-    /// Index-maintenance counters so far.
-    pub fn counters(&self) -> IndexCounters {
-        self.counters
     }
 
     /// Number of distinct indexes currently maintained.
@@ -745,17 +710,6 @@ impl EngineDb {
         }
     }
 
-    /// Sums the index counters of every relation — lifetime counters of
-    /// relations that may be older than this store; see
-    /// [`IndexCounters::since`].
-    pub fn index_counters(&self) -> IndexCounters {
-        let mut total = IndexCounters::default();
-        for rel in self.rels.values() {
-            total.absorb(rel.counters());
-        }
-        total
-    }
-
     /// Total number of persistent indexes across all relations.
     pub fn index_count(&self) -> usize {
         self.rels.values().map(IndexedRelation::index_count).sum()
@@ -811,7 +765,7 @@ mod tests {
         assert_eq!(probe_len(&r, &[0], &[v(7)]), 0);
         // No index on column 1 was ever ensured.
         assert!(r.probe(&[1], &[v(2)]).is_none());
-        assert_eq!(r.counters().builds, 1);
+        assert_eq!(r.index_count(), 1);
     }
 
     #[test]
@@ -822,17 +776,9 @@ mod tests {
         let second = r.insert_id(&tuple_u64([3, 2])).unwrap();
         let hits: Vec<u32> = r.probe(&[1], &[v(2)]).unwrap().collect();
         assert_eq!(hits, vec![second, first], "newest first");
-        // Two inserts, one index each: two incremental updates, no rebuild.
-        assert_eq!(
-            r.counters(),
-            IndexCounters {
-                builds: 1,
-                updates: 2
-            }
-        );
         // Re-ensuring is a no-op.
         r.ensure_index(&[1]);
-        assert_eq!(r.counters().builds, 1);
+        assert_eq!(r.index_count(), 1);
     }
 
     #[test]
@@ -887,7 +833,6 @@ mod tests {
         db.declare(a, 2).unwrap(); // no-op: already present
         assert!(db.declare(a, 3).is_err(), "arity conflict");
         db.get_mut(a).unwrap().ensure_index(&[0]);
-        assert_eq!(db.index_counters().builds, 1);
         assert_eq!(db.index_count(), 1);
         assert_eq!(db.get(a).unwrap().len(), 1);
     }
@@ -910,11 +855,10 @@ mod tests {
             !base.has_index(&[1]),
             "the original is not indexed behind its back"
         );
-        assert_eq!(copy.counters().since(base.counters()).builds, 1);
+        assert_eq!((base.index_count(), copy.index_count()), (1, 2));
 
         // A write copies rows and indexes once; the original keeps its
-        // content, its indexes and its counters.
-        let before = base.counters();
+        // content and its indexes.
         assert!(
             !copy.insert(&tuple_u64([1, 2])),
             "a duplicate writes nothing"
@@ -925,7 +869,7 @@ mod tests {
         assert_eq!((base.len(), copy.len()), (2, 3));
         assert_eq!(probe_len(&base, &[0], &[v(3)]), 0);
         assert_eq!(probe_len(&copy, &[0], &[v(3)]), 1);
-        assert_eq!(base.counters(), before);
+        assert_eq!(base.index_count(), 1);
 
         // Sole owner of its rows now: the next write is in place.
         let held = Arc::as_ptr(&copy.rows);

@@ -113,13 +113,12 @@ fn select_reads_what_the_constants_leave_it_to() {
     assert_eq!(ask(&a, "A(7, 1081)"), (0, 1, 0));
     // An index the constants cover is probed: it visits the answers.
     a.ensure_index(&[0]);
-    let built = a.counters();
     assert_eq!(ask(&a, "A(7, y)"), (10, 1, 10));
     assert_eq!(ask(&a, "A(99, y)"), (0, 1, 0));
     assert_eq!(ask(&a, "A(x, x)"), (0, 0, 300), "nothing bound: a scan");
     // One the constants do not cover is no help, and none is ever built.
     assert_eq!(ask(&a, "A(x, 1071)"), (1, 0, 300));
-    assert_eq!((a.counters(), a.index_count()), (built, 1));
+    assert_eq!(a.index_count(), 1);
 }
 
 /// One relation and what the model says it holds.

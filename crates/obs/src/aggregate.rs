@@ -1,14 +1,13 @@
-//! Sharded in-memory metric aggregation.
+//! In-memory metric aggregation.
 //!
 //! The [`Aggregator`] is the metrics sink: counters and histograms land in
-//! one of `N` independently locked shards (picked by hashing the metric
-//! name + label set), so concurrent workers rarely contend on the same
-//! mutex. A series is found by its borrowed name and labels, in whatever
-//! order the caller lists them; its owned [`LabelSet`] is built once, when
-//! the series is first seen, so recording into a known series allocates
-//! nothing. Events are ignored — provenance goes to the trace sink. Reads
+//! one map of series under one lock, hashed by metric name + label set. A
+//! series is found by its borrowed name and labels, in whatever order the
+//! caller lists them; its owned [`LabelSet`] is built once, when the series
+//! is first seen, so recording into a known series allocates nothing.
+//! Events are ignored — provenance goes to the trace sink. Reads
 //! ([`Aggregator::snapshot`], [`Aggregator::counter_where`]) walk every
-//! shard; they run at query/report time, never on the hot path.
+//! series; they run at query/report time, never on the hot path.
 
 use crate::Recorder;
 use std::collections::hash_map::DefaultHasher;
@@ -121,7 +120,7 @@ impl Series {
 }
 
 /// Series keyed by [`series_hash`]; equal hashes share a bucket.
-type Shard = HashMap<u64, Vec<Series>>;
+type SeriesMap = HashMap<u64, Vec<Series>>;
 
 /// A series' identity, hashed without building it: the name, then the sum
 /// of the per-label hashes, so the order the labels are listed in does not
@@ -139,31 +138,15 @@ fn series_hash(name: &str, labels: &[(&'static str, &str)]) -> u64 {
     h.finish()
 }
 
-/// The sharded metric store. See the [module docs](self).
-#[derive(Debug)]
+/// The metric store. See the [module docs](self).
+#[derive(Debug, Default)]
 pub struct Aggregator {
-    shards: Box<[Mutex<Shard>]>,
-}
-
-impl Default for Aggregator {
-    fn default() -> Aggregator {
-        Aggregator::new(8)
-    }
+    series: Mutex<SeriesMap>,
 }
 
 impl Aggregator {
-    /// Creates an aggregator with the given shard count (min 1).
-    pub fn new(shards: usize) -> Aggregator {
-        let n = shards.max(1);
-        Aggregator {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-        }
-    }
-
-    fn shard(&self, hash: u64) -> MutexGuard<'_, Shard> {
-        self.shards[(hash as usize) % self.shards.len()]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, SeriesMap> {
+        self.series.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Applies `apply` to the series `name` with `labels`, creating it with
@@ -176,8 +159,8 @@ impl Aggregator {
         apply: impl FnOnce(&mut Cell),
     ) {
         let hash = series_hash(name, labels);
-        let mut shard = self.shard(hash);
-        let bucket = shard.entry(hash).or_default();
+        let mut series = self.lock();
+        let bucket = series.entry(hash).or_default();
         let at = match bucket.iter().position(|s| s.is(name, labels)) {
             Some(at) => at,
             None => {
@@ -195,11 +178,11 @@ impl Aggregator {
     /// Current value of the counter with *exactly* this label set.
     pub fn counter_value(&self, name: &str, labels: &[(&'static str, &str)]) -> u64 {
         let hash = series_hash(name, labels);
-        let shard = self.shard(hash);
-        let series = shard
+        let series = self.lock();
+        let found = series
             .get(&hash)
             .and_then(|bucket| bucket.iter().find(|s| s.is(name, labels)));
-        match series.map(|s| &s.cell) {
+        match found.map(|s| &s.cell) {
             Some(Cell::Counter(v)) => *v,
             _ => 0,
         }
@@ -209,17 +192,14 @@ impl Aggregator {
     /// `required` (an empty slice sums all series of that name).
     pub fn counter_where(&self, name: &str, required: &[(&str, &str)]) -> u64 {
         let mut total = 0;
-        for shard in self.shards.iter() {
-            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            for series in shard.values().flatten() {
-                if series.name == name
-                    && required
-                        .iter()
-                        .all(|(rk, rv)| series.labels.iter().any(|(k, v)| k == rk && v == rv))
-                {
-                    if let Cell::Counter(v) = series.cell {
-                        total += v;
-                    }
+        for series in self.lock().values().flatten() {
+            if series.name == name
+                && required
+                    .iter()
+                    .all(|(rk, rv)| series.labels.iter().any(|(k, v)| k == rk && v == rv))
+            {
+                if let Cell::Counter(v) = series.cell {
+                    total += v;
                 }
             }
         }
@@ -229,20 +209,19 @@ impl Aggregator {
     /// Every series currently held, sorted by `(name, labels)` so output
     /// is deterministic.
     pub fn snapshot(&self) -> Vec<Metric> {
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            for series in shard.values().flatten() {
-                out.push(Metric {
-                    name: series.name,
-                    labels: series.labels.clone(),
-                    value: match &series.cell {
-                        Cell::Counter(v) => MetricValue::Counter(*v),
-                        Cell::Histogram(h) => MetricValue::Histogram(h.clone()),
-                    },
-                });
-            }
-        }
+        let mut out: Vec<Metric> = self
+            .lock()
+            .values()
+            .flatten()
+            .map(|series| Metric {
+                name: series.name,
+                labels: series.labels.clone(),
+                value: match &series.cell {
+                    Cell::Counter(v) => MetricValue::Counter(*v),
+                    Cell::Histogram(h) => MetricValue::Histogram(h.clone()),
+                },
+            })
+            .collect();
         out.sort_by(|a, b| (a.name, &a.labels).cmp(&(b.name, &b.labels)));
         out
     }
@@ -289,7 +268,7 @@ mod tests {
 
     #[test]
     fn counters_aggregate_per_label_set() {
-        let agg = Aggregator::new(4);
+        let agg = Aggregator::default();
         agg.counter("q", &[("kernel", "magic")], 1);
         agg.counter("q", &[("kernel", "magic")], 2);
         agg.counter("q", &[("kernel", "saturate")], 5);
@@ -302,7 +281,7 @@ mod tests {
 
     #[test]
     fn label_order_does_not_split_series() {
-        let agg = Aggregator::new(4);
+        let agg = Aggregator::default();
         agg.counter("c", &[("a", "1"), ("b", "2")], 1);
         agg.counter("c", &[("b", "2"), ("a", "1")], 1);
         assert_eq!(agg.counter_value("c", &[("a", "1"), ("b", "2")]), 2);
@@ -311,7 +290,7 @@ mod tests {
 
     #[test]
     fn series_are_told_apart_by_every_label_not_only_the_hash() {
-        let agg = Aggregator::new(1);
+        let agg = Aggregator::default();
         agg.counter("c", &[("a", "1"), ("b", "2")], 1);
         agg.counter("c", &[("a", "2"), ("b", "1")], 10);
         agg.counter("c", &[("a", "1")], 100);
@@ -326,7 +305,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_sum() {
-        let agg = Aggregator::new(1);
+        let agg = Aggregator::default();
         agg.observe("lat", &[], 0.0005); // ≤ 1e-3
         agg.observe("lat", &[], 0.02); // ≤ 0.1
         agg.observe("lat", &[], 120.0); // +Inf
@@ -348,7 +327,7 @@ mod tests {
         // Warm-cache latencies (a few µs to a few hundred µs) must land in
         // distinct buckets, not collapse into one — otherwise serve p50 on
         // the hit path is meaningless.
-        let agg = Aggregator::new(1);
+        let agg = Aggregator::default();
         for v in [2e-6, 8e-6, 3e-5, 2e-4, 7e-4] {
             agg.observe("hit", &[], v);
         }
@@ -367,7 +346,7 @@ mod tests {
 
     #[test]
     fn mixed_kind_emissions_do_not_corrupt_a_series() {
-        let agg = Aggregator::new(1);
+        let agg = Aggregator::default();
         agg.counter("m", &[], 7);
         agg.observe("m", &[], 1.0);
         assert_eq!(agg.counter_value("m", &[]), 7);
@@ -375,7 +354,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_and_deterministic() {
-        let agg = Aggregator::new(8);
+        let agg = Aggregator::default();
         agg.counter("b", &[], 1);
         agg.counter("a", &[("x", "2")], 1);
         agg.counter("a", &[("x", "1")], 1);

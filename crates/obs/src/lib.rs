@@ -7,7 +7,7 @@
 //!
 //! * **Counters** ([`Recorder::counter`]) — monotonic totals such as tuples
 //!   derived or cache hits, labelled with low-cardinality dimensions
-//!   (kernel, outcome, shard).
+//!   (kernel, outcome, cache op).
 //! * **Histograms** ([`Recorder::observe`]) — latency/size distributions in
 //!   base units (seconds), bucketed by the [`aggregate::Aggregator`].
 //! * **Events** ([`Recorder::event`]) — structured provenance records (one
@@ -18,7 +18,7 @@
 //!
 //! Three sinks implement the trait:
 //!
-//! * [`aggregate::Aggregator`] — a sharded in-memory metric store that
+//! * [`aggregate::Aggregator`] — an in-memory metric store that
 //!   renders to Prometheus text exposition ([`prometheus`]); events are
 //!   ignored.
 //! * [`trace::TraceWriter`] — a JSON-lines

@@ -108,7 +108,7 @@ mod tests {
 
     #[test]
     fn counters_render_with_type_headers_and_labels() {
-        let agg = Aggregator::new(2);
+        let agg = Aggregator::default();
         agg.counter("recurs_q_total", &[("kernel", "magic")], 3);
         agg.counter("recurs_q_total", &[("kernel", "bounded")], 1);
         agg.counter("recurs_snap_total", &[], 2);
@@ -124,7 +124,7 @@ mod tests {
 
     #[test]
     fn histograms_render_cumulative_buckets() {
-        let agg = Aggregator::new(1);
+        let agg = Aggregator::default();
         agg.observe("recurs_lat_seconds", &[("path", "p")], 0.0005);
         agg.observe("recurs_lat_seconds", &[("path", "p")], 0.0007);
         agg.observe("recurs_lat_seconds", &[("path", "p")], 2.0);
@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn empty_snapshot_is_just_the_terminator() {
-        let agg = Aggregator::new(1);
+        let agg = Aggregator::default();
         assert_eq!(agg.prometheus_text(), "# EOF\n");
     }
 }

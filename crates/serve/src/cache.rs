@@ -1,19 +1,20 @@
-//! Sharded LRU cache of completed query answers.
+//! LRU cache of completed query answers.
 //!
 //! An entry is keyed by the query's [`Selection`] — the engine's own
 //! select/project of the adorned query with its constants filled in, which is
 //! the query itself up to variable renaming: `P(c, X)` and `P(c, Y)` are one
-//! key, `P(x, x)` and `P(x, y)` two — and every shard carries the one [`Version`] its entries are exact at.
-//! [`SaturationCache::get`] hits only when the caller's snapshot version is
-//! the shard's, and [`SaturationCache::insert`] is dropped when the shard
-//! has moved on: a reader holding an older snapshot, or one that raced a
-//! writer, misses and its late answer is discarded. That is the whole
-//! no-stale-reply invariant. A version bump does not cost the cache: when
-//! incremental maintenance produces the exact change to the recursive
-//! predicate, [`SaturationCache::advance`] sends each changed tuple to the
-//! entries it can reach — one per key shape present — patches them in
-//! place and restamps the shard. Only when no patch exists (cold fallback,
-//! a freshly built view) does [`SaturationCache::retain_version`] clear it.
+//! key, `P(x, x)` and `P(x, y)` two — and the cache carries the one
+//! [`Version`] its entries are exact at. [`SaturationCache::get`] hits only
+//! when the caller's snapshot version is the cache's, and
+//! [`SaturationCache::insert`] is dropped when the cache has moved on: a
+//! reader holding an older snapshot, or one that raced a writer, misses and
+//! its late answer is discarded. That is the whole no-stale-reply invariant.
+//! A version bump does not cost the cache: when incremental maintenance
+//! produces the exact change to the recursive predicate,
+//! [`SaturationCache::advance`] sends each changed tuple to the entries it
+//! can reach — one per key shape present — patches them in place and
+//! restamps the cache. Only when no patch exists (cold fallback, a freshly
+//! built view) does [`SaturationCache::retain_version`] clear it.
 //!
 //! Only [`Outcome::Complete`](recurs_datalog::govern::Outcome) answers are
 //! admitted by the service: a truncated answer is a budget-dependent
@@ -26,26 +27,25 @@ use recurs_engine::{IndexedRelation, Selection};
 use recurs_ivm::IdbPatch;
 use recurs_obs::Obs;
 use std::collections::{HashMap, HashSet};
-use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The cache's monotone operation counts, as `QueryService::stats` reads
-/// them back from `recurs_serve_cache_ops_total{op}` summed over shards —
-/// the counter [`SaturationCache`] records every operation into.
+/// them back from `recurs_serve_cache_ops_total{op}` — the counter
+/// [`SaturationCache`] records every operation into.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
-    /// Lookups that found an entry in a shard stamped with their version.
+    /// Lookups that found an entry while the cache was at their version.
     pub hits: u64,
-    /// Lookups that found nothing, or a shard at another version.
+    /// Lookups that found nothing, or the cache at another version.
     pub misses: u64,
     /// Completed answers offered (a late one is also an invalidation).
     pub insertions: u64,
     /// Entries discarded to stay within capacity (LRU order).
     pub evictions: u64,
-    /// Entries dropped with their shard because a version landed without a
-    /// patch, plus answers that arrived for a version their shard had left.
+    /// Entries dropped because a version landed without a patch, plus
+    /// answers that arrived for a version the cache had left.
     pub invalidations: u64,
-    /// Entries whose answers a patch tuple changed as their shard moved to
+    /// Entries whose answers a patch tuple changed as the cache moved to
     /// the next version; the entries merely carried are not counted.
     pub patched: u64,
 }
@@ -73,14 +73,14 @@ impl serde::Serialize for CacheCounters {
 struct Entry {
     key: Selection,
     answers: IndexedRelation,
-    /// Neighbours in the shard's recency ring: the newest entry's `newer` is
-    /// the oldest entry, whose `older` is the newest.
+    /// Neighbours in the recency ring: the newest entry's `newer` is the
+    /// oldest entry, whose `older` is the newest.
     newer: usize,
     older: usize,
 }
 
 #[derive(Debug, Default)]
-struct Shard {
+struct Lru {
     /// The one snapshot version every entry is exact at.
     version: Version,
     /// Key → position in `entries`. Entries leave by eviction (the arriving
@@ -95,7 +95,7 @@ struct Shard {
     shapes: Vec<(Selection, usize)>,
 }
 
-impl Shard {
+impl Lru {
     /// Makes entry `i` the most recently used by moving its links: a hit
     /// clones no key and allocates nothing.
     fn touch(&mut self, i: usize) {
@@ -138,7 +138,7 @@ impl Shard {
     }
 
     /// Returns whether an entry was evicted to make room, or `None` when the
-    /// answer was discarded: the shard is not (or no longer) at `version`.
+    /// answer was discarded: the cache is not (or no longer) at `version`.
     fn insert(
         &mut self,
         key: Selection,
@@ -178,128 +178,127 @@ impl Shard {
         Some(full)
     }
 
-    fn clear(&mut self) -> u64 {
+    /// Drops every entry and stamps the cache `to`; returns how many went.
+    fn clear(&mut self, to: Version) -> u64 {
         let dropped = self.entries.len() as u64;
-        *self = Shard {
-            version: self.version,
-            ..Shard::default()
+        *self = Lru {
+            version: to,
+            ..Lru::default()
         };
         dropped
     }
 
-    /// Applies one patch tuple to the entry under `key`, if there is one:
-    /// returns the entry's position when its answers changed. The rows of an
-    /// answer set are copied only if a reply still holds them.
-    fn patch_entry(
-        &mut self,
-        key: &Selection,
-        t: &[Value],
-        insert: bool,
-        row: &mut Vec<Value>,
-    ) -> Option<usize> {
-        let &i = self.slots.get(key)?;
-        row.clear();
-        row.extend(key.project(t));
-        let answers = &mut self.entries[i].answers;
-        let changed = if insert {
-            answers.insert(row)
-        } else {
-            answers.remove(row)
-        };
-        changed.then_some(i)
+    /// Applies the patch to every entry it reaches: per patch tuple and key
+    /// shape present, the key the tuple reaches is looked up once. Returns
+    /// how many entries' answers changed. The rows of an answer set are
+    /// copied only if a reply still holds them.
+    fn patch(&mut self, patch: &IdbPatch) -> u64 {
+        // A patch neither adds nor evicts an entry, so the shapes hold still.
+        let mut shapes = std::mem::take(&mut self.shapes);
+        let mut changed: HashSet<usize> = HashSet::new();
+        let mut row: Vec<Value> = Vec::new();
+        for (side, insert) in [(&patch.deleted, false), (&patch.inserted, true)] {
+            for t in side.iter() {
+                for (key, _) in &mut shapes {
+                    // With the tuple's own constants, only a repeated
+                    // variable can still reject it.
+                    key.rebind(t);
+                    if !key.admits(t) {
+                        continue;
+                    }
+                    let Some(&i) = self.slots.get(key) else {
+                        continue;
+                    };
+                    row.clear();
+                    row.extend(key.project(t));
+                    let answers = &mut self.entries[i].answers;
+                    let moved = if insert {
+                        answers.insert(&row)
+                    } else {
+                        answers.remove(&row)
+                    };
+                    if moved {
+                        changed.insert(i);
+                    }
+                }
+            }
+        }
+        self.shapes = shapes;
+        changed.len() as u64
     }
 }
 
-/// A sharded LRU answer cache. Shards are independent mutexes keyed by the
-/// query hash, so concurrent lookups for different queries rarely contend.
+/// One LRU answer cache of `capacity` entries behind one lock. Its readers
+/// are the queries holding an admission permit, and its one writer the
+/// update that carries it to the next version.
 #[derive(Debug)]
 pub struct SaturationCache {
-    shards: Box<[Mutex<Shard>]>,
-    capacity_per_shard: usize,
+    lru: Mutex<Lru>,
+    capacity: usize,
     obs: Obs,
-    /// Each shard's index rendered once, as the `shard` metric label.
-    shard_labels: Box<[String]>,
 }
 
 impl SaturationCache {
-    /// Builds a cache with `capacity` total entries spread over `shards`
-    /// mutex-protected shards (both floored at 1; per-shard capacity is
-    /// rounded up so total capacity is at least `capacity`), every shard
-    /// stamped [`Version::ZERO`]. Every cache operation is counted into
-    /// `recurs_serve_cache_ops_total{op, shard}` on `obs` — the only place
+    /// Builds a cache of `capacity` entries (floored at 1), stamped
+    /// [`Version::ZERO`]. Every cache operation is counted into
+    /// `recurs_serve_cache_ops_total{op}` on `obs` — the only place
     /// hit / miss / insert / evict / invalidate / patch counts are kept.
-    pub fn new(capacity: usize, shards: usize, obs: Obs) -> SaturationCache {
-        let shards = shards.max(1);
+    pub fn new(capacity: usize, obs: Obs) -> SaturationCache {
         SaturationCache {
-            shards: (0..shards).map(|_| Mutex::default()).collect(),
-            capacity_per_shard: capacity.max(1).div_ceil(shards),
+            lru: Mutex::default(),
+            capacity: capacity.max(1),
             obs,
-            shard_labels: (0..shards).map(|i| i.to_string()).collect(),
         }
     }
 
-    fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
-        shard.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, Lru> {
+        self.lru.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn shard_of(&self, key: &Selection) -> usize {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() % self.shards.len() as u64) as usize
-    }
-
-    fn record_op(&self, op: &'static str, shard: usize, delta: u64) {
+    fn record_op(&self, op: &'static str, delta: u64) {
         if delta > 0 {
-            self.obs.counter(
-                "recurs_serve_cache_ops_total",
-                &[("op", op), ("shard", &self.shard_labels[shard])],
-                delta,
-            );
+            self.obs
+                .counter("recurs_serve_cache_ops_total", &[("op", op)], delta);
         }
     }
 
     /// Looks up a completed answer exact at `version`, refreshing its
-    /// recency on a hit. A shard stamped with another version misses.
+    /// recency on a hit. A cache stamped with another version misses.
     pub fn get(&self, key: &Selection, version: Version) -> Option<IndexedRelation> {
-        let idx = self.shard_of(key);
-        let hit = Self::lock(&self.shards[idx]).get(key, version);
-        self.record_op(if hit.is_some() { "hit" } else { "miss" }, idx, 1);
+        let hit = self.lock().get(key, version);
+        self.record_op(if hit.is_some() { "hit" } else { "miss" }, 1);
         hit
     }
 
     /// Admits a completed answer computed against `version`, evicting the
-    /// least recently used entry of the same shard if over capacity. An
-    /// answer for any version but the shard's is discarded, and counted as
-    /// an insert that was invalidated.
+    /// least recently used entry if over capacity. An answer for any
+    /// version but the cache's is discarded, and counted as an insert that
+    /// was invalidated.
     pub fn insert(&self, key: Selection, version: Version, answers: IndexedRelation) {
-        let idx = self.shard_of(&key);
-        let evicted =
-            Self::lock(&self.shards[idx]).insert(key, version, answers, self.capacity_per_shard);
-        self.record_op("insert", idx, 1);
+        let evicted = self.lock().insert(key, version, answers, self.capacity);
+        self.record_op("insert", 1);
         match evicted {
-            Some(evicted) => self.record_op("evict", idx, evicted.into()),
-            None => self.record_op("invalidate", idx, 1),
+            Some(evicted) => self.record_op("evict", evicted.into()),
+            None => self.record_op("invalidate", 1),
         }
     }
 
-    /// Clears every shard still behind `version` and stamps it `version`.
-    /// Called by the service when a snapshot lands without an exact IDB
-    /// patch (cold fallback, a freshly built view): nothing cached can be
-    /// carried to it.
+    /// Clears the cache if it is still behind `version` and stamps it
+    /// `version`. Called by the service when a snapshot lands without an
+    /// exact IDB patch (cold fallback, a freshly built view): nothing cached
+    /// can be carried to it.
     pub fn retain_version(&self, version: Version) {
         self.step(version, None);
     }
 
-    /// Carries every shard stamped `from` to version `to` by applying the
-    /// exact change to the recursive predicate to the entries it reaches —
-    /// the incremental-maintenance counterpart of [`retain_version`]:
-    /// O(shards + |patch| × shapes), whatever the number of entries. Per
-    /// patch tuple and key shape present in any carried shard, the key the
-    /// tuple reaches is looked up once, in the one shard that key lives in.
-    /// A shard at neither `from` nor at or past `to` (the caller skipped a
-    /// version) is cleared; one at or past `to` is left alone, so stamps
-    /// never move back. The carried shards stay locked until every one is
-    /// patched, so no reader sees a stamp its entries are not exact for.
+    /// Carries the cache from `from` to version `to` by applying the exact
+    /// change to the recursive predicate to the entries it reaches — the
+    /// incremental-maintenance counterpart of [`retain_version`]:
+    /// O(|patch| × shapes), whatever the number of entries. A cache at
+    /// neither `from` nor at or past `to` (the caller skipped a version) is
+    /// cleared; one at or past `to` is left alone, so the stamp never moves
+    /// back. The lock is held until every entry is patched, so no reader
+    /// sees a stamp its entries are not exact for.
     ///
     /// [`retain_version`]: SaturationCache::retain_version
     pub fn advance(&self, from: Version, to: Version, patch: &IdbPatch) {
@@ -307,80 +306,23 @@ impl SaturationCache {
     }
 
     fn step(&self, to: Version, carried: Option<(Version, &IdbPatch)>) {
-        // Shards in index order: a carried one stays locked for the patch; a
-        // stale one is cleared and restamped now; one already at or past
-        // `to` is left as it is.
-        let mut held: Vec<Option<MutexGuard<'_, Shard>>> = Vec::with_capacity(self.shards.len());
-        for (idx, shard) in self.shards.iter().enumerate() {
-            let mut shard = Self::lock(shard);
-            match carried {
-                Some((from, _)) if shard.version == from => {
-                    held.push(Some(shard));
-                    continue;
-                }
-                _ if shard.version < to => {
-                    let dropped = shard.clear();
-                    shard.version = to;
-                    drop(shard);
-                    self.record_op("invalidate", idx, dropped);
-                }
-                _ => {}
+        let mut lru = self.lock();
+        let (op, n) = match carried {
+            Some((from, patch)) if lru.version == from => {
+                let patched = lru.patch(patch);
+                lru.version = to;
+                ("patch", patched)
             }
-            held.push(None);
-        }
-        let Some((_, patch)) = carried else {
-            return;
+            _ if lru.version < to => ("invalidate", lru.clear(to)),
+            _ => return,
         };
-        // The key shapes present in any carried shard, each once.
-        let mut shapes: Vec<Selection> = Vec::new();
-        for shard in held.iter().flatten() {
-            for (key, _) in &shard.shapes {
-                if !shapes.iter().any(|s| s.same_shape(key)) {
-                    shapes.push(key.clone());
-                }
-            }
-        }
-        // Per shard, the entries a patch tuple changed.
-        let mut changed: HashSet<(usize, usize)> = HashSet::new();
-        let mut row: Vec<Value> = Vec::new();
-        for (side, insert) in [(&patch.deleted, false), (&patch.inserted, true)] {
-            for t in side.iter() {
-                for key in &mut shapes {
-                    // With the tuple's own constants, only a repeated
-                    // variable can still reject it.
-                    key.rebind(t);
-                    if !key.admits(t) {
-                        continue;
-                    }
-                    let idx = self.shard_of(key);
-                    let Some(shard) = held[idx].as_mut() else {
-                        continue;
-                    };
-                    if let Some(i) = shard.patch_entry(key, t, insert, &mut row) {
-                        changed.insert((idx, i));
-                    }
-                }
-            }
-        }
-        for shard in held.iter_mut().flatten() {
-            shard.version = to;
-        }
-        drop(held);
-        let mut patched = vec![0u64; self.shards.len()];
-        for (idx, _) in changed {
-            patched[idx] += 1;
-        }
-        for (idx, n) in patched.into_iter().enumerate() {
-            self.record_op("patch", idx, n);
-        }
+        drop(lru);
+        self.record_op(op, n);
     }
 
-    /// Number of live entries across all shards.
+    /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| Self::lock(shard).entries.len())
-            .sum()
+        self.lock().entries.len()
     }
 
     /// True when no entries are cached.
@@ -418,11 +360,11 @@ mod tests {
         answers.iter().next().unwrap().as_ptr()
     }
 
-    /// A cache recording into a capture, and the count of one `op` summed
-    /// over shards — what `QueryService::stats` reads from its aggregator.
-    fn counted(capacity: usize, shards: usize) -> (SaturationCache, impl Fn(&str) -> u64) {
+    /// A cache recording into a capture, and the count of one `op` — what
+    /// `QueryService::stats` reads from its aggregator.
+    fn counted(capacity: usize) -> (SaturationCache, impl Fn(&str) -> u64) {
         let capture = Arc::new(recurs_obs::CaptureRecorder::new());
-        let cache = SaturationCache::new(capacity, shards, Obs::new(capture.clone()));
+        let cache = SaturationCache::new(capacity, Obs::new(capture.clone()));
         let ops =
             move |op: &str| capture.counter_where("recurs_serve_cache_ops_total", &[("op", op)]);
         (cache, ops)
@@ -447,7 +389,7 @@ mod tests {
 
     #[test]
     fn hit_after_insert_miss_before() {
-        let (cache, ops) = counted(8, 2);
+        let (cache, ops) = counted(8);
         let k = pat("P(1, x)");
         assert!(cache.get(&k, v(0)).is_none());
         cache.insert(k.clone(), v(0), rel(1));
@@ -457,7 +399,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let (cache, ops) = counted(2, 1);
+        let (cache, ops) = counted(2);
         let (k1, k2, k3) = (pat("P(1, x)"), pat("P(2, x)"), pat("P(x, 3)"));
         cache.insert(k1.clone(), v(0), rel(1));
         cache.insert(k2.clone(), v(0), rel(2));
@@ -470,7 +412,7 @@ mod tests {
         assert_eq!(ops("evict"), 1);
         assert_eq!(cache.len(), 2);
         // Recency survives any order of touches, and the per-shape counts
-        // follow the evictions: the shard ends with the entries it reports.
+        // follow the evictions: the cache ends with the entries it reports.
         for round in 4..40u64 {
             let fresh = pat(&format!("P({round}, x)"));
             let kept = if round % 3 == 0 { &k1 } else { &k3 };
@@ -480,17 +422,17 @@ mod tests {
             assert!(cache.get(&fresh, v(0)).is_some());
             assert_eq!(cache.len(), 2);
         }
-        let shard = SaturationCache::lock(&cache.shards[0]);
-        assert_eq!(shard.shapes.iter().map(|(_, n)| n).sum::<usize>(), 2);
-        assert_eq!(shard.slots.len(), 2);
+        let lru = cache.lock();
+        assert_eq!(lru.shapes.iter().map(|(_, n)| n).sum::<usize>(), 2);
+        assert_eq!(lru.slots.len(), 2);
     }
 
     #[test]
     fn version_change_invalidates_precisely() {
-        let (cache, ops) = counted(16, 4);
+        let (cache, ops) = counted(16);
         cache.insert(pat("P(1, x)"), v(0), rel(1));
         cache.insert(pat("P(2, x)"), v(0), rel(2));
-        // An answer for a version no shard is at is never admitted.
+        // An answer for a version the cache is not at is never admitted.
         cache.insert(pat("P(1, x)"), v(1), rel(3));
         assert_eq!((cache.len(), ops("insert"), ops("invalidate")), (2, 3, 1));
         cache.retain_version(v(1));
@@ -510,7 +452,7 @@ mod tests {
 
     #[test]
     fn reinsert_same_key_does_not_grow() {
-        let (cache, ops) = counted(4, 1);
+        let (cache, ops) = counted(4);
         let k = pat("P(1, x)");
         cache.insert(k.clone(), v(0), rel(1));
         cache.insert(k.clone(), v(0), rel(2));
@@ -553,7 +495,7 @@ mod tests {
 
     #[test]
     fn advance_patches_warm_entries_to_the_next_version() {
-        let (cache, ops) = counted(16, 4);
+        let (cache, ops) = counted(16);
         // Answers of P(1, x) over {P(1,2), P(1,3)}, of P(x, y), and of two
         // queries the patch does not reach.
         let stored = |rel: &Relation| IndexedRelation::from_relation(rel);
@@ -588,7 +530,7 @@ mod tests {
 
     #[test]
     fn an_empty_or_unrelated_patch_leaves_every_arc_pointer_equal() {
-        let cache = SaturationCache::new(16, 4, Obs::noop());
+        let cache = SaturationCache::new(16, Obs::noop());
         let queries = ["P(1, x)", "P(x, 1)", "P(1, 1)", "P(x, x)"];
         let held: Vec<_> = queries.iter().map(|_| rel(1)).collect();
         for (query, answers) in queries.iter().zip(&held) {
@@ -607,7 +549,7 @@ mod tests {
 
     #[test]
     fn a_patched_entry_is_copied_only_while_a_reply_holds_it() {
-        let cache = SaturationCache::new(4, 1, Obs::noop());
+        let cache = SaturationCache::new(4, Obs::noop());
         let answers = IndexedRelation::from_relation(&unary(&[2]));
         cache.insert(pat("P(1, x)"), v(0), answers);
         let reply = cache.get(&pat("P(1, x)"), v(0)).unwrap();
@@ -635,7 +577,7 @@ mod tests {
     #[test]
     fn advances_out_of_order_never_leave_an_entry_at_a_version_it_is_not_exact_for() {
         // Writer B's step (1 → 2) arrives before writer A's (0 → 1).
-        let (cache, ops) = counted(16, 4);
+        let (cache, ops) = counted(16);
         let queries = ["P(1, x)", "P(2, x)", "P(x, 3)", "P(x, y)"];
         for query in queries {
             cache.insert(pat(query), v(0), rel(1));

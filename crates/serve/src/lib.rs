@@ -18,8 +18,8 @@
 //! * **Point queries** ([`kernel`]): a plan per query form from
 //!   `recurs-core`'s one table (bounded levels, frontier walk, magic, full
 //!   saturation), run by `recurs_engine::evaluate` on a clone of the snapshot.
-//! * **Saturation cache** ([`cache`]): a sharded LRU keyed by the adorned
-//!   query, each shard stamped with the version its entries are exact at;
+//! * **Saturation cache** ([`cache`]): one LRU under one lock, keyed by the
+//!   adorned query and stamped with the version its entries are exact at;
 //!   only complete answers are admitted, and a snapshot change patches the
 //!   entries it reaches or, without an exact patch, clears the cache.
 //! * **Admission control** ([`admission`]): a semaphore bounds concurrent

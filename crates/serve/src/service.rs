@@ -32,8 +32,8 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Maximum concurrent evaluations (admission semaphore permits).
     pub max_concurrent: usize,
-    /// Total answer-cache capacity in entries, spread over the cache's
-    /// eight shards; 0 disables the cache.
+    /// Answer-cache capacity in entries: any `cache_capacity` distinct
+    /// queries stay cached together. 0 disables the cache.
     pub cache_capacity: usize,
     /// Default per-query budget (queries may override it).
     pub budget: EvalBudget,
@@ -54,9 +54,6 @@ impl Default for ServeConfig {
         }
     }
 }
-
-/// The answer cache's shard (lock) count.
-const CACHE_SHARDS: usize = 8;
 
 /// One answered query: the answer relation plus per-query stats.
 #[derive(Debug)]
@@ -129,7 +126,7 @@ struct ViewState {
 /// [`QueryService::apply_update`] — the one write path, incrementally
 /// maintained — without blocking in-flight readers (copy-on-write snapshot
 /// isolation). Completed answers are cached per adorned query, each exact at
-/// the version its cache shard is stamped with; truncated answers never are.
+/// the version the cache is stamped with; truncated answers never are.
 #[derive(Debug)]
 pub struct QueryService {
     plans: PointPlans,
@@ -177,7 +174,7 @@ impl QueryService {
             program_fingerprint,
             store: SnapshotStore::new(EngineDb::from(&db)),
             cache: (config.cache_capacity > 0)
-                .then(|| SaturationCache::new(config.cache_capacity, CACHE_SHARDS, obs.clone())),
+                .then(|| SaturationCache::new(config.cache_capacity, obs.clone())),
             view: RwLock::new(None),
             admission: Semaphore::new(config.max_concurrent),
             metrics,

@@ -1,8 +1,8 @@
 //! The shared snapshot-version type.
 //!
 //! Snapshots ([`crate::snapshot`]) stamp each installed database with a
-//! version, and the answer cache ([`crate::cache`]) stamps each shard with
-//! the version its entries are exact at. Both used to carry bare `u64`s; this
+//! version, and the answer cache ([`crate::cache`]) is stamped with the
+//! version its entries are exact at. Both used to carry bare `u64`s; this
 //! newtype is the single place the "version 0 is the initial database, each
 //! installed update increments by one" convention lives, so the two sides
 //! cannot drift (for instance by one bumping per *attempted* update).

@@ -251,7 +251,7 @@ fn an_update_allocates_for_the_relation_it_changes_only() {
 /// on chain 0 already in) and whose cache holds `P(c, y)` for every `c` in
 /// `1..=warm` — the first 51 of them chain 0, the tip's ancestors.
 fn warmed(warm: u64) -> QueryService {
-    // Room for every warm entry even if one shard got them all.
+    // Room to spare for every warm entry: nothing is evicted.
     let config = ServeConfig {
         cache_capacity: 8 * 1024,
         ..ServeConfig::default()
@@ -386,7 +386,7 @@ fn patched_counts_the_entries_a_write_changed_not_the_entries_it_carried() {
 #[test]
 fn a_cache_hit_allocates_its_lookup_pattern_and_no_key_string_clone_or_lru_node() {
     // Bytes per hit, over every warm entry in turn (so each hit moves the
-    // least recently used entry of its shard to the front).
+    // least recently used entry to the front).
     let per_hit = |warm: u64| {
         let service = warmed(warm);
         let queries: Vec<_> = (1..=warm).map(source_bound).collect();
@@ -400,10 +400,10 @@ fn a_cache_hit_allocates_its_lookup_pattern_and_no_key_string_clone_or_lru_node(
         let ((), bytes) = allocated_by(|| (0..4).for_each(|_| sweep()));
         bytes / (4 * queries.len())
     };
-    // 8 entries a shard and 64 entries a shard: recency is two links moved,
-    // not a tree node that fills up and splits.
+    // 64 entries and 512 entries in the one LRU: recency is two links
+    // moved, not a tree node that fills up and splits.
     let (few, many) = (per_hit(64), per_hit(512));
-    assert_eq!(few, many, "a hit's cost depends on how full its shard is");
+    assert_eq!(few, many, "a hit's cost depends on how full the cache is");
     // Of a hit's 1 178 bytes, 1 152 are the flight recorder's one copy of
     // each event it keeps — the `request` / `admission` / `cache` spans and
     // the `serve.query` event — and 24 the cache's: the lookup key's one
@@ -412,7 +412,7 @@ fn a_cache_hit_allocates_its_lookup_pattern_and_no_key_string_clone_or_lru_node(
     // their borrowed labels cost nothing (3 816 B when each event was re-boxed
     // under its trace id and each labelled call built its label set). A
     // rendered key, its clone into a recency index and that index's nodes
-    // cost 120 B more at 64 entries a shard.
+    // cost 120 B more at 512 entries.
     assert!(many <= 2_100, "a cache hit allocated {many} B");
 }
 

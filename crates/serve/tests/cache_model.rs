@@ -88,8 +88,8 @@ proptest! {
             let config = ServeConfig { cache_capacity, ..ServeConfig::default() };
             QueryService::new(lr.clone(), model.clone(), config)
         };
-        // Sixteen entries, two per shard, for the 50 distinct queries the
-        // script draws from: enough to hit, too few not to evict.
+        // Sixteen entries for the 50 distinct queries the script draws
+        // from: enough to hit, too few not to evict.
         let (cached, uncached) = (service(16), service(0));
         let (mut version, mut dred, mut carried_hits) = (0u64, false, 0u64);
         // The version each query was last answered by a miss at, so cached at.
@@ -145,5 +145,38 @@ proptest! {
         prop_assert!(stats.patched > 0 && stats.evictions > 0, "vacuous: {:?}", stats);
         prop_assert!(cached.cache_len() <= 16);
         prop_assert_eq!(uncached.stats().cache, Default::default());
+    }
+}
+
+/// The one knob means what it says: a cache of capacity N holds any N
+/// distinct queries at once, so asked again, every one of them hits. The
+/// last capacity is the service's default.
+#[test]
+fn a_cache_of_capacity_n_keeps_any_n_queries() {
+    let chain = Relation::from_pairs((1..=40).map(|i| (i, i + 1)));
+    let mut db = Database::new();
+    db.insert_relation("A", chain.clone());
+    db.insert_relation("E", chain);
+    for capacity in [8u64, 16, 64, 1024] {
+        let config = ServeConfig {
+            cache_capacity: capacity as usize,
+            ..ServeConfig::default()
+        };
+        let service = QueryService::new(tc(), db.clone(), config);
+        let queries: Vec<Atom> = (1..=capacity)
+            .map(|i| parse_atom(&format!("P({i}, y)")).unwrap())
+            .collect();
+        for query in &queries {
+            service.query(query).unwrap();
+        }
+        let hits = queries
+            .iter()
+            .filter(|query| service.query(query).unwrap().stats.cache == CacheOutcome::Hit)
+            .count();
+        assert_eq!(
+            (hits, service.cache_len()),
+            (capacity as usize, capacity as usize),
+            "(second-pass hits, live entries) at capacity {capacity}"
+        );
     }
 }

@@ -257,17 +257,11 @@ fn a_repeated_miss_reports_its_own_index_work_and_none_on_base_relations() {
     };
     let service = QueryService::new(tc(), chain_db(30), config);
     let query = parse_atom("P(3, y)").unwrap();
-    let base_work = || {
-        let snapshot = service.snapshot();
-        (
-            snapshot.store().index_count(),
-            snapshot.store().index_counters(),
-        )
-    };
-    assert_eq!(base_work().0, 0, "nothing is indexed before the first miss");
+    let base_work = || service.snapshot().store().index_count();
+    assert_eq!(base_work(), 0, "nothing is indexed before the first miss");
     service.query(&query).unwrap();
     let after_first = base_work();
-    assert!(after_first.0 > 0, "the first miss has the snapshot indexed");
+    assert!(after_first > 0, "the first miss has the snapshot indexed");
     service.query(&query).unwrap();
     assert_eq!(
         base_work(),
@@ -275,7 +269,7 @@ fn a_repeated_miss_reports_its_own_index_work_and_none_on_base_relations() {
         "the second miss indexes no base relation"
     );
     // Both runs report the same index work — their private magic / answer
-    // relations' — though the relations they share have lifetime counters.
+    // relations' — though the second finds the base relations indexed.
     let runs = capture.events_of("engine.complete");
     assert_eq!(runs.len(), 2);
     for field in ["index_builds", "index_updates"] {
