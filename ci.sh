@@ -244,11 +244,29 @@ for f in crates/serve/src/cache.rs crates/obs/src/aggregate.rs; do
   fi
 done
 
+# One-record guard: each fact is recorded once. A histogram's `_count` and
+# `_sum` are its counters, so no counter restates one (`ServiceStats` reads
+# the histograms); an installed snapshot is its `serve.update`; the test
+# capture keeps only events, and a test that counts attaches an `Aggregator`;
+# and the budget keeps only ceilings that some caller sets.
+echo "==> one-record guard (no counter restating a histogram, no metric store in the capture, no memory ceiling)"
+for f in $(find crates/*/src -name '*.rs'); do
+  if non_test "$f" | grep -nE 'recurs_engine_iterations_total|recurs_serve_(updates|snapshot_updates|eval_us|queue_wait_us)_total|"serve\.snapshot"|max_memory_bytes|MemoryCeiling|ballast'; then
+    echo "$f records a fact twice or a ceiling no caller sets: read the histogram, or leave the ceiling out" >&2
+    exit 1
+  fi
+done
+if non_test crates/obs/src/lib.rs | sed -n '/^impl Recorder for CaptureRecorder {/,/^}/p' \
+    | grep -nE 'fn (counter|observe)\('; then
+  echo "CaptureRecorder keeps metrics again: the Aggregator is the one metric store" >&2
+  exit 1
+fi
+
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
 # The fault-injection lanes all arm the engine's one fault plan, fired by the
-# round driver: slowed / ballasted / tripped kernel runs, the ivm
+# round driver: slowed / tripped kernel runs, the ivm
 # differential gate under forced maintenance truncation (tripped patches —
 # propagation, overdeletion and rederive waves — must still equal the
 # from-scratch oracle via the cold fallback), and served deadline drills.

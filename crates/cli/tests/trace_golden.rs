@@ -43,6 +43,19 @@
 //! `metrics.txt`, the ten `recurs_serve_cache_ops_total{op,shard}` series
 //! became five `{op}` series, each the sum of its op's shards — `hit` 2,
 //! `insert` 4, `invalidate` 2, `miss` 4, `patch` 1.
+//!
+//! And these, when each fact got one record (a histogram's `_count` and
+//! `_sum` are its counters, and an installed snapshot is its `serve.update`):
+//! - both event files lost their two `serve.snapshot` lines, 58 and 84,
+//!   each just before an installing `serve.update` (so lines 83 and 85
+//!   named above are now 82 and 83);
+//! - `metrics.txt` lost eleven lines, the `# TYPE` line and the samples of
+//!   five counter families that restated a histogram:
+//!   `recurs_engine_iterations_total 23`, `recurs_serve_eval_us_total 0`,
+//!   `recurs_serve_queue_wait_us_total 0`,
+//!   `recurs_serve_snapshot_updates_total 2`, and
+//!   `recurs_serve_updates_total{result="generic-dred"} 1` and
+//!   `{result="saturate"} 1`.
 
 use recurs_cli::{build_service_cancellable, ServiceOpts};
 use recurs_serve::protocol::{handle_line, LineOutcome};

@@ -9,8 +9,8 @@
 //! deliberately outside it and knows only a round cap:
 //!
 //! * an [`EvalBudget`] declares the caller's ceilings — wall-clock deadline,
-//!   derived-tuple ceiling, per-iteration delta ceiling, approximate memory
-//!   ceiling, iteration cap — plus an optional [`CancelToken`];
+//!   derived-tuple ceiling, per-iteration delta ceiling, iteration cap —
+//!   plus an optional [`CancelToken`];
 //! * [`EvalBudget::start`] produces a [`Governor`], the runtime companion
 //!   that evaluators poll cooperatively (cheaply inside kernels via
 //!   [`Governor::poll`], fully once per iteration via [`Governor::check`]);
@@ -66,8 +66,6 @@ pub enum TruncationReason {
     /// A single iteration's incoming delta exceeded the per-iteration
     /// ceiling.
     DeltaCeiling,
-    /// The approximate memory ceiling was exceeded.
-    MemoryCeiling,
     /// The [`CancelToken`] was cancelled.
     Cancelled,
 }
@@ -81,7 +79,6 @@ impl TruncationReason {
             TruncationReason::Deadline => "deadline",
             TruncationReason::TupleCeiling => "tuple ceiling",
             TruncationReason::DeltaCeiling => "delta ceiling",
-            TruncationReason::MemoryCeiling => "memory ceiling",
             TruncationReason::Cancelled => "cancelled",
         }
     }
@@ -158,9 +155,6 @@ pub struct EvalBudget {
     /// in the workspace share this definition; see `eval::semi_naive` and
     /// `recurs-engine`.)
     pub max_iterations: Option<usize>,
-    /// Approximate memory ceiling, in bytes, over the evaluator's working
-    /// set estimate (tuple storage plus indexes).
-    pub max_memory_bytes: Option<usize>,
     /// Cooperative cancellation token.
     pub cancel: Option<CancelToken>,
 }
@@ -204,12 +198,6 @@ impl EvalBudget {
         self
     }
 
-    /// Builder: approximate memory ceiling in bytes.
-    pub fn with_max_memory_bytes(mut self, n: usize) -> EvalBudget {
-        self.max_memory_bytes = Some(n);
-        self
-    }
-
     /// Builder: cancellation token.
     pub fn with_cancel(mut self, token: CancelToken) -> EvalBudget {
         self.cancel = Some(token);
@@ -224,7 +212,6 @@ impl EvalBudget {
             max_tuples: self.max_tuples,
             max_delta: self.max_delta,
             max_iterations: self.max_iterations,
-            max_memory_bytes: self.max_memory_bytes,
             cancel: self.cancel.clone(),
         }
     }
@@ -239,8 +226,6 @@ pub struct Progress {
     pub tuples: usize,
     /// Size of the next iteration's incoming delta.
     pub delta: usize,
-    /// Approximate working-set bytes.
-    pub memory_bytes: usize,
 }
 
 /// The runtime companion of an [`EvalBudget`]: carries the armed deadline
@@ -254,7 +239,6 @@ pub struct Governor {
     max_tuples: Option<usize>,
     max_delta: Option<usize>,
     max_iterations: Option<usize>,
-    max_memory_bytes: Option<usize>,
     cancel: Option<CancelToken>,
 }
 
@@ -298,11 +282,6 @@ impl Governor {
                 return Some(TruncationReason::DeltaCeiling);
             }
         }
-        if let Some(ceiling) = self.max_memory_bytes {
-            if progress.memory_bytes >= ceiling {
-                return Some(TruncationReason::MemoryCeiling);
-            }
-        }
         None
     }
 }
@@ -320,7 +299,6 @@ mod tests {
                 iterations: 1_000_000,
                 tuples: usize::MAX,
                 delta: usize::MAX,
-                memory_bytes: usize::MAX,
             }),
             None
         );
@@ -352,7 +330,6 @@ mod tests {
             .with_max_iterations(3)
             .with_max_tuples(100)
             .with_max_delta(10)
-            .with_max_memory_bytes(1 << 20)
             .start();
         // Nothing exceeded.
         assert_eq!(
@@ -360,7 +337,6 @@ mod tests {
                 iterations: 2,
                 tuples: 50,
                 delta: 10,
-                memory_bytes: 100,
             }),
             None
         );
@@ -370,7 +346,6 @@ mod tests {
                 iterations: 3,
                 tuples: 100,
                 delta: 11,
-                memory_bytes: 1 << 21,
             }),
             Some(TruncationReason::IterationCap)
         );
@@ -379,7 +354,6 @@ mod tests {
                 iterations: 0,
                 tuples: 100,
                 delta: 0,
-                memory_bytes: 0,
             }),
             Some(TruncationReason::TupleCeiling)
         );
@@ -388,18 +362,8 @@ mod tests {
                 iterations: 0,
                 tuples: 0,
                 delta: 11,
-                memory_bytes: 0,
             }),
             Some(TruncationReason::DeltaCeiling)
-        );
-        assert_eq!(
-            gov.check(Progress {
-                iterations: 0,
-                tuples: 0,
-                delta: 0,
-                memory_bytes: 1 << 20,
-            }),
-            Some(TruncationReason::MemoryCeiling)
         );
     }
 

@@ -60,17 +60,17 @@ pub struct Rounds {
 ///
 /// Every round starts with the fault hook (when compiled in) and a full
 /// [`Governor::check`] against real progress — rounds run, fresh tuples so
-/// far, pending delta, [`EngineDb::heap_bytes`]. A round interrupted
-/// mid-pipeline still merges what it derived: every head row is a true
-/// consequence, so stopping only omits tuples.
+/// far, pending delta. A round interrupted mid-pipeline still merges what it
+/// derived: every head row is a true consequence, so stopping only omits
+/// tuples.
 ///
 /// Pipeline rows, head batches and deltas live in buffers the loop owns and
 /// reuses, so a round allocates only where one of them outgrows itself.
 ///
 /// What it records: per round, one `engine.rule` event per rule that ran
 /// and one `engine.iteration` event, and the round's duration into
-/// `recurs_engine_iteration_seconds`; per call, the rounds and the fresh
-/// tuples summed into `recurs_engine_iterations_total` and
+/// `recurs_engine_iteration_seconds` (whose `_count` is the rounds run);
+/// per call, the fresh tuples summed into
 /// `recurs_engine_tuples_derived_total`. No field is built by allocating:
 /// the `head` is the interned predicate's own text.
 // One argument per independent input; bundling them would only add a type.
@@ -123,7 +123,6 @@ where
             iterations: round,
             tuples: fresh_total,
             delta: pending,
-            memory_bytes: memory_in_use(db),
         }) {
             out.truncation = Some(reason);
             break;
@@ -213,8 +212,6 @@ where
     out.probes = counters.probes;
     out.probe_hits = counters.hits;
     if obs.enabled() && !out.iterations.is_empty() {
-        let rounds = out.iterations.len() as u64;
-        obs.counter("recurs_engine_iterations_total", &[], rounds);
         obs.counter(
             "recurs_engine_tuples_derived_total",
             &[],
@@ -222,16 +219,6 @@ where
         );
     }
     Ok(out)
-}
-
-/// The memory budgets are enforced against: the store's buffers plus any
-/// fault-injected ballast.
-fn memory_in_use(db: &EngineDb) -> usize {
-    #[cfg(any(test, feature = "fault-inject"))]
-    let ballast = crate::fault::ballast_bytes();
-    #[cfg(not(any(test, feature = "fault-inject")))]
-    let ballast = 0;
-    db.heap_bytes() + ballast
 }
 
 /// Emits the per-round provenance event and the round-duration histogram.

@@ -1,6 +1,6 @@
-//! Fault injection for robustness tests: artificial slowdowns, allocation
-//! pressure, and a transient mid-run trip, all fired from one place — the
-//! top of every [`crate::drive_rounds`] round.
+//! Fault injection for robustness tests: artificial slowdowns and a
+//! transient mid-run trip, both fired from one place — the top of every
+//! [`crate::drive_rounds`] round.
 //!
 //! Compiled only under `cfg(test)` or the `fault-inject` feature — release
 //! builds without the feature contain none of these hooks. A test arms a
@@ -18,9 +18,6 @@ pub struct FaultPlan {
     /// Sleep this long at the start of every round (simulates a slow round,
     /// for deadline tests).
     pub slowdown: Option<Duration>,
-    /// Extra bytes reported to the driver's memory estimate (simulates
-    /// allocation pressure without actually allocating).
-    pub ballast_bytes: usize,
     /// The first driver call to reach this round (0-based within the call)
     /// stops there as if cancelled. One-shot: the trip disarms itself when
     /// it fires, so whatever recovers from it (a cold rebuild, a retry) is
@@ -115,31 +112,25 @@ fn announce(obs: &Obs, kind: &'static str, round: u64, pause: Duration) {
     }
 }
 
-/// Extra bytes the armed plan adds to the driver's memory estimate.
-pub(crate) fn ballast_bytes() -> usize {
-    plan_lock().as_ref().map_or(0, |p| p.ballast_bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn guard_disarms_on_drop() {
-        {
-            let _g = arm(FaultPlan {
-                ballast_bytes: 1024,
-                ..FaultPlan::default()
-            });
-            assert_eq!(ballast_bytes(), 1024);
-        }
-        assert_eq!(ballast_bytes(), 0);
+        let armed = arm(FaultPlan {
+            slowdown: Some(Duration::ZERO),
+            ..FaultPlan::default()
+        });
+        assert!(plan_lock().is_some());
+        drop(armed);
+        let _g = quiesce();
+        assert!(plan_lock().is_none());
     }
 
     #[test]
     fn unarmed_hooks_are_noops() {
         let _g = quiesce();
         assert!(!round_start(0, &Obs::noop()));
-        assert_eq!(ballast_bytes(), 0);
     }
 }

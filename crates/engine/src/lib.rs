@@ -456,20 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_ceiling_truncates() {
-        let mut db = tc_db(40);
-        let cfg = EngineConfig {
-            budget: EvalBudget::unlimited().with_max_memory_bytes(1),
-            ..EngineConfig::default()
-        };
-        let sat = run_program(&mut db, &tc_program(), &cfg).unwrap();
-        assert_eq!(
-            sat.outcome,
-            Outcome::Truncated(TruncationReason::MemoryCeiling)
-        );
-    }
-
-    #[test]
     fn preseeded_idb_tuples_reach_recursive_rules() {
         // Matches the oracle's magic-seed semantics: tuples already in P
         // participate in the first recursive round.

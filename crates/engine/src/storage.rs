@@ -569,8 +569,8 @@ impl IndexedRelation {
 
     /// Heap bytes the relation's buffers hold — arena, live bits, free list,
     /// dedup table, and each index's table and chain links, by capacity —
-    /// whether or not other clones share them. What memory budgets are
-    /// enforced against; O(indexes), so the driver reads it every round.
+    /// whether or not other clones share them; O(indexes). Tests measure a
+    /// store's footprint with it.
     pub fn heap_bytes(&self) -> usize {
         let rows = &*self.rows;
         let of_index = |i: &Arc<Index>| bytes(&i.cols) + bytes(&i.heads.slots) + bytes(&i.next);

@@ -542,14 +542,14 @@ mod tests {
     }
 
     #[test]
-    fn memory_ceiling_truncates_the_saturation() {
+    fn tuple_ceiling_truncates_the_saturation() {
         let (lr, db) = tc();
-        let budget = EvalBudget::unlimited().with_max_memory_bytes(64);
+        let budget = EvalBudget::unlimited().with_max_tuples(1);
         let err = explain_fact(&lr, &db, &tuple_u64([1, 4]), DEFAULT_WHY_DEPTH, &budget)
-            .expect_err("the indexed working set is far above 64 bytes");
+            .expect_err("P(1, 4) needs more than the seeding round's tuples");
         assert!(matches!(
             err,
-            IvmError::Truncated(TruncationReason::MemoryCeiling)
+            IvmError::Truncated(TruncationReason::TupleCeiling)
         ));
     }
 

@@ -18,6 +18,7 @@ use recurs_datalog::term::Term;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_engine::{saturate_linear, EngineConfig, EngineDb, IndexedRelation};
 use recurs_ivm::{EdbDelta, FactOp, MaintenancePath, Materialization};
+use recurs_obs::aggregate::Aggregator;
 use recurs_obs::{CaptureRecorder, Obs};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -272,7 +273,8 @@ fn truncated_patch_falls_back_to_cold_saturation() {
 #[test]
 fn patch_events_pin_the_taxonomy() {
     let capture = Arc::new(CaptureRecorder::new());
-    let obs = Obs::new(capture.clone());
+    let metrics = Arc::new(Aggregator::default());
+    let obs = Obs::fanout(vec![capture.clone(), metrics.clone()]);
     let lr = tc();
     let db = chain_db(5);
     let mut mat = Materialization::saturate(&lr, &db, &EvalBudget::unlimited(), &obs).unwrap();
@@ -306,7 +308,7 @@ fn patch_events_pin_the_taxonomy() {
     assert_eq!(ev.uint("edb_inserted"), Some(1));
     assert_eq!(ev.uint("edb_deleted"), Some(1));
     assert_eq!(
-        capture.counter_where("recurs_ivm_patches_total", &[("path", "generic-dred")]),
+        metrics.counter_value("recurs_ivm_patches_total", &[("path", "generic-dred")]),
         1
     );
 }

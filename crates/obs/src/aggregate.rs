@@ -5,9 +5,12 @@
 //! series is found by its borrowed name and labels, in whatever order the
 //! caller lists them; its owned [`LabelSet`] is built once, when the series
 //! is first seen, so recording into a known series allocates nothing.
-//! Events are ignored — provenance goes to the trace sink. Reads
-//! ([`Aggregator::snapshot`], [`Aggregator::counter_where`]) walk every
-//! series; they run at query/report time, never on the hot path.
+//! Events are ignored — provenance goes to the trace sink. A histogram's
+//! `count` and `sum` are its counters: no counter restates them, and a
+//! reader that wants a total reads the histogram. Reads
+//! ([`Aggregator::snapshot`], [`Aggregator::counter_where`],
+//! [`Aggregator::histogram_where`]) walk every series; they run at
+//! query/report time, never on the hot path.
 
 use crate::Recorder;
 use std::collections::hash_map::DefaultHasher;
@@ -192,18 +195,40 @@ impl Aggregator {
     /// `required` (an empty slice sums all series of that name).
     pub fn counter_where(&self, name: &str, required: &[(&str, &str)]) -> u64 {
         let mut total = 0;
+        self.each_where(name, required, |cell| {
+            if let Cell::Counter(v) = cell {
+                total += v;
+            }
+        });
+        total
+    }
+
+    /// A histogram's `(count, sum)` across every series whose labels
+    /// contain all of `required`, summed the way
+    /// [`counter_where`](Aggregator::counter_where) sums a counter.
+    pub fn histogram_where(&self, name: &str, required: &[(&str, &str)]) -> (u64, f64) {
+        let (mut count, mut sum) = (0, 0.0);
+        self.each_where(name, required, |cell| {
+            if let Cell::Histogram(h) = cell {
+                count += h.count;
+                sum += h.sum;
+            }
+        });
+        (count, sum)
+    }
+
+    /// Calls `visit` with every series `name` whose labels contain all of
+    /// `required`.
+    fn each_where(&self, name: &str, required: &[(&str, &str)], mut visit: impl FnMut(&Cell)) {
         for series in self.lock().values().flatten() {
             if series.name == name
                 && required
                     .iter()
                     .all(|(rk, rv)| series.labels.iter().any(|(k, v)| k == rk && v == rv))
             {
-                if let Cell::Counter(v) = series.cell {
-                    total += v;
-                }
+                visit(&series.cell);
             }
         }
-        total
     }
 
     /// Every series currently held, sorted by `(name, labels)` so output
@@ -301,6 +326,25 @@ mod tests {
         assert_eq!(agg.counter_value("c", &[("a", "1"), ("b", "1")]), 0);
         assert_eq!(agg.counter_where("c", &[("a", "1")]), 101);
         assert_eq!(agg.snapshot().len(), 4);
+    }
+
+    #[test]
+    fn histogram_where_sums_count_and_sum_across_matching_series() {
+        let agg = Aggregator::default();
+        agg.observe("lat", &[("kernel", "magic"), ("cache", "miss")], 0.25);
+        agg.observe("lat", &[("kernel", "magic"), ("cache", "hit")], 0.5);
+        agg.observe("lat", &[("kernel", "frontier")], 2.0);
+        agg.counter("lat_total", &[("kernel", "magic")], 9);
+        assert_eq!(agg.histogram_where("lat", &[]), (3, 2.75));
+        assert_eq!(
+            agg.histogram_where("lat", &[("kernel", "magic")]),
+            (2, 0.75)
+        );
+        assert_eq!(
+            agg.histogram_where("lat", &[("kernel", "bounded")]),
+            (0, 0.0)
+        );
+        assert_eq!(agg.histogram_where("lat_total", &[]), (0, 0.0));
     }
 
     #[test]

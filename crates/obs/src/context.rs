@@ -222,6 +222,7 @@ impl Drop for SpanGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::Aggregator;
     use crate::{field, CaptureRecorder};
     use std::sync::Arc;
 
@@ -305,10 +306,11 @@ mod tests {
 
     #[test]
     fn metrics_pass_through_unscoped() {
-        let cap = Arc::new(CaptureRecorder::new());
-        let base = Obs::new(cap.clone());
+        let agg = Arc::new(Aggregator::default());
+        let base = Obs::new(agg.clone());
         let ctx = TraceCtx::new(&base, TraceId::mint());
-        ctx.obs().counter("hits", &[("shard", "0")], 2);
-        assert_eq!(cap.counter_where("hits", &[]), 2);
+        ctx.obs().counter("hits", &[("op", "hit")], 2);
+        // Exactly the caller's labels: no trace label was added.
+        assert_eq!(agg.counter_value("hits", &[("op", "hit")]), 2);
     }
 }

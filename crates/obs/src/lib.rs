@@ -24,7 +24,9 @@
 //! * [`trace::TraceWriter`] — a JSON-lines
 //!   writer that persists every event with a sequence number and relative
 //!   timestamp; counters/histograms are ignored.
-//! * [`CaptureRecorder`] — an in-memory capture for tests.
+//! * [`CaptureRecorder`] — an in-memory capture of events for tests;
+//!   counters/histograms are ignored (a test that counts attaches an
+//!   aggregator beside it).
 //!
 //! [`FanoutRecorder`] composes sinks, and the default handle
 //! ([`Obs::noop`]) records nothing: it holds no allocation, reports
@@ -302,25 +304,13 @@ impl CapturedEvent {
     }
 }
 
-/// One counter series retained by a [`CaptureRecorder`].
-#[derive(Debug, Clone)]
-struct CapturedCounter {
-    name: String,
-    labels: Vec<(String, String)>,
-    value: u64,
-}
-
-#[derive(Debug, Default)]
-struct CaptureState {
-    events: Vec<CapturedEvent>,
-    counters: Vec<CapturedCounter>,
-}
-
-/// An in-memory sink for tests: retains every event and counter so suites
-/// can assert on the exact provenance a run emitted.
+/// An in-memory sink for tests: retains every event so suites can assert
+/// on the exact provenance a run emitted. It keeps no metrics: the
+/// [`aggregate::Aggregator`] is the one store that does, and a test that
+/// counts fans one out beside the capture ([`Obs::fanout`]).
 #[derive(Debug, Default)]
 pub struct CaptureRecorder {
-    state: Mutex<CaptureState>,
+    events: Mutex<Vec<CapturedEvent>>,
 }
 
 impl CaptureRecorder {
@@ -329,19 +319,18 @@ impl CaptureRecorder {
         CaptureRecorder::default()
     }
 
-    fn state(&self) -> std::sync::MutexGuard<'_, CaptureState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<CapturedEvent>> {
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// All captured events, in emission order.
     pub fn events(&self) -> Vec<CapturedEvent> {
-        self.state().events.clone()
+        self.lock().clone()
     }
 
     /// Captured events of one kind, in emission order.
     pub fn events_of(&self, kind: &str) -> Vec<CapturedEvent> {
-        self.state()
-            .events
+        self.lock()
             .iter()
             .filter(|e| e.kind == kind)
             .cloned()
@@ -351,54 +340,18 @@ impl CaptureRecorder {
     /// The distinct event kinds seen, in first-emission order.
     pub fn kinds(&self) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
-        for e in &self.state().events {
+        for e in self.lock().iter() {
             if !out.iter().any(|k| k == e.kind) {
                 out.push(e.kind.to_string());
             }
         }
         out
     }
-
-    /// Total of a counter across all label sets containing `required`.
-    pub fn counter_where(&self, name: &str, required: &[(&str, &str)]) -> u64 {
-        self.state()
-            .counters
-            .iter()
-            .filter(|c| {
-                c.name == name
-                    && required
-                        .iter()
-                        .all(|(rk, rv)| c.labels.iter().any(|(k, v)| k == rk && v == rv))
-            })
-            .map(|c| c.value)
-            .sum()
-    }
 }
 
 impl Recorder for CaptureRecorder {
-    fn counter(&self, name: &'static str, labels: &[(&'static str, &str)], delta: u64) {
-        let mut state = self.state();
-        let set: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        if let Some(cell) = state
-            .counters
-            .iter_mut()
-            .find(|c| c.name == name && c.labels == set)
-        {
-            cell.value += delta;
-        } else {
-            state.counters.push(CapturedCounter {
-                name: name.to_string(),
-                labels: set,
-                value: delta,
-            });
-        }
-    }
-
     fn event(&self, kind: &'static str, fields: &[(&'static str, Value)], trace: Option<TraceId>) {
-        self.state().events.push(CapturedEvent {
+        self.lock().push(CapturedEvent {
             kind,
             fields: fields.to_vec(),
             trace,
@@ -409,6 +362,7 @@ impl Recorder for CaptureRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::Aggregator;
 
     #[test]
     fn noop_handle_is_disabled_and_silent() {
@@ -437,29 +391,18 @@ mod tests {
     }
 
     #[test]
-    fn capture_accumulates_counters_by_label_set() {
-        let cap = Arc::new(CaptureRecorder::new());
-        let obs = Obs::new(cap.clone());
-        obs.counter("hits", &[("shard", "0")], 2);
-        obs.counter("hits", &[("shard", "0")], 3);
-        obs.counter("hits", &[("shard", "1")], 10);
-        assert_eq!(cap.counter_where("hits", &[("shard", "0")]), 5);
-        assert_eq!(cap.counter_where("hits", &[]), 15);
-        assert_eq!(cap.counter_where("misses", &[]), 0);
-    }
-
-    #[test]
     fn a_traced_handle_tags_events_not_metrics() {
         let cap = Arc::new(CaptureRecorder::new());
-        let base = Obs::new(cap.clone());
+        let agg = Arc::new(Aggregator::default());
+        let base = Obs::fanout(vec![cap.clone(), agg.clone()]);
         let traced = base.with_trace(TraceId::from_u64(7));
         traced.event("a.one", &[("n", field::u(1))]);
         base.event("a.one", &[("n", field::u(2))]);
-        traced.counter("hits", &[("shard", "0")], 2);
+        traced.counter("hits", &[("op", "hit")], 2);
         let events = cap.events();
         assert_eq!(events[0].trace, Some(TraceId::from_u64(7)));
         assert_eq!(events[1].trace, None);
-        assert_eq!(cap.counter_where("hits", &[("shard", "0")]), 2);
+        assert_eq!(agg.counter_value("hits", &[("op", "hit")]), 2);
         assert!(!Obs::noop().with_trace(TraceId::from_u64(7)).enabled());
     }
 
@@ -467,12 +410,15 @@ mod tests {
     fn fanout_broadcasts_to_every_sink() {
         let a = Arc::new(CaptureRecorder::new());
         let b = Arc::new(CaptureRecorder::new());
-        let obs = Obs::fanout(vec![a.clone(), b.clone()]);
+        let agg = Arc::new(Aggregator::default());
+        let obs = Obs::fanout(vec![a.clone(), b.clone(), agg.clone()]);
         obs.event("k", &[]);
         obs.counter("c", &[], 4);
+        obs.observe("h", &[], 0.5);
         assert_eq!(a.events().len(), 1);
         assert_eq!(b.events().len(), 1);
-        assert_eq!(b.counter_where("c", &[]), 4);
+        assert_eq!(agg.counter_value("c", &[]), 4);
+        assert_eq!(agg.histogram_where("h", &[]), (1, 0.5));
         assert!(!Obs::fanout(Vec::new()).enabled());
     }
 }

@@ -88,12 +88,7 @@ pub const EVENTS: &[EventKind] = &[
     EventKind {
         kind: "serve.update",
         layer: "serve",
-        doc: "A fact update was applied: ops, maintenance path, and new snapshot version.",
-    },
-    EventKind {
-        kind: "serve.snapshot",
-        layer: "serve",
-        doc: "A new snapshot was published: version and relation sizes.",
+        doc: "A fact update was applied: its result (the maintenance path, or `unchanged`), the snapshot version it leaves, rows inserted and deleted. Every installed snapshot is one.",
     },
     EventKind {
         kind: "serve.explain",

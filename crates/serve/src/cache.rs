@@ -360,13 +360,13 @@ mod tests {
         answers.iter().next().unwrap().as_ptr()
     }
 
-    /// A cache recording into a capture, and the count of one `op` — what
-    /// `QueryService::stats` reads from its aggregator.
+    /// A cache recording into an aggregator, and the count of one `op` —
+    /// what `QueryService::stats` reads from its own.
     fn counted(capacity: usize) -> (SaturationCache, impl Fn(&str) -> u64) {
-        let capture = Arc::new(recurs_obs::CaptureRecorder::new());
-        let cache = SaturationCache::new(capacity, Obs::new(capture.clone()));
+        let metrics = Arc::new(recurs_obs::aggregate::Aggregator::default());
+        let cache = SaturationCache::new(capacity, Obs::new(metrics.clone()));
         let ops =
-            move |op: &str| capture.counter_where("recurs_serve_cache_ops_total", &[("op", op)]);
+            move |op: &str| metrics.counter_value("recurs_serve_cache_ops_total", &[("op", op)]);
         (cache, ops)
     }
 

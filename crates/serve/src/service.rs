@@ -242,14 +242,6 @@ impl QueryService {
                     }
                 }
                 drop(view);
-                self.obs
-                    .counter("recurs_serve_snapshot_updates_total", &[], 1);
-                if self.obs.enabled() {
-                    self.obs.event(
-                        "serve.snapshot",
-                        &[("version", field::u(snapshot.version().get()))],
-                    );
-                }
                 let (inserted, deleted) = (delta.inserted_count(), delta.deleted_count());
                 self.record_update(maintenance, start, snapshot.version(), inserted, deleted);
                 Ok(UpdateOutcome::Installed {
@@ -302,8 +294,9 @@ impl QueryService {
         }
     }
 
-    /// Feeds one applied update into the recorder: the per-result update
-    /// counter and latency histogram, and a `serve.update` event.
+    /// Feeds one applied update into the recorder: the per-result latency
+    /// histogram (whose counts [`ServiceStats`] reads back) and a
+    /// `serve.update` event carrying the version it leaves.
     fn record_update(
         &self,
         result: &'static str,
@@ -316,8 +309,6 @@ impl QueryService {
             return;
         }
         let elapsed = start.elapsed();
-        self.obs
-            .counter("recurs_serve_updates_total", &[("result", result)], 1);
         self.obs.observe(
             "recurs_serve_update_seconds",
             &[("result", result)],
@@ -510,10 +501,11 @@ impl QueryService {
         Some(answers)
     }
 
-    /// Feeds one answered query into the recorder: the per-kernel latency
-    /// histogram, the labelled query counter, the summed-cost counters the
-    /// derived [`ServiceStats`] view reads back, and a `serve.query` event.
-    /// `obs` is the (possibly trace-scoped) handle the request runs under.
+    /// Feeds one answered query into the recorder: the labelled query
+    /// counter, the per-kernel latency histogram (whose sum is
+    /// [`ServiceStats`]'s `eval_us`), the derived-tuple counter, and a
+    /// `serve.query` event. `obs` is the (possibly trace-scoped) handle the
+    /// request runs under.
     fn record_query(&self, obs: &Obs, stats: &ServeStats) {
         if !obs.enabled() {
             return;
@@ -534,16 +526,6 @@ impl QueryService {
             "recurs_serve_query_seconds",
             &[("kernel", kernel)],
             stats.eval.as_secs_f64(),
-        );
-        obs.counter(
-            "recurs_serve_queue_wait_us_total",
-            &[],
-            stats.queue_wait.as_micros() as u64,
-        );
-        obs.counter(
-            "recurs_serve_eval_us_total",
-            &[],
-            stats.eval.as_micros() as u64,
         );
         obs.counter(
             "recurs_serve_tuples_derived_total",
@@ -590,14 +572,18 @@ impl QueryService {
     }
 
     /// A point-in-time snapshot of the service-wide statistics, derived by
-    /// reading the service's metric aggregator back — the same recorder the
-    /// trace events and `!metrics` exposition are fed from, so the two
-    /// views can never disagree.
+    /// reading the service's metric aggregator back — the series `!metrics`
+    /// renders, so the two views can never disagree. Every number is a
+    /// counter or a histogram's count or sum; the summed times are the
+    /// histograms' sums, in whole microseconds.
     pub fn stats(&self) -> ServiceStats {
         let snapshot = self.store.load();
         let m = &self.metrics;
         let q = "recurs_serve_queries_total";
         let cache_op = |op| m.counter_where("recurs_serve_cache_ops_total", &[("op", op)]);
+        let summed_us = |name| (m.histogram_where(name, &[]).1 * 1e6) as u64;
+        let updates = "recurs_serve_update_seconds";
+        let unchanged = m.histogram_where(updates, &[("result", "unchanged")]).0;
         ServiceStats {
             queries: m.counter_where(q, &[]),
             complete: m.counter_where(q, &[("outcome", "complete")]),
@@ -608,8 +594,8 @@ impl QueryService {
             kernel_magic: m.counter_where(q, &[("kernel", "magic")]),
             kernel_saturate: m.counter_where(q, &[("kernel", "saturate")]),
             kernel_materialized: m.counter_where(q, &[("kernel", "materialized")]),
-            queue_wait_us: m.counter_value("recurs_serve_queue_wait_us_total", &[]),
-            eval_us: m.counter_value("recurs_serve_eval_us_total", &[]),
+            queue_wait_us: summed_us("recurs_serve_admission_wait_seconds"),
+            eval_us: summed_us("recurs_serve_query_seconds"),
             tuples_derived: m.counter_value("recurs_serve_tuples_derived_total", &[]),
             cache: CacheCounters {
                 hits: cache_op("hit"),
@@ -620,9 +606,8 @@ impl QueryService {
                 patched: cache_op("patch"),
             },
             snapshot_version: snapshot.version().get(),
-            snapshot_updates: m.counter_value("recurs_serve_snapshot_updates_total", &[]),
-            updates_unchanged: m
-                .counter_where("recurs_serve_updates_total", &[("result", "unchanged")]),
+            snapshot_updates: m.histogram_where(updates, &[]).0 - unchanged,
+            updates_unchanged: unchanged,
         }
     }
 
@@ -1165,16 +1150,17 @@ mod tests {
         assert_eq!(updates[1].uint("deleted"), Some(1));
         assert_eq!(updates[2].text("result"), Some("unchanged"));
         assert_eq!(updates[2].uint("version"), Some(2));
-        // The counter taxonomy matches the events, and the maintenance layer
-        // reported its patch through the same recorder.
-        assert_eq!(
-            capture.counter_where("recurs_serve_updates_total", &[("result", "unchanged")]),
-            1
-        );
-        assert_eq!(
-            capture.counter_where("recurs_serve_updates_total", &[("result", "generic-dred")]),
-            1
-        );
+        // The update histogram's counts match the events, and the
+        // maintenance layer reported its patch through the same recorder.
+        let updates = |result| {
+            let required = [("result", result)];
+            service
+                .metrics
+                .histogram_where("recurs_serve_update_seconds", &required)
+                .0
+        };
+        assert_eq!(updates("unchanged"), 1);
+        assert_eq!(updates("generic-dred"), 1);
         assert_eq!(capture.events_of("ivm.patch").len(), 1);
         assert_eq!(capture.events_of("ivm.saturate").len(), 1);
     }
@@ -1199,10 +1185,11 @@ mod tests {
     #[test]
     fn external_recorder_sees_query_and_snapshot_events() {
         let capture = std::sync::Arc::new(recurs_obs::CaptureRecorder::new());
+        let external = std::sync::Arc::new(Aggregator::default());
         let service = tc_service(
             8,
             ServeConfig {
-                obs: recurs_obs::Obs::new(capture.clone()),
+                obs: recurs_obs::Obs::fanout(vec![capture.clone(), external.clone()]),
                 ..ServeConfig::default()
             },
         );
@@ -1218,15 +1205,23 @@ mod tests {
         assert_eq!(queries[1].text("cache"), Some("hit"));
         assert_eq!(queries[0].text("outcome"), Some("complete"));
         assert_eq!(queries[0].uint("snapshot_version"), Some(0));
-        let snaps = capture.events_of("serve.snapshot");
-        assert_eq!(snaps.len(), 1);
-        assert_eq!(snaps[0].uint("version"), Some(1));
+        // The installed snapshot is the update's `version`.
+        let updates = capture.events_of("serve.update");
+        assert_eq!(updates.len(), 1);
+        assert_eq!(updates[0].text("result"), Some("saturate"));
+        assert_eq!(updates[0].uint("version"), Some(1));
         // The external recorder sees the same counters the derived
         // ServiceStats view reads from the service's own aggregator.
-        assert_eq!(capture.counter_where("recurs_serve_queries_total", &[]), 2);
+        assert_eq!(external.counter_where("recurs_serve_queries_total", &[]), 2);
         assert_eq!(
-            capture.counter_where("recurs_serve_cache_ops_total", &[("op", "hit")]),
+            external.counter_value("recurs_serve_cache_ops_total", &[("op", "hit")]),
             1
+        );
+        assert_eq!(
+            external
+                .histogram_where("recurs_serve_update_seconds", &[])
+                .0,
+            service.stats().snapshot_updates
         );
     }
 
@@ -1250,6 +1245,49 @@ mod tests {
         let text = service.metrics_text();
         assert!(text.contains("recurs_serve_queries_total"));
         assert!(text.ends_with("# EOF\n"));
+
+        // Every summed number in `!stats` is a histogram's sum or count in
+        // `!metrics`. All 43 queries land on the one frontier series, so
+        // the comparison re-adds no floats.
+        for i in 1..=40 {
+            service
+                .query(&parse_atom(&format!("P({i}, y)")).unwrap())
+                .unwrap();
+        }
+        let a = Symbol::intern("A");
+        let installed = service.apply_update(&[FactOp::Insert(a, tuple_u64([10, 11]))]);
+        assert!(matches!(installed, Ok(UpdateOutcome::Installed { .. })));
+        let unchanged = service.apply_update(&[FactOp::Insert(a, tuple_u64([10, 11]))]);
+        assert!(matches!(unchanged, Ok(UpdateOutcome::Unchanged { .. })));
+        let stats = service.stats();
+        let text = service.metrics_text();
+        let sample = |series: &str| -> f64 {
+            let line = text
+                .lines()
+                .find(|l| l.split(' ').next() == Some(series))
+                .unwrap_or_else(|| panic!("no sample {series} in\n{text}"));
+            line.rsplit(' ').next().unwrap().parse().unwrap()
+        };
+        let as_us = |seconds: f64| (seconds * 1e6) as u64;
+        assert_eq!(stats.kernel_frontier, 43);
+        assert_eq!(
+            stats.eval_us,
+            as_us(sample(
+                r#"recurs_serve_query_seconds_sum{kernel="frontier"}"#
+            ))
+        );
+        assert_eq!(
+            stats.queue_wait_us,
+            as_us(sample("recurs_serve_admission_wait_seconds_sum"))
+        );
+        assert_eq!((stats.snapshot_updates, stats.updates_unchanged), (1, 1));
+        assert_eq!(
+            (stats.snapshot_updates, stats.updates_unchanged),
+            (
+                sample(r#"recurs_serve_update_seconds_count{result="saturate"}"#) as u64,
+                sample(r#"recurs_serve_update_seconds_count{result="unchanged"}"#) as u64,
+            )
+        );
     }
 
     #[test]
@@ -1371,7 +1409,9 @@ mod tests {
         let queried = service.query_traced(&q, &budget, wait, TraceId::from_u64(8));
         assert!(matches!(queried, Err(ServeError::Overloaded { .. })));
         assert_eq!(
-            capture.counter_where("recurs_serve_queries_shed_total", &[]),
+            service
+                .metrics
+                .counter_value("recurs_serve_queries_shed_total", &[]),
             2
         );
         let shed = capture.events_of("serve.shed");
@@ -1461,7 +1501,7 @@ mod tests {
         let dump = service.postmortem_jsonl();
         assert!(!dump.is_empty());
         assert!(dump.contains("\"kind\":\"serve.query\""), "{dump}");
-        assert!(dump.contains("\"kind\":\"serve.snapshot\""), "{dump}");
+        assert!(dump.contains("\"kind\":\"serve.update\""), "{dump}");
         // Every line parses as the trace-sink JSON shape.
         for line in dump.lines() {
             let v = recurs_obs::jsonl::parse(line).unwrap();

@@ -100,9 +100,11 @@ pub struct ServiceStats {
     pub kernel_saturate: u64,
     /// Queries answered from the maintained materialized view.
     pub kernel_materialized: u64,
-    /// Summed admission queue wait, microseconds.
+    /// Summed admission queue wait of every admitted query, microseconds:
+    /// `recurs_serve_admission_wait_seconds`'s sum.
     pub queue_wait_us: u64,
-    /// Summed evaluation time, microseconds.
+    /// Summed evaluation time, microseconds: `recurs_serve_query_seconds`'s
+    /// sum.
     pub eval_us: u64,
     /// Summed tuples derived.
     pub tuples_derived: u64,
@@ -110,9 +112,11 @@ pub struct ServiceStats {
     pub cache: CacheCounters,
     /// Current snapshot version.
     pub snapshot_version: u64,
-    /// Snapshots installed since the service started.
+    /// Snapshots installed since the service started:
+    /// `recurs_serve_update_seconds`'s count outside `result="unchanged"`.
     pub snapshot_updates: u64,
-    /// Update groups whose net delta was empty (version not bumped).
+    /// Update groups whose net delta was empty (version not bumped):
+    /// `recurs_serve_update_seconds`'s `result="unchanged"` count.
     pub updates_unchanged: u64,
 }
 
