@@ -248,10 +248,11 @@ done
 # `_sum` are its counters, so no counter restates one (`ServiceStats` reads
 # the histograms); an installed snapshot is its `serve.update`; the test
 # capture keeps only events, and a test that counts attaches an `Aggregator`;
-# and the budget keeps only ceilings that some caller sets.
-echo "==> one-record guard (no counter restating a histogram, no metric store in the capture, no memory ceiling)"
+# the budget keeps only ceilings that some caller sets; and a run's rounds
+# are one per-run counter, not a per-round histogram observation.
+echo "==> one-record guard (no counter restating a histogram, no metric store in the capture, no memory ceiling, no per-round metric)"
 for f in $(find crates/*/src -name '*.rs'); do
-  if non_test "$f" | grep -nE 'recurs_engine_iterations_total|recurs_serve_(updates|snapshot_updates|eval_us|queue_wait_us)_total|"serve\.snapshot"|max_memory_bytes|MemoryCeiling|ballast'; then
+  if non_test "$f" | grep -nE 'recurs_engine_iteration_seconds|recurs_engine_iterations_total|recurs_serve_(updates|snapshot_updates|eval_us|queue_wait_us)_total|"serve\.snapshot"|max_memory_bytes|MemoryCeiling|ballast'; then
     echo "$f records a fact twice or a ceiling no caller sets: read the histogram, or leave the ceiling out" >&2
     exit 1
   fi
@@ -261,6 +262,19 @@ if non_test crates/obs/src/lib.rs | sed -n '/^impl Recorder for CaptureRecorder 
   echo "CaptureRecorder keeps metrics again: the Aggregator is the one metric store" >&2
   exit 1
 fi
+
+# Per-run guard: a served miss records per run. The service's own sinks, the
+# aggregator and the flight ring, keep no per-round detail (`Recorder::detail`
+# stays the default `false`), so `drive_rounds` sends a saturation's
+# `engine.rule` / `engine.iteration` events only when a trace file or a
+# capture is attached.
+echo "==> per-run guard (the aggregator and the flight ring keep no per-round detail)"
+for f in crates/obs/src/aggregate.rs crates/obs/src/flight.rs; do
+  if non_test "$f" | grep -nE 'fn detail\b'; then
+    echo "$f keeps per-round detail: the served path records per run" >&2
+    exit 1
+  fi
+done
 
 echo "==> cargo test"
 cargo test --workspace --offline -q

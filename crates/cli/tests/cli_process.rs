@@ -516,10 +516,7 @@ fn metrics_flag_appends_parseable_prometheus_text() {
         .unwrap_or_else(|| panic!("no Prometheus text in {text}"));
     let samples = check_prometheus_text(&text[metrics_start..]);
     assert!(samples > 0);
-    assert!(
-        text.contains("recurs_engine_iteration_seconds_count"),
-        "{text}"
-    );
+    assert!(text.contains("recurs_engine_rounds_total"), "{text}");
     assert!(
         text.contains("recurs_engine_runs_total{kernel=\"generic\"}"),
         "{text}"

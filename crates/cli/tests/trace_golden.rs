@@ -4,8 +4,9 @@
 //! patch that carries the cache), a `why` and an `!explain` — is sent over
 //! `recurs serve --stdin --trace FILE`, and again, in process, to the
 //! service the CLI builds, whose flight recorder is then dumped. The trace
-//! file, the flight dump and the `!metrics` reply that ends the script must
-//! equal the files in `tests/golden/` that the binary before the trace id
+//! file, the flight dump and the `!metrics` reply that ends the script (on
+//! both runs: the metrics do not depend on whether a trace file is attached)
+//! must equal the files in `tests/golden/` that the binary before the trace id
 //! moved into the `Obs` handle wrote: every event kind, every field in its
 //! order, `trace` as the last field of a traced request's events, and every
 //! metric series. `seq` and every `*_us` number are masked to 0, and so is
@@ -56,6 +57,21 @@
 //!   `recurs_serve_snapshot_updates_total 2`, and
 //!   `recurs_serve_updates_total{result="generic-dred"} 1` and
 //!   `{result="saturate"} 1`.
+//!
+//! And these, when a saturation's per-round events went only to sinks that
+//! keep detail (a trace file, a test capture) and its rounds became a
+//! per-run count. The in-process service has no trace file: its sinks are
+//! the aggregator and the flight ring, which keep none.
+//! - `flight_events.jsonl` lost its 28 `engine.rule` and 23
+//!   `engine.iteration` lines, going from 95 to 44 lines; every other line
+//!   is as it was, in the same order. `trace_events.jsonl` is unedited: the
+//!   trace file keeps detail, and with it the flight ring beside it.
+//! - in `metrics.txt`, the 23-line `recurs_engine_iteration_seconds`
+//!   histogram family (its `# TYPE` line, 20 buckets, `_sum` and
+//!   `_count 23`) became `# TYPE recurs_engine_rounds_total counter` and
+//!   `recurs_engine_rounds_total 23`, in its sorted place after
+//!   `recurs_engine_probes_total`: the same 23 rounds, added once per run
+//!   instead of observed once per round.
 
 use recurs_cli::{build_service_cancellable, ServiceOpts};
 use recurs_serve::protocol::{handle_line, LineOutcome};
@@ -203,11 +219,16 @@ fn the_flight_recorder_retains_the_events_on_file() {
     let source = std::fs::read_to_string(dataset()).expect("dataset");
     let (service, _) =
         build_service_cancellable(&source, &ServiceOpts::default(), None).expect("service");
+    let mut last = String::new();
     for line in SCRIPT {
-        assert!(matches!(handle_line(&service, line), LineOutcome::Reply(_)));
+        match handle_line(&service, line) {
+            LineOutcome::Reply(reply) => last = reply,
+            _ => panic!("{line}: no reply"),
+        }
     }
     assert_golden(
         "flight_events.jsonl",
         &mask_events(&service.postmortem_jsonl()),
     );
+    assert_golden("metrics.txt", &mask_metrics(&last));
 }

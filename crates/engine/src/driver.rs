@@ -67,12 +67,15 @@ pub struct Rounds {
 /// Pipeline rows, head batches and deltas live in buffers the loop owns and
 /// reuses, so a round allocates only where one of them outgrows itself.
 ///
-/// What it records: per round, one `engine.rule` event per rule that ran
-/// and one `engine.iteration` event, and the round's duration into
-/// `recurs_engine_iteration_seconds` (whose `_count` is the rounds run);
-/// per call, the fresh tuples summed into
-/// `recurs_engine_tuples_derived_total`. No field is built by allocating:
-/// the `head` is the interned predicate's own text.
+/// What it records: per call, the fresh tuples summed into
+/// `recurs_engine_tuples_derived_total` and the rounds run into
+/// `recurs_engine_rounds_total`, whatever sinks are attached; per round,
+/// one `engine.rule` event per rule that ran and one `engine.iteration`
+/// event, only when a sink keeps detail ([`Obs::detailed`], read once per
+/// call). So a served miss records per run, however many rounds its
+/// recursion takes, while a trace file still gets every round; and the
+/// metrics are the same either way. No field is built by allocating: the
+/// `head` is the interned predicate's own text.
 // One argument per independent input; bundling them would only add a type.
 #[allow(clippy::too_many_arguments)]
 pub fn drive_rounds<M>(
@@ -88,6 +91,7 @@ pub fn drive_rounds<M>(
 where
     M: FnMut(&mut EngineDb, usize, &CompiledRule, &Batch, &mut Batch),
 {
+    let detail = obs.detailed();
     let mut out = Rounds::default();
     let mut counters = ProbeCounters::default();
     let mut seeding = seed;
@@ -158,7 +162,7 @@ where
                 continue;
             }
             interrupted = rule.execute(db, &mut scratch, &mut counters, Some(governor), derived)?;
-            if obs.enabled() {
+            if detail {
                 obs.event(
                     "engine.rule",
                     &[
@@ -201,7 +205,9 @@ where
         }
         it.duration = started.elapsed();
         fresh_total += it.new_tuples;
-        emit_iteration(obs, round + 1, &it);
+        if detail {
+            emit_iteration(obs, round + 1, &it);
+        }
         out.iterations.push(it);
         seeding = None;
         if let Some(reason) = interrupted {
@@ -217,21 +223,17 @@ where
             &[],
             fresh_total as u64,
         );
+        obs.counter(
+            "recurs_engine_rounds_total",
+            &[],
+            out.iterations.len() as u64,
+        );
     }
     Ok(out)
 }
 
-/// Emits the per-round provenance event and the round-duration histogram.
-/// No-op with a disabled handle.
+/// Emits the per-round provenance event, for a sink that keeps detail.
 fn emit_iteration(obs: &Obs, iteration: usize, it: &IterationStats) {
-    if !obs.enabled() {
-        return;
-    }
-    obs.observe(
-        "recurs_engine_iteration_seconds",
-        &[],
-        it.duration.as_secs_f64(),
-    );
     obs.event(
         "engine.iteration",
         &[

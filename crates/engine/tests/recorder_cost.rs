@@ -1,14 +1,17 @@
 //! What the no-op recorder costs, as a count rather than a clock: every
 //! emission site in the engine is one `Obs::enabled()` branch (a `None`
-//! check on the no-op handle) guarding a few counter, histogram or event
-//! calls, and each site fires once per run, per round, or per rule per
-//! round — never per tuple. So a counting recorder attached to a run sees
-//! at most `PER_ROUND_RULE · rounds · rules + PER_RUN` calls, and the count
-//! grows with rounds, not with the tuples derived. The no-op handle takes
-//! the same branches and makes none of the calls. Within that, the round
-//! driver's counter is per call, not per round: one `drive_rounds` call adds
-//! its fresh tuples once, while its events stay one per rule per round and
-//! one per round (the rounds are the iteration histogram's `_count`).
+//! check on the no-op handle) guarding a few counter or event calls, and
+//! each site fires once per run, per round, or per rule per round — never
+//! per tuple. So a counting recorder that keeps detail sees at most
+//! `PER_ROUND_RULE · rounds · rules + PER_RUN` calls, and the count grows
+//! with rounds, not with the tuples derived. The no-op handle takes the same
+//! branches and makes none of the calls. Within that, the round driver's
+//! counters are per call, not per round: one `drive_rounds` call adds its
+//! fresh tuples and its rounds once each, while its events stay one per
+//! rule per round and one per round. A sink that keeps no detail — the
+//! aggregator and the flight ring a served miss runs under — is sent the
+//! per-run calls alone, `PER_RUN_WITHOUT_DETAIL` of them, however many
+//! rounds the run takes.
 
 use recurs_datalog::database::Database;
 use recurs_datalog::govern::EvalBudget;
@@ -24,24 +27,47 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Calls per round and rule: a round's histogram and event, plus one
-/// `engine.rule` event per rule it runs.
+/// Calls per round and rule allowed a sink that keeps detail: a round's
+/// `engine.iteration` event and one `engine.rule` event per rule it runs.
 const PER_ROUND_RULE: u64 = 3;
-/// Calls per run: dispatch, start, the round driver's counter, and
-/// completion.
+/// Calls per run allowed beside them.
 const PER_RUN: u64 = 7;
+/// Every call a sink that keeps no detail receives from one saturation:
+/// the dispatch event, the run counter and start event, the round driver's
+/// two counters, the probe and probe-hit counters, and completion.
+const PER_RUN_WITHOUT_DETAIL: u64 = 8;
 
 /// Counts every call a sink receives, and among them the counter calls, the
 /// rounds (one `engine.iteration` event each) and the `engine.rule` events.
 #[derive(Debug, Default)]
 struct Counting {
+    detail: bool,
     calls: AtomicU64,
     counters: AtomicU64,
     rounds: AtomicU64,
     rule_events: AtomicU64,
 }
 
+impl Counting {
+    /// A sink that keeps per-round detail, as a trace file does.
+    fn detailed() -> Arc<Counting> {
+        Arc::new(Counting {
+            detail: true,
+            ..Counting::default()
+        })
+    }
+
+    /// A sink that keeps none, as the aggregator and the flight ring.
+    fn per_run() -> Arc<Counting> {
+        Arc::new(Counting::default())
+    }
+}
+
 impl Recorder for Counting {
+    fn detail(&self) -> bool {
+        self.detail
+    }
+
     fn counter(&self, _: &'static str, _: &[(&'static str, &str)], _: u64) {
         self.calls.fetch_add(1, Ordering::Relaxed);
         self.counters.fetch_add(1, Ordering::Relaxed);
@@ -106,9 +132,9 @@ fn sg(nodes: u64) -> (LinearRecursion, Database) {
     (sg, db)
 }
 
-/// Saturates `lr` over `db` with a counting recorder attached.
-fn saturate_counted((lr, db): &(LinearRecursion, Database)) -> Counted {
-    let counting = Arc::new(Counting::default());
+/// Saturates `lr` over `db` with `counting` attached. `rounds` are the
+/// rounds the run took, whether or not the sink was sent them.
+fn saturate_with((lr, db): &(LinearRecursion, Database), counting: Arc<Counting>) -> Counted {
     let config = EngineConfig {
         obs: Obs::new(counting.clone()),
         ..EngineConfig::default()
@@ -116,12 +142,19 @@ fn saturate_counted((lr, db): &(LinearRecursion, Database)) -> Counted {
     let mut store = EngineDb::from(db);
     let sat = saturate_linear(&mut store, lr, &config).unwrap();
     assert!(sat.outcome.is_complete());
-    let counted = Counted {
+    Counted {
         calls: counting.calls.load(Ordering::Relaxed),
-        rounds: counting.rounds.load(Ordering::Relaxed),
+        rounds: sat.stats.iterations.len() as u64,
         tuples: sat.stats.tuples_derived,
-    };
-    assert_eq!(counted.rounds, sat.stats.iterations.len() as u64);
+    }
+}
+
+/// Saturates `lr` over `db` with a counting recorder that keeps detail,
+/// and checks it was sent one `engine.iteration` event a round.
+fn saturate_counted(workload: &(LinearRecursion, Database)) -> Counted {
+    let counting = Counting::detailed();
+    let counted = saturate_with(workload, counting.clone());
+    assert_eq!(counting.rounds.load(Ordering::Relaxed), counted.rounds);
     counted
 }
 
@@ -152,6 +185,21 @@ fn transitive_closure_emits_per_round_not_per_tuple() {
     counted.assert_bounded("tc/800", rules(&workload.0));
 }
 
+#[test]
+fn a_sink_without_detail_is_called_per_run_not_per_round() {
+    // 400 rounds of one-tuple-per-source deltas on the chain, 10 on SG: the
+    // same calls either way.
+    for (what, workload) in [("tc/400", tc(400)), ("sg/1023", sg(1023))] {
+        let counting = Counting::per_run();
+        let counted = saturate_with(&workload, counting.clone());
+        assert!(counted.rounds >= 10, "{what}: {counted:?}");
+        assert_eq!(counted.calls, PER_RUN_WITHOUT_DETAIL, "{what}: {counted:?}");
+        let read = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        assert_eq!(read(&counting.rounds), 0, "{what}: iteration events");
+        assert_eq!(read(&counting.rule_events), 0, "{what}: rule events");
+    }
+}
+
 /// `why`'s rank-tracked saturation (`recurs_ivm::explain_fact`) over `lr`
 /// and `db`, replayed with a counting handle where `explain_fact` passes the
 /// no-op one: the exit rules seed, the recursive rule's delta pipeline
@@ -175,7 +223,7 @@ fn rank_tracked((lr, db): &(LinearRecursion, Database)) -> (Arc<Counting>, u64, 
     for rule in exits.iter().chain([&rec]) {
         store.ensure_indexes(rule);
     }
-    let counting = Arc::new(Counting::default());
+    let counting = Counting::detailed();
     let mut ranks: Vec<u64> = Vec::new();
     let run = drive_rounds(
         &mut store,
@@ -211,12 +259,13 @@ fn a_rank_tracked_saturation_emits_per_round_not_per_tuple() {
 
 #[test]
 fn a_drive_rounds_call_adds_its_counters_once_and_emits_per_round() {
-    // 10 rounds on SG, 200 on a TC chain: the counter calls stay one.
+    // 10 rounds on SG, 200 on a TC chain: the counter calls stay two, the
+    // fresh tuples and the rounds.
     for (what, workload) in [("sg/1023", sg(1023)), ("tc/200", tc(200))] {
         let (counting, rounds, _) = rank_tracked(&workload);
         let read = |n: &AtomicU64| n.load(Ordering::Relaxed);
         assert!(rounds >= 10, "{what}: {rounds} rounds");
-        assert_eq!(read(&counting.counters), 1, "{what}: counter calls");
+        assert_eq!(read(&counting.counters), 2, "{what}: counter calls");
         assert_eq!(
             read(&counting.rounds),
             rounds,

@@ -7,7 +7,7 @@
 //!   patch fell back to a cold rebuild.
 //! * **The recorder.** Every pass of a patch is a `drive_rounds` call, whose
 //!   emission sites fire per round or per rule per round; with `apply`'s own
-//!   counter and event, a counting recorder sees at most
+//!   counter and event, a counting recorder that keeps detail sees at most
 //!   `PER_ROUND_RULE · rounds · rules + PER_RUN` calls however many tuples
 //!   the patch moves. The no-op handle takes the same branches and makes
 //!   none of the calls.
@@ -30,15 +30,16 @@ use recurs_workload::graphs::chain;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Calls per round and rule: a round's histogram and event, plus one
-/// `engine.rule` event per rule it runs.
+/// Calls per round and rule allowed a sink that keeps detail: a round's
+/// `engine.iteration` event and one `engine.rule` event per rule it runs.
 const PER_ROUND_RULE: u64 = 3;
 /// Calls per patch or saturation: the `ivm.*` counter and event, and each
 /// `drive_rounds` call's two counters.
 const PER_RUN: u64 = 8;
 
 /// Counts every call a sink receives, and the rounds among them (one
-/// `engine.iteration` event each).
+/// `engine.iteration` event each). It keeps detail, so it is sent every
+/// round.
 #[derive(Debug, Default)]
 struct Counting {
     calls: AtomicU64,
@@ -56,6 +57,10 @@ impl Counting {
 }
 
 impl Recorder for Counting {
+    fn detail(&self) -> bool {
+        true
+    }
+
     fn counter(&self, _: &'static str, _: &[(&'static str, &str)], _: u64) {
         self.calls.fetch_add(1, Ordering::Relaxed);
     }

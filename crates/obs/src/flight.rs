@@ -17,6 +17,14 @@
 //! * **Metrics are ignored.** Counters and histograms already live in the
 //!   [`Aggregator`](crate::aggregate::Aggregator); the recorder keeps only
 //!   event provenance, which is what a postmortem needs.
+//! * **Per run, not per round.** The ring keeps no detail
+//!   ([`Recorder::detail`] is `false`), so on its own it is sent a
+//!   saturation's `engine.start` and `engine.complete` but not a line per
+//!   round or per rule: a served miss costs the ring a few events however
+//!   deep its recursion, and the ring covers that many more requests. Beside
+//!   a sink that keeps detail (a trace file, `!explain`'s capture) it
+//!   receives the per-round events too, since the run emits them for every
+//!   sink.
 //!
 //! The dump is rendered line by line by the JSON-lines trace sink's own
 //! `trace::write_line` (`seq`, `ts_us`, `kind`, the event's own fields,
@@ -115,16 +123,21 @@ impl Recorder for FlightRecorder {
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
         let ts_us = self.epoch.elapsed().as_micros() as u64;
         let slot = (seq % self.slots.len() as u64) as usize;
-        let event = FlightEvent {
+        let mut slot = self.slots[slot]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        // A writer that stalled between its claim and this lock a whole lap
+        // behind finds a newer event here, and that one stays.
+        if slot.as_ref().is_some_and(|newer| newer.seq > seq) {
+            return;
+        }
+        *slot = Some(FlightEvent {
             seq,
             ts_us,
             kind,
             fields: fields.to_vec(),
             trace,
-        };
-        *self.slots[slot]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(event);
+        });
     }
 }
 

@@ -28,6 +28,15 @@
 //!   counters/histograms are ignored (a test that counts attaches an
 //!   aggregator beside it).
 //!
+//! Whether a sink keeps *detail* is fixed by its type ([`Recorder::detail`]):
+//! the trace writer and the test capture do, and receive the per-round and
+//! per-rule events of a saturation (`engine.iteration`, `engine.rule`); the
+//! aggregator and the flight ring do not, and a run they see records per run
+//! (its `engine.complete`, its counters). A fan-out keeps detail when any of
+//! its sinks does ([`Obs::detailed`]), so attaching a trace file brings the
+//! per-round events back for every sink, and the metrics are the same either
+//! way: no metric is recorded per round.
+//!
 //! [`FanoutRecorder`] composes sinks, and the default handle
 //! ([`Obs::noop`]) records nothing: it holds no allocation, reports
 //! [`Obs::enabled`]` == false`, and every emission is a branch on a `None`.
@@ -75,6 +84,14 @@ pub trait Recorder: Send + Sync + fmt::Debug {
     /// handle-level [`Obs::enabled`] before building label/field arrays.
     fn enabled(&self) -> bool {
         true
+    }
+
+    /// Whether this sink keeps per-round detail: the events a saturation
+    /// emits per round and per rule. Fixed by the sink's type; instrumented
+    /// code reads it once per run through [`Obs::detailed`] and emits that
+    /// detail only when some sink keeps it.
+    fn detail(&self) -> bool {
+        false
     }
 
     /// Adds `delta` to the counter `name` for the given label set.
@@ -169,6 +186,17 @@ impl Obs {
         }
     }
 
+    /// Whether any sink keeps per-round detail ([`Recorder::detail`]). A
+    /// loop reads this once per run, before its rounds, and emits per-round
+    /// events only when it is true.
+    #[inline]
+    pub fn detailed(&self) -> bool {
+        match &self.inner {
+            None => false,
+            Some(r) => r.detail(),
+        }
+    }
+
     /// Adds `delta` to a labelled counter.
     #[inline]
     pub fn counter(&self, name: &'static str, labels: &[(&'static str, &str)], delta: u64) {
@@ -254,6 +282,10 @@ impl Recorder for FanoutRecorder {
         self.sinks.iter().any(|s| s.enabled())
     }
 
+    fn detail(&self) -> bool {
+        self.sinks.iter().any(|s| s.detail())
+    }
+
     fn counter(&self, name: &'static str, labels: &[(&'static str, &str)], delta: u64) {
         for s in &self.sinks {
             s.counter(name, labels, delta);
@@ -304,8 +336,9 @@ impl CapturedEvent {
     }
 }
 
-/// An in-memory sink for tests: retains every event so suites can assert
-/// on the exact provenance a run emitted. It keeps no metrics: the
+/// An in-memory sink for tests: retains every event, per-round detail
+/// included, so suites can assert on the exact provenance a run emitted. It
+/// keeps no metrics: the
 /// [`aggregate::Aggregator`] is the one store that does, and a test that
 /// counts fans one out beside the capture ([`Obs::fanout`]).
 #[derive(Debug, Default)]
@@ -350,6 +383,10 @@ impl CaptureRecorder {
 }
 
 impl Recorder for CaptureRecorder {
+    fn detail(&self) -> bool {
+        true
+    }
+
     fn event(&self, kind: &'static str, fields: &[(&'static str, Value)], trace: Option<TraceId>) {
         self.lock().push(CapturedEvent {
             kind,
@@ -404,6 +441,21 @@ mod tests {
         assert_eq!(events[1].trace, None);
         assert_eq!(agg.counter_value("hits", &[("op", "hit")]), 2);
         assert!(!Obs::noop().with_trace(TraceId::from_u64(7)).enabled());
+    }
+
+    #[test]
+    fn only_the_trace_writer_and_the_capture_keep_detail() {
+        let agg: Arc<dyn Recorder> = Arc::new(Aggregator::default());
+        let flight: Arc<dyn Recorder> = Arc::new(FlightRecorder::default());
+        let trace: Arc<dyn Recorder> = Arc::new(trace::TraceWriter::new(Box::new(std::io::sink())));
+        let capture: Arc<dyn Recorder> = Arc::new(CaptureRecorder::new());
+        assert!(!Obs::noop().detailed());
+        let served = Obs::fanout(vec![agg.clone(), flight.clone()]);
+        assert!(served.enabled() && !served.detailed());
+        assert!(Obs::fanout(vec![agg.clone(), flight.clone(), trace]).detailed());
+        assert!(Obs::fanout(vec![agg, flight, capture])
+            .with_trace(TraceId::from_u64(7))
+            .detailed());
     }
 
     #[test]

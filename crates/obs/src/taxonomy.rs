@@ -43,12 +43,12 @@ pub const EVENTS: &[EventKind] = &[
     EventKind {
         kind: "engine.iteration",
         layer: "engine",
-        doc: "One round of the round driver (a kernel iteration or a maintenance-loop round): delta sizes in and out.",
+        doc: "One round of the round driver (a kernel iteration or a maintenance-loop round): delta sizes in and out. Sent only when a sink keeps detail (a trace file, a test capture, `!explain`); the aggregator and the flight ring see the run's `engine.complete` and counters instead.",
     },
     EventKind {
         kind: "engine.rule",
         layer: "engine",
-        doc: "One rule application inside a round: join fan-in/out.",
+        doc: "One rule application inside a round: join fan-in/out. Sent only when a sink keeps detail, like `engine.iteration`.",
     },
     EventKind {
         kind: "engine.complete",
