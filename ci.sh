@@ -280,10 +280,11 @@ echo "==> cargo test"
 cargo test --workspace --offline -q
 
 # The fault-injection lanes all arm the engine's one fault plan, fired by the
-# round driver: slowed / tripped kernel runs, the ivm
-# differential gate under forced maintenance truncation (tripped patches —
-# propagation, overdeletion and rederive waves — must still equal the
-# from-scratch oracle via the cold fallback), and served deadline drills.
+# round driver: slowed / tripped kernel runs, and the ivm differential gate
+# under forced maintenance truncation (tripped patches — propagation,
+# overdeletion and rederive waves — must still equal the from-scratch oracle
+# via the cold fallback). Slowed and tripped rounds on the served path are
+# phases of the whole-stack model, below.
 echo "==> cargo test fault-injection suite"
 cargo test -p recurs-engine --features fault-inject --offline -q
 cargo test -p recurs-ivm --features fault-inject --offline -q
@@ -331,6 +332,13 @@ done
 # close cleanly), and must leave the snapshot chain intact.
 echo "==> recurs-net chaos suite (--features fault-inject)"
 cargo test -p recurs-net --features fault-inject --offline -q
+
+# The whole-stack model: one seeded script played through the protocol and
+# over TCP, every reply held to a plain-facts model at the version it names,
+# with slowed and tripped rounds beside small deadlines. Time-boxed, so a
+# wedged server fails the lane instead of hanging it.
+echo "==> whole-stack model (--features fault-inject, 120 s box)"
+timeout 120 cargo test -p recurs-net --features fault-inject --offline -q --test stack_model
 
 # The observability spine on its own (recorder, aggregator, Prometheus text,
 # JSON-lines trace sink): it must lint and pass without the workspace's

@@ -120,8 +120,8 @@ struct Shared {
     forced: AtomicBool,
     /// Threaded into every request budget; cancelled on forced shutdown.
     hard_cancel: CancelToken,
-    /// When drain started (micros since `started`); 0 = not draining.
-    drain_started_us: Mutex<Option<Instant>>,
+    /// When the drain started; `None` while not draining.
+    drain_started: Mutex<Option<Instant>>,
     active: Mutex<usize>,
     idle: Condvar,
     started: Instant,
@@ -161,7 +161,7 @@ impl Shared {
     }
 
     fn drain_elapsed(&self) -> Option<Duration> {
-        self.drain_started_us
+        self.drain_started
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .map(|t| t.elapsed())
@@ -204,7 +204,7 @@ impl ShutdownHandle {
     pub fn drain(&self) {
         let mut started = self
             .shared
-            .drain_started_us
+            .drain_started
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         if started.is_none() {
@@ -253,7 +253,7 @@ impl NetServer {
                 draining: AtomicBool::new(false),
                 forced: AtomicBool::new(false),
                 hard_cancel: CancelToken::new(),
-                drain_started_us: Mutex::new(None),
+                drain_started: Mutex::new(None),
                 active: Mutex::new(0),
                 idle: Condvar::new(),
                 started: Instant::now(),

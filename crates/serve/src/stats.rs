@@ -50,7 +50,8 @@ pub struct ServeStats {
     pub answers: usize,
     /// Tuples derived while evaluating (0 on a cache hit).
     pub tuples_derived: usize,
-    /// Fixpoint iterations run (0 on a cache hit and for the bounded kernel).
+    /// Fixpoint iterations run (0 on a cache hit, for a materialized-view
+    /// answer, and for the bounded kernel).
     pub fixpoint_iterations: usize,
     /// The snapshot version the query was answered against.
     pub snapshot_version: u64,
