@@ -276,6 +276,18 @@ for f in crates/obs/src/aggregate.rs crates/obs/src/flight.rs; do
   fi
 done
 
+# Round-cost guard: a round costs its joins. The store finds a relation by
+# symbol id and the round driver keeps the delta in slots resolved once per
+# call; a map keyed by `Symbol` compares the interned strings at every step
+# (that is `Symbol`'s order), so neither file keys one by predicate again.
+echo "==> round-cost guard (no Symbol-keyed BTreeMap in the round driver or the store)"
+for f in crates/engine/src/driver.rs crates/engine/src/storage.rs; do
+  if non_test "$f" | grep -n "BTreeMap<Symbol"; then
+    echo "$f keys a BTreeMap by Symbol again: find relations and deltas by id" >&2
+    exit 1
+  fi
+done
+
 echo "==> cargo test"
 cargo test --workspace --offline -q
 

@@ -22,7 +22,11 @@
 //! `QueryService::query` per miss, then the executor's phases — lower, store
 //! clone + declares + seed, compile, saturate, select — timed one by one
 //! under the no-op recorder, each of the service's two recorders, and both.
-//! EXPERIMENTS.md §20 records it.
+//! EXPERIMENTS.md §20 records it. Its last lane is a round's cost: `P(1, 2)`
+//! served cold on one TC chain of 25 / 100 / 400 / 1 600 vertices, a frontier
+//! walk that moves one tuple a round to the end of the chain, as µs a miss
+//! divided by its rounds, and as the slope between the shortest and longest
+//! chain (the per-miss costs cancel). EXPERIMENTS.md §25 records it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use recurs_core::plan::{plan_query, QueryPlan};
@@ -333,6 +337,49 @@ fn cold_miss_split(c: &mut Criterion) {
         );
     }
     println!();
+    walk_rounds(&f);
+}
+
+/// Chain lengths of the per-round lane.
+const WALK_LENGTHS: [u64; 4] = [25, 100, 400, 1_600];
+
+/// µs a round of a one-tuple frontier walk: `P(1, 2)` served with the cache
+/// off on one chain of each of [`WALK_LENGTHS`], the median of 5 passes of
+/// about 0.2 s each.
+fn walk_rounds(f: &LinearRecursion) {
+    let query = parse_atom("P(1, 2)").unwrap();
+    let mut points = Vec::new();
+    for n in WALK_LENGTHS {
+        let service = service(f, &tc_db(n), false);
+        let warm = service.query(&query).unwrap(); // the form's plan and indexes
+        assert_eq!(warm.stats.kernel, PointKernelKind::Frontier);
+        assert_eq!(warm.answers.len(), 1);
+        let rounds = warm.stats.fixpoint_iterations;
+        let reps = (320_000 / n) as u32;
+        let mut passes: Vec<f64> = (0..5)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..reps {
+                    black_box(service.query(&query).unwrap());
+                }
+                start.elapsed().as_secs_f64() * 1e6 / f64::from(reps)
+            })
+            .collect();
+        passes.sort_by(f64::total_cmp);
+        let us = passes[passes.len() / 2];
+        println!(
+            "cold_miss_split/walk/{n}  {us:.2} µs per miss  {rounds} rounds  {:.3} µs a round",
+            us / rounds as f64
+        );
+        points.push((rounds as f64, us));
+    }
+    let ((r0, t0), (r1, t1)) = (points[0], points[points.len() - 1]);
+    println!(
+        "cold_miss_split/walk  slope {:.3} µs a round ({} to {} vertices)",
+        (t1 - t0) / (r1 - r0),
+        WALK_LENGTHS[0],
+        WALK_LENGTHS[WALK_LENGTHS.len() - 1]
+    );
 }
 
 criterion_group!(benches, tc_serving, sg_serving, cold_miss_split);

@@ -247,24 +247,28 @@ impl Governor {
     /// the wall-clock deadline. Suitable for kernel inner loops (call every
     /// few hundred rows, not every row).
     pub fn poll(&self) -> Option<TruncationReason> {
-        if let Some(token) = &self.cancel {
-            if token.is_cancelled() {
-                return Some(TruncationReason::Cancelled);
-            }
+        self.tripped(Instant::now)
+    }
+
+    /// Cancellation, then the deadline against the clock `now` reads (only
+    /// when a deadline is armed).
+    fn tripped(&self, now: impl FnOnce() -> Instant) -> Option<TruncationReason> {
+        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            Some(TruncationReason::Cancelled)
+        } else if self.deadline.is_some_and(|deadline| now() >= deadline) {
+            Some(TruncationReason::Deadline)
+        } else {
+            None
         }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                return Some(TruncationReason::Deadline);
-            }
-        }
-        None
     }
 
     /// Full per-iteration check: the asynchronous conditions of
-    /// [`poll`](Governor::poll) plus every progress-based ceiling. Called at
-    /// the top of each fixpoint iteration, before the iteration's work.
-    pub fn check(&self, progress: Progress) -> Option<TruncationReason> {
-        if let Some(reason) = self.poll() {
+    /// [`poll`](Governor::poll), the deadline against `now` — the clock read
+    /// the caller's iteration already made — plus every progress-based
+    /// ceiling. Called at the top of each fixpoint iteration, before the
+    /// iteration's work.
+    pub fn check(&self, progress: Progress, now: Instant) -> Option<TruncationReason> {
+        if let Some(reason) = self.tripped(|| now) {
             return Some(reason);
         }
         if let Some(cap) = self.max_iterations {
@@ -295,11 +299,14 @@ mod tests {
         let gov = EvalBudget::unlimited().start();
         assert_eq!(gov.poll(), None);
         assert_eq!(
-            gov.check(Progress {
-                iterations: 1_000_000,
-                tuples: usize::MAX,
-                delta: usize::MAX,
-            }),
+            gov.check(
+                Progress {
+                    iterations: 1_000_000,
+                    tuples: usize::MAX,
+                    delta: usize::MAX,
+                },
+                Instant::now()
+            ),
             None
         );
     }
@@ -313,7 +320,7 @@ mod tests {
         assert!(token.is_cancelled());
         assert_eq!(gov.poll(), Some(TruncationReason::Cancelled));
         assert_eq!(
-            gov.check(Progress::default()),
+            gov.check(Progress::default(), Instant::now()),
             Some(TruncationReason::Cancelled)
         );
     }
@@ -325,6 +332,18 @@ mod tests {
     }
 
     #[test]
+    fn check_reads_the_deadline_against_the_callers_clock() {
+        let hour = Duration::from_secs(3_600);
+        let gov = EvalBudget::unlimited().with_timeout(hour).start();
+        let now = Instant::now();
+        assert_eq!(gov.check(Progress::default(), now), None);
+        assert_eq!(
+            gov.check(Progress::default(), now + 2 * hour),
+            Some(TruncationReason::Deadline)
+        );
+    }
+
+    #[test]
     fn ceilings_trip_in_documented_order() {
         let gov = EvalBudget::unlimited()
             .with_max_iterations(3)
@@ -333,36 +352,48 @@ mod tests {
             .start();
         // Nothing exceeded.
         assert_eq!(
-            gov.check(Progress {
-                iterations: 2,
-                tuples: 50,
-                delta: 10,
-            }),
+            gov.check(
+                Progress {
+                    iterations: 2,
+                    tuples: 50,
+                    delta: 10,
+                },
+                Instant::now()
+            ),
             None
         );
         // Iteration cap wins over later ceilings.
         assert_eq!(
-            gov.check(Progress {
-                iterations: 3,
-                tuples: 100,
-                delta: 11,
-            }),
+            gov.check(
+                Progress {
+                    iterations: 3,
+                    tuples: 100,
+                    delta: 11,
+                },
+                Instant::now()
+            ),
             Some(TruncationReason::IterationCap)
         );
         assert_eq!(
-            gov.check(Progress {
-                iterations: 0,
-                tuples: 100,
-                delta: 0,
-            }),
+            gov.check(
+                Progress {
+                    iterations: 0,
+                    tuples: 100,
+                    delta: 0,
+                },
+                Instant::now()
+            ),
             Some(TruncationReason::TupleCeiling)
         );
         assert_eq!(
-            gov.check(Progress {
-                iterations: 0,
-                tuples: 0,
-                delta: 11,
-            }),
+            gov.check(
+                Progress {
+                    iterations: 0,
+                    tuples: 0,
+                    delta: 11,
+                },
+                Instant::now()
+            ),
             Some(TruncationReason::DeltaCeiling)
         );
     }

@@ -37,7 +37,10 @@ fn slot_of(id: u32) -> (usize, usize) {
 /// An interned string. Two `Symbol`s are equal iff the underlying strings are.
 ///
 /// Ordering compares the *strings* (not interner ids), so sorted iteration is
-/// deterministic regardless of interning order.
+/// deterministic regardless of interning order. That order is for output and
+/// for what iterates in it, not for lookups on a hot path: a `BTreeMap` keyed
+/// by `Symbol` compares strings at every step, where equality and hashing
+/// compare the id. The engine finds a relation, and a round its delta, by id.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Symbol(u32);
 

@@ -15,7 +15,6 @@ use recurs_datalog::order::order_atoms;
 use recurs_datalog::rule::Rule;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::{Atom, Term, Value};
-use std::collections::HashMap;
 
 /// The buffers one pipeline execution works in, kept by whoever runs
 /// pipelines round after round so that only growth allocates: the partial
@@ -240,8 +239,9 @@ impl CompiledRule {
     ) -> Result<CompiledRule, DatalogError> {
         let len_of = |p| db.get(p).map(IndexedRelation::len);
         let order = order_atoms(&rule.body, len_of, delta_pos);
-        let mut acc_col: HashMap<Symbol, usize> = HashMap::new();
-        let mut acc_len = 0usize;
+        // The row's columns: the variable each holds, in binding order.
+        let mut acc: Vec<Symbol> = Vec::new();
+        let col_of = |acc: &[Symbol], v: &Symbol| acc.iter().position(|w| w == v);
 
         let mut seed: Option<SeedSpec> = None;
         let mut steps: Vec<JoinStep> = Vec::new();
@@ -253,8 +253,7 @@ impl CompiledRule {
                 let selection = Selection::of(atom);
                 for &c in &selection.keep_cols {
                     if let Term::Var(v) = atom.terms[c] {
-                        acc_col.insert(v, acc_len);
-                        acc_len += 1;
+                        acc.push(v);
                     }
                 }
                 seed = Some(SeedSpec {
@@ -271,8 +270,7 @@ impl CompiledRule {
             let mut key = Vec::new();
             let mut eq_checks = Vec::new();
             let mut append_cols = Vec::new();
-            let mut first: HashMap<Symbol, usize> = HashMap::new();
-            let mut pending_new: Vec<Symbol> = Vec::new();
+            let bound = acc.len();
             for (i, term) in atom.terms.iter().enumerate() {
                 match term {
                     Term::Const(c) => {
@@ -280,24 +278,17 @@ impl CompiledRule {
                         key.push(KeyPart::Const(*c));
                     }
                     Term::Var(v) => {
-                        if let Some(&j) = first.get(v) {
+                        if let Some(j) = atom.terms[..i].iter().position(|t| t == term) {
                             eq_checks.push((j, i));
-                            continue;
-                        }
-                        first.insert(*v, i);
-                        if let Some(&a) = acc_col.get(v) {
+                        } else if let Some(a) = col_of(&acc[..bound], v) {
                             index_cols.push(i);
                             key.push(KeyPart::Acc(a));
                         } else {
                             append_cols.push(i);
-                            pending_new.push(*v);
+                            acc.push(*v);
                         }
                     }
                 }
-            }
-            for v in pending_new {
-                acc_col.insert(v, acc_len);
-                acc_len += 1;
             }
             steps.push(JoinStep {
                 pred: atom.predicate,
@@ -314,9 +305,7 @@ impl CompiledRule {
             .terms
             .iter()
             .map(|t| match t {
-                Term::Var(v) => acc_col
-                    .get(v)
-                    .copied()
+                Term::Var(v) => col_of(&acc, v)
                     .map(HeadCol::Bound)
                     .ok_or(DatalogError::UnboundVariable(*v)),
                 Term::Const(c) => Ok(HeadCol::Fixed(*c)),
@@ -473,7 +462,9 @@ pub fn select(rel: &IndexedRelation, query: &Selection) -> IndexedRelation {
     select_counted(rel, query, &mut ProbeCounters::default())
 }
 
-/// [`select`], counting the stored tuples it visits. A ground query is one
+/// [`select`], counting the stored tuples it visits. A query of distinct
+/// variables only keeps every tuple whole, so it shares the relation's rows
+/// (and counts them read) instead of copying them; a ground query is one
 /// lookup in the dedup table; a query whose constants cover an index the
 /// relation already maintains probes it (the widest such — none is ever
 /// built for a query); anything else scans the arena.
@@ -486,6 +477,10 @@ pub fn select_counted(
     let arity = query.const_checks.len() + query.eq_checks.len() + query.keep_cols.len();
     assert_eq!(arity, rel.arity(), "query arity mismatch");
     let ProbeCounters { probes, hits } = counters;
+    if query.const_checks.is_empty() && query.eq_checks.is_empty() {
+        *hits += rel.len() as u64;
+        return rel.unindexed();
+    }
     let bound: Vec<usize> = query.bound_cols().collect();
     let key_on = |cols: &[usize]| -> Vec<Value> {
         let bound_to = |c: &usize| query.const_checks.iter().find(|(b, _)| b == c);

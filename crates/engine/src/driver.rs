@@ -16,7 +16,6 @@ use crate::storage::{Batch, EngineDb};
 use recurs_datalog::govern::{Governor, Progress, TruncationReason};
 use recurs_datalog::symbol::Symbol;
 use recurs_obs::{field, Obs};
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 pub(crate) const UNLOADED_RELATION: &str =
@@ -41,6 +40,35 @@ pub struct Rounds {
     pub capped: bool,
 }
 
+/// One predicate a delta can be pending under: `next`, the rows the next
+/// round reads, and `spent`, the buffer the last round read. A round that
+/// read them swaps the two, and its merges refill the emptied buffer.
+struct Slot {
+    pred: Symbol,
+    next: Batch,
+    spent: Batch,
+}
+
+/// The slot of `pred`, added (for rows `width` wide) if it has none.
+fn slot_of(slots: &mut Vec<Slot>, pred: Symbol, width: usize) -> usize {
+    if let Some(at) = slots.iter().position(|s| s.pred == pred) {
+        return at;
+    }
+    let (next, spent) = (Batch::new(width), Batch::new(width));
+    slots.push(Slot { pred, next, spent });
+    slots.len() - 1
+}
+
+/// One rule wired to the slots: the one a delta round seeds its pipeline
+/// from (none for a seeding rule or an empty body), the one its fresh heads
+/// go to, and the batch its head rows collect in.
+#[derive(Default)]
+struct Lane {
+    from: Option<usize>,
+    to: usize,
+    derived: Batch,
+}
+
 /// Runs semi-naive rounds over `db` until the delta dries up, `cap`
 /// differentiated rounds have run, or the budget trips.
 ///
@@ -50,6 +78,8 @@ pub struct Rounds {
 ///   `cap`.
 /// * `rules`: delta pipelines; each round seeds a rule from the pending
 ///   delta of its seed atom's predicate (rules with none are skipped).
+/// * `delta`: the rows pending before the first round, at most one batch
+///   per predicate (`[(pred, batch)]`).
 /// * `merge(db, round, rule, heads, fresh)` receives one head row per
 ///   enumerated instantiation (duplicates included) after *every* rule of
 ///   the round has executed, so a round's joins never see that round's own
@@ -58,14 +88,17 @@ pub struct Rounds {
 ///   rule's head predicate. `round` is the 0-based index into
 ///   [`Rounds::iterations`].
 ///
-/// Every round starts with the fault hook (when compiled in) and a full
-/// [`Governor::check`] against real progress — rounds run, fresh tuples so
-/// far, pending delta. A round interrupted mid-pipeline still merges what it
-/// derived: every head row is a true consequence, so stopping only omits
-/// tuples.
+/// Every round starts with the one clock read it makes — it closes the
+/// previous round's [`IterationStats::duration`] and is the deadline's —
+/// then the fault hook (when compiled in) and a full [`Governor::check`]
+/// against real progress — rounds run, fresh tuples so far, pending delta.
+/// A round interrupted mid-pipeline still merges what it derived: every
+/// head row is a true consequence, so stopping only omits tuples.
 ///
-/// Pipeline rows, head batches and deltas live in buffers the loop owns and
-/// reuses, so a round allocates only where one of them outgrows itself.
+/// The delta lives in slots, one per predicate it can be pending under,
+/// each rule's seed slot and head slot resolved once per call; pipeline
+/// rows, head batches and deltas live in buffers the loop owns and reuses,
+/// so a round allocates only where one of them outgrows itself.
 ///
 /// What it records: per call, the fresh tuples summed into
 /// `recurs_engine_tuples_derived_total` and the rounds run into
@@ -82,7 +115,7 @@ pub fn drive_rounds<M>(
     db: &mut EngineDb,
     seed: Option<&[CompiledRule]>,
     rules: &[CompiledRule],
-    mut delta: BTreeMap<Symbol, Batch>,
+    delta: impl IntoIterator<Item = (Symbol, Batch)>,
     cap: Option<u64>,
     governor: &Governor,
     obs: &Obs,
@@ -94,19 +127,39 @@ where
     let detail = obs.detailed();
     let mut out = Rounds::default();
     let mut counters = ProbeCounters::default();
+    let seeds = seed.unwrap_or_default();
     let mut seeding = seed;
     let mut fresh_total = 0usize;
     let mut scratch = Scratch::default();
-    // One head batch per rule of a round, and the delta the previous round
-    // consumed, whose buffers the next one refills.
-    let mut heads: Vec<Batch> = Vec::new();
-    let mut spent: BTreeMap<Symbol, Batch> = BTreeMap::new();
+    // Room for every slot the rules can add, so wiring them never regrows.
+    let delta = delta.into_iter();
+    let mut slots = Vec::with_capacity(delta.size_hint().0 + seeds.len() + 2 * rules.len());
+    for (pred, batch) in delta {
+        let at = slot_of(&mut slots, pred, batch.width());
+        slots[at].next = batch;
+    }
+    // The seeding rules' lanes, then the delta rules', wired by the first
+    // round that runs.
+    let mut lanes: Vec<Lane> = Vec::new();
+    let mut last_read: Option<Instant> = None;
+    let mut interrupted = None;
     loop {
+        let now = Instant::now();
         let round = out.iterations.len();
+        if let (Some(started), Some(it)) = (last_read.replace(now), out.iterations.last_mut()) {
+            it.duration = now - started;
+            if detail {
+                emit_iteration(obs, round, it);
+            }
+        }
+        if let Some(reason) = interrupted {
+            out.truncation = Some(reason);
+            break;
+        }
         // The seeding round reads stored relations, not the delta.
         let pending: usize = match seeding {
             Some(_) => 0,
-            None => delta.values().map(Batch::len).sum(),
+            None => slots.iter().map(|slot| slot.next.len()).sum(),
         };
         if seeding.is_none() {
             if pending == 0 {
@@ -123,44 +176,53 @@ where
             out.truncation = Some(TruncationReason::Cancelled);
             break;
         }
-        if let Some(reason) = governor.check(Progress {
+        let progress = Progress {
             iterations: round,
             tuples: fresh_total,
             delta: pending,
-        }) {
+        };
+        if let Some(reason) = governor.check(progress, now) {
             out.truncation = Some(reason);
             break;
         }
 
-        let started = Instant::now();
-        let active = seeding.unwrap_or(rules);
-        if heads.len() < active.len() {
-            heads.resize_with(active.len(), Batch::default);
+        if lanes.is_empty() {
+            lanes.resize_with(seeds.len() + rules.len(), Lane::default);
+            // Heads first: a predicate some rule derives gets its slot at
+            // the head's width.
+            for (rule, lane) in seeds.iter().chain(rules).zip(&mut lanes) {
+                lane.to = slot_of(&mut slots, rule.head_pred, rule.head_arity);
+            }
+            for (rule, lane) in rules.iter().zip(&mut lanes[seeds.len()..]) {
+                lane.from = rule.seed.as_ref().map(|s| slot_of(&mut slots, s.pred, 0));
+            }
         }
-        for (rule, derived) in active.iter().zip(&mut heads) {
-            derived.reset(rule.head_arity);
+        let (active, wired) = match seeding {
+            Some(active) => (active, &mut lanes[..seeds.len()]),
+            None => (rules, &mut lanes[seeds.len()..]),
+        };
+        for (rule, lane) in active.iter().zip(wired.iter_mut()) {
+            lane.derived.reset(rule.head_arity);
         }
-        let mut interrupted = None;
-        for (i, (rule, derived)) in active.iter().zip(&mut heads).enumerate() {
+        for (i, (rule, lane)) in active.iter().zip(wired.iter_mut()).enumerate() {
             // Seed rows: the full stored relation of the seed atom (or the
             // unit row, for an empty body) when seeding, the pending delta
             // of its predicate otherwise.
-            let rows_in = match (&rule.seed, seeding) {
-                (None, Some(_)) => scratch.unit_row(),
-                (None, None) => 0,
-                (Some(seed), Some(_)) => {
+            let rows_in = match (&rule.seed, seeding, lane.from) {
+                (None, Some(_), _) => scratch.unit_row(),
+                (Some(seed), Some(_), _) => {
                     let rel = db
                         .get(seed.pred)
                         .ok_or(EngineError::Internal(UNLOADED_RELATION))?;
                     seed.fill(&mut scratch, rel.iter())
                 }
-                (Some(seed), None) => delta
-                    .get(&seed.pred)
-                    .map_or(0, |batch| seed.fill(&mut scratch, batch.iter())),
+                (Some(seed), None, Some(from)) => seed.fill(&mut scratch, slots[from].next.iter()),
+                (_, None, _) => 0,
             };
             if rows_in == 0 {
                 continue;
             }
+            let derived = &mut lane.derived;
             interrupted = rule.execute(db, &mut scratch, &mut counters, Some(governor), derived)?;
             if detail {
                 obs.event(
@@ -186,34 +248,24 @@ where
         if seeding.is_none() {
             // Consumed. (A seeding round never read the delta: tuples the
             // caller pre-seeded stay pending next to its fresh ones.)
-            std::mem::swap(&mut delta, &mut spent);
-            for stale in delta.values_mut() {
-                stale.reset(stale.width());
+            for slot in &mut slots {
+                std::mem::swap(&mut slot.next, &mut slot.spent);
+                slot.next.reset(slot.next.width());
             }
         }
-        for (rule, derived) in active.iter().zip(&heads) {
-            if derived.is_empty() {
+        for (rule, lane) in active.iter().zip(wired.iter()) {
+            if lane.derived.is_empty() {
                 continue;
             }
-            it.derived += derived.len();
-            let fresh = delta
-                .entry(rule.head_pred)
-                .or_insert_with(|| Batch::new(rule.head_arity));
+            it.derived += lane.derived.len();
+            let fresh = &mut slots[lane.to].next;
             let before = fresh.len();
-            merge(db, round, rule, derived, fresh);
+            merge(db, round, rule, &lane.derived, fresh);
             it.new_tuples += fresh.len() - before;
         }
-        it.duration = started.elapsed();
         fresh_total += it.new_tuples;
-        if detail {
-            emit_iteration(obs, round + 1, &it);
-        }
         out.iterations.push(it);
         seeding = None;
-        if let Some(reason) = interrupted {
-            out.truncation = Some(reason);
-            break;
-        }
     }
     out.probes = counters.probes;
     out.probe_hits = counters.hits;

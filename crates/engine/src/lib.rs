@@ -79,7 +79,7 @@ use recurs_datalog::govern::{EvalBudget, Outcome};
 use recurs_datalog::rule::{LinearRecursion, Program};
 use recurs_datalog::symbol::Symbol;
 use recurs_obs::{field, Obs};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Default)]
@@ -269,13 +269,13 @@ pub fn saturate(
 
     // Tuples the caller pre-seeded into IDB relations (e.g. magic seeds)
     // must reach the recursive rules too: they start out as pending delta.
-    let mut preseeded: BTreeMap<Symbol, Batch> = BTreeMap::new();
+    let mut preseeded = Vec::new();
     for &pred in &program.idb {
         let rel = storage
             .get(pred)
             .ok_or(EngineError::Internal(UNLOADED_RELATION))?;
         if !rel.is_empty() {
-            preseeded.insert(pred, Batch::from_rows(rel.arity(), rel.iter()));
+            preseeded.push((pred, Batch::from_rows(rel.arity(), rel.iter())));
         }
     }
     // A proven rank is a cap that means completeness: the theorems

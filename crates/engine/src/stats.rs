@@ -72,7 +72,9 @@ pub struct IterationStats {
     pub derived: usize,
     /// Tuples that were genuinely new (the outgoing delta).
     pub new_tuples: usize,
-    /// Wall-clock time of the iteration.
+    /// Wall-clock time of the iteration: from the clock read that opens it
+    /// (before its budget check) to the one that opens the next round, or
+    /// ends the run — its joins and merges, and the checks that open it.
     pub duration: Duration,
 }
 

@@ -19,7 +19,6 @@ use recurs_datalog::error::DatalogError;
 use recurs_datalog::relation::{Relation, Tuple};
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::Value;
-use std::collections::BTreeMap;
 use std::hash::{BuildHasher, RandomState};
 use std::sync::{Arc, OnceLock};
 
@@ -557,6 +556,16 @@ impl IndexedRelation {
             .map(move |id| &rows.values[id * arity..(id + 1) * arity])
     }
 
+    /// The same tuples, sharing this relation's rows and keeping none of
+    /// its indexes: what a select that keeps every tuple whole answers.
+    pub(crate) fn unindexed(&self) -> IndexedRelation {
+        IndexedRelation {
+            arity: self.arity,
+            rows: Arc::clone(&self.rows),
+            indexes: Vec::new(),
+        }
+    }
+
     /// Copies the storage back into a plain [`Relation`].
     pub fn to_relation(&self) -> Relation {
         Relation::from_tuples(self.arity, self.iter().map(Tuple::from))
@@ -583,7 +592,8 @@ impl IndexedRelation {
     }
 }
 
-/// The engine's store: predicate → indexed relation.
+/// The engine's store: predicate → indexed relation, kept in name order and
+/// found by id.
 ///
 /// Cloning a store clones its relations, which share their rows and indexes
 /// (see [`IndexedRelation`]): the clone copies no tuple, and each side then
@@ -593,10 +603,13 @@ impl IndexedRelation {
 ///
 /// The fixpoint driver reads EDB relations and reads/extends IDB relations
 /// through it, and the results stay here for whoever ran it to select from,
-/// maintain or copy back out.
+/// maintain or copy back out. A lookup runs once per join step and once per
+/// merge, so it compares symbol ids — a scan of the few relations a program
+/// names — never the names themselves; only adding a relation places it by
+/// name, so that [`EngineDb::iter`] runs in name order.
 #[derive(Debug, Clone, Default)]
 pub struct EngineDb {
-    rels: BTreeMap<Symbol, IndexedRelation>,
+    rels: Vec<(Symbol, IndexedRelation)>,
 }
 
 /// The one conversion from the plain-facts format: every relation copied
@@ -617,14 +630,27 @@ impl EngineDb {
         EngineDb::default()
     }
 
+    /// Where `pred`'s relation sits, found by id.
+    fn at(&self, pred: Symbol) -> Option<usize> {
+        self.rels.iter().position(|(name, _)| *name == pred)
+    }
+
+    /// The relation stored under `pred`, added empty (of `arity`), in name
+    /// order, if there is none.
+    fn entry(&mut self, pred: Symbol, arity: usize) -> &mut IndexedRelation {
+        let at = self.at(pred).unwrap_or_else(|| {
+            let at = self.rels.partition_point(|(name, _)| *name < pred);
+            self.rels.insert(at, (pred, IndexedRelation::new(arity)));
+            at
+        });
+        &mut self.rels[at].1
+    }
+
     /// Registers `pred` as an empty relation of the given arity if absent.
     /// A relation already stored under `pred` is left alone; one of a
     /// different arity is an error.
     pub fn declare(&mut self, pred: Symbol, arity: usize) -> Result<(), DatalogError> {
-        let rel = self
-            .rels
-            .entry(pred)
-            .or_insert_with(|| IndexedRelation::new(arity));
+        let rel = self.entry(pred, arity);
         if rel.arity() != arity {
             return Err(DatalogError::ArityMismatch {
                 predicate: pred,
@@ -637,22 +663,22 @@ impl EngineDb {
 
     /// Copies a relation into the store (replacing any existing one).
     pub fn load(&mut self, pred: Symbol, rel: &Relation) {
-        self.rels.insert(pred, IndexedRelation::from_relation(rel));
+        *self.entry(pred, rel.arity()) = IndexedRelation::from_relation(rel);
     }
 
     /// Looks up a relation.
     pub fn get(&self, pred: Symbol) -> Option<&IndexedRelation> {
-        self.rels.get(&pred)
+        self.at(pred).map(|at| &self.rels[at].1)
     }
 
     /// Looks up a relation mutably.
     pub fn get_mut(&mut self, pred: Symbol) -> Option<&mut IndexedRelation> {
-        self.rels.get_mut(&pred)
+        self.at(pred).map(|at| &mut self.rels[at].1)
     }
 
     /// Iterates over `(name, relation)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &IndexedRelation)> {
-        self.rels.iter().map(|(&name, rel)| (name, rel))
+        self.rels.iter().map(|(name, rel)| (*name, rel))
     }
 
     /// Set-inserts the rows of `heads` into `pred`'s relation and appends
@@ -660,7 +686,7 @@ impl EngineDb {
     /// merge for [`crate::drive_rounds`]. An unknown predicate stores
     /// nothing.
     pub fn insert_fresh(&mut self, pred: Symbol, heads: &Batch, fresh: &mut Batch) {
-        let Some(rel) = self.rels.get_mut(&pred) else {
+        let Some(rel) = self.get_mut(pred) else {
             return;
         };
         for row in heads.iter() {
@@ -694,7 +720,7 @@ impl EngineDb {
     /// reported (idempotent), here, where every later clone inherits them.
     pub fn build_indexes(&mut self, needed: &[(Symbol, Vec<usize>)]) {
         for (pred, cols) in needed {
-            if let Some(rel) = self.rels.get_mut(pred) {
+            if let Some(rel) = self.get_mut(*pred) {
                 rel.ensure_index(cols);
             }
         }
@@ -704,7 +730,7 @@ impl EngineDb {
     /// this once per compiled rule, before the first round that runs it.
     pub fn ensure_indexes(&mut self, rule: &crate::compile::CompiledRule) {
         for (pred, cols) in rule.required_indexes() {
-            if let Some(rel) = self.rels.get_mut(&pred) {
+            if let Some(rel) = self.get_mut(pred) {
                 rel.ensure_index(cols);
             }
         }
@@ -712,12 +738,12 @@ impl EngineDb {
 
     /// Total number of persistent indexes across all relations.
     pub fn index_count(&self) -> usize {
-        self.rels.values().map(IndexedRelation::index_count).sum()
+        self.iter().map(|(_, rel)| rel.index_count()).sum()
     }
 
     /// Sums [`IndexedRelation::heap_bytes`] across all relations.
     pub fn heap_bytes(&self) -> usize {
-        self.rels.values().map(IndexedRelation::heap_bytes).sum()
+        self.iter().map(|(_, rel)| rel.heap_bytes()).sum()
     }
 }
 

@@ -31,7 +31,7 @@ use recurs_datalog::term::{Atom, Value};
 use recurs_engine::compile::CompiledRule;
 use recurs_engine::{drive_rounds, Batch, EngineDb, IndexedRelation, Rounds};
 use recurs_obs::{field, Obs};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// A saturated linear recursion kept consistent under EDB deltas.
 ///
@@ -216,7 +216,7 @@ impl Materialization {
             &mut self.engine,
             seed,
             std::slice::from_ref(&self.rec_delta),
-            BTreeMap::from([(p, delta)]),
+            [(p, delta)],
             self.path.round_cap(),
             governor,
             &self.obs,

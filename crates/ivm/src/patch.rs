@@ -190,7 +190,7 @@ impl Materialization {
                 &mut self.engine,
                 None,
                 &self.variants[&pred],
-                BTreeMap::from([(pred, batch_of(tuples))]),
+                [(pred, batch_of(tuples))],
                 None,
                 governor,
                 &self.obs,
@@ -207,7 +207,7 @@ impl Materialization {
                 &mut self.engine,
                 None,
                 std::slice::from_ref(&self.rec_delta),
-                BTreeMap::from([(p, batch_of(&cands))]),
+                [(p, batch_of(&cands))],
                 self.path.round_cap(),
                 governor,
                 &self.obs,
@@ -235,7 +235,7 @@ impl Materialization {
             &mut self.engine,
             None,
             &self.recounts,
-            BTreeMap::from([(Symbol::intern(CAND), batch_of(&cands))]),
+            [(Symbol::intern(CAND), batch_of(&cands))],
             None,
             governor,
             &self.obs,

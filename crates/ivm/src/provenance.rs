@@ -40,7 +40,6 @@ use recurs_datalog::term::{Atom, Term, Value};
 use recurs_engine::compile::{CompiledRule, ProbeCounters, Scratch};
 use recurs_engine::{drive_rounds, Batch, EngineDb};
 use recurs_obs::Obs;
-use std::collections::BTreeMap;
 
 /// Default depth bound for backward reconstruction: enough for any chain a
 /// governed evaluation can produce, while still guaranteeing termination
@@ -156,7 +155,7 @@ fn saturate_with_ranks(
         &mut engine,
         Some(&exits),
         std::slice::from_ref(&rec_delta),
-        BTreeMap::new(),
+        [],
         None,
         governor,
         &Obs::noop(),

@@ -140,9 +140,10 @@ impl PointPlans {
         Ok(PointKernelKind::of(&*self.plan(query)?))
     }
 
-    /// Answers `query` against `snapshot` (a version `snapshots` published)
-    /// under `budget`. The snapshot is only read: the executor saturates a
-    /// private clone of its store.
+    /// Answers `query` with `plan` — [`PointPlans::plan`]'s for it — against
+    /// `snapshot` (a version `snapshots` published) under `budget`. The
+    /// snapshot is only read: the executor saturates a private clone of its
+    /// store.
     ///
     /// Indexes the pipelines probe on the snapshot's relations are the
     /// snapshot's to hold: any it lacks are built once by
@@ -152,14 +153,13 @@ impl PointPlans {
     /// in that very window does the query stay on its own version and index
     /// its private clone.)
     pub fn answer(
-        &self,
+        plan: &QueryPlan,
         snapshots: &SnapshotStore,
         snapshot: &Snapshot,
         query: &Atom,
         budget: &EvalBudget,
         obs: &Obs,
     ) -> Result<Evaluation, ServeError> {
-        let plan = self.plan(query)?;
         let config = EngineConfig {
             budget: budget.clone(),
             obs: obs.clone(),
@@ -169,7 +169,7 @@ impl PointPlans {
             (indexed.version() == snapshot.version()).then(|| indexed.store().clone())
         };
         Ok(recurs_engine::evaluate(
-            &plan,
+            plan,
             query,
             snapshot.store(),
             &config,
@@ -215,7 +215,15 @@ mod tests {
         budget: &EvalBudget,
     ) -> Result<Evaluation, ServeError> {
         let snapshots = SnapshotStore::new(db.into());
-        plans.answer(&snapshots, &snapshots.load(), query, budget, &Obs::noop())
+        let plan = plans.plan(query)?;
+        PointPlans::answer(
+            &plan,
+            &snapshots,
+            &snapshots.load(),
+            query,
+            budget,
+            &Obs::noop(),
+        )
     }
 
     #[test]

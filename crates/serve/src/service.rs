@@ -404,7 +404,8 @@ impl QueryService {
         );
         let snapshot = self.store.load();
         let count_error = |_: &ServeError| obs.counter("recurs_serve_query_errors_total", &[], 1);
-        let kernel = self.plans.select(query).inspect_err(count_error)?;
+        let plan = self.plans.plan(query).inspect_err(count_error)?;
+        let kernel = PointKernelKind::of(&plan);
         let start = Instant::now();
 
         // What the query selects and projects: the cache's key and the
@@ -437,9 +438,7 @@ impl QueryService {
                 }
                 (None, None) => {
                     let _eval = ctx.span("eval", parent);
-                    let run = self
-                        .plans
-                        .answer(&self.store, &snapshot, query, budget, obs)
+                    let run = PointPlans::answer(&plan, &self.store, &snapshot, query, budget, obs)
                         .inspect_err(count_error)?;
                     let stats = run.saturation.stats;
                     // The bounded levels finish in the seeding round: no
