@@ -280,13 +280,22 @@ done
 # symbol id and the round driver keeps the delta in slots resolved once per
 # call; a map keyed by `Symbol` compares the interned strings at every step
 # (that is `Symbol`'s order), so neither file keys one by predicate again.
-echo "==> round-cost guard (no Symbol-keyed BTreeMap in the round driver or the store)"
+echo "==> round-cost guard (no Symbol-keyed BTreeMap in the round driver or the store, a head batch merged in bulk, no per-step pipeline batch)"
 for f in crates/engine/src/driver.rs crates/engine/src/storage.rs; do
   if non_test "$f" | grep -n "BTreeMap<Symbol"; then
     echo "$f keys a BTreeMap by Symbol again: find relations and deltas by id" >&2
     exit 1
   fi
 done
+if non_test crates/engine/src/storage.rs | sed -n '/pub fn insert_fresh/,/^    }/p' \
+    | grep -nE "\binsert(_id)?\("; then
+  echo "EngineDb::insert_fresh inserts row by row again: hand the batch to insert_batch" >&2
+  exit 1
+fi
+if [ "$(non_test crates/engine/src/compile.rs | sed -n '/^pub struct Scratch/,/^}/p' | grep -c Batch)" != 1 ]; then
+  echo "compile.rs's Scratch holds a per-step batch again: run the pipeline depth-first" >&2
+  exit 1
+fi
 
 echo "==> cargo test"
 cargo test --workspace --offline -q

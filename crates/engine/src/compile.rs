@@ -6,29 +6,45 @@
 //! selection-first heuristic of `recurs_datalog::order`), the index each
 //! step probes, and the columns each step appends — so the per-iteration
 //! work is pure hash probing with no planning, cloning, or re-indexing.
+//!
+//! A pipeline runs depth-first: each seed row goes through every join step
+//! before the next seed row starts, in one reused row a step, so no step's
+//! output is ever held whole; each step's relation and index are found once
+//! a call. Seed rows are read where they are when the seed atom keeps every
+//! column in order with no check — a delta is then not copied at all.
 
 use crate::error::EngineError;
-use crate::storage::{Batch, EngineDb, IndexedRelation};
+use crate::storage::{Batch, EngineDb, IndexView, IndexedRelation};
 use recurs_datalog::error::DatalogError;
 use recurs_datalog::govern::{Governor, TruncationReason};
 use recurs_datalog::order::order_atoms;
 use recurs_datalog::rule::Rule;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::{Atom, Term, Value};
+use std::ops::ControlFlow::{self, Break, Continue};
 
 /// The buffers one pipeline execution works in, kept by whoever runs
-/// pipelines round after round so that only growth allocates: the partial
-/// binding rows entering a join step (one value per distinct variable bound
-/// so far, in first-occurrence order), the rows leaving it, and the probe
-/// key being assembled.
+/// pipelines round after round so that only growth allocates: the seed rows
+/// [`SeedSpec::fill`] writes (or a delta the driver lends whole), the
+/// partial binding row entering each join step after the first (one value
+/// per distinct variable bound so far, in first-occurrence order — one row
+/// a step, never a batch, since a seed row goes through every step before
+/// the next starts), and the probe key being assembled.
 #[derive(Debug, Default)]
 pub struct Scratch {
     rows: Batch,
-    next: Batch,
+    row: Vec<Value>,
     key: Vec<Value>,
 }
 
 impl Scratch {
+    /// Swaps `rows` in as the initial rows, whole and in place, and returns
+    /// how many there are; lending them again swaps them back.
+    pub(crate) fn lend(&mut self, rows: &mut Batch) -> usize {
+        std::mem::swap(&mut self.rows, rows);
+        self.rows.len()
+    }
+
     /// Sets up the one row of no columns an empty body starts from.
     pub(crate) fn unit_row(&mut self) -> usize {
         self.rows.reset(0);
@@ -132,6 +148,12 @@ impl Selection {
             && self.eq_checks.iter().all(|&(a, b)| t[a] == t[b])
     }
 
+    /// True if every tuple passes and is kept whole: no constant, no
+    /// repeated variable.
+    pub(crate) fn keeps_all(&self) -> bool {
+        self.const_checks.is_empty() && self.eq_checks.is_empty()
+    }
+
     /// The kept columns of `t`, in order.
     pub fn project<'a>(&'a self, t: &'a [Value]) -> impl Iterator<Item = Value> + 'a {
         self.keep_cols.iter().map(|&c| t[c])
@@ -187,7 +209,7 @@ pub struct SeedSpec {
     /// True if the seed rows come from the current delta batch rather than
     /// the stored relation (semi-naive differentiation).
     pub from_delta: bool,
-    selection: Selection,
+    pub(crate) selection: Selection,
 }
 
 impl SeedSpec {
@@ -225,6 +247,8 @@ pub struct CompiledRule {
     pub seed: Option<SeedSpec>,
     steps: Vec<JoinStep>,
     head: Vec<HeadCol>,
+    /// Columns of the widest pipeline row: one per body variable.
+    width: usize,
 }
 
 impl CompiledRule {
@@ -318,6 +342,7 @@ impl CompiledRule {
             seed,
             steps,
             head,
+            width: acc.len(),
         })
     }
 
@@ -347,13 +372,16 @@ impl CompiledRule {
     }
 
     /// Runs the pipeline over the initial rows in `scratch` (see
-    /// [`SeedSpec::fill`]), appending one head row per instantiation to
-    /// `out` (with duplicates; the driver's merge dedupes).
+    /// [`SeedSpec::fill`]; the driver may lend it a delta whole instead),
+    /// appending one head row per instantiation to `out` (with duplicates;
+    /// the driver's merge dedupes).
+    /// Each seed row goes through every join step before the next one
+    /// starts, in one reused row a step, so no step's output is held whole.
     ///
     /// If a `governor` is given, its cheap trip conditions (cancellation,
-    /// deadline) are polled every few hundred rows; a trip stops the
-    /// pipeline and returns the reason. Head rows already appended to
-    /// `out` by earlier pipelines remain valid (every derived tuple is a
+    /// deadline) are polled every `POLL_STRIDE` (512) rows visited, at any
+    /// step; a trip stops the pipeline and returns the reason. Head rows
+    /// already appended to `out` remain valid (every derived tuple is a
     /// true consequence — an early stop only omits tuples).
     pub fn execute(
         &self,
@@ -363,95 +391,147 @@ impl CompiledRule {
         governor: Option<&Governor>,
         out: &mut Batch,
     ) -> Result<Option<TruncationReason>, EngineError> {
-        // Polling cadence: cheap enough to keep probe throughput, frequent
-        // enough to stop a blown-up iteration promptly.
-        const POLL_STRIDE: usize = 512;
-        let mut poll_countdown = POLL_STRIDE;
-        let mut poll = move || -> Option<TruncationReason> {
-            let gov = governor?;
-            poll_countdown -= 1;
-            if poll_countdown == 0 {
-                poll_countdown = POLL_STRIDE;
-                gov.poll()
-            } else {
-                None
-            }
+        let Scratch { rows, row, key } = scratch;
+        // The row entering each step after the first, side by side (any
+        // value fills them: each is written before it is read).
+        row.resize(self.width * self.steps.len(), Value(self.head_pred));
+        let mut walk = Walk {
+            rule: self,
+            key,
+            counters,
+            governor,
+            countdown: POLL_STRIDE,
+            out,
         };
-        let Scratch { rows, next, key } = scratch;
-        if self.steps.is_empty() {
-            // A lone seed atom: its rows are the instantiations.
-            for row in rows.iter() {
-                out.push(self.head_of(row, &[], &[]));
+        self.resolve(db, self.steps.len(), None, |first| {
+            for seed in rows.iter() {
+                walk.visit()?;
+                match first {
+                    Some(first) => walk.descend(first, seed, row)?,
+                    // A lone seed atom: its rows are the instantiations.
+                    None => walk.out.push(self.head_of(seed, &[], &[])),
+                }
             }
+            Continue(())
+        })
+        .map(|flow| flow.break_value())
+    }
+
+    /// Finds the relation of each of the first `n` steps, and the index it
+    /// probes, once — last step first, each linked on the stack to the step
+    /// after it — then hands the first step (none, for a lone seed atom) to
+    /// `walk`.
+    fn resolve<R>(
+        &self,
+        db: &EngineDb,
+        n: usize,
+        next: Option<&Linked<'_>>,
+        walk: impl FnOnce(Option<&Linked<'_>>) -> R,
+    ) -> Result<R, EngineError> {
+        let Some(step) = n.checked_sub(1).map(|i| &self.steps[i]) else {
+            return Ok(walk(next));
+        };
+        let rel = db.relation(step.pred)?;
+        let index = rel.index(&step.index_cols);
+        if index.is_none() && !step.lookup && !step.index_cols.is_empty() {
+            let unensured = "compiled rule probed an index the driver never ensured";
+            return Err(EngineError::Internal(unensured));
         }
-        for (n, step) in self.steps.iter().enumerate() {
-            let Some(rel) = db.get(step.pred) else {
-                return Err(EngineError::Internal(
-                    "compiled rule references a relation the driver never loaded",
-                ));
-            };
-            // A row extended by a matching tuple goes on to the next step;
-            // out of the last step, straight into the head batch.
-            let is_last = n + 1 == self.steps.len();
-            next.reset(rows.width() + step.append_cols.len());
-            let mut extend = |row: &[Value], t: &[Value]| {
-                if !step.eq_checks.iter().all(|&(a, b)| t[a] == t[b]) {
-                    return;
-                }
-                if is_last {
-                    out.push(self.head_of(row, t, &step.append_cols));
-                } else {
-                    let appended = step.append_cols.iter().map(|&c| t[c]);
-                    next.push(row.iter().copied().chain(appended));
-                }
-            };
-            if step.index_cols.is_empty() {
-                // Cartesian extension: no shared variable, no constant.
-                for row in rows.iter() {
-                    if let Some(reason) = poll() {
-                        return Ok(Some(reason));
-                    }
-                    for t in rel.iter() {
-                        extend(row, t);
-                    }
-                }
-            } else if step.lookup {
-                // A full key is the one tuple it can find: no index.
-                for row in rows.iter() {
-                    if let Some(reason) = poll() {
-                        return Ok(Some(reason));
-                    }
-                    step.key_into(row, key);
-                    counters.probes += 1;
-                    if rel.contains(key) {
-                        counters.hits += 1;
-                        extend(row, key);
-                    }
-                }
-            } else {
-                let Some(index) = rel.index(&step.index_cols) else {
-                    return Err(EngineError::Internal(
-                        "compiled rule probed an index the driver never ensured",
-                    ));
-                };
-                for row in rows.iter() {
-                    if let Some(reason) = poll() {
-                        return Ok(Some(reason));
-                    }
-                    step.key_into(row, key);
-                    counters.probes += 1;
-                    for id in index.probe(key) {
-                        counters.hits += 1;
-                        extend(row, rel.tuple(id));
-                    }
-                }
-            }
-            std::mem::swap(rows, next);
-            if rows.is_empty() {
-                break;
-            }
+        let at = Linked {
+            step,
+            rel,
+            index,
+            next,
+        };
+        self.resolve(db, n - 1, Some(&at), walk)
+    }
+}
+
+/// How many rows a pipeline visits — seed rows, and tuples found at any
+/// step — between two polls of its governor: cheap enough to keep probe
+/// throughput, frequent enough to stop a blown-up round promptly.
+const POLL_STRIDE: usize = 512;
+
+/// A join step with its relation and the index it probes (none for a scan
+/// or a lookup), found once a call, and the step after it.
+struct Linked<'a> {
+    step: &'a JoinStep,
+    rel: &'a IndexedRelation,
+    index: Option<IndexView<'a>>,
+    next: Option<&'a Linked<'a>>,
+}
+
+/// One [`CompiledRule::execute`] call taking rows through its steps.
+struct Walk<'a> {
+    rule: &'a CompiledRule,
+    key: &'a mut Vec<Value>,
+    counters: &'a mut ProbeCounters,
+    governor: Option<&'a Governor>,
+    /// Rows still to visit before the next poll.
+    countdown: usize,
+    out: &'a mut Batch,
+}
+
+/// Whether a pipeline goes on, or stops for the reason its governor gave.
+type Flow = ControlFlow<TruncationReason>;
+
+impl Walk<'_> {
+    /// Counts one row visited; every [`POLL_STRIDE`]-th polls the governor.
+    fn visit(&mut self) -> Flow {
+        self.countdown -= 1;
+        if self.countdown > 0 {
+            return Continue(());
         }
-        Ok(None)
+        self.countdown = POLL_STRIDE;
+        let tripped = self.governor.and_then(Governor::poll);
+        tripped.map_or(Continue(()), Break)
+    }
+
+    /// Takes `row` through `at`'s step and every step after it, building
+    /// the rows entering those in `rest`.
+    #[inline]
+    fn descend(&mut self, at: &Linked<'_>, row: &[Value], rest: &mut [Value]) -> Flow {
+        let step = at.step;
+        if step.index_cols.is_empty() {
+            // Cartesian extension: no shared variable, no constant.
+            let mut scan = at.rel.iter();
+            return scan.try_for_each(|t| self.extend(at, row, t, rest));
+        }
+        step.key_into(row, self.key);
+        self.counters.probes += 1;
+        if let Some(index) = &at.index {
+            for id in index.probe(self.key) {
+                self.counters.hits += 1;
+                self.extend(at, row, at.rel.tuple(id), rest)?;
+            }
+        } else if let Some(id) = at.rel.id_of(self.key) {
+            // Without an index, a full key: the one tuple it can find.
+            self.counters.hits += 1;
+            self.extend(at, row, at.rel.tuple(id), rest)?;
+        }
+        Continue(())
+    }
+
+    /// `row` extended by `t`, a tuple `at`'s step found: past the step's
+    /// residual checks, the next step's row, or after the last a head row.
+    #[inline]
+    fn extend(&mut self, at: &Linked<'_>, row: &[Value], t: &[Value], rest: &mut [Value]) -> Flow {
+        self.visit()?;
+        let step = at.step;
+        if !step.eq_checks.iter().all(|&(a, b)| t[a] == t[b]) {
+            return Continue(());
+        }
+        let Some(next) = at.next else {
+            let head = self.rule.head_of(row, t, &step.append_cols);
+            self.out.push(head);
+            return Continue(());
+        };
+        let (extended, rest) = rest.split_at_mut(row.len() + step.append_cols.len());
+        let appended = step.append_cols.iter().map(|&c| t[c]);
+        for (slot, v) in extended.iter_mut().zip(row.iter().copied().chain(appended)) {
+            *slot = v;
+        }
+        self.descend(next, extended, rest)
     }
 }
 
@@ -477,7 +557,7 @@ pub fn select_counted(
     let arity = query.const_checks.len() + query.eq_checks.len() + query.keep_cols.len();
     assert_eq!(arity, rel.arity(), "query arity mismatch");
     let ProbeCounters { probes, hits } = counters;
-    if query.const_checks.is_empty() && query.eq_checks.is_empty() {
+    if query.keeps_all() {
         *hits += rel.len() as u64;
         return rel.unindexed();
     }
@@ -502,8 +582,10 @@ pub fn select_counted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recurs_datalog::govern::{CancelToken, EvalBudget};
     use recurs_datalog::parser::parse_rule;
     use recurs_datalog::relation::{tuple_u64, Relation, Tuple};
+    use std::collections::HashSet;
 
     fn db_with(rels: &[(&str, Relation)]) -> EngineDb {
         let mut db = EngineDb::new();
@@ -615,6 +697,43 @@ mod tests {
         let cr = CompiledRule::compile(&rule, None, &db).unwrap();
         let out = run(&cr, &db);
         assert_eq!(out.len(), 2);
+    }
+
+    #[test]
+    fn a_cancelled_pipeline_stops_within_one_stride_of_rows_visited() {
+        // One seed row fans out over 10 000 tuples at a single step.
+        let rule = parse_rule("Q(x, y) :- A(x), B(x, y).").unwrap();
+        let mut db = db_with(&[
+            ("A", Relation::from_tuples(1, [tuple_u64([1])])),
+            ("B", Relation::from_pairs((0..10_000).map(|y| (1, y)))),
+        ]);
+        let cr = CompiledRule::compile(&rule, Some(0), &db).unwrap();
+        db.ensure_indexes(&cr);
+        let full: HashSet<Tuple> = run(&cr, &db).into_iter().collect();
+        assert_eq!(full.len(), 10_000);
+
+        let token = CancelToken::new();
+        token.cancel();
+        let governor = EvalBudget::unlimited().with_cancel(token).start();
+        let mut scratch = Scratch::default();
+        cr.seed
+            .as_ref()
+            .unwrap()
+            .fill(&mut scratch, db.get(Symbol::intern("A")).unwrap().iter());
+        let (mut out, mut counters) = (Batch::new(2), ProbeCounters::default());
+        let stopped = cr.execute(&db, &mut scratch, &mut counters, Some(&governor), &mut out);
+        assert_eq!(stopped.unwrap(), Some(TruncationReason::Cancelled));
+        // The seed row and each tuple found is a visited row: the poll at
+        // the POLL_STRIDE-th trips.
+        assert!(
+            (counters.hits as usize) < POLL_STRIDE,
+            "{} hits",
+            counters.hits
+        );
+        assert!(
+            out.iter().all(|t| full.contains(t)),
+            "a head row it should not have"
+        );
     }
 
     #[test]

@@ -18,9 +18,6 @@ use recurs_datalog::symbol::Symbol;
 use recurs_obs::{field, Obs};
 use std::time::Instant;
 
-pub(crate) const UNLOADED_RELATION: &str =
-    "compiled rule references a relation the driver never loaded";
-
 /// What a [`drive_rounds`] call did and why it stopped.
 #[derive(Debug, Clone, Default)]
 pub struct Rounds {
@@ -207,14 +204,18 @@ where
         for (i, (rule, lane)) in active.iter().zip(wired.iter_mut()).enumerate() {
             // Seed rows: the full stored relation of the seed atom (or the
             // unit row, for an empty body) when seeding, the pending delta
-            // of its predicate otherwise.
+            // of its predicate otherwise — lent, not copied, if the seed
+            // keeps its rows whole, and taken back once the rule has run (an
+            // error drops it with everything else).
+            let mut lent = None;
             let rows_in = match (&rule.seed, seeding, lane.from) {
                 (None, Some(_), _) => scratch.unit_row(),
-                (Some(seed), Some(_), _) => {
-                    let rel = db
-                        .get(seed.pred)
-                        .ok_or(EngineError::Internal(UNLOADED_RELATION))?;
-                    seed.fill(&mut scratch, rel.iter())
+                (Some(seed), Some(_), _) => seed.fill(&mut scratch, db.relation(seed.pred)?.iter()),
+                (Some(seed), None, Some(from))
+                    if seed.selection.keeps_all() && !slots[from].next.is_empty() =>
+                {
+                    lent = Some(from);
+                    scratch.lend(&mut slots[from].next)
                 }
                 (Some(seed), None, Some(from)) => seed.fill(&mut scratch, slots[from].next.iter()),
                 (_, None, _) => 0,
@@ -224,6 +225,9 @@ where
             }
             let derived = &mut lane.derived;
             interrupted = rule.execute(db, &mut scratch, &mut counters, Some(governor), derived)?;
+            if let Some(from) = lent {
+                scratch.lend(&mut slots[from].next);
+            }
             if detail {
                 obs.event(
                     "engine.rule",

@@ -73,7 +73,6 @@ pub use stats::{EngineStats, IterationStats, KernelKind};
 pub use storage::{Batch, EngineDb, IndexedRelation};
 
 use compile::CompiledRule;
-use driver::UNLOADED_RELATION;
 use recurs_datalog::database::Database;
 use recurs_datalog::govern::{EvalBudget, Outcome};
 use recurs_datalog::rule::{LinearRecursion, Program};
@@ -180,10 +179,7 @@ pub fn run_with_kernel(
     let compiled = CompiledProgram::compile(program, &storage)?;
     let sat = saturate(&mut storage, &compiled, kernel, config)?;
     for pred in program.idb_predicates() {
-        let rel = storage
-            .get(pred)
-            .ok_or(EngineError::Internal(UNLOADED_RELATION))?;
-        db.insert_relation(pred, rel.to_relation());
+        db.insert_relation(pred, storage.relation(pred)?.to_relation());
     }
     Ok(sat)
 }
@@ -271,9 +267,7 @@ pub fn saturate(
     // must reach the recursive rules too: they start out as pending delta.
     let mut preseeded = Vec::new();
     for &pred in &program.idb {
-        let rel = storage
-            .get(pred)
-            .ok_or(EngineError::Internal(UNLOADED_RELATION))?;
+        let rel = storage.relation(pred)?;
         if !rel.is_empty() {
             preseeded.push((pred, Batch::from_rows(rel.arity(), rel.iter())));
         }

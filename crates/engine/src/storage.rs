@@ -13,7 +13,13 @@
 //! they already are, in the arena; and rows in flight — pipeline rows, head
 //! batches, deltas — travel in a [`Batch`], one flat buffer reused from
 //! round to round. Allocation follows buffer growth, never tuple count.
+//!
+//! A round's head batch is merged in bulk (`IndexedRelation::insert_batch`):
+//! one probe a row, the id written where the probe stopped, the rows and
+//! indexes un-shared once, and the dedup table grown once for what the
+//! batch is expected to add rather than doubled row by row.
 
+use crate::error::EngineError;
 use recurs_datalog::database::Database;
 use recurs_datalog::error::DatalogError;
 use recurs_datalog::relation::{Relation, Tuple};
@@ -50,7 +56,8 @@ struct Slot {
 /// candidate id's key in place. Each slot remembers its hash, so a probe
 /// touches the arena only on a 32-bit match, and growth and deletion
 /// (backward shift — no tombstones) never touch it. Allocates nothing until
-/// the first insert, then 8 slots, doubling at three-quarters full.
+/// the first insert, then 8 slots, doubling at three-quarters full — or, for
+/// a batch, growing at once to what it expects to add.
 #[derive(Debug, Clone, Default)]
 struct IdTable {
     /// Empty, or a power of two long.
@@ -66,47 +73,57 @@ impl IdTable {
         (hash >> (32 - self.slots.len().trailing_zeros())) as usize
     }
 
-    /// The slot holding the id `is_match` accepts, among those stored under
-    /// `hash`.
-    fn find(&self, hash: u32, is_match: impl Fn(u32) -> bool) -> Option<usize> {
+    /// The slot holding the id `is_match` accepts among those stored under
+    /// `hash` or, failing that, the vacant slot the probe stopped at: where
+    /// an insert of that key belongs, unless the table is due to grow (an
+    /// unallocated table always is, and answers slot 0).
+    fn probe(&self, hash: u32, is_match: impl Fn(u32) -> bool) -> Result<usize, usize> {
         if self.slots.is_empty() {
-            return None;
+            return Err(0);
         }
         let mask = self.slots.len() - 1;
         let mut i = self.home(hash);
         loop {
             let slot = self.slots[i];
             if slot.id == NONE {
-                return None;
+                return Err(i);
             }
             if slot.hash == hash && is_match(slot.id) {
-                return Some(i);
+                return Ok(i);
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// Adds `id` under `hash`; the caller has checked its key is absent.
-    fn insert(&mut self, hash: u32, id: u32) {
+    /// Puts `id` under `hash` in the vacant slot `at` its key's probe
+    /// stopped at. If that would fill the table past three-quarters, the
+    /// table first grows, to the smallest power of two (8 slots at least)
+    /// with room for `expected()` more ids — but at least one and at most
+    /// twice the ids it holds, so from a doubling to a quadrupling.
+    fn insert_at(&mut self, mut at: usize, hash: u32, id: u32, expected: impl FnOnce() -> usize) {
         if (self.len + 1) * 4 > self.slots.len() * 3 {
-            let grown = (self.slots.len() * 2).max(IdTable::MIN_SLOTS);
+            let want = (self.len + expected().clamp(1, 2 * self.len.max(1))) * 4;
+            let grown = want.div_ceil(3).next_power_of_two().max(IdTable::MIN_SLOTS);
             let empty = Slot { hash: 0, id: NONE };
             let old = std::mem::replace(&mut self.slots, vec![empty; grown]);
             for slot in old.into_iter().filter(|s| s.id != NONE) {
-                self.place(slot);
+                let at = self.vacant(slot.hash);
+                self.slots[at] = slot;
             }
+            at = self.vacant(hash);
         }
-        self.place(Slot { hash, id });
+        self.slots[at] = Slot { hash, id };
         self.len += 1;
     }
 
-    fn place(&mut self, slot: Slot) {
+    /// The first vacant slot on `hash`'s probe path.
+    fn vacant(&self, hash: u32) -> usize {
         let mask = self.slots.len() - 1;
-        let mut i = self.home(slot.hash);
+        let mut i = self.home(hash);
         while self.slots[i].id != NONE {
             i = (i + 1) & mask;
         }
-        self.slots[i] = slot;
+        i
     }
 
     /// Empties slot `i`, then shifts back every later slot of the run that
@@ -197,7 +214,7 @@ impl Batch {
     }
 
     /// The rows, in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &[Value]> + '_ {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Value]> + Clone + '_ {
         let width = self.width;
         (0..self.rows).map(move |i| &self.values[i * width..(i + 1) * width])
     }
@@ -236,15 +253,16 @@ struct Index {
 
 impl Index {
     /// The hash of a key — `key(i)` is its value for `cols[i]` — and the
-    /// table slot of its chain, if a stored row carries it.
+    /// table slot of its chain if a stored row carries it, else the one it
+    /// would go in ([`IdTable::probe`]).
     fn chain(
         &self,
         values: &[Value],
         arity: usize,
         key: impl Fn(usize) -> Value,
-    ) -> (u32, Option<usize>) {
+    ) -> (u32, Result<usize, usize>) {
         let hash = hash_key((0..self.cols.len()).map(&key));
-        let slot = self.heads.find(hash, |id| {
+        let slot = self.heads.probe(hash, |id| {
             let row = &values[id as usize * arity..];
             self.cols.iter().enumerate().all(|(i, &c)| row[c] == key(i))
         });
@@ -259,9 +277,9 @@ impl Index {
         let row = &values[id as usize * arity..];
         let (hash, slot) = self.chain(values, arity, |i| row[self.cols[i]]);
         self.next[id as usize] = match slot {
-            Some(slot) => std::mem::replace(&mut self.heads.slots[slot].id, id),
-            None => {
-                self.heads.insert(hash, id);
+            Ok(slot) => std::mem::replace(&mut self.heads.slots[slot].id, id),
+            Err(at) => {
+                self.heads.insert_at(at, hash, id, || 1);
                 NONE
             }
         };
@@ -270,7 +288,7 @@ impl Index {
     /// Takes row `id` (still in the arena) out of its key's chain.
     fn unlink(&mut self, values: &[Value], arity: usize, id: u32) {
         let row = &values[id as usize * arity..];
-        let (_, Some(slot)) = self.chain(values, arity, |i| row[self.cols[i]]) else {
+        let (_, Ok(slot)) = self.chain(values, arity, |i| row[self.cols[i]]) else {
             unreachable!("an indexed row's key has a chain");
         };
         let older = self.next[id as usize];
@@ -396,11 +414,12 @@ impl IndexedRelation {
         self.id_of(t).is_some()
     }
 
-    /// The hash of `t` and the dedup-table slot that holds it, if stored.
-    fn lookup(&self, t: &[Value]) -> (u32, Option<usize>) {
+    /// The hash of `t` and the dedup-table slot that holds it, if stored,
+    /// else the one it would go in ([`IdTable::probe`]).
+    fn lookup(&self, t: &[Value]) -> (u32, Result<usize, usize>) {
         let rows = &*self.rows;
         let hash = hash_key(t.iter().copied());
-        let slot = rows.ids.find(hash, |id| {
+        let slot = rows.ids.probe(hash, |id| {
             &rows.values[id as usize * self.arity..][..self.arity] == t
         });
         (hash, slot)
@@ -408,7 +427,7 @@ impl IndexedRelation {
 
     /// The id of a stored tuple: one lookup in the dedup table.
     pub fn id_of(&self, t: &[Value]) -> Option<u32> {
-        let slot = self.lookup(t).1?;
+        let slot = self.lookup(t).1.ok()?;
         Some(self.rows.ids.slots[slot].id)
     }
 
@@ -422,51 +441,86 @@ impl IndexedRelation {
     /// under (`None` if it was already present) — a freed slot when there is
     /// one, so callers keeping per-id side tables overwrite, never grow.
     pub fn insert_id(&mut self, t: &[Value]) -> Option<u32> {
-        assert_eq!(
-            t.len(),
-            self.arity,
-            "tuple width {} does not match relation arity {}",
-            t.len(),
-            self.arity
-        );
-        let (hash, None) = self.lookup(t) else {
-            return None;
+        assert_eq!(t.len(), self.arity, "tuple width != arity");
+        let mut stored = None;
+        self.merge(std::iter::once(t), |_, id| stored = Some(id));
+        stored
+    }
+
+    /// Set-inserts the rows of `heads` and appends the new ones, in order,
+    /// to `fresh`: what [`IndexedRelation::insert`] row by row would store,
+    /// index and report, in one pass.
+    pub(crate) fn insert_batch(&mut self, heads: &Batch, fresh: &mut Batch) {
+        assert_eq!(heads.width(), self.arity, "batch width != arity");
+        self.merge(heads.iter(), |row, _| fresh.push(row.iter().copied()));
+    }
+
+    /// Stores the rows of `batch` not stored yet, handing each new one and
+    /// its id to `stored`, in order. On shared rows a batch only reads up to
+    /// its first new row, so duplicates leave them shared; from there the
+    /// rows and each index are un-shared once, a new row takes a freed slot
+    /// while there is one and its id goes in the vacant table slot its one
+    /// probe stopped at, and the indexes link the new ids after the pass,
+    /// in order. A dedup table due to grow grows once for what the batch
+    /// still expects to add — its rest, at the share of new rows so far —
+    /// but by at most twice its ids, so a batch that turns out to repeat
+    /// itself holds at most twice the table row-by-row inserts would grow.
+    fn merge<'r, B>(&mut self, batch: B, mut stored: impl FnMut(&'r [Value], u32))
+    where
+        B: ExactSizeIterator<Item = &'r [Value]> + Clone,
+    {
+        let (arity, len) = (self.arity, batch.len());
+        let unique = Arc::get_mut(&mut self.rows).is_some();
+        let Some(first) = batch.clone().position(|row| unique || !self.contains(row)) else {
+            return;
         };
         let rows = Arc::make_mut(&mut self.rows);
-        let id = match rows.free.pop() {
-            Some(id) => {
-                let at = id as usize * self.arity;
-                rows.values[at..at + self.arity].copy_from_slice(t);
-                id
-            }
-            None => {
+        let (slots_before, mut top, mut added) = (rows.slots, rows.free.len(), 0);
+        for (n, row) in batch.enumerate().skip(first) {
+            let hash = hash_key(row.iter().copied());
+            let is_row = |id: u32| &rows.values[id as usize * arity..][..arity] == row;
+            let Err(at) = rows.ids.probe(hash, is_row) else {
+                continue;
+            };
+            let id = if top > 0 {
+                top -= 1;
+                rows.values[rows.free[top] as usize * arity..][..arity].copy_from_slice(row);
+                rows.free[top]
+            } else {
                 // u32 ids are a storage invariant (`NONE` is not an id);
                 // 2^32 arena slots exceeds every budget this engine runs
                 // under.
                 let overflow = "IndexedRelation overflow: more than u32::MAX tuples";
                 assert!(rows.slots < NONE as usize, "{overflow}");
-                let id = rows.slots as u32;
+                rows.values.extend_from_slice(row);
                 rows.slots += 1;
-                rows.values.extend_from_slice(t);
-                if rows.live.len() * 64 < rows.slots {
-                    rows.live.push(0);
-                }
-                id
-            }
-        };
-        rows.live[id as usize / 64] |= 1 << (id % 64);
-        rows.ids.insert(hash, id);
-        for index in &mut self.indexes {
-            Arc::make_mut(index).link(&rows.values, self.arity, id);
+                rows.live.resize(rows.slots.div_ceil(64), 0);
+                rows.slots as u32 - 1
+            };
+            rows.live[id as usize / 64] |= 1 << (id % 64);
+            // The rest of the batch, at the share of new rows so far.
+            let expected = || ((len - n) * (added + 1)).div_ceil(n + 1);
+            rows.ids.insert_at(at, hash, id, expected);
+            stored(row, id);
+            added += 1;
         }
-        Some(id)
+        // The freed slots taken, latest freed first, then the new ones.
+        let new_ids = rows.free[top..].iter().rev().copied();
+        let new_ids = new_ids.chain(slots_before as u32..rows.slots as u32);
+        for index in &mut self.indexes {
+            let index = Arc::make_mut(index);
+            for id in new_ids.clone() {
+                index.link(&rows.values, arity, id);
+            }
+        }
+        rows.free.truncate(top);
     }
 
     /// Removes a tuple, unlinking its id from every existing index and
     /// freeing its arena slot for reuse. Returns true if the tuple was
     /// present.
     pub fn remove(&mut self, t: &[Value]) -> bool {
-        let Some(slot) = self.lookup(t).1 else {
+        let Ok(slot) = self.lookup(t).1 else {
             return false;
         };
         // A private copy of the rows has the same table layout: `slot` holds.
@@ -671,6 +725,13 @@ impl EngineDb {
         self.at(pred).map(|at| &self.rels[at].1)
     }
 
+    /// The relation a compiled pipeline reads: one the driver never loaded
+    /// is its own bug, an internal error.
+    pub(crate) fn relation(&self, pred: Symbol) -> Result<&IndexedRelation, EngineError> {
+        let unloaded = "compiled rule references a relation the driver never loaded";
+        self.get(pred).ok_or(EngineError::Internal(unloaded))
+    }
+
     /// Looks up a relation mutably.
     pub fn get_mut(&mut self, pred: Symbol) -> Option<&mut IndexedRelation> {
         self.at(pred).map(|at| &mut self.rels[at].1)
@@ -686,13 +747,8 @@ impl EngineDb {
     /// merge for [`crate::drive_rounds`]. An unknown predicate stores
     /// nothing.
     pub fn insert_fresh(&mut self, pred: Symbol, heads: &Batch, fresh: &mut Batch) {
-        let Some(rel) = self.get_mut(pred) else {
-            return;
-        };
-        for row in heads.iter() {
-            if rel.insert(row) {
-                fresh.push(row.iter().copied());
-            }
+        if let Some(rel) = self.get_mut(pred) {
+            rel.insert_batch(heads, fresh);
         }
     }
 
@@ -923,6 +979,96 @@ mod tests {
         assert_eq!(r.rows.ids.slots.len(), 8);
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// A batch merged in bulk (in two halves) and row by row into clones
+        /// of the same relation — built by a random history of inserts and
+        /// removes under up to two indexes, so it has freed slots to reuse —
+        /// where the small domain repeats rows inside the batch and against
+        /// the relation. Both sides store the same tuples under the same ids,
+        /// report the same fresh rows in the same order and probe alike on
+        /// every index; the bulk table is at most twice the row-by-row one;
+        /// the relation they were cloned from never changes; and a batch of
+        /// stored rows only leaves the rows shared.
+        #[test]
+        fn a_bulk_merge_is_row_by_row_inserts(
+            arity in 1usize..4,
+            domain in 2u64..6,
+            masks in (0u8..8, 0u8..8),
+            history in proptest::collection::vec((0u8..3, 0u64..216), 0..60),
+            codes in proptest::collection::vec(0u64..216, 0..150),
+        ) {
+            let tuple = |code: u64| -> Vec<Value> {
+                (0..arity as u32).map(|i| v(code / domain.pow(i) % domain)).collect()
+            };
+            let indexes: Vec<Vec<usize>> = [masks.0, masks.1]
+                .iter()
+                .map(|mask| (0..arity).filter(|c| mask & (1 << c) != 0).collect())
+                .filter(|cols: &Vec<usize>| !cols.is_empty())
+                .collect();
+            let mut base = IndexedRelation::new(arity);
+            for cols in &indexes {
+                base.ensure_index(cols);
+            }
+            for (kind, code) in history {
+                match kind {
+                    0 | 1 => base.insert(&tuple(code)),
+                    _ => base.remove(&tuple(code)),
+                };
+            }
+            let contents = |r: &IndexedRelation| -> Vec<Vec<Value>> {
+                r.iter().map(<[Value]>::to_vec).collect()
+            };
+            let probes = |r: &IndexedRelation| -> Vec<Vec<u32>> {
+                let keys = (0..216).map(tuple);
+                keys.flat_map(|t| indexes.iter().map(move |cols| (cols, t.clone())))
+                    .map(|(cols, t)| {
+                        let key: Vec<Value> = cols.iter().map(|&c| t[c]).collect();
+                        r.probe(cols, &key).unwrap().collect()
+                    })
+                    .collect()
+            };
+            let (held, held_probes) = (contents(&base), probes(&base));
+            let heads = Batch::from_rows(arity, codes.iter().map(|&code| tuple(code)));
+
+            let (mut rowwise, mut rowwise_fresh) = (base.clone(), Batch::new(arity));
+            for row in heads.iter() {
+                if rowwise.insert(row) {
+                    rowwise_fresh.push(row.iter().copied());
+                }
+            }
+            // Two batches: the first lands on shared rows, the second on
+            // rows the first made the relation's own (when it added any).
+            let (mut bulk, mut bulk_fresh) = (base.clone(), Batch::new(arity));
+            let (front, back) = codes.split_at(codes.len() / 2);
+            for half in [front, back] {
+                let half = Batch::from_rows(arity, half.iter().map(|&code| tuple(code)));
+                bulk.insert_batch(&half, &mut bulk_fresh);
+            }
+
+            proptest::prop_assert_eq!(&bulk_fresh, &rowwise_fresh);
+            proptest::prop_assert_eq!(bulk.len(), rowwise.len());
+            let ids = |r: &IndexedRelation| -> Vec<Option<u32>> {
+                (0..216).map(|code| r.id_of(&tuple(code))).collect()
+            };
+            proptest::prop_assert_eq!(ids(&bulk), ids(&rowwise));
+            proptest::prop_assert_eq!(contents(&bulk), contents(&rowwise));
+            proptest::prop_assert_eq!(probes(&bulk), probes(&rowwise));
+            proptest::prop_assert!(
+                bulk.heap_bytes() <= 2 * rowwise.heap_bytes(),
+                "bulk {} B, row by row {} B", bulk.heap_bytes(), rowwise.heap_bytes()
+            );
+            proptest::prop_assert_eq!(contents(&base), held);
+            proptest::prop_assert_eq!(probes(&base), held_probes);
+
+            let stored = Batch::from_rows(arity, base.iter().chain(base.iter()));
+            let (mut copy, mut none) = (base.clone(), Batch::new(arity));
+            copy.insert_batch(&stored, &mut none);
+            proptest::prop_assert!(none.is_empty() && Arc::ptr_eq(&copy.rows, &base.rows));
+        }
+    }
+
     /// The id table under a hasher that collides on purpose: every key lands
     /// in one of two probe runs, one of them starting at the last slot, so
     /// runs wrap around the end of the table, grow through several doublings
@@ -940,14 +1086,14 @@ mod tests {
             // Fill up, thin out, fill up again.
             let id = (state >> 8) as u32 % 200;
             let adding = (step / 2_000) % 2 == 0 || state & 3 == 0;
-            let found = table.find(hash_of(id), |other| other == id);
-            assert_eq!(found.is_some(), model.contains(&id), "id {id}");
+            let found = table.probe(hash_of(id), |other| other == id);
+            assert_eq!(found.is_ok(), model.contains(&id), "id {id}");
             match (adding, found) {
-                (true, None) => {
-                    table.insert(hash_of(id), id);
+                (true, Err(at)) => {
+                    table.insert_at(at, hash_of(id), id, || 1);
                     model.insert(id);
                 }
-                (false, Some(slot)) => {
+                (false, Ok(slot)) => {
                     table.remove_at(slot);
                     model.remove(&id);
                 }
@@ -957,7 +1103,7 @@ mod tests {
         }
         assert!(table.slots.len() >= 256, "the table grew");
         for id in 0..200 {
-            let found = table.find(hash_of(id), |other| other == id);
+            let found = table.probe(hash_of(id), |other| other == id).ok();
             assert_eq!(found.is_some(), model.contains(&id), "id {id}");
         }
     }

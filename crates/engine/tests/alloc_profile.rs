@@ -27,6 +27,9 @@ struct Tally {
     frees: usize,
     /// Bytes currently held.
     live: isize,
+    /// The most bytes held at once since the tally's high-water mark was
+    /// last reset ([`tallied`] resets it).
+    peak: isize,
 }
 
 impl Tally {
@@ -36,13 +39,14 @@ impl Tally {
             bytes: self.bytes - earlier.bytes,
             frees: self.frees - earlier.frees,
             live: self.live - earlier.live,
+            peak: self.peak - earlier.live,
         }
     }
 }
 
 thread_local! {
     static TALLY: Cell<Tally> = const {
-        Cell::new(Tally { calls: 0, bytes: 0, frees: 0, live: 0 })
+        Cell::new(Tally { calls: 0, bytes: 0, frees: 0, live: 0, peak: 0 })
     };
 }
 
@@ -64,6 +68,7 @@ unsafe impl GlobalAlloc for Counting {
             t.calls += 1;
             t.bytes += layout.size();
             t.live += layout.size() as isize;
+            t.peak = t.peak.max(t.live);
         });
         System.alloc(layout)
     }
@@ -79,6 +84,7 @@ unsafe impl GlobalAlloc for Counting {
             t.calls += 1;
             t.bytes += new_size.saturating_sub(layout.size());
             t.live += new_size as isize - layout.size() as isize;
+            t.peak = t.peak.max(t.live);
         });
         System.realloc(ptr, layout, new_size)
     }
@@ -87,9 +93,17 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// What this thread's allocator did while `f` ran.
+/// What this thread's allocator did while `f` ran; its `peak` is the most
+/// bytes `f` held at once beyond what was held before it.
 fn tallied<T>(f: impl FnOnce() -> T) -> (T, Tally) {
-    let before = TALLY.with(Cell::get);
+    let before = TALLY.with(|cell| {
+        let t = Tally {
+            peak: cell.get().live,
+            ..cell.get()
+        };
+        cell.set(t);
+        t
+    });
     let out = f();
     (out, TALLY.with(Cell::get).since(before))
 }
@@ -119,6 +133,8 @@ fn sg_tuples(nodes: u64) -> usize {
 /// conversion + index build (`setup`) and of the round loop (`rounds`).
 struct Run {
     store: EngineDb,
+    /// The store's heap bytes before the saturation.
+    held: usize,
     iterations: usize,
     setup: Tally,
     rounds: Tally,
@@ -138,16 +154,19 @@ fn run(db: &Database, cap: Option<usize>) -> Run {
         budget: EvalBudget::iteration_cap(cap),
         ..EngineConfig::default()
     };
+    let held = store.heap_bytes();
     let (sat, rounds) =
         tallied(|| saturate(&mut store, &compiled, KernelKind::Generic, &config).unwrap());
     Run {
         store,
+        held,
         iterations: sat.stats.iterations.len(),
         setup: Tally {
             calls: load.calls + index.calls,
             bytes: load.bytes + index.bytes,
             frees: load.frees + index.frees,
             live: load.live + index.live,
+            peak: load.peak.max(load.live + index.peak),
         },
         rounds,
     }
@@ -175,6 +194,23 @@ fn saturation_allocates_per_round_not_per_tuple() {
         "{} calls over 255 nodes, {} over 1023",
         small.rounds.calls,
         large.rounds.calls
+    );
+}
+
+#[test]
+fn a_saturation_holds_few_bytes_beyond_the_store_it_grows() {
+    // At its high-water mark a saturation holds at most the store it ends
+    // with, plus the rows in flight: the widest round's 262 144 head rows
+    // (4 MiB) and what else is live then. It reads 4.7 MB; a seed copy of
+    // the delta and a batch per join step made it 8.9 MB.
+    let r = run(&tree(1023), None);
+    let grown = r.store.heap_bytes() - r.held;
+    let in_flight = r.rounds.peak - grown as isize;
+    const BOUND: isize = 5 << 20;
+    assert!(
+        in_flight <= BOUND,
+        "SG over 1023 nodes: peak {} B above the start, the store grew {grown} B: {in_flight} B in flight (bound {BOUND})",
+        r.rounds.peak
     );
 }
 
