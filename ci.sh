@@ -47,6 +47,15 @@ if non_test crates/serve/src/kernel.rs \
   echo "crates/serve/src/kernel.rs loads (or copies out) relations per request again" >&2
   exit 1
 fi
+# One-derived-store guard: a `why` reads a store that already holds the
+# fixpoint — the maintained view, or a clone the engine's ordinary
+# saturation filled — and never runs rounds of its own. So provenance names
+# no round driver and keeps no rank table beside the store.
+echo "==> one-derived-store guard (provenance runs no rounds and keeps no rank table)"
+if non_test crates/ivm/src/provenance.rs | grep -nE "drive_rounds|saturate_with_ranks|\bRanked\b|\branks\b"; then
+  echo "crates/ivm/src/provenance.rs runs rounds or keeps ranks again: walk a saturated store" >&2
+  exit 1
+fi
 # One-index-policy guard: serve builds no index for a query. A kernel's
 # pipelines get theirs from the snapshot's republish
 # (`SnapshotStore::with_indexes`, once per form), and the view's per-column

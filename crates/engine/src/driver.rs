@@ -6,8 +6,7 @@
 //! round cap is its one class-dependent argument. Everything else a caller
 //! varies is *what counts as fresh*, which is the `merge` closure: set
 //! insertion for the engine kernels, derivation-count bumps for incremental
-//! maintenance, membership-filtered marking for overdeletion, first-round
-//! rank for provenance.
+//! maintenance, membership-filtered marking for overdeletion.
 
 use crate::compile::{CompiledRule, ProbeCounters, Scratch};
 use crate::error::EngineError;

@@ -21,9 +21,10 @@
 //!   owns the per-round budget check, the optional round cap, the fault
 //!   hook, seed-row construction, pipeline execution, probe counters and the
 //!   `engine.iteration` / `engine.rule` events; callers plug in a `merge`
-//!   that decides which head rows are fresh. The engine kernels below, the
-//!   incremental-maintenance loops of `recurs-ivm` and its rank-tracked
-//!   provenance saturation are all instantiations of it.
+//!   that decides which head rows are fresh. The engine kernels below and
+//!   the incremental-maintenance loops of `recurs-ivm` are all
+//!   instantiations of it; `recurs-ivm`'s provenance walks a store they
+//!   saturated and runs no rounds of its own.
 //! * **Kernels** ([`KernelKind`]): the classification changes only *how
 //!   many rounds* a whole saturation runs. A proven rank bound
 //!   (`Classification::rank_bound`, or a lowering's `round_cap`) is

@@ -200,11 +200,13 @@ fn a_sink_without_detail_is_called_per_run_not_per_round() {
     }
 }
 
-/// `why`'s rank-tracked saturation (`recurs_ivm::explain_fact`) over `lr`
-/// and `db`, replayed with a counting handle where `explain_fact` passes the
-/// no-op one: the exit rules seed, the recursive rule's delta pipeline
-/// propagates, and the merge records the round each tuple first appeared
-/// in. Returns the sink, the round count and the ranks.
+/// A rank-tracked saturation over `lr` and `db` with a counting handle: the
+/// exit rules seed, the recursive rule's delta pipeline propagates, and the
+/// merge records the round each tuple first appeared in. `why` no longer
+/// runs one — it walks a store an ordinary saturation filled — but the
+/// caller-built `drive_rounds` call, with a merge that does work per fresh
+/// tuple, is the case a recorder must still not multiply. Returns the sink,
+/// the round count and the ranks.
 fn rank_tracked((lr, db): &(LinearRecursion, Database)) -> (Arc<Counting>, u64, Vec<u64>) {
     let mut store = EngineDb::from(db);
     store.declare(lr.predicate, lr.dimension()).unwrap();

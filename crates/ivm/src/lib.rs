@@ -27,7 +27,9 @@
 //! other formula runs them uncapped. All paths run under an
 //! [`EvalBudget`](recurs_datalog::govern::EvalBudget) — a truncated patch
 //! never surfaces: [`Materialization::apply`] falls back to cold saturation
-//! of the new database and reports that it did.
+//! of the new database and reports that it did. A view also answers
+//! `why <fact>` without saturating anything: [`Materialization::explain`]
+//! walks it ([`provenance`]).
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 

@@ -21,6 +21,7 @@
 //! predicate, and the counts are a side table indexed by its tuple ids.
 
 use crate::delta::IdbPatch;
+use crate::provenance::compile_witnesses;
 use crate::{IvmError, MaintenancePath};
 use recurs_core::Classification;
 use recurs_datalog::error::DatalogError;
@@ -58,12 +59,17 @@ pub struct Materialization {
     /// compiled lazily per changed predicate: every rule differentiated at
     /// every non-recursive body position that reads it.
     pub(crate) variants: HashMap<Symbol, Vec<CompiledRule>>,
-    /// Recount pipelines, one per rule, compiled on the first patch: the
-    /// rule's body prefixed with a synthetic candidate atom mirroring the
-    /// head, differentiated at that atom. Seeding them with a set of heads
-    /// enumerates, per head, every instantiation over the current store
-    /// through the engine's persistent indexes.
+    /// Recount pipelines, one per rule ([`compile_inverted`] deriving the
+    /// rule's own head). Seeded with candidate tuples, each emits one head
+    /// row per (candidate, body instantiation over the current store) pair;
+    /// a candidate that conflicts with a head constant or repeated head
+    /// variable simply fails the seed match, the same cases a per-candidate
+    /// head unification would reject.
     pub(crate) recounts: Vec<CompiledRule>,
+    /// Witness pipelines, one per rule, that [`Materialization::explain`]
+    /// walks the view with: [`compile_inverted`] deriving the rule's whole
+    /// body. They probe the recounts' indexes.
+    pub(crate) witnesses: Vec<CompiledRule>,
     pub(crate) obs: Obs,
 }
 
@@ -105,8 +111,19 @@ impl Materialization {
             return Err(IvmError::IdbUpdate(lr.predicate));
         }
         let governor = budget.start();
-        let (mut engine, rec_delta) = fresh_store(lr, edb)?;
-        let exits = compile_exits(lr, &mut engine)?;
+        // The recursive rule's delta pipeline, differentiated at the
+        // recursive body position, and the exit rules as seeding pipelines.
+        let mut engine = edb_only(lr, edb)?;
+        let rec = &lr.recursive_rule;
+        let rec_delta = CompiledRule::compile(rec, Some(recursive_position(lr)?), &engine)?;
+        let exits = lr
+            .exit_rules
+            .iter()
+            .map(|rule| CompiledRule::compile(rule, None, &engine))
+            .collect::<Result<Vec<_>, _>>()?;
+        for rule in exits.iter().chain([&rec_delta]) {
+            engine.ensure_indexes(rule);
+        }
         let mut mat = Materialization {
             lr: lr.clone(),
             path: MaintenancePath::select(&Classification::of(&lr.recursive_rule)),
@@ -115,6 +132,7 @@ impl Materialization {
             rec_delta,
             variants: HashMap::new(),
             recounts: Vec::new(),
+            witnesses: Vec::new(),
             obs: obs.clone(),
         };
         // The seeding round counts one derivation per exit-rule
@@ -125,12 +143,18 @@ impl Materialization {
             return Err(IvmError::Truncated(reason));
         }
         // The view's readers bind any column: one index each, built over the
-        // finished fixpoint and kept fresh by every patch after it.
+        // finished fixpoint and kept fresh by every patch after it. So are
+        // the indexes the recount and witness pipelines probe, compiled here
+        // once, over the fixpoint whose sizes steer their join order.
         if let Some(view) = mat.engine.get_mut(lr.predicate) {
             for col in 0..lr.dimension() {
                 view.ensure_index(&[col]);
             }
         }
+        mat.recounts = rules(lr)
+            .map(|rule| compile_inverted(rule, rule.head.clone(), &mut mat.engine))
+            .collect::<Result<_, _>>()?;
+        mat.witnesses = compile_witnesses(lr, &mut mat.engine)?;
         mat.obs.event(
             "ivm.saturate",
             &[
@@ -235,23 +259,6 @@ impl Materialization {
             },
         )?)
     }
-
-    /// Compiles (once) the recount pipelines, one per rule
-    /// ([`compile_inverted`] deriving the rule's own head). Seeded with
-    /// candidate tuples, each emits one head row per (candidate, body
-    /// instantiation over the current store) pair; a candidate that conflicts
-    /// with a head constant or repeated head variable simply fails the seed
-    /// match, the same cases a per-candidate head unification would reject.
-    pub(crate) fn ensure_recounts(&mut self) -> Result<(), IvmError> {
-        if !self.recounts.is_empty() {
-            return Ok(());
-        }
-        for rule in rules(&self.lr) {
-            let recount = compile_inverted(rule, rule.head.clone(), &mut self.engine)?;
-            self.recounts.push(recount);
-        }
-        Ok(())
-    }
 }
 
 /// Compiles `rule` *inverted*: its body prefixed with a synthetic [`CAND`]
@@ -280,15 +287,17 @@ pub(crate) fn rules(lr: &LinearRecursion) -> impl Iterator<Item = &Rule> {
     std::iter::once(&lr.recursive_rule).chain(&lr.exit_rules)
 }
 
-/// The state every saturation over `lr` starts from: `engine` with every
-/// body predicate declared and the derived relation emptied (any derived
-/// tuples it carries are dropped), and the recursive rule's delta pipeline
-/// (differentiated at the recursive body position) with its probe indexes
-/// built.
-pub(crate) fn fresh_store(
-    lr: &LinearRecursion,
-    mut engine: EngineDb,
-) -> Result<(EngineDb, CompiledRule), IvmError> {
+/// The body position of the recursive atom in the recursive rule.
+pub(crate) fn recursive_position(lr: &LinearRecursion) -> Result<usize, IvmError> {
+    let p = lr.predicate;
+    let pos = lr.recursive_rule.body.iter().position(|a| a.predicate == p);
+    pos.ok_or(IvmError::Datalog(DatalogError::UnknownRelation(p)))
+}
+
+/// `engine` ready for a saturation over `lr`: every body predicate
+/// declared and the derived relation emptied (any derived tuples it carries
+/// are dropped).
+pub(crate) fn edb_only(lr: &LinearRecursion, mut engine: EngineDb) -> Result<EngineDb, IvmError> {
     let p = lr.predicate;
     for atom in rules(lr).flat_map(|rule| &rule.body) {
         if atom.predicate != p {
@@ -299,29 +308,7 @@ pub(crate) fn fresh_store(
         Some(derived) => *derived = IndexedRelation::new(lr.dimension()),
         None => engine.declare(p, lr.dimension())?,
     }
-    let p_pos = lr
-        .recursive_rule
-        .body
-        .iter()
-        .position(|a| a.predicate == p)
-        .ok_or(DatalogError::UnknownRelation(p))?;
-    let rec_delta = CompiledRule::compile(&lr.recursive_rule, Some(p_pos), &engine)?;
-    engine.ensure_indexes(&rec_delta);
-    Ok((engine, rec_delta))
-}
-
-/// The exit rules as seeding pipelines over `engine`, probe indexes built.
-pub(crate) fn compile_exits(
-    lr: &LinearRecursion,
-    engine: &mut EngineDb,
-) -> Result<Vec<CompiledRule>, IvmError> {
-    let mut exits = Vec::with_capacity(lr.exit_rules.len());
-    for rule in &lr.exit_rules {
-        let compiled = CompiledRule::compile(rule, None, engine)?;
-        engine.ensure_indexes(&compiled);
-        exits.push(compiled);
-    }
-    Ok(exits)
+    Ok(engine)
 }
 
 /// Counts `n` more derivations of `t`, storing it first when it is not in

@@ -229,7 +229,6 @@ impl Materialization {
 
         // --- Recount the candidates (a recount pipeline derives its seed:
         // every head row is a candidate); store the tallies.
-        self.ensure_recounts()?;
         let mut tally = vec![0u64; cands.len()];
         let run = drive_rounds(
             &mut self.engine,

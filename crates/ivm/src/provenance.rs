@@ -1,45 +1,50 @@
-//! Derivation provenance: `why <fact>` answered by backward rule
-//! inversion.
+//! Derivation provenance: `why <fact>` answered by a backward walk over a
+//! saturated store.
 //!
-//! [`explain_fact`] reconstructs a **derivation tree** for a tuple of the
-//! recursive predicate: every leaf is an EDB fact, every internal node a
-//! ground instance of one of the program's rules. The reconstruction is
-//! sound by construction and cheap by stratification:
+//! A ground fact is the all-bound query form, so it is explained the way the
+//! paper evaluates every form: selection-first, walking outward from its
+//! constants. The walk needs a store that already holds the derived
+//! predicate, and any such store will do. [`Materialization::explain`] walks
+//! the maintained view and saturates nothing; [`explain_fact`] walks a clone
+//! of an EDB saturated by the engine's ordinary
+//! [`saturate_linear`](recurs_engine::saturate_linear). Either way a
+//! **derivation tree** comes back: every leaf an EDB fact, every internal
+//! node a ground instance of one of the program's rules.
 //!
-//! 1. A **rank-tracked saturation** runs semi-naive to fixpoint, recording
-//!    for each derived tuple the round in which it first appeared (rank 0 =
-//!    exit-rule seeding). Ranks strictly decrease along any derivation, so
-//!    they are the well-founded measure that makes backward search loop-free
-//!    even on cyclic data.
-//! 2. **One-step rule inversion**: to explain a tuple of rank `r`, seed a
-//!    rule's *witness pipeline* — the rule compiled inverted, deriving every
-//!    one of its variables — with the tuple, which enumerates the rule's
-//!    ground instances with that head over the saturated store through the
-//!    engine's indexes, and pick a witness whose recursive subgoal has rank
-//!    `< r` (rank 0 tuples invert an exit rule instead, making every subgoal
-//!    an EDB leaf). Only the recursive subgoal recurses — the rule is
-//!    linear — so tree size is `O(rank × body width)`.
+//! 1. **One-step rule inversion.** A rule's *witness pipeline* is the rule
+//!    compiled inverted, deriving every one of its variables. Seeded with a
+//!    tuple, it enumerates the rule's ground instances with that head over
+//!    the store, through the engine's indexes. The rule is linear, so each
+//!    instance of the recursive rule has exactly one recursive subgoal.
+//! 2. **A breadth-first walk.** From the fact, take nodes in the order they
+//!    were reached. A node with an exit-rule instance (exit rules in rule
+//!    order, instances sorted) is the base; otherwise the recursive subgoal
+//!    of each sorted recursive instance not reached yet joins the queue.
+//!    The first base reached lies on a shortest derivation, and its depth —
+//!    the number of recursive steps, the engine round the fact first
+//!    appears in — is the fact's *rank*. The tree is built bottom-up along
+//!    the recorded parents: `O(rank × body width)` nodes, whatever cycles
+//!    the data holds.
 //!
-//! The recursion is depth-bounded ([`WhyOutcome::DepthExceeded`]) and the
-//! whole reconstruction runs under an
+//! A rank beyond the depth bound is [`WhyOutcome::DepthExceeded`], and every
+//! node polls the request's
 //! [`EvalBudget`](recurs_datalog::govern::EvalBudget). [`verify_tree`]
 //! re-checks a finished tree against the *EDB only* — every leaf present,
 //! every internal node a valid rule instance under a single simultaneous
-//! substitution — which is what the differential property suite and the
+//! substitution — which is what the differential property suites and the
 //! serve layer's cross-check call.
 
-use crate::materialize::{compile_exits, compile_inverted, fresh_store, rules, stopped};
+use crate::materialize::{compile_inverted, edb_only, recursive_position, rules, Materialization};
 use crate::IvmError;
 use recurs_datalog::error::DatalogError;
-use recurs_datalog::govern::{EvalBudget, Governor};
+use recurs_datalog::govern::{EvalBudget, Governor, Outcome};
 use recurs_datalog::relation::Tuple;
 use recurs_datalog::rule::{LinearRecursion, Rule};
 use recurs_datalog::subst::Subst;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::{Atom, Term, Value};
 use recurs_engine::compile::{CompiledRule, ProbeCounters, Scratch};
-use recurs_engine::{drive_rounds, Batch, EngineDb};
-use recurs_obs::Obs;
+use recurs_engine::{saturate_linear, Batch, EngineConfig, EngineDb, IndexedRelation};
 
 /// Default depth bound for backward reconstruction: enough for any chain a
 /// governed evaluation can produce, while still guaranteeing termination
@@ -65,21 +70,12 @@ pub struct DerivationNode {
 impl DerivationNode {
     /// Total number of nodes in the tree.
     pub fn size(&self) -> usize {
-        1 + self
-            .children
-            .iter()
-            .map(DerivationNode::size)
-            .sum::<usize>()
+        1 + self.children.iter().map(Self::size).sum::<usize>()
     }
 
     /// Length of the longest root-to-leaf path (a leaf is depth 1).
     pub fn depth(&self) -> usize {
-        1 + self
-            .children
-            .iter()
-            .map(DerivationNode::depth)
-            .max()
-            .unwrap_or(0)
+        1 + self.children.iter().map(Self::depth).max().unwrap_or(0)
     }
 
     /// Renders `pred(c1, c2)` for this node's tuple.
@@ -125,145 +121,105 @@ fn unify_ground(subst: &mut Subst, atom: &Atom, tuple: &[Value]) -> bool {
     true
 }
 
-/// A saturated store plus, by tuple id of the derived relation, the driver
-/// round in which each derived tuple first appeared (round 0 is the
-/// exit-rule seeding round).
-struct Ranked {
-    engine: EngineDb,
-    ranks: Vec<u64>,
-}
-
-impl Ranked {
-    /// The rank of a tuple of the derived relation `p`, if it was derived.
-    fn rank(&self, p: Symbol, t: &[Value]) -> Option<u64> {
-        let id = self.engine.get(p)?.id_of(t)?;
-        Some(self.ranks[id as usize])
-    }
-}
-
-/// Rank-tracked saturation of `edb`, in place. Any derived tuples `edb`
-/// carries are dropped first — ranks must match this run.
-fn saturate_with_ranks(
+/// The witness pipelines of every rule of `lr` over `engine`, the recursive
+/// rule first (the rule-index convention): [`compile_inverted`] deriving the
+/// rule's whole body — the terms of every body atom, concatenated — so each
+/// derived row is one ground instance of the rule, read off subgoal by
+/// subgoal.
+pub(crate) fn compile_witnesses(
     lr: &LinearRecursion,
-    edb: EngineDb,
-    governor: &Governor,
-) -> Result<Ranked, IvmError> {
-    let (mut engine, rec_delta) = fresh_store(lr, edb)?;
-    let exits = compile_exits(lr, &mut engine)?;
-    let mut ranks: Vec<u64> = Vec::new();
-    let run = drive_rounds(
-        &mut engine,
-        Some(&exits),
-        std::slice::from_ref(&rec_delta),
-        [],
-        None,
-        governor,
-        &Obs::noop(),
-        |engine, round, rule, heads, fresh| {
-            engine.insert_fresh(rule.head_pred, heads, fresh);
-            // Nothing is ever removed, so ids are arena positions: the fresh
-            // tuples are the ones past the ranks recorded so far.
-            let derived = engine.get(rule.head_pred).map_or(0, |stored| stored.len());
-            ranks.resize(derived, round as u64);
-        },
-    )?;
-    if let Some(reason) = stopped(&run) {
-        return Err(IvmError::Truncated(reason));
-    }
-    Ok(Ranked { engine, ranks })
-}
-
-/// One rule's witness pipeline: [`compile_inverted`] deriving the rule's
-/// whole body — the terms of every body atom, concatenated — so each derived
-/// row is one ground instance of the rule, read off subgoal by subgoal.
-struct Inverted<'a> {
-    rule: &'a Rule,
-    pipeline: CompiledRule,
-}
-
-impl<'a> Inverted<'a> {
-    fn compile(rule: &'a Rule, engine: &mut EngineDb) -> Result<Inverted<'a>, IvmError> {
-        let body_terms = rule.body.iter().flat_map(|a| a.terms.iter().copied());
-        // Never stored: the pipeline is executed directly, not merged.
-        let head = Atom::new("__ivm_witness", body_terms.collect());
-        Ok(Inverted {
-            rule,
-            pipeline: compile_inverted(rule, head, engine)?,
+    engine: &mut EngineDb,
+) -> Result<Vec<CompiledRule>, IvmError> {
+    rules(lr)
+        .map(|rule| {
+            let body_terms = rule.body.iter().flat_map(|a| a.terms.iter().copied());
+            // Never stored: the pipeline is executed directly, not merged.
+            let head = Atom::new("__ivm_witness", body_terms.collect());
+            compile_inverted(rule, head, engine)
         })
-    }
+        .collect()
+}
 
-    /// Every ground instance of the rule whose head is `tuple`, in sorted
-    /// order (so the witness picked is the same on every run).
-    fn witnesses(
-        &self,
-        engine: &EngineDb,
-        tuple: &[Value],
-        governor: &Governor,
-    ) -> Result<Vec<Tuple>, IvmError> {
-        let mut scratch = Scratch::default();
-        let mut out = Batch::new(self.pipeline.head_arity);
-        let seeded = self.pipeline.seed.as_ref();
-        if seeded.is_some_and(|seed| seed.fill(&mut scratch, std::iter::once(tuple)) > 0) {
-            let stopped = self.pipeline.execute(
-                engine,
-                &mut scratch,
-                &mut ProbeCounters::default(),
-                Some(governor),
-                &mut out,
-            )?;
-            if let Some(reason) = stopped {
-                return Err(IvmError::Truncated(reason));
-            }
+/// Every ground instance of a rule whose head is `tuple`, by the rule's
+/// witness `pipeline` over `engine`, in sorted order (so the witness picked
+/// is the same on every run).
+fn witnesses(
+    pipeline: &CompiledRule,
+    engine: &EngineDb,
+    tuple: &[Value],
+    governor: &Governor,
+) -> Result<Vec<Tuple>, IvmError> {
+    let (mut scratch, mut out) = (Scratch::default(), Batch::new(pipeline.head_arity));
+    let seeded = pipeline.seed.as_ref();
+    if seeded.is_some_and(|seed| seed.fill(&mut scratch, std::iter::once(tuple)) > 0) {
+        let counters = &mut ProbeCounters::default();
+        if let Some(reason) =
+            pipeline.execute(engine, &mut scratch, counters, Some(governor), &mut out)?
+        {
+            return Err(IvmError::Truncated(reason));
         }
-        let mut out: Vec<Tuple> = out.iter().map(Tuple::from).collect();
-        out.sort();
-        Ok(out)
     }
+    let mut out: Vec<Tuple> = out.iter().map(Tuple::from).collect();
+    out.sort();
+    Ok(out)
+}
 
-    /// Body atom `i` of the ground instance `witness`.
-    fn subgoal(&self, i: usize, witness: &[Value]) -> Tuple {
-        let start: usize = self.rule.body[..i].iter().map(Atom::arity).sum();
-        witness[start..start + self.rule.body[i].arity()].into()
-    }
+/// The columns of body atom `i` within a ground instance of `rule`.
+fn subgoal(rule: &Rule, i: usize) -> std::ops::Range<usize> {
+    let start: usize = rule.body[..i].iter().map(Atom::arity).sum();
+    start..start + rule.body[i].arity()
+}
 
-    /// The node for `tuple` derived by this rule (index `rule_index`) under
-    /// `witness`: every body atom an EDB leaf, except that `recursive` —
-    /// the recursive body position and its already-explained subtree —
-    /// takes that position's place.
-    fn node(
-        &self,
-        rule_index: usize,
-        tuple: &Tuple,
-        witness: &[Value],
-        mut recursive: Option<(usize, DerivationNode)>,
-    ) -> DerivationNode {
-        let children = (0..self.rule.body.len())
-            .map(|i| match recursive.take_if(|(pos, _)| *pos == i) {
-                Some((_, sub)) => sub,
-                None => DerivationNode {
-                    predicate: self.rule.body[i].predicate,
-                    tuple: self.subgoal(i, witness),
-                    rule: None,
-                    children: Vec::new(),
-                },
-            })
-            .collect();
-        DerivationNode {
-            predicate: self.rule.head.predicate,
-            tuple: tuple.clone(),
-            rule: Some(rule_index),
-            children,
-        }
+/// The node for `tuple` derived by `rule` (index `rule_index`) under
+/// `witness`: every body atom an EDB leaf, except that `recursive` — the
+/// recursive body position and its already-explained subtree — takes that
+/// position's place.
+fn node(
+    rule: &Rule,
+    rule_index: usize,
+    tuple: &[Value],
+    witness: &[Value],
+    mut recursive: Option<(usize, DerivationNode)>,
+) -> DerivationNode {
+    let children = (0..rule.body.len())
+        .map(|i| match recursive.take_if(|(pos, _)| *pos == i) {
+            Some((_, sub)) => sub,
+            None => DerivationNode {
+                predicate: rule.body[i].predicate,
+                tuple: witness[subgoal(rule, i)].into(),
+                rule: None,
+                children: Vec::new(),
+            },
+        })
+        .collect();
+    DerivationNode {
+        predicate: rule.head.predicate,
+        tuple: tuple.into(),
+        rule: Some(rule_index),
+        children,
     }
 }
 
-/// Explains one fact of the recursive predicate over `edb`.
-///
-/// Any derived-`P` tuples already present in `edb` are ignored — the
-/// saturation runs in a private clone of the store (sharing every EDB
-/// relation it does not have to index) so ranks are consistent.
-/// `max_depth` bounds the number of recursive inversion steps; the budget
-/// governs both the saturation and the backward walk.
+/// An error unless `fact` has the recursive predicate's arity.
+fn check_arity(lr: &LinearRecursion, fact: &[Value]) -> Result<(), IvmError> {
+    let (predicate, expected, found) = (lr.predicate, lr.dimension(), fact.len());
+    if expected == found {
+        return Ok(());
+    }
+    let mismatch = DatalogError::ArityMismatch {
+        predicate,
+        expected,
+        found,
+    };
+    Err(IvmError::Datalog(mismatch))
+}
+
+/// Explains one fact of the recursive predicate over `edb`: saturates a
+/// private clone of the store (sharing every EDB relation it does not have
+/// to index) with the engine's ordinary saturation, then walks it. Any
+/// derived tuples `edb` carries are dropped first. `max_depth` bounds the
+/// number of recursive steps; the budget governs both the saturation and
+/// the walk.
 pub fn explain_fact(
     lr: &LinearRecursion,
     edb: &EngineDb,
@@ -271,86 +227,97 @@ pub fn explain_fact(
     max_depth: u64,
     budget: &EvalBudget,
 ) -> Result<WhyOutcome, IvmError> {
-    if fact.len() != lr.dimension() {
-        return Err(IvmError::Datalog(DatalogError::ArityMismatch {
-            predicate: lr.predicate,
-            expected: lr.dimension(),
-            found: fact.len(),
-        }));
-    }
+    check_arity(lr, fact)?;
     let governor = budget.start();
-    let mut ranked = saturate_with_ranks(lr, edb.clone(), &governor)?;
-    let Some(rank) = ranked.rank(lr.predicate, fact) else {
-        return Ok(WhyOutcome::NotDerived);
+    let mut store = edb_only(lr, edb.clone())?;
+    let config = EngineConfig {
+        budget: budget.clone(),
+        ..EngineConfig::default()
     };
-    if rank > max_depth {
-        return Ok(WhyOutcome::DepthExceeded { rank, max_depth });
-    }
-    let p_pos = lr
-        .recursive_rule
-        .body
-        .iter()
-        .position(|a| a.predicate == lr.predicate)
-        .ok_or(DatalogError::UnknownRelation(lr.predicate))?;
-    // Rule-index convention: the recursive rule first, then the exit rules.
-    let inverted = rules(lr)
-        .map(|rule| Inverted::compile(rule, &mut ranked.engine))
-        .collect::<Result<Vec<_>, _>>()?;
-    let node = reconstruct(&ranked, &inverted, fact.into(), rank, p_pos, &governor)?;
-    Ok(WhyOutcome::Derived(node))
-}
-
-/// Inverts one rule application for `tuple` (of rank `rank`) and recurses
-/// on the recursive subgoal. Ranks strictly decrease, so this terminates
-/// in at most `rank` steps.
-fn reconstruct(
-    ranked: &Ranked,
-    inverted: &[Inverted<'_>],
-    tuple: Tuple,
-    rank: u64,
-    p_pos: usize,
-    governor: &Governor,
-) -> Result<DerivationNode, IvmError> {
-    if let Some(reason) = governor.poll() {
+    if let Outcome::Truncated(reason) = saturate_linear(&mut store, lr, &config)?.outcome {
         return Err(IvmError::Truncated(reason));
     }
-    let engine = &ranked.engine;
-    let p = inverted[0].rule.head.predicate;
-    // Unreachable below for a rank map produced by `saturate_with_ranks`
-    // over the same store; surfaced as a substrate error, not a panic.
-    let no_witness = || IvmError::Datalog(DatalogError::UnknownRelation(p));
-    if rank == 0 {
-        // Exit-seeded: the first exit rule (and witness) that derives it.
-        for (i, exit) in inverted.iter().enumerate().skip(1) {
-            if let Some(witness) = exit.witnesses(engine, &tuple, governor)?.first() {
-                return Ok(exit.node(i, &tuple, witness, None));
+    let witnesses = compile_witnesses(lr, &mut store)?;
+    walk(lr, &witnesses, &store, fact, max_depth, &governor)
+}
+
+impl Materialization {
+    /// Explains one fact of the recursive predicate over the maintained
+    /// view: a walk over the fixpoint it already holds, with the witness
+    /// pipelines compiled when it was built. Nothing is saturated; the
+    /// budget governs the walk.
+    pub fn explain(
+        &self,
+        fact: &[Value],
+        max_depth: u64,
+        budget: &EvalBudget,
+    ) -> Result<WhyOutcome, IvmError> {
+        let (lr, governor) = (&self.lr, budget.start());
+        check_arity(lr, fact)?;
+        walk(
+            lr,
+            &self.witnesses,
+            &self.engine,
+            fact,
+            max_depth,
+            &governor,
+        )
+    }
+}
+
+/// The breadth-first walk backward from `fact` over `store`, which holds
+/// the fixpoint of `lr`; `pipelines` are [`compile_witnesses`] over it.
+///
+/// One relation is both the queue and the visited set: ids come in
+/// insertion order, so id order is breadth-first order, and `parents[id - 1]`
+/// is the node that reached `id` and the recursive instance it did so by.
+fn walk(
+    lr: &LinearRecursion,
+    pipelines: &[CompiledRule],
+    store: &EngineDb,
+    fact: &[Value],
+    max_depth: u64,
+    governor: &Governor,
+) -> Result<WhyOutcome, IvmError> {
+    let p = lr.predicate;
+    if !store.get(p).is_some_and(|derived| derived.contains(fact)) {
+        return Ok(WhyOutcome::NotDerived);
+    }
+    let (rec, p_pos) = (&lr.recursive_rule, recursive_position(lr)?);
+    let mut seen = IndexedRelation::new(lr.dimension());
+    seen.insert(fact);
+    let (mut parents, mut next) = (Vec::<(u32, Tuple)>::new(), 0);
+    while next < seen.len() as u32 {
+        if let Some(reason) = governor.poll() {
+            return Err(IvmError::Truncated(reason));
+        }
+        let tuple = seen.tuple(next);
+        for (i, (rule, pipeline)) in rules(lr).zip(pipelines).enumerate().skip(1) {
+            if let Some(witness) = witnesses(pipeline, store, tuple, governor)?.first() {
+                // The base: climb the parent entries back to the fact.
+                let up = |id: u32| id.checked_sub(1).map(|up| &parents[up as usize]);
+                let chain: Vec<_> = std::iter::successors(up(next), |(id, _)| up(*id)).collect();
+                let rank = chain.len() as u64;
+                if rank > max_depth {
+                    return Ok(WhyOutcome::DepthExceeded { rank, max_depth });
+                }
+                let base = node(rule, i, tuple, witness, None);
+                let tree = chain.into_iter().fold(base, |tree, (id, witness)| {
+                    node(rec, 0, seen.tuple(*id), witness, Some((p_pos, tree)))
+                });
+                return Ok(WhyOutcome::Derived(tree));
             }
         }
-        return Err(no_witness());
-    }
-
-    let rec = &inverted[0];
-    // Pick the witness whose recursive subgoal has minimal rank; the rank
-    // definition guarantees one with rank < `rank` exists.
-    let mut best: Option<(u64, Tuple, Tuple)> = None;
-    for witness in rec.witnesses(engine, &tuple, governor)? {
-        let sub = rec.subgoal(p_pos, &witness);
-        let Some(sub_rank) = ranked.rank(p, &sub).filter(|&r| r < rank) else {
-            continue;
-        };
-        if best.as_ref().is_none_or(|(r, _, _)| sub_rank < *r) {
-            best = Some((sub_rank, witness, sub));
+        for witness in witnesses(&pipelines[0], store, tuple, governor)? {
+            if seen.insert(&witness[subgoal(rec, p_pos)]) {
+                parents.push((next, witness));
+            }
         }
-        if sub_rank + 1 == rank {
-            // Cannot do better: the tuple first appeared in round `rank`,
-            // so some witness has a subgoal from round `rank - 1` — and
-            // witnesses are sorted, so the first such one is deterministic.
-            break;
-        }
+        next += 1;
     }
-    let (sub_rank, witness, sub) = best.ok_or_else(no_witness)?;
-    let subtree = reconstruct(ranked, inverted, sub, sub_rank, p_pos, governor)?;
-    Ok(rec.node(0, &tuple, &witness, Some((p_pos, subtree))))
+    // Unreachable for a store that holds the fixpoint of `lr`: every stored
+    // tuple has a derivation. Surfaced as a substrate error, not a panic.
+    Err(IvmError::Datalog(DatalogError::UnknownRelation(p)))
 }
 
 /// Structurally verifies a derivation tree against the **EDB only**: every
@@ -389,18 +356,11 @@ pub fn verify_tree(
                     node.fact()
                 ));
             }
-            let rule = if ri == 0 {
-                &lr.recursive_rule
-            } else {
-                match lr.exit_rules.get(ri - 1) {
-                    Some(r) => r,
-                    None => {
-                        return Err(format!(
-                            "node {} cites rule {ri} (no such rule)",
-                            node.fact()
-                        ))
-                    }
-                }
+            let Some(rule) = rules(lr).nth(ri) else {
+                return Err(format!(
+                    "node {} cites rule {ri} (no such rule)",
+                    node.fact()
+                ));
             };
             if node.children.len() != rule.body.len() {
                 return Err(format!(
@@ -450,17 +410,12 @@ pub fn verify_tree(
 /// ```
 pub fn render_tree(node: &DerivationNode) -> String {
     fn walk(node: &DerivationNode, depth: usize, out: &mut String) {
-        let tag = match node.rule {
-            None => "edb".to_string(),
-            Some(0) => "recursive rule".to_string(),
-            Some(i) => format!("exit rule {i}"),
-        };
-        out.push_str(&format!(
-            "{}{}  [{}]\n",
-            "  ".repeat(depth),
-            node.fact(),
-            tag
-        ));
+        let (indent, fact) = ("  ".repeat(depth), node.fact());
+        out.push_str(&match node.rule {
+            None => format!("{indent}{fact}  [edb]\n"),
+            Some(0) => format!("{indent}{fact}  [recursive rule]\n"),
+            Some(i) => format!("{indent}{fact}  [exit rule {i}]\n"),
+        });
         for child in &node.children {
             walk(child, depth + 1, out);
         }

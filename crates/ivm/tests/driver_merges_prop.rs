@@ -1,8 +1,9 @@
-//! One round driver, three merges: on random linear rules and EDBs, the
-//! engine's set-insert merge, the maintenance layer's derivation-count
-//! merge and provenance's first-round rank merge must all land on the
-//! oracle's fixpoint — and a tuple's rank must be the engine round whose
-//! `IterationStats::new_tuples` first counted it.
+//! One round driver, two merges, and the ranks `why` reads off them: on
+//! random linear rules and EDBs, the engine's set-insert merge and the
+//! maintenance layer's derivation-count merge must both land on the
+//! oracle's fixpoint — and the rank `why` reports for a tuple (the length
+//! of its shortest derivation, found by walking the saturated store) must
+//! be the engine round whose `IterationStats::new_tuples` first counted it.
 
 use proptest::prelude::*;
 use recurs_datalog::eval::semi_naive;
@@ -49,8 +50,9 @@ proptest! {
             prop_assert!(mat.count(t) >= 1, "fixpoint tuple {:?} has no derivation", t);
         }
 
-        // Rank merge: `why` with no recursive steps allowed answers with the
-        // rank of anything deeper than the seeding round.
+        // Ranks: `why` with no recursive steps allowed answers with the
+        // rank of anything deeper than the seeding round, found by its walk
+        // over the saturated store.
         let mut ranked: BTreeMap<u64, Vec<Tuple>> = BTreeMap::new();
         let store = EngineDb::from(&edb);
         for t in fixpoint.iter() {

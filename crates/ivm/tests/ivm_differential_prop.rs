@@ -2,8 +2,10 @@
 //! representative formula of every paper class (A1–A5, B, C, D), asserting
 //! after every step that the incrementally patched materialization is
 //! tuple-for-tuple identical to a from-scratch saturation of the updated
-//! database. Streams draw from a tiny domain so duplicate inserts and
-//! absent deletes (the no-op paths) occur constantly.
+//! database — and that `why` over the patched view explains every fixpoint
+//! tuple exactly as a fresh saturation of that database does. Streams draw
+//! from a tiny domain so duplicate inserts and absent deletes (the no-op
+//! paths) occur constantly.
 
 use proptest::prelude::*;
 mod common;
@@ -19,7 +21,10 @@ use recurs_datalog::symbol::Symbol;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::Value;
 use recurs_engine::EngineDb;
-use recurs_ivm::{EdbDelta, FactOp, Materialization};
+use recurs_ivm::{
+    explain_fact, render_tree, verify_tree, EdbDelta, FactOp, Materialization, WhyOutcome,
+    DEFAULT_WHY_DEPTH,
+};
 use recurs_obs::Obs;
 
 /// One EDB mutation drawn by proptest: the relation is an index into the
@@ -77,6 +82,46 @@ fn oracle_relation(lr: &LinearRecursion, edb: &Database) -> Relation {
     db.get(lr.predicate).unwrap().clone()
 }
 
+/// A `why` outcome as text: the rendered tree, or the verdict.
+fn rendered(outcome: &WhyOutcome) -> String {
+    match outcome {
+        WhyOutcome::Derived(tree) => render_tree(tree),
+        other => format!("{other:?}"),
+    }
+}
+
+/// `why` over the view against `why` over a fresh saturation of `db`, for
+/// every fixpoint tuple at depth bounds 0, 1 and the default: the same
+/// rendered tree or verdict, and every tree a valid derivation from `db`.
+fn view_trees_match_fresh(
+    lr: &LinearRecursion,
+    mat: &Materialization,
+    db: &Database,
+    fixpoint: &Relation,
+) -> Result<(), TestCaseError> {
+    let edb = EngineDb::from(db);
+    let budget = EvalBudget::unlimited();
+    for t in fixpoint.iter() {
+        for depth in [0, 1, DEFAULT_WHY_DEPTH] {
+            let view = mat.explain(t, depth, &budget).unwrap();
+            let fresh = explain_fact(lr, &edb, t, depth, &budget).unwrap();
+            prop_assert_eq!(
+                rendered(&view),
+                rendered(&fresh),
+                "{:?} at depth {}",
+                t,
+                depth
+            );
+            if let WhyOutcome::Derived(tree) = &view {
+                if let Err(defect) = verify_tree(lr, &edb, tree) {
+                    return Err(TestCaseError::fail(format!("{t:?}: {defect}")));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Drive one random stream: saturate the initial database, then patch the
 /// materialization step by step while replaying the same net deltas onto a
 /// shadow database that a from-scratch oracle saturates after every step.
@@ -112,12 +157,14 @@ fn run_differential(
             prop_assert!(report.idb.as_ref().is_some_and(|p| p.is_empty()));
         }
         apply_plain(&delta, &mut db);
+        let fixpoint = oracle_relation(&lr, &db);
         prop_assert_eq!(
             mat.relation().to_relation(),
-            oracle_relation(&lr, &db),
+            fixpoint.clone(),
             "patched != from-scratch after {:?}",
             step
         );
+        view_trees_match_fresh(&lr, &mat, &db, &fixpoint)?;
     }
     Ok(())
 }

@@ -80,8 +80,8 @@ pub struct WhyReply {
     pub outcome: Result<WhyOutcome, TruncationReason>,
     /// The snapshot version the fact was explained at.
     pub snapshot_version: Version,
-    /// Whether the maintained view was exact for that version, so its
-    /// derivation counts decided membership first.
+    /// Whether the maintained view was exact for that version, so the walk
+    /// ran over it and nothing was saturated.
     pub view_seeded: bool,
 }
 
@@ -773,10 +773,10 @@ impl QueryService {
     }
 
     /// Explains why a ground fact of the served predicate is (or is not)
-    /// derivable over the current snapshot: a depth-bounded backward
-    /// reconstruction of a derivation tree, seeded from the maintained
-    /// view's derivation counts when the view is exact for the snapshot,
-    /// and cross-checked structurally before it is returned. A budget that
+    /// derivable over the current snapshot: a depth-bounded backward walk
+    /// to a derivation tree — over the maintained view when it is exact for
+    /// the snapshot, else over a saturated clone of the snapshot's store —
+    /// cross-checked structurally before it is returned. A budget that
     /// runs out first makes a truncated reply, not an error. This is the
     /// `why <fact>` protocol command and `run --why`.
     pub fn why(
@@ -795,26 +795,29 @@ impl QueryService {
         }
         let start = Instant::now();
         let snapshot = self.store.load();
-        // The maintained view's derivation counts are an O(1) oracle for
-        // membership: count 0 short-circuits the reconstruction entirely.
-        let view_count = {
+        // A view exact for the snapshot already holds the fixpoint: the walk
+        // runs over it, under the read lock, and saturates nothing. Without
+        // one, the walk runs over a saturated clone of the snapshot's store.
+        let from_view = {
             let guard = self.view.read().unwrap_or_else(PoisonError::into_inner);
             match &*guard {
-                Some(vs) if vs.version == snapshot.version() => Some(vs.mat.count(tuple)),
+                Some(vs) if vs.version == snapshot.version() => {
+                    Some(vs.mat.explain(tuple, max_depth, budget))
+                }
                 _ => None,
             }
         };
+        let view_seeded = from_view.is_some();
+        let explained = from_view
+            .unwrap_or_else(|| explain_fact(lr, snapshot.store(), tuple, max_depth, budget));
         let args: Vec<&str> = tuple.iter().map(|v| v.as_str()).collect();
         let fact = format!("{predicate}({})", args.join(", "));
-        let outcome = match view_count {
-            Some(0) => Ok(WhyOutcome::NotDerived),
-            _ => match explain_fact(lr, snapshot.store(), tuple, max_depth, budget) {
-                Ok(found) => Ok(found),
-                Err(IvmError::Truncated(reason)) => Err(reason),
-                Err(IvmError::Datalog(e)) => return Err(e.into()),
-                Err(IvmError::Engine(e)) => return Err(e.into()),
-                Err(IvmError::IdbUpdate(p)) => return Err(ServeError::DerivedUpdate(p)),
-            },
+        let outcome = match explained {
+            Ok(found) => Ok(found),
+            Err(IvmError::Truncated(reason)) => Err(reason),
+            Err(IvmError::Datalog(e)) => return Err(e.into()),
+            Err(IvmError::Engine(e)) => return Err(e.into()),
+            Err(IvmError::IdbUpdate(p)) => return Err(ServeError::DerivedUpdate(p)),
         };
         // A tree that fails the structural check is a provenance bug, not a
         // client error — refuse to present it.
@@ -847,7 +850,7 @@ impl QueryService {
             fact,
             outcome,
             snapshot_version: snapshot.version(),
-            view_seeded: view_count.is_some(),
+            view_seeded,
         })
     }
 }

@@ -1,6 +1,6 @@
 //! Allocation budgets for the served paths: each must cost what it touches,
 //! not what the database holds. A view select allocates for its answers, not
-//! for the view; a kernel miss — once its query form's indexes travel with
+//! for the view, and a `why` over the view for its tree; a kernel miss — once its query form's indexes travel with
 //! the snapshot — allocates the same whether the base relations hold 2 000
 //! tuples or 20 000; an update allocates for the relation it changes,
 //! whatever the size of the ones it does not and however many warm cache
@@ -192,6 +192,39 @@ fn a_magic_kernel_miss_never_copies_the_snapshot() {
              20 000"
         );
     }
+}
+
+#[test]
+fn a_view_backed_why_allocates_for_its_tree_not_the_store() {
+    // After one update the view holds the fixpoint, so a `why` walks it:
+    // on 2 000 and on 20 000 edges per relation, `P(k, k + 2)` is the same
+    // two-step tree, and the walk does not know how many chains stand
+    // beside the one it reads. A `why` that saturated a clone of the store
+    // first allocated for every chain.
+    let why_bytes = |chains: u64| {
+        let service = QueryService::new(tc(), forest(chains, chains, 51), ServeConfig::default());
+        service.apply_update(&tip(1)).unwrap(); // builds the view
+        let p = Symbol::intern("P");
+        let unlimited = EvalBudget::unlimited();
+        let why = |k: u64| {
+            service
+                .why(p, &tuple_u64([k, k + 2]), 1_000, &unlimited)
+                .unwrap()
+        };
+        why(5); // whatever the recorder interns per label set is interned now
+        let (reply, bytes) = allocated_by(|| why(20));
+        assert!(reply.view_seeded, "{reply:?}");
+        let Ok(recurs_ivm::WhyOutcome::Derived(tree)) = &reply.outcome else {
+            panic!("P(20, 22) is derived: {reply:?}");
+        };
+        assert_eq!(tree.depth(), 3, "one recursive step over two edges");
+        bytes
+    };
+    let (small, large) = (why_bytes(40), why_bytes(400));
+    assert!(
+        within_a_tenth(small, large),
+        "a view-backed why allocated {small} B over 2 000 edges but {large} B over 20 000"
+    );
 }
 
 #[test]
