@@ -253,6 +253,20 @@ for f in crates/serve/src/cache.rs crates/obs/src/aggregate.rs; do
   fi
 done
 
+# Reply guard: a served answers reply costs what it writes. `render_reply`
+# writes its rows and `ServeStats::write_json` its stats straight into the
+# reply, building no `Value` tree; and the aggregator finds a series by an
+# unkeyed hash of labels chosen in code (`recurs_obs::Label`), not SipHash.
+echo "==> reply guard (render_reply builds no Value tree; the aggregator names no DefaultHasher)"
+if non_test crates/serve/src/protocol.rs | sed -n '/^fn render_reply(/,/^}$/p' | grep -n "to_value("; then
+  echo "render_reply builds a Value tree again: write the reply straight out" >&2
+  exit 1
+fi
+if non_test crates/obs/src/aggregate.rs | grep -n "DefaultHasher"; then
+  echo "crates/obs/src/aggregate.rs hashes a series with SipHash again: its labels are chosen in code" >&2
+  exit 1
+fi
+
 # One-record guard: each fact is recorded once. A histogram's `_count` and
 # `_sum` are its counters, so no counter restates one (`ServiceStats` reads
 # the histograms); an installed snapshot is its `serve.update`; the test

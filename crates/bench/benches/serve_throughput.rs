@@ -27,6 +27,13 @@
 //! walk that moves one tuple a round to the end of the chain, as µs a miss
 //! divided by its rounds, and as the slope between the shortest and longest
 //! chain (the per-miss costs cancel). EXPERIMENTS.md §25 records it.
+//!
+//! `served_hit` gives a warm hit's protocol its own lane: the same cached
+//! answer set of 24, 37, 40 or 400 rows (`P(c, y)` on one TC chain) asked
+//! through `protocol::handle_line_with` and through `QueryService::query`,
+//! so `line − query` is the request's parse plus its reply's render; and
+//! one aggregator call with the served query counter's three labels.
+//! EXPERIMENTS.md §28 records it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use recurs_core::plan::{plan_query, QueryPlan};
@@ -45,6 +52,7 @@ use recurs_engine::{
 };
 use recurs_obs::aggregate::Aggregator;
 use recurs_obs::{FlightRecorder, Obs, Recorder};
+use recurs_serve::protocol::{handle_line_with, LineOptions, LineOutcome};
 use recurs_serve::{CacheOutcome, PointKernelKind, QueryService, ServeConfig};
 use recurs_workload::graphs::chain;
 use std::collections::hash_map::{Entry, HashMap};
@@ -382,5 +390,46 @@ fn walk_rounds(f: &LinearRecursion) {
     );
 }
 
-criterion_group!(benches, tc_serving, sg_serving, cold_miss_split);
+/// Rows of the warm hits `served_hit` times: `serve-cold`'s median reply,
+/// about `serve-hot`'s mean, and a short and a long reply of one chain.
+const HIT_ROWS: [u64; 4] = [24, 37, 40, 400];
+
+fn served_hit(c: &mut Criterion) {
+    let service = service(&tc_formula(), &tc_db(401), true);
+    let opts = LineOptions::default();
+    let mut group = c.benchmark_group("served_hit");
+    group.sample_size(30);
+    for rows in HIT_ROWS {
+        let text = format!("P({}, y)", 401 - rows);
+        let (line, query) = (format!("?- {text}."), parse_atom(&text).unwrap());
+        handle_line_with(&service, &line, &opts); // the miss that fills the entry
+        let (LineOutcome::Reply(reply), _) = handle_line_with(&service, &line, &opts) else {
+            panic!("no reply to {line}");
+        };
+        assert!(reply.contains(&format!(r#""count":{rows},"#)), "{reply}");
+        assert!(reply.contains(r#""cache":"hit""#), "{reply}");
+        assert_eq!(
+            service.query(&query).unwrap().stats.cache,
+            CacheOutcome::Hit
+        );
+        group.bench_function(BenchmarkId::new("line", rows), |b| {
+            b.iter(|| black_box(handle_line_with(&service, &line, &opts)));
+        });
+        group.bench_function(BenchmarkId::new("query", rows), |b| {
+            b.iter(|| black_box(service.query(&query).unwrap()));
+        });
+    }
+    let aggregator = Aggregator::default();
+    let labels = [
+        ("kernel", "frontier"),
+        ("cache", "hit"),
+        ("outcome", "complete"),
+    ];
+    group.bench_function("aggregator_call", |b| {
+        b.iter(|| aggregator.counter("recurs_serve_queries_total", black_box(&labels), 1));
+    });
+    group.finish();
+}
+
+criterion_group!(benches, served_hit, tc_serving, sg_serving, cold_miss_split);
 criterion_main!(benches);

@@ -187,15 +187,18 @@ impl<'a> Lexer<'a> {
                 }
                 b'\'' => {
                     self.bump();
-                    let mut s = String::new();
+                    let start = self.pos;
                     loop {
                         match self.bump() {
                             Some(b'\'') => break,
-                            Some(c) => s.push(c as char),
+                            Some(_) => {}
                             None => return Err(self.err("unterminated quoted constant")),
                         }
                     }
-                    Tok::Quoted(s)
+                    // The quotes are ASCII, so the source between them is
+                    // whole UTF-8 and nothing is replaced.
+                    let text = &self.src[start..self.pos - 1];
+                    Tok::Quoted(String::from_utf8_lossy(text).into_owned())
                 }
                 c if c.is_ascii_digit() => {
                     let mut s = String::new();
@@ -431,6 +434,15 @@ mod tests {
     fn unterminated_quote_is_an_error() {
         let e = parse_program("A('oops, 2).").unwrap_err();
         assert!(e.message.contains("unterminated"));
+    }
+
+    #[test]
+    fn a_quoted_constant_keeps_its_utf8_text() {
+        let p = parse_program("E('café', 'λ→b').").unwrap();
+        assert_eq!(p.rules[0].head.terms[0], Term::constant("café"));
+        assert_eq!(p.rules[0].head.terms[1], Term::constant("λ→b"));
+        let a = parse_atom("P(x, 'naïve')").unwrap();
+        assert_eq!(a.terms[1], Term::Const(Value::named("naïve")));
     }
 
     #[test]

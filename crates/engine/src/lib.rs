@@ -79,6 +79,7 @@ use recurs_datalog::govern::{EvalBudget, Outcome};
 use recurs_datalog::rule::{LinearRecursion, Program};
 use recurs_datalog::symbol::Symbol;
 use recurs_obs::{field, Obs};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// Engine configuration.
@@ -259,9 +260,13 @@ pub fn saturate(
 
     let obs = &config.obs;
     if obs.enabled() {
-        let kernel_label = kernel.label();
-        obs.counter("recurs_engine_runs_total", &[("kernel", &kernel_label)], 1);
-        obs.event("engine.start", &[("kernel", kernel_label.into())]);
+        // A metric label is static: `unroll(N)` is interned, once per rank.
+        let kernel_label = match kernel.label() {
+            Cow::Borrowed(label) => label,
+            Cow::Owned(label) => Symbol::intern(&label).as_str(),
+        };
+        obs.counter("recurs_engine_runs_total", &[("kernel", kernel_label)], 1);
+        obs.event("engine.start", &[("kernel", field::st(kernel_label))]);
     }
 
     // Tuples the caller pre-seeded into IDB relations (e.g. magic seeds)

@@ -68,12 +68,12 @@ impl Recorder for Counting {
         self.detail
     }
 
-    fn counter(&self, _: &'static str, _: &[(&'static str, &str)], _: u64) {
+    fn counter(&self, _: &'static str, _: &[(&'static str, &'static str)], _: u64) {
         self.calls.fetch_add(1, Ordering::Relaxed);
         self.counters.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn observe(&self, _: &'static str, _: &[(&'static str, &str)], _: f64) {
+    fn observe(&self, _: &'static str, _: &[(&'static str, &'static str)], _: f64) {
         self.calls.fetch_add(1, Ordering::Relaxed);
     }
 

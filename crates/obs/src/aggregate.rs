@@ -4,7 +4,10 @@
 //! one map of series under one lock, hashed by metric name + label set. A
 //! series is found by its borrowed name and labels, in whatever order the
 //! caller lists them; its owned [`LabelSet`] is built once, when the series
-//! is first seen, so recording into a known series allocates nothing.
+//! is first seen, so recording into a known series allocates nothing. The
+//! series hash is FxHash's unkeyed multiply-rotate, and the map takes it as
+//! its own hash: label values are [`Label`]s chosen in code, so no client
+//! can pick labels that collide, and a collision only shares a bucket.
 //! Events are ignored — provenance goes to the trace sink. A histogram's
 //! `count` and `sum` are its counters: no counter restates them, and a
 //! reader that wants a total reads the histogram. Reads
@@ -12,10 +15,9 @@
 //! [`Aggregator::histogram_where`]) walk every series; they run at
 //! query/report time, never on the hot path.
 
-use crate::Recorder;
-use std::collections::hash_map::DefaultHasher;
+use crate::{Label, Recorder};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Histogram bucket upper bounds for durations, in seconds: 1µs … 60s.
@@ -32,7 +34,7 @@ pub const SECONDS_BOUNDS: &[f64] = &[
 /// A label set, sorted by key (the aggregation identity of a series).
 pub type LabelSet = Vec<(String, String)>;
 
-fn label_set(labels: &[(&'static str, &str)]) -> LabelSet {
+fn label_set(labels: &[Label]) -> LabelSet {
     let mut set: LabelSet = labels
         .iter()
         .map(|(k, v)| (k.to_string(), v.to_string()))
@@ -113,7 +115,7 @@ struct Series {
 impl Series {
     /// Whether this is the series `name` with exactly `labels`, in any
     /// order (a label set names each key once).
-    fn is(&self, name: &str, labels: &[(&'static str, &str)]) -> bool {
+    fn is(&self, name: &str, labels: &[(&str, &str)]) -> bool {
         self.name == name
             && self.labels.len() == labels.len()
             && labels
@@ -123,22 +125,47 @@ impl Series {
 }
 
 /// Series keyed by [`series_hash`]; equal hashes share a bucket.
-type SeriesMap = HashMap<u64, Vec<Series>>;
+type SeriesMap = HashMap<u64, Vec<Series>, BuildHasherDefault<PassThrough>>;
+
+/// The map's hasher: a key is a [`series_hash`] already, so it is used as
+/// it is.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = text_hash(self.0, bytes);
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// One FxHash step: mixes `word` into `h`.
+fn fx(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// Mixes `bytes` into `h`: their length, then eight bytes at a time.
+fn text_hash(h: u64, bytes: &[u8]) -> u64 {
+    let word = |chunk: &[u8]| chunk.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+    let h = fx(h, bytes.len() as u64);
+    bytes.chunks(8).fold(h, |h, chunk| fx(h, word(chunk)))
+}
 
 /// A series' identity, hashed without building it: the name, then the sum
 /// of the per-label hashes, so the order the labels are listed in does not
-/// matter.
-fn series_hash(name: &str, labels: &[(&'static str, &str)]) -> u64 {
-    let mut labels_hash = 0u64;
-    for label in labels {
-        let mut h = DefaultHasher::new();
-        label.hash(&mut h);
-        labels_hash = labels_hash.wrapping_add(h.finish());
-    }
-    let mut h = DefaultHasher::new();
-    name.hash(&mut h);
-    labels_hash.hash(&mut h);
-    h.finish()
+/// matter. The last rotation moves the product's well-mixed high bits down
+/// to the bits the map picks a slot by.
+fn series_hash(name: &str, labels: &[(&str, &str)]) -> u64 {
+    let label = |(k, v): &(&str, &str)| text_hash(text_hash(0, k.as_bytes()), v.as_bytes());
+    let labels_hash = labels.iter().map(label).fold(0, u64::wrapping_add);
+    fx(text_hash(0, name.as_bytes()), labels_hash).rotate_left(26)
 }
 
 /// The metric store. See the [module docs](self).
@@ -157,7 +184,7 @@ impl Aggregator {
     fn record(
         &self,
         name: &'static str,
-        labels: &[(&'static str, &str)],
+        labels: &[Label],
         fresh: impl FnOnce() -> Cell,
         apply: impl FnOnce(&mut Cell),
     ) {
@@ -259,7 +286,7 @@ impl Aggregator {
 }
 
 impl Recorder for Aggregator {
-    fn counter(&self, name: &'static str, labels: &[(&'static str, &str)], delta: u64) {
+    fn counter(&self, name: &'static str, labels: &[Label], delta: u64) {
         self.record(
             name,
             labels,
@@ -274,7 +301,7 @@ impl Recorder for Aggregator {
         );
     }
 
-    fn observe(&self, name: &'static str, labels: &[(&'static str, &str)], value: f64) {
+    fn observe(&self, name: &'static str, labels: &[Label], value: f64) {
         self.record(
             name,
             labels,
@@ -311,6 +338,60 @@ mod tests {
         agg.counter("c", &[("b", "2"), ("a", "1")], 1);
         assert_eq!(agg.counter_value("c", &[("a", "1"), ("b", "2")]), 2);
         assert_eq!(agg.snapshot().len(), 1);
+    }
+
+    #[test]
+    fn a_series_is_found_whatever_order_its_labels_are_listed_in() {
+        let agg = Aggregator::default();
+        let labels = [
+            ("kernel", "magic"),
+            ("cache", "miss"),
+            ("outcome", "complete"),
+        ];
+        let orders = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        for order in orders {
+            let listed = order.map(|i| labels[i]);
+            assert_eq!(series_hash("q", &listed), series_hash("q", &labels));
+            agg.counter("q", &listed, 1);
+            agg.observe("h", &listed, 0.5);
+        }
+        assert_eq!(
+            agg.counter_value("q", &[labels[2], labels[0], labels[1]]),
+            6
+        );
+        assert_eq!(agg.histogram_where("h", &labels), (6, 3.0));
+        assert_eq!(agg.snapshot().len(), 2);
+    }
+
+    #[test]
+    fn two_label_sets_that_hash_alike_stay_two_series() {
+        // A collision is planted: a foreign series in the bucket that
+        // `c{a="1"}` hashes to, ahead of it.
+        let agg = Aggregator::default();
+        agg.counter("c", &[("a", "1")], 1);
+        let foreign = Series {
+            name: "c",
+            labels: label_set(&[("a", "2")]),
+            cell: Cell::Counter(10),
+        };
+        let hash = series_hash("c", &[("a", "1")]);
+        agg.lock().get_mut(&hash).unwrap().insert(0, foreign);
+        agg.counter("c", &[("a", "1")], 1);
+        assert_eq!(agg.counter_value("c", &[("a", "1")]), 2);
+        let values: Vec<_> = agg
+            .snapshot()
+            .into_iter()
+            .map(|m| (m.labels, m.value))
+            .collect();
+        let series = |v: &'static str, n| (label_set(&[("a", v)]), MetricValue::Counter(n));
+        assert_eq!(values, [series("1", 2), series("2", 10)]);
     }
 
     #[test]

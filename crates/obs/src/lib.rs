@@ -72,13 +72,18 @@ pub mod trace;
 pub use context::{SpanGuard, SpanId, TraceCtx, TraceId, TraceIdError, TRACE_ID_MAX_LEN};
 pub use flight::{FlightEvent, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 
+/// A metric label, `(key, value)`. Both are chosen in code, never taken
+/// from a client, so the aggregator finds a series with a cheap unkeyed
+/// hash: no request can pick labels that collide.
+pub type Label = (&'static str, &'static str);
+
 /// The sink interface: everything instrumented code can emit.
 ///
 /// All methods have no-op defaults so a sink implements only what it
 /// consumes (the aggregator ignores events, the trace writer ignores
-/// metrics). `name`/`kind` and label *keys* are `'static` so sinks can
-/// store them without copying; label *values* and event fields are
-/// borrowed and must be copied by sinks that retain them.
+/// metrics). `name`/`kind` and both halves of a [`Label`] are `'static`
+/// so sinks can store them without copying; event fields are borrowed and
+/// must be copied by sinks that retain them.
 pub trait Recorder: Send + Sync + fmt::Debug {
     /// Whether this sink wants data at all. Instrumented code checks the
     /// handle-level [`Obs::enabled`] before building label/field arrays.
@@ -95,11 +100,11 @@ pub trait Recorder: Send + Sync + fmt::Debug {
     }
 
     /// Adds `delta` to the counter `name` for the given label set.
-    fn counter(&self, _name: &'static str, _labels: &[(&'static str, &str)], _delta: u64) {}
+    fn counter(&self, _name: &'static str, _labels: &[Label], _delta: u64) {}
 
     /// Records one observation of `value` (base unit: seconds for
     /// durations) into the histogram `name` for the given label set.
-    fn observe(&self, _name: &'static str, _labels: &[(&'static str, &str)], _value: f64) {}
+    fn observe(&self, _name: &'static str, _labels: &[Label], _value: f64) {}
 
     /// Emits a structured event of the given kind with ordered fields,
     /// under the request `trace` it was emitted for, if any. A sink that
@@ -199,7 +204,7 @@ impl Obs {
 
     /// Adds `delta` to a labelled counter.
     #[inline]
-    pub fn counter(&self, name: &'static str, labels: &[(&'static str, &str)], delta: u64) {
+    pub fn counter(&self, name: &'static str, labels: &[Label], delta: u64) {
         if let Some(r) = &self.inner {
             r.counter(name, labels, delta);
         }
@@ -207,7 +212,7 @@ impl Obs {
 
     /// Records one histogram observation (seconds for durations).
     #[inline]
-    pub fn observe(&self, name: &'static str, labels: &[(&'static str, &str)], value: f64) {
+    pub fn observe(&self, name: &'static str, labels: &[Label], value: f64) {
         if let Some(r) = &self.inner {
             r.observe(name, labels, value);
         }
@@ -286,13 +291,13 @@ impl Recorder for FanoutRecorder {
         self.sinks.iter().any(|s| s.detail())
     }
 
-    fn counter(&self, name: &'static str, labels: &[(&'static str, &str)], delta: u64) {
+    fn counter(&self, name: &'static str, labels: &[Label], delta: u64) {
         for s in &self.sinks {
             s.counter(name, labels, delta);
         }
     }
 
-    fn observe(&self, name: &'static str, labels: &[(&'static str, &str)], value: f64) {
+    fn observe(&self, name: &'static str, labels: &[Label], value: f64) {
         for s in &self.sinks {
             s.observe(name, labels, value);
         }

@@ -459,24 +459,51 @@ fn json_len(s: &str) -> usize {
     2 + s.len() + s.bytes().map(escape_len).sum::<usize>()
 }
 
+/// The sort key of an answer's text: its first 8 bytes as a big-endian
+/// `u64`, zero-padded. Keys that differ order as their texts do, so a
+/// comparison reads the text only when two keys tie.
+fn text_key(text: &str) -> u64 {
+    let bytes = text.as_bytes();
+    let Some(head) = bytes.first_chunk() else {
+        let short = bytes.iter().fold(0, |key, &b| key << 8 | u64::from(b));
+        // Padded to 8 bytes; the empty text's 0 wraps to a shift by 0.
+        return short.wrapping_shl(64 - 8 * bytes.len() as u32);
+    };
+    u64::from_be_bytes(*head)
+}
+
 /// Renders an answers reply straight to JSON text: the sorted answers cut to
 /// the whole rows that fit `max_len` bytes (`count` stays the number found).
+/// Each value's text is looked up once, behind its [`text_key`], and the
+/// rows are sorted as text: `Value`'s order is its text's.
 fn render_reply(query: &str, reply: &Reply, max_len: Option<usize>) -> String {
     let mut room = max_len.map_or(usize::MAX, |max| {
         max.saturating_sub(REPLY_ENVELOPE_LEN + json_len(query))
     });
-    let mut sorted = Vec::with_capacity(reply.answers.len());
-    sorted.extend(reply.answers.iter());
-    sorted.sort_unstable();
+    let (arity, values) = (reply.answers.arity(), reply.answers.iter().flatten());
+    let mut keyed = Vec::with_capacity(reply.answers.len() * arity);
+    keyed.extend(values.map(|v| v.as_str()).map(|t| (text_key(t), t)));
+    // One column sorts its (key, text) pairs in place; wider rows sort as
+    // slices of them.
+    if arity == 1 {
+        keyed.sort_unstable();
+    }
+    let mut wide: Vec<&[(u64, &str)]> = match arity {
+        0 => vec![&[]; reply.answers.len()],
+        1 => Vec::new(),
+        _ => keyed.chunks_exact(arity).collect(),
+    };
+    wide.sort_unstable();
+    let one_column = if arity == 1 { &keyed[..] } else { &[] };
     let mut out = String::with_capacity(REPLY_ENVELOPE_LEN + json_len(query));
     out.push_str(r#"{"ok":true,"type":"answers","query":"#);
     json::write_str(&mut out, query);
-    let _ = write!(out, r#","count":{},"answers":["#, sorted.len());
+    let _ = write!(out, r#","count":{},"answers":["#, reply.answers.len());
     let mut kept = 0;
-    for t in &sorted {
+    for t in one_column.chunks(1).chain(wide) {
         // The brackets, the values, and a comma after each (the last
         // value's stands for the one after the row).
-        let len = 2 + t.iter().map(|v| json_len(v.as_str()) + 1).sum::<usize>();
+        let len = 2 + t.iter().map(|(_, v)| json_len(v) + 1).sum::<usize>();
         if len > room {
             break;
         }
@@ -485,18 +512,18 @@ fn render_reply(query: &str, reply: &Reply, max_len: Option<usize>) -> String {
             out.push(',');
         }
         out.push('[');
-        for (i, v) in t.iter().enumerate() {
+        for (i, (_, v)) in t.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            json::write_str(&mut out, v.as_str());
+            json::write_str(&mut out, v);
         }
         out.push(']');
         kept += 1;
     }
     out.push_str(r#"],"stats":"#);
     reply.stats.write_json(&mut out);
-    if kept < sorted.len() {
+    if kept < reply.answers.len() {
         out.push_str(r#","truncated":true"#);
     }
     let _ = write!(out, r#","trace":"{}"}}"#, reply.trace);
@@ -593,6 +620,20 @@ mod tests {
         assert!(r.contains("\"ok\":true"));
         assert!(r.contains("\"count\":2"));
         assert!(r.contains("[[\"2\"],[\"3\"]]"));
+    }
+
+    #[test]
+    fn a_quoted_utf8_constant_round_trips_through_a_reply() {
+        let s = service();
+        let r = reply(&s, "+E('café', 'b').");
+        assert!(r.contains("\"inserted\":1"), "got {r}");
+        let r = reply(&s, "?- P(x, 'b').");
+        assert!(
+            r.contains(r#""query":"P(x, 'b')","count":1,"answers":[["café"]]"#),
+            "got {r}"
+        );
+        let r = reply(&s, "?- P('café', y).");
+        assert!(r.contains(r#""answers":[["b"]]"#), "got {r}");
     }
 
     #[test]
@@ -998,9 +1039,16 @@ mod tests {
         }
     }
 
-    /// Constants drawn from letters, digits and every byte the JSON escaper
-    /// rewrites: `"`, `\`, newline, tab, carriage return and a control byte.
-    const CONSTANT: &str = "[ab19\"\\\\\n\t\r\u{1}é]{0,4}";
+    /// Constants drawn from letters, digits, NUL and every byte the JSON
+    /// escaper rewrites (`"`, `\`, newline, tab, carriage return and a
+    /// control byte), some behind a stem: two values past 8 bytes that share
+    /// `abcdefgh`, `abcdefgh` itself a byte-prefix of them, and `abcdefg`,
+    /// whose key ties that of `abcdefg` followed by NUL.
+    fn constant() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::strategy::Strategy as _;
+        let stem = proptest::sample::select(vec!["", "", "abcdefg", "abcdefgh"]);
+        (stem, "[ab19\0\"\\\\\n\t\r\u{1}é]{0,4}").prop_map(|(stem, tail)| stem.to_string() + &tail)
+    }
 
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
@@ -1008,8 +1056,8 @@ mod tests {
         #[test]
         fn render_reply_writes_the_bytes_the_value_tree_did(
             arity in 0usize..=3,
-            rows in proptest::collection::vec((CONSTANT, CONSTANT, CONSTANT), 0..12),
-            query in CONSTANT,
+            rows in proptest::collection::vec((constant(), constant(), constant()), 0..12),
+            query in constant(),
             truncated in 0u8..2,
         ) {
             let rows: Vec<Vec<String>> = rows.into_iter().map(|(a, b, c)| vec![a, b, c]).collect();

@@ -3,6 +3,7 @@
 use crate::cache::CacheCounters;
 use crate::kernel::PointKernelKind;
 use recurs_datalog::govern::Outcome;
+use std::fmt::Write as _;
 use std::time::Duration;
 
 /// How the cache participated in one query.
@@ -73,6 +74,29 @@ impl serde::Serialize for ServeStats {
             ("fixpoint_iterations", self.fixpoint_iterations.to_value()),
             ("snapshot_version", self.snapshot_version.to_value()),
         ])
+    }
+
+    /// Writes what [`to_value`](serde::Serialize::to_value) renders, key for
+    /// key, without building the tree: an answers reply carries one.
+    fn write_json(&self, out: &mut String) {
+        let queue_wait = self.queue_wait.as_micros() as u64;
+        let eval = self.eval.as_micros() as u64;
+        let (cache, kernel) = (self.cache.label(), self.kernel.label());
+        let complete = self.outcome.is_complete();
+        let _ = write!(
+            out,
+            r#"{{"queue_wait_us":{queue_wait},"eval_us":{eval},"cache":"{cache}","kernel":"{kernel}","outcome":{{"complete":{complete},"truncation":"#
+        );
+        match self.outcome.truncation() {
+            Some(reason) => serde::json::write_str(out, reason.label()),
+            None => out.push_str("null"),
+        }
+        let (answers, derived) = (self.answers, self.tuples_derived);
+        let (rounds, version) = (self.fixpoint_iterations, self.snapshot_version);
+        let _ = write!(
+            out,
+            r#"}},"answers":{answers},"tuples_derived":{derived},"fixpoint_iterations":{rounds},"snapshot_version":{version}}}"#
+        );
     }
 }
 
@@ -152,6 +176,7 @@ impl serde::Serialize for ServiceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Serialize as _;
 
     fn stats(kernel: PointKernelKind, outcome: Outcome) -> ServeStats {
         ServeStats {
@@ -164,6 +189,45 @@ mod tests {
             tuples_derived: 7,
             fixpoint_iterations: 2,
             snapshot_version: 1,
+        }
+    }
+
+    #[test]
+    fn write_json_writes_the_bytes_of_the_value_tree() {
+        use recurs_datalog::govern::TruncationReason;
+        let kernels = [
+            PointKernelKind::BoundedUnroll { rank: 0 },
+            PointKernelKind::BoundedUnroll { rank: 12 },
+            PointKernelKind::Frontier,
+            PointKernelKind::MagicIterate,
+            PointKernelKind::FullSaturation,
+            PointKernelKind::MaterializedView,
+        ];
+        let caches = [CacheOutcome::Hit, CacheOutcome::Miss, CacheOutcome::Bypass];
+        let outcomes = [
+            Outcome::Complete,
+            Outcome::Truncated(TruncationReason::IterationCap),
+            Outcome::Truncated(TruncationReason::Deadline),
+            Outcome::Truncated(TruncationReason::TupleCeiling),
+            Outcome::Truncated(TruncationReason::DeltaCeiling),
+            Outcome::Truncated(TruncationReason::Cancelled),
+        ];
+        for kernel in kernels {
+            for cache in caches {
+                for outcome in outcomes {
+                    let s = ServeStats {
+                        queue_wait: Duration::from_nanos(2_500),
+                        eval: Duration::from_secs(3) + Duration::from_nanos(999),
+                        cache,
+                        answers: usize::MAX,
+                        snapshot_version: u64::MAX,
+                        ..stats(kernel, outcome)
+                    };
+                    let mut direct = String::new();
+                    s.write_json(&mut direct);
+                    assert_eq!(direct, serde::json::to_string(&s.to_value()));
+                }
+            }
         }
     }
 

@@ -532,13 +532,18 @@ fn a_served_hit_allocates_per_reply_not_per_answer() {
         many <= few + 4,
         "a 40-answer hit made {few} allocator calls, a 400-answer hit {many}"
     );
-    // 4 026 B in 32 calls (6 675 B in 83 before a request's events were
-    // tagged in its handle): the 1 178 B `QueryService::query` allocates for
-    // a hit (the test above), the request's parse, the sorted row slices
-    // (640 B), the reply's `stats` tree and the reply text (1 035 B, no
-    // regrowth).
+    // 3 618 B in 19 calls (4 026 B in 32 while the rows were sorted as
+    // `Value`s and the reply's `stats` built as a tree first; 6 675 B in 83
+    // before a request's events were tagged in its handle): the 1 178 B
+    // `QueryService::query` allocates for a hit (the test above), the
+    // request's parse, the answers' texts behind their sort keys (960 B) and
+    // the reply text (1 035 B, no regrowth).
     assert!(
-        few_bytes <= 5_000,
+        few_bytes <= 3_700,
         "a served 40-answer hit allocated {few_bytes} B"
+    );
+    assert!(
+        few <= 20,
+        "a served 40-answer hit made {few} allocator calls"
     );
 }
