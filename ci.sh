@@ -320,6 +320,22 @@ if [ "$(non_test crates/engine/src/compile.rs | sed -n '/^pub struct Scratch/,/^
   exit 1
 fi
 
+# Size ratchet: the non-test code lines of crates/*/src — each file cut at
+# its `#[cfg(test)]` (`non_test`), blank and `//` lines left out, the count
+# EXPERIMENTS.md reports — may not grow past the number below. A change that
+# deletes code lowers it in the same change; one that must grow raises it
+# and names the lines in CHANGES.md.
+size_budget=13050
+echo "==> size ratchet (at most $size_budget non-test code lines in crates/*/src)"
+size=0
+for f in $(find crates/*/src -name '*.rs'); do
+  size=$((size + $(non_test "$f" | grep -cvE '^[[:space:]]*(//.*)?$' || true)))
+done
+if [ "$size" -gt "$size_budget" ]; then
+  echo "crates/*/src holds $size non-test code lines, over the ratchet's $size_budget" >&2
+  exit 1
+fi
+
 echo "==> cargo test"
 cargo test --workspace --offline -q
 

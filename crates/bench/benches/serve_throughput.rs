@@ -22,11 +22,12 @@
 //! `QueryService::query` per miss, then the executor's phases — lower, store
 //! clone + declares + seed, compile, saturate, select — timed one by one
 //! under the no-op recorder, each of the service's two recorders, and both.
-//! EXPERIMENTS.md §20 records it. Its last lane is a round's cost: `P(1, 2)`
-//! served cold on one TC chain of 25 / 100 / 400 / 1 600 vertices, a frontier
-//! walk that moves one tuple a round to the end of the chain, as µs a miss
-//! divided by its rounds, and as the slope between the shortest and longest
-//! chain (the per-miss costs cancel). EXPERIMENTS.md §25 records it.
+//! EXPERIMENTS.md §20 records it. Its last lane is a round's cost: `P(1, n)`
+//! served cold on one TC chain `1 → … → n` of 25 / 100 / 400 / 1 600
+//! vertices, a frontier walk that moves one tuple a round to the end of the
+//! chain, where the one answer is, as µs a miss divided by its rounds, and as
+//! the slope between the shortest and longest chain (the per-miss costs
+//! cancel). EXPERIMENTS.md §25 and §29 record it.
 //!
 //! `served_hit` gives a warm hit's protocol its own lane: the same cached
 //! answer set of 24, 37, 40 or 400 rows (`P(c, y)` on one TC chain) asked
@@ -351,13 +352,14 @@ fn cold_miss_split(c: &mut Criterion) {
 /// Chain lengths of the per-round lane.
 const WALK_LENGTHS: [u64; 4] = [25, 100, 400, 1_600];
 
-/// µs a round of a one-tuple frontier walk: `P(1, 2)` served with the cache
-/// off on one chain of each of [`WALK_LENGTHS`], the median of 5 passes of
-/// about 0.2 s each.
+/// µs a round of a one-tuple frontier walk: `P(1, n)` served with the cache
+/// off on one chain `1 → … → n` of each of [`WALK_LENGTHS`] — a ground query
+/// whose one answer is found in the last round, so the walk still visits
+/// every vertex — the median of 5 passes of about 0.2 s each.
 fn walk_rounds(f: &LinearRecursion) {
-    let query = parse_atom("P(1, 2)").unwrap();
     let mut points = Vec::new();
     for n in WALK_LENGTHS {
+        let query = parse_atom(&format!("P(1, {n})")).unwrap();
         let service = service(f, &tc_db(n), false);
         let warm = service.query(&query).unwrap(); // the form's plan and indexes
         assert_eq!(warm.stats.kernel, PointKernelKind::Frontier);

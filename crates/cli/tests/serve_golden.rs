@@ -11,9 +11,23 @@
 //! format, never a golden to regenerate.
 //!
 //! One value was edited by hand since, when the label-only `frontier`
-//! maintenance path went: line 32, the TC view's patch for `-E(2, 3).`,
+//! maintenance path went: line 36, the TC view's patch for `-E(2, 3).`,
 //! reports `"maintenance":"generic-dred"` where it said `"frontier"` (TC has
 //! no rank bound, so its patch is the uncapped DRed loop).
+//!
+//! Six more when a ground query began to stop at its witness and the magic
+//! rewrite stopped emitting its no-op rule (`m(y) :- m(y).`); only
+//! `tuples_derived` and `fixpoint_iterations` moved, answers did not:
+//! * TC line 16, `P(v0, 3)` (magic `vd`): one round fewer, 4 → 3 — the
+//!   magic predicate is a base relation, so the exit rule runs in the
+//!   seeding round;
+//! * TC line 18, `P(2, 3)` (a ground frontier walk): 5 tuples in 4 rounds →
+//!   3 in 2 — the run ends after the round that stores `ans__P__dd()`;
+//! * TC lines 24 and 52, `!stats`: `tuples_derived` 26 → 24, those two
+//!   fewer;
+//! * mixed_s12 line 134, `P(2, 12, 24)`, and unbounded_s9 line 177,
+//!   `P(5, 6, 2)` (ground magic queries): one round fewer each, 5 → 4 and
+//!   4 → 3, the answer tuple found a round before the fixpoint.
 
 use std::io::Write as _;
 use std::path::Path;

@@ -72,6 +72,20 @@
 //!   `recurs_engine_rounds_total 23`, in its sorted place after
 //!   `recurs_engine_probes_total`: the same 23 rounds, added once per run
 //!   instead of observed once per round.
+//!
+//! And these, when the magic rewrite stopped emitting its no-op rule
+//! (`magic__P__vd(y) :- magic__P__vd(y).`): the magic predicate of the
+//! `P(x, 6)` miss (`a3`) is a base relation the seed fills, so its exit rule
+//! runs in the seeding round, each round runs one pipeline where it ran up
+//! to three, and the run takes four rounds instead of five. In
+//! `trace_events.jsonl` lines 31–42 (were 31–45: the lines after them moved
+//! up by three) hold its rounds, `engine.complete` and `serve.query`; in
+//! `flight_events.jsonl` lines 18 and 21, its `engine.complete` (`iterations`
+//! 5 → 4, `probes` 8 → 7, and `index_builds` 1 → 0 and `index_updates` 3 → 0:
+//! no step probes the head `P__vd` any more, so it is not indexed) and its
+//! `serve.query` (`fixpoint_iterations` 5 → 4); in `metrics.txt`,
+//! `recurs_engine_probes_total` 22 → 21 and `recurs_engine_rounds_total`
+//! 23 → 22.
 
 use recurs_cli::{build_service_cancellable, ServiceOpts};
 use recurs_serve::protocol::{handle_line, LineOutcome};

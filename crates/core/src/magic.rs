@@ -143,7 +143,12 @@ pub fn build_plan(lr: &LinearRecursion, form: &QueryForm) -> MagicPlan {
                 magic_name(p, &a_next),
                 next_bound.iter().map(|&i| rec_atom.terms[i]).collect(),
             );
-            rules.push(Rule::new(head, body));
+            // `m(y) :- m(y).` (a binding the recursion passes down unchanged,
+            // as TC's `vd`) derives nothing: left out, the magic predicate
+            // is a base relation the seed alone fills.
+            if body != [head.clone()] {
+                rules.push(Rule::new(head, body));
+            }
         }
     }
 
@@ -215,6 +220,17 @@ mod tests {
         assert!(plan.seed_predicate.is_some());
         // exit + recursive + magic rule.
         assert_eq!(plan.program.rules.len(), 3);
+    }
+
+    #[test]
+    fn a_binding_passed_down_unchanged_needs_no_magic_rule() {
+        // vd: the bound y is the recursive atom's y, so the magic rule would
+        // be `magic__P__vd(y) :- magic__P__vd(y).` — left out, the magic
+        // predicate is a base relation only the seed fills.
+        let plan = build_plan(&tc(), &QueryForm::parse("vd"));
+        assert_eq!(plan.program.rules.len(), 2, "{}", plan.program);
+        let seed = plan.seed_predicate.unwrap();
+        assert!(!plan.program.idb_predicates().contains(&seed));
     }
 
     #[test]

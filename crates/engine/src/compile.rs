@@ -9,12 +9,16 @@
 //!
 //! A pipeline runs depth-first: each seed row goes through every join step
 //! before the next seed row starts, in one reused row a step, so no step's
-//! output is ever held whole; each step's relation and index are found once
-//! a call. Seed rows are read where they are when the seed atom keeps every
-//! column in order with no check — a delta is then not copied at all.
+//! output is ever held whole. Where each step's relation and index sit in the
+//! store is found once per driver call ([`CompiledRule::locate`]), and the
+//! steps are linked on the stack each time the pipeline runs. Head rows go
+//! to a batch, or — on the round driver's linear path — straight into the
+//! head relation ([`Heads`]). Seed rows are read where they are when the
+//! seed atom keeps every column in order with no check — a delta is then
+//! not copied at all.
 
 use crate::error::EngineError;
-use crate::storage::{Batch, EngineDb, IndexView, IndexedRelation};
+use crate::storage::{Batch, EngineDb, IndexView, IndexedRelation, UNLOADED};
 use recurs_datalog::error::DatalogError;
 use recurs_datalog::govern::{Governor, TruncationReason};
 use recurs_datalog::order::order_atoms;
@@ -391,6 +395,69 @@ impl CompiledRule {
         governor: Option<&Governor>,
         out: &mut Batch,
     ) -> Result<Option<TruncationReason>, EngineError> {
+        let find = |step: &JoinStep, _| {
+            let rel = db.relation(step.pred)?;
+            Ok((rel, rel.index(&step.index_cols)))
+        };
+        self.pipeline(find, scratch, counters, governor, out)
+    }
+
+    /// Appends to `located` where each step's relation and index sit in
+    /// `db`, for [`CompiledRule::run`] to read back. A driver call adds no
+    /// relation and no index to the store it runs on, so it locates each
+    /// rule once.
+    pub(crate) fn locate(
+        &self,
+        db: &EngineDb,
+        located: &mut Vec<Located>,
+    ) -> Result<(), EngineError> {
+        for step in &self.steps {
+            let rel = db
+                .position(step.pred)
+                .ok_or(EngineError::Internal(UNLOADED))?;
+            let index = db.relation_at(rel).index_slot(&step.index_cols);
+            located.push(Located { rel, index });
+        }
+        Ok(())
+    }
+
+    /// [`CompiledRule::execute`] with each step's relation found by
+    /// `relation_at` at the position `located` (this rule's
+    /// [`CompiledRule::locate`]) gives, and each head row handed to `out`.
+    pub(crate) fn run<'d>(
+        &self,
+        relation_at: impl Fn(usize) -> Option<&'d IndexedRelation>,
+        located: &[Located],
+        scratch: &mut Scratch,
+        counters: &mut ProbeCounters,
+        governor: &Governor,
+        out: &mut impl Heads,
+    ) -> Result<Option<TruncationReason>, EngineError> {
+        let find = |_: &JoinStep, i: usize| {
+            let at = located[i];
+            let rel = relation_at(at.rel).ok_or(EngineError::Internal(
+                "a join step read the relation its round writes",
+            ))?;
+            Ok((rel, at.index.map(|slot| rel.index_at(slot))))
+        };
+        self.pipeline(find, scratch, counters, Some(governor), out)
+    }
+
+    /// The predicates the join steps read (not the seed atom's).
+    pub(crate) fn step_preds(&self) -> impl Iterator<Item = Symbol> + '_ {
+        self.steps.iter().map(|step| step.pred)
+    }
+
+    /// Runs the pipeline with each step's relation and index as `find`
+    /// gives them (see [`CompiledRule::execute`]).
+    fn pipeline<'d>(
+        &self,
+        find: impl Fn(&JoinStep, usize) -> Result<Found<'d>, EngineError>,
+        scratch: &mut Scratch,
+        counters: &mut ProbeCounters,
+        governor: Option<&Governor>,
+        out: &mut impl Heads,
+    ) -> Result<Option<TruncationReason>, EngineError> {
         let Scratch { rows, row, key } = scratch;
         // The row entering each step after the first, side by side (any
         // value fills them: each is written before it is read).
@@ -403,7 +470,7 @@ impl CompiledRule {
             countdown: POLL_STRIDE,
             out,
         };
-        self.resolve(db, self.steps.len(), None, |first| {
+        self.resolve(&find, self.steps.len(), None, |first| {
             for seed in rows.iter() {
                 walk.visit()?;
                 match first {
@@ -418,21 +485,21 @@ impl CompiledRule {
     }
 
     /// Finds the relation of each of the first `n` steps, and the index it
-    /// probes, once — last step first, each linked on the stack to the step
-    /// after it — then hands the first step (none, for a lone seed atom) to
-    /// `walk`.
-    fn resolve<R>(
+    /// probes, with `find` — last step first, each linked on the stack to the
+    /// step after it — then hands the first step (none, for a lone seed
+    /// atom) to `walk`.
+    fn resolve<'d, R>(
         &self,
-        db: &EngineDb,
+        find: &impl Fn(&JoinStep, usize) -> Result<Found<'d>, EngineError>,
         n: usize,
         next: Option<&Linked<'_>>,
         walk: impl FnOnce(Option<&Linked<'_>>) -> R,
     ) -> Result<R, EngineError> {
-        let Some(step) = n.checked_sub(1).map(|i| &self.steps[i]) else {
+        let Some(i) = n.checked_sub(1) else {
             return Ok(walk(next));
         };
-        let rel = db.relation(step.pred)?;
-        let index = rel.index(&step.index_cols);
+        let step = &self.steps[i];
+        let (rel, index) = find(step, i)?;
         if index.is_none() && !step.lookup && !step.index_cols.is_empty() {
             let unensured = "compiled rule probed an index the driver never ensured";
             return Err(EngineError::Internal(unensured));
@@ -443,14 +510,38 @@ impl CompiledRule {
             index,
             next,
         };
-        self.resolve(db, n - 1, Some(&at), walk)
+        self.resolve(find, i, Some(&at), walk)
+    }
+}
+
+/// A step's relation, and the index it probes (none for a scan or a lookup).
+type Found<'d> = (&'d IndexedRelation, Option<IndexView<'d>>);
+
+/// Where one join step's relation sits in a store, and its index among the
+/// relation's (none for a scan or a lookup): see [`CompiledRule::locate`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Located {
+    rel: usize,
+    index: Option<usize>,
+}
+
+/// Where a pipeline's head rows go: a batch the driver merges, or the head
+/// relation itself as they are found.
+pub(crate) trait Heads {
+    /// Takes one head row.
+    fn push(&mut self, row: impl Iterator<Item = Value>);
+}
+
+impl Heads for Batch {
+    fn push(&mut self, row: impl Iterator<Item = Value>) {
+        Batch::push(self, row);
     }
 }
 
 /// How many rows a pipeline visits — seed rows, and tuples found at any
 /// step — between two polls of its governor: cheap enough to keep probe
 /// throughput, frequent enough to stop a blown-up round promptly.
-const POLL_STRIDE: usize = 512;
+pub(crate) const POLL_STRIDE: usize = 512;
 
 /// A join step with its relation and the index it probes (none for a scan
 /// or a lookup), found once a call, and the step after it.
@@ -462,20 +553,20 @@ struct Linked<'a> {
 }
 
 /// One [`CompiledRule::execute`] call taking rows through its steps.
-struct Walk<'a> {
+struct Walk<'a, H> {
     rule: &'a CompiledRule,
     key: &'a mut Vec<Value>,
     counters: &'a mut ProbeCounters,
     governor: Option<&'a Governor>,
     /// Rows still to visit before the next poll.
     countdown: usize,
-    out: &'a mut Batch,
+    out: &'a mut H,
 }
 
 /// Whether a pipeline goes on, or stops for the reason its governor gave.
 type Flow = ControlFlow<TruncationReason>;
 
-impl Walk<'_> {
+impl<H: Heads> Walk<'_, H> {
     /// Counts one row visited; every [`POLL_STRIDE`]-th polls the governor.
     fn visit(&mut self) -> Flow {
         self.countdown -= 1;

@@ -1,20 +1,38 @@
-//! The semi-naive round driver: the one loop in the workspace that calls
-//! [`CompiledRule::execute`] round after round.
+//! The semi-naive round driver: the one loop in the workspace that runs
+//! compiled pipelines round after round.
 //!
 //! The classification changes exactly one thing about bottom-up evaluation —
 //! how many rounds a formula needs — so there is exactly one loop, and the
 //! round cap is its one class-dependent argument. Everything else a caller
-//! varies is *what counts as fresh*, which is the `merge` closure: set
-//! insertion for the engine kernels, derivation-count bumps for incremental
-//! maintenance, membership-filtered marking for overdeletion.
+//! varies is *what counts as fresh*: set insertion for the engine kernels,
+//! derivation-count bumps for incremental maintenance, membership-filtered
+//! marking for overdeletion (the `merge` closure of [`drive_rounds`]).
+//!
+//! **The linear path.** The paper's subject is linear recursion, and most
+//! rule sets the planner lowers to are *linear in the call*: no join step
+//! reads a predicate the call derives (a frontier walk, a magic rewrite whose
+//! magic predicate the seed alone fills, the recursion itself). Semi-naive
+//! then has no Δ ⋈ Δ term, and a round's joins read only relations no round
+//! writes. For such a set under set insertion, a rule that starts a round
+//! from few delta rows ([`NARROW_ROWS`]) inserts each head into the head
+//! relation the moment its pipeline finds it — one probe and one dedup
+//! insert a tuple, no head batch and no merge — and the clock is read every
+//! [`CLOCK_STRIDE`]-th such round. A wider round collects its heads and
+//! merges them in bulk after every rule has run, as every round of every
+//! other rule set does. A rule set where a step reads a derived predicate,
+//! and every call with a caller's merge (ivm's counting and marking), keeps
+//! that barrier. The rounds, their `delta_in` / `derived` / `new_tuples`
+//! counts, the round caps and the ranks are the same either way.
 
-use crate::compile::{CompiledRule, ProbeCounters, Scratch};
+use crate::compile::{CompiledRule, Heads, ProbeCounters, Scratch};
 use crate::error::EngineError;
 use crate::stats::IterationStats;
-use crate::storage::{Batch, EngineDb};
+use crate::storage::{Batch, EngineDb, IndexedRelation};
 use recurs_datalog::govern::{Governor, Progress, TruncationReason};
 use recurs_datalog::symbol::Symbol;
+use recurs_datalog::term::Value;
 use recurs_obs::{field, Obs};
+use std::ops::Range;
 use std::time::Instant;
 
 /// What a [`drive_rounds`] call did and why it stopped.
@@ -37,12 +55,26 @@ pub struct Rounds {
 }
 
 /// One predicate a delta can be pending under: `next`, the rows the next
-/// round reads, and `spent`, the buffer the last round read. A round that
-/// read them swaps the two, and its merges refill the emptied buffer.
+/// round reads, and `spent`, where a delta round's fresh rows collect while
+/// it reads `next`. The round ends by swapping the two: the mark between
+/// one level of the delta and the next.
 struct Slot {
     pred: Symbol,
     next: Batch,
     spent: Batch,
+}
+
+impl Slot {
+    /// Where a round's fresh rows go: the delta the next round reads —
+    /// pending beside what a seeding round has not read, past the mark
+    /// otherwise.
+    fn fresh(&mut self, seeding: bool) -> &mut Batch {
+        if seeding {
+            &mut self.next
+        } else {
+            &mut self.spent
+        }
+    }
 }
 
 /// The slot of `pred`, added (for rows `width` wide) if it has none.
@@ -55,14 +87,79 @@ fn slot_of(slots: &mut Vec<Slot>, pred: Symbol, width: usize) -> usize {
     slots.len() - 1
 }
 
-/// One rule wired to the slots: the one a delta round seeds its pipeline
+/// One rule wired to the call: the slot a delta round seeds its pipeline
 /// from (none for a seeding rule or an empty body), the one its fresh heads
-/// go to, and the batch its head rows collect in.
+/// go to, where its head relation and its steps' relations sit in the store,
+/// and the batch its head rows collect in when they are merged after the
+/// round.
 #[derive(Default)]
 struct Lane {
     from: Option<usize>,
     to: usize,
+    head: Option<usize>,
+    steps: Range<usize>,
     derived: Batch,
+}
+
+/// What makes a head row fresh in a [`drive`] call.
+pub(crate) enum Fresh<'w, M> {
+    /// Set insertion into the rule's head relation: the engine kernels'.
+    /// Given a `witness` tuple of some relation, the run ends after the
+    /// first round that stores it.
+    Stored {
+        witness: Option<(Symbol, &'w [Value])>,
+    },
+    /// The caller's merge (see [`drive_rounds`]).
+    Merged(M),
+}
+
+/// The type of a [`drive_rounds`] merge.
+pub(crate) type MergeFn = fn(&mut EngineDb, usize, &CompiledRule, &Batch, &mut Batch);
+
+/// Rows a linear round's rule may start from and still insert its heads as
+/// it finds them; a wider one collects them and merges in bulk
+/// (EXPERIMENTS.md §29 measures both).
+const NARROW_ROWS: usize = 64;
+
+/// Narrow rounds of a linear call between two clock reads, when no sink
+/// keeps per-round detail: a clock read is a tenth of such a round's cost
+/// (EXPERIMENTS.md §29).
+const CLOCK_STRIDE: usize = 16;
+
+/// Set insertion as a pipeline finds its heads: a row the head relation
+/// does not hold yet goes in, and onto `fresh`.
+struct Insert<'a> {
+    rel: &'a mut IndexedRelation,
+    fresh: &'a mut Batch,
+    row: &'a mut Vec<Value>,
+    derived: usize,
+}
+
+impl Heads for Insert<'_> {
+    fn push(&mut self, row: impl Iterator<Item = Value>) {
+        self.derived += 1;
+        self.row.clear();
+        self.row.extend(row);
+        if self.rel.insert(self.row) {
+            self.fresh.push(self.row.iter().copied());
+        }
+    }
+}
+
+/// True if the call's rules are *linear in the call*: no join step reads a
+/// predicate some rule of the call derives, nor does a seeding rule's seed
+/// atom. A round's joins then read only relations no round writes, and a
+/// tuple found in one round is read by the next one alone, from the delta.
+fn is_linear(seeds: &[CompiledRule], rules: &[CompiledRule]) -> bool {
+    let all = || seeds.iter().chain(rules);
+    let derived = |pred: Symbol| all().any(|rule| rule.head_pred == pred);
+    let seeded = seeds
+        .iter()
+        .filter_map(|rule| rule.seed.as_ref().map(|s| s.pred));
+    !all()
+        .flat_map(CompiledRule::step_preds)
+        .chain(seeded)
+        .any(derived)
 }
 
 /// Runs semi-naive rounds over `db` until the delta dries up, `cap`
@@ -79,22 +176,29 @@ struct Lane {
 /// * `merge(db, round, rule, heads, fresh)` receives one head row per
 ///   enumerated instantiation (duplicates included) after *every* rule of
 ///   the round has executed, so a round's joins never see that round's own
-///   output. It applies whatever the caller's notion of novelty is and
-///   appends the fresh rows to `fresh`, the next round's delta under the
-///   rule's head predicate. `round` is the 0-based index into
-///   [`Rounds::iterations`].
+///   output — which, for a rule set linear in the call, holds whatever the
+///   order: its joins never read what a round derives. It applies whatever
+///   the caller's notion of novelty is and appends the fresh rows to
+///   `fresh`, the next round's delta under the rule's head predicate.
+///   `round` is the 0-based index into [`Rounds::iterations`]. A call with a
+///   merge always takes the barrier; the engine's own set insertion is what
+///   may take the linear path (see the module doc).
 ///
 /// Every round starts with the one clock read it makes — it closes the
-/// previous round's [`IterationStats::duration`] and is the deadline's —
-/// then the fault hook (when compiled in) and a full [`Governor::check`]
-/// against real progress — rounds run, fresh tuples so far, pending delta.
+/// previous round's [`IterationStats::duration`] and is the deadline's (on
+/// the linear path, every 16th narrow round reads it, and
+/// the rounds between share what it measured) — then the fault hook (when
+/// compiled in) and a full [`Governor::check`] against real progress —
+/// rounds run, fresh tuples so far, pending delta. Pipelines still poll
+/// cancellation and the deadline every few hundred rows.
 /// A round interrupted mid-pipeline still merges what it derived: every
 /// head row is a true consequence, so stopping only omits tuples.
 ///
 /// The delta lives in slots, one per predicate it can be pending under,
-/// each rule's seed slot and head slot resolved once per call; pipeline
-/// rows, head batches and deltas live in buffers the loop owns and reuses,
-/// so a round allocates only where one of them outgrows itself.
+/// each rule's seed slot and head slot — and where each relation its steps
+/// read and the index each probes sit in the store — found once per call;
+/// pipeline rows, head batches and deltas live in buffers the loop owns and
+/// reuses, so a round allocates only where one of them outgrows itself.
 ///
 /// What it records: per call, the fresh tuples summed into
 /// `recurs_engine_tuples_derived_total` and the rounds run into
@@ -115,7 +219,28 @@ pub fn drive_rounds<M>(
     cap: Option<u64>,
     governor: &Governor,
     obs: &Obs,
-    mut merge: M,
+    merge: M,
+) -> Result<Rounds, EngineError>
+where
+    M: FnMut(&mut EngineDb, usize, &CompiledRule, &Batch, &mut Batch),
+{
+    let fresh = Fresh::Merged(merge);
+    drive(db, seed, rules, delta, cap, governor, obs, fresh)
+}
+
+/// The round loop behind [`drive_rounds`], which also takes the engine's
+/// own set insertion ([`Fresh::Stored`]) and with it the linear path (see
+/// the module doc).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive<M>(
+    db: &mut EngineDb,
+    seed: Option<&[CompiledRule]>,
+    rules: &[CompiledRule],
+    delta: impl IntoIterator<Item = (Symbol, Batch)>,
+    cap: Option<u64>,
+    governor: &Governor,
+    obs: &Obs,
+    mut fresh: Fresh<'_, M>,
 ) -> Result<Rounds, EngineError>
 where
     M: FnMut(&mut EngineDb, usize, &CompiledRule, &Batch, &mut Batch),
@@ -127,6 +252,10 @@ where
     let mut seeding = seed;
     let mut fresh_total = 0usize;
     let mut scratch = Scratch::default();
+    let (linear, witness) = match fresh {
+        Fresh::Stored { witness } => (is_linear(seeds, rules), witness),
+        Fresh::Merged(_) => (false, None),
+    };
     // Room for every slot the rules can add, so wiring them never regrows.
     let delta = delta.into_iter();
     let mut slots = Vec::with_capacity(delta.size_hint().0 + seeds.len() + 2 * rules.len());
@@ -135,22 +264,39 @@ where
         slots[at].next = batch;
     }
     // The seeding rules' lanes, then the delta rules', wired by the first
-    // round that runs.
+    // round that runs, and where their steps' relations sit.
     let mut lanes: Vec<Lane> = Vec::new();
+    let mut located = Vec::new();
+    let mut head_row = Vec::new();
     let mut last_read: Option<Instant> = None;
     let mut interrupted = None;
+    let mut answered = false;
+    // Rounds run since the clock was last read, their durations unset.
+    let mut unclocked = 0usize;
+    let mut narrow = false;
     loop {
-        let now = Instant::now();
         let round = out.iterations.len();
-        if let (Some(started), Some(it)) = (last_read.replace(now), out.iterations.last_mut()) {
-            it.duration = now - started;
-            if detail {
-                emit_iteration(obs, round, it);
+        // After a narrow round of a linear call, with no sink keeping
+        // detail, the clock is read every CLOCK_STRIDE-th round.
+        let now = match last_read {
+            Some(last) if narrow && !detail && unclocked < CLOCK_STRIDE => last,
+            _ => {
+                let now = Instant::now();
+                clock(&mut out.iterations[round - unclocked..], last_read, now);
+                unclocked = 0;
+                last_read = Some(now);
+                now
             }
+        };
+        if detail && round > 0 {
+            emit_iteration(obs, round, &out.iterations[round - 1]);
         }
         if let Some(reason) = interrupted {
             out.truncation = Some(reason);
             break;
+        }
+        if answered {
+            break; // the one tuple a ground query asks for
         }
         // The seeding round reads stored relations, not the delta.
         let pending: usize = match seeding {
@@ -188,6 +334,11 @@ where
             // the head's width.
             for (rule, lane) in seeds.iter().chain(rules).zip(&mut lanes) {
                 lane.to = slot_of(&mut slots, rule.head_pred, rule.head_arity);
+                lane.head = db.position(rule.head_pred);
+                lane.derived = Batch::new(rule.head_arity);
+                let start = located.len();
+                rule.locate(db, &mut located)?;
+                lane.steps = start..located.len();
             }
             for (rule, lane) in rules.iter().zip(&mut lanes[seeds.len()..]) {
                 lane.from = rule.seed.as_ref().map(|s| slot_of(&mut slots, s.pred, 0));
@@ -197,9 +348,11 @@ where
             Some(active) => (active, &mut lanes[..seeds.len()]),
             None => (rules, &mut lanes[seeds.len()..]),
         };
-        for (rule, lane) in active.iter().zip(wired.iter_mut()) {
-            lane.derived.reset(rule.head_arity);
-        }
+        let mut it = IterationStats {
+            delta_in: pending,
+            ..IterationStats::default()
+        };
+        narrow = linear;
         for (i, (rule, lane)) in active.iter().zip(wired.iter_mut()).enumerate() {
             // Seed rows: the full stored relation of the seed atom (or the
             // unit row, for an empty body) when seeding, the pending delta
@@ -222,8 +375,40 @@ where
             if rows_in == 0 {
                 continue;
             }
-            let derived = &mut lane.derived;
-            interrupted = rule.execute(db, &mut scratch, &mut counters, Some(governor), derived)?;
+            let steps = &located[lane.steps.clone()];
+            let to = slots[lane.to].fresh(seeding.is_some());
+            let split = match lane.head {
+                Some(head) if linear && rows_in <= NARROW_ROWS => db.split_at(head),
+                _ => None,
+            };
+            let derived = if let Some((rel, others)) = split {
+                let before = to.len();
+                let mut heads = Insert {
+                    rel,
+                    fresh: to,
+                    row: &mut head_row,
+                    derived: 0,
+                };
+                let found = |at| others.relation_at(at);
+                interrupted = rule.run(
+                    found,
+                    steps,
+                    &mut scratch,
+                    &mut counters,
+                    governor,
+                    &mut heads,
+                )?;
+                it.new_tuples += heads.fresh.len() - before;
+                heads.derived
+            } else {
+                narrow = false;
+                let found = |at| Some(db.relation_at(at));
+                let heads = &mut lane.derived;
+                interrupted =
+                    rule.run(found, steps, &mut scratch, &mut counters, governor, heads)?;
+                heads.len()
+            };
+            it.derived += derived;
             if let Some(from) = lent {
                 scratch.lend(&mut slots[from].next);
             }
@@ -235,7 +420,7 @@ where
                         ("variant", field::uz(i)),
                         ("head", field::st(rule.head_pred.as_str())),
                         ("rows_in", field::uz(rows_in)),
-                        ("derived", field::uz(derived.len())),
+                        ("derived", field::uz(derived)),
                     ],
                 );
             }
@@ -244,31 +429,50 @@ where
             }
         }
 
-        let mut it = IterationStats {
-            delta_in: pending,
-            ..IterationStats::default()
-        };
-        if seeding.is_none() {
-            // Consumed. (A seeding round never read the delta: tuples the
-            // caller pre-seeded stay pending next to its fresh ones.)
-            for slot in &mut slots {
-                std::mem::swap(&mut slot.next, &mut slot.spent);
-                slot.next.reset(slot.next.width());
-            }
-        }
-        for (rule, lane) in active.iter().zip(wired.iter()) {
+        // The head batches, merged after every rule has run.
+        for (rule, lane) in active.iter().zip(wired.iter_mut()) {
             if lane.derived.is_empty() {
                 continue;
             }
-            it.derived += lane.derived.len();
-            let fresh = &mut slots[lane.to].next;
-            let before = fresh.len();
-            merge(db, round, rule, &lane.derived, fresh);
-            it.new_tuples += fresh.len() - before;
+            let to = slots[lane.to].fresh(seeding.is_some());
+            let before = to.len();
+            match &mut fresh {
+                Fresh::Stored { .. } => db.insert_fresh(rule.head_pred, &lane.derived, to),
+                Fresh::Merged(merge) => merge(db, round, rule, &lane.derived, to),
+            }
+            it.new_tuples += to.len() - before;
+            lane.derived.reset(rule.head_arity);
+        }
+        if seeding.is_none() {
+            // Consumed: the fresh rows are the next round's delta. (A
+            // seeding round never read the delta: tuples the caller
+            // pre-seeded stay pending next to its fresh ones.)
+            for slot in &mut slots {
+                std::mem::swap(&mut slot.next, &mut slot.spent);
+                slot.spent.reset(slot.spent.width());
+            }
+        }
+        if let Some((pred, t)) = witness {
+            // Only a round that added to its relation can have stored it.
+            let added = slots
+                .iter()
+                .any(|slot| slot.pred == pred && !slot.next.is_empty());
+            answered = added && db.get(pred).is_some_and(|rel| rel.contains(t));
         }
         fresh_total += it.new_tuples;
         out.iterations.push(it);
+        unclocked += 1;
         seeding = None;
+    }
+    if unclocked > 0 {
+        // Rounds a break left unclocked (the last one, at most, but after
+        // narrow rounds).
+        let len = out.iterations.len();
+        clock(
+            &mut out.iterations[len - unclocked..],
+            last_read,
+            Instant::now(),
+        );
     }
     out.probes = counters.probes;
     out.probe_hits = counters.hits;
@@ -285,6 +489,16 @@ where
         );
     }
     Ok(out)
+}
+
+/// Gives the rounds the clock last missed, `unclocked`, an even share of
+/// the time since it was read (`last`) until `now`.
+fn clock(unclocked: &mut [IterationStats], last: Option<Instant>, now: Instant) {
+    if let (Some(last), Ok(n)) = (last, u32::try_from(unclocked.len())) {
+        for it in unclocked.iter_mut() {
+            it.duration = (now - last) / n.max(1);
+        }
+    }
 }
 
 /// Emits the per-round provenance event, for a sink that keeps detail.

@@ -7,10 +7,10 @@ use crate::compile::Selection;
 use crate::error::{EngineError, Saturation};
 use crate::stats::KernelKind;
 use crate::storage::{EngineDb, IndexedRelation};
-use crate::{saturate, select, CompiledProgram, EngineConfig};
+use crate::{saturate_until, select, CompiledProgram, EngineConfig};
 use recurs_core::plan::QueryPlan;
 use recurs_datalog::symbol::Symbol;
-use recurs_datalog::term::Atom;
+use recurs_datalog::term::{Atom, Term, Value};
 
 /// One answered query.
 #[derive(Debug)]
@@ -66,7 +66,12 @@ pub fn evaluate(
     // The lowering's round cap is the kernel: a `Saturate` plan never has a
     // rank (the planner picks `Bounded` first), so the class adds nothing.
     let kernel = KernelKind::for_round_cap(lowered.round_cap);
-    let saturation = saturate(&mut store, &compiled, kernel, config)?;
+    // A ground answer atom asks whether one tuple is derived: the run ends
+    // once it is stored.
+    let answer = &lowered.answer;
+    let ground: Option<Vec<Value>> = answer.terms.iter().map(Term::as_const).collect();
+    let witness = ground.as_deref().map(|t| (answer.predicate, t));
+    let saturation = saturate_until(&mut store, &compiled, kernel, config, witness)?;
     let stored = store
         .get(lowered.answer.predicate)
         .ok_or(EngineError::Internal(

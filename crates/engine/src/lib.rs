@@ -24,7 +24,9 @@
 //!   that decides which head rows are fresh. The engine kernels below and
 //!   the incremental-maintenance loops of `recurs-ivm` are all
 //!   instantiations of it; `recurs-ivm`'s provenance walks a store they
-//!   saturated and runs no rounds of its own.
+//!   saturated and runs no rounds of its own. A kernel's rule set that is
+//!   linear in the call inserts a narrow round's heads as they are found,
+//!   and a ground query's run ends at the round that stores its one tuple.
 //! * **Kernels** ([`KernelKind`]): the classification changes only *how
 //!   many rounds* a whole saturation runs. A proven rank bound
 //!   (`Classification::rank_bound`, or a lowering's `round_cap`) is
@@ -68,6 +70,7 @@ pub mod storage;
 
 pub use compile::{select, select_counted, Selection};
 pub use driver::{drive_rounds, Rounds};
+use driver::{Fresh, MergeFn};
 pub use error::{EngineError, Saturation};
 pub use evaluate::{evaluate, Evaluation};
 pub use stats::{EngineStats, IterationStats, KernelKind};
@@ -78,6 +81,7 @@ use recurs_datalog::database::Database;
 use recurs_datalog::govern::{EvalBudget, Outcome};
 use recurs_datalog::rule::{LinearRecursion, Program};
 use recurs_datalog::symbol::Symbol;
+use recurs_datalog::term::Value;
 use recurs_obs::{field, Obs};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -247,6 +251,19 @@ pub fn saturate(
     kernel: KernelKind,
     config: &EngineConfig,
 ) -> Result<Saturation, EngineError> {
+    saturate_until(storage, program, kernel, config, None)
+}
+
+/// [`saturate`], ending — complete — after the first round that stores
+/// `witness` (a relation and one tuple) when one is given: a ground query's
+/// one answer.
+pub(crate) fn saturate_until(
+    storage: &mut EngineDb,
+    program: &CompiledProgram,
+    kernel: KernelKind,
+    config: &EngineConfig,
+    witness: Option<(Symbol, &[Value])>,
+) -> Result<Saturation, EngineError> {
     let governor = config.budget.start();
     // Index work is reported per run: the indexes this run built, and one
     // update per index of a head relation for each row it gained.
@@ -256,7 +273,11 @@ pub fn saturate(
         storage.ensure_indexes(rule);
     }
     let index_builds = (storage.index_count() - indexes_before) as u64;
-    let mut index_updates = 0u64;
+    let index_links = |storage: &EngineDb| -> usize {
+        let derived = program.idb.iter().filter_map(|&pred| storage.get(pred));
+        derived.map(|rel| rel.len() * rel.index_count()).sum()
+    };
+    let links_before = index_links(storage);
 
     let obs = &config.obs;
     if obs.enabled() {
@@ -281,7 +302,8 @@ pub fn saturate(
     // A proven rank is a cap that means completeness: the theorems
     // guarantee nothing new past it, so the run stops there without a
     // fixpoint-detection round.
-    let rounds = drive_rounds(
+    let fresh: Fresh<'_, MergeFn> = Fresh::Stored { witness };
+    let rounds = driver::drive(
         storage,
         Some(&program.init),
         &program.variants,
@@ -289,15 +311,9 @@ pub fn saturate(
         kernel.round_cap(),
         &governor,
         obs,
-        |storage, _round, rule, heads, fresh| {
-            let before = fresh.len();
-            storage.insert_fresh(rule.head_pred, heads, fresh);
-            let indexes = storage
-                .get(rule.head_pred)
-                .map_or(0, IndexedRelation::index_count);
-            index_updates += ((fresh.len() - before) * indexes) as u64;
-        },
+        fresh,
     )?;
+    let index_updates = (index_links(storage) - links_before) as u64;
 
     let stats = EngineStats {
         kernel,
@@ -347,10 +363,10 @@ pub fn saturate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recurs_datalog::eval::semi_naive;
+    use recurs_datalog::eval::{naive, semi_naive};
     use recurs_datalog::govern::{CancelToken, TruncationReason};
-    use recurs_datalog::parser::parse_program;
-    use recurs_datalog::relation::Relation;
+    use recurs_datalog::parser::{parse_atom, parse_program};
+    use recurs_datalog::relation::{tuple_u64, Relation};
     use recurs_datalog::validate::validate_with_generic_exit;
 
     fn tc_db(n: u64) -> Database {
@@ -475,6 +491,96 @@ mod tests {
         let mut db = Database::new();
         let program = parse_program("Q(x) :- Missing(x, x).").unwrap();
         assert!(run_program(&mut db, &program, &EngineConfig::default()).is_err());
+    }
+
+    /// A served point query over `db`: plan, lower, evaluate.
+    fn ask(lr: &LinearRecursion, db: &Database, query: &str, config: &EngineConfig) -> Evaluation {
+        let query = parse_atom(query).unwrap();
+        let plan = recurs_core::plan::plan_query(lr, &query).unwrap();
+        evaluate(&plan, &query, &EngineDb::from(db), config, |_| None).unwrap()
+    }
+
+    #[test]
+    fn a_ground_query_stops_at_its_witness() {
+        // On a chain 1 → … → n, `P(1, 2)` holds after the walk's first
+        // round and `P(2, 1)` never: each answer is naive's (on a chain of
+        // 40, where naive is quick), and the rounds are counted on 1 600.
+        let lr = validate_with_generic_exit(&tc_program()).unwrap();
+        let config = EngineConfig::default();
+        let mut fixpoint = tc_db(40);
+        naive(&mut fixpoint, &lr.to_program(), None).unwrap();
+        for (query, t) in [("P(1, 2)", [1, 2]), ("P(2, 1)", [2, 1])] {
+            let holds = fixpoint.get("P").unwrap().contains(&tuple_u64(t));
+            let answered = ask(&lr, &tc_db(40), query, &config);
+            assert_eq!(answered.answers.len(), usize::from(holds), "{query}");
+        }
+
+        let db = tc_db(1_600);
+        let found = ask(&lr, &db, "P(1, 2)", &config);
+        assert!(found.saturation.outcome.is_complete());
+        assert_eq!(found.answers.len(), 1);
+        let rounds = found.saturation.stats.iteration_count();
+        assert!(rounds <= 3, "{rounds} rounds");
+
+        let absent = ask(&lr, &db, "P(2, 1)", &config);
+        assert!(absent.saturation.outcome.is_complete());
+        assert!(absent.answers.is_empty());
+        // The walk goes to the end of the chain: the seeding round, one
+        // round per vertex past 2, and the round that finds nothing new.
+        assert_eq!(absent.saturation.stats.iteration_count(), 1_600);
+    }
+
+    /// Trips a token once the round after the seeding round has closed.
+    #[derive(Debug)]
+    struct TripAfterFirstLevel(CancelToken);
+
+    impl recurs_obs::Recorder for TripAfterFirstLevel {
+        fn detail(&self) -> bool {
+            true
+        }
+
+        fn event(
+            &self,
+            kind: &'static str,
+            fields: &[(&'static str, recurs_obs::Value)],
+            _: Option<recurs_obs::TraceId>,
+        ) {
+            let closed = |(name, value): &(&str, recurs_obs::Value)| {
+                *name == "iteration" && *value == field::uz(2)
+            };
+            if kind == "engine.iteration" && fields.iter().any(closed) {
+                self.0.cancel();
+            }
+        }
+    }
+
+    #[test]
+    fn a_cancelled_walk_stops_within_one_stride() {
+        // `P(1, y)` walks a 100 000-chain one vertex a round; the token
+        // trips after its first level.
+        let lr = validate_with_generic_exit(&tc_program()).unwrap();
+        let db = tc_db(100_000);
+        let token = CancelToken::new();
+        let config = EngineConfig {
+            budget: EvalBudget::unlimited().with_cancel(token.clone()),
+            obs: Obs::new(std::sync::Arc::new(TripAfterFirstLevel(token))),
+        };
+        let walked = ask(&lr, &db, "P(1, y)", &config);
+        let stats = &walked.saturation.stats;
+        assert_eq!(
+            walked.saturation.outcome,
+            Outcome::Truncated(TruncationReason::Cancelled)
+        );
+        // The first level read one row and found two tuples; whatever ran
+        // after the trip visited at most one stride of rows.
+        assert!(
+            stats.probe_hits as usize <= 2 + compile::POLL_STRIDE,
+            "{} rows visited",
+            stats.probe_hits
+        );
+        assert_eq!(stats.iteration_count(), 2);
+        let reach = |y: &[Value]| y[0].as_str().parse().is_ok_and(|y: u64| y > 1);
+        assert!(walked.answers.iter().all(reach));
     }
 
     #[test]

@@ -11,13 +11,30 @@
 //! reporting.
 
 use proptest::prelude::*;
+use recurs_core::plan::plan_query;
+use recurs_datalog::database::Database;
 use recurs_datalog::eval::{naive, semi_naive};
 use recurs_datalog::govern::EvalBudget;
 use recurs_datalog::rule::{Program, Rule};
 use recurs_datalog::term::{Atom, Term, Value};
 use recurs_engine::run_linear;
-use recurs_engine::{run_program, CompiledProgram, EngineConfig, EngineDb, KernelKind};
+use recurs_engine::{evaluate, run_program, CompiledProgram, EngineConfig, EngineDb, KernelKind};
 use recurs_workload::{random_database, random_linear_recursion, RuleConfig};
+
+/// IDB tuples `semi_naive` holds after `rounds` rounds (the seeding round
+/// first) of `program` over `db`, from scratch — the level sets by the
+/// reference, with nothing of the engine's round loop in them.
+fn idb_after(db: &Database, program: &Program, rounds: usize) -> usize {
+    let mut db = db.clone();
+    if rounds > 0 {
+        semi_naive(&mut db, program, Some(rounds)).expect("oracle runs under cap");
+    }
+    let idb = program.idb_predicates();
+    idb.iter()
+        .filter_map(|&p| db.get(p))
+        .map(|rel| rel.len())
+        .sum()
+}
 
 /// `program` with one atom appended to every rule: a copy of one of its EDB
 /// atoms over terms the body already binds — a variable, or now and then a
@@ -51,6 +68,58 @@ fn with_bound_last_atoms(program: &Program, picks: &[usize], domain: u64) -> Pro
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A level of the engine is a round of the reference: for every query
+    /// form of a random linear recursion — so frontier, magic, bounded and
+    /// saturate lowerings — the lowered program's level `k` adds exactly
+    /// `|semi_naive(cap k + 1)| − |semi_naive(cap k)|` tuples, counted over
+    /// the same lowered, seeded program. (The round driver's linear path
+    /// inserts a narrow level's tuples as it finds them; a tuple that
+    /// joined its own level would show here as a level that adds too much
+    /// and a run that ends early.)
+    #[test]
+    fn each_level_adds_what_a_reference_round_adds(
+        rule_seed in 0u64..10_000,
+        db_seed in 0u64..10_000,
+        tuples in 1usize..20,
+        domain in 2u64..6,
+        constant in 1u64..6,
+    ) {
+        let lr = random_linear_recursion(rule_seed, RuleConfig::default());
+        let edb = random_database(&lr, tuples, domain, db_seed);
+        let base = EngineDb::from(&edb);
+        let n = lr.dimension();
+        for form in 0..1u32 << n {
+            let terms = (0..n).map(|i| match form >> i & 1 {
+                1 => Term::Const(Value::from_u64(1 + (constant + i as u64) % domain)),
+                _ => Term::var(&format!("v{i}")),
+            });
+            let query = Atom::new(lr.predicate, terms.collect());
+            let plan = plan_query(&lr, &query).expect("plans");
+            let lowered = plan.lower(&query).expect("lowers");
+            let run = evaluate(&plan, &query, &base, &EngineConfig::default(), |_| None)
+                .expect("evaluates");
+            prop_assert!(run.saturation.outcome.is_complete());
+
+            let mut seeded = edb.clone();
+            let rules = lowered.program.rules.iter();
+            for atom in rules.flat_map(|r| std::iter::once(&r.head).chain(&r.body)) {
+                seeded.declare(atom.predicate, atom.arity()).expect("declares");
+            }
+            if let Some((pred, constants)) = &lowered.seed {
+                seeded.insert(*pred, constants.clone()).expect("seeds");
+            }
+            for (k, level) in run.saturation.stats.iterations.iter().enumerate() {
+                let before = idb_after(&seeded, &lowered.program, k);
+                let after = idb_after(&seeded, &lowered.program, k + 1);
+                prop_assert_eq!(
+                    level.new_tuples, after - before,
+                    "level {} of {} ({}), rule_seed={} db_seed={}",
+                    k, query, plan.strategy.label(), rule_seed, db_seed
+                );
+            }
+        }
+    }
 
     #[test]
     fn engine_matches_oracle_on_random_workloads(
