@@ -325,7 +325,7 @@ fi
 # EXPERIMENTS.md reports — may not grow past the number below. A change that
 # deletes code lowers it in the same change; one that must grow raises it
 # and names the lines in CHANGES.md.
-size_budget=13050
+size_budget=12904
 echo "==> size ratchet (at most $size_budget non-test code lines in crates/*/src)"
 size=0
 for f in $(find crates/*/src -name '*.rs'); do

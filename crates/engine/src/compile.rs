@@ -11,11 +11,9 @@
 //! before the next seed row starts, in one reused row a step, so no step's
 //! output is ever held whole. Where each step's relation and index sit in the
 //! store is found once per driver call ([`CompiledRule::locate`]), and the
-//! steps are linked on the stack each time the pipeline runs. Head rows go
-//! to a batch, or — on the round driver's linear path — straight into the
-//! head relation ([`Heads`]). Seed rows are read where they are when the
-//! seed atom keeps every column in order with no check — a delta is then
-//! not copied at all.
+//! steps are linked on the stack each time the pipeline runs. Seed rows are
+//! read where they are when the seed atom keeps every column in order with
+//! no check — a delta is then not copied at all.
 
 use crate::error::EngineError;
 use crate::storage::{Batch, EngineDb, IndexView, IndexedRelation, UNLOADED};
@@ -403,9 +401,9 @@ impl CompiledRule {
     }
 
     /// Appends to `located` where each step's relation and index sit in
-    /// `db`, for [`CompiledRule::run`] to read back. A driver call adds no
-    /// relation and no index to the store it runs on, so it locates each
-    /// rule once.
+    /// `db`, for [`CompiledRule::run`] to read back. Positions hold while
+    /// no relation and no index is added to the store (see
+    /// [`crate::drive_rounds`]), so a driver call locates each rule once.
     pub(crate) fn locate(
         &self,
         db: &EngineDb,
@@ -421,31 +419,24 @@ impl CompiledRule {
         Ok(())
     }
 
-    /// [`CompiledRule::execute`] with each step's relation found by
-    /// `relation_at` at the position `located` (this rule's
-    /// [`CompiledRule::locate`]) gives, and each head row handed to `out`.
-    pub(crate) fn run<'d>(
+    /// [`CompiledRule::execute`] with each step's relation and index read
+    /// at the positions `located` (this rule's [`CompiledRule::locate`])
+    /// gives.
+    pub(crate) fn run(
         &self,
-        relation_at: impl Fn(usize) -> Option<&'d IndexedRelation>,
+        db: &EngineDb,
         located: &[Located],
         scratch: &mut Scratch,
         counters: &mut ProbeCounters,
         governor: &Governor,
-        out: &mut impl Heads,
+        out: &mut Batch,
     ) -> Result<Option<TruncationReason>, EngineError> {
         let find = |_: &JoinStep, i: usize| {
-            let at = located[i];
-            let rel = relation_at(at.rel).ok_or(EngineError::Internal(
-                "a join step read the relation its round writes",
-            ))?;
-            Ok((rel, at.index.map(|slot| rel.index_at(slot))))
+            let Located { rel, index } = located[i];
+            let rel = db.relation_at(rel);
+            Ok((rel, index.map(|slot| rel.index_at(slot))))
         };
         self.pipeline(find, scratch, counters, Some(governor), out)
-    }
-
-    /// The predicates the join steps read (not the seed atom's).
-    pub(crate) fn step_preds(&self) -> impl Iterator<Item = Symbol> + '_ {
-        self.steps.iter().map(|step| step.pred)
     }
 
     /// Runs the pipeline with each step's relation and index as `find`
@@ -456,7 +447,7 @@ impl CompiledRule {
         scratch: &mut Scratch,
         counters: &mut ProbeCounters,
         governor: Option<&Governor>,
-        out: &mut impl Heads,
+        out: &mut Batch,
     ) -> Result<Option<TruncationReason>, EngineError> {
         let Scratch { rows, row, key } = scratch;
         // The row entering each step after the first, side by side (any
@@ -525,19 +516,6 @@ pub(crate) struct Located {
     index: Option<usize>,
 }
 
-/// Where a pipeline's head rows go: a batch the driver merges, or the head
-/// relation itself as they are found.
-pub(crate) trait Heads {
-    /// Takes one head row.
-    fn push(&mut self, row: impl Iterator<Item = Value>);
-}
-
-impl Heads for Batch {
-    fn push(&mut self, row: impl Iterator<Item = Value>) {
-        Batch::push(self, row);
-    }
-}
-
 /// How many rows a pipeline visits — seed rows, and tuples found at any
 /// step — between two polls of its governor: cheap enough to keep probe
 /// throughput, frequent enough to stop a blown-up round promptly.
@@ -553,20 +531,20 @@ struct Linked<'a> {
 }
 
 /// One [`CompiledRule::execute`] call taking rows through its steps.
-struct Walk<'a, H> {
+struct Walk<'a> {
     rule: &'a CompiledRule,
     key: &'a mut Vec<Value>,
     counters: &'a mut ProbeCounters,
     governor: Option<&'a Governor>,
     /// Rows still to visit before the next poll.
     countdown: usize,
-    out: &'a mut H,
+    out: &'a mut Batch,
 }
 
 /// Whether a pipeline goes on, or stops for the reason its governor gave.
 type Flow = ControlFlow<TruncationReason>;
 
-impl<H: Heads> Walk<'_, H> {
+impl Walk<'_> {
     /// Counts one row visited; every [`POLL_STRIDE`]-th polls the governor.
     fn visit(&mut self) -> Flow {
         self.countdown -= 1;

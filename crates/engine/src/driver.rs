@@ -8,26 +8,19 @@
 //! derivation-count bumps for incremental maintenance, membership-filtered
 //! marking for overdeletion (the `merge` closure of [`drive_rounds`]).
 //!
-//! **The linear path.** The paper's subject is linear recursion, and most
-//! rule sets the planner lowers to are *linear in the call*: no join step
-//! reads a predicate the call derives (a frontier walk, a magic rewrite whose
-//! magic predicate the seed alone fills, the recursion itself). Semi-naive
-//! then has no Δ ⋈ Δ term, and a round's joins read only relations no round
-//! writes. For such a set under set insertion, a rule that starts a round
-//! from few delta rows ([`NARROW_ROWS`]) inserts each head into the head
-//! relation the moment its pipeline finds it — one probe and one dedup
-//! insert a tuple, no head batch and no merge — and the clock is read every
-//! [`CLOCK_STRIDE`]-th such round. A wider round collects its heads and
-//! merges them in bulk after every rule has run, as every round of every
-//! other rule set does. A rule set where a step reads a derived predicate,
-//! and every call with a caller's merge (ivm's counting and marking), keeps
-//! that barrier. The rounds, their `delta_in` / `derived` / `new_tuples`
-//! counts, the round caps and the ranks are the same either way.
+//! A round is a barrier: every rule runs against the delta the round
+//! started with, and their head rows are merged after the last one. For a
+//! rule set *linear in the call* — no join step reads a predicate the call
+//! derives, as in a frontier walk or a magic rewrite whose magic predicate
+//! the seed alone fills — that order is not needed for soundness, since no
+//! join reads what a round derives. Inserting such a round's heads as they
+//! are found was measured and dropped (EXPERIMENTS.md §29): a level did not
+//! get cheap enough to pay for a second path through the loop.
 
-use crate::compile::{CompiledRule, Heads, ProbeCounters, Scratch};
+use crate::compile::{CompiledRule, ProbeCounters, Scratch};
 use crate::error::EngineError;
 use crate::stats::IterationStats;
-use crate::storage::{Batch, EngineDb, IndexedRelation};
+use crate::storage::{Batch, EngineDb};
 use recurs_datalog::govern::{Governor, Progress, TruncationReason};
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::Value;
@@ -55,26 +48,12 @@ pub struct Rounds {
 }
 
 /// One predicate a delta can be pending under: `next`, the rows the next
-/// round reads, and `spent`, where a delta round's fresh rows collect while
-/// it reads `next`. The round ends by swapping the two: the mark between
-/// one level of the delta and the next.
+/// round reads, and `spent`, the buffer the last round read. A round that
+/// read them swaps the two, and its merges refill the emptied buffer.
 struct Slot {
     pred: Symbol,
     next: Batch,
     spent: Batch,
-}
-
-impl Slot {
-    /// Where a round's fresh rows go: the delta the next round reads —
-    /// pending beside what a seeding round has not read, past the mark
-    /// otherwise.
-    fn fresh(&mut self, seeding: bool) -> &mut Batch {
-        if seeding {
-            &mut self.next
-        } else {
-            &mut self.spent
-        }
-    }
 }
 
 /// The slot of `pred`, added (for rows `width` wide) if it has none.
@@ -89,77 +68,14 @@ fn slot_of(slots: &mut Vec<Slot>, pred: Symbol, width: usize) -> usize {
 
 /// One rule wired to the call: the slot a delta round seeds its pipeline
 /// from (none for a seeding rule or an empty body), the one its fresh heads
-/// go to, where its head relation and its steps' relations sit in the store,
-/// and the batch its head rows collect in when they are merged after the
-/// round.
+/// go to, where its steps' relations sit in the call's located steps, and
+/// the batch its head rows collect in.
 #[derive(Default)]
 struct Lane {
     from: Option<usize>,
     to: usize,
-    head: Option<usize>,
     steps: Range<usize>,
     derived: Batch,
-}
-
-/// What makes a head row fresh in a [`drive`] call.
-pub(crate) enum Fresh<'w, M> {
-    /// Set insertion into the rule's head relation: the engine kernels'.
-    /// Given a `witness` tuple of some relation, the run ends after the
-    /// first round that stores it.
-    Stored {
-        witness: Option<(Symbol, &'w [Value])>,
-    },
-    /// The caller's merge (see [`drive_rounds`]).
-    Merged(M),
-}
-
-/// The type of a [`drive_rounds`] merge.
-pub(crate) type MergeFn = fn(&mut EngineDb, usize, &CompiledRule, &Batch, &mut Batch);
-
-/// Rows a linear round's rule may start from and still insert its heads as
-/// it finds them; a wider one collects them and merges in bulk
-/// (EXPERIMENTS.md §29 measures both).
-const NARROW_ROWS: usize = 64;
-
-/// Narrow rounds of a linear call between two clock reads, when no sink
-/// keeps per-round detail: a clock read is a tenth of such a round's cost
-/// (EXPERIMENTS.md §29).
-const CLOCK_STRIDE: usize = 16;
-
-/// Set insertion as a pipeline finds its heads: a row the head relation
-/// does not hold yet goes in, and onto `fresh`.
-struct Insert<'a> {
-    rel: &'a mut IndexedRelation,
-    fresh: &'a mut Batch,
-    row: &'a mut Vec<Value>,
-    derived: usize,
-}
-
-impl Heads for Insert<'_> {
-    fn push(&mut self, row: impl Iterator<Item = Value>) {
-        self.derived += 1;
-        self.row.clear();
-        self.row.extend(row);
-        if self.rel.insert(self.row) {
-            self.fresh.push(self.row.iter().copied());
-        }
-    }
-}
-
-/// True if the call's rules are *linear in the call*: no join step reads a
-/// predicate some rule of the call derives, nor does a seeding rule's seed
-/// atom. A round's joins then read only relations no round writes, and a
-/// tuple found in one round is read by the next one alone, from the delta.
-fn is_linear(seeds: &[CompiledRule], rules: &[CompiledRule]) -> bool {
-    let all = || seeds.iter().chain(rules);
-    let derived = |pred: Symbol| all().any(|rule| rule.head_pred == pred);
-    let seeded = seeds
-        .iter()
-        .filter_map(|rule| rule.seed.as_ref().map(|s| s.pred));
-    !all()
-        .flat_map(CompiledRule::step_preds)
-        .chain(seeded)
-        .any(derived)
 }
 
 /// Runs semi-naive rounds over `db` until the delta dries up, `cap`
@@ -176,21 +92,18 @@ fn is_linear(seeds: &[CompiledRule], rules: &[CompiledRule]) -> bool {
 /// * `merge(db, round, rule, heads, fresh)` receives one head row per
 ///   enumerated instantiation (duplicates included) after *every* rule of
 ///   the round has executed, so a round's joins never see that round's own
-///   output — which, for a rule set linear in the call, holds whatever the
-///   order: its joins never read what a round derives. It applies whatever
-///   the caller's notion of novelty is and appends the fresh rows to
-///   `fresh`, the next round's delta under the rule's head predicate.
-///   `round` is the 0-based index into [`Rounds::iterations`]. A call with a
-///   merge always takes the barrier; the engine's own set insertion is what
-///   may take the linear path (see the module doc).
+///   output. It applies whatever the caller's notion of novelty is and
+///   appends the fresh rows to `fresh`, the next round's delta under the
+///   rule's head predicate. `round` is the 0-based index into
+///   [`Rounds::iterations`]. A merge may write only to relations the store
+///   already holds, and may build no index: each step's relation and index
+///   are found by position once per call, and a relation or index added
+///   later would shift them (checked after every merge in debug builds).
 ///
 /// Every round starts with the one clock read it makes — it closes the
-/// previous round's [`IterationStats::duration`] and is the deadline's (on
-/// the linear path, every 16th narrow round reads it, and
-/// the rounds between share what it measured) — then the fault hook (when
-/// compiled in) and a full [`Governor::check`] against real progress —
-/// rounds run, fresh tuples so far, pending delta. Pipelines still poll
-/// cancellation and the deadline every few hundred rows.
+/// previous round's [`IterationStats::duration`] and is the deadline's —
+/// then the fault hook (when compiled in) and a full [`Governor::check`]
+/// against real progress — rounds run, fresh tuples so far, pending delta.
 /// A round interrupted mid-pipeline still merges what it derived: every
 /// head row is a true consequence, so stopping only omits tuples.
 ///
@@ -224,13 +137,12 @@ pub fn drive_rounds<M>(
 where
     M: FnMut(&mut EngineDb, usize, &CompiledRule, &Batch, &mut Batch),
 {
-    let fresh = Fresh::Merged(merge);
-    drive(db, seed, rules, delta, cap, governor, obs, fresh)
+    drive(db, seed, rules, delta, cap, governor, obs, None, merge)
 }
 
-/// The round loop behind [`drive_rounds`], which also takes the engine's
-/// own set insertion ([`Fresh::Stored`]) and with it the linear path (see
-/// the module doc).
+/// [`drive_rounds`], ending — complete — after the first round whose merges
+/// store `witness` (a relation and one tuple) when one is given: a ground
+/// query's one answer.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive<M>(
     db: &mut EngineDb,
@@ -240,7 +152,8 @@ pub(crate) fn drive<M>(
     cap: Option<u64>,
     governor: &Governor,
     obs: &Obs,
-    mut fresh: Fresh<'_, M>,
+    witness: Option<(Symbol, &[Value])>,
+    mut merge: M,
 ) -> Result<Rounds, EngineError>
 where
     M: FnMut(&mut EngineDb, usize, &CompiledRule, &Batch, &mut Batch),
@@ -252,10 +165,6 @@ where
     let mut seeding = seed;
     let mut fresh_total = 0usize;
     let mut scratch = Scratch::default();
-    let (linear, witness) = match fresh {
-        Fresh::Stored { witness } => (is_linear(seeds, rules), witness),
-        Fresh::Merged(_) => (false, None),
-    };
     // Room for every slot the rules can add, so wiring them never regrows.
     let delta = delta.into_iter();
     let mut slots = Vec::with_capacity(delta.size_hint().0 + seeds.len() + 2 * rules.len());
@@ -264,32 +173,23 @@ where
         slots[at].next = batch;
     }
     // The seeding rules' lanes, then the delta rules', wired by the first
-    // round that runs, and where their steps' relations sit.
+    // round that runs, and where their steps' relations and indexes sit.
     let mut lanes: Vec<Lane> = Vec::new();
     let mut located = Vec::new();
-    let mut head_row = Vec::new();
+    // The store's relation and index counts when the steps were located:
+    // what a merge must leave as it found them.
+    let mut shape = (0, 0);
     let mut last_read: Option<Instant> = None;
     let mut interrupted = None;
     let mut answered = false;
-    // Rounds run since the clock was last read, their durations unset.
-    let mut unclocked = 0usize;
-    let mut narrow = false;
     loop {
+        let now = Instant::now();
         let round = out.iterations.len();
-        // After a narrow round of a linear call, with no sink keeping
-        // detail, the clock is read every CLOCK_STRIDE-th round.
-        let now = match last_read {
-            Some(last) if narrow && !detail && unclocked < CLOCK_STRIDE => last,
-            _ => {
-                let now = Instant::now();
-                clock(&mut out.iterations[round - unclocked..], last_read, now);
-                unclocked = 0;
-                last_read = Some(now);
-                now
+        if let (Some(started), Some(it)) = (last_read.replace(now), out.iterations.last_mut()) {
+            it.duration = now - started;
+            if detail {
+                emit_iteration(obs, round, it);
             }
-        };
-        if detail && round > 0 {
-            emit_iteration(obs, round, &out.iterations[round - 1]);
         }
         if let Some(reason) = interrupted {
             out.truncation = Some(reason);
@@ -334,8 +234,6 @@ where
             // the head's width.
             for (rule, lane) in seeds.iter().chain(rules).zip(&mut lanes) {
                 lane.to = slot_of(&mut slots, rule.head_pred, rule.head_arity);
-                lane.head = db.position(rule.head_pred);
-                lane.derived = Batch::new(rule.head_arity);
                 let start = located.len();
                 rule.locate(db, &mut located)?;
                 lane.steps = start..located.len();
@@ -343,16 +241,15 @@ where
             for (rule, lane) in rules.iter().zip(&mut lanes[seeds.len()..]) {
                 lane.from = rule.seed.as_ref().map(|s| slot_of(&mut slots, s.pred, 0));
             }
+            shape = (db.iter().count(), db.index_count());
         }
         let (active, wired) = match seeding {
             Some(active) => (active, &mut lanes[..seeds.len()]),
             None => (rules, &mut lanes[seeds.len()..]),
         };
-        let mut it = IterationStats {
-            delta_in: pending,
-            ..IterationStats::default()
-        };
-        narrow = linear;
+        for (rule, lane) in active.iter().zip(wired.iter_mut()) {
+            lane.derived.reset(rule.head_arity);
+        }
         for (i, (rule, lane)) in active.iter().zip(wired.iter_mut()).enumerate() {
             // Seed rows: the full stored relation of the seed atom (or the
             // unit row, for an empty body) when seeding, the pending delta
@@ -376,39 +273,8 @@ where
                 continue;
             }
             let steps = &located[lane.steps.clone()];
-            let to = slots[lane.to].fresh(seeding.is_some());
-            let split = match lane.head {
-                Some(head) if linear && rows_in <= NARROW_ROWS => db.split_at(head),
-                _ => None,
-            };
-            let derived = if let Some((rel, others)) = split {
-                let before = to.len();
-                let mut heads = Insert {
-                    rel,
-                    fresh: to,
-                    row: &mut head_row,
-                    derived: 0,
-                };
-                let found = |at| others.relation_at(at);
-                interrupted = rule.run(
-                    found,
-                    steps,
-                    &mut scratch,
-                    &mut counters,
-                    governor,
-                    &mut heads,
-                )?;
-                it.new_tuples += heads.fresh.len() - before;
-                heads.derived
-            } else {
-                narrow = false;
-                let found = |at| Some(db.relation_at(at));
-                let heads = &mut lane.derived;
-                interrupted =
-                    rule.run(found, steps, &mut scratch, &mut counters, governor, heads)?;
-                heads.len()
-            };
-            it.derived += derived;
+            let derived = &mut lane.derived;
+            interrupted = rule.run(db, steps, &mut scratch, &mut counters, governor, derived)?;
             if let Some(from) = lent {
                 scratch.lend(&mut slots[from].next);
             }
@@ -420,7 +286,7 @@ where
                         ("variant", field::uz(i)),
                         ("head", field::st(rule.head_pred.as_str())),
                         ("rows_in", field::uz(rows_in)),
-                        ("derived", field::uz(derived)),
+                        ("derived", field::uz(derived.len())),
                     ],
                 );
             }
@@ -429,28 +295,32 @@ where
             }
         }
 
-        // The head batches, merged after every rule has run.
-        for (rule, lane) in active.iter().zip(wired.iter_mut()) {
+        let mut it = IterationStats {
+            delta_in: pending,
+            ..IterationStats::default()
+        };
+        if seeding.is_none() {
+            // Consumed. (A seeding round never read the delta: tuples the
+            // caller pre-seeded stay pending next to its fresh ones.)
+            for slot in &mut slots {
+                std::mem::swap(&mut slot.next, &mut slot.spent);
+                slot.next.reset(slot.next.width());
+            }
+        }
+        for (rule, lane) in active.iter().zip(wired.iter()) {
             if lane.derived.is_empty() {
                 continue;
             }
-            let to = slots[lane.to].fresh(seeding.is_some());
-            let before = to.len();
-            match &mut fresh {
-                Fresh::Stored { .. } => db.insert_fresh(rule.head_pred, &lane.derived, to),
-                Fresh::Merged(merge) => merge(db, round, rule, &lane.derived, to),
-            }
-            it.new_tuples += to.len() - before;
-            lane.derived.reset(rule.head_arity);
-        }
-        if seeding.is_none() {
-            // Consumed: the fresh rows are the next round's delta. (A
-            // seeding round never read the delta: tuples the caller
-            // pre-seeded stay pending next to its fresh ones.)
-            for slot in &mut slots {
-                std::mem::swap(&mut slot.next, &mut slot.spent);
-                slot.spent.reset(slot.spent.width());
-            }
+            it.derived += lane.derived.len();
+            let fresh = &mut slots[lane.to].next;
+            let before = fresh.len();
+            merge(db, round, rule, &lane.derived, fresh);
+            debug_assert_eq!(
+                (db.iter().count(), db.index_count()),
+                shape,
+                "a merge added a relation or an index"
+            );
+            it.new_tuples += fresh.len() - before;
         }
         if let Some((pred, t)) = witness {
             // Only a round that added to its relation can have stored it.
@@ -461,18 +331,7 @@ where
         }
         fresh_total += it.new_tuples;
         out.iterations.push(it);
-        unclocked += 1;
         seeding = None;
-    }
-    if unclocked > 0 {
-        // Rounds a break left unclocked (the last one, at most, but after
-        // narrow rounds).
-        let len = out.iterations.len();
-        clock(
-            &mut out.iterations[len - unclocked..],
-            last_read,
-            Instant::now(),
-        );
     }
     out.probes = counters.probes;
     out.probe_hits = counters.hits;
@@ -489,16 +348,6 @@ where
         );
     }
     Ok(out)
-}
-
-/// Gives the rounds the clock last missed, `unclocked`, an even share of
-/// the time since it was read (`last`) until `now`.
-fn clock(unclocked: &mut [IterationStats], last: Option<Instant>, now: Instant) {
-    if let (Some(last), Ok(n)) = (last, u32::try_from(unclocked.len())) {
-        for it in unclocked.iter_mut() {
-            it.duration = (now - last) / n.max(1);
-        }
-    }
 }
 
 /// Emits the per-round provenance event, for a sink that keeps detail.

@@ -24,9 +24,8 @@
 //!   that decides which head rows are fresh. The engine kernels below and
 //!   the incremental-maintenance loops of `recurs-ivm` are all
 //!   instantiations of it; `recurs-ivm`'s provenance walks a store they
-//!   saturated and runs no rounds of its own. A kernel's rule set that is
-//!   linear in the call inserts a narrow round's heads as they are found,
-//!   and a ground query's run ends at the round that stores its one tuple.
+//!   saturated and runs no rounds of its own. A ground query's run ends at
+//!   the round that stores its one tuple.
 //! * **Kernels** ([`KernelKind`]): the classification changes only *how
 //!   many rounds* a whole saturation runs. A proven rank bound
 //!   (`Classification::rank_bound`, or a lowering's `round_cap`) is
@@ -70,7 +69,6 @@ pub mod storage;
 
 pub use compile::{select, select_counted, Selection};
 pub use driver::{drive_rounds, Rounds};
-use driver::{Fresh, MergeFn};
 pub use error::{EngineError, Saturation};
 pub use evaluate::{evaluate, Evaluation};
 pub use stats::{EngineStats, IterationStats, KernelKind};
@@ -273,11 +271,7 @@ pub(crate) fn saturate_until(
         storage.ensure_indexes(rule);
     }
     let index_builds = (storage.index_count() - indexes_before) as u64;
-    let index_links = |storage: &EngineDb| -> usize {
-        let derived = program.idb.iter().filter_map(|&pred| storage.get(pred));
-        derived.map(|rel| rel.len() * rel.index_count()).sum()
-    };
-    let links_before = index_links(storage);
+    let mut index_updates = 0u64;
 
     let obs = &config.obs;
     if obs.enabled() {
@@ -302,7 +296,6 @@ pub(crate) fn saturate_until(
     // A proven rank is a cap that means completeness: the theorems
     // guarantee nothing new past it, so the run stops there without a
     // fixpoint-detection round.
-    let fresh: Fresh<'_, MergeFn> = Fresh::Stored { witness };
     let rounds = driver::drive(
         storage,
         Some(&program.init),
@@ -311,9 +304,16 @@ pub(crate) fn saturate_until(
         kernel.round_cap(),
         &governor,
         obs,
-        fresh,
+        witness,
+        |storage, _round, rule, heads, fresh| {
+            let before = fresh.len();
+            storage.insert_fresh(rule.head_pred, heads, fresh);
+            let indexes = storage
+                .get(rule.head_pred)
+                .map_or(0, IndexedRelation::index_count);
+            index_updates += ((fresh.len() - before) * indexes) as u64;
+        },
     )?;
-    let index_updates = (index_links(storage) - links_before) as u64;
 
     let stats = EngineStats {
         kernel,

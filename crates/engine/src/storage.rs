@@ -242,29 +242,6 @@ impl Rows {
     fn is_live(&self, id: usize) -> bool {
         self.live[id / 64] & (1 << (id % 64)) != 0
     }
-
-    /// Writes `row` into a slot — the freed one below `top` (which it
-    /// lowers) while there is one, else a new one — marks it live and
-    /// returns its id. The dedup table and the indexes are the caller's.
-    fn put(&mut self, arity: usize, row: &[Value], top: &mut usize) -> u32 {
-        let id = if *top > 0 {
-            *top -= 1;
-            let id = self.free[*top];
-            self.values[id as usize * arity..][..arity].copy_from_slice(row);
-            id
-        } else {
-            // u32 ids are a storage invariant (`NONE` is not an id); 2^32
-            // arena slots exceeds every budget this engine runs under.
-            let overflow = "IndexedRelation overflow: more than u32::MAX tuples";
-            assert!(self.slots < NONE as usize, "{overflow}");
-            self.values.extend_from_slice(row);
-            self.slots += 1;
-            self.live.resize(self.slots.div_ceil(64), 0);
-            self.slots as u32 - 1
-        };
-        self.live[id as usize / 64] |= 1 << (id % 64);
-        id
-    }
 }
 
 /// A hash index on `cols`: the table holds the newest row of each distinct
@@ -467,25 +444,11 @@ impl IndexedRelation {
     /// [`IndexedRelation::insert`], returning the id the tuple was stored
     /// under (`None` if it was already present) — a freed slot when there is
     /// one, so callers keeping per-id side tables overwrite, never grow.
-    ///
-    /// A duplicate costs one probe of the dedup table and leaves shared rows
-    /// shared; a new tuple un-shares them (and each index) once and goes in
-    /// the vacant slot that probe stopped at.
     pub fn insert_id(&mut self, t: &[Value]) -> Option<u32> {
         assert_eq!(t.len(), self.arity, "tuple width != arity");
-        let (hash, Err(at)) = self.lookup(t) else {
-            return None;
-        };
-        // A private copy of the rows has the same table layout: `at` holds.
-        let (arity, rows) = (self.arity, Arc::make_mut(&mut self.rows));
-        let mut top = rows.free.len();
-        let id = rows.put(arity, t, &mut top);
-        rows.free.truncate(top);
-        rows.ids.insert_at(at, hash, id, || 1);
-        for index in &mut self.indexes {
-            Arc::make_mut(index).link(&rows.values, arity, id);
-        }
-        Some(id)
+        let mut stored = None;
+        self.merge(std::iter::once(t), |_, id| stored = Some(id));
+        stored
     }
 
     /// Set-inserts the rows of `heads` and appends the new ones, in order,
@@ -523,7 +486,22 @@ impl IndexedRelation {
             let Err(at) = rows.ids.probe(hash, is_row) else {
                 continue;
             };
-            let id = rows.put(arity, row, &mut top);
+            let id = if top > 0 {
+                top -= 1;
+                rows.values[rows.free[top] as usize * arity..][..arity].copy_from_slice(row);
+                rows.free[top]
+            } else {
+                // u32 ids are a storage invariant (`NONE` is not an id);
+                // 2^32 arena slots exceeds every budget this engine runs
+                // under.
+                let overflow = "IndexedRelation overflow: more than u32::MAX tuples";
+                assert!(rows.slots < NONE as usize, "{overflow}");
+                rows.values.extend_from_slice(row);
+                rows.slots += 1;
+                rows.live.resize(rows.slots.div_ceil(64), 0);
+                rows.slots as u32 - 1
+            };
+            rows.live[id as usize / 64] |= 1 << (id % 64);
             // The rest of the batch, at the share of new rows so far.
             let expected = || ((len - n) * (added + 1)).div_ceil(n + 1);
             rows.ids.insert_at(at, hash, id, expected);
@@ -702,24 +680,6 @@ pub struct EngineDb {
     rels: Vec<(Symbol, IndexedRelation)>,
 }
 
-/// Every relation of a store but the one [`EngineDb::split_at`] lends out
-/// for writing, found by position.
-pub(crate) struct Others<'a> {
-    before: &'a [(Symbol, IndexedRelation)],
-    after: &'a [(Symbol, IndexedRelation)],
-}
-
-impl Others<'_> {
-    /// The relation at `at`, unless it is the one lent out.
-    pub(crate) fn relation_at(&self, at: usize) -> Option<&IndexedRelation> {
-        match at.checked_sub(self.before.len()) {
-            None => Some(&self.before[at].1),
-            Some(0) => None,
-            Some(past) => self.after.get(past - 1).map(|(_, rel)| rel),
-        }
-    }
-}
-
 /// The one conversion from the plain-facts format: every relation copied
 /// into indexed storage (no index is built until a pipeline asks for one).
 impl From<&Database> for EngineDb {
@@ -789,15 +749,6 @@ impl EngineDb {
     /// is its own bug, an internal error.
     pub(crate) fn relation(&self, pred: Symbol) -> Result<&IndexedRelation, EngineError> {
         self.get(pred).ok_or(EngineError::Internal(UNLOADED))
-    }
-
-    /// The relation at `at`, writable, beside every other one, readable:
-    /// how a linear round inserts a rule's heads while its joins read the
-    /// rest of the store.
-    pub(crate) fn split_at(&mut self, at: usize) -> Option<(&mut IndexedRelation, Others<'_>)> {
-        let (before, rest) = self.rels.split_at_mut(at);
-        let (written, after) = rest.split_first_mut()?;
-        Some((&mut written.1, Others { before, after }))
     }
 
     /// Looks up a relation mutably.

@@ -73,10 +73,10 @@ proptest! {
     /// form of a random linear recursion — so frontier, magic, bounded and
     /// saturate lowerings — the lowered program's level `k` adds exactly
     /// `|semi_naive(cap k + 1)| − |semi_naive(cap k)|` tuples, counted over
-    /// the same lowered, seeded program. (The round driver's linear path
-    /// inserts a narrow level's tuples as it finds them; a tuple that
-    /// joined its own level would show here as a level that adds too much
-    /// and a run that ends early.)
+    /// the same lowered, seeded program. (A driver that let a tuple join
+    /// its own level — fresh rows read by a later rule of the round that
+    /// found them — would show here as a level that adds too much and a
+    /// run that ends early.)
     #[test]
     fn each_level_adds_what_a_reference_round_adds(
         rule_seed in 0u64..10_000,
