@@ -28,6 +28,14 @@
 //! * mixed_s12 line 134, `P(2, 12, 24)`, and unbounded_s9 line 177,
 //!   `P(5, 6, 2)` (ground magic queries): one round fewer each, 5 → 4 and
 //!   4 → 3, the answer tuple found a round before the fixpoint.
+//!
+//! Seven more when rows of a predicate no rule reads stopped counting as
+//! pending delta: only `fixpoint_iterations` moved, 4 → 3, in the magic
+//! replies on mixed_s12 lines 122, 124, 130 and 132 (`P(2, v1, v2)`,
+//! `P(v0, 12, v2)`, `P(2, v1, 24)`, `P(v0, 12, 24)`) and unbounded_s9 lines
+//! 171, 173 and 175 (`P(v0, v1, 2)`, `P(5, v1, 2)`, `P(v0, 6, 2)`). Each
+//! run's last round derived answer rows alone, which no rule reads, and they
+//! used to keep the loop running one more round that derived nothing.
 
 use std::io::Write as _;
 use std::path::Path;

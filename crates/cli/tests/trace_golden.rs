@@ -86,6 +86,14 @@
 //! `serve.query` (`fixpoint_iterations` 5 → 4); in `metrics.txt`,
 //! `recurs_engine_probes_total` 22 → 21 and `recurs_engine_rounds_total`
 //! 23 → 22.
+//!
+//! And these, when rows of a predicate no rule reads stopped counting as
+//! pending delta: in `trace_events.jsonl`, the `P(1, y)` walk's
+//! `engine.iteration` lines 11, 14 and 17 report `delta_in` 1, 2 and 2
+//! where they reported 2, 4 and 4 — the rows its rules read, without the
+//! `ans__P__dv` answers beside them. No round count moved, and
+//! `flight_events.jsonl` (which keeps no `engine.iteration` line) and
+//! `metrics.txt` are as they were.
 
 use recurs_cli::{build_service_cancellable, ServiceOpts};
 use recurs_serve::protocol::{handle_line, LineOutcome};

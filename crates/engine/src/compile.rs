@@ -11,12 +11,13 @@
 //! before the next seed row starts, in one reused row a step, so no step's
 //! output is ever held whole. Where each step's relation and index sit in the
 //! store is found once per driver call ([`CompiledRule::locate`]), and the
-//! steps are linked on the stack each time the pipeline runs. Seed rows are
-//! read where they are when the seed atom keeps every column in order with
-//! no check — a delta is then not copied at all.
+//! steps are linked on the stack each time the pipeline runs. Seed rows
+//! enter as one slice of rows laid end to end, read where they are when the
+//! seed atom keeps every column in order with no check — a delta stored in
+//! its relation's arena, or a whole relation, is then not copied at all.
 
 use crate::error::EngineError;
-use crate::storage::{Batch, EngineDb, IndexView, IndexedRelation, UNLOADED};
+use crate::storage::{rows_of, Batch, EngineDb, IndexView, IndexedRelation, UNLOADED};
 use recurs_datalog::error::DatalogError;
 use recurs_datalog::govern::{Governor, TruncationReason};
 use recurs_datalog::order::order_atoms;
@@ -27,32 +28,16 @@ use std::ops::ControlFlow::{self, Break, Continue};
 
 /// The buffers one pipeline execution works in, kept by whoever runs
 /// pipelines round after round so that only growth allocates: the seed rows
-/// [`SeedSpec::fill`] writes (or a delta the driver lends whole), the
-/// partial binding row entering each join step after the first (one value
-/// per distinct variable bound so far, in first-occurrence order — one row
-/// a step, never a batch, since a seed row goes through every step before
-/// the next starts), and the probe key being assembled.
+/// [`SeedSpec::fill`] writes, the partial binding row entering each join
+/// step after the first (one value per distinct variable bound so far, in
+/// first-occurrence order — one row a step, never a batch, since a seed row
+/// goes through every step before the next starts), and the probe key being
+/// assembled.
 #[derive(Debug, Default)]
 pub struct Scratch {
     rows: Batch,
     row: Vec<Value>,
     key: Vec<Value>,
-}
-
-impl Scratch {
-    /// Swaps `rows` in as the initial rows, whole and in place, and returns
-    /// how many there are; lending them again swaps them back.
-    pub(crate) fn lend(&mut self, rows: &mut Batch) -> usize {
-        std::mem::swap(&mut self.rows, rows);
-        self.rows.len()
-    }
-
-    /// Sets up the one row of no columns an empty body starts from.
-    pub(crate) fn unit_row(&mut self) -> usize {
-        self.rows.reset(0);
-        self.rows.push([]);
-        1
-    }
 }
 
 /// Probe/hit counters accumulated across pipeline executions (reported in
@@ -222,12 +207,27 @@ impl SeedSpec {
         scratch: &mut Scratch,
         tuples: impl Iterator<Item = &'a [Value]>,
     ) -> usize {
+        self.rows(None, tuples, &mut scratch.rows).1
+    }
+
+    /// The seed rows of `tuples`, laid end to end, and how many: `whole` —
+    /// the same tuples where they already lie — when every tuple passes
+    /// whole, else filtered and projected into `filled`.
+    pub(crate) fn rows<'a, 't>(
+        &self,
+        whole: Option<(&'a [Value], usize)>,
+        tuples: impl Iterator<Item = &'t [Value]>,
+        filled: &'a mut Batch,
+    ) -> (&'a [Value], usize) {
         let spec = &self.selection;
-        scratch.rows.reset(spec.keep_cols.len());
-        for t in tuples.filter(|t| spec.admits(t)) {
-            scratch.rows.push(spec.keep_cols.iter().map(|&c| t[c]));
+        if let Some(whole) = whole.filter(|_| spec.keeps_all()) {
+            return whole;
         }
-        scratch.rows.len()
+        filled.reset(spec.keep_cols.len());
+        for t in tuples.filter(|t| spec.admits(t)) {
+            filled.push(spec.keep_cols.iter().map(|&c| t[c]));
+        }
+        (filled.values(), filled.len())
     }
 }
 
@@ -374,9 +374,8 @@ impl CompiledRule {
     }
 
     /// Runs the pipeline over the initial rows in `scratch` (see
-    /// [`SeedSpec::fill`]; the driver may lend it a delta whole instead),
-    /// appending one head row per instantiation to `out` (with duplicates;
-    /// the driver's merge dedupes).
+    /// [`SeedSpec::fill`]), appending one head row per instantiation to
+    /// `out` (with duplicates; the driver's merge dedupes).
     /// Each seed row goes through every join step before the next one
     /// starts, in one reused row a step, so no step's output is held whole.
     ///
@@ -393,11 +392,11 @@ impl CompiledRule {
         governor: Option<&Governor>,
         out: &mut Batch,
     ) -> Result<Option<TruncationReason>, EngineError> {
-        let find = |step: &JoinStep, _| {
-            let rel = db.relation(step.pred)?;
-            Ok((rel, rel.index(&step.index_cols)))
-        };
-        self.pipeline(find, scratch, counters, governor, out)
+        let mut located = Vec::with_capacity(self.steps.len());
+        self.locate(db, &mut located)?;
+        let Scratch { rows, row, key } = scratch;
+        let seeds = (rows.values(), rows.len());
+        self.pipeline(db, &located, seeds, (row, key), counters, governor, out)
     }
 
     /// Appends to `located` where each step's relation and index sit in
@@ -419,37 +418,57 @@ impl CompiledRule {
         Ok(())
     }
 
-    /// [`CompiledRule::execute`] with each step's relation and index read
-    /// at the positions `located` (this rule's [`CompiledRule::locate`])
-    /// gives.
+    /// [`CompiledRule::execute`] over `seeds` — the seed rows laid end to
+    /// end, and how many there are — with each step's relation and index
+    /// read at the positions `located` (this rule's
+    /// [`CompiledRule::locate`]) gives.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run(
         &self,
         db: &EngineDb,
         located: &[Located],
+        seeds: (&[Value], usize),
         scratch: &mut Scratch,
         counters: &mut ProbeCounters,
         governor: &Governor,
         out: &mut Batch,
     ) -> Result<Option<TruncationReason>, EngineError> {
-        let find = |_: &JoinStep, i: usize| {
-            let Located { rel, index } = located[i];
-            let rel = db.relation_at(rel);
-            Ok((rel, index.map(|slot| rel.index_at(slot))))
-        };
-        self.pipeline(find, scratch, counters, Some(governor), out)
+        let Scratch { row, key, .. } = scratch;
+        self.pipeline(
+            db,
+            located,
+            seeds,
+            (row, key),
+            counters,
+            Some(governor),
+            out,
+        )
     }
 
-    /// Runs the pipeline with each step's relation and index as `find`
-    /// gives them (see [`CompiledRule::execute`]).
-    fn pipeline<'d>(
+    /// The columns of a seed row: what the seed atom keeps.
+    fn seed_width(&self) -> usize {
+        self.seed
+            .as_ref()
+            .map_or(0, |seed| seed.selection.keep_cols.len())
+    }
+
+    /// Runs the pipeline over `seeds` — rows laid end to end, and how many
+    /// — in the buffers `row` and `key` (see [`Scratch`]), with each step's
+    /// relation and index read at the positions `located` gives (see
+    /// [`CompiledRule::execute`]).
+    #[allow(clippy::too_many_arguments)]
+    fn pipeline(
         &self,
-        find: impl Fn(&JoinStep, usize) -> Result<Found<'d>, EngineError>,
-        scratch: &mut Scratch,
+        db: &EngineDb,
+        located: &[Located],
+        (seeds, len): (&[Value], usize),
+        (row, key): (&mut Vec<Value>, &mut Vec<Value>),
         counters: &mut ProbeCounters,
         governor: Option<&Governor>,
         out: &mut Batch,
     ) -> Result<Option<TruncationReason>, EngineError> {
-        let Scratch { rows, row, key } = scratch;
+        let width = self.seed_width();
+        debug_assert_eq!(seeds.len(), len * width, "seed rows of another width");
         // The row entering each step after the first, side by side (any
         // value fills them: each is written before it is read).
         row.resize(self.width * self.steps.len(), Value(self.head_pred));
@@ -461,8 +480,8 @@ impl CompiledRule {
             countdown: POLL_STRIDE,
             out,
         };
-        self.resolve(&find, self.steps.len(), None, |first| {
-            for seed in rows.iter() {
+        self.resolve(db, located, self.steps.len(), None, |first| {
+            for seed in rows_of(seeds, width, len) {
                 walk.visit()?;
                 match first {
                     Some(first) => walk.descend(first, seed, row)?,
@@ -475,13 +494,14 @@ impl CompiledRule {
         .map(|flow| flow.break_value())
     }
 
-    /// Finds the relation of each of the first `n` steps, and the index it
-    /// probes, with `find` — last step first, each linked on the stack to the
-    /// step after it — then hands the first step (none, for a lone seed
-    /// atom) to `walk`.
-    fn resolve<'d, R>(
+    /// Finds the relation of each of the first `n` steps in `db`, and the
+    /// index it probes, at the positions `located` gives — last step first,
+    /// each linked on the stack to the step after it — then hands the first
+    /// step (none, for a lone seed atom) to `walk`.
+    fn resolve<R>(
         &self,
-        find: &impl Fn(&JoinStep, usize) -> Result<Found<'d>, EngineError>,
+        db: &EngineDb,
+        located: &[Located],
         n: usize,
         next: Option<&Linked<'_>>,
         walk: impl FnOnce(Option<&Linked<'_>>) -> R,
@@ -490,7 +510,8 @@ impl CompiledRule {
             return Ok(walk(next));
         };
         let step = &self.steps[i];
-        let (rel, index) = find(step, i)?;
+        let rel = db.relation_at(located[i].rel);
+        let index = located[i].index.map(|slot| rel.index_at(slot));
         if index.is_none() && !step.lookup && !step.index_cols.is_empty() {
             let unensured = "compiled rule probed an index the driver never ensured";
             return Err(EngineError::Internal(unensured));
@@ -501,12 +522,9 @@ impl CompiledRule {
             index,
             next,
         };
-        self.resolve(find, i, Some(&at), walk)
+        self.resolve(db, located, i, Some(&at), walk)
     }
 }
-
-/// A step's relation, and the index it probes (none for a scan or a lookup).
-type Found<'d> = (&'d IndexedRelation, Option<IndexView<'d>>);
 
 /// Where one join step's relation sits in a store, and its index among the
 /// relation's (none for a scan or a lookup): see [`CompiledRule::locate`].

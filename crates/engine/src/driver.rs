@@ -16,11 +16,20 @@
 //! join reads what a round derives. Inserting such a round's heads as they
 //! are found was measured and dropped (EXPERIMENTS.md §29): a level did not
 //! get cheap enough to pay for a second path through the loop.
+//!
+//! A round's new rows are written once. The delta is kept in slots, one per
+//! predicate, each holding a [`Fresh`]: a set-insertion merge
+//! ([`EngineDb::insert_fresh`]) records the run of ids it appended to the
+//! head relation's arena, and the next round's pipelines read that run
+//! where it lies (EXPERIMENTS.md §30). Two cases keep copies in a batch:
+//! a merge that decides novelty itself (incremental maintenance's counting
+//! and marking merges push their rows), and a head relation with freed
+//! slots, whose new ids are not contiguous.
 
 use crate::compile::{CompiledRule, ProbeCounters, Scratch};
 use crate::error::EngineError;
 use crate::stats::IterationStats;
-use crate::storage::{Batch, EngineDb};
+use crate::storage::{rows_of, Batch, EngineDb, Fresh};
 use recurs_datalog::govern::{Governor, Progress, TruncationReason};
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::Value;
@@ -47,24 +56,36 @@ pub struct Rounds {
     pub capped: bool,
 }
 
-/// One predicate a delta can be pending under: `next`, the rows the next
-/// round reads, and `spent`, the buffer the last round read. A round that
-/// read them swaps the two, and its merges refill the emptied buffer.
+/// One predicate a delta can be pending under, and `next`, the rows the
+/// next round reads: a round's merges refill it once its rules have read
+/// it. Only the rows of a slot some rule seeds from (`read`) are pending;
+/// the others are recorded for the witness check alone.
 struct Slot {
     pred: Symbol,
-    next: Batch,
-    spent: Batch,
+    read: bool,
+    /// Where `pred`'s relation sits in the store, for a stored run.
+    rel: Option<usize>,
+    next: Fresh,
 }
 
-/// The slot of `pred`, added (for rows `width` wide) if it has none.
-fn slot_of(slots: &mut Vec<Slot>, pred: Symbol, width: usize) -> usize {
+/// The slot of `pred` in `db`, read by a rule of `rules` or not, added (for
+/// copies `width` wide) if it has none.
+fn slot_of(slots: &mut Vec<Slot>, (db, rules): Wiring<'_>, pred: Symbol, width: usize) -> usize {
     if let Some(at) = slots.iter().position(|s| s.pred == pred) {
         return at;
     }
-    let (next, spent) = (Batch::new(width), Batch::new(width));
-    slots.push(Slot { pred, next, spent });
+    let reads = |rule: &CompiledRule| rule.seed.as_ref().is_some_and(|seed| seed.pred == pred);
+    slots.push(Slot {
+        pred,
+        read: rules.iter().any(reads),
+        rel: db.position(pred),
+        next: Fresh::from(Batch::new(width)),
+    });
     slots.len() - 1
 }
+
+/// The store and the delta rules a call's slots are wired to.
+type Wiring<'a> = (&'a EngineDb, &'a [CompiledRule]);
 
 /// One rule wired to the call: the slot a delta round seeds its pipeline
 /// from (none for a seeding rule or an empty body), the one its fresh heads
@@ -93,8 +114,11 @@ struct Lane {
 ///   enumerated instantiation (duplicates included) after *every* rule of
 ///   the round has executed, so a round's joins never see that round's own
 ///   output. It applies whatever the caller's notion of novelty is and
-///   appends the fresh rows to `fresh`, the next round's delta under the
-///   rule's head predicate. `round` is the 0-based index into
+///   records the fresh rows in `fresh`, the next round's delta under the
+///   rule's head predicate: [`EngineDb::insert_fresh`] stores them in that
+///   predicate's relation and records where, a merge that keeps its own
+///   notion of novelty pushes copies ([`Fresh::push`]). `round` is the
+///   0-based index into
 ///   [`Rounds::iterations`]. A merge may write only to relations the store
 ///   already holds, and may build no index: each step's relation and index
 ///   are found by position once per call, and a relation or index added
@@ -109,9 +133,15 @@ struct Lane {
 ///
 /// The delta lives in slots, one per predicate it can be pending under,
 /// each rule's seed slot and head slot — and where each relation its steps
-/// read and the index each probes sit in the store — found once per call;
-/// pipeline rows, head batches and deltas live in buffers the loop owns and
-/// reuses, so a round allocates only where one of them outgrows itself.
+/// read and the index each probes sit in the store — found once per call.
+/// A slot's rows are pending only if some rule seeds from it: rows of a
+/// predicate no rule reads (a query's answers) are stored, not counted in
+/// [`IterationStats::delta_in`] or the governor's pending delta, and keep no
+/// round running. A pipeline takes its seed rows as one slice: a stored run
+/// or a whole stored relation in place when the seed atom keeps every
+/// column, else filtered into a buffer the loop owns. Pipeline rows, head
+/// batches and copied deltas live in buffers the loop owns and reuses, so a
+/// round allocates only where one of them outgrows itself.
 ///
 /// What it records: per call, the fresh tuples summed into
 /// `recurs_engine_tuples_derived_total` and the rounds run into
@@ -135,8 +165,11 @@ pub fn drive_rounds<M>(
     merge: M,
 ) -> Result<Rounds, EngineError>
 where
-    M: FnMut(&mut EngineDb, usize, &CompiledRule, &Batch, &mut Batch),
+    M: FnMut(&mut EngineDb, usize, &CompiledRule, &Batch, &mut Fresh),
 {
+    let delta = delta
+        .into_iter()
+        .map(|(pred, rows)| (pred, Fresh::from(rows)));
     drive(db, seed, rules, delta, cap, governor, obs, None, merge)
 }
 
@@ -148,7 +181,7 @@ pub(crate) fn drive<M>(
     db: &mut EngineDb,
     seed: Option<&[CompiledRule]>,
     rules: &[CompiledRule],
-    delta: impl IntoIterator<Item = (Symbol, Batch)>,
+    delta: impl IntoIterator<Item = (Symbol, Fresh)>,
     cap: Option<u64>,
     governor: &Governor,
     obs: &Obs,
@@ -156,7 +189,7 @@ pub(crate) fn drive<M>(
     mut merge: M,
 ) -> Result<Rounds, EngineError>
 where
-    M: FnMut(&mut EngineDb, usize, &CompiledRule, &Batch, &mut Batch),
+    M: FnMut(&mut EngineDb, usize, &CompiledRule, &Batch, &mut Fresh),
 {
     let detail = obs.detailed();
     let mut out = Rounds::default();
@@ -165,12 +198,14 @@ where
     let mut seeding = seed;
     let mut fresh_total = 0usize;
     let mut scratch = Scratch::default();
+    // Seed rows a selection filters, or copies of a relation with freed slots.
+    let mut filled = Batch::default();
     // Room for every slot the rules can add, so wiring them never regrows.
     let delta = delta.into_iter();
     let mut slots = Vec::with_capacity(delta.size_hint().0 + seeds.len() + 2 * rules.len());
-    for (pred, batch) in delta {
-        let at = slot_of(&mut slots, pred, batch.width());
-        slots[at].next = batch;
+    for (pred, rows) in delta {
+        let at = slot_of(&mut slots, (db, rules), pred, 0);
+        slots[at].next = rows;
     }
     // The seeding rules' lanes, then the delta rules', wired by the first
     // round that runs, and where their steps' relations and indexes sit.
@@ -201,7 +236,11 @@ where
         // The seeding round reads stored relations, not the delta.
         let pending: usize = match seeding {
             Some(_) => 0,
-            None => slots.iter().map(|slot| slot.next.len()).sum(),
+            None => slots
+                .iter()
+                .filter(|slot| slot.read)
+                .map(|slot| slot.next.len())
+                .sum(),
         };
         if seeding.is_none() {
             if pending == 0 {
@@ -233,13 +272,14 @@ where
             // Heads first: a predicate some rule derives gets its slot at
             // the head's width.
             for (rule, lane) in seeds.iter().chain(rules).zip(&mut lanes) {
-                lane.to = slot_of(&mut slots, rule.head_pred, rule.head_arity);
+                lane.to = slot_of(&mut slots, (db, rules), rule.head_pred, rule.head_arity);
                 let start = located.len();
                 rule.locate(db, &mut located)?;
                 lane.steps = start..located.len();
             }
             for (rule, lane) in rules.iter().zip(&mut lanes[seeds.len()..]) {
-                lane.from = rule.seed.as_ref().map(|s| slot_of(&mut slots, s.pred, 0));
+                let from = rule.seed.as_ref().map(|s| s.pred);
+                lane.from = from.map(|pred| slot_of(&mut slots, (db, rules), pred, 0));
             }
             shape = (db.iter().count(), db.index_count());
         }
@@ -253,31 +293,29 @@ where
         for (i, (rule, lane)) in active.iter().zip(wired.iter_mut()).enumerate() {
             // Seed rows: the full stored relation of the seed atom (or the
             // unit row, for an empty body) when seeding, the pending delta
-            // of its predicate otherwise — lent, not copied, if the seed
-            // keeps its rows whole, and taken back once the rule has run (an
-            // error drops it with everything else).
-            let mut lent = None;
-            let rows_in = match (&rule.seed, seeding, lane.from) {
-                (None, Some(_), _) => scratch.unit_row(),
-                (Some(seed), Some(_), _) => seed.fill(&mut scratch, db.relation(seed.pred)?.iter()),
-                (Some(seed), None, Some(from))
-                    if seed.selection.keeps_all() && !slots[from].next.is_empty() =>
-                {
-                    lent = Some(from);
-                    scratch.lend(&mut slots[from].next)
+            // of its predicate otherwise — read where they lie (a stored
+            // run, or copies) if the seed keeps its rows whole, else filled.
+            let seed_rows = match (&rule.seed, seeding, lane.from) {
+                (None, Some(_), _) => (&[][..], 1),
+                (Some(seed), Some(_), _) => {
+                    seed.rows(None, db.relation(seed.pred)?.iter(), &mut filled)
                 }
-                (Some(seed), None, Some(from)) => seed.fill(&mut scratch, slots[from].next.iter()),
-                (_, None, _) => 0,
+                (Some(seed), None, Some(from)) => {
+                    let Slot { rel, next, .. } = &slots[from];
+                    let (values, len) = next.rows(rel.map(|at| db.relation_at(at)));
+                    let tuples = rows_of(values, next.width(), len);
+                    seed.rows(Some((values, len)), tuples, &mut filled)
+                }
+                (_, None, _) => continue,
             };
+            let rows_in = seed_rows.1;
             if rows_in == 0 {
                 continue;
             }
             let steps = &located[lane.steps.clone()];
             let derived = &mut lane.derived;
-            interrupted = rule.run(db, steps, &mut scratch, &mut counters, governor, derived)?;
-            if let Some(from) = lent {
-                scratch.lend(&mut slots[from].next);
-            }
+            let (counters, scratch) = (&mut counters, &mut scratch);
+            interrupted = rule.run(db, steps, seed_rows, scratch, counters, governor, derived)?;
             if detail {
                 obs.event(
                     "engine.rule",
@@ -303,8 +341,7 @@ where
             // Consumed. (A seeding round never read the delta: tuples the
             // caller pre-seeded stay pending next to its fresh ones.)
             for slot in &mut slots {
-                std::mem::swap(&mut slot.next, &mut slot.spent);
-                slot.next.reset(slot.next.width());
+                slot.next.clear();
             }
         }
         for (rule, lane) in active.iter().zip(wired.iter()) {
@@ -326,7 +363,7 @@ where
             // Only a round that added to its relation can have stored it.
             let added = slots
                 .iter()
-                .any(|slot| slot.pred == pred && !slot.next.is_empty());
+                .any(|slot| slot.pred == pred && slot.next.len() > 0);
             answered = added && db.get(pred).is_some_and(|rel| rel.contains(t));
         }
         fresh_total += it.new_tuples;

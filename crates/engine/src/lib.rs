@@ -72,7 +72,7 @@ pub use driver::{drive_rounds, Rounds};
 pub use error::{EngineError, Saturation};
 pub use evaluate::{evaluate, Evaluation};
 pub use stats::{EngineStats, IterationStats, KernelKind};
-pub use storage::{Batch, EngineDb, IndexedRelation};
+pub use storage::{Batch, EngineDb, Fresh, IndexedRelation};
 
 use compile::CompiledRule;
 use recurs_datalog::database::Database;
@@ -285,12 +285,13 @@ pub(crate) fn saturate_until(
     }
 
     // Tuples the caller pre-seeded into IDB relations (e.g. magic seeds)
-    // must reach the recursive rules too: they start out as pending delta.
+    // must reach the recursive rules too: they start out as pending delta,
+    // read where they are stored.
     let mut preseeded = Vec::new();
     for &pred in &program.idb {
         let rel = storage.relation(pred)?;
         if !rel.is_empty() {
-            preseeded.push((pred, Batch::from_rows(rel.arity(), rel.iter())));
+            preseeded.push((pred, Fresh::all(rel)));
         }
     }
     // A proven rank is a cap that means completeness: the theorems
@@ -581,6 +582,31 @@ mod tests {
         assert_eq!(stats.iteration_count(), 2);
         let reach = |y: &[Value]| y[0].as_str().parse().is_ok_and(|y: u64| y > 1);
         assert!(walked.answers.iter().all(reach));
+    }
+
+    #[test]
+    fn answer_rows_are_not_pending_delta() {
+        // `P(1, y)` walks a chain one vertex a round: each round reads the
+        // one new vertex and stores one answer row, which no rule reads. A
+        // delta ceiling of one row holds the walk; counting the answers as
+        // pending tripped it.
+        let lr = validate_with_generic_exit(&tc_program()).unwrap();
+        let config = EngineConfig {
+            budget: EvalBudget::unlimited().with_max_delta(1),
+            ..EngineConfig::default()
+        };
+        let walked = ask(&lr, &tc_db(40), "P(1, y)", &config);
+        assert!(
+            walked.saturation.outcome.is_complete(),
+            "{:?}",
+            walked.saturation.outcome
+        );
+        assert_eq!(walked.answers.len(), 39);
+        let iterations = &walked.saturation.stats.iterations;
+        assert!(
+            iterations.iter().all(|it| it.delta_in <= 1),
+            "{iterations:?}"
+        );
     }
 
     #[test]

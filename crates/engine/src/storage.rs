@@ -11,13 +11,16 @@
 //! row-major arena; the dedup table and every index are open-addressing
 //! tables of row ids ([`IdTable`]) that hash and compare their keys where
 //! they already are, in the arena; and rows in flight — pipeline rows, head
-//! batches, deltas — travel in a [`Batch`], one flat buffer reused from
-//! round to round. Allocation follows buffer growth, never tuple count.
+//! batches — travel in a [`Batch`], one flat buffer reused from round to
+//! round. Allocation follows buffer growth, never tuple count.
 //!
 //! A round's head batch is merged in bulk (`IndexedRelation::insert_batch`):
 //! one probe a row, the id written where the probe stopped, the rows and
 //! indexes un-shared once, and the dedup table grown once for what the
-//! batch is expected to add rather than doubled row by row.
+//! batch is expected to add rather than doubled row by row. The rows it
+//! found new are the next round's delta, and they are not copied: a
+//! [`Fresh`] records them as the run of ids the merge appended to the arena,
+//! and the next round's pipelines read that run where it lies.
 
 use crate::error::EngineError;
 use recurs_datalog::database::Database;
@@ -26,6 +29,7 @@ use recurs_datalog::relation::{Relation, Tuple};
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::Value;
 use std::hash::{BuildHasher, RandomState};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// The internal error of a pipeline that reads a relation the driver never
@@ -219,8 +223,88 @@ impl Batch {
 
     /// The rows, in insertion order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Value]> + Clone + '_ {
-        let width = self.width;
-        (0..self.rows).map(move |i| &self.values[i * width..(i + 1) * width])
+        rows_of(&self.values, self.width, self.rows)
+    }
+
+    /// The rows laid end to end.
+    pub(crate) fn values(&self) -> &[Value] {
+        &self.values
+    }
+}
+
+/// The first `len` rows of `width` values laid end to end in `values`.
+pub(crate) fn rows_of(
+    values: &[Value],
+    width: usize,
+    len: usize,
+) -> impl ExactSizeIterator<Item = &[Value]> + Clone + '_ {
+    (0..len).map(move |i| &values[i * width..(i + 1) * width])
+}
+
+/// The rows the merges of a round found new under one predicate: the next
+/// round's delta. A set-insertion merge ([`EngineDb::insert_fresh`]) records
+/// them as the run of ids it appended to the relation's arena, which the
+/// next round reads in place; a merge that decides novelty itself hands
+/// back copies ([`Fresh::push`]), and so does set insertion into a relation
+/// whose freed slots make the new ids non-contiguous. A merge records its
+/// rows one way or the other, never both.
+#[derive(Debug, Clone, Default)]
+pub struct Fresh {
+    /// Arena ids of the relation the rows were stored in.
+    stored: Range<usize>,
+    rows: Batch,
+}
+
+impl Fresh {
+    /// Every tuple of `rel`, as a delta: its whole arena in place when no
+    /// slot of it is freed, else a copy.
+    pub(crate) fn all(rel: &IndexedRelation) -> Fresh {
+        if !rel.rows.free.is_empty() {
+            return Fresh::from(Batch::from_rows(rel.arity, rel.iter()));
+        }
+        let rows = Batch::new(rel.arity);
+        Fresh {
+            stored: 0..rel.rows.slots,
+            rows,
+        }
+    }
+
+    /// Appends a copy of one fresh row; `row` must yield exactly the
+    /// width's values.
+    pub fn push(&mut self, row: impl IntoIterator<Item = Value>) {
+        debug_assert!(self.stored.is_empty(), "a copy beside a stored run");
+        self.rows.push(row);
+    }
+
+    /// Number of fresh rows.
+    pub(crate) fn len(&self) -> usize {
+        self.stored.len() + self.rows.len()
+    }
+
+    /// Columns per row.
+    pub(crate) fn width(&self) -> usize {
+        self.rows.width()
+    }
+
+    /// Empties it, keeping its buffer.
+    pub(crate) fn clear(&mut self) {
+        self.stored = 0..0;
+        self.rows.reset(self.rows.width());
+    }
+
+    /// The rows laid end to end, and how many: the stored run in `rel`'s
+    /// arena, or the copies.
+    pub(crate) fn rows<'a>(&'a self, rel: Option<&'a IndexedRelation>) -> (&'a [Value], usize) {
+        match rel.filter(|_| !self.stored.is_empty()) {
+            Some(rel) => (rel.run(self.stored.clone()), self.stored.len()),
+            None => (self.rows.values(), self.rows.len()),
+        }
+    }
+}
+
+impl From<Batch> for Fresh {
+    fn from(rows: Batch) -> Fresh {
+        Fresh { stored: 0..0, rows }
     }
 }
 
@@ -451,12 +535,23 @@ impl IndexedRelation {
         stored
     }
 
-    /// Set-inserts the rows of `heads` and appends the new ones, in order,
-    /// to `fresh`: what [`IndexedRelation::insert`] row by row would store,
-    /// index and report, in one pass.
-    pub(crate) fn insert_batch(&mut self, heads: &Batch, fresh: &mut Batch) {
+    /// Set-inserts the rows of `heads` and records the new ones, in order,
+    /// in `fresh`: what [`IndexedRelation::insert`] row by row would store,
+    /// index and report, in one pass. New ids run on from the arena's end,
+    /// so `fresh` extends its run of them, unless a freed slot is taken
+    /// first: then it holds copies.
+    pub(crate) fn insert_batch(&mut self, heads: &Batch, fresh: &mut Fresh) {
         assert_eq!(heads.width(), self.arity, "batch width != arity");
-        self.merge(heads.iter(), |row, _| fresh.push(row.iter().copied()));
+        if self.rows.free.is_empty() && fresh.rows.is_empty() {
+            if fresh.stored.is_empty() {
+                fresh.stored = self.rows.slots..self.rows.slots;
+            }
+            debug_assert_eq!(fresh.stored.end, self.rows.slots, "another relation's run");
+            self.merge(heads.iter(), |_, _| {});
+            fresh.stored.end = self.rows.slots;
+        } else {
+            self.merge(heads.iter(), |row, _| fresh.push(row.iter().copied()));
+        }
     }
 
     /// Stores the rows of `batch` not stored yet, handing each new one and
@@ -480,6 +575,14 @@ impl IndexedRelation {
         };
         let rows = Arc::make_mut(&mut self.rows);
         let (slots_before, mut top, mut added) = (rows.slots, rows.free.len(), 0);
+        // New rows take the freed slots, then the arena's end: the live bits
+        // grow once, for as many slots as the batch can need. u32 ids are a
+        // storage invariant (`NONE` is not an id); 2^32 arena slots exceeds
+        // every budget this engine runs under.
+        let most = slots_before + (len - first).saturating_sub(top);
+        let overflow = "IndexedRelation overflow: more than u32::MAX tuples";
+        assert!(most <= NONE as usize, "{overflow}");
+        rows.live.resize(most.div_ceil(64), 0);
         for (n, row) in batch.enumerate().skip(first) {
             let hash = hash_key(row.iter().copied());
             let is_row = |id: u32| &rows.values[id as usize * arity..][..arity] == row;
@@ -491,14 +594,8 @@ impl IndexedRelation {
                 rows.values[rows.free[top] as usize * arity..][..arity].copy_from_slice(row);
                 rows.free[top]
             } else {
-                // u32 ids are a storage invariant (`NONE` is not an id);
-                // 2^32 arena slots exceeds every budget this engine runs
-                // under.
-                let overflow = "IndexedRelation overflow: more than u32::MAX tuples";
-                assert!(rows.slots < NONE as usize, "{overflow}");
                 rows.values.extend_from_slice(row);
                 rows.slots += 1;
-                rows.live.resize(rows.slots.div_ceil(64), 0);
                 rows.slots as u32 - 1
             };
             rows.live[id as usize / 64] |= 1 << (id % 64);
@@ -518,6 +615,7 @@ impl IndexedRelation {
             }
         }
         rows.free.truncate(top);
+        rows.live.truncate(rows.slots.div_ceil(64));
     }
 
     /// Removes a tuple, unlinking its id from every existing index and
@@ -613,6 +711,11 @@ impl IndexedRelation {
     pub fn tuple(&self, id: u32) -> &[Value] {
         debug_assert!(self.rows.is_live(id as usize), "the id of a removed tuple");
         &self.rows.values[id as usize * self.arity..][..self.arity]
+    }
+
+    /// The arena's rows `ids`, laid end to end.
+    pub(crate) fn run(&self, ids: Range<usize>) -> &[Value] {
+        &self.rows.values[ids.start * self.arity..ids.end * self.arity]
     }
 
     /// Iterates over all live tuples in arena order (insertion order until
@@ -761,11 +864,11 @@ impl EngineDb {
         self.rels.iter().map(|(name, rel)| (*name, rel))
     }
 
-    /// Set-inserts the rows of `heads` into `pred`'s relation and appends
-    /// the ones that were new, in order, to `fresh` — the set-semantics
-    /// merge for [`crate::drive_rounds`]. An unknown predicate stores
-    /// nothing.
-    pub fn insert_fresh(&mut self, pred: Symbol, heads: &Batch, fresh: &mut Batch) {
+    /// Set-inserts the rows of `heads` into `pred`'s relation and records
+    /// the ones that were new, in order, in `fresh` — the set-semantics
+    /// merge for [`crate::drive_rounds`], whose next round reads them where
+    /// they were stored. An unknown predicate stores nothing.
+    pub fn insert_fresh(&mut self, pred: Symbol, heads: &Batch, fresh: &mut Fresh) {
         if let Some(rel) = self.get_mut(pred) {
             rel.insert_batch(heads, fresh);
         }
@@ -1059,14 +1162,20 @@ mod tests {
             }
             // Two batches: the first lands on shared rows, the second on
             // rows the first made the relation's own (when it added any).
-            let (mut bulk, mut bulk_fresh) = (base.clone(), Batch::new(arity));
+            let (mut bulk, mut bulk_fresh) = (base.clone(), Fresh::from(Batch::new(arity)));
             let (front, back) = codes.split_at(codes.len() / 2);
             for half in [front, back] {
                 let half = Batch::from_rows(arity, half.iter().map(|&code| tuple(code)));
                 bulk.insert_batch(&half, &mut bulk_fresh);
             }
 
-            proptest::prop_assert_eq!(&bulk_fresh, &rowwise_fresh);
+            // With no freed slot to take, the fresh rows are one run of ids.
+            if base.rows.free.is_empty() {
+                proptest::prop_assert!(bulk_fresh.rows.is_empty());
+            }
+            let (values, len) = bulk_fresh.rows(Some(&bulk));
+            let bulk_rows = Batch::from_rows(arity, rows_of(values, arity, len));
+            proptest::prop_assert_eq!(&bulk_rows, &rowwise_fresh);
             proptest::prop_assert_eq!(bulk.len(), rowwise.len());
             let ids = |r: &IndexedRelation| -> Vec<Option<u32>> {
                 (0..216).map(|code| r.id_of(&tuple(code))).collect()
@@ -1082,9 +1191,9 @@ mod tests {
             proptest::prop_assert_eq!(probes(&base), held_probes);
 
             let stored = Batch::from_rows(arity, base.iter().chain(base.iter()));
-            let (mut copy, mut none) = (base.clone(), Batch::new(arity));
+            let (mut copy, mut none) = (base.clone(), Fresh::from(Batch::new(arity)));
             copy.insert_batch(&stored, &mut none);
-            proptest::prop_assert!(none.is_empty() && Arc::ptr_eq(&copy.rows, &base.rows));
+            proptest::prop_assert!(none.len() == 0 && Arc::ptr_eq(&copy.rows, &base.rows));
         }
     }
 

@@ -6,7 +6,7 @@ use crate::materialize::{add_count, stopped, Materialization, CAND};
 use crate::{IvmError, MaintenancePath};
 use recurs_datalog::govern::{EvalBudget, Governor, TruncationReason};
 use recurs_datalog::symbol::Symbol;
-use recurs_engine::{drive_rounds, Batch, IndexedRelation};
+use recurs_engine::{drive_rounds, Batch, Fresh, IndexedRelation};
 use recurs_obs::field;
 use std::collections::BTreeMap;
 
@@ -57,7 +57,7 @@ fn mark(
     cands: &mut IndexedRelation,
     stored: Option<&IndexedRelation>,
     heads: &Batch,
-    mut fresh: Option<&mut Batch>,
+    mut fresh: Option<&mut Fresh>,
 ) {
     for h in heads.iter() {
         if stored.is_none_or(|stored| stored.contains(h)) && cands.insert(h) {

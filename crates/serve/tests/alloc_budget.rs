@@ -19,7 +19,7 @@ use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_engine::compile::CompiledRule;
-use recurs_engine::{drive_rounds, Batch, EngineDb};
+use recurs_engine::{drive_rounds, Batch, EngineDb, Fresh};
 use recurs_obs::Obs;
 use recurs_serve::{
     CacheOutcome, FactOp, PointKernelKind, QueryService, ServeConfig, UpdateOutcome,
@@ -283,7 +283,7 @@ fn a_drive_rounds_call_sets_up_its_delta_slots_in_one_allocation() {
     let batch = pending();
     let (run, by_slots) = calls_by(|| {
         let rules = std::slice::from_ref(&variant);
-        let merge = |_: &mut EngineDb, _, _: &CompiledRule, _: &Batch, _: &mut Batch| {};
+        let merge = |_: &mut EngineDb, _, _: &CompiledRule, _: &Batch, _: &mut Fresh| {};
         drive_rounds(
             &mut store,
             None,
