@@ -334,7 +334,7 @@ fi
 # EXPERIMENTS.md reports — may not grow past the number below. A change that
 # deletes code lowers it in the same change; one that must grow raises it
 # and names the lines in CHANGES.md.
-size_budget=13000
+size_budget=12732
 echo "==> size ratchet (at most $size_budget non-test code lines in crates/*/src)"
 size=0
 for f in $(find crates/*/src -name '*.rs'); do
@@ -402,19 +402,19 @@ cargo build --release --offline -p recurs-cli
 crates/bench/ab.sh -n 2 -c 0 --stats-json target/release/recurs target/release/recurs \
   -- run datasets/transitive_closure.dl --engine indexed
 
-# The recurs-net chaos suite: torn frames, stalled sockets, mid-request
-# disconnects, and worker panics during drain must never leak a panic out of
-# a connection handler, must answer every accepted request exactly once (or
-# close cleanly), and must leave the snapshot chain intact.
-echo "==> recurs-net chaos suite (--features fault-inject)"
-cargo test -p recurs-net --features fault-inject --offline -q
-
-# The whole-stack model: one seeded script played through the protocol and
-# over TCP, every reply held to a plain-facts model at the version it names,
-# with slowed and tripped rounds beside small deadlines. Time-boxed, so a
-# wedged server fails the lane instead of hanging it.
-echo "==> whole-stack model (--features fault-inject, 120 s box)"
-timeout 120 cargo test -p recurs-net --features fault-inject --offline -q --test stack_model
+# The recurs-net package under fault injection, once, in one box: the chaos
+# suite (torn frames, stalled sockets, mid-request disconnects and worker
+# panics during drain never leak a panic out of a connection handler, answer
+# every accepted request exactly once or close cleanly, and leave the
+# snapshot chain intact) and the whole-stack model (every program of its
+# table played through the protocol and over TCP, every reply held to a
+# plain-facts model at the version it names, with slowed and tripped rounds
+# beside small deadlines). Built first, then run in a time box, so a wedged
+# server fails the lane instead of hanging it: the package's tests take 9 s
+# on a 2-core host (the model 5.8 s of it), the box is 120 s.
+echo "==> recurs-net chaos suite and whole-stack model (--features fault-inject, 120 s box)"
+cargo test -p recurs-net --features fault-inject --offline -q --no-run
+timeout 120 cargo test -p recurs-net --features fault-inject --offline -q
 
 # The observability spine on its own (recorder, aggregator, Prometheus text,
 # JSON-lines trace sink): it must lint and pass without the workspace's

@@ -5,7 +5,7 @@
 //! rank 2) and compares the bounded plan against naive and semi-naive
 //! fixpoints. Expected shape: the bounded plan evaluates exactly rank+1
 //! conjunctive queries regardless of data. On s5 (and on selective queries,
-//! see report_experiments P2) it wins outright; on s8's *open* query over
+//! see `tests/paper_examples.rs`' P2) it wins outright; on s8's *open* query over
 //! dense random data the re-joined levels lose to semi-naive's incremental
 //! deltas — the trade-off the sweep exists to show.
 

@@ -99,6 +99,8 @@ fn masking_zeroes_only_microsecond_fields() {
 fn serve_replies_match_the_recorded_bytes() {
     let scripts = scripts();
     assert_eq!(scripts.len(), 4, "one script per shipped dataset");
+    // Every difference, across every dataset, reported at once.
+    let mut diffs = Vec::new();
     for script in scripts {
         assert_eq!(
             script.requests.len(),
@@ -132,14 +134,28 @@ fn serve_replies_match_the_recorded_bytes() {
         );
         let stdout = String::from_utf8(out.stdout).expect("replies are UTF-8");
         let replies: Vec<&str> = stdout.lines().collect();
-        assert_eq!(replies.len(), script.requests.len(), "{}", script.dataset);
-        for ((request, want), got) in script.requests.iter().zip(&script.replies).zip(replies) {
-            assert_eq!(
-                &mask_micros(got),
-                want,
-                "{}: the reply to `{request}` changed",
+        if replies.len() != script.requests.len() {
+            let (want, got) = (script.requests.len(), replies.len());
+            diffs.push(format!(
+                "{}: {got} replies to {want} requests",
                 script.dataset
-            );
+            ));
+        }
+        let pairs = script.requests.iter().zip(&script.replies).zip(replies);
+        for (i, ((request, want), got)) in pairs.enumerate() {
+            let got = mask_micros(got);
+            if got != *want {
+                diffs.push(format!(
+                    "{}: request {i}, `{request}`\n  want: {want}\n   got: {got}",
+                    script.dataset
+                ));
+            }
         }
     }
+    assert!(
+        diffs.is_empty(),
+        "{} replies changed:\n{}",
+        diffs.len(),
+        diffs.join("\n")
+    );
 }

@@ -171,17 +171,31 @@ fn mask_events(text: &str) -> String {
     text.lines().map(|l| mask_event(l) + "\n").collect()
 }
 
-/// Asserts `got` equals the golden `name` line by line, naming the first
-/// line that differs.
-fn assert_golden(name: &str, got: &str) {
+/// Every line where `got` differs from the golden `name`.
+fn golden_diffs(name: &str, got: &str) -> Vec<String> {
     let want = golden(name);
-    for (i, (w, g)) in want.lines().zip(got.lines()).enumerate() {
-        assert_eq!(g, w, "{name}: line {} changed", i + 1);
+    let mut diffs: Vec<String> = (want.lines().zip(got.lines()).enumerate())
+        .filter(|(_, (w, g))| w != g)
+        .map(|(i, (w, g))| format!("{name}: line {}\n  want: {w}\n   got: {g}", i + 1))
+        .collect();
+    let (w, g) = (want.lines().count(), got.lines().count());
+    if w != g {
+        diffs.push(format!("{name}: {g} lines, {w} on file"));
     }
-    assert_eq!(
-        got.lines().count(),
-        want.lines().count(),
-        "{name}: a different number of lines"
+    diffs
+}
+
+/// Fails once, listing every line that differs from its golden.
+fn assert_goldens(checks: &[(&str, &str)]) {
+    let diffs: Vec<String> = checks
+        .iter()
+        .flat_map(|(n, g)| golden_diffs(n, g))
+        .collect();
+    assert!(
+        diffs.is_empty(),
+        "{} lines changed:\n{}",
+        diffs.len(),
+        diffs.join("\n")
     );
 }
 
@@ -232,8 +246,10 @@ fn a_traced_session_records_the_events_and_metrics_on_file() {
         .expect("the !metrics reply");
     let recorded = std::fs::read_to_string(&trace).expect("trace file");
     std::fs::remove_dir_all(&dir).ok();
-    assert_golden("trace_events.jsonl", &mask_events(&recorded));
-    assert_golden("metrics.txt", &mask_metrics(metrics));
+    assert_goldens(&[
+        ("trace_events.jsonl", &mask_events(&recorded)),
+        ("metrics.txt", &mask_metrics(metrics)),
+    ]);
 }
 
 #[test]
@@ -248,9 +264,11 @@ fn the_flight_recorder_retains_the_events_on_file() {
             _ => panic!("{line}: no reply"),
         }
     }
-    assert_golden(
-        "flight_events.jsonl",
-        &mask_events(&service.postmortem_jsonl()),
-    );
-    assert_golden("metrics.txt", &mask_metrics(&last));
+    assert_goldens(&[
+        (
+            "flight_events.jsonl",
+            &mask_events(&service.postmortem_jsonl()),
+        ),
+        ("metrics.txt", &mask_metrics(&last)),
+    ]);
 }

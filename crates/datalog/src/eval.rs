@@ -10,7 +10,7 @@
 //! round, [`semi_naive`]'s seeding round, and each of its differentiated
 //! variants, which is the rule with one IDB atom reading the delta — is
 //! [`eval_rule`]: a fold of the algebra's join and product over the body
-//! atoms in [`crate::order`]'s order. Nothing is prepared, indexed or kept
+//! atoms in its own [`join_order`]. Nothing is prepared, indexed or kept
 //! between rounds.
 
 use crate::algebra::{join, product, select_col_eq, select_eq};
@@ -147,16 +147,14 @@ fn extend_bindings(acc: &Bindings, vars: &[Symbol], rel: &Relation) -> Bindings 
 /// overrides (used by semi-naive deltas). Returns bindings over the body's
 /// variables.
 ///
-/// Atoms are joined in the selection-first order of [`crate::order`]
-/// (constants and small relations early, products deferred); when overrides
-/// are present, the smallest overridden position (the delta atom) leads.
+/// Atoms are joined in [`join_order`]; when overrides are present, the
+/// smallest overridden position (the delta atom) leads.
 pub fn eval_body(
     db: &Database,
     body: &[Atom],
     overrides: &HashMap<usize, &Relation>,
 ) -> Result<Bindings, DatalogError> {
-    let pinned = overrides.keys().min().copied();
-    let order = crate::order::order_atoms(body, |p| db.get(p).map(Relation::len), pinned);
+    let order = join_order(body, overrides.keys().min().copied());
     let mut acc = Bindings::unit();
     for i in order {
         let atom = &body[i];
@@ -185,6 +183,26 @@ pub fn eval_body(
         }
     }
     Ok(acc)
+}
+
+/// The oracle's join order: `first` (the delta atom), then each next atom
+/// that shares a variable with those already joined, else the first left in
+/// source order. It reads no relation size. The engine plans its pipelines
+/// with an order of its own, so a bug in either order cannot bend both the
+/// engine and the reference it is checked against.
+fn join_order(body: &[Atom], first: Option<usize>) -> Vec<usize> {
+    let mut left: Vec<usize> = (0..body.len()).collect();
+    let mut order = Vec::with_capacity(body.len());
+    let mut bound = BTreeSet::new();
+    while !left.is_empty() {
+        let shares = |&i: &usize| body[i].variables().any(|v| bound.contains(&v));
+        let led = first.filter(|_| order.is_empty());
+        let pos = led.and_then(|f| left.iter().position(|&i| i == f));
+        let i = left.remove(pos.or_else(|| left.iter().position(shares)).unwrap_or(0));
+        bound.extend(body[i].variables());
+        order.push(i);
+    }
+    order
 }
 
 /// Evaluates one rule, returning the derived head tuples.
@@ -412,6 +430,15 @@ mod tests {
 
     fn tc_program() -> Program {
         parse_program("P(x, y) :- E(x, y).\nP(x, y) :- A(x, z), P(z, y).").unwrap()
+    }
+
+    #[test]
+    fn join_order_leads_with_the_delta_then_follows_shared_variables() {
+        let body = crate::parser::parse_rule("Q(x) :- A(x, y), C(u, v), B(y, u), D(w).")
+            .unwrap()
+            .body;
+        assert_eq!(join_order(&body, None), [0, 2, 1, 3]);
+        assert_eq!(join_order(&body, Some(1)), [1, 2, 0, 3]);
     }
 
     #[test]

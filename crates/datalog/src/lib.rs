@@ -49,7 +49,6 @@ pub mod error;
 pub mod eval;
 pub mod fingerprint;
 pub mod govern;
-pub mod order;
 pub mod parser;
 pub mod relation;
 pub mod rule;

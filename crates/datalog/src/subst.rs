@@ -198,7 +198,7 @@ mod tests {
         let mut s = Subst::new();
         s.bind(Symbol::intern("x"), Term::constant("a"));
         let r2 = s.apply_rule(&r);
-        assert_eq!(r2.to_string(), "P(a, y) :- A(a, z), P(z, y).");
+        assert_eq!(r2.to_string(), "P('a', y) :- A('a', z), P(z, y).");
     }
 
     #[test]

@@ -88,11 +88,19 @@ impl Term {
     }
 }
 
+/// Prints a term as the parser reads it back: a numeral bare, every other
+/// constant quoted (a bare name would read as a variable).
 impl fmt::Debug for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Term::Var(v) => write!(f, "{v}"),
-            Term::Const(c) => write!(f, "{c}"),
+            Term::Const(c) => {
+                let text = c.as_str();
+                match !text.is_empty() && text.bytes().all(|b| b.is_ascii_digit()) {
+                    true => f.write_str(text),
+                    false => write!(f, "'{text}'"),
+                }
+            }
         }
     }
 }
@@ -201,7 +209,7 @@ mod tests {
     #[test]
     fn atom_display() {
         let a = Atom::new("P", vec![Term::var("x"), Term::constant("a")]);
-        assert_eq!(a.to_string(), "P(x, a)");
+        assert_eq!(a.to_string(), "P(x, 'a')");
         assert_eq!(a.arity(), 2);
     }
 

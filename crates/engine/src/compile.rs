@@ -17,10 +17,10 @@
 //! its relation's arena, or a whole relation, is then not copied at all.
 
 use crate::error::EngineError;
+use crate::order::order_atoms;
 use crate::storage::{rows_of, Batch, EngineDb, IndexView, IndexedRelation, UNLOADED};
 use recurs_datalog::error::DatalogError;
 use recurs_datalog::govern::{Governor, TruncationReason};
-use recurs_datalog::order::order_atoms;
 use recurs_datalog::rule::Rule;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::{Atom, Term, Value};

@@ -64,6 +64,7 @@ mod evaluate;
 #[cfg(any(test, feature = "fault-inject"))]
 pub mod fault;
 pub mod oracle;
+mod order;
 pub mod stats;
 pub mod storage;
 

@@ -14,16 +14,16 @@
 //! The order is a permutation of body positions, so callers that key
 //! per-position overrides (semi-naive deltas) can remap them.
 
-use crate::symbol::Symbol;
-use crate::term::{Atom, Term};
+use recurs_datalog::symbol::Symbol;
+use recurs_datalog::term::{Atom, Term};
 use std::collections::BTreeSet;
 
 /// Returns a permutation of `0..body.len()`: the order in which to join the
 /// body's atoms. If `pinned_first` is given, that position is forced to the
 /// front (semi-naive evaluation starts from the delta atom). `len_of` is the
-/// current size of a relation (`None` when it does not exist), whatever
-/// store the caller evaluates over.
-pub fn order_atoms(
+/// current size of a relation (`None` when it does not exist) in the store
+/// the pipeline will run on.
+pub(crate) fn order_atoms(
     body: &[Atom],
     len_of: impl Fn(Symbol) -> Option<usize>,
     pinned_first: Option<usize>,
@@ -88,7 +88,7 @@ pub fn order_atoms(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_rule;
+    use recurs_datalog::parser::parse_rule;
 
     /// A size lookup over the named relations.
     fn db_with(sizes: &[(&str, usize)]) -> impl Fn(Symbol) -> Option<usize> {

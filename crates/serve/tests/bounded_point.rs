@@ -2,27 +2,21 @@
 //! classes (permutational A2/A4, bounded B, acyclic D) must be answered by
 //! rank-bounded unrolling — `fixpoint_iterations` is 0 ≤ rank, and the
 //! answer is complete even under an iteration budget no fixpoint loop
-//! could survive.
+//! could survive. That a served bounded answer equals the reference, for
+//! every adornment and for repeated variables, is the whole-stack model's
+//! check 2 on s5, s8 and s10 (`crates/net/tests/stack_model.rs`).
 
 use recurs_datalog::database::Database;
-use recurs_datalog::eval::{answer_query, semi_naive};
 use recurs_datalog::govern::EvalBudget;
 use recurs_datalog::parser::{parse_atom, parse_program};
 use recurs_datalog::relation::{tuple_u64, Relation};
 use recurs_datalog::rule::LinearRecursion;
-use recurs_datalog::term::Atom;
 use recurs_obs::TraceId;
 use recurs_serve::{PointKernelKind, QueryService, ServeConfig};
 
 fn lr(src: &str) -> LinearRecursion {
     recurs_datalog::validate::validate_with_generic_exit(&parse_program(src).unwrap())
         .expect("formula validates")
-}
-
-fn oracle(f: &LinearRecursion, db: &Database, query: &Atom) -> Relation {
-    let mut db = db.clone();
-    semi_naive(&mut db, &f.to_program(), None).expect("oracle saturates");
-    answer_query(&db, query).expect("oracle answers")
 }
 
 /// Asserts the full bounded contract for one (formula, db, query) triple.
@@ -53,11 +47,6 @@ fn assert_bounded(f: &LinearRecursion, db: &Database, query_text: &str, rank: u6
     assert!(
         iters <= rank,
         "iterations must never exceed the computed rank"
-    );
-    assert_eq!(
-        reply.answers.to_relation(),
-        oracle(f, db, &query),
-        "bounded unrolling diverged from the saturation oracle for {query_text}"
     );
 }
 
@@ -105,70 +94,6 @@ fn s10_acyclic_is_answered_by_rank_2_unrolling() {
     assert_bounded(&f, &db, "P(1, y)", 2);
     assert_bounded(&f, &db, "P(x, y)", 2);
     assert_bounded(&f, &db, "P(3, 5)", 2);
-}
-
-/// The served bounded kernel against the reference — the recursion's own
-/// fixpoint under the oracle, filtered by the query — for every adornment
-/// of the formula, each bound position taking a constant some tuple has and
-/// one none has, and for queries that repeat a variable.
-fn assert_matches_reference(f: &LinearRecursion, db: &Database, repeated: &[&str]) {
-    let service = QueryService::new(f.clone(), db.clone(), ServeConfig::default());
-    let mut queries = recurs_workload::all_query_atoms(f, &[2, 5, 1]);
-    queries.extend(recurs_workload::all_query_atoms(f, &[99]));
-    queries.extend(repeated.iter().map(|q| parse_atom(q).unwrap()));
-    for query in queries {
-        let reply = service.query(&query).expect("bounded query succeeds");
-        assert!(matches!(
-            reply.stats.kernel,
-            PointKernelKind::BoundedUnroll { .. }
-        ));
-        let want = oracle(f, db, &query);
-        assert_eq!(
-            reply.answers.to_relation(),
-            want,
-            "served ≠ reference for {query}"
-        );
-    }
-}
-
-#[test]
-fn every_adornment_and_repeated_variables_match_the_reference_executor() {
-    let s5 = lr("P(x, y, z) :- P(y, z, x).");
-    let mut db = Database::new();
-    db.insert_relation(
-        "E",
-        Relation::from_tuples(
-            3,
-            [[1, 2, 3], [4, 5, 6], [2, 2, 2], [5, 5, 1]].map(tuple_u64),
-        ),
-    );
-    assert_matches_reference(
-        &s5,
-        &db,
-        &["P(x, x, z)", "P(x, x, x)", "P(x, y, x)", "P(2, y, y)"],
-    );
-
-    let s8 = lr("P(x,y,z,u) :- A(x,y), B(y1,u), C(z1,u1), P(z,y1,z1,u1).");
-    let mut db = Database::new();
-    db.insert_relation("A", Relation::from_pairs([(1, 2), (2, 2), (5, 5)]));
-    db.insert_relation("B", Relation::from_pairs([(2, 5), (5, 2)]));
-    db.insert_relation("C", Relation::from_pairs([(2, 5), (5, 1)]));
-    db.insert_relation(
-        "E",
-        Relation::from_tuples(4, [[1, 2, 2, 5], [2, 5, 5, 1], [5, 5, 2, 2]].map(tuple_u64)),
-    );
-    assert_matches_reference(
-        &s8,
-        &db,
-        &["P(x, x, z, u)", "P(x, y, y, y)", "P(x, 2, z, z)"],
-    );
-
-    let s10 = lr("P(x, y) :- B(y), C(x, y1), P(x1, y1).");
-    let mut db = Database::new();
-    db.insert_relation("B", Relation::from_tuples(1, [[2], [5]].map(tuple_u64)));
-    db.insert_relation("C", Relation::from_pairs([(1, 2), (5, 5), (2, 2)]));
-    db.insert_relation("E", Relation::from_pairs([(1, 2), (5, 5)]));
-    assert_matches_reference(&s10, &db, &["P(x, x)"]);
 }
 
 #[test]

@@ -1,14 +1,16 @@
 //! The answer cache's one knob: a cache of capacity N keeps any N distinct
-//! queries. Replies held to a plain-facts model across patches, evictions
-//! and concurrent writers are `crates/net/tests/stack_model.rs`'s.
+//! queries; and two racing writers carry every warm entry. Replies held to a
+//! plain-facts model across patches, evictions and concurrent writers are
+//! `crates/net/tests/stack_model.rs`'s.
 
 use recurs_datalog::database::Database;
 use recurs_datalog::parser::{parse_atom, parse_program};
-use recurs_datalog::relation::Relation;
+use recurs_datalog::relation::{tuple_u64, Relation};
 use recurs_datalog::rule::LinearRecursion;
+use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::Atom;
 use recurs_datalog::validate::validate_with_generic_exit;
-use recurs_serve::{CacheOutcome, QueryService, ServeConfig};
+use recurs_serve::{CacheOutcome, FactOp, QueryService, ServeConfig};
 
 fn tc() -> LinearRecursion {
     validate_with_generic_exit(
@@ -48,4 +50,53 @@ fn a_cache_of_capacity_n_keeps_any_n_queries() {
             "(second-pass hits, live entries) at capacity {capacity}"
         );
     }
+}
+
+/// Two writers race their updates; each moves the cache while it still
+/// holds the write lock its version was installed under, so every warm entry
+/// is carried across every patch, none stranded or dropped. (The whole-stack
+/// model holds the answers to naive; a dropped entry reads there as one more
+/// miss.)
+#[test]
+fn two_writers_leave_the_warm_cache_exact_at_the_final_version() {
+    let chain = Relation::from_pairs((1..16).map(|i| (i, i + 1)));
+    let mut db = Database::new();
+    db.insert_relation("A", chain.clone());
+    db.insert_relation("E", chain);
+    let service = QueryService::new(tc(), db, ServeConfig::default());
+    let extend =
+        |n: u64| ["A", "E"].map(|r| FactOp::Insert(Symbol::intern(r), tuple_u64([n, n + 1])));
+    // The first update builds the view; every one after it is a patch.
+    service.apply_update(&extend(1000)).unwrap();
+    let queries = [
+        "P(1, y)",
+        "P(x, y)",
+        "P(1, 5)",
+        "P(1000, y)",
+        "P(x, 1003)",
+        "P(x, 18)",
+        "P(x, x)",
+    ];
+    let queries: Vec<Atom> = queries.iter().map(|q| parse_atom(q).unwrap()).collect();
+    queries.iter().for_each(|q| _ = service.query(q).unwrap());
+    let warm = service.stats();
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for tail in [16, 1001] {
+            let (service, start, extend) = (&service, &start, &extend);
+            s.spawn(move || {
+                start.wait();
+                (tail..tail + 24).for_each(|n| _ = service.apply_update(&extend(n)).unwrap());
+            });
+        }
+    });
+    for q in &queries {
+        let reply = service.query(q).unwrap();
+        assert_eq!(reply.stats.snapshot_version, 49);
+        assert_eq!(reply.stats.cache, CacheOutcome::Hit, "{q} was not carried");
+    }
+    let stats = service.stats();
+    assert!(stats.cache.patched > 0);
+    assert_eq!(stats.cache.invalidations, warm.cache.invalidations);
+    assert_eq!(stats.cache.misses, warm.cache.misses);
 }

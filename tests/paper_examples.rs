@@ -4,13 +4,15 @@
 
 use recurs_core::classify::{Classification, FormulaClass, OneDirectionalSubclass};
 use recurs_core::plan::{plan_query, StrategyKind};
+use recurs_datalog::parser::parse_atom;
 use recurs_datalog::parser::parse_program;
 use recurs_datalog::relation::{tuple_u64, Relation};
 use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::Database;
-use recurs_engine::oracle::assert_equivalent;
+use recurs_engine::oracle::{assert_equivalent, compare};
 use recurs_workload::all_query_atoms;
+use recurs_workload::graphs::{chain, random_digraph, random_relation};
 
 fn lr(src: &str) -> LinearRecursion {
     validate_with_generic_exit(&parse_program(src).unwrap()).unwrap()
@@ -80,6 +82,7 @@ fn s3_example_3_stable() {
         c.class,
         FormulaClass::OneDirectional(OneDirectionalSubclass::A1)
     );
+    assert!(c.is_strongly_stable());
 
     let mut db = Database::new();
     db.insert_relation("A", Relation::from_pairs([(1, 2), (2, 3), (3, 1)]));
@@ -209,6 +212,7 @@ fn s9_example_9_unbounded() {
     let f = lr("P(x, y, z) :- A(x, y), B(u, v), P(u, z, v).");
     let c = Classification::of(&f.recursive_rule);
     assert_eq!(c.class, FormulaClass::Unbounded);
+    assert!(!c.is_transformable_to_stable(), "Thm 5");
 
     let mut db = Database::new();
     db.insert_relation("A", Relation::from_pairs([(1, 2), (2, 3), (5, 5)]));
@@ -242,6 +246,7 @@ fn s11_example_11_dependent() {
     let f = lr("P(x, y) :- A(x, x1), B(y, y1), C(x1, y1), P(x1, y1).");
     let c = Classification::of(&f.recursive_rule);
     assert_eq!(c.class, FormulaClass::Dependent);
+    assert!(!c.is_transformable_to_stable(), "Thm 8");
 
     let mut db = Database::new();
     db.insert_relation("A", Relation::from_pairs([(1, 2), (2, 3), (3, 1)]));
@@ -257,6 +262,11 @@ fn s12_example_14_mixed() {
     let f = lr("P(x, y, z) :- A(x, u), B(y, v), C(u, v), D(w, z), P(u, v, w).");
     let c = Classification::of(&f.recursive_rule);
     assert_eq!(c.class, FormulaClass::Mixed);
+    // Example 14's query-form table: dvv, then ddv from the first expansion on.
+    let dvv = recurs_datalog::QueryForm::parse("dvv");
+    let (trace, _) = recurs_datalog::adornment::propagation_trace(&f.recursive_rule, &dvv, 4);
+    let trace: Vec<String> = trace.iter().map(ToString::to_string).collect();
+    assert_eq!(trace[..3], ["dvv", "ddv", "ddv"]);
 
     let mut db = Database::new();
     db.insert_relation("A", Relation::from_pairs([(1, 2), (2, 3), (3, 1)]));
@@ -296,4 +306,63 @@ fn theorem1_counterexample_formula() {
     db.insert_relation("A", Relation::from_pairs([(1, 2), (2, 3), (3, 2)]));
     db.insert_relation("E", Relation::from_pairs([(1, 2), (2, 3), (3, 2)]));
     check_all_forms(&f, &db, &[1, 2]);
+}
+
+/// The compilation approach's performance claims, as tuples derived by the
+/// compiled plan against the semi-naive fixpoint on the same query: P1 a
+/// frontier walk from near a chain's end (class A5), P2 the rank-2 union of
+/// s8 with the selection pushed into each level (class B), P3 magic on the
+/// dependent s11 (class E). Each answer set agrees with the fixpoint's.
+#[test]
+fn compiled_plans_derive_a_fraction_of_the_fixpoint() {
+    let tc = lr("P(x, y) :- A(x, z), P(z, y).");
+    let mut chains = Database::new();
+    chains.insert_relation("A", chain(200));
+    chains.insert_relation("E", chain(200));
+
+    let s8 = lr("P(x, y, z, u) :- A(x, y), B(y1, u), C(z1, u1), P(z, y1, z1, u1).");
+    let mut random = Database::new();
+    for (rel, seed) in [("A", 1), ("B", 2), ("C", 3)] {
+        random.insert_relation(rel, random_digraph(40, 80, seed));
+    }
+    random.insert_relation("E", random_relation(4, 80, 40, 4));
+
+    let s11 = lr("P(x, y) :- A(x, x1), B(y, y1), C(x1, y1), P(x1, y1).");
+    let mut diagonal = Database::new();
+    diagonal.insert_relation("A", chain(150));
+    diagonal.insert_relation("B", chain(150));
+    for rel in ["C", "E"] {
+        diagonal.insert_relation(rel, Relation::from_pairs((1..=150).map(|i| (i, i))));
+    }
+
+    let claims = [
+        (
+            "P1",
+            &tc,
+            &chains,
+            "P('190', y)",
+            StrategyKind::Frontier,
+            100,
+        ),
+        (
+            "P2",
+            &s8,
+            &random,
+            "P('3', y, z, u)",
+            StrategyKind::Bounded,
+            0,
+        ),
+        ("P3", &s11, &diagonal, "P('140', y)", StrategyKind::Magic, 5),
+    ];
+    for (id, f, db, query, strategy, fewer) in claims {
+        let report = compare(f, db, &parse_atom(query).unwrap()).unwrap();
+        assert!(
+            report.agrees(),
+            "{id}: the plan disagrees with the fixpoint"
+        );
+        assert_eq!(report.strategy, strategy, "{id}");
+        let (plan, fixpoint) = (report.plan_tuples_derived, report.oracle_tuples_derived);
+        let claim = format!("{id}: the plan derived {plan}, the fixpoint {fixpoint}");
+        assert!(plan * fewer <= fixpoint, "{claim}: not {fewer}x fewer");
+    }
 }

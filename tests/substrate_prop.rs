@@ -6,8 +6,15 @@ use proptest::prelude::*;
 use recurs_datalog::algebra::{join, product, project, select_eq};
 use recurs_datalog::parser::{parse, parse_rule};
 use recurs_datalog::relation::Relation;
+use recurs_datalog::rule::Rule;
+use recurs_datalog::term::{Atom, Term};
 use recurs_datalog::unfold::{expansion, Unfolder};
 use recurs_datalog::Value;
+
+/// Constants the printer must render so the parser reads them back.
+const CONSTANTS: [&str; 9] = [
+    "a", "Zed", "café", "東京", "a b", "q\"\\", "x-1", "7", "042",
+];
 
 fn arb_relation(max_tuples: usize, domain: u64) -> impl Strategy<Value = Relation> {
     prop::collection::vec((1..=domain, 1..=domain), 0..max_tuples).prop_map(Relation::from_pairs)
@@ -72,13 +79,26 @@ proptest! {
 
     // ---------- parser ----------
 
-    /// Display ∘ parse is the identity on parsed rules (round-trip).
+    /// Display ∘ parse is the identity on rules and facts (round-trip):
+    /// a random rule with some terms made constants, and a fact of those
+    /// constants — named, non-ASCII, quoted punctuation and numerals alike.
     #[test]
-    fn parser_round_trip(seed in 0u64..100_000) {
-        let rule = recurs_workload::random_rule(seed, recurs_workload::RuleConfig::default());
-        let printed = rule.to_string();
-        let reparsed = parse_rule(&printed).unwrap();
-        prop_assert_eq!(rule, reparsed);
+    fn parser_round_trip(
+        seed in 0u64..100_000,
+        picks in prop::collection::vec((0usize..64, 0usize..CONSTANTS.len()), 1..5),
+    ) {
+        let mut rule = recurs_workload::random_rule(seed, recurs_workload::RuleConfig::default());
+        let constant = |c: usize| Term::Const(Value::named(CONSTANTS[c]));
+        let width: usize = std::iter::once(&rule.head).chain(&rule.body).map(Atom::arity).sum();
+        for &(at, c) in &picks {
+            let mut terms = std::iter::once(&mut rule.head).chain(&mut rule.body).flat_map(|a| &mut a.terms);
+            *terms.nth(at % width).unwrap() = constant(c);
+        }
+        let fact = Rule::new(Atom::new("F", picks.iter().map(|&(_, c)| constant(c)).collect()), vec![]);
+        for clause in [rule, fact] {
+            let printed = clause.to_string();
+            prop_assert_eq!(parse_rule(&printed).unwrap(), clause, "printed as {}", printed);
+        }
     }
 
     /// The parser never panics on arbitrary input (errors are values).
