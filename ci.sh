@@ -410,8 +410,8 @@ crates/bench/ab.sh -n 2 -c 0 --stats-json target/release/recurs target/release/r
 # table played through the protocol and over TCP, every reply held to a
 # plain-facts model at the version it names, with slowed and tripped rounds
 # beside small deadlines). Built first, then run in a time box, so a wedged
-# server fails the lane instead of hanging it: the package's tests take 9 s
-# on a 2-core host (the model 5.8 s of it), the box is 120 s.
+# server fails the lane instead of hanging it: the package's tests take
+# 9-11 s on a 2-core host (the model 7-8.5 s of it), the box is 120 s.
 echo "==> recurs-net chaos suite and whole-stack model (--features fault-inject, 120 s box)"
 cargo test -p recurs-net --features fault-inject --offline -q --no-run
 timeout 120 cargo test -p recurs-net --features fault-inject --offline -q

@@ -2,21 +2,30 @@
 //! classes (permutational A2/A4, bounded B, acyclic D) must be answered by
 //! rank-bounded unrolling — `fixpoint_iterations` is 0 ≤ rank, and the
 //! answer is complete even under an iteration budget no fixpoint loop
-//! could survive. That a served bounded answer equals the reference, for
-//! every adornment and for repeated variables, is the whole-stack model's
-//! check 2 on s5, s8 and s10 (`crates/net/tests/stack_model.rs`).
+//! could survive — and still equal the saturation oracle's. That a served
+//! bounded answer equals the reference for every adornment and for repeated
+//! variables, under updates and the cache, is the whole-stack model's check
+//! 2 on s5, s6, s8 and s10 (`crates/net/tests/stack_model.rs`).
 
 use recurs_datalog::database::Database;
+use recurs_datalog::eval::{answer_query, semi_naive};
 use recurs_datalog::govern::EvalBudget;
 use recurs_datalog::parser::{parse_atom, parse_program};
 use recurs_datalog::relation::{tuple_u64, Relation};
 use recurs_datalog::rule::LinearRecursion;
+use recurs_datalog::term::Atom;
 use recurs_obs::TraceId;
 use recurs_serve::{PointKernelKind, QueryService, ServeConfig};
 
 fn lr(src: &str) -> LinearRecursion {
     recurs_datalog::validate::validate_with_generic_exit(&parse_program(src).unwrap())
         .expect("formula validates")
+}
+
+fn oracle(f: &LinearRecursion, db: &Database, query: &Atom) -> Relation {
+    let mut db = db.clone();
+    semi_naive(&mut db, &f.to_program(), None).expect("oracle saturates");
+    answer_query(&db, query).expect("oracle answers")
 }
 
 /// Asserts the full bounded contract for one (formula, db, query) triple.
@@ -47,6 +56,11 @@ fn assert_bounded(f: &LinearRecursion, db: &Database, query_text: &str, rank: u6
     assert!(
         iters <= rank,
         "iterations must never exceed the computed rank"
+    );
+    assert_eq!(
+        reply.answers.to_relation(),
+        oracle(f, db, &query),
+        "bounded unrolling diverged from the saturation oracle for {query_text}"
     );
 }
 

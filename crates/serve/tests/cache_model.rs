@@ -4,6 +4,7 @@
 //! `crates/net/tests/stack_model.rs`'s.
 
 use recurs_datalog::database::Database;
+use recurs_datalog::eval::{answer_query, semi_naive};
 use recurs_datalog::parser::{parse_atom, parse_program};
 use recurs_datalog::relation::{tuple_u64, Relation};
 use recurs_datalog::rule::LinearRecursion;
@@ -54,9 +55,8 @@ fn a_cache_of_capacity_n_keeps_any_n_queries() {
 
 /// Two writers race their updates; each moves the cache while it still
 /// holds the write lock its version was installed under, so every warm entry
-/// is carried across every patch, none stranded or dropped. (The whole-stack
-/// model holds the answers to naive; a dropped entry reads there as one more
-/// miss.)
+/// is carried across every patch, none stranded or dropped, and each carried
+/// hit equals the oracle's answer at the final version.
 #[test]
 fn two_writers_leave_the_warm_cache_exact_at_the_final_version() {
     let chain = Relation::from_pairs((1..16).map(|i| (i, i + 1)));
@@ -90,10 +90,21 @@ fn two_writers_leave_the_warm_cache_exact_at_the_final_version() {
             });
         }
     });
+    // Both chains, whole, saturated by the oracle.
+    let grown = (1..40).chain(1000..1025).map(|i| (i, i + 1));
+    let mut oracle = Database::new();
+    oracle.insert_relation("A", Relation::from_pairs(grown.clone()));
+    oracle.insert_relation("E", Relation::from_pairs(grown));
+    semi_naive(&mut oracle, &tc().to_program(), None).unwrap();
     for q in &queries {
         let reply = service.query(q).unwrap();
         assert_eq!(reply.stats.snapshot_version, 49);
         assert_eq!(reply.stats.cache, CacheOutcome::Hit, "{q} was not carried");
+        assert_eq!(
+            reply.answers.to_relation(),
+            answer_query(&oracle, q).unwrap(),
+            "{q} is not exact at the final version"
+        );
     }
     let stats = service.stats();
     assert!(stats.cache.patched > 0);

@@ -4,8 +4,7 @@
 
 use recurs_core::classify::{Classification, FormulaClass, OneDirectionalSubclass};
 use recurs_core::plan::{plan_query, StrategyKind};
-use recurs_datalog::parser::parse_atom;
-use recurs_datalog::parser::parse_program;
+use recurs_datalog::parser::{parse_atom, parse_program};
 use recurs_datalog::relation::{tuple_u64, Relation};
 use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::validate::validate_with_generic_exit;
@@ -335,31 +334,15 @@ fn compiled_plans_derive_a_fraction_of_the_fixpoint() {
         diagonal.insert_relation(rel, Relation::from_pairs((1..=150).map(|i| (i, i))));
     }
 
+    use StrategyKind::{Bounded, Frontier, Magic};
     let claims = [
-        (
-            "P1",
-            &tc,
-            &chains,
-            "P('190', y)",
-            StrategyKind::Frontier,
-            100,
-        ),
-        (
-            "P2",
-            &s8,
-            &random,
-            "P('3', y, z, u)",
-            StrategyKind::Bounded,
-            0,
-        ),
-        ("P3", &s11, &diagonal, "P('140', y)", StrategyKind::Magic, 5),
+        ("P1", &tc, &chains, "P('190', y)", Frontier, 100),
+        ("P2", &s8, &random, "P('3', y, z, u)", Bounded, 20),
+        ("P3", &s11, &diagonal, "P('140', y)", Magic, 5),
     ];
     for (id, f, db, query, strategy, fewer) in claims {
         let report = compare(f, db, &parse_atom(query).unwrap()).unwrap();
-        assert!(
-            report.agrees(),
-            "{id}: the plan disagrees with the fixpoint"
-        );
+        assert!(report.agrees(), "{id}: the plan disagrees");
         assert_eq!(report.strategy, strategy, "{id}");
         let (plan, fixpoint) = (report.plan_tuples_derived, report.oracle_tuples_derived);
         let claim = format!("{id}: the plan derived {plan}, the fixpoint {fixpoint}");
