@@ -253,7 +253,7 @@ fn phase_split(
                 store.get_mut(*pred).unwrap().insert(constants);
             }
             let t2 = Instant::now();
-            let compiled = CompiledProgram::compile(&lowered.program, &store).unwrap();
+            let compiled = CompiledProgram::compile(lowered.program, &store).unwrap();
             let t3 = Instant::now();
             let kernel = KernelKind::for_round_cap(lowered.round_cap);
             let saturation = saturate(&mut store, &compiled, kernel, config).unwrap();

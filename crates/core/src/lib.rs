@@ -14,8 +14,8 @@
 //!   ([`transform`]);
 //! * symbolic **compiled formulas** in the paper's σ/⋈/×/∃/∪ₖ notation
 //!   ([`formula`]);
-//! * the rewrites behind the **plans** — [`bounded`] levels, the
-//!   [`counting`] formula as a frontier walk, and [`magic`] sets — selected
+//! * the rewrites behind the **plans** — bounded levels ([`transform`]),
+//!   the [`counting`] formula as a frontier walk, and [`magic`] sets — selected
 //!   per class and query form by the [`plan`] module, which lowers each to
 //!   a program for `recurs-engine` (nothing in this crate evaluates one);
 //! * the [`oracle`] ground truth every plan is held to, and human-readable
@@ -49,7 +49,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod bounded;
 pub mod classify;
 pub mod compress;
 pub mod counting;

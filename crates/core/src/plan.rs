@@ -8,29 +8,28 @@
 //!
 //! | condition, first match wins | [`StrategyKind`] | lowered program | round cap |
 //! |---|---|---|---|
-//! | proven rank bound (A2/A4, bounded B, acyclic D) | `Bounded` | the `rank + 1` non-recursive levels with the query constants pushed in ([`crate::bounded::specialize`]), under a private answer predicate | 0 — the seeding round is the whole run |
-//! | class A (stable after [`unfold_to_stable`]), ≥ 1 bound argument, every free position's chain the identity | `Frontier` | the compiled formula `σA^k-E` itself: `reach(bottoms) :- reach(tops), chains, guards.` seeded with the query constants, and `ans(free) :- reach(bound), exit.` per exit rule ([`CountingPlan::frontier_program`]) | none — `reach` saturating is the walk ending |
+//! | proven rank bound (A2/A4, bounded B, acyclic D) | `Bounded` | the `rank + 1` non-recursive levels ([`to_nonrecursive_with_rank`]), each `ans(head) :- seed(head at the bound positions), level body.` — the guard of magic's exit rules — seeded with the query constants | 0 — the seeding round is the whole run |
+//! | class A (stable after [`unfold_by`] its stabilization period), ≥ 1 bound argument, every free position's chain the identity | `Frontier` | the compiled formula `σA^k-E` itself: `reach(bottoms) :- reach(tops), chains, guards.` seeded with the query constants, and `ans(free) :- reach(bound), exit.` per exit rule ([`CountingPlan::frontier_program`]) | none — `reach` saturating is the walk ending |
 //! | any other query with a bound argument (a stable form with an ascend factor such as s3 `ddv` or same-generation; classes C/E/F) | `Magic` | the adorned magic-sets rewrite ([`crate::magic`]), seeded with the query constants | none |
 //! | all-free query | `Saturate` | the recursion itself | none |
 //!
-//! A [`QueryPlan`] is pure data: [`QueryPlan::lower`] turns it and a query
-//! atom into a [`Lowered`] program + seed + answer atom + round cap, and
-//! nothing in this crate evaluates one. `compiled` stays the paper's
-//! symbolic [`CompiledFormula`] for the class whichever lowering runs.
+//! A [`QueryPlan`] is pure data: its program is fixed per form, and
+//! [`QueryPlan::lower`] hands it out with a query's seed tuple, answer atom
+//! and round cap as a [`Lowered`]; nothing in this crate evaluates one.
+//! `compiled` stays the paper's symbolic [`CompiledFormula`] for the class
+//! whichever lowering runs.
 
-use crate::bounded;
 use crate::classify::Classification;
 use crate::counting::{self, CountingPlan};
 use crate::formula::{CompiledFormula, FExpr, Power};
 use crate::magic;
-use crate::transform::{unfold_to_stable, StableTransform};
+use crate::transform::{to_nonrecursive_with_rank, unfold_by, StableTransform};
 use recurs_datalog::adornment::QueryForm;
 use recurs_datalog::error::DatalogError;
 use recurs_datalog::relation::Tuple;
 use recurs_datalog::rule::{LinearRecursion, Program, Rule};
 use recurs_datalog::term::{Atom, Term};
 use recurs_datalog::Symbol;
-use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// Which lowering a plan executes (see the module table).
@@ -74,10 +73,10 @@ pub struct QueryPlan {
     pub form: QueryForm,
     predicate: Symbol,
     chains: Option<CountingPlan>,
-    /// The bounded levels before specialization, or the fixed program of
-    /// every other lowering; the predicate seeded with the query's constants
-    /// (in position order); the predicate holding the answers — over the
-    /// query's free positions for a walk, over all of them otherwise.
+    /// The program every query of the form runs; the predicate seeded with
+    /// the query's constants (in position order); the predicate holding the
+    /// answers — over the query's free positions for a walk, over all of
+    /// them otherwise.
     program: Program,
     seed: Option<Symbol>,
     answer: Symbol,
@@ -86,8 +85,9 @@ pub struct QueryPlan {
 /// What [`QueryPlan::lower`] hands the executor.
 #[derive(Debug, Clone)]
 pub struct Lowered<'p> {
-    /// The rules to saturate.
-    pub program: Cow<'p, Program>,
+    /// The rules to saturate: the plan's own, the same for every query of
+    /// its form.
+    pub program: &'p Program,
     /// A tuple to insert before the first round (the query's constants).
     pub seed: Option<(Symbol, Tuple)>,
     /// The atom to select from the saturated store: constants and repeated
@@ -112,30 +112,20 @@ impl QueryPlan {
             self.form,
             "plan built for another query form"
         );
-        // Bounded levels take the query's constants by unification; every
-        // other program is fixed per form and takes them as the seed tuple.
-        let (program, round_cap) = match self.strategy {
-            StrategyKind::Bounded => {
-                let levels = self.program.rules.iter();
-                let levels = levels.filter_map(|l| bounded::specialize(l, query, self.answer));
-                (Cow::Owned(Program::new(levels.collect())), Some(0))
-            }
-            _ => (Cow::Borrowed(&self.program), None),
-        };
         let constants: Tuple = query.terms.iter().filter_map(Term::as_const).collect();
         let walk = self.strategy == StrategyKind::Frontier;
         let asked = query.terms.iter().filter(|t| !walk || t.is_var()).copied();
         Ok(Lowered {
-            program,
+            program: &self.program,
             seed: self.seed.map(|pred| (pred, constants)),
             answer: Atom::new(self.answer, asked.collect()),
-            round_cap,
+            round_cap: (self.strategy == StrategyKind::Bounded).then_some(0),
         })
     }
 
-    /// The program the lowering runs: for `Bounded` the non-recursive levels
-    /// (the paper's s8a′/s8b′-style rules) before the query constants are
-    /// pushed in, otherwise exactly what is saturated.
+    /// The program every query of the form runs, exactly what is saturated
+    /// (for `Bounded`, the paper's s8a′/s8b′-style levels under the seed
+    /// guard).
     pub fn program(&self) -> &Program {
         &self.program
     }
@@ -186,19 +176,33 @@ pub fn plan_for_form(lr: &LinearRecursion, form: &QueryForm) -> QueryPlan {
     let mut chains = None;
     let mut compiled;
     // (strategy, program, seed predicate, answer predicate)
-    let lowering = if let Some(bounded) = bounded::build_plan(lr) {
+    let lowering = if let Some(rank) = classification.rank_bound() {
         // 1. A *proven* rank bound: the finite union always wins. (Bounded
         //    mixtures without one — Theorem 11's rotating-permutational +
         //    B/D case — fall through to the lowerings below.)
-        compiled = compiled_bounded(&bounded);
+        let levels = to_nonrecursive_with_rank(lr, rank);
+        compiled = compiled_bounded(&levels, rank);
+        // Every query of the form runs the same levels, each under the guard
+        // magic's exit rules carry: `ans(head) :- seed(head terms at the
+        // bound positions), body.` A head constant or repeated variable
+        // meets the query's constants in the join; an all-free form has no
+        // seed and no guard.
+        let seed = (!form.all_free()).then(|| Symbol::intern(&format!("seed__{p}__{form}")));
         let answer = Symbol::intern(&format!("ans__{p}"));
-        (StrategyKind::Bounded, bounded.levels, None, answer)
+        let guarded = levels.rules.iter().map(|level| {
+            let bound = form.determined_positions().map(|i| level.head.terms[i]);
+            let guard = seed.map(|seed| Atom::new(seed, bound.collect()));
+            let body = guard.into_iter().chain(level.body.iter().cloned());
+            Rule::new(Atom::new(answer, level.head.terms.clone()), body.collect())
+        });
+        let program = Program::new(guarded.collect());
+        (StrategyKind::Bounded, program, seed, answer)
     } else {
         // 2. Class A: the chains of the stable form render the formula and
         //    say whether it is a walk.
         let mut walk = None;
-        if classification.is_transformable_to_stable() {
-            let unfolded = unfold_to_stable(lr).expect("class A is transformable");
+        if let Some(period) = classification.stabilization_period() {
+            let unfolded = unfold_by(lr, period);
             let stable = counting::build_plan(&unfolded.to_linear_recursion())
                 .expect("the unfolded formula is strongly stable");
             walk = stable.frontier_program(form);
@@ -252,18 +256,16 @@ pub fn plan_for_form(lr: &LinearRecursion, form: &QueryForm) -> QueryPlan {
 
 /// Renders a bounded plan: `σ<level0>, σ<level1>, …` — one selection-pushed
 /// conjunction per materialized level.
-fn compiled_bounded(plan: &bounded::BoundedPlan) -> CompiledFormula {
-    let parts = plan
-        .levels
+fn compiled_bounded(levels: &Program, rank: u64) -> CompiledFormula {
+    let parts = levels
         .rules
         .iter()
         .map(|rule| FExpr::Sigma(Box::new(chain_of_rule(rule))))
         .collect();
     CompiledFormula {
         strategy: format!(
-            "bounded: finite union of {} levels (rank {})",
-            plan.levels.rules.len(),
-            plan.rank
+            "bounded: finite union of {} levels (rank {rank})",
+            levels.rules.len()
         ),
         parts,
     }
@@ -472,7 +474,7 @@ pub(crate) mod tests {
         if let Some((pred, constants)) = lowered.seed {
             db.insert(pred, constants).unwrap();
         }
-        semi_naive(&mut db, &lowered.program, None).unwrap();
+        semi_naive(&mut db, lowered.program, None).unwrap();
         answer_query(&db, &lowered.answer).unwrap()
     }
 
@@ -536,6 +538,136 @@ pub(crate) mod tests {
         db.insert_relation("E", Relation::from_tuples(4, [tuple_u64([3, 2, 7, 2])]));
         check(&f, &db, "P(x, y, z, u)", StrategyKind::Bounded);
         check(&f, &db, "P('1', y, z, u)", StrategyKind::Bounded);
+    }
+
+    fn s8() -> LinearRecursion {
+        lr("P(x,y,z,u) :- A(x,y), B(y1,u), C(z1,u1), P(z,y1,z1,u1).\n\
+            P(x,y,z,u) :- E(x,y,z,u).")
+    }
+
+    fn s8_db() -> Database {
+        let mut db = Database::new();
+        db.insert_relation("A", Relation::from_pairs([(1, 2), (3, 4), (5, 6)]));
+        db.insert_relation("B", Relation::from_pairs([(2, 9), (4, 8), (6, 7)]));
+        db.insert_relation("C", Relation::from_pairs([(7, 2), (6, 4), (5, 5)]));
+        db.insert_relation(
+            "E",
+            Relation::from_tuples(
+                4,
+                [
+                    tuple_u64([3, 2, 7, 2]),
+                    tuple_u64([5, 4, 6, 4]),
+                    tuple_u64([1, 6, 5, 5]),
+                ],
+            ),
+        );
+        db
+    }
+
+    #[test]
+    fn s8_plan_has_rank_two() {
+        let plan = plan_for_form(&s8(), &QueryForm::parse("vvvv"));
+        assert_eq!(plan.strategy, StrategyKind::Bounded);
+        assert_eq!(plan.classification.rank_bound(), Some(2));
+        assert_eq!(plan.program().rules.len(), 3);
+    }
+
+    #[test]
+    fn s8_queries_match_oracle() {
+        let f = s8();
+        let db = s8_db();
+        check(&f, &db, "P(x, y, z, u)", StrategyKind::Bounded);
+        check(&f, &db, "P('1', y, z, u)", StrategyKind::Bounded);
+        check(&f, &db, "P(x, y, '5', u)", StrategyKind::Bounded);
+        check(&f, &db, "P('3', '2', '7', '2')", StrategyKind::Bounded);
+        check(&f, &db, "P('9', y, z, u)", StrategyKind::Bounded);
+    }
+
+    #[test]
+    fn s5_rotation_queries() {
+        let f = lr("P(x, y, z) :- P(y, z, x).");
+        let mut db = Database::new();
+        db.insert_relation(
+            "E",
+            Relation::from_tuples(3, [tuple_u64([1, 2, 3]), tuple_u64([4, 5, 6])]),
+        );
+        check(&f, &db, "P(x, y, z)", StrategyKind::Bounded);
+        check(&f, &db, "P('2', y, z)", StrategyKind::Bounded);
+        check(&f, &db, "P('3', '1', '2')", StrategyKind::Bounded);
+    }
+
+    #[test]
+    fn s10_acyclic_queries() {
+        let f = lr("P(x, y) :- B(y), C(x, y1), P(x1, y1).\nP(x, y) :- E(x, y).");
+        let mut db = Database::new();
+        db.insert_relation(
+            "B",
+            Relation::from_tuples(1, [tuple_u64([5]), tuple_u64([6])]),
+        );
+        db.insert_relation("C", Relation::from_pairs([(1, 7), (2, 8)]));
+        db.insert_relation("E", Relation::from_pairs([(9, 7), (9, 8), (3, 5)]));
+        check(&f, &db, "P(x, y)", StrategyKind::Bounded);
+        check(&f, &db, "P('1', y)", StrategyKind::Bounded);
+        check(&f, &db, "P(x, '5')", StrategyKind::Bounded);
+    }
+
+    #[test]
+    fn repeated_query_variable() {
+        let f = s8();
+        let db = s8_db();
+        check(&f, &db, "P(x, x, z, u)", StrategyKind::Bounded);
+        check(&f, &db, "P(x, y, y, y)", StrategyKind::Bounded);
+    }
+
+    #[test]
+    fn unbounded_formula_has_no_bounded_plan() {
+        let f = lr("P(x, y) :- A(x, z), P(z, y).\nP(x, y) :- E(x, y).");
+        for form in ["vv", "dv", "vd", "dd"] {
+            let plan = plan_for_form(&f, &QueryForm::parse(form));
+            assert_ne!(plan.strategy, StrategyKind::Bounded, "{form}");
+        }
+    }
+
+    /// A bounded form's program is built once: every query of the form is
+    /// handed that program, and only its seed tuple differs.
+    #[test]
+    fn a_bounded_form_lowers_every_query_to_the_plans_program() {
+        let plan = plan_for_form(&s8(), &QueryForm::parse("dvvv"));
+        let one = plan.lower(&parse_atom("P('1', y, z, u)").unwrap()).unwrap();
+        let other = plan.lower(&parse_atom("P('3', y, y, u)").unwrap()).unwrap();
+        assert!(std::ptr::eq(one.program, other.program));
+        assert!(std::ptr::eq(one.program, plan.program()));
+        assert_ne!(one.seed, other.seed);
+        assert_eq!(one.round_cap, Some(0));
+    }
+
+    /// The seed guard does what unifying each level with the query did: a
+    /// head constant meets the query's through the guard (a clash joins
+    /// nothing), a repeated head variable asks for equal seed constants, and
+    /// the answer atom's select filters a repeated query variable.
+    #[test]
+    fn head_constants_and_repeated_head_variables_meet_the_seed() {
+        let src = "P(x, y) :- P(y, x).\n\
+                   P(x, 'a') :- E(x).\n\
+                   P(x, x) :- F(x).\n\
+                   E('b'). E('c'). F('a'). F('d').";
+        let mut db = Database::new();
+        let rules = db.load_facts(&parse_program(src).unwrap()).unwrap();
+        let f = validate_with_generic_exit(&rules).unwrap();
+        let all = crate::oracle::ground_truth(&f, &db, &parse_atom("P(x, y)").unwrap());
+        assert_eq!(all.unwrap().0.len(), 6, "(b|c, a), (a, b|c), (a|d, a|d)");
+        for query in [
+            "P(x, 'a')",
+            "P('a', y)",
+            "P(x, 'b')",
+            "P('b', 'a')",
+            "P('e', 'a')",
+            "P('d', 'd')",
+            "P(x, x)",
+            "P(x, y)",
+        ] {
+            check(&f, &db, query, StrategyKind::Bounded);
+        }
     }
 
     #[test]

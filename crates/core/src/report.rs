@@ -196,7 +196,11 @@ mod tests {
         let f = lr("P(x, y, z) :- P(y, z, x).");
         let r = plan_report(&f, &QueryForm::parse("dvv"));
         assert!(r.contains("non-recursive levels:"), "{r}");
-        assert!(r.contains("P(x, y, z) :- E(y, z, x)."), "{r}");
+        // What the engine is handed: each level guarded by the form's seed.
+        assert!(
+            r.contains("ans__P(x, y, z) :- seed__P__dvv(x), E(y, z, x)."),
+            "{r}"
+        );
     }
 
     #[test]

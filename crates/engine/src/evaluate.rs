@@ -56,7 +56,7 @@ pub fn evaluate(
         Ok(store)
     };
     let mut store = private(base.clone())?;
-    let compiled = CompiledProgram::compile(&lowered.program, &store)?;
+    let compiled = CompiledProgram::compile(lowered.program, &store)?;
     let missing = base.missing_indexes(compiled.required_indexes());
     if !missing.is_empty() {
         if let Some(indexed) = reindexed(&missing) {

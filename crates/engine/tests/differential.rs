@@ -110,8 +110,8 @@ proptest! {
                 seeded.insert(*pred, constants.clone()).expect("seeds");
             }
             for (k, level) in run.saturation.stats.iterations.iter().enumerate() {
-                let before = idb_after(&seeded, &lowered.program, k);
-                let after = idb_after(&seeded, &lowered.program, k + 1);
+                let before = idb_after(&seeded, lowered.program, k);
+                let after = idb_after(&seeded, lowered.program, k + 1);
                 prop_assert_eq!(
                     level.new_tuples, after - before,
                     "level {} of {} ({}), rule_seed={} db_seed={}",

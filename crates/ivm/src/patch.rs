@@ -301,3 +301,43 @@ impl Materialization {
         self.obs.event("ivm.patch", &fields[..shown]);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::FactOp;
+    use recurs_datalog::database::Database;
+    use recurs_datalog::parser::parse_program;
+    use recurs_datalog::relation::{tuple_u64, Relation};
+    use recurs_datalog::validate::validate;
+    use recurs_engine::EngineDb;
+    use recurs_obs::Obs;
+
+    /// A bounded recount's round cap is a tripwire a right rank never
+    /// reaches, so a patch that hits it is rebuilt cold, never kept. Forced
+    /// here by claiming rank 0 (cap 2) for transitive closure, whose insert
+    /// at a chain's tip walks back one edge a round. The oracle's
+    /// interpreter stays out of this crate's sources, so the fixpoint is
+    /// written out: a chain's closure is every pair `i < j`.
+    #[test]
+    fn a_patch_that_hits_the_round_cap_falls_back_cold() {
+        let program = parse_program("P(x, y) :- A(x, z), P(z, y).\nP(x, y) :- E(x, y).");
+        let lr = validate(&program.unwrap()).unwrap();
+        let chain = Relation::from_pairs((1..8).map(|i| (i, i + 1)));
+        let mut db = Database::new();
+        db.insert_relation("A", chain.clone());
+        db.insert_relation("E", chain);
+        let unlimited = EvalBudget::unlimited();
+        let mut mat = Materialization::saturate(&lr, &db, &unlimited, &Obs::noop()).unwrap();
+        mat.path = MaintenancePath::BoundedRecount { rank: 0 };
+
+        let tip = FactOp::Insert(Symbol::intern("E"), tuple_u64([8, 9]));
+        let delta = EdbDelta::normalize(&[tip], &EngineDb::from(&db)).unwrap();
+        let report = mat.apply(&delta, &unlimited).unwrap();
+        assert_eq!(report.path, MaintenancePath::ColdFallback);
+        assert_eq!(report.truncation, Some(TruncationReason::IterationCap));
+
+        let closure = (1..9).flat_map(|i| (i + 1..=9).map(move |j| (i, j)));
+        assert_eq!(mat.relation().to_relation(), Relation::from_pairs(closure));
+    }
+}

@@ -155,8 +155,8 @@ const TABLE: [(&str, Source, usize); 18] = [
     ("s5", Source::Text("P(x, y, z) :- P(y, z, x)."), 3),
     ("s2a", Source::Text("P(x, y) :- A(x, z), P(z, u), B(u, y)."), 6),
     ("s1a, guarded", Source::Text("P(x, y) :- A(x, z), G(w, w), P(z, y)."), 6),
-    ("s6", Source::Text("P(x, y, z, u, v, w) :- P(z, y, u, x, w, v)."), 4),
-    ("s8", Source::Text("P(x, y, z, u) :- A(x, y), B(y1, u), C(z1, u1), P(z, y1, z1, u1)."), 4),
+    ("s6", Source::Text("P(x, y, z, u, v, w) :- P(z, y, u, x, w, v)."), 8),
+    ("s8", Source::Text("P(x, y, z, u) :- A(x, y), B(y1, u), C(z1, u1), P(z, y1, z1, u1)."), 8),
     ("s10", Source::Text("P(x, y) :- B(y), C(x, y1), P(x1, y1)."), 4),
     ("sg", Source::Text("P(x, y) :- Up(x, u), P(u, v), Down(v, y)."), 6),
     ("s4", Source::Text("P(x1, x2, x3) :- A(x1, y3), B(x2, y1), C(y2, x3), P(y1, y2, y3)."), 6),

@@ -266,8 +266,8 @@ fn naive_and_semi_naive_agree_on_random_programs() {
             planted.insert_relation(*pred, Relation::from_tuples(tuple.len(), [tuple.clone()]));
         }
         let (mut db1, mut db2) = (planted.clone(), planted);
-        let naive_stats = naive(&mut db1, &lowered.program, None).unwrap();
-        let semi_stats = semi_naive(&mut db2, &lowered.program, None).unwrap();
+        let naive_stats = naive(&mut db1, lowered.program, None).unwrap();
+        let semi_stats = semi_naive(&mut db2, lowered.program, None).unwrap();
         let context = format!("seed {seed}, {} lowering of {q}", plan.strategy.label());
         for pred in lowered.program.idb_predicates() {
             assert_eq!(db1.get(pred), db2.get(pred), "{pred}: {context}");
