@@ -34,13 +34,13 @@ mod imp {
         }
     }
 
-    pub fn install(token: CancelToken) {
+    pub(crate) fn install(token: CancelToken) {
         if TOKEN.set(token).is_ok() {
             set(on_signal as extern "C" fn(i32) as usize);
         }
     }
 
-    pub fn restore_default() {
+    pub(crate) fn restore_default() {
         if TOKEN.get().is_some() {
             set(SIG_DFL);
         }
@@ -50,7 +50,7 @@ mod imp {
 #[cfg(not(unix))]
 mod imp {
     pub fn install(_token: super::CancelToken) {}
-    pub fn restore_default() {}
+    pub(crate) fn restore_default() {}
 }
 
 /// Installs handlers that flip `token` on SIGINT and SIGTERM (once per

@@ -201,7 +201,7 @@ impl Classification {
     }
 
     /// The non-trivial components, aligned with `component_classes`.
-    pub fn nontrivial_components(&self) -> impl Iterator<Item = &Component> {
+    pub(crate) fn nontrivial_components(&self) -> impl Iterator<Item = &Component> {
         self.components.iter().filter(|c| c.is_nontrivial())
     }
 
@@ -352,7 +352,7 @@ pub fn lcm(a: u64, b: u64) -> u64 {
 }
 
 /// Greatest common divisor.
-pub fn gcd(a: u64, b: u64) -> u64 {
+pub(crate) fn gcd(a: u64, b: u64) -> u64 {
     if b == 0 {
         a
     } else {

@@ -14,7 +14,7 @@
 //! positions' chains from the query constants, semijoin the exit, ascend
 //! the free positions' chains. When no free position has anything to ascend
 //! (every free chain is the identity) the answer relation needs no fixpoint
-//! at all — the formula is a walk, and [`CountingPlan::frontier_program`]
+//! at all — the formula is a walk, and `CountingPlan::frontier_program`
 //! writes it down as two rules for the engine. Otherwise the planner runs
 //! the magic rewrite; the chains still render the symbolic formula.
 
@@ -40,7 +40,7 @@ pub struct PositionChain {
 
 impl PositionChain {
     /// True if the chain is a pure identity (no step relation needed).
-    pub fn is_identity(&self) -> bool {
+    pub(crate) fn is_identity(&self) -> bool {
         self.atoms.is_empty() && self.top == self.bottom
     }
 }
@@ -60,7 +60,7 @@ pub struct CountingPlan {
 /// The formula `σA^k-E` as a program: what [`CountingPlan::frontier_program`]
 /// returns for a separable query form.
 #[derive(Debug, Clone)]
-pub struct FrontierProgram {
+pub(crate) struct FrontierProgram {
     /// `reach(bottoms_B) :- reach(tops_B), <bound chains>, <guards>.` plus,
     /// per exit rule, `ans(head_F) :- reach(head_B), <exit body>.`
     pub program: Program,
@@ -80,7 +80,7 @@ impl CountingPlan {
     /// synchronised because `reach` holds the joint tuple), guards gate
     /// levels ≥ 1, and `reach` being a set is what terminates the walk on
     /// cyclic data. `None` for any other form.
-    pub fn frontier_program(&self, form: &QueryForm) -> Option<FrontierProgram> {
+    pub(crate) fn frontier_program(&self, form: &QueryForm) -> Option<FrontierProgram> {
         let bound: Vec<usize> = form.determined_positions().collect();
         let free: Vec<usize> = (0..form.arity()).filter(|i| !bound.contains(i)).collect();
         if bound.is_empty() || free.iter().any(|&i| !self.chains[i].is_identity()) {

@@ -65,7 +65,7 @@ impl FExpr {
     }
 
     /// σ of a base relation — the most common leaf.
-    pub fn sigma(name: impl Into<String>) -> FExpr {
+    pub(crate) fn sigma(name: impl Into<String>) -> FExpr {
         FExpr::Sigma(Box::new(FExpr::rel(name)))
     }
 

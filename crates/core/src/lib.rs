@@ -50,19 +50,16 @@
 #![warn(rust_2018_idioms)]
 
 pub mod classify;
-pub mod compress;
 pub mod counting;
 pub mod formula;
 pub mod magic;
 pub mod oracle;
-pub mod paper_plans;
 pub mod plan;
 pub mod report;
 pub mod stability;
 pub mod transform;
 
 pub use classify::{Classification, ComponentClass, FormulaClass, OneDirectionalSubclass};
-pub use compress::{compress, Compressed};
 pub use formula::{CompiledFormula, FExpr, Power};
 pub use plan::{plan_for_form, plan_query, Lowered, QueryPlan, StrategyKind};
 pub use transform::{to_nonrecursive, unfold_to_stable, StableTransform};

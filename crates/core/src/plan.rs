@@ -8,8 +8,8 @@
 //!
 //! | condition, first match wins | [`StrategyKind`] | lowered program | round cap |
 //! |---|---|---|---|
-//! | proven rank bound (A2/A4, bounded B, acyclic D) | `Bounded` | the `rank + 1` non-recursive levels ([`to_nonrecursive_with_rank`]), each `ans(head) :- seed(head at the bound positions), level body.` — the guard of magic's exit rules — seeded with the query constants | 0 — the seeding round is the whole run |
-//! | class A (stable after [`unfold_by`] its stabilization period), ≥ 1 bound argument, every free position's chain the identity | `Frontier` | the compiled formula `σA^k-E` itself: `reach(bottoms) :- reach(tops), chains, guards.` seeded with the query constants, and `ans(free) :- reach(bound), exit.` per exit rule ([`CountingPlan::frontier_program`]) | none — `reach` saturating is the walk ending |
+//! | proven rank bound (A2/A4, bounded B, acyclic D) | `Bounded` | the `rank + 1` non-recursive levels (`to_nonrecursive_with_rank`), each `ans(head) :- seed(head at the bound positions), level body.` — the guard of magic's exit rules — seeded with the query constants | 0 — the seeding round is the whole run |
+//! | class A (stable after `unfold_by` its stabilization period), ≥ 1 bound argument, every free position's chain the identity | `Frontier` | the compiled formula `σA^k-E` itself: `reach(bottoms) :- reach(tops), chains, guards.` seeded with the query constants, and `ans(free) :- reach(bound), exit.` per exit rule (`CountingPlan::frontier_program`) | none — `reach` saturating is the walk ending |
 //! | any other query with a bound argument (a stable form with an ascend factor such as s3 `ddv` or same-generation; classes C/E/F) | `Magic` | the adorned magic-sets rewrite ([`crate::magic`]), seeded with the query constants | none |
 //! | all-free query | `Saturate` | the recursion itself | none |
 //!
@@ -133,7 +133,7 @@ impl QueryPlan {
     /// For a class-A plan: the per-position chains of the (unfolded) stable
     /// formula as `(top, bottom, predicate labels)` triples — what the
     /// compiled formula is rendered from and separability is read off.
-    pub fn counting_chains(&self) -> Option<Vec<(Symbol, Symbol, Vec<Symbol>)>> {
+    pub(crate) fn counting_chains(&self) -> Option<Vec<(Symbol, Symbol, Vec<Symbol>)>> {
         let chains = &self.chains.as_ref()?.chains;
         let labels = |c: &counting::PositionChain| c.atoms.iter().map(|a| a.predicate).collect();
         Some(

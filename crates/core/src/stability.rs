@@ -22,7 +22,7 @@ use recurs_datalog::rule::Rule;
 /// fragment have small dimension, and stability under all the single-`d`
 /// forms already implies stability in general (closures of unions are unions
 /// of closures), so this is cheap in practice.
-pub fn is_strongly_stable_semantic(rule: &Rule) -> bool {
+pub(crate) fn is_strongly_stable_semantic(rule: &Rule) -> bool {
     let n = rule.head.arity();
     // Propagation distributes over unions of determined seeds, so checking
     // the n singleton forms suffices; the exhaustive loop below is kept for
@@ -64,7 +64,7 @@ pub fn is_strongly_stable_semantic(rule: &Rule) -> bool {
 }
 
 /// Syntactic strong stability (Theorem 1): only disjoint unit cycles.
-pub fn is_strongly_stable_syntactic(rule: &Rule) -> bool {
+pub(crate) fn is_strongly_stable_syntactic(rule: &Rule) -> bool {
     Classification::of(rule).is_strongly_stable()
 }
 
@@ -83,25 +83,6 @@ pub fn check_theorem_1(rule: &Rule) -> bool {
         "Theorem 1 violated for {rule}: semantic={semantic}, syntactic={syntactic}"
     );
     semantic
-}
-
-/// The smallest expansion index k₀ ≥ 0 such that the propagation pattern for
-/// `form` repeats from k₀ on with period 1 (the formula behaves stably for
-/// this query from expansion k₀), if that happens within `max_steps`.
-///
-/// Example 14 (s12): for `P(d,v,v)` the formula "becomes stable from the
-/// second expansion" — this function returns 1 (the pattern met at
-/// expansion 1 persists).
-pub fn stable_from(rule: &Rule, form: &QueryForm, max_steps: usize) -> Option<usize> {
-    let mut current = form.clone();
-    for k in 0..=max_steps {
-        let next = propagate(rule, &current);
-        if next == current {
-            return Some(k);
-        }
-        current = next;
-    }
-    None
 }
 
 #[cfg(test)]
@@ -134,33 +115,6 @@ mod tests {
             "P(x,y,z) :- A(x,u), B(y,v), C(u,v), D(w,z), P(u,v,w).",
         ] {
             assert!(!check_theorem_1(&rule(src)), "{src} should be unstable");
-        }
-    }
-
-    #[test]
-    fn s12_stable_from_second_expansion_for_dvv() {
-        let r = rule("P(x,y,z) :- A(x,u), B(y,v), C(u,v), D(w,z), P(u,v,w).");
-        assert_eq!(stable_from(&r, &QueryForm::parse("dvv"), 10), Some(1));
-    }
-
-    #[test]
-    fn s12_stable_from_the_beginning_for_vvd() {
-        let r = rule("P(x,y,z) :- A(x,u), B(y,v), C(u,v), D(w,z), P(u,v,w).");
-        assert_eq!(stable_from(&r, &QueryForm::parse("vvd"), 10), Some(0));
-    }
-
-    #[test]
-    fn rotation_never_settles() {
-        // s5: pure rotation of a single d never reaches a fixed pattern.
-        let r = rule("P(x, y, z) :- P(y, z, x).");
-        assert_eq!(stable_from(&r, &QueryForm::parse("dvv"), 50), None);
-    }
-
-    #[test]
-    fn stable_formula_settles_immediately() {
-        let r = rule("P(x,y,z) :- A(x,u), B(y,v), P(u,v,w), C(w,z).");
-        for pat in ["dvv", "vdv", "vvd", "ddd", "vvv"] {
-            assert_eq!(stable_from(&r, &QueryForm::parse(pat), 5), Some(0));
         }
     }
 }

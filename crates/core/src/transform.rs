@@ -21,7 +21,7 @@ pub struct StableTransform {
 
 impl StableTransform {
     /// The transformed formula as a [`LinearRecursion`].
-    pub fn to_linear_recursion(&self) -> LinearRecursion {
+    pub(crate) fn to_linear_recursion(&self) -> LinearRecursion {
         LinearRecursion {
             predicate: self.stable_rule.head.predicate,
             recursive_rule: self.stable_rule.clone(),
@@ -64,7 +64,7 @@ pub fn unfold_to_stable(lr: &LinearRecursion) -> Option<StableTransform> {
 /// Unfolds by an explicit period (exposed for experimentation; correctness
 /// of the *stability* claim requires the period from
 /// [`Classification::stabilization_period`]).
-pub fn unfold_by(lr: &LinearRecursion, period: u64) -> StableTransform {
+pub(crate) fn unfold_by(lr: &LinearRecursion, period: u64) -> StableTransform {
     assert!(period >= 1, "period must be at least 1");
     let mut exit_rules = lr.exit_rules.clone();
     let mut counter = 0u32;
@@ -97,7 +97,7 @@ pub fn to_nonrecursive(lr: &LinearRecursion) -> Option<Program> {
 /// The exit-closed expansions `0 ..= rank` as a non-recursive program.
 /// Level 0 is the exit rules themselves; level k is the k-th expansion with
 /// its recursive atom replaced by each exit body.
-pub fn to_nonrecursive_with_rank(lr: &LinearRecursion, rank: u64) -> Program {
+pub(crate) fn to_nonrecursive_with_rank(lr: &LinearRecursion, rank: u64) -> Program {
     let mut rules: Vec<Rule> = lr.exit_rules.clone();
     let mut counter = 50_000u32;
     for (k, expansion) in Unfolder::new(&lr.recursive_rule).enumerate() {

@@ -9,7 +9,7 @@
 //! It has one join path. Every rule evaluation — each rule of a [`naive`]
 //! round, [`semi_naive`]'s seeding round, and each of its differentiated
 //! variants, which is the rule with one IDB atom reading the delta — is
-//! [`eval_rule`]: a fold of the algebra's join and product over the body
+//! `eval_rule`: a fold of the algebra's join and product over the body
 //! atoms in its own [`join_order`]. Nothing is prepared, indexed or kept
 //! between rounds.
 
@@ -206,7 +206,7 @@ fn join_order(body: &[Atom], first: Option<usize>) -> Vec<usize> {
 }
 
 /// Evaluates one rule, returning the derived head tuples.
-pub fn eval_rule(
+pub(crate) fn eval_rule(
     db: &Database,
     rule: &Rule,
     overrides: &HashMap<usize, &Relation>,

@@ -42,7 +42,7 @@ fn fnv(mut state: u64, bytes: &[u8]) -> u64 {
 }
 
 /// Fingerprints an arbitrary string.
-pub fn of_str(s: &str) -> Fingerprint {
+pub(crate) fn of_str(s: &str) -> Fingerprint {
     Fingerprint(fnv(FNV_OFFSET, s.as_bytes()))
 }
 
@@ -63,7 +63,7 @@ pub fn of_atom(atom: &Atom) -> Fingerprint {
 }
 
 /// The hash one tuple contributes to its relation's [`RelationSum`].
-pub fn tuple_hash(t: &[Value]) -> u64 {
+pub(crate) fn tuple_hash(t: &[Value]) -> u64 {
     let mut h = FNV_OFFSET;
     for v in t {
         h = fnv(h, v.as_str().as_bytes());
@@ -73,7 +73,7 @@ pub fn tuple_hash(t: &[Value]) -> u64 {
 }
 
 /// One relation's share of a database fingerprint: its arity, its tuple
-/// count, and the wrapping sum of its [`tuple_hash`]es. The sum is
+/// count, and the wrapping sum of its `tuple_hash`es. The sum is
 /// commutative, so set-iteration order cannot leak into the fingerprint, and
 /// invertible, so a holder of the sums can follow single-tuple changes
 /// without rehashing the relation.

@@ -26,7 +26,7 @@ use std::fmt;
 
 /// A parsed clause: either a rule/fact or a goal query `?- P(...)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Clause {
+pub(crate) enum Clause {
     /// A rule (a fact is a rule with an empty body).
     Rule(Rule),
     /// A query goal.

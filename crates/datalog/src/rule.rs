@@ -26,7 +26,7 @@ impl Rule {
     }
 
     /// Number of body occurrences of predicate `p`.
-    pub fn occurrences_of(&self, p: Symbol) -> usize {
+    pub(crate) fn occurrences_of(&self, p: Symbol) -> usize {
         self.body_atoms_of(p).count()
     }
 
@@ -50,24 +50,16 @@ impl Rule {
         vars
     }
 
-    /// Variables of the head.
-    pub fn head_variables(&self) -> BTreeSet<Symbol> {
-        self.head.variables().collect()
-    }
-
-    /// Variables occurring in the body.
-    pub fn body_variables(&self) -> BTreeSet<Symbol> {
-        self.body.iter().flat_map(|a| a.variables()).collect()
-    }
-
-    /// Range restriction: every head variable also occurs in the body.
-    pub fn is_range_restricted(&self) -> bool {
-        let body = self.body_variables();
-        self.head_variables().iter().all(|v| body.contains(v))
+    /// Range restriction: the first head variable (by name) that occurs
+    /// nowhere in the body, or `None` when every one does.
+    pub(crate) fn unrestricted_variable(&self) -> Option<Symbol> {
+        let body: BTreeSet<Symbol> = self.body.iter().flat_map(|a| a.variables()).collect();
+        let head: BTreeSet<Symbol> = self.head.variables().collect();
+        head.into_iter().find(|v| !body.contains(v))
     }
 
     /// True if no constant appears anywhere in the rule.
-    pub fn is_constant_free(&self) -> bool {
+    pub(crate) fn is_constant_free(&self) -> bool {
         std::iter::once(&self.head)
             .chain(self.body.iter())
             .all(|a| a.terms.iter().all(Term::is_var))
@@ -259,9 +251,9 @@ mod tests {
 
     #[test]
     fn range_restriction() {
-        assert!(s1a().is_range_restricted());
+        assert_eq!(s1a().unrestricted_variable(), None);
         let bad = Rule::new(atom("P", &["x", "w"]), vec![atom("A", &["x", "z"])]);
-        assert!(!bad.is_range_restricted());
+        assert_eq!(bad.unrestricted_variable(), Some(Symbol::intern("w")));
     }
 
     #[test]

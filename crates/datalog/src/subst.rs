@@ -68,7 +68,7 @@ impl Subst {
     }
 
     /// Applies the substitution to an atom.
-    pub fn apply_atom(&self, atom: &Atom) -> Atom {
+    pub(crate) fn apply_atom(&self, atom: &Atom) -> Atom {
         Atom {
             predicate: atom.predicate,
             terms: atom.terms.iter().map(|&t| self.resolve(t)).collect(),
@@ -76,7 +76,7 @@ impl Subst {
     }
 
     /// Applies the substitution to a rule.
-    pub fn apply_rule(&self, rule: &Rule) -> Rule {
+    pub(crate) fn apply_rule(&self, rule: &Rule) -> Rule {
         Rule {
             head: self.apply_atom(&rule.head),
             body: rule.body.iter().map(|a| self.apply_atom(a)).collect(),
@@ -90,7 +90,7 @@ impl Subst {
 }
 
 /// Unifies two atoms, returning the most general unifier if one exists.
-pub fn unify_atoms(a: &Atom, b: &Atom) -> Option<Subst> {
+pub(crate) fn unify_atoms(a: &Atom, b: &Atom) -> Option<Subst> {
     if a.predicate != b.predicate || a.arity() != b.arity() {
         return None;
     }
@@ -122,7 +122,7 @@ fn unify_terms(a: Term, b: Term, subst: &mut Subst) -> Option<()> {
 /// Renames every variable of `rule` to a fresh one (suffix `_k` with `k`
 /// drawn from `counter`), returning the renamed rule and the renaming used.
 /// This is the paper's "renumbering variables" step before unification.
-pub fn rename_apart(rule: &Rule, counter: &mut u32) -> (Rule, Subst) {
+pub(crate) fn rename_apart(rule: &Rule, counter: &mut u32) -> (Rule, Subst) {
     let mut renaming = Subst::new();
     for v in rule.variables() {
         let fresh = Symbol::fresh(v.as_str(), counter);

@@ -140,21 +140,9 @@ impl Atom {
         self.terms.iter().filter_map(Term::as_var)
     }
 
-    /// The atom's distinct variables in first-occurrence order — the
-    /// columns of its answer relation.
-    pub fn distinct_variables(&self) -> Vec<Symbol> {
-        let mut seen = Vec::new();
-        for v in self.variables() {
-            if !seen.contains(&v) {
-                seen.push(v);
-            }
-        }
-        seen
-    }
-
     /// True if every argument is a distinct variable — the paper requires
     /// this of the recursive predicate's occurrences.
-    pub fn has_distinct_variables(&self) -> bool {
+    pub(crate) fn has_distinct_variables(&self) -> bool {
         let mut seen = Vec::with_capacity(self.terms.len());
         for t in &self.terms {
             match t.as_var() {

@@ -62,7 +62,12 @@ impl Iterator for Unfolder {
 
 /// Performs one resolution step: replaces the recursive body atom of `prev`
 /// with the (renamed-apart) body of `original`.
-pub fn unfold_once(prev: &Rule, original: &Rule, predicate: Symbol, counter: &mut u32) -> Rule {
+pub(crate) fn unfold_once(
+    prev: &Rule,
+    original: &Rule,
+    predicate: Symbol,
+    counter: &mut u32,
+) -> Rule {
     unfold_once_traced(prev, original, predicate, counter).result
 }
 
@@ -81,7 +86,7 @@ pub struct UnfoldStep {
     pub spliced: Rule,
 }
 
-/// [`unfold_once`] but also returns the spliced copy (for resolution graphs).
+/// `unfold_once` but also returns the spliced copy (for resolution graphs).
 pub fn unfold_once_traced(
     prev: &Rule,
     original: &Rule,
@@ -105,7 +110,7 @@ pub fn unfold_once_traced(
 /// Resolves the single `predicate` atom in `prev`'s body against `clause`
 /// (whose head must unify with it), splicing in `clause`'s body. `clause`
 /// must already be variable-disjoint from `prev`.
-pub fn resolve_recursive_atom(prev: &Rule, clause: &Rule, predicate: Symbol) -> Rule {
+pub(crate) fn resolve_recursive_atom(prev: &Rule, clause: &Rule, predicate: Symbol) -> Rule {
     let Some(pos) = prev.body.iter().position(|a| a.predicate == predicate) else {
         panic!("prev must contain the recursive atom {predicate}")
     };

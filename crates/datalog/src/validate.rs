@@ -59,12 +59,10 @@ pub fn validate(program: &Program) -> Result<LinearRecursion, ValidationError> {
             body: body_occurrence.arity(),
         });
     }
-    if let Some(v) = rec
-        .head_variables()
-        .into_iter()
-        .find(|v| !rec.body_variables().contains(v))
-    {
-        return Err(ValidationError::NotRangeRestricted { variable: v });
+    for rule in &program.rules {
+        if let Some(variable) = rule.unrestricted_variable() {
+            return Err(ValidationError::NotRangeRestricted { variable });
+        }
     }
     // Every predicate must be used at one arity throughout the program.
     let mut arities: std::collections::BTreeMap<crate::symbol::Symbol, usize> =
@@ -211,6 +209,19 @@ mod tests {
     fn rejects_non_range_restricted() {
         let e = check("P(x,y) :- A(x,z), P(z,x).\nP(x,y) :- E(x,y).");
         assert!(matches!(e, Err(ValidationError::NotRangeRestricted { .. })));
+    }
+
+    #[test]
+    fn rejects_an_exit_rule_that_is_not_range_restricted() {
+        // `y` would reach the store unbound: every query would fail at
+        // evaluation instead of the program at load.
+        let e = check("P(x,y) :- A(x,z), P(z,y).\nP(x,y) :- E(x,w).");
+        assert_eq!(
+            e,
+            Err(ValidationError::NotRangeRestricted {
+                variable: Symbol::intern("y")
+            })
+        );
     }
 
     #[test]

@@ -157,12 +157,11 @@ pub fn run_program(
     run_with_kernel(db, program, KernelKind::Generic, config)
 }
 
-/// Saturates `db` with a specific kernel. [`run_linear`] selects the kernel
-/// automatically; this entry point exists for tests and experiments. It is
-/// [`saturate`] between a load and a write-back: every relation the program
+/// [`saturate`] between a load and a write-back, under the kernel
+/// [`run_linear`] or [`run_program`] picked: every relation the program
 /// mentions is copied into an [`EngineDb`], and the IDB relations are copied
 /// back out.
-pub fn run_with_kernel(
+fn run_with_kernel(
     db: &mut Database,
     program: &Program,
     kernel: KernelKind,

@@ -117,7 +117,7 @@ impl EngineStats {
     }
 
     /// Total wall-clock time across iterations.
-    pub fn total_duration(&self) -> Duration {
+    pub(crate) fn total_duration(&self) -> Duration {
         self.iterations.iter().map(|i| i.duration).sum()
     }
 }

@@ -690,7 +690,7 @@ impl IndexedRelation {
 
     /// The widest maintained index keyed on nothing but columns of `bound`
     /// — the one a selection binding those columns narrows the most by.
-    pub fn index_within(&self, bound: &[usize]) -> Option<IndexView<'_>> {
+    pub(crate) fn index_within(&self, bound: &[usize]) -> Option<IndexView<'_>> {
         self.indexes
             .iter()
             .filter(|index| index.cols.iter().all(|c| bound.contains(c)))

@@ -94,7 +94,7 @@ pub struct ResolutionGraph {
 }
 
 /// Iterator producing `G_1, G_2, …` — the successive resolution graphs.
-pub struct ResolutionGraphs {
+pub(crate) struct ResolutionGraphs {
     original: Rule,
     predicate: Symbol,
     counter: u32,
@@ -104,7 +104,7 @@ pub struct ResolutionGraphs {
 
 impl ResolutionGraphs {
     /// Starts from a linear recursive rule.
-    pub fn new(rule: &Rule) -> ResolutionGraphs {
+    pub(crate) fn new(rule: &Rule) -> ResolutionGraphs {
         assert!(
             rule.is_linear_recursive(),
             "resolution graphs require a linear recursive rule"

@@ -168,7 +168,10 @@ mod tests {
         let cs = nontrivial("P(x,y,z,u) :- A(x,y), B(y1,u), C(z1,u1), P(z,y1,z1,u1).");
         assert_eq!(cs.len(), 1);
         match &cs[0].kind {
-            ComponentKind::IndependentCycle(cy) => assert!(cy.is_bounded_cycle()),
+            ComponentKind::IndependentCycle(cy) => {
+                assert!(!cy.one_directional);
+                assert_eq!(cy.weight, 0);
+            }
             other => panic!("expected independent bounded cycle, got {other:?}"),
         }
     }
@@ -178,7 +181,10 @@ mod tests {
         let cs = nontrivial("P(x, y, z) :- A(x, y), B(u, v), P(u, z, v).");
         assert_eq!(cs.len(), 1);
         match &cs[0].kind {
-            ComponentKind::IndependentCycle(cy) => assert!(cy.is_unbounded_cycle()),
+            ComponentKind::IndependentCycle(cy) => {
+                assert!(!cy.one_directional);
+                assert_ne!(cy.weight, 0);
+            }
             other => panic!("expected independent unbounded cycle, got {other:?}"),
         }
     }

@@ -47,7 +47,7 @@ pub struct Condensed {
 
 impl Condensed {
     /// Number of groups.
-    pub fn group_count(&self) -> usize {
+    pub(crate) fn group_count(&self) -> usize {
         self.groups.len()
     }
 

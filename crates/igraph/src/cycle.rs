@@ -63,16 +63,6 @@ impl Cycle {
     pub fn is_permutational(&self) -> bool {
         self.one_directional && !self.rotational
     }
-
-    /// A *bounded* cycle: multi-directional with weight 0.
-    pub fn is_bounded_cycle(&self) -> bool {
-        !self.one_directional && self.weight == 0
-    }
-
-    /// An *unbounded* cycle: multi-directional with non-zero weight.
-    pub fn is_unbounded_cycle(&self) -> bool {
-        !self.one_directional && self.weight != 0
-    }
 }
 
 impl fmt::Display for Cycle {
@@ -316,7 +306,7 @@ mod tests {
         let cs = cycles("P(x,y,z,u) :- A(x,y), B(y1,u), C(z1,u1), P(z,y1,z1,u1).");
         assert_eq!(cs.len(), 1);
         let c = &cs[0];
-        assert!(c.is_bounded_cycle());
+        assert!(!c.one_directional);
         assert_eq!(c.weight, 0);
         assert_eq!(c.len(), 4);
     }
@@ -326,7 +316,7 @@ mod tests {
         let cs = cycles("P(x, y, z) :- A(x, y), B(u, v), P(u, z, v).");
         assert_eq!(cs.len(), 1);
         let c = &cs[0];
-        assert!(c.is_unbounded_cycle());
+        assert!(!c.one_directional);
         assert_eq!(c.magnitude(), 1);
         assert_eq!(c.len(), 3);
     }
@@ -375,7 +365,8 @@ mod tests {
         // multi-directional (one forward, one backward).
         let cs2 = cycles("P(x, y) :- A(x, y), B(u, v), P(u, v).");
         assert_eq!(cs2.len(), 1);
-        assert!(cs2[0].is_bounded_cycle());
+        assert!(!cs2[0].one_directional);
+        assert_eq!(cs2[0].weight, 0);
     }
 
     #[test]

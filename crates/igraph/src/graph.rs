@@ -46,7 +46,7 @@ pub struct Edge {
 impl Edge {
     /// The weight contributed when traversing from `from` across this edge:
     /// +1 forward along a directed edge, −1 against it, 0 on undirected.
-    pub fn weight_from(&self, from: VertexId) -> i64 {
+    pub(crate) fn weight_from(&self, from: VertexId) -> i64 {
         match self.kind {
             EdgeKind::Undirected => 0,
             EdgeKind::Directed => {
@@ -74,7 +74,7 @@ impl Edge {
     }
 
     /// True if this is a self-loop (both endpoints the same vertex).
-    pub fn is_self_loop(&self) -> bool {
+    pub(crate) fn is_self_loop(&self) -> bool {
         self.a == self.b
     }
 }
@@ -95,7 +95,7 @@ impl IGraph {
     }
 
     /// Adds (or finds) the vertex for a variable.
-    pub fn add_vertex(&mut self, var: Symbol) -> VertexId {
+    pub(crate) fn add_vertex(&mut self, var: Symbol) -> VertexId {
         if let Some(&id) = self.index.get(&var) {
             return id;
         }
@@ -108,7 +108,7 @@ impl IGraph {
     /// Adds an undirected edge labeled with a non-recursive predicate.
     /// Parallel edges between the same endpoints are kept (the paper merges
     /// them only during *compression*).
-    pub fn add_undirected(&mut self, u: Symbol, v: Symbol, label: Symbol) -> EdgeId {
+    pub(crate) fn add_undirected(&mut self, u: Symbol, v: Symbol, label: Symbol) -> EdgeId {
         let a = self.add_vertex(u);
         let b = self.add_vertex(v);
         self.edges.push(Edge {
@@ -123,7 +123,7 @@ impl IGraph {
 
     /// Adds a directed edge `from → to` for argument position `position` of
     /// the recursive predicate `label`.
-    pub fn add_directed(
+    pub(crate) fn add_directed(
         &mut self,
         from: Symbol,
         to: Symbol,

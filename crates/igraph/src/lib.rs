@@ -44,7 +44,7 @@ pub mod dot;
 pub mod graph;
 pub mod paths;
 
-pub use build::{igraph_of, resolution_graph, ResolutionGraph, ResolutionGraphs};
+pub use build::{igraph_of, resolution_graph, ResolutionGraph};
 pub use component::{analyze_components, Component, ComponentKind};
 pub use condense::{condense, CEdge, Condensed};
 pub use cycle::{enumerate_cycles, Cycle, Step};

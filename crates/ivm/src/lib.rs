@@ -36,7 +36,7 @@
 use recurs_core::Classification;
 
 pub mod delta;
-pub mod materialize;
+mod materialize;
 mod patch;
 pub mod provenance;
 

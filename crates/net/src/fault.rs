@@ -86,7 +86,7 @@ impl Drop for FaultGuard {
 
 /// What the connection loop must do to the reply it is about to write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplyFault {
+pub(crate) enum ReplyFault {
     /// Write the frame normally.
     Clean,
     /// Write only the first half of the frame, then drop the connection.
@@ -95,7 +95,7 @@ pub enum ReplyFault {
 
 /// Hook called before each reply write. May sleep (stall), and says whether
 /// to tear this frame. The sleep runs outside the plan lock.
-pub fn before_reply() -> ReplyFault {
+pub(crate) fn before_reply() -> ReplyFault {
     let (stall, fault) = {
         let mut armed = plan_lock();
         match armed.as_mut() {
@@ -119,7 +119,7 @@ pub fn before_reply() -> ReplyFault {
 /// Hook called at the start of each request handler. Panics once if the
 /// armed plan asks for it (the flag is consumed under the lock, so the
 /// panic itself unwinds outside it and cannot poison the plan).
-pub fn handler_start() {
+pub(crate) fn handler_start() {
     let do_panic = {
         let mut armed = plan_lock();
         match armed.as_mut() {

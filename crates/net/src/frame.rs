@@ -16,7 +16,7 @@ use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
 /// Size of the length prefix.
-pub const LEN_PREFIX: usize = 4;
+pub(crate) const LEN_PREFIX: usize = 4;
 
 /// Default ceiling on a single frame's payload (1 MiB).
 pub const DEFAULT_MAX_FRAME_LEN: usize = 1 << 20;
@@ -68,7 +68,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 }
 
 /// Reads one frame with blocking semantics (used by clients and tests; the
-/// server side reads incrementally through [`FrameReader`] so it can poll
+/// server side reads incrementally through `FrameReader` so it can poll
 /// drain/idle state between partial reads).
 pub fn read_frame(r: &mut impl Read, max_len: usize) -> Result<Vec<u8>, FrameError> {
     let mut prefix = [0u8; LEN_PREFIX];
@@ -93,7 +93,7 @@ pub fn read_frame(r: &mut impl Read, max_len: usize) -> Result<Vec<u8>, FrameErr
 }
 
 /// What one incremental read step produced.
-pub enum Poll {
+pub(crate) enum Poll {
     /// A complete frame payload.
     Frame(Vec<u8>),
     /// No complete frame yet; the read timed out (tick) — the caller checks
@@ -106,7 +106,7 @@ pub enum Poll {
 /// call, so the connection loop regains control every tick to check drain
 /// flags, idle deadlines, and forced-shutdown state.
 #[derive(Debug)]
-pub struct FrameReader {
+pub(crate) struct FrameReader {
     buf: Vec<u8>,
     chunk: [u8; 4096],
 }
@@ -119,7 +119,7 @@ impl Default for FrameReader {
 
 impl FrameReader {
     /// An empty reader.
-    pub fn new() -> FrameReader {
+    pub(crate) fn new() -> FrameReader {
         FrameReader {
             buf: Vec::new(),
             chunk: [0u8; 4096],
@@ -128,13 +128,17 @@ impl FrameReader {
 
     /// True when a frame has been partially received — the peer owes us the
     /// rest, so drain handling waits (bounded) instead of closing on it.
-    pub fn mid_frame(&self) -> bool {
+    pub(crate) fn mid_frame(&self) -> bool {
         !self.buf.is_empty()
     }
 
     /// Tries to complete one frame: first from already-buffered bytes, then
     /// with a single `read` (bounded by the stream's read timeout).
-    pub fn poll(&mut self, stream: &mut TcpStream, max_len: usize) -> Result<Poll, FrameError> {
+    pub(crate) fn poll(
+        &mut self,
+        stream: &mut TcpStream,
+        max_len: usize,
+    ) -> Result<Poll, FrameError> {
         loop {
             if let Some(frame) = self.take_frame(max_len)? {
                 return Ok(Poll::Frame(frame));

@@ -39,7 +39,7 @@ pub fn reply_too_large(len: usize, max: usize) -> String {
 }
 
 /// Renders the `!health` reply.
-pub fn health_reply(draining: bool, active_connections: usize, uptime: Duration) -> String {
+pub(crate) fn health_reply(draining: bool, active_connections: usize, uptime: Duration) -> String {
     serde::json::to_string(&Value::object([
         ("ok", Value::Bool(true)),
         ("type", Value::string("health")),
@@ -55,7 +55,7 @@ pub fn health_reply(draining: bool, active_connections: usize, uptime: Duration)
 /// Renders the no-op reply for blank/comment frames. Over stdin those lines
 /// are silent; over TCP every accepted frame gets exactly one reply, so
 /// silence is expressed as an explicit ack.
-pub fn noop_reply() -> String {
+pub(crate) fn noop_reply() -> String {
     serde::json::to_string(&Value::object([
         ("ok", Value::Bool(true)),
         ("type", Value::string("noop")),
@@ -63,7 +63,7 @@ pub fn noop_reply() -> String {
 }
 
 /// Renders the `!quit` acknowledgement written before the clean close.
-pub fn bye_reply() -> String {
+pub(crate) fn bye_reply() -> String {
     serde::json::to_string(&Value::object([
         ("ok", Value::Bool(true)),
         ("type", Value::string("bye")),

@@ -89,11 +89,19 @@
 //!   by 2 on s5, s6, s8 and s10; the file keeps the dispatch and
 //!   iteration-cap tests, each against the saturation oracle.
 //!
-//! `tests/malformed_frames.rs` stays as named regressions: checks 4 and 6
-//! cover its oversized prefix, HTTP garbage, torn frame, non-UTF-8 payload,
-//! garbage after a frame and malformed directives, but its burst of dropped
-//! connections and a directive with invalid UTF-8 inside the id are not in
-//! the script.
+//! `tests/malformed_frames.rs` stays as named regressions; each of its tests
+//! is also covered by 4 and 6 on the hostile connections:
+//!   `oversized_length_prefix_is_a_typed_reply_then_a_clean_close` (kind 0),
+//!   `truncated_frame_then_disconnect_leaves_the_server_healthy` (kind 1),
+//!   `non_utf8_payload_is_a_typed_error_and_the_connection_survives`
+//!   (kind 2), `http_garbage_reads_as_an_absurd_length_and_is_rejected`
+//!   (kind 3), `garbage_after_a_valid_frame_is_contained_to_that_connection`
+//!   (kind 4), `a_burst_of_malformed_connections_does_not_exhaust_the_server`
+//!   (kind 5); `malformed_trace_directives_are_typed_errors_and_never_hang`
+//!   by 4 on the script's malformed directives and zero-padded `@trace=`
+//!   echoes, and kind 6 for an id that is not UTF-8;
+//!   `empty_frame_gets_exactly_one_reply_and_no_hang` by 4 on the script's
+//!   blank frames.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRunner;
@@ -519,36 +527,62 @@ fn play(service: &QueryService, tcp: Option<&str>, lines: &[Line], p: &Phase) ->
     })
 }
 
-/// Hostile connection `kind` for the query line `ask`: the bytes sent, then
-/// what the server answers, up to closing the connection. The first claims
-/// `TCP_FRAME + 1` bytes, the second vanishes mid-frame.
-fn hostile_bytes(kind: usize, ask: &str) -> (Vec<u8>, &'static [&'static str]) {
+/// Hostile connections of `kind` for the query line `ask`: the bytes each
+/// connection sends, then what the server answers on the last one, up to
+/// closing it. Kind 0 claims `TCP_FRAME + 1` bytes, 1 vanishes mid-frame,
+/// 2 sends a non-UTF-8 frame, 3 HTTP, 4 garbage after a frame, 5 is a burst
+/// of ten connections dropped mid-frame unread, and 6 a `@trace=` id that is
+/// not UTF-8.
+fn hostile_bytes(kind: usize, ask: &str) -> (Vec<Vec<u8>>, &'static [&'static str]) {
     let frame = |payload: &[u8]| [&(payload.len() as u32).to_be_bytes()[..], payload].concat();
     match kind {
         0 => (
-            (TCP_FRAME as u32 + 1).to_be_bytes().to_vec(),
+            vec![(TCP_FRAME as u32 + 1).to_be_bytes().to_vec()],
             &["protocol", "closed"],
         ),
         1 => (
-            [&100u32.to_be_bytes()[..], &ask.as_bytes()[..8]].concat(),
+            vec![[&100u32.to_be_bytes()[..], &ask.as_bytes()[..8]].concat()],
             &[],
         ),
         2 => (
-            [frame(b"\xff\xfe"), frame(ask.as_bytes())].concat(),
+            vec![[frame(b"\xff\xfe"), frame(ask.as_bytes())].concat()],
             &["protocol", "answers"],
         ),
-        3 => (b"GET / HTTP/1.1\r\n\r\n".to_vec(), &["protocol", "closed"]),
-        _ => {
+        3 => (
+            vec![b"GET / HTTP/1.1\r\n\r\n".to_vec()],
+            &["protocol", "closed"],
+        ),
+        4 => {
             let bytes = [frame(ask.as_bytes()), b"\xde\xad\xbe\xef".to_vec()].concat();
-            (bytes, &["answers", "protocol", "closed"])
+            (vec![bytes], &["answers", "protocol", "closed"])
+        }
+        5 => {
+            let torn = [
+                u32::MAX.to_be_bytes().to_vec(),
+                [&8u32.to_be_bytes()[..], b"ab"].concat(),
+                frame(b"\x80\x81"),
+            ];
+            (torn.into_iter().cycle().take(10).collect(), &[])
+        }
+        _ => {
+            let traced = frame(&[b"@trace=\xc3\x28 ", ask.as_bytes()].concat());
+            (
+                vec![[traced, frame(ask.as_bytes())].concat()],
+                &["protocol", "answers"],
+            )
         }
     }
 }
 
-/// Plays hostile connection `kind`, then asks `ask` on a fresh one. Returns
-/// the answers replies, for the model.
+/// Plays hostile connections of `kind`, then asks `ask` on a fresh one.
+/// Returns the answers replies, for the model.
 fn hostile(addr: &str, kind: usize, ask: &str) -> Res<Vec<String>> {
-    let (bytes, wants) = hostile_bytes(kind, ask);
+    let (mut connections, wants) = hostile_bytes(kind, ask);
+    let bytes = connections.pop().unwrap();
+    for dropped in connections {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(&dropped).unwrap();
+    }
     let mut stream = TcpStream::connect(addr).unwrap();
     let wait = Some(Duration::from_secs(10));
     stream.set_read_timeout(wait).unwrap();
@@ -909,7 +943,7 @@ fn run(program: &Program, phases: &[Phase], config: Config, tcp: bool) -> Res<Se
         #[cfg(feature = "fault-inject")]
         arm(&gate, 0);
         let ask = query(&program.hot(0));
-        let hostile = at.map(|addr| hostile(addr, (n + p.bits as usize) % 5, &ask.0));
+        let hostile = at.map(|addr| hostile(addr, (n + p.bits as usize) % 7, &ask.0));
         result = hostile.unwrap_or(Ok(vec![])).and_then(|answers| {
             for reply in answers {
                 log.replies.push((QUIESCENT, log.lines.len(), Some(reply)));

@@ -26,7 +26,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// collapsing into one — percentile estimates for the serve hit path stay
 /// meaningful. Values above the last bound land in the implicit `+Inf`
 /// bucket.
-pub const SECONDS_BOUNDS: &[f64] = &[
+pub(crate) const SECONDS_BOUNDS: &[f64] = &[
     1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 0.1, 0.5,
     1.0, 5.0, 10.0, 60.0,
 ];
@@ -279,7 +279,7 @@ impl Aggregator {
     }
 
     /// Renders the current contents in Prometheus text exposition format
-    /// (see [`crate::prometheus::render`]).
+    /// (see `prometheus::render`).
     pub fn prometheus_text(&self) -> String {
         crate::prometheus::render(&self.snapshot())
     }

@@ -4,7 +4,7 @@
 //! mints one per request (or validates a client-supplied `@trace=<id>`
 //! prefix), wraps the layer's [`Obs`] handle in a [`TraceCtx`], and passes
 //! the context's handle — the same sinks, tagged with the id
-//! ([`Obs::with_trace`]) — down the call chain. Every event emitted through
+//! (`Obs::with_trace`) — down the call chain. Every event emitted through
 //! that handle — admission, cache probe, kernel dispatch, each round —
 //! reaches the sinks with the id, and the sinks that keep events render it
 //! as a last `trace` field, so a JSON-lines trace can be grouped back into
@@ -31,7 +31,7 @@ use std::time::Instant;
 pub struct TraceId(u64);
 
 /// Longest accepted textual trace id: 16 hex characters (64 bits).
-pub const TRACE_ID_MAX_LEN: usize = 16;
+pub(crate) const TRACE_ID_MAX_LEN: usize = 16;
 
 impl TraceId {
     /// Wraps a raw 64-bit id.
@@ -88,7 +88,7 @@ impl fmt::Display for TraceId {
 pub enum TraceIdError {
     /// The id was empty.
     Empty,
-    /// The id exceeded [`TRACE_ID_MAX_LEN`] characters (actual length).
+    /// The id exceeded `TRACE_ID_MAX_LEN` characters (actual length).
     TooLong(usize),
     /// The id contained a non-hex character.
     NotHex,
@@ -150,7 +150,7 @@ impl TraceCtx {
     }
 
     /// Microseconds since the context was created (the span time base).
-    pub fn elapsed_us(&self) -> u64 {
+    pub(crate) fn elapsed_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
 

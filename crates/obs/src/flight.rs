@@ -38,7 +38,7 @@ use std::time::Instant;
 
 /// Default ring capacity: enough to cover several requests' worth of
 /// events without holding meaningful memory.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 512;
+pub(crate) const DEFAULT_FLIGHT_CAPACITY: usize = 512;
 
 /// One event retained in the ring.
 #[derive(Debug, Clone)]

@@ -19,7 +19,7 @@
 //! Three sinks implement the trait:
 //!
 //! * [`aggregate::Aggregator`] — an in-memory metric store that
-//!   renders to Prometheus text exposition ([`prometheus`]); events are
+//!   renders to Prometheus text exposition (`prometheus`); events are
 //!   ignored.
 //! * [`trace::TraceWriter`] — a JSON-lines
 //!   writer that persists every event with a sequence number and relative
@@ -37,7 +37,7 @@
 //! per-round events back for every sink, and the metrics are the same either
 //! way: no metric is recorded per round.
 //!
-//! [`FanoutRecorder`] composes sinks, and the default handle
+//! `FanoutRecorder` composes sinks, and the default handle
 //! ([`Obs::noop`]) records nothing: it holds no allocation, reports
 //! [`Obs::enabled`]` == false`, and every emission is a branch on a `None`.
 //! Instrumented code guards field construction behind `enabled()`, so the
@@ -46,7 +46,7 @@
 //! round or rule, never per tuple (counted by the engine's `recorder_cost`
 //! and the ivm's `maintenance_cost` tests).
 //!
-//! A handle may also carry a request's [`TraceId`] ([`Obs::with_trace`]):
+//! A handle may also carry a request's [`TraceId`] (`Obs::with_trace`):
 //! every event emitted through it reaches the sinks with that id, and the
 //! sinks that keep events render it as the event's last field, `"trace"`.
 //! Tagging a handle copies the handle, not the sinks, and emitting through
@@ -65,12 +65,12 @@ pub mod aggregate;
 pub mod context;
 pub mod flight;
 pub mod jsonl;
-pub mod prometheus;
+mod prometheus;
 pub mod taxonomy;
 pub mod trace;
 
-pub use context::{SpanGuard, SpanId, TraceCtx, TraceId, TraceIdError, TRACE_ID_MAX_LEN};
-pub use flight::{FlightEvent, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
+pub use context::{SpanGuard, SpanId, TraceCtx, TraceId, TraceIdError};
+pub use flight::{FlightEvent, FlightRecorder};
 
 /// A metric label, `(key, value)`. Both are chosen in code, never taken
 /// from a client, so the aggregator finds a series with a cheap unkeyed
@@ -123,7 +123,7 @@ pub trait Recorder: Send + Sync + fmt::Debug {
 ///
 /// The default handle is the no-op: it holds no allocation and every
 /// emission short-circuits. Construct an active handle with [`Obs::new`]
-/// or [`Obs::fanout`], and a request's handle with [`Obs::with_trace`].
+/// or [`Obs::fanout`], and a request's handle with `Obs::with_trace`.
 #[derive(Clone, Default)]
 pub struct Obs {
     inner: Option<Arc<dyn Recorder>>,
@@ -168,7 +168,7 @@ impl Obs {
 
     /// The same sinks, with every event emitted under `trace`. Metrics are
     /// untouched: they stay aggregate, and provenance is what gets scoped.
-    pub fn with_trace(&self, trace: TraceId) -> Obs {
+    pub(crate) fn with_trace(&self, trace: TraceId) -> Obs {
         Obs {
             inner: self.inner.clone(),
             trace: Some(trace),
@@ -278,7 +278,7 @@ pub mod field {
 
 /// Broadcasts every emission to a list of sinks (built by [`Obs::fanout`]).
 #[derive(Debug)]
-pub struct FanoutRecorder {
+pub(crate) struct FanoutRecorder {
     sinks: Vec<Arc<dyn Recorder>>,
 }
 

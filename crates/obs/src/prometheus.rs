@@ -56,7 +56,7 @@ fn render_bound(b: f64) -> String {
 
 /// Renders sorted metric series as Prometheus text exposition, terminated
 /// by `# EOF`.
-pub fn render(metrics: &[Metric]) -> String {
+pub(crate) fn render(metrics: &[Metric]) -> String {
     let mut out = String::new();
     let mut last_name: Option<&str> = None;
     for m in metrics {

@@ -12,7 +12,7 @@
 //! * `ts_us` — microseconds since the writer was created.
 //! * `kind` — the event kind; remaining keys are the event's own fields in
 //!   emission order, then — for an event emitted under a request's trace
-//!   ([`Obs::with_trace`](crate::Obs::with_trace)) — `trace`, the id as 16
+//!   (`Obs::with_trace`) — `trace`, the id as 16
 //!   hex characters.
 //!
 //! `write_line` is the one renderer of that shape: the flight recorder's

@@ -11,14 +11,14 @@ use std::time::{Duration, Instant};
 
 /// A counting semaphore (std-only: mutex + condvar).
 #[derive(Debug)]
-pub struct Semaphore {
+pub(crate) struct Semaphore {
     permits: Mutex<usize>,
     available: Condvar,
 }
 
 impl Semaphore {
     /// A semaphore with `permits` concurrent slots (floored at 1).
-    pub fn new(permits: usize) -> Semaphore {
+    pub(crate) fn new(permits: usize) -> Semaphore {
         Semaphore {
             permits: Mutex::new(permits.max(1)),
             available: Condvar::new(),
@@ -27,7 +27,7 @@ impl Semaphore {
 
     /// Blocks until a slot is free; returns the slot and how long the
     /// caller queued for it.
-    pub fn acquire(&self) -> (Permit<'_>, Duration) {
+    pub(crate) fn acquire(&self) -> (Permit<'_>, Duration) {
         let start = Instant::now();
         let mut free = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
         while *free == 0 {
@@ -46,7 +46,7 @@ impl Semaphore {
     /// bounded: no caller ever blocks longer than `max_wait` (plus scheduler
     /// noise), which is the admission-fairness contract the network front
     /// end's shed/retry loop relies on.
-    pub fn try_acquire_for(&self, max_wait: Duration) -> Option<(Permit<'_>, Duration)> {
+    pub(crate) fn try_acquire_for(&self, max_wait: Duration) -> Option<(Permit<'_>, Duration)> {
         let start = Instant::now();
         let mut free = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
         while *free == 0 {
@@ -69,7 +69,7 @@ impl Semaphore {
 
 /// An acquired slot; dropping it releases the slot and wakes one waiter.
 #[derive(Debug)]
-pub struct Permit<'a> {
+pub(crate) struct Permit<'a> {
     semaphore: &'a Semaphore,
 }
 

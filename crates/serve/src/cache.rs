@@ -4,17 +4,17 @@
 //! select/project of the adorned query with its constants filled in, which is
 //! the query itself up to variable renaming: `P(c, X)` and `P(c, Y)` are one
 //! key, `P(x, x)` and `P(x, y)` two — and the cache carries the one
-//! [`Version`] its entries are exact at. [`SaturationCache::get`] hits only
+//! [`Version`] its entries are exact at. `SaturationCache::get` hits only
 //! when the caller's snapshot version is the cache's, and
-//! [`SaturationCache::insert`] is dropped when the cache has moved on: a
+//! `SaturationCache::insert` is dropped when the cache has moved on: a
 //! reader holding an older snapshot, or one that raced a writer, misses and
 //! its late answer is discarded. That is the whole no-stale-reply invariant.
 //! A version bump does not cost the cache: when incremental maintenance
 //! produces the exact change to the recursive predicate,
-//! [`SaturationCache::advance`] sends each changed tuple to the entries it
+//! `SaturationCache::advance` sends each changed tuple to the entries it
 //! can reach — one per key shape present — patches them in place and
 //! restamps the cache. Only when no patch exists (cold fallback, a freshly
-//! built view) does [`SaturationCache::retain_version`] clear it.
+//! built view) does `SaturationCache::retain_version` clear it.
 //!
 //! Only [`Outcome::Complete`](recurs_datalog::govern::Outcome) answers are
 //! admitted by the service: a truncated answer is a budget-dependent
@@ -31,7 +31,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The cache's monotone operation counts, as `QueryService::stats` reads
 /// them back from `recurs_serve_cache_ops_total{op}` — the counter
-/// [`SaturationCache`] records every operation into.
+/// `SaturationCache` records every operation into.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Lookups that found an entry while the cache was at their version.
@@ -232,7 +232,7 @@ impl Lru {
 /// are the queries holding an admission permit, and its one writer the
 /// update that carries it to the next version.
 #[derive(Debug)]
-pub struct SaturationCache {
+pub(crate) struct SaturationCache {
     lru: Mutex<Lru>,
     capacity: usize,
     obs: Obs,
@@ -243,7 +243,7 @@ impl SaturationCache {
     /// [`Version::ZERO`]. Every cache operation is counted into
     /// `recurs_serve_cache_ops_total{op}` on `obs` — the only place
     /// hit / miss / insert / evict / invalidate / patch counts are kept.
-    pub fn new(capacity: usize, obs: Obs) -> SaturationCache {
+    pub(crate) fn new(capacity: usize, obs: Obs) -> SaturationCache {
         SaturationCache {
             lru: Mutex::default(),
             capacity: capacity.max(1),
@@ -264,7 +264,7 @@ impl SaturationCache {
 
     /// Looks up a completed answer exact at `version`, refreshing its
     /// recency on a hit. A cache stamped with another version misses.
-    pub fn get(&self, key: &Selection, version: Version) -> Option<IndexedRelation> {
+    pub(crate) fn get(&self, key: &Selection, version: Version) -> Option<IndexedRelation> {
         let hit = self.lock().get(key, version);
         self.record_op(if hit.is_some() { "hit" } else { "miss" }, 1);
         hit
@@ -274,7 +274,7 @@ impl SaturationCache {
     /// least recently used entry if over capacity. An answer for any
     /// version but the cache's is discarded, and counted as an insert that
     /// was invalidated.
-    pub fn insert(&self, key: Selection, version: Version, answers: IndexedRelation) {
+    pub(crate) fn insert(&self, key: Selection, version: Version, answers: IndexedRelation) {
         let evicted = self.lock().insert(key, version, answers, self.capacity);
         self.record_op("insert", 1);
         match evicted {
@@ -287,7 +287,7 @@ impl SaturationCache {
     /// `version`. Called by the service when a snapshot lands without an
     /// exact IDB patch (cold fallback, a freshly built view): nothing cached
     /// can be carried to it.
-    pub fn retain_version(&self, version: Version) {
+    pub(crate) fn retain_version(&self, version: Version) {
         self.step(version, None);
     }
 
@@ -301,7 +301,7 @@ impl SaturationCache {
     /// sees a stamp its entries are not exact for.
     ///
     /// [`retain_version`]: SaturationCache::retain_version
-    pub fn advance(&self, from: Version, to: Version, patch: &IdbPatch) {
+    pub(crate) fn advance(&self, from: Version, to: Version, patch: &IdbPatch) {
         self.step(to, Some((from, patch)));
     }
 
@@ -321,13 +321,8 @@ impl SaturationCache {
     }
 
     /// Number of live entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lock().entries.len()
-    }
-
-    /// True when no entries are cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 

@@ -104,19 +104,19 @@ pub(crate) struct PointPlans {
 
 impl PointPlans {
     /// Plans are built on first use of a form.
-    pub fn new(lr: LinearRecursion) -> PointPlans {
+    pub(crate) fn new(lr: LinearRecursion) -> PointPlans {
         let plans = Mutex::new(HashMap::new());
         PointPlans { lr, plans }
     }
 
     /// The recursion being served.
-    pub fn recursion(&self) -> &LinearRecursion {
+    pub(crate) fn recursion(&self) -> &LinearRecursion {
         &self.lr
     }
 
     /// The plan for `query`'s form, or the typed error for a query that is
     /// not over the served predicate at its arity.
-    pub fn plan(&self, query: &Atom) -> Result<Arc<QueryPlan>, ServeError> {
+    pub(crate) fn plan(&self, query: &Atom) -> Result<Arc<QueryPlan>, ServeError> {
         if query.predicate != self.lr.predicate {
             return Err(ServeError::WrongPredicate {
                 got: query.predicate,
@@ -136,7 +136,7 @@ impl PointPlans {
     }
 
     /// What answers `query` on a miss: the name of its plan's lowering.
-    pub fn select(&self, query: &Atom) -> Result<PointKernelKind, ServeError> {
+    pub(crate) fn select(&self, query: &Atom) -> Result<PointKernelKind, ServeError> {
         Ok(PointKernelKind::of(&*self.plan(query)?))
     }
 
@@ -152,7 +152,7 @@ impl PointPlans {
     /// builds an index on a base relation. (Only if an update is installed
     /// in that very window does the query stay on its own version and index
     /// its private clone.)
-    pub fn answer(
+    pub(crate) fn answer(
         plan: &QueryPlan,
         snapshots: &SnapshotStore,
         snapshot: &Snapshot,

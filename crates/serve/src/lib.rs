@@ -68,7 +68,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod version;
 
-pub use cache::{CacheCounters, SaturationCache};
+pub use cache::CacheCounters;
 pub use error::ServeError;
 pub use kernel::PointKernelKind;
 pub use recurs_ivm::FactOp;

@@ -185,7 +185,7 @@ impl QueryService {
     }
 
     /// Stable fingerprint of the served program.
-    pub fn program_fingerprint(&self) -> Fingerprint {
+    pub(crate) fn program_fingerprint(&self) -> Fingerprint {
         self.program_fingerprint
     }
 

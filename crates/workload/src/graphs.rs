@@ -52,24 +52,6 @@ pub fn layered(layers: u64, width: u64, out_degree: usize, seed: u64) -> Relatio
     rel
 }
 
-/// A 2-D grid of `w × h` vertices with right/down edges. Vertex (r, c) has
-/// id `r·w + c + 1`.
-pub fn grid(w: u64, h: u64) -> Relation {
-    let mut rel = Relation::new(2);
-    for r in 0..h {
-        for c in 0..w {
-            let id = r * w + c + 1;
-            if c + 1 < w {
-                rel.insert(recurs_datalog::relation::tuple_u64([id, id + 1]));
-            }
-            if r + 1 < h {
-                rel.insert(recurs_datalog::relation::tuple_u64([id, id + w]));
-            }
-        }
-    }
-    rel
-}
-
 /// A random relation of arbitrary arity with values drawn from `1..=domain`.
 pub fn random_relation(arity: usize, tuples: usize, domain: u64, seed: u64) -> Relation {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -128,6 +110,24 @@ mod tests {
             let to: u64 = t[1].as_str().parse().unwrap();
             assert_eq!((to - 1) / 4, (from - 1) / 4 + 1);
         }
+    }
+
+    /// A 2-D grid of `w × h` vertices with right/down edges. Vertex (r, c)
+    /// has id `r·w + c + 1`.
+    fn grid(w: u64, h: u64) -> Relation {
+        let mut rel = Relation::new(2);
+        for r in 0..h {
+            for c in 0..w {
+                let id = r * w + c + 1;
+                if c + 1 < w {
+                    rel.insert(recurs_datalog::relation::tuple_u64([id, id + 1]));
+                }
+                if r + 1 < h {
+                    rel.insert(recurs_datalog::relation::tuple_u64([id, id + w]));
+                }
+            }
+        }
+        rel
     }
 
     #[test]

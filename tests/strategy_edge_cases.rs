@@ -278,33 +278,3 @@ fn naive_and_semi_naive_agree_on_random_programs() {
         );
     }
 }
-
-#[test]
-fn transform_then_compress_composes() {
-    // Unfold s4 to stable, then compress its chains; classification and
-    // answers must survive both rewrites.
-    use recurs_core::compress::compress;
-    use recurs_core::transform::unfold_to_stable;
-    let f = lr(
-        "P(x1, x2, x3) :- A(x1, y3), B(x2, y1), C(y2, x3), P(y1, y2, y3).\n\
-                P(x1, x2, x3) :- E(x1, x2, x3).",
-    );
-    let t = unfold_to_stable(&f).unwrap();
-    let stable = t.to_linear_recursion();
-    let c = compress(&stable);
-    assert!(Classification::of(&c.lr.recursive_rule).is_strongly_stable());
-    assert!(!c.combined.is_empty());
-
-    let mut db = Database::new();
-    db.insert_relation("A", Relation::from_pairs([(1, 2), (2, 3), (3, 4), (4, 5)]));
-    db.insert_relation("B", Relation::from_pairs([(1, 2), (2, 3), (3, 4), (4, 5)]));
-    db.insert_relation("C", Relation::from_pairs([(1, 2), (2, 3), (3, 4), (4, 5)]));
-    db.insert_relation(
-        "E",
-        Relation::from_tuples(3, [recurs_datalog::relation::tuple_u64([2, 2, 2])]),
-    );
-    let mut db2 = db.clone();
-    semi_naive(&mut db, &f.to_program(), None).unwrap();
-    semi_naive(&mut db2, &c.to_program(), None).unwrap();
-    assert_eq!(db.get("P").unwrap(), db2.get("P").unwrap());
-}
