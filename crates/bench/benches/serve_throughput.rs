@@ -48,13 +48,12 @@ use recurs_datalog::term::Atom;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::Database;
 use recurs_engine::{
-    evaluate, run_linear, saturate, select, CompiledProgram, EngineConfig, EngineDb, KernelKind,
-    Selection,
+    evaluate, run_linear, saturate, select, CompiledProgram, EngineConfig, EngineDb, Selection,
 };
 use recurs_obs::aggregate::Aggregator;
 use recurs_obs::{FlightRecorder, Obs, Recorder};
 use recurs_serve::protocol::{handle_line_with, LineOptions, LineOutcome};
-use recurs_serve::{CacheOutcome, PointKernelKind, QueryService, ServeConfig};
+use recurs_serve::{CacheOutcome, QueryService, ServeConfig};
 use recurs_workload::graphs::chain;
 use std::collections::hash_map::{Entry, HashMap};
 use std::hint::black_box;
@@ -146,8 +145,8 @@ fn serve_sweep(
 
         let point = service(f, db, false);
         assert_ne!(
-            point.kernel_for(query).unwrap(),
-            PointKernelKind::FullSaturation,
+            point.kernel_for(query).unwrap().family(),
+            "saturate",
             "{group_name}/{n}: a bound query must push its binding (frontier walk or magic)"
         );
         let reply = point.query(query).unwrap();
@@ -255,8 +254,7 @@ fn phase_split(
             let t2 = Instant::now();
             let compiled = CompiledProgram::compile(lowered.program, &store).unwrap();
             let t3 = Instant::now();
-            let kernel = KernelKind::for_round_cap(lowered.round_cap);
-            let saturation = saturate(&mut store, &compiled, kernel, config).unwrap();
+            let saturation = saturate(&mut store, &compiled, lowered.round_cap, config).unwrap();
             let t4 = Instant::now();
             let stored = store.get(lowered.answer.predicate).unwrap();
             let answers = select(stored, &Selection::of(&lowered.answer));
@@ -362,7 +360,7 @@ fn walk_rounds(f: &LinearRecursion) {
         let query = parse_atom(&format!("P(1, {n})")).unwrap();
         let service = service(f, &tc_db(n), false);
         let warm = service.query(&query).unwrap(); // the form's plan and indexes
-        assert_eq!(warm.stats.kernel, PointKernelKind::Frontier);
+        assert_eq!(warm.stats.kernel.label(), "frontier");
         assert_eq!(warm.answers.len(), 1);
         let rounds = warm.stats.fixpoint_iterations;
         let reps = (320_000 / n) as u32;

@@ -33,7 +33,7 @@ use recurs_datalog::parser::parse;
 use recurs_datalog::rule::{LinearRecursion, Program};
 use recurs_datalog::validate::{is_reserved, validate_with_generic_exit};
 use recurs_datalog::{Atom, Database};
-use recurs_engine::{EngineConfig, EngineDb, IndexedRelation, KernelKind, Selection};
+use recurs_engine::{kernel_label, EngineConfig, EngineDb, IndexedRelation, Selection};
 use recurs_igraph::build::resolution_graph;
 use recurs_igraph::dot::{to_ascii, to_dot};
 use recurs_ivm::{render_tree, WhyOutcome, DEFAULT_WHY_DEPTH};
@@ -570,9 +570,7 @@ fn service_of(
     // (and its Obs handle) goes away.
     let mut sinks: Vec<Arc<dyn recurs_obs::Recorder>> = Vec::new();
     if let Some(path) = &opts.trace {
-        let writer = TraceWriter::to_file(path)
-            .map_err(|e| format!("cannot open trace file {path}: {e}"))?;
-        sinks.push(Arc::new(writer));
+        sinks.push(trace_sink(path)?);
     }
     let config = ServeConfig {
         max_concurrent: opts.max_concurrent,
@@ -581,6 +579,23 @@ fn service_of(
         obs: Obs::fanout(sinks),
     };
     Ok(QueryService::new(lr, db, config))
+}
+
+/// Opens the JSON-lines trace file `--trace FILE` names.
+fn trace_sink(path: &str) -> Result<Arc<TraceWriter>, String> {
+    let writer = TraceWriter::to_file(path);
+    writer
+        .map(Arc::new)
+        .map_err(|e| format!("cannot open trace file {path}: {e}"))
+}
+
+/// Answers the file's queries through `service`, in order: the one query
+/// loop `run` and `batch` print from.
+fn answer_all(service: &QueryService, queries: &[Atom]) -> Result<Vec<Reply>, String> {
+    let replies = queries.iter().map(|query| service.query(query));
+    replies
+        .collect::<Result<_, _>>()
+        .map_err(|e| format!("query failed: {e}"))
 }
 
 /// Runs the `serve --stdin` line protocol over arbitrary IO — one request
@@ -871,10 +886,7 @@ pub fn execute(
                 return Err("no ?- queries in the file".into());
             }
             for _round in 0..*repeat {
-                for query in &queries {
-                    let reply = service
-                        .query(query)
-                        .map_err(|e| format!("query failed: {e}"))?;
+                for (query, reply) in queries.iter().zip(answer_all(&service, &queries)?) {
                     let label = format!(
                         "serve kernel:{} derived={} cache:{} v{}",
                         reply.stats.kernel.label(),
@@ -923,8 +935,7 @@ fn run_plans(
     let oracle_input = check.then(|| (lr.to_program(), db.clone()));
     let cancelled = || cancel.as_ref().is_some_and(CancelToken::is_cancelled);
     let service = service_of(lr, db, opts, cancel.clone())?;
-    let replies: Result<Vec<_>, _> = queries.iter().map(|q| service.query(q)).collect();
-    let replies = replies.map_err(|e| format!("query failed: {e}"))?;
+    let replies = answer_all(&service, &queries)?;
     signals::restore_default();
     let oracle = match oracle_input {
         Some((program, db)) if !cancelled() => Some(OracleFixpoint::of(&program, db)?),
@@ -961,7 +972,7 @@ fn run_engine(
         // The provenance record tying a trace back to the paper's dispatch
         // decision: the class verdict and the kernel its rank bound selects.
         let c = Classification::of(&loaded.lr.recursive_rule);
-        let kernel = KernelKind::for_round_cap(c.rank_bound()).label().into();
+        let kernel = kernel_label(c.rank_bound()).into();
         let engine = field::st("indexed");
         let fields = verdict_fields(&c, [("kernel", kernel), ("engine", engine)]);
         obs.event("classify.verdict", &fields);
@@ -983,7 +994,7 @@ fn run_engine(
     }
     let label = format!(
         "engine:indexed kernel:{} iterations={}",
-        sat.stats.kernel.label(),
+        kernel_label(sat.stats.round_cap),
         sat.stats.iteration_count()
     );
     // A Ctrl-C caught before that point asks out, whether it truncated the
@@ -1089,10 +1100,7 @@ fn build_run_obs(
     let mut trace_writer = None;
     let mut metrics_agg = None;
     if let Some(path) = trace {
-        let writer = Arc::new(
-            TraceWriter::to_file(path)
-                .map_err(|e| format!("cannot open trace file {path}: {e}"))?,
-        );
+        let writer = trace_sink(path)?;
         trace_writer = Some(writer.clone());
         sinks.push(writer as Arc<dyn recurs_obs::Recorder>);
     }

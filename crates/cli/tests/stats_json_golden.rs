@@ -12,7 +12,7 @@
 //! review the diff like any other API change.
 
 use recurs_datalog::govern::{Outcome, TruncationReason};
-use recurs_engine::{EngineStats, IterationStats, KernelKind, Saturation};
+use recurs_engine::{EngineStats, IterationStats, Saturation};
 use recurs_serve::{CacheCounters, ServiceStats};
 use std::path::Path;
 use std::time::Duration;
@@ -42,7 +42,7 @@ fn engine_saturation(outcome: Outcome) -> Saturation {
     Saturation {
         outcome,
         stats: EngineStats {
-            kernel: KernelKind::Generic,
+            round_cap: None,
             iterations: vec![
                 IterationStats {
                     delta_in: 0,
@@ -87,11 +87,13 @@ fn service_stats_shape_is_pinned() {
         complete: 9,
         truncated: 2,
         errors: 1,
-        kernel_bounded: 3,
-        kernel_frontier: 4,
-        kernel_magic: 5,
-        kernel_saturate: 3,
-        kernel_materialized: 2,
+        kernels: vec![
+            ("bounded", 3),
+            ("frontier", 4),
+            ("magic", 5),
+            ("saturate", 3),
+            ("materialized", 2),
+        ],
         queue_wait_us: 420,
         eval_us: 6400,
         tuples_derived: 210,

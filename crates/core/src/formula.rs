@@ -8,9 +8,9 @@
 //! ```
 //!
 //! These are **display** objects: they document the plan a query will follow
-//! (and are tested against the paper's figures); execution is handled by the
-//! strategy modules ([`crate::counting`], [`crate::bounded`],
-//! [`crate::magic`]).
+//! (and are tested against the paper's figures); what runs is the plan's
+//! lowered program ([`crate::plan`]), built from the chains of
+//! [`crate::counting`] or the rewrite of [`crate::magic`].
 
 use std::fmt;
 

@@ -46,6 +46,14 @@ pub enum StrategyKind {
 }
 
 impl StrategyKind {
+    /// Every lowering, in the order of the module table.
+    pub const ALL: [StrategyKind; 4] = [
+        StrategyKind::Bounded,
+        StrategyKind::Frontier,
+        StrategyKind::Magic,
+        StrategyKind::Saturate,
+    ];
+
     /// Lower-case label for reports: `bounded`, `frontier`, `magic`,
     /// `saturate`.
     pub fn label(&self) -> &'static str {

@@ -10,7 +10,7 @@
 //! round, [`semi_naive`]'s seeding round, and each of its differentiated
 //! variants, which is the rule with one IDB atom reading the delta — is
 //! `eval_rule`: a fold of the algebra's join and product over the body
-//! atoms in its own [`join_order`]. Nothing is prepared, indexed or kept
+//! atoms in its own `join_order`. Nothing is prepared, indexed or kept
 //! between rounds.
 
 use crate::algebra::{join, product, select_col_eq, select_eq};
@@ -147,7 +147,7 @@ fn extend_bindings(acc: &Bindings, vars: &[Symbol], rel: &Relation) -> Bindings 
 /// overrides (used by semi-naive deltas). Returns bindings over the body's
 /// variables.
 ///
-/// Atoms are joined in [`join_order`]; when overrides are present, the
+/// Atoms are joined in `join_order`; when overrides are present, the
 /// smallest overridden position (the delta atom) leads.
 pub fn eval_body(
     db: &Database,

@@ -63,9 +63,6 @@ pub enum TruncationReason {
     Deadline,
     /// The derived-tuple ceiling was reached.
     TupleCeiling,
-    /// A single iteration's incoming delta exceeded the per-iteration
-    /// ceiling.
-    DeltaCeiling,
     /// The [`CancelToken`] was cancelled.
     Cancelled,
 }
@@ -78,7 +75,6 @@ impl TruncationReason {
             TruncationReason::IterationCap => "iteration cap",
             TruncationReason::Deadline => "deadline",
             TruncationReason::TupleCeiling => "tuple ceiling",
-            TruncationReason::DeltaCeiling => "delta ceiling",
             TruncationReason::Cancelled => "cancelled",
         }
     }
@@ -148,8 +144,6 @@ pub struct EvalBudget {
     pub timeout: Option<Duration>,
     /// Ceiling on total tuples derived into IDB relations.
     pub max_tuples: Option<usize>,
-    /// Ceiling on a single iteration's incoming delta size.
-    pub max_delta: Option<usize>,
     /// Iteration cap, counting the seeding round: a cap of `k` executes the
     /// seeding round plus at most `k - 1` recursive rounds. (All evaluators
     /// in the workspace share this definition; see `eval::semi_naive` and
@@ -186,12 +180,6 @@ impl EvalBudget {
         self
     }
 
-    /// Builder: per-iteration delta ceiling.
-    pub fn with_max_delta(mut self, n: usize) -> EvalBudget {
-        self.max_delta = Some(n);
-        self
-    }
-
     /// Builder: iteration cap (counting the seeding round).
     pub fn with_max_iterations(mut self, n: usize) -> EvalBudget {
         self.max_iterations = Some(n);
@@ -210,7 +198,6 @@ impl EvalBudget {
         Governor {
             deadline: self.timeout.map(|t| Instant::now() + t),
             max_tuples: self.max_tuples,
-            max_delta: self.max_delta,
             max_iterations: self.max_iterations,
             cancel: self.cancel.clone(),
         }
@@ -224,8 +211,6 @@ pub struct Progress {
     pub iterations: usize,
     /// Total tuples derived so far.
     pub tuples: usize,
-    /// Size of the next iteration's incoming delta.
-    pub delta: usize,
 }
 
 /// The runtime companion of an [`EvalBudget`]: carries the armed deadline
@@ -237,7 +222,6 @@ pub struct Progress {
 pub struct Governor {
     deadline: Option<Instant>,
     max_tuples: Option<usize>,
-    max_delta: Option<usize>,
     max_iterations: Option<usize>,
     cancel: Option<CancelToken>,
 }
@@ -281,11 +265,6 @@ impl Governor {
                 return Some(TruncationReason::TupleCeiling);
             }
         }
-        if let Some(ceiling) = self.max_delta {
-            if progress.delta > ceiling {
-                return Some(TruncationReason::DeltaCeiling);
-            }
-        }
         None
     }
 }
@@ -303,7 +282,6 @@ mod tests {
                 Progress {
                     iterations: 1_000_000,
                     tuples: usize::MAX,
-                    delta: usize::MAX,
                 },
                 Instant::now()
             ),
@@ -348,7 +326,6 @@ mod tests {
         let gov = EvalBudget::unlimited()
             .with_max_iterations(3)
             .with_max_tuples(100)
-            .with_max_delta(10)
             .start();
         // Nothing exceeded.
         assert_eq!(
@@ -356,7 +333,6 @@ mod tests {
                 Progress {
                     iterations: 2,
                     tuples: 50,
-                    delta: 10,
                 },
                 Instant::now()
             ),
@@ -368,7 +344,6 @@ mod tests {
                 Progress {
                     iterations: 3,
                     tuples: 100,
-                    delta: 11,
                 },
                 Instant::now()
             ),
@@ -379,22 +354,10 @@ mod tests {
                 Progress {
                     iterations: 0,
                     tuples: 100,
-                    delta: 0,
                 },
                 Instant::now()
             ),
             Some(TruncationReason::TupleCeiling)
-        );
-        assert_eq!(
-            gov.check(
-                Progress {
-                    iterations: 0,
-                    tuples: 0,
-                    delta: 11,
-                },
-                Instant::now()
-            ),
-            Some(TruncationReason::DeltaCeiling)
         );
     }
 

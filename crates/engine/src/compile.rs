@@ -10,7 +10,7 @@
 //! A pipeline runs depth-first: each seed row goes through every join step
 //! before the next seed row starts, in one reused row a step, so no step's
 //! output is ever held whole. Where each step's relation and index sit in the
-//! store is found once per driver call ([`CompiledRule::locate`]), and the
+//! store is found once per driver call (`CompiledRule::locate`), and the
 //! steps are linked on the stack each time the pipeline runs. Seed rows
 //! enter as one slice of rows laid end to end, read where they are when the
 //! seed atom keeps every column in order with no check — a delta stored in

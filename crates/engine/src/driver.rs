@@ -127,7 +127,7 @@ struct Lane {
 /// Every round starts with the one clock read it makes — it closes the
 /// previous round's [`IterationStats::duration`] and is the deadline's —
 /// then the fault hook (when compiled in) and a full [`Governor::check`]
-/// against real progress — rounds run, fresh tuples so far, pending delta.
+/// against real progress — rounds run, fresh tuples so far.
 /// A round interrupted mid-pipeline still merges what it derived: every
 /// head row is a true consequence, so stopping only omits tuples.
 ///
@@ -136,10 +136,10 @@ struct Lane {
 /// read and the index each probes sit in the store — found once per call.
 /// A slot's rows are pending only if some rule seeds from it: rows of a
 /// predicate no rule reads (a query's answers) are stored, not counted in
-/// [`IterationStats::delta_in`] or the governor's pending delta, and keep no
-/// round running. A pipeline takes its seed rows as one slice: a stored run
-/// or a whole stored relation in place when the seed atom keeps every
-/// column, else filtered into a buffer the loop owns. Pipeline rows, head
+/// [`IterationStats::delta_in`], and keep no round running. A pipeline
+/// takes its seed rows as one slice: a stored run or a whole stored
+/// relation in place when the seed atom keeps every column, else filtered
+/// into a buffer the loop owns. Pipeline rows, head
 /// batches and copied deltas live in buffers the loop owns and reuses, so a
 /// round allocates only where one of them outgrows itself.
 ///
@@ -260,7 +260,6 @@ where
         let progress = Progress {
             iterations: round,
             tuples: fresh_total,
-            delta: pending,
         };
         if let Some(reason) = governor.check(progress, now) {
             out.truncation = Some(reason);

@@ -5,7 +5,6 @@
 
 use crate::compile::Selection;
 use crate::error::{EngineError, Saturation};
-use crate::stats::KernelKind;
 use crate::storage::{EngineDb, IndexedRelation};
 use crate::{saturate_until, select, CompiledProgram, EngineConfig};
 use recurs_core::plan::QueryPlan;
@@ -63,15 +62,14 @@ pub fn evaluate(
             store = private(indexed)?;
         }
     }
-    // The lowering's round cap is the kernel: a `Saturate` plan never has a
-    // rank (the planner picks `Bounded` first), so the class adds nothing.
-    let kernel = KernelKind::for_round_cap(lowered.round_cap);
     // A ground answer atom asks whether one tuple is derived: the run ends
     // once it is stored.
     let answer = &lowered.answer;
     let ground: Option<Vec<Value>> = answer.terms.iter().map(Term::as_const).collect();
     let witness = ground.as_deref().map(|t| (answer.predicate, t));
-    let saturation = saturate_until(&mut store, &compiled, kernel, config, witness)?;
+    // The lowering's round cap is the kernel: a `Saturate` plan never has a
+    // rank (the planner picks `Bounded` first), so the class adds nothing.
+    let saturation = saturate_until(&mut store, &compiled, lowered.round_cap, config, witness)?;
     let stored = store
         .get(lowered.answer.predicate)
         .ok_or(EngineError::Internal(

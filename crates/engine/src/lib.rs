@@ -26,12 +26,11 @@
 //!   instantiations of it; `recurs-ivm`'s provenance walks a store they
 //!   saturated and runs no rounds of its own. A ground query's run ends at
 //!   the round that stores its one tuple.
-//! * **Kernels** ([`KernelKind`]): the classification changes only *how
-//!   many rounds* a whole saturation runs. A proven rank bound
-//!   (`Classification::rank_bound`, or a lowering's `round_cap`) is
-//!   [`KernelKind::BoundedUnroll`], the driver's round cap; everything else
-//!   is [`KernelKind::Generic`]. [`KernelKind::for_round_cap`] is the one
-//!   place that choice is made.
+//! * **Kernels**: the classification changes only *how many rounds* a
+//!   whole saturation runs. A proven rank bound
+//!   (`Classification::rank_bound`, or a lowering's `round_cap`) is the
+//!   driver's round cap, `None` the generic loop; [`saturate`] takes it as
+//!   it is, and [`kernel_label`] names it (`unroll(N)` or `generic`).
 //! * **The executor** ([`evaluate`]): the one function that answers a
 //!   planned query — it lowers the [`QueryPlan`](recurs_core::QueryPlan),
 //!   saturates that program over a private clone of the caller's store and
@@ -72,7 +71,7 @@ pub use compile::{select, select_counted, Selection};
 pub use driver::{drive_rounds, Rounds};
 pub use error::{EngineError, Saturation};
 pub use evaluate::{evaluate, Evaluation};
-pub use stats::{EngineStats, IterationStats, KernelKind};
+pub use stats::{kernel_label, EngineStats, IterationStats};
 pub use storage::{Batch, EngineDb, Fresh, IndexedRelation};
 
 use compile::CompiledRule;
@@ -111,9 +110,9 @@ pub fn saturate_linear(
     lr: &LinearRecursion,
     config: &EngineConfig,
 ) -> Result<Saturation, EngineError> {
-    let kernel = dispatch(lr, config);
+    let round_cap = dispatch(lr, config);
     let compiled = CompiledProgram::compile(&lr.to_program(), storage)?;
-    saturate(storage, &compiled, kernel, config)
+    saturate(storage, &compiled, round_cap, config)
 }
 
 /// Saturates `db` with the program's consequences, capped at the recursion's
@@ -125,25 +124,25 @@ pub fn run_linear(
     lr: &LinearRecursion,
     config: &EngineConfig,
 ) -> Result<Saturation, EngineError> {
-    run_with_kernel(db, &lr.to_program(), dispatch(lr, config), config)
+    run_with_cap(db, &lr.to_program(), dispatch(lr, config), config)
 }
 
-/// The kernel the recursion's rank bound selects, recorded as the
+/// The round cap the recursion's rank bound sets, recorded as the
 /// `engine.dispatch` event: which class the formula fell in and the kernel
 /// its round cap makes.
-fn dispatch(lr: &LinearRecursion, config: &EngineConfig) -> KernelKind {
+fn dispatch(lr: &LinearRecursion, config: &EngineConfig) -> Option<u64> {
     let classification = recurs_core::Classification::of(&lr.recursive_rule);
-    let kernel = KernelKind::for_round_cap(classification.rank_bound());
+    let round_cap = classification.rank_bound();
     if config.obs.enabled() {
         config.obs.event(
             "engine.dispatch",
             &[
                 ("class", field::st(classification.class.label())),
-                ("kernel", kernel.label().into()),
+                ("kernel", kernel_label(round_cap).into()),
             ],
         );
     }
-    kernel
+    round_cap
 }
 
 /// Saturates `db` with an arbitrary program using the generic semi-naive
@@ -154,17 +153,17 @@ pub fn run_program(
     program: &Program,
     config: &EngineConfig,
 ) -> Result<Saturation, EngineError> {
-    run_with_kernel(db, program, KernelKind::Generic, config)
+    run_with_cap(db, program, None, config)
 }
 
-/// [`saturate`] between a load and a write-back, under the kernel
-/// [`run_linear`] or [`run_program`] picked: every relation the program
+/// [`saturate`] between a load and a write-back, under the round cap
+/// [`run_linear`] or [`run_program`] set: every relation the program
 /// mentions is copied into an [`EngineDb`], and the IDB relations are copied
 /// back out.
-fn run_with_kernel(
+fn run_with_cap(
     db: &mut Database,
     program: &Program,
-    kernel: KernelKind,
+    round_cap: Option<u64>,
     config: &EngineConfig,
 ) -> Result<Saturation, EngineError> {
     // Declare IDB relations up front (arity checks, like the oracle does);
@@ -181,7 +180,7 @@ fn run_with_kernel(
         }
     }
     let compiled = CompiledProgram::compile(program, &storage)?;
-    let sat = saturate(&mut storage, &compiled, kernel, config)?;
+    let sat = saturate(&mut storage, &compiled, round_cap, config)?;
     for pred in program.idb_predicates() {
         db.insert_relation(pred, storage.relation(pred)?.to_relation());
     }
@@ -242,14 +241,15 @@ impl CompiledProgram {
 /// have stored. Every index the pipelines probe and the store lacks is
 /// built once, before the loop (and stays with this store: a relation other
 /// stores share keeps sharing its rows). Tuples already in an IDB relation
-/// (magic seeds) take part as the first delta.
+/// (magic seeds) take part as the first delta. A `round_cap` — a proven rank
+/// bound — ends the run, complete, after that many recursive rounds.
 pub fn saturate(
     storage: &mut EngineDb,
     program: &CompiledProgram,
-    kernel: KernelKind,
+    round_cap: Option<u64>,
     config: &EngineConfig,
 ) -> Result<Saturation, EngineError> {
-    saturate_until(storage, program, kernel, config, None)
+    saturate_until(storage, program, round_cap, config, None)
 }
 
 /// [`saturate`], ending — complete — after the first round that stores
@@ -258,7 +258,7 @@ pub fn saturate(
 pub(crate) fn saturate_until(
     storage: &mut EngineDb,
     program: &CompiledProgram,
-    kernel: KernelKind,
+    round_cap: Option<u64>,
     config: &EngineConfig,
     witness: Option<(Symbol, &[Value])>,
 ) -> Result<Saturation, EngineError> {
@@ -276,12 +276,12 @@ pub(crate) fn saturate_until(
     let obs = &config.obs;
     if obs.enabled() {
         // A metric label is static: `unroll(N)` is interned, once per rank.
-        let kernel_label = match kernel.label() {
+        let kernel = match kernel_label(round_cap) {
             Cow::Borrowed(label) => label,
             Cow::Owned(label) => Symbol::intern(&label).as_str(),
         };
-        obs.counter("recurs_engine_runs_total", &[("kernel", kernel_label)], 1);
-        obs.event("engine.start", &[("kernel", field::st(kernel_label))]);
+        obs.counter("recurs_engine_runs_total", &[("kernel", kernel)], 1);
+        obs.event("engine.start", &[("kernel", field::st(kernel))]);
     }
 
     // Tuples the caller pre-seeded into IDB relations (e.g. magic seeds)
@@ -302,7 +302,7 @@ pub(crate) fn saturate_until(
         Some(&program.init),
         &program.variants,
         preseeded,
-        kernel.round_cap(),
+        round_cap,
         &governor,
         obs,
         witness,
@@ -317,7 +317,7 @@ pub(crate) fn saturate_until(
     )?;
 
     let stats = EngineStats {
-        kernel,
+        round_cap,
         tuples_derived: rounds.iterations.iter().map(|it| it.new_tuples).sum(),
         iterations: rounds.iterations,
         index_builds,
@@ -415,7 +415,7 @@ mod tests {
         semi_naive(&mut db1, &lr.to_program(), None).unwrap();
         let sat = run_linear(&mut db2, &lr, &EngineConfig::default()).unwrap();
         // TC is class A5: no rank bound, so the generic loop.
-        assert_eq!(sat.stats.kernel, KernelKind::Generic);
+        assert_eq!(sat.stats.round_cap, None);
         assert_eq!(db1.get("P").unwrap(), db2.get("P").unwrap());
     }
 
@@ -587,20 +587,11 @@ mod tests {
     #[test]
     fn answer_rows_are_not_pending_delta() {
         // `P(1, y)` walks a chain one vertex a round: each round reads the
-        // one new vertex and stores one answer row, which no rule reads. A
-        // delta ceiling of one row holds the walk; counting the answers as
-        // pending tripped it.
+        // one new vertex and stores one answer row, which no rule reads, so
+        // no round's incoming delta holds more than that vertex.
         let lr = validate_with_generic_exit(&tc_program()).unwrap();
-        let config = EngineConfig {
-            budget: EvalBudget::unlimited().with_max_delta(1),
-            ..EngineConfig::default()
-        };
-        let walked = ask(&lr, &tc_db(40), "P(1, y)", &config);
-        assert!(
-            walked.saturation.outcome.is_complete(),
-            "{:?}",
-            walked.saturation.outcome
-        );
+        let walked = ask(&lr, &tc_db(40), "P(1, y)", &EngineConfig::default());
+        assert!(walked.saturation.outcome.is_complete());
         assert_eq!(walked.answers.len(), 39);
         let iterations = &walked.saturation.stats.iterations;
         assert!(

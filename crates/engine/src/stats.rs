@@ -1,65 +1,16 @@
 //! Execution statistics: what the engine did, per iteration and in total.
 
 use std::borrow::Cow;
-use std::fmt;
 use std::time::Duration;
 
-/// The kernel a saturation ran: the one semi-naive loop, with or without a
-/// round cap. The classification changes a whole-program saturation in this
-/// one way only — a proven rank bound lets it stop after `rank` rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelKind {
-    /// Bounded unrolling for formulas with a *proven* rank bound (pure
-    /// permutational A2/A4, bounded B, acyclic D): apply the recursive rule
-    /// exactly `rank` times and stop — no trailing empty iteration to detect
-    /// the fixpoint.
-    BoundedUnroll {
-        /// The proven rank bound (number of recursive applications).
-        rank: u64,
-    },
-    /// Semi-naive until the delta is empty: every formula without a proven
-    /// rank, and arbitrary multi-rule programs.
-    Generic,
-}
-
-impl KernelKind {
-    /// The kernel for a run whose recursive rounds are capped at `round_cap`
-    /// (a classification's `rank_bound()`, a lowering's `round_cap`): a cap
-    /// is bounded unrolling, no cap is the generic loop.
-    pub fn for_round_cap(round_cap: Option<u64>) -> KernelKind {
-        match round_cap {
-            Some(rank) => KernelKind::BoundedUnroll { rank },
-            None => KernelKind::Generic,
-        }
-    }
-
-    /// The recursive rounds after which the run is complete by construction.
-    pub fn round_cap(&self) -> Option<u64> {
-        match self {
-            KernelKind::BoundedUnroll { rank } => Some(*rank),
-            KernelKind::Generic => None,
-        }
-    }
-
-    /// Short label for reports, e.g. `"generic"`, `"unroll(3)"`: static
-    /// but for the rank.
-    pub fn label(&self) -> Cow<'static, str> {
-        match self {
-            KernelKind::BoundedUnroll { rank } => Cow::Owned(format!("unroll({rank})")),
-            KernelKind::Generic => Cow::Borrowed("generic"),
-        }
-    }
-}
-
-impl fmt::Display for KernelKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
-    }
-}
-
-impl serde::Serialize for KernelKind {
-    fn to_value(&self) -> serde::Value {
-        self.label().into()
+/// The kernel a saturation with this round cap runs, as reports, events and
+/// metric labels name it: `"unroll(N)"` when a proven rank caps the rounds
+/// at `N`, `"generic"` when the semi-naive loop runs to its fixpoint. The
+/// classification changes a whole-program saturation in this one way only.
+pub fn kernel_label(round_cap: Option<u64>) -> Cow<'static, str> {
+    match round_cap {
+        Some(rank) => Cow::Owned(format!("unroll({rank})")),
+        None => Cow::Borrowed("generic"),
     }
 }
 
@@ -92,8 +43,10 @@ impl serde::Serialize for IterationStats {
 /// Statistics of an engine run.
 #[derive(Debug, Clone)]
 pub struct EngineStats {
-    /// The kernel the run used.
-    pub kernel: KernelKind,
+    /// The recursive rounds after which the run was complete by
+    /// construction: a proven rank bound, or `None` for the generic loop.
+    /// Serialized as the kernel's label ([`kernel_label`]).
+    pub round_cap: Option<u64>,
     /// Per-iteration detail, in order (iteration 0 is the non-recursive
     /// seeding round).
     pub iterations: Vec<IterationStats>,
@@ -125,7 +78,7 @@ impl EngineStats {
 impl serde::Serialize for EngineStats {
     fn to_value(&self) -> serde::Value {
         serde::Value::object([
-            ("kernel", self.kernel.to_value()),
+            ("kernel", kernel_label(self.round_cap).into()),
             ("iterations", self.iterations.to_value()),
             ("iteration_count", self.iteration_count().to_value()),
             ("tuples_derived", self.tuples_derived.to_value()),
@@ -147,7 +100,7 @@ mod tests {
 
     #[test]
     fn kernel_labels() {
-        assert_eq!(KernelKind::BoundedUnroll { rank: 3 }.label(), "unroll(3)");
-        assert_eq!(KernelKind::Generic.to_string(), "generic");
+        assert_eq!(kernel_label(Some(3)), "unroll(3)");
+        assert_eq!(kernel_label(None), "generic");
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! Nothing here owns a tuple by itself. A relation's tuples are rows of one
 //! row-major arena; the dedup table and every index are open-addressing
-//! tables of row ids ([`IdTable`]) that hash and compare their keys where
+//! tables of row ids (`IdTable`) that hash and compare their keys where
 //! they already are, in the arena; and rows in flight — pipeline rows, head
 //! batches — travel in a [`Batch`], one flat buffer reused from round to
 //! round. Allocation follows buffer growth, never tuple count.

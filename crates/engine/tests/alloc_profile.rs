@@ -10,9 +10,7 @@ use recurs_datalog::database::Database;
 use recurs_datalog::govern::EvalBudget;
 use recurs_datalog::parser::{parse_atom, parse_program};
 use recurs_datalog::relation::Relation;
-use recurs_engine::{
-    saturate, select, CompiledProgram, EngineConfig, EngineDb, KernelKind, Selection,
-};
+use recurs_engine::{saturate, select, CompiledProgram, EngineConfig, EngineDb, Selection};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -155,8 +153,7 @@ fn run(db: &Database, cap: Option<usize>) -> Run {
         ..EngineConfig::default()
     };
     let held = store.heap_bytes();
-    let (sat, rounds) =
-        tallied(|| saturate(&mut store, &compiled, KernelKind::Generic, &config).unwrap());
+    let (sat, rounds) = tallied(|| saturate(&mut store, &compiled, None, &config).unwrap());
     Run {
         store,
         held,

@@ -18,7 +18,7 @@ use recurs_datalog::govern::EvalBudget;
 use recurs_datalog::rule::{Program, Rule};
 use recurs_datalog::term::{Atom, Term, Value};
 use recurs_engine::run_linear;
-use recurs_engine::{evaluate, run_program, CompiledProgram, EngineConfig, EngineDb, KernelKind};
+use recurs_engine::{evaluate, run_program, CompiledProgram, EngineConfig, EngineDb};
 use recurs_workload::{random_database, random_linear_recursion, RuleConfig};
 
 /// IDB tuples `semi_naive` holds after `rounds` rounds (the seeding round
@@ -147,7 +147,7 @@ proptest! {
         prop_assert!(sat.outcome.is_complete(), "uncapped run reported truncation");
         let rank = recurs_core::Classification::of(&lr.recursive_rule).rank_bound();
         prop_assert_eq!(
-            sat.stats.kernel, KernelKind::for_round_cap(rank),
+            sat.stats.round_cap, rank,
             "run_linear caps the run at the rank bound"
         );
     }
@@ -220,7 +220,7 @@ proptest! {
             cap, rule_seed, db_seed, lr.recursive_rule
         );
         prop_assert_eq!(
-            sat.stats.kernel, KernelKind::Generic,
+            sat.stats.round_cap, None,
             "run_program uses the generic kernel"
         );
         // Both sides agree on *whether* the cap truncated the run.
@@ -256,7 +256,7 @@ proptest! {
         let budget = match budget_kind {
             0 => EvalBudget::iteration_cap(Some(knob)),
             1 => EvalBudget::unlimited().with_max_tuples(knob * 8),
-            _ => EvalBudget::unlimited().with_max_delta(knob * 4),
+            _ => EvalBudget::iteration_cap(Some(knob)).with_max_tuples(knob * 4),
         };
 
         let mut db = edb.clone();

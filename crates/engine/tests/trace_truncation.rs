@@ -75,14 +75,6 @@ fn tuple_ceiling_trace_names_tuple_ceiling() {
 }
 
 #[test]
-fn delta_ceiling_trace_names_delta_ceiling() {
-    assert_trace_names_cause(
-        EvalBudget::unlimited().with_max_delta(1),
-        TruncationReason::DeltaCeiling,
-    );
-}
-
-#[test]
 fn iteration_cap_trace_names_iteration_cap() {
     assert_trace_names_cause(
         EvalBudget::iteration_cap(Some(1)),

@@ -1,7 +1,7 @@
 //! Weakly-connected components of the condensed graph and their structural
 //! kind — the per-component basis of the paper's classification.
 
-use crate::condense::Condensed;
+use crate::condense::{Condensed, UnionFind};
 use crate::cycle::{enumerate_cycles, Cycle};
 use std::collections::BTreeSet;
 
@@ -46,60 +46,35 @@ impl Component {
 pub fn analyze_components(c: &Condensed) -> Vec<Component> {
     let n = c.group_count();
     // Union-find over groups, joined by directed edges.
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut Vec<usize>, x: usize) -> usize {
-        if parent[x] != x {
-            let r = find(parent, parent[x]);
-            parent[x] = r;
-        }
-        parent[x]
-    }
+    let mut uf = UnionFind::new(n);
     for e in &c.edges {
-        let (ra, rb) = (find(&mut parent, e.from), find(&mut parent, e.to));
-        if ra != rb {
-            parent[ra] = rb;
-        }
+        uf.union(e.from, e.to);
     }
-    let all_cycles = enumerate_cycles(c);
-    // Bucket groups and edges per root.
-    let mut roots: Vec<usize> = (0..n).map(|g| find(&mut parent, g)).collect();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&g| (roots[g], g));
+    // One component per root, numbered in order of its smallest group.
+    let mut index_of_root: Vec<Option<usize>> = vec![None; n];
+    let mut component_of: Vec<usize> = Vec::with_capacity(n);
     let mut components: Vec<Component> = Vec::new();
-    let mut seen_roots: Vec<usize> = Vec::new();
-    for (g, &root) in roots.iter().enumerate() {
-        if !seen_roots.contains(&root) {
-            seen_roots.push(root);
+    for g in 0..n {
+        let idx = *index_of_root[uf.find(g)].get_or_insert_with(|| {
             components.push(Component {
                 groups: Vec::new(),
                 edges: Vec::new(),
                 cycles: Vec::new(),
                 kind: ComponentKind::Trivial,
             });
-        }
-        let idx = seen_roots.iter().position(|&r| r == root).expect("pushed");
+            components.len() - 1
+        });
         components[idx].groups.push(g);
+        component_of.push(idx);
     }
     for (eid, e) in c.edges.iter().enumerate() {
-        let root = find(&mut parent, e.from);
-        let idx = seen_roots
-            .iter()
-            .position(|&r| r == root)
-            .expect("edge endpoints are groups");
-        components[idx].edges.push(eid);
+        components[component_of[e.from]].edges.push(eid);
     }
-    roots.clear();
     // Assign cycles to components (a cycle lives wholly inside one).
-    for cycle in all_cycles {
-        let first_edge = cycle.steps[0].edge;
-        let root = find(&mut parent, c.edges[first_edge].from);
-        let idx = seen_roots
-            .iter()
-            .position(|&r| r == root)
-            .expect("cycle edges are component edges");
-        components[idx].cycles.push(cycle);
+    for cycle in enumerate_cycles(c) {
+        let owner = component_of[c.edges[cycle.steps[0].edge].from];
+        components[owner].cycles.push(cycle);
     }
-    // Classify.
     for comp in &mut components {
         comp.kind = classify_component(comp);
     }

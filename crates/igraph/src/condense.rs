@@ -71,18 +71,20 @@ impl Condensed {
     }
 }
 
-struct UnionFind {
+/// Disjoint sets over `0..n`: the vertices of an I-graph joined by its
+/// undirected edges, or the groups of a condensed graph by its directed ones.
+pub(crate) struct UnionFind {
     parent: Vec<usize>,
 }
 
 impl UnionFind {
-    fn new(n: usize) -> UnionFind {
+    pub(crate) fn new(n: usize) -> UnionFind {
         UnionFind {
             parent: (0..n).collect(),
         }
     }
 
-    fn find(&mut self, x: usize) -> usize {
+    pub(crate) fn find(&mut self, x: usize) -> usize {
         if self.parent[x] != x {
             let root = self.find(self.parent[x]);
             self.parent[x] = root;
@@ -90,7 +92,7 @@ impl UnionFind {
         self.parent[x]
     }
 
-    fn union(&mut self, a: usize, b: usize) {
+    pub(crate) fn union(&mut self, a: usize, b: usize) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
             self.parent[ra] = rb;

@@ -8,7 +8,7 @@
 //! * **resolution graphs** `G_k` for the k-th expansion
 //!   ([`build::resolution_graph`]);
 //! * **condensation** over undirected connectivity — the paper's edge
-//!   *compression* taken to its fixpoint ([`condense`]);
+//!   *compression* taken to its fixpoint ([`condense`](mod@condense));
 //! * exhaustive **simple-cycle enumeration** with the paper's cycle
 //!   properties: weight, one-/multi-directional, rotational/permutational,
 //!   unit ([`cycle`]);

@@ -21,19 +21,17 @@
 //!
 //! Every class runs this same machinery, and every deletion rederives its
 //! candidates in overdeletion-frontier discovery order. The classification
-//! picks a maintenance path ([`MaintenancePath`]) that changes one thing,
-//! the round cap: a proven rank bound (A2/A4, bounded B, acyclic D) caps
-//! the propagation and closure loops the way it caps unroll depth; every
-//! other formula runs them uncapped. All paths run under an
-//! [`EvalBudget`](recurs_datalog::govern::EvalBudget) — a truncated patch
+//! changes one thing, the round cap ([`Materialization::round_cap`]): a
+//! proven rank bound (A2/A4, bounded B, acyclic D) caps the propagation and
+//! closure loops the way it caps unroll depth; every other formula runs
+//! them uncapped, and [`maintenance_label`] names the path. All paths run
+//! under an [`EvalBudget`](recurs_datalog::govern::EvalBudget) — a truncated patch
 //! never surfaces: [`Materialization::apply`] falls back to cold saturation
 //! of the new database and reports that it did. A view also answers
 //! `why <fact>` without saturating anything: [`Materialization::explain`]
 //! walks it ([`provenance`]).
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
-
-use recurs_core::Classification;
 
 pub mod delta;
 mod materialize;
@@ -53,59 +51,19 @@ use recurs_datalog::symbol::Symbol;
 use recurs_engine::EngineError;
 use std::fmt;
 
-/// How a patch is (or was) maintained, mirroring the engine's kernel: the
-/// rank bound that caps evaluation also caps maintenance, and
-/// [`MaintenancePath::round_cap`] is all that tells the live paths apart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MaintenancePath {
-    /// A proven rank bound (classes A2/A4, bounded B, acyclic D) caps every
-    /// propagation and rederivation loop; exceeding the cap means the bound
-    /// was violated, which is treated as truncation and falls back cold.
-    BoundedRecount {
-        /// The rank bound from the classification.
-        rank: u64,
-    },
-    /// Uncapped DRed for every formula without a proven rank bound.
-    GenericDred,
-    /// The patch was abandoned (budget truncation or a tripped loop cap)
-    /// and the materialization was rebuilt by cold saturation instead.
-    ColdFallback,
-}
-
-impl MaintenancePath {
-    /// Selects the maintenance path for a classified recursive rule: its
-    /// rank bound, when it proves one.
-    pub fn select(classification: &Classification) -> MaintenancePath {
-        match classification.rank_bound() {
-            Some(rank) => MaintenancePath::BoundedRecount { rank },
-            None => MaintenancePath::GenericDred,
-        }
-    }
-
-    /// Stable label for metrics and protocol replies.
-    pub fn label(&self) -> &'static str {
-        match self {
-            MaintenancePath::BoundedRecount { .. } => "bounded-recount",
-            MaintenancePath::GenericDred => "generic-dred",
-            MaintenancePath::ColdFallback => "cold-fallback",
-        }
-    }
-
-    /// The cap on productive propagation rounds, when the class proves one.
-    /// A bounded formula reaches fixpoint from *any* seed within `rank`
-    /// productive rounds, so `rank + 2` rounds (one extra to observe the
-    /// empty delta, one of slack) is a correctness tripwire, not a budget.
-    pub(crate) fn round_cap(&self) -> Option<u64> {
-        match self {
-            MaintenancePath::BoundedRecount { rank } => Some(rank + 2),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for MaintenancePath {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
+/// How a view is maintained, as events, metric labels and served replies
+/// name it: `"cold-fallback"` for a patch the budget or the round cap cut
+/// short (`truncation`), which was rebuilt by cold saturation instead;
+/// else `"bounded-recount"` when a proven rank caps the rounds
+/// (`round_cap`), `"generic-dred"` when nothing does.
+pub fn maintenance_label(
+    round_cap: Option<u64>,
+    truncation: Option<TruncationReason>,
+) -> &'static str {
+    match (truncation, round_cap) {
+        (Some(_), _) => "cold-fallback",
+        (None, Some(_)) => "bounded-recount",
+        (None, None) => "generic-dred",
     }
 }
 

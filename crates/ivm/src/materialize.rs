@@ -22,7 +22,7 @@
 
 use crate::delta::IdbPatch;
 use crate::provenance::compile_witnesses;
-use crate::{IvmError, MaintenancePath};
+use crate::{maintenance_label, IvmError};
 use recurs_core::Classification;
 use recurs_datalog::error::DatalogError;
 use recurs_datalog::govern::{EvalBudget, Governor, TruncationReason};
@@ -45,7 +45,12 @@ use std::collections::HashMap;
 /// [`EdbDelta::normalize`]: crate::EdbDelta::normalize
 pub struct Materialization {
     pub(crate) lr: LinearRecursion,
-    pub(crate) path: MaintenancePath,
+    /// The tripwire on productive rounds, when the class proves a rank: a
+    /// bounded formula reaches its fixpoint from *any* seed within `rank`
+    /// productive rounds, so `rank + 2` (one round to see the empty delta,
+    /// one of slack) is a correctness check, not a budget. A patch that
+    /// reaches it falls back cold.
+    pub(crate) round_cap: Option<u64>,
     pub(crate) engine: EngineDb,
     /// Derivation count per tuple id of the derived relation in `engine`
     /// (slots of removed tuples are stale until the id is reused).
@@ -85,7 +90,7 @@ impl std::fmt::Debug for Materialization {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Materialization")
             .field("predicate", &self.lr.predicate)
-            .field("path", &self.path)
+            .field("round_cap", &self.round_cap)
             .field("tuples", &self.relation().len())
             .finish_non_exhaustive()
     }
@@ -126,7 +131,7 @@ impl Materialization {
         }
         let mut mat = Materialization {
             lr: lr.clone(),
-            path: MaintenancePath::select(&Classification::of(&lr.recursive_rule)),
+            round_cap: Classification::of(rec).rank_bound().map(|rank| rank + 2),
             engine,
             counts: Vec::new(),
             rec_delta,
@@ -158,7 +163,7 @@ impl Materialization {
         mat.obs.event(
             "ivm.saturate",
             &[
-                ("path", field::st(mat.path.label())),
+                ("path", field::st(maintenance_label(mat.round_cap, None))),
                 ("tuples", field::uz(mat.relation().len())),
                 ("rounds", field::uz(run.iterations.len())),
             ],
@@ -171,9 +176,10 @@ impl Materialization {
         self.lr.predicate
     }
 
-    /// The maintenance path the classification selected.
-    pub fn path(&self) -> MaintenancePath {
-        self.path
+    /// The cap on a patch's productive rounds: a proven rank bound plus
+    /// two, or `None` when the class proves no rank.
+    pub fn round_cap(&self) -> Option<u64> {
+        self.round_cap
     }
 
     /// The store the fixpoint stands in: the EDB relations, beside the
@@ -241,7 +247,7 @@ impl Materialization {
             seed,
             std::slice::from_ref(&self.rec_delta),
             [(p, delta)],
-            self.path.round_cap(),
+            self.round_cap,
             governor,
             &self.obs,
             |engine, _round, _rule, heads, fresh| {

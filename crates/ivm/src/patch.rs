@@ -3,7 +3,7 @@
 
 use crate::delta::{write, EdbDelta, IdbPatch};
 use crate::materialize::{add_count, stopped, Materialization, CAND};
-use crate::{IvmError, MaintenancePath};
+use crate::{maintenance_label, IvmError};
 use recurs_datalog::govern::{EvalBudget, Governor, TruncationReason};
 use recurs_datalog::symbol::Symbol;
 use recurs_engine::{drive_rounds, Batch, Fresh, IndexedRelation};
@@ -32,11 +32,8 @@ pub struct PatchStats {
 /// What one [`Materialization::apply`] call did.
 #[derive(Debug)]
 pub struct PatchReport {
-    /// The path that produced the final state — the class-selected path on
-    /// success, [`MaintenancePath::ColdFallback`] when the patch was
-    /// abandoned and the fixpoint rebuilt from scratch.
-    pub path: MaintenancePath,
-    /// Why the incremental patch was abandoned, when it was.
+    /// Why the incremental patch was abandoned, when it was: the fixpoint
+    /// was then rebuilt from scratch (a cold fallback).
     pub truncation: Option<TruncationReason>,
     /// The net change to the materialized relation; `None` after a cold
     /// fallback (the delta is then unknown and caches must invalidate).
@@ -71,13 +68,14 @@ fn mark(
 impl Materialization {
     /// Applies a normalized EDB delta, maintaining the fixpoint and counts
     /// in place: the deleted side first, then the inserted side, each by
-    /// [`Materialization::maintain`].
+    /// mark → recount → propagate.
     ///
     /// Truncation — by the budget or by a tripped rank-bound cap — never
     /// yields a partial result: the materialization is rebuilt by cold
     /// saturation of its own store, its EDB fully updated first, under an
-    /// unlimited budget, and the report says so. On `Err` the materialization may be inconsistent
-    /// and must be discarded by the caller.
+    /// unlimited budget, and the report says so. On `Err` the
+    /// materialization may be inconsistent and must be discarded by the
+    /// caller.
     pub fn apply(
         &mut self,
         delta: &EdbDelta,
@@ -104,7 +102,6 @@ impl Materialization {
                 stats.idb_inserted = patch.inserted.len();
                 stats.idb_deleted = patch.deleted.len();
                 PatchReport {
-                    path: self.path,
                     truncation: None,
                     idb: Some(patch),
                     stats,
@@ -123,7 +120,6 @@ impl Materialization {
                 *self =
                     Materialization::saturate(&self.lr, edb, &EvalBudget::unlimited(), &self.obs)?;
                 PatchReport {
-                    path: MaintenancePath::ColdFallback,
                     truncation: Some(reason),
                     idb: None,
                     stats,
@@ -208,7 +204,7 @@ impl Materialization {
                 None,
                 std::slice::from_ref(&self.rec_delta),
                 [(p, batch_of(&cands))],
-                self.path.round_cap(),
+                self.round_cap,
                 governor,
                 &self.obs,
                 |engine, _, _, heads, fresh| mark(&mut cands, engine.get(p), heads, Some(fresh)),
@@ -275,18 +271,16 @@ impl Materialization {
     }
 
     fn emit_patch_event(&self, report: &PatchReport) {
-        self.obs.counter(
-            "recurs_ivm_patches_total",
-            &[("path", report.path.label())],
-            1,
-        );
+        let path = maintenance_label(self.round_cap, report.truncation);
+        self.obs
+            .counter("recurs_ivm_patches_total", &[("path", path)], 1);
         if !self.obs.enabled() {
             return;
         }
         let stats = &report.stats;
         let truncation = report.truncation.map(TruncationReason::label);
         let fields = [
-            ("path", field::st(report.path.label())),
+            ("path", field::st(path)),
             ("edb_inserted", field::uz(stats.edb_inserted)),
             ("edb_deleted", field::uz(stats.edb_deleted)),
             ("idb_inserted", field::uz(stats.idb_inserted)),
@@ -329,12 +323,11 @@ mod tests {
         db.insert_relation("E", chain);
         let unlimited = EvalBudget::unlimited();
         let mut mat = Materialization::saturate(&lr, &db, &unlimited, &Obs::noop()).unwrap();
-        mat.path = MaintenancePath::BoundedRecount { rank: 0 };
+        mat.round_cap = Some(2);
 
         let tip = FactOp::Insert(Symbol::intern("E"), tuple_u64([8, 9]));
         let delta = EdbDelta::normalize(&[tip], &EngineDb::from(&db)).unwrap();
         let report = mat.apply(&delta, &unlimited).unwrap();
-        assert_eq!(report.path, MaintenancePath::ColdFallback);
         assert_eq!(report.truncation, Some(TruncationReason::IterationCap));
 
         let closure = (1..9).flat_map(|i| (i + 1..=9).map(move |j| (i, j)));

@@ -7,7 +7,7 @@
 //! predicate, and any such store will do. [`Materialization::explain`] walks
 //! the maintained view and saturates nothing; [`explain_fact`] walks a clone
 //! of an EDB saturated by the engine's ordinary
-//! [`saturate_linear`](recurs_engine::saturate_linear). Either way a
+//! [`saturate_linear`]. Either way a
 //! **derivation tree** comes back: every leaf an EDB fact, every internal
 //! node a ground instance of one of the program's rules.
 //!
@@ -27,8 +27,7 @@
 //!    the data holds.
 //!
 //! A rank beyond the depth bound is [`WhyOutcome::DepthExceeded`], and every
-//! node polls the request's
-//! [`EvalBudget`](recurs_datalog::govern::EvalBudget). [`verify_tree`]
+//! node polls the request's [`EvalBudget`]. [`verify_tree`]
 //! re-checks a finished tree against the *EDB only* — every leaf present,
 //! every internal node a valid rule instance under a single simultaneous
 //! substitution — which is what the differential property suites and the

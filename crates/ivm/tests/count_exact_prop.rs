@@ -12,7 +12,7 @@ mod common;
 use common::apply_plain;
 use recurs_datalog::database::Database;
 use recurs_datalog::eval::{eval_body, semi_naive};
-use recurs_datalog::govern::EvalBudget;
+use recurs_datalog::govern::{EvalBudget, TruncationReason};
 use recurs_datalog::parser::parse_program;
 use recurs_datalog::relation::{tuple_u64, Relation, Tuple};
 use recurs_datalog::rule::LinearRecursion;
@@ -20,7 +20,7 @@ use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::Term;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_engine::EngineDb;
-use recurs_ivm::{EdbDelta, FactOp, MaintenancePath, Materialization};
+use recurs_ivm::{EdbDelta, FactOp, Materialization};
 use recurs_obs::Obs;
 use std::collections::HashMap;
 
@@ -149,12 +149,11 @@ proptest! {
         run(FORMULAS[formula], &initial, &steps, &EvalBudget::unlimited(), || {})?;
     }
 
-    // A delta ceiling of 0–2 tuples lets small EDB batches through the
-    // mark round and trips the recount (or a propagation round) as soon as
-    // it is handed more heads than that: the cold fallback must land on
-    // the same exact state.
+    // A tuple ceiling of 0–2 stops a patch at its first round, or once a
+    // deletion's closure or a propagation has stored one or two tuples: the
+    // cold fallback must land on the same exact state.
     #[test]
-    fn a_ceiling_tripped_in_the_recount_falls_back_exact(
+    fn a_ceiling_tripped_mid_patch_falls_back_exact(
         formula in 0..FORMULAS.len(),
         initial in arb_ops(0..10),
         steps in prop::collection::vec(arb_ops(1..5), 1..5),
@@ -162,7 +161,7 @@ proptest! {
     ) {
         #[cfg(feature = "fault-inject")]
         let _quiet = recurs_engine::fault::quiesce();
-        let budget = EvalBudget::unlimited().with_max_delta(ceiling);
+        let budget = EvalBudget::unlimited().with_max_tuples(ceiling);
         run(FORMULAS[formula], &initial, &steps, &budget, || {})?;
     }
 }
@@ -191,9 +190,11 @@ proptest! {
 }
 
 #[test]
-fn the_recount_round_is_the_one_a_delta_ceiling_trips() {
-    // One new edge into the head of a 30-node chain reaches 29 heads: the
-    // mark round is handed 1 tuple, the recount 29.
+fn a_tuple_ceiling_trips_the_propagation_of_a_tip_edge() {
+    // A new exit edge at the tip of a 30-node chain enters one tuple, and
+    // propagation walks it back one edge a round, storing one tuple each:
+    // a ceiling of five stops the walk after five rounds, and the cold
+    // fallback lands on the exact state.
     let lr = validate_with_generic_exit(
         &parse_program("P(x, y) :- A(x, z), P(z, y).\nP(x, y) :- E(x, y).").unwrap(),
     )
@@ -206,14 +207,15 @@ fn the_recount_round_is_the_one_a_delta_ceiling_trips() {
     let _quiet = recurs_engine::fault::quiesce();
     let mut mat =
         Materialization::saturate(&lr, &db, &EvalBudget::unlimited(), &Obs::noop()).unwrap();
-    let ops = [FactOp::Insert(Symbol::intern("A"), tuple_u64([0, 1]))];
+    let ops = [FactOp::Insert(Symbol::intern("E"), tuple_u64([30, 31]))];
     let delta = EdbDelta::normalize(&ops, &EngineDb::from(&db)).unwrap();
-    let budget = EvalBudget::unlimited().with_max_delta(5);
+    let budget = EvalBudget::unlimited().with_max_tuples(5);
     let report = mat.apply(&delta, &budget).unwrap();
-    assert_eq!(report.path, MaintenancePath::ColdFallback);
-    assert_eq!(report.stats.rounds, 0, "no propagation round ran");
+    assert_eq!(report.truncation, Some(TruncationReason::TupleCeiling));
+    assert!(report.idb.is_none());
+    assert_eq!(report.stats.rounds, 5, "five propagation rounds ran");
     apply_plain(&delta, &mut db);
     let (relation, counts) = oracle(&lr, &db);
     assert_eq!(mat.relation().to_relation(), relation);
-    assert_eq!(mat.count(&tuple_u64([0, 30])), counts[&tuple_u64([0, 30])]);
+    assert_eq!(mat.count(&tuple_u64([1, 31])), counts[&tuple_u64([1, 31])]);
 }

@@ -17,7 +17,7 @@ use recurs_datalog::symbol::Symbol;
 use recurs_datalog::term::Term;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_engine::{saturate_linear, EngineConfig, EngineDb, IndexedRelation};
-use recurs_ivm::{EdbDelta, FactOp, MaintenancePath, Materialization};
+use recurs_ivm::{maintenance_label, EdbDelta, FactOp, Materialization};
 use recurs_obs::aggregate::Aggregator;
 use recurs_obs::{CaptureRecorder, Obs};
 use std::collections::HashMap;
@@ -109,7 +109,7 @@ fn saturation_counts_are_exact_on_tc() {
     // has one (through A(1,2), P(2,3)).
     assert_eq!(mat.count(&tuple_u64([1, 2])), 1);
     assert_eq!(mat.count(&tuple_u64([1, 3])), 1);
-    assert_eq!(mat.path(), MaintenancePath::GenericDred); // TC (A5) has no rank bound
+    assert_eq!(mat.round_cap(), None); // TC (A5) has no rank bound
 }
 
 #[test]
@@ -194,8 +194,8 @@ fn pure_self_support_dies_with_its_ground_support() {
     db.insert_relation("E", Relation::from_pairs([(1, 2), (7, 8)]));
     let mut mat =
         Materialization::saturate(&lr, &db, &EvalBudget::unlimited(), &Obs::noop()).unwrap();
-    assert!(matches!(mat.path(), MaintenancePath::BoundedRecount { .. }));
-    // P(1,2): exit derivation + self-support = 2. P(7,8): exit only.
+    assert_eq!(mat.round_cap(), Some(2)); // A2: rank 0, and two rounds of slack
+                                          // P(1,2): exit derivation + self-support = 2. P(7,8): exit only.
     assert_eq!(mat.count(&tuple_u64([1, 2])), 2);
     assert_eq!(mat.count(&tuple_u64([7, 8])), 1);
     let e = Symbol::intern("E");
@@ -259,7 +259,6 @@ fn truncated_patch_falls_back_to_cold_saturation() {
     let delta = EdbDelta::normalize(&ops, &EngineDb::from(&db)).unwrap();
     let budget = EvalBudget::unlimited().with_max_iterations(2);
     let report = mat.apply(&delta, &budget).unwrap();
-    assert_eq!(report.path, MaintenancePath::ColdFallback);
     assert!(report.truncation.is_some());
     assert!(
         report.idb.is_none(),
@@ -357,8 +356,12 @@ fn the_class_decides_only_the_round_cap() {
             Some(r) => (format!("unroll({r})"), "bounded-recount"),
             None => ("generic".to_string(), "generic-dred"),
         };
-        assert_eq!(sat.stats.kernel.label(), kernel, "{class}");
-        assert_eq!(mat.path().label(), path, "{class}");
+        assert_eq!(
+            recurs_engine::kernel_label(sat.stats.round_cap),
+            kernel,
+            "{class}"
+        );
+        assert_eq!(maintenance_label(mat.round_cap(), None), path, "{class}");
 
         let mut oracle = db.clone();
         let oracle_stats = semi_naive(&mut oracle, &lr.to_program(), None).unwrap();

@@ -24,7 +24,7 @@ use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_engine::EngineDb;
-use recurs_ivm::{EdbDelta, FactOp, MaintenancePath, Materialization, PatchReport};
+use recurs_ivm::{EdbDelta, FactOp, Materialization, PatchReport};
 use recurs_obs::{Obs, Recorder, TraceId, Value};
 use recurs_workload::graphs::chain;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,9 +105,9 @@ fn toggle(db: &Database, pred: &str, pair: [u64; 2]) -> (EdbDelta, EdbDelta, Dat
 /// Tuples a patch touched: inserted, overdeleted and rederived — or, after
 /// a cold fallback, every tuple of the rebuilt `fixpoint`.
 fn touched(report: &PatchReport, fixpoint: usize) -> usize {
-    match report.path {
-        MaintenancePath::ColdFallback => fixpoint,
-        _ => report.stats.idb_inserted + report.stats.overdeleted + report.stats.rederived,
+    match report.truncation {
+        Some(_) => fixpoint,
+        None => report.stats.idb_inserted + report.stats.overdeleted + report.stats.rederived,
     }
 }
 

@@ -11,7 +11,7 @@
 //! admission, the frame ceiling, idle/slow-client timeouts, the panic
 //! barriers and postmortem dump, graceful drain with a hard-cancel backstop
 //! ([`server`]), and a blocking client ([`client`]). Fault hooks for the
-//! chaos suite live in [`fault`] (test/`fault-inject` builds only).
+//! chaos suite live in `fault` (test/`fault-inject` builds only).
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 

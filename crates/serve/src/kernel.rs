@@ -29,22 +29,15 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// What answered a point query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PointKernelKind {
-    /// Rank-bounded unrolling: the formula is provably bounded, so the
-    /// answer is the union of `rank + 1` non-recursive levels. Runs no
-    /// fixpoint loop at all.
-    BoundedUnroll {
-        /// The proven rank bound.
-        rank: u64,
+    /// The query's plan ran: its lowering, and a bounded plan's proven
+    /// rank (the planner lowers to bounded levels exactly when the class
+    /// proves one), which the label prints.
+    Plan {
+        /// The lowering the plan executes.
+        strategy: StrategyKind,
+        /// The proven rank bound, for a bounded plan.
+        rank: Option<u64>,
     },
-    /// The compiled formula `σA^k-E` as a walk from the query's constants:
-    /// no fixpoint over the answer relation.
-    Frontier,
-    /// Magic-sets iteration seeded with the query's constants: only tuples
-    /// reachable from the query's bindings are derived.
-    MagicIterate,
-    /// Governed full saturation of the recursion, then a select/project of
-    /// the query over the fixpoint.
-    FullSaturation,
     /// Select/project over the service's incrementally maintained
     /// materialization of the recursion — no evaluation at all. Used when
     /// the view's version matches the query's snapshot.
@@ -54,26 +47,28 @@ pub enum PointKernelKind {
 impl PointKernelKind {
     /// The name of the lowering `plan` executes.
     pub fn of(plan: &QueryPlan) -> PointKernelKind {
-        match plan.strategy {
-            StrategyKind::Bounded => PointKernelKind::BoundedUnroll {
-                rank: plan.classification.rank_bound().unwrap_or(0),
-            },
-            StrategyKind::Frontier => PointKernelKind::Frontier,
-            StrategyKind::Magic => PointKernelKind::MagicIterate,
-            StrategyKind::Saturate => PointKernelKind::FullSaturation,
+        PointKernelKind::Plan {
+            strategy: plan.strategy,
+            rank: plan.classification.rank_bound(),
         }
     }
 
-    /// Low-cardinality dispatch-family label for metrics: `"bounded"`,
-    /// `"frontier"`, `"magic"`, `"saturate"`, or `"materialized"` (the rank
-    /// is dropped so label sets stay bounded regardless of the served
-    /// program).
+    /// Every family label, in the order `!stats` lists them: the planner's
+    /// lowerings, then the view.
+    pub(crate) fn families() -> impl Iterator<Item = &'static str> {
+        let view = PointKernelKind::MaterializedView.family();
+        StrategyKind::ALL
+            .iter()
+            .map(StrategyKind::label)
+            .chain([view])
+    }
+
+    /// Low-cardinality dispatch-family label for metrics: the lowering's
+    /// [`StrategyKind::label`], or `"materialized"` (the rank is dropped so
+    /// label sets stay bounded regardless of the served program).
     pub fn family(&self) -> &'static str {
         match self {
-            PointKernelKind::BoundedUnroll { .. } => StrategyKind::Bounded.label(),
-            PointKernelKind::Frontier => StrategyKind::Frontier.label(),
-            PointKernelKind::MagicIterate => StrategyKind::Magic.label(),
-            PointKernelKind::FullSaturation => StrategyKind::Saturate.label(),
+            PointKernelKind::Plan { strategy, .. } => strategy.label(),
             PointKernelKind::MaterializedView => "materialized",
         }
     }
@@ -82,15 +77,12 @@ impl PointKernelKind {
     /// family, but for the rank.
     pub fn label(&self) -> Cow<'static, str> {
         match self {
-            PointKernelKind::BoundedUnroll { rank } => Cow::Owned(format!("bounded({rank})")),
+            PointKernelKind::Plan {
+                strategy,
+                rank: Some(rank),
+            } => Cow::Owned(format!("{}({rank})", strategy.label())),
             other => Cow::Borrowed(other.family()),
         }
-    }
-}
-
-impl serde::Serialize for PointKernelKind {
-    fn to_value(&self) -> serde::Value {
-        self.label().into()
     }
 }
 
@@ -186,7 +178,6 @@ mod tests {
     use recurs_datalog::parser::{parse_atom, parse_program};
     use recurs_datalog::relation::Relation;
     use recurs_datalog::validate::validate_with_generic_exit;
-    use recurs_engine::KernelKind;
 
     fn lr(src: &str) -> LinearRecursion {
         validate_with_generic_exit(&parse_program(src).unwrap()).unwrap()
@@ -234,7 +225,7 @@ mod tests {
         // `P(x, c)`: the free position ascends through `A`, so magic runs
         // (its magic set is `{c}`: already linear).
         let q = parse_atom("P(x, 9)").unwrap();
-        assert_eq!(plans.select(&q).unwrap(), PointKernelKind::MagicIterate);
+        assert_eq!(plans.select(&q).unwrap().label(), "magic");
         let got = answer(&plans, &db, &q, &EvalBudget::unlimited()).unwrap();
         assert!(got.saturation.outcome.is_complete());
         assert_eq!(got.answers.to_relation(), oracle(&f, &db, &q));
@@ -246,7 +237,7 @@ mod tests {
         let plans = PointPlans::new(f.clone());
         let db = tc_db(12);
         let q = parse_atom("P(3, y)").unwrap();
-        assert_eq!(plans.select(&q).unwrap(), PointKernelKind::Frontier);
+        assert_eq!(plans.select(&q).unwrap().label(), "frontier");
         let got = answer(&plans, &db, &q, &EvalBudget::unlimited()).unwrap();
         assert!(got.saturation.outcome.is_complete());
         assert_eq!(got.answers.to_relation(), oracle(&f, &db, &q));
@@ -261,7 +252,7 @@ mod tests {
         let plans = PointPlans::new(f.clone());
         let db = tc_db(8);
         let q = parse_atom("P(x, y)").unwrap();
-        assert_eq!(plans.select(&q).unwrap(), PointKernelKind::FullSaturation);
+        assert_eq!(plans.select(&q).unwrap().label(), "saturate");
         let got = answer(&plans, &db, &q, &EvalBudget::unlimited()).unwrap();
         assert!(got.saturation.outcome.is_complete());
         assert_eq!(got.answers.to_relation(), oracle(&f, &db, &q));
@@ -285,7 +276,7 @@ mod tests {
         );
         let q = parse_atom("P(2, y, z)").unwrap();
         let kernel = plans.select(&q).unwrap();
-        assert_eq!(kernel, PointKernelKind::BoundedUnroll { rank: 2 });
+        assert_eq!(kernel.label(), "bounded(2)");
         let got = answer(&plans, &db, &q, &EvalBudget::unlimited()).unwrap();
         assert!(got.saturation.outcome.is_complete());
         // The seeding round evaluates the levels; no fixpoint iteration.
@@ -314,15 +305,15 @@ mod tests {
         ));
     }
 
-    /// The kernel a whole saturation of `f` runs, its formula's class, and
-    /// what answers `query` on a miss.
-    fn kernels(f: &LinearRecursion, query: &str) -> (FormulaClass, KernelKind, PointKernelKind) {
+    /// Its formula's class, the round cap a whole saturation of `f` runs
+    /// under, and what answers `query` on a miss.
+    fn kernels(f: &LinearRecursion, query: &str) -> (FormulaClass, Option<u64>, Cow<'static, str>) {
         let class = Classification::of(&f.recursive_rule).class;
         let mut db = recurs_workload::random_database(f, 12, 4, 7);
         let sat = recurs_engine::run_linear(&mut db, f, &EngineConfig::default()).unwrap();
         let plans = PointPlans::new(f.clone());
         let point = plans.select(&parse_atom(query).unwrap()).unwrap();
-        (class, sat.stats.kernel, point)
+        (class, sat.stats.round_cap, point.label())
     }
 
     /// The paper's s3 — class A1 (all unit rotational): no rank, so a
@@ -333,8 +324,8 @@ mod tests {
         let f = lr("P(x,y,z) :- A(x,u), B(y,v), P(u,v,w), C(w,z).");
         let (class, kernel, point) = kernels(&f, "P(1, 2, 3)");
         assert_eq!(class, FormulaClass::OneDirectional(Sub::A1));
-        assert_eq!(kernel, KernelKind::Generic);
-        assert_eq!(point, PointKernelKind::Frontier);
+        assert_eq!(kernel, None);
+        assert_eq!(point, "frontier");
     }
 
     /// The paper's s4a — class A3 (non-unit rotational): generic
@@ -345,8 +336,8 @@ mod tests {
         let f = lr("P(x1,x2,x3) :- A(x1,y3), B(x2,y1), C(y2,x3), P(y1,y2,y3).");
         let (class, kernel, point) = kernels(&f, "P(1, 11, 24)");
         assert_eq!(class, FormulaClass::OneDirectional(Sub::A3));
-        assert_eq!(kernel, KernelKind::Generic);
-        assert_eq!(point, PointKernelKind::Frontier);
+        assert_eq!(kernel, None);
+        assert_eq!(point, "frontier");
     }
 
     /// Transitive closure — class A5 (A1 + A2 mix), one-directional:
@@ -356,8 +347,8 @@ mod tests {
         let f = lr("P(x, y) :- A(x, z), P(z, y).");
         let (class, kernel, point) = kernels(&f, "P(3, y)");
         assert_eq!(class, FormulaClass::OneDirectional(Sub::A5));
-        assert_eq!(kernel, KernelKind::Generic);
-        assert_eq!(point, PointKernelKind::Frontier);
+        assert_eq!(kernel, None);
+        assert_eq!(point, "frontier");
     }
 
     /// A pure A2 formula has rank bound 0: bounded unrolling, zero
@@ -367,8 +358,8 @@ mod tests {
         let f = lr("P(x, y) :- A(x), B(y), P(x, y).");
         let (class, kernel, point) = kernels(&f, "P(1, y)");
         assert_eq!(class, FormulaClass::OneDirectional(Sub::A2));
-        assert_eq!(kernel, KernelKind::BoundedUnroll { rank: 0 });
-        assert_eq!(point, PointKernelKind::BoundedUnroll { rank: 0 });
+        assert_eq!(kernel, Some(0));
+        assert_eq!(point, "bounded(0)");
     }
 
     /// The paper's s5 — class A4 (pure rotation permutation), rank bound
@@ -378,8 +369,8 @@ mod tests {
         let f = lr("P(x, y, z) :- P(y, z, x).");
         let (class, kernel, point) = kernels(&f, "P(1, y, z)");
         assert_eq!(class, FormulaClass::OneDirectional(Sub::A4));
-        assert_eq!(kernel, KernelKind::BoundedUnroll { rank: 2 });
-        assert_eq!(point, PointKernelKind::BoundedUnroll { rank: 2 });
+        assert_eq!(kernel, Some(2));
+        assert_eq!(point, "bounded(2)");
     }
 
     /// The paper's s8 — class B, proven rank bound 2: bounded unrolling.
@@ -388,8 +379,8 @@ mod tests {
         let f = lr("P(x,y,z,u) :- A(x,y), B(y1,u), C(z1,u1), P(z,y1,z1,u1).");
         let (class, kernel, point) = kernels(&f, "P(1, y, z, u)");
         assert_eq!(class, FormulaClass::Bounded);
-        assert_eq!(kernel, KernelKind::BoundedUnroll { rank: 2 });
-        assert_eq!(point, PointKernelKind::BoundedUnroll { rank: 2 });
+        assert_eq!(kernel, Some(2));
+        assert_eq!(point, "bounded(2)");
     }
 
     /// The paper's s9 — class C (unbounded): the generic loop, and an
@@ -399,8 +390,8 @@ mod tests {
         let f = lr("P(x, y, z) :- A(x, y), B(u, v), P(u, z, v).");
         let (class, kernel, point) = kernels(&f, "P(x, y, z)");
         assert_eq!(class, FormulaClass::Unbounded);
-        assert_eq!(kernel, KernelKind::Generic);
-        assert_eq!(point, PointKernelKind::FullSaturation);
+        assert_eq!(kernel, None);
+        assert_eq!(point, "saturate");
     }
 
     /// The bounded-unroll kernel must stop at the rank *and* still agree
@@ -423,7 +414,7 @@ mod tests {
         let all = parse_atom("P(x, y, z)").unwrap();
         let want = oracle(&f, &db, &all);
         let sat = recurs_engine::run_linear(&mut db, &f, &EngineConfig::default()).unwrap();
-        assert_eq!(sat.stats.kernel, KernelKind::BoundedUnroll { rank: 2 });
+        assert_eq!(sat.stats.round_cap, Some(2));
         assert_eq!(db.get("P").unwrap(), &want);
         // All three rotations of each tuple.
         assert_eq!(want.len(), 6);

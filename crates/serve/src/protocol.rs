@@ -403,11 +403,14 @@ fn apply_update_group(service: &QueryService, line: &str) -> Result<Value, Strin
 
 fn parse_update_group(line: &str) -> Result<Vec<FactOp>, String> {
     // Sign positions at paren depth 0 delimit the facts; signs inside
-    // argument lists (future negative numerals) stay untouched.
+    // argument lists (future negative numerals) stay untouched, and so does
+    // all quoted text: a quoted constant runs to the next `'`.
     let mut starts = Vec::new();
-    let mut depth = 0usize;
+    let (mut depth, mut quoted) = (0usize, false);
     for (i, c) in line.char_indices() {
         match c {
+            '\'' => quoted = !quoted,
+            _ if quoted => {}
             '(' => depth += 1,
             ')' => depth = depth.saturating_sub(1),
             '+' | '-' if depth == 0 => starts.push(i),
@@ -634,6 +637,18 @@ mod tests {
         );
         let r = reply(&s, "?- P('café', y).");
         assert!(r.contains(r#""answers":[["b"]]"#), "got {r}");
+    }
+
+    #[test]
+    fn a_quoted_bracket_or_sign_does_not_split_an_update_group() {
+        let s = service();
+        let r = reply(&s, "+A('(', 1) -E(1, 2).");
+        assert!(r.contains("\"inserted\":1,\"deleted\":1"), "got {r}");
+        let r = reply(&s, "+A(')-x', 1).");
+        assert!(r.contains("\"inserted\":1,\"deleted\":0"), "got {r}");
+        // E(1, 2) is gone, so 1 reaches only 3, and so does `)-x`.
+        let r = reply(&s, "?- P(')-x', y).");
+        assert!(r.contains(r#""count":1,"answers":[["3"]]"#), "got {r}");
     }
 
     #[test]
@@ -1023,7 +1038,10 @@ mod tests {
             queue_wait: Duration::from_micros(3),
             eval: Duration::from_micros(41),
             cache: CacheOutcome::Hit,
-            kernel: PointKernelKind::BoundedUnroll { rank: 2 },
+            kernel: PointKernelKind::Plan {
+                strategy: recurs_core::plan::StrategyKind::Bounded,
+                rank: Some(2),
+            },
             outcome,
             answers: answers.len(),
             tuples_derived: 0,

@@ -7,6 +7,7 @@ use crate::kernel::{PointKernelKind, PointPlans};
 use crate::snapshot::{Snapshot, SnapshotStore, SnapshotUpdate};
 use crate::stats::{CacheOutcome, ServeStats, ServiceStats};
 use crate::version::Version;
+use recurs_core::plan::StrategyKind;
 use recurs_core::Classification;
 use recurs_datalog::database::Database;
 use recurs_datalog::error::DatalogError;
@@ -19,7 +20,8 @@ use recurs_engine::compile::ProbeCounters;
 use recurs_engine::{EngineDb, IndexedRelation, Selection};
 use recurs_igraph::component::ComponentKind;
 use recurs_ivm::{
-    explain_fact, verify_tree, EdbDelta, FactOp, IdbPatch, IvmError, Materialization, WhyOutcome,
+    explain_fact, maintenance_label, verify_tree, EdbDelta, FactOp, IdbPatch, IvmError,
+    Materialization, WhyOutcome,
 };
 use recurs_obs::aggregate::Aggregator;
 use recurs_obs::{field, FlightRecorder, Obs, SpanId, TraceCtx, TraceId};
@@ -103,10 +105,9 @@ pub enum UpdateOutcome {
         /// Net EDB tuples deleted.
         deleted: usize,
         /// How the materialized view absorbed the change — a
-        /// [`MaintenancePath`](recurs_ivm::MaintenancePath) label
-        /// (`"bounded-recount"`, `"generic-dred"`, `"cold-fallback"`),
-        /// `"saturate"` when the view was (re)built from
-        /// scratch, or `"none"` when no view could be maintained.
+        /// [`maintenance_label`] (`"bounded-recount"`, `"generic-dred"`,
+        /// `"cold-fallback"`), `"saturate"` when the view was (re)built
+        /// from scratch, or `"none"` when no view could be maintained.
         maintenance: &'static str,
     },
 }
@@ -268,9 +269,10 @@ impl QueryService {
         if let Some(mut vs) = view.take() {
             return match vs.mat.apply(delta, &self.budget) {
                 Ok(report) => {
+                    let path = maintenance_label(vs.mat.round_cap(), report.truncation);
                     vs.version = snapshot.version();
                     *view = Some(vs);
-                    (report.path.label(), report.idb)
+                    (path, report.idb)
                 }
                 Err(_) => ("none", None),
             };
@@ -443,8 +445,8 @@ impl QueryService {
                     let stats = run.saturation.stats;
                     // The bounded levels finish in the seeding round: no
                     // fixpoint iteration ran ("iterations ≤ rank" trivially).
-                    let iterations = match kernel {
-                        PointKernelKind::BoundedUnroll { .. } => 0,
+                    let iterations = match plan.strategy {
+                        StrategyKind::Bounded => 0,
                         _ => stats.iteration_count(),
                     };
                     let (derived, outcome) = (stats.tuples_derived, run.saturation.outcome);
@@ -588,11 +590,9 @@ impl QueryService {
             complete: m.counter_where(q, &[("outcome", "complete")]),
             truncated: m.counter_where(q, &[("outcome", "truncated")]),
             errors: m.counter_value("recurs_serve_query_errors_total", &[]),
-            kernel_bounded: m.counter_where(q, &[("kernel", "bounded")]),
-            kernel_frontier: m.counter_where(q, &[("kernel", "frontier")]),
-            kernel_magic: m.counter_where(q, &[("kernel", "magic")]),
-            kernel_saturate: m.counter_where(q, &[("kernel", "saturate")]),
-            kernel_materialized: m.counter_where(q, &[("kernel", "materialized")]),
+            kernels: PointKernelKind::families()
+                .map(|family| (family, m.counter_where(q, &[("kernel", family)])))
+                .collect(),
             queue_wait_us: summed_us("recurs_serve_admission_wait_seconds"),
             eval_us: summed_us("recurs_serve_query_seconds"),
             tuples_derived: m.counter_value("recurs_serve_tuples_derived_total", &[]),
@@ -918,6 +918,12 @@ mod tests {
         QueryService::new(lr, db, config)
     }
 
+    /// The queries `stats` counts under a kernel family.
+    fn served_by(stats: &ServiceStats, family: &str) -> u64 {
+        let count = stats.kernels.iter().find(|(f, _)| *f == family);
+        count.map_or(0, |&(_, n)| n)
+    }
+
     #[test]
     fn repeated_query_hits_the_cache() {
         let service = tc_service(10, ServeConfig::default());
@@ -1052,7 +1058,7 @@ mod tests {
         // derived P(z, y) for every reachable z, 320 399 tuples.
         let service = tc_service(800, ServeConfig::default());
         let reply = service.query(&parse_atom("P(1, y)").unwrap()).unwrap();
-        assert_eq!(reply.stats.kernel, PointKernelKind::Frontier);
+        assert_eq!(reply.stats.kernel.label(), "frontier");
         assert_eq!(reply.answers.len(), 799);
         assert!(
             reply.stats.tuples_derived <= 1_600,
@@ -1077,10 +1083,10 @@ mod tests {
         db.insert_relation("E", Relation::from_pairs((1..=n).map(|i| (i, i))));
         let service = QueryService::new(lr, db, ServeConfig::default());
         let bound = service.query(&parse_atom("P(100, y)").unwrap()).unwrap();
-        assert_eq!(bound.stats.kernel, PointKernelKind::MagicIterate);
+        assert_eq!(bound.stats.kernel.label(), "magic");
         assert_eq!(bound.answers.len(), 1);
         let free = service.query(&parse_atom("P(x, y)").unwrap()).unwrap();
-        assert_eq!(free.stats.kernel, PointKernelKind::FullSaturation);
+        assert_eq!(free.stats.kernel.label(), "saturate");
         assert!(
             bound.stats.tuples_derived * 2 < free.stats.tuples_derived,
             "magic derived {} of the fixpoint's {}",
@@ -1103,7 +1109,7 @@ mod tests {
         assert_eq!(reply.stats.kernel, PointKernelKind::MaterializedView);
         assert_eq!(reply.stats.tuples_derived, 0);
         assert_eq!(reply.answers.len(), 4); // 3, 4, 5, 6
-        assert_eq!(service.stats().kernel_materialized, 1);
+        assert_eq!(served_by(&service.stats(), "materialized"), 1);
         // And the answer was admitted to the cache like any complete answer.
         assert_eq!(service.query(&q).unwrap().stats.cache, CacheOutcome::Hit);
     }
@@ -1239,8 +1245,8 @@ mod tests {
         assert_eq!(stats.queries, 3);
         assert_eq!(stats.complete, 3);
         assert_eq!(stats.truncated, 0);
-        assert_eq!(stats.kernel_frontier, 3);
-        assert_eq!(stats.kernel_magic, 0);
+        assert_eq!(served_by(&stats, "frontier"), 3);
+        assert_eq!(served_by(&stats, "magic"), 0);
         assert_eq!(stats.cache.hits, 1);
         assert_eq!(stats.cache.misses, 2);
         // The Prometheus exposition is fed by the same aggregator.
@@ -1271,7 +1277,7 @@ mod tests {
             line.rsplit(' ').next().unwrap().parse().unwrap()
         };
         let as_us = |seconds: f64| (seconds * 1e6) as u64;
-        assert_eq!(stats.kernel_frontier, 43);
+        assert_eq!(served_by(&stats, "frontier"), 43);
         assert_eq!(
             stats.eval_us,
             as_us(sample(

@@ -67,7 +67,7 @@ impl serde::Serialize for ServeStats {
             ),
             ("eval_us", (self.eval.as_micros() as u64).to_value()),
             ("cache", self.cache.to_value()),
-            ("kernel", self.kernel.to_value()),
+            ("kernel", self.kernel.label().into()),
             ("outcome", self.outcome.to_value()),
             ("answers", self.answers.to_value()),
             ("tuples_derived", self.tuples_derived.to_value()),
@@ -115,16 +115,9 @@ pub struct ServiceStats {
     pub truncated: u64,
     /// Queries that returned a typed error.
     pub errors: u64,
-    /// Queries answered by the bounded kernel.
-    pub kernel_bounded: u64,
-    /// Queries answered by a frontier walk.
-    pub kernel_frontier: u64,
-    /// Queries answered by the magic kernel.
-    pub kernel_magic: u64,
-    /// Queries answered by full saturation.
-    pub kernel_saturate: u64,
-    /// Queries answered from the maintained materialized view.
-    pub kernel_materialized: u64,
+    /// Queries answered per kernel family ([`PointKernelKind::family`]):
+    /// each lowering of the planner's, then the maintained view.
+    pub kernels: Vec<(&'static str, u64)>,
     /// Summed admission queue wait of every admitted query, microseconds:
     /// `recurs_serve_admission_wait_seconds`'s sum.
     pub queue_wait_us: u64,
@@ -154,13 +147,7 @@ impl serde::Serialize for ServiceStats {
             ("errors", self.errors.to_value()),
             (
                 "kernels",
-                serde::Value::object([
-                    ("bounded", self.kernel_bounded.to_value()),
-                    ("frontier", self.kernel_frontier.to_value()),
-                    ("magic", self.kernel_magic.to_value()),
-                    ("saturate", self.kernel_saturate.to_value()),
-                    ("materialized", self.kernel_materialized.to_value()),
-                ]),
+                serde::Value::object(self.kernels.iter().map(|&(k, n)| (k, n.to_value()))),
             ),
             ("queue_wait_us", self.queue_wait_us.to_value()),
             ("eval_us", self.eval_us.to_value()),
@@ -194,13 +181,15 @@ mod tests {
 
     #[test]
     fn write_json_writes_the_bytes_of_the_value_tree() {
+        use recurs_core::plan::StrategyKind;
         use recurs_datalog::govern::TruncationReason;
+        let plan = |strategy, rank| PointKernelKind::Plan { strategy, rank };
         let kernels = [
-            PointKernelKind::BoundedUnroll { rank: 0 },
-            PointKernelKind::BoundedUnroll { rank: 12 },
-            PointKernelKind::Frontier,
-            PointKernelKind::MagicIterate,
-            PointKernelKind::FullSaturation,
+            plan(StrategyKind::Bounded, Some(0)),
+            plan(StrategyKind::Bounded, Some(12)),
+            plan(StrategyKind::Frontier, None),
+            plan(StrategyKind::Magic, None),
+            plan(StrategyKind::Saturate, None),
             PointKernelKind::MaterializedView,
         ];
         let caches = [CacheOutcome::Hit, CacheOutcome::Miss, CacheOutcome::Bypass];
@@ -209,7 +198,6 @@ mod tests {
             Outcome::Truncated(TruncationReason::IterationCap),
             Outcome::Truncated(TruncationReason::Deadline),
             Outcome::Truncated(TruncationReason::TupleCeiling),
-            Outcome::Truncated(TruncationReason::DeltaCeiling),
             Outcome::Truncated(TruncationReason::Cancelled),
         ];
         for kernel in kernels {
@@ -233,7 +221,11 @@ mod tests {
 
     #[test]
     fn serve_stats_serialize_to_json() {
-        let s = stats(PointKernelKind::MagicIterate, Outcome::Complete);
+        let magic = PointKernelKind::Plan {
+            strategy: recurs_core::plan::StrategyKind::Magic,
+            rank: None,
+        };
+        let s = stats(magic, Outcome::Complete);
         let json = serde::json::to_string(&s);
         assert!(json.contains("\"kernel\":\"magic\""));
         assert!(json.contains("\"cache\":\"miss\""));

@@ -112,31 +112,6 @@ mod tests {
         }
     }
 
-    /// A 2-D grid of `w × h` vertices with right/down edges. Vertex (r, c)
-    /// has id `r·w + c + 1`.
-    fn grid(w: u64, h: u64) -> Relation {
-        let mut rel = Relation::new(2);
-        for r in 0..h {
-            for c in 0..w {
-                let id = r * w + c + 1;
-                if c + 1 < w {
-                    rel.insert(recurs_datalog::relation::tuple_u64([id, id + 1]));
-                }
-                if r + 1 < h {
-                    rel.insert(recurs_datalog::relation::tuple_u64([id, id + w]));
-                }
-            }
-        }
-        rel
-    }
-
-    #[test]
-    fn grid_edge_count() {
-        // w·(h·(w-1)/w ... directly: right edges h·(w−1), down edges w·(h−1).
-        let g = grid(4, 3);
-        assert_eq!(g.len(), (3 * 3 + 4 * 2) as usize);
-    }
-
     #[test]
     fn random_relation_respects_arity_and_domain() {
         let r = random_relation(3, 40, 5, 42);
