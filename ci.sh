@@ -201,13 +201,28 @@ for f in $(find crates/net/src -name '*.rs'); do
   code="$(non_test "$f")"
   case "$f" in
     crates/net/src/frame.rs) code="$(sed '/^pub fn write_frame(/,/^}$/d' <<<"$code")" ;;
-    crates/net/src/server.rs) code="$(sed '/ReplyFault::Tear {$/,/^        }$/d' <<<"$code")" ;;
+    crates/net/src/server.rs) code="$(sed '/if recurs_engine::fault::before_reply() {$/,/^    }$/d' <<<"$code")" ;;
   esac
   if grep -n "to_be_bytes" <<<"$code"; then
     echo "$f writes a length prefix outside frame::write_frame: frame it there, in one write" >&2
     exit 1
   fi
 done
+
+# One-copy guard: one fault plan and one reply reader. The engine's fault
+# module is the only one with a serialization gate (the TCP server fires its
+# reply and handler hooks), and a reply is read back with
+# `recurs_obs::jsonl` — the parser the model and `obsctl` use — not scanned.
+echo "==> one-copy guard (one fault gate; no reply field scans)"
+gates="$(grep -rlE "static GATE\b" crates/*/src || true)"
+if [ "$gates" != crates/engine/src/fault.rs ]; then
+  echo "crates/*/src defines a fault gate outside recurs_engine::fault: $gates" >&2
+  exit 1
+fi
+if grep -rnE "json_(str|u64)_field" crates/*/src; then
+  echo "a reply is scanned for a field again: parse it with recurs_obs::jsonl" >&2
+  exit 1
+fi
 
 # Flat-store guard: a stored tuple, an index key and a row in flight are
 # slices of flat buffers. Nothing in the store, the pipelines or the round
@@ -368,7 +383,7 @@ fi
 # EXPERIMENTS.md reports — may not grow past the number below. A change that
 # deletes code lowers it in the same change; one that must grow raises it
 # and names the lines in CHANGES.md.
-size_budget=12417
+size_budget=12348
 echo "==> size ratchet (at most $size_budget non-test code lines in crates/*/src)"
 size=0
 for f in $(find crates/*/src -name '*.rs'); do
@@ -384,7 +399,7 @@ fi
 # no other crate, test, bench, example or perfbench/layers names is
 # `pub(crate)`; a change that must widen one raises the budget and names
 # the item in CHANGES.md.
-pub_budget=658
+pub_budget=651
 echo "==> pub ratchet (at most $pub_budget non-test pub items in crates/*/src)"
 pubs=0
 for f in $(find crates/*/src -name '*.rs'); do
@@ -399,12 +414,15 @@ fi
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
-# The fault-injection lanes all arm the engine's one fault plan, fired by the
-# round driver: slowed / tripped kernel runs, and the ivm differential gate
-# under forced maintenance truncation (tripped patches — propagation,
-# overdeletion and rederive waves — must still equal the from-scratch oracle
-# via the cold fallback). Slowed and tripped rounds on the served path are
-# phases of the whole-stack model, below.
+# The fault-injection lanes all arm the engine's one fault plan
+# (`recurs_engine::fault`, the only `static GATE` in crates/*/src): its
+# round hooks fired by the round driver — slowed / tripped kernel runs, and
+# the ivm differential gate under forced maintenance truncation (tripped
+# patches — propagation, overdeletion and rederive waves — must still equal
+# the from-scratch oracle via the cold fallback) — and its reply and handler
+# hooks, which the TCP server calls under recurs-net's `fault-inject`.
+# Slowed and tripped rounds on the served path are phases of the
+# whole-stack model, and the reply faults the chaos suite's, below.
 echo "==> cargo test fault-injection suite"
 cargo test -p recurs-engine --features fault-inject --offline -q
 cargo test -p recurs-ivm --features fault-inject --offline -q

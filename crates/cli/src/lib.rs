@@ -72,18 +72,13 @@ pub enum Command {
         /// Saturate the whole recursion once (`--engine indexed`) instead of
         /// running each query's plan.
         engine: bool,
-        /// Wall-clock budget in milliseconds.
-        timeout_ms: Option<u64>,
-        /// Derived-tuple ceiling.
-        max_tuples: Option<usize>,
-        /// Iteration cap.
-        max_iterations: Option<usize>,
+        /// The evaluation budget and `--trace FILE` (which requires
+        /// `--engine`); `run` refuses the cache and concurrency flags and
+        /// answers with the cache off.
+        opts: ServiceOpts,
         /// Also print the saturation statistics as one JSON line
         /// (requires `--engine`).
         stats_json: bool,
-        /// Write a JSON-lines evaluation trace to this file
-        /// (requires `--engine`).
-        trace: Option<String>,
         /// Append the run's metrics in Prometheus text format
         /// (requires `--engine`).
         metrics: bool,
@@ -128,8 +123,8 @@ pub enum Command {
     Help,
 }
 
-/// Options shared by `serve` and `batch`: how the query service is sized and
-/// what per-query budget it enforces.
+/// Options shared by `serve`, `batch` and `run`: how the query service is
+/// sized and what per-query budget it enforces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceOpts {
     /// Saturation-cache capacity in entries; 0 (`--no-cache`) disables it.
@@ -361,14 +356,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         }
         "run" => {
             let (mut check, mut engine, mut stats_json, mut metrics) = (false, false, false, false);
-            let (mut timeout_ms, mut max_tuples, mut max_iterations) = (None, None, None);
-            let (mut trace, mut why, mut why_depth) = (None, None, None);
+            let (mut why, mut why_depth) = (None, None);
+            let mut opts = ServiceOpts::default();
             while let Some(flag) = flags.next() {
                 match flag {
                     "--check" => check = true,
                     "--stats-json" => stats_json = true,
                     "--metrics" => metrics = true,
-                    "--trace" => trace = Some(flags.value("a file path")?.clone()),
                     "--why" => {
                         why = Some(flags.value("a ground fact such as \"P(1, 3)\"")?.clone());
                     }
@@ -386,9 +380,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                             }
                         };
                     }
-                    "--timeout-ms" => timeout_ms = Some(flags.number()?),
-                    "--max-tuples" => max_tuples = Some(flags.number()?),
-                    "--max-iterations" => max_iterations = Some(flags.number()?),
+                    "--no-cache" | "--cache-capacity" | "--max-concurrent" => {
+                        return Err(format!("unknown option `{flag}`"));
+                    }
+                    _ if opts.consume(flag, &mut flags)? => {}
                     _ => return Err(format!("unknown option `{flag}`")),
                 }
             }
@@ -407,7 +402,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                      pass --engine indexed"
                     .into());
             }
-            if (trace.is_some() || metrics) && !engine {
+            if (opts.trace.is_some() || metrics) && !engine {
                 return Err("--trace/--metrics observe a saturation run; \
                      pass --engine indexed"
                     .into());
@@ -416,11 +411,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 file,
                 check,
                 engine,
-                timeout_ms,
-                max_tuples,
-                max_iterations,
+                opts,
                 stats_json,
-                trace,
                 metrics,
                 why,
                 why_depth: why_depth.unwrap_or(DEFAULT_WHY_DEPTH),
@@ -566,27 +558,42 @@ fn service_of(
     opts: &ServiceOpts,
     cancel: Option<CancelToken>,
 ) -> Result<QueryService, String> {
-    // A `--trace FILE` sink; the writer flushes on drop when the service
-    // (and its Obs handle) goes away.
-    let mut sinks: Vec<Arc<dyn recurs_obs::Recorder>> = Vec::new();
-    if let Some(path) = &opts.trace {
-        sinks.push(trace_sink(path)?);
-    }
+    // The writer flushes on drop when the service (and its Obs handle)
+    // goes away.
+    let (obs, _, _) = recorders(opts.trace.as_deref(), false)?;
     let config = ServeConfig {
         max_concurrent: opts.max_concurrent,
         cache_capacity: opts.cache_capacity,
         budget: budget_of(opts, cancel),
-        obs: Obs::fanout(sinks),
+        obs,
     };
     Ok(QueryService::new(lr, db, config))
 }
 
-/// Opens the JSON-lines trace file `--trace FILE` names.
-fn trace_sink(path: &str) -> Result<Arc<TraceWriter>, String> {
-    let writer = TraceWriter::to_file(path);
-    writer
-        .map(Arc::new)
-        .map_err(|e| format!("cannot open trace file {path}: {e}"))
+/// The sinks `--trace FILE` and `--metrics` ask for: a JSON-lines
+/// [`TraceWriter`] and a metric [`Aggregator`], fed from one handle so the
+/// trace and the Prometheus text describe the same run.
+#[allow(clippy::type_complexity)]
+fn recorders(
+    trace: Option<&str>,
+    metrics: bool,
+) -> Result<(Obs, Option<Arc<TraceWriter>>, Option<Arc<Aggregator>>), String> {
+    let trace_writer = trace
+        .map(|path| {
+            let writer = TraceWriter::to_file(path);
+            writer.map_err(|e| format!("cannot open trace file {path}: {e}"))
+        })
+        .transpose()?
+        .map(Arc::new);
+    let metrics_agg = metrics.then(|| Arc::new(Aggregator::default()));
+    let mut sinks: Vec<Arc<dyn recurs_obs::Recorder>> = Vec::new();
+    if let Some(writer) = &trace_writer {
+        sinks.push(writer.clone());
+    }
+    if let Some(agg) = &metrics_agg {
+        sinks.push(agg.clone());
+    }
+    Ok((Obs::fanout(sinks), trace_writer, metrics_agg))
 }
 
 /// Answers the file's queries through `service`, in order: the one query
@@ -740,14 +747,29 @@ fn write_answers(out: &mut String, query: &Atom, label: &str, answers: &IndexedR
     }
 }
 
-/// Prints one served reply under `label`; a truncated reply also names its
-/// reason and makes the run's `outcome` truncated.
-fn write_reply(out: &mut String, query: &Atom, label: &str, reply: &Reply, outcome: &mut Outcome) {
-    write_answers(out, query, label, &reply.answers);
-    if let Some(reason) = reply.outcome.truncation() {
-        *outcome = Outcome::Truncated(reason);
-        let _ = writeln!(out, "  truncated: {reason} (sound subset)");
+/// Prints each query's served reply under the header `label` gives it —
+/// the one loop `run` and `batch` print through. A truncated reply also
+/// names its reason and makes the run's `outcome` truncated; with an
+/// `oracle`, each answer set is checked against it.
+fn write_replies(
+    out: &mut String,
+    queries: &[Atom],
+    replies: &[Reply],
+    label: impl Fn(&Reply) -> String,
+    oracle: Option<&OracleFixpoint>,
+    outcome: &mut Outcome,
+) -> Result<(), String> {
+    for (query, reply) in queries.iter().zip(replies) {
+        write_answers(out, query, &label(reply), &reply.answers);
+        if let Some(reason) = reply.outcome.truncation() {
+            *outcome = Outcome::Truncated(reason);
+            let _ = writeln!(out, "  truncated: {reason} (sound subset)");
+        }
+        if let Some(oracle) = oracle {
+            oracle.check(out, query, &reply.answers, reply.outcome.is_complete())?;
+        }
     }
+    Ok(())
 }
 
 /// The printable output of a command plus how the run ended.
@@ -817,11 +839,8 @@ pub fn execute(
         Command::Run {
             check,
             engine,
-            timeout_ms,
-            max_tuples,
-            max_iterations,
+            opts,
             stats_json,
-            trace,
             metrics,
             why,
             why_depth,
@@ -832,10 +851,7 @@ pub fn execute(
             // builds, with the cache off.
             let opts = ServiceOpts {
                 cache_capacity: 0,
-                timeout_ms: *timeout_ms,
-                max_tuples: *max_tuples,
-                max_iterations: *max_iterations,
-                ..ServiceOpts::default()
+                ..opts.clone()
             };
             if let Some(fact_text) = why {
                 outcome = explain_why(&mut out, loaded, fact_text, *why_depth, &opts, cancel)?;
@@ -861,7 +877,7 @@ pub fn execute(
                     *check,
                     *stats_json,
                     budget_of(&opts, cancel),
-                    trace.as_deref(),
+                    opts.trace.as_deref(),
                     *metrics,
                 )?
             } else {
@@ -885,17 +901,19 @@ pub fn execute(
             if queries.is_empty() {
                 return Err("no ?- queries in the file".into());
             }
+            let label = |reply: &Reply| {
+                let stats = &reply.stats;
+                format!(
+                    "serve kernel:{} derived={} cache:{} v{}",
+                    stats.kernel.label(),
+                    stats.tuples_derived,
+                    stats.cache.label(),
+                    stats.snapshot_version
+                )
+            };
             for _round in 0..*repeat {
-                for (query, reply) in queries.iter().zip(answer_all(&service, &queries)?) {
-                    let label = format!(
-                        "serve kernel:{} derived={} cache:{} v{}",
-                        reply.stats.kernel.label(),
-                        reply.stats.tuples_derived,
-                        reply.stats.cache.label(),
-                        reply.stats.snapshot_version
-                    );
-                    write_reply(&mut out, query, &label, &reply, &mut outcome);
-                }
+                let replies = answer_all(&service, &queries)?;
+                write_replies(&mut out, &queries, &replies, label, None, &mut outcome)?;
             }
             if *stats_json {
                 out.push_str(&service.stats_json());
@@ -941,15 +959,19 @@ fn run_plans(
         Some((program, db)) if !cancelled() => Some(OracleFixpoint::of(&program, db)?),
         _ => None,
     };
-    let mut outcome = Outcome::Complete;
-    for (query, reply) in queries.iter().zip(&replies) {
+    let label = |reply: &Reply| {
         let (kernel, derived) = (reply.stats.kernel.label(), reply.stats.tuples_derived);
-        let label = format!("plan kernel:{kernel} derived={derived}");
-        write_reply(out, query, &label, reply, &mut outcome);
-        if let Some(oracle) = &oracle {
-            oracle.check(out, query, &reply.answers, reply.outcome.is_complete())?;
-        }
-    }
+        format!("plan kernel:{kernel} derived={derived}")
+    };
+    let mut outcome = Outcome::Complete;
+    write_replies(
+        out,
+        &queries,
+        &replies,
+        label,
+        oracle.as_ref(),
+        &mut outcome,
+    )?;
     Ok(outcome)
 }
 
@@ -967,7 +989,7 @@ fn run_engine(
     trace: Option<&str>,
     metrics: bool,
 ) -> Result<Outcome, String> {
-    let (obs, trace_writer, metrics_agg) = build_run_obs(trace, metrics)?;
+    let (obs, trace_writer, metrics_agg) = recorders(trace, metrics)?;
     if obs.enabled() {
         // The provenance record tying a trace back to the paper's dispatch
         // decision: the class verdict and the kernel its rank bound selects.
@@ -1087,31 +1109,6 @@ impl OracleFixpoint {
     }
 }
 
-/// Builds the observability sinks a `run --engine` invocation asked for:
-/// a JSON-lines [`TraceWriter`] for `--trace FILE` and a metric
-/// [`Aggregator`] for `--metrics`. Both feed from the same handle, so the
-/// trace and the Prometheus text describe the same run.
-#[allow(clippy::type_complexity)]
-fn build_run_obs(
-    trace: Option<&str>,
-    metrics: bool,
-) -> Result<(Obs, Option<Arc<TraceWriter>>, Option<Arc<Aggregator>>), String> {
-    let mut sinks: Vec<Arc<dyn recurs_obs::Recorder>> = Vec::new();
-    let mut trace_writer = None;
-    let mut metrics_agg = None;
-    if let Some(path) = trace {
-        let writer = trace_sink(path)?;
-        trace_writer = Some(writer.clone());
-        sinks.push(writer as Arc<dyn recurs_obs::Recorder>);
-    }
-    if metrics {
-        let agg = Arc::new(Aggregator::default());
-        metrics_agg = Some(agg.clone());
-        sinks.push(agg as Arc<dyn recurs_obs::Recorder>);
-    }
-    Ok((Obs::fanout(sinks), trace_writer, metrics_agg))
-}
-
 /// Runs `run --why`: asks the query service why one ground fact of the
 /// recursive predicate holds and prints its verified derivation tree, or that
 /// the fact is not derivable. A budget that stops the search first maps to
@@ -1129,7 +1126,7 @@ fn explain_why(
     let (pred, tuple) = parse_ground_fact(fact_text)?;
     let service = service_of(loaded.lr, loaded.db, opts, cancel)?;
     let why = service
-        .why(pred, &tuple, depth_bound, service.default_budget())
+        .why(pred, &tuple, depth_bound, service.default_budget(), None)
         .map_err(|e| match e {
             ServeError::WrongPredicate { got, serves } => {
                 format!("--why explains {serves} facts; `{got}` is not the recursive predicate")
@@ -1208,11 +1205,8 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: "f.dl".into(),
                 check: true,
                 engine: false,
-                timeout_ms: None,
-                max_tuples: None,
-                max_iterations: None,
+                opts: ServiceOpts::default(),
                 stats_json: false,
-                trace: None,
                 metrics: false,
                 why: None,
                 why_depth: DEFAULT_WHY_DEPTH,
@@ -1224,11 +1218,8 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: "f.dl".into(),
                 check: false,
                 engine: true,
-                timeout_ms: None,
-                max_tuples: None,
-                max_iterations: None,
+                opts: ServiceOpts::default(),
                 stats_json: false,
-                trace: None,
                 metrics: false,
                 why: None,
                 why_depth: DEFAULT_WHY_DEPTH,
@@ -1276,11 +1267,13 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: "f.dl".into(),
                 check: false,
                 engine: true,
-                timeout_ms: Some(250),
-                max_tuples: Some(100),
-                max_iterations: Some(7),
+                opts: ServiceOpts {
+                    timeout_ms: Some(250),
+                    max_tuples: Some(100),
+                    max_iterations: Some(7),
+                    ..ServiceOpts::default()
+                },
                 stats_json: false,
-                trace: None,
                 metrics: false,
                 why: None,
                 why_depth: DEFAULT_WHY_DEPTH,
@@ -1292,7 +1285,10 @@ E(1, 2). E(2, 3). E(2, 4).
             plain,
             Command::Run {
                 engine: false,
-                max_tuples: Some(5),
+                opts: ServiceOpts {
+                    max_tuples: Some(5),
+                    ..
+                },
                 ..
             }
         ));
@@ -1308,11 +1304,8 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: "f.dl".into(),
                 check: false,
                 engine: false,
-                timeout_ms: None,
-                max_tuples: None,
-                max_iterations: None,
+                opts: ServiceOpts::default(),
                 stats_json: false,
-                trace: None,
                 metrics: false,
                 why: Some("P(1, 3)".into()),
                 why_depth: DEFAULT_WHY_DEPTH,
@@ -1335,12 +1328,12 @@ E(1, 2). E(2, 3). E(2, 4).
             Command::Run {
                 why,
                 why_depth,
-                max_tuples,
+                opts,
                 ..
             } => {
                 assert_eq!(why.as_deref(), Some("P(1, 3)"));
                 assert_eq!(why_depth, 7);
-                assert_eq!(max_tuples, Some(100));
+                assert_eq!(opts.max_tuples, Some(100));
             }
             other => panic!("expected run, got {other:?}"),
         }
@@ -1363,11 +1356,11 @@ E(1, 2). E(2, 3). E(2, 4).
             file: String::new(),
             check: false,
             engine: false,
-            timeout_ms: None,
-            max_tuples,
-            max_iterations: None,
+            opts: ServiceOpts {
+                max_tuples,
+                ..ServiceOpts::default()
+            },
             stats_json: false,
-            trace: None,
             metrics: false,
             why: Some(fact.into()),
             why_depth,
@@ -1441,7 +1434,7 @@ E(1, 2). E(2, 3). E(2, 4).
             };
             let (service, _) = build_service_cancellable(TC, &opts, None).unwrap();
             let (pred, tuple) = parse_ground_fact(fact).unwrap();
-            let served = service.why(pred, &tuple, depth, service.default_budget());
+            let served = service.why(pred, &tuple, depth, service.default_budget(), None);
             let found = match served.unwrap().outcome {
                 Ok(WhyOutcome::Derived(_)) => "derived",
                 Ok(WhyOutcome::NotDerived) => "not derivable",
@@ -1481,11 +1474,12 @@ E(1, 2). E(2, 3). E(2, 4).
             file: String::new(),
             check: true,
             engine: true,
-            timeout_ms: None,
-            max_tuples,
-            max_iterations,
+            opts: ServiceOpts {
+                max_tuples,
+                max_iterations,
+                ..ServiceOpts::default()
+            },
             stats_json: false,
-            trace: None,
             metrics: false,
             why: None,
             why_depth: DEFAULT_WHY_DEPTH,
@@ -1644,11 +1638,8 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: String::new(),
                 check: true,
                 engine: false,
-                timeout_ms: None,
-                max_tuples: None,
-                max_iterations: None,
+                opts: ServiceOpts::default(),
                 stats_json: false,
-                trace: None,
                 metrics: false,
                 why: None,
                 why_depth: DEFAULT_WHY_DEPTH,
@@ -1671,11 +1662,8 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: String::new(),
                 check: false,
                 engine: false,
-                timeout_ms: None,
-                max_tuples: None,
-                max_iterations: None,
+                opts: ServiceOpts::default(),
                 stats_json: false,
-                trace: None,
                 metrics: false,
                 why: None,
                 why_depth: DEFAULT_WHY_DEPTH,
@@ -1688,11 +1676,8 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: String::new(),
                 check: true,
                 engine: true,
-                timeout_ms: None,
-                max_tuples: None,
-                max_iterations: None,
+                opts: ServiceOpts::default(),
                 stats_json: false,
-                trace: None,
                 metrics: false,
                 why: None,
                 why_depth: DEFAULT_WHY_DEPTH,
@@ -1768,11 +1753,8 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: String::new(),
                 check: false,
                 engine: false,
-                timeout_ms: None,
-                max_tuples: None,
-                max_iterations: None,
+                opts: ServiceOpts::default(),
                 stats_json: false,
-                trace: None,
                 metrics: false,
                 why: None,
                 why_depth: DEFAULT_WHY_DEPTH,
@@ -1793,11 +1775,8 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: String::new(),
                 check: true,
                 engine: false,
-                timeout_ms: None,
-                max_tuples: None,
-                max_iterations: None,
+                opts: ServiceOpts::default(),
                 stats_json: false,
-                trace: None,
                 metrics: false,
                 why: None,
                 why_depth: DEFAULT_WHY_DEPTH,
@@ -1902,11 +1881,8 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: "f.dl".into(),
                 check: false,
                 engine: true,
-                timeout_ms: None,
-                max_tuples: None,
-                max_iterations: None,
+                opts: ServiceOpts::default(),
                 stats_json: true,
-                trace: None,
                 metrics: false,
                 why: None,
                 why_depth: DEFAULT_WHY_DEPTH,
@@ -1921,11 +1897,8 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: String::new(),
                 check: false,
                 engine: true,
-                timeout_ms: None,
-                max_tuples: None,
-                max_iterations: None,
+                opts: ServiceOpts::default(),
                 stats_json: true,
-                trace: None,
                 metrics: false,
                 why: None,
                 why_depth: DEFAULT_WHY_DEPTH,
@@ -1948,11 +1921,8 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: String::new(),
                 check: true,
                 engine: false,
-                timeout_ms: None,
-                max_tuples: None,
-                max_iterations: None,
+                opts: ServiceOpts::default(),
                 stats_json: false,
-                trace: None,
                 metrics: false,
                 why: None,
                 why_depth: DEFAULT_WHY_DEPTH,
@@ -1972,11 +1942,8 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: String::new(),
                 check: true,
                 engine: false,
-                timeout_ms: None,
-                max_tuples: None,
-                max_iterations: None,
+                opts: ServiceOpts::default(),
                 stats_json: false,
-                trace: None,
                 metrics: false,
                 why: None,
                 why_depth: DEFAULT_WHY_DEPTH,
@@ -2247,8 +2214,6 @@ E(1, 2). E(2, 3). E(2, 4).
 
     #[test]
     fn serve_listen_on_source_announces_drains_and_serves() {
-        use recurs_net::proto::json_str_field;
-
         let cancel = CancelToken::new();
         let (addr_tx, addr_rx) = std::sync::mpsc::channel::<String>();
         let worker_cancel = cancel.clone();
@@ -2286,7 +2251,12 @@ E(1, 2). E(2, 3). E(2, 4).
         let mut client =
             recurs_net::Client::connect(&addr, Duration::from_secs(5)).expect("connect");
         let reply = client.roundtrip("?- P(1, y).").expect("query");
-        assert_eq!(json_str_field(&reply, "type"), Some("answers"), "{reply}");
+        let kind = recurs_obs::jsonl::parse(&reply).expect("a JSON reply");
+        assert_eq!(
+            kind.get("type").and_then(recurs_obs::Value::as_str),
+            Some("answers"),
+            "{reply}"
+        );
         // Fire the "signal": the watcher drains and run() returns a report.
         cancel.cancel();
         let report = server.join().expect("server thread").expect("serve ok");

@@ -57,11 +57,8 @@ fn an_engine_run_allocates_for_one_store_and_its_answers() {
         file: String::new(),
         check: false,
         engine: true,
-        timeout_ms: None,
-        max_tuples: None,
-        max_iterations: None,
+        opts: recurs_cli::ServiceOpts::default(),
         stats_json: false,
-        trace: None,
         metrics: false,
         why: None,
         why_depth: recurs_ivm::DEFAULT_WHY_DEPTH,

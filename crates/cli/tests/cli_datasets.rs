@@ -18,11 +18,11 @@ fn capped_run_cmd(check: bool, engine: bool, max_iterations: Option<usize>) -> C
         file: String::new(),
         check,
         engine,
-        timeout_ms: None,
-        max_tuples: None,
-        max_iterations,
+        opts: recurs_cli::ServiceOpts {
+            max_iterations,
+            ..recurs_cli::ServiceOpts::default()
+        },
         stats_json: false,
-        trace: None,
         metrics: false,
         why: None,
         why_depth: recurs_ivm::DEFAULT_WHY_DEPTH,

@@ -123,11 +123,8 @@ fn live_stats_json_carries_the_pinned_keys() {
             file: String::new(),
             check: false,
             engine: true,
-            timeout_ms: None,
-            max_tuples: None,
-            max_iterations: None,
+            opts: recurs_cli::ServiceOpts::default(),
             stats_json: true,
-            trace: None,
             metrics: false,
             why: None,
             why_depth: recurs_ivm::DEFAULT_WHY_DEPTH,

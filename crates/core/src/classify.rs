@@ -173,6 +173,10 @@ pub struct Classification {
     pub component_classes: Vec<ComponentClass>,
     /// The formula's class.
     pub class: FormulaClass,
+    /// [`Classification::stabilization_period`], computed once.
+    stabilization_period: Option<u64>,
+    /// [`Classification::rank_bound`], computed once.
+    rank_bound: Option<u64>,
 }
 
 impl Classification {
@@ -190,14 +194,19 @@ impl Classification {
             .map(classify_component)
             .collect();
         let class = formula_class(&component_classes);
-        Classification {
+        let mut c = Classification {
             rule: rule.clone(),
             igraph,
             condensed,
             components,
             component_classes,
             class,
-        }
+            stabilization_period: None,
+            rank_bound: None,
+        };
+        c.stabilization_period = c.period_of_cycles();
+        c.rank_bound = c.proven_rank_bound();
+        c
     }
 
     /// The non-trivial components, aligned with `component_classes`.
@@ -224,6 +233,10 @@ impl Classification {
     /// stable — the least common multiple of its cycle weights. `None` for
     /// formulas that are not transformable.
     pub fn stabilization_period(&self) -> Option<u64> {
+        self.stabilization_period
+    }
+
+    fn period_of_cycles(&self) -> Option<u64> {
         if !self.is_transformable_to_stable() {
             return None;
         }
@@ -260,6 +273,10 @@ impl Classification {
     /// Returns `None` if the formula is not bounded or no proven static
     /// bound exists.
     pub fn rank_bound(&self) -> Option<u64> {
+        self.rank_bound
+    }
+
+    fn proven_rank_bound(&self) -> Option<u64> {
         if !self.is_bounded() {
             return None;
         }

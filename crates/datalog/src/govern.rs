@@ -9,8 +9,8 @@
 //! deliberately outside it and knows only a round cap:
 //!
 //! * an [`EvalBudget`] declares the caller's ceilings — wall-clock deadline,
-//!   derived-tuple ceiling, per-iteration delta ceiling, iteration cap —
-//!   plus an optional [`CancelToken`];
+//!   derived-tuple ceiling, iteration cap — plus an optional
+//!   [`CancelToken`];
 //! * [`EvalBudget::start`] produces a [`Governor`], the runtime companion
 //!   that evaluators poll cooperatively (cheaply inside kernels via
 //!   [`Governor::poll`], fully once per iteration via [`Governor::check`]);

@@ -5,19 +5,20 @@
 //! instantiations whose head is that tuple, over the current database. The
 //! counts are what make maintenance exact:
 //!
-//! * **Insertions** are counting-based. New EDB tuples are differentiated
-//!   per body position (new relations before the delta position, old ones
-//!   after — the standard inclusion–exclusion that enumerates every *new*
-//!   instantiation exactly once even when a batch touches several positions
-//!   of one body, or one relation twice), then fresh recursive tuples
-//!   propagate through the engine's compiled delta pipeline, whose output
-//!   rows are per-instantiation precisely because the rule is linear.
-//! * **Deletions** are DRed (delete-and-rederive): a set-based overdeletion
-//!   pass marks everything whose support might have passed through a deleted
-//!   tuple, then candidates are recounted backward against the shrunken
-//!   database and reinserted forward in sequence order so each surviving
-//!   instantiation is counted exactly once — including self- and
-//!   mutual-support cycles, which the recount correctly refuses to revive.
+//! Both sides of a delta run the same three passes over the engine store
+//! (`patch.rs`): *mark* the heads a changed EDB tuple can reach, *recount*
+//! each candidate's instantiations over the store as it now stands, and
+//! *propagate* from the tuples that enter, each instantiation through them
+//! counted once — exactly because the rule is linear.
+//!
+//! * **Insertions** mark over the new EDB: the recount is the old count plus
+//!   exactly the instantiations through a new tuple, however many body
+//!   positions of one rule (or one relation used twice) the batch touches.
+//! * **Deletions** are DRed (delete-and-rederive): the mark runs over the
+//!   old state and is closed under the recursive delta pipeline, the
+//!   candidates are removed, recounted against the shrunken database and
+//!   revived forward — so self- and mutual-support cycles, which no
+//!   surviving tuple supports, stay deleted.
 //!
 //! Every class runs this same machinery, and every deletion rederives its
 //! candidates in overdeletion-frontier discovery order. The classification

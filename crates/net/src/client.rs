@@ -2,7 +2,7 @@
 //! paths and the integration tests.
 
 use crate::frame::{self, FrameError};
-use crate::proto;
+use recurs_obs::{jsonl, Value};
 use std::io;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -75,14 +75,19 @@ pub enum ReplyKind {
     Error,
 }
 
-/// Classifies a one-line JSON reply.
+/// Classifies a reply. One that is not a JSON object (the `!metrics`
+/// text) is `Ok`.
 pub fn classify(reply: &str) -> ReplyKind {
-    match proto::json_str_field(reply, "type") {
+    let reply = jsonl::parse(reply).unwrap_or(Value::Null);
+    match reply.get("type").and_then(Value::as_str) {
         Some("overloaded") => ReplyKind::Overloaded {
-            retry_after_ms: proto::json_u64_field(reply, "retry_after_ms").unwrap_or(0),
+            retry_after_ms: match reply.get("retry_after_ms") {
+                Some(Value::UInt(ms)) => *ms,
+                _ => 0,
+            },
         },
         Some("deadline") => ReplyKind::Deadline,
-        _ if reply.contains("\"ok\":false") => ReplyKind::Error,
+        _ if reply.get("ok") == Some(&Value::Bool(false)) => ReplyKind::Error,
         _ => ReplyKind::Ok,
     }
 }

@@ -77,18 +77,22 @@ pub fn read_frame(r: &mut impl Read, max_len: usize) -> Result<Vec<u8>, FrameErr
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Err(FrameError::Closed),
         Err(e) => return Err(FrameError::Io(e)),
     }
-    let claimed = u32::from_be_bytes(prefix) as usize;
-    if claimed > max_len {
-        return Err(FrameError::Oversized {
-            claimed,
-            max: max_len,
-        });
-    }
-    let mut payload = vec![0u8; claimed];
+    let mut payload = vec![0u8; payload_len(prefix, max_len)?];
     match r.read_exact(&mut payload) {
         Ok(()) => Ok(payload),
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(FrameError::Truncated),
         Err(e) => Err(FrameError::Io(e)),
+    }
+}
+
+/// The payload length a frame's prefix claims, refused above `max_len`.
+fn payload_len(prefix: [u8; LEN_PREFIX], max_len: usize) -> Result<usize, FrameError> {
+    match u32::from_be_bytes(prefix) as usize {
+        claimed if claimed > max_len => Err(FrameError::Oversized {
+            claimed,
+            max: max_len,
+        }),
+        claimed => Ok(claimed),
     }
 }
 
@@ -109,12 +113,6 @@ pub(crate) enum Poll {
 pub(crate) struct FrameReader {
     buf: Vec<u8>,
     chunk: [u8; 4096],
-}
-
-impl Default for FrameReader {
-    fn default() -> FrameReader {
-        FrameReader::new()
-    }
 }
 
 impl FrameReader {
@@ -169,17 +167,10 @@ impl FrameReader {
 
     /// Splits one complete frame off the front of the buffer, if present.
     fn take_frame(&mut self, max_len: usize) -> Result<Option<Vec<u8>>, FrameError> {
-        if self.buf.len() < LEN_PREFIX {
+        let Some(&prefix) = self.buf.first_chunk() else {
             return Ok(None);
-        }
-        let claimed =
-            u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
-        if claimed > max_len {
-            return Err(FrameError::Oversized {
-                claimed,
-                max: max_len,
-            });
-        }
+        };
+        let claimed = payload_len(prefix, max_len)?;
         if self.buf.len() < LEN_PREFIX + claimed {
             return Ok(None);
         }

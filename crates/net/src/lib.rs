@@ -10,14 +10,13 @@
 //! and UTF-8 errors and the net layer's own replies ([`proto`]), connection
 //! admission, the frame ceiling, idle/slow-client timeouts, the panic
 //! barriers and postmortem dump, graceful drain with a hard-cancel backstop
-//! ([`server`]), and a blocking client ([`client`]). Fault hooks for the
-//! chaos suite live in `fault` (test/`fault-inject` builds only).
+//! ([`server`]), and a blocking client ([`client`]). Under the
+//! `fault-inject` feature the server fires the reply and handler hooks of
+//! the engine's one fault plan (`recurs_engine::fault`) for the chaos suite.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod client;
-#[cfg(any(test, feature = "fault-inject"))]
-pub mod fault;
 pub mod frame;
 pub mod proto;
 pub mod server;

@@ -40,13 +40,17 @@ use recurs_serve::protocol::{
 };
 use recurs_serve::QueryService;
 use std::io;
-#[cfg(any(test, feature = "fault-inject"))]
+#[cfg(feature = "fault-inject")]
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Socket write timeout: a peer that stops reading its replies for this
+/// long is disconnected.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Network front-end configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,9 +66,6 @@ pub struct NetConfig {
     /// Close connections with no completed frame for this long (also bounds
     /// a slow-loris peer dribbling a frame byte-by-byte).
     pub idle_timeout: Duration,
-    /// Socket write timeout: a peer that stops reading its replies for this
-    /// long is disconnected.
-    pub write_timeout: Duration,
     /// Ceiling on a single frame payload.
     pub max_frame_len: usize,
     /// How long drain waits for in-flight work before hard-cancelling.
@@ -87,7 +88,6 @@ impl Default for NetConfig {
             max_queue_wait: Duration::from_millis(250),
             retry_after_ms: DEFAULT_RETRY_AFTER_MS,
             idle_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(5),
             max_frame_len: crate::frame::DEFAULT_MAX_FRAME_LEN,
             drain_deadline: Duration::from_secs(5),
             drain_linger: Duration::from_millis(100),
@@ -359,7 +359,7 @@ fn admit(shared: &Arc<Shared>, mut stream: TcpStream) {
             "connection limit reached",
             Some(shared.config.retry_after_ms),
         );
-        let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         let _ = crate::frame::write_frame(&mut stream, reply.as_bytes());
         return; // dropped: shed
     }
@@ -445,9 +445,7 @@ fn serve_connection(shared: &Shared, stream: &mut TcpStream) -> CloseReason {
     let config = &shared.config;
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(config.tick)).is_err()
-        || stream
-            .set_write_timeout(Some(config.write_timeout))
-            .is_err()
+        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
     {
         return CloseReason::IoError;
     }
@@ -592,8 +590,8 @@ fn evaluate_frame(
     // `internal` reply and the connection (and its pipelined successors)
     // keeps going.
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        #[cfg(any(test, feature = "fault-inject"))]
-        crate::fault::handler_start();
+        #[cfg(feature = "fault-inject")]
+        recurs_engine::fault::handler_start();
         handle_line_with(&shared.service, line, opts)
     }));
     match outcome {
@@ -621,24 +619,22 @@ fn evaluate_frame(
 enum ReplyWrite {
     Ok,
     /// Fault injection tore the frame; the connection must drop.
-    #[cfg_attr(not(any(test, feature = "fault-inject")), allow(dead_code))]
+    #[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
     Torn,
     Failed,
 }
 
 fn write_reply(stream: &mut TcpStream, reply: &str) -> ReplyWrite {
-    #[cfg(any(test, feature = "fault-inject"))]
-    {
-        if crate::fault::before_reply() == crate::fault::ReplyFault::Tear {
-            let payload = reply.as_bytes();
-            let len = payload.len() as u32;
-            let mut torn = Vec::with_capacity(4 + payload.len() / 2);
-            torn.extend_from_slice(&len.to_be_bytes());
-            torn.extend_from_slice(&payload[..payload.len() / 2]);
-            let _ = stream.write_all(&torn);
-            let _ = stream.flush();
-            return ReplyWrite::Torn;
-        }
+    #[cfg(feature = "fault-inject")]
+    if recurs_engine::fault::before_reply() {
+        let payload = reply.as_bytes();
+        let len = payload.len() as u32;
+        let mut torn = Vec::with_capacity(4 + payload.len() / 2);
+        torn.extend_from_slice(&len.to_be_bytes());
+        torn.extend_from_slice(&payload[..payload.len() / 2]);
+        let _ = stream.write_all(&torn);
+        let _ = stream.flush();
+        return ReplyWrite::Torn;
     }
     match crate::frame::write_frame(stream, reply.as_bytes()) {
         Ok(()) => ReplyWrite::Ok,

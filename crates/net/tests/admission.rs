@@ -4,9 +4,8 @@
 
 mod common;
 
-use common::{connect, fast_config, spawn_server, tc_service};
+use common::{connect, fast_config, spawn_server, str_field, tc_service, u64_field};
 use recurs_net::client::{classify, ReplyKind};
-use recurs_net::proto::{json_str_field, json_u64_field};
 use recurs_net::{Client, NetConfig};
 use recurs_obs::{Obs, Recorder, TraceId, Value};
 use recurs_serve::ServeConfig;
@@ -127,7 +126,7 @@ fn saturated_slot_sheds_with_the_configured_retry_hint_within_a_bounded_wait() {
     let reply = client.roundtrip("?- P(1, y).").expect("reply");
     let waited = started.elapsed();
     assert_eq!(
-        json_str_field(&reply, "type"),
+        str_field(&reply, "type").as_deref(),
         Some("overloaded"),
         "{reply}"
     );
@@ -137,7 +136,7 @@ fn saturated_slot_sheds_with_the_configured_retry_hint_within_a_bounded_wait() {
     );
     assert!(reply.contains("\"ok\":false"), "{reply}");
     assert_eq!(
-        json_u64_field(&reply, "retry_after_ms"),
+        u64_field(&reply, "retry_after_ms"),
         Some(77),
         "shed replies must carry the configured hint: {reply}"
     );
@@ -161,18 +160,22 @@ fn shed_request_succeeds_after_backing_off() {
     let mut client = connect(&addr);
     let reply = client.roundtrip("?- P(1, y).").expect("reply");
     assert_eq!(
-        json_str_field(&reply, "type"),
+        str_field(&reply, "type").as_deref(),
         Some("overloaded"),
         "the held slot sheds: {reply}"
     );
-    let hint = json_u64_field(&reply, "retry_after_ms").expect("a retry hint");
+    let hint = u64_field(&reply, "retry_after_ms").expect("a retry hint");
     assert_eq!(hint, 25, "{reply}");
     // The slot frees while the client backs off; the retry is answered.
     holder.release();
     holding.join().expect("holding thread");
     std::thread::sleep(Duration::from_millis(hint));
     let reply = client.roundtrip("?- P(1, y).").expect("reply");
-    assert_eq!(json_str_field(&reply, "type"), Some("answers"), "{reply}");
+    assert_eq!(
+        str_field(&reply, "type").as_deref(),
+        Some("answers"),
+        "{reply}"
+    );
 
     drop(client);
     handle.drain();
@@ -194,15 +197,11 @@ fn connection_cap_sheds_new_connections_with_a_typed_reply() {
     let mut second = connect(&addr);
     let reply = second.recv().expect("shed notice");
     assert_eq!(
-        json_str_field(&reply, "type"),
+        str_field(&reply, "type").as_deref(),
         Some("overloaded"),
         "{reply}"
     );
-    assert_eq!(
-        json_u64_field(&reply, "retry_after_ms"),
-        Some(99),
-        "{reply}"
-    );
+    assert_eq!(u64_field(&reply, "retry_after_ms"), Some(99), "{reply}");
     // The first connection is unaffected.
     let reply = first.roundtrip("?- P(1, y).").expect("still serving");
     assert!(reply.contains("\"ok\":true"), "{reply}");

@@ -11,10 +11,9 @@
 
 mod common;
 
-use common::{connect, fast_config, spawn_server, tc_service};
+use common::{connect, fast_config, spawn_server, str_field, tc_service, u64_field};
 use recurs_datalog::parser::parse_atom;
-use recurs_net::fault::{quiesce, FaultPlan};
-use recurs_net::proto::{json_str_field, json_u64_field};
+use recurs_engine::fault::{quiesce, FaultPlan};
 use recurs_net::{Client, NetConfig};
 use recurs_serve::{QueryService, ServeConfig};
 use std::time::Duration;
@@ -27,7 +26,7 @@ const N: u64 = 24;
 fn assert_matches_control(client: &mut Client, control: &QueryService) {
     let snap = client.roundtrip("!snapshot").expect("snapshot after chaos");
     assert_eq!(
-        json_str_field(&snap, "fingerprint"),
+        str_field(&snap, "fingerprint").as_deref(),
         Some(control.snapshot().fingerprint().to_string().as_str()),
         "snapshot chain diverged from control: {snap}"
     );
@@ -41,7 +40,7 @@ fn assert_matches_control(client: &mut Client, control: &QueryService) {
             .answers
             .len() as u64;
         assert_eq!(
-            json_u64_field(&reply, "count"),
+            u64_field(&reply, "count"),
             Some(expected),
             "answers diverged from control for P({k}, y): {reply}"
         );
@@ -50,7 +49,7 @@ fn assert_matches_control(client: &mut Client, control: &QueryService) {
 
 #[test]
 fn handler_panic_becomes_a_typed_internal_reply_and_the_connection_survives() {
-    let mut faults = quiesce();
+    let faults = quiesce();
     let control = tc_service(N, ServeConfig::default());
     let (addr, handle, join) = spawn_server(tc_service(N, ServeConfig::default()), fast_config());
     let mut client = connect(&addr);
@@ -63,12 +62,16 @@ fn handler_panic_becomes_a_typed_internal_reply_and_the_connection_survives() {
         let reply = client
             .roundtrip("?- P(1, y).")
             .expect("typed reply, not a dead socket");
-        assert_eq!(json_str_field(&reply, "type"), Some("internal"), "{reply}");
+        assert_eq!(
+            str_field(&reply, "type").as_deref(),
+            Some("internal"),
+            "{reply}"
+        );
         assert!(reply.contains("\"ok\":false"), "{reply}");
         // Same connection, next pipelined request: unharmed.
         let reply = client.roundtrip("?- P(1, y).").expect("still serving");
         assert!(reply.contains("\"ok\":true"), "{reply}");
-        faults.disarm();
+        faults.rearm(FaultPlan::default());
     }
     assert_matches_control(&mut client, &control);
     drop(client);
@@ -79,7 +82,7 @@ fn handler_panic_becomes_a_typed_internal_reply_and_the_connection_survives() {
 
 #[test]
 fn torn_reply_frame_drops_the_connection_but_not_the_server_or_state() {
-    let mut faults = quiesce();
+    let faults = quiesce();
     let control = tc_service(N, ServeConfig::default());
     let (addr, handle, join) = spawn_server(tc_service(N, ServeConfig::default()), fast_config());
     let mut client = connect(&addr);
@@ -109,7 +112,7 @@ fn torn_reply_frame_drops_the_connection_but_not_the_server_or_state() {
             }
         }
         assert!(torn, "the armed tear must surface as a transport error");
-        faults.disarm();
+        faults.rearm(FaultPlan::default());
     }
     // The torn connection is dead; the server is not.
     let mut client = connect(&addr);
@@ -122,7 +125,7 @@ fn torn_reply_frame_drops_the_connection_but_not_the_server_or_state() {
 
 #[test]
 fn stalled_reply_is_bounded_by_the_client_timeout_and_the_server_recovers() {
-    let mut faults = quiesce();
+    let faults = quiesce();
     let control = tc_service(N, ServeConfig::default());
     let (addr, handle, join) = spawn_server(tc_service(N, ServeConfig::default()), fast_config());
     {
@@ -137,7 +140,7 @@ fn stalled_reply_is_bounded_by_the_client_timeout_and_the_server_recovers() {
             client.recv().is_err(),
             "reply should have stalled past the timeout"
         );
-        faults.disarm();
+        faults.rearm(FaultPlan::default());
     }
     // Disarmed: a fresh connection is served promptly and state is intact.
     let mut client = connect(&addr);
@@ -175,7 +178,7 @@ fn mid_request_disconnects_leave_the_server_healthy() {
 fn worker_panic_during_drain_still_drains_cleanly() {
     // The gate comes first: a sibling's armed tear would otherwise count,
     // and could tear, the `!health` frame below.
-    let mut faults = quiesce();
+    let faults = quiesce();
     let control = tc_service(N, ServeConfig::default());
     let postmortem = std::env::temp_dir().join(format!(
         "recurs-chaos-postmortem-{}.jsonl",
@@ -202,10 +205,14 @@ fn worker_panic_during_drain_still_drains_cleanly() {
         let reply = client
             .recv()
             .expect("the panicked request still gets its one reply");
-        assert_eq!(json_str_field(&reply, "type"), Some("internal"), "{reply}");
+        assert_eq!(
+            str_field(&reply, "type").as_deref(),
+            Some("internal"),
+            "{reply}"
+        );
         // Served within the linger window: verify state then let go.
         assert_matches_control(&mut client, &control);
-        faults.disarm();
+        faults.rearm(FaultPlan::default());
     }
     drop(client);
     let report = join.join().expect("server thread").expect("run ok");

@@ -1,5 +1,6 @@
 //! Shared fixtures for the net integration suites: a transitive-closure
-//! service over a chain graph, and a spawned in-process server.
+//! service over a chain graph, a spawned in-process server, and the reply
+//! fields the suites read with `recurs_obs::jsonl`.
 
 #![allow(dead_code)]
 
@@ -59,5 +60,19 @@ pub fn fast_config() -> NetConfig {
         tick: Duration::from_millis(2),
         drain_linger: Duration::from_millis(40),
         ..NetConfig::default()
+    }
+}
+
+/// A top-level string field of a one-line JSON reply.
+pub fn str_field(reply: &str, key: &str) -> Option<String> {
+    let value = recurs_obs::jsonl::parse(reply).ok()?;
+    value.get(key)?.as_str().map(str::to_owned)
+}
+
+/// A top-level unsigned integer field of a one-line JSON reply.
+pub fn u64_field(reply: &str, key: &str) -> Option<u64> {
+    match recurs_obs::jsonl::parse(reply).ok()?.get(key)? {
+        serde::Value::UInt(n) => Some(*n),
+        _ => None,
     }
 }

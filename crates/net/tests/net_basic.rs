@@ -4,10 +4,9 @@
 
 mod common;
 
-use common::{connect, fast_config, spawn_server, tc_service};
+use common::{connect, fast_config, spawn_server, str_field, tc_service, u64_field};
 use recurs_datalog::govern::EvalBudget;
 use recurs_net::frame::{self, FrameError};
-use recurs_net::proto::{json_str_field, json_u64_field};
 use recurs_net::NetConfig;
 use recurs_serve::ServeConfig;
 use std::io::Write;
@@ -19,8 +18,8 @@ fn query_round_trip_over_tcp() {
     let mut client = connect(&addr);
     let reply = client.roundtrip("?- P(1, y).").expect("round trip");
     assert!(reply.contains("\"ok\":true"), "{reply}");
-    assert_eq!(json_str_field(&reply, "type"), Some("answers"));
-    assert_eq!(json_u64_field(&reply, "count"), Some(7));
+    assert_eq!(str_field(&reply, "type").as_deref(), Some("answers"));
+    assert_eq!(u64_field(&reply, "count"), Some(7));
     drop(client);
     handle.drain();
     let report = join.join().expect("server thread").expect("run ok");
@@ -39,11 +38,11 @@ fn pipelined_requests_get_replies_in_order() {
     for k in 1..=10 {
         let reply = client.recv().expect("reply");
         assert_eq!(
-            json_str_field(&reply, "query"),
+            str_field(&reply, "query").as_deref(),
             Some(format!("P({k}, y)").as_str()),
             "reply {k} out of order: {reply}"
         );
-        assert_eq!(json_u64_field(&reply, "count"), Some(16 - k));
+        assert_eq!(u64_field(&reply, "count"), Some(16 - k));
     }
     drop(client);
     handle.drain();
@@ -55,18 +54,19 @@ fn updates_and_queries_interleave_on_one_connection() {
     let (addr, handle, join) = spawn_server(tc_service(4, ServeConfig::default()), fast_config());
     let mut client = connect(&addr);
     let before = client.roundtrip("!snapshot").expect("snapshot");
-    let fp_before = json_str_field(&before, "fingerprint")
+    let fp_before = str_field(&before, "fingerprint")
+        .as_deref()
         .expect("fingerprint")
         .to_string();
     let reply = client.roundtrip("+A(4, 5) +E(4, 5).").expect("insert");
-    assert_eq!(json_u64_field(&reply, "version"), Some(1), "{reply}");
+    assert_eq!(u64_field(&reply, "version"), Some(1), "{reply}");
     let reply = client.roundtrip("?- P(1, y).").expect("query");
-    assert_eq!(json_u64_field(&reply, "count"), Some(4), "{reply}");
+    assert_eq!(u64_field(&reply, "count"), Some(4), "{reply}");
     let reply = client.roundtrip("-A(4, 5) -E(4, 5).").expect("delete");
-    assert_eq!(json_u64_field(&reply, "version"), Some(2), "{reply}");
+    assert_eq!(u64_field(&reply, "version"), Some(2), "{reply}");
     let after = client.roundtrip("!snapshot").expect("snapshot");
     assert_eq!(
-        json_str_field(&after, "fingerprint"),
+        str_field(&after, "fingerprint").as_deref(),
         Some(fp_before.as_str()),
         "state must return to the initial fingerprint"
     );
@@ -82,7 +82,7 @@ fn blank_and_comment_frames_get_noop_acks() {
     for line in ["", "   ", "% a comment", "# another"] {
         let reply = client.roundtrip(line).expect("round trip");
         assert_eq!(
-            json_str_field(&reply, "type"),
+            str_field(&reply, "type").as_deref(),
             Some("noop"),
             "{line:?} → {reply}"
         );
@@ -97,7 +97,7 @@ fn quit_gets_bye_then_clean_close() {
     let (addr, handle, join) = spawn_server(tc_service(4, ServeConfig::default()), fast_config());
     let mut client = connect(&addr);
     let reply = client.roundtrip("!quit").expect("bye");
-    assert_eq!(json_str_field(&reply, "type"), Some("bye"), "{reply}");
+    assert_eq!(str_field(&reply, "type").as_deref(), Some("bye"), "{reply}");
     assert!(matches!(client.recv(), Err(FrameError::Closed)));
     handle.drain();
     join.join().expect("server thread").expect("run ok");
@@ -108,7 +108,11 @@ fn expired_deadline_gets_a_typed_error_not_silence() {
     let (addr, handle, join) = spawn_server(tc_service(8, ServeConfig::default()), fast_config());
     let mut client = connect(&addr);
     let reply = client.roundtrip("@deadline=0 ?- P(1, y).").expect("reply");
-    assert_eq!(json_str_field(&reply, "type"), Some("deadline"), "{reply}");
+    assert_eq!(
+        str_field(&reply, "type").as_deref(),
+        Some("deadline"),
+        "{reply}"
+    );
     assert!(reply.contains("\"ok\":false"), "{reply}");
     // The connection survives a deadlined request.
     let reply = client.roundtrip("?- P(1, y).").expect("still serving");
@@ -128,15 +132,19 @@ fn health_reports_accepting_then_draining() {
     let mut client = connect(&addr);
     let reply = client.roundtrip("!health").expect("health");
     assert_eq!(
-        json_str_field(&reply, "state"),
+        str_field(&reply, "state").as_deref(),
         Some("accepting"),
         "{reply}"
     );
-    assert_eq!(json_u64_field(&reply, "active_connections"), Some(1));
+    assert_eq!(u64_field(&reply, "active_connections"), Some(1));
     handle.drain();
     assert!(handle.is_draining());
     let reply = client.roundtrip("!health").expect("health while draining");
-    assert_eq!(json_str_field(&reply, "state"), Some("draining"), "{reply}");
+    assert_eq!(
+        str_field(&reply, "state").as_deref(),
+        Some("draining"),
+        "{reply}"
+    );
     drop(client);
     let report = join.join().expect("server thread").expect("run ok");
     assert!(!report.forced);
@@ -151,7 +159,11 @@ fn idle_connection_is_closed_with_a_typed_reason() {
     let (addr, handle, join) = spawn_server(tc_service(4, ServeConfig::default()), config);
     let mut client = connect(&addr);
     let reply = client.recv().expect("idle notice");
-    assert_eq!(json_str_field(&reply, "type"), Some("idle"), "{reply}");
+    assert_eq!(
+        str_field(&reply, "type").as_deref(),
+        Some("idle"),
+        "{reply}"
+    );
     assert!(matches!(client.recv(), Err(FrameError::Closed)));
     handle.drain();
     join.join().expect("server thread").expect("run ok");
@@ -197,7 +209,11 @@ fn oversized_frame_gets_typed_error_then_close() {
         .write_all(&(1u32 << 30).to_be_bytes())
         .expect("bogus prefix");
     let reply = client.recv().expect("typed error before close");
-    assert_eq!(json_str_field(&reply, "type"), Some("protocol"), "{reply}");
+    assert_eq!(
+        str_field(&reply, "type").as_deref(),
+        Some("protocol"),
+        "{reply}"
+    );
     assert!(reply.contains("ceiling"), "{reply}");
     assert!(matches!(client.recv(), Err(FrameError::Closed)));
     handle.drain();
@@ -210,7 +226,11 @@ fn non_utf8_frame_gets_protocol_error_and_connection_survives() {
     let mut client = connect(&addr);
     frame::write_frame(client.stream_mut(), &[0xff, 0xfe, 0x80, 0x41]).expect("send garbage");
     let reply = client.recv().expect("typed error");
-    assert_eq!(json_str_field(&reply, "type"), Some("protocol"), "{reply}");
+    assert_eq!(
+        str_field(&reply, "type").as_deref(),
+        Some("protocol"),
+        "{reply}"
+    );
     assert!(reply.contains("UTF-8"), "{reply}");
     // Frame boundaries are intact, so the session continues.
     let reply = client.roundtrip("?- P(1, y).").expect("still serving");
@@ -265,11 +285,7 @@ fn graceful_drain_answers_in_flight_work_then_closes() {
     handle.drain();
     let reply = client.recv().expect("in-flight reply survives drain");
     assert!(reply.contains("\"ok\":true"), "{reply}");
-    assert_eq!(
-        json_u64_field(&reply, "count"),
-        Some(199 * 200 / 2),
-        "{reply}"
-    );
+    assert_eq!(u64_field(&reply, "count"), Some(199 * 200 / 2), "{reply}");
     // After the linger window the server closes the connection cleanly.
     assert!(matches!(client.recv(), Err(FrameError::Closed)));
     let report = join.join().expect("server thread").expect("run ok");
@@ -323,7 +339,7 @@ fn an_oversized_answer_set_is_cut_to_the_frame_and_says_so() {
         "the evaluation finished"
     );
     assert!(reply.contains("\"truncated\":true"), "the reply was cut");
-    assert_eq!(json_u64_field(&reply, "count"), Some(600 * 599 / 2));
+    assert_eq!(u64_field(&reply, "count"), Some(600 * 599 / 2));
     // What was sent is the head of the sorted answers, whole rows only, and
     // nearly a frame's worth of them.
     let sent = reply.matches("],[").count() + 1;
@@ -331,7 +347,7 @@ fn an_oversized_answer_set_is_cut_to_the_frame_and_says_so() {
     assert!(reply.contains("\"answers\":[[\"1\",\"10\"],[\"1\",\"100\"],"));
     // A query that fits is left alone, on the same connection.
     let reply = client.roundtrip("?- P(1, y).").expect("round trip");
-    assert_eq!(json_u64_field(&reply, "count"), Some(599));
+    assert_eq!(u64_field(&reply, "count"), Some(599));
     assert_eq!(reply.matches("],[").count() + 1, 599);
     assert!(!reply.contains("truncated\":true"), "{reply}");
     drop(client);
@@ -356,20 +372,23 @@ fn a_reply_longer_than_the_frame_is_replaced_by_a_typed_error_and_the_connection
     }
     let reply = client.recv().expect("a frame, not a closed connection");
     assert!(reply.contains("\"ok\":false"), "{reply}");
-    assert_eq!(json_str_field(&reply, "type"), Some("reply_too_large"));
-    assert_eq!(json_u64_field(&reply, "max"), Some(2048));
-    assert!(
-        json_u64_field(&reply, "len").expect("len") > 2048,
-        "{reply}"
+    assert_eq!(
+        str_field(&reply, "type").as_deref(),
+        Some("reply_too_large")
     );
+    assert_eq!(u64_field(&reply, "max"), Some(2048));
+    assert!(u64_field(&reply, "len").expect("len") > 2048, "{reply}");
     // The pipelined successors are answered, in order: an answers reply
     // (59 rows fit), the metrics page (which does not), a shallow tree.
     let reply = client.recv().expect("the query behind it");
-    assert_eq!(json_u64_field(&reply, "count"), Some(59), "{reply}");
+    assert_eq!(u64_field(&reply, "count"), Some(59), "{reply}");
     let reply = client.recv().expect("the metrics page behind that");
-    assert_eq!(json_str_field(&reply, "type"), Some("reply_too_large"));
+    assert_eq!(
+        str_field(&reply, "type").as_deref(),
+        Some("reply_too_large")
+    );
     let reply = client.recv().expect("the shallow tree");
-    assert_eq!(json_str_field(&reply, "type"), Some("why"), "{reply}");
+    assert_eq!(str_field(&reply, "type").as_deref(), Some("why"), "{reply}");
     assert!(reply.len() <= 2048);
     let metrics = service.metrics_text();
     assert!(
@@ -398,9 +417,12 @@ fn a_why_out_of_budget_is_a_truncated_reply_over_tcp() {
     let mut client = connect(&addr);
     let reply = client.roundtrip("why P(1, 60).").expect("round trip");
     assert!(reply.contains("\"ok\":true"), "{reply}");
-    assert_eq!(json_str_field(&reply, "type"), Some("why"), "{reply}");
+    assert_eq!(str_field(&reply, "type").as_deref(), Some("why"), "{reply}");
     assert!(reply.contains("\"truncated\":true"), "{reply}");
-    assert_eq!(json_str_field(&reply, "truncation"), Some("tuple ceiling"));
+    assert_eq!(
+        str_field(&reply, "truncation").as_deref(),
+        Some("tuple ceiling")
+    );
     assert_eq!(service.stats().errors, 0, "no query error is counted");
     drop(client);
     handle.drain();
@@ -440,12 +462,16 @@ fn every_net_event_kind_is_registered_in_the_taxonomy() {
         .roundtrip("@trace=feedface ?- P(1, y).")
         .expect("traced query");
     assert_eq!(
-        json_str_field(&reply, "trace"),
+        str_field(&reply, "trace").as_deref(),
         Some("00000000feedface"),
         "{reply}"
     );
     let reply = client.roundtrip("@trace=xyz ?- P(1, y).").expect("reply");
-    assert_eq!(json_str_field(&reply, "type"), Some("protocol"), "{reply}");
+    assert_eq!(
+        str_field(&reply, "type").as_deref(),
+        Some("protocol"),
+        "{reply}"
+    );
     let shed = connect(&addr).roundtrip("!health");
     assert!(shed.is_err() || shed.unwrap().contains("overloaded"));
     drop(client);

@@ -88,9 +88,8 @@
 //!   `every_adornment_and_repeated_variables_match_the_reference_executor`
 //!   by 2 on s5, s6, s8 and s10; the file keeps the dispatch and
 //!   iteration-cap tests, each against the saturation oracle.
-//!
-//! `tests/malformed_frames.rs` stays as named regressions; each of its tests
-//! is also covered by 4 and 6 on the hostile connections:
+//! * `tests/malformed_frames.rs`: each test by 4 and 6 on the hostile
+//!   connections:
 //!   `oversized_length_prefix_is_a_typed_reply_then_a_clean_close` (kind 0),
 //!   `truncated_frame_then_disconnect_leaves_the_server_healthy` (kind 1),
 //!   `non_utf8_payload_is_a_typed_error_and_the_connection_survives`
@@ -482,6 +481,7 @@ fn arm(gate: &recurs_engine::fault::FaultGuard, bits: u64) {
     gate.rearm(recurs_engine::fault::FaultPlan {
         slowdown: (bits >> 3 & 3 == 1).then_some(Duration::from_micros(300)),
         trip_at_round: (bits >> 3 & 3 == 2).then_some(2),
+        ..Default::default()
     });
 }
 
@@ -764,7 +764,7 @@ fn check(program: &Program, log: &Log, tcp: bool, end: u64, seen: &mut Seen) -> 
         let wrong = || broke("a reply of the wrong type", line, reply);
         let version = match (&line.1, kind) {
             (Req::Explain(_) | Req::Why(..) | Req::Info, Some("reply_too_large")) if tcp => None,
-            (Req::Query(_) | Req::Explain(_), Some("overloaded")) => None,
+            (Req::Query(_) | Req::Explain(_) | Req::Why(..), Some("overloaded")) => None,
             (Req::Silent, Some("noop")) if tcp => None,
             (Req::Info, Some("stats" | "snapshot")) => None,
             (Req::Refused(want), _) if !flag(&v, &["ok"]) && kind == *want => None,

@@ -83,7 +83,7 @@ pub const EVENTS: &[EventKind] = &[
     EventKind {
         kind: "serve.shed",
         layer: "serve",
-        doc: "A query was shed at admission: how long it waited for a permit.",
+        doc: "A query, `!explain` or `why` was shed at admission: how long it waited for a permit.",
     },
     EventKind {
         kind: "serve.update",

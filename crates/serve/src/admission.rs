@@ -1,8 +1,9 @@
 //! Admission control: a counting semaphore bounding concurrent evaluations.
 //!
-//! Every query acquires a permit before evaluating and releases it on drop
-//! (RAII), so at most `permits` saturations run at once no matter how many
-//! threads call into the service. Waiting is FIFO-ish (condvar wakeup
+//! Every evaluating request — a query, `!explain`, `why` — acquires a permit
+//! before it reads the snapshot and releases it on drop (RAII), so at most
+//! `permits` evaluations run at once no matter how many threads call into
+//! the service. Waiting is FIFO-ish (condvar wakeup
 //! order); the time spent waiting is reported per query as `queue_wait` in
 //! [`crate::stats::ServeStats`].
 
@@ -25,40 +26,34 @@ impl Semaphore {
         }
     }
 
-    /// Blocks until a slot is free; returns the slot and how long the
-    /// caller queued for it.
-    pub(crate) fn acquire(&self) -> (Permit<'_>, Duration) {
+    /// Waits for a slot — unboundedly when `max_wait` is `None`, else at
+    /// most that long. Returns the slot and how long the caller queued for
+    /// it, or `None` once a bounded wait expires: the caller sheds the
+    /// request instead of queueing unboundedly. A bounded wait is strict: no
+    /// caller blocks longer than `max_wait` (plus scheduler noise), which is
+    /// the admission-fairness contract the network front end's shed/retry
+    /// loop relies on.
+    pub(crate) fn acquire(&self, max_wait: Option<Duration>) -> Option<(Permit<'_>, Duration)> {
         let start = Instant::now();
         let mut free = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
         while *free == 0 {
-            free = self
-                .available
-                .wait(free)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        *free -= 1;
-        (Permit { semaphore: self }, start.elapsed())
-    }
-
-    /// Waits at most `max_wait` for a slot. Returns the slot and the actual
-    /// queue time, or `None` once the wait bound expires — the caller sheds
-    /// the request instead of queueing unboundedly. The wait is strictly
-    /// bounded: no caller ever blocks longer than `max_wait` (plus scheduler
-    /// noise), which is the admission-fairness contract the network front
-    /// end's shed/retry loop relies on.
-    pub(crate) fn try_acquire_for(&self, max_wait: Duration) -> Option<(Permit<'_>, Duration)> {
-        let start = Instant::now();
-        let mut free = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
-        while *free == 0 {
-            let remaining = max_wait.checked_sub(start.elapsed())?;
-            let (guard, timeout) = self
-                .available
-                .wait_timeout(free, remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-            free = guard;
-            if timeout.timed_out() && *free == 0 {
-                return None;
-            }
+            free = match max_wait {
+                None => self
+                    .available
+                    .wait(free)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(bound) => {
+                    let remaining = bound.checked_sub(start.elapsed())?;
+                    let (guard, timeout) = self
+                        .available
+                        .wait_timeout(free, remaining)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    if timeout.timed_out() && *guard == 0 {
+                        return None;
+                    }
+                    guard
+                }
+            };
         }
         *free -= 1;
         // A wakeup consumed here cannot strand another waiter: permits are
@@ -100,7 +95,7 @@ mod tests {
         for _ in 0..8 {
             let (sem, running, peak) = (sem.clone(), running.clone(), peak.clone());
             handles.push(std::thread::spawn(move || {
-                let (_permit, _wait) = sem.acquire();
+                let (_permit, _wait) = sem.acquire(None).unwrap();
                 let now = running.fetch_add(1, Ordering::SeqCst) + 1;
                 peak.fetch_max(now, Ordering::SeqCst);
                 std::thread::sleep(Duration::from_millis(5));
@@ -116,7 +111,7 @@ mod tests {
     #[test]
     fn try_acquire_for_succeeds_immediately_when_free() {
         let sem = Semaphore::new(1);
-        let (p, wait) = sem.try_acquire_for(Duration::from_millis(1)).unwrap();
+        let (p, wait) = sem.acquire(Some(Duration::from_millis(1))).unwrap();
         assert!(wait < Duration::from_millis(50));
         drop(p);
     }
@@ -124,9 +119,9 @@ mod tests {
     #[test]
     fn try_acquire_for_times_out_with_a_bounded_wait() {
         let sem = Semaphore::new(1);
-        let (_held, _) = sem.acquire();
+        let (_held, _) = sem.acquire(None).unwrap();
         let start = std::time::Instant::now();
-        assert!(sem.try_acquire_for(Duration::from_millis(30)).is_none());
+        assert!(sem.acquire(Some(Duration::from_millis(30))).is_none());
         let waited = start.elapsed();
         assert!(waited >= Duration::from_millis(25), "returned early");
         assert!(
@@ -138,10 +133,10 @@ mod tests {
     #[test]
     fn try_acquire_for_picks_up_a_freed_permit() {
         let sem = Arc::new(Semaphore::new(1));
-        let (held, _) = sem.acquire();
+        let (held, _) = sem.acquire(None).unwrap();
         let sem2 = sem.clone();
         let waiter = std::thread::spawn(move || {
-            sem2.try_acquire_for(Duration::from_secs(5))
+            sem2.acquire(Some(Duration::from_secs(5)))
                 .map(|(_p, wait)| wait)
         });
         std::thread::sleep(Duration::from_millis(20));
@@ -164,7 +159,7 @@ mod tests {
                 let mut max_wait = Duration::ZERO;
                 for _ in 0..25 {
                     let start = std::time::Instant::now();
-                    if let Some((_p, _)) = sem.try_acquire_for(Duration::from_millis(200)) {
+                    if let Some((_p, _)) = sem.acquire(Some(Duration::from_millis(200))) {
                         std::thread::sleep(Duration::from_millis(1));
                     }
                     max_wait = max_wait.max(start.elapsed());
@@ -185,11 +180,11 @@ mod tests {
     #[test]
     fn dropping_a_permit_unblocks_a_waiter() {
         let sem = Arc::new(Semaphore::new(1));
-        let (p, wait) = sem.acquire();
+        let (p, wait) = sem.acquire(None).unwrap();
         assert!(wait < Duration::from_secs(1));
         let sem2 = sem.clone();
         let waiter = std::thread::spawn(move || {
-            let (_p, wait) = sem2.acquire();
+            let (_p, wait) = sem2.acquire(None).unwrap();
             wait
         });
         std::thread::sleep(Duration::from_millis(20));

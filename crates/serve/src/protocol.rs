@@ -352,7 +352,7 @@ fn handle_request(
     }
     if let Some(rest) = line.strip_prefix("why ") {
         let (pred, tuple) = parse_ground_fact(rest)?;
-        let why = service.why(pred, &tuple, DEFAULT_WHY_DEPTH, &budget)?;
+        let why = service.why(pred, &tuple, DEFAULT_WHY_DEPTH, &budget, max_wait)?;
         return Ok(json::to_string(&render_why(&why)));
     }
     let text = query_text(line);

@@ -368,11 +368,7 @@ impl QueryService {
         max_wait: Option<Duration>,
         obs: &Obs,
     ) -> Result<(Permit<'_>, Duration), ServeError> {
-        let admitted = match max_wait {
-            None => Some(self.admission.acquire()),
-            Some(wait) => self.admission.try_acquire_for(wait),
-        };
-        admitted.ok_or_else(|| {
+        self.admission.acquire(max_wait).ok_or_else(|| {
             let waited = max_wait.unwrap_or_default();
             obs.counter("recurs_serve_queries_shed_total", &[], 1);
             if obs.enabled() {
@@ -777,14 +773,16 @@ impl QueryService {
     /// to a derivation tree — over the maintained view when it is exact for
     /// the snapshot, else over a saturated clone of the snapshot's store —
     /// cross-checked structurally before it is returned. A budget that
-    /// runs out first makes a truncated reply, not an error. This is the
-    /// `why <fact>` protocol command and `run --why`.
+    /// runs out first makes a truncated reply, not an error. It holds an
+    /// evaluation slot for the walk, admitted like a query under `max_wait`.
+    /// This is the `why <fact>` protocol command and `run --why`.
     pub fn why(
         &self,
         predicate: Symbol,
         tuple: &[recurs_datalog::term::Value],
         max_depth: u64,
         budget: &EvalBudget,
+        max_wait: Option<Duration>,
     ) -> Result<WhyReply, ServeError> {
         let lr = self.plans.recursion();
         if predicate != lr.predicate {
@@ -793,6 +791,7 @@ impl QueryService {
                 serves: lr.predicate,
             });
         }
+        let (_permit, _) = self.admit(max_wait, &self.obs)?;
         let start = Instant::now();
         let snapshot = self.store.load();
         // A view exact for the snapshot already holds the fixpoint: the walk
@@ -1411,7 +1410,7 @@ mod tests {
         let q = parse_atom("P(1, y)").unwrap();
         let (budget, wait) = (EvalBudget::unlimited(), Some(Duration::from_millis(1)));
         // Hold the only evaluation slot: every bounded request is shed.
-        let (held, _) = service.admission.acquire();
+        let (held, _) = service.admission.acquire(None).unwrap();
         let explained = service.explain(&q, &budget, wait, TraceId::from_u64(7));
         assert!(matches!(explained, Err(ServeError::Overloaded { .. })));
         let queried = service.query_traced(&q, &budget, wait, TraceId::from_u64(8));
@@ -1434,12 +1433,47 @@ mod tests {
     }
 
     #[test]
+    fn a_why_waits_for_a_slot_and_is_shed_like_a_query() {
+        use crate::protocol::{handle_line_with, LineOptions, LineOutcome, RequestResult};
+        let config = ServeConfig {
+            max_concurrent: 1,
+            ..ServeConfig::default()
+        };
+        let service = tc_service(6, config);
+        let opts = LineOptions {
+            max_queue_wait: Some(Duration::from_millis(1)),
+            ..LineOptions::default()
+        };
+        let why = |service: &QueryService| match handle_line_with(service, "why P(1, 4).", &opts) {
+            (LineOutcome::Reply(text), result) => (text, result),
+            _ => panic!("a why line gets a reply"),
+        };
+        // Hold the only evaluation slot: the walk waits for it like a query.
+        let (held, _) = service.admission.acquire(None).unwrap();
+        let (text, result) = why(&service);
+        assert_eq!(result, RequestResult::Shed, "{text}");
+        assert!(text.contains("\"type\":\"overloaded\""), "{text}");
+        assert!(text.contains("\"retry_after_ms\":"), "{text}");
+        let shed = || {
+            service
+                .metrics
+                .counter_value("recurs_serve_queries_shed_total", &[])
+        };
+        assert_eq!(shed(), 1);
+        drop(held);
+        let (text, result) = why(&service);
+        assert_eq!(result, RequestResult::Ok, "{text}");
+        assert!(text.contains("\"type\":\"why\""), "{text}");
+        assert_eq!(shed(), 1);
+    }
+
+    #[test]
     fn why_returns_a_verified_tree_or_not_derived() {
         let service = tc_service(5, ServeConfig::default());
         let p = recurs_datalog::symbol::Symbol::intern("P");
         let unlimited = EvalBudget::unlimited();
         let derived = service
-            .why(p, &tuple_u64([1, 4]), 1_000, &unlimited)
+            .why(p, &tuple_u64([1, 4]), 1_000, &unlimited, None)
             .unwrap();
         assert_eq!(derived.fact, "P(1, 4)");
         assert!(!derived.view_seeded);
@@ -1452,10 +1486,12 @@ mod tests {
             "an EDB leaf"
         );
         let missing = service
-            .why(p, &tuple_u64([4, 1]), 1_000, &unlimited)
+            .why(p, &tuple_u64([4, 1]), 1_000, &unlimited, None)
             .unwrap();
         assert!(matches!(missing.outcome, Ok(WhyOutcome::NotDerived)));
-        let shallow = service.why(p, &tuple_u64([1, 4]), 0, &unlimited).unwrap();
+        let shallow = service
+            .why(p, &tuple_u64([1, 4]), 0, &unlimited, None)
+            .unwrap();
         assert!(matches!(
             shallow.outcome,
             Ok(WhyOutcome::DepthExceeded {
@@ -1465,12 +1501,14 @@ mod tests {
         ));
         // A budget stop is a truncated reply, not an error.
         let tight = EvalBudget::unlimited().with_max_tuples(1);
-        let stopped = service.why(p, &tuple_u64([1, 4]), 1_000, &tight).unwrap();
+        let stopped = service
+            .why(p, &tuple_u64([1, 4]), 1_000, &tight, None)
+            .unwrap();
         assert_eq!(stopped.outcome.unwrap_err(), TruncationReason::TupleCeiling);
         // Wrong predicate is a typed error.
         let q = recurs_datalog::symbol::Symbol::intern("Q");
         assert!(matches!(
-            service.why(q, &tuple_u64([1, 2]), 10, &unlimited),
+            service.why(q, &tuple_u64([1, 2]), 10, &unlimited, None),
             Err(ServeError::WrongPredicate { .. })
         ));
     }
@@ -1486,13 +1524,13 @@ mod tests {
         let p = recurs_datalog::symbol::Symbol::intern("P");
         let unlimited = EvalBudget::unlimited();
         let derived = service
-            .why(p, &tuple_u64([1, 4]), 1_000, &unlimited)
+            .why(p, &tuple_u64([1, 4]), 1_000, &unlimited, None)
             .unwrap();
         assert!(derived.view_seeded);
         assert_eq!(derived.snapshot_version, 1);
         assert!(matches!(derived.outcome, Ok(WhyOutcome::Derived(_))));
         let missing = service
-            .why(p, &tuple_u64([4, 1]), 1_000, &unlimited)
+            .why(p, &tuple_u64([4, 1]), 1_000, &unlimited, None)
             .unwrap();
         assert!(missing.view_seeded);
         assert!(matches!(missing.outcome, Ok(WhyOutcome::NotDerived)));

@@ -96,11 +96,8 @@ fn cli_run_reports_typed_errors_for_bad_programs() {
                 file: String::new(),
                 check: false,
                 engine: false,
-                timeout_ms: None,
-                max_tuples: None,
-                max_iterations: None,
+                opts: recurs_cli::ServiceOpts::default(),
                 stats_json: false,
-                trace: None,
                 metrics: false,
                 why: None,
                 why_depth: recurs_ivm::DEFAULT_WHY_DEPTH,
