@@ -6,8 +6,10 @@
 # Runs `BASE ARGS...` and `CHANGE ARGS...` as PAIRS pairs of processes
 # (default 16), pinned to CPU (default 1) with `taskset`, the side that runs
 # first alternating from pair to pair, so drift in the host's speed falls on
-# both sides alike. Prints each build's median wall time per process and the
-# median of the per-pair ratios CHANGE / BASE. With `--stats-json` (which
+# both sides alike. Prints each build's wall time per process (median, and
+# first and third quartiles), the median of the per-pair ratios
+# CHANGE / BASE, and how many pairs CHANGE won (ties count for neither
+# side). With `--stats-json` (which
 # ARGS must allow: `run FILE --engine indexed`), the flag is passed on, and
 # each build's median saturation time (`total_duration_us`) and widest round
 # (the round with the most new tuples: its time and rows) are printed too,
@@ -79,12 +81,20 @@ for ((i = 0; i < pairs; i++)); do
   run_one $((1 - first))
 done
 
-# The median of the numbers in column `col` of `file`.
-median() {
-  awk -v c="$2" '{ print $c }' "$1" | sort -g | awk '
+# The `q`-quantile (0 to 1) of the numbers in column `col` of `file`,
+# interpolated between the two nearest ranks.
+quantile() {
+  awk -v c="$2" '{ print $c }' "$1" | sort -g | awk -v q="$3" '
     { v[NR] = $1 }
-    END { print (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
+    END {
+      h = (NR - 1) * q + 1
+      i = int(h)
+      print (i < NR) ? v[i] + (h - i) * (v[i + 1] - v[i]) : v[NR]
+    }'
 }
+
+# The median of the numbers in column `col` of `file`.
+median() { quantile "$1" "$2" 0.5; }
 
 # The median of the per-pair ratios CHANGE / BASE of column `col`.
 ratio() {
@@ -99,6 +109,8 @@ echo "pairs: $pairs, pinned to CPU $cpu: ${args[*]}"
 for side in 0 1; do
   label=$([ "$side" = 0 ] && echo base || echo change)
   line="$label ${bins[$side]}: wall $(ms "$(median "$tmp/wall.$side" 1)") ms"
+  line+=" (q1 $(ms "$(quantile "$tmp/wall.$side" 1 0.25)")"
+  line+=", q3 $(ms "$(quantile "$tmp/wall.$side" 1 0.75)"))"
   if [ "$stats" = 1 ]; then
     line+=", saturation $(ms "$(median "$tmp/stats.$side" 1)") ms"
     line+=", widest round $(ms "$(median "$tmp/stats.$side" 2)") ms"
@@ -106,6 +118,8 @@ for side in 0 1; do
   fi
   echo "$line"
 done
+won="$(paste -d' ' "$tmp/wall.0" "$tmp/wall.1" | awk '$2 < $1 { n++ } END { print n + 0 }')"
 line="change / base, median of per-pair ratios: wall $(ratio wall 1 1)"
+line+=" (change won $won of $pairs pairs)"
 [ "$stats" = 1 ] && line+=", saturation $(ratio stats 1 3)"
 echo "$line"

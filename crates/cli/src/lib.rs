@@ -1125,8 +1125,9 @@ fn explain_why(
 ) -> Result<Outcome, String> {
     let (pred, tuple) = parse_ground_fact(fact_text)?;
     let service = service_of(loaded.lr, loaded.db, opts, cancel)?;
+    let budget = service.default_budget();
     let why = service
-        .why(pred, &tuple, depth_bound, service.default_budget(), None)
+        .why(pred, &tuple, depth_bound, budget, None, None)
         .map_err(|e| match e {
             ServeError::WrongPredicate { got, serves } => {
                 format!("--why explains {serves} facts; `{got}` is not the recursive predicate")
@@ -1434,7 +1435,7 @@ E(1, 2). E(2, 3). E(2, 4).
             };
             let (service, _) = build_service_cancellable(TC, &opts, None).unwrap();
             let (pred, tuple) = parse_ground_fact(fact).unwrap();
-            let served = service.why(pred, &tuple, depth, service.default_budget(), None);
+            let served = service.why(pred, &tuple, depth, service.default_budget(), None, None);
             let found = match served.unwrap().outcome {
                 Ok(WhyOutcome::Derived(_)) => "derived",
                 Ok(WhyOutcome::NotDerived) => "not derivable",

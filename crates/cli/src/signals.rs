@@ -28,6 +28,10 @@ mod imp {
     }
 
     fn set(handler: usize) {
+        // SAFETY: `signal` is the C library's, declared with its C
+        // signature (a handler is one pointer-sized value); both signal
+        // numbers are valid, and `handler` is `SIG_DFL` or `on_signal`, an
+        // `extern "C"` function doing only async-signal-safe work.
         unsafe {
             signal(SIGINT, handler);
             signal(SIGTERM, handler);

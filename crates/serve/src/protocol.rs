@@ -351,8 +351,11 @@ fn handle_request(
         return Err("usage: why <ground fact>".to_string().into());
     }
     if let Some(rest) = line.strip_prefix("why ") {
+        // Traced only when the request names an id: a `why` has no spans
+        // for a minted one to join.
         let (pred, tuple) = parse_ground_fact(rest)?;
-        let why = service.why(pred, &tuple, DEFAULT_WHY_DEPTH, &budget, max_wait)?;
+        let depth = DEFAULT_WHY_DEPTH;
+        let why = service.why(pred, &tuple, depth, &budget, max_wait, request.trace)?;
         return Ok(json::to_string(&render_why(&why)));
     }
     let text = query_text(line);
@@ -561,6 +564,9 @@ fn render_why(why: &WhyReply) -> Value {
             ("truncated", Value::Bool(true)),
             ("truncation", reason.to_value()),
         ]),
+    }
+    if let Some(trace) = why.trace {
+        fields.push(("trace", Value::string(trace.to_string())));
     }
     Value::object(fields)
 }
@@ -984,6 +990,29 @@ mod tests {
         let r = reply(&s, "why Q(1, 2).");
         assert!(r.contains("\"ok\":false"), "got {r}");
         assert!(r.contains("not served"), "got {r}");
+    }
+
+    #[test]
+    fn a_traced_why_echoes_its_trace_id_and_tags_its_events_in_one_span() {
+        let capture = std::sync::Arc::new(recurs_obs::CaptureRecorder::new());
+        let s = service_with(ServeConfig {
+            obs: recurs_obs::Obs::new(capture.clone()),
+            ..ServeConfig::default()
+        });
+        let r = reply(&s, "@trace=abc why P(1, 3).");
+        assert!(r.ends_with(r#","trace":"0000000000000abc"}"#), "got {r}");
+        let r = reply(&s, "why P(1, 3).");
+        assert!(!r.contains("\"trace\""), "an untraced why mints none: {r}");
+        let traces: Vec<_> = capture
+            .events_of("serve.why")
+            .iter()
+            .map(|e| e.trace)
+            .collect();
+        assert_eq!(traces, [Some(TraceId::from_u64(0xabc)), None]);
+        let spans = capture.events_of("span");
+        let request = spans.iter().map(|e| (e.text("name"), e.trace));
+        let want = (Some("request"), Some(TraceId::from_u64(0xabc)));
+        assert_eq!(request.collect::<Vec<_>>(), [want]);
     }
 
     /// The renderer `render_reply` replaced, kept as its reference: the

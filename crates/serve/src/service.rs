@@ -85,6 +85,9 @@ pub struct WhyReply {
     /// Whether the maintained view was exact for that version, so the walk
     /// ran over it and nothing was saturated.
     pub view_seeded: bool,
+    /// The trace id the request named, echoed in the reply; none was
+    /// minted for a request that named none.
+    pub trace: Option<TraceId>,
 }
 
 /// What [`QueryService::apply_update`] did.
@@ -775,7 +778,10 @@ impl QueryService {
     /// cross-checked structurally before it is returned. A budget that
     /// runs out first makes a truncated reply, not an error. It holds an
     /// evaluation slot for the walk, admitted like a query under `max_wait`.
-    /// This is the `why <fact>` protocol command and `run --why`.
+    /// This is the `why <fact>` protocol command and `run --why`. Under the
+    /// `trace` id a request named, if it named one, the `serve.why` and
+    /// `serve.shed` events carry it, inside one `request` span, and so does
+    /// the reply; none is minted for a request that named none.
     pub fn why(
         &self,
         predicate: Symbol,
@@ -783,7 +789,12 @@ impl QueryService {
         max_depth: u64,
         budget: &EvalBudget,
         max_wait: Option<Duration>,
+        trace: Option<TraceId>,
     ) -> Result<WhyReply, ServeError> {
+        let ctx = trace.map(|id| TraceCtx::new(&self.obs, id));
+        // One `request` span, so that what it tags is a tree `obsctl` reads.
+        let _request = ctx.as_ref().map(|ctx| ctx.root("request"));
+        let obs = ctx.as_ref().map_or(&self.obs, TraceCtx::obs);
         let lr = self.plans.recursion();
         if predicate != lr.predicate {
             return Err(ServeError::WrongPredicate {
@@ -791,7 +802,7 @@ impl QueryService {
                 serves: lr.predicate,
             });
         }
-        let (_permit, _) = self.admit(max_wait, &self.obs)?;
+        let (_permit, _) = self.admit(max_wait, obs)?;
         let start = Instant::now();
         let snapshot = self.store.load();
         // A view exact for the snapshot already holds the fixpoint: the walk
@@ -822,8 +833,8 @@ impl QueryService {
         // client error — refuse to present it.
         if let Ok(WhyOutcome::Derived(tree)) = &outcome {
             if let Err(defect) = verify_tree(lr, snapshot.store(), tree) {
-                if self.obs.enabled() {
-                    self.obs.event(
+                if obs.enabled() {
+                    obs.event(
                         "serve.why",
                         &[("fact", field::s(&fact)), ("defect", field::s(defect))],
                     );
@@ -833,7 +844,7 @@ impl QueryService {
                 )));
             }
         }
-        if self.obs.enabled() {
+        if obs.enabled() {
             let mut fields = vec![("fact", field::s(&fact))];
             match &outcome {
                 Ok(found) => {
@@ -843,13 +854,14 @@ impl QueryService {
                 Err(reason) => fields.push(("truncation", field::st(reason.label()))),
             }
             fields.push(("eval_us", field::us(start.elapsed())));
-            self.obs.event("serve.why", &fields);
+            obs.event("serve.why", &fields);
         }
         Ok(WhyReply {
             fact,
             outcome,
             snapshot_version: snapshot.version(),
             view_seeded,
+            trace,
         })
     }
 }
@@ -1468,12 +1480,40 @@ mod tests {
     }
 
     #[test]
+    fn a_traced_why_that_is_shed_tags_its_shed_event() {
+        use crate::protocol::{handle_line_with, LineOptions, RequestResult};
+        let capture = std::sync::Arc::new(recurs_obs::CaptureRecorder::new());
+        let config = ServeConfig {
+            max_concurrent: 1,
+            obs: recurs_obs::Obs::new(capture.clone()),
+            ..ServeConfig::default()
+        };
+        let service = tc_service(6, config);
+        let opts = LineOptions {
+            max_queue_wait: Some(Duration::from_millis(1)),
+            ..LineOptions::default()
+        };
+        let (held, _) = service.admission.acquire(None).unwrap();
+        for line in ["@trace=abc why P(1, 4).", "why P(1, 4)."] {
+            let (_, result) = handle_line_with(&service, line, &opts);
+            assert_eq!(result, RequestResult::Shed, "{line}");
+        }
+        drop(held);
+        let traces: Vec<_> = capture
+            .events_of("serve.shed")
+            .iter()
+            .map(|e| e.trace)
+            .collect();
+        assert_eq!(traces, [Some(TraceId::from_u64(0xabc)), None]);
+    }
+
+    #[test]
     fn why_returns_a_verified_tree_or_not_derived() {
         let service = tc_service(5, ServeConfig::default());
         let p = recurs_datalog::symbol::Symbol::intern("P");
         let unlimited = EvalBudget::unlimited();
         let derived = service
-            .why(p, &tuple_u64([1, 4]), 1_000, &unlimited, None)
+            .why(p, &tuple_u64([1, 4]), 1_000, &unlimited, None, None)
             .unwrap();
         assert_eq!(derived.fact, "P(1, 4)");
         assert!(!derived.view_seeded);
@@ -1486,11 +1526,11 @@ mod tests {
             "an EDB leaf"
         );
         let missing = service
-            .why(p, &tuple_u64([4, 1]), 1_000, &unlimited, None)
+            .why(p, &tuple_u64([4, 1]), 1_000, &unlimited, None, None)
             .unwrap();
         assert!(matches!(missing.outcome, Ok(WhyOutcome::NotDerived)));
         let shallow = service
-            .why(p, &tuple_u64([1, 4]), 0, &unlimited, None)
+            .why(p, &tuple_u64([1, 4]), 0, &unlimited, None, None)
             .unwrap();
         assert!(matches!(
             shallow.outcome,
@@ -1502,13 +1542,13 @@ mod tests {
         // A budget stop is a truncated reply, not an error.
         let tight = EvalBudget::unlimited().with_max_tuples(1);
         let stopped = service
-            .why(p, &tuple_u64([1, 4]), 1_000, &tight, None)
+            .why(p, &tuple_u64([1, 4]), 1_000, &tight, None, None)
             .unwrap();
         assert_eq!(stopped.outcome.unwrap_err(), TruncationReason::TupleCeiling);
         // Wrong predicate is a typed error.
         let q = recurs_datalog::symbol::Symbol::intern("Q");
         assert!(matches!(
-            service.why(q, &tuple_u64([1, 2]), 10, &unlimited, None),
+            service.why(q, &tuple_u64([1, 2]), 10, &unlimited, None, None),
             Err(ServeError::WrongPredicate { .. })
         ));
     }
@@ -1524,13 +1564,13 @@ mod tests {
         let p = recurs_datalog::symbol::Symbol::intern("P");
         let unlimited = EvalBudget::unlimited();
         let derived = service
-            .why(p, &tuple_u64([1, 4]), 1_000, &unlimited, None)
+            .why(p, &tuple_u64([1, 4]), 1_000, &unlimited, None, None)
             .unwrap();
         assert!(derived.view_seeded);
         assert_eq!(derived.snapshot_version, 1);
         assert!(matches!(derived.outcome, Ok(WhyOutcome::Derived(_))));
         let missing = service
-            .why(p, &tuple_u64([4, 1]), 1_000, &unlimited, None)
+            .why(p, &tuple_u64([4, 1]), 1_000, &unlimited, None, None)
             .unwrap();
         assert!(missing.view_seeded);
         assert!(matches!(missing.outcome, Ok(WhyOutcome::NotDerived)));

@@ -208,7 +208,7 @@ fn a_view_backed_why_allocates_for_its_tree_not_the_store() {
         let unlimited = EvalBudget::unlimited();
         let why = |k: u64| {
             service
-                .why(p, &tuple_u64([k, k + 2]), 1_000, &unlimited, None)
+                .why(p, &tuple_u64([k, k + 2]), 1_000, &unlimited, None, None)
                 .unwrap()
         };
         why(5); // whatever the recorder interns per label set is interned now
