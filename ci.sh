@@ -61,12 +61,20 @@ fi
 # One-derived-store guard: a `why` reads a store that already holds the
 # fixpoint — the maintained view, or a clone the engine's ordinary
 # saturation filled — and never runs rounds of its own. So provenance names
-# no round driver and keeps no rank table beside the store.
-echo "==> one-derived-store guard (provenance runs no rounds and keeps no rank table)"
+# no round driver and keeps no rank table beside the store. And the view is
+# a set: maintenance decides by membership, or by whether a deletion's
+# candidate keeps any support, so no derivation-count table sits beside it.
+echo "==> one-derived-store guard (provenance runs no rounds and keeps no rank table; the view keeps no count table)"
 if non_test crates/ivm/src/provenance.rs | grep -nE "drive_rounds|saturate_with_ranks|\bRanked\b|\branks\b"; then
   echo "crates/ivm/src/provenance.rs runs rounds or keeps ranks again: walk a saturated store" >&2
   exit 1
 fi
+for f in $(find crates/ivm/src -name '*.rs'); do
+  if non_test "$f" | grep -nE "\badd_count\b|\bcounts:|\bfn count\("; then
+    echo "$f keeps derivation counts beside the view again: the view is a set" >&2
+    exit 1
+  fi
+done
 # One-index-policy guard: serve builds no index for a query. A kernel's
 # pipelines get theirs from the snapshot's republish
 # (`SnapshotStore::with_indexes`, once per form), and the view's per-column
@@ -406,7 +414,7 @@ fi
 # EXPERIMENTS.md reports — may not grow past the number below. A change that
 # deletes code lowers it in the same change; one that must grow raises it
 # and names the lines in CHANGES.md.
-size_budget=12386
+size_budget=12334
 echo "==> size ratchet (at most $size_budget non-test code lines in crates/*/src)"
 size=0
 for f in $(find crates/*/src -name '*.rs'); do
@@ -422,7 +430,7 @@ fi
 # no other crate, test, bench, example or perfbench/layers names is
 # `pub(crate)`; a change that must widen one raises the budget and names
 # the item in CHANGES.md.
-pub_budget=651
+pub_budget=650
 echo "==> pub ratchet (at most $pub_budget non-test pub items in crates/*/src)"
 pubs=0
 for f in $(find crates/*/src -name '*.rs'); do

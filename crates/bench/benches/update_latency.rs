@@ -6,7 +6,7 @@
 //! timed two ways:
 //!
 //! * **patched_update** — insert a fresh tip edge `E(n, n+1)` and patch the
-//!   standing materialization with counting propagation, then delete it
+//!   standing materialization with semi-naive propagation, then delete it
 //!   again and patch with DRed (overdelete, recount, rederive). One
 //!   iteration is the full cycle — *two* single-fact patches — which keeps
 //!   the timed loop stationary;

@@ -94,6 +94,16 @@
 //! `ans__P__dv` answers beside them. No round count moved, and
 //! `flight_events.jsonl` (which keeps no `engine.iteration` line) and
 //! `metrics.txt` are as they were.
+//!
+//! And these, when the maintained view became a set and an insertion
+//! stopped recounting its marked heads (each has a body instantiation over
+//! the new store by construction, and the count the recount kept was read
+//! by nothing): `trace_events.jsonl` lost lines 66–68, the `+A(6, 7).
+//! +E(6, 7).` patch's recount round between its two mark rounds and its
+//! propagation (two `engine.rule` lines and one `engine.iteration`); in
+//! `metrics.txt`, `recurs_engine_rounds_total` 22 → 21. The `ivm.patch`
+//! event's `rounds` never counted that round and is as it was, and so is
+//! `flight_events.jsonl`, which keeps no per-round line.
 
 use recurs_cli::{build_service_cancellable, ServiceOpts};
 use recurs_serve::protocol::{handle_line, LineOutcome};

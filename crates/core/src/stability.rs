@@ -8,8 +8,8 @@
 //!
 //! Both characterizations are implemented here — the syntactic one via the
 //! classification, the semantic one by checking determined-variable
-//! propagation over every query form — so the equivalence can be tested
-//! rather than assumed.
+//! propagation over the singleton query forms — so the equivalence can be
+//! tested rather than assumed.
 
 use crate::classify::Classification;
 use recurs_datalog::adornment::{propagate, ArgBinding, QueryForm};
@@ -18,49 +18,28 @@ use recurs_datalog::rule::Rule;
 /// Semantic strong stability: every query form maps to itself under
 /// determined-variable propagation.
 ///
-/// The check is exhaustive over the 2ⁿ query forms; formulas in the paper's
-/// fragment have small dimension, and stability under all the single-`d`
-/// forms already implies stability in general (closures of unions are unions
-/// of closures), so this is cheap in practice.
+/// The n singleton forms suffice. Propagation's closure is reachability
+/// ([`determined_closure`](recurs_datalog::adornment::determined_closure)):
+/// one determined variable of a non-recursive atom determines all of its
+/// variables, so the closure of a union of seeds is the union of their
+/// closures, and a form is mapped to itself when each of its determined
+/// positions is. `tests/theorems_prop.rs` checks that against all 2ⁿ forms.
 pub(crate) fn is_strongly_stable_semantic(rule: &Rule) -> bool {
     let n = rule.head.arity();
-    // Propagation distributes over unions of determined seeds, so checking
-    // the n singleton forms suffices; the exhaustive loop below is kept for
-    // dimensions ≤ 12 as an executable statement of the definition.
-    if n <= 12 {
-        for mask in 0u32..(1 << n) {
-            let form = QueryForm(
-                (0..n)
-                    .map(|i| {
-                        if mask & (1 << i) != 0 {
-                            ArgBinding::Determined
-                        } else {
-                            ArgBinding::Free
-                        }
-                    })
-                    .collect(),
-            );
-            if propagate(rule, &form) != form {
-                return false;
-            }
-        }
-        true
-    } else {
-        (0..n).all(|i| {
-            let form = QueryForm(
-                (0..n)
-                    .map(|j| {
-                        if i == j {
-                            ArgBinding::Determined
-                        } else {
-                            ArgBinding::Free
-                        }
-                    })
-                    .collect(),
-            );
-            propagate(rule, &form) == form
-        })
-    }
+    (0..n).all(|i| {
+        let form = QueryForm(
+            (0..n)
+                .map(|j| {
+                    if i == j {
+                        ArgBinding::Determined
+                    } else {
+                        ArgBinding::Free
+                    }
+                })
+                .collect(),
+        );
+        propagate(rule, &form) == form
+    })
 }
 
 /// Syntactic strong stability (Theorem 1): only disjoint unit cycles.

@@ -4,9 +4,10 @@
 //! The classification changes exactly one thing about bottom-up evaluation —
 //! how many rounds a formula needs — so there is exactly one loop, and the
 //! round cap is its one class-dependent argument. Everything else a caller
-//! varies is *what counts as fresh*: set insertion for the engine kernels,
-//! derivation-count bumps for incremental maintenance, membership-filtered
-//! marking for overdeletion (the `merge` closure of [`drive_rounds`]).
+//! varies is *what counts as fresh*: bulk set insertion for the engine
+//! kernels, row-by-row set insertion that records a patch for incremental
+//! maintenance, membership-filtered marking for overdeletion (the `merge`
+//! closure of [`drive_rounds`]).
 //!
 //! A round is a barrier: every rule runs against the delta the round
 //! started with, and their head rows are merged after the last one. For a
@@ -22,9 +23,9 @@
 //! ([`EngineDb::insert_fresh`]) records the run of ids it appended to the
 //! head relation's arena, and the next round's pipelines read that run
 //! where it lies (EXPERIMENTS.md §30). Two cases keep copies in a batch:
-//! a merge that decides novelty itself (incremental maintenance's counting
-//! and marking merges push their rows), and a head relation with freed
-//! slots, whose new ids are not contiguous.
+//! a merge that decides novelty itself (incremental maintenance's
+//! propagating and marking merges push their rows), and a head relation
+//! with freed slots, whose new ids are not contiguous.
 
 use crate::compile::{CompiledRule, ProbeCounters, Scratch};
 use crate::error::EngineError;

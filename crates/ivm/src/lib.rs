@@ -1,24 +1,22 @@
 //! Incremental view maintenance for materialized linear-recursion fixpoints.
 //!
-//! A [`Materialization`] holds the saturated recursive predicate together
-//! with a *derivation count* per tuple — the number of ground rule
-//! instantiations whose head is that tuple, over the current database. The
-//! counts are what make maintenance exact:
+//! A [`Materialization`] holds the saturated recursive predicate as a set:
+//! its relation in the engine store, beside the EDB, is the fixpoint of the
+//! current database, and nothing else is kept per tuple. Both sides of a
+//! delta start the same way (`patch.rs`): *mark* the heads a changed EDB
+//! tuple can reach, then *propagate* semi-naively from the tuples that
+//! enter, each instantiation through an entering tuple enumerated in the
+//! round that tuple entered — exactly because the rule is linear.
 //!
-//! Both sides of a delta run the same three passes over the engine store
-//! (`patch.rs`): *mark* the heads a changed EDB tuple can reach, *recount*
-//! each candidate's instantiations over the store as it now stands, and
-//! *propagate* from the tuples that enter, each instantiation through them
-//! counted once — exactly because the rule is linear.
-//!
-//! * **Insertions** mark over the new EDB: the recount is the old count plus
-//!   exactly the instantiations through a new tuple, however many body
-//!   positions of one rule (or one relation used twice) the batch touches.
+//! * **Insertions** mark over the new EDB: each marked head comes from a
+//!   full body instantiation over the new store, so it is derivable, and the
+//!   ones not stored yet enter.
 //! * **Deletions** are DRed (delete-and-rederive): the mark runs over the
 //!   old state and is closed under the recursive delta pipeline, the
-//!   candidates are removed, recounted against the shrunken database and
-//!   revived forward — so self- and mutual-support cycles, which no
-//!   surviving tuple supports, stay deleted.
+//!   candidates are removed, *recounted* against the shrunken database —
+//!   a candidate that any surviving instantiation still derives is revived —
+//!   and propagated forward from the revived ones, so self- and
+//!   mutual-support cycles, which no surviving tuple supports, stay deleted.
 //!
 //! Every class runs this same machinery, and every deletion rederives its
 //! candidates in overdeletion-frontier discovery order. The classification

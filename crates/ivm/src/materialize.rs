@@ -1,24 +1,18 @@
-//! A materialized fixpoint with per-tuple derivation counts.
-//!
-//! The *count* of a tuple `t` is the number of ground rule instantiations
-//! (assignments to all body variables over the current database) whose head
-//! is `t`, summed over every rule. A tuple belongs to the fixpoint exactly
-//! when its count is positive, which is what lets deletions be maintained
-//! without re-deriving the world: supports are removed one instantiation at
-//! a time, and only tuples whose count reaches zero disappear.
-//!
-//! One engine fact makes the counts exact and cheap to maintain:
-//! [`CompiledRule::execute`] output rows are per-instantiation — the
-//! pipeline carries every distinct body variable and never dedupes. So a
-//! seeding round over the exit rules counts every exit instantiation once,
-//! seeding a delta pipeline at the recursive position enumerates each new
-//! instantiation exactly once (the rule is linear: one recursive atom), and
-//! a recount pipeline seeded with a head enumerates that head's
-//! instantiations over whatever the store holds at that moment.
+//! A materialized fixpoint, kept as a set.
 //!
 //! Every derived tuple lives in one place, the engine store: the
 //! materialized relation is the store's indexed relation for the recursive
-//! predicate, and the counts are a side table indexed by its tuple ids.
+//! predicate, and membership in it is the whole state — a tuple belongs to
+//! the fixpoint exactly when the relation holds it. Saturation and every
+//! patch grow it the same way: semi-naive rounds that store each head the
+//! recursive delta pipeline derives from the last round's fresh tuples (the
+//! rule is linear, so one recursive atom carries the delta), after a
+//! seeding round over the exit rules for a saturation.
+//!
+//! A deletion's rederivation asks one more question, whether a candidate
+//! still has support: a recount pipeline seeded with a head enumerates that
+//! head's instantiations over whatever the store holds at that moment, and
+//! any one of them suffices.
 
 use crate::delta::IdbPatch;
 use crate::provenance::compile_witnesses;
@@ -28,7 +22,7 @@ use recurs_datalog::error::DatalogError;
 use recurs_datalog::govern::{EvalBudget, Governor, TruncationReason};
 use recurs_datalog::rule::{LinearRecursion, Rule};
 use recurs_datalog::symbol::Symbol;
-use recurs_datalog::term::{Atom, Value};
+use recurs_datalog::term::Atom;
 use recurs_engine::compile::CompiledRule;
 use recurs_engine::{drive_rounds, Batch, EngineDb, IndexedRelation, Rounds};
 use recurs_obs::{field, Obs};
@@ -39,8 +33,8 @@ use std::collections::HashMap;
 /// Owns one engine store — the EDB relations (what [`EdbDelta::normalize`]
 /// and a cold rebuild read), each sharing its rows with whoever handed it
 /// over until an update changes it, plus the only copy of the derived
-/// relation — and the derivation counts. Built by
-/// [`Materialization::saturate`]; maintained by [`Materialization::apply`].
+/// relation. Built by [`Materialization::saturate`]; maintained by
+/// [`Materialization::apply`].
 ///
 /// [`EdbDelta::normalize`]: crate::EdbDelta::normalize
 pub struct Materialization {
@@ -52,9 +46,6 @@ pub struct Materialization {
     /// reaches it falls back cold.
     pub(crate) round_cap: Option<u64>,
     pub(crate) engine: EngineDb,
-    /// Derivation count per tuple id of the derived relation in `engine`
-    /// (slots of removed tuples are stale until the id is reused).
-    pub(crate) counts: Vec<u64>,
     /// The recursive rule's delta pipeline, differentiated at the recursive
     /// body position. Reused by insertion propagation, overdeletion, and
     /// forward rederivation — all three are "what follows from these
@@ -65,11 +56,12 @@ pub struct Materialization {
     /// every non-recursive body position that reads it.
     pub(crate) variants: HashMap<Symbol, Vec<CompiledRule>>,
     /// Recount pipelines, one per rule ([`compile_inverted`] deriving the
-    /// rule's own head). Seeded with candidate tuples, each emits one head
-    /// row per (candidate, body instantiation over the current store) pair;
-    /// a candidate that conflicts with a head constant or repeated head
-    /// variable simply fails the seed match, the same cases a per-candidate
-    /// head unification would reject.
+    /// rule's own head), that a deletion's rederivation runs. Seeded with
+    /// candidate tuples, each emits one head row per (candidate, body
+    /// instantiation over the current store) pair; a candidate that
+    /// conflicts with a head constant or repeated head variable simply fails
+    /// the seed match, the same cases a per-candidate head unification would
+    /// reject.
     pub(crate) recounts: Vec<CompiledRule>,
     /// Witness pipelines, one per rule, that [`Materialization::explain`]
     /// walks the view with: [`compile_inverted`] deriving the rule's whole
@@ -97,9 +89,9 @@ impl std::fmt::Debug for Materialization {
 }
 
 impl Materialization {
-    /// Saturates `lr` over `edb` from scratch, tracking derivation counts.
-    /// `edb` is a reference to plain facts, converted here, or an engine
-    /// store, whose relations are then shared, not copied.
+    /// Saturates `lr` over `edb` from scratch. `edb` is a reference to plain
+    /// facts, converted here, or an engine store, whose relations are then
+    /// shared, not copied.
     ///
     /// The EDB must not already contain tuples for the recursive predicate —
     /// the materialized relation is derived, never stored. A budget
@@ -133,17 +125,16 @@ impl Materialization {
             lr: lr.clone(),
             round_cap: Classification::of(rec).rank_bound().map(|rank| rank + 2),
             engine,
-            counts: Vec::new(),
             rec_delta,
             variants: HashMap::new(),
             recounts: Vec::new(),
             witnesses: Vec::new(),
             obs: obs.clone(),
         };
-        // The seeding round counts one derivation per exit-rule
-        // instantiation; the rounds after it propagate.
+        // The seeding round stores the exit rules' heads; the rounds after
+        // it propagate.
         let entering = Batch::new(lr.dimension());
-        let run = mat.propagate(Some(&exits), entering, &governor, None, None)?;
+        let run = mat.propagate(Some(&exits), entering, &governor, None)?;
         if let Some(reason) = stopped(&run) {
             return Err(IvmError::Truncated(reason));
         }
@@ -196,13 +187,6 @@ impl Materialization {
             .unwrap_or_else(|| unreachable!("materialized predicate is always declared"))
     }
 
-    /// The derivation count of a tuple (0 when underivable).
-    pub fn count(&self, t: &[Value]) -> u64 {
-        self.relation()
-            .id_of(t)
-            .map_or(0, |id| self.counts[id as usize])
-    }
-
     /// Compiles (once) every delta pipeline that reads `pred` at a
     /// non-recursive body position, and makes sure their probe indexes
     /// exist.
@@ -226,22 +210,17 @@ impl Materialization {
     }
 
     /// Semi-naive propagation of fresh recursive tuples through the
-    /// compiled delta pipeline, incrementing counts per enumerated
-    /// instantiation — after a seeding round over `seed` (the exit rules),
-    /// when given, and for heads in `only`, when given. Exactly-once is
-    /// guaranteed by linearity: each new instantiation contains exactly one
-    /// recursive subgoal, enumerated in the round where that subgoal was
-    /// fresh.
+    /// compiled delta pipeline, after a seeding round over `seed` (the exit
+    /// rules) when given: each head not stored yet is stored, recorded in
+    /// `patch` when given, and joins the next round's delta.
     pub(crate) fn propagate(
         &mut self,
         seed: Option<&[CompiledRule]>,
         delta: Batch,
         governor: &Governor,
         mut patch: Option<&mut IdbPatch>,
-        only: Option<&IndexedRelation>,
     ) -> Result<Rounds, IvmError> {
         let p = self.lr.predicate;
-        let counts = &mut self.counts;
         Ok(drive_rounds(
             &mut self.engine,
             seed,
@@ -255,7 +234,7 @@ impl Materialization {
                     return;
                 };
                 for h in heads.iter() {
-                    if only.is_none_or(|set| set.contains(h)) && add_count(stored, counts, h, 1) {
+                    if stored.insert(h) {
                         fresh.push(h.iter().copied());
                         if let Some(patch) = patch.as_deref_mut() {
                             patch.record_insert(h);
@@ -315,30 +294,6 @@ pub(crate) fn edb_only(lr: &LinearRecursion, mut engine: EngineDb) -> Result<Eng
         None => engine.declare(p, lr.dimension())?,
     }
     Ok(engine)
-}
-
-/// Counts `n` more derivations of `t`, storing it first when it is not in
-/// `stored` yet; true when it was not.
-pub(crate) fn add_count(
-    stored: &mut IndexedRelation,
-    counts: &mut Vec<u64>,
-    t: &[Value],
-    n: u64,
-) -> bool {
-    if let Some(id) = stored.id_of(t) {
-        counts[id as usize] += n;
-        return false;
-    }
-    let Some(id) = stored.insert_id(t) else {
-        return false; // just looked up: absent
-    };
-    // A fresh id, or a freed one whose stale count is overwritten.
-    let id = id as usize;
-    if id >= counts.len() {
-        counts.resize(id + 1, 0);
-    }
-    counts[id] = n;
-    true
 }
 
 /// Why a maintenance loop stopped short, if it did. A maintenance round cap

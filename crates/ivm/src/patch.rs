@@ -1,8 +1,9 @@
-//! Patch application: insertions and DRed deletions as mark → recount →
-//! propagate over the engine store, and the cold-saturation fallback.
+//! Patch application: insertions as mark → propagate and DRed deletions as
+//! mark → recount → propagate over the engine store, and the
+//! cold-saturation fallback.
 
 use crate::delta::{write, EdbDelta, IdbPatch};
-use crate::materialize::{add_count, stopped, Materialization, CAND};
+use crate::materialize::{stopped, Materialization, CAND};
 use crate::{maintenance_label, IvmError};
 use recurs_datalog::govern::{EvalBudget, Governor, TruncationReason};
 use recurs_datalog::symbol::Symbol;
@@ -66,9 +67,9 @@ fn mark(
 }
 
 impl Materialization {
-    /// Applies a normalized EDB delta, maintaining the fixpoint and counts
-    /// in place: the deleted side first, then the inserted side, each by
-    /// mark → recount → propagate.
+    /// Applies a normalized EDB delta, maintaining the fixpoint in place:
+    /// the deleted side first (mark → recount → propagate), then the
+    /// inserted side (mark → propagate).
     ///
     /// Truncation — by the budget or by a tripped rank-bound cap — never
     /// yields a partial result: the materialization is rebuilt by cold
@@ -131,36 +132,31 @@ impl Materialization {
     }
 
     /// Maintains one side of a delta — `changed` inserted into the EDB, or
-    /// (DRed) deleted from it — in three steps over the engine store. Every
-    /// pass is a [`drive_rounds`] call, so each is governed, capped and
-    /// fault-hooked the same way; they differ only in the merge.
+    /// (DRed) deleted from it — over the engine store. Every pass is a
+    /// [`drive_rounds`] call, so each is governed, capped and fault-hooked
+    /// the same way; they differ only in the merge.
     ///
     /// *Mark* runs every rule differentiated at each body position that
     /// reads a changed relation, seeded with the changed tuples; the heads it
     /// enumerates (duplicates are harmless, marking is idempotent) are the
-    /// candidates. An insertion marks over the new EDB: the heads with an
-    /// instantiation through a new tuple. A deletion marks over the old,
-    /// untouched state, keeps stored heads only, and closes the set under
-    /// the recursive delta pipeline (a support chain among candidates is a
-    /// delta chain at the recursive position); then the deleted EDB tuples
-    /// and every candidate are physically removed.
+    /// candidates. An insertion marks over the new EDB: each marked head has
+    /// a full body instantiation over the new store, so it is derivable by
+    /// construction, and those not stored yet enter. A deletion marks over
+    /// the old, untouched state, keeps stored heads only, and closes the set
+    /// under the recursive delta pipeline (a support chain among candidates
+    /// is a delta chain at the recursive position); then the deleted EDB
+    /// tuples and every candidate are physically removed.
     ///
-    /// *Recount* tallies each candidate's instantiations over the store as
-    /// it now stands, one indexed pipeline run per rule. After an insertion
-    /// that is (new EDB, old derived relation): the old count plus exactly
-    /// the instantiations that use a new tuple, however many body positions
-    /// of one rule — or of one relation, used twice — the batch touches.
-    /// After a deletion it is the support from *surviving* tuples. Heads the
-    /// mark did not reach keep counts that are already right; candidates not
-    /// stored (new heads, revived candidates) enter with their tally.
+    /// *Recount* (deletions only) runs each candidate's recount pipelines
+    /// over the survivors, one indexed run per rule: a candidate with any
+    /// instantiation left enters again. Pure self-support dies (the
+    /// recount never sees the removed tuple itself).
     ///
-    /// *Propagate* enumerates what the recount could not see — the
-    /// instantiations through those entering tuples — exactly once each, in
-    /// the round their recursive subgoal entered. A deletion counts them
-    /// for candidate heads only: a surviving head with support through a
-    /// candidate would itself have been marked. Pure self-support dies (the
-    /// recount never sees the tuple itself), and mutual-support cycles
-    /// revive only if some member rederives independently.
+    /// *Propagate* stores what follows from the entering tuples, semi-naive
+    /// from them. After a deletion every head it stores is a candidate: a
+    /// head derived through a revived candidate was derived through it
+    /// before the deletion too, so the closure marked it. Mutual-support
+    /// cycles revive only if some member rederives independently.
     fn maintain(
         &mut self,
         changed: &BTreeMap<Symbol, IndexedRelation>,
@@ -223,45 +219,44 @@ impl Materialization {
             }
         }
 
-        // --- Recount the candidates (a recount pipeline derives its seed:
-        // every head row is a candidate); store the tallies.
-        let mut tally = vec![0u64; cands.len()];
-        let run = drive_rounds(
-            &mut self.engine,
-            None,
-            &self.recounts,
-            [(Symbol::intern(CAND), batch_of(&cands))],
-            None,
-            governor,
-            &self.obs,
-            |_, _, _, heads, _| {
-                for id in heads.iter().filter_map(|h| cands.id_of(h)) {
-                    tally[id as usize] += 1;
-                }
-            },
-        )?;
-        if let Some(reason) = stopped(&run) {
-            return Ok(Some(reason));
+        // --- Recount a deletion's candidates over the survivors (a recount
+        // pipeline derives its seed: every head row is a candidate) and
+        // flag each one some instantiation still supports; an insertion's
+        // all enter.
+        let mut supported = vec![insert; cands.len()];
+        if !insert {
+            let run = drive_rounds(
+                &mut self.engine,
+                None,
+                &self.recounts,
+                [(Symbol::intern(CAND), batch_of(&cands))],
+                None,
+                governor,
+                &self.obs,
+                |_, _, _, heads, _| {
+                    for id in heads.iter().filter_map(|h| cands.id_of(h)) {
+                        supported[id as usize] = true;
+                    }
+                },
+            )?;
+            if let Some(reason) = stopped(&run) {
+                return Ok(Some(reason));
+            }
         }
         let mut entering = Batch::new(self.lr.dimension());
         if let Some(stored) = self.engine.get_mut(p) {
             // No candidate was ever removed: ids run in arena order.
-            for (h, &n) in cands.iter().zip(&tally).filter(|&(_, &n)| n > 0) {
-                match stored.id_of(h) {
-                    Some(id) => self.counts[id as usize] = n,
-                    None => {
-                        add_count(stored, &mut self.counts, h, n);
-                        patch.record_insert(h);
-                        entering.push(h.iter().copied());
-                    }
+            for (h, _) in cands.iter().zip(&supported).filter(|&(_, &s)| s) {
+                if stored.insert(h) {
+                    patch.record_insert(h);
+                    entering.push(h.iter().copied());
                 }
             }
         }
 
         // --- Propagate from the entering tuples.
         let entered = entering.len();
-        let only = (!insert).then_some(&cands);
-        let run = self.propagate(None, entering, governor, Some(patch), only)?;
+        let run = self.propagate(None, entering, governor, Some(patch))?;
         if !insert {
             let revived: usize = run.iterations.iter().map(|it| it.new_tuples).sum();
             stats.rederived = entered + revived;

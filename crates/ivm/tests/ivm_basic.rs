@@ -1,8 +1,8 @@
-//! Correctness of counted saturation and patch maintenance on hand-built
-//! examples: exact counts, insertion/deletion parity with from-scratch
-//! evaluation, self-support cycles, the `ivm.patch` event taxonomy, and the
-//! one decision the class makes for a whole saturation and a patch — the
-//! round cap.
+//! Correctness of saturation and patch maintenance on hand-built examples:
+//! a view holding exactly the supported heads, insertion/deletion parity
+//! with from-scratch evaluation, self-support cycles, the rounds an
+//! insertion runs, the `ivm.patch` event taxonomy, and the one decision the
+//! class makes for a whole saturation and a patch — the round cap.
 
 mod common;
 
@@ -20,7 +20,7 @@ use recurs_engine::{saturate_linear, EngineConfig, EngineDb, IndexedRelation};
 use recurs_ivm::{maintenance_label, EdbDelta, FactOp, Materialization};
 use recurs_obs::aggregate::Aggregator;
 use recurs_obs::{CaptureRecorder, Obs};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 fn lr(src: &str) -> LinearRecursion {
@@ -55,10 +55,11 @@ fn oracle_relation(lr: &LinearRecursion, edb: &Database) -> Relation {
     db.get(lr.predicate).unwrap().clone()
 }
 
-/// Independent count oracle: forward-enumerates every rule's body bindings
-/// over the *saturated* database and tallies instantiations per head tuple.
-fn oracle_counts(lr: &LinearRecursion, saturated: &Database) -> HashMap<Tuple, u64> {
-    let mut counts: HashMap<Tuple, u64> = HashMap::new();
+/// Independent support oracle: forward-enumerates every rule's body
+/// bindings over the *saturated* database and collects the heads they
+/// derive.
+fn oracle_support(lr: &LinearRecursion, saturated: &Database) -> HashSet<Tuple> {
+    let mut support = HashSet::new();
     for rule in std::iter::once(&lr.recursive_rule).chain(lr.exit_rules.iter()) {
         let bindings = eval_body(saturated, &rule.body, &HashMap::new()).unwrap();
         let cols: Vec<usize> = rule
@@ -71,32 +72,29 @@ fn oracle_counts(lr: &LinearRecursion, saturated: &Database) -> HashMap<Tuple, u
             })
             .collect();
         for row in bindings.rel.iter() {
-            let head: Tuple = cols.iter().map(|&c| row[c]).collect();
-            *counts.entry(head).or_insert(0) += 1;
+            support.insert(cols.iter().map(|&c| row[c]).collect());
         }
     }
-    counts
+    support
 }
 
-fn assert_counts_exact(mat: &Materialization, lr: &LinearRecursion) {
-    let saturated = plain(mat.database());
-    let oracle = oracle_counts(lr, &saturated);
+/// The view holds exactly the heads some instantiation over its own store
+/// derives; returns that support for spot checks.
+fn assert_supported(mat: &Materialization, lr: &LinearRecursion) -> HashSet<Tuple> {
+    let support = oracle_support(lr, &plain(mat.database()));
     for t in mat.relation().iter() {
-        assert_eq!(
-            mat.count(t),
-            oracle.get(t).copied().unwrap_or(0),
-            "count mismatch for {t:?}"
-        );
+        assert!(support.contains(t), "{t:?} is stored without support");
     }
     assert_eq!(
         mat.relation().len(),
-        oracle.len(),
-        "materialized relation and count support differ"
+        support.len(),
+        "materialized relation and support differ"
     );
+    support
 }
 
 #[test]
-fn saturation_counts_are_exact_on_tc() {
+fn saturation_holds_the_supported_heads_on_tc() {
     let lr = tc();
     let mat = Materialization::saturate(&lr, &chain_db(6), &EvalBudget::unlimited(), &Obs::noop())
         .unwrap();
@@ -104,11 +102,11 @@ fn saturation_counts_are_exact_on_tc() {
         mat.relation().to_relation(),
         oracle_relation(&lr, &chain_db(6))
     );
-    assert_counts_exact(&mat, &lr);
-    // Spot-check: P(1,2) has exactly one derivation (the E edge); P(1,3)
-    // has one (through A(1,2), P(2,3)).
-    assert_eq!(mat.count(&tuple_u64([1, 2])), 1);
-    assert_eq!(mat.count(&tuple_u64([1, 3])), 1);
+    let support = assert_supported(&mat, &lr);
+    // Spot-check: P(1,2) is supported by the E edge, P(1,3) through
+    // A(1,2), P(2,3).
+    assert!(support.contains(&tuple_u64([1, 2])));
+    assert!(support.contains(&tuple_u64([1, 3])));
     assert_eq!(mat.round_cap(), None); // TC (A5) has no rank bound
 }
 
@@ -129,7 +127,7 @@ fn insert_patch_matches_from_scratch() {
     assert!(report.truncation.is_none());
     apply_plain(&delta, &mut db);
     assert_eq!(mat.relation().to_relation(), oracle_relation(&lr, &db));
-    assert_counts_exact(&mat, &lr);
+    assert_supported(&mat, &lr);
     let patch = report.idb.unwrap();
     assert!(patch.inserted.contains(&tuple_u64([1, 6])));
     assert!(patch.deleted.is_empty());
@@ -148,7 +146,7 @@ fn delete_patch_matches_from_scratch() {
     assert!(report.truncation.is_none());
     apply_plain(&delta, &mut db);
     assert_eq!(mat.relation().to_relation(), oracle_relation(&lr, &db));
-    assert_counts_exact(&mat, &lr);
+    assert_supported(&mat, &lr);
     let patch = report.idb.unwrap();
     // Deleting the last exit edge kills P(x,6) for every x: the A-chain
     // still reaches 6, but nothing grounds it.
@@ -161,7 +159,7 @@ fn delete_patch_matches_from_scratch() {
 fn interior_delete_rederives_surviving_tuples() {
     // Chain 1→…→6 plus a shortcut exit edge E(2,4). Deleting A(2,3)
     // overdeletes P(2,y) and P(1,y) for y ≥ 4 (their chains pass the
-    // deleted edge), but P(2,4) recounts positive through E(2,4) and then
+    // deleted edge), but P(2,4) keeps its support through E(2,4) and then
     // P(1,4) comes back through the forward pass (A(1,2) ∧ P(2,4)).
     let lr = tc();
     let mut db = chain_db(6);
@@ -174,7 +172,7 @@ fn interior_delete_rederives_surviving_tuples() {
     let report = mat.apply(&delta, &EvalBudget::unlimited()).unwrap();
     apply_plain(&delta, &mut db);
     assert_eq!(mat.relation().to_relation(), oracle_relation(&lr, &db));
-    assert_counts_exact(&mat, &lr);
+    assert_supported(&mat, &lr);
     assert!(mat.relation().contains(&tuple_u64([2, 4])));
     assert!(mat.relation().contains(&tuple_u64([1, 4])));
     assert!(!mat.relation().contains(&tuple_u64([2, 5])));
@@ -186,7 +184,7 @@ fn interior_delete_rederives_surviving_tuples() {
 fn pure_self_support_dies_with_its_ground_support() {
     // Class A2: P(x,y) :- A(x), B(y), P(x,y). The recursive rule supports
     // every tuple it derives *with itself*; deleting the exit support must
-    // kill the tuple even though its count includes the self-loop.
+    // kill the tuple even though the self-loop still derives it from itself.
     let lr = lr("P(x, y) :- A(x), B(y), P(x, y).\nP(x, y) :- E(x, y).");
     let mut db = Database::new();
     db.insert_relation("A", Relation::from_tuples(1, [tuple_u64([1])]));
@@ -194,10 +192,12 @@ fn pure_self_support_dies_with_its_ground_support() {
     db.insert_relation("E", Relation::from_pairs([(1, 2), (7, 8)]));
     let mut mat =
         Materialization::saturate(&lr, &db, &EvalBudget::unlimited(), &Obs::noop()).unwrap();
-    assert_eq!(mat.round_cap(), Some(2)); // A2: rank 0, and two rounds of slack
-                                          // P(1,2): exit derivation + self-support = 2. P(7,8): exit only.
-    assert_eq!(mat.count(&tuple_u64([1, 2])), 2);
-    assert_eq!(mat.count(&tuple_u64([7, 8])), 1);
+    // A2: rank 0, and two rounds of slack.
+    assert_eq!(mat.round_cap(), Some(2));
+    // P(1,2): an exit derivation and self-support. P(7,8): exit only.
+    let support = assert_supported(&mat, &lr);
+    assert!(support.contains(&tuple_u64([1, 2])));
+    assert!(support.contains(&tuple_u64([7, 8])));
     let e = Symbol::intern("E");
     let ops = vec![FactOp::Delete(e, tuple_u64([1, 2]))];
     let delta = EdbDelta::normalize(&ops, &EngineDb::from(&db)).unwrap();
@@ -207,7 +207,7 @@ fn pure_self_support_dies_with_its_ground_support() {
     assert!(!mat.relation().contains(&tuple_u64([1, 2])));
     assert!(mat.relation().contains(&tuple_u64([7, 8])));
     assert_eq!(mat.relation().to_relation(), oracle_relation(&lr, &db));
-    assert_counts_exact(&mat, &lr);
+    assert_supported(&mat, &lr);
 }
 
 #[test]
@@ -266,7 +266,37 @@ fn truncated_patch_falls_back_to_cold_saturation() {
     );
     apply_plain(&delta, &mut db);
     assert_eq!(mat.relation().to_relation(), oracle_relation(&lr, &db));
-    assert_counts_exact(&mat, &lr);
+    assert_supported(&mat, &lr);
+}
+
+/// An insertion stores the heads its mark rounds reach and propagates from
+/// them: a recorder that keeps detail sees one `engine.iteration` per
+/// changed predicate (its mark round) and one per propagation round, and no
+/// recount round beside them.
+#[test]
+fn an_insertion_patch_runs_no_recount_round() {
+    let capture = Arc::new(CaptureRecorder::new());
+    let lr = tc();
+    let mut db = chain_db(5);
+    let unlimited = EvalBudget::unlimited();
+    let mut mat =
+        Materialization::saturate(&lr, &db, &unlimited, &Obs::new(capture.clone())).unwrap();
+    let before = capture.events_of("engine.iteration").len();
+    let ops = vec![
+        FactOp::Insert(Symbol::intern("E"), tuple_u64([5, 6])),
+        FactOp::Insert(Symbol::intern("A"), tuple_u64([5, 6])),
+    ];
+    let delta = EdbDelta::normalize(&ops, &EngineDb::from(&db)).unwrap();
+    let report = mat.apply(&delta, &unlimited).unwrap();
+    assert!(report.truncation.is_none());
+    let rounds = capture.events_of("engine.iteration").len() - before;
+    assert_eq!(
+        rounds as u64,
+        delta.inserted.len() as u64 + report.stats.rounds,
+        "two mark rounds and the propagation's"
+    );
+    apply_plain(&delta, &mut db);
+    assert_eq!(mat.relation().to_relation(), oracle_relation(&lr, &db));
 }
 
 #[test]

@@ -11,7 +11,7 @@
 //!   copy-on-write without blocking in-flight queries.
 //! * **Incremental updates** ([`QueryService::apply_update`]): ground fact
 //!   batches (`+fact` / `-fact`) normalize to a net EDB delta; the
-//!   `recurs-ivm` counting/DRed maintenance patches the service's
+//!   `recurs-ivm` semi-naive/DRed maintenance patches the service's
 //!   materialized view and the warm cache entries it reaches in place
 //!   instead of recomputing, and all-no-op groups don't even bump the
 //!   version.

@@ -204,7 +204,7 @@ impl QueryService {
     /// [`UpdateOutcome::Unchanged`] without bumping the version), the next
     /// snapshot is installed copy-on-write, and the materialized view plus
     /// the warm cache entries the change reaches are *patched in place*
-    /// through counting / DRed maintenance instead of being recomputed or
+    /// through semi-naive / DRed maintenance instead of being recomputed or
     /// dropped — all before the writer's lock is released, so versions reach
     /// the cache in order.
     ///

@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use recurs_core::classify::{Classification, ComponentClass, FormulaClass};
 use recurs_core::stability::check_theorem_1;
 use recurs_core::transform::{to_nonrecursive, unfold_to_stable};
+use recurs_datalog::adornment::{propagate, ArgBinding, QueryForm};
 use recurs_datalog::eval::semi_naive;
 use recurs_datalog::rule::Rule;
 use recurs_datalog::term::{Atom, Term};
@@ -87,11 +88,29 @@ proptest! {
         }
     }
 
-    /// Theorem 1: semantic and syntactic strong stability coincide.
+    /// Theorem 1: semantic and syntactic strong stability coincide. The
+    /// semantic check reads the n singleton query forms; the definition
+    /// quantifies over all 2ⁿ, so the verdict is held to that too.
     #[test]
     fn theorem_1_equivalence(seed in 0u64..1_000_000) {
         let rule = random_rule(seed, config());
-        check_theorem_1(&rule); // panics on divergence
+        let verdict = check_theorem_1(&rule); // panics on divergence
+        let n = rule.head.arity();
+        let every_form = (0u32..1 << n).all(|mask| {
+            let form = QueryForm(
+                (0..n)
+                    .map(|i| {
+                        if mask & (1 << i) != 0 {
+                            ArgBinding::Determined
+                        } else {
+                            ArgBinding::Free
+                        }
+                    })
+                    .collect(),
+            );
+            propagate(&rule, &form) == form
+        });
+        prop_assert_eq!(verdict, every_form, "{}", rule);
     }
 
     /// Theorem 12: the classification is total and each label is unique.
