@@ -414,7 +414,7 @@ fi
 # EXPERIMENTS.md reports — may not grow past the number below. A change that
 # deletes code lowers it in the same change; one that must grow raises it
 # and names the lines in CHANGES.md.
-size_budget=12334
+size_budget=12337
 echo "==> size ratchet (at most $size_budget non-test code lines in crates/*/src)"
 size=0
 for f in $(find crates/*/src -name '*.rs'); do
@@ -458,6 +458,18 @@ echo "==> cargo test fault-injection suite"
 cargo test -p recurs-engine --features fault-inject --offline -q
 cargo test -p recurs-ivm --features fault-inject --offline -q
 cargo test -p recurs-serve --features fault-inject --offline -q
+
+# The census (tests/census.rs) at full scope, in release: every linear rule
+# of dimension <= 3 with <= 3 non-recursive atoms held to Theorems 12 and 1
+# and Corollary 3, its rank certified by containment, and the plans of those
+# with <= 2 atoms checked against the fixpoint; and the classification checks
+# on every rule of dimension 4 with <= 3 atoms. Tier-1 runs the small scope.
+# Built first, then run in a time box: the two tests run side by side in
+# 281-336 s on a 2-core host (dimension 4: 9.0 M rules; the full scope:
+# 0.75 M rules in about 130 s), the box is 1200 s.
+echo "==> census, full scope (release, --ignored, 1200 s box)"
+cargo test --release --offline -p recurs-bench --test census --no-run
+timeout 1200 cargo test --release --offline -p recurs-bench --test census -q -- --ignored
 
 # perfbench/layers is the only code outside crates/ that links the crate
 # APIs (run_linear / run_program / EngineConfig, eval::{semi_naive,

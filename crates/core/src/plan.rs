@@ -10,7 +10,7 @@
 //! |---|---|---|---|
 //! | proven rank bound (A2/A4, bounded B, acyclic D) | `Bounded` | the `rank + 1` non-recursive levels (`to_nonrecursive_with_rank`), each `ans(head) :- seed(head at the bound positions), level body.` — the guard of magic's exit rules — seeded with the query constants | 0 — the seeding round is the whole run |
 //! | class A (stable after `unfold_by` its stabilization period), ≥ 1 bound argument, every free position's chain the identity | `Frontier` | the compiled formula `σA^k-E` itself: `reach(bottoms) :- reach(tops), chains, guards.` seeded with the query constants, and `ans(free) :- reach(bound), exit.` per exit rule (`CountingPlan::frontier_program`) | none — `reach` saturating is the walk ending |
-//! | any other query with a bound argument (a stable form with an ascend factor such as s3 `ddv` or same-generation; classes C/E/F) | `Magic` | the adorned magic-sets rewrite ([`crate::magic`]), seeded with the query constants | none |
+//! | any other query with a bound argument (a stable form with an ascend factor such as s3 `ddv` or same-generation; classes C/E/F; a bounded Theorem 11 mixture, which has no proven rank) | `Magic` | the adorned magic-sets rewrite ([`crate::magic`]), seeded with the query constants | none |
 //! | all-free query | `Saturate` | the recursion itself | none |
 //!
 //! A [`QueryPlan`] is pure data: its program is fixed per form, and
@@ -237,6 +237,10 @@ pub fn plan_for_form(lr: &LinearRecursion, form: &QueryForm) -> QueryPlan {
                                      position's chain is not the identity): run as the \
                                      magic-sets rewrite"
                     .into();
+            } else if classification.is_bounded() {
+                // Theorem 11's mixtures: bounded, but no rank formula to unroll.
+                compiled.strategy =
+                    "bounded (Theorem 11) but no proven rank: run as the magic-sets rewrite".into();
             }
             let m = magic::build_plan(lr, form);
             (

@@ -204,6 +204,26 @@ mod tests {
     }
 
     #[test]
+    fn theorem_11_mixture_is_not_reported_as_the_general_method() {
+        // A4 (x, y swap) beside D (z → w): bounded by Theorem 11, which gives
+        // no rank, so every bound form runs as magic and says why.
+        let f = lr("P(x, y, z) :- A(z), P(y, x, w).");
+        assert!(classification_report(&f).contains("bounded               : true\n"));
+        for form in ["dvv", "vvd", "ddv"] {
+            let r = plan_report(&f, &QueryForm::parse(form));
+            assert!(r.contains("strategy        : magic\n"), "{r}");
+            assert!(
+                r.contains(
+                    "strategy detail : bounded (Theorem 11) but no proven rank: run as the \
+                     magic-sets rewrite\n"
+                ),
+                "{r}"
+            );
+            assert!(!r.contains("general method"), "{r}");
+        }
+    }
+
+    #[test]
     fn bounded_report() {
         let f = lr("P(x, y, z) :- P(y, z, x).");
         let r = classification_report(&f);

@@ -23,7 +23,7 @@ use recurs_datalog::rule::Rule;
 /// one determined variable of a non-recursive atom determines all of its
 /// variables, so the closure of a union of seeds is the union of their
 /// closures, and a form is mapped to itself when each of its determined
-/// positions is. `tests/theorems_prop.rs` checks that against all 2ⁿ forms.
+/// positions is. `tests/census.rs` checks that against all 2ⁿ forms.
 pub(crate) fn is_strongly_stable_semantic(rule: &Rule) -> bool {
     let n = rule.head.arity();
     (0..n).all(|i| {
