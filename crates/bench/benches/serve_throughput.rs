@@ -32,9 +32,10 @@
 //! `served_hit` gives a warm hit's protocol its own lane: the same cached
 //! answer set of 24, 37, 40 or 400 rows (`P(c, y)` on one TC chain) asked
 //! through `protocol::handle_line_with` and through `QueryService::query`,
-//! so `line − query` is the request's parse plus its reply's render; and
-//! one aggregator call with the served query counter's three labels.
-//! EXPERIMENTS.md §28 records it.
+//! so `line − query` is the request's parse plus its reply's render (the
+//! rows' text its cache entry keeps, since the hit before it rendered them);
+//! and one aggregator call with the served query counter's three labels.
+//! EXPERIMENTS.md §28 and §36 record it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use recurs_core::plan::{plan_query, QueryPlan};

@@ -1,7 +1,7 @@
 //! Human-readable classification and compilation reports — the text the
 //! report binaries print for every example and figure of the paper.
 
-use crate::classify::Classification;
+use crate::classify::{Classification, ComponentClass};
 use crate::plan::{plan_for_form, StrategyKind};
 use recurs_datalog::adornment::QueryForm;
 use recurs_datalog::rule::LinearRecursion;
@@ -69,10 +69,16 @@ pub fn classification_report(lr: &LinearRecursion) -> String {
             .map(|p| format!(" (unfold {p}×)"))
             .unwrap_or_default()
     );
+    // The theorems decide boundedness only without a dependent component:
+    // an E rule may be bounded all the same, so it is not called unbounded.
+    let bounded = if c.component_classes.contains(&ComponentClass::Dependent) {
+        "not shown (class E)".to_string()
+    } else {
+        c.is_bounded().to_string()
+    };
     let _ = writeln!(
         out,
-        "bounded               : {}{}",
-        c.is_bounded(),
+        "bounded               : {bounded}{}",
         c.rank_bound()
             .map(|r| format!(" (rank ≤ {r})"))
             .unwrap_or_default()
@@ -221,6 +227,23 @@ mod tests {
             );
             assert!(!r.contains("general method"), "{r}");
         }
+    }
+
+    #[test]
+    fn a_dependent_component_leaves_boundedness_open() {
+        // Bounded at rank 1 by a containment certificate, yet its one
+        // component is dependent, which no theorem decides.
+        let f = lr("P(x, y) :- A(x), B(x, y), P(x, w).");
+        let r = classification_report(&f);
+        assert!(r.contains("class    : E\n"), "{r}");
+        assert!(
+            r.contains("bounded               : not shown (class E)\n"),
+            "{r}"
+        );
+        // Without one, the theorems decide: TC is unbounded.
+        let tc = lr("P(x, y) :- A(x, z), P(z, y).");
+        let r = classification_report(&tc);
+        assert!(r.contains("bounded               : false\n"), "{r}");
     }
 
     #[test]

@@ -24,6 +24,7 @@
 use crate::{Obs, Value};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// A request-scoped trace identifier (64 bits, rendered as 16 hex chars).
@@ -57,24 +58,46 @@ impl TraceId {
             .map_err(|_| TraceIdError::NotHex)
     }
 
-    /// Mints a fresh id: a process-global counter hashed with the pid and
-    /// wall clock, so concurrent mints and separate processes diverge
-    /// without needing a random-number dependency.
+    /// Mints a fresh id without a random-number dependency: the pid and
+    /// the wall clock are hashed once per process into a seed, and each
+    /// mint steps a process-global counter from it by an odd constant and
+    /// mixes the step through splitmix64's finalizer. Both maps are
+    /// bijections of `u64`, so ids are distinct within a process (for
+    /// 2^64 − 1 mints), processes start from different seeds, and a mint
+    /// costs an atomic add and a few multiplies.
     pub fn mint() -> TraceId {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
+        static SEED: OnceLock<u64> = OnceLock::new();
         static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let mut h = DefaultHasher::new();
-        COUNTER.fetch_add(1, Ordering::Relaxed).hash(&mut h);
-        std::process::id().hash(&mut h);
-        if let Ok(now) = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH) {
-            now.as_secs().hash(&mut h);
-            now.subsec_nanos().hash(&mut h);
-        }
-        let id = h.finish();
-        // Reserve 0 for "never minted" sentinels in debugging output.
-        TraceId(if id == 0 { 1 } else { id })
+        const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+        let seed = *SEED.get_or_init(|| {
+            use std::collections::hash_map::DefaultHasher;
+            use std::hash::{Hash, Hasher};
+            let mut h = DefaultHasher::new();
+            std::process::id().hash(&mut h);
+            if let Ok(now) = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH) {
+                now.as_nanos().hash(&mut h);
+            }
+            h.finish()
+        });
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+        let id = splitmix64(seed.wrapping_add(n.wrapping_mul(GAMMA)));
+        // The finalizer maps only 0 to 0, so one step of the sequence does;
+        // it takes the id of the last step instead, which no process reaches.
+        // 0 stays free for "never minted" sentinels in debugging output.
+        TraceId(if id == 0 {
+            splitmix64(seed.wrapping_sub(GAMMA))
+        } else {
+            id
+        })
     }
+}
+
+/// splitmix64's output function: a bijection of `u64` that mixes every input
+/// bit into every output bit.
+fn splitmix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 impl fmt::Display for TraceId {
@@ -249,10 +272,12 @@ mod tests {
 
     #[test]
     fn minted_ids_differ() {
-        let a = TraceId::mint();
-        let b = TraceId::mint();
-        assert_ne!(a, b);
-        assert_ne!(a, TraceId::from_u64(0));
+        let ids: std::collections::HashSet<TraceId> =
+            (0..100_000).map(|_| TraceId::mint()).collect();
+        assert_eq!(ids.len(), 100_000, "a minted id repeated");
+        assert!(!ids.contains(&TraceId::from_u64(0)));
+        // Why one step needs another id: the finalizer fixes 0.
+        assert_eq!(splitmix64(0), 0);
     }
 
     #[test]

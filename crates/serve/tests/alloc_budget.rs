@@ -525,25 +525,28 @@ fn a_served_hit_allocates_per_reply_not_per_answer() {
     let (many_reply, many, _) = served_hit("@trace=2 ?- P(1, y).");
     assert!(few_reply.contains("\"count\":40,"), "{few_reply}");
     assert!(many_reply.contains("\"count\":400,"), "{many_reply}");
-    // Ten times the answers is a few more doublings of the reply buffer, not
-    // a string and a row per answer (two calls per value before the reply
-    // was written straight to text).
-    assert!(
-        many <= few + 4,
+    // A warm hit sends the rows' text its first hit rendered, into a reply
+    // buffer sized for it: ten times the answers is a longer copy, not a
+    // string and a row per answer (two calls per value before the reply was
+    // written straight to text), nor a sort and a regrown buffer (21 calls
+    // against 19 while every hit rendered its rows again).
+    assert_eq!(
+        many, few,
         "a 40-answer hit made {few} allocator calls, a 400-answer hit {many}"
     );
-    // 3 618 B in 19 calls (4 026 B in 32 while the rows were sorted as
-    // `Value`s and the reply's `stats` built as a tree first; 6 675 B in 83
-    // before a request's events were tagged in its handle): the 1 178 B
+    // 2 977 B in 18 calls (3 618 B in 19 while every hit sorted and wrote
+    // its rows again; 4 026 B in 32 while the rows were sorted as `Value`s
+    // and the reply's `stats` built as a tree first; 6 675 B in 83 before a
+    // request's events were tagged in its handle): the 1 178 B
     // `QueryService::query` allocates for a hit (the test above), the
-    // request's parse, the answers' texts behind their sort keys (960 B) and
-    // the reply text (1 035 B, no regrowth).
+    // request's parse and the reply text, sized once for the envelope and
+    // the kept rows.
     assert!(
-        few_bytes <= 3_700,
+        few_bytes <= 2_977,
         "a served 40-answer hit allocated {few_bytes} B"
     );
     assert!(
-        few <= 20,
+        few <= 18,
         "a served 40-answer hit made {few} allocator calls"
     );
 }
