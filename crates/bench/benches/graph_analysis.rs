@@ -1,4 +1,4 @@
-//! Compile-time costs: building I-graphs, enumerating cycles, classifying,
+//! Compile-time costs: building I-graphs, analysing components, classifying,
 //! unfolding, and generating plans. The paper's pitch is that all of this is
 //! done **once per formula** at compile time; these benches show it is
 //! micro- to millisecond-scale and independent of the database.
@@ -11,8 +11,8 @@ use recurs_datalog::parser::{parse_program, parse_rule};
 use recurs_datalog::unfold::expansion;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_igraph::build::{igraph_of, resolution_graph};
+use recurs_igraph::component::analyze_components;
 use recurs_igraph::condense::condense;
-use recurs_igraph::cycle::enumerate_cycles;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -37,7 +37,7 @@ const FORMULAS: &[(&str, &str)] = &[
     ),
 ];
 
-fn igraph_and_cycles(c: &mut Criterion) {
+fn igraph_and_components(c: &mut Criterion) {
     let mut group = c.benchmark_group("igraph_construction");
     group
         .sample_size(50)
@@ -48,8 +48,8 @@ fn igraph_and_cycles(c: &mut Criterion) {
             b.iter(|| black_box(igraph_of(rule)));
         });
         let g = igraph_of(&rule);
-        group.bench_with_input(BenchmarkId::new("cycles", name), &g, |b, g| {
-            b.iter(|| black_box(enumerate_cycles(&condense(g))));
+        group.bench_with_input(BenchmarkId::new("components", name), &g, |b, g| {
+            b.iter(|| black_box(analyze_components(&condense(g))));
         });
     }
     group.finish();
@@ -105,7 +105,7 @@ fn planning(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    igraph_and_cycles,
+    igraph_and_components,
     classification,
     unfolding,
     planning

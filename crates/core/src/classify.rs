@@ -20,7 +20,6 @@ use recurs_igraph::build::igraph_of;
 use recurs_igraph::component::{analyze_components, Component, ComponentKind};
 use recurs_igraph::condense::{condense, Condensed};
 use recurs_igraph::graph::IGraph;
-use recurs_igraph::paths::max_path_weight;
 use std::fmt;
 
 /// The class of one non-trivial component.
@@ -262,7 +261,8 @@ impl Classification {
     ///   (Theorem 10, tight);
     /// * no permutational rotation ({A2, B, D} — weight-1 self-loops are
     ///   identity connections and do not rotate): the maximum path weight of
-    ///   the I-graph (Ioannidis's theorem, tight);
+    ///   the I-graph, the greatest of its components' (Ioannidis's theorem,
+    ///   tight);
     /// * a mixture of a rotating permutational cycle (weight ≥ 2) with B/D
     ///   components: **`None`**. Theorem 11 proves such formulas bounded but
     ///   gives no bound formula, and the naive `max` of the two bounds is
@@ -298,9 +298,10 @@ impl Classification {
             return Some(perm_lcm - 1);
         }
         if perm_lcm == 1 {
-            let path_bound =
-                u64::try_from(max_path_weight(&self.igraph).max(0)).expect("non-negative");
-            return Some(path_bound);
+            // Every component is A2, B, D or trivial, so each has a path
+            // weight.
+            let mut weights = self.components.iter().map(|c| c.path_weight);
+            return weights.try_fold(0, |most, w| w.map(|w| most.max(w)));
         }
         None
     }
@@ -541,6 +542,61 @@ mod tests {
         );
         assert!(!c.is_strongly_stable());
         assert_eq!(c.stabilization_period(), Some(2));
+    }
+
+    /// `x0, …, x(n−1)` with the prefix `x`.
+    fn names(prefix: &str, n: usize) -> Vec<String> {
+        (0..n).map(|i| format!("{prefix}{i}")).collect()
+    }
+
+    #[test]
+    fn a_64_position_rotation_is_a4() {
+        let xs = names("x", 64);
+        let rotated = [&xs[1..], &xs[..1]].concat();
+        let c = classify(&format!(
+            "P({}) :- P({}).",
+            xs.join(", "),
+            rotated.join(", ")
+        ));
+        assert_eq!(
+            c.class,
+            FormulaClass::OneDirectional(OneDirectionalSubclass::A4)
+        );
+        assert_eq!(c.stabilization_period(), Some(64));
+        assert_eq!(c.rank_bound(), Some(63)); // Theorem 10: lcm − 1
+    }
+
+    #[test]
+    fn a_ring_of_seven_groups_has_the_cycle_rank_of_its_63_edges() {
+        // Group i holds the heads `x{i}_k` and, through `A{i}`, the bodies
+        // `y{i−1}_k`: nine parallel edges from each group to the next.
+        let heads: Vec<String> = (0..7).flat_map(|i| names(&format!("x{i}_"), 9)).collect();
+        let bodies: Vec<String> = (0..7).flat_map(|i| names(&format!("y{i}_"), 9)).collect();
+        let atoms = (0..7).map(|i| {
+            let terms = [&heads[9 * i..9 * i + 9], &bodies[9 * ((i + 6) % 7)..][..9]].concat();
+            format!("A{i}({})", terms.join(", "))
+        });
+        let body = atoms.collect::<Vec<_>>().join(", ");
+        let rule = format!(
+            "P({}) :- {body}, P({}).",
+            heads.join(", "),
+            bodies.join(", ")
+        );
+        let c = classify(&rule);
+        assert_eq!(c.class, FormulaClass::Dependent);
+        let components: Vec<&Component> = c.nontrivial_components().collect();
+        assert_eq!(components.len(), 1);
+        assert_eq!(components[0].cycle_rank(), 63 - 7 + 1);
+    }
+
+    #[test]
+    fn a_class_d_rule_with_a_12_argument_atom_has_rank_two() {
+        // The 12 variables of `A` make one group, whose undirected clique
+        // in the I-graph holds exponentially many simple paths.
+        let us = names("u", 11).join(", ");
+        let c = classify(&format!("P(x, y) :- B(x), A(y, {us}), P(u0, z)."));
+        assert_eq!(c.class, FormulaClass::NoNontrivialCycles);
+        assert_eq!(c.rank_bound(), Some(2));
     }
 
     #[test]

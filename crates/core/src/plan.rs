@@ -584,6 +584,16 @@ pub(crate) mod tests {
         assert_eq!(plan.program().rules.len(), 3);
     }
 
+    /// Renaming apart skips only the names of the rules it splices, so the
+    /// same form planned twice is the same program.
+    #[test]
+    fn a_form_planned_twice_gives_the_same_program() {
+        let first = plan_for_form(&s8(), &QueryForm::parse("dvvv"));
+        let second = plan_for_form(&s8(), &QueryForm::parse("dvvv"));
+        assert_eq!(first.strategy, StrategyKind::Bounded);
+        assert_eq!(first.program(), second.program());
+    }
+
     #[test]
     fn s8_queries_match_oracle() {
         let f = s8();

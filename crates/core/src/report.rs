@@ -53,7 +53,7 @@ pub fn classification_report(lr: &LinearRecursion) -> String {
             ),
             ComponentKind::NoNontrivialCycle => "no non-trivial cycle".to_string(),
             ComponentKind::Dependent => {
-                format!("dependent ({} cycles)", comp.cycles.len())
+                format!("dependent ({} cycles)", comp.cycle_rank())
             }
             ComponentKind::Trivial => unreachable!("filtered above"),
         };

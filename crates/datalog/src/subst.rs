@@ -120,12 +120,15 @@ fn unify_terms(a: Term, b: Term, subst: &mut Subst) -> Option<()> {
 }
 
 /// Renames every variable of `rule` to a fresh one (suffix `_k` with `k`
-/// drawn from `counter`), returning the renamed rule and the renaming used.
+/// drawn from `counter`) that neither `rule` nor `beside`, the rule it is
+/// spliced into, names; returns the renamed rule and the renaming used.
 /// This is the paper's "renumbering variables" step before unification.
-pub(crate) fn rename_apart(rule: &Rule, counter: &mut u32) -> (Rule, Subst) {
+pub(crate) fn rename_apart(rule: &Rule, beside: &Rule, counter: &mut u32) -> (Rule, Subst) {
+    let mut taken = rule.variables();
+    taken.extend(beside.variables());
     let mut renaming = Subst::new();
     for v in rule.variables() {
-        let fresh = Symbol::fresh(v.as_str(), counter);
+        let fresh = Symbol::fresh(v.as_str(), counter, &taken);
         renaming.bind(v, Term::Var(fresh));
     }
     (renaming.apply_rule(rule), renaming)
@@ -205,7 +208,7 @@ mod tests {
     fn rename_apart_produces_disjoint_variables() {
         let r = parse_rule("P(x, y) :- A(x, z), P(z, y).").unwrap();
         let mut counter = 0;
-        let (renamed, _) = rename_apart(&r, &mut counter);
+        let (renamed, _) = rename_apart(&r, &r, &mut counter);
         let original_vars = r.variables();
         for v in renamed.variables() {
             assert!(!original_vars.contains(&v), "{v} leaked through renaming");
@@ -219,8 +222,8 @@ mod tests {
     fn rename_apart_twice_is_disjoint() {
         let r = parse_rule("P(x, y) :- A(x, z), P(z, y).").unwrap();
         let mut counter = 0;
-        let (r1, _) = rename_apart(&r, &mut counter);
-        let (r2, _) = rename_apart(&r, &mut counter);
+        let (r1, _) = rename_apart(&r, &r, &mut counter);
+        let (r2, _) = rename_apart(&r, &r, &mut counter);
         let v1 = r1.variables();
         for v in r2.variables() {
             assert!(!v1.contains(&v));

@@ -12,7 +12,7 @@
 //! under the lock, before its id is returned. Sorting answers compares
 //! strings, so this read is on every served reply's path.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -116,15 +116,16 @@ impl Symbol {
         name
     }
 
-    /// A fresh symbol `base_n` guaranteed distinct from every symbol interned
-    /// so far. Used when renaming rules apart during unfolding.
-    pub fn fresh(base: &str, counter: &mut u32) -> Symbol {
+    /// The symbol `base_n` for the first `n` drawn from `counter` that is not
+    /// in `taken`: the names of the rules being renamed apart or spliced
+    /// together during unfolding. The same renaming done twice gives the
+    /// same names and interns nothing the second time.
+    pub fn fresh(base: &str, counter: &mut u32, taken: &BTreeSet<Symbol>) -> Symbol {
         loop {
-            let candidate = format!("{base}_{counter}");
+            let candidate = Symbol::intern(&format!("{base}_{counter}"));
             *counter += 1;
-            let mut map = interner();
-            if !map.contains_key(candidate.as_str()) {
-                return push(&mut map, candidate);
+            if !taken.contains(&candidate) {
+                return candidate;
             }
         }
     }
@@ -174,20 +175,22 @@ mod tests {
 
     #[test]
     fn fresh_symbols_never_collide() {
-        let existing = Symbol::intern("x_0");
+        let taken = BTreeSet::from([Symbol::intern("x_0")]);
         let mut counter = 0;
-        let fresh = Symbol::fresh("x", &mut counter);
-        assert_ne!(fresh, existing);
-        assert_ne!(fresh.as_str(), "x_0");
+        let fresh = Symbol::fresh("x", &mut counter, &taken);
+        assert_eq!(fresh.as_str(), "x_1");
+        // A name interned elsewhere but not taken is reused.
+        let elsewhere = Symbol::intern("y_0");
+        assert_eq!(Symbol::fresh("y", &mut 0, &taken), elsewhere);
     }
 
     #[test]
     fn fresh_advances_counter() {
         let mut counter = 0;
-        let a = Symbol::fresh("fresh_base", &mut counter);
-        let b = Symbol::fresh("fresh_base", &mut counter);
+        let a = Symbol::fresh("fresh_base", &mut counter, &BTreeSet::new());
+        let b = Symbol::fresh("fresh_base", &mut counter, &BTreeSet::new());
         assert_ne!(a, b);
-        assert!(counter >= 2);
+        assert_eq!(counter, 2);
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub fn unfold_once_traced(
     predicate: Symbol,
     counter: &mut u32,
 ) -> UnfoldStep {
-    let (renamed, _) = rename_apart(original, counter);
+    let (renamed, _) = rename_apart(original, prev, counter);
     let Some(target) = prev.body.iter().find(|a| a.predicate == predicate) else {
         panic!("prev must contain the recursive atom {predicate}")
     };
@@ -161,7 +161,7 @@ pub fn expansion(rule: &Rule, k: usize) -> Rule {
 /// "replace the recursive predicate in the antecedent by the exit relation".
 pub fn close_with_exit(expanded: &Rule, exit: &Rule, counter: &mut u32) -> Rule {
     let predicate = exit.head.predicate;
-    let (renamed_exit, _) = rename_apart(exit, counter);
+    let (renamed_exit, _) = rename_apart(exit, expanded, counter);
     resolve_recursive_atom(expanded, &renamed_exit, predicate)
 }
 

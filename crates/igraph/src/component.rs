@@ -1,9 +1,16 @@
 //! Weakly-connected components of the condensed graph and their structural
 //! kind — the per-component basis of the paper's classification.
+//!
+//! A component's kind is read from its shape. With V groups and E directed
+//! edges (a connected multigraph, so E ≥ V − 1): E = V − 1 is a tree, with
+//! no non-trivial cycle; E = V with every group of degree 2 (a self-loop
+//! counts 2) is one cycle, the paper's *independent* cycle; anything else
+//! holds *dependent* cycles. The traversal that finds the component also
+//! gives its maximum path weight (`paths.rs`).
 
-use crate::condense::{Condensed, UnionFind};
-use crate::cycle::{enumerate_cycles, Cycle};
-use std::collections::BTreeSet;
+use crate::condense::Condensed;
+use crate::cycle::{independent_cycle, Cycle};
+use crate::paths::traverse;
 
 /// The structural kind of one component.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,14 +31,16 @@ pub enum ComponentKind {
 /// One weakly-connected component of the condensed graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Component {
-    /// Group ids (condensed vertices) in this component.
+    /// Group ids (condensed vertices) in this component, ascending.
     pub groups: Vec<usize>,
-    /// Edge ids (into [`Condensed::edges`]) in this component.
+    /// Edge ids (into [`Condensed::edges`]) in this component, ascending.
     pub edges: Vec<usize>,
-    /// All simple cycles lying inside this component.
-    pub cycles: Vec<Cycle>,
     /// Structural kind.
     pub kind: ComponentKind,
+    /// The maximum weight of a simple I-graph path inside the component,
+    /// when no cycle of it but an identity self-loop has non-zero weight;
+    /// `None` otherwise.
+    pub path_weight: Option<u64>,
 }
 
 impl Component {
@@ -39,64 +48,54 @@ impl Component {
     pub fn is_nontrivial(&self) -> bool {
         !self.edges.is_empty()
     }
+
+    /// The component's cycle rank, E − V + 1: the number of its independent
+    /// cycles in the graph-theoretic sense — 0 without a non-trivial cycle,
+    /// 1 for the paper's independent cycle, 2 or more for dependent cycles.
+    pub fn cycle_rank(&self) -> usize {
+        self.edges.len() + 1 - self.groups.len()
+    }
 }
 
-/// Splits the condensed graph into weakly-connected components and analyses
-/// each (cycles + kind). Components are ordered by their smallest group id.
+/// Splits the condensed graph into weakly-connected components and reads
+/// each one's kind and path weight. Components are ordered by their
+/// smallest group id.
 pub fn analyze_components(c: &Condensed) -> Vec<Component> {
     let n = c.group_count();
-    // Union-find over groups, joined by directed edges.
-    let mut uf = UnionFind::new(n);
-    for e in &c.edges {
-        uf.union(e.from, e.to);
-    }
-    // One component per root, numbered in order of its smallest group.
-    let mut index_of_root: Vec<Option<usize>> = vec![None; n];
-    let mut component_of: Vec<usize> = Vec::with_capacity(n);
-    let mut components: Vec<Component> = Vec::new();
-    for g in 0..n {
-        let idx = *index_of_root[uf.find(g)].get_or_insert_with(|| {
-            components.push(Component {
-                groups: Vec::new(),
-                edges: Vec::new(),
-                cycles: Vec::new(),
-                kind: ComponentKind::Trivial,
-            });
-            components.len() - 1
-        });
-        components[idx].groups.push(g);
-        component_of.push(idx);
-    }
+    // Each group's incident edges; a self-loop is listed twice.
+    let mut incident: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (eid, e) in c.edges.iter().enumerate() {
-        components[component_of[e.from]].edges.push(eid);
+        incident[e.from].push(eid);
+        incident[e.to].push(eid);
     }
-    // Assign cycles to components (a cycle lives wholly inside one).
-    for cycle in enumerate_cycles(c) {
-        let owner = component_of[c.edges[cycle.steps[0].edge].from];
-        components[owner].cycles.push(cycle);
-    }
-    for comp in &mut components {
-        comp.kind = classify_component(comp);
+    let mut potential: Vec<Option<i64>> = vec![None; n];
+    let mut components: Vec<Component> = Vec::new();
+    for root in 0..n {
+        if potential[root].is_some() {
+            continue;
+        }
+        let (mut groups, path_weight) = traverse(c, &incident, root, &mut potential);
+        groups.sort_unstable();
+        let mut edges: Vec<usize> = groups.iter().flat_map(|&g| &incident[g]).copied().collect();
+        edges.sort_unstable();
+        edges.dedup();
+        let kind = if edges.is_empty() {
+            ComponentKind::Trivial
+        } else if edges.len() + 1 == groups.len() {
+            ComponentKind::NoNontrivialCycle
+        } else if edges.len() == groups.len() && groups.iter().all(|&g| incident[g].len() == 2) {
+            ComponentKind::IndependentCycle(independent_cycle(c, &incident, edges[0]))
+        } else {
+            ComponentKind::Dependent
+        };
+        components.push(Component {
+            groups,
+            edges,
+            kind,
+            path_weight,
+        });
     }
     components
-}
-
-fn classify_component(comp: &Component) -> ComponentKind {
-    if comp.edges.is_empty() {
-        return ComponentKind::Trivial;
-    }
-    if comp.cycles.is_empty() {
-        return ComponentKind::NoNontrivialCycle;
-    }
-    if comp.cycles.len() == 1 {
-        let cycle = &comp.cycles[0];
-        let cycle_edges: BTreeSet<usize> = cycle.steps.iter().map(|s| s.edge).collect();
-        let comp_edges: BTreeSet<usize> = comp.edges.iter().copied().collect();
-        if cycle_edges == comp_edges {
-            return ComponentKind::IndependentCycle(cycle.clone());
-        }
-    }
-    ComponentKind::Dependent
 }
 
 #[cfg(test)]
@@ -176,7 +175,7 @@ mod tests {
         let cs = nontrivial("P(x, y) :- A(x, x1), B(y, y1), C(x1, y1), P(x1, y1).");
         assert_eq!(cs.len(), 1);
         assert_eq!(cs[0].kind, ComponentKind::Dependent);
-        assert_eq!(cs[0].cycles.len(), 2);
+        assert_eq!(cs[0].cycle_rank(), 2);
     }
 
     #[test]

@@ -72,19 +72,19 @@ impl Condensed {
 }
 
 /// Disjoint sets over `0..n`: the vertices of an I-graph joined by its
-/// undirected edges, or the groups of a condensed graph by its directed ones.
-pub(crate) struct UnionFind {
+/// undirected edges.
+struct UnionFind {
     parent: Vec<usize>,
 }
 
 impl UnionFind {
-    pub(crate) fn new(n: usize) -> UnionFind {
+    fn new(n: usize) -> UnionFind {
         UnionFind {
             parent: (0..n).collect(),
         }
     }
 
-    pub(crate) fn find(&mut self, x: usize) -> usize {
+    fn find(&mut self, x: usize) -> usize {
         if self.parent[x] != x {
             let root = self.find(self.parent[x]);
             self.parent[x] = root;
@@ -92,7 +92,7 @@ impl UnionFind {
         self.parent[x]
     }
 
-    pub(crate) fn union(&mut self, a: usize, b: usize) {
+    fn union(&mut self, a: usize, b: usize) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
             self.parent[ra] = rb;

@@ -1,12 +1,12 @@
-//! Simple-cycle enumeration over the condensed graph, with the paper's cycle
-//! properties: weight, one-directional / multi-directional, rotational /
-//! permutational, unit / non-unit.
+//! The independent cycle of a component and the paper's cycle properties:
+//! weight, one-directional / multi-directional, rotational / permutational,
+//! unit / non-unit.
 //!
-//! The condensed graph is a small directed multigraph (groups as vertices);
-//! cycles may traverse edges in either orientation (the implicit reverse edge
-//! of weight −1). Enumeration is exhaustive DFS with canonicalization — the
-//! graphs here have at most a handful of edges (one per argument position of
-//! the recursive predicate), so this is exact and fast.
+//! The condensed graph is a directed multigraph (groups as vertices); a
+//! cycle may traverse an edge in either orientation (the implicit reverse
+//! edge of weight −1). A component is one cycle exactly when it has as many
+//! edges as groups and every group has degree 2 ([`crate::component`]); that
+//! cycle is walked once from its least edge, then normalized.
 
 use crate::condense::Condensed;
 use recurs_datalog::Symbol;
@@ -44,7 +44,7 @@ impl Cycle {
         self.steps.len()
     }
 
-    /// True if the cycle has no steps (never produced by enumeration).
+    /// True if the cycle has no steps (never produced by the walk).
     pub fn is_empty(&self) -> bool {
         self.steps.is_empty()
     }
@@ -85,92 +85,29 @@ impl fmt::Display for Cycle {
     }
 }
 
-/// Enumerates all simple cycles of the condensed graph. Each cycle appears
-/// exactly once (a traversal and its reversal are identified); cycles are
-/// normalized so that `weight ≥ 0`, and a zero-weight cycle starts with a
-/// forward step.
-pub fn enumerate_cycles(c: &Condensed) -> Vec<Cycle> {
-    let m = c.edges.len();
-    assert!(
-        m <= 63,
-        "cycle enumeration supports at most 63 directed edges"
-    );
-    let n = c.group_count();
-    let mut out = Vec::new();
-    // Canonical form: the cycle's minimal edge id is the first step, taken
-    // forward. (Reversed traversals take it backward, so exactly one of the
-    // two traversals is produced.)
-    for e0 in 0..m {
-        let first = &c.edges[e0];
-        if first.from == first.to {
-            // Self-loop: a 1-edge cycle.
-            out.push(finish(
-                c,
-                vec![Step {
-                    edge: e0,
-                    forward: true,
-                }],
-            ));
-            continue;
-        }
-        let start = first.from;
-        let mut visited = vec![false; n];
-        visited[start] = true;
-        visited[first.to] = true;
-        let mut steps = vec![Step {
-            edge: e0,
-            forward: true,
-        }];
-        dfs(
-            c,
-            e0,
-            start,
-            first.to,
-            &mut visited,
-            1u64 << e0,
-            &mut steps,
-            &mut out,
-        );
-    }
-    out
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    c: &Condensed,
-    e0: usize,
-    start: usize,
-    at: usize,
-    visited: &mut Vec<bool>,
-    used: u64,
-    steps: &mut Vec<Step>,
-    out: &mut Vec<Cycle>,
-) {
-    for (eid, edge) in c.edges.iter().enumerate() {
-        if eid <= e0 || used & (1 << eid) != 0 {
-            continue;
-        }
-        let (next, forward) = if edge.from == at {
-            (edge.to, true)
-        } else if edge.to == at {
-            (edge.from, false)
-        } else {
-            continue;
+/// The one cycle of a component whose groups all have degree 2, walked from
+/// its least edge `first` taken forward. `incident` lists each group's edge
+/// ids, a self-loop twice.
+pub(crate) fn independent_cycle(c: &Condensed, incident: &[Vec<usize>], first: usize) -> Cycle {
+    let mut steps = vec![Step {
+        edge: first,
+        forward: true,
+    }];
+    let (start, mut at, mut last) = (c.edges[first].from, c.edges[first].to, first);
+    while at != start {
+        let Some(&edge) = incident[at].iter().find(|&&e| e != last) else {
+            unreachable!("every group of an independent cycle has degree 2")
         };
-        // Self-loops elsewhere can't be part of a longer simple cycle.
-        if edge.from == edge.to {
-            continue;
-        }
-        steps.push(Step { edge: eid, forward });
-        if next == start {
-            out.push(finish(c, steps.clone()));
-        } else if !visited[next] {
-            visited[next] = true;
-            dfs(c, e0, start, next, visited, used | (1 << eid), steps, out);
-            visited[next] = false;
-        }
-        steps.pop();
+        let forward = c.edges[edge].from == at;
+        steps.push(Step { edge, forward });
+        at = if forward {
+            c.edges[edge].to
+        } else {
+            c.edges[edge].from
+        };
+        last = edge;
     }
+    finish(c, steps)
 }
 
 /// Computes cycle properties and normalizes orientation.
@@ -234,11 +171,23 @@ fn departure_var(c: &Condensed, s: &Step) -> Symbol {
 mod tests {
     use super::*;
     use crate::build::igraph_of;
+    use crate::component::{analyze_components, Component, ComponentKind};
     use crate::condense::condense;
     use recurs_datalog::parser::parse_rule;
 
+    fn components(src: &str) -> Vec<Component> {
+        analyze_components(&condense(&igraph_of(&parse_rule(src).unwrap())))
+    }
+
+    /// The independent cycles of the rule's components, in component order.
     fn cycles(src: &str) -> Vec<Cycle> {
-        enumerate_cycles(&condense(&igraph_of(&parse_rule(src).unwrap())))
+        let kinds = components(src).into_iter().map(|c| c.kind);
+        kinds
+            .filter_map(|k| match k {
+                ComponentKind::IndependentCycle(cy) => Some(cy),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -329,11 +278,14 @@ mod tests {
 
     #[test]
     fn s11_two_dependent_unit_cycles() {
-        let cs = cycles("P(x, y) :- A(x, x1), B(y, y1), C(x1, y1), P(x1, y1).");
-        // Two self-loops on the single group.
-        assert_eq!(cs.len(), 2);
-        assert!(cs.iter().all(Cycle::is_unit));
-        assert!(cs.iter().all(|c| c.rotational));
+        // Two self-loops on the single group: one component of cycle rank
+        // 2, so neither is an independent cycle.
+        let src = "P(x, y) :- A(x, x1), B(y, y1), C(x1, y1), P(x1, y1).";
+        let cs = components(src);
+        assert_eq!(cs.len(), 1);
+        assert_eq!(cs[0].kind, ComponentKind::Dependent);
+        assert_eq!(cs[0].cycle_rank(), 2);
+        assert!(cycles(src).is_empty());
     }
 
     #[test]

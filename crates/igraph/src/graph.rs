@@ -44,21 +44,6 @@ pub struct Edge {
 }
 
 impl Edge {
-    /// The weight contributed when traversing from `from` across this edge:
-    /// +1 forward along a directed edge, −1 against it, 0 on undirected.
-    pub(crate) fn weight_from(&self, from: VertexId) -> i64 {
-        match self.kind {
-            EdgeKind::Undirected => 0,
-            EdgeKind::Directed => {
-                if from == self.a {
-                    1
-                } else {
-                    -1
-                }
-            }
-        }
-    }
-
     /// The endpoint opposite `v`. For self-loops returns `v` itself.
     pub fn other(&self, v: VertexId) -> VertexId {
         if v == self.a {
@@ -71,11 +56,6 @@ impl Edge {
     /// True if `v` is an endpoint.
     pub fn touches(&self, v: VertexId) -> bool {
         self.a == v || self.b == v
-    }
-
-    /// True if this is a self-loop (both endpoints the same vertex).
-    pub(crate) fn is_self_loop(&self) -> bool {
-        self.a == self.b
     }
 }
 
@@ -247,24 +227,11 @@ mod tests {
     }
 
     #[test]
-    fn weight_from_respects_direction() {
-        let mut g = IGraph::new();
-        let e = g.add_directed(s("x"), s("y"), s("P"), 0);
-        let edge = g.edge(e);
-        let x = g.vertex_of(s("x")).unwrap();
-        let y = g.vertex_of(s("y")).unwrap();
-        assert_eq!(edge.weight_from(x), 1);
-        assert_eq!(edge.weight_from(y), -1);
-        let u = g.add_undirected(s("x"), s("y"), s("A"));
-        assert_eq!(g.edge(u).weight_from(x), 0);
-    }
-
-    #[test]
     fn self_loops_are_detected() {
         let mut g = IGraph::new();
         let e = g.add_directed(s("y"), s("y"), s("P"), 1);
-        assert!(g.edge(e).is_self_loop());
         let y = g.vertex_of(s("y")).unwrap();
+        assert_eq!((g.edge(e).a, g.edge(e).b), (y, y));
         assert_eq!(g.edge(e).other(y), y);
     }
 

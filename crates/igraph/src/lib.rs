@@ -9,12 +9,11 @@
 //!   ([`build::resolution_graph`]);
 //! * **condensation** over undirected connectivity — the paper's edge
 //!   *compression* taken to its fixpoint ([`condense`](mod@condense));
-//! * exhaustive **simple-cycle enumeration** with the paper's cycle
-//!   properties: weight, one-/multi-directional, rotational/permutational,
-//!   unit ([`cycle`]);
-//! * per-**component** structural analysis: trivial / acyclic / independent
-//!   cycle / dependent ([`component`]);
-//! * **max path weight** — Ioannidis's rank bound ([`paths`]);
+//! * per-**component** structural analysis, read from each component's
+//!   shape in one traversal: trivial / acyclic / independent cycle /
+//!   dependent ([`component`]), the independent cycle's properties — weight,
+//!   one-/multi-directional, rotational/permutational, unit ([`cycle`]) —
+//!   and its **max path weight**, Ioannidis's rank bound;
 //! * DOT and ASCII rendering of every figure ([`dot`]).
 //!
 //! # Example
@@ -22,15 +21,17 @@
 //! ```
 //! use recurs_datalog::parser::parse_rule;
 //! use recurs_igraph::build::igraph_of;
+//! use recurs_igraph::component::{analyze_components, ComponentKind};
 //! use recurs_igraph::condense::condense;
-//! use recurs_igraph::cycle::enumerate_cycles;
 //!
 //! // s1a: transitive closure.
 //! let rule = parse_rule("P(x, y) :- A(x, z), P(z, y).").unwrap();
-//! let g = igraph_of(&rule);
-//! let cycles = enumerate_cycles(&condense(&g));
-//! assert_eq!(cycles.len(), 2);
-//! assert!(cycles.iter().all(|c| c.is_unit())); // strongly stable (Thm 1)
+//! let components = analyze_components(&condense(&igraph_of(&rule)));
+//! assert_eq!(components.len(), 2);
+//! // Two independent unit cycles: strongly stable (Thm 1).
+//! assert!(components
+//!     .iter()
+//!     .all(|c| matches!(&c.kind, ComponentKind::IndependentCycle(cy) if cy.is_unit())));
 //! ```
 
 #![warn(missing_docs)]
@@ -42,11 +43,10 @@ pub mod condense;
 pub mod cycle;
 pub mod dot;
 pub mod graph;
-pub mod paths;
+mod paths;
 
 pub use build::{igraph_of, resolution_graph, ResolutionGraph};
 pub use component::{analyze_components, Component, ComponentKind};
 pub use condense::{condense, CEdge, Condensed};
-pub use cycle::{enumerate_cycles, Cycle, Step};
+pub use cycle::{Cycle, Step};
 pub use graph::{Edge, EdgeId, EdgeKind, IGraph, VertexId};
-pub use paths::max_path_weight;

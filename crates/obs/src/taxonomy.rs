@@ -28,7 +28,7 @@ pub const EVENTS: &[EventKind] = &[
     EventKind {
         kind: "classify.verdict",
         layer: "cli",
-        doc: "The classification verdict for a program: per-component class, cycle weights, one-directionality/rotation flags, chosen kernel, and rank bound.",
+        doc: "The classification verdict for a program: per-component class, `cycles` (the component's cycle rank, edges − groups + 1), an independent cycle's weight and one-directionality/rotation flags, chosen kernel, and rank bound.",
     },
     EventKind {
         kind: "engine.dispatch",

@@ -456,10 +456,10 @@ pub fn parse_ground_fact(text: &str) -> Result<(Symbol, Tuple), String> {
 /// may take: fixed keys, a dozen numbers, short labels.
 const REPLY_ENVELOPE_LEN: usize = 1024;
 
-/// An upper bound on the rendered length of `s` as a JSON string.
+/// The length of `s` rendered as a JSON string by `json::write_str`.
 fn json_len(s: &str) -> usize {
     let escape_len = |b: u8| match b {
-        b'"' | b'\\' => 1,
+        b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 1,
         0..=0x1f => 5,
         _ => 0,
     };
@@ -509,11 +509,11 @@ fn render_reply(query: &str, reply: &Reply, max_len: Option<usize>) -> String {
 ///
 /// A cache hit whose entry's cell holds its rows' text sends that text,
 /// which this function wrote for an earlier hit of the same answers. A hit
-/// whose cell is empty fills it with what it wrote when it cut nothing and
-/// charged `room` at most one byte past the text's length ([`json_len`]
-/// charges `\n`, `\r` and `\t` more than their escapes take). So kept text
-/// is sent only where more room is left than its length, which is where a
-/// fresh render would cut nothing.
+/// whose cell is empty fills it with what it wrote when it cut nothing.
+/// Whole rows charge `room` one byte past the text they write ([`json_len`]
+/// is exact, and each row is charged a closing comma), so kept text is sent
+/// only where more room is left than its length, which is where a fresh
+/// render would cut nothing.
 fn write_rows(out: &mut String, reply: &Reply, mut room: usize) -> usize {
     let answers = &reply.answers;
     let cell = reply.hit.as_deref();
@@ -537,7 +537,7 @@ fn write_rows(out: &mut String, reply: &Reply, mut room: usize) -> usize {
     };
     wide.sort_unstable();
     let one_column = if arity == 1 { &keyed[..] } else { &[] };
-    let (start, budget) = (out.len(), room);
+    let start = out.len();
     let mut shown = 0;
     for t in one_column.chunks(1).chain(wide) {
         // The brackets, the values, and a comma after each (the last
@@ -560,11 +560,8 @@ fn write_rows(out: &mut String, reply: &Reply, mut room: usize) -> usize {
         out.push(']');
         shown += 1;
     }
-    let text = &out[start..];
-    if let (Some(cell), None) = (cell, kept) {
-        if shown == answers.len() && budget - room <= text.len() + 1 {
-            let _ = cell.set(Box::from(text));
-        }
+    if let (Some(cell), None, true) = (cell, kept, shown == answers.len()) {
+        let _ = cell.set(Box::from(&out[start..]));
     }
     shown
 }
@@ -1167,16 +1164,8 @@ mod tests {
             arity in 0usize..=3,
             rows in proptest::collection::vec((constant(), constant(), constant()), 0..12),
             query in constant(),
-            tame in 0u8..2,
         ) {
-            // Tame constants hold no `\n`, `\r` or `\t`, so an uncut render is
-            // always kept and the warm path always runs.
-            let tame = tame == 1;
-            let tamed = |s: String| if tame { s.replace(['\n', '\r', '\t'], "") } else { s };
-            let rows: Vec<Vec<String>> = rows
-                .into_iter()
-                .map(|(a, b, c)| vec![tamed(a), tamed(b), tamed(c)])
-                .collect();
+            let rows: Vec<Vec<String>> = rows.into_iter().map(|(a, b, c)| vec![a, b, c]).collect();
             let mut reply = answers_reply(arity, &rows, false);
             let frames = |full: &str| {
                 let uncut = REPLY_ENVELOPE_LEN + json_len(&query) + full.len();
@@ -1201,9 +1190,7 @@ mod tests {
                     kept = cell;
                 }
             }
-            if tame {
-                proptest::prop_assert!(kept.get().is_some(), "an uncut tame render was not kept");
-            }
+            proptest::prop_assert!(kept.get().is_some(), "an uncut render was not kept");
             // A warm hit writes them too, at every frame size, and its cell
             // holds the same text.
             if let Some(text) = kept.get().cloned() {
@@ -1285,6 +1272,26 @@ mod tests {
         };
         assert!(r.contains(r#""count":2,"answers":[["2"]],"stats""#), "{r}");
         assert!(r.contains(r#","truncated":true"#), "{r}");
+    }
+
+    #[test]
+    fn a_framed_reply_of_escaped_newlines_keeps_every_row_that_fits() {
+        let rows: Vec<Vec<String>> = ["a\n", "b\n"].iter().map(|s| vec![s.to_string()]).collect();
+        let reply = answers_reply(1, &rows, false);
+        // `["a\n"]` writes 7 bytes and is charged 8 with its comma: 16 bytes
+        // hold both rows, 15 the first.
+        let room = REPLY_ENVELOPE_LEN + json_len("P(x)") + 16;
+        let both = render_reply("P(x)", &reply, Some(room));
+        assert!(
+            both.contains(r#""count":2,"answers":[["a\n"],["b\n"]],"stats""#),
+            "{both}"
+        );
+        assert!(!both.contains("truncated"), "{both}");
+        let one = render_reply("P(x)", &reply, Some(room - 1));
+        assert!(
+            one.contains(r#""count":2,"answers":[["a\n"]],"stats""#),
+            "{one}"
+        );
     }
 
     #[test]

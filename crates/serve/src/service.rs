@@ -881,7 +881,8 @@ fn opt_uz(v: Option<usize>) -> Value {
 }
 
 /// The classification verdict's fields — the overall class, each
-/// non-trivial I-graph component's class with its cycle count and (for an
+/// non-trivial I-graph component's class with its cycle count (its
+/// [`cycle_rank`](recurs_igraph::component::Component::cycle_rank)) and (for an
 /// independent cycle) weight and directionality, `extra`, and the proven
 /// rank bound when one exists. Both the `classify.verdict` event and
 /// `!explain`'s `classification` object are this, each with its own
@@ -899,7 +900,7 @@ pub fn verdict_fields(
             let label = class_iter.next().map_or("?", |cl| cl.label());
             let mut fields = vec![
                 ("class", Value::string(label)),
-                ("cycles", Value::UInt(comp.cycles.len() as u64)),
+                ("cycles", Value::UInt(comp.cycle_rank() as u64)),
             ];
             if let ComponentKind::IndependentCycle(cy) = &comp.kind {
                 fields.push(("weight", Value::UInt(cy.magnitude())));

@@ -2,6 +2,7 @@
 //! edge the figures draw is asserted on the mechanically constructed
 //! I-graphs and resolution graphs.
 
+use recurs_core::classify::Classification;
 use recurs_datalog::parser::parse_rule;
 use recurs_datalog::Symbol;
 use recurs_igraph::build::{igraph_of, resolution_graph};
@@ -110,7 +111,7 @@ fn figure_3_s8_igraph_and_bound() {
     assert!(has_undirected(&g, "y1", "u", "B"));
     assert!(has_undirected(&g, "z1", "u1", "C"));
     // The figure's point: max path weight 2 (x→z→z1), the rank bound.
-    assert_eq!(recurs_igraph::max_path_weight(&g), 2);
+    assert_eq!(Classification::of(&rule).rank_bound(), Some(2));
 }
 
 #[test]
